@@ -7,6 +7,7 @@
 //! each, so a flag behaves identically everywhere it is accepted and a new
 //! binary picks the vocabulary up by import instead of re-implementing it.
 
+use spectralfly_simnet::spec::{self, SpecError};
 use spectralfly_simnet::{
     pattern, routing, FaultPlan, FaultScript, MeasurementWindows, OraclePolicy,
 };
@@ -14,11 +15,8 @@ use spectralfly_simnet::{
 /// Parse `--name <value>` from the command line, falling back to `default`
 /// (malformed values fall back too).
 pub fn arg_u64(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
+    arg_str(name)
+        .and_then(|v| v.parse().ok())
         .unwrap_or(default)
 }
 
@@ -137,99 +135,79 @@ pub fn measurement_from_args() -> Option<MeasurementWindows> {
     Some(MeasurementWindows::new(warmup_ns * 1000, measure_ns * 1000))
 }
 
+/// Split a comma-separated spec list into its specs — commas inside
+/// parentheses separate a spec's arguments, not specs:
+/// `"hotspot(8,0.2),adversarial"` → `["hotspot(8,0.2)", "adversarial"]`.
+pub fn split_pattern_list(list: &str) -> Result<Vec<String>, SpecError> {
+    let calls = spec::parse_list(list)?;
+    Ok(calls.iter().map(|c| c.text().to_string()).collect())
+}
+
+/// The registry entries selected with `flag a,b,c` (falling back to `default`
+/// when the flag is absent; `all` selects every registered entry), validated
+/// against the registry that `registered` / `is_registered` front.
+fn registry_list_from_args(
+    flag: &str,
+    what: &str,
+    default: &[&str],
+    registered: fn() -> Vec<String>,
+    is_registered: fn(&str) -> bool,
+) -> Vec<String> {
+    let requested = match arg_str(flag) {
+        Some(list) => split_pattern_list(&list).unwrap_or_else(|e| panic!("{flag}: {e}")),
+        None => default.iter().map(|s| s.to_string()).collect(),
+    };
+    assert!(
+        !requested.is_empty(),
+        "{flag} requires at least one {what}; registered: {}",
+        registered().join(", ")
+    );
+    if requested.iter().any(|r| r == "all") {
+        return registered();
+    }
+    for spec in &requested {
+        assert!(
+            is_registered(spec),
+            "unknown {what} {spec:?}; registered: {}",
+            registered().join(", ")
+        );
+    }
+    requested
+}
+
 /// Routing algorithms selected on the command line: `--routing a,b,c` (registry
 /// names, validated against [`spectralfly_simnet::routing`]) with a fallback when
 /// the flag is absent. `--routing all` selects every registered algorithm.
 ///
 /// # Panics
-/// If a requested name is not in the routing registry (the message lists what is).
+/// If the list is malformed, or a requested name is not in the routing
+/// registry (the message lists what is).
 pub fn routing_names_from_args(default: &[&str]) -> Vec<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let requested: Vec<String> = match args.iter().position(|a| a == "--routing") {
-        Some(i) => args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("--routing requires a comma-separated list of algorithms"))
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect(),
-        None => default.iter().map(|s| s.to_string()).collect(),
-    };
-    assert!(
-        !requested.is_empty(),
-        "--routing requires at least one algorithm; registered: {}",
-        routing::registered_names().join(", ")
-    );
-    if requested.iter().any(|r| r == "all") {
-        return routing::registered_names();
-    }
-    for name in &requested {
-        assert!(
-            routing::is_registered(name),
-            "unknown routing algorithm {name:?}; registered: {}",
-            routing::registered_names().join(", ")
-        );
-    }
-    requested
-}
-
-/// Split a comma-separated pattern list at **top-level** commas only, so
-/// multi-argument specs survive intact:
-/// `"hotspot(8,0.2),adversarial"` → `["hotspot(8,0.2)", "adversarial"]`.
-pub fn split_pattern_list(list: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in list.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                out.push(list[start..i].trim().to_string());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    out.push(list[start..].trim().to_string());
-    out.retain(|s| !s.is_empty());
-    out
+    registry_list_from_args(
+        "--routing",
+        "routing algorithm",
+        default,
+        routing::registered_names,
+        routing::is_registered,
+    )
 }
 
 /// Traffic patterns selected on the command line: `--pattern a,b,c` (pattern
 /// specs, validated against [`spectralfly_simnet::pattern`]) with a fallback
 /// when the flag is absent. `--pattern all` selects every registered pattern.
-/// Specs may carry arguments, e.g. `--pattern "hotspot(8,0.2),adversarial"` —
-/// commas inside parentheses separate a spec's arguments, not specs.
+/// Specs may carry arguments, e.g. `--pattern "hotspot(8,0.2),adversarial"`.
 ///
 /// # Panics
-/// If a requested spec's base name is not in the pattern registry (the message
-/// lists what is).
+/// If the list is malformed, or a requested spec's base name is not in the
+/// pattern registry (the message lists what is).
 pub fn pattern_names_from_args(default: &[&str]) -> Vec<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let requested: Vec<String> = match args.iter().position(|a| a == "--pattern") {
-        Some(i) => split_pattern_list(args.get(i + 1).unwrap_or_else(|| {
-            panic!("--pattern requires a comma-separated list of pattern specs")
-        })),
-        None => default.iter().map(|s| s.to_string()).collect(),
-    };
-    assert!(
-        !requested.is_empty(),
-        "--pattern requires at least one pattern; registered: {}",
-        pattern::registered_names().join(", ")
-    );
-    if requested.iter().any(|r| r == "all") {
-        return pattern::registered_names();
-    }
-    for spec in &requested {
-        assert!(
-            pattern::is_registered(spec),
-            "unknown traffic pattern {spec:?}; registered: {}",
-            pattern::registered_names().join(", ")
-        );
-    }
-    requested
+    registry_list_from_args(
+        "--pattern",
+        "traffic pattern",
+        default,
+        pattern::registered_names,
+        pattern::is_registered,
+    )
 }
 
 /// The fault plan selected on the command line: `--faults <spec>` (a

@@ -8,17 +8,17 @@
 //! translation, ~n·u16 resident) or a [`LandmarkOracle`](spectralfly_graph::LandmarkOracle) (hub labeling), runs
 //! finite and steady-state simulations under minimal and UGAL-L routing, and
 //! records wall times, routing decisions/second, oracle resident bytes, and
-//! the process peak RSS (`VmHWM`) to the `BENCH_engine.json` trajectory.
+//! the process peak RSS (`VmHWM`) as one JSON entry appended to `--out`.
 //!
 //! Usage: `cargo run --release -p spectralfly-bench --bin million_node
-//! [--oracle cayley|landmark|auto] [--load-pct N] [--seed N] [--shards N]
-//! [--out PATH] [--smoke]`
+//! --out PATH [--oracle cayley|landmark|auto] [--load-pct N] [--seed N]
+//! [--shards N] [--smoke]`
 //!
 //! * default fabric: LPS(5,103) — 103³ − 103 = 1,092,624 radix-6 routers × 1
 //!   endpoint (Legendre(5|103) = −1, so the group is PGL₂ and every vertex of
 //!   the projective line construction is used);
 //! * `--smoke`: LPS(5,47) — 103,776 routers — same code paths in seconds, for
-//!   CI (results go to a throwaway file unless `--out` is given);
+//!   CI;
 //! * `--oracle dense` is accepted and *expected to fail fast* with
 //!   [`spectralfly_graph::OracleError::TooManyVertices`] — the point of the
 //!   tier — so the error path is part of what this binary demonstrates;
@@ -91,13 +91,7 @@ fn main() {
     let load = arg_u64("--load-pct", 5) as f64 / 100.0;
     let seed = arg_u64("--seed", 0x106);
     let shards = shards_from_args();
-    let out = arg_str("--out").unwrap_or_else(|| {
-        if smoke {
-            "/tmp/BENCH_engine_smoke.json".to_string()
-        } else {
-            "BENCH_engine.json".to_string()
-        }
-    });
+    let out = arg_str("--out").unwrap_or_else(|| panic!("--out <path> is required"));
 
     let t0 = Instant::now();
     let lps = LpsGraph::new(p, q).expect("valid LPS parameters");

@@ -396,8 +396,8 @@ pub fn table2_pairs() -> Vec<((u64, u64), u64)> {
 /// effective configuration, and the run seed. Rendered as a
 /// `"provenance":{...}` field ready to splice into a hand-rolled JSON object.
 ///
-/// BENCH_engine.json rows without this stamp cannot be distinguished from
-/// host noise after the fact — see `spectralfly_exp::provenance`.
+/// Rows without this stamp cannot be distinguished from host noise after the
+/// fact — see `spectralfly_exp::provenance`.
 pub fn provenance_field(config: &str, seed: u64) -> String {
     let hash = format!("{:016x}", spectralfly_exp::fnv64_str(config));
     format!(
@@ -502,22 +502,20 @@ mod tests {
 
     #[test]
     fn pattern_lists_split_at_top_level_commas_only() {
+        let split = |list| split_pattern_list(list).unwrap();
         assert_eq!(
-            split_pattern_list("hotspot(8,0.2),adversarial"),
+            split("hotspot(8,0.2),adversarial"),
             vec!["hotspot(8,0.2)", "adversarial"]
         );
         assert_eq!(
-            split_pattern_list(" random , nearest-group(32) "),
+            split(" random , nearest-group(32) "),
             vec!["random", "nearest-group(32)"]
         );
-        assert_eq!(split_pattern_list("tornado"), vec!["tornado"]);
-        assert_eq!(
-            split_pattern_list("hotspot(4, 0.5)"),
-            vec!["hotspot(4, 0.5)"]
-        );
-        assert!(split_pattern_list(" , ,").is_empty());
-        // Every surviving element is a spec the registry can validate whole.
-        for spec in split_pattern_list("hotspot(8,0.2),adversarial(64),random") {
+        assert_eq!(split("tornado"), vec!["tornado"]);
+        assert_eq!(split("hotspot(4, 0.5)"), vec!["hotspot(4, 0.5)"]);
+        assert_eq!(split_pattern_list(" , ,").unwrap_err().offset, 1);
+        // Every element is a spec the registry can validate whole.
+        for spec in split("hotspot(8,0.2),adversarial(64),random") {
             assert!(pattern::is_registered(&spec), "{spec}");
         }
     }

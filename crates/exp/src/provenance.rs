@@ -1,11 +1,11 @@
 //! Provenance stamps: enough context to trust (or distrust) a recorded number.
 //!
-//! BENCH_engine.json taught the lesson this module encodes: a performance row
-//! with no record of *which commit*, *which configuration*, and *which seed*
-//! produced it cannot be distinguished from host noise after the fact. Every
-//! artifact the runner emits — and every row the recording binaries append —
-//! carries a [`Provenance`] stamp so a regression can be traced to the exact
-//! tree state that produced it.
+//! The retired `BENCH_engine.json` trajectory taught the lesson this module
+//! encodes: a performance row with no record of *which commit*, *which
+//! configuration*, and *which seed* produced it cannot be distinguished from
+//! host noise after the fact. Every artifact the runner emits — and every row
+//! the recording binaries append — carries a [`Provenance`] stamp so a
+//! regression can be traced to the exact tree state that produced it.
 //!
 //! Collection is best-effort by design: a build from a tarball has no git, CI
 //! may have a shallow clone, and a stamp must never turn a benchmark run into

@@ -1,8 +1,10 @@
 //! The manifest's topology axis: compact specs like `lps(11,7)x4` resolved to
 //! router graphs plus endpoint concentration.
 //!
-//! The grammar is `family(args)xC` where `C` is the endpoints-per-router
-//! concentration (default 1) and `family` is one of:
+//! A spec is `family(args) x C` in the shared grammar of
+//! [`spectralfly_simnet::spec`] (see "Spec grammar" in
+//! `docs/ARCHITECTURE.md`): `C` is the endpoints-per-router concentration
+//! (default 1), the arguments are integers, and `family` is one of:
 //!
 //! * `lps(p, q)` — SpectralFly LPS Ramanujan graph,
 //! * `slimfly(q)` — SlimFly / MMS,
@@ -17,6 +19,7 @@
 //! family added there becomes reachable here by one match arm.
 
 use spectralfly_graph::CsrGraph;
+use spectralfly_simnet::spec::{self, Arg};
 use spectralfly_topology::{
     BundleFlyGraph, CanonicalDragonFly, GeneralizedDragonFly, GlobalArrangement, LpsGraph,
     SlimFlyGraph, Topology,
@@ -37,49 +40,30 @@ impl TopoSpec {
     /// Parse a spec like `lps(11,7)x4`. The error is a plain reason; callers
     /// (the manifest parser) wrap it with the offending field.
     pub fn parse(spec: &str) -> Result<TopoSpec, String> {
-        let s: String = spec
-            .to_ascii_lowercase()
-            .chars()
-            .filter(|c| !c.is_whitespace())
-            .collect();
-        let (body, concentration) = match s.rfind('x') {
-            // An `x` after the closing paren is the concentration suffix.
-            Some(i) if i > s.rfind(')').unwrap_or(0) => {
-                let c: usize = s[i + 1..]
-                    .parse()
-                    .map_err(|_| format!("bad concentration suffix in {spec:?}"))?;
-                if c == 0 {
-                    return Err(format!("concentration must be at least 1 in {spec:?}"));
-                }
-                (&s[..i], c)
-            }
-            _ => (&s[..], 1),
+        let terms = spec::parse(spec).map_err(|e| e.to_string())?;
+        let [term] = terms.as_slice() else {
+            return Err(format!("expected one topology, found a '+' in {spec:?}"));
         };
-        let (family, args) = match body.find('(') {
-            None => (body.trim().to_string(), Vec::new()),
-            Some(open) => {
-                let close = body
-                    .rfind(')')
-                    .ok_or_else(|| format!("missing ')' in {spec:?}"))?;
-                if close < open {
-                    return Err(format!("mismatched parentheses in {spec:?}"));
-                }
-                let mut args = Vec::new();
-                for a in body[open + 1..close].split(',') {
-                    let a = a.trim();
-                    if a.is_empty() {
-                        continue;
-                    }
-                    args.push(
-                        a.parse::<u64>()
-                            .map_err(|_| format!("bad integer argument {a:?} in {spec:?}"))?,
-                    );
-                }
-                (body[..open].trim().to_string(), args)
-            }
+        let bad = |offset: usize, reason: &str| term.call.error(offset, reason).to_string();
+        if let Some(at) = &term.at {
+            return Err(bad(at.start, "a topology takes no '@ placement'"));
+        }
+        let concentration = usize::try_from(term.times.unwrap_or(1))
+            .ok()
+            .filter(|&c| c >= 1)
+            .ok_or_else(|| format!("concentration must be at least 1 in {spec:?}"))?;
+        let integer = |a: &Arg| match a {
+            Arg::Num(n) if n.unit.is_empty() => n.text.parse().ok(),
+            _ => None,
         };
+        let args = term
+            .call
+            .args
+            .iter()
+            .map(|a| integer(a).ok_or_else(|| bad(a.offset(), "bad integer argument")))
+            .collect::<Result<_, _>>()?;
         let parsed = TopoSpec {
-            family,
+            family: term.call.key(),
             args,
             concentration,
         };
@@ -159,7 +143,7 @@ mod tests {
     fn specs_parse_build_and_round_trip() {
         for (spec, canonical, routers) in [
             ("lps(11,7)x4", "lps(11,7)x4", 168),
-            ("LPS(11, 7) x 4", "lps(11,7)x4", 168), // whitespace and case are ignored
+            ("LPS(11, 7) x 4", "lps(11,7)x4", 168), // spacing and case are ignored
             ("slimfly(9)x4", "slimfly(9)x4", 162),
             ("ring(9)x2", "ring(9)x2", 9),
             ("ring(8)", "ring(8)x1", 8),

@@ -1,0 +1,122 @@
+//! The exp half of the spec fuzz battery (see `crates/simnet/tests/spec_fuzz.rs`):
+//! `TopoSpec::parse` and `Manifest::parse` return `Ok` or a typed error on
+//! random strings and on every single-edit mutation of valid input — never a
+//! panic, never past the per-case budget — plus the topology rows of the
+//! strictness and meaning-preservation tables.
+
+#[path = "../../simnet/tests/common/mod.rs"]
+mod common;
+
+use common::{random_strings, single_edit_mutations, within_budget};
+use proptest::prelude::*;
+use spectralfly_exp::{Manifest, TopoSpec};
+
+/// A manifest exercising every spec-valued axis.
+const MANIFEST: &str = r#"[manifest]
+name = "fuzz"
+[experiment.e]
+topologies = ["lps(11,7)x4", "ring(9)x2"]
+routings = ["ugal-l"]
+patterns = ["hotspot(8, 0.2)"]
+jobs = ["allgather x 8 @ random + traffic(0.9, adversarial(4), 4096) x 8"]
+faults = ["links(0.1) + routers(2)"]
+fault_scripts = ["at(5us, links(0.05)) + churn(10mhz, 2us)"]
+mode = "steady"
+"#;
+
+fn parse_topology(input: &str) {
+    let _ = TopoSpec::parse(input);
+}
+
+fn parse_manifest(input: &str) {
+    let _ = Manifest::parse(input);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn random_strings_yield_ok_or_typed_errors(seed in 0u64..u64::MAX) {
+        within_budget(random_strings(seed, 64), parse_topology);
+        // As a whole document, and as an axis value of a well-formed one.
+        let mut documents = random_strings(seed, 16);
+        for value in random_strings(seed ^ 1, 16) {
+            let quoted: String = value.chars().filter(|c| !matches!(c, '"' | '\\')).collect();
+            documents.push(MANIFEST.replace("lps(11,7)x4", &quoted));
+            documents.push(MANIFEST.replace("links(0.1) + routers(2)", &quoted));
+        }
+        within_budget(documents, parse_manifest);
+    }
+}
+
+#[test]
+fn single_edit_mutations_yield_ok_or_typed_errors() {
+    for valid in [
+        "lps(11,7)x4",
+        "LPS(11, 7) x 4",
+        "ring(9)",
+        "dragonfly(8,4,21)x4",
+    ] {
+        TopoSpec::parse(valid).unwrap();
+        within_budget(single_edit_mutations(valid), parse_topology);
+    }
+    Manifest::parse(MANIFEST).unwrap();
+    within_budget(single_edit_mutations(MANIFEST), parse_manifest);
+}
+
+/// Each of these used to parse — as `lps(11,7)x4`, `ring(9)x3`, … — with the
+/// junk silently dropped.
+#[test]
+fn malformed_topologies_are_rejected_with_an_offset() {
+    for (spec, offset) in [
+        ("lps(11,7)garbage x4", 9),
+        ("ring(9)x2x3", 7),
+        ("lps(11,7)(x4", 9),
+        ("lps(11,,7)x4", 7),
+        ("lps(11,7)x4 @ random", 14),
+    ] {
+        let reason = TopoSpec::parse(spec).unwrap_err();
+        assert!(
+            reason.contains(&format!("(at byte {offset})")),
+            "{spec}: {reason}"
+        );
+        // … and a manifest names the axis the bad spec sits on.
+        let err = Manifest::parse(&MANIFEST.replace("ring(9)x2", spec)).unwrap_err();
+        assert!(
+            err.to_string().contains("[experiment.e] topologies"),
+            "{err}"
+        );
+    }
+    assert!(TopoSpec::parse("lps(11,7)x4 + ring(9)").is_err());
+}
+
+/// Every topology string in `manifests/*.toml`, `benchmark/workloads/*.toml`,
+/// `benchmark/src/workloads.rs` and the runner's calibration scenario, with
+/// the `TopoSpec` it parsed to at the commit before the shared grammar.
+#[test]
+fn checked_in_topologies_keep_their_meaning() {
+    for (spec, family, args, concentration) in [
+        ("ring(5)x2", "ring", &[5u64][..], 2),
+        ("ring(9)x2", "ring", &[9], 2),
+        ("ring(16)x2", "ring", &[16], 2),
+        ("lps(11,7)x4", "lps", &[11, 7], 4),
+        ("lps(23,13)x8", "lps", &[23, 13], 8),
+        ("slimfly(9)x4", "slimfly", &[9], 4),
+        ("slimfly(27)x8", "slimfly", &[27], 8),
+        ("bundlefly(13,3)x3", "bundlefly", &[13, 3], 3),
+        ("bundlefly(9,9)x6", "bundlefly", &[9, 9], 6),
+        ("dragonfly(8,4,21)x4", "dragonfly", &[8, 4, 21], 4),
+        ("dragonfly(16,8,69)x8", "dragonfly", &[16, 8, 69], 8),
+    ] {
+        let parsed = TopoSpec::parse(spec).unwrap();
+        assert_eq!(
+            (
+                parsed.family.as_str(),
+                &parsed.args[..],
+                parsed.concentration
+            ),
+            (family, args, concentration)
+        );
+        assert_eq!(parsed.canonical(), spec);
+    }
+}

@@ -54,12 +54,32 @@ use std::sync::Arc;
 /// Why a run could not start or could not complete.
 ///
 /// Returned by the `try_run*` entry points of every engine; the panicking
-/// `run*` variants unwrap it. `Fault` rejections happen *before* any
-/// simulation work; `Deadlock` is the wakeup engine's quiescence detection
-/// turned into a value — degenerate configurations (tiny per-VC buffers under
-/// saturation) degrade gracefully instead of aborting the process.
+/// `run*` variants unwrap it. Every variant but `Deadlock` is a rejection
+/// *before* any simulation work; `Deadlock` is the wakeup engine's quiescence
+/// detection turned into a value — degenerate configurations (tiny per-VC
+/// buffers under saturation) degrade gracefully instead of aborting the
+/// process.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
+    /// [`SimConfig::routing`] does not name a registered routing algorithm.
+    UnknownRouting {
+        /// The name that failed to resolve.
+        name: String,
+        /// Canonical names currently registered, for the error message.
+        registered: Vec<String>,
+    },
+    /// The steady-state destination pattern
+    /// ([`crate::config::MeasurementWindows::pattern`]) was rejected.
+    Pattern(crate::pattern::PatternError),
+    /// The job mix ([`SimConfig::jobs`]) is malformed, names an unknown job,
+    /// or does not fit the surviving endpoints.
+    Job(crate::job::JobError),
+    /// [`SimConfig::faults`] records a plan the network was not built with
+    /// (the message says which side has what).
+    FaultPlanMismatch(String),
+    /// The offered load is not a fraction in `(0, 1]` (the message carries
+    /// the rejected value).
+    OfferedLoad(String),
     /// A fault plan or script made the run infeasible (dead endpoints,
     /// disconnected pairs, fragmented survivors, malformed script).
     Fault(crate::fault::FaultError),
@@ -75,8 +95,17 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SimError::UnknownRouting { name, registered } => write!(
+                f,
+                "unknown routing algorithm {name:?}; registered: {}",
+                registered.join(", ")
+            ),
+            SimError::Pattern(e) => e.fmt(f),
+            SimError::Job(e) => e.fmt(f),
             SimError::Fault(e) => e.fmt(f),
-            SimError::Deadlock { diagnosis } => f.write_str(diagnosis),
+            SimError::FaultPlanMismatch(message)
+            | SimError::OfferedLoad(message)
+            | SimError::Deadlock { diagnosis: message } => f.write_str(message),
         }
     }
 }
@@ -84,8 +113,10 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            SimError::Pattern(e) => Some(e),
+            SimError::Job(e) => Some(e),
             SimError::Fault(e) => Some(e),
-            SimError::Deadlock { .. } => None,
+            _ => None,
         }
     }
 }
@@ -93,6 +124,44 @@ impl std::error::Error for SimError {
 impl From<crate::fault::FaultError> for SimError {
     fn from(e: crate::fault::FaultError) -> Self {
         SimError::Fault(e)
+    }
+}
+
+impl From<crate::pattern::PatternError> for SimError {
+    fn from(e: crate::pattern::PatternError) -> Self {
+        SimError::Pattern(e)
+    }
+}
+
+impl From<crate::job::JobError> for SimError {
+    fn from(e: crate::job::JobError) -> Self {
+        SimError::Job(e)
+    }
+}
+
+/// Resolve the configured routing algorithm and check the config's fault plan
+/// against the network — what both live engines' constructors defer to their
+/// `try_*` entry points as a value.
+pub(crate) fn resolve_router(
+    net: &SimNetwork,
+    cfg: &SimConfig,
+) -> Result<Box<dyn Router>, SimError> {
+    let router = routing::create(&cfg.routing).ok_or_else(|| SimError::UnknownRouting {
+        name: cfg.routing.clone(),
+        registered: routing::registered_names(),
+    })?;
+    crate::fault::check_config_plan(net, &cfg.faults)?;
+    Ok(router)
+}
+
+/// Reject an offered load outside `(0, 1]` (NaN included).
+pub(crate) fn check_offered_load(offered_load: f64) -> Result<(), SimError> {
+    if offered_load > 0.0 && offered_load <= 1.0 {
+        Ok(())
+    } else {
+        Err(SimError::OfferedLoad(format!(
+            "offered load must be in (0, 1], got {offered_load}"
+        )))
     }
 }
 
@@ -738,31 +807,42 @@ impl EngineState {
 pub struct Simulator<'a> {
     net: &'a SimNetwork,
     cfg: &'a SimConfig,
-    /// The routing algorithm, resolved once from the registry at construction.
-    router: Box<dyn Router>,
+    /// The routing algorithm, resolved once from the registry at
+    /// construction — or why no run can start (see [`resolve_router`]).
+    router: Result<Box<dyn Router>, SimError>,
 }
 
 impl<'a> Simulator<'a> {
     /// Create a simulator over a network with a configuration.
     ///
-    /// # Panics
-    /// If `cfg.routing` does not name a registered routing algorithm
-    /// (see [`crate::routing`]).
+    /// A `cfg.routing` that names no registered algorithm (see
+    /// [`crate::routing`]) or a `cfg.faults` plan the network was not built
+    /// with is reported by the first `try_*` call (the `run*` wrappers panic
+    /// with the same message).
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
         assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
         assert!(
             cfg.buffer_packets_per_vc >= 1,
             "need at least one buffer slot per VC"
         );
-        let router = routing::create(&cfg.routing).unwrap_or_else(|| {
-            panic!(
-                "unknown routing algorithm {:?}; registered: {}",
-                cfg.routing,
-                routing::registered_names().join(", ")
-            )
-        });
-        crate::fault::check_config_plan(net, &cfg.faults);
-        Simulator { net, cfg, router }
+        Simulator {
+            net,
+            cfg,
+            router: resolve_router(net, cfg),
+        }
+    }
+
+    /// The construction-time rejection, if any: every `try_*` entry point
+    /// returns it before doing anything else.
+    fn check_setup(&self) -> Result<(), SimError> {
+        self.router.as_ref().map(|_| ()).map_err(SimError::clone)
+    }
+
+    /// The routing algorithm, for the event handlers.
+    fn router(&self) -> &dyn Router {
+        self.router
+            .as_deref()
+            .expect("every try_* entry point returns the setup error before any event runs")
     }
 
     /// Run the workload with message injections spaced exactly as the workload specifies
@@ -788,6 +868,7 @@ impl<'a> Simulator<'a> {
     /// [`SimError::Deadlock`]. On pristine networks without a fault script
     /// this never errs.
     pub fn try_run(&self, workload: &Workload) -> Result<SimResults, SimError> {
+        self.check_setup()?;
         assert!(
             self.cfg.jobs.is_none(),
             "SimConfig::jobs requires steady-state measurement windows \
@@ -837,10 +918,8 @@ impl<'a> Simulator<'a> {
         workload: &Workload,
         offered_load: f64,
     ) -> Result<SimResults, SimError> {
-        assert!(
-            offered_load > 0.0 && offered_load <= 1.0,
-            "offered load must be in (0, 1]"
-        );
+        self.check_setup()?;
+        check_offered_load(offered_load)?;
         match &self.cfg.windows {
             None => {
                 assert!(
@@ -1017,13 +1096,15 @@ impl<'a> Simulator<'a> {
             .as_ref()
             .map(|m| m.alive.len())
             .unwrap_or(self.net.num_endpoints());
-        // Resolve the destination pattern once, up front — an unknown spec fails
-        // loudly before any simulation work, mirroring unknown routing names.
-        let pattern: Option<Box<dyn crate::pattern::TrafficPattern>> =
-            w.pattern.as_deref().map(|spec| {
+        // Resolve the destination pattern once, up front — an unknown spec is
+        // rejected before any simulation work, mirroring unknown routing names.
+        let pattern = w
+            .pattern
+            .as_deref()
+            .map(|spec| {
                 crate::pattern::create(spec, &crate::pattern::PatternCtx::new(pattern_endpoints))
-                    .unwrap_or_else(|e| panic!("{e}"))
-            });
+            })
+            .transpose()?;
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
 
@@ -1114,10 +1195,8 @@ impl<'a> Simulator<'a> {
     /// open-loop tenants drive per-rank rate-process sources, and per-tenant
     /// accounting lands in [`SimResults::tenants`]. The run-level
     /// `offered_load` scales every open-loop tenant's configured rates.
-    ///
-    /// # Panics
-    /// On a malformed mix spec or one that does not fit the surviving
-    /// endpoints, mirroring unknown routing/pattern names.
+    /// A malformed mix spec, or one that does not fit the surviving endpoints,
+    /// is [`SimError::Job`].
     fn run_steady_jobs(
         &self,
         offered_load: f64,
@@ -1125,8 +1204,7 @@ impl<'a> Simulator<'a> {
     ) -> Result<SimResults, SimError> {
         let mix = self.cfg.jobs.as_deref().expect("jobs run without a mix");
         let alive = self.net.alive_endpoints();
-        let plan = crate::job::resolve_mix(mix, &crate::job::JobCtx::new(), &alive, self.cfg.seed)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let plan = crate::job::resolve_mix(mix, &crate::job::JobCtx::new(), &alive, self.cfg.seed)?;
 
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
@@ -1939,7 +2017,7 @@ impl<'a> Simulator<'a> {
         let port = choose_port(
             self.net,
             self.cfg,
-            self.router.as_ref(),
+            self.router(),
             &mut st.packets,
             pi,
             router,
@@ -2330,27 +2408,40 @@ mod tests {
         );
     }
 
+    /// `try_run` must return `FaultPlanMismatch` with a message containing
+    /// `expect`, and `run` must panic with that same message.
+    fn assert_plan_mismatch(net: &SimNetwork, cfg: &SimConfig, expect: &str) {
+        let wl = Workload::uniform_random(net.num_endpoints(), 1, 1024, 1);
+        let sim = Simulator::new(net, cfg);
+        let err = sim.try_run(&wl).unwrap_err();
+        assert!(
+            matches!(&err, SimError::FaultPlanMismatch(m) if m.contains(expect)),
+            "{err:?}"
+        );
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(&wl)))
+            .expect_err("run must panic on a mismatched fault plan");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
+    }
+
     /// A config that records a fault plan must be paired with a network built
     /// from that plan.
     #[test]
-    #[should_panic(expected = "built pristine")]
     fn config_fault_plan_without_degraded_network_panics() {
         use crate::fault::FaultPlan;
         let net = SimNetwork::new(ring(8), 1);
         let cfg = SimConfig::default().with_fault_plan(FaultPlan::random_links(0.2));
-        let _ = Simulator::new(&net, &cfg);
+        assert_plan_mismatch(&net, &cfg, "built pristine");
     }
 
     /// Same spec at a different seed is different damage — the config check
     /// compares the full cache key, not just the spelling.
     #[test]
-    #[should_panic(expected = "does not match the network's")]
     fn config_fault_plan_with_wrong_seed_panics() {
         use crate::fault::FaultPlan;
         let net = SimNetwork::with_faults(ring(12), 1, &FaultPlan::random_links(0.2).with_seed(1))
             .unwrap();
         let cfg = SimConfig::default().with_fault_plan(FaultPlan::random_links(0.2).with_seed(2));
-        let _ = Simulator::new(&net, &cfg);
+        assert_plan_mismatch(&net, &cfg, "does not match the network's");
     }
 
     /// A machine with every router down is as infeasible for a live pattern

@@ -1596,7 +1596,9 @@ fn spawn_job_message_par(
 pub struct ParallelSimulator<'a> {
     net: &'a SimNetwork,
     cfg: &'a SimConfig,
-    router: Box<dyn Router>,
+    /// The routing algorithm, or why no run can start (see
+    /// [`super::resolve_router`]).
+    router: Result<Box<dyn Router>, SimError>,
     shards: usize,
     owner: Vec<u32>,
     lookahead: u64,
@@ -1606,10 +1608,13 @@ impl<'a> ParallelSimulator<'a> {
     /// Create a parallel simulator over a network with a configuration,
     /// running [`SimConfig::shards`] worker shards.
     ///
+    /// An unregistered `cfg.routing` or a `cfg.faults` plan the network was
+    /// not built with is reported by the first `try_*` call, exactly as on
+    /// [`crate::Simulator::new`].
+    ///
     /// # Panics
-    /// If `cfg.routing` does not name a registered routing algorithm, if the
-    /// configured link + router latency is zero (the conservative lookahead
-    /// would vanish), or if `cfg.shards` is zero.
+    /// If the configured link + router latency is zero (the conservative
+    /// lookahead would vanish), or if `cfg.shards` is zero.
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
         assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
         assert!(
@@ -1617,14 +1622,6 @@ impl<'a> ParallelSimulator<'a> {
             "need at least one buffer slot per VC"
         );
         assert!(cfg.shards >= 1, "shard count must be at least 1");
-        let router = routing::create(&cfg.routing).unwrap_or_else(|| {
-            panic!(
-                "unknown routing algorithm {:?}; registered: {}",
-                cfg.routing,
-                routing::registered_names().join(", ")
-            )
-        });
-        crate::fault::check_config_plan(net, &cfg.faults);
         let lookahead = cfg.link_latency_ps() + cfg.router_latency_ps();
         assert!(
             lookahead > 0,
@@ -1640,11 +1637,17 @@ impl<'a> ParallelSimulator<'a> {
         ParallelSimulator {
             net,
             cfg,
-            router,
+            router: super::resolve_router(net, cfg),
             shards,
             owner,
             lookahead,
         }
+    }
+
+    /// The routing algorithm, or the construction-time rejection every
+    /// `try_*` entry point returns before doing anything else.
+    fn router(&self) -> Result<&dyn Router, SimError> {
+        self.router.as_deref().map_err(SimError::clone)
     }
 
     /// The router→shard assignment in use (length [`SimNetwork::num_routers`]).
@@ -1666,6 +1669,7 @@ impl<'a> ParallelSimulator<'a> {
     /// [`ParallelSimulator::run`], returning infeasible-workload and deadlock
     /// conditions as typed errors (see [`crate::Simulator::try_run`]).
     pub fn try_run(&self, workload: &Workload) -> Result<SimResults, SimError> {
+        self.router()?;
         assert!(
             self.cfg.jobs.is_none(),
             "SimConfig::jobs requires steady-state measurement windows (SimConfig::with_windows)"
@@ -1696,10 +1700,8 @@ impl<'a> ParallelSimulator<'a> {
         workload: &Workload,
         offered_load: f64,
     ) -> Result<SimResults, SimError> {
-        assert!(
-            offered_load > 0.0 && offered_load <= 1.0,
-            "offered load must be in (0, 1]"
-        );
+        self.router()?;
+        super::check_offered_load(offered_load)?;
         match &self.cfg.windows {
             None => {
                 assert!(
@@ -1752,6 +1754,7 @@ impl<'a> ParallelSimulator<'a> {
         workload: &Workload,
         offered_load: Option<f64>,
     ) -> Result<SimResults, SimError> {
+        let router = self.router()?;
         if let Some(max_ep) = workload.max_endpoint() {
             assert!(
                 max_ep < self.net.num_endpoints(),
@@ -1814,7 +1817,7 @@ impl<'a> ParallelSimulator<'a> {
                                 self.shards,
                                 self.net,
                                 self.cfg,
-                                self.router.as_ref(),
+                                router,
                                 &self.owner,
                                 self.lookahead,
                                 StatsCollector::default(),
@@ -1906,6 +1909,7 @@ impl<'a> ParallelSimulator<'a> {
         offered_load: f64,
         w: &MeasurementWindows,
     ) -> Result<SimResults, SimError> {
+        let router = self.router()?;
         if let Some(max_ep) = workload.max_endpoint() {
             assert!(
                 max_ep < self.net.num_endpoints(),
@@ -1920,11 +1924,13 @@ impl<'a> ParallelSimulator<'a> {
             .as_ref()
             .map(|m| m.alive.len())
             .unwrap_or(self.net.num_endpoints());
-        let pattern: Option<Box<dyn crate::pattern::TrafficPattern>> =
-            w.pattern.as_deref().map(|spec| {
+        let pattern = w
+            .pattern
+            .as_deref()
+            .map(|spec| {
                 crate::pattern::create(spec, &crate::pattern::PatternCtx::new(pattern_endpoints))
-                    .unwrap_or_else(|e| panic!("{e}"))
-            });
+            })
+            .transpose()?;
         let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
 
         let mut templates: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.net.num_endpoints()];
@@ -1952,7 +1958,7 @@ impl<'a> ParallelSimulator<'a> {
                             self.shards,
                             self.net,
                             self.cfg,
-                            self.router.as_ref(),
+                            router,
                             &self.owner,
                             self.lookahead,
                             StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps()),
@@ -2071,19 +2077,15 @@ impl<'a> ParallelSimulator<'a> {
     /// that rank), and the groups the delivery releases belong to that same
     /// rank, so the sends they fire originate from an owned endpoint. No
     /// cross-shard job state is ever needed.
-    ///
-    /// # Panics
-    /// On a malformed mix spec or one that does not fit the surviving
-    /// endpoints, mirroring unknown routing/pattern names.
     fn run_steady_jobs(
         &self,
         offered_load: f64,
         w: &MeasurementWindows,
     ) -> Result<SimResults, SimError> {
+        let router = self.router()?;
         let mix = self.cfg.jobs.as_deref().expect("jobs run without a mix");
         let alive = self.net.alive_endpoints();
-        let plan = job::resolve_mix(mix, &JobCtx::new(), &alive, self.cfg.seed)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let plan = job::resolve_mix(mix, &JobCtx::new(), &alive, self.cfg.seed)?;
         let plan = &plan;
         let timeline = self.fault_timeline(w.deadline_ps())?;
         let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
@@ -2107,7 +2109,7 @@ impl<'a> ParallelSimulator<'a> {
                             self.shards,
                             self.net,
                             self.cfg,
-                            self.router.as_ref(),
+                            router,
                             &self.owner,
                             self.lookahead,
                             shard_stats,

@@ -11,9 +11,8 @@
 //!    results *exactly* (same event cascade, same RNG stream, same
 //!    `SimResults`), and that under congestion the conservation quantities
 //!    (packets, bytes, messages delivered) still agree.
-//! 2. **Performance baseline** — `bench_engine` and `BENCH_engine.json` report
-//!    the wakeup engine's event-throughput speedup over this implementation on
-//!    a saturated sweep.
+//! 2. **Performance baseline** — `benches/simulator.rs` times the wakeup
+//!    engine against this implementation on a saturated sweep.
 //!
 //! It shares packetization (`packetize_phase`) and the routing
 //! decision path (`choose_port`) with the wakeup engine, so the two
@@ -23,7 +22,7 @@
 use super::{choose_port, packetize_phase, Event, EventKind, Packet};
 use crate::config::SimConfig;
 use crate::network::SimNetwork;
-use crate::routing::{self, RouteScratch, Router};
+use crate::routing::{RouteScratch, Router};
 use crate::stats::{EngineCounters, SimResults, StatsCollector};
 use crate::workload::Workload;
 use rand::{rngs::StdRng, SeedableRng};
@@ -115,21 +114,15 @@ impl<'a> ReferenceSimulator<'a> {
     /// Create a reference simulator over a network with a configuration.
     ///
     /// # Panics
-    /// If `cfg.routing` does not name a registered routing algorithm.
+    /// If `cfg.routing` does not name a registered routing algorithm, or
+    /// `cfg.faults` records a plan the network was not built with.
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
         assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
         assert!(
             cfg.buffer_packets_per_vc >= 1,
             "need at least one buffer slot per VC"
         );
-        let router = routing::create(&cfg.routing).unwrap_or_else(|| {
-            panic!(
-                "unknown routing algorithm {:?}; registered: {}",
-                cfg.routing,
-                routing::registered_names().join(", ")
-            )
-        });
-        crate::fault::check_config_plan(net, &cfg.faults);
+        let router = super::resolve_router(net, cfg).unwrap_or_else(|e| panic!("{e}"));
         ReferenceSimulator { net, cfg, router }
     }
 

@@ -17,9 +17,9 @@
 //!
 //! # Fault specs
 //!
-//! A plan spec is one or more model terms joined by `+`; each term is a
-//! registry name with optional numeric arguments (the
-//! [`crate::pattern`] spec syntax). Built-ins:
+//! A plan spec is one or more model terms joined by `+`, each a registry name
+//! with numeric arguments, in the shared grammar of [`crate::spec`] (see "Spec
+//! grammar" in `docs/ARCHITECTURE.md`). Built-ins:
 //!
 //! | spec | meaning |
 //! |------|---------|
@@ -63,8 +63,9 @@
 //! assert!(!pristine.unwrap().has_faults());
 //! ```
 
+use crate::engine::SimError;
 use crate::network::SimNetwork;
-use crate::pattern;
+use crate::spec::{self, Arg, Call, SpecError};
 use crate::workload::Workload;
 use spectralfly_graph::csr::{CsrGraph, VertexId};
 use spectralfly_graph::failures::{draw_failed_links, draw_failed_routers};
@@ -83,17 +84,8 @@ pub enum FaultError {
         /// Canonical names currently registered, for the error message.
         registered: Vec<String>,
     },
-    /// The plan spec could not be parsed (`name(arg, …) + name(…)` syntax).
-    BadSpec {
-        /// The offending sub-spec (the single term that failed, not the whole
-        /// composed spec).
-        spec: String,
-        /// Byte offset of the offending sub-spec within the composed spec the
-        /// user supplied (0 when the spec is a single term).
-        offset: usize,
-        /// What was wrong with it.
-        reason: String,
-    },
+    /// The plan or script spec does not follow the grammar.
+    BadSpec(SpecError),
     /// A term parsed but its arguments are invalid for the model (or for the
     /// graph the plan is applied to).
     BadArgs {
@@ -136,16 +128,7 @@ impl std::fmt::Display for FaultError {
                 "unknown fault model {name:?}; registered: {}",
                 registered.join(", ")
             ),
-            FaultError::BadSpec {
-                spec,
-                offset,
-                reason,
-            } => {
-                write!(
-                    f,
-                    "malformed fault spec {spec:?} (at byte {offset}): {reason}"
-                )
-            }
+            FaultError::BadSpec(e) => e.fmt(f),
             FaultError::BadArgs { name, reason } => {
                 write!(f, "invalid arguments for fault model {name:?}: {reason}")
             }
@@ -172,6 +155,12 @@ impl std::fmt::Display for FaultError {
 }
 
 impl std::error::Error for FaultError {}
+
+impl From<SpecError> for FaultError {
+    fn from(e: SpecError) -> Self {
+        FaultError::BadSpec(e)
+    }
+}
 
 /// The links and routers one fault model takes down on a graph.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -275,6 +264,24 @@ impl FaultModel for DownRouter {
     }
 }
 
+/// [`FaultModel::draw`], rejecting ids outside `g` — arguments that only
+/// become checkable against a concrete graph.
+fn draw_checked(model: &dyn FaultModel, g: &CsrGraph, seed: u64) -> Result<FaultSet, FaultError> {
+    let n = g.num_vertices();
+    let set = model.draw(g, seed)?;
+    let out_of_range = |what: String| FaultError::BadArgs {
+        name: model.name().to_string(),
+        reason: format!("{what} out of range for {n} routers"),
+    };
+    if let Some(&(u, v)) = set.links.iter().find(|&&(u, v)| u.max(v) as usize >= n) {
+        return Err(out_of_range(format!("link ({u}, {v})")));
+    }
+    if let Some(&r) = set.routers.iter().find(|&&r| r as usize >= n) {
+        return Err(out_of_range(format!("router {r}")));
+    }
+    Ok(set)
+}
+
 /// Factory producing a fault-model instance from a spec term's numeric
 /// arguments.
 pub type FaultFactory =
@@ -314,8 +321,7 @@ fn exactly_n_args(name: &str, args: &[f64], n: usize) -> Result<(), FaultError> 
 
 /// String-keyed registry of fault models.
 ///
-/// Names are normalized exactly like routing and pattern names (lowercased,
-/// `_` and spaces mapped to `-`).
+/// Names are normalized by [`spec::normalize`], like every registry's.
 #[derive(Clone, Default)]
 pub struct FaultRegistry {
     /// normalized key → factory.
@@ -377,106 +383,37 @@ impl FaultRegistry {
     where
         F: Fn(&[f64]) -> Result<Arc<dyn FaultModel>, FaultError> + Send + Sync + 'static,
     {
-        self.entries.insert(normalize(name), Arc::new(factory));
+        self.entries
+            .insert(spec::normalize(name), Arc::new(factory));
     }
 
     /// Instantiate the model selected by one spec term, e.g. `"links(0.1)"`.
     pub fn create(&self, term: &str) -> Result<Arc<dyn FaultModel>, FaultError> {
-        let (base, args) = parse_term(term)?;
+        self.create_call(&spec::parse_call(term)?)
+    }
+
+    /// [`FaultRegistry::create`] for an already-parsed term (of a plan, or the
+    /// action of a script's `at(time, action)`).
+    pub fn create_call(&self, term: &Call) -> Result<Arc<dyn FaultModel>, FaultError> {
+        let base = term.key();
         let Some(factory) = self.entries.get(&base) else {
             return Err(FaultError::Unknown {
                 name: base,
                 registered: self.names(),
             });
         };
-        factory(&args)
+        factory(&term.numbers()?)
     }
 
     /// Whether `term`'s base name resolves to a registered model.
     pub fn contains(&self, term: &str) -> bool {
-        parse_term(term)
-            .map(|(base, _)| self.entries.contains_key(&base))
-            .unwrap_or(false)
+        spec::parse_call(term).is_ok_and(|call| self.entries.contains_key(&call.key()))
     }
 
     /// The names of the registered models.
     pub fn names(&self) -> Vec<String> {
         self.entries.keys().cloned().collect()
     }
-}
-
-fn normalize(name: &str) -> String {
-    name.trim()
-        .chars()
-        .map(|c| match c {
-            '_' | ' ' => '-',
-            c => c.to_ascii_lowercase(),
-        })
-        .collect()
-}
-
-/// Parse one spec term into its normalized base name and numeric arguments —
-/// the `name(arg, …)` syntax shared with [`crate::pattern::parse_spec`].
-/// `BadSpec` errors report offset 0 (the term's own start); composed-spec
-/// parsers re-base the offset to the term's position via [`rebase_offset`].
-fn parse_term(term: &str) -> Result<(String, Vec<f64>), FaultError> {
-    pattern::parse_spec(term).map_err(|e| match e {
-        pattern::PatternError::BadSpec { spec, reason } => FaultError::BadSpec {
-            spec,
-            offset: 0,
-            reason,
-        },
-        other => FaultError::BadSpec {
-            spec: term.to_string(),
-            offset: 0,
-            reason: other.to_string(),
-        },
-    })
-}
-
-/// Shift a `BadSpec` error's byte offset by the offending term's position in
-/// the composed spec it came from; other errors pass through unchanged.
-fn rebase_offset(e: FaultError, term_offset: usize) -> FaultError {
-    match e {
-        FaultError::BadSpec {
-            spec,
-            offset,
-            reason,
-        } => FaultError::BadSpec {
-            spec,
-            offset: offset + term_offset,
-            reason,
-        },
-        other => other,
-    }
-}
-
-/// Split a composed spec on `+` separators at paren depth 0, yielding each
-/// trimmed term together with its byte offset in the original string (so
-/// parse errors can point at the offending sub-spec). Depth-awareness lets
-/// script terms like `at(5us,links(0.05))` carry nested parentheses.
-fn split_composed(spec: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, b) in spec.bytes().enumerate() {
-        match b {
-            b'(' => depth += 1,
-            b')' => depth = depth.saturating_sub(1),
-            b'+' if depth == 0 => {
-                out.push((start, &spec[start..i]));
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    out.push((start, &spec[start..]));
-    out.into_iter()
-        .map(|(off, raw)| {
-            let lead = raw.len() - raw.trim_start().len();
-            (off + lead, raw.trim())
-        })
-        .collect()
 }
 
 fn global_registry() -> &'static RwLock<FaultRegistry> {
@@ -490,6 +427,42 @@ pub fn create(term: &str) -> Result<Arc<dyn FaultModel>, FaultError> {
         .read()
         .expect("fault registry poisoned")
         .create(term)
+}
+
+fn create_call(term: &Call) -> Result<Arc<dyn FaultModel>, FaultError> {
+    global_registry()
+        .read()
+        .expect("fault registry poisoned")
+        .create_call(term)
+}
+
+/// The terms of a composed plan or script spec, with its canonical spelling:
+/// the terms as written, joined by `+`. `none` and the empty string are the
+/// empty composition. Fault terms take neither `x N` nor `@`.
+fn parse_terms(src: &str) -> Result<(String, Vec<Call<'_>>), FaultError> {
+    if matches!(spec::normalize(src).as_str(), "" | "none") {
+        return Ok((String::new(), Vec::new()));
+    }
+    let terms = spec::parse(src)?
+        .into_iter()
+        .map(|term| match (term.times, &term.at) {
+            (None, None) => Ok(term.call),
+            _ => Err(term
+                .call
+                .error(term.call.end, "fault terms take neither 'x N' nor '@'")),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let canonical = terms.iter().map(Call::text).collect::<Vec<_>>().join("+");
+    Ok((canonical, terms))
+}
+
+/// What `spec()` reports for a composition with this canonical spelling.
+fn spec_or_none(canonical: &str) -> String {
+    match canonical {
+        "" => "none",
+        spelled => spelled,
+    }
+    .to_string()
 }
 
 /// Whether `term`'s base name is selectable through the global registry.
@@ -519,13 +492,6 @@ pub fn registered_names() -> Vec<String> {
         .names()
 }
 
-/// One term of a [`FaultPlan`]: its spec spelling plus the resolved model.
-#[derive(Clone)]
-struct FaultTerm {
-    spec: String,
-    model: Arc<dyn FaultModel>,
-}
-
 /// A composed, seeded fault plan: what to break and with which random draws.
 ///
 /// Plans are cheap to clone (terms are shared) and are applied once, at
@@ -534,7 +500,9 @@ struct FaultTerm {
 /// ([`FaultPlan::cache_key`] is the sweep caches' key).
 #[derive(Clone, Default)]
 pub struct FaultPlan {
-    terms: Vec<FaultTerm>,
+    /// The canonical spelling (empty for the empty plan).
+    spec: String,
+    models: Vec<Arc<dyn FaultModel>>,
     seed: u64,
 }
 
@@ -574,26 +542,10 @@ impl FaultPlan {
     /// `"links(0.1) + routers(2)"`; `"none"` (or an empty string) is the empty
     /// plan. Terms resolve through the global fault registry.
     pub fn parse(spec: &str) -> Result<Self, FaultError> {
-        let trimmed = spec.trim();
-        if trimmed.is_empty() || normalize(trimmed) == "none" {
-            return Ok(FaultPlan::none());
-        }
-        let mut terms = Vec::new();
-        for (term_offset, term) in split_composed(spec) {
-            if term.is_empty() {
-                return Err(FaultError::BadSpec {
-                    spec: spec.to_string(),
-                    offset: term_offset,
-                    reason: "empty term between '+' separators".to_string(),
-                });
-            }
-            terms.push(FaultTerm {
-                spec: term.to_string(),
-                model: create(term).map_err(|e| rebase_offset(e, term_offset))?,
-            });
-        }
+        let (spec, terms) = parse_terms(spec)?;
         Ok(FaultPlan {
-            terms,
+            spec,
+            models: terms.iter().map(create_call).collect::<Result<_, _>>()?,
             seed: Self::DEFAULT_SEED,
         })
     }
@@ -616,20 +568,12 @@ impl FaultPlan {
 
     /// Whether the plan breaks nothing.
     pub fn is_none(&self) -> bool {
-        self.terms.is_empty()
+        self.models.is_empty()
     }
 
     /// The plan's canonical spec string (`"none"` for the empty plan).
     pub fn spec(&self) -> String {
-        if self.terms.is_empty() {
-            "none".to_string()
-        } else {
-            self.terms
-                .iter()
-                .map(|t| t.spec.as_str())
-                .collect::<Vec<_>>()
-                .join("+")
-        }
+        spec_or_none(&self.spec)
     }
 
     /// A key identifying the damage the plan inflicts: spec plus seed (seed is
@@ -650,27 +594,13 @@ impl FaultPlan {
         let n = g.num_vertices();
         let mut down_routers = vec![false; n];
         let mut removed: Vec<(VertexId, VertexId)> = Vec::new();
-        for (i, term) in self.terms.iter().enumerate() {
+        for (i, model) in self.models.iter().enumerate() {
             // Term 0 draws with the plan seed itself (shared with the static
             // sweeps); later terms decorrelate by index.
             let term_seed = self.seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            let set = term.model.draw(g, term_seed)?;
-            for &(u, v) in &set.links {
-                if u as usize >= n || v as usize >= n {
-                    return Err(FaultError::BadArgs {
-                        name: term.model.name().to_string(),
-                        reason: format!("link ({u}, {v}) out of range for {n} routers"),
-                    });
-                }
-                removed.push((u, v));
-            }
+            let set = draw_checked(model.as_ref(), g, term_seed)?;
+            removed.extend_from_slice(&set.links);
             for &r in &set.routers {
-                if r as usize >= n {
-                    return Err(FaultError::BadArgs {
-                        name: term.model.name().to_string(),
-                        reason: format!("router {r} out of range for {n} routers"),
-                    });
-                }
                 down_routers[r as usize] = true;
             }
         }
@@ -807,15 +737,9 @@ enum ScriptAction {
 }
 
 #[derive(Clone)]
-enum ScriptTermKind {
+enum ScriptTerm {
     At { time_ps: u64, action: ScriptAction },
     Churn { rate_hz: f64, mttr_ps: u64 },
-}
-
-#[derive(Clone)]
-struct ScriptTerm {
-    spec: String,
-    kind: ScriptTermKind,
 }
 
 /// A time-scheduled runtime fault script: the dynamic counterpart of
@@ -831,8 +755,8 @@ struct ScriptTerm {
 /// | `at(T, heal(all))` | heal every runtime failure at time `T` |
 /// | `churn(R, M)` | Poisson link churn: failures at rate `R`, each healing after an exponential repair time with mean `M` |
 ///
-/// Times accept `ps`/`ns`/`us`/`ms`/`s` suffixes (bare numbers are ps); rates
-/// accept `hz`/`khz`/`mhz`/`ghz` (bare numbers are Hz). All random draws are
+/// Times (up to `u64` picoseconds) and rates (up to 1e12 Hz) take the unit
+/// suffixes of the spec grammar. All random draws are
 /// deterministic in the script seed ([`FaultScript::with_seed`]), so a script
 /// expands to the identical [`FaultTimeline`] on every engine and shard
 /// count.
@@ -845,6 +769,8 @@ struct ScriptTerm {
 /// ```
 #[derive(Clone, Default)]
 pub struct FaultScript {
+    /// The canonical spelling (empty for the empty script).
+    spec: String,
     terms: Vec<ScriptTerm>,
     seed: u64,
 }
@@ -864,27 +790,14 @@ impl FaultScript {
         FaultScript::default()
     }
 
-    /// Parse a script spec (see the type docs for the grammar); `"none"` or an
-    /// empty string is the empty script. Parse errors carry the offending
-    /// sub-spec and its byte offset in the composed spec.
+    /// Parse a script spec (see the type docs for the terms); `"none"` or an
+    /// empty string is the empty script. Grammar errors carry the byte offset
+    /// of the offending token in the composed spec.
     pub fn parse(spec: &str) -> Result<Self, FaultError> {
-        let trimmed = spec.trim();
-        if trimmed.is_empty() || normalize(trimmed) == "none" {
-            return Ok(FaultScript::none());
-        }
-        let mut terms = Vec::new();
-        for (term_offset, term) in split_composed(spec) {
-            if term.is_empty() {
-                return Err(FaultError::BadSpec {
-                    spec: spec.to_string(),
-                    offset: term_offset,
-                    reason: "empty term between '+' separators".to_string(),
-                });
-            }
-            terms.push(parse_script_term(term, term_offset)?);
-        }
+        let (spec, terms) = parse_terms(spec)?;
         Ok(FaultScript {
-            terms,
+            spec,
+            terms: terms.iter().map(script_term).collect::<Result<_, _>>()?,
             seed: FaultPlan::DEFAULT_SEED,
         })
     }
@@ -908,15 +821,7 @@ impl FaultScript {
 
     /// The script's canonical spec string (`"none"` for the empty script).
     pub fn spec(&self) -> String {
-        if self.terms.is_empty() {
-            "none".to_string()
-        } else {
-            self.terms
-                .iter()
-                .map(|t| t.spec.as_str())
-                .collect::<Vec<_>>()
-                .join("+")
-        }
+        spec_or_none(&self.spec)
     }
 
     /// Expand the script against a concrete (surviving) router graph into the
@@ -925,14 +830,13 @@ impl FaultScript {
     /// script sees the identical timeline.
     pub fn expand(&self, g: &CsrGraph, horizon_ps: u64) -> Result<FaultTimeline, FaultError> {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let n = g.num_vertices();
         let mut events: Vec<FaultEvent> = Vec::new();
         for (i, term) in self.terms.iter().enumerate() {
             // Term 0 draws with the script seed itself; later terms
             // decorrelate by index (same scheme as FaultPlan::apply).
             let term_seed = self.seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            match &term.kind {
-                ScriptTermKind::At { time_ps, action } => {
+            match term {
+                ScriptTerm::At { time_ps, action } => {
                     if *time_ps > horizon_ps {
                         continue;
                     }
@@ -942,28 +846,14 @@ impl FaultScript {
                             kind: FaultEventKind::HealAll,
                         }),
                         ScriptAction::Model { model } => {
-                            let set = model.draw(g, term_seed)?;
+                            let set = draw_checked(model.as_ref(), g, term_seed)?;
                             for &(u, v) in &set.links {
-                                if u as usize >= n || v as usize >= n {
-                                    return Err(FaultError::BadArgs {
-                                        name: model.name().to_string(),
-                                        reason: format!(
-                                            "link ({u}, {v}) out of range for {n} routers"
-                                        ),
-                                    });
-                                }
                                 events.push(FaultEvent {
                                     time_ps: *time_ps,
                                     kind: FaultEventKind::LinkDown { u, v },
                                 });
                             }
                             for &r in &set.routers {
-                                if r as usize >= n {
-                                    return Err(FaultError::BadArgs {
-                                        name: model.name().to_string(),
-                                        reason: format!("router {r} out of range for {n} routers"),
-                                    });
-                                }
                                 events.push(FaultEvent {
                                     time_ps: *time_ps,
                                     kind: FaultEventKind::RouterDown { r },
@@ -972,7 +862,7 @@ impl FaultScript {
                         }
                     }
                 }
-                ScriptTermKind::Churn { rate_hz, mttr_ps } => {
+                ScriptTerm::Churn { rate_hz, mttr_ps } => {
                     let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
                     if edges.is_empty() {
                         continue;
@@ -1012,167 +902,106 @@ impl FaultScript {
     }
 }
 
-/// Parse a time token: a number with an optional `ps`/`ns`/`us`/`ms`/`s`
-/// suffix (bare numbers are picoseconds). Returns picoseconds.
-fn parse_time_ps(tok: &str) -> Result<u64, String> {
-    let t = tok.trim().to_ascii_lowercase();
-    let (num, scale) = if let Some(n) = t.strip_suffix("ps") {
-        (n, 1.0)
-    } else if let Some(n) = t.strip_suffix("ns") {
-        (n, 1e3)
-    } else if let Some(n) = t.strip_suffix("us") {
-        (n, 1e6)
-    } else if let Some(n) = t.strip_suffix("ms") {
-        (n, 1e9)
-    } else if let Some(n) = t.strip_suffix('s') {
-        (n, 1e12)
-    } else {
-        (t.as_str(), 1.0)
+/// A script argument that must be a number carrying one of `units` (matched
+/// case-insensitively; `""` is the bare-number scale), scaled to the base unit.
+fn unit_arg(
+    term: &Call,
+    arg: &Arg,
+    units: &[(&str, f64)],
+    expect: &str,
+) -> Result<f64, FaultError> {
+    let scaled = match arg {
+        Arg::Num(n) => units
+            .iter()
+            .find(|(unit, _)| n.unit.eq_ignore_ascii_case(unit))
+            .map(|(_, scale)| n.value * scale),
+        Arg::Call(_) => None,
     };
-    let v: f64 = num
-        .trim()
-        .parse()
-        .map_err(|_| format!("expected a time like '5us' or '300ns', got {tok:?}"))?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(format!("time must be finite and non-negative, got {tok:?}"));
-    }
-    Ok((v * scale).round() as u64)
+    scaled.ok_or_else(|| {
+        term.error(arg.offset(), format!("expected {expect}"))
+            .into()
+    })
 }
 
-/// Parse a rate token: a number with an optional `hz`/`khz`/`mhz`/`ghz`
-/// suffix (bare numbers are Hz). Returns Hz.
-fn parse_rate_hz(tok: &str) -> Result<f64, String> {
-    let t = tok.trim().to_ascii_lowercase();
-    let (num, scale) = if let Some(n) = t.strip_suffix("ghz") {
-        (n, 1e9)
-    } else if let Some(n) = t.strip_suffix("mhz") {
-        (n, 1e6)
-    } else if let Some(n) = t.strip_suffix("khz") {
-        (n, 1e3)
-    } else if let Some(n) = t.strip_suffix("hz") {
-        (n, 1.0)
-    } else {
-        (t.as_str(), 1.0)
-    };
-    let v: f64 = num
-        .trim()
-        .parse()
-        .map_err(|_| format!("expected a rate like '200khz', got {tok:?}"))?;
-    if !v.is_finite() || v <= 0.0 {
-        return Err(format!("rate must be finite and positive, got {tok:?}"));
+/// A time argument in picoseconds: `ps`/`ns`/`us`/`ms`/`s` suffixes, bare
+/// numbers are ps. Must be non-negative and fit `u64` picoseconds.
+fn time_arg(term: &Call, arg: &Arg) -> Result<u64, FaultError> {
+    const UNITS: [(&str, f64); 6] = [
+        ("", 1.0),
+        ("ps", 1.0),
+        ("ns", 1e3),
+        ("us", 1e6),
+        ("ms", 1e9),
+        ("s", 1e12),
+    ];
+    let ps = unit_arg(term, arg, &UNITS, "a time like '5us' or '300ns'")?.round();
+    // `u64::MAX as f64` rounds up to 2^64, the first value that does not fit.
+    if !(0.0..u64::MAX as f64).contains(&ps) {
+        return Err(FaultError::BadArgs {
+            name: term.key(),
+            reason: format!("time must be non-negative and fit u64 picoseconds, got {ps} ps"),
+        });
     }
-    Ok(v * scale)
+    Ok(ps as u64)
 }
 
-/// Index of the first `,` at paren depth 0 in `s`, if any.
-fn top_level_comma(s: &str) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, b) in s.bytes().enumerate() {
-        match b {
-            b'(' => depth += 1,
-            b')' => depth = depth.saturating_sub(1),
-            b',' if depth == 0 => return Some(i),
-            _ => {}
-        }
+/// A rate argument in Hz: `hz`/`khz`/`mhz`/`ghz` suffixes, bare numbers are
+/// Hz. Must be positive with a mean gap of at least one picosecond — a
+/// faster process would never advance the picosecond clock it is expanded on.
+fn rate_arg(term: &Call, arg: &Arg) -> Result<f64, FaultError> {
+    const UNITS: [(&str, f64); 5] = [
+        ("", 1.0),
+        ("hz", 1.0),
+        ("khz", 1e3),
+        ("mhz", 1e6),
+        ("ghz", 1e9),
+    ];
+    let hz = unit_arg(term, arg, &UNITS, "a rate like '200khz'")?;
+    if !(hz > 0.0 && hz <= 1e12) {
+        return Err(FaultError::BadArgs {
+            name: term.key(),
+            reason: format!(
+                "rate must be positive and at most 1e12 Hz (a mean gap of 1 ps), got {hz} Hz"
+            ),
+        });
     }
-    None
+    Ok(hz)
 }
 
-fn parse_script_term(term: &str, term_offset: usize) -> Result<ScriptTerm, FaultError> {
-    let bad = |offset: usize, reason: String| FaultError::BadSpec {
-        spec: term.to_string(),
-        offset,
-        reason,
-    };
-    let is_head = |h: &str| {
-        term.len() > h.len() + 1
-            && term[..h.len()].eq_ignore_ascii_case(h)
-            && term.as_bytes()[h.len()] == b'('
-    };
-    if is_head("at") {
-        if !term.ends_with(')') {
-            return Err(bad(
-                term_offset + term.len(),
-                "missing closing ')'".to_string(),
-            ));
+fn script_term(term: &Call) -> Result<ScriptTerm, FaultError> {
+    Ok(match (term.key().as_str(), term.args.as_slice()) {
+        ("at", [time, Arg::Call(action)]) => {
+            let reject = |reason: &str| Err(action.error(action.start, reason).into());
+            let action = match (action.key().as_str(), action.args.as_slice()) {
+                ("heal", [Arg::Call(all)]) if all.args.is_empty() && all.key() == "all" => {
+                    ScriptAction::HealAll
+                }
+                ("heal", _) => return reject("heal takes the single argument 'all'"),
+                ("at" | "churn", _) => {
+                    return reject("script terms cannot nest inside at(time, action)")
+                }
+                _ => ScriptAction::Model {
+                    model: create_call(action)?,
+                },
+            };
+            ScriptTerm::At {
+                time_ps: time_arg(term, time)?,
+                action,
+            }
         }
-        let inner_start = 3;
-        let inner = &term[inner_start..term.len() - 1];
-        let Some(ci) = top_level_comma(inner) else {
-            return Err(bad(
-                term_offset,
-                "at takes two arguments: at(time, action)".to_string(),
-            ));
-        };
-        let time_raw = &inner[..ci];
-        let action_raw = &inner[ci + 1..];
-        let time_ps =
-            parse_time_ps(time_raw).map_err(|reason| bad(term_offset + inner_start, reason))?;
-        let action_trim = action_raw.trim();
-        let action_off =
-            term_offset + inner_start + ci + 1 + (action_raw.len() - action_raw.trim_start().len());
-        if action_trim.is_empty() {
-            return Err(bad(action_off, "missing action".to_string()));
+        ("churn", [rate, mttr]) => ScriptTerm::Churn {
+            rate_hz: rate_arg(term, rate)?,
+            mttr_ps: time_arg(term, mttr)?,
+        },
+        (head, _) => {
+            let reason = if head == "heal" {
+                "heal(all) must be scheduled inside at(time, heal(all))"
+            } else {
+                "expected at(time, action) or churn(rate, mttr)"
+            };
+            return Err(term.error(term.start, reason).into());
         }
-        let squashed: String = action_trim
-            .chars()
-            .filter(|c| !c.is_whitespace())
-            .collect::<String>()
-            .to_ascii_lowercase();
-        let action = if squashed == "heal(all)" {
-            ScriptAction::HealAll
-        } else if squashed.starts_with("heal") {
-            return Err(bad(
-                action_off,
-                format!("heal takes the single argument 'all', got {action_trim:?}"),
-            ));
-        } else if squashed.starts_with("at(") || squashed.starts_with("churn(") {
-            return Err(bad(
-                action_off,
-                "script terms cannot nest inside at(time, action)".to_string(),
-            ));
-        } else {
-            let model = create(action_trim).map_err(|e| rebase_offset(e, action_off))?;
-            ScriptAction::Model { model }
-        };
-        Ok(ScriptTerm {
-            spec: term.to_string(),
-            kind: ScriptTermKind::At { time_ps, action },
-        })
-    } else if is_head("churn") {
-        if !term.ends_with(')') {
-            return Err(bad(
-                term_offset + term.len(),
-                "missing closing ')'".to_string(),
-            ));
-        }
-        let inner_start = 6;
-        let inner = &term[inner_start..term.len() - 1];
-        let Some(ci) = top_level_comma(inner) else {
-            return Err(bad(
-                term_offset,
-                "churn takes two arguments: churn(rate, mttr)".to_string(),
-            ));
-        };
-        let rate_hz =
-            parse_rate_hz(&inner[..ci]).map_err(|reason| bad(term_offset + inner_start, reason))?;
-        let mttr_ps = parse_time_ps(&inner[ci + 1..])
-            .map_err(|reason| bad(term_offset + inner_start + ci + 1, reason))?;
-        Ok(ScriptTerm {
-            spec: term.to_string(),
-            kind: ScriptTermKind::Churn { rate_hz, mttr_ps },
-        })
-    } else if term.to_ascii_lowercase().starts_with("heal") {
-        Err(bad(
-            term_offset,
-            "heal(all) must be scheduled inside at(time, heal(all))".to_string(),
-        ))
-    } else {
-        Err(bad(
-            term_offset,
-            format!("expected at(time, action) or churn(rate, mttr), got {term:?}"),
-        ))
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1213,37 +1042,31 @@ pub(crate) fn validate_workload(net: &SimNetwork, wl: &Workload) -> Result<(), F
     Ok(())
 }
 
-/// Fail fast on mismatched fault wiring: a [`crate::SimConfig`] that records a
-/// fault plan must be paired with a network degraded by that plan. Called by
-/// both simulator constructors.
-///
-/// # Panics
-/// If the config's plan names a different spec than the network's, or the
-/// network is pristine while the config's plan would actually damage its
-/// graph (the plan was configured but never applied).
-pub(crate) fn check_config_plan(net: &SimNetwork, plan: &FaultPlan) {
+/// Reject mismatched fault wiring: a [`crate::SimConfig`] that records a
+/// fault plan must be paired with a network degraded by that plan — the same
+/// spec and seed, or, on a pristine network, a plan that damages nothing.
+/// A degraded network under a fault-less config is the network-first workflow
+/// (build with faults, simulate as usual) and always fine.
+pub(crate) fn check_config_plan(net: &SimNetwork, plan: &FaultPlan) -> Result<(), SimError> {
     if plan.is_none() {
-        // A degraded network under a fault-less config is the network-first
-        // workflow (build with faults, simulate as usual) — always fine.
-        return;
+        return Ok(());
     }
-    match net.fault_key() {
-        Some(key) => assert_eq!(
-            key,
-            plan.cache_key(),
+    let mismatch = match net.fault_key() {
+        Some(key) if key == plan.cache_key() => return Ok(()),
+        Some(key) => format!(
             "SimConfig fault plan does not match the network's (build the \
-             network with SimNetwork::with_faults using the same plan and seed)"
+             network with SimNetwork::with_faults using the same plan and seed): \
+             the network has {key:?}, the config {:?}",
+            plan.cache_key()
         ),
-        None => {
-            let applied = plan.apply(net.graph()).unwrap_or_else(|e| panic!("{e}"));
-            assert!(
-                applied.is_pristine(),
-                "SimConfig carries fault plan {:?} but the network was built \
-                 pristine; build it with SimNetwork::with_faults",
-                plan.spec()
-            );
-        }
-    }
+        None if plan.apply(net.graph())?.is_pristine() => return Ok(()),
+        None => format!(
+            "SimConfig carries fault plan {:?} but the network was built \
+             pristine; build it with SimNetwork::with_faults",
+            plan.spec()
+        ),
+    };
+    Err(SimError::FaultPlanMismatch(mismatch))
 }
 
 /// Check a live-pattern steady-state run against a degraded network: patterns
@@ -1466,35 +1289,28 @@ mod tests {
     }
 
     #[test]
-    fn bad_spec_errors_carry_the_offending_term_and_offset() {
-        // Second term malformed: offset must point at it, spec must be the
-        // sub-spec (not the whole composed string).
+    fn bad_spec_errors_carry_the_whole_spec_and_the_token_offset() {
+        // Second term malformed: the offset points at the missing ')'.
         let spec = "links(0.1) + links(0.2";
-        let err = FaultPlan::parse(spec).unwrap_err();
-        match err {
-            FaultError::BadSpec {
-                spec: sub, offset, ..
-            } => {
-                assert_eq!(sub, "links(0.2");
-                assert_eq!(offset, 13);
-                assert_eq!(&spec[offset..], "links(0.2");
-            }
-            other => panic!("expected BadSpec, got {other:?}"),
-        }
-        // Empty term between separators: offset lands on the gap.
-        let err = FaultPlan::parse("links(0.1) +  + routers(2)").unwrap_err();
-        assert!(
-            matches!(err, FaultError::BadSpec { offset: 14, .. }),
-            "{err:?}"
-        );
-        // A single-term error reports offset 0.
-        let err = FaultPlan::parse("links(0.1").unwrap_err();
-        assert!(
-            matches!(err, FaultError::BadSpec { offset: 0, .. }),
-            "{err:?}"
-        );
+        let Err(FaultError::BadSpec(e)) = FaultPlan::parse(spec) else {
+            panic!("expected BadSpec");
+        };
+        assert_eq!((e.spec.as_str(), e.offset), (spec, spec.len()));
+        assert!(e.reason.contains("missing ')'"), "{e}");
+        // Empty term between separators: offset lands on the second '+'.
+        let Err(FaultError::BadSpec(e)) = FaultPlan::parse("links(0.1) +  + routers(2)") else {
+            panic!("expected BadSpec");
+        };
+        assert_eq!(e.offset, 14, "{e}");
         // Display includes the offset.
-        assert!(err.to_string().contains("byte 0"), "{err}");
+        assert!(e.to_string().contains("byte 14"), "{e}");
+        // The job-mix combinators mean nothing on a fault term.
+        for spec in ["links(0.1) x 4", "links(0.1) @ random"] {
+            let Err(FaultError::BadSpec(e)) = FaultPlan::parse(spec) else {
+                panic!("expected BadSpec for {spec:?}");
+            };
+            assert_eq!(e.offset, 10, "{e}");
+        }
     }
 
     #[test]
@@ -1530,7 +1346,7 @@ mod tests {
         // Unknown head.
         let err = FaultScript::parse("links(0.1)").unwrap_err();
         assert!(
-            matches!(err, FaultError::BadSpec { offset: 0, .. }),
+            matches!(&err, FaultError::BadSpec(e) if e.offset == 0),
             "bare plan terms are not script terms: {err:?}"
         );
         // Missing closing paren on at().
@@ -1539,9 +1355,9 @@ mod tests {
         // Bad time token.
         let err = FaultScript::parse("at(xyz, links(0.05))").unwrap_err();
         match err {
-            FaultError::BadSpec { offset, reason, .. } => {
-                assert_eq!(offset, 3, "offset should point inside at(");
-                assert!(reason.contains("time"), "{reason}");
+            FaultError::BadSpec(e) => {
+                assert_eq!(e.offset, 3, "offset should point inside at(");
+                assert!(e.reason.contains("time"), "{e}");
             }
             other => panic!("{other:?}"),
         }
@@ -1554,8 +1370,11 @@ mod tests {
         let spec = "at(1us, heal(all)) + at(2us, links(0.1()";
         let err = FaultScript::parse(spec).unwrap_err();
         match err {
-            FaultError::BadSpec { offset, .. } => {
-                assert!(offset >= 21, "offset {offset} must land in the second term");
+            FaultError::BadSpec(e) => {
+                assert!(
+                    e.offset >= 21,
+                    "{e}: the offset must land in the second term"
+                );
             }
             other => panic!("{other:?}"),
         }
@@ -1577,6 +1396,47 @@ mod tests {
         assert!(FaultScript::parse("churn(200khz)").is_err());
         assert!(FaultScript::parse("churn(-1, 5us)").is_err());
         assert!(FaultScript::parse("churn(1khz, -5us)").is_err());
+    }
+
+    #[test]
+    fn script_heads_straddling_a_multibyte_char_are_typed_errors() {
+        // The head check used to byte-slice the term and panic on these.
+        for spec in [
+            "héotspot(8,0.2)",
+            "léinks(0.1)+routers(4)",
+            "aédversarial(8)",
+        ] {
+            let Err(FaultError::BadSpec(e)) = FaultScript::parse(spec) else {
+                panic!("expected BadSpec for {spec:?}");
+            };
+            assert!(spec.is_char_boundary(e.offset), "{e}");
+        }
+    }
+
+    #[test]
+    fn script_times_and_rates_are_range_checked_at_parse_time() {
+        // A rate whose mean gap rounds to zero used to make `expand` spin
+        // forever; times beyond u64 picoseconds used to saturate silently.
+        for spec in [
+            "churn(1e300ghz, 1ps)",
+            "churn(1.1e12, 1us)",
+            "churn(1khz, 1e30s)",
+            "at(1e30s, links(0.1))",
+            "at(18446744073709551616, heal(all))",
+        ] {
+            let err = FaultScript::parse(spec).unwrap_err();
+            assert!(matches!(err, FaultError::BadArgs { .. }), "{spec}: {err:?}");
+        }
+        // The boundaries themselves are fine.
+        for spec in ["churn(1e12, 1us)", "at(18446744073709549568, heal(all))"] {
+            assert!(FaultScript::parse(spec).is_ok(), "{spec}");
+        }
+        // Unknown units are grammar errors at the literal.
+        let err = FaultScript::parse("churn(5furlongs, 1us)").unwrap_err();
+        assert!(
+            matches!(&err, FaultError::BadSpec(e) if e.offset == 6),
+            "{err:?}"
+        );
     }
 
     #[test]

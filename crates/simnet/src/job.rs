@@ -11,24 +11,13 @@
 //! run dependency-ordered message schedules where a rank's next round fires
 //! only once its inbound messages for the current round have been delivered.
 //!
-//! # Mix grammar
+//! # Mix specs
 //!
-//! A mix is one or more tenants joined by `+` at paren depth 0:
-//!
-//! ```text
-//! mix     := tenant ( '+' tenant )*
-//! tenant  := jobspec [ 'x' RANKS ] [ '@' placement ]
-//! jobspec := name [ '(' arg ( ',' arg )* ')' ]      — args may nest parens
-//! placement := 'contiguous' | 'random' | 'group' [ '(' g ')' ]
-//! ```
-//!
-//! `x RANKS` sizes the tenant (tenants without an explicit size split the
-//! remaining endpoints evenly); `@ placement` picks how its ranks map onto
-//! free endpoints (default `contiguous`). Example:
-//!
-//! ```text
-//! traffic(1.0, random) x 64 + traffic(1.0, adversarial(8)) x 64 @ random
-//! ```
+//! A mix is written in the shared grammar of [`crate::spec`] ("Spec grammar"
+//! in `docs/ARCHITECTURE.md`): tenants joined by `+`, each a job spec with an
+//! optional `x RANKS` size (tenants without one split the remaining endpoints
+//! evenly) and an optional `@ contiguous | random | group(g)` placement, e.g.
+//! `traffic(1.0, random) x 64 + traffic(1.0, adversarial(8)) x 64 @ random`.
 //!
 //! # Built-in jobs
 //!
@@ -62,6 +51,7 @@
 //! `rank`'s router, so no cross-shard coordination is needed.
 
 use crate::pattern::{self, PatternCtx, TrafficPattern};
+use crate::spec::{self, Arg, Call, SpecError};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, RwLock};
@@ -79,13 +69,8 @@ pub enum JobError {
         /// Canonical names currently registered, for the error message.
         registered: Vec<String>,
     },
-    /// The spec or mix string could not be parsed.
-    BadSpec {
-        /// The offending spec string.
-        spec: String,
-        /// What was wrong with it.
-        reason: String,
-    },
+    /// The spec or mix string does not follow the grammar.
+    BadSpec(SpecError),
     /// The spec parsed but its arguments (or the placement) are invalid.
     BadArgs {
         /// The job or mix element that rejected its arguments.
@@ -103,9 +88,7 @@ impl std::fmt::Display for JobError {
                 "unknown job {name:?}; registered: {}",
                 registered.join(", ")
             ),
-            JobError::BadSpec { spec, reason } => {
-                write!(f, "malformed job spec {spec:?}: {reason}")
-            }
+            JobError::BadSpec(e) => e.fmt(f),
             JobError::BadArgs { name, reason } => {
                 write!(f, "invalid arguments for job {name:?}: {reason}")
             }
@@ -114,6 +97,12 @@ impl std::fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
+
+impl From<SpecError> for JobError {
+    fn from(e: SpecError) -> Self {
+        JobError::BadSpec(e)
+    }
+}
 
 /// Construction-time context for a job: topology structure the caller knows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -630,111 +619,17 @@ impl MsgTag {
 // Spec parsing and the registry.
 // ---------------------------------------------------------------------------
 
-fn normalize(name: &str) -> String {
-    name.trim()
-        .chars()
-        .map(|c| match c {
-            '_' | ' ' => '-',
-            c => c.to_ascii_lowercase(),
-        })
-        .collect()
-}
-
-/// Split `s` on `sep` occurring at paren depth 0 (nested parens stay intact).
-fn split_top(s: &str, sep: char) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-        if c == sep && depth == 0 {
-            out.push(cur.trim().to_string());
-            cur.clear();
-        } else {
-            cur.push(c);
-        }
-    }
-    out.push(cur.trim().to_string());
-    out
-}
-
-/// Split `s` into whitespace-separated tokens at paren depth 0; whitespace
-/// inside parens stays part of its token.
-fn split_ws_top(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-        if c.is_whitespace() && depth == 0 {
-            if !cur.is_empty() {
-                out.push(std::mem::take(&mut cur));
-            }
-        } else {
-            cur.push(c);
-        }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
-}
-
-/// Split a job spec into its normalized base name and raw (trimmed) argument
-/// strings: `"traffic(1.0, adversarial(8))"` →
-/// `("traffic", ["1.0", "adversarial(8)"])`. Arguments may themselves contain
-/// parenthesized specs, which [`crate::pattern::parse_spec`] cannot handle —
-/// this is the paren-aware variant the fault-script grammar also uses.
-pub fn parse_job_spec(spec: &str) -> Result<(String, Vec<String>), JobError> {
-    let s = spec.trim();
-    let Some(open) = s.find('(') else {
-        if s.is_empty() {
-            return Err(JobError::BadSpec {
-                spec: spec.to_string(),
-                reason: "empty spec".to_string(),
-            });
-        }
-        return Ok((normalize(s), Vec::new()));
-    };
-    let Some(inner) = s[open + 1..].strip_suffix(')') else {
-        return Err(JobError::BadSpec {
-            spec: spec.to_string(),
-            reason: "missing closing parenthesis".to_string(),
-        });
-    };
-    let base = normalize(&s[..open]);
-    if base.is_empty() {
-        return Err(JobError::BadSpec {
-            spec: spec.to_string(),
-            reason: "empty job name before '('".to_string(),
-        });
-    }
-    let args: Vec<String> = split_top(inner, ',')
-        .into_iter()
-        .filter(|t| !t.is_empty())
-        .collect();
-    Ok((base, args))
-}
-
-fn f64_arg(name: &str, args: &[String], idx: usize, default: f64) -> Result<f64, JobError> {
+fn f64_arg(name: &str, args: &[Arg], idx: usize, default: f64) -> Result<f64, JobError> {
     match args.get(idx) {
         None => Ok(default),
-        Some(tok) => tok.parse::<f64>().map_err(|_| JobError::BadArgs {
+        Some(arg) => arg.number().ok_or_else(|| JobError::BadArgs {
             name: name.to_string(),
-            reason: format!("argument {} ({tok:?}) is not a number", idx + 1),
+            reason: format!("argument {} is not a number", idx + 1),
         }),
     }
 }
 
-fn bytes_arg(name: &str, args: &[String], idx: usize) -> Result<u64, JobError> {
+fn bytes_arg(name: &str, args: &[Arg], idx: usize) -> Result<u64, JobError> {
     let v = f64_arg(name, args, idx, DEFAULT_JOB_BYTES as f64)?;
     if !v.is_finite() || v < 1.0 || v.fract() != 0.0 {
         return Err(JobError::BadArgs {
@@ -745,7 +640,7 @@ fn bytes_arg(name: &str, args: &[String], idx: usize) -> Result<u64, JobError> {
     Ok(v as u64)
 }
 
-fn load_arg(name: &str, args: &[String], idx: usize, what: &str) -> Result<f64, JobError> {
+fn load_arg(name: &str, args: &[Arg], idx: usize, what: &str) -> Result<f64, JobError> {
     let v = f64_arg(name, args, idx, f64::NAN)?;
     if !(v.is_finite() && v > 0.0 && v <= 1.0) {
         return Err(JobError::BadArgs {
@@ -757,7 +652,7 @@ fn load_arg(name: &str, args: &[String], idx: usize, what: &str) -> Result<f64, 
 }
 
 /// Microsecond argument converted to picoseconds.
-fn us_arg(name: &str, args: &[String], idx: usize, default_us: f64) -> Result<u64, JobError> {
+fn us_arg(name: &str, args: &[Arg], idx: usize, default_us: f64) -> Result<u64, JobError> {
     let v = f64_arg(name, args, idx, default_us)?;
     if !(v.is_finite() && v > 0.0) {
         return Err(JobError::BadArgs {
@@ -768,7 +663,7 @@ fn us_arg(name: &str, args: &[String], idx: usize, default_us: f64) -> Result<u6
     Ok((v * 1e6) as u64)
 }
 
-fn max_args(name: &str, args: &[String], max: usize) -> Result<(), JobError> {
+fn max_args(name: &str, args: &[Arg], max: usize) -> Result<(), JobError> {
     if args.len() > max {
         return Err(JobError::BadArgs {
             name: name.to_string(),
@@ -798,7 +693,8 @@ impl Job for CollectiveJob {
 /// from a nested pattern spec over the tenant's rank space.
 struct TrafficJob {
     load: f64,
-    pattern_spec: String,
+    /// The nested pattern spec, already parsed: normalized name, arguments.
+    pattern: (String, Vec<f64>),
     bytes: u64,
     group_endpoints: Option<usize>,
 }
@@ -814,7 +710,8 @@ impl Job for TrafficJob {
                 ctx = ctx.with_group_endpoints(g);
             }
         }
-        let pattern = pattern::create(&self.pattern_spec, &ctx).map_err(|e| JobError::BadArgs {
+        let (base, args) = &self.pattern;
+        let pattern = pattern::create_parsed(base, args, &ctx).map_err(|e| JobError::BadArgs {
             name: "traffic".to_string(),
             reason: format!("nested pattern spec rejected: {e}"),
         })?;
@@ -852,13 +749,12 @@ impl Job for BurstyJob {
     }
 }
 
-/// Factory producing a job template from a context and the spec's raw
-/// argument strings.
-pub type JobFactory =
-    Arc<dyn Fn(&JobCtx, &[String]) -> Result<Box<dyn Job>, JobError> + Send + Sync>;
+/// Factory producing a job template from a context and the spec's parsed
+/// arguments (numbers, or nested specs such as `traffic`'s pattern).
+pub type JobFactory = Arc<dyn Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync>;
 
 /// String-keyed registry of jobs, mirroring [`crate::pattern::PatternRegistry`].
-/// Names are normalized (lowercased, `_` and spaces mapped to `-`).
+/// Names are normalized by [`spec::normalize`].
 #[derive(Clone, Default)]
 pub struct JobRegistry {
     entries: BTreeMap<String, JobFactory>,
@@ -894,9 +790,19 @@ impl JobRegistry {
         }
         r.register("traffic", |ctx, args| {
             max_args("traffic", args, 3)?;
+            let pattern = match args.get(1) {
+                None => ("random".to_string(), Vec::new()),
+                Some(Arg::Call(p)) => (p.key(), p.numbers()?),
+                Some(Arg::Num(_)) => {
+                    return Err(JobError::BadArgs {
+                        name: "traffic".to_string(),
+                        reason: "argument 2 must be a pattern spec, not a number".to_string(),
+                    })
+                }
+            };
             Ok(Box::new(TrafficJob {
                 load: load_arg("traffic", args, 0, "load")?,
-                pattern_spec: args.get(1).cloned().unwrap_or_else(|| "random".to_string()),
+                pattern,
                 bytes: bytes_arg("traffic", args, 2)?,
                 group_endpoints: ctx.group_endpoints,
             }))
@@ -950,9 +856,9 @@ impl JobRegistry {
     /// Register (or replace) a job under `name`.
     pub fn register<F>(&mut self, name: &str, factory: F)
     where
-        F: Fn(&JobCtx, &[String]) -> Result<Box<dyn Job>, JobError> + Send + Sync + 'static,
+        F: Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync + 'static,
     {
-        let key = normalize(name);
+        let key = spec::normalize(name);
         self.aliases.remove(&key);
         self.entries.insert(key, Arc::new(factory));
     }
@@ -962,10 +868,10 @@ impl JobRegistry {
     /// # Panics
     /// If `target` is not registered.
     pub fn alias(&mut self, name: &str, target: &str) {
-        let target_key = self.resolve(&normalize(target)).unwrap_or_else(|| {
+        let target_key = self.resolve(&spec::normalize(target)).unwrap_or_else(|| {
             panic!("alias target {target:?} is not registered");
         });
-        self.aliases.insert(normalize(name), target_key);
+        self.aliases.insert(spec::normalize(name), target_key);
     }
 
     fn resolve(&self, base: &str) -> Option<String> {
@@ -980,21 +886,24 @@ impl JobRegistry {
 
     /// Instantiate the job template selected by `spec`.
     pub fn create(&self, spec: &str, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
-        let (base, args) = parse_job_spec(spec)?;
+        self.create_call(&spec::parse_call(spec)?, ctx)
+    }
+
+    /// [`JobRegistry::create`] for an already-parsed spec (a tenant of a mix).
+    pub fn create_call(&self, call: &Call, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
+        let base = call.key();
         let Some(factory) = self.resolve(&base).and_then(|k| self.entries.get(&k)) else {
             return Err(JobError::Unknown {
                 name: base,
                 registered: self.names(),
             });
         };
-        factory(ctx, &args)
+        factory(ctx, &call.args)
     }
 
     /// Whether `spec`'s base name resolves to a registered job.
     pub fn contains(&self, spec: &str) -> bool {
-        parse_job_spec(spec)
-            .map(|(base, _)| self.resolve(&base).is_some())
-            .unwrap_or(false)
+        spec::parse_call(spec).is_ok_and(|call| self.resolve(&call.key()).is_some())
     }
 
     /// Primary names of the registered jobs.
@@ -1016,6 +925,13 @@ pub fn create(spec: &str, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
         .create(spec, ctx)
 }
 
+fn create_call(call: &Call, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
+    global_registry()
+        .read()
+        .expect("job registry poisoned")
+        .create_call(call, ctx)
+}
+
 /// Whether `spec`'s base name is selectable through the global registry.
 pub fn is_registered(spec: &str) -> bool {
     global_registry()
@@ -1027,7 +943,7 @@ pub fn is_registered(spec: &str) -> bool {
 /// Register a custom job in the global registry.
 pub fn register<F>(name: &str, factory: F)
 where
-    F: Fn(&JobCtx, &[String]) -> Result<Box<dyn Job>, JobError> + Send + Sync + 'static,
+    F: Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync + 'static,
 {
     global_registry()
         .write()
@@ -1062,121 +978,65 @@ pub enum Placement {
 }
 
 /// One parsed (not yet placed) tenant of a mix.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct TenantSpec {
-    job_spec: String,
+#[derive(Clone, Debug, PartialEq)]
+struct TenantSpec<'a> {
+    job: Call<'a>,
     ranks: Option<usize>,
     placement: Placement,
 }
 
-fn parse_count(name: &str, tok: &str, what: &str) -> Result<usize, JobError> {
-    let v: f64 = tok.parse().map_err(|_| JobError::BadArgs {
-        name: name.to_string(),
-        reason: format!("{what} {tok:?} is not a number"),
-    })?;
-    if !v.is_finite() || v < 1.0 || v.fract() != 0.0 {
+/// A positive count that fits `usize`, from a `x N` / `group(g)` value (NaN
+/// stands for "not a number at all").
+fn positive_count(name: &str, what: &str, v: f64) -> Result<usize, JobError> {
+    if !(v >= 1.0 && v.fract() == 0.0 && v <= usize::MAX as f64) {
         return Err(JobError::BadArgs {
             name: name.to_string(),
-            reason: format!("{what} must be a positive integer, got {tok}"),
+            reason: format!("{what} must be a positive integer, got {v}"),
         });
     }
     Ok(v as usize)
 }
 
-fn parse_placement(tok: &str) -> Result<Placement, JobError> {
-    let (base, args) = parse_job_spec(tok)?;
-    let bad = |reason: String| JobError::BadArgs {
-        name: base.clone(),
-        reason,
-    };
-    match base.as_str() {
-        "contiguous" | "random" => {
-            if !args.is_empty() {
-                return Err(bad("placement takes no arguments".to_string()));
-            }
-            Ok(if base == "random" {
-                Placement::Random
-            } else {
-                Placement::Contiguous
-            })
+fn parse_placement(at: &Call) -> Result<Placement, JobError> {
+    let base = at.key();
+    match (base.as_str(), at.args.as_slice()) {
+        ("contiguous", []) => Ok(Placement::Contiguous),
+        ("random", []) => Ok(Placement::Random),
+        ("group", []) => Ok(Placement::Group(None)),
+        ("group", [g]) => {
+            let g = positive_count("group", "group size", g.number().unwrap_or(f64::NAN))?;
+            Ok(Placement::Group(Some(g)))
         }
-        "group" => {
-            if args.len() > 1 {
-                return Err(bad("group placement takes at most one argument".to_string()));
-            }
-            let g = args
-                .first()
-                .map(|t| parse_count("group", t, "group size"))
-                .transpose()?;
-            Ok(Placement::Group(g))
-        }
-        other => Err(JobError::BadSpec {
-            spec: tok.to_string(),
-            reason: format!("unknown placement {other:?} (contiguous | random | group)"),
+        ("contiguous" | "random" | "group", _) => Err(JobError::BadArgs {
+            name: base,
+            reason: "contiguous and random take no argument, group at most one".to_string(),
         }),
+        (other, _) => {
+            let reason = format!("unknown placement {other:?} (contiguous | random | group)");
+            Err(at.error(at.start, reason).into())
+        }
     }
 }
 
 /// Parse a mix string into its tenant specs without placing or instantiating
 /// anything.
-fn parse_mix(spec: &str) -> Result<Vec<TenantSpec>, JobError> {
-    let tenants = split_top(spec, '+');
-    let mut out = Vec::with_capacity(tenants.len());
-    for t in &tenants {
-        if t.is_empty() {
-            return Err(JobError::BadSpec {
-                spec: spec.to_string(),
-                reason: "empty tenant between '+' separators".to_string(),
-            });
-        }
-        let toks = split_ws_top(t);
-        let job_spec = toks[0].clone();
-        let mut ranks = None;
-        let mut placement = Placement::Contiguous;
-        let mut i = 1;
-        while i < toks.len() {
-            let tok = &toks[i];
-            if tok == "x" || tok == "X" {
-                let Some(n) = toks.get(i + 1) else {
-                    return Err(JobError::BadSpec {
-                        spec: t.clone(),
-                        reason: "'x' must be followed by a rank count".to_string(),
-                    });
-                };
-                ranks = Some(parse_count("mix", n, "rank count")?);
-                i += 2;
-            } else if let Some(n) = tok
-                .strip_prefix('x')
-                .filter(|rest| rest.chars().next().is_some_and(|c| c.is_ascii_digit()))
-            {
-                ranks = Some(parse_count("mix", n, "rank count")?);
-                i += 1;
-            } else if tok == "@" {
-                let Some(p) = toks.get(i + 1) else {
-                    return Err(JobError::BadSpec {
-                        spec: t.clone(),
-                        reason: "'@' must be followed by a placement".to_string(),
-                    });
-                };
-                placement = parse_placement(p)?;
-                i += 2;
-            } else if let Some(p) = tok.strip_prefix('@') {
-                placement = parse_placement(p)?;
-                i += 1;
-            } else {
-                return Err(JobError::BadSpec {
-                    spec: t.clone(),
-                    reason: format!("unexpected token {tok:?} (expected 'x N' or '@ placement')"),
-                });
-            }
-        }
-        out.push(TenantSpec {
-            job_spec,
-            ranks,
-            placement,
-        });
-    }
-    Ok(out)
+fn parse_mix(mix: &str) -> Result<Vec<TenantSpec<'_>>, JobError> {
+    spec::parse(mix)?
+        .into_iter()
+        .map(|term| {
+            Ok(TenantSpec {
+                ranks: term
+                    .times
+                    .map(|n| positive_count("mix", "rank count", n as f64))
+                    .transpose()?,
+                placement: term
+                    .at
+                    .as_ref()
+                    .map_or(Ok(Placement::Contiguous), parse_placement)?,
+                job: term.call,
+            })
+        })
+        .collect()
 }
 
 /// Check that a mix string parses and every tenant's job spec is registered
@@ -1185,7 +1045,7 @@ fn parse_mix(spec: &str) -> Result<Vec<TenantSpec>, JobError> {
 pub fn validate_mix_spec(spec: &str) -> Result<(), JobError> {
     let ctx = JobCtx::new();
     for t in parse_mix(spec)? {
-        create(&t.job_spec, &ctx)?;
+        create_call(&t.job, &ctx)?;
     }
     Ok(())
 }
@@ -1285,15 +1145,16 @@ pub fn resolve_mix(
     let specs = parse_mix(spec)?;
     // Size the tenants: explicit `x N` first, then split the remainder
     // evenly (earlier tenants absorb the remainder).
-    let explicit: usize = specs.iter().filter_map(|t| t.ranks).sum();
+    let explicit = specs
+        .iter()
+        .filter_map(|t| t.ranks)
+        .fold(0usize, usize::saturating_add);
     let implicit = specs.iter().filter(|t| t.ranks.is_none()).count();
-    if explicit + implicit > n {
+    let needed = explicit.saturating_add(implicit);
+    if needed > n {
         return Err(JobError::BadArgs {
             name: "mix".to_string(),
-            reason: format!(
-                "mix needs at least {} endpoints but only {n} are available",
-                explicit + implicit
-            ),
+            reason: format!("mix needs at least {needed} endpoints but only {n} are available"),
         });
     }
     let rem = n - explicit;
@@ -1339,7 +1200,7 @@ pub fn resolve_mix(
                     reason: format!(
                         "tenant {ti} ({:?}) needs {ranks} free endpoints \
                          (alignment {align}) but no such block remains",
-                        t.job_spec
+                        t.job.text()
                     ),
                 })?
             }
@@ -1359,11 +1220,11 @@ pub fn resolve_mix(
         for &s in &slots {
             free[s] = false;
         }
-        let job = create(&t.job_spec, ctx)?;
+        let job = create_call(&t.job, ctx)?;
         let behavior = job.behavior(ranks)?;
         tenants.push(ResolvedTenant {
             name: format!("t{ti}:{}", job.name()),
-            job: t.job_spec.clone(),
+            job: t.job.text().to_string(),
             endpoints: slots.iter().map(|&s| available[s]).collect(),
             behavior,
         });
@@ -1391,21 +1252,6 @@ mod tests {
         );
         assert!(is_registered("All_To_All(512)"));
         assert!(!is_registered("no-such-job"));
-    }
-
-    #[test]
-    fn job_spec_parsing_is_paren_aware() {
-        let (name, args) = parse_job_spec("traffic(0.5, adversarial(8), 1024)").unwrap();
-        assert_eq!(name, "traffic");
-        assert_eq!(args, vec!["0.5", "adversarial(8)", "1024"]);
-        assert!(matches!(
-            parse_job_spec("traffic(0.5"),
-            Err(JobError::BadSpec { .. })
-        ));
-        assert!(matches!(
-            parse_job_spec("  "),
-            Err(JobError::BadSpec { .. })
-        ));
     }
 
     #[test]

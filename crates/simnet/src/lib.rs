@@ -88,6 +88,7 @@ pub mod job;
 pub mod network;
 pub mod pattern;
 pub mod routing;
+pub mod spec;
 pub mod stats;
 pub mod workload;
 

@@ -16,10 +16,10 @@
 //!
 //! # Pattern specs
 //!
-//! Patterns are selected by a **spec string**: a registry name optionally followed
-//! by parenthesized numeric arguments, e.g. `"uniform"`, `"hotspot(8, 0.2)"`,
-//! `"adversarial(128)"`. Names are normalized like routing names (lowercased,
-//! `_` and spaces mapped to `-`). Built-ins:
+//! Patterns are selected by a **spec string** in the shared grammar of
+//! [`crate::spec`] (see "Spec grammar" in `docs/ARCHITECTURE.md`): a registry
+//! name optionally followed by numeric arguments, e.g. `"uniform"`,
+//! `"hotspot(8, 0.2)"`, `"adversarial(128)"`. Built-ins:
 //!
 //! | spec | destination of `src` (over `n` endpoints) | permutation? |
 //! |------|-------------------------------------------|--------------|
@@ -76,6 +76,7 @@
 //! assert_eq!(p.dst(17, &mut rng), 0);
 //! ```
 
+use crate::spec::{self, SpecError};
 use crate::workload::{Message, Workload};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -131,13 +132,8 @@ pub enum PatternError {
         /// Canonical names currently registered, for the error message.
         registered: Vec<String>,
     },
-    /// The spec string could not be parsed (`name(arg, …)` syntax).
-    BadSpec {
-        /// The offending spec string.
-        spec: String,
-        /// What was wrong with it.
-        reason: String,
-    },
+    /// The spec string does not follow the grammar.
+    BadSpec(SpecError),
     /// The spec parsed but its arguments (or the context) are invalid for the
     /// pattern.
     BadArgs {
@@ -156,9 +152,7 @@ impl std::fmt::Display for PatternError {
                 "unknown traffic pattern {name:?}; registered: {}",
                 registered.join(", ")
             ),
-            PatternError::BadSpec { spec, reason } => {
-                write!(f, "malformed pattern spec {spec:?}: {reason}")
-            }
+            PatternError::BadSpec(e) => e.fmt(f),
             PatternError::BadArgs { name, reason } => {
                 write!(f, "invalid arguments for pattern {name:?}: {reason}")
             }
@@ -167,6 +161,12 @@ impl std::fmt::Display for PatternError {
 }
 
 impl std::error::Error for PatternError {}
+
+impl From<SpecError> for PatternError {
+    fn from(e: SpecError) -> Self {
+        PatternError::BadSpec(e)
+    }
+}
 
 /// A synthetic traffic pattern: a destination distribution over endpoint ids.
 ///
@@ -464,50 +464,11 @@ impl TrafficPattern for Hotspot {
 pub type PatternFactory =
     Arc<dyn Fn(&PatternCtx, &[f64]) -> Result<Box<dyn TrafficPattern>, PatternError> + Send + Sync>;
 
-fn normalize(name: &str) -> String {
-    name.trim()
-        .chars()
-        .map(|c| match c {
-            '_' | ' ' => '-',
-            c => c.to_ascii_lowercase(),
-        })
-        .collect()
-}
-
 /// Split a pattern spec into its normalized base name and numeric arguments:
 /// `"Hotspot(8, 0.2)"` → `("hotspot", [8.0, 0.2])`.
 pub fn parse_spec(spec: &str) -> Result<(String, Vec<f64>), PatternError> {
-    let s = spec.trim();
-    let Some(open) = s.find('(') else {
-        if s.is_empty() {
-            return Err(PatternError::BadSpec {
-                spec: spec.to_string(),
-                reason: "empty spec".to_string(),
-            });
-        }
-        return Ok((normalize(s), Vec::new()));
-    };
-    let Some(inner) = s[open + 1..].strip_suffix(')') else {
-        return Err(PatternError::BadSpec {
-            spec: spec.to_string(),
-            reason: "missing closing parenthesis".to_string(),
-        });
-    };
-    let base = normalize(&s[..open]);
-    if base.is_empty() {
-        return Err(PatternError::BadSpec {
-            spec: spec.to_string(),
-            reason: "empty pattern name before '('".to_string(),
-        });
-    }
-    let mut args = Vec::new();
-    for tok in inner.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        args.push(tok.parse::<f64>().map_err(|_| PatternError::BadSpec {
-            spec: spec.to_string(),
-            reason: format!("argument {tok:?} is not a number"),
-        })?);
-    }
-    Ok((base, args))
+    let call = spec::parse_call(spec)?;
+    Ok((call.key(), call.numbers()?))
 }
 
 /// Validate that `args[idx]`, if present, is a positive integer-valued count.
@@ -576,8 +537,8 @@ fn prefix_bits(n: usize) -> u32 {
 
 /// String-keyed registry of traffic patterns.
 ///
-/// Names are normalized (lowercased, `_` and spaces mapped to `-`), so
-/// `Bit_Shuffle`, `bit shuffle`, and `bit-shuffle` all resolve to the same entry.
+/// Names are normalized by [`spec::normalize`], so `Bit_Shuffle`,
+/// `bit shuffle`, and `bit-shuffle` all resolve to the same entry.
 #[derive(Clone, Default)]
 pub struct PatternRegistry {
     /// normalized key → factory.
@@ -676,7 +637,7 @@ impl PatternRegistry {
             + Sync
             + 'static,
     {
-        let key = normalize(name);
+        let key = spec::normalize(name);
         // A primary registration shadows any alias of the same name.
         self.aliases.remove(&key);
         self.entries.insert(key, Arc::new(factory));
@@ -690,10 +651,10 @@ impl PatternRegistry {
     /// If `target` is not registered (as a primary name or an alias).
     pub fn alias(&mut self, name: &str, target: &str) {
         // Resolve one level so alias chains cannot form.
-        let target_key = self.resolve(&normalize(target)).unwrap_or_else(|| {
+        let target_key = self.resolve(&spec::normalize(target)).unwrap_or_else(|| {
             panic!("alias target {target:?} is not registered");
         });
-        self.aliases.insert(normalize(name), target_key);
+        self.aliases.insert(spec::normalize(name), target_key);
     }
 
     /// Resolve a normalized base name to its primary entry key, following at
@@ -716,20 +677,29 @@ impl PatternRegistry {
         ctx: &PatternCtx,
     ) -> Result<Box<dyn TrafficPattern>, PatternError> {
         let (base, args) = parse_spec(spec)?;
-        let Some(factory) = self.resolve(&base).and_then(|key| self.entries.get(&key)) else {
+        self.create_parsed(&base, &args, ctx)
+    }
+
+    /// [`PatternRegistry::create`] for a spec that is already parsed (a
+    /// pattern nested inside a job spec): normalized base name plus arguments.
+    pub fn create_parsed(
+        &self,
+        base: &str,
+        args: &[f64],
+        ctx: &PatternCtx,
+    ) -> Result<Box<dyn TrafficPattern>, PatternError> {
+        let Some(factory) = self.resolve(base).and_then(|key| self.entries.get(&key)) else {
             return Err(PatternError::Unknown {
-                name: base,
+                name: base.to_string(),
                 registered: self.names(),
             });
         };
-        factory(ctx, &args)
+        factory(ctx, args)
     }
 
     /// Whether `spec`'s base name resolves to a registered pattern.
     pub fn contains(&self, spec: &str) -> bool {
-        parse_spec(spec)
-            .map(|(base, _)| self.resolve(&base).is_some())
-            .unwrap_or(false)
+        parse_spec(spec).is_ok_and(|(base, _)| self.resolve(&base).is_some())
     }
 
     /// The primary names of the registered patterns (aliases are redirects and
@@ -750,6 +720,19 @@ pub fn create(spec: &str, ctx: &PatternCtx) -> Result<Box<dyn TrafficPattern>, P
         .read()
         .expect("pattern registry poisoned")
         .create(spec, ctx)
+}
+
+/// [`create`] for an already-parsed spec (see
+/// [`PatternRegistry::create_parsed`]).
+pub fn create_parsed(
+    base: &str,
+    args: &[f64],
+    ctx: &PatternCtx,
+) -> Result<Box<dyn TrafficPattern>, PatternError> {
+    global_registry()
+        .read()
+        .expect("pattern registry poisoned")
+        .create_parsed(base, args, ctx)
 }
 
 /// Whether `spec`'s base name is selectable through the global registry.

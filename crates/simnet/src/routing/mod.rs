@@ -47,6 +47,7 @@ pub mod ugal;
 pub mod valiant;
 
 use crate::network::SimNetwork;
+use crate::spec::normalize;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 use spectralfly_graph::csr::VertexId;
@@ -652,23 +653,13 @@ pub type RouterFactory = Arc<dyn Fn() -> Box<dyn Router> + Send + Sync>;
 
 /// String-keyed registry of routing algorithms.
 ///
-/// Names are normalized (lowercased, `_` and spaces mapped to `-`), so `UGAL-L`,
-/// `ugal_l`, and `ugal-l` all resolve to the same entry.
+/// Names are normalized by [`crate::spec::normalize`], so `UGAL-L`, `ugal_l`,
+/// and `ugal-l` all resolve to the same entry.
 #[derive(Clone, Default)]
 pub struct RouterRegistry {
     /// normalized key → (canonical algorithm name, factory). The canonical name is
     /// captured once at registration so listing never needs to instantiate routers.
     entries: BTreeMap<String, (String, RouterFactory)>,
-}
-
-fn normalize(name: &str) -> String {
-    name.trim()
-        .chars()
-        .map(|c| match c {
-            '_' | ' ' => '-',
-            c => c.to_ascii_lowercase(),
-        })
-        .collect()
 }
 
 impl RouterRegistry {

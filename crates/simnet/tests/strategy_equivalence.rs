@@ -4,14 +4,15 @@
 //! both engines, across routing algorithms, finite and offered-load runs.
 //!
 //! This is the determinism half of the hot-path contract (the performance half
-//! lives in `bench_engine`); it pins down that `best_minimal_port`'s two-pass
+//! is the repo benchmark's `simnet.routing.decisions_per_s.*` probes); it pins
+//! down that `best_minimal_port`'s two-pass
 //! min+count / pick-k-th walk consumes the RNG exactly as the collect-into-`Vec`
 //! implementation did, under both port-set representations.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    ReferenceSimulator, RouterRegistry, SimConfig, SimNetwork, Simulator, Workload,
+    FaultPlan, ReferenceSimulator, RouterRegistry, SimConfig, SimNetwork, Simulator, Workload,
 };
 
 fn ring(n: usize) -> CsrGraph {
@@ -44,16 +45,25 @@ fn chordal_ring(n: usize, extra: usize, seed: u64) -> CsrGraph {
 }
 
 /// Every registered algorithm × several seeds × both engines × finite and
-/// offered-load runs: table-backed and scan-backed networks must agree exactly.
+/// offered-load runs: table-backed and scan-backed networks must agree exactly
+/// — on pristine graphs and on one degraded by a fault plan, whose oracle and
+/// table are rebuilt over the surviving links.
 #[test]
 fn golden_seed_results_identical_across_table_and_scan() {
-    let graphs: Vec<(&str, CsrGraph, usize)> = vec![
-        ("ring10", ring(10), 2),
-        ("chordal12", chordal_ring(12, 6, 5), 2),
-        ("chordal16", chordal_ring(16, 9, 77), 1),
+    let degraded = SimNetwork::with_faults(
+        chordal_ring(16, 9, 77),
+        2,
+        &FaultPlan::random_links(0.1).with_seed(1),
+    )
+    .unwrap();
+    assert!(degraded.has_faults());
+    let nets: Vec<(&str, SimNetwork)> = vec![
+        ("ring10", SimNetwork::new(ring(10), 2)),
+        ("chordal12", SimNetwork::new(chordal_ring(12, 6, 5), 2)),
+        ("chordal16", SimNetwork::new(chordal_ring(16, 9, 77), 1)),
+        ("chordal16-links0.1", degraded),
     ];
-    for (gname, graph, conc) in graphs {
-        let table_net = SimNetwork::new(graph, conc);
+    for (gname, table_net) in nets {
         assert!(
             table_net.next_hop_table().is_some(),
             "{gname}: small nets must build the table"

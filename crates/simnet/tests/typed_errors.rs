@@ -1,0 +1,94 @@
+//! The `try_*` entry points of both live engines reject bad configuration
+//! with a typed [`SimError`] — an unknown routing name, an unknown pattern
+//! spec, an unknown / malformed / oversized job mix, a config fault plan the
+//! network was not built with, an offered load outside `(0, 1]` — and the
+//! panicking `run*` wrappers die with that error's message.
+
+use spectralfly_graph::CsrGraph;
+use spectralfly_simnet::{
+    FaultPlan, JobError, MeasurementWindows, ParallelSimulator, PatternError, SimConfig, SimError,
+    SimNetwork, Simulator, Workload,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+fn ring(n: u32) -> CsrGraph {
+    let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+    CsrGraph::from_edges(n as usize, &edges)
+}
+
+fn windows() -> MeasurementWindows {
+    MeasurementWindows::new(1_000_000, 5_000_000)
+}
+
+macro_rules! typed_errors {
+    ($test:ident, $Engine:ident) => {
+        #[test]
+        fn $test() {
+            let net = SimNetwork::new(ring(9), 2);
+            let wl = Workload::uniform_random(net.num_endpoints(), 1, 1024, 4);
+            let base = SimConfig::default().with_shards(2);
+
+            let unknown_routing = SimConfig {
+                routing: "wormhole-9000".to_string(),
+                ..base.clone()
+            };
+            let sim = $Engine::new(&net, &unknown_routing);
+            for err in [
+                sim.try_run(&wl).unwrap_err(),
+                sim.try_run_with_offered_load(&wl, 0.5).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, SimError::UnknownRouting { name, registered }
+                        if name == "wormhole-9000" && registered.contains(&"minimal".to_string())),
+                    "{err:?}"
+                );
+            }
+            let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&wl))).unwrap_err();
+            let message = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.starts_with("unknown routing algorithm \"wormhole-9000\"; registered:"));
+
+            let cfg = base.clone().with_windows(windows().with_pattern("wormhole-9000"));
+            let err = $Engine::new(&net, &cfg).try_run_with_offered_load(&wl, 0.5);
+            assert!(
+                matches!(err, Err(SimError::Pattern(PatternError::Unknown { .. }))),
+                "{err:?}"
+            );
+
+            for (mix, variant) in [
+                ("warp-drive(3)", "Unknown"),
+                ("traffic(0.5", "BadSpec"),
+                ("traffic(1.5)", "BadArgs"),
+                ("traffic(0.5) x 4096", "BadArgs"),
+            ] {
+                let cfg = base.clone().with_windows(windows()).with_jobs(mix);
+                let err = $Engine::new(&net, &cfg)
+                    .try_run_with_offered_load(&wl, 0.5)
+                    .unwrap_err();
+                let got = match &err {
+                    SimError::Job(JobError::Unknown { .. }) => "Unknown",
+                    SimError::Job(JobError::BadSpec(_)) => "BadSpec",
+                    SimError::Job(JobError::BadArgs { .. }) => "BadArgs",
+                    _ => "not a job error",
+                };
+                assert_eq!(got, variant, "{mix}: {err:?}");
+            }
+
+            let cfg = base.clone().with_fault_plan(FaultPlan::random_links(0.2));
+            let err = $Engine::new(&net, &cfg).try_run(&wl);
+            assert!(
+                matches!(&err, Err(SimError::FaultPlanMismatch(m)) if m.contains("built pristine")),
+                "{err:?}"
+            );
+
+            let sim = $Engine::new(&net, &base);
+            for load in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+                let err = sim.try_run_with_offered_load(&wl, load);
+                assert!(matches!(err, Err(SimError::OfferedLoad(_))), "{load}: {err:?}");
+            }
+            assert!(sim.try_run_with_offered_load(&wl, 1.0).is_ok());
+        }
+    };
+}
+
+typed_errors!(sequential_engine_returns_typed_errors, Simulator);
+typed_errors!(parallel_engine_returns_typed_errors, ParallelSimulator);
