@@ -28,8 +28,8 @@
 use spectralfly_bench::{append_entry, arg_str, arg_u64, fmt, shards_from_args};
 use spectralfly_graph::OracleError;
 use spectralfly_simnet::{
-    MeasurementWindows, OraclePolicy, ParallelSimulator, RoutingHarness, SimConfig, SimNetwork,
-    SimResults, Simulator, Workload,
+    simulate, MeasurementWindows, OraclePolicy, RoutingHarness, SimConfig, SimNetwork, SimResults,
+    Workload,
 };
 use spectralfly_topology::{LpsGraph, Topology};
 use std::sync::Arc;
@@ -71,12 +71,7 @@ fn run_point(
     load: Option<f64>,
 ) -> (SimResults, f64) {
     let t0 = Instant::now();
-    let res = match (cfg.shards > 1, load) {
-        (false, None) => Simulator::new(net, cfg).run(wl),
-        (false, Some(l)) => Simulator::new(net, cfg).run_with_offered_load(wl, l),
-        (true, None) => ParallelSimulator::new(net, cfg).run(wl),
-        (true, Some(l)) => ParallelSimulator::new(net, cfg).run_with_offered_load(wl, l),
-    };
+    let res = simulate(net, cfg, wl, load).unwrap_or_else(|e| panic!("{e}"));
     (res, t0.elapsed().as_secs_f64())
 }
 

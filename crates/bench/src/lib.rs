@@ -18,8 +18,7 @@ use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::fault::AppliedFaults;
 use spectralfly_simnet::workload::{random_placement, Workload};
 use spectralfly_simnet::{
-    pattern, FaultError, FaultPlan, ParallelSimulator, SimConfig, SimError, SimNetwork, SimResults,
-    Simulator,
+    pattern, simulate, FaultError, FaultPlan, SimConfig, SimError, SimNetwork, SimResults,
 };
 use spectralfly_topology::{
     BundleFlyGraph, GeneralizedDragonFly, LpsGraph, SlimFlyGraph, Topology,
@@ -282,17 +281,12 @@ pub fn place_on_alive(net: &SimNetwork, ranks: usize, seed: u64) -> Vec<usize> {
         .collect()
 }
 
-/// Run one workload-paced simulation, dispatching on [`SimConfig::shards`]:
-/// one shard is the sequential wakeup engine, more run the conservative
-/// parallel engine with that many worker threads. Results are identical
-/// either way (the parallel engine is shard-count-invariant), so `--shards`
-/// is purely a wall-clock knob for the sweep drivers.
+/// Run one workload-paced simulation on the core [`SimConfig::shards`]
+/// selects (see [`simulate`]). Results are identical at every shard count
+/// above one (the parallel engine is shard-count-invariant), so `--shards` is
+/// purely a wall-clock knob for the sweep drivers.
 pub fn run_workload(net: &SimNetwork, cfg: &SimConfig, wl: &Workload) -> SimResults {
-    if cfg.shards > 1 {
-        ParallelSimulator::new(net, cfg).run(wl)
-    } else {
-        Simulator::new(net, cfg).run(wl)
-    }
+    simulate(net, cfg, wl, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_workload`] for an offered-load point, through the fault-checked
@@ -304,11 +298,7 @@ pub fn try_run_offered_load(
     wl: &Workload,
     load: f64,
 ) -> Result<SimResults, SimError> {
-    if cfg.shards > 1 {
-        ParallelSimulator::new(net, cfg).try_run_with_offered_load(wl, load)
-    } else {
-        Simulator::new(net, cfg).try_run_with_offered_load(wl, load)
-    }
+    simulate(net, cfg, wl, Some(load))
 }
 
 /// [`sweep_offered_loads`] through the fault-checked entry point: each load

@@ -596,8 +596,40 @@ impl Experiment {
                         "steady mode needs a non-empty measurement window",
                     ));
                 }
+                let warmup_ns = get_u64(t, "warmup_ns", measure_ns / 4)?;
+                // The runner measures in picoseconds, drains for as long as
+                // it measures and samples 32 times across warmup + measure
+                // (`MeasurementWindows::new`): each span, and the deadline
+                // plus one sampling tick, must fit `u64`.
+                let ps = |field: &str, ns: u64| {
+                    ns.checked_mul(1000).ok_or_else(|| {
+                        field_err(
+                            &section,
+                            field,
+                            format!("{ns} ns overflows u64 picoseconds"),
+                        )
+                    })
+                };
+                let measure_ps = ps("measure_ns", measure_ns)?;
+                let warmup_ps = ps("warmup_ns", warmup_ns)?;
+                let end_ps = warmup_ps.checked_add(measure_ps);
+                if end_ps
+                    .and_then(|end| end.checked_add(measure_ps)?.checked_add(end / 32 + 1))
+                    .is_none()
+                {
+                    let longer = if warmup_ns > measure_ns {
+                        "warmup_ns"
+                    } else {
+                        "measure_ns"
+                    };
+                    return Err(field_err(
+                        &section,
+                        longer,
+                        "warmup + measure + drain (as long as measure) overflows u64 picoseconds",
+                    ));
+                }
                 Mode::Steady {
-                    warmup_ns: get_u64(t, "warmup_ns", measure_ns / 4)?,
+                    warmup_ns,
                     measure_ns,
                     bytes,
                 }

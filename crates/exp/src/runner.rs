@@ -30,8 +30,8 @@ use rayon::prelude::*;
 use spectralfly_simnet::fault::{FaultPlan, FaultScript};
 use spectralfly_simnet::workload::Workload;
 use spectralfly_simnet::{
-    MeasurementWindows, OraclePolicy, ParallelSimulator, SimConfig, SimError, SimNetwork,
-    SimResults, Simulator,
+    simulate, MeasurementWindows, OraclePolicy, SimConfig, SimError, SimNetwork, SimResults,
+    Simulator,
 };
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -361,20 +361,6 @@ fn point_workload(p: &Point, net: &SimNetwork) -> Workload {
     }
 }
 
-fn run_one(
-    net: &SimNetwork,
-    cfg: &SimConfig,
-    wl: &Workload,
-    load: Option<f64>,
-) -> Result<SimResults, SimError> {
-    match (load, cfg.shards > 1) {
-        (None, false) => Simulator::new(net, cfg).try_run(wl),
-        (None, true) => ParallelSimulator::new(net, cfg).try_run(wl),
-        (Some(l), false) => Simulator::new(net, cfg).try_run_with_offered_load(wl, l),
-        (Some(l), true) => ParallelSimulator::new(net, cfg).try_run_with_offered_load(wl, l),
-    }
-}
-
 fn outcome_summary(outcome: &Result<SimResults, SimError>) -> String {
     match outcome {
         Ok(r) => format!(
@@ -394,7 +380,7 @@ pub fn run_point(net: &SimNetwork, p: &Point) -> Result<PointResult, RunError> {
     let mut summary = String::new();
     for &shards in &p.shards {
         let cfg = point_config(p, net, shards);
-        let outcome = run_one(net, &cfg, &wl, p.load);
+        let outcome = simulate(net, &cfg, &wl, p.load);
         if summary.is_empty() {
             summary = outcome_summary(&outcome);
         }

@@ -64,6 +64,31 @@ fn single_edit_mutations_yield_ok_or_typed_errors() {
     within_budget(single_edit_mutations(MANIFEST), parse_manifest);
 }
 
+/// Window lengths whose picosecond values (or whose warmup + measure + drain
+/// sum) wrap `u64` used to parse, and then abort `run_manifest` inside
+/// `MeasurementWindows::new` — "measurement window must be non-empty" from a
+/// product wrapped to 0 in release builds, an overflow panic in debug builds.
+#[test]
+fn window_lengths_that_overflow_picoseconds_are_rejected() {
+    for (key, value, field) in [
+        ("measure_ns", "2305843009213693952", "measure_ns"),
+        ("measure_ns", "18446744073709551615", "measure_ns"),
+        ("warmup_ns", "18446744073709551615", "warmup_ns"),
+        ("warmup_ns", "18446744073709551", "warmup_ns"),
+        ("measure_ns", "9223372036854775", "measure_ns"),
+    ] {
+        let err = Manifest::parse(&format!("{MANIFEST}{key} = {value}\n")).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("[experiment.e] {field}:")),
+            "{key} = {value}: {err}"
+        );
+    }
+    // Windows just under the limit still parse.
+    let fits = format!("{MANIFEST}warmup_ns = 0\nmeasure_ns = 9007199254740991\n");
+    Manifest::parse(&fits).unwrap();
+}
+
 /// Each of these used to parse — as `lps(11,7)x4`, `ring(9)x3`, … — with the
 /// junk silently dropped.
 #[test]

@@ -7,21 +7,29 @@
 //! channel index equals the packet's hop count, which makes the channel dependency graph
 //! acyclic and the schedule deadlock-free (Section V-A of the paper).
 //!
+//! # One run driver, two flow-control cores
+//!
+//! What a run *is* — the validation ladder behind every `try_run*`, the finite / steady /
+//! jobs mode choice, fault-script arming, continuous sources, job injection, collective
+//! firing — is written once, in the private `driver` module, against a three-method `Core`
+//! trait. The two live engines differ only in the event core under it: this module's
+//! shared-pool core (`EngineState` and [`Simulator`]'s event handlers) and [`parallel`]'s
+//! sender-held-credit core (`ShardCore` under the epoch loop); [`simulate`] picks one from
+//! [`SimConfig::shards`]. See docs/ARCHITECTURE.md for the split.
+//!
 //! # The wakeup-driven hot path
 //!
-//! The engine is **wakeup-driven**: when a link's head packet finds the downstream
+//! This core is **wakeup-driven**: when a link's head packet finds the downstream
 //! `(router, vc)` buffer full, the link parks itself on that slot's waiter list and
 //! schedules *nothing*. The two places a slot can free — a packet transmitting out of
 //! it, or delivering at its router — wake the FIFO-head link parked on the slot (one
 //! wakeup per freed buffer unit; a woken link that loses the race to a newly arriving
 //! packet re-parks, and the reclaimer's departure wakes the next waiter). There are no
-//! time-based retry events at all (the polling engine this replaced
-//! re-enqueued a `TryTransmit` every retry quantum per blocked link; under saturation
-//! those retries dominated the event count). The retained polling implementation lives
-//! in [`mod@reference`] as the equivalence oracle and performance baseline, and
-//! [`crate::stats::EngineCounters`] makes the difference observable: `timed_retries`
-//! is zero for this engine by construction, while `blocked_parks`/`wakeups` count the
-//! waiter-list traffic.
+//! time-based retry events at all. The polling implementation, which re-enqueues a
+//! `TryTransmit` every retry quantum per blocked link, lives in [`mod@reference`] as the
+//! equivalence oracle and performance baseline, and [`crate::stats::EngineCounters`]
+//! makes the difference observable: `timed_retries` is zero for this engine by
+//! construction, while `blocked_parks`/`wakeups` count the waiter-list traffic.
 //!
 //! Event storage is a bucketed calendar queue with an overflow heap for far-future
 //! events (the private `calendar` module), and packets live in an index arena with a free list so
@@ -35,17 +43,19 @@
 //! the type's documentation and DESIGN.md for the protocol.
 
 mod calendar;
+mod driver;
 pub mod parallel;
 pub mod reference;
 
 use crate::config::SimConfig;
 use crate::fault::{FaultEvent, FaultEventKind, FaultTimeline};
-use crate::job::{CollectiveState, JobBehavior, MixPlan, MsgTag, RateProcess, RateRuntime};
+use crate::job::MsgTag;
 use crate::network::SimNetwork;
 use crate::routing::{self, RouteScratch, Router, RoutingCtx, RoutingState};
 use crate::stats::{EngineCounters, FaultStats, IntervalSample, SimResults, StatsCollector};
 use crate::workload::{Phase, Workload};
 use calendar::{CalendarQueue, Timed};
+use driver::{Core, Draws, Mode, RunPlan, Steady, Traffic, UNTAGGED};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::csr::VertexId;
 use std::collections::VecDeque;
@@ -80,6 +90,15 @@ pub enum SimError {
     /// The offered load is not a fraction in `(0, 1]` (the message carries
     /// the rejected value).
     OfferedLoad(String),
+    /// [`SimConfig::jobs`] is set on a run without steady-state measurement
+    /// windows (a workload-paced run, or no [`SimConfig::windows`]).
+    JobsWithoutWindows,
+    /// The workload names an endpoint the network does not have (the message
+    /// carries the endpoint and the network's count).
+    EndpointOutOfRange(String),
+    /// The measurement windows do not fit `u64` picoseconds (the message
+    /// carries the spans).
+    Windows(String),
     /// A fault plan or script made the run infeasible (dead endpoints,
     /// disconnected pairs, fragmented survivors, malformed script).
     Fault(crate::fault::FaultError),
@@ -103,8 +122,14 @@ impl std::fmt::Display for SimError {
             SimError::Pattern(e) => e.fmt(f),
             SimError::Job(e) => e.fmt(f),
             SimError::Fault(e) => e.fmt(f),
+            SimError::JobsWithoutWindows => f.write_str(
+                "SimConfig::jobs requires steady-state measurement windows \
+                 (SimConfig::with_windows)",
+            ),
             SimError::FaultPlanMismatch(message)
+            | SimError::EndpointOutOfRange(message)
             | SimError::OfferedLoad(message)
+            | SimError::Windows(message)
             | SimError::Deadlock { diagnosis: message } => f.write_str(message),
         }
     }
@@ -139,13 +164,19 @@ impl From<crate::job::JobError> for SimError {
     }
 }
 
-/// Resolve the configured routing algorithm and check the config's fault plan
-/// against the network — what both live engines' constructors defer to their
-/// `try_*` entry points as a value.
+/// What every engine's constructor does: assert the buffer geometry, then
+/// resolve the configured routing algorithm and check the config's fault plan
+/// against the network — as a value the live engines defer to their `try_*`
+/// entry points.
 pub(crate) fn resolve_router(
     net: &SimNetwork,
     cfg: &SimConfig,
 ) -> Result<Box<dyn Router>, SimError> {
+    assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
+    assert!(
+        cfg.buffer_packets_per_vc >= 1,
+        "need at least one buffer slot per VC"
+    );
     let router = routing::create(&cfg.routing).ok_or_else(|| SimError::UnknownRouting {
         name: cfg.routing.clone(),
         registered: routing::registered_names(),
@@ -330,18 +361,36 @@ pub(crate) fn packetize_phase(
 }
 
 /// Record and recycle message slots whose last packet just delivered
-/// (steady-state mode): message latency is recorded if the first injection fell
-/// inside the measurement window, then the slot returns to the free list so
-/// long runs stay bounded by in-flight messages.
-fn drain_completed_messages(st: &mut EngineState, stats: &mut StatsCollector) {
-    while let Some(mi) = st.completed_msgs.pop() {
-        let first = st.msg_first_inject[mi];
-        let last = st.msg_last_delivery[mi];
-        let failed = st.msg_failed.get(mi).copied().unwrap_or(false);
-        if last != u64::MAX && !failed && stats.is_measured(first) {
-            stats.record_message(last.saturating_sub(first.min(last)));
+/// (steady-state modes): message latency is recorded if the first injection
+/// fell inside the measurement window, then the slot returns to the free list
+/// so long runs stay bounded by in-flight messages. In jobs mode the
+/// completion is also attributed to its tenant, and a collective message
+/// releases the destination rank's dependency through [`Traffic`].
+fn drain_completed(core: &mut SeqCore<'_, '_>, traffic: &mut Traffic<'_>) {
+    while let Some(mi) = core.st.completed_msgs.pop() {
+        let first = core.st.msg_first_inject[mi];
+        let last = core.st.msg_last_delivery[mi];
+        let failed = core.st.msg_failed.get(mi).copied().unwrap_or(false);
+        let delivered = last != u64::MAX && !failed;
+        let measured = delivered && core.stats.is_measured(first);
+        if measured {
+            core.stats
+                .record_message(last.saturating_sub(first.min(last)));
         }
-        st.msg_free.push(mi);
+        let tag = core.st.msg_tag.get(mi).copied();
+        core.st.msg_free.push(mi);
+        // Jobs mode only (`msg_tag` is empty otherwise).
+        let Some(tag) = tag.filter(|_| delivered) else {
+            continue;
+        };
+        if measured {
+            core.stats.record_tenant_message(tag.tenant);
+        }
+        if tag.is_collective() {
+            core.stats
+                .record_tenant_collective_delivery(tag.tenant, last);
+            traffic.collective_delivered(core, tag, last);
+        }
     }
 }
 
@@ -391,55 +440,6 @@ pub(crate) fn choose_port(
     );
     packets[pi].routing = state;
     port
-}
-
-/// The surviving endpoint space of a degraded network (steady-state pattern
-/// mode): `alive` lists the endpoints of up routers ascending, and `rank[e]`
-/// is endpoint `e`'s index in `alive` (`u32::MAX` for dead endpoints). The
-/// live traffic pattern runs over ranks — the surviving machine — and draws
-/// are mapped back to physical endpoint ids at injection time.
-struct AliveEndpoints {
-    alive: Vec<usize>,
-    rank: Vec<u32>,
-}
-
-impl AliveEndpoints {
-    fn new(net: &SimNetwork) -> Self {
-        let alive = net.alive_endpoints();
-        let mut rank = vec![u32::MAX; net.num_endpoints()];
-        for (i, &e) in alive.iter().enumerate() {
-            rank[e] = i as u32;
-        }
-        AliveEndpoints { alive, rank }
-    }
-}
-
-/// A continuous Poisson source (steady-state mode): one per sending endpoint,
-/// cycling through that endpoint's workload messages.
-struct Source {
-    endpoint: usize,
-    /// `(dst endpoint, bytes)` templates drawn from the workload, cycled in order.
-    templates: Vec<(usize, u64)>,
-    next_template: usize,
-    /// NIC-busy horizon of this endpoint.
-    nic_free_ps: u64,
-}
-
-/// A jobs-mode open-loop source: one per rank of every open-loop tenant,
-/// driving that tenant's [`RateProcess`] from a dedicated per-endpoint RNG
-/// (see [`crate::job`]'s `source_rng`) so the sharded engine reproduces the
-/// identical arrival and destination streams shard-locally.
-struct JSource {
-    endpoint: usize,
-    tenant: u32,
-    rank: u32,
-    bytes: u64,
-    /// NIC serialization of one message at full injection bandwidth — the
-    /// rate process's time base.
-    ser_ps: u64,
-    rate: RateProcess,
-    rt: RateRuntime,
-    rng: StdRng,
 }
 
 /// Shared runtime-liveness state for fault-script runs: which directed links
@@ -613,6 +613,28 @@ impl FaultRuntime {
     }
 }
 
+/// Place `item` in an index arena, reusing a freed slot when available (both
+/// cores keep their packets in one, so steady-state runs recycle slots).
+pub(crate) fn alloc_slot<T>(arena: &mut Vec<T>, free: &mut Vec<usize>, item: T) -> usize {
+    match free.pop() {
+        Some(i) => {
+            arena[i] = item;
+            i
+        }
+        None => {
+            // Event payloads index the arena as u32 (24-byte events); an
+            // arena past 4G slots would be a >200 GB run, but fail loudly
+            // rather than truncate.
+            assert!(
+                arena.len() < u32::MAX as usize,
+                "packet arena exceeded u32 index space"
+            );
+            arena.push(item);
+            arena.len() - 1
+        }
+    }
+}
+
 /// Mutable state of one event loop, grouped to keep borrows manageable.
 struct EngineState {
     /// Packet arena; freed slots are recycled through `free`.
@@ -673,6 +695,9 @@ struct EngineState {
     /// Jobs-mode tenant tag per message slot (empty unless [`SimConfig::jobs`]
     /// is set, so every other mode skips the tenant accounting entirely).
     msg_tag: Vec<MsgTag>,
+    /// NIC-busy horizon per endpoint (steady-state modes; finite phases lay
+    /// out their whole injection schedule up front).
+    nic_free: Vec<u64>,
 }
 
 impl EngineState {
@@ -713,6 +738,7 @@ impl EngineState {
             fstats: FaultStats::default(),
             msg_failed: Vec::new(),
             msg_tag: Vec::new(),
+            nic_free: vec![0; net.num_endpoints()],
         }
     }
 
@@ -767,23 +793,7 @@ impl EngineState {
 
     /// Allocate a packet slot, reusing a freed one when available.
     fn alloc_packet(&mut self, p: Packet) -> usize {
-        match self.free.pop() {
-            Some(i) => {
-                self.packets[i] = p;
-                i
-            }
-            None => {
-                // Event payloads index the arena as u32 (24-byte events); an
-                // arena past 4G slots would be a >200 GB run, but fail loudly
-                // rather than truncate.
-                assert!(
-                    self.packets.len() < u32::MAX as usize,
-                    "packet arena exceeded u32 index space"
-                );
-                self.packets.push(p);
-                self.packets.len() - 1
-            }
-        }
+        alloc_slot(&mut self.packets, &mut self.free, p)
     }
 
     /// Wake the FIFO-head link parked on `slot` — exactly one, because exactly
@@ -812,6 +822,100 @@ pub struct Simulator<'a> {
     router: Result<Box<dyn Router>, SimError>,
 }
 
+/// The sequential core as the shared driver sees it: one event loop's state
+/// and the collector it feeds.
+struct SeqCore<'s, 'a> {
+    sim: &'s Simulator<'a>,
+    st: &'s mut EngineState,
+    stats: &'s mut StatsCollector,
+}
+
+impl Core for SeqCore<'_, '_> {
+    fn inject_message(&mut self, now: u64, src_ep: usize, dst_ep: usize, bytes: u64, tag: MsgTag) {
+        let (sim, st) = (self.sim, &mut *self.st);
+        let segments = segment_message(sim.cfg, bytes);
+        let mut t = now.max(st.nic_free[src_ep]);
+        // Message slots are recycled once recorded (see `drain_completed`),
+        // so long runs stay bounded by in-flight messages, mirroring the
+        // packet arena.
+        let mi = st.msg_free.pop().unwrap_or_else(|| {
+            st.msg_packets_left.push(0);
+            st.msg_last_delivery.push(0);
+            st.msg_first_inject.push(0);
+            st.msg_failed.push(false);
+            st.msg_failed.len() - 1
+        });
+        st.msg_packets_left[mi] = segments.len() as u32;
+        st.msg_last_delivery[mi] = u64::MAX;
+        st.msg_first_inject[mi] = t;
+        st.msg_failed[mi] = false;
+        if tag.tenant != u32::MAX {
+            // Jobs mode only: `msg_tag` stays empty otherwise, so every other
+            // mode skips the tenant accounting entirely.
+            if st.msg_tag.len() < st.msg_packets_left.len() {
+                st.msg_tag.resize(st.msg_packets_left.len(), UNTAGGED);
+            }
+            st.msg_tag[mi] = tag;
+            self.stats.note_tenant_injection(tag.tenant, bytes, t);
+        }
+        let src_router = sim.net.router_of_endpoint(src_ep);
+        let dst_router = sim.net.router_of_endpoint(dst_ep);
+        for (pkt_bytes, nic_ser) in segments {
+            let packet = Packet {
+                src_router,
+                dst_router,
+                bytes: pkt_bytes,
+                inject_time_ps: t,
+                hops: 0,
+                routing: RoutingState::default(),
+                msg: mi,
+                via_link: u32::MAX,
+                attempts: 0,
+                first_drop_ps: u64::MAX,
+            };
+            let pi = st.alloc_packet(packet);
+            if st.fault.is_some() {
+                st.fstats.injected += 1;
+            }
+            self.stats.note_injection(t);
+            st.push(t, EventKind::Inject { packet: pi as u32 });
+            t += nic_ser;
+        }
+        st.nic_free[src_ep] = t;
+    }
+
+    fn schedule_source(&mut self, time: u64, source: u32, _endpoint: usize) {
+        self.st.push(time, EventKind::NextMessage { source });
+    }
+
+    fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, phase_start: Option<u64>) {
+        let (runtime, first) = driver::fault_runtime(self.sim.net, timeline, phase_start);
+        if let Some((time, idx)) = first {
+            self.st.push(time, EventKind::Fault { idx });
+        }
+        self.st.fault = Some(runtime);
+    }
+}
+
+/// Run one simulation on the core [`SimConfig::shards`] selects: one shard is
+/// the sequential wakeup engine ([`Simulator`]), more run the conservative
+/// parallel engine ([`parallel::ParallelSimulator`]) with that many worker
+/// threads. `offered_load = None` paces injections as the workload specifies
+/// (`try_run`); `Some(load)` is `try_run_with_offered_load`, steady-state
+/// under [`SimConfig::windows`].
+pub fn simulate(
+    net: &SimNetwork,
+    cfg: &SimConfig,
+    workload: &Workload,
+    offered_load: Option<f64>,
+) -> Result<SimResults, SimError> {
+    if cfg.shards > 1 {
+        parallel::ParallelSimulator::new(net, cfg).simulate(workload, offered_load)
+    } else {
+        Simulator::new(net, cfg).simulate(workload, offered_load)
+    }
+}
+
 impl<'a> Simulator<'a> {
     /// Create a simulator over a network with a configuration.
     ///
@@ -820,11 +924,6 @@ impl<'a> Simulator<'a> {
     /// with is reported by the first `try_*` call (the `run*` wrappers panic
     /// with the same message).
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
-        assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
-        assert!(
-            cfg.buffer_packets_per_vc >= 1,
-            "need at least one buffer slot per VC"
-        );
         Simulator {
             net,
             cfg,
@@ -832,17 +931,11 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// The construction-time rejection, if any: every `try_*` entry point
-    /// returns it before doing anything else.
-    fn check_setup(&self) -> Result<(), SimError> {
-        self.router.as_ref().map(|_| ()).map_err(SimError::clone)
-    }
-
     /// The routing algorithm, for the event handlers.
     fn router(&self) -> &dyn Router {
         self.router
             .as_deref()
-            .expect("every try_* entry point returns the setup error before any event runs")
+            .expect("the front door returns the setup error before any event runs")
     }
 
     /// Run the workload with message injections spaced exactly as the workload specifies
@@ -868,16 +961,7 @@ impl<'a> Simulator<'a> {
     /// [`SimError::Deadlock`]. On pristine networks without a fault script
     /// this never errs.
     pub fn try_run(&self, workload: &Workload) -> Result<SimResults, SimError> {
-        self.check_setup()?;
-        assert!(
-            self.cfg.jobs.is_none(),
-            "SimConfig::jobs requires steady-state measurement windows \
-             (SimConfig::with_windows)"
-        );
-        if self.net.has_faults() {
-            crate::fault::validate_workload(self.net, workload)?;
-        }
-        self.run_finite(workload, None)
+        self.simulate(workload, None)
     }
 
     /// Run the workload with Poisson-spaced injections corresponding to an offered load in
@@ -918,70 +1002,42 @@ impl<'a> Simulator<'a> {
         workload: &Workload,
         offered_load: f64,
     ) -> Result<SimResults, SimError> {
-        self.check_setup()?;
-        check_offered_load(offered_load)?;
-        match &self.cfg.windows {
-            None => {
-                assert!(
-                    self.cfg.jobs.is_none(),
-                    "SimConfig::jobs requires steady-state measurement windows \
-                     (SimConfig::with_windows)"
-                );
-                if self.net.has_faults() {
-                    crate::fault::validate_workload(self.net, workload)?;
-                }
-                self.run_finite(workload, Some(offered_load))
-            }
-            Some(w) => {
-                if self.cfg.jobs.is_some() {
-                    // Jobs mode supersedes both the workload templates and the
-                    // live destination pattern: tenants draw their own traffic.
-                    // Placement needs every surviving router reachable, exactly
-                    // like a live pattern.
-                    if self.net.has_faults() {
-                        crate::fault::validate_steady_pattern(self.net)?;
-                    }
-                    return self.run_steady_jobs(offered_load, w);
-                }
-                if self.net.has_faults() {
-                    if w.pattern.is_some() {
-                        crate::fault::validate_steady_pattern(self.net)?;
-                    } else {
-                        crate::fault::validate_workload(self.net, workload)?;
-                    }
-                }
-                self.run_steady(workload, offered_load, w)
-            }
+        self.simulate(workload, Some(offered_load))
+    }
+
+    /// Through the shared front door, then into the finite or steady loop.
+    fn simulate(
+        &self,
+        workload: &Workload,
+        offered_load: Option<f64>,
+    ) -> Result<SimResults, SimError> {
+        let run = RunPlan::new(self.net, self.cfg, &self.router, workload, offered_load)?;
+        match &run.mode {
+            Mode::Finite { offered_load } => self.run_finite(&run, workload, *offered_load),
+            Mode::Steady(steady) => Ok(self.run_steady(&run, steady)),
         }
     }
 
-    /// Expand the configured fault script against the (possibly statically
-    /// degraded) topology, or `None` when no script is configured. The runtime
-    /// machinery is enabled whenever a script is present — even one whose
-    /// expansion drew no events — so the fault statistics (including the
-    /// conservation identity) are populated for every scripted run.
-    fn fault_timeline(&self, horizon_ps: u64) -> Result<Option<Arc<FaultTimeline>>, SimError> {
-        if self.cfg.fault_script.is_none() {
-            return Ok(None);
+    /// The core view of one event loop's state.
+    fn core<'s>(
+        &'s self,
+        st: &'s mut EngineState,
+        stats: &'s mut StatsCollector,
+    ) -> SeqCore<'s, 'a> {
+        SeqCore {
+            sim: self,
+            st,
+            stats,
         }
-        let tl = self.cfg.fault_script.expand(self.net.graph(), horizon_ps)?;
-        Ok(Some(Arc::new(tl)))
     }
 
     /// Finite drain-to-empty run (the legacy semantics) on the wakeup engine.
     fn run_finite(
         &self,
+        run: &RunPlan<'_>,
         workload: &Workload,
         offered_load: Option<f64>,
     ) -> Result<SimResults, SimError> {
-        if let Some(max_ep) = workload.max_endpoint() {
-            assert!(
-                max_ep < self.net.num_endpoints(),
-                "workload references endpoint {max_ep} but the network has only {}",
-                self.net.num_endpoints()
-            );
-        }
-        let timeline = self.fault_timeline(self.cfg.fault_horizon_ps())?;
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut stats = StatsCollector::default();
         let mut faults = FaultStats::default();
@@ -1009,17 +1065,12 @@ impl<'a> Simulator<'a> {
                 let t = st.packets[pi].inject_time_ps;
                 st.push(t, EventKind::Inject { packet: pi as u32 });
             }
-            if let Some(tl) = &timeline {
+            if let Some(timeline) = &run.timeline {
                 // Each phase gets a fresh liveness view fast-forwarded to the
-                // phase boundary (mask flips only — no packets exist yet), then
-                // chains live fault events from the first entry still ahead.
-                let mut fr = Box::new(FaultRuntime::new(self.net, Arc::clone(tl)));
-                let idx = fr.fast_forward(self.net, phase_start);
-                if idx < tl.events.len() {
-                    st.push(tl.events[idx].time_ps, EventKind::Fault { idx: idx as u32 });
-                }
-                st.fault = Some(fr);
+                // phase boundary.
                 st.fstats.injected = st.packets.len() as u64;
+                self.core(&mut st, &mut stats)
+                    .arm_faults(timeline, Some(phase_start));
             }
 
             st.counters.arena_slots = st.packets.len() as u64;
@@ -1029,32 +1080,16 @@ impl<'a> Simulator<'a> {
             }
 
             // Every packet must have been delivered (or, under a fault script,
-            // terminally failed); anything else is an engine bug — or a genuine
-            // buffer deadlock, which the wakeup engine turns into a detectable
-            // quiescent state (the polling engine it replaced would spin on
-            // retries forever).
+            // terminally failed).
             let undelivered: u32 = st.msg_packets_left.iter().sum();
             if undelivered > 0 {
-                let in_queues: usize = st.link_queue.iter().map(|q| q.len()).sum();
-                let pending: usize = st.pending_inject.iter().map(|q| q.len()).sum();
-                let occ: u32 = st.occupancy.iter().sum();
-                if st.parked_count > 0 {
-                    return Err(SimError::Deadlock {
-                        diagnosis: format!(
-                            "simulation deadlocked with {undelivered} undelivered packets and \
-                             {} links parked in a cyclic head-of-line wait (link queues: \
-                             {in_queues}, pending injections: {pending}, occupancy sum: {occ}); \
-                             single-FIFO link queues can deadlock across virtual channels when \
-                             buffer_packets_per_vc is very small — increase it",
-                            st.parked_count
-                        ),
-                    });
-                }
-                panic!(
-                    "simulation ended with {undelivered} undelivered packets \
-                     (link queues: {in_queues}, pending injections: {pending}, \
-                     occupancy sum: {occ}) — engine invariant violated"
-                );
+                return Err(driver::undrained(
+                    undelivered as u64,
+                    st.parked_count,
+                    st.link_queue.iter().map(|q| q.len()).sum(),
+                    st.pending_inject.iter().map(|q| q.len()).sum(),
+                    st.occupancy.iter().sum(),
+                ));
             }
             debug_assert_eq!(st.parked_count, 0, "drained run left links parked");
             for (mi, &last) in st.msg_last_delivery.iter().enumerate() {
@@ -1071,574 +1106,51 @@ impl<'a> Simulator<'a> {
         Ok(results)
     }
 
-    /// Steady-state run: continuous per-endpoint Poisson sources, windowed
-    /// measurement, bounded drain.
-    fn run_steady(
-        &self,
-        workload: &Workload,
-        offered_load: f64,
-        w: &crate::config::MeasurementWindows,
-    ) -> Result<SimResults, SimError> {
-        if let Some(max_ep) = workload.max_endpoint() {
-            assert!(
-                max_ep < self.net.num_endpoints(),
-                "workload references endpoint {max_ep} but the network has only {}",
-                self.net.num_endpoints()
-            );
-        }
-        // On a degraded network the live pattern runs over the *surviving*
-        // machine: its endpoint space is the alive endpoints, and only those
-        // inject (dead sources are filtered below). Pristine networks skip the
-        // mapping entirely, keeping the fault-free path bit-identical.
-        let alive_map: Option<AliveEndpoints> =
-            (self.net.has_faults() && w.pattern.is_some()).then(|| AliveEndpoints::new(self.net));
-        let pattern_endpoints = alive_map
-            .as_ref()
-            .map(|m| m.alive.len())
-            .unwrap_or(self.net.num_endpoints());
-        // Resolve the destination pattern once, up front — an unknown spec is
-        // rejected before any simulation work, mirroring unknown routing names.
-        let pattern = w
-            .pattern
-            .as_deref()
-            .map(|spec| {
-                crate::pattern::create(spec, &crate::pattern::PatternCtx::new(pattern_endpoints))
-            })
-            .transpose()?;
+    /// Steady-state run: continuous sources — per-endpoint Poisson sources
+    /// over the workload templates, or the tenants of a job mix, whose
+    /// collectives start at `t = 0` and whose accounting lands in
+    /// [`SimResults::tenants`] — under windowed measurement and a bounded
+    /// drain. One loop serves both: the modes differ only inside [`Traffic`].
+    fn run_steady(&self, run: &RunPlan<'_>, steady: &Steady<'_>) -> SimResults {
+        let w = steady.windows;
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-
-        // Per-endpoint message templates, cycled in workload order (phases are
-        // flattened: steady-state measurement is an open-loop experiment, not a
-        // bulk-synchronous application run).
-        let mut templates: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.net.num_endpoints()];
-        for phase in &workload.phases {
-            for m in &phase.messages {
-                templates[m.src].push((m.dst, m.bytes));
-            }
-        }
-        let mut sources: Vec<Source> = templates
-            .into_iter()
-            .enumerate()
-            .filter(|(e, t)| {
-                !t.is_empty() && alive_map.as_ref().is_none_or(|m| m.rank[*e] != u32::MAX)
-            })
-            .map(|(endpoint, templates)| Source {
-                endpoint,
-                templates,
-                next_template: 0,
-                nic_free_ps: 0,
-            })
-            .collect();
-
+        let mut stats = steady.traffic.stats(w);
         let mut st = EngineState::new(self.net, self.cfg, 0);
         st.track_completions = true;
-        if let Some(tl) = self.fault_timeline(w.deadline_ps())? {
-            let fr = Box::new(FaultRuntime::new(self.net, Arc::clone(&tl)));
-            if !tl.events.is_empty() {
-                st.push(tl.events[0].time_ps, EventKind::Fault { idx: 0 });
-            }
-            st.fault = Some(fr);
-        }
-        // First arrival of each source's Poisson process.
-        for (si, source) in sources.iter().enumerate() {
-            let first_bytes = source.templates[0].1;
-            let gap = self.exp_gap(first_bytes, offered_load, &mut rng);
-            if gap < w.measure_end_ps() {
-                st.push(gap, EventKind::NextMessage { source: si as u32 });
-            }
-        }
+        let mut core = self.core(&mut st, &mut stats);
+        let draws = Draws::RunGlobal(&mut rng);
+        let mut traffic = Traffic::arm(&mut core, run, steady, |_| true, draws);
         let first_sample = w.sample_interval_ps.max(1);
         if first_sample <= w.deadline_ps() {
-            st.push(first_sample, EventKind::Sample);
+            core.st.push(first_sample, EventKind::Sample);
         }
 
-        while let Some(ev) = st.queue.pop() {
+        while let Some(ev) = core.st.queue.pop() {
             if ev.time > w.deadline_ps() {
                 // Drain deadline: abandon whatever is still in flight (above
                 // saturation the queues would never empty).
                 break;
             }
-            st.counters.events += 1;
-            st.counters.arena_slots = st.counters.arena_slots.max(st.packets.len() as u64);
-            if let EventKind::NextMessage { source } = ev.kind {
-                self.spawn_message(
-                    source as usize,
-                    ev.time,
-                    offered_load,
-                    w,
-                    pattern.as_deref(),
-                    alive_map.as_ref(),
-                    &mut sources,
-                    &mut st,
-                    &mut stats,
-                    &mut rng,
-                );
-            } else if ev.kind == EventKind::Sample {
-                self.record_sample(ev.time, w, &mut st, &mut stats);
-            } else {
-                self.handle_event(ev, &mut st, &mut rng, &mut stats);
+            let slots = core.st.packets.len() as u64;
+            let counters = &mut core.st.counters;
+            counters.events += 1;
+            counters.arena_slots = counters.arena_slots.max(slots);
+            match ev.kind {
+                EventKind::NextMessage { source } => {
+                    let draws = Draws::RunGlobal(&mut rng);
+                    traffic.next_message(&mut core, source as usize, ev.time, draws);
+                }
+                EventKind::Sample => self.record_sample(ev.time, w, core.st, core.stats),
+                _ => self.handle_event(ev, core.st, &mut rng, core.stats),
             }
-            drain_completed_messages(&mut st, &mut stats);
+            drain_completed(&mut core, &mut traffic);
         }
-        drain_completed_messages(&mut st, &mut stats);
+        drain_completed(&mut core, &mut traffic);
+        traffic.report_ranks(&mut stats, |_| true);
         stats.record_engine(&st.counters);
         let mut results = stats.finish();
         results.faults = st.fstats;
-        Ok(results)
-    }
-
-    /// Steady-state multi-tenant jobs run ([`SimConfig::jobs`]): the mix is
-    /// resolved once over the alive endpoints (deterministic in the seed, so
-    /// every engine and shard count executes the identical plan), collective
-    /// tenants execute their dependency-ordered schedules starting at `t = 0`,
-    /// open-loop tenants drive per-rank rate-process sources, and per-tenant
-    /// accounting lands in [`SimResults::tenants`]. The run-level
-    /// `offered_load` scales every open-loop tenant's configured rates.
-    /// A malformed mix spec, or one that does not fit the surviving endpoints,
-    /// is [`SimError::Job`].
-    fn run_steady_jobs(
-        &self,
-        offered_load: f64,
-        w: &crate::config::MeasurementWindows,
-    ) -> Result<SimResults, SimError> {
-        let mix = self.cfg.jobs.as_deref().expect("jobs run without a mix");
-        let alive = self.net.alive_endpoints();
-        let plan = crate::job::resolve_mix(mix, &crate::job::JobCtx::new(), &alive, self.cfg.seed)?;
-
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-        stats.init_tenants(plan.tenant_descs());
-
-        let mut st = EngineState::new(self.net, self.cfg, 0);
-        st.track_completions = true;
-        if let Some(tl) = self.fault_timeline(w.deadline_ps())? {
-            let fr = Box::new(FaultRuntime::new(self.net, Arc::clone(&tl)));
-            if !tl.events.is_empty() {
-                st.push(tl.events[0].time_ps, EventKind::Fault { idx: 0 });
-            }
-            st.fault = Some(fr);
-        }
-
-        // NIC-busy horizon per endpoint, shared by collective and open-loop
-        // injections (an endpoint belongs to exactly one tenant).
-        let mut nic_free: Vec<u64> = vec![0; self.net.num_endpoints()];
-
-        // Collective trackers and open-loop sources, in declaration order.
-        let mut collectives: Vec<(u32, CollectiveState)> = Vec::new();
-        let mut jsources: Vec<JSource> = Vec::new();
-        for (ti, t) in plan.tenants.iter().enumerate() {
-            match &t.behavior {
-                JobBehavior::Collective(sched) => {
-                    collectives.push((ti as u32, CollectiveState::new(Arc::new(sched.clone()))));
-                }
-                JobBehavior::OpenLoop(spec) => {
-                    for (rank, &ep) in t.endpoints.iter().enumerate() {
-                        jsources.push(JSource {
-                            endpoint: ep,
-                            tenant: ti as u32,
-                            rank: rank as u32,
-                            bytes: spec.bytes,
-                            ser_ps: self.cfg.injection_serialization_ps(spec.bytes),
-                            rate: spec.rate.clone(),
-                            rt: RateRuntime::default(),
-                            rng: crate::job::source_rng(self.cfg.seed, ep),
-                        });
-                    }
-                }
-            }
-        }
-        let mut coll_of_tenant: Vec<Option<usize>> = vec![None; plan.tenants.len()];
-        for (ci, (ti, _)) in collectives.iter().enumerate() {
-            coll_of_tenant[*ti as usize] = Some(ci);
-        }
-
-        // First arrival of every open-loop source.
-        for (si, s) in jsources.iter_mut().enumerate() {
-            let t = s
-                .rate
-                .next_arrival_ps(&mut s.rt, 0, s.ser_ps, offered_load, &mut s.rng);
-            if t < w.measure_end_ps() {
-                st.push(t, EventKind::NextMessage { source: si as u32 });
-            }
-        }
-        // Fire every collective's round-0 groups at t = 0 (the sequential
-        // engine owns every rank), cascading through any groups the firing
-        // itself unblocks (empty rounds).
-        for (ti, cs) in collectives.iter_mut() {
-            for g in cs.ready_at_start(|_| true) {
-                self.fire_collective_from(*ti, cs, g, 0, &plan, &mut nic_free, &mut st, &mut stats);
-            }
-        }
-        let first_sample = w.sample_interval_ps.max(1);
-        if first_sample <= w.deadline_ps() {
-            st.push(first_sample, EventKind::Sample);
-        }
-
-        while let Some(ev) = st.queue.pop() {
-            if ev.time > w.deadline_ps() {
-                break;
-            }
-            st.counters.events += 1;
-            st.counters.arena_slots = st.counters.arena_slots.max(st.packets.len() as u64);
-            if let EventKind::NextMessage { source } = ev.kind {
-                self.spawn_job_message(
-                    source as usize,
-                    ev.time,
-                    offered_load,
-                    w,
-                    &plan,
-                    &mut jsources,
-                    &mut nic_free,
-                    &mut st,
-                    &mut stats,
-                );
-            } else if ev.kind == EventKind::Sample {
-                self.record_sample(ev.time, w, &mut st, &mut stats);
-            } else {
-                self.handle_event(ev, &mut st, &mut rng, &mut stats);
-            }
-            self.drain_completed_jobs(
-                &plan,
-                &mut collectives,
-                &coll_of_tenant,
-                &mut nic_free,
-                &mut st,
-                &mut stats,
-            );
-        }
-        self.drain_completed_jobs(
-            &plan,
-            &mut collectives,
-            &coll_of_tenant,
-            &mut nic_free,
-            &mut st,
-            &mut stats,
-        );
-        for (ti, cs) in &collectives {
-            stats.add_tenant_ranks_completed(*ti, cs.ranks_completed());
-        }
-        stats.record_engine(&st.counters);
-        let mut results = stats.finish();
-        results.faults = st.fstats;
-        Ok(results)
-    }
-
-    /// One open-loop jobs-mode arrival: draw the destination rank from the
-    /// tenant's pattern, inject the message, and schedule the source's next
-    /// arrival from its rate process (sources fall silent at the end of the
-    /// measurement window, like the legacy Poisson sources).
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_job_message(
-        &self,
-        si: usize,
-        now: u64,
-        load_scale: f64,
-        w: &crate::config::MeasurementWindows,
-        plan: &MixPlan,
-        jsources: &mut [JSource],
-        nic_free: &mut [u64],
-        st: &mut EngineState,
-        stats: &mut StatsCollector,
-    ) {
-        let s = &mut jsources[si];
-        let tenant = &plan.tenants[s.tenant as usize];
-        let JobBehavior::OpenLoop(spec) = &tenant.behavior else {
-            unreachable!("open-loop source on a collective tenant")
-        };
-        let drawn = spec.pattern.dst(s.rank as usize, &mut s.rng);
-        // Hard assert, mirroring `spawn_message`: TrafficPattern is a
-        // third-party extension point.
-        assert!(
-            drawn < tenant.endpoints.len(),
-            "pattern {} returned out-of-range destination {drawn} (tenant has {} ranks)",
-            spec.pattern.name(),
-            tenant.endpoints.len()
-        );
-        let dst_ep = tenant.endpoints[drawn];
-        self.inject_job_message(
-            now,
-            s.endpoint,
-            dst_ep,
-            s.bytes,
-            MsgTag::open_loop(s.tenant, drawn as u32),
-            nic_free,
-            st,
-            stats,
-        );
-        let next = s
-            .rate
-            .next_arrival_ps(&mut s.rt, now, s.ser_ps, load_scale, &mut s.rng);
-        if next < w.measure_end_ps() {
-            st.push(next, EventKind::NextMessage { source: si as u32 });
-        }
-    }
-
-    /// Inject one tagged jobs-mode message from `src_ep` to `dst_ep`,
-    /// serializing its packets through the endpoint's NIC exactly like
-    /// `spawn_message` does for workload sources.
-    #[allow(clippy::too_many_arguments)]
-    fn inject_job_message(
-        &self,
-        now: u64,
-        src_ep: usize,
-        dst_ep: usize,
-        bytes: u64,
-        tag: MsgTag,
-        nic_free: &mut [u64],
-        st: &mut EngineState,
-        stats: &mut StatsCollector,
-    ) {
-        let segments = segment_message(self.cfg, bytes);
-        let mut t = now.max(nic_free[src_ep]);
-        let mi = match st.msg_free.pop() {
-            Some(i) => {
-                st.msg_packets_left[i] = segments.len() as u32;
-                st.msg_last_delivery[i] = u64::MAX;
-                st.msg_first_inject[i] = t;
-                i
-            }
-            None => {
-                st.msg_packets_left.push(segments.len() as u32);
-                st.msg_last_delivery.push(u64::MAX);
-                st.msg_first_inject.push(t);
-                st.msg_packets_left.len() - 1
-            }
-        };
-        if st.msg_failed.len() < st.msg_packets_left.len() {
-            st.msg_failed.resize(st.msg_packets_left.len(), false);
-        }
-        st.msg_failed[mi] = false;
-        if st.msg_tag.len() < st.msg_packets_left.len() {
-            st.msg_tag
-                .resize(st.msg_packets_left.len(), MsgTag::open_loop(u32::MAX, 0));
-        }
-        st.msg_tag[mi] = tag;
-        stats.note_tenant_injection(tag.tenant, bytes, t);
-        for (pkt_bytes, nic_ser) in segments {
-            let packet = Packet {
-                src_router: self.net.router_of_endpoint(src_ep),
-                dst_router: self.net.router_of_endpoint(dst_ep),
-                bytes: pkt_bytes,
-                inject_time_ps: t,
-                hops: 0,
-                routing: RoutingState::default(),
-                msg: mi,
-                via_link: u32::MAX,
-                attempts: 0,
-                first_drop_ps: u64::MAX,
-            };
-            let pi = st.alloc_packet(packet);
-            if st.fault.is_some() {
-                st.fstats.injected += 1;
-            }
-            stats.note_injection(t);
-            st.push(t, EventKind::Inject { packet: pi as u32 });
-            t += nic_ser;
-        }
-        nic_free[src_ep] = t;
-    }
-
-    /// Fire collective group `g` of tenant `ti` at time `now`: inject its
-    /// sends and cascade through any same-rank follow-up groups the firing
-    /// itself unblocks (rounds with no inbound dependencies).
-    #[allow(clippy::too_many_arguments)]
-    fn fire_collective_from(
-        &self,
-        ti: u32,
-        cs: &mut CollectiveState,
-        g: usize,
-        now: u64,
-        plan: &MixPlan,
-        nic_free: &mut [u64],
-        st: &mut EngineState,
-        stats: &mut StatsCollector,
-    ) {
-        let tenant = &plan.tenants[ti as usize];
-        let rounds = cs.schedule().rounds;
-        let mut ready = vec![g];
-        while let Some(g) = ready.pop() {
-            let (sends, next) = cs.fire(g);
-            let round = (g % rounds) as u32;
-            let src_ep = tenant.endpoints[g / rounds];
-            for (dst_rank, bytes) in sends {
-                let dst_ep = tenant.endpoints[dst_rank as usize];
-                self.inject_job_message(
-                    now,
-                    src_ep,
-                    dst_ep,
-                    bytes,
-                    MsgTag {
-                        tenant: ti,
-                        dst_rank,
-                        round,
-                    },
-                    nic_free,
-                    st,
-                    stats,
-                );
-            }
-            if let Some(n) = next {
-                ready.push(n);
-            }
-        }
-    }
-
-    /// Jobs-mode variant of [`drain_completed_messages`]: record global and
-    /// per-tenant message completions, and for collective messages release the
-    /// destination rank's dependency — firing (and injecting) whatever rounds
-    /// the delivery unblocks, at the delivery's own timestamp. A terminally
-    /// failed collective message stalls its destination rank's chain by
-    /// design: collective completion semantics are delivery, not transmission.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_completed_jobs(
-        &self,
-        plan: &MixPlan,
-        collectives: &mut [(u32, CollectiveState)],
-        coll_of_tenant: &[Option<usize>],
-        nic_free: &mut [u64],
-        st: &mut EngineState,
-        stats: &mut StatsCollector,
-    ) {
-        while let Some(mi) = st.completed_msgs.pop() {
-            let first = st.msg_first_inject[mi];
-            let last = st.msg_last_delivery[mi];
-            let failed = st.msg_failed.get(mi).copied().unwrap_or(false);
-            let delivered = last != u64::MAX && !failed;
-            if delivered && stats.is_measured(first) {
-                stats.record_message(last.saturating_sub(first.min(last)));
-            }
-            let tag = st.msg_tag[mi];
-            st.msg_free.push(mi);
-            if !delivered {
-                continue;
-            }
-            if stats.is_measured(first) {
-                stats.record_tenant_message(tag.tenant);
-            }
-            if tag.is_collective() {
-                stats.record_tenant_collective_delivery(tag.tenant, last);
-                let ci = coll_of_tenant[tag.tenant as usize]
-                    .expect("collective tag on a non-collective tenant");
-                let (ti, cs) = &mut collectives[ci];
-                if let Some(g) = cs.on_delivered(tag.dst_rank, tag.round) {
-                    self.fire_collective_from(*ti, cs, g, last, plan, nic_free, st, stats);
-                }
-            }
-        }
-    }
-
-    /// Exponential inter-arrival gap for a message of `bytes` at `load` of the
-    /// endpoint injection bandwidth.
-    fn exp_gap(&self, bytes: u64, load: f64, rng: &mut StdRng) -> u64 {
-        let ser = self.cfg.injection_serialization_ps(bytes) as f64;
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        (-u.ln() * ser / load) as u64
-    }
-
-    /// Generate one message from a continuous source at its arrival time `now`,
-    /// packetize it through the NIC, and schedule the source's next arrival.
-    ///
-    /// With a destination `pattern` configured, the message's destination is
-    /// drawn live from it (one pattern draw per message); the template cycle
-    /// still supplies the message size, so workloads keep controlling *how
-    /// much* each endpoint sends while the pattern controls *where to*. On a
-    /// degraded network (`alive` set) the pattern speaks in surviving-machine
-    /// ranks: the source's rank goes in, the drawn rank is mapped back to a
-    /// physical endpoint.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_message(
-        &self,
-        si: usize,
-        now: u64,
-        load: f64,
-        w: &crate::config::MeasurementWindows,
-        pattern: Option<&dyn crate::pattern::TrafficPattern>,
-        alive: Option<&AliveEndpoints>,
-        sources: &mut [Source],
-        st: &mut EngineState,
-        stats: &mut StatsCollector,
-        rng: &mut StdRng,
-    ) {
-        let src = &mut sources[si];
-        let (mut dst, bytes) = src.templates[src.next_template % src.templates.len()];
-        src.next_template += 1;
-        if let Some(p) = pattern {
-            let src_rank = match alive {
-                None => src.endpoint,
-                Some(m) => m.rank[src.endpoint] as usize,
-            };
-            let drawn = p.dst(src_rank, rng);
-            let endpoint_space = alive
-                .map(|m| m.alive.len())
-                .unwrap_or(self.net.num_endpoints());
-            // Hard assert (not debug_assert): TrafficPattern is a third-party
-            // extension point, and an out-of-range destination would otherwise
-            // index past the endpoint map far from the buggy draw.
-            assert!(
-                drawn < endpoint_space,
-                "pattern {} returned out-of-range destination {drawn} (pattern space has {} endpoints)",
-                p.name(),
-                endpoint_space
-            );
-            dst = match alive {
-                None => drawn,
-                Some(m) => m.alive[drawn],
-            };
-        }
-
-        let segments = segment_message(self.cfg, bytes);
-        let mut t = now.max(src.nic_free_ps);
-        // Message slots are recycled once recorded (see
-        // `drain_completed_messages`), so long runs stay bounded by in-flight
-        // messages, mirroring the packet arena.
-        let mi = match st.msg_free.pop() {
-            Some(i) => {
-                st.msg_packets_left[i] = segments.len() as u32;
-                st.msg_last_delivery[i] = u64::MAX;
-                st.msg_first_inject[i] = t;
-                i
-            }
-            None => {
-                st.msg_packets_left.push(segments.len() as u32);
-                st.msg_last_delivery.push(u64::MAX);
-                st.msg_first_inject.push(t);
-                st.msg_packets_left.len() - 1
-            }
-        };
-        if st.msg_failed.len() < st.msg_packets_left.len() {
-            st.msg_failed.resize(st.msg_packets_left.len(), false);
-        }
-        st.msg_failed[mi] = false;
-        for (pkt_bytes, nic_ser) in segments {
-            let packet = Packet {
-                src_router: self.net.router_of_endpoint(src.endpoint),
-                dst_router: self.net.router_of_endpoint(dst),
-                bytes: pkt_bytes,
-                inject_time_ps: t,
-                hops: 0,
-                routing: RoutingState::default(),
-                msg: mi,
-                via_link: u32::MAX,
-                attempts: 0,
-                first_drop_ps: u64::MAX,
-            };
-            let pi = st.alloc_packet(packet);
-            if st.fault.is_some() {
-                st.fstats.injected += 1;
-            }
-            stats.note_injection(t);
-            st.push(t, EventKind::Inject { packet: pi as u32 });
-            t += nic_ser;
-        }
-        src.nic_free_ps = t;
-
-        // Next arrival of the (open-loop) Poisson process, measured from this
-        // arrival; sources fall silent at the end of the measurement window.
-        let next = now + self.exp_gap(bytes, load, rng);
-        if next < w.measure_end_ps() {
-            st.push(next, EventKind::NextMessage { source: si as u32 });
-        }
+        results
     }
 
     /// Record one steady-state time-series tick and schedule the next.

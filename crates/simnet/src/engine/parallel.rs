@@ -3,6 +3,12 @@
 //! arena, and the shards advance in barrier-synchronized epochs bounded by the
 //! network's minimum cross-router latency (the *lookahead*).
 //!
+//! This module is the sender-held-credit *core* — `ShardCore`, its event
+//! handlers, the epoch loop — plus the shard launcher and outcome fold around
+//! it. What a run is (the front door, sources, jobs, fault arming) is the
+//! shared `driver` module's, written once for both engines; each shard hands
+//! it an `owns(endpoint)` predicate and per-source RNG streams.
+//!
 //! # Synchronization protocol
 //!
 //! Every cross-router interaction in this model takes at least
@@ -36,7 +42,7 @@
 //! * routing decisions draw from a counter-based per-decision RNG seeded by
 //!   `(seed, packet id, hop)`, not from a shared sequential stream;
 //! * steady-state sources own per-endpoint RNG streams seeded by
-//!   `(seed, endpoint)`;
+//!   `(seed, endpoint)`, and number their messages and packets per endpoint;
 //! * epoch boundaries are themselves shard-count-invariant (the `m` sequence
 //!   depends only on the deterministic event set), so the congestion snapshots
 //!   refresh at the same simulated times everywhere.
@@ -51,15 +57,16 @@
 //! exact cross-shard-count equality (see `tests/pdes_equivalence.rs`).
 
 use super::calendar::{CalendarQueue, Timed};
-use super::{packetize_phase, segment_message, AliveEndpoints, DropReason, FaultRuntime, SimError};
-use crate::config::{MeasurementWindows, SimConfig};
+use super::driver::{self, Core, Draws, Mode, RunPlan, Steady, Traffic, UNTAGGED};
+use super::{packetize_phase, segment_message, DropReason, FaultRuntime, SimError};
+use crate::config::SimConfig;
 use crate::fault::{FaultEventKind, FaultTimeline};
-use crate::job::{self, CollectiveState, JobBehavior, JobCtx, MixPlan, MsgTag, RateRuntime};
+use crate::job::MsgTag;
 use crate::network::SimNetwork;
 use crate::routing::{self, RouteScratch, Router, RoutingCtx, RoutingState};
 use crate::stats::{EngineCounters, FaultStats, IntervalSample, SimResults, StatsCollector};
 use crate::workload::Workload;
-use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+use rand::{rngs::StdRng, RngCore, SeedableRng};
 use spectralfly_graph::csr::VertexId;
 use spectralfly_graph::{partition_kway, BisectConfig};
 use std::collections::{HashMap, VecDeque};
@@ -74,12 +81,9 @@ const PARTITION_SEED: u64 = 0x9A27_51DE_C0DE_0006;
 // Stable event-key classes: at equal timestamps, events pop in class order
 // (fault flips, source arrivals, then injections, credits, arrivals,
 // transmits). Any fixed order works — same-time events on different routers
-// commute — it only has to be the *same* order for every shard count. Class 0
-// (once the replicated sampling tick, freed when sampling went event-free —
-// see [`ShardCore::flush_sample_ticks`]) is now the fault-timeline event, so
-// liveness flips apply before any co-timed packet event, and the packet
-// classes keep their values (golden-seed results on fault-free runs are
-// unchanged).
+// commute — it only has to be the *same* order for every shard count. The
+// fault-timeline event is class 0 so liveness flips apply before any co-timed
+// packet event.
 const CLASS_FAULT: u64 = 0;
 const CLASS_NEXT_MESSAGE: u64 = 1;
 const CLASS_INJECT: u64 = 2;
@@ -398,20 +402,20 @@ struct ShardCore<'a> {
     /// sequential engine's `msg_failed` poisoning.
     msgs: HashMap<u64, MsgEntry>,
     /// Collective messages fully delivered since the last drain, handed to the
-    /// jobs driving closure which owns the dependency trackers (empty unless
-    /// [`crate::SimConfig::jobs`] is set).
+    /// steady driving closure whose [`Traffic`] owns the dependency trackers
+    /// (empty unless [`crate::SimConfig::jobs`] is set).
     jobs_completed: Vec<(MsgTag, u64)>,
+    /// NIC cursors and id counters of the endpoints this shard injects from.
+    nics: EndpointNics,
     /// Per-destination-shard outboxes, flushed at barrier 3.
     out: Vec<Vec<ShardMsg>>,
     stats: StatsCollector,
     counters: EngineCounters,
     raw_samples: Vec<RawSample>,
     /// Steady-state sampling cadence in ps; `0` = sampling disarmed (finite
-    /// runs). Ticks are *not* queue events (they used to be, replicated on
-    /// every shard — pure per-shard event-loop overhead): each shard folds its
-    /// local partial at `flush_sample_ticks` before handling any event at or
-    /// past a tick's timestamp, which reproduces the replicated-event ordering
-    /// exactly (see that method's invariant note).
+    /// runs). Ticks are *not* queue events: each shard folds its local partial
+    /// at `flush_sample_ticks` before handling any event at or past a tick's
+    /// timestamp (see that method's invariant note).
     tick_ivm: u64,
     /// Last tick timestamp to record (the drain deadline).
     tick_deadline: u64,
@@ -425,18 +429,17 @@ struct ShardCore<'a> {
 }
 
 impl<'a> ShardCore<'a> {
-    #[allow(clippy::too_many_arguments)]
+    /// Shard `sid` of `sim`'s partition, collecting into `stats`.
     fn new(
         sid: usize,
-        shards: usize,
-        net: &'a SimNetwork,
-        cfg: &'a SimConfig,
-        algo: &'a dyn Router,
-        owner: &'a [u32],
-        lookahead: u64,
+        sim: &'a ParallelSimulator<'_>,
         stats: StatsCollector,
         phase_start: u64,
     ) -> Self {
+        let (net, cfg, owner) = (sim.net, sim.cfg, &sim.owner[..]);
+        let (shards, lookahead) = (cfg.shards, sim.lookahead);
+        let algo = (sim.router.as_deref())
+            .expect("the front door returns the setup error before any shard is built");
         let nv = cfg.num_vcs;
         let links = net.num_directed_links();
         let my_routers: Vec<VertexId> = (0..net.num_routers() as VertexId)
@@ -478,6 +481,11 @@ impl<'a> ShardCore<'a> {
             fstats: FaultStats::default(),
             msgs: HashMap::new(),
             jobs_completed: Vec::new(),
+            nics: EndpointNics {
+                nic_free: vec![0; net.num_endpoints()],
+                msg_counter: vec![0; net.num_endpoints()],
+                pkt_counter: vec![0; net.num_endpoints()],
+            },
             out: (0..shards).map(|_| Vec::new()).collect(),
             stats,
             counters: EngineCounters::default(),
@@ -499,20 +507,7 @@ impl<'a> ShardCore<'a> {
     }
 
     fn alloc_packet(&mut self, p: ParPacket) -> usize {
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.packets[i] = p;
-                i
-            }
-            None => {
-                assert!(
-                    self.packets.len() < u32::MAX as usize,
-                    "packet arena exceeded u32 index space"
-                );
-                self.packets.push(p);
-                self.packets.len() - 1
-            }
-        };
+        let slot = super::alloc_slot(&mut self.packets, &mut self.free, p);
         self.counters.arena_slots = self.counters.arena_slots.max(self.packets.len() as u64);
         slot
     }
@@ -1113,15 +1108,13 @@ impl<'a> ShardCore<'a> {
     /// deadline)`. Called before handling each event (with the event's time)
     /// and once after the loop ends (with the deadline).
     ///
-    /// Equivalence with the old replicated `Sample` queue events: a shard
-    /// processes its events in nondecreasing time order (the conservative
-    /// epoch bound guarantees cross-shard arrivals never travel backwards in
-    /// time), and a tick event carried class 0 — at its timestamp it popped
-    /// *before* every co-timed event. Flushing all ticks ≤ `ev.time` before
-    /// handling `ev` therefore interleaves ticks with state changes at exactly
-    /// the positions the queue gave them; ticks between two events (or after
-    /// the last one) see unchanged state either way, so the recorded partials
-    /// are identical — without n_shards × n_ticks queue traffic.
+    /// This interleaves ticks with state changes exactly as class-0 queue
+    /// events would: a shard processes its events in nondecreasing time order
+    /// (the conservative epoch bound guarantees cross-shard arrivals never
+    /// travel backwards in time), so flushing all ticks ≤ `ev.time` before
+    /// handling `ev` puts each tick before every co-timed event, and ticks
+    /// between two events (or after the last one) see unchanged state —
+    /// without n_shards × n_ticks queue traffic.
     #[inline]
     fn flush_sample_ticks(&mut self, upto: u64) {
         if self.tick_ivm == 0 {
@@ -1277,301 +1270,91 @@ fn join_shards<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> 
     outs
 }
 
-/// A continuous Poisson source owned by one shard (steady-state mode), with
-/// its own deterministic RNG stream keyed by `(seed, endpoint)`.
-struct PSource {
-    endpoint: usize,
-    templates: Vec<(usize, u64)>,
-    next_template: usize,
-    nic_free_ps: u64,
-    rng: StdRng,
-    msg_counter: u64,
-    pkt_counter: u64,
-}
-
+/// The per-source stream of a template source under [`Draws::PerSource`]:
+/// keyed by `(seed, endpoint)`, so a source's draws cannot depend on which
+/// shard owns it.
 fn source_rng(seed: u64, endpoint: usize) -> StdRng {
     StdRng::seed_from_u64(mix64(seed).wrapping_add(mix64(endpoint as u64 ^ 0x005E_ED50_17CE)))
 }
 
-fn exp_gap(cfg: &SimConfig, bytes: u64, load: f64, rng: &mut StdRng) -> u64 {
-    let ser = cfg.injection_serialization_ps(bytes) as f64;
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    (-u.ln() * ser / load) as u64
-}
-
-/// Generate one message from a shard-local source: pattern draw (if any),
-/// then gap draw, both from the source's own stream — the fixed per-source
-/// draw order that makes steady-state runs shard-count-invariant.
-#[allow(clippy::too_many_arguments)]
-fn spawn_message(
-    core: &mut ShardCore<'_>,
-    sources: &mut [PSource],
-    si: usize,
-    now: u64,
-    load: f64,
-    w: &MeasurementWindows,
-    pattern: Option<&dyn crate::pattern::TrafficPattern>,
-    alive: Option<&AliveEndpoints>,
-) {
-    let net = core.net;
-    let cfg = core.cfg;
-    let src = &mut sources[si];
-    let (mut dst, bytes) = src.templates[src.next_template % src.templates.len()];
-    src.next_template += 1;
-    if let Some(p) = pattern {
-        let src_rank = match alive {
-            None => src.endpoint,
-            Some(m) => m.rank[src.endpoint] as usize,
-        };
-        let drawn = p.dst(src_rank, &mut src.rng);
-        let endpoint_space = alive.map(|m| m.alive.len()).unwrap_or(net.num_endpoints());
-        assert!(
-            drawn < endpoint_space,
-            "pattern {} returned out-of-range destination {drawn} (pattern space has {} endpoints)",
-            p.name(),
-            endpoint_space
-        );
-        dst = match alive {
-            None => drawn,
-            Some(m) => m.alive[drawn],
-        };
-    }
-    let segments = segment_message(cfg, bytes);
-    let mut t = now.max(src.nic_free_ps);
-    let first = t;
-    let msg_id = ((src.endpoint as u64) << 40) | src.msg_counter;
-    src.msg_counter += 1;
-    let src_router = net.router_of_endpoint(src.endpoint);
-    let dst_router = net.router_of_endpoint(dst);
-    let total = segments.len() as u32;
-    let endpoint = src.endpoint;
-    for (pkt_bytes, nic_ser) in segments {
-        let stable_id = ((endpoint as u64) << 40) | sources[si].pkt_counter;
-        sources[si].pkt_counter += 1;
-        let packet = ParPacket {
-            src_router,
-            dst_router,
-            bytes: pkt_bytes,
-            inject_time_ps: t,
-            hops: 0,
-            routing: RoutingState::default(),
-            stable_id,
-            msg_id,
-            msg_total: total,
-            msg_first_inject: first,
-            via_link: u32::MAX,
-            via_vc: 0,
-            attempts: 0,
-            first_drop_ps: u64::MAX,
-            tag: MsgTag::open_loop(u32::MAX, 0),
-        };
-        let slot = core.alloc_packet(packet);
-        if core.fault.is_some() {
-            core.fstats.injected += 1;
-        }
-        core.stats.note_injection(t);
-        core.push(
-            t,
-            key(CLASS_INJECT, stable_id),
-            PKind::Inject {
-                packet: slot as u32,
-            },
-        );
-        t += nic_ser;
-    }
-    sources[si].nic_free_ps = t;
-    let next = now + exp_gap(cfg, bytes, load, &mut sources[si].rng);
-    if next < w.measure_end_ps() {
-        core.push(
-            next,
-            key(CLASS_NEXT_MESSAGE, endpoint as u64),
-            PKind::NextMessage { source: si as u32 },
-        );
-    }
-}
-
-/// One owned open-loop job rank (jobs mode): the rank's pattern / rate RNG
-/// stream is keyed by `(seed, endpoint)` via [`job::source_rng`] — the same
-/// stream the sequential engine's jobs sources draw from, so open-loop
-/// injection schedules are engine- and shard-count-invariant.
-struct JPSource {
-    endpoint: usize,
-    tenant: u32,
-    rank: u32,
-    bytes: u64,
-    ser_ps: u64,
-    rate: job::RateProcess,
-    rt: RateRuntime,
-    rng: StdRng,
-}
-
-/// Per-endpoint id counters and NIC cursors for jobs-mode injections. Ids are
-/// `(endpoint << 40) | counter` — the same endpoint-unique scheme as
-/// [`PSource`], and an endpoint's injections happen in a deterministic local
-/// order (open-loop arrivals and collective releases are both driven by the
-/// owning shard's `(time, key)` event order), so ids are shard-count-invariant.
-struct JobNics {
+/// Per-endpoint NIC cursors and id counters for steady-state injections. Ids
+/// are `(endpoint << 40) | counter`, and an endpoint's injections happen in a
+/// deterministic local order (source arrivals and collective releases are
+/// both driven by the owning shard's `(time, key)` event order), so ids are
+/// shard-count-invariant.
+struct EndpointNics {
     nic_free: Vec<u64>,
     msg_counter: Vec<u64>,
     pkt_counter: Vec<u64>,
 }
 
-impl JobNics {
-    fn new(num_endpoints: usize) -> Self {
-        JobNics {
-            nic_free: vec![0; num_endpoints],
-            msg_counter: vec![0; num_endpoints],
-            pkt_counter: vec![0; num_endpoints],
+impl Core for ShardCore<'_> {
+    /// On the shard owning `src_ep`'s router.
+    fn inject_message(&mut self, now: u64, src_ep: usize, dst_ep: usize, bytes: u64, tag: MsgTag) {
+        let net = self.net;
+        let segments = segment_message(self.cfg, bytes);
+        let mut t = now.max(self.nics.nic_free[src_ep]);
+        let first = t;
+        let msg_id = ((src_ep as u64) << 40) | self.nics.msg_counter[src_ep];
+        self.nics.msg_counter[src_ep] += 1;
+        let src_router = net.router_of_endpoint(src_ep);
+        let dst_router = net.router_of_endpoint(dst_ep);
+        let total = segments.len() as u32;
+        if tag.tenant != u32::MAX {
+            self.stats.note_tenant_injection(tag.tenant, bytes, t);
         }
-    }
-}
-
-/// Inject one tagged jobs-mode message from `src_ep` to `dst_ep` on the shard
-/// owning `src_ep`'s router, serializing its packets through the endpoint's
-/// NIC exactly like [`spawn_message`] does for workload sources.
-fn inject_job_message_par(
-    core: &mut ShardCore<'_>,
-    nics: &mut JobNics,
-    now: u64,
-    src_ep: usize,
-    dst_ep: usize,
-    bytes: u64,
-    tag: MsgTag,
-) {
-    let net = core.net;
-    let segments = segment_message(core.cfg, bytes);
-    let mut t = now.max(nics.nic_free[src_ep]);
-    let first = t;
-    let msg_id = ((src_ep as u64) << 40) | nics.msg_counter[src_ep];
-    nics.msg_counter[src_ep] += 1;
-    let src_router = net.router_of_endpoint(src_ep);
-    let dst_router = net.router_of_endpoint(dst_ep);
-    let total = segments.len() as u32;
-    core.stats.note_tenant_injection(tag.tenant, bytes, t);
-    for (pkt_bytes, nic_ser) in segments {
-        let stable_id = ((src_ep as u64) << 40) | nics.pkt_counter[src_ep];
-        nics.pkt_counter[src_ep] += 1;
-        let packet = ParPacket {
-            src_router,
-            dst_router,
-            bytes: pkt_bytes,
-            inject_time_ps: t,
-            hops: 0,
-            routing: RoutingState::default(),
-            stable_id,
-            msg_id,
-            msg_total: total,
-            msg_first_inject: first,
-            via_link: u32::MAX,
-            via_vc: 0,
-            attempts: 0,
-            first_drop_ps: u64::MAX,
-            tag,
-        };
-        let slot = core.alloc_packet(packet);
-        if core.fault.is_some() {
-            core.fstats.injected += 1;
-        }
-        core.stats.note_injection(t);
-        core.push(
-            t,
-            key(CLASS_INJECT, stable_id),
-            PKind::Inject {
-                packet: slot as u32,
-            },
-        );
-        t += nic_ser;
-    }
-    nics.nic_free[src_ep] = t;
-}
-
-/// Fire collective group `g` of the tracker at `collectives[ci]` at time
-/// `now`: inject its sends and cascade through any same-rank follow-up groups
-/// the firing itself unblocks. Mirrors the sequential engine's
-/// `fire_collective_from` — every group fired here belongs to a rank this
-/// shard owns, so every send originates from an owned endpoint.
-fn fire_collective_par(
-    core: &mut ShardCore<'_>,
-    plan: &MixPlan,
-    collectives: &mut [(u32, CollectiveState)],
-    nics: &mut JobNics,
-    ci: usize,
-    g: usize,
-    now: u64,
-) {
-    let (ti, cs) = &mut collectives[ci];
-    let tenant = &plan.tenants[*ti as usize];
-    let rounds = cs.schedule().rounds;
-    let mut ready = vec![g];
-    while let Some(g) = ready.pop() {
-        let (sends, next) = cs.fire(g);
-        let round = (g % rounds) as u32;
-        let src_ep = tenant.endpoints[g / rounds];
-        for (dst_rank, bytes) in sends {
-            let dst_ep = tenant.endpoints[dst_rank as usize];
-            inject_job_message_par(
-                core,
-                nics,
-                now,
-                src_ep,
-                dst_ep,
-                bytes,
-                MsgTag {
-                    tenant: *ti,
-                    dst_rank,
-                    round,
+        for (pkt_bytes, nic_ser) in segments {
+            let stable_id = ((src_ep as u64) << 40) | self.nics.pkt_counter[src_ep];
+            self.nics.pkt_counter[src_ep] += 1;
+            let packet = ParPacket {
+                src_router,
+                dst_router,
+                bytes: pkt_bytes,
+                inject_time_ps: t,
+                hops: 0,
+                routing: RoutingState::default(),
+                stable_id,
+                msg_id,
+                msg_total: total,
+                msg_first_inject: first,
+                via_link: u32::MAX,
+                via_vc: 0,
+                attempts: 0,
+                first_drop_ps: u64::MAX,
+                tag,
+            };
+            let slot = self.alloc_packet(packet);
+            if self.fault.is_some() {
+                self.fstats.injected += 1;
+            }
+            self.stats.note_injection(t);
+            self.push(
+                t,
+                key(CLASS_INJECT, stable_id),
+                PKind::Inject {
+                    packet: slot as u32,
                 },
             );
+            t += nic_ser;
         }
-        if let Some(n) = next {
-            ready.push(n);
-        }
+        self.nics.nic_free[src_ep] = t;
     }
-}
 
-/// One open-loop jobs-mode arrival on the owning shard: draw the destination
-/// rank from the tenant's pattern, inject the message, and schedule the
-/// source's next arrival from its rate process. The twin of the sequential
-/// engine's `spawn_job_message` — identical draw order on the identical
-/// per-endpoint stream.
-#[allow(clippy::too_many_arguments)]
-fn spawn_job_message_par(
-    core: &mut ShardCore<'_>,
-    plan: &MixPlan,
-    jsources: &mut [JPSource],
-    nics: &mut JobNics,
-    si: usize,
-    now: u64,
-    load_scale: f64,
-    w: &MeasurementWindows,
-) {
-    let s = &mut jsources[si];
-    let tenant = &plan.tenants[s.tenant as usize];
-    let JobBehavior::OpenLoop(spec) = &tenant.behavior else {
-        unreachable!("open-loop source on a collective tenant")
-    };
-    let drawn = spec.pattern.dst(s.rank as usize, &mut s.rng);
-    assert!(
-        drawn < tenant.endpoints.len(),
-        "pattern {} returned out-of-range destination {drawn} (tenant has {} ranks)",
-        spec.pattern.name(),
-        tenant.endpoints.len()
-    );
-    let dst_ep = tenant.endpoints[drawn];
-    let endpoint = s.endpoint;
-    let tag = MsgTag::open_loop(s.tenant, drawn as u32);
-    let bytes = s.bytes;
-    inject_job_message_par(core, nics, now, endpoint, dst_ep, bytes, tag);
-    let s = &mut jsources[si];
-    let next = s
-        .rate
-        .next_arrival_ps(&mut s.rt, now, s.ser_ps, load_scale, &mut s.rng);
-    if next < w.measure_end_ps() {
-        core.push(
-            next,
+    fn schedule_source(&mut self, time: u64, source: u32, endpoint: usize) {
+        self.push(
+            time,
             key(CLASS_NEXT_MESSAGE, endpoint as u64),
-            PKind::NextMessage { source: si as u32 },
+            PKind::NextMessage { source },
         );
+    }
+
+    /// Every shard arms (and then replays) the identical chain.
+    fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, phase_start: Option<u64>) {
+        let (runtime, first) = driver::fault_runtime(self.net, timeline, phase_start);
+        if let Some((time, idx)) = first {
+            self.push(time, key(CLASS_FAULT, idx as u64), PKind::Fault { idx });
+        }
+        self.fault = Some(runtime);
     }
 }
 
@@ -1599,7 +1382,6 @@ pub struct ParallelSimulator<'a> {
     /// The routing algorithm, or why no run can start (see
     /// [`super::resolve_router`]).
     router: Result<Box<dyn Router>, SimError>,
-    shards: usize,
     owner: Vec<u32>,
     lookahead: u64,
 }
@@ -1616,38 +1398,21 @@ impl<'a> ParallelSimulator<'a> {
     /// If the configured link + router latency is zero (the conservative
     /// lookahead would vanish), or if `cfg.shards` is zero.
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
-        assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
-        assert!(
-            cfg.buffer_packets_per_vc >= 1,
-            "need at least one buffer slot per VC"
-        );
         assert!(cfg.shards >= 1, "shard count must be at least 1");
         let lookahead = cfg.link_latency_ps() + cfg.router_latency_ps();
         assert!(
             lookahead > 0,
             "parallel engine needs positive link + router latency for conservative lookahead"
         );
-        let shards = cfg.shards;
-        let owner = partition_kway(
-            net.graph(),
-            shards,
-            &BisectConfig::default(),
-            PARTITION_SEED,
-        );
+        let bisect = BisectConfig::default();
+        let owner = partition_kway(net.graph(), cfg.shards, &bisect, PARTITION_SEED);
         ParallelSimulator {
             net,
             cfg,
             router: super::resolve_router(net, cfg),
-            shards,
             owner,
             lookahead,
         }
-    }
-
-    /// The routing algorithm, or the construction-time rejection every
-    /// `try_*` entry point returns before doing anything else.
-    fn router(&self) -> Result<&dyn Router, SimError> {
-        self.router.as_deref().map_err(SimError::clone)
     }
 
     /// The router→shard assignment in use (length [`SimNetwork::num_routers`]).
@@ -1669,15 +1434,7 @@ impl<'a> ParallelSimulator<'a> {
     /// [`ParallelSimulator::run`], returning infeasible-workload and deadlock
     /// conditions as typed errors (see [`crate::Simulator::try_run`]).
     pub fn try_run(&self, workload: &Workload) -> Result<SimResults, SimError> {
-        self.router()?;
-        assert!(
-            self.cfg.jobs.is_none(),
-            "SimConfig::jobs requires steady-state measurement windows (SimConfig::with_windows)"
-        );
-        if self.net.has_faults() {
-            crate::fault::validate_workload(self.net, workload)?;
-        }
-        self.run_finite(workload, None)
+        self.simulate(workload, None)
     }
 
     /// Run with Poisson-spaced injections at an offered load in `(0, 1]`.
@@ -1700,49 +1457,81 @@ impl<'a> ParallelSimulator<'a> {
         workload: &Workload,
         offered_load: f64,
     ) -> Result<SimResults, SimError> {
-        self.router()?;
-        super::check_offered_load(offered_load)?;
-        match &self.cfg.windows {
-            None => {
-                assert!(
-                    self.cfg.jobs.is_none(),
-                    "SimConfig::jobs requires steady-state measurement windows \
-                     (SimConfig::with_windows)"
-                );
-                if self.net.has_faults() {
-                    crate::fault::validate_workload(self.net, workload)?;
-                }
-                self.run_finite(workload, Some(offered_load))
-            }
-            Some(w) => {
-                if self.cfg.jobs.is_some() {
-                    if self.net.has_faults() {
-                        crate::fault::validate_steady_pattern(self.net)?;
-                    }
-                    return self.run_steady_jobs(offered_load, w);
-                }
-                if self.net.has_faults() {
-                    if w.pattern.is_some() {
-                        crate::fault::validate_steady_pattern(self.net)?;
-                    } else {
-                        crate::fault::validate_workload(self.net, workload)?;
-                    }
-                }
-                self.run_steady(workload, offered_load, w)
-            }
+        self.simulate(workload, Some(offered_load))
+    }
+
+    /// Through the shared front door, then into the finite or steady run.
+    pub(super) fn simulate(
+        &self,
+        workload: &Workload,
+        offered_load: Option<f64>,
+    ) -> Result<SimResults, SimError> {
+        let run = RunPlan::new(self.net, self.cfg, &self.router, workload, offered_load)?;
+        match &run.mode {
+            Mode::Finite { offered_load } => self.run_finite(&run, workload, *offered_load),
+            Mode::Steady(steady) => Ok(self.run_steady(&run, steady)),
         }
     }
 
-    /// Expand the configured fault script against the topology, or `None`
-    /// when no script is configured — the exact twin of
-    /// [`crate::Simulator`]'s expansion, so both engines schedule the same
-    /// timeline.
-    fn fault_timeline(&self, horizon_ps: u64) -> Result<Option<Arc<FaultTimeline>>, SimError> {
-        if self.cfg.fault_script.is_none() {
-            return Ok(None);
+    /// The one shard launcher: a scoped thread per shard builds its
+    /// [`ShardCore`] (collecting into a fresh `stats()`), runs `drive` on it,
+    /// and hands its outcome back to the main thread.
+    fn run_sharded(
+        &self,
+        phase_start: u64,
+        stats: impl Fn() -> StatsCollector + Sync,
+        drive: impl Fn(&mut ShardCore<'_>, &EpochShared) + Sync,
+    ) -> Vec<ShardOutcome> {
+        let shared = EpochShared::new(self.cfg.shards, self.net, self.cfg);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.cfg.shards)
+                .map(|sid| {
+                    let (shared, stats, drive) = (&shared, &stats, &drive);
+                    scope.spawn(move || {
+                        let _guard = PoisonGuard(&shared.barrier);
+                        let mut core = ShardCore::new(sid, self, stats(), phase_start);
+                        drive(&mut core, shared);
+                        core.into_outcome()
+                    })
+                })
+                .collect();
+            join_shards(handles)
+        })
+    }
+
+    /// Fold the shards' outcomes into the run's collector: sample partials by
+    /// tick index (finite phases record none), engine counters, fault
+    /// partials and per-shard statistics. Returns the latest delivery time.
+    fn fold_outcomes(
+        &self,
+        outs: Vec<ShardOutcome>,
+        stats: &mut StatsCollector,
+        faults: &mut FaultStats,
+    ) -> u64 {
+        let nticks = outs[0].samples.len();
+        debug_assert!(
+            outs.iter().all(|o| o.samples.len() == nticks),
+            "shards disagree on the sampling tick count"
+        );
+        let links = self.net.num_directed_links().max(1);
+        for k in 0..nticks {
+            let queued: u64 = outs.iter().map(|o| o.samples[k].queued).sum();
+            stats.record_sample(IntervalSample {
+                t_ps: outs[0].samples[k].t_ps,
+                delivered_bytes: outs.iter().map(|o| o.samples[k].bytes).sum(),
+                delivered_packets: outs.iter().map(|o| o.samples[k].packets).sum(),
+                mean_queue_depth: queued as f64 / links as f64,
+                blocked_links: outs.iter().map(|o| o.samples[k].parked).sum(),
+            });
         }
-        let tl = self.cfg.fault_script.expand(self.net.graph(), horizon_ps)?;
-        Ok(Some(Arc::new(tl)))
+        let mut phase_end = 0;
+        for o in outs {
+            phase_end = phase_end.max(o.phase_end);
+            stats.record_engine(&o.counters);
+            faults.merge(&o.fstats);
+            stats.absorb(o.stats);
+        }
+        phase_end
     }
 
     /// Finite drain-to-empty run: one epoch-synchronized co-simulation per
@@ -1751,18 +1540,10 @@ impl<'a> ParallelSimulator<'a> {
     /// byte-identical to [`crate::Simulator`]'s.
     fn run_finite(
         &self,
+        run: &RunPlan<'_>,
         workload: &Workload,
         offered_load: Option<f64>,
     ) -> Result<SimResults, SimError> {
-        let router = self.router()?;
-        if let Some(max_ep) = workload.max_endpoint() {
-            assert!(
-                max_ep < self.net.num_endpoints(),
-                "workload references endpoint {max_ep} but the network has only {}",
-                self.net.num_endpoints()
-            );
-        }
-        let timeline = self.fault_timeline(self.cfg.fault_horizon_ps())?;
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut stats = StatsCollector::default();
         let mut faults = FaultStats::default();
@@ -1780,505 +1561,112 @@ impl<'a> ParallelSimulator<'a> {
                 offered_load,
                 &mut rng,
             );
+            let launch = |core: &mut ShardCore<'_>, shared: &EpochShared| {
+                if let Some(timeline) = &run.timeline {
+                    // Each phase gets a fresh liveness view fast-forwarded to
+                    // the phase boundary.
+                    core.arm_faults(timeline, Some(phase_start));
+                }
+                // Every shard loads the packets injected at its own routers.
+                for (i, p) in sched.packets.iter().enumerate() {
+                    if self.owner[p.src_router as usize] as usize != core.sid {
+                        continue;
+                    }
+                    let stable_id = ((phase_idx as u64) << 40) | i as u64;
+                    let slot = core.alloc_packet(ParPacket {
+                        src_router: p.src_router,
+                        dst_router: p.dst_router,
+                        bytes: p.bytes,
+                        inject_time_ps: p.inject_time_ps,
+                        hops: 0,
+                        routing: p.routing.clone(),
+                        stable_id,
+                        msg_id: p.msg as u64,
+                        msg_total: sched.msg_packets_left[p.msg],
+                        msg_first_inject: sched.msg_first_inject[p.msg],
+                        via_link: u32::MAX,
+                        via_vc: 0,
+                        attempts: 0,
+                        first_drop_ps: u64::MAX,
+                        tag: UNTAGGED,
+                    });
+                    if core.fault.is_some() {
+                        core.fstats.injected += 1;
+                    }
+                    let packet = slot as u32;
+                    core.push(
+                        p.inject_time_ps,
+                        key(CLASS_INJECT, stable_id),
+                        PKind::Inject { packet },
+                    );
+                }
+                run_epochs(core, shared, None, |c, ev| c.handle_core(ev));
+            };
+            let outs = self.run_sharded(phase_start, StatsCollector::default, launch);
+
             let total = sched.packets.len() as u64;
-            let mut shard_pkts: Vec<Vec<ParPacket>> = vec![Vec::new(); self.shards];
-            for (i, p) in sched.packets.iter().enumerate() {
-                shard_pkts[self.owner[p.src_router as usize] as usize].push(ParPacket {
-                    src_router: p.src_router,
-                    dst_router: p.dst_router,
-                    bytes: p.bytes,
-                    inject_time_ps: p.inject_time_ps,
-                    hops: 0,
-                    routing: p.routing.clone(),
-                    stable_id: ((phase_idx as u64) << 40) | i as u64,
-                    msg_id: p.msg as u64,
-                    msg_total: sched.msg_packets_left[p.msg],
-                    msg_first_inject: sched.msg_first_inject[p.msg],
-                    via_link: u32::MAX,
-                    via_vc: 0,
-                    attempts: 0,
-                    first_drop_ps: u64::MAX,
-                    tag: MsgTag::open_loop(u32::MAX, 0),
-                });
-            }
-
-            let shared = EpochShared::new(self.shards, self.net, self.cfg);
-            let outs: Vec<ShardOutcome> = std::thread::scope(|scope| {
-                let handles: Vec<_> = shard_pkts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(sid, pkts)| {
-                        let shared = &shared;
-                        let timeline = &timeline;
-                        scope.spawn(move || {
-                            let _guard = PoisonGuard(&shared.barrier);
-                            let mut core = ShardCore::new(
-                                sid,
-                                self.shards,
-                                self.net,
-                                self.cfg,
-                                router,
-                                &self.owner,
-                                self.lookahead,
-                                StatsCollector::default(),
-                                phase_start,
-                            );
-                            if let Some(tl) = timeline {
-                                // Each phase gets a fresh liveness view
-                                // fast-forwarded to the phase boundary (mask
-                                // flips only — no packets exist yet), then
-                                // chains live fault events from the first
-                                // entry still ahead. Every shard runs the
-                                // identical chain.
-                                let mut fr = Box::new(FaultRuntime::new(self.net, Arc::clone(tl)));
-                                let idx = fr.fast_forward(self.net, phase_start);
-                                if idx < tl.events.len() {
-                                    core.push(
-                                        tl.events[idx].time_ps,
-                                        key(CLASS_FAULT, idx as u64),
-                                        PKind::Fault { idx: idx as u32 },
-                                    );
-                                }
-                                core.fault = Some(fr);
-                            }
-                            for p in pkts {
-                                let t = p.inject_time_ps;
-                                let k = key(CLASS_INJECT, p.stable_id);
-                                let slot = core.alloc_packet(p);
-                                if core.fault.is_some() {
-                                    core.fstats.injected += 1;
-                                }
-                                core.push(
-                                    t,
-                                    k,
-                                    PKind::Inject {
-                                        packet: slot as u32,
-                                    },
-                                );
-                            }
-                            run_epochs(&mut core, shared, None, |c, ev| c.handle_core(ev));
-                            core.into_outcome()
-                        })
-                    })
-                    .collect();
-                join_shards(handles)
-            });
-
             let delivered: u64 = outs.iter().map(|o| o.delivered_packets).sum();
             let failed: u64 = outs.iter().map(|o| o.fstats.failed).sum();
             if delivered + failed < total {
-                let undelivered = total - delivered - failed;
-                let in_queues: usize = outs.iter().map(|o| o.in_queues).sum();
-                let pending: usize = outs.iter().map(|o| o.pending).sum();
-                let occ: u32 = outs.iter().map(|o| o.occ_sum).sum();
-                let parked: usize = outs.iter().map(|o| o.parked).sum();
-                if parked > 0 {
-                    return Err(SimError::Deadlock {
-                        diagnosis: format!(
-                            "simulation deadlocked with {undelivered} undelivered packets and \
-                             {parked} links parked in a cyclic head-of-line wait (link queues: \
-                             {in_queues}, pending injections: {pending}, occupancy sum: {occ}); \
-                             single-FIFO link queues can deadlock across virtual channels when \
-                             buffer_packets_per_vc is very small — increase it"
-                        ),
-                    });
+                return Err(driver::undrained(
+                    total - delivered - failed,
+                    outs.iter().map(|o| o.parked).sum(),
+                    outs.iter().map(|o| o.in_queues).sum(),
+                    outs.iter().map(|o| o.pending).sum(),
+                    outs.iter().map(|o| o.occ_sum).sum(),
+                ));
+            }
+            phase_start = phase_start.max(self.fold_outcomes(outs, &mut stats, &mut faults));
+        }
+        let mut results = stats.finish();
+        results.faults = faults;
+        Ok(results)
+    }
+
+    /// Steady-state run: every shard arms the traffic of the endpoints on its
+    /// own routers — shard-owned Poisson sources over the workload templates,
+    /// or its ranks of the job mix, resolved once on the main thread so every
+    /// shard count executes the identical plan — under windowed measurement,
+    /// with per-shard sample partials folded by tick index.
+    fn run_steady(&self, run: &RunPlan<'_>, steady: &Steady<'_>) -> SimResults {
+        let w = steady.windows;
+        let deadline = w.deadline_ps();
+        let launch = |core: &mut ShardCore<'_>, shared: &EpochShared| {
+            let sid = core.sid;
+            let owns =
+                |ep: usize| self.owner[self.net.router_of_endpoint(ep) as usize] as usize == sid;
+            let mut traffic = Traffic::arm(core, run, steady, owns, Draws::PerSource(source_rng));
+            // Sampling is event-free: each shard folds its local partial
+            // whenever event time crosses a tick boundary (and below, after
+            // the loop, for the trailing ticks).
+            core.arm_sampler(w.sample_interval_ps, deadline);
+            run_epochs(core, shared, Some(deadline), |c, ev| {
+                c.flush_sample_ticks(ev.time);
+                match ev.kind {
+                    PKind::NextMessage { source } => {
+                        let draws = Draws::PerSource(source_rng);
+                        traffic.next_message(c, source as usize, ev.time, draws);
+                    }
+                    _ => c.handle_core(ev),
                 }
-                panic!(
-                    "simulation ended with {undelivered} undelivered packets \
-                     (link queues: {in_queues}, pending injections: {pending}, \
-                     occupancy sum: {occ}) — engine invariant violated"
-                );
-            }
-            for o in outs {
-                phase_start = phase_start.max(o.phase_end);
-                stats.record_engine(&o.counters);
-                faults.merge(&o.fstats);
-                stats.absorb(o.stats);
-            }
-        }
-        let mut results = stats.finish();
-        results.faults = faults;
-        Ok(results)
-    }
-
-    /// Steady-state run: shard-owned continuous Poisson sources, windowed
-    /// measurement, per-shard sample partials folded by tick index.
-    fn run_steady(
-        &self,
-        workload: &Workload,
-        offered_load: f64,
-        w: &MeasurementWindows,
-    ) -> Result<SimResults, SimError> {
-        let router = self.router()?;
-        if let Some(max_ep) = workload.max_endpoint() {
-            assert!(
-                max_ep < self.net.num_endpoints(),
-                "workload references endpoint {max_ep} but the network has only {}",
-                self.net.num_endpoints()
-            );
-        }
-        let timeline = self.fault_timeline(w.deadline_ps())?;
-        let alive_map: Option<AliveEndpoints> =
-            (self.net.has_faults() && w.pattern.is_some()).then(|| AliveEndpoints::new(self.net));
-        let pattern_endpoints = alive_map
-            .as_ref()
-            .map(|m| m.alive.len())
-            .unwrap_or(self.net.num_endpoints());
-        let pattern = w
-            .pattern
-            .as_deref()
-            .map(|spec| {
-                crate::pattern::create(spec, &crate::pattern::PatternCtx::new(pattern_endpoints))
-            })
-            .transpose()?;
-        let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-
-        let mut templates: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.net.num_endpoints()];
-        for phase in &workload.phases {
-            for m in &phase.messages {
-                templates[m.src].push((m.dst, m.bytes));
-            }
-        }
-
-        let ivm = w.sample_interval_ps.max(1);
-        let deadline = w.deadline_ps();
-        let shared = EpochShared::new(self.shards, self.net, self.cfg);
-        let outs: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards)
-                .map(|sid| {
-                    let shared = &shared;
-                    let templates = &templates;
-                    let pattern = pattern.as_deref();
-                    let alive = alive_map.as_ref();
-                    let timeline = &timeline;
-                    scope.spawn(move || {
-                        let _guard = PoisonGuard(&shared.barrier);
-                        let mut core = ShardCore::new(
-                            sid,
-                            self.shards,
-                            self.net,
-                            self.cfg,
-                            router,
-                            &self.owner,
-                            self.lookahead,
-                            StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps()),
-                            0,
-                        );
-                        if let Some(tl) = timeline {
-                            let fr = Box::new(FaultRuntime::new(self.net, Arc::clone(tl)));
-                            if !tl.events.is_empty() {
-                                core.push(
-                                    tl.events[0].time_ps,
-                                    key(CLASS_FAULT, 0),
-                                    PKind::Fault { idx: 0 },
-                                );
-                            }
-                            core.fault = Some(fr);
-                        }
-                        let mut sources: Vec<PSource> = templates
-                            .iter()
-                            .enumerate()
-                            .filter(|(e, t)| {
-                                !t.is_empty()
-                                    && alive.is_none_or(|m| m.rank[*e] != u32::MAX)
-                                    && self.owner[self.net.router_of_endpoint(*e) as usize] as usize
-                                        == sid
-                            })
-                            .map(|(endpoint, templates)| PSource {
-                                endpoint,
-                                templates: templates.clone(),
-                                next_template: 0,
-                                nic_free_ps: 0,
-                                rng: source_rng(self.cfg.seed, endpoint),
-                                msg_counter: 0,
-                                pkt_counter: 0,
-                            })
-                            .collect();
-                        for (si, src) in sources.iter_mut().enumerate() {
-                            let first_bytes = src.templates[0].1;
-                            let gap = exp_gap(self.cfg, first_bytes, offered_load, &mut src.rng);
-                            if gap < w.measure_end_ps() {
-                                core.push(
-                                    gap,
-                                    key(CLASS_NEXT_MESSAGE, src.endpoint as u64),
-                                    PKind::NextMessage { source: si as u32 },
-                                );
-                            }
-                        }
-                        // Sampling is event-free: each shard folds its local
-                        // partial whenever event time crosses a tick boundary
-                        // (and below, after the loop, for the trailing ticks).
-                        core.arm_sampler(ivm, deadline);
-                        run_epochs(&mut core, shared, Some(deadline), |c, ev| {
-                            c.flush_sample_ticks(ev.time);
-                            match ev.kind {
-                                PKind::NextMessage { source } => spawn_message(
-                                    c,
-                                    &mut sources,
-                                    source as usize,
-                                    ev.time,
-                                    offered_load,
-                                    w,
-                                    pattern,
-                                    alive,
-                                ),
-                                _ => c.handle_core(ev),
-                            }
-                        });
-                        core.flush_sample_ticks(deadline);
-                        core.into_outcome()
-                    })
-                })
-                .collect();
-            join_shards(handles)
-        });
-
-        let nticks = outs[0].samples.len();
-        debug_assert!(
-            outs.iter().all(|o| o.samples.len() == nticks),
-            "shards disagree on the sampling tick count"
-        );
-        let links = self.net.num_directed_links().max(1);
-        for k in 0..nticks {
-            let t_ps = outs[0].samples[k].t_ps;
-            let bytes: u64 = outs.iter().map(|o| o.samples[k].bytes).sum();
-            let packets: u64 = outs.iter().map(|o| o.samples[k].packets).sum();
-            let queued: u64 = outs.iter().map(|o| o.samples[k].queued).sum();
-            let parked: usize = outs.iter().map(|o| o.samples[k].parked).sum();
-            stats.record_sample(IntervalSample {
-                t_ps,
-                delivered_bytes: bytes,
-                delivered_packets: packets,
-                mean_queue_depth: queued as f64 / links as f64,
-                blocked_links: parked,
+                // Release whatever the event completed. At most one message
+                // completes per event, and both the completed message's rank
+                // and the groups it unblocks are owned here.
+                while let Some((tag, t)) = c.jobs_completed.pop() {
+                    traffic.collective_delivered(c, tag, t);
+                }
             });
-        }
+            core.flush_sample_ticks(deadline);
+            traffic.report_ranks(&mut core.stats, owns);
+        };
+        let outs = self.run_sharded(0, || steady.traffic.stats(w), launch);
+
+        let mut stats = steady.traffic.stats(w);
         let mut faults = FaultStats::default();
-        for o in outs {
-            stats.record_engine(&o.counters);
-            faults.merge(&o.fstats);
-            stats.absorb(o.stats);
-        }
+        self.fold_outcomes(outs, &mut stats, &mut faults);
         let mut results = stats.finish();
         results.faults = faults;
-        Ok(results)
-    }
-
-    /// Steady-state multi-tenant jobs run ([`SimConfig::jobs`]): the parallel
-    /// twin of the sequential engine's jobs mode. The mix is resolved once on
-    /// the main thread (deterministic in the seed, so every engine and shard
-    /// count executes the identical plan); every shard arms the same tenant
-    /// table and holds a full copy of each collective's dependency tracker but
-    /// drives — and at the end reports — only the ranks whose endpoints it
-    /// owns.
-    ///
-    /// Collective releases are **shard-local by construction**: all packets of
-    /// a message deliver at the destination rank's router (the shard owning
-    /// that rank), and the groups the delivery releases belong to that same
-    /// rank, so the sends they fire originate from an owned endpoint. No
-    /// cross-shard job state is ever needed.
-    fn run_steady_jobs(
-        &self,
-        offered_load: f64,
-        w: &MeasurementWindows,
-    ) -> Result<SimResults, SimError> {
-        let router = self.router()?;
-        let mix = self.cfg.jobs.as_deref().expect("jobs run without a mix");
-        let alive = self.net.alive_endpoints();
-        let plan = job::resolve_mix(mix, &JobCtx::new(), &alive, self.cfg.seed)?;
-        let plan = &plan;
-        let timeline = self.fault_timeline(w.deadline_ps())?;
-        let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-        stats.init_tenants(plan.tenant_descs());
-
-        let ivm = w.sample_interval_ps.max(1);
-        let deadline = w.deadline_ps();
-        let shared = EpochShared::new(self.shards, self.net, self.cfg);
-        let outs: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards)
-                .map(|sid| {
-                    let shared = &shared;
-                    let timeline = &timeline;
-                    scope.spawn(move || {
-                        let _guard = PoisonGuard(&shared.barrier);
-                        let mut shard_stats =
-                            StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-                        shard_stats.init_tenants(plan.tenant_descs());
-                        let mut core = ShardCore::new(
-                            sid,
-                            self.shards,
-                            self.net,
-                            self.cfg,
-                            router,
-                            &self.owner,
-                            self.lookahead,
-                            shard_stats,
-                            0,
-                        );
-                        if let Some(tl) = timeline {
-                            let fr = Box::new(FaultRuntime::new(self.net, Arc::clone(tl)));
-                            if !tl.events.is_empty() {
-                                core.push(
-                                    tl.events[0].time_ps,
-                                    key(CLASS_FAULT, 0),
-                                    PKind::Fault { idx: 0 },
-                                );
-                            }
-                            core.fault = Some(fr);
-                        }
-                        let owns_ep = |ep: usize| {
-                            self.owner[self.net.router_of_endpoint(ep) as usize] as usize == sid
-                        };
-                        // Full tracker copies; sources only for owned ranks.
-                        let mut collectives: Vec<(u32, CollectiveState)> = Vec::new();
-                        let mut coll_of_tenant: Vec<Option<usize>> = vec![None; plan.tenants.len()];
-                        let mut jsources: Vec<JPSource> = Vec::new();
-                        for (ti, t) in plan.tenants.iter().enumerate() {
-                            match &t.behavior {
-                                JobBehavior::Collective(sched) => {
-                                    coll_of_tenant[ti] = Some(collectives.len());
-                                    collectives.push((
-                                        ti as u32,
-                                        CollectiveState::new(Arc::new(sched.clone())),
-                                    ));
-                                }
-                                JobBehavior::OpenLoop(spec) => {
-                                    for (rank, &ep) in t.endpoints.iter().enumerate() {
-                                        if !owns_ep(ep) {
-                                            continue;
-                                        }
-                                        jsources.push(JPSource {
-                                            endpoint: ep,
-                                            tenant: ti as u32,
-                                            rank: rank as u32,
-                                            bytes: spec.bytes,
-                                            ser_ps: self.cfg.injection_serialization_ps(spec.bytes),
-                                            rate: spec.rate.clone(),
-                                            rt: RateRuntime::default(),
-                                            rng: job::source_rng(self.cfg.seed, ep),
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        let mut nics = JobNics::new(self.net.num_endpoints());
-                        // First arrival of every owned open-loop source.
-                        for (si, s) in jsources.iter_mut().enumerate() {
-                            let t = s.rate.next_arrival_ps(
-                                &mut s.rt,
-                                0,
-                                s.ser_ps,
-                                offered_load,
-                                &mut s.rng,
-                            );
-                            if t < w.measure_end_ps() {
-                                core.push(
-                                    t,
-                                    key(CLASS_NEXT_MESSAGE, s.endpoint as u64),
-                                    PKind::NextMessage { source: si as u32 },
-                                );
-                            }
-                        }
-                        // Fire owned ranks' round-0 groups at t = 0.
-                        for ci in 0..collectives.len() {
-                            let ti = collectives[ci].0 as usize;
-                            let eps = &plan.tenants[ti].endpoints;
-                            let ready = collectives[ci].1.ready_at_start(|rank| owns_ep(eps[rank]));
-                            for g in ready {
-                                fire_collective_par(
-                                    &mut core,
-                                    plan,
-                                    &mut collectives,
-                                    &mut nics,
-                                    ci,
-                                    g,
-                                    0,
-                                );
-                            }
-                        }
-                        core.arm_sampler(ivm, deadline);
-                        run_epochs(&mut core, shared, Some(deadline), |c, ev| {
-                            c.flush_sample_ticks(ev.time);
-                            match ev.kind {
-                                PKind::NextMessage { source } => spawn_job_message_par(
-                                    c,
-                                    plan,
-                                    &mut jsources,
-                                    &mut nics,
-                                    source as usize,
-                                    ev.time,
-                                    offered_load,
-                                    w,
-                                ),
-                                _ => c.handle_core(ev),
-                            }
-                            // Release whatever the event completed. At most
-                            // one message completes per event, and both the
-                            // completed message's rank and the groups it
-                            // unblocks are owned here.
-                            while let Some((tag, t)) = c.jobs_completed.pop() {
-                                let ci = coll_of_tenant[tag.tenant as usize]
-                                    .expect("collective tag on a non-collective tenant");
-                                if let Some(g) =
-                                    collectives[ci].1.on_delivered(tag.dst_rank, tag.round)
-                                {
-                                    fire_collective_par(
-                                        c,
-                                        plan,
-                                        &mut collectives,
-                                        &mut nics,
-                                        ci,
-                                        g,
-                                        t,
-                                    );
-                                }
-                            }
-                        });
-                        core.flush_sample_ticks(deadline);
-                        // Owned ranks only: every shard holds a full tracker
-                        // copy (trivially complete ranks are complete in every
-                        // copy), so the merged total counts each rank once.
-                        for (ti, cs) in &collectives {
-                            let eps = &plan.tenants[*ti as usize].endpoints;
-                            let n = cs.ranks_completed_among(|rank| owns_ep(eps[rank]));
-                            core.stats.add_tenant_ranks_completed(*ti, n);
-                        }
-                        core.into_outcome()
-                    })
-                })
-                .collect();
-            join_shards(handles)
-        });
-
-        let nticks = outs[0].samples.len();
-        debug_assert!(
-            outs.iter().all(|o| o.samples.len() == nticks),
-            "shards disagree on the sampling tick count"
-        );
-        let links = self.net.num_directed_links().max(1);
-        for k in 0..nticks {
-            let t_ps = outs[0].samples[k].t_ps;
-            let bytes: u64 = outs.iter().map(|o| o.samples[k].bytes).sum();
-            let packets: u64 = outs.iter().map(|o| o.samples[k].packets).sum();
-            let queued: u64 = outs.iter().map(|o| o.samples[k].queued).sum();
-            let parked: usize = outs.iter().map(|o| o.samples[k].parked).sum();
-            stats.record_sample(IntervalSample {
-                t_ps,
-                delivered_bytes: bytes,
-                delivered_packets: packets,
-                mean_queue_depth: queued as f64 / links as f64,
-                blocked_links: parked,
-            });
-        }
-        let mut faults = FaultStats::default();
-        for o in outs {
-            stats.record_engine(&o.counters);
-            faults.merge(&o.fstats);
-            stats.absorb(o.stats);
-        }
-        let mut results = stats.finish();
-        results.faults = faults;
-        Ok(results)
+        results
     }
 }
 

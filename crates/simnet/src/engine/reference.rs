@@ -117,11 +117,6 @@ impl<'a> ReferenceSimulator<'a> {
     /// If `cfg.routing` does not name a registered routing algorithm, or
     /// `cfg.faults` records a plan the network was not built with.
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
-        assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
-        assert!(
-            cfg.buffer_packets_per_vc >= 1,
-            "need at least one buffer slot per VC"
-        );
         let router = super::resolve_router(net, cfg).unwrap_or_else(|e| panic!("{e}"));
         ReferenceSimulator { net, cfg, router }
     }
@@ -142,9 +137,7 @@ impl<'a> ReferenceSimulator<'a> {
     /// battery covers fault handling too.
     pub fn try_run(&self, workload: &Workload) -> Result<SimResults, super::SimError> {
         self.reject_fault_script();
-        if self.net.has_faults() {
-            crate::fault::validate_workload(self.net, workload)?;
-        }
+        super::driver::check_finite(self.net, workload)?;
         Ok(self.run_internal(workload, None))
     }
 
@@ -179,25 +172,13 @@ impl<'a> ReferenceSimulator<'a> {
         workload: &Workload,
         offered_load: f64,
     ) -> Result<SimResults, super::SimError> {
-        assert!(
-            offered_load > 0.0 && offered_load <= 1.0,
-            "offered load must be in (0, 1]"
-        );
+        super::check_offered_load(offered_load)?;
         self.reject_fault_script();
-        if self.net.has_faults() {
-            crate::fault::validate_workload(self.net, workload)?;
-        }
+        super::driver::check_finite(self.net, workload)?;
         Ok(self.run_internal(workload, Some(offered_load)))
     }
 
     fn run_internal(&self, workload: &Workload, offered_load: Option<f64>) -> SimResults {
-        if let Some(max_ep) = workload.max_endpoint() {
-            assert!(
-                max_ep < self.net.num_endpoints(),
-                "workload references endpoint {max_ep} but the network has only {}",
-                self.net.num_endpoints()
-            );
-        }
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut stats = StatsCollector::default();
         let mut phase_start: u64 = 0;

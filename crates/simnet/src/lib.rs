@@ -95,7 +95,7 @@ pub mod workload;
 pub use config::{MeasurementWindows, OraclePolicy, RoutingAlgorithm, SimConfig};
 pub use engine::parallel::ParallelSimulator;
 pub use engine::reference::ReferenceSimulator;
-pub use engine::{SimError, Simulator};
+pub use engine::{simulate, SimError, Simulator};
 pub use fault::{
     FaultError, FaultEvent, FaultEventKind, FaultModel, FaultPlan, FaultRegistry, FaultScript,
     FaultTimeline,

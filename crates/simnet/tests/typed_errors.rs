@@ -1,13 +1,15 @@
 //! The `try_*` entry points of both live engines reject bad configuration
 //! with a typed [`SimError`] — an unknown routing name, an unknown pattern
 //! spec, an unknown / malformed / oversized job mix, a config fault plan the
-//! network was not built with, an offered load outside `(0, 1]` — and the
-//! panicking `run*` wrappers die with that error's message.
+//! network was not built with, an offered load outside `(0, 1]`, a job mix
+//! without measurement windows, a workload endpoint the network does not
+//! have, windows that overflow `u64` picoseconds — and the panicking `run*`
+//! wrappers die with that error's message.
 
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultPlan, JobError, MeasurementWindows, ParallelSimulator, PatternError, SimConfig, SimError,
-    SimNetwork, Simulator, Workload,
+    FaultPlan, JobError, MeasurementWindows, Message, ParallelSimulator, PatternError,
+    ReferenceSimulator, SimConfig, SimError, SimNetwork, Simulator, Workload,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -86,9 +88,102 @@ macro_rules! typed_errors {
                 assert!(matches!(err, Err(SimError::OfferedLoad(_))), "{load}: {err:?}");
             }
             assert!(sim.try_run_with_offered_load(&wl, 1.0).is_ok());
+
+            // A job mix needs steady-state windows: workload-paced runs and
+            // window-less offered-load runs have nowhere to put it.
+            let windowless = base.clone().with_jobs("traffic(0.5) x 4");
+            let windowed = windowless.clone().with_windows(windows());
+            for err in [
+                $Engine::new(&net, &windowless).try_run(&wl),
+                $Engine::new(&net, &windowless).try_run_with_offered_load(&wl, 0.5),
+                $Engine::new(&net, &windowed).try_run(&wl),
+            ] {
+                assert!(matches!(err, Err(SimError::JobsWithoutWindows)), "{err:?}");
+            }
+            let sim = $Engine::new(&net, &windowless);
+            let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&wl))).unwrap_err();
+            assert_eq!(
+                panic.downcast_ref::<String>().expect("a formatted panic"),
+                "SimConfig::jobs requires steady-state measurement windows \
+                 (SimConfig::with_windows)"
+            );
+
+            // A workload naming an endpoint past the network's last one.
+            let stray = Workload::single_phase(
+                "stray",
+                vec![Message {
+                    src: 0,
+                    dst: net.num_endpoints(),
+                    bytes: 64,
+                    inject_offset_ps: 0,
+                }],
+            );
+            let steady = base.clone().with_windows(windows());
+            for err in [
+                $Engine::new(&net, &base).try_run(&stray),
+                $Engine::new(&net, &base).try_run_with_offered_load(&stray, 0.5),
+                $Engine::new(&net, &steady).try_run_with_offered_load(&stray, 0.5),
+            ] {
+                assert!(
+                    matches!(&err, Err(SimError::EndpointOutOfRange(m))
+                        if m == "workload references endpoint 18 but the network has only 18"),
+                    "{err:?}"
+                );
+            }
+            let sim = $Engine::new(&net, &base);
+            let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&stray))).unwrap_err();
+            assert_eq!(
+                panic.downcast_ref::<String>().expect("a formatted panic"),
+                "workload references endpoint 18 but the network has only 18"
+            );
+
+            // Windows whose deadline (or last sampling tick) wraps `u64`.
+            let mut overflowing = vec![windows(), windows(), windows()];
+            overflowing[0].warmup_ps = u64::MAX;
+            overflowing[1].drain_ps = u64::MAX - 5_000_000;
+            overflowing[2].sample_interval_ps = u64::MAX;
+            for w in overflowing {
+                let cfg = base.clone().with_windows(w);
+                let err = $Engine::new(&net, &cfg).try_run_with_offered_load(&wl, 0.5);
+                assert!(matches!(err, Err(SimError::Windows(_))), "{err:?}");
+            }
         }
     };
 }
 
 typed_errors!(sequential_engine_returns_typed_errors, Simulator);
 typed_errors!(parallel_engine_returns_typed_errors, ParallelSimulator);
+
+/// The polling reference shares the finite half of the front door.
+#[test]
+fn reference_engine_returns_typed_errors() {
+    let net = SimNetwork::new(ring(9), 2);
+    let cfg = SimConfig::default();
+    let wl = Workload::uniform_random(net.num_endpoints(), 1, 1024, 4);
+    let sim = ReferenceSimulator::new(&net, &cfg);
+    for load in [0.0, 1.5, f64::NAN] {
+        let err = sim.try_run_with_offered_load(&wl, load);
+        assert!(
+            matches!(err, Err(SimError::OfferedLoad(_))),
+            "{load}: {err:?}"
+        );
+    }
+    let stray = Workload::single_phase(
+        "stray",
+        vec![Message {
+            src: 40,
+            dst: 0,
+            bytes: 64,
+            inject_offset_ps: 0,
+        }],
+    );
+    for err in [
+        sim.try_run(&stray),
+        sim.try_run_with_offered_load(&stray, 0.5),
+    ] {
+        assert!(
+            matches!(err, Err(SimError::EndpointOutOfRange(_))),
+            "{err:?}"
+        );
+    }
+}
