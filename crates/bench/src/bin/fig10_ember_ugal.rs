@@ -1,68 +1,24 @@
 //! Fig. 10: Ember application motifs (Halo3D-26, Sweep3D, FFT balanced / unbalanced) under
 //! UGAL routing, reported as speedup relative to DragonFly-UGAL.
 //!
-//! Usage: `cargo run --release -p spectralfly-bench --bin fig10_ember_ugal
-//! [--full] [--routing ugal-l,ugal-g|all] [--seed N] [--shards N]`
+//! Usage: `cargo run --release -p spectralfly-bench --bin fig10_ember_ugal [--full]`
 //!
-//! `--routing` selects any set of registry algorithms (one table per algorithm);
-//! the four motifs of a topology simulate in parallel, one per core. The Ember
-//! motifs are phased (bulk-synchronous) workloads, so they always run to
-//! completion — steady-state windows do not apply here. `--shards N` runs each
-//! simulation on the sharded parallel engine with `N` worker threads
-//! (identical results, multi-core wall clock).
+//! The Ember motifs are phased (bulk-synchronous) workloads, so they always run
+//! to completion — steady-state windows do not apply here.
 
-use spectralfly_bench::{
-    fmt, paper_sim_config, print_table, routing_names_from_args, seed_from_args, shards_from_args,
-    simulation_topologies, sweep_workloads, Scale,
-};
-use spectralfly_simnet::workload::random_placement;
-use spectralfly_simnet::Workload;
-use spectralfly_workloads::{fft3d, halo3d_26, sweep3d, FftBalance, Grid3};
+use spectralfly_bench::{ember_figure, Cli};
+use spectralfly_simnet::{simulate, SimConfig};
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed = seed_from_args(0xE4BF);
-    let shards = shards_from_args();
-    let ranks = 1usize << scale.rank_bits();
-    let topologies = simulation_topologies(scale);
-    let grid = Grid3::near_cubic(ranks);
-    let side = (ranks as f64).sqrt().floor() as usize;
-    let motifs = [
-        halo3d_26(grid, 2, 8192),
-        sweep3d(side, side, 2, 2048, 2),
-        fft3d(ranks, FftBalance::Balanced, 1024, 1),
-        fft3d(ranks, FftBalance::Unbalanced, 1024, 1),
-    ];
-
-    for routing in routing_names_from_args(&["ugal-l"]) {
-        let mut results: Vec<Vec<f64>> = Vec::new();
-        for topo in &topologies {
-            let net = topo.network();
-            let cfg = paper_sim_config(&net, routing.clone(), seed).with_shards(shards);
-            let placement = random_placement(ranks, net.num_endpoints(), 0xBEEF);
-            let placed: Vec<Workload> = motifs.iter().map(|wl| wl.place(&placement)).collect();
-            let per_motif: Vec<f64> = sweep_workloads(&net, &cfg, &placed)
-                .into_iter()
-                .map(|res| res.completion_time_ps as f64)
-                .collect();
-            results.push(per_motif);
-        }
-        let dragonfly = results.last().expect("DragonFly baseline").clone();
-        let mut rows = Vec::new();
-        for (topo, per_motif) in topologies.iter().zip(&results) {
-            let mut row = vec![topo.name.clone()];
-            for (i, &t) in per_motif.iter().enumerate() {
-                row.push(fmt(dragonfly[i] / t));
-            }
-            rows.push(row);
-        }
-        let mut header: Vec<String> = vec!["Topology".to_string()];
-        header.extend(motifs.iter().map(|m| m.name.clone()));
-        let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        print_table(
-            &format!("Fig. 10: Ember motifs, {routing} routing, speedup relative to DragonFly"),
-            &header_refs,
-            &rows,
-        );
-    }
+    let cli = Cli::parse("fig10_ember_ugal [--full]", &[], &["--full"]);
+    ember_figure(
+        "Fig. 10: Ember motifs, ugal-l routing, speedup relative to DragonFly",
+        cli.flag("--full"),
+        |net, wl| {
+            let mut cfg = SimConfig::default().with_routing("ugal-l", net.diameter() as u32);
+            cfg.seed = 0xE4BF;
+            let res = simulate(net, &cfg, wl, None).unwrap_or_else(|e| panic!("{e}"));
+            res.completion_time_ps
+        },
+    );
 }

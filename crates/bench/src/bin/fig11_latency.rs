@@ -4,16 +4,21 @@
 //!
 //! Usage: `cargo run --release -p spectralfly-bench --bin fig11_latency [--pairs N]`
 
-use spectralfly_bench::{arg_u64, fmt, print_table, table2_pairs};
+use spectralfly_bench::{fmt, print_table, table2_pairs, Cli};
 use spectralfly_layout::{latency_profile, place_topology, QapConfig};
 use spectralfly_topology::skywalk::{SkyWalkConfig, SkyWalkGraph};
 use spectralfly_topology::{LpsGraph, SlimFlyGraph, Topology};
 
 fn main() {
-    let pairs = arg_u64("--pairs", 2) as usize;
+    let cli = Cli::parse(
+        "fig11_latency [--pairs N] [--anneal ITERS]",
+        &["--pairs", "--anneal"],
+        &[],
+    );
+    let pairs: usize = cli.number("--pairs", 2);
     let switch_latencies: Vec<f64> = vec![0.0, 50.0, 100.0, 150.0, 200.0, 250.0];
     let qap = QapConfig {
-        anneal_iters: arg_u64("--anneal", 40_000) as usize,
+        anneal_iters: cli.number("--anneal", 40_000),
         ..Default::default()
     };
 

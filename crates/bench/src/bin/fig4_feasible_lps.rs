@@ -4,16 +4,11 @@
 //! Usage: `cargo run --release -p spectralfly-bench --bin fig4_feasible_lps [--limit 300]`
 
 use spectralfly::design::DesignSpace;
-use spectralfly_bench::print_table;
+use spectralfly_bench::{print_table, Cli};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let limit = args
-        .iter()
-        .position(|a| a == "--limit")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300);
+    let cli = Cli::parse("fig4_feasible_lps [--limit P]", &["--limit"], &[]);
+    let limit: u64 = cli.number("--limit", 300);
     let ds = DesignSpace::new(limit);
     let mut points = ds.feasible_points();
     points.sort_unstable();

@@ -6,23 +6,19 @@
 //!
 //! Usage: `cargo run --release -p spectralfly-bench --bin fig4_lps_bisection`
 
-use spectralfly_bench::{fmt, print_table};
+use spectralfly_bench::{fmt, print_table, Cli};
 use spectralfly_graph::partition::normalized_bisection_bandwidth;
 use spectralfly_topology::spec::{enumerate_lps, TopologySpec};
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let limit = arg("--limit", 24);
-    let max_vertices = arg("--max-vertices", 4000);
-    let restarts = arg("--restarts", 2) as usize;
+    let cli = Cli::parse(
+        "fig4_lps_bisection [--limit P] [--max-vertices N] [--restarts N]",
+        &["--limit", "--max-vertices", "--restarts"],
+        &[],
+    );
+    let limit: u64 = cli.number("--limit", 24);
+    let max_vertices: u64 = cli.number("--max-vertices", 4000);
+    let restarts: usize = cli.number("--restarts", 2);
 
     let mut rows = Vec::new();
     for spec in enumerate_lps(limit) {

@@ -3,18 +3,14 @@
 //!
 //! Usage: `cargo run --release -p spectralfly-bench --bin fig4_sizes_per_radix [--limit 100]`
 
+use spectralfly_bench::Cli;
 use spectralfly_topology::spec::{
     enumerate_bundlefly, enumerate_dragonfly, enumerate_lps, enumerate_slimfly, TopologySpec,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let limit = args
-        .iter()
-        .position(|a| a == "--limit")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(100);
+    let cli = Cli::parse("fig4_sizes_per_radix [--limit P]", &["--limit"], &[]);
+    let limit: u64 = cli.number("--limit", 100);
 
     let families: Vec<(&str, Vec<TopologySpec>)> = vec![
         ("LPS", enumerate_lps(limit)),

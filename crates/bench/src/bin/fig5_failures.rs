@@ -4,14 +4,18 @@
 //!
 //! Usage: `cargo run --release -p spectralfly-bench --bin fig5_failures [--large] [--quick]`
 
-use spectralfly_bench::{fmt, print_table};
+use spectralfly_bench::{fmt, print_table, Cli};
 use spectralfly_graph::failures::{failure_sweep, FailureMetric, TrialConfig};
 use spectralfly_topology::spec::TopologySpec;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let large = args.iter().any(|a| a == "--large");
-    let quick = args.iter().any(|a| a == "--quick");
+    let cli = Cli::parse(
+        "fig5_failures [--large] [--quick]",
+        &[],
+        &["--large", "--quick"],
+    );
+    let large = cli.flag("--large");
+    let quick = cli.flag("--quick");
 
     // Size classes from the paper: ~600 vertices (left column) and ~5K (right column).
     let specs: Vec<TopologySpec> = if large {

@@ -2,62 +2,24 @@
 //! minimal routing, reported as speedup relative to the DragonFly topology.
 //!
 //! Usage: `cargo run --release -p spectralfly-bench --bin fig9_ember_minimal [--full]`
+//!
+//! The motifs are phased (bulk-synchronous) workloads, not a product of
+//! registry strings, so this figure and Fig. 10 are the two simulation figures
+//! that are not sections of `manifests/paper.toml`.
 
-use spectralfly_bench::{fmt, paper_sim_config, print_table, simulation_topologies, Scale};
-use spectralfly_simnet::workload::random_placement;
-use spectralfly_simnet::{RoutingAlgorithm, Simulator, Workload};
-use spectralfly_workloads::{fft3d, halo3d_26, sweep3d, FftBalance, Grid3};
-
-/// The four motifs at a given rank count.
-pub fn ember_motifs(ranks: usize) -> Vec<Workload> {
-    let grid = Grid3::near_cubic(ranks);
-    let side = (ranks as f64).sqrt().floor() as usize;
-    vec![
-        halo3d_26(grid, 2, 8192),
-        sweep3d(side, side, 2, 2048, 2),
-        fft3d(ranks, FftBalance::Balanced, 1024, 1),
-        fft3d(ranks, FftBalance::Unbalanced, 1024, 1),
-    ]
-}
-
-fn run(routing: RoutingAlgorithm, title: &str) {
-    let scale = Scale::from_args();
-    let ranks = 1usize << scale.rank_bits();
-    let topologies = simulation_topologies(scale);
-
-    let motifs = ember_motifs(ranks);
-    let mut rows = Vec::new();
-    let mut results: Vec<Vec<f64>> = Vec::new();
-    for topo in &topologies {
-        let net = topo.network();
-        let cfg = paper_sim_config(&net, routing, 0xE4BE);
-        let sim = Simulator::new(&net, &cfg);
-        let placement = random_placement(ranks, net.num_endpoints(), 0xBEEF);
-        let mut per_motif = Vec::new();
-        for wl in &motifs {
-            let placed = wl.place(&placement);
-            let res = sim.run(&placed);
-            per_motif.push(res.completion_time_ps as f64);
-        }
-        results.push(per_motif);
-    }
-    let dragonfly = results.last().expect("DragonFly baseline").clone();
-    for (topo, per_motif) in topologies.iter().zip(&results) {
-        let mut row = vec![topo.name.clone()];
-        for (i, &t) in per_motif.iter().enumerate() {
-            row.push(fmt(dragonfly[i] / t));
-        }
-        rows.push(row);
-    }
-    let mut header: Vec<String> = vec!["Topology".to_string()];
-    header.extend(motifs.iter().map(|m| m.name.clone()));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    print_table(title, &header_refs, &rows);
-}
+use spectralfly_bench::{ember_figure, Cli};
+use spectralfly_simnet::{simulate, SimConfig};
 
 fn main() {
-    run(
-        RoutingAlgorithm::Minimal,
+    let cli = Cli::parse("fig9_ember_minimal [--full]", &[], &["--full"]);
+    ember_figure(
         "Fig. 9: Ember motifs, minimal routing, speedup relative to DragonFly",
+        cli.flag("--full"),
+        |net, wl| {
+            let mut cfg = SimConfig::default().with_routing("minimal", net.diameter() as u32);
+            cfg.seed = 0xE4BE;
+            let res = simulate(net, &cfg, wl, None).unwrap_or_else(|e| panic!("{e}"));
+            res.completion_time_ps
+        },
     );
 }

@@ -25,7 +25,7 @@
 //! * offered load defaults to 5% of injection bandwidth: the paper's
 //!   million-endpoint question is feasibility and memory, not saturation.
 
-use spectralfly_bench::{append_entry, arg_str, arg_u64, fmt, shards_from_args};
+use spectralfly_bench::{append_entry, fmt, Cli};
 use spectralfly_graph::OracleError;
 use spectralfly_simnet::{
     simulate, MeasurementWindows, OraclePolicy, RoutingHarness, SimConfig, SimNetwork, SimResults,
@@ -75,18 +75,27 @@ fn run_point(
     (res, t0.elapsed().as_secs_f64())
 }
 
+const USAGE: &str = "million_node --out PATH [--oracle cayley|landmark|auto|dense] \
+                     [--load-pct N] [--seed N] [--shards N] [--smoke]";
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let cli = Cli::parse(
+        USAGE,
+        &["--out", "--oracle", "--load-pct", "--seed", "--shards"],
+        &["--smoke"],
+    );
+    let smoke = cli.flag("--smoke");
     let (p, q) = if smoke { (5u64, 47u64) } else { (5u64, 103u64) };
-    let policy: OraclePolicy = arg_str("--oracle")
-        .as_deref()
-        .unwrap_or("cayley")
-        .parse()
-        .unwrap_or_else(|e| panic!("--oracle: {e}"));
-    let load = arg_u64("--load-pct", 5) as f64 / 100.0;
-    let seed = arg_u64("--seed", 0x106);
-    let shards = shards_from_args();
-    let out = arg_str("--out").unwrap_or_else(|| panic!("--out <path> is required"));
+    let policy: OraclePolicy = cli.number("--oracle", OraclePolicy::Cayley);
+    let load = cli.number("--load-pct", 5u64) as f64 / 100.0;
+    let seed = cli.number("--seed", 0x106u64);
+    let shards: usize = cli.number("--shards", 1);
+    if shards == 0 {
+        cli.fail("--shards must be at least 1");
+    }
+    let Some(out) = cli.value("--out") else {
+        cli.fail("--out PATH is required");
+    };
 
     let t0 = Instant::now();
     let lps = LpsGraph::new(p, q).expect("valid LPS parameters");
@@ -122,8 +131,7 @@ fn main() {
             seed,
             ..SimConfig::default().with_routing(algo, net.diameter() as u32)
         }
-        .with_shards(shards)
-        .with_oracle_policy(policy);
+        .with_shards(shards);
 
         let (fin, fin_wall) = run_point(&net, &cfg, &wl, None);
         assert_eq!(
@@ -211,5 +219,5 @@ fn main() {
         net.oracle_memory_bytes(),
         rows.join(",")
     );
-    append_entry(&out, &entry);
+    append_entry(out, &entry);
 }

@@ -1,15 +1,17 @@
 //! `repro` — the one-command paper reproduction and its CI regression gate.
 //!
 //! ```text
-//! repro run   <manifest.toml> [--out DIR] [--record-baselines] [--skip-external] [--filter S]
+//! repro run   <manifest.toml> [--out DIR] [--record-baselines] [--baselines PATH] [--skip-external] [--filter S]
 //! repro check <manifest.toml> [--baselines PATH] [--out DIR] [--filter S]
 //! ```
 //!
 //! `run` executes every experiment, perf scenario, and external figure the
-//! manifest declares, prints a summary table, and writes a provenance-stamped
-//! JSON artifact to `--out` (default `artifacts/`). With `--record-baselines`
-//! it also (re)writes the manifest's golden baseline file — the explicit,
-//! reviewed act of accepting current behaviour as correct.
+//! manifest declares, prints the digest summary and then one metric table per
+//! experiment section (with each point's figure of merit as a ratio to its
+//! `relative_to` sibling where the section names one), and writes a
+//! provenance-stamped JSON artifact to `--out` (default `artifacts/`). With
+//! `--record-baselines` it also (re)writes the manifest's golden baseline
+//! file — the explicit, reviewed act of accepting current behaviour as correct.
 //!
 //! `check` re-runs the manifest's native experiments and perf scenarios
 //! (externals are always skipped: they are reproduction output, not gated
@@ -20,17 +22,12 @@
 //!
 //! The default baseline path is `<manifest dir>/baselines/<manifest name>.toml`.
 
-use spectralfly_bench::arg_str;
+use spectralfly_bench::Cli;
 use spectralfly_exp::{baseline, runner, Baselines, Manifest, RunOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  repro run   <manifest.toml> [--out DIR] [--record-baselines] [--skip-external] [--filter S]\n  repro check <manifest.toml> [--baselines PATH] [--out DIR] [--filter S]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "\n  repro run   <manifest.toml> [--out DIR] [--record-baselines] [--baselines PATH] [--skip-external] [--filter S]\n  repro check <manifest.toml> [--baselines PATH] [--out DIR] [--filter S]";
 
 fn default_baseline_path(manifest_path: &Path, name: &str) -> PathBuf {
     manifest_path
@@ -52,7 +49,7 @@ fn write_artifact(report: &runner::RunReport, out_dir: &str) -> std::io::Result<
     Ok(path)
 }
 
-fn print_report(report: &runner::RunReport) {
+fn print_report(report: &runner::RunReport, m: &Manifest) {
     println!(
         "manifest {} (config {}) @ {}{}",
         report.manifest,
@@ -88,9 +85,10 @@ fn print_report(report: &runner::RunReport) {
             x.bin
         );
     }
+    print!("{}", report.tables(m));
 }
 
-fn cmd_run(manifest_path: &str) -> ExitCode {
+fn cmd_run(manifest_path: &str, cli: &Cli) -> ExitCode {
     let m = match load_manifest(manifest_path) {
         Ok(m) => m,
         Err(e) => {
@@ -99,8 +97,8 @@ fn cmd_run(manifest_path: &str) -> ExitCode {
         }
     };
     let opts = RunOptions {
-        skip_external: std::env::args().any(|a| a == "--skip-external"),
-        filter: arg_str("--filter"),
+        skip_external: cli.flag("--skip-external"),
+        filter: cli.value("--filter").map(str::to_string),
         skip_perf: false,
     };
     let report = match runner::run_manifest(&m, &opts) {
@@ -110,9 +108,8 @@ fn cmd_run(manifest_path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    print_report(&report);
-    let out_dir = arg_str("--out").unwrap_or_else(|| "artifacts".to_string());
-    match write_artifact(&report, &out_dir) {
+    print_report(&report, &m);
+    match write_artifact(&report, cli.value("--out").unwrap_or("artifacts")) {
         Ok(path) => println!("artifact: {}", path.display()),
         Err(e) => {
             eprintln!("repro: writing artifact: {e}");
@@ -123,13 +120,14 @@ fn cmd_run(manifest_path: &str) -> ExitCode {
         eprintln!("repro: an external figure binary failed");
         return ExitCode::FAILURE;
     }
-    if std::env::args().any(|a| a == "--record-baselines") {
+    if cli.flag("--record-baselines") {
         if opts.filter.is_some() {
             eprintln!("repro: refusing to record baselines from a --filter'ed run (it would drop every filtered-out point)");
             return ExitCode::FAILURE;
         }
         let base = Baselines::from_report(&report);
-        let path = arg_str("--baselines")
+        let path = cli
+            .value("--baselines")
             .map(PathBuf::from)
             .unwrap_or_else(|| default_baseline_path(Path::new(manifest_path), &m.name));
         if let Some(dir) = path.parent() {
@@ -147,7 +145,10 @@ fn cmd_run(manifest_path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_check(manifest_path: &str) -> ExitCode {
+fn cmd_check(manifest_path: &str, cli: &Cli) -> ExitCode {
+    if cli.flag("--record-baselines") || cli.flag("--skip-external") {
+        cli.fail("--record-baselines and --skip-external belong to `repro run`");
+    }
     let m = match load_manifest(manifest_path) {
         Ok(m) => m,
         Err(e) => {
@@ -155,7 +156,8 @@ fn cmd_check(manifest_path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let baseline_path = arg_str("--baselines")
+    let baseline_path = cli
+        .value("--baselines")
         .map(PathBuf::from)
         .unwrap_or_else(|| default_baseline_path(Path::new(manifest_path), &m.name));
     let baselines = match std::fs::read_to_string(&baseline_path)
@@ -171,7 +173,7 @@ fn cmd_check(manifest_path: &str) -> ExitCode {
     };
     let opts = RunOptions {
         skip_external: true, // externals are output, not gated state
-        filter: arg_str("--filter"),
+        filter: cli.value("--filter").map(str::to_string),
         skip_perf: false,
     };
     if opts.filter.is_some() {
@@ -185,8 +187,8 @@ fn cmd_check(manifest_path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(out_dir) = arg_str("--out") {
-        match write_artifact(&report, &out_dir) {
+    if let Some(out_dir) = cli.value("--out") {
+        match write_artifact(&report, out_dir) {
             Ok(path) => println!("artifact: {}", path.display()),
             Err(e) => eprintln!("repro: writing artifact: {e}"),
         }
@@ -217,13 +219,14 @@ fn cmd_check(manifest_path: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let (Some(cmd), Some(manifest_path)) = (args.get(1), args.get(2)) else {
-        return usage();
-    };
-    match cmd.as_str() {
-        "run" => cmd_run(manifest_path),
-        "check" => cmd_check(manifest_path),
-        _ => usage(),
+    let cli = Cli::parse(
+        USAGE,
+        &["--out", "--filter", "--baselines"],
+        &["--record-baselines", "--skip-external"],
+    );
+    match cli.positional() {
+        [cmd, manifest_path] if cmd == "run" => cmd_run(manifest_path, &cli),
+        [cmd, manifest_path] if cmd == "check" => cmd_check(manifest_path, &cli),
+        _ => cli.fail("expected `run` or `check` and one manifest path"),
     }
 }

@@ -6,18 +6,12 @@
 //! whole table).
 
 use spectralfly::profile::{profile_graph, ProfileConfig};
-use spectralfly_bench::{fmt, print_table};
+use spectralfly_bench::{fmt, print_table, Cli};
 use spectralfly_topology::spec::table1_size_classes;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let classes = args
-        .iter()
-        .position(|a| a == "--classes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(2)
-        .min(5);
+    let cli = Cli::parse("table1 [--classes N]", &["--classes"], &[]);
+    let classes = cli.number("--classes", 2usize).min(5);
 
     let mut rows = Vec::new();
     for class in table1_size_classes().into_iter().take(classes) {

@@ -4,22 +4,13 @@
 //!
 //! Usage: `cargo run --release -p spectralfly-bench --bin table2_layout [--pairs N] [--skywalk-trials N]`
 
-use spectralfly_bench::{fmt, print_table, table2_pairs};
+use spectralfly_bench::{fmt, print_table, table2_pairs, Cli};
 use spectralfly_graph::partition::bisection_bandwidth;
 use spectralfly_graph::CsrGraph;
 use spectralfly_layout::wiring::DEFAULT_ELECTRICAL_LIMIT_M;
 use spectralfly_layout::{classify_links, place_topology, PowerModel, QapConfig};
 use spectralfly_topology::skywalk::{SkyWalkConfig, SkyWalkGraph};
 use spectralfly_topology::{LpsGraph, SlimFlyGraph, Topology};
-
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(default)
-}
 
 struct Row {
     name: String,
@@ -81,10 +72,15 @@ fn analyze(name: &str, graph: &CsrGraph, qap: &QapConfig, skywalk_trials: usize)
 }
 
 fn main() {
-    let pairs = arg("--pairs", 2) as usize;
-    let skywalk_trials = arg("--skywalk-trials", 3) as usize;
+    let cli = Cli::parse(
+        "table2_layout [--pairs N] [--skywalk-trials N] [--anneal ITERS]",
+        &["--pairs", "--skywalk-trials", "--anneal"],
+        &[],
+    );
+    let pairs: usize = cli.number("--pairs", 2);
+    let skywalk_trials: usize = cli.number("--skywalk-trials", 3);
     let qap = QapConfig {
-        anneal_iters: arg("--anneal", 60_000) as usize,
+        anneal_iters: cli.number("--anneal", 60_000),
         ..Default::default()
     };
 

@@ -181,3 +181,89 @@ fn check_fails_when_baselines_were_recorded_for_a_different_manifest() {
         "wrong diagnosis: {err}"
     );
 }
+
+/// A rejected command line: exit code 2, the reason and the usage text.
+fn assert_usage_error(out: &Output, reason: &str) {
+    let err = stderr_of(out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains(reason), "missing {reason:?}: {err}");
+    assert!(err.contains("usage:"), "no usage text: {err}");
+}
+
+#[test]
+fn unknown_flags_exit_2_instead_of_being_ignored() {
+    let scratch = Scratch::new("unknown");
+    std::fs::write(scratch.manifest(), MINI).unwrap();
+    let manifest = scratch.manifest();
+    // A mistyped --skip-external must not run every external figure binary.
+    let out = repro(
+        &["run", manifest.to_str().unwrap(), "--skip-externals"],
+        &scratch.dir,
+    );
+    assert_usage_error(&out, "unknown flag --skip-externals");
+    // Run-only switches are not silently accepted by `check`, and an unknown
+    // subcommand is rejected the same way.
+    let out = repro(
+        &["check", manifest.to_str().unwrap(), "--record-baselines"],
+        &scratch.dir,
+    );
+    assert_usage_error(&out, "belong to `repro run`");
+    let out = repro(&["frobnicate", manifest.to_str().unwrap()], &scratch.dir);
+    assert_usage_error(&out, "expected `run` or `check`");
+}
+
+#[test]
+fn a_flag_without_its_value_exits_2() {
+    let scratch = Scratch::new("missing");
+    std::fs::write(scratch.manifest(), MINI).unwrap();
+    // `repro` appends `--out DIR`, so `--filter` is followed by another flag…
+    let out = repro(
+        &["run", scratch.manifest().to_str().unwrap(), "--filter"],
+        &scratch.dir,
+    );
+    assert_usage_error(&out, "--filter needs a value");
+    // …and here a flag ends the command line.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["check", scratch.manifest().to_str().unwrap(), "--baselines"])
+        .output()
+        .unwrap();
+    assert_usage_error(&out, "--baselines needs a value");
+}
+
+#[test]
+fn malformed_values_exit_2_instead_of_falling_back_to_the_default() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_fig11_latency"), ["--pairs", "x"]),
+        (env!("CARGO_BIN_EXE_million_node"), ["--seed", "abc"]),
+        (env!("CARGO_BIN_EXE_table1"), ["--classes", "-1"]),
+    ] {
+        let out = Command::new(bin).args(args).output().unwrap();
+        assert_usage_error(&out, &format!("{}: {:?}", args[0], args[1]));
+    }
+}
+
+#[test]
+fn externals_resolve_beside_the_running_binary_from_any_directory() {
+    let scratch = Scratch::new("external");
+    std::fs::write(
+        scratch.manifest(),
+        "[manifest]\nname = \"gate-e2e\"\n[external.sizes]\nbin = \"fig4_sizes_per_radix\"\nargs = [\"--limit\", \"12\"]\n",
+    )
+    .unwrap();
+    // From a directory with no `target/release` (and no workspace for the
+    // cargo fallback to build), only the sibling of `repro` can answer.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["run", scratch.manifest().to_str().unwrap()])
+        .current_dir(&scratch.dir)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("external sizes"), "{stdout}");
+    let artifact = std::fs::read_to_string(scratch.dir.join("artifacts/gate-e2e.json")).unwrap();
+    assert!(artifact.contains("\"ok\":true"), "{artifact}");
+    assert!(
+        artifact.contains("DragonFly 11 132"),
+        "captured the figure: {artifact}"
+    );
+}

@@ -367,8 +367,11 @@ tolerance = 0.2
             },
             points: vec![PointResult {
                 id: "eq/ring(9)x2/minimal/s=7".into(),
+                experiment: "eq".into(),
                 digest: "00112233445566aa".into(),
                 summary: "delivered=36".into(),
+                metrics: None,
+                relative: None,
                 wall_ms: 1,
             }],
             perf: vec![PerfResult {

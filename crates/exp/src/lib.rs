@@ -3,15 +3,16 @@
 //! The reproduction harness: manifest-driven experiment sweeps with
 //! provenance stamps, golden baselines, and regression gates.
 //!
-//! The rest of the suite reproduces the paper figure by figure through
-//! individual binaries; this crate makes the whole reproduction *one
-//! declarative object*. A TOML manifest ([`Manifest`]) declares sweeps as the
+//! Every simulation figure and sweep of the reproduction is a section of *one
+//! declarative object* (only the structural tables and the phased Ember
+//! motifs remain binaries of their own). A TOML manifest ([`Manifest`]) declares sweeps as the
 //! cross product of the suite's five string-keyed axes — topology specs
 //! ([`topo::TopoSpec`]), routing registry names, traffic-pattern specs,
 //! fault plans / fault scripts, and oracle policies — plus shards, seeds,
 //! loads, and measurement windows. The runner ([`runner::run_manifest`])
 //! executes every point, digests the deterministic results bit-for-bit
-//! ([`digest::digest_results`]), measures the declared perf scenarios as
+//! ([`digest::digest_results`]), reduces each to the fixed [`Metrics`] row that
+//! `repro run` prints one table per section from, measures the declared perf scenarios as
 //! interleaved-median calibration ratios, and stamps the artifact with
 //! provenance ([`Provenance`]): git revision + dirty flag, config hash, seed,
 //! rustc and host. Checked-in baselines ([`baseline::Baselines`]) then turn
@@ -38,5 +39,7 @@ pub use baseline::{compare, Baselines, Comparison, Diagnosis};
 pub use digest::{digest_outcome, digest_results, fnv64_str, Fnv64};
 pub use manifest::{Experiment, ExternalFigure, Manifest, ManifestError, Mode, PerfScenario};
 pub use provenance::{json_str, Provenance};
-pub use runner::{expand, run_manifest, RunError, RunOptions, RunReport};
+pub use runner::{
+    expand, render_table, run_manifest, Metrics, PointResult, RunError, RunOptions, RunReport,
+};
 pub use topo::TopoSpec;

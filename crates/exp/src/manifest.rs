@@ -5,9 +5,10 @@
 //!
 //! * `[experiment.NAME]` — a **sweep**: the cross product of the declared axes
 //!   (topology × routing × pattern × faults / fault-script × oracle × shards ×
-//!   seeds × loads), each point simulated and digested. Every axis value is
-//!   validated *at parse time* against the subsystem that owns it — routing
-//!   names against [`spectralfly_simnet::routing`], pattern specs against
+//!   seeds × loads), each point simulated, digested and tabulated (optionally
+//!   as a ratio to a sibling point, see [`Experiment::relative_to`]). Every
+//!   axis value is validated *at parse time* against the subsystem that owns
+//!   it — routing names against [`spectralfly_simnet::routing`], pattern specs against
 //!   [`spectralfly_simnet::pattern`], fault plans/scripts against
 //!   [`spectralfly_simnet::fault`], oracle policies against
 //!   [`spectralfly_simnet::OraclePolicy`], topology specs against
@@ -120,6 +121,9 @@ pub struct Experiment {
     /// Routing axis (registry names).
     pub routings: Vec<String>,
     /// Pattern axis (registry specs). Empty = workload-template destinations.
+    /// In `steady` mode the sources draw destinations from the pattern live;
+    /// in `finite` / `offered` mode each entry is materialised over
+    /// [`Experiment::ranks`] (the placed micro-benchmarks of Figs. 6–8).
     pub patterns: Vec<String>,
     /// Multi-tenant jobs axis ([`spectralfly_simnet::job`] mix specs, e.g.
     /// `"allreduce-ring(8192) x 8 + traffic(0.3, random) x 24"`). Empty = no
@@ -146,6 +150,47 @@ pub struct Experiment {
     pub mode: Mode,
     /// Seed for the static-fault and fault-script draws.
     pub fault_seed: u64,
+    /// Logical rank count of a `finite` / `offered` pattern micro-benchmark: a
+    /// power of two (the bit-permutation patterns need one), scattered over the
+    /// network's alive endpoints by a seeded random placement. Required by —
+    /// and only valid with — a pattern axis outside `steady` mode.
+    pub ranks: Option<usize>,
+    /// Rendering only: one entry of one of the string axes. `repro run` then
+    /// also prints each point's figure of merit as a ratio to the sibling
+    /// point that differs only in taking this entry on that axis (DragonFly in
+    /// Figs. 6–7, `minimal` in Fig. 8, the undamaged fabric in the fault
+    /// sweeps). Never affects what is simulated or digested.
+    pub relative_to: Option<String>,
+}
+
+impl Experiment {
+    /// The string axes in expansion order, by manifest field name.
+    fn string_axes(&self) -> [(&'static str, &[String]); 7] {
+        [
+            ("topologies", &self.topologies),
+            ("routings", &self.routings),
+            ("patterns", &self.patterns),
+            ("jobs", &self.jobs),
+            ("faults", &self.faults),
+            ("fault_scripts", &self.fault_scripts),
+            ("oracles", &self.oracles),
+        ]
+    }
+
+    /// The axis [`Experiment::relative_to`] names an entry of, with that
+    /// entry: the one swept (multi-entry) axis listing it, else the first
+    /// axis listing it (`"none"` sits on both fault axes by default).
+    pub fn relative_axis(&self) -> Option<(&'static str, &str)> {
+        let entry = self.relative_to.as_deref()?;
+        let listing = |swept: bool| {
+            self.string_axes()
+                .into_iter()
+                .find(|(_, axis)| axis.iter().any(|e| e == entry) && (axis.len() > 1) == swept)
+        };
+        listing(true)
+            .or_else(|| listing(false))
+            .map(|(axis, _)| (axis, entry))
+    }
 }
 
 /// One `[perf.NAME]` performance scenario.
@@ -475,6 +520,8 @@ impl Experiment {
             "warmup_ns",
             "measure_ns",
             "fault_seed",
+            "ranks",
+            "relative_to",
         ];
         for e in &t.entries {
             if !allowed.contains(&e.key.as_str()) {
@@ -645,11 +692,32 @@ impl Experiment {
         if matches!(mode, Mode::Finite { .. } | Mode::Offered { .. }) && messages == 0 {
             return Err(field_err(&section, "messages", "must be at least 1"));
         }
-        if !patterns.is_empty() && !matches!(mode, Mode::Steady { .. }) {
+        let steady = matches!(mode, Mode::Steady { .. });
+        let ranks = match t.get("ranks") {
+            None => None,
+            Some(_) => Some(get_u64(t, "ranks", 0)? as usize),
+        };
+        if let Some(ranks) = ranks {
+            let misuse = if steady || patterns.is_empty() {
+                Some(
+                    "ranks place a finite / offered pattern micro-benchmark; this section has none",
+                )
+            } else if ranks < 2 || !ranks.is_power_of_two() {
+                Some("the synthetic patterns need a power-of-two rank count")
+            } else {
+                None
+            };
+            if let Some(reason) = misuse {
+                let reason = format!("{reason} (got {ranks})");
+                return Err(field_err(&section, "ranks", reason));
+            }
+        }
+        if !patterns.is_empty() && !steady && ranks.is_none() {
             return Err(field_err(
                 &section,
                 "patterns",
-                "the pattern axis drives steady-state sources; set mode = \"steady\"",
+                "the pattern axis drives steady-state sources (mode = \"steady\") or, with \
+                 `ranks`, a finite / offered micro-benchmark",
             ));
         }
         if !jobs.is_empty() && !matches!(mode, Mode::Steady { .. }) {
@@ -660,7 +728,10 @@ impl Experiment {
             ));
         }
 
-        Ok(Experiment {
+        // A topology entry may be named in any spelling the axis accepts.
+        let relative_to = get_str(t, "relative_to")?
+            .map(|r| TopoSpec::parse(&r).map_or(r, |topo| topo.canonical()));
+        let experiment = Experiment {
             name,
             topologies: canon_topos,
             routings,
@@ -674,7 +745,17 @@ impl Experiment {
             loads,
             mode,
             fault_seed: get_u64(t, "fault_seed", FaultPlan::DEFAULT_SEED)?,
-        })
+            ranks,
+            relative_to,
+        };
+        if let (Some(entry), None) = (&experiment.relative_to, experiment.relative_axis()) {
+            return Err(field_err(
+                &section,
+                "relative_to",
+                format!("{entry:?} is not an entry of any axis of this section"),
+            ));
+        }
+        Ok(experiment)
     }
 
     fn to_toml(&self) -> String {
@@ -713,6 +794,14 @@ impl Experiment {
             }
         }
         out.push_str(&format!("fault_seed = {}\n", self.fault_seed));
+        // Emitted only when set, so sections that predate the fields keep
+        // their canonical form (and the manifest its config hash).
+        if let Some(ranks) = self.ranks {
+            out.push_str(&format!("ranks = {ranks}\n"));
+        }
+        if let Some(entry) = &self.relative_to {
+            out.push_str(&format!("relative_to = {}\n", render_str(entry)));
+        }
         out
     }
 }
@@ -1014,6 +1103,69 @@ args = ["--seed", "1"]
         match Manifest::parse(src) {
             Err(ManifestError::Field { field, .. }) => assert_eq!(field, "patterns"),
             other => panic!("{other:?}"),
+        }
+    }
+
+    fn section(body: &str) -> Result<Experiment, ManifestError> {
+        let src = format!(
+            "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)\", \"ring(5)x2\"]\n\
+             routings = [\"minimal\", \"valiant\"]\n{body}"
+        );
+        Manifest::parse(&src).map(|m| m.experiments[0].clone())
+    }
+
+    fn rejected_field(body: &str) -> String {
+        match section(body) {
+            Err(ManifestError::Field { field, .. }) => field,
+            other => panic!("{body:?}: expected a Field error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn relative_to_names_one_entry_of_one_axis() {
+        // An entry on no axis is a typed error naming the field.
+        assert_eq!(rejected_field("relative_to = \"ugal-l\"\n"), "relative_to");
+        assert_eq!(rejected_field("relative_to = 3\n"), "relative_to");
+        let e = section("relative_to = \"minimal\"\n").unwrap();
+        assert_eq!(e.relative_axis(), Some(("routings", "minimal")));
+        // Topology entries are matched in canonical spelling.
+        let e = section("relative_to = \"Ring(5) x 2\"\n").unwrap();
+        assert_eq!(e.relative_axis(), Some(("topologies", "ring(5)x2")));
+        // "none" sits on both fault axes by default: the swept one is meant.
+        let e =
+            section("fault_scripts = [\"none\", \"churn(1mhz, 5us)\"]\nrelative_to = \"none\"\n")
+                .unwrap();
+        assert_eq!(e.relative_axis(), Some(("fault_scripts", "none")));
+        let e = section("faults = [\"none\", \"links(0.1)\"]\nrelative_to = \"none\"\n").unwrap();
+        assert_eq!(e.relative_axis(), Some(("faults", "none")));
+        // The field round-trips, and is rendered only when set.
+        let m = Manifest::parse(SMOKE).unwrap();
+        assert!(!m.to_toml().contains("relative_to") && !m.to_toml().contains("ranks"));
+        let mut with = m.clone();
+        with.experiments[0].relative_to = Some("minimal".to_string());
+        assert_eq!(Manifest::parse(&with.to_toml()).unwrap(), with);
+        assert_ne!(with.config_hash(), m.config_hash());
+    }
+
+    #[test]
+    fn ranks_place_a_finite_pattern_micro_benchmark() {
+        let e = section("mode = \"offered\"\npatterns = [\"shuffle\"]\nranks = 8\n").unwrap();
+        assert_eq!(e.ranks, Some(8));
+        let m = Manifest {
+            name: "x".to_string(),
+            description: String::new(),
+            experiments: vec![e],
+            perf: Vec::new(),
+            external: Vec::new(),
+        };
+        assert_eq!(Manifest::parse(&m.to_toml()).unwrap(), m);
+        for body in [
+            "patterns = [\"shuffle\"]\nranks = 12\n", // not a power of two
+            "patterns = [\"shuffle\"]\nranks = 1\n",
+            "ranks = 8\n", // nothing to place
+            "mode = \"steady\"\npatterns = [\"shuffle\"]\nranks = 8\n",
+        ] {
+            assert_eq!(rejected_field(body), "ranks", "{body:?}");
         }
     }
 

@@ -1,8 +1,9 @@
 //! Executes a [`Manifest`]: expands the declared axes into points, simulates
-//! each point at every shard count, digests the outcomes, times the perf
-//! scenarios, and assembles a provenance-stamped [`RunReport`].
+//! each point at every shard count, digests the outcomes, reduces each to the
+//! fixed [`Metrics`] row `repro run` tabulates, times the perf scenarios, and
+//! assembles a provenance-stamped [`RunReport`].
 //!
-//! Two invariants are enforced *during* the run, not just at check time:
+//! Three invariants are enforced *during* the run, not just at check time:
 //!
 //! * **Shard equivalence** — within one point, every shard count on the axis
 //!   must produce the identical results digest (1 dispatches the sequential
@@ -10,6 +11,9 @@
 //!   hard [`RunError::ShardDivergence`], because it means an engine
 //!   equivalence guarantee the rest of the suite relies on has broken; a
 //!   baseline comparison would only say "drift" without naming the engines.
+//! * **Packet conservation** — a finite point must end with every injected
+//!   packet delivered or terminally failed; anything else is a hard
+//!   [`RunError::Conservation`].
 //! * **Determinism of refusal** — a configuration that cannot run (e.g. a
 //!   destination unreachable under the fault plan) is digested as its typed
 //!   error, not skipped: an experiment silently losing points is itself a
@@ -28,13 +32,14 @@ use crate::toml::render_float;
 use crate::topo::TopoSpec;
 use rayon::prelude::*;
 use spectralfly_simnet::fault::{FaultPlan, FaultScript};
-use spectralfly_simnet::workload::Workload;
+use spectralfly_simnet::workload::{random_placement, Workload};
 use spectralfly_simnet::{
     simulate, MeasurementWindows, OraclePolicy, SimConfig, SimError, SimNetwork, SimResults,
     Simulator,
 };
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Errors that abort a run (as opposed to outcomes that are digested).
@@ -54,6 +59,18 @@ pub enum RunError {
         /// `(shards, digest)` per axis value, in axis order.
         digests: Vec<(usize, String)>,
     },
+    /// A finite point ended with packets neither delivered nor terminally
+    /// failed: `injected != delivered + failed`.
+    Conservation {
+        /// The point's identifier.
+        point: String,
+        /// Distinct packets handed to a source NIC.
+        injected: u64,
+        /// Packets delivered.
+        delivered: u64,
+        /// Packets abandoned after exhausting their retransmit budget.
+        failed: u64,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -67,6 +84,16 @@ impl std::fmt::Display for RunError {
                 }
                 Ok(())
             }
+            RunError::Conservation {
+                point,
+                injected,
+                delivered,
+                failed,
+            } => write!(
+                f,
+                "conservation violated at {point}: injected {injected} != \
+                 delivered {delivered} + failed {failed}"
+            ),
         }
     }
 }
@@ -106,6 +133,150 @@ pub struct Point {
     pub mode: Mode,
     /// Fault seed (copied from the experiment).
     pub fault_seed: u64,
+    /// Rank count of a placed pattern micro-benchmark (copied from the
+    /// experiment; `None` = every endpoint sends).
+    pub ranks: Option<usize>,
+}
+
+impl Point {
+    /// The stable identifier: experiment, topology and routing, then every
+    /// coordinate that is not its axis default — so ids stay stable when an
+    /// axis gains a default-valued entry.
+    fn compute_id(&self) -> String {
+        let mut id = format!("{}/{}/{}", self.experiment, self.topology, self.routing);
+        for (tag, value, default) in [
+            ("p", &self.pattern, ""),
+            ("j", &self.jobs, ""),
+            ("f", &self.fault, "none"),
+            ("c", &self.fault_script, "none"),
+            ("o", &self.oracle, "auto"),
+        ] {
+            if value != default {
+                let _ = write!(id, "/{tag}={value}");
+            }
+        }
+        let _ = write!(id, "/s={}", self.seed);
+        if let Some(l) = self.load {
+            let _ = write!(id, "/l={}", render_float(l));
+        }
+        id
+    }
+
+    /// The id of this point's sibling at `entry` on the string axis `axis`
+    /// (a manifest field name, see [`Experiment::relative_axis`]).
+    fn sibling_id(&self, axis: &str, entry: &str) -> String {
+        let mut sibling = self.clone();
+        let field = match axis {
+            "topologies" => &mut sibling.topology,
+            "routings" => &mut sibling.routing,
+            "patterns" => &mut sibling.pattern,
+            "jobs" => &mut sibling.jobs,
+            "faults" => &mut sibling.fault,
+            "fault_scripts" => &mut sibling.fault_script,
+            _ => &mut sibling.oracle,
+        };
+        *field = entry.to_string();
+        sibling.compute_id()
+    }
+}
+
+/// One tenant's columns of a jobs point.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TenantMetrics {
+    /// Tenant label (`t{index}:{job-name}`).
+    pub name: String,
+    /// 99th-percentile measured packet latency, picoseconds.
+    pub p99_ps: u64,
+    /// Delivered throughput over the measurement window, Gb/s.
+    pub goodput_gbps: f64,
+    /// Completion time of the tenant's collective, picoseconds (`None` for an
+    /// open-loop tenant or a collective that stalled).
+    pub collective_ps: Option<u64>,
+}
+
+/// The fixed metric row every successfully simulated point reports — one
+/// schema for every figure and sweep, so a table never needs its own columns.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Metrics {
+    /// Sustained throughput over the measurement window, Gb/s (steady points).
+    pub throughput_gbps: Option<f64>,
+    /// Drain-to-empty completion time, picoseconds (finite / offered points).
+    pub completion_ps: Option<u64>,
+    /// Share of the measured (steady) or injected (finite) packets delivered.
+    pub delivery_ratio: f64,
+    /// Median packet latency, picoseconds.
+    pub p50_ps: u64,
+    /// 99th-percentile packet latency, picoseconds.
+    pub p99_ps: u64,
+    /// Packets dropped by runtime faults, over every reason.
+    pub drops: u64,
+    /// Retransmissions scheduled.
+    pub retransmits: u64,
+    /// Packets abandoned after exhausting their retransmit budget.
+    pub failed: u64,
+    /// Mean first-drop-to-delivery time over recovered packets, picoseconds.
+    pub mean_recovery_ps: f64,
+    /// Worst first-drop-to-delivery time, picoseconds.
+    pub max_recovery_ps: u64,
+    /// Per-tenant columns (empty without a jobs mix).
+    pub tenants: Vec<TenantMetrics>,
+}
+
+impl Metrics {
+    /// Reduce one run's results to the row.
+    pub fn of(res: &SimResults) -> Metrics {
+        let f = &res.faults;
+        Metrics {
+            throughput_gbps: res.measurement.as_ref().map(|m| m.throughput_gbps()),
+            completion_ps: res.measurement.is_none().then_some(res.completion_time_ps),
+            delivery_ratio: match &res.measurement {
+                Some(m) => m.delivery_ratio(),
+                None if f.injected > 0 => f.delivered as f64 / f.injected as f64,
+                None => 1.0,
+            },
+            p50_ps: res.p50_packet_latency_ps,
+            p99_ps: res.p99_packet_latency_ps,
+            drops: f.dropped_total(),
+            retransmits: f.retransmits,
+            failed: f.failed,
+            mean_recovery_ps: f.mean_recovery_ps(),
+            max_recovery_ps: f.max_recovery_ps,
+            tenants: res
+                .tenants
+                .iter()
+                .map(|t| TenantMetrics {
+                    name: t.name.clone(),
+                    p99_ps: t.p99_latency_ps,
+                    goodput_gbps: t.goodput_gbps,
+                    collective_ps: t
+                        .collective
+                        .as_ref()
+                        .and_then(|c| c.completed.then_some(c.completion_time_ps)),
+                })
+                .collect(),
+        }
+    }
+
+    /// The scalar a point contributes to a figure: `(value, higher_is_better)`.
+    /// Windowed (steady-state) runs score by sustained measured throughput in
+    /// Gb/s; finite runs score by completion time in ps.
+    pub fn figure_of_merit(&self) -> (f64, bool) {
+        match self.throughput_gbps {
+            Some(gbps) => (gbps, true),
+            None => (self.completion_ps.unwrap_or(0) as f64, false),
+        }
+    }
+}
+
+/// Speedup of `ours` over `base` for a [`Metrics::figure_of_merit`] pair: above
+/// one means `ours` is better, whichever way the metric points.
+fn merit_speedup(base: (f64, bool), ours: (f64, bool)) -> f64 {
+    debug_assert_eq!(base.1, ours.1, "mixed metric directions");
+    if ours.1 {
+        ours.0 / base.0
+    } else {
+        base.0 / ours.0
+    }
 }
 
 /// The digested outcome of one point.
@@ -113,10 +284,17 @@ pub struct Point {
 pub struct PointResult {
     /// The point's identifier (the baseline key).
     pub id: String,
+    /// Owning experiment section (the table the point is printed in).
+    pub experiment: String,
     /// Bit-exact outcome digest (identical across the point's shard counts).
     pub digest: String,
     /// One-line human summary (delivered counts or the typed error).
     pub summary: String,
+    /// The metric row (`None` when the outcome is a typed error).
+    pub metrics: Option<Metrics>,
+    /// Figure of merit as a speedup over the section's
+    /// [`Experiment::relative_to`] sibling, when both points ran.
+    pub relative: Option<f64>,
     /// Wall time over all shard counts, milliseconds (informational only).
     pub wall_ms: u64,
 }
@@ -194,28 +372,8 @@ pub fn expand(e: &Experiment) -> Vec<Point> {
                             for oracle in &e.oracles {
                                 for &seed in &e.seeds {
                                     for &load in &loads {
-                                        let mut id = format!("{}/{}/{}", e.name, topo, routing);
-                                        if !pattern.is_empty() {
-                                            id.push_str(&format!("/p={pattern}"));
-                                        }
-                                        if !jobs.is_empty() {
-                                            id.push_str(&format!("/j={jobs}"));
-                                        }
-                                        if fault != "none" {
-                                            id.push_str(&format!("/f={fault}"));
-                                        }
-                                        if script != "none" {
-                                            id.push_str(&format!("/c={script}"));
-                                        }
-                                        if oracle != "auto" {
-                                            id.push_str(&format!("/o={oracle}"));
-                                        }
-                                        id.push_str(&format!("/s={seed}"));
-                                        if let Some(l) = load {
-                                            id.push_str(&format!("/l={}", render_float(l)));
-                                        }
-                                        points.push(Point {
-                                            id,
+                                        let mut point = Point {
+                                            id: String::new(),
                                             experiment: e.name.clone(),
                                             topology: topo.clone(),
                                             routing: routing.clone(),
@@ -229,7 +387,10 @@ pub fn expand(e: &Experiment) -> Vec<Point> {
                                             shards: e.shards.clone(),
                                             mode: e.mode.clone(),
                                             fault_seed: e.fault_seed,
-                                        });
+                                            ranks: e.ranks,
+                                        };
+                                        point.id = point.compute_id();
+                                        points.push(point);
                                     }
                                 }
                             }
@@ -315,7 +476,6 @@ fn point_config(p: &Point, net: &SimNetwork, shards: usize) -> SimConfig {
         .with_routing(p.routing.clone(), net.diameter() as u32)
         .with_shards(shards);
     cfg.seed = p.seed;
-    cfg.oracle = p.oracle.parse().expect("validated by the manifest");
     if p.fault != "none" {
         cfg = cfg.with_fault_plan(
             FaultPlan::parse(&p.fault)
@@ -348,17 +508,42 @@ fn point_config(p: &Point, net: &SimNetwork, shards: usize) -> SimConfig {
     cfg
 }
 
-fn point_workload(p: &Point, net: &SimNetwork) -> Workload {
-    match p.mode {
-        Mode::Finite { messages, bytes } | Mode::Offered { messages, bytes } => {
-            Workload::uniform_random(net.num_endpoints(), messages, bytes, p.seed)
-        }
+/// A seeded random placement of `ranks` logical ranks on the network's *alive*
+/// endpoints — on a pristine network exactly [`random_placement`] (the same
+/// draws), on a degraded one the surviving machine, so a placed
+/// micro-benchmark never addresses a dead endpoint. Refuses a job larger than
+/// the surviving machine.
+fn place_on_alive(net: &SimNetwork, ranks: usize, seed: u64) -> Result<Vec<usize>, String> {
+    let alive = net.alive_endpoints();
+    if ranks > alive.len() {
+        let fit = alive.len();
+        return Err(format!("{ranks} ranks do not fit {fit} alive endpoints"));
+    }
+    let slots = random_placement(ranks, alive.len(), seed);
+    Ok(slots.into_iter().map(|slot| alive[slot]).collect())
+}
+
+fn point_workload(p: &Point, net: &SimNetwork) -> Result<Workload, RunError> {
+    let (messages, bytes) = match p.mode {
+        Mode::Finite { messages, bytes } | Mode::Offered { messages, bytes } => (messages, bytes),
         // Steady mode: the workload supplies senders and sizes; destinations
         // come from the pattern (or the uniform-random templates).
-        Mode::Steady { bytes, .. } => {
-            Workload::uniform_random(net.num_endpoints(), 1, bytes, p.seed)
-        }
-    }
+        Mode::Steady { bytes, .. } => (1, bytes),
+    };
+    let Some(ranks) = p.ranks else {
+        let endpoints = net.num_endpoints();
+        return Ok(Workload::uniform_random(endpoints, messages, bytes, p.seed));
+    };
+    // The placed micro-benchmarks of Figs. 6–8: the pattern materialised over
+    // the rank space, scattered over the surviving machine.
+    let refuse = |reason: String| RunError::Build {
+        spec: p.id.clone(),
+        reason,
+    };
+    let placement = place_on_alive(net, ranks, p.seed).map_err(refuse)?;
+    let wl = Workload::synthetic(&p.pattern, ranks.trailing_zeros(), messages, bytes, p.seed)
+        .map_err(|e| refuse(e.to_string()))?;
+    Ok(wl.place(&placement))
 }
 
 fn outcome_summary(outcome: &Result<SimResults, SimError>) -> String {
@@ -374,30 +559,52 @@ fn outcome_summary(outcome: &Result<SimResults, SimError>) -> String {
 /// Run one point at every shard count on its axis, assert the digests agree,
 /// and return the digested result.
 pub fn run_point(net: &SimNetwork, p: &Point) -> Result<PointResult, RunError> {
-    let wl = point_workload(p, net);
+    let wl = point_workload(p, net)?;
     let start = Instant::now();
     let mut digests: Vec<(usize, String)> = Vec::with_capacity(p.shards.len());
-    let mut summary = String::new();
+    let mut first = None;
     for &shards in &p.shards {
         let cfg = point_config(p, net, shards);
         let outcome = simulate(net, &cfg, &wl, p.load);
-        if summary.is_empty() {
-            summary = outcome_summary(&outcome);
-        }
         digests.push((shards, digest_outcome(&outcome)));
+        first.get_or_insert(outcome);
     }
-    let first = digests[0].1.clone();
-    if digests.iter().any(|(_, d)| *d != first) {
+    let outcome = first.expect("the shards axis is non-empty");
+    let digest = digests[0].1.clone();
+    if digests.iter().any(|(_, d)| *d != digest) {
         return Err(RunError::ShardDivergence {
             point: p.id.clone(),
             digests,
         });
     }
+    if !matches!(p.mode, Mode::Steady { .. }) {
+        if let Ok(res) = &outcome {
+            check_conservation(&p.id, res)?;
+        }
+    }
     Ok(PointResult {
         id: p.id.clone(),
-        digest: first,
-        summary,
+        experiment: p.experiment.clone(),
+        digest,
+        summary: outcome_summary(&outcome),
+        metrics: outcome.as_ref().ok().map(Metrics::of),
+        relative: None,
         wall_ms: start.elapsed().as_millis() as u64,
+    })
+}
+
+/// A drained run leaves nothing in flight: every injected packet was
+/// delivered or terminally failed.
+fn check_conservation(point: &str, res: &SimResults) -> Result<(), RunError> {
+    let f = &res.faults;
+    if f.injected == f.delivered + f.failed {
+        return Ok(());
+    }
+    Err(RunError::Conservation {
+        point: point.to_string(),
+        injected: f.injected,
+        delivered: f.delivered,
+        failed: f.failed,
     })
 }
 
@@ -465,12 +672,21 @@ pub fn run_perf_scenario(s: &PerfScenario) -> Result<PerfResult, RunError> {
 }
 
 /// Execute an external figure binary, capturing success and an output tail.
-/// Tries `target/release/<bin>` first (the CI layout), falling back to
-/// `cargo run --release -p spectralfly-bench --bin <bin>`.
+/// Looks for `<bin>` beside the running executable first (every
+/// `spectralfly-bench` binary lands in one `target/<profile>/`, wherever the
+/// command is run from), then `target/release/<bin>` under the current
+/// directory, falling back to `cargo run --release -p spectralfly-bench --bin
+/// <bin>`.
 pub fn run_external(x: &ExternalFigure) -> ExternalResult {
-    let direct = std::path::Path::new("target/release").join(&x.bin);
-    let out = if direct.exists() {
-        std::process::Command::new(&direct).args(&x.args).output()
+    let beside_self = std::env::current_exe()
+        .ok()
+        .and_then(|exe| Some(exe.parent()?.join(&x.bin)));
+    let direct = beside_self
+        .into_iter()
+        .chain([std::path::Path::new("target/release").join(&x.bin)])
+        .find(|path| path.is_file());
+    let out = if let Some(direct) = direct {
+        std::process::Command::new(direct).args(&x.args).output()
     } else {
         std::process::Command::new("cargo")
             .args([
@@ -545,6 +761,7 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunErr
     for r in results {
         point_results.push(r?);
     }
+    relate_to_siblings(m, &points, &mut point_results);
     // Perf scenarios run sequentially *after* the sweeps: an idle machine is
     // part of the methodology (the ratio cancels most but not all noise).
     let mut perf = Vec::new();
@@ -572,7 +789,174 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunErr
     })
 }
 
+/// Fill [`PointResult::relative`] for every section that names a
+/// [`Experiment::relative_to`] entry: each point's figure of merit as a
+/// speedup over its sibling at that entry (absent when either point did not
+/// run, was filtered out, or scored zero).
+fn relate_to_siblings(m: &Manifest, points: &[Point], results: &mut [PointResult]) {
+    let merits: BTreeMap<String, (f64, bool)> = results
+        .iter()
+        .filter_map(|r| Some((r.id.clone(), r.metrics.as_ref()?.figure_of_merit())))
+        .collect();
+    for (p, r) in points.iter().zip(results) {
+        let section = m.experiments.iter().find(|e| e.name == p.experiment);
+        let Some((axis, entry)) = section.and_then(Experiment::relative_axis) else {
+            continue;
+        };
+        let base = merits.get(&p.sibling_id(axis, entry));
+        r.relative = base
+            .zip(merits.get(&p.id))
+            .map(|(&base, &ours)| merit_speedup(base, ours))
+            .filter(|ratio| ratio.is_finite());
+    }
+}
+
+fn json_opt(value: Option<String>) -> String {
+    value.unwrap_or_else(|| "null".to_string())
+}
+
+impl Metrics {
+    fn to_json(&self) -> String {
+        let tenants: Vec<String> = self
+            .tenants
+            .iter()
+            .map(|t| {
+                format!(
+                    "{{\"name\":{},\"p99_ps\":{},\"goodput_gbps\":{:.3},\"collective_ps\":{}}}",
+                    json_str(&t.name),
+                    t.p99_ps,
+                    t.goodput_gbps,
+                    json_opt(t.collective_ps.map(|c| c.to_string())),
+                )
+            })
+            .collect();
+        format!(
+            "{{\"throughput_gbps\":{},\"completion_ps\":{},\"delivery_ratio\":{:.4},\
+             \"p50_ps\":{},\"p99_ps\":{},\"drops\":{},\"retransmits\":{},\"failed\":{},\
+             \"mean_recovery_ps\":{:.0},\"max_recovery_ps\":{},\"tenants\":[{}]}}",
+            json_opt(self.throughput_gbps.map(|t| format!("{t:.3}"))),
+            json_opt(self.completion_ps.map(|c| c.to_string())),
+            self.delivery_ratio,
+            self.p50_ps,
+            self.p99_ps,
+            self.drops,
+            self.retransmits,
+            self.failed,
+            self.mean_recovery_ps,
+            self.max_recovery_ps,
+            tenants.join(","),
+        )
+    }
+
+    /// The row's table cells, in [`METRIC_COLUMNS`] order.
+    fn cells(&self) -> Vec<String> {
+        let or_dash = |cell: Option<String>| cell.unwrap_or_else(|| "-".to_string());
+        let us = |ps: f64| format!("{:.3}", ps / 1e6);
+        let recovered = self.max_recovery_ps > 0;
+        let tenants: Vec<String> = self
+            .tenants
+            .iter()
+            .map(|t| {
+                let collective = t.collective_ps.map(|c| (c / 1000).to_string());
+                let p99_ns = t.p99_ps / 1000;
+                format!(
+                    "{} {p99_ns}/{:.1}/{}",
+                    t.name,
+                    t.goodput_gbps,
+                    or_dash(collective)
+                )
+            })
+            .collect();
+        vec![
+            or_dash(self.throughput_gbps.map(|t| format!("{t:.3}"))),
+            or_dash(self.completion_ps.map(|c| us(c as f64))),
+            format!("{:.3}", self.delivery_ratio),
+            (self.p50_ps / 1000).to_string(),
+            (self.p99_ps / 1000).to_string(),
+            self.drops.to_string(),
+            self.retransmits.to_string(),
+            self.failed.to_string(),
+            or_dash(recovered.then(|| us(self.mean_recovery_ps))),
+            or_dash(recovered.then(|| us(self.max_recovery_ps as f64))),
+            or_dash((!tenants.is_empty()).then(|| tenants.join("; "))),
+        ]
+    }
+}
+
+/// Column titles of the fixed metric row ([`Metrics`]), as `repro run` prints it.
+const METRIC_COLUMNS: [&str; 11] = [
+    "Tput Gb/s",
+    "Compl us",
+    "Delivered",
+    "p50 ns",
+    "p99 ns",
+    "Drops",
+    "Retx",
+    "Failed",
+    "MeanRec us",
+    "MaxRec us",
+    "Tenant p99 ns/Gb/s/coll ns",
+];
+
+/// Render a markdown-style table: a title line, a header row and value rows.
+pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+    let rule: Vec<String> = header.iter().map(|h| "-".repeat(h.len())).collect();
+    let mut out = format!(
+        "\n== {title} ==\n{}\n{}\n",
+        header.join(" | "),
+        rule.join("-|-")
+    );
+    for row in rows {
+        out.push_str(&row.join(" | "));
+        out.push('\n');
+    }
+    out
+}
+
 impl RunReport {
+    /// One table per experiment section of `m` that has points in this
+    /// report: the point (its id within the section), the [`Metrics`] row,
+    /// and — when the section names a [`Experiment::relative_to`] entry — the
+    /// figure of merit as a speedup over that sibling.
+    pub fn tables(&self, m: &Manifest) -> String {
+        let mut out = String::new();
+        for e in &m.experiments {
+            let points: Vec<&PointResult> = self
+                .points
+                .iter()
+                .filter(|p| p.experiment == e.name)
+                .collect();
+            if points.is_empty() {
+                continue;
+            }
+            let versus = e.relative_to.as_ref().map(|entry| format!("vs {entry}"));
+            let mut header = vec!["Point"];
+            header.extend(METRIC_COLUMNS);
+            header.extend(versus.as_deref());
+            let rows: Vec<Vec<String>> = points
+                .iter()
+                .map(|p| {
+                    let label = p.id.strip_prefix(&format!("{}/", e.name)).unwrap_or(&p.id);
+                    let mut row = vec![label.to_string()];
+                    match &p.metrics {
+                        Some(metrics) => row.extend(metrics.cells()),
+                        None => row.push(p.summary.clone()),
+                    }
+                    if versus.is_some() && p.metrics.is_some() {
+                        row.push(p.relative.map_or("-".to_string(), |r| format!("{r:.3}")));
+                    }
+                    row
+                })
+                .collect();
+            out.push_str(&render_table(
+                &format!("{} ({} mode)", e.name, e.mode.name()),
+                &header,
+                &rows,
+            ));
+        }
+        out
+    }
+
     /// Render the report as a JSON artifact (hand-rolled, like every other
     /// JSON emitter in the suite).
     pub fn to_json(&self) -> String {
@@ -589,10 +973,12 @@ impl RunReport {
         out.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"id\":{},\"digest\":{},\"summary\":{},\"wall_ms\":{}}}{}\n",
+                "    {{\"id\":{},\"digest\":{},\"summary\":{},\"metrics\":{},\"relative\":{},\"wall_ms\":{}}}{}\n",
                 json_str(&p.id),
                 json_str(&p.digest),
                 json_str(&p.summary),
+                p.metrics.as_ref().map_or("null".to_string(), Metrics::to_json),
+                json_opt(p.relative.map(|r| format!("{r:.4}"))),
                 p.wall_ms,
                 if i + 1 < self.points.len() { "," } else { "" }
             ));
@@ -738,6 +1124,146 @@ bytes = 512
         assert!(r.scenario_eps > 0.0);
         assert!(r.calibration_eps > 0.0);
         assert_eq!(r.tolerance, 0.5);
+    }
+
+    fn run(src: &str) -> RunReport {
+        run_manifest(&Manifest::parse(src).unwrap(), &RunOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn relative_ratio_direction_follows_the_figure_of_merit() {
+        // Completion time: base 2000 ps vs ours 1000 ps -> 2x speedup.
+        assert!((merit_speedup((2_000.0, false), (1_000.0, false)) - 2.0).abs() < 1e-12);
+        // Throughput: base 500 Gb/s vs ours 1000 Gb/s -> 2x speedup.
+        assert!((merit_speedup((500.0, true), (1_000.0, true)) - 2.0).abs() < 1e-12);
+
+        let axes = "topologies = [\"ring(9)x2\"]\nroutings = [\"valiant\", \"minimal\"]\n\
+                    relative_to = \"minimal\"\nseeds = [7]\n";
+        let finite = run(&format!(
+            "[manifest]\nname = \"r\"\n[experiment.f]\n{axes}messages = 4\n"
+        ));
+        let [valiant, minimal] = finite.points.as_slice() else {
+            panic!("two routings, two points");
+        };
+        let completion =
+            |p: &PointResult| p.metrics.as_ref().unwrap().completion_ps.unwrap() as f64;
+        assert_eq!(minimal.relative, Some(1.0));
+        assert_eq!(
+            valiant.relative,
+            Some(completion(minimal) / completion(valiant)),
+            "finite points score by completion time: base over ours"
+        );
+        let steady = run(&format!(
+            "[manifest]\nname = \"r\"\n[experiment.s]\n{axes}mode = \"steady\"\n\
+             warmup_ns = 2000\nmeasure_ns = 8000\nloads = [0.9]\n"
+        ));
+        let tput = |p: &PointResult| p.metrics.as_ref().unwrap().throughput_gbps.unwrap();
+        let [valiant, minimal] = steady.points.as_slice() else {
+            panic!("two routings, two points");
+        };
+        assert_eq!(
+            valiant.relative,
+            Some(tput(valiant) / tput(minimal)),
+            "steady points score by measured throughput: ours over base"
+        );
+        // The table carries the metric row plus the ratio column.
+        let m = Manifest::parse(&format!(
+            "[manifest]\nname = \"r\"\n[experiment.f]\n{axes}messages = 4\n"
+        ))
+        .unwrap();
+        let table = finite.tables(&m);
+        assert!(table.contains("== f (finite mode) =="), "{table}");
+        assert!(table.contains("| vs minimal\n"), "{table}");
+        assert!(table.contains("ring(9)x2/minimal/s=7 | - | "), "{table}");
+        assert!(table.trim_end().ends_with("| 1.000"), "{table}");
+        // A section without the field prints no ratio column.
+        let plain = run_manifest(&mini_manifest(), &RunOptions::default()).unwrap();
+        assert!(plain.points.iter().all(|p| p.relative.is_none()));
+        assert!(!plain.tables(&mini_manifest()).contains(" vs "));
+    }
+
+    #[test]
+    fn alive_placement_avoids_dead_endpoints_and_matches_pristine() {
+        let graph = TopoSpec::parse("ring(8)").unwrap().build().unwrap();
+        let pristine = SimNetwork::new(graph.clone(), 2);
+        assert_eq!(
+            place_on_alive(&pristine, 8, 7).unwrap(),
+            random_placement(8, pristine.num_endpoints(), 7),
+            "pristine placement must be bit-identical to random_placement"
+        );
+        let plan = FaultPlan::parse("router(5)").unwrap();
+        let net = SimNetwork::with_faults(graph, 2, &plan).unwrap();
+        let placement = place_on_alive(&net, 8, 7).unwrap();
+        assert_eq!(placement.len(), 8);
+        for &e in &placement {
+            assert!(net.endpoint_alive(e), "rank placed on dead endpoint {e}");
+        }
+    }
+
+    #[test]
+    fn finite_patterns_materialise_over_placed_ranks() {
+        let m = Manifest::parse(
+            "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)x2\"]\n\
+             routings = [\"minimal\"]\nfaults = [\"router(2)\"]\npatterns = [\"shuffle\"]\n\
+             ranks = 8\nmessages = 3\nbytes = 512\nseeds = [11]\n",
+        )
+        .unwrap();
+        let points = expand(&m.experiments[0]);
+        assert_eq!(
+            points[0].id,
+            "e/ring(9)x2/minimal/p=shuffle/f=router(2)/s=11"
+        );
+        let cache = NetworkCache::build(&points).unwrap();
+        let net = cache.get(&points[0]);
+        let wl = point_workload(&points[0], net).unwrap();
+        // bit-shuffle over 8 ranks fixes ranks 0 and 7; the other six send.
+        assert_eq!(wl.num_messages(), 6 * 3);
+        let placement = place_on_alive(net, 8, 11).unwrap();
+        for msg in &wl.phases[0].messages {
+            assert!(placement.contains(&msg.src) && placement.contains(&msg.dst));
+            assert!(net.endpoint_alive(msg.src) && net.endpoint_alive(msg.dst));
+        }
+        let report = run_manifest(&m, &RunOptions::default()).unwrap();
+        assert_eq!(
+            report.points[0].summary.split(' ').next(),
+            Some("delivered=18")
+        );
+        // More ranks than surviving endpoints is a typed refusal, not a panic.
+        let mut crowded = points[0].clone();
+        crowded.ranks = Some(32);
+        assert!(matches!(
+            run_point(net, &crowded),
+            Err(RunError::Build { reason, .. }) if reason.contains("32 ranks do not fit 16")
+        ));
+    }
+
+    #[test]
+    fn a_finite_run_that_loses_packets_is_a_run_error() {
+        use spectralfly_simnet::FaultStats;
+        let mut res = SimResults {
+            faults: FaultStats {
+                injected: 10,
+                delivered: 8,
+                failed: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        assert_eq!(check_conservation("p", &res), Ok(()));
+        res.faults.delivered = 7;
+        let err = check_conservation("p", &res).unwrap_err();
+        assert_eq!(
+            err,
+            RunError::Conservation {
+                point: "p".to_string(),
+                injected: 10,
+                delivered: 7,
+                failed: 2
+            }
+        );
+        assert!(err
+            .to_string()
+            .contains("injected 10 != delivered 7 + failed 2"));
     }
 
     #[test]

@@ -110,6 +110,8 @@ proptest! {
             loads: vec![load_centi as f64 / 100.0],
             mode,
             fault_seed,
+            ranks: None,
+            relative_to: None,
         };
         let perf = PerfScenario {
             name: "scenario".to_string(),

@@ -58,10 +58,8 @@ impl std::fmt::Display for RoutingAlgorithm {
 /// Which path-oracle representation a network should be built with
 /// ([`crate::SimNetwork::with_policy`]; see `spectralfly_graph::oracle`).
 ///
-/// Recorded on [`SimConfig`] so sweep and bench drivers thread the choice
-/// alongside routing and windows (`--oracle` on the bench CLI); the policy is
-/// *applied* at network construction — a config has no graph to build an
-/// oracle over.
+/// The policy is *applied* at network construction — a run configuration has
+/// no graph to build an oracle over, so [`SimConfig`] does not carry it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum OraclePolicy {
     /// Dense while the matrix fits its `u16` index space, landmark beyond it.
@@ -244,11 +242,6 @@ pub struct SimConfig {
     /// shard-count-invariant by construction, so this is a performance knob,
     /// never a semantics knob.
     pub shards: usize,
-    /// Path-oracle selection policy for the run's network (applied at network
-    /// construction by sweep drivers; see [`OraclePolicy`]). All oracles
-    /// answer identically, so — like `shards` — this is a memory/performance
-    /// knob, never a semantics knob.
-    pub oracle: OraclePolicy,
     /// Runtime fault script: time-scheduled link/router failures and
     /// recoveries injected into the event loop while traffic is in flight
     /// ([`crate::fault::FaultScript::none`] by default — no runtime churn,
@@ -299,7 +292,6 @@ impl Default for SimConfig {
             windows: None,
             faults: FaultPlan::none(),
             shards: 1,
-            oracle: OraclePolicy::Auto,
             fault_script: crate::fault::FaultScript::none(),
             retransmit_budget: 8,
             rto_base_ns: 200.0,
@@ -382,12 +374,6 @@ impl SimConfig {
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "shard count must be at least 1");
         self.shards = shards;
-        self
-    }
-
-    /// Builder-style: set the path-oracle policy for the run's network.
-    pub fn with_oracle_policy(mut self, policy: OraclePolicy) -> Self {
-        self.oracle = policy;
         self
     }
 
@@ -518,9 +504,6 @@ mod tests {
         }
         assert_eq!(" DENSE ".parse::<OraclePolicy>(), Ok(OraclePolicy::Dense));
         assert!("quantum".parse::<OraclePolicy>().is_err());
-        assert_eq!(SimConfig::default().oracle, OraclePolicy::Auto);
-        let cfg = SimConfig::default().with_oracle_policy(OraclePolicy::Landmark);
-        assert_eq!(cfg.oracle, OraclePolicy::Landmark);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!    results *exactly* (same event cascade, same RNG stream, same
 //!    `SimResults`), and that under congestion the conservation quantities
 //!    (packets, bytes, messages delivered) still agree.
-//! 2. **Performance baseline** — `benches/simulator.rs` times the wakeup
-//!    engine against this implementation on a saturated sweep.
+//! 2. **Performance baseline** — the polling cost the wakeup engine removed
+//!    (README § Engine performance records the saturated-ring event counts).
 //!
 //! It shares packetization (`packetize_phase`) and the routing
 //! decision path (`choose_port`) with the wakeup engine, so the two
