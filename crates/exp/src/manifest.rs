@@ -551,30 +551,13 @@ impl Experiment {
             return Err(field_err(&section, "routings", "axis must be non-empty"));
         }
         for r in &routings {
-            if !routing::is_registered(r) {
-                return Err(field_err(
-                    &section,
-                    "routings",
-                    format!(
-                        "unknown routing algorithm {r:?}; registered: {}",
-                        routing::registered_names().join(", ")
-                    ),
-                ));
-            }
+            routing::resolve(r).map_err(|e| field_err(&section, "routings", e.to_string()))?;
         }
 
         let patterns = get_str_list(t, "patterns")?.unwrap_or_default();
         for p in &patterns {
-            if !pattern::is_registered(p) {
-                return Err(field_err(
-                    &section,
-                    "patterns",
-                    format!(
-                        "unknown traffic pattern {p:?}; registered: {}",
-                        pattern::registered_names().join(", ")
-                    ),
-                ));
-            }
+            pattern::validate_spec(p)
+                .map_err(|e| field_err(&section, "patterns", e.to_string()))?;
         }
 
         let jobs = get_str_list(t, "jobs")?.unwrap_or_default();
@@ -832,16 +815,8 @@ impl PerfScenario {
             .map_err(|reason| field_err(&section, "topology", reason))?
             .canonical();
         let routing_name = req_str(t, "routing")?;
-        if !routing::is_registered(&routing_name) {
-            return Err(field_err(
-                &section,
-                "routing",
-                format!(
-                    "unknown routing algorithm {routing_name:?}; registered: {}",
-                    routing::registered_names().join(", ")
-                ),
-            ));
-        }
+        routing::resolve(&routing_name)
+            .map_err(|e| field_err(&section, "routing", e.to_string()))?;
         let load = get_f64(t, "load", 0.9)?;
         if !(load > 0.0 && load <= 1.0) {
             return Err(field_err(

@@ -15,15 +15,105 @@
 //!   have unique shortest paths, leaving no routing ties to break).
 //!
 //! Validity is delegated to the topology constructors themselves
-//! ([`spectralfly_topology`]); this module only owns the surface syntax, so a
-//! family added there becomes reachable here by one match arm.
+//! ([`spectralfly_topology`]); this module owns the surface syntax and one
+//! size guard, both derived from the family entries of one
+//! [`spectralfly_simnet::spec::Registry`] — so a family added there becomes
+//! reachable here by one entry.
 
 use spectralfly_graph::CsrGraph;
-use spectralfly_simnet::spec::{self, Arg};
-use spectralfly_topology::{
-    BundleFlyGraph, CanonicalDragonFly, GeneralizedDragonFly, GlobalArrangement, LpsGraph,
-    SlimFlyGraph, Topology,
-};
+use spectralfly_simnet::spec::{self, Arg, Registry};
+use spectralfly_topology::{GeneralizedDragonFly, Topology, TopologySpec};
+use std::sync::{Arc, LazyLock};
+
+/// The most routers, and the most endpoints (routers × concentration), a spec
+/// may describe: some 15× the largest fabric the repository runs
+/// (`million_node`'s 1,092,624 routers) and well inside the `u32` ids the
+/// engines index routers, links and endpoints with. Past it a spec is refused
+/// before anything is built — a constructor handed `ring(4294967296)` would
+/// truncate, allocate without bound or never return.
+const MAX_SIZE: u64 = 1 << 24;
+
+/// What a family makes of its arguments.
+enum Shape {
+    /// One of the paper's four families: size and construction are
+    /// [`TopologySpec`]'s.
+    Paper(TopologySpec),
+    /// Generalized DragonFly: `g` groups of `a` routers, `h` global links each.
+    DragonFly { a: u64, h: u64, g: u64 },
+    /// An `n`-cycle.
+    Ring(u64),
+}
+
+impl Shape {
+    /// Closed-form router count; `None` when it overflows `u64`.
+    fn routers(&self) -> Option<u64> {
+        match *self {
+            Shape::Paper(spec) => spec.checked_num_routers(),
+            Shape::DragonFly { a, g, .. } => a.checked_mul(g),
+            Shape::Ring(n) => Some(n),
+        }
+    }
+
+    /// The router graph, for a shape whose router count is at most
+    /// [`MAX_SIZE`] (validity errors come from the constructors).
+    fn build(&self) -> Result<CsrGraph, String> {
+        match *self {
+            Shape::Paper(spec) => spec.build().map_err(|e| e.to_string()),
+            Shape::DragonFly { a, h, g } => GeneralizedDragonFly::new(a, h, g)
+                .map(|t| t.graph().clone())
+                .map_err(|e| e.to_string()),
+            Shape::Ring(n) if n < 3 => Err("a ring needs at least 3 routers".to_string()),
+            Shape::Ring(n) => {
+                let n = n as u32;
+                let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+                Ok(CsrGraph::from_edges(n as usize, &edges))
+            }
+        }
+    }
+}
+
+/// One topology family: the argument counts it accepts, and what it makes of
+/// that many arguments.
+struct TopoFamily {
+    arities: &'static [usize],
+    shape: fn(&[u64]) -> Shape,
+}
+
+/// The family registry, and the `known: …` list of the unknown-family error
+/// in the order the entries are written.
+struct Families {
+    registry: Registry<TopoFamily>,
+    known: String,
+}
+
+/// The one place a topology family is named. Immutable: nothing registers a
+/// topology at run time.
+static FAMILIES: LazyLock<Families> = LazyLock::new(|| {
+    let mut registry = Registry::empty();
+    let mut known = Vec::new();
+    let mut add = |name, params, arities, shape: fn(&[u64]) -> Shape| {
+        known.push(format!("{name}({params})"));
+        registry.insert(name, Arc::new(TopoFamily { arities, shape }));
+    };
+    add("lps", "p,q", &[2], |a| {
+        Shape::Paper(TopologySpec::Lps { p: a[0], q: a[1] })
+    });
+    add("slimfly", "q", &[1], |a| {
+        Shape::Paper(TopologySpec::SlimFly { q: a[0] })
+    });
+    add("bundlefly", "p,s", &[2], |a| {
+        Shape::Paper(TopologySpec::BundleFly { p: a[0], s: a[1] })
+    });
+    add("dragonfly", "a|a,h,g", &[1, 3], |a| match *a {
+        [a, h, g] => Shape::DragonFly { a, h, g },
+        _ => Shape::Paper(TopologySpec::DragonFly { a: a[0] }),
+    });
+    add("ring", "n", &[1], |a| Shape::Ring(a[0]));
+    Families {
+        registry,
+        known: known.join(", "),
+    }
+});
 
 /// A parsed topology spec: canonical text, family + arguments, concentration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,30 +157,39 @@ impl TopoSpec {
             args,
             concentration,
         };
-        // Check arity eagerly so a manifest error points at the spec, not at
-        // a build failure deep inside the runner.
-        parsed.check_arity()?;
+        // Resolve family, arity and size eagerly so a manifest error points
+        // at the spec, not at a build failure deep inside the runner.
+        parsed.shape()?;
         Ok(parsed)
     }
 
-    fn check_arity(&self) -> Result<(), String> {
-        let ok = match self.family.as_str() {
-            "lps" | "bundlefly" => self.args.len() == 2,
-            "slimfly" | "ring" => self.args.len() == 1,
-            "dragonfly" => self.args.len() == 1 || self.args.len() == 3,
-            other => return Err(format!(
-                "unknown topology family {other:?}; known: lps(p,q), slimfly(q), bundlefly(p,s), dragonfly(a|a,h,g), ring(n)"
-            )),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(format!(
+    /// The family's reading of the arguments: a known family, an argument
+    /// count it accepts, and a size within [`MAX_SIZE`].
+    fn shape(&self) -> Result<Shape, String> {
+        let family = FAMILIES.registry.get(&self.family).ok_or_else(|| {
+            let (unknown, known) = (&self.family, &FAMILIES.known);
+            format!("unknown topology family {unknown:?}; known: {known}")
+        })?;
+        if !family.arities.contains(&self.args.len()) {
+            return Err(format!(
                 "wrong argument count for {}: got {}",
                 self.family,
                 self.args.len()
-            ))
+            ));
         }
+        let shape = (family.shape)(&self.args);
+        let fits = |n: &u64| *n <= MAX_SIZE;
+        (shape.routers().filter(fits))
+            .and_then(|routers| routers.checked_mul(self.concentration as u64))
+            .filter(fits)
+            .ok_or_else(|| {
+                format!(
+                    "{} is too large: at most {MAX_SIZE} routers, and as many endpoints \
+                     (routers x concentration), can be simulated",
+                    self.canonical()
+                )
+            })?;
+        Ok(shape)
     }
 
     /// The canonical spelling this spec round-trips through.
@@ -101,37 +200,7 @@ impl TopoSpec {
 
     /// Build the router graph (validity errors come from the constructors).
     pub fn build(&self) -> Result<CsrGraph, String> {
-        let a = &self.args;
-        match self.family.as_str() {
-            "lps" => LpsGraph::new(a[0], a[1])
-                .map(|g| g.graph().clone())
-                .map_err(|e| format!("{}: {e}", self.canonical())),
-            "slimfly" => SlimFlyGraph::new(a[0])
-                .map(|g| g.graph().clone())
-                .map_err(|e| format!("{}: {e}", self.canonical())),
-            "bundlefly" => BundleFlyGraph::new(a[0], a[1])
-                .map(|g| g.graph().clone())
-                .map_err(|e| format!("{}: {e}", self.canonical())),
-            "dragonfly" if a.len() == 3 => GeneralizedDragonFly::new(a[0], a[1], a[2])
-                .map(|g| g.graph().clone())
-                .map_err(|e| format!("{}: {e}", self.canonical())),
-            "dragonfly" => CanonicalDragonFly::new(a[0], GlobalArrangement::Circulant)
-                .map(|g| g.graph().clone())
-                .map_err(|e| format!("{}: {e}", self.canonical())),
-            "ring" => {
-                let n = a[0] as usize;
-                if n < 3 {
-                    return Err(format!(
-                        "{}: a ring needs at least 3 routers",
-                        self.canonical()
-                    ));
-                }
-                let edges: Vec<(u32, u32)> =
-                    (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
-                Ok(CsrGraph::from_edges(n, &edges))
-            }
-            _ => unreachable!("check_arity rejects unknown families"),
-        }
+        (self.shape()?.build()).map_err(|e| format!("{}: {e}", self.canonical()))
     }
 }
 

@@ -115,6 +115,33 @@ fn malformed_topologies_are_rejected_with_an_offset() {
     assert!(TopoSpec::parse("lps(11,7)x4 + ring(9)").is_err());
 }
 
+/// Each of these used to parse, and then abort or hang the process from inside
+/// `TopoSpec::build` or `run_manifest`: `ring(4294967296)` truncated to an
+/// empty ring over 2³² vertices (a 96 GiB allocation), a concentration of
+/// `u64::MAX` wrapped the endpoint count, and the other four never came back
+/// from their constructors.
+#[test]
+fn oversized_topologies_are_rejected_before_anything_is_built() {
+    for spec in [
+        "ring(4294967296)",
+        "lps(11,7)x18446744073709551615",
+        "lps(3000017,3000029)",
+        "slimfly(4294967311)",
+        "dragonfly(4294967296)",
+        "dragonfly(8,4,4294967296)",
+    ] {
+        let reason = TopoSpec::parse(spec).unwrap_err();
+        assert!(reason.contains("is too large"), "{spec}: {reason}");
+        let err = Manifest::parse(&MANIFEST.replace("ring(9)x2", spec)).unwrap_err();
+        assert!(
+            err.to_string().contains("[experiment.e] topologies"),
+            "{err}"
+        );
+    }
+    // The largest fabric the repository runs is well inside the ceiling.
+    TopoSpec::parse("lps(5,103)x8").unwrap();
+}
+
 /// Every topology string in `manifests/*.toml`, `benchmark/workloads/*.toml`,
 /// `benchmark/src/workloads.rs` and the runner's calibration scenario, with
 /// the `TopoSpec` it parsed to at the commit before the shared grammar.

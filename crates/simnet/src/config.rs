@@ -3,58 +3,6 @@
 use crate::fault::FaultPlan;
 use crate::routing;
 
-/// Convenience constants for the paper's routing algorithms (Section V).
-///
-/// The simulator selects algorithms **by name** through the routing registry
-/// ([`crate::routing`]); this enum merely spells the built-in names in a typed way
-/// for call sites that want compiler-checked selection. `RoutingAlgorithm::UgalL`
-/// and the string `"ugal-l"` are interchangeable everywhere a routing name is
-/// accepted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RoutingAlgorithm {
-    /// Adaptive minimal routing: each hop picks the least-occupied port among all
-    /// shortest-path next hops.
-    Minimal,
-    /// Valiant routing: route minimally to a uniformly random intermediate router, then
-    /// minimally to the destination.
-    Valiant,
-    /// UGAL-L: at the source router, choose between the minimal path and a Valiant path
-    /// using local output-queue occupancy weighted by path length.
-    UgalL,
-    /// UGAL-G: UGAL with global queue state — the congestion estimate adds the
-    /// candidate next-hop routers' buffer occupancy.
-    UgalG,
-}
-
-impl RoutingAlgorithm {
-    /// The algorithm's canonical registry name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RoutingAlgorithm::Minimal => "minimal",
-            RoutingAlgorithm::Valiant => "valiant",
-            RoutingAlgorithm::UgalL => "ugal-l",
-            RoutingAlgorithm::UgalG => "ugal-g",
-        }
-    }
-}
-
-impl From<RoutingAlgorithm> for String {
-    fn from(algo: RoutingAlgorithm) -> String {
-        algo.name().to_string()
-    }
-}
-
-impl std::fmt::Display for RoutingAlgorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RoutingAlgorithm::Minimal => write!(f, "minimal"),
-            RoutingAlgorithm::Valiant => write!(f, "valiant"),
-            RoutingAlgorithm::UgalL => write!(f, "UGAL-L"),
-            RoutingAlgorithm::UgalG => write!(f, "UGAL-G"),
-        }
-    }
-}
-
 /// Which path-oracle representation a network should be built with
 /// ([`crate::SimNetwork::with_policy`]; see `spectralfly_graph::oracle`).
 ///
@@ -331,18 +279,12 @@ impl SimConfig {
     /// # Panics
     /// If `routing` is not in the routing registry.
     pub fn vcs_for_diameter(routing: impl Into<String>, diameter: u32) -> usize {
-        let name = routing.into();
-        let router = routing::create(&name).unwrap_or_else(|| {
-            panic!(
-                "unknown routing algorithm {name:?}; registered: {}",
-                routing::registered_names().join(", ")
-            )
-        });
+        let router = routing::resolve(&routing.into()).unwrap_or_else(|e| panic!("{e}"));
         router.vcs_for_diameter(diameter)
     }
 
-    /// Builder-style: set the routing algorithm (by registry name or
-    /// [`RoutingAlgorithm`] constant) and a VC count suitable for `diameter`.
+    /// Builder-style: set the routing algorithm (by registry name) and a VC
+    /// count suitable for `diameter`.
     ///
     /// # Panics
     /// If `routing` is not in the routing registry.
@@ -431,15 +373,15 @@ mod tests {
 
     #[test]
     fn vc_rule_matches_paper() {
-        assert_eq!(SimConfig::vcs_for_diameter(RoutingAlgorithm::Minimal, 3), 4);
-        assert_eq!(SimConfig::vcs_for_diameter(RoutingAlgorithm::Valiant, 3), 7);
-        assert_eq!(SimConfig::vcs_for_diameter(RoutingAlgorithm::UgalL, 4), 9);
+        assert_eq!(SimConfig::vcs_for_diameter("minimal", 3), 4);
+        assert_eq!(SimConfig::vcs_for_diameter("valiant", 3), 7);
+        assert_eq!(SimConfig::vcs_for_diameter("ugal-l", 4), 9);
         assert_eq!(SimConfig::vcs_for_diameter("ugal-g", 4), 9);
     }
 
     #[test]
     fn with_routing_updates_vcs() {
-        let cfg = SimConfig::default().with_routing(RoutingAlgorithm::Valiant, 4);
+        let cfg = SimConfig::default().with_routing("valiant", 4);
         assert_eq!(cfg.num_vcs, 9);
         assert_eq!(cfg.routing, "valiant");
         // Registry names work directly, in any spelling the registry normalizes.
@@ -528,17 +470,5 @@ mod tests {
             .with_retransmit_budget(3);
         assert!(!cfg.fault_script.is_none());
         assert_eq!(cfg.retransmit_budget, 3);
-    }
-
-    #[test]
-    fn enum_names_resolve_in_registry() {
-        for algo in [
-            RoutingAlgorithm::Minimal,
-            RoutingAlgorithm::Valiant,
-            RoutingAlgorithm::UgalL,
-            RoutingAlgorithm::UgalG,
-        ] {
-            assert!(crate::routing::is_registered(algo.name()), "{algo}");
-        }
     }
 }

@@ -276,7 +276,8 @@ impl TrafficPlan {
         }
         if let Some(mix) = cfg.jobs.as_deref() {
             let alive = net.alive_endpoints();
-            let plan = job::resolve_mix(mix, &job::JobCtx::new(), &alive, cfg.seed)?;
+            let plan = job::resolve_mix(mix, &job::JobCtx::new(), &alive, cfg.seed)
+                .map_err(SimError::Job)?;
             return Ok(TrafficPlan::Jobs(plan));
         }
         check_endpoints(net, workload)?;
@@ -295,7 +296,8 @@ impl TrafficPlan {
             (alive.as_ref()).map_or(net.num_endpoints(), |(alive, _)| alive.len());
         let pattern = (w.pattern.as_deref())
             .map(|spec| pattern::create(spec, &pattern::PatternCtx::new(pattern_endpoints)))
-            .transpose()?;
+            .transpose()
+            .map_err(SimError::Pattern)?;
         let mut templates: Vec<Vec<(usize, u64)>> = vec![Vec::new(); net.num_endpoints()];
         for m in workload.phases.iter().flat_map(|phase| &phase.messages) {
             templates[m.src].push((m.dst, m.bytes));

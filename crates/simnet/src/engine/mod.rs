@@ -114,11 +114,9 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::UnknownRouting { name, registered } => write!(
-                f,
-                "unknown routing algorithm {name:?}; registered: {}",
-                registered.join(", ")
-            ),
+            SimError::UnknownRouting { name, registered } => {
+                crate::spec::write_unknown(f, routing::FAMILY.unknown, name, registered)
+            }
             SimError::Pattern(e) => e.fmt(f),
             SimError::Job(e) => e.fmt(f),
             SimError::Fault(e) => e.fmt(f),
@@ -149,18 +147,6 @@ impl std::error::Error for SimError {
 impl From<crate::fault::FaultError> for SimError {
     fn from(e: crate::fault::FaultError) -> Self {
         SimError::Fault(e)
-    }
-}
-
-impl From<crate::pattern::PatternError> for SimError {
-    fn from(e: crate::pattern::PatternError) -> Self {
-        SimError::Pattern(e)
-    }
-}
-
-impl From<crate::job::JobError> for SimError {
-    fn from(e: crate::job::JobError) -> Self {
-        SimError::Job(e)
     }
 }
 
@@ -954,8 +940,8 @@ impl<'a> Simulator<'a> {
 
     /// [`Simulator::run`], rejecting workloads that a fault plan has made
     /// infeasible: a referenced endpoint on a down router yields
-    /// [`crate::FaultError::RouterDown`], a message pair separated by the
-    /// damage yields [`crate::FaultError::Disconnected`] — both *before* any
+    /// [`crate::Infeasible::RouterDown`], a message pair separated by the
+    /// damage yields [`crate::Infeasible::Disconnected`] — both *before* any
     /// simulation work, never as a hang or a mid-run panic. A run that
     /// quiesces with packets parked in a cyclic head-of-line wait yields
     /// [`SimError::Deadlock`]. On pristine networks without a fault script
@@ -987,7 +973,7 @@ impl<'a> Simulator<'a> {
     /// (like [`Simulator::try_run`]). Steady-state runs with a live
     /// destination pattern ([`crate::config::MeasurementWindows::pattern`])
     /// instead require every surviving router to sit in one connected
-    /// component ([`crate::FaultError::Fragmented`] otherwise): the pattern
+    /// component ([`crate::Infeasible::Fragmented`] otherwise): the pattern
     /// draws destinations across the whole surviving machine, and injection
     /// is restricted to the endpoints of alive routers.
     ///
@@ -1854,7 +1840,7 @@ mod tests {
     /// router still delivers everything among the survivors, the long way.
     #[test]
     fn degraded_ring_reroutes_and_delivers() {
-        use crate::fault::{FaultError, FaultPlan};
+        use crate::fault::{FaultError, FaultPlan, Infeasible};
         let plan = FaultPlan::parse("router(4)").unwrap();
         let net = SimNetwork::with_faults(ring(8), 1, &plan).unwrap();
         let cfg = SimConfig::default().with_routing("minimal", net.diameter() as u32);
@@ -1884,10 +1870,10 @@ mod tests {
         let err = Simulator::new(&net, &cfg).try_run(&dead).unwrap_err();
         assert_eq!(
             err,
-            SimError::Fault(FaultError::RouterDown {
+            SimError::Fault(FaultError::Other(Infeasible::RouterDown {
                 endpoint: 4,
                 router: 4
-            })
+            }))
         );
     }
 
@@ -1895,7 +1881,7 @@ mod tests {
     /// machine: dead endpoints neither inject nor receive.
     #[test]
     fn degraded_steady_pattern_runs_over_survivors() {
-        use crate::fault::{FaultError, FaultPlan};
+        use crate::fault::{FaultError, FaultPlan, Infeasible};
         let plan = FaultPlan::parse("router(2)").unwrap();
         let net = SimNetwork::with_faults(ring(8), 2, &plan).unwrap();
         let mut cfg = SimConfig::default().with_routing("ugal-l", net.diameter() as u32);
@@ -1916,7 +1902,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            SimError::Fault(FaultError::Fragmented { components: 2 })
+            SimError::Fault(FaultError::Other(Infeasible::Fragmented { components: 2 }))
         );
     }
 
@@ -1960,7 +1946,7 @@ mod tests {
     /// as a fragmented one — not a normal-looking zero-throughput run.
     #[test]
     fn all_routers_down_is_rejected_for_live_patterns() {
-        use crate::fault::{FaultError, FaultPlan};
+        use crate::fault::{FaultError, FaultPlan, Infeasible};
         let net = SimNetwork::with_faults(ring(6), 1, &FaultPlan::random_routers(6)).unwrap();
         let cfg = SimConfig::default().with_windows(
             crate::config::MeasurementWindows::new(1_000_000, 4_000_000).with_pattern("random"),
@@ -1971,7 +1957,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            SimError::Fault(FaultError::Fragmented { components: 0 })
+            SimError::Fault(FaultError::Other(Infeasible::Fragmented { components: 0 }))
         );
     }
 

@@ -1,9 +1,9 @@
 //! The pluggable **job** subsystem: multi-tenant collective and bursty
-//! workloads — the fourth string-keyed registry, mirroring [`crate::routing`],
-//! [`crate::pattern`], and [`crate::fault`].
+//! workloads.
 //!
 //! A *job* describes what one tenant runs on its slice of the fabric. Jobs are
-//! selected by spec string through a [`JobRegistry`] and composed into a
+//! selected by spec string through a [`JobRegistry`] (the job family of the one
+//! [`crate::spec::Registry`]) and composed into a
 //! multi-tenant **mix** placed on disjoint endpoint allocations. The resolved
 //! [`MixPlan`] is what both live engines execute when
 //! [`crate::SimConfig::jobs`] is set: open-loop tenants drive per-endpoint
@@ -51,58 +51,17 @@
 //! `rank`'s router, so no cross-shard coordination is needed.
 
 use crate::pattern::{self, PatternCtx, TrafficPattern};
-use crate::spec::{self, Arg, Call, SpecError};
+use crate::spec::{self, Arg, ArgReader, Call, Family, Global, Registry, ResolveError};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 /// Default message/chunk payload when a job spec omits `bytes`.
 pub const DEFAULT_JOB_BYTES: u64 = 4096;
 
-/// Why a job spec or mix could not be resolved.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JobError {
-    /// The spec's base name is not in the registry.
-    Unknown {
-        /// The (normalized) name that failed to resolve.
-        name: String,
-        /// Canonical names currently registered, for the error message.
-        registered: Vec<String>,
-    },
-    /// The spec or mix string does not follow the grammar.
-    BadSpec(SpecError),
-    /// The spec parsed but its arguments (or the placement) are invalid.
-    BadArgs {
-        /// The job or mix element that rejected its arguments.
-        name: String,
-        /// What was wrong with them.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for JobError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JobError::Unknown { name, registered } => write!(
-                f,
-                "unknown job {name:?}; registered: {}",
-                registered.join(", ")
-            ),
-            JobError::BadSpec(e) => e.fmt(f),
-            JobError::BadArgs { name, reason } => {
-                write!(f, "invalid arguments for job {name:?}: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for JobError {}
-
-impl From<SpecError> for JobError {
-    fn from(e: SpecError) -> Self {
-        JobError::BadSpec(e)
-    }
-}
+/// Why a job spec or mix could not be resolved: the shared [`ResolveError`]
+/// triple — `Unknown` job, `BadSpec` grammar, `BadArgs` (arguments, or the
+/// placement, invalid).
+pub type JobError = ResolveError;
 
 /// Construction-time context for a job: topology structure the caller knows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -619,58 +578,28 @@ impl MsgTag {
 // Spec parsing and the registry.
 // ---------------------------------------------------------------------------
 
-fn f64_arg(name: &str, args: &[Arg], idx: usize, default: f64) -> Result<f64, JobError> {
-    match args.get(idx) {
-        None => Ok(default),
-        Some(arg) => arg.number().ok_or_else(|| JobError::BadArgs {
-            name: name.to_string(),
-            reason: format!("argument {} is not a number", idx + 1),
-        }),
-    }
-}
+/// How this family calls itself in error messages; custom factories report
+/// bad arguments through it ([`Family::args`], [`Family::bad_args`]).
+pub const FAMILY: Family = Family {
+    unknown: "job",
+    args: "job",
+};
 
-fn bytes_arg(name: &str, args: &[Arg], idx: usize) -> Result<u64, JobError> {
-    let v = f64_arg(name, args, idx, DEFAULT_JOB_BYTES as f64)?;
-    if !v.is_finite() || v < 1.0 || v.fract() != 0.0 {
-        return Err(JobError::BadArgs {
-            name: name.to_string(),
-            reason: format!("bytes must be a positive integer, got {v}"),
-        });
-    }
-    Ok(v as u64)
-}
+static GLOBAL: Global<JobFactory> = Global::new(JobRegistry::with_builtins);
 
-fn load_arg(name: &str, args: &[Arg], idx: usize, what: &str) -> Result<f64, JobError> {
-    let v = f64_arg(name, args, idx, f64::NAN)?;
-    if !(v.is_finite() && v > 0.0 && v <= 1.0) {
-        return Err(JobError::BadArgs {
-            name: name.to_string(),
-            reason: format!("{what} must be in (0, 1], got {v}"),
-        });
-    }
-    Ok(v)
+fn bytes_arg(args: &ArgReader<Arg>, idx: usize) -> Result<u64, JobError> {
+    Ok(args
+        .positive_int(idx, "bytes")?
+        .unwrap_or(DEFAULT_JOB_BYTES))
 }
 
 /// Microsecond argument converted to picoseconds.
-fn us_arg(name: &str, args: &[Arg], idx: usize, default_us: f64) -> Result<u64, JobError> {
-    let v = f64_arg(name, args, idx, default_us)?;
+fn us_arg(args: &ArgReader<Arg>, idx: usize, default_us: f64) -> Result<u64, JobError> {
+    let v = args.number(idx, default_us)?;
     if !(v.is_finite() && v > 0.0) {
-        return Err(JobError::BadArgs {
-            name: name.to_string(),
-            reason: format!("duration (µs) must be positive, got {v}"),
-        });
+        return Err(args.bad(format!("duration (µs) must be positive, got {v}")));
     }
     Ok((v * 1e6) as u64)
-}
-
-fn max_args(name: &str, args: &[Arg], max: usize) -> Result<(), JobError> {
-    if args.len() > max {
-        return Err(JobError::BadArgs {
-            name: name.to_string(),
-            reason: format!("takes at most {max} arguments, got {}", args.len()),
-        });
-    }
-    Ok(())
 }
 
 /// A collective job template (which schedule builder plus the payload size).
@@ -711,9 +640,8 @@ impl Job for TrafficJob {
             }
         }
         let (base, args) = &self.pattern;
-        let pattern = pattern::create_parsed(base, args, &ctx).map_err(|e| JobError::BadArgs {
-            name: "traffic".to_string(),
-            reason: format!("nested pattern spec rejected: {e}"),
+        let pattern = pattern::create_parsed(base, args, &ctx).map_err(|e| {
+            FAMILY.bad_args("traffic", format!("nested pattern spec rejected: {e}"))
         })?;
         Ok(JobBehavior::OpenLoop(OpenLoopSpec {
             pattern,
@@ -736,11 +664,8 @@ impl Job for BurstyJob {
         self.name
     }
     fn behavior(&self, ranks: usize) -> Result<JobBehavior, JobError> {
-        let pattern =
-            pattern::create("random", &PatternCtx::new(ranks)).map_err(|e| JobError::BadArgs {
-                name: self.name.to_string(),
-                reason: format!("{e}"),
-            })?;
+        let pattern = pattern::create("random", &PatternCtx::new(ranks))
+            .map_err(|e| FAMILY.bad_args(self.name, e.to_string()))?;
         Ok(JobBehavior::OpenLoop(OpenLoopSpec {
             pattern,
             bytes: self.bytes,
@@ -749,27 +674,18 @@ impl Job for BurstyJob {
     }
 }
 
-/// Factory producing a job template from a context and the spec's parsed
-/// arguments (numbers, or nested specs such as `traffic`'s pattern).
-pub type JobFactory = Arc<dyn Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync>;
+/// Signature of a job factory: a job template from a context and the spec's
+/// parsed arguments (numbers, or nested specs such as `traffic`'s pattern).
+pub type JobFactory = dyn Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync;
 
-/// String-keyed registry of jobs, mirroring [`crate::pattern::PatternRegistry`].
-/// Names are normalized by [`spec::normalize`].
-#[derive(Clone, Default)]
-pub struct JobRegistry {
-    entries: BTreeMap<String, JobFactory>,
-    aliases: BTreeMap<String, String>,
-}
+/// The job family of the one [`Registry`] (see "Spec grammar" in
+/// `docs/ARCHITECTURE.md` for the contract every family shares).
+pub type JobRegistry = Registry<JobFactory>;
 
 impl JobRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        JobRegistry::default()
-    }
-
     /// A registry pre-populated with the built-in jobs (see the module docs).
     pub fn with_builtins() -> Self {
-        let mut r = JobRegistry::empty();
+        let mut r = Self::empty();
         for (name, build) in [
             (
                 "allreduce-ring",
@@ -780,69 +696,61 @@ impl JobRegistry {
             ("allgather", Schedule::allgather),
         ] {
             r.register(name, move |_ctx, args| {
-                max_args(name, args, 1)?;
+                let args = FAMILY.args(name, args);
+                args.max_args(1, "1 arguments")?;
                 Ok(Box::new(CollectiveJob {
                     name,
-                    bytes: bytes_arg(name, args, 0)?,
+                    bytes: bytes_arg(&args, 0)?,
                     build,
                 }))
             });
         }
-        r.register("traffic", |ctx, args| {
-            max_args("traffic", args, 3)?;
-            let pattern = match args.get(1) {
+        r.register("traffic", |ctx, raw| {
+            let args = FAMILY.args("traffic", raw);
+            args.max_args(3, "3 arguments")?;
+            let pattern = match raw.get(1) {
                 None => ("random".to_string(), Vec::new()),
                 Some(Arg::Call(p)) => (p.key(), p.numbers()?),
                 Some(Arg::Num(_)) => {
-                    return Err(JobError::BadArgs {
-                        name: "traffic".to_string(),
-                        reason: "argument 2 must be a pattern spec, not a number".to_string(),
-                    })
+                    return Err(args.bad("argument 2 must be a pattern spec, not a number"))
                 }
             };
             Ok(Box::new(TrafficJob {
-                load: load_arg("traffic", args, 0, "load")?,
+                load: args.fraction(0, f64::NAN, "load", false)?,
                 pattern,
-                bytes: bytes_arg("traffic", args, 2)?,
+                bytes: bytes_arg(&args, 2)?,
                 group_endpoints: ctx.group_endpoints,
             }))
         });
         r.register("mmpp", |_ctx, args| {
-            max_args("mmpp", args, 5)?;
-            let r0 = load_arg("mmpp", args, 0, "state-0 load")?;
-            let r1 = f64_arg("mmpp", args, 1, 0.0)?;
-            if !(r1.is_finite() && (0.0..=1.0).contains(&r1)) {
-                return Err(JobError::BadArgs {
-                    name: "mmpp".to_string(),
-                    reason: format!("state-1 load must be in [0, 1], got {r1}"),
-                });
-            }
+            let args = FAMILY.args("mmpp", args);
+            args.max_args(5, "5 arguments")?;
+            let r0 = args.fraction(0, f64::NAN, "state-0 load", false)?;
+            let r1 = args.fraction(1, 0.0, "state-1 load", true)?;
             Ok(Box::new(BurstyJob {
                 name: "mmpp",
-                bytes: bytes_arg("mmpp", args, 4)?,
+                bytes: bytes_arg(&args, 4)?,
                 rate: RateProcess::Mmpp {
                     loads: [r0, r1],
-                    dwell_ps: [us_arg("mmpp", args, 2, 2.0)?, us_arg("mmpp", args, 3, 2.0)?],
+                    dwell_ps: [us_arg(&args, 2, 2.0)?, us_arg(&args, 3, 2.0)?],
                 },
             }))
         });
         r.register("onoff", |_ctx, args| {
-            max_args("onoff", args, 5)?;
-            let alpha = f64_arg("onoff", args, 1, 1.5)?;
+            let args = FAMILY.args("onoff", args);
+            args.max_args(5, "5 arguments")?;
+            let alpha = args.number(1, 1.5)?;
             if !(alpha.is_finite() && alpha > 1.0) {
-                return Err(JobError::BadArgs {
-                    name: "onoff".to_string(),
-                    reason: format!("Pareto shape alpha must be > 1, got {alpha}"),
-                });
+                return Err(args.bad(format!("Pareto shape alpha must be > 1, got {alpha}")));
             }
             Ok(Box::new(BurstyJob {
                 name: "onoff",
-                bytes: bytes_arg("onoff", args, 4)?,
+                bytes: bytes_arg(&args, 4)?,
                 rate: RateProcess::OnOff {
-                    peak: load_arg("onoff", args, 0, "peak load")?,
+                    peak: args.fraction(0, f64::NAN, "peak load", false)?,
                     alpha,
-                    on_ps: us_arg("onoff", args, 2, 1.0)?,
-                    off_ps: us_arg("onoff", args, 3, 1.0)?,
+                    on_ps: us_arg(&args, 2, 1.0)?,
+                    off_ps: us_arg(&args, 3, 1.0)?,
                 },
             }))
         });
@@ -858,86 +766,24 @@ impl JobRegistry {
     where
         F: Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync + 'static,
     {
-        let key = spec::normalize(name);
-        self.aliases.remove(&key);
-        self.entries.insert(key, Arc::new(factory));
-    }
-
-    /// Register `name` as an alias redirecting to `target`.
-    ///
-    /// # Panics
-    /// If `target` is not registered.
-    pub fn alias(&mut self, name: &str, target: &str) {
-        let target_key = self.resolve(&spec::normalize(target)).unwrap_or_else(|| {
-            panic!("alias target {target:?} is not registered");
-        });
-        self.aliases.insert(spec::normalize(name), target_key);
-    }
-
-    fn resolve(&self, base: &str) -> Option<String> {
-        if self.entries.contains_key(base) {
-            return Some(base.to_string());
-        }
-        self.aliases
-            .get(base)
-            .filter(|t| self.entries.contains_key(*t))
-            .cloned()
-    }
-
-    /// Instantiate the job template selected by `spec`.
-    pub fn create(&self, spec: &str, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
-        self.create_call(&spec::parse_call(spec)?, ctx)
-    }
-
-    /// [`JobRegistry::create`] for an already-parsed spec (a tenant of a mix).
-    pub fn create_call(&self, call: &Call, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
-        let base = call.key();
-        let Some(factory) = self.resolve(&base).and_then(|k| self.entries.get(&k)) else {
-            return Err(JobError::Unknown {
-                name: base,
-                registered: self.names(),
-            });
-        };
-        factory(ctx, &call.args)
-    }
-
-    /// Whether `spec`'s base name resolves to a registered job.
-    pub fn contains(&self, spec: &str) -> bool {
-        spec::parse_call(spec).is_ok_and(|call| self.resolve(&call.key()).is_some())
-    }
-
-    /// Primary names of the registered jobs.
-    pub fn names(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
+        self.insert(name, Arc::new(factory));
     }
 }
 
-fn global_registry() -> &'static RwLock<JobRegistry> {
-    static GLOBAL: OnceLock<RwLock<JobRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(JobRegistry::with_builtins()))
-}
-
-/// Instantiate a job template by spec from the global registry.
+/// Instantiate the job template selected by `spec` from the global registry.
 pub fn create(spec: &str, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
-    global_registry()
-        .read()
-        .expect("job registry poisoned")
-        .create(spec, ctx)
+    create_call(&spec::parse_call(spec)?, ctx)
 }
 
+/// [`create`] for an already-parsed spec (a tenant of a mix).
 fn create_call(call: &Call, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
-    global_registry()
-        .read()
-        .expect("job registry poisoned")
-        .create_call(call, ctx)
+    let factory = GLOBAL.read().lookup(&FAMILY, call.name)?;
+    factory(ctx, &call.args)
 }
 
 /// Whether `spec`'s base name is selectable through the global registry.
 pub fn is_registered(spec: &str) -> bool {
-    global_registry()
-        .read()
-        .expect("job registry poisoned")
-        .contains(spec)
+    spec::parse_call(spec).is_ok_and(|call| GLOBAL.read().contains(call.name))
 }
 
 /// Register a custom job in the global registry.
@@ -945,18 +791,12 @@ pub fn register<F>(name: &str, factory: F)
 where
     F: Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync + 'static,
 {
-    global_registry()
-        .write()
-        .expect("job registry poisoned")
-        .register(name, factory);
+    GLOBAL.write().register(name, factory);
 }
 
-/// Canonical names of the distinct jobs in the global registry.
+/// Primary names of the jobs in the global registry.
 pub fn registered_names() -> Vec<String> {
-    global_registry()
-        .read()
-        .expect("job registry poisoned")
-        .names()
+    GLOBAL.read().names()
 }
 
 // ---------------------------------------------------------------------------
@@ -989,10 +829,8 @@ struct TenantSpec<'a> {
 /// stands for "not a number at all").
 fn positive_count(name: &str, what: &str, v: f64) -> Result<usize, JobError> {
     if !(v >= 1.0 && v.fract() == 0.0 && v <= usize::MAX as f64) {
-        return Err(JobError::BadArgs {
-            name: name.to_string(),
-            reason: format!("{what} must be a positive integer, got {v}"),
-        });
+        let reason = format!("{what} must be a positive integer, got {v}");
+        return Err(FAMILY.bad_args(name, reason));
     }
     Ok(v as usize)
 }
@@ -1007,10 +845,10 @@ fn parse_placement(at: &Call) -> Result<Placement, JobError> {
             let g = positive_count("group", "group size", g.number().unwrap_or(f64::NAN))?;
             Ok(Placement::Group(Some(g)))
         }
-        ("contiguous" | "random" | "group", _) => Err(JobError::BadArgs {
-            name: base,
-            reason: "contiguous and random take no argument, group at most one".to_string(),
-        }),
+        ("contiguous" | "random" | "group", _) => Err(FAMILY.bad_args(
+            &base,
+            "contiguous and random take no argument, group at most one",
+        )),
         (other, _) => {
             let reason = format!("unknown placement {other:?} (contiguous | random | group)");
             Err(at.error(at.start, reason).into())
@@ -1137,10 +975,7 @@ pub fn resolve_mix(
 ) -> Result<MixPlan, JobError> {
     let n = available.len();
     if n == 0 {
-        return Err(JobError::BadArgs {
-            name: "mix".to_string(),
-            reason: "no endpoints available for placement".to_string(),
-        });
+        return Err(FAMILY.bad_args("mix", "no endpoints available for placement"));
     }
     let specs = parse_mix(spec)?;
     // Size the tenants: explicit `x N` first, then split the remainder
@@ -1152,10 +987,8 @@ pub fn resolve_mix(
     let implicit = specs.iter().filter(|t| t.ranks.is_none()).count();
     let needed = explicit.saturating_add(implicit);
     if needed > n {
-        return Err(JobError::BadArgs {
-            name: "mix".to_string(),
-            reason: format!("mix needs at least {needed} endpoints but only {n} are available"),
-        });
+        let reason = format!("mix needs at least {needed} endpoints but only {n} are available");
+        return Err(FAMILY.bad_args("mix", reason));
     }
     let rem = n - explicit;
     let share = rem.checked_div(implicit).unwrap_or(0);
@@ -1195,13 +1028,13 @@ pub fn resolve_mix(
                     }
                     s += align;
                 }
-                found.ok_or_else(|| JobError::BadArgs {
-                    name: "mix".to_string(),
-                    reason: format!(
+                found.ok_or_else(|| {
+                    let reason = format!(
                         "tenant {ti} ({:?}) needs {ranks} free endpoints \
                          (alignment {align}) but no such block remains",
                         t.job.text()
-                    ),
+                    );
+                    FAMILY.bad_args("mix", reason)
                 })?
             }
             Placement::Random => {
@@ -1237,19 +1070,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builtin_names_are_canonical_and_complete() {
-        assert_eq!(
-            JobRegistry::with_builtins().names(),
-            vec![
-                "allgather",
-                "allreduce-ring",
-                "allreduce-tree",
-                "alltoall",
-                "mmpp",
-                "onoff",
-                "traffic",
-            ]
-        );
+    fn is_registered_reads_the_spec_name() {
         assert!(is_registered("All_To_All(512)"));
         assert!(!is_registered("no-such-job"));
     }
@@ -1278,27 +1099,6 @@ mod tests {
         assert!(matches!(
             parse_mix("traffic(1.0) + + traffic(1.0)"),
             Err(JobError::BadSpec { .. })
-        ));
-    }
-
-    #[test]
-    fn validate_rejects_bad_args_and_unknown_jobs() {
-        assert!(validate_mix_spec("allreduce-ring + traffic(0.5, tornado)").is_ok());
-        assert!(matches!(
-            validate_mix_spec("warp-drive(3)"),
-            Err(JobError::Unknown { .. })
-        ));
-        assert!(matches!(
-            validate_mix_spec("traffic(1.5)"),
-            Err(JobError::BadArgs { .. })
-        ));
-        assert!(matches!(
-            validate_mix_spec("onoff(0.5, 0.9)"),
-            Err(JobError::BadArgs { .. })
-        ));
-        assert!(matches!(
-            validate_mix_spec("allreduce-ring(0)"),
-            Err(JobError::BadArgs { .. })
         ));
     }
 

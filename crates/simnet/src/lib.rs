@@ -17,14 +17,14 @@
 //!   variant the paper discusses as UGAL's idealized form);
 //! * Poisson packet injection to sweep offered load, plus phased application workloads
 //!   (the Ember motifs) whose phases synchronize like the underlying MPI skeletons;
-//! * a **pluggable traffic-pattern subsystem** ([`pattern`]) mirroring the routing
-//!   registry: synthetic patterns implement [`pattern::TrafficPattern`] and are
+//! * a **pluggable traffic-pattern subsystem** ([`pattern`]) on the same
+//!   registry ([`spec::Registry`]): synthetic patterns implement [`pattern::TrafficPattern`] and are
 //!   selected by spec string (`"random"`, `"tornado"`, `"hotspot(8, 0.2)"`,
 //!   `"adversarial(128)"`, …) — materialized into finite workloads, or sampled
 //!   live by the steady-state sources via
 //!   [`config::MeasurementWindows::pattern`];
-//! * a **pluggable fault-injection subsystem** ([`fault`]) mirroring the same
-//!   registry shape: a seeded [`fault::FaultPlan`] (spec strings like
+//! * a **pluggable fault-injection subsystem** ([`fault`]), a third family of
+//!   that registry: a seeded [`fault::FaultPlan`] (spec strings like
 //!   `"links(0.1)"` or `"routers(4)+link(0,1)"`) degrades the topology at
 //!   [`SimNetwork::with_faults`] construction, the distance / next-hop oracle
 //!   is rebuilt over the surviving graph so every algorithm routes around the
@@ -45,8 +45,8 @@
 //!   per-endpoint Poisson sources with warmup/measurement/drain windows and an interval
 //!   time-series ([`stats::IntervalSample`]), so offered-load sweeps measure true
 //!   saturation behaviour instead of drain-to-empty completion times;
-//! * a **pluggable job/tenant subsystem** ([`job`]) completing the registry
-//!   quartet: a mix spec like
+//! * a **pluggable job/tenant subsystem** ([`job`]), the fourth family: a mix
+//!   spec like
 //!   `"allreduce-ring(4096) x 64 + traffic(0.9, adversarial(8), 4096) x 128"`
 //!   ([`SimConfig::with_jobs`]) places co-resident tenants — dependency-ordered
 //!   collectives (`allreduce-ring`, `allreduce-tree`, `alltoall`, `allgather`)
@@ -92,13 +92,13 @@ pub mod spec;
 pub mod stats;
 pub mod workload;
 
-pub use config::{MeasurementWindows, OraclePolicy, RoutingAlgorithm, SimConfig};
+pub use config::{MeasurementWindows, OraclePolicy, SimConfig};
 pub use engine::parallel::ParallelSimulator;
 pub use engine::reference::ReferenceSimulator;
 pub use engine::{simulate, SimError, Simulator};
 pub use fault::{
     FaultError, FaultEvent, FaultEventKind, FaultModel, FaultPlan, FaultRegistry, FaultScript,
-    FaultTimeline,
+    FaultTimeline, Infeasible,
 };
 pub use job::{Job, JobBehavior, JobCtx, JobError, JobRegistry, MixPlan, Schedule};
 pub use network::SimNetwork;

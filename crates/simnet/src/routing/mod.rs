@@ -1,7 +1,8 @@
 //! The pluggable routing subsystem.
 //!
 //! Routing decisions are made by implementations of the [`Router`] trait, selected
-//! by name through a string-keyed [`RouterRegistry`]. The engine is algorithm-
+//! by name through a string-keyed [`RouterRegistry`] — the routing family of the
+//! one [`crate::spec::Registry`]. The engine is algorithm-
 //! agnostic: for every packet that needs an output port it builds a [`RoutingCtx`]
 //! (neighbour ports, queue occupancies, the shared distance oracle, and the run's
 //! RNG), hands it to the configured router together with the packet's opaque
@@ -47,12 +48,11 @@ pub mod ugal;
 pub mod valiant;
 
 use crate::network::SimNetwork;
-use crate::spec::normalize;
+use crate::spec::{Family, Global, Registry, ResolveError};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 use spectralfly_graph::csr::VertexId;
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 pub use minimal::Minimal;
 pub use ugal::{UgalG, UgalL};
@@ -555,13 +555,7 @@ impl<'a> RoutingHarness<'a> {
     /// If `cfg.routing` does not name a registered algorithm.
     pub fn new(net: &'a SimNetwork, cfg: &crate::config::SimConfig) -> Self {
         use rand::SeedableRng;
-        let algo = create(&cfg.routing).unwrap_or_else(|| {
-            panic!(
-                "unknown routing algorithm {:?}; registered: {}",
-                cfg.routing,
-                registered_names().join(", ")
-            )
-        });
+        let algo = resolve(&cfg.routing).unwrap_or_else(|e| panic!("{e}"));
         RoutingHarness {
             net,
             algo,
@@ -648,35 +642,34 @@ pub trait Router: Send + Sync {
     fn route(&self, ctx: &mut RoutingCtx<'_>, state: &mut RoutingState) -> usize;
 }
 
-/// Factory producing a fresh router instance.
-pub type RouterFactory = Arc<dyn Fn() -> Box<dyn Router> + Send + Sync>;
+/// Signature of a routing factory: a fresh router instance per call.
+pub type RouterFactory = dyn Fn() -> Box<dyn Router> + Send + Sync;
 
-/// String-keyed registry of routing algorithms.
-///
-/// Names are normalized by [`crate::spec::normalize`], so `UGAL-L`, `ugal_l`,
-/// and `ugal-l` all resolve to the same entry.
-#[derive(Clone, Default)]
-pub struct RouterRegistry {
-    /// normalized key → (canonical algorithm name, factory). The canonical name is
-    /// captured once at registration so listing never needs to instantiate routers.
-    entries: BTreeMap<String, (String, RouterFactory)>,
-}
+/// The routing family of the one [`Registry`] (see "Spec grammar" in
+/// `docs/ARCHITECTURE.md` for the contract every family shares): names are
+/// normalized, so `UGAL-L`, `ugal_l`, and `ugal-l` all resolve to the same
+/// entry.
+pub type RouterRegistry = Registry<RouterFactory>;
+
+/// How this family calls itself in error messages; custom factories report
+/// bad arguments through it ([`Family::args`], [`Family::bad_args`]).
+pub const FAMILY: Family = Family {
+    unknown: "routing algorithm",
+    args: "routing algorithm",
+};
+
+static GLOBAL: Global<RouterFactory> = Global::new(RouterRegistry::with_builtins);
 
 impl RouterRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        RouterRegistry::default()
-    }
-
     /// A registry pre-populated with the paper's algorithms plus UGAL-G.
     pub fn with_builtins() -> Self {
-        let mut r = RouterRegistry::empty();
+        let mut r = Self::empty();
         r.register("minimal", || Box::new(Minimal));
         r.register("valiant", || Box::new(Valiant));
         r.register("ugal-l", || Box::new(UgalL));
         r.register("ugal-g", || Box::new(UgalG));
-        // Convenience alias: the paper says "UGAL" for the local variant.
-        r.register("ugal", || Box::new(UgalL));
+        // The paper says "UGAL" for the local variant.
+        r.alias("ugal", "ugal-l");
         r
     }
 
@@ -685,57 +678,24 @@ impl RouterRegistry {
     where
         F: Fn() -> Box<dyn Router> + Send + Sync + 'static,
     {
-        let canonical = normalize(factory().name());
-        self.entries
-            .insert(normalize(name), (canonical, Arc::new(factory)));
+        self.insert(name, Arc::new(factory));
     }
-
-    /// Instantiate the algorithm registered under `name`, if any.
-    pub fn create(&self, name: &str) -> Option<Box<dyn Router>> {
-        self.entries.get(&normalize(name)).map(|(_, f)| f())
-    }
-
-    /// Whether `name` resolves to a registered algorithm.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(&normalize(name))
-    }
-
-    /// Canonical names of the distinct registered algorithms (aliases that resolve to
-    /// an algorithm already listed under its canonical name are skipped).
-    pub fn names(&self) -> Vec<String> {
-        let mut seen = std::collections::BTreeSet::new();
-        self.entries
-            .iter()
-            .filter(|(key, (canonical, _))| {
-                // List an entry if it is the canonical spelling, or if its target's
-                // canonical spelling is not separately registered.
-                (**key == *canonical || !self.entries.contains_key(canonical))
-                    && seen.insert(canonical.clone())
-            })
-            .map(|(key, _)| key.clone())
-            .collect()
-    }
-}
-
-fn global_registry() -> &'static RwLock<RouterRegistry> {
-    static GLOBAL: OnceLock<RwLock<RouterRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(RouterRegistry::with_builtins()))
 }
 
 /// Instantiate an algorithm by name from the global registry.
 pub fn create(name: &str) -> Option<Box<dyn Router>> {
-    global_registry()
-        .read()
-        .expect("routing registry poisoned")
-        .create(name)
+    resolve(name).ok()
+}
+
+/// [`create`], or the error naming the registered algorithms.
+pub fn resolve(name: &str) -> Result<Box<dyn Router>, ResolveError> {
+    let factory = GLOBAL.read().lookup(&FAMILY, name)?;
+    Ok(factory())
 }
 
 /// Whether `name` is selectable through the global registry.
 pub fn is_registered(name: &str) -> bool {
-    global_registry()
-        .read()
-        .expect("routing registry poisoned")
-        .contains(name)
+    GLOBAL.read().contains(name)
 }
 
 /// Register a custom algorithm in the global registry (see the module docs for an
@@ -744,18 +704,12 @@ pub fn register<F>(name: &str, factory: F)
 where
     F: Fn() -> Box<dyn Router> + Send + Sync + 'static,
 {
-    global_registry()
-        .write()
-        .expect("routing registry poisoned")
-        .register(name, factory);
+    GLOBAL.write().register(name, factory);
 }
 
-/// Canonical names of the distinct algorithms in the global registry.
+/// Primary names of the algorithms in the global registry.
 pub fn registered_names() -> Vec<String> {
-    global_registry()
-        .read()
-        .expect("routing registry poisoned")
-        .names()
+    GLOBAL.read().names()
 }
 
 #[cfg(test)]
@@ -764,27 +718,11 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn builtin_names_are_canonical_and_complete() {
-        let names = RouterRegistry::with_builtins().names();
-        assert_eq!(names, vec!["minimal", "ugal-g", "ugal-l", "valiant"]);
-    }
-
-    #[test]
-    fn lookup_normalizes_spelling() {
-        let r = RouterRegistry::with_builtins();
-        for spelling in ["UGAL-L", "ugal_l", " Ugal-L ", "ugal"] {
-            assert_eq!(r.create(spelling).unwrap().name(), "ugal-l", "{spelling}");
-        }
-        assert!(r.create("no-such-algorithm").is_none());
-    }
-
-    #[test]
     fn vc_rules_match_paper() {
-        let r = RouterRegistry::with_builtins();
-        assert_eq!(r.create("minimal").unwrap().vcs_for_diameter(3), 4);
-        assert_eq!(r.create("valiant").unwrap().vcs_for_diameter(3), 7);
-        assert_eq!(r.create("ugal-l").unwrap().vcs_for_diameter(4), 9);
-        assert_eq!(r.create("ugal-g").unwrap().vcs_for_diameter(4), 9);
+        assert_eq!(create("minimal").unwrap().vcs_for_diameter(3), 4);
+        assert_eq!(create("valiant").unwrap().vcs_for_diameter(3), 7);
+        assert_eq!(create("ugal-l").unwrap().vcs_for_diameter(4), 9);
+        assert_eq!(create("ugal-g").unwrap().vcs_for_diameter(4), 9);
     }
 
     #[test]
@@ -856,26 +794,6 @@ mod tests {
             let next = net.link_target(1, port);
             assert!((0..=3).contains(&next), "escaped the component via {next}");
         }
-    }
-
-    #[test]
-    fn custom_registration_extends_the_global_registry() {
-        struct Fixed;
-        impl Router for Fixed {
-            fn name(&self) -> &str {
-                "fixed-test-router"
-            }
-            fn route(&self, ctx: &mut RoutingCtx<'_>, state: &mut RoutingState) -> usize {
-                let target = state.current_target(ctx.dst());
-                ctx.minimal_ports(target)[0]
-            }
-        }
-        register("fixed-test-router", || Box::new(Fixed));
-        assert!(is_registered("fixed-test-router"));
-        assert_eq!(
-            create("Fixed-Test-Router").unwrap().name(),
-            "fixed-test-router"
-        );
     }
 
     #[test]

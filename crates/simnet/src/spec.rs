@@ -1,15 +1,20 @@
-//! The one spec grammar: every pattern, job-mix, fault-plan, fault-script and
-//! topology string in the repository is tokenized and parsed here, and the
-//! registries consume the resulting AST. The grammar, the three combinators
-//! (`+` composition, `x N` repetition, `@ placement`), the unit suffixes and
-//! the error shape are specified once, in `docs/ARCHITECTURE.md` under
-//! "Spec grammar".
+//! The one spec grammar and the one registry behind it: every pattern,
+//! job-mix, fault-plan, fault-script and topology string in the repository is
+//! tokenized and parsed here, and every family of names those strings select
+//! from — routing algorithms, traffic patterns, fault models, jobs, topology
+//! families — is a [`Registry`] resolved here. The grammar, the three
+//! combinators (`+` composition, `x N` repetition, `@ placement`), the unit
+//! suffixes, the registry contract and the error shape are specified once, in
+//! `docs/ARCHITECTURE.md` under "Spec grammar".
 //!
 //! Parsing is strict — balanced parentheses, no empty argument, nothing after
 //! the last term — and total: every input yields a tree or a [`SpecError`]
 //! naming the byte offset (always a char boundary) where it went wrong.
 
+use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A spec string that does not follow the grammar: which string, where, why.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -362,6 +367,328 @@ impl<'a> Parser<'a> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The registry every family of names is kept in, and the errors of resolving
+// a spec against one.
+// ---------------------------------------------------------------------------
+
+/// How one family of registered names calls itself in error messages.
+#[derive(Clone, Copy, Debug)]
+pub struct Family {
+    /// The noun of `unknown <noun> "name"; registered: …`.
+    pub unknown: &'static str,
+    /// The noun of `invalid arguments for <noun> "name": …`.
+    pub args: &'static str,
+}
+
+impl Family {
+    /// A [`ResolveError::BadArgs`] of this family.
+    pub fn bad_args<X>(&self, name: &str, reason: impl Into<String>) -> ResolveError<X> {
+        ResolveError::BadArgs {
+            family: self.args,
+            name: name.to_string(),
+            reason: reason.into(),
+        }
+    }
+
+    /// A reader over the arguments `name` was called with.
+    pub fn args<'a, A>(&self, name: &'a str, args: &'a [A]) -> ArgReader<'a, A> {
+        ArgReader {
+            family: *self,
+            name,
+            args,
+        }
+    }
+}
+
+/// Why a spec could not be resolved against a [`Registry`] — the one error
+/// shape of every family. `X` is what a family can fail with beyond that
+/// (fault plans add run feasibility); most have nothing, and [`Self::Other`]
+/// is then uninhabited.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ResolveError<X = Infallible> {
+    /// The spec's base name is not in the registry.
+    Unknown {
+        /// The family's noun ([`Family::unknown`]).
+        family: &'static str,
+        /// The (normalized) name that failed to resolve.
+        name: String,
+        /// Primary names currently registered, for the error message.
+        registered: Vec<String>,
+    },
+    /// The spec string does not follow the grammar.
+    BadSpec(SpecError),
+    /// The spec parsed but its arguments (or the context they are applied to)
+    /// are invalid for the entry.
+    BadArgs {
+        /// The family's noun ([`Family::args`]).
+        family: &'static str,
+        /// The entry (or composition element) that rejected its arguments.
+        name: String,
+        /// What was wrong with them.
+        reason: String,
+    },
+    /// A failure of the family's own.
+    Other(X),
+}
+
+/// `unknown <family> "name"; registered: a, b, c` — the one spelling of a
+/// registry miss.
+pub(crate) fn write_unknown(
+    f: &mut fmt::Formatter<'_>,
+    family: &str,
+    name: &str,
+    registered: &[String],
+) -> fmt::Result {
+    let registered = registered.join(", ");
+    write!(f, "unknown {family} {name:?}; registered: {registered}")
+}
+
+impl<X: fmt::Display> fmt::Display for ResolveError<X> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ResolveError::Unknown {
+                family,
+                name,
+                registered,
+            } => write_unknown(f, family, name, registered),
+            ResolveError::BadSpec(e) => e.fmt(f),
+            ResolveError::BadArgs {
+                family,
+                name,
+                reason,
+            } => write!(f, "invalid arguments for {family} {name:?}: {reason}"),
+            ResolveError::Other(e) => e.fmt(f),
+        }
+    }
+}
+
+impl<X: fmt::Debug + fmt::Display> std::error::Error for ResolveError<X> {}
+
+impl<X> From<SpecError> for ResolveError<X> {
+    fn from(e: SpecError) -> Self {
+        ResolveError::BadSpec(e)
+    }
+}
+
+/// A string-keyed registry of `F`s (factories, usually): the one container
+/// behind every family of names.
+///
+/// Names are matched after [`normalize`], so `UGAL-L`, `ugal_l` and `ugal l`
+/// select the same entry. An alias is a redirect to a primary name resolved
+/// at lookup time — replacing the primary entry also changes what its aliases
+/// select — and is not listed by [`Registry::names`].
+pub struct Registry<F: ?Sized> {
+    /// normalized primary name → entry.
+    entries: BTreeMap<String, Arc<F>>,
+    /// normalized alias → normalized primary name.
+    aliases: BTreeMap<String, String>,
+}
+
+impl<F: ?Sized> Registry<F> {
+    /// An empty registry.
+    pub fn empty() -> Self {
+        Registry {
+            entries: BTreeMap::new(),
+            aliases: BTreeMap::new(),
+        }
+    }
+
+    /// Register (or replace) the entry under the primary name `name`. Aliases
+    /// of `name` follow the replacement; an alias *spelled* `name` is shadowed.
+    pub fn insert(&mut self, name: &str, entry: Arc<F>) {
+        let key = normalize(name);
+        self.aliases.remove(&key);
+        self.entries.insert(key, entry);
+    }
+
+    /// Register `name` as an alias of `target` (a primary name, or an alias,
+    /// which is followed first — alias chains cannot form).
+    ///
+    /// # Panics
+    /// If `target` is not registered.
+    pub fn alias(&mut self, name: &str, target: &str) {
+        let Some((primary, _)) = self.resolve(target) else {
+            panic!("alias target {target:?} is not registered");
+        };
+        self.aliases.insert(normalize(name), primary.clone());
+    }
+
+    /// The primary key and entry `name` selects: its own, or those of the
+    /// alias target it names — one hop.
+    fn resolve(&self, name: &str) -> Option<(&String, &Arc<F>)> {
+        let key = normalize(name);
+        (self.entries.get_key_value(&key))
+            .or_else(|| self.entries.get_key_value(self.aliases.get(&key)?))
+    }
+
+    /// The entry `name` selects, if any.
+    pub fn get(&self, name: &str) -> Option<Arc<F>> {
+        self.resolve(name).map(|(_, entry)| entry.clone())
+    }
+
+    /// [`Registry::get`], or the `family`'s [`ResolveError::Unknown`] listing
+    /// the registered names.
+    pub fn lookup<X>(&self, family: &Family, name: &str) -> Result<Arc<F>, ResolveError<X>> {
+        self.get(name).ok_or_else(|| ResolveError::Unknown {
+            family: family.unknown,
+            name: normalize(name),
+            registered: self.names(),
+        })
+    }
+
+    /// Whether `name` selects an entry.
+    pub fn contains(&self, name: &str) -> bool {
+        self.resolve(name).is_some()
+    }
+
+    /// The primary names, sorted (aliases are redirects and are not listed).
+    pub fn names(&self) -> Vec<String> {
+        self.entries.keys().cloned().collect()
+    }
+}
+
+/// A process-wide [`Registry`], filled with its built-ins on first use and
+/// open to registration afterwards.
+///
+/// Poison-tolerant: every [`Registry`] update leaves it valid at each step
+/// (the only panic, [`Registry::alias`] on a missing target, comes before any
+/// change), so a writer that panicked has broken nothing and later callers
+/// simply take the lock.
+pub struct Global<F: ?Sized + 'static> {
+    registry: OnceLock<RwLock<Registry<F>>>,
+    builtins: fn() -> Registry<F>,
+}
+
+impl<F: ?Sized> Global<F> {
+    /// A holder that calls `builtins` on first use.
+    pub const fn new(builtins: fn() -> Registry<F>) -> Self {
+        Global {
+            registry: OnceLock::new(),
+            builtins,
+        }
+    }
+
+    fn lock(&self) -> &RwLock<Registry<F>> {
+        self.registry.get_or_init(|| RwLock::new((self.builtins)()))
+    }
+
+    /// Shared access to the registry.
+    pub fn read(&self) -> RwLockReadGuard<'_, Registry<F>> {
+        let (Ok(guard) | Err(guard)) = self.lock().read().map_err(PoisonError::into_inner);
+        guard
+    }
+
+    /// Exclusive access, to register.
+    pub fn write(&self) -> RwLockWriteGuard<'_, Registry<F>> {
+        let (Ok(guard) | Err(guard)) = self.lock().write().map_err(PoisonError::into_inner);
+        guard
+    }
+}
+
+/// An argument a factory can read as a plain number: a parsed `f64`, or an
+/// [`Arg`] that is one.
+pub trait AsNumber {
+    /// The plain number this argument is, if it is one.
+    fn as_number(&self) -> Option<f64>;
+}
+
+impl AsNumber for f64 {
+    fn as_number(&self) -> Option<f64> {
+        Some(*self)
+    }
+}
+
+impl AsNumber for Arg<'_> {
+    fn as_number(&self) -> Option<f64> {
+        self.number()
+    }
+}
+
+/// The arguments one entry was called with, read with the checks every
+/// factory needs; each failure is the family's [`ResolveError::BadArgs`]
+/// naming the entry. Argument positions in messages count from 1.
+pub struct ArgReader<'a, A> {
+    family: Family,
+    name: &'a str,
+    args: &'a [A],
+}
+
+impl<A: AsNumber> ArgReader<'_, A> {
+    /// A `BadArgs` error for this entry.
+    pub fn bad<X>(&self, reason: impl Into<String>) -> ResolveError<X> {
+        self.family.bad_args(self.name, reason)
+    }
+
+    fn count_is<X>(&self, ok: bool, takes: fmt::Arguments<'_>) -> Result<(), ResolveError<X>> {
+        if ok {
+            Ok(())
+        } else {
+            Err(self.bad(format!("takes {takes}, got {}", self.args.len())))
+        }
+    }
+
+    /// The entry takes no arguments.
+    pub fn no_args<X>(&self) -> Result<(), ResolveError<X>> {
+        self.count_is(self.args.is_empty(), format_args!("no arguments"))
+    }
+
+    /// The entry takes exactly `n` arguments.
+    pub fn exactly_n_args<X>(&self, n: usize) -> Result<(), ResolveError<X>> {
+        self.count_is(
+            self.args.len() == n,
+            format_args!("exactly {n} argument(s)"),
+        )
+    }
+
+    /// The entry takes at most `max` arguments, spelled `at_most` in the
+    /// message (`"3 arguments"`, `"one argument (group size)"`).
+    pub fn max_args<X>(&self, max: usize, at_most: &str) -> Result<(), ResolveError<X>> {
+        self.count_is(self.args.len() <= max, format_args!("at most {at_most}"))
+    }
+
+    /// Argument `idx` as a plain number, `default` when absent.
+    pub fn number<X>(&self, idx: usize, default: f64) -> Result<f64, ResolveError<X>> {
+        match self.args.get(idx) {
+            None => Ok(default),
+            Some(arg) => arg
+                .as_number()
+                .ok_or_else(|| self.bad(format!("argument {} is not a number", idx + 1))),
+        }
+    }
+
+    /// Argument `idx`, if present, as a positive integer (`what` names it in
+    /// the message); values past `u64::MAX` saturate.
+    pub fn positive_int<X>(&self, idx: usize, what: &str) -> Result<Option<u64>, ResolveError<X>> {
+        if idx >= self.args.len() {
+            return Ok(None);
+        }
+        let v = self.number(idx, f64::NAN)?;
+        if !v.is_finite() || v < 1.0 || v.fract() != 0.0 {
+            return Err(self.bad(format!("{what} must be a positive integer, got {v}")));
+        }
+        Ok(Some(v as u64))
+    }
+
+    /// Argument `idx` (`default` when absent) as a fraction in `(0, 1]`, or in
+    /// `[0, 1]` with `zero_ok`; the default is held to the same range, so a
+    /// `NaN` default makes the argument required.
+    pub fn fraction<X>(
+        &self,
+        idx: usize,
+        default: f64,
+        what: &str,
+        zero_ok: bool,
+    ) -> Result<f64, ResolveError<X>> {
+        let v = self.number(idx, default)?;
+        if v <= 1.0 && (v > 0.0 || (zero_ok && v == 0.0)) {
+            return Ok(v);
+        }
+        let open = if zero_ok { '[' } else { '(' };
+        Err(self.bad(format!("{what} must be in {open}0, 1], got {v}")))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,5 +807,166 @@ mod tests {
     fn names_fold_case_and_separators() {
         assert_eq!(normalize(" UGAL_L "), "ugal-l");
         assert_eq!(normalize("bit shuffle"), "bit-shuffle");
+    }
+
+    const FRUIT: Family = Family {
+        unknown: "fruit",
+        args: "fruit recipe",
+    };
+
+    fn fruit() -> Registry<str> {
+        let mut r = Registry::empty();
+        r.insert("Blood_Orange", Arc::from("orange"));
+        r.insert("lime", Arc::from("lime"));
+        r.alias("Sanguinello", "blood orange");
+        r
+    }
+
+    #[test]
+    fn registry_lookup_normalizes_spelling_and_follows_aliases() {
+        let r = fruit();
+        for spelling in [
+            "blood-orange",
+            " Blood Orange ",
+            "BLOOD_ORANGE",
+            "sanguinello",
+        ] {
+            assert_eq!(&*r.get(spelling).unwrap(), "orange", "{spelling}");
+            assert!(r.contains(spelling), "{spelling}");
+        }
+        assert!(r.get("lemon").is_none() && !r.contains("lemon"));
+        // Primaries only, sorted.
+        assert_eq!(r.names(), vec!["blood-orange", "lime"]);
+    }
+
+    #[test]
+    fn registry_aliases_are_redirects_not_snapshots() {
+        let mut r = fruit();
+        // Replacing the target retargets its alias.
+        r.insert("blood orange", Arc::from("tarocco"));
+        assert_eq!(&*r.get("sanguinello").unwrap(), "tarocco");
+        // An alias of an alias points at the primary: no chain to walk, and
+        // shadowing the middle name leaves the outer alias where it was.
+        r.alias("moro", "sanguinello");
+        r.insert("sanguinello", Arc::from("its own entry"));
+        assert_eq!(&*r.get("moro").unwrap(), "tarocco");
+        // A primary registration shadows the alias of the same name, and is
+        // listed.
+        assert_eq!(&*r.get("Sanguinello").unwrap(), "its own entry");
+        assert_eq!(r.names(), vec!["blood-orange", "lime", "sanguinello"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "alias target \"lemon\" is not registered")]
+    fn registry_alias_needs_a_registered_target() {
+        fruit().alias("citron", "lemon");
+    }
+
+    #[test]
+    fn unknown_lookups_list_the_registered_names() {
+        let err: ResolveError = fruit().lookup(&FRUIT, " Le_Mon ").unwrap_err();
+        assert_eq!(
+            err,
+            ResolveError::Unknown {
+                family: "fruit",
+                name: "le-mon".to_string(),
+                registered: vec!["blood-orange".to_string(), "lime".to_string()],
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "unknown fruit \"le-mon\"; registered: blood-orange, lime"
+        );
+    }
+
+    #[test]
+    fn global_registry_survives_a_panicking_writer() {
+        static FRUITS: Global<str> = Global::new(fruit);
+        let panicked = std::panic::catch_unwind(|| FRUITS.write().alias("citron", "lemon"));
+        assert!(panicked.is_err());
+        // The lock is poisoned; the registry is intact and stays usable.
+        assert_eq!(&*FRUITS.read().get("sanguinello").unwrap(), "orange");
+        FRUITS.write().insert("lemon", Arc::from("lemon"));
+        assert_eq!(FRUITS.read().names(), vec!["blood-orange", "lemon", "lime"]);
+    }
+
+    #[test]
+    fn arg_reader_checks_counts_and_ranges() {
+        let reason = |r: Result<f64, ResolveError>| match r.unwrap_err() {
+            ResolveError::BadArgs {
+                family: "fruit recipe",
+                name,
+                reason,
+            } if name == "jam" => reason,
+            other => panic!("{other:?}"),
+        };
+        let unit = |r: Result<(), ResolveError>| reason(r.map(|()| 0.0));
+        let nums = [3.0, 0.5, 0.0, -2.0, 2.5];
+        let args = FRUIT.args("jam", &nums);
+        assert_eq!(unit(args.no_args()), "takes no arguments, got 5");
+        assert_eq!(
+            unit(args.exactly_n_args(2)),
+            "takes exactly 2 argument(s), got 5"
+        );
+        assert_eq!(
+            unit(args.max_args(4, "4 jars (sealed)")),
+            "takes at most 4 jars (sealed), got 5"
+        );
+        assert!(
+            args.exactly_n_args::<Infallible>(5).is_ok()
+                && args.max_args::<Infallible>(5, "").is_ok()
+        );
+        assert!(FRUIT
+            .args("jam", &[] as &[f64])
+            .no_args::<Infallible>()
+            .is_ok());
+
+        assert_eq!(args.number::<Infallible>(0, 9.0), Ok(3.0));
+        assert_eq!(args.number::<Infallible>(7, 9.0), Ok(9.0));
+        assert_eq!(args.positive_int::<Infallible>(0, "jars"), Ok(Some(3)));
+        assert_eq!(args.positive_int::<Infallible>(7, "jars"), Ok(None));
+        for idx in [1, 2, 3, 4] {
+            let got = reason(args.positive_int(idx, "jars").map(|_| 0.0));
+            assert_eq!(
+                got,
+                format!("jars must be a positive integer, got {}", nums[idx])
+            );
+        }
+        assert_eq!(
+            args.fraction::<Infallible>(1, f64::NAN, "sugar", false),
+            Ok(0.5)
+        );
+        assert_eq!(
+            args.fraction::<Infallible>(2, f64::NAN, "sugar", true),
+            Ok(0.0)
+        );
+        assert_eq!(args.fraction::<Infallible>(7, 1.0, "sugar", false), Ok(1.0));
+        assert_eq!(
+            reason(args.fraction(2, f64::NAN, "sugar", false)),
+            "sugar must be in (0, 1], got 0"
+        );
+        assert_eq!(
+            reason(args.fraction(0, f64::NAN, "sugar", true)),
+            "sugar must be in [0, 1], got 3"
+        );
+        // A NaN default makes the argument required.
+        assert_eq!(
+            reason(args.fraction(7, f64::NAN, "sugar", false)),
+            "sugar must be in (0, 1], got NaN"
+        );
+
+        // Parsed arguments: a nested spec or a unit-suffixed number is not a
+        // number.
+        let call = parse_call("jam(2, pectin, 5us)").unwrap();
+        let args = FRUIT.args("jam", &call.args);
+        assert_eq!(args.number::<Infallible>(0, 0.0), Ok(2.0));
+        for idx in [1, 2] {
+            let got = reason(args.number(idx, 0.0));
+            assert_eq!(got, format!("argument {} is not a number", idx + 1));
+        }
+        assert_eq!(
+            args.bad::<Infallible>("too sweet").to_string(),
+            "invalid arguments for fruit recipe \"jam\": too sweet"
+        );
     }
 }

@@ -11,7 +11,8 @@ use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 use spectralfly_graph::paths::UNREACHABLE_U16;
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultError, FaultPlan, Message, RouterRegistry, SimConfig, SimNetwork, Simulator, Workload,
+    FaultError, FaultPlan, Infeasible, Message, RouterRegistry, SimConfig, SimError, SimNetwork,
+    Simulator, Workload,
 };
 
 /// A connected random graph: ring spine plus seeded chords.
@@ -115,7 +116,7 @@ proptest! {
                         "{routing}: rejected a fully connected workload: {e}"
                     );
                     prop_assert!(
-                        matches!(e, spectralfly_simnet::SimError::Fault(FaultError::Disconnected { .. })),
+                        matches!(e, SimError::Fault(FaultError::Other(Infeasible::Disconnected { .. }))),
                         "{routing}: wrong error class: {e}"
                     );
                 }
@@ -145,9 +146,9 @@ proptest! {
             let err = Simulator::new(&net, &cfg).try_run(&wl).unwrap_err();
             prop_assert_eq!(
                 err,
-                spectralfly_simnet::SimError::Fault(
-                    FaultError::RouterDown { endpoint: victim as usize, router: victim }
-                ),
+                SimError::Fault(FaultError::Other(
+                    Infeasible::RouterDown { endpoint: victim as usize, router: victim }
+                )),
                 "{}", &routing
             );
         }

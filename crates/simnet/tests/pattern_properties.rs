@@ -15,7 +15,7 @@ fn every_builtin_stays_in_range_on_assorted_endpoint_counts() {
     for n in [1usize, 2, 3, 7, 16, 50, 64, 97, 200] {
         let ctx = PatternCtx::new(n).with_group_endpoints((n / 4).max(1));
         for name in registry.names() {
-            let p = registry.create(&name, &ctx).unwrap_or_else(|e| {
+            let p = pattern::create(&name, &ctx).unwrap_or_else(|e| {
                 panic!("building {name} over {n} endpoints: {e}");
             });
             let mut rng = StdRng::seed_from_u64(0xA11CE);
@@ -38,7 +38,7 @@ fn claimed_permutations_are_bijections() {
     for n in [2usize, 8, 10, 64, 128, 177] {
         let ctx = PatternCtx::new(n).with_group_endpoints((n / 3).max(1));
         for name in registry.names() {
-            let p = registry.create(&name, &ctx).unwrap();
+            let p = pattern::create(&name, &ctx).unwrap();
             if !p.is_permutation() {
                 continue;
             }
@@ -79,7 +79,9 @@ fn unknown_and_malformed_specs_are_reported_not_panicked() {
         .map(|p| p.name().to_string())
         .unwrap_err();
     match &err {
-        PatternError::Unknown { name, registered } => {
+        PatternError::Unknown {
+            name, registered, ..
+        } => {
             assert_eq!(name, "wormhole-9000");
             assert!(registered.contains(&"adversarial".to_string()));
             assert!(registered.contains(&"tornado".to_string()));
@@ -93,6 +95,28 @@ fn unknown_and_malformed_specs_are_reported_not_panicked() {
     ));
     assert!(!pattern::is_registered("wormhole-9000"));
     assert!(pattern::is_registered("hotspot(8, 0.2)"));
+}
+
+/// A factory that panics leaves the global registries usable: registering it
+/// runs nothing (the routing registry used to call it under its write lock,
+/// poisoning every later lookup), and a `create` that dies inside it leaves
+/// later lookups and registrations working.
+#[test]
+fn a_panicking_factory_leaves_the_registries_usable() {
+    use spectralfly_simnet::routing;
+    use std::panic::catch_unwind;
+    routing::register("boom", || panic!("factory exploded"));
+    assert!(catch_unwind(|| routing::create("boom").map(drop)).is_err());
+    assert_eq!(routing::create("ugal").unwrap().name(), "ugal-l");
+    assert!(routing::is_registered(" Boom ") && !routing::is_registered("bang"));
+    assert!(routing::registered_names().contains(&"boom".to_string()));
+
+    pattern::register("boom", |_, _| panic!("factory exploded"));
+    let ctx = PatternCtx::new(16);
+    assert!(catch_unwind(|| pattern::create("boom", &ctx).map(drop)).is_err());
+    assert_eq!(pattern::create("uniform", &ctx).unwrap().name(), "random");
+    pattern::register("late", |_, _| panic!("never instantiated"));
+    assert!(pattern::is_registered("late") && pattern::is_registered("boom"));
 }
 
 proptest! {
@@ -110,7 +134,7 @@ proptest! {
         let registry = PatternRegistry::with_builtins();
         let ctx = PatternCtx::new(n).with_group_endpoints(group);
         for name in registry.names() {
-            let p = registry.create(&name, &ctx).unwrap();
+            let p = pattern::create(&name, &ctx).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut image_ok = vec![false; n];
             for src in 0..n {
@@ -140,7 +164,7 @@ proptest! {
         let registry = PatternRegistry::with_builtins();
         let ctx = PatternCtx::new(n);
         for name in registry.names() {
-            let p = registry.create(&name, &ctx).unwrap();
+            let p = pattern::create(&name, &ctx).unwrap();
             let wl = p.workload(msgs, 256, seed);
             prop_assert!(wl.num_messages() <= n * msgs, "{}", &name);
             for m in &wl.phases[0].messages {

@@ -49,7 +49,8 @@ impl LpsGraph {
                 "LPS requires p != q".to_string(),
             ));
         }
-        if (q * q) <= 4 * p {
+        // Widened: `p` and `q` are unvetted here, and `4p` or `q²` may not fit.
+        if u128::from(q) * u128::from(q) <= 4 * u128::from(p) {
             return Err(TopologyError::InvalidParameter(format!(
                 "LPS requires q > 2*sqrt(p) (got p={p}, q={q})"
             )));
@@ -141,9 +142,23 @@ impl LpsGraph {
     }
 
     /// Closed-form number of vertices: `(3 - (p/q)) (q³ - q) / 4`.
+    ///
+    /// # Panics
+    /// If `q³` overflows `u64` (see [`LpsGraph::checked_expected_vertices`]).
     pub fn expected_vertices(p: u64, q: u64) -> u64 {
-        let ls = legendre(p, q) as i64;
-        ((3 - ls) as u64) * (q * q * q - q) / 4
+        Self::checked_expected_vertices(p, q)
+            .unwrap_or_else(|| panic!("the vertex count of LPS({p}, {q}) overflows u64"))
+    }
+
+    /// [`LpsGraph::expected_vertices`] for parameters nobody has vetted yet —
+    /// the order of `PSL₂(F_q)` when `p` is a residue mod `q`, of `PGL₂(F_q)`
+    /// otherwise — or `None` when `q³` overflows `u64`. Total, so a size guard
+    /// can ask before anything is built: a `q` that is no odd prime (no LPS
+    /// graph at all) counts as the `PGL` case.
+    pub fn checked_expected_vertices(p: u64, q: u64) -> Option<u64> {
+        let pgl = q.checked_pow(3)?.checked_sub(q)?;
+        let psl = q > 2 && is_prime(q) && legendre(p, q) == 1;
+        Some(if psl { pgl / 2 } else { pgl })
     }
 
     /// The theoretical Ramanujan bound `2√(k-1) = 2√p` on the nontrivial spectral radius.
@@ -224,6 +239,18 @@ mod tests {
         assert!(LpsGraph::new(7, 7).is_err()); // p == q
         assert!(LpsGraph::new(23, 5).is_err()); // q <= 2 sqrt(p)
         assert!(LpsGraph::new(2, 7).is_err()); // p even
+                                               // 4p wraps u64: still "q <= 2 sqrt(p)", not an overflow panic.
+        assert!(LpsGraph::new(18446744073709551557, 7).is_err());
+    }
+
+    #[test]
+    fn checked_expected_vertices_is_total() {
+        assert_eq!(LpsGraph::checked_expected_vertices(11, 7), Some(168));
+        assert_eq!(LpsGraph::checked_expected_vertices(3, 7), Some(336));
+        // No odd prime q: no LPS graph, counted as PGL rather than panicking.
+        assert_eq!(LpsGraph::checked_expected_vertices(4, 6), Some(210));
+        assert_eq!(LpsGraph::checked_expected_vertices(3, 0), Some(0));
+        assert_eq!(LpsGraph::checked_expected_vertices(3000017, 3000029), None);
     }
 
     #[test]

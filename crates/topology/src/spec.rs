@@ -61,12 +61,23 @@ pub enum TopologySpec {
 
 impl TopologySpec {
     /// Closed-form number of routers.
+    ///
+    /// # Panics
+    /// If the count overflows `u64` (see [`TopologySpec::checked_num_routers`]).
     pub fn num_routers(&self) -> u64 {
+        self.checked_num_routers()
+            .unwrap_or_else(|| panic!("the router count of {} overflows u64", self.name()))
+    }
+
+    /// [`TopologySpec::num_routers`] for parameters nobody has vetted yet:
+    /// `None` when the count overflows `u64`. Total — it never builds, loops
+    /// or panics — so it can bound a spec before [`TopologySpec::build`] runs.
+    pub fn checked_num_routers(&self) -> Option<u64> {
         match *self {
-            TopologySpec::Lps { p, q } => LpsGraph::expected_vertices(p, q),
-            TopologySpec::SlimFly { q } => 2 * q * q,
-            TopologySpec::BundleFly { p, s } => 2 * p * s * s,
-            TopologySpec::DragonFly { a } => a * (a + 1),
+            TopologySpec::Lps { p, q } => LpsGraph::checked_expected_vertices(p, q),
+            TopologySpec::SlimFly { q } => q.checked_mul(q)?.checked_mul(2),
+            TopologySpec::BundleFly { p, s } => s.checked_mul(s)?.checked_mul(p)?.checked_mul(2),
+            TopologySpec::DragonFly { a } => a.checked_mul(a.checked_add(1)?),
         }
     }
 
@@ -103,7 +114,7 @@ impl TopologySpec {
                     && q % 2 == 1
                     && is_prime(p)
                     && is_prime(q)
-                    && q * q > 4 * p
+                    && u128::from(q) * u128::from(q) > 4 * u128::from(p)
             }
             TopologySpec::SlimFly { q } => q >= 3 && prime_power(q).is_some(),
             TopologySpec::BundleFly { p, s } => {

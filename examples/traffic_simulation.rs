@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example traffic_simulation`
 
 use spectralfly_simnet::workload::random_placement;
-use spectralfly_simnet::{RoutingAlgorithm, SimConfig, SimNetwork, Simulator, Workload};
+use spectralfly_simnet::{SimConfig, SimNetwork, Simulator, Workload};
 use spectralfly_topology::{GeneralizedDragonFly, LpsGraph, Topology};
 
 fn main() {
@@ -25,8 +25,7 @@ fn main() {
         for load in [0.2, 0.5, 0.7] {
             let mut times = Vec::new();
             for net in [&spectralfly, &dragonfly] {
-                let mut cfg = SimConfig::default()
-                    .with_routing(RoutingAlgorithm::UgalL, net.diameter() as u32);
+                let mut cfg = SimConfig::default().with_routing("ugal-l", net.diameter() as u32);
                 cfg.seed = 7;
                 let placement = random_placement(ranks, net.num_endpoints(), 11);
                 let wl = Workload::synthetic(pattern, bits, 8, 4096, 3)

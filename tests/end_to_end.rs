@@ -11,7 +11,7 @@ use spectralfly_graph::spectral::spectral_summary;
 use spectralfly_layout::wiring::DEFAULT_ELECTRICAL_LIMIT_M;
 use spectralfly_layout::{classify_links, latency_profile, place_topology, PowerModel, QapConfig};
 use spectralfly_simnet::workload::random_placement;
-use spectralfly_simnet::{RoutingAlgorithm, SimConfig, SimNetwork, Simulator, Workload};
+use spectralfly_simnet::{SimConfig, SimNetwork, Simulator, Workload};
 use spectralfly_topology::spec::table1_size_classes;
 use spectralfly_topology::{GeneralizedDragonFly, LpsGraph, SlimFlyGraph, Topology};
 use spectralfly_workloads::{fft3d, halo3d_26, FftBalance, Grid3};
@@ -85,8 +85,7 @@ fn spectralfly_beats_dragonfly_on_congested_random_traffic() {
     let ranks = 1usize << bits;
     let mut times = Vec::new();
     for net in [&lps_net, &df_net] {
-        let mut cfg =
-            SimConfig::default().with_routing(RoutingAlgorithm::UgalL, net.diameter() as u32);
+        let mut cfg = SimConfig::default().with_routing("ugal-l", net.diameter() as u32);
         cfg.seed = 5;
         let placement = random_placement(ranks, net.num_endpoints(), 11);
         let wl = Workload::synthetic("random", bits, 8, 4096, 3)
@@ -188,11 +187,11 @@ fn valiant_paths_are_longer_but_still_deliver() {
         .place(&placement);
     let d = net.diameter() as u32;
     let min_res = {
-        let cfg = SimConfig::default().with_routing(RoutingAlgorithm::Minimal, d);
+        let cfg = SimConfig::default().with_routing("minimal", d);
         Simulator::new(&net, &cfg).run(&wl)
     };
     let val_res = {
-        let cfg = SimConfig::default().with_routing(RoutingAlgorithm::Valiant, d);
+        let cfg = SimConfig::default().with_routing("valiant", d);
         Simulator::new(&net, &cfg).run(&wl)
     };
     assert_eq!(min_res.delivered_packets, val_res.delivered_packets);
@@ -268,7 +267,7 @@ fn ugal_variants_deliver_identically_but_route_differently() {
         .place(&placement);
     let d = net.diameter() as u32;
     let mut results = Vec::new();
-    for routing in [RoutingAlgorithm::UgalL, RoutingAlgorithm::UgalG] {
+    for routing in ["ugal-l", "ugal-g"] {
         let cfg = SimConfig::default().with_routing(routing, d);
         let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.7);
         assert_eq!(
