@@ -5,25 +5,25 @@
 //! repro check <manifest.toml> [--baselines PATH] [--out DIR] [--filter S]
 //! ```
 //!
-//! `run` executes every experiment, perf scenario, and external figure the
-//! manifest declares, prints the digest summary and then one metric table per
-//! experiment section (with each point's figure of merit as a ratio to its
-//! `relative_to` sibling where the section names one), and writes a
-//! provenance-stamped JSON artifact to `--out` (default `artifacts/`). With
-//! `--record-baselines` it also (re)writes the manifest's golden baseline
-//! file — the explicit, reviewed act of accepting current behaviour as correct.
+//! `run` executes every experiment, structural table, perf scenario, and
+//! external figure the manifest declares, prints the digest summary and then
+//! one table per experiment and structure section (with each point's figure of
+//! merit as a ratio to its `relative_to` sibling where the section names one),
+//! and writes a provenance-stamped JSON artifact to `--out` (default
+//! `artifacts/`). With `--record-baselines` it also (re)writes the manifest's
+//! golden baseline file — the reviewed act of accepting current behaviour.
 //!
-//! `check` re-runs the manifest's native experiments and perf scenarios
-//! (externals are always skipped: they are reproduction output, not gated
-//! state) and diffs against the checked-in baselines. Any drift — a changed
-//! results digest, a lost or new point, a perf ratio below the manifest's
+//! `check` re-runs the manifest's native experiments, structural tables and
+//! perf scenarios (externals are always skipped: they are reproduction output,
+//! not gated state) and diffs against the checked-in baselines. Any drift — a
+//! changed results digest, a lost or new point, a perf ratio below the manifest's
 //! tolerance band, or baselines recorded for a different manifest — prints a
 //! typed diagnosis and exits nonzero. CI runs this on the smoke manifest.
 //!
 //! The default baseline path is `<manifest dir>/baselines/<manifest name>.toml`.
 
 use spectralfly_bench::Cli;
-use spectralfly_exp::{baseline, runner, Baselines, Manifest, RunOptions};
+use spectralfly_exp::{baseline, fnv64_str, runner, Baselines, Manifest, RunOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -61,11 +61,22 @@ fn print_report(report: &runner::RunReport, m: &Manifest) {
             ""
         }
     );
-    for p in &report.points {
+    // A closed-form scatter is thousands of one-multiplication rows, each in
+    // its table below: the section gets one line, its rows' digests combined.
+    let scatter = |name: &str| (m.structures.iter()).any(|s| s.name == name && s.is_closed_form());
+    for p in report.points.iter().filter(|p| !scatter(&p.experiment)) {
         println!(
             "  {:<60} {}  {:>6} ms  {}",
             p.id, p.digest, p.wall_ms, p.summary
         );
+    }
+    for s in m.structures.iter().filter(|s| s.is_closed_form()) {
+        let rows = report.points.iter().filter(|p| p.experiment == s.name);
+        let digests: Vec<&str> = rows.map(|p| p.digest.as_str()).collect();
+        let (combined, rows) = (fnv64_str(&digests.concat()), digests.len());
+        if rows > 0 {
+            println!("  {:<60} {combined:016x}  {rows} closed-form rows", s.name);
+        }
     }
     for p in &report.perf {
         println!(

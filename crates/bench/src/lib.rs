@@ -1,8 +1,8 @@
 //! # spectralfly-bench
 //!
 //! The command-line surface of the reproduction: `repro` (the manifest runner —
-//! every simulation figure and sweep is a section of `manifests/paper.toml`),
-//! the structural table / figure binaries, the two phased Ember figures,
+//! every simulation figure, sweep and structural table is a section of
+//! `manifests/paper.toml`), the layout and phased Ember figure binaries,
 //! `million_node`, and Criterion benches over the substrate kernels. This
 //! library holds what those binaries share: one strict flag parser, the Ember
 //! figure driver, the trajectory-row helpers and uniform table printing.

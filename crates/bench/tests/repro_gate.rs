@@ -235,7 +235,7 @@ fn malformed_values_exit_2_instead_of_falling_back_to_the_default() {
     for (bin, args) in [
         (env!("CARGO_BIN_EXE_fig11_latency"), ["--pairs", "x"]),
         (env!("CARGO_BIN_EXE_million_node"), ["--seed", "abc"]),
-        (env!("CARGO_BIN_EXE_table1"), ["--classes", "-1"]),
+        (env!("CARGO_BIN_EXE_table2_layout"), ["--pairs", "-1"]),
     ] {
         let out = Command::new(bin).args(args).output().unwrap();
         assert_usage_error(&out, &format!("{}: {:?}", args[0], args[1]));
@@ -247,7 +247,7 @@ fn externals_resolve_beside_the_running_binary_from_any_directory() {
     let scratch = Scratch::new("external");
     std::fs::write(
         scratch.manifest(),
-        "[manifest]\nname = \"gate-e2e\"\n[external.sizes]\nbin = \"fig4_sizes_per_radix\"\nargs = [\"--limit\", \"12\"]\n",
+        "[manifest]\nname = \"gate-e2e\"\n[external.latency]\nbin = \"fig11_latency\"\nargs = [\"--pairs\", \"1\", \"--anneal\", \"10\"]\n",
     )
     .unwrap();
     // From a directory with no `target/release` (and no workspace for the
@@ -259,11 +259,50 @@ fn externals_resolve_beside_the_running_binary_from_any_directory() {
         .unwrap();
     assert!(out.status.success(), "{}", stderr_of(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("external sizes"), "{stdout}");
+    assert!(stdout.contains("external latency"), "{stdout}");
     let artifact = std::fs::read_to_string(scratch.dir.join("artifacts/gate-e2e.json")).unwrap();
     assert!(artifact.contains("\"ok\":true"), "{artifact}");
     assert!(
-        artifact.contains("DragonFly 11 132"),
+        artifact.contains("Fig. 11: maximum end-to-end latency"),
         "captured the figure: {artifact}"
     );
+}
+
+/// A manifest of structural tables alone is a first-class citizen of the
+/// gate: recorded, stamped with its own seed, checked, and failed on drift.
+#[test]
+fn a_structure_only_manifest_records_and_checks_from_any_directory() {
+    let scratch = Scratch::new("structure");
+    std::fs::write(
+        scratch.manifest(),
+        "[manifest]\nname = \"gate-e2e\"\n[structure.shape]\ntopologies = [\"lps(3,5)\", \"ring(9)\"]\n\
+         metrics = [\"routers\", \"diameter\", \"mu1\", \"ramanujan\"]\nseed = 77\n",
+    )
+    .unwrap();
+    let repro_here = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(&scratch.dir)
+            .output()
+            .unwrap()
+    };
+    let out = repro_here(&["run", "gate-e2e.toml", "--record-baselines"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("== shape (structure) =="), "{stdout}");
+    assert!(stdout.contains("lps(3,5) | 120 | "), "{stdout}");
+    let artifact = std::fs::read_to_string(scratch.dir.join("artifacts/gate-e2e.json")).unwrap();
+    assert!(artifact.contains("\"seed\":77"), "{artifact}");
+    let out = repro_here(&["check", "gate-e2e.toml"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("check passed: 2 points"));
+
+    let mut b = load_baselines(&scratch);
+    assert_eq!(b.results[1].0, "shape/ring(9)");
+    b.results[1].1 = "0000000000000000".to_string();
+    store_baselines(&scratch, &b);
+    let out = repro_here(&["check", "gate-e2e.toml"]);
+    assert!(!out.status.success(), "a drifted structure row must fail");
+    let err = stderr_of(&out);
+    assert!(err.contains("results drift at shape/ring(9)"), "{err}");
 }

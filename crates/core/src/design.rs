@@ -41,38 +41,9 @@ impl DesignSpace {
         }
     }
 
-    /// All (radix, router-count) pairs in the space — the scatter of Fig. 4 (upper-left).
-    pub fn feasible_points(&self) -> Vec<(u64, u64)> {
-        self.specs
-            .iter()
-            .map(|s| (s.radix(), s.num_routers()))
-            .collect()
-    }
-
     /// The specs themselves.
     pub fn specs(&self) -> &[TopologySpec] {
         &self.specs
-    }
-
-    /// The distinct feasible radixes, sorted.
-    pub fn radixes(&self) -> Vec<u64> {
-        let mut r: Vec<u64> = self.specs.iter().map(|s| s.radix()).collect();
-        r.sort_unstable();
-        r.dedup();
-        r
-    }
-
-    /// Feasible router counts for a fixed radix, sorted (Fig. 4 lower-left, LPS series).
-    pub fn sizes_for_radix(&self, radix: u64) -> Vec<u64> {
-        let mut sizes: Vec<u64> = self
-            .specs
-            .iter()
-            .filter(|s| s.radix() == radix)
-            .map(|s| s.num_routers())
-            .collect();
-        sizes.sort_unstable();
-        sizes.dedup();
-        sizes
     }
 
     /// Pick the deployment that serves at least `min_endpoints` endpoints on routers with
@@ -154,28 +125,6 @@ pub fn realize(point: &DesignPoint) -> Result<LpsGraph, spectralfly_topology::sp
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn feasible_space_is_dense_in_radix() {
-        // Fig. 4: the LPS design space has many radix values below 100.
-        let ds = DesignSpace::new(100);
-        let radixes = ds.radixes();
-        assert!(radixes.len() >= 20, "only {} radixes", radixes.len());
-        assert!(radixes.contains(&4)); // p = 3
-        assert!(radixes.contains(&24)); // p = 23
-    }
-
-    #[test]
-    fn arbitrarily_many_sizes_per_radix() {
-        // The paper: "LPS graphs afford users the ability to generate arbitrarily large
-        // graphs for a given radix". With p = 3 every admissible q gives a new size.
-        let ds = DesignSpace::new(120);
-        let sizes = ds.sizes_for_radix(4);
-        assert!(sizes.len() >= 10);
-        let mut sorted = sizes.clone();
-        sorted.sort_unstable();
-        assert_eq!(sizes, sorted);
-    }
 
     #[test]
     fn paper_simulation_sizing() {

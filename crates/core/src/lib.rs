@@ -9,10 +9,6 @@
 //! * [`design`] — design-space exploration: enumerate feasible (radix, size) combinations
 //!   (Fig. 4), and search for the instance closest to a target port count / endpoint count
 //!   (how the paper arrives at LPS(23, 13) with concentration 8 for ~8.7K endpoints).
-//! * [`profile`] — one-call structural profiling (Table I columns plus the bisection
-//!   bracket and Ramanujan certification) and side-by-side topology comparisons.
-//! * [`routing`] — distance matrices and minimal next-hop queries shared by the
-//!   analysis code and the packet-level simulator.
 //!
 //! ```
 //! use spectralfly::network::SpectralFlyNetwork;
@@ -29,10 +25,6 @@
 
 pub mod design;
 pub mod network;
-pub mod profile;
-pub mod routing;
 
 pub use design::{DesignPoint, DesignSpace};
 pub use network::SpectralFlyNetwork;
-pub use profile::{profile_graph, StructuralProfile};
-pub use routing::DistanceMatrix;

@@ -6,7 +6,7 @@
 //! simulation instance is `LPS(23, 13)` with `c = 8`: 1092 routers × 8 ≈ 8.7K endpoints on
 //! 32-port routers.
 
-use crate::routing::DistanceMatrix;
+use spectralfly_graph::paths::DistanceMatrix;
 use spectralfly_graph::CsrGraph;
 use spectralfly_topology::lps::LpsGraph;
 use spectralfly_topology::spec::TopologyError;

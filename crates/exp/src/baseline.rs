@@ -28,7 +28,7 @@
 
 use crate::manifest::Manifest;
 use crate::runner::RunReport;
-use crate::toml::{self, render_float, render_str, Value};
+use crate::toml::{self, render_float, render_key, render_str, Value};
 
 /// Why a fresh run failed the gate.
 #[derive(Clone, Debug, PartialEq)]
@@ -212,23 +212,11 @@ impl Baselines {
         for (name, ratio) in &self.perf {
             out.push_str(&format!(
                 "\n[perf.{}]\nratio = {}\n",
-                quote_if_needed(name),
+                render_key(name),
                 render_float(*ratio)
             ));
         }
         out
-    }
-}
-
-fn quote_if_needed(name: &str) -> String {
-    if !name.is_empty()
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-    {
-        name.to_string()
-    } else {
-        render_str(name)
     }
 }
 
@@ -371,6 +359,7 @@ tolerance = 0.2
                 digest: "00112233445566aa".into(),
                 summary: "delivered=36".into(),
                 metrics: None,
+                values: Vec::new(),
                 relative: None,
                 wall_ms: 1,
             }],

@@ -172,6 +172,19 @@ pub fn digest_outcome(outcome: &Result<SimResults, SimError>) -> String {
     }
 }
 
+/// Digest one structural row: each column's name, then whether its value is
+/// defined and the value's bit pattern — an undefined value is a mark of its
+/// own, never the bits of some NaN.
+pub fn digest_row<'a>(cells: impl IntoIterator<Item = (&'a str, Option<f64>)>) -> String {
+    let mut h = Fnv64::new();
+    for (name, value) in cells {
+        h.write(name.as_bytes());
+        h.write_u64(value.is_some() as u64);
+        h.write_f64(value.unwrap_or(0.0));
+    }
+    format!("{:016x}", h.finish())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,9 +3,10 @@
 //! The reproduction harness: manifest-driven experiment sweeps with
 //! provenance stamps, golden baselines, and regression gates.
 //!
-//! Every simulation figure and sweep of the reproduction is a section of *one
-//! declarative object* (only the structural tables and the phased Ember
-//! motifs remain binaries of their own). A TOML manifest ([`Manifest`]) declares sweeps as the
+//! Every simulation figure, sweep and structural table of the reproduction is
+//! a section of *one declarative object* (only the layout figures and the
+//! phased Ember motifs remain binaries of their own). A TOML manifest
+//! ([`Manifest`]) declares structural tables ([`Structure`]) and sweeps: the
 //! cross product of the suite's five string-keyed axes — topology specs
 //! ([`topo::TopoSpec`]), routing registry names, traffic-pattern specs,
 //! fault plans / fault scripts, and oracle policies — plus shards, seeds,
@@ -36,8 +37,10 @@ pub mod toml;
 pub mod topo;
 
 pub use baseline::{compare, Baselines, Comparison, Diagnosis};
-pub use digest::{digest_outcome, digest_results, fnv64_str, Fnv64};
-pub use manifest::{Experiment, ExternalFigure, Manifest, ManifestError, Mode, PerfScenario};
+pub use digest::{digest_outcome, digest_results, digest_row, fnv64_str, Fnv64};
+pub use manifest::{
+    Experiment, ExternalFigure, Manifest, ManifestError, Mode, PerfScenario, Structure,
+};
 pub use provenance::{json_str, Provenance};
 pub use runner::{
     expand, render_table, run_manifest, Metrics, PointResult, RunError, RunOptions, RunReport,

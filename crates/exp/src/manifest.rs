@@ -1,7 +1,7 @@
 //! The experiment manifest: a declarative description of a reproduction sweep.
 //!
 //! A manifest is a TOML document (see [`crate::toml`] for the accepted subset)
-//! with one `[manifest]` header table and three kinds of sections:
+//! with one `[manifest]` header table and four kinds of sections:
 //!
 //! * `[experiment.NAME]` — a **sweep**: the cross product of the declared axes
 //!   (topology × routing × pattern × faults / fault-script × oracle × shards ×
@@ -14,12 +14,17 @@
 //!   [`spectralfly_simnet::OraclePolicy`], topology specs against
 //!   [`crate::topo`] — so a typo fails with the offending field named, before
 //!   any simulation starts.
+//! * `[structure.NAME]` — a **structural table**: a row set (topologies listed
+//!   outright, or a family enumerated up to a limit) × columns chosen from
+//!   [`Column::ALL`], optionally crossed with random link-failure proportions
+//!   (Table I, Figs. 4 and 5). Nothing is simulated; each row is digested and
+//!   gated exactly like an experiment point.
 //! * `[perf.NAME]` — a **performance scenario**: a single timed simulation
 //!   measured in interleaved rounds against a pinned calibration workload
 //!   (see [`crate::runner`]), gated by a tolerance band declared here.
-//! * `[external.NAME]` — an **external figure binary** (the structural /
-//!   layout figures that are not simulation sweeps): the runner executes it
-//!   and captures its output into the stamped artifact.
+//! * `[external.NAME]` — an **external figure binary** (the layout and Ember
+//!   figures, `million_node`): the runner executes it and captures its output
+//!   into the stamped artifact.
 //!
 //! [`Manifest::to_toml`] renders the canonical form; parsing it back yields an
 //! equal manifest (property-tested), and [`Manifest::config_hash`] — the FNV-64
@@ -27,10 +32,13 @@
 //! artifact and baseline.
 
 use crate::digest::fnv64_str;
-use crate::toml::{self, render_str, Document, Table, TomlError, Value};
-use crate::topo::TopoSpec;
+use crate::toml::{self, is_bare_key, render_key, render_str, Document, Table, TomlError, Value};
+use crate::topo::{Size, TopoSpec};
+use spectralfly_graph::failures::FailureMetric;
+use spectralfly_graph::Column;
 use spectralfly_simnet::fault::{FaultPlan, FaultScript};
 use spectralfly_simnet::{pattern, routing, OraclePolicy};
+use std::collections::HashSet;
 
 /// Errors from parsing or validating a manifest.
 #[derive(Clone, Debug, PartialEq)]
@@ -193,6 +201,62 @@ impl Experiment {
     }
 }
 
+/// One `[structure.NAME]` table: a row set × a closed metric list.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Structure {
+    /// Section name.
+    pub name: String,
+    /// Rows listed outright ([`TopoSpec::graph_name`] spellings) — or empty,
+    /// the rows being enumerated.
+    pub topologies: Vec<String>,
+    /// Rows enumerated: [`TopoSpec::enumerate`] specs such as `lps(300)`.
+    pub enumerate: Vec<String>,
+    /// Drop enumerated rows with more routers than this.
+    pub max_routers: Option<u64>,
+    /// The columns. `routers` / `radix` alone never build an enumerated row.
+    pub metrics: Vec<Column>,
+    /// Proportions of links failed uniformly at random. Non-empty makes a row
+    /// per topology × proportion, each metric (`diameter`, `mean-distance`,
+    /// `bisection-upper` only) its `graph::failures::failure_point` mean.
+    pub link_failures: Vec<f64>,
+    /// Seed of the Lanczos start vector, the partitioner and the failure draws.
+    pub seed: u64,
+}
+
+/// The failure sweep behind `column`, for the three columns that have one.
+pub(crate) fn failure_metric(column: Column) -> Option<FailureMetric> {
+    match column {
+        Column::Diameter => Some(FailureMetric::Diameter),
+        Column::MeanDistance => Some(FailureMetric::MeanDistance),
+        Column::BisectionUpper => Some(FailureMetric::BisectionBandwidth),
+        _ => None,
+    }
+}
+
+impl Structure {
+    /// Whether every value is a closed form (an enumerated row is then never built).
+    pub fn is_closed_form(&self) -> bool {
+        let closed = |c: &Column| matches!(c, Column::Routers | Column::Radix);
+        self.link_failures.is_empty() && self.metrics.iter().all(closed)
+    }
+
+    /// The rows, in order: listed topologies, or enumerated members within
+    /// `max_routers` — those with their closed-form `(routers, radix)`.
+    pub fn rows(&self) -> Result<Vec<(TopoSpec, Option<Size>)>, String> {
+        let mut rows = Vec::new();
+        for spec in &self.topologies {
+            rows.push((TopoSpec::parse(spec)?, None));
+        }
+        let cap = self.max_routers.unwrap_or(u64::MAX);
+        for spec in &self.enumerate {
+            let members = TopoSpec::enumerate(spec)?.into_iter();
+            let within = members.filter(|(_, (routers, _))| *routers <= cap);
+            rows.extend(within.map(|(m, size)| (m, Some(size))));
+        }
+        Ok(rows)
+    }
+}
+
 /// One `[perf.NAME]` performance scenario.
 ///
 /// The gated quantity is the **calibration ratio**: the scenario's
@@ -245,6 +309,8 @@ pub struct Manifest {
     pub description: String,
     /// Experiments in source order.
     pub experiments: Vec<Experiment>,
+    /// Structural tables in source order.
+    pub structures: Vec<Structure>,
     /// Performance scenarios in source order.
     pub perf: Vec<PerfScenario>,
     /// External figure binaries in source order.
@@ -302,89 +368,50 @@ fn get_f64(t: &Table, field: &str, default: f64) -> Result<f64, ManifestError> {
     }
 }
 
-fn get_str_list(t: &Table, field: &str) -> Result<Option<Vec<String>>, ManifestError> {
+/// The array under `field`, each item read by `item`; `what` names the items
+/// in the error a non-array, or the first item `item` refuses, gets.
+fn get_list<T>(
+    t: &Table,
+    field: &str,
+    what: &str,
+    item: impl Fn(&Value) -> Option<T>,
+) -> Result<Option<Vec<T>>, ManifestError> {
+    let expected = |got: String| {
+        let reason = format!("expected an array of {what}, got {got}");
+        field_err(&t.path_str(), field, reason)
+    };
     match t.get(field) {
         None => Ok(None),
-        Some(Value::Array(items)) => {
-            let mut out = Vec::with_capacity(items.len());
-            for v in items {
-                match v {
-                    Value::Str(s) => out.push(s.clone()),
-                    other => {
-                        return Err(field_err(
-                            &t.path_str(),
-                            field,
-                            format!("expected an array of strings, got a {}", other.type_name()),
-                        ))
-                    }
-                }
-            }
-            Ok(Some(out))
-        }
-        Some(v) => Err(field_err(
-            &t.path_str(),
-            field,
-            format!("expected an array of strings, got {}", v.type_name()),
-        )),
+        Some(Value::Array(items)) => (items.iter())
+            .map(|v| {
+                item(v).ok_or_else(|| expected(format!("a {} ({})", v.type_name(), v.render())))
+            })
+            .collect::<Result<_, _>>()
+            .map(Some),
+        Some(v) => Err(expected(v.type_name().to_string())),
     }
+}
+
+fn get_str_list(t: &Table, field: &str) -> Result<Option<Vec<String>>, ManifestError> {
+    get_list(t, field, "strings", |v| match v {
+        Value::Str(s) => Some(s.clone()),
+        _ => None,
+    })
 }
 
 fn get_u64_list(t: &Table, field: &str) -> Result<Option<Vec<u64>>, ManifestError> {
-    match t.get(field) {
-        None => Ok(None),
-        Some(Value::Array(items)) => {
-            let mut out = Vec::with_capacity(items.len());
-            for v in items {
-                match v {
-                    Value::Int(i) if *i >= 0 => out.push(*i as u64),
-                    other => {
-                        return Err(field_err(
-                            &t.path_str(),
-                            field,
-                            format!(
-                                "expected an array of non-negative integers, got {}",
-                                other.render()
-                            ),
-                        ))
-                    }
-                }
-            }
-            Ok(Some(out))
-        }
-        Some(v) => Err(field_err(
-            &t.path_str(),
-            field,
-            format!("expected an array of integers, got {}", v.type_name()),
-        )),
-    }
+    get_list(t, field, "non-negative integers", |v| match v {
+        Value::Int(i) => u64::try_from(*i).ok(),
+        _ => None,
+    })
 }
 
 fn get_f64_list(t: &Table, field: &str) -> Result<Option<Vec<f64>>, ManifestError> {
-    match t.get(field) {
-        None => Ok(None),
-        Some(Value::Array(items)) => {
-            let mut out = Vec::with_capacity(items.len());
-            for v in items {
-                match v {
-                    Value::Float(f) => out.push(*f),
-                    Value::Int(i) => out.push(*i as f64),
-                    other => {
-                        return Err(field_err(
-                            &t.path_str(),
-                            field,
-                            format!("expected an array of numbers, got a {}", other.type_name()),
-                        ))
-                    }
-                }
-            }
-            Ok(Some(out))
-        }
-        Some(v) => Err(field_err(
-            &t.path_str(),
-            field,
-            format!("expected an array of numbers, got {}", v.type_name()),
-        )),
-    }
+    get_list(t, field, "numbers", |v| match v {
+        Value::Float(f) => Some(*f),
+        Value::Int(i) => Some(*i as f64),
+        _ => None,
+    })
 }
 
 // ---- parsing ----------------------------------------------------------------
@@ -401,11 +428,7 @@ impl Manifest {
             .table("manifest")
             .ok_or_else(|| field_err("manifest", "name", "missing [manifest] table"))?;
         let name = req_str(header, "name")?;
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-        {
+        if !is_bare_key(&name) {
             return Err(field_err(
                 "manifest",
                 "name",
@@ -414,44 +437,50 @@ impl Manifest {
         }
         let description = get_str(header, "description")?.unwrap_or_default();
 
-        let mut experiments = Vec::new();
-        for t in doc.tables_under("experiment") {
-            experiments.push(Experiment::from_table(t)?);
+        fn sections<S>(
+            doc: &Document,
+            kind: &str,
+            from_table: impl Fn(&Table) -> Result<S, ManifestError>,
+        ) -> Result<Vec<S>, ManifestError> {
+            doc.tables_under(kind).into_iter().map(from_table).collect()
         }
-        let mut perf = Vec::new();
-        for t in doc.tables_under("perf") {
-            perf.push(PerfScenario::from_table(t)?);
-        }
-        let mut external = Vec::new();
-        for t in doc.tables_under("external") {
-            external.push(ExternalFigure::from_table(t)?);
+        let experiments = sections(doc, "experiment", Experiment::from_table)?;
+        let structures = sections(doc, "structure", Structure::from_table)?;
+        let perf = sections(doc, "perf", PerfScenario::from_table)?;
+        let external = sections(doc, "external", ExternalFigure::from_table)?;
+        if let Some(s) = (structures.iter()).find(|s| experiments.iter().any(|e| e.name == s.name))
+        {
+            let reason = "an [experiment.*] section has this name; ids and tables go by it";
+            return Err(field_err(&format!("structure.{}", s.name), "", reason));
         }
         for t in &doc.tables {
             let known = t.path.is_empty() && t.entries.is_empty()
                 || t.path_str() == "manifest"
                 || matches!(
                     t.path.first().map(String::as_str),
-                    Some("experiment" | "perf" | "external")
+                    Some("experiment" | "structure" | "perf" | "external")
                 ) && t.path.len() == 2;
             if !known {
                 return Err(field_err(
                     &t.path_str(),
                     "",
-                    "unknown section; expected [manifest], [experiment.*], [perf.*], or [external.*]",
+                    "unknown section; expected [manifest], [experiment.*], [structure.*], [perf.*], or [external.*]",
                 ));
             }
         }
-        if experiments.is_empty() && perf.is_empty() && external.is_empty() {
+        if experiments.is_empty() && structures.is_empty() && perf.is_empty() && external.is_empty()
+        {
             return Err(field_err(
                 "manifest",
                 "name",
-                "manifest declares no experiments, perf scenarios, or external figures",
+                "manifest declares no experiments, structural tables, perf scenarios, or external figures",
             ));
         }
         Ok(Manifest {
             name,
             description,
             experiments,
+            structures,
             perf,
             external,
         })
@@ -466,17 +495,13 @@ impl Manifest {
             "description = {}\n",
             render_str(&self.description)
         ));
-        for e in &self.experiments {
+        let sections = (self.experiments.iter().map(Experiment::to_toml))
+            .chain(self.structures.iter().map(Structure::to_toml))
+            .chain(self.perf.iter().map(PerfScenario::to_toml))
+            .chain(self.external.iter().map(ExternalFigure::to_toml));
+        for section in sections {
             out.push('\n');
-            out.push_str(&e.to_toml());
-        }
-        for p in &self.perf {
-            out.push('\n');
-            out.push_str(&p.to_toml());
-        }
-        for x in &self.external {
-            out.push('\n');
-            out.push_str(&x.to_toml());
+            out.push_str(&section);
         }
         out
     }
@@ -487,6 +512,22 @@ impl Manifest {
     /// configuration.
     pub fn config_hash(&self) -> String {
         format!("{:016x}", fnv64_str(&self.to_toml()))
+    }
+}
+
+/// Refuse a key the section kind does not define, naming it.
+fn check_keys(t: &Table, allowed: &[&str]) -> Result<(), ManifestError> {
+    match t
+        .entries
+        .iter()
+        .find(|e| !allowed.contains(&e.key.as_str()))
+    {
+        None => Ok(()),
+        Some(e) => Err(field_err(
+            &t.path_str(),
+            &e.key,
+            format!("unknown field; known fields: {}", allowed.join(", ")),
+        )),
     }
 }
 
@@ -503,35 +544,29 @@ impl Experiment {
     fn from_table(t: &Table) -> Result<Experiment, ManifestError> {
         let section = t.path_str();
         let name = section_name(t);
-        let allowed = [
-            "topologies",
-            "routings",
-            "patterns",
-            "jobs",
-            "faults",
-            "fault_scripts",
-            "oracles",
-            "shards",
-            "seeds",
-            "loads",
-            "mode",
-            "messages",
-            "bytes",
-            "warmup_ns",
-            "measure_ns",
-            "fault_seed",
-            "ranks",
-            "relative_to",
-        ];
-        for e in &t.entries {
-            if !allowed.contains(&e.key.as_str()) {
-                return Err(field_err(
-                    &section,
-                    &e.key,
-                    format!("unknown field; known fields: {}", allowed.join(", ")),
-                ));
-            }
-        }
+        check_keys(
+            t,
+            &[
+                "topologies",
+                "routings",
+                "patterns",
+                "jobs",
+                "faults",
+                "fault_scripts",
+                "oracles",
+                "shards",
+                "seeds",
+                "loads",
+                "mode",
+                "messages",
+                "bytes",
+                "warmup_ns",
+                "measure_ns",
+                "fault_seed",
+                "ranks",
+                "relative_to",
+            ],
+        )?;
 
         let topologies = get_str_list(t, "topologies")?
             .ok_or_else(|| field_err(&section, "topologies", "missing required axis"))?;
@@ -579,8 +614,16 @@ impl Experiment {
 
         let oracles = get_str_list(t, "oracles")?.unwrap_or_else(|| vec!["auto".to_string()]);
         for o in &oracles {
-            o.parse::<OraclePolicy>()
-                .map_err(|e| field_err(&section, "oracles", e))?;
+            let policy: OraclePolicy = o.parse().map_err(|e| field_err(&section, "oracles", e))?;
+            // The Cayley oracle translates by a group: only a pristine LPS
+            // graph has one (`TopoSpec::network` builds it from there).
+            let groupless = (canon_topos.iter().filter(|t| !t.starts_with("lps(")))
+                .chain(faults.iter().filter(|f| *f != "none"))
+                .next();
+            if let Some(entry) = groupless.filter(|_| policy == OraclePolicy::Cayley) {
+                let reason = format!("the cayley oracle needs a pristine lps(p,q); {entry} is not");
+                return Err(field_err(&section, "oracles", reason));
+            }
         }
 
         let shards = get_u64_list(t, "shards")?
@@ -742,7 +785,7 @@ impl Experiment {
     }
 
     fn to_toml(&self) -> String {
-        let mut out = format!("[experiment.{}]\n", quote_section(&self.name));
+        let mut out = format!("[experiment.{}]\n", render_key(&self.name));
         out.push_str(&render_str_list("topologies", &self.topologies));
         out.push_str(&render_str_list("routings", &self.routings));
         if !self.patterns.is_empty() {
@@ -789,28 +832,133 @@ impl Experiment {
     }
 }
 
+impl Structure {
+    fn from_table(t: &Table) -> Result<Structure, ManifestError> {
+        let section = t.path_str();
+        let bad = |field: &str, reason: String| field_err(&section, field, reason);
+        check_keys(
+            t,
+            &[
+                "topologies",
+                "enumerate",
+                "max_routers",
+                "metrics",
+                "link_failures",
+                "seed",
+            ],
+        )?;
+        let enumerated = t.get("enumerate").is_some();
+        let source = if enumerated {
+            "enumerate"
+        } else {
+            "topologies"
+        };
+        if enumerated && t.get("topologies").is_some() {
+            let reason = "rows are listed (`topologies`) or enumerated, not both";
+            return Err(bad(source, reason.into()));
+        }
+        if !enumerated && t.get("max_routers").is_some() {
+            let reason = "caps an enumeration; this section has none";
+            return Err(bad("max_routers", reason.into()));
+        }
+        let mut topologies = Vec::new();
+        for spec in get_str_list(t, "topologies")?.unwrap_or_default() {
+            let topo = TopoSpec::parse(&spec).map_err(|reason| bad(source, reason))?;
+            if topo.concentration != 1 {
+                let c = topo.concentration;
+                let reason = format!("a row is a router graph; {spec:?} has concentration {c}");
+                return Err(bad(source, reason));
+            }
+            topologies.push(topo.graph_name());
+        }
+        let mut metrics = Vec::new();
+        for name in get_str_list(t, "metrics")?.unwrap_or_default() {
+            let column = Column::ALL.into_iter().find(|c| c.name() == name);
+            let known = Column::ALL.map(Column::name).join(", ");
+            let unknown = format!("unknown metric {name:?}; known: {known}");
+            metrics.push(column.ok_or_else(|| bad("metrics", unknown))?);
+        }
+        if metrics.is_empty() {
+            return Err(bad("metrics", "a table needs at least one column".into()));
+        }
+        let cap = t.get("max_routers").map(|_| get_u64(t, "max_routers", 0));
+        let structure = Structure {
+            name: section_name(t),
+            topologies,
+            enumerate: get_str_list(t, "enumerate")?.unwrap_or_default(),
+            max_routers: cap.transpose()?,
+            metrics,
+            link_failures: get_f64_list(t, "link_failures")?.unwrap_or_default(),
+            seed: get_u64(t, "seed", 0x5EED)?,
+        };
+        let levels = &structure.link_failures;
+        let sound = |(i, f): (usize, &f64)| (0.0..1.0).contains(f) && !levels[..i].contains(f);
+        if let Some((_, f)) = levels.iter().enumerate().find(|&level| !sound(level)) {
+            let reason = format!("proportions are distinct fractions in [0, 1), got {f}");
+            return Err(bad("link_failures", reason));
+        }
+        let unswept = |c: &&Column| !levels.is_empty() && failure_metric(**c).is_none();
+        if let Some(c) = structure.metrics.iter().find(unswept) {
+            let swept = "diameter, mean-distance and bisection-upper";
+            let reason = format!("{} has no failure sweep; {swept} have", c.name());
+            return Err(bad("metrics", reason));
+        }
+        let rows = structure.rows().map_err(|reason| bad(source, reason))?;
+        if rows.is_empty() {
+            return Err(bad(source, "the table has no rows".into()));
+        }
+        let mut seen = HashSet::new();
+        if let Some((twice, _)) = rows.iter().find(|(r, _)| !seen.insert(r.graph_name())) {
+            let reason = format!("{} is a row twice (ids are unique)", twice.graph_name());
+            return Err(bad(source, reason));
+        }
+        // A listed spec met the size guard when it parsed; an enumerated
+        // member that is to be built meets it here.
+        let oversized = (rows.iter()).find_map(|(r, _)| TopoSpec::parse(&r.canonical()).err());
+        match oversized.filter(|_| !structure.is_closed_form()) {
+            Some(reason) => Err(bad(source, format!("{reason}; set max_routers"))),
+            None => Ok(structure),
+        }
+    }
+
+    fn to_toml(&self) -> String {
+        let mut out = format!("[structure.{}]\n", render_key(&self.name));
+        if self.enumerate.is_empty() {
+            out.push_str(&render_str_list("topologies", &self.topologies));
+        } else {
+            out.push_str(&render_str_list("enumerate", &self.enumerate));
+        }
+        if let Some(cap) = self.max_routers {
+            out.push_str(&format!("max_routers = {cap}\n"));
+        }
+        let metrics: Vec<String> = self.metrics.iter().map(|c| c.name().to_string()).collect();
+        out.push_str(&render_str_list("metrics", &metrics));
+        if !self.link_failures.is_empty() {
+            let levels = self.link_failures.iter().map(|f| toml::render_float(*f));
+            let levels = levels.collect::<Vec<_>>().join(", ");
+            out.push_str(&format!("link_failures = [{levels}]\n"));
+        }
+        out.push_str(&format!("seed = {}\n", self.seed));
+        out
+    }
+}
+
 impl PerfScenario {
     fn from_table(t: &Table) -> Result<PerfScenario, ManifestError> {
         let section = t.path_str();
-        let allowed = [
-            "topology",
-            "routing",
-            "load",
-            "messages",
-            "bytes",
-            "rounds",
-            "tolerance",
-            "seed",
-        ];
-        for e in &t.entries {
-            if !allowed.contains(&e.key.as_str()) {
-                return Err(field_err(
-                    &section,
-                    &e.key,
-                    format!("unknown field; known fields: {}", allowed.join(", ")),
-                ));
-            }
-        }
+        check_keys(
+            t,
+            &[
+                "topology",
+                "routing",
+                "load",
+                "messages",
+                "bytes",
+                "rounds",
+                "tolerance",
+                "seed",
+            ],
+        )?;
         let topology = TopoSpec::parse(&req_str(t, "topology")?)
             .map_err(|reason| field_err(&section, "topology", reason))?
             .canonical();
@@ -855,7 +1003,7 @@ impl PerfScenario {
     }
 
     fn to_toml(&self) -> String {
-        let mut out = format!("[perf.{}]\n", quote_section(&self.name));
+        let mut out = format!("[perf.{}]\n", render_key(&self.name));
         out.push_str(&format!("topology = {}\n", render_str(&self.topology)));
         out.push_str(&format!("routing = {}\n", render_str(&self.routing)));
         out.push_str(&format!("load = {}\n", toml::render_float(self.load)));
@@ -874,21 +1022,9 @@ impl PerfScenario {
 impl ExternalFigure {
     fn from_table(t: &Table) -> Result<ExternalFigure, ManifestError> {
         let section = t.path_str();
-        for e in &t.entries {
-            if !["bin", "args"].contains(&e.key.as_str()) {
-                return Err(field_err(
-                    &section,
-                    &e.key,
-                    "unknown field; known fields: bin, args",
-                ));
-            }
-        }
+        check_keys(t, &["bin", "args"])?;
         let bin = req_str(t, "bin")?;
-        if bin.is_empty()
-            || !bin
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        {
+        if !is_bare_key(&bin) {
             return Err(field_err(
                 &section,
                 "bin",
@@ -903,22 +1039,10 @@ impl ExternalFigure {
     }
 
     fn to_toml(&self) -> String {
-        let mut out = format!("[external.{}]\n", quote_section(&self.name));
+        let mut out = format!("[external.{}]\n", render_key(&self.name));
         out.push_str(&format!("bin = {}\n", render_str(&self.bin)));
         out.push_str(&render_str_list("args", &self.args));
         out
-    }
-}
-
-fn quote_section(name: &str) -> String {
-    if !name.is_empty()
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-    {
-        name.to_string()
-    } else {
-        render_str(name)
     }
 }
 
@@ -958,9 +1082,20 @@ messages = 2
 rounds = 2
 tolerance = 0.5
 
-[external.t1]
-bin = "table1"
-args = ["--seed", "1"]
+[structure.shape]
+topologies = ["LPS(11, 7)", "ring(9)x1"]
+metrics = ["routers", "mu1"]
+seed = 0xC0FFEE
+
+[structure.decay]
+enumerate = ["slimfly(8)"]
+max_routers = 60
+metrics = ["diameter"]
+link_failures = [0, 0.25]
+
+[external.t2]
+bin = "table2_layout"
+args = ["--pairs", "1"]
 "#;
 
     #[test]
@@ -971,6 +1106,18 @@ args = ["--seed", "1"]
         assert_eq!(m.perf.len(), 1);
         assert_eq!(m.external.len(), 1);
         assert_eq!(m.experiments[0].shards, vec![1, 2]);
+        let [shape, decay] = m.structures.as_slice() else {
+            panic!("two structure sections");
+        };
+        assert_eq!(shape.topologies, ["lps(11,7)", "ring(9)"]);
+        assert_eq!(shape.metrics, [Column::Routers, Column::Mu1]);
+        assert_eq!(shape.seed, 0xC0FFEE);
+        assert!(!shape.is_closed_form());
+        // slimfly(3), (4) and (5) have 18, 32 and 50 routers; slimfly(7) has 98.
+        let rows = decay.rows().unwrap();
+        let rows: Vec<String> = rows.iter().map(|(topo, _)| topo.graph_name()).collect();
+        assert_eq!(rows, ["slimfly(3)", "slimfly(4)", "slimfly(5)"]);
+        assert_eq!(decay.link_failures, [0.0, 0.25]);
         assert_eq!(
             m.experiments[1].mode,
             Mode::Steady {
@@ -1043,6 +1190,18 @@ args = ["--seed", "1"]
                 "perf.p",
                 "tolerance",
                 "relative band",
+            ),
+            (
+                "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"lps(3,5)\", \"ring(9)\"]\nroutings = [\"minimal\"]\noracles = [\"cayley\"]\n",
+                "experiment.e",
+                "oracles",
+                "ring(9)x1 is not",
+            ),
+            (
+                "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"lps(3,5)\"]\nroutings = [\"minimal\"]\nfaults = [\"links(0.1)\"]\noracles = [\"cayley\"]\n",
+                "experiment.e",
+                "oracles",
+                "links(0.1) is not",
             ),
         ];
         for (src, section, field, reason_frag) in cases {
@@ -1130,6 +1289,7 @@ args = ["--seed", "1"]
             name: "x".to_string(),
             description: String::new(),
             experiments: vec![e],
+            structures: Vec::new(),
             perf: Vec::new(),
             external: Vec::new(),
         };
@@ -1142,6 +1302,159 @@ args = ["--seed", "1"]
         ] {
             assert_eq!(rejected_field(body), "ranks", "{body:?}");
         }
+    }
+
+    #[test]
+    fn structure_errors_name_the_offending_field() {
+        let rows = "topologies = [\"lps(3,5)\"]\n";
+        let cols = "metrics = [\"diameter\"]\n";
+        for (body, field, reason_frag) in [
+            (
+                format!("{rows}metrics = [\"wingspan\"]\n"),
+                "metrics",
+                "unknown metric \"wingspan\"; known: routers, radix",
+            ),
+            (
+                format!("{rows}metrics = []\n"),
+                "metrics",
+                "at least one column",
+            ),
+            (rows.to_string(), "metrics", "at least one column"),
+            (format!("topologies = []\n{cols}"), "topologies", "no rows"),
+            (cols.to_string(), "topologies", "no rows"),
+            (
+                format!("enumerate = [\"lps(5)\"]\n{cols}"),
+                "enumerate",
+                "no rows",
+            ),
+            (
+                format!("enumerate = [\"lps(30)\"]\nmax_routers = 100\n{cols}"),
+                "enumerate",
+                "no rows",
+            ),
+            (
+                format!("{rows}enumerate = [\"lps(30)\"]\n{cols}"),
+                "enumerate",
+                "not both",
+            ),
+            (
+                format!("enumerate = [\"ring(30)\"]\n{cols}"),
+                "enumerate",
+                "not an enumeration",
+            ),
+            (
+                format!("enumerate = [\"lps(30)x2\"]\n{cols}"),
+                "enumerate",
+                "not an enumeration",
+            ),
+            (
+                format!("enumerate = [\"lps(5000)\"]\n{cols}"),
+                "enumerate",
+                "at most 4096",
+            ),
+            (
+                format!("enumerate = [\"lps(300)\"]\n{cols}"),
+                "enumerate",
+                "is too large",
+            ),
+            (
+                format!("{rows}max_routers = 100\n{cols}"),
+                "max_routers",
+                "caps an enumeration",
+            ),
+            (
+                format!("topologies = [\"lps(3,5)x2\"]\n{cols}"),
+                "topologies",
+                "has concentration 2",
+            ),
+            (
+                format!("topologies = [\"torus(4)\"]\n{cols}"),
+                "topologies",
+                "unknown topology family",
+            ),
+            (
+                format!("{rows}{cols}link_failures = [0.5, 1.0]\n"),
+                "link_failures",
+                "[0, 1), got 1",
+            ),
+            (
+                format!("{rows}{cols}link_failures = [-0.1]\n"),
+                "link_failures",
+                "[0, 1)",
+            ),
+            (
+                format!("{rows}{cols}link_failures = [0.1, 0.3, 0.1]\n"),
+                "link_failures",
+                "distinct fractions in [0, 1), got 0.1",
+            ),
+            // Two spellings of one topology, and a family enumerated twice,
+            // would each record one baseline key twice.
+            (
+                format!("topologies = [\"lps(3,5)\", \"LPS(3, 5)\"]\n{cols}"),
+                "topologies",
+                "lps(3,5) is a row twice",
+            ),
+            (
+                format!("enumerate = [\"slimfly(8)\", \"slimfly(6)\"]\n{cols}"),
+                "enumerate",
+                "slimfly(3) is a row twice",
+            ),
+            // The trial count is a constant of the runner, not a key.
+            (
+                format!("{rows}{cols}link_failures = [0.1]\ntrials = 0\n"),
+                "trials",
+                "unknown field",
+            ),
+            (
+                format!("{rows}metrics = [\"girth\"]\nlink_failures = [0.1]\n"),
+                "metrics",
+                "girth has no failure sweep",
+            ),
+            (
+                format!("{rows}{cols}restarts = 3\n"),
+                "restarts",
+                "unknown field; known fields: topologies, enumerate",
+            ),
+            (format!("{rows}{cols}seed = -1\n"), "seed", "non-negative"),
+        ] {
+            let src = format!("[manifest]\nname = \"x\"\n[structure.s]\n{body}");
+            match Manifest::parse(&src) {
+                Err(ManifestError::Field {
+                    section,
+                    field: f,
+                    reason,
+                }) => {
+                    assert_eq!(
+                        (section.as_str(), f.as_str()),
+                        ("structure.s", field),
+                        "{body}"
+                    );
+                    assert!(reason.contains(reason_frag), "{body}: {reason:?}");
+                }
+                other => panic!("{body:?}: expected a Field error, got {other:?}"),
+            }
+        }
+        // A section name serves one kind: its rows and an experiment's points
+        // would share ids and a table.
+        let clash = "[manifest]\nname = \"x\"\n[experiment.s]\ntopologies = [\"ring(9)\"]\n\
+                     routings = [\"minimal\"]\n[structure.s]\ntopologies = [\"ring(9)\"]\nmetrics = [\"girth\"]\n";
+        assert!(matches!(
+            Manifest::parse(clash),
+            Err(ManifestError::Field { section, .. }) if section == "structure.s"
+        ));
+    }
+
+    #[test]
+    fn structure_sections_leave_other_manifests_canonical_form_alone() {
+        let m = Manifest::parse(SMOKE).unwrap();
+        let mut without = m.clone();
+        without.structures.clear();
+        assert!(!without.to_toml().contains("structure"));
+        assert_ne!(without.config_hash(), m.config_hash());
+        // Only the keys a section sets are rendered.
+        let toml = m.to_toml();
+        assert!(toml.contains("[structure.shape]\ntopologies = [\"lps(11,7)\", \"ring(9)\"]\nmetrics = [\"routers\", \"mu1\"]\nseed = 12648430\n"), "{toml}");
+        assert!(toml.contains("[structure.decay]\nenumerate = [\"slimfly(8)\"]\nmax_routers = 60\nmetrics = [\"diameter\"]\nlink_failures = [0.0, 0.25]\nseed = 24301\n"), "{toml}");
     }
 
     #[test]

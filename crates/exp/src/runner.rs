@@ -25,12 +25,16 @@
 //! artifact but never gated: the interleaved ratio is the quantity that
 //! transfers across hosts, which is what lets the baseline live in git.
 
-use crate::digest::digest_outcome;
-use crate::manifest::{Experiment, ExternalFigure, Manifest, Mode, PerfScenario};
+use crate::digest::{digest_outcome, digest_row};
+use crate::manifest::{
+    failure_metric, Experiment, ExternalFigure, Manifest, Mode, PerfScenario, Structure,
+};
 use crate::provenance::{json_str, Provenance};
 use crate::toml::render_float;
 use crate::topo::TopoSpec;
 use rayon::prelude::*;
+use spectralfly_graph::failures::{failure_point, sweep_seed, TrialConfig};
+use spectralfly_graph::{profile_graph, Column};
 use spectralfly_simnet::fault::{FaultPlan, FaultScript};
 use spectralfly_simnet::workload::{random_placement, Workload};
 use spectralfly_simnet::{
@@ -290,8 +294,11 @@ pub struct PointResult {
     pub digest: String,
     /// One-line human summary (delivered counts or the typed error).
     pub summary: String,
-    /// The metric row (`None` when the outcome is a typed error).
+    /// The metric row (`None` for a typed-error outcome or a structural row).
     pub metrics: Option<Metrics>,
+    /// A structural row's values in its section's `metrics` order, `None`
+    /// where undefined (empty for a simulated point).
+    pub values: Vec<Option<f64>>,
     /// Figure of merit as a speedup over the section's
     /// [`Experiment::relative_to`] sibling, when both points ran.
     pub relative: Option<f64>,
@@ -403,6 +410,14 @@ pub fn expand(e: &Experiment) -> Vec<Point> {
     points
 }
 
+/// The [`RunError::Build`] of `spec`, given a constructor's reason.
+fn build_error(spec: &str) -> impl Fn(String) -> RunError + '_ {
+    move |reason| RunError::Build {
+        spec: spec.to_string(),
+        reason,
+    }
+}
+
 /// Per-run cache of built networks: the axes revisit the same topology (and
 /// the same degraded topology) for every routing × seed × load combination,
 /// and the all-pairs BFS behind each network is the expensive part.
@@ -418,43 +433,23 @@ impl NetworkCache {
         let mut pristine = BTreeMap::new();
         let mut faulted = BTreeMap::new();
         for p in points {
-            let spec = TopoSpec::parse(&p.topology).map_err(|reason| RunError::Build {
-                spec: p.topology.clone(),
-                reason,
-            })?;
+            let spec = TopoSpec::parse(&p.topology).map_err(build_error(&p.topology))?;
             if p.fault == "none" {
                 let key = (p.topology.clone(), p.oracle.clone());
                 if let Entry::Vacant(slot) = pristine.entry(key) {
-                    let graph = spec.build().map_err(|reason| RunError::Build {
-                        spec: p.topology.clone(),
-                        reason,
-                    })?;
                     let policy: OraclePolicy = p.oracle.parse().expect("validated by the manifest");
-                    let net = SimNetwork::with_policy(graph, spec.concentration, policy).map_err(
-                        |e| RunError::Build {
-                            spec: p.topology.clone(),
-                            reason: e.to_string(),
-                        },
-                    )?;
-                    slot.insert(net);
+                    slot.insert(spec.network(policy).map_err(build_error(&p.topology))?);
                 }
             } else {
                 let key = (p.topology.clone(), p.fault.clone(), p.fault_seed);
                 if let Entry::Vacant(slot) = faulted.entry(key) {
-                    let graph = spec.build().map_err(|reason| RunError::Build {
-                        spec: p.topology.clone(),
-                        reason,
-                    })?;
+                    let graph = spec.build().map_err(build_error(&p.topology))?;
                     let plan = FaultPlan::parse(&p.fault)
                         .expect("validated by the manifest")
                         .with_seed(p.fault_seed);
-                    let net =
-                        SimNetwork::with_faults(graph, spec.concentration, &plan).map_err(|e| {
-                            RunError::Build {
-                                spec: format!("{} + {}", p.topology, p.fault),
-                                reason: e.to_string(),
-                            }
-                        })?;
+                    let net = SimNetwork::with_faults(graph, spec.concentration, &plan)
+                        .map_err(|e| e.to_string())
+                        .map_err(build_error(&format!("{} + {}", p.topology, p.fault)))?;
                     slot.insert(net);
                 }
             }
@@ -536,13 +531,9 @@ fn point_workload(p: &Point, net: &SimNetwork) -> Result<Workload, RunError> {
     };
     // The placed micro-benchmarks of Figs. 6–8: the pattern materialised over
     // the rank space, scattered over the surviving machine.
-    let refuse = |reason: String| RunError::Build {
-        spec: p.id.clone(),
-        reason,
-    };
-    let placement = place_on_alive(net, ranks, p.seed).map_err(refuse)?;
+    let placement = place_on_alive(net, ranks, p.seed).map_err(build_error(&p.id))?;
     let wl = Workload::synthetic(&p.pattern, ranks.trailing_zeros(), messages, bytes, p.seed)
-        .map_err(|e| refuse(e.to_string()))?;
+        .map_err(|e| build_error(&p.id)(e.to_string()))?;
     Ok(wl.place(&placement))
 }
 
@@ -588,6 +579,7 @@ pub fn run_point(net: &SimNetwork, p: &Point) -> Result<PointResult, RunError> {
         digest,
         summary: outcome_summary(&outcome),
         metrics: outcome.as_ref().ok().map(Metrics::of),
+        values: Vec::new(),
         relative: None,
         wall_ms: start.elapsed().as_millis() as u64,
     })
@@ -622,9 +614,9 @@ fn median(xs: &mut [f64]) -> f64 {
 /// the scenarios. Changing it invalidates every recorded perf baseline, so
 /// it is deliberately boring and parameter-free.
 fn calibration_run() -> (SimNetwork, SimConfig, Workload) {
-    let spec = TopoSpec::parse("ring(16)x2").expect("pinned calibration topology");
-    let graph = spec.build().expect("pinned calibration topology");
-    let net = SimNetwork::new(graph, spec.concentration);
+    let net = TopoSpec::parse("ring(16)x2")
+        .and_then(|spec| spec.network(OraclePolicy::Auto))
+        .expect("pinned calibration topology");
     let cfg = SimConfig::default().with_routing("minimal", net.diameter() as u32);
     let wl = Workload::uniform_random(net.num_endpoints(), 4, 4096, 0xCA11B);
     (net, cfg, wl)
@@ -633,15 +625,9 @@ fn calibration_run() -> (SimNetwork, SimConfig, Workload) {
 /// Measure one perf scenario: `rounds` interleaved (calibration, scenario)
 /// pairs, median useful-events/s on each side, ratio of the medians.
 pub fn run_perf_scenario(s: &PerfScenario) -> Result<PerfResult, RunError> {
-    let spec = TopoSpec::parse(&s.topology).map_err(|reason| RunError::Build {
-        spec: s.topology.clone(),
-        reason,
-    })?;
-    let graph = spec.build().map_err(|reason| RunError::Build {
-        spec: s.topology.clone(),
-        reason,
-    })?;
-    let net = SimNetwork::new(graph, spec.concentration);
+    let net = TopoSpec::parse(&s.topology)
+        .and_then(|spec| spec.network(OraclePolicy::Auto))
+        .map_err(build_error(&s.topology))?;
     let mut cfg = SimConfig::default().with_routing(s.routing.clone(), net.diameter() as u32);
     cfg.seed = s.seed;
     let wl = Workload::uniform_random(net.num_endpoints(), s.messages, s.bytes, s.seed);
@@ -730,6 +716,102 @@ pub fn run_external(x: &ExternalFigure) -> ExternalResult {
     }
 }
 
+/// The rows of one `[structure.*]` section that `keep` keeps, each a digested
+/// point `section/topology[/links=f]`: one per topology, or per topology ×
+/// failure proportion. Rows are independent, and evaluated in parallel.
+fn run_structure(
+    s: &Structure,
+    keep: &(impl Fn(&str) -> bool + Sync),
+) -> Result<Vec<PointResult>, RunError> {
+    let levels: Vec<Option<(usize, f64)>> = match s.link_failures.as_slice() {
+        [] => vec![None],
+        swept => swept.iter().copied().enumerate().map(Some).collect(),
+    };
+    let mut rows = Vec::new();
+    for (topo, size) in s.rows().map_err(build_error(&s.name))? {
+        for level in &levels {
+            let links = level.map(|(_, f)| format!("/links={}", render_float(f)));
+            let id = [&s.name, "/", &topo.graph_name(), &links.unwrap_or_default()].concat();
+            if keep(&id) {
+                rows.push((id, topo.clone(), size, *level));
+            }
+        }
+    }
+    let evaluate = |(id, topo, size, level): &(String, TopoSpec, _, _)| {
+        let start = Instant::now();
+        let values =
+            structure_values(s, topo, *size, *level).map_err(build_error(&topo.graph_name()))?;
+        let names = s.metrics.iter().map(|c| c.name());
+        let cells = (s.metrics.iter().zip(&values))
+            .map(|(c, v)| format!("{}={}", c.name(), structure_cell(s, *c, *v)));
+        Ok(PointResult {
+            id: id.clone(),
+            experiment: s.name.clone(),
+            digest: digest_row(names.zip(values.iter().copied())),
+            summary: cells.collect::<Vec<_>>().join(" "),
+            metrics: None,
+            values,
+            relative: None,
+            wall_ms: start.elapsed().as_millis() as u64,
+        })
+    };
+    let results: Vec<Result<PointResult, RunError>> = rows.par_iter().map(evaluate).collect();
+    results.into_iter().collect()
+}
+
+/// One row's values in `metrics` order: the closed-form `size` (routers,
+/// radix) where the section reads nothing else and the row was enumerated
+/// with one, otherwise [`profile_graph`] on the built graph — or, at a failure
+/// `level` (its index in the sweep, the proportion), each metric's
+/// [`failure_point`] mean over the connected trials, seeded as
+/// `failure_sweep` seeds that index.
+fn structure_values(
+    s: &Structure,
+    topo: &TopoSpec,
+    size: Option<(u64, u64)>,
+    level: Option<(usize, f64)>,
+) -> Result<Vec<Option<f64>>, String> {
+    if let (true, Some((routers, radix))) = (s.is_closed_form(), size) {
+        let value = |c| if c == Column::Routers { routers } else { radix };
+        return Ok(s.metrics.iter().map(|&c| Some(value(c) as f64)).collect());
+    }
+    let g = topo.build()?;
+    let Some((index, proportion)) = level else {
+        let profile = profile_graph(&g, &s.metrics, s.seed);
+        return Ok(s.metrics.iter().map(|&c| profile.value(c)).collect());
+    };
+    // One round of the stopping rule (10 batches × 4 trials): what Fig. 5 ran.
+    let trials = TrialConfig {
+        max_trials: 40,
+        ..Default::default()
+    };
+    let seed = sweep_seed(s.seed, index);
+    let mean = |c| {
+        let point = failure_point(&g, proportion, failure_metric(c)?, &trials, seed);
+        (point.connected_trials > 0).then_some(point.mean)
+    };
+    Ok(s.metrics.iter().map(|&c| mean(c)).collect())
+}
+
+/// One table cell of a structural row: counts as integers, µ₁ to two decimals
+/// and the spectral bisection bound to none (Table I / Fig. 4 precision),
+/// every other real — and every failure-sweep mean — to three; an undefined
+/// value is `-`, or `disc.` where every failure trial disconnected the graph.
+fn structure_cell(s: &Structure, column: Column, value: Option<f64>) -> String {
+    let swept = !s.link_failures.is_empty();
+    let Some(v) = value else {
+        return if swept { "disc." } else { "-" }.to_string();
+    };
+    match column {
+        Column::Ramanujan => if v > 0.0 { "yes" } else { "no" }.to_string(),
+        Column::Mu1 => format!("{v:.2}"),
+        Column::BisectionLower => format!("{v:.0}"),
+        Column::MeanDistance | Column::Lambda2 | Column::BisectionNormalized => format!("{v:.3}"),
+        _ if swept => format!("{v:.3}"),
+        _ => format!("{v:.0}"),
+    }
+}
+
 /// Options for [`run_manifest`].
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
@@ -762,6 +844,9 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunErr
         point_results.push(r?);
     }
     relate_to_siblings(m, &points, &mut point_results);
+    for s in &m.structures {
+        point_results.extend(run_structure(s, &keep)?);
+    }
     // Perf scenarios run sequentially *after* the sweeps: an idle machine is
     // part of the methodology (the ratio cancels most but not all noise).
     let mut perf = Vec::new();
@@ -781,7 +866,9 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunErr
         config_hash: m.config_hash(),
         provenance: Provenance::collect(
             &m.config_hash(),
-            m.experiments.first().map(|e| e.seeds[0]).unwrap_or(0),
+            (m.experiments.first().map(|e| e.seeds[0]))
+                .or(m.structures.first().map(|s| s.seed))
+                .unwrap_or(0),
         ),
         points: point_results,
         perf,
@@ -914,45 +1001,60 @@ pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Strin
 }
 
 impl RunReport {
-    /// One table per experiment section of `m` that has points in this
-    /// report: the point (its id within the section), the [`Metrics`] row,
-    /// and — when the section names a [`Experiment::relative_to`] entry — the
-    /// figure of merit as a speedup over that sibling.
+    /// The table of section `name`: per point of this report in it, the
+    /// point's id within the section and its `cells` — or nothing, when the
+    /// section has no point here.
+    fn section_table(
+        &self,
+        name: &str,
+        kind: &str,
+        header: &[&str],
+        cells: impl Fn(&PointResult) -> Vec<String>,
+    ) -> String {
+        let prefix = format!("{name}/");
+        let rows: Vec<Vec<String>> = (self.points.iter())
+            .filter(|p| p.experiment == name)
+            .map(|p| {
+                let label = p.id.strip_prefix(&prefix).unwrap_or(&p.id).to_string();
+                std::iter::once(label).chain(cells(p)).collect()
+            })
+            .collect();
+        if rows.is_empty() {
+            return String::new();
+        }
+        render_table(&format!("{name} ({kind})"), header, &rows)
+    }
+
+    /// One table per experiment and structure section of `m` that has points
+    /// in this report: an experiment's [`Metrics`] row and — when the section
+    /// names a [`Experiment::relative_to`] entry — the figure of merit as a
+    /// speedup over that sibling; a structural table's metric columns.
     pub fn tables(&self, m: &Manifest) -> String {
         let mut out = String::new();
         for e in &m.experiments {
-            let points: Vec<&PointResult> = self
-                .points
-                .iter()
-                .filter(|p| p.experiment == e.name)
-                .collect();
-            if points.is_empty() {
-                continue;
-            }
             let versus = e.relative_to.as_ref().map(|entry| format!("vs {entry}"));
             let mut header = vec!["Point"];
             header.extend(METRIC_COLUMNS);
             header.extend(versus.as_deref());
-            let rows: Vec<Vec<String>> = points
-                .iter()
-                .map(|p| {
-                    let label = p.id.strip_prefix(&format!("{}/", e.name)).unwrap_or(&p.id);
-                    let mut row = vec![label.to_string()];
-                    match &p.metrics {
-                        Some(metrics) => row.extend(metrics.cells()),
-                        None => row.push(p.summary.clone()),
-                    }
-                    if versus.is_some() && p.metrics.is_some() {
-                        row.push(p.relative.map_or("-".to_string(), |r| format!("{r:.3}")));
-                    }
-                    row
-                })
-                .collect();
-            out.push_str(&render_table(
-                &format!("{} ({} mode)", e.name, e.mode.name()),
-                &header,
-                &rows,
-            ));
+            let cells = |p: &PointResult| {
+                let Some(metrics) = &p.metrics else {
+                    return vec![p.summary.clone()];
+                };
+                let relative = p.relative.map_or("-".to_string(), |r| format!("{r:.3}"));
+                let versus = versus.as_ref().map(|_| relative);
+                metrics.cells().into_iter().chain(versus).collect()
+            };
+            let kind = format!("{} mode", e.mode.name());
+            out.push_str(&self.section_table(&e.name, &kind, &header, cells));
+        }
+        for s in &m.structures {
+            let names = s.metrics.iter().map(|c| c.name());
+            let header: Vec<&str> = std::iter::once("Topology").chain(names).collect();
+            let cells = |p: &PointResult| {
+                let cell = |(c, v): (&Column, &Option<f64>)| structure_cell(s, *c, *v);
+                s.metrics.iter().zip(&p.values).map(cell).collect()
+            };
+            out.push_str(&self.section_table(&s.name, "structure", &header, cells));
         }
         out
     }
@@ -1264,6 +1366,38 @@ bytes = 512
         assert!(err
             .to_string()
             .contains("injected 10 != delivered 7 + failed 2"));
+    }
+
+    /// `oracles = ["cayley"]` used to validate and then fail every point in
+    /// `NetworkCache::build`; it now builds through the LPS group structure,
+    /// and the oracle is an implementation detail of the same simulation.
+    #[test]
+    fn the_cayley_oracle_axis_runs_and_digests_like_dense() {
+        let report = run(
+            "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"lps(3,5)x2\"]\n\
+             routings = [\"minimal\", \"ugal-l\"]\noracles = [\"dense\", \"cayley\"]\nseeds = [5]\n",
+        );
+        let ids: Vec<&str> = report.points.iter().map(|p| p.id.as_str()).collect();
+        assert_eq!(ids[0], "e/lps(3,5)x2/minimal/o=dense/s=5");
+        assert_eq!(ids[1], "e/lps(3,5)x2/minimal/o=cayley/s=5");
+        for pair in report.points.chunks(2) {
+            assert!(
+                pair[0].summary.starts_with("delivered=480 "),
+                "{}",
+                pair[0].summary
+            );
+            assert_eq!(
+                pair[0].digest, pair[1].digest,
+                "{} vs {}",
+                pair[0].id, pair[1].id
+            );
+        }
+        let spec = TopoSpec::parse("lps(3,5)x2").unwrap();
+        let net = spec.network(OraclePolicy::Cayley).unwrap();
+        assert_eq!(net.oracle_kind(), spectralfly_graph::OracleKind::Cayley);
+        let ring = TopoSpec::parse("ring(9)").unwrap();
+        assert!(ring.network(OraclePolicy::Cayley).is_err());
+        assert!(ring.network(OraclePolicy::Landmark).is_ok());
     }
 
     #[test]

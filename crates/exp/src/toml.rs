@@ -57,6 +57,21 @@ impl Value {
     }
 }
 
+/// Whether `s` can stand unquoted as a key or table name: `[A-Za-z0-9_-]+`.
+pub fn is_bare_key(s: &str) -> bool {
+    let bare = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+    !s.is_empty() && s.chars().all(bare)
+}
+
+/// Render a key or table name: bare where it can be, quoted otherwise.
+pub fn render_key(s: &str) -> String {
+    if is_bare_key(s) {
+        s.to_string()
+    } else {
+        render_str(s)
+    }
+}
+
 /// Render a string as a quoted TOML basic string.
 pub fn render_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -329,11 +344,7 @@ fn parse_key(src: &str, line: usize, at: usize) -> Result<String, TomlError> {
             Value::Str(s) => Ok(s),
             _ => unreachable!("quoted key parses as a string"),
         }
-    } else if !src.is_empty()
-        && src
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-    {
+    } else if is_bare_key(src) {
         Ok(src.to_string())
     } else {
         Err(err(

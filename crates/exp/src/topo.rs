@@ -22,7 +22,11 @@
 
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::spec::{self, Arg, Registry};
-use spectralfly_topology::{GeneralizedDragonFly, Topology, TopologySpec};
+use spectralfly_simnet::{OraclePolicy, SimNetwork};
+use spectralfly_topology::spec::{
+    enumerate_bundlefly, enumerate_dragonfly, enumerate_lps, enumerate_slimfly,
+};
+use spectralfly_topology::{GeneralizedDragonFly, LpsGraph, Topology, TopologySpec};
 use std::sync::{Arc, LazyLock};
 
 /// The most routers, and the most endpoints (routers × concentration), a spec
@@ -32,6 +36,16 @@ use std::sync::{Arc, LazyLock};
 /// before anything is built — a constructor handed `ring(4294967296)` would
 /// truncate, allocate without bound or never return.
 const MAX_SIZE: u64 = 1 << 24;
+
+/// The most links a spec may describe: the engines give each link two directed
+/// `u32` ids, and the largest fabric the repository runs has 3.3 M links. A
+/// dense family can sit inside [`MAX_SIZE`] and far outside this —
+/// `dragonfly(4095)` is 16.8 M routers and 3.4·10¹⁰ links.
+const MAX_LINKS: u64 = 1 << 27;
+
+/// The largest limit a family enumeration accepts: the LPS design space has
+/// one row per pair of primes below it.
+const MAX_LIMIT: u64 = 1 << 12;
 
 /// What a family makes of its arguments.
 enum Shape {
@@ -54,8 +68,31 @@ impl Shape {
         }
     }
 
-    /// The router graph, for a shape whose router count is at most
-    /// [`MAX_SIZE`] (validity errors come from the constructors).
+    /// Closed-form link count — for an irregular BundleFly, the bound
+    /// routers × radix / 2; `None` when it overflows `u64`.
+    fn links(&self) -> Option<u64> {
+        match *self {
+            Shape::Paper(spec) => {
+                let routers = spec.checked_num_routers()?;
+                // A router count that fits bounds the MMS radix terms, but
+                // not LPS's `p`.
+                let radix = match spec {
+                    TopologySpec::Lps { p, .. } => p.checked_add(1)?,
+                    TopologySpec::BundleFly { p: 0, .. } => return Some(0),
+                    _ => spec.radix(),
+                };
+                routers.checked_mul(radix).map(|ends| ends / 2)
+            }
+            Shape::DragonFly { a, h, g } => {
+                let local = a.checked_mul(a.saturating_sub(1))?.checked_mul(g)? / 2;
+                local.checked_add(a.checked_mul(h)?.checked_mul(g)? / 2)
+            }
+            Shape::Ring(n) => Some(n),
+        }
+    }
+
+    /// The router graph, for a shape inside [`MAX_SIZE`] and [`MAX_LINKS`]
+    /// (validity errors come from the constructors).
     fn build(&self) -> Result<CsrGraph, String> {
         match *self {
             Shape::Paper(spec) => spec.build().map_err(|e| e.to_string()),
@@ -72,11 +109,15 @@ impl Shape {
     }
 }
 
-/// One topology family: the argument counts it accepts, and what it makes of
-/// that many arguments.
+/// A family's design-space enumeration: (limits taken, valid members below).
+type Enumerate = (usize, fn(&[u64]) -> Vec<TopologySpec>);
+
+/// One topology family: the argument counts it accepts, what it makes of that
+/// many arguments, and its enumeration, if it has one.
 struct TopoFamily {
     arities: &'static [usize],
     shape: fn(&[u64]) -> Shape,
+    enumerate: Option<Enumerate>,
 }
 
 /// The family registry, and the `known: …` list of the unknown-family error
@@ -91,24 +132,47 @@ struct Families {
 static FAMILIES: LazyLock<Families> = LazyLock::new(|| {
     let mut registry = Registry::empty();
     let mut known = Vec::new();
-    let mut add = |name, params, arities, shape: fn(&[u64]) -> Shape| {
+    let mut add = |name, params, arities, shape: fn(&[u64]) -> Shape, enumerate| {
         known.push(format!("{name}({params})"));
-        registry.insert(name, Arc::new(TopoFamily { arities, shape }));
+        let family = TopoFamily {
+            arities,
+            shape,
+            enumerate,
+        };
+        registry.insert(name, Arc::new(family));
     };
-    add("lps", "p,q", &[2], |a| {
-        Shape::Paper(TopologySpec::Lps { p: a[0], q: a[1] })
-    });
-    add("slimfly", "q", &[1], |a| {
-        Shape::Paper(TopologySpec::SlimFly { q: a[0] })
-    });
-    add("bundlefly", "p,s", &[2], |a| {
-        Shape::Paper(TopologySpec::BundleFly { p: a[0], s: a[1] })
-    });
-    add("dragonfly", "a|a,h,g", &[1, 3], |a| match *a {
-        [a, h, g] => Shape::DragonFly { a, h, g },
-        _ => Shape::Paper(TopologySpec::DragonFly { a: a[0] }),
-    });
-    add("ring", "n", &[1], |a| Shape::Ring(a[0]));
+    add(
+        "lps",
+        "p,q",
+        &[2],
+        |a| Shape::Paper(TopologySpec::Lps { p: a[0], q: a[1] }),
+        Some((1, |l| enumerate_lps(l[0]))),
+    );
+    add(
+        "slimfly",
+        "q",
+        &[1],
+        |a| Shape::Paper(TopologySpec::SlimFly { q: a[0] }),
+        Some((1, |l| enumerate_slimfly(l[0]))),
+    );
+    add(
+        "bundlefly",
+        "p,s",
+        &[2],
+        |a| Shape::Paper(TopologySpec::BundleFly { p: a[0], s: a[1] }),
+        Some((2, |l| enumerate_bundlefly(l[0], l[1]))),
+    );
+    add(
+        "dragonfly",
+        "a|a,h,g",
+        &[1, 3],
+        |a| match *a {
+            [a, h, g] => Shape::DragonFly { a, h, g },
+            _ => Shape::Paper(TopologySpec::DragonFly { a: a[0] }),
+        },
+        Some((1, |l| enumerate_dragonfly(l[0]))),
+    );
+    add("ring", "n", &[1], |a| Shape::Ring(a[0]), None);
     Families {
         registry,
         known: known.join(", "),
@@ -126,34 +190,50 @@ pub struct TopoSpec {
     pub concentration: usize,
 }
 
+/// The closed-form `(routers, radix)` of an enumerated family member.
+pub type Size = (u64, u64);
+
+/// One `family(integers…)` term of the shared grammar: the family key, its
+/// arguments and the `x N` multiplier, if any.
+fn read_call(spec: &str) -> Result<(String, Vec<u64>, Option<u64>), String> {
+    let terms = spec::parse(spec).map_err(|e| e.to_string())?;
+    let [term] = terms.as_slice() else {
+        return Err(format!("expected one topology, found a '+' in {spec:?}"));
+    };
+    let bad = |offset: usize, reason: &str| term.call.error(offset, reason).to_string();
+    if let Some(at) = &term.at {
+        return Err(bad(at.start, "a topology takes no '@ placement'"));
+    }
+    let integer = |a: &Arg| match a {
+        Arg::Num(n) if n.unit.is_empty() => n.text.parse().ok(),
+        _ => None,
+    };
+    let args = term
+        .call
+        .args
+        .iter()
+        .map(|a| integer(a).ok_or_else(|| bad(a.offset(), "bad integer argument")))
+        .collect::<Result<_, _>>()?;
+    Ok((term.call.key(), args, term.times))
+}
+
+fn family(name: &str) -> Result<Arc<TopoFamily>, String> {
+    let known = &FAMILIES.known;
+    let unknown = || format!("unknown topology family {name:?}; known: {known}");
+    FAMILIES.registry.get(name).ok_or_else(unknown)
+}
+
 impl TopoSpec {
     /// Parse a spec like `lps(11,7)x4`. The error is a plain reason; callers
     /// (the manifest parser) wrap it with the offending field.
     pub fn parse(spec: &str) -> Result<TopoSpec, String> {
-        let terms = spec::parse(spec).map_err(|e| e.to_string())?;
-        let [term] = terms.as_slice() else {
-            return Err(format!("expected one topology, found a '+' in {spec:?}"));
-        };
-        let bad = |offset: usize, reason: &str| term.call.error(offset, reason).to_string();
-        if let Some(at) = &term.at {
-            return Err(bad(at.start, "a topology takes no '@ placement'"));
-        }
-        let concentration = usize::try_from(term.times.unwrap_or(1))
+        let (family, args, times) = read_call(spec)?;
+        let concentration = usize::try_from(times.unwrap_or(1))
             .ok()
             .filter(|&c| c >= 1)
             .ok_or_else(|| format!("concentration must be at least 1 in {spec:?}"))?;
-        let integer = |a: &Arg| match a {
-            Arg::Num(n) if n.unit.is_empty() => n.text.parse().ok(),
-            _ => None,
-        };
-        let args = term
-            .call
-            .args
-            .iter()
-            .map(|a| integer(a).ok_or_else(|| bad(a.offset(), "bad integer argument")))
-            .collect::<Result<_, _>>()?;
         let parsed = TopoSpec {
-            family: term.call.key(),
+            family,
             args,
             concentration,
         };
@@ -163,13 +243,37 @@ impl TopoSpec {
         Ok(parsed)
     }
 
-    /// The family's reading of the arguments: a known family, an argument
-    /// count it accepts, and a size within [`MAX_SIZE`].
-    fn shape(&self) -> Result<Shape, String> {
-        let family = FAMILIES.registry.get(&self.family).ok_or_else(|| {
-            let (unknown, known) = (&self.family, &FAMILIES.known);
-            format!("unknown topology family {unknown:?}; known: {known}")
+    /// Every valid member of a family below the limits of an enumeration spec
+    /// — `lps(300)`: `p, q < 300`; `bundlefly(100,16)`: `p < 100`, `s < 16` —
+    /// as the family's `spectralfly_topology::spec::enumerate_*` lists them,
+    /// each with its closed-form [`Size`]. Nothing is size-checked: a
+    /// design-space scatter reads the closed forms only.
+    pub fn enumerate(spec: &str) -> Result<Vec<(TopoSpec, Size)>, String> {
+        let (name, limits, times) = read_call(spec)?;
+        let listing = family(&name)?.enumerate.filter(|(arity, _)| {
+            times.is_none() && limits.len() == *arity && limits.iter().all(|&l| l <= MAX_LIMIT)
+        });
+        let (_, list) = listing.ok_or_else(|| {
+            format!(
+                "{spec:?} is not an enumeration: a family other than ring, one limit \
+                 (bundlefly: p and s limits) of at most {MAX_LIMIT}, no 'x'"
+            )
         })?;
+        let member = |m: TopologySpec| {
+            let topo = TopoSpec {
+                family: name.clone(),
+                args: m.params(),
+                concentration: 1,
+            };
+            (topo, (m.num_routers(), m.radix()))
+        };
+        Ok(list(&limits).into_iter().map(member).collect())
+    }
+
+    /// The family's reading of the arguments: a known family, an argument
+    /// count it accepts, and a size within [`MAX_SIZE`] and [`MAX_LINKS`].
+    fn shape(&self) -> Result<Shape, String> {
+        let family = family(&self.family)?;
         if !family.arities.contains(&self.args.len()) {
             return Err(format!(
                 "wrong argument count for {}: got {}",
@@ -182,25 +286,49 @@ impl TopoSpec {
         (shape.routers().filter(fits))
             .and_then(|routers| routers.checked_mul(self.concentration as u64))
             .filter(fits)
+            .and(shape.links().filter(|&links| links <= MAX_LINKS))
             .ok_or_else(|| {
                 format!(
-                    "{} is too large: at most {MAX_SIZE} routers, and as many endpoints \
-                     (routers x concentration), can be simulated",
+                    "{} is too large: at most {MAX_SIZE} routers, as many endpoints \
+                     (routers x concentration) and {MAX_LINKS} links can be simulated",
                     self.canonical()
                 )
             })?;
         Ok(shape)
     }
 
+    /// The canonical spelling of the router graph alone (`lps(11,7)`): what a
+    /// structural row, which has no endpoints, is called.
+    pub fn graph_name(&self) -> String {
+        let args: Vec<String> = self.args.iter().map(u64::to_string).collect();
+        format!("{}({})", self.family, args.join(","))
+    }
+
     /// The canonical spelling this spec round-trips through.
     pub fn canonical(&self) -> String {
-        let args: Vec<String> = self.args.iter().map(u64::to_string).collect();
-        format!("{}({})x{}", self.family, args.join(","), self.concentration)
+        format!("{}x{}", self.graph_name(), self.concentration)
     }
 
     /// Build the router graph (validity errors come from the constructors).
     pub fn build(&self) -> Result<CsrGraph, String> {
         (self.shape()?.build()).map_err(|e| format!("{}: {e}", self.canonical()))
+    }
+
+    /// Build the simulated network under an oracle policy. `cayley` goes
+    /// through `LpsGraph::cayley_oracle()` — [`SimNetwork::with_policy`] cannot
+    /// find a group in a bare graph, and refuses the other families.
+    pub fn network(&self, policy: OraclePolicy) -> Result<SimNetwork, String> {
+        let named = |e: String| format!("{}: {e}", self.canonical());
+        match self.shape()? {
+            Shape::Paper(TopologySpec::Lps { p, q }) if policy == OraclePolicy::Cayley => {
+                let lps = LpsGraph::new(p, q).map_err(|e| named(e.to_string()))?;
+                let oracle = lps.cayley_oracle().map_err(|e| named(e.to_string()))?;
+                let (graph, oracle) = (lps.graph().clone(), Arc::new(oracle));
+                Ok(SimNetwork::with_oracle(graph, self.concentration, oracle))
+            }
+            _ => SimNetwork::with_policy(self.build()?, self.concentration, policy)
+                .map_err(|e| named(e.to_string())),
+        }
     }
 }
 

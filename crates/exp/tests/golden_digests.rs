@@ -71,10 +71,11 @@ fn engine_equivalence_digests_are_bit_identical_across_shard_counts() {
     }
 }
 
-/// The full smoke manifest (points only) reproduces the checked-in golden
-/// digests exactly. The baselines were recorded by a release build; this test
-/// runs unoptimised — passing proves the digests do not depend on the
-/// optimisation profile, only on the simulation itself.
+/// The full smoke manifest (points and structural rows, no perf) reproduces
+/// the checked-in golden digests exactly. The baselines were recorded by a
+/// release build; this test runs unoptimised — passing proves the digests do
+/// not depend on the optimisation profile, only on the simulation (and, for
+/// the `[structure.*]` rows, on the graph numerics) itself.
 #[test]
 fn smoke_manifest_reproduces_checked_in_golden_digests() {
     let m = smoke_manifest();
@@ -127,6 +128,7 @@ fn parallel_engine_is_shard_invariant_on_degraded_points() {
     assert_eq!(exp.shards, vec![2, 4]);
     let mut only = m.clone();
     only.experiments.retain(|e| e.name == "degraded");
+    only.structures.clear();
     only.perf.clear();
     only.external.clear();
     let opts = RunOptions {
@@ -137,4 +139,47 @@ fn parallel_engine_is_shard_invariant_on_degraded_points() {
     let report = runner::run_manifest(&only, &opts)
         .expect("2-shard and 4-shard runs of the faulted steady-state points agree");
     assert!(!report.points.is_empty());
+}
+
+/// The paper's headline contrast, as the gate sees it: in the smoke manifest's
+/// `profile` table the LPS row certifies Ramanujan and the DragonFly row does
+/// not, with µ₁ an order of magnitude apart.
+#[test]
+fn smoke_profile_certifies_lps_ramanujan_and_dragonfly_not() {
+    let m = smoke_manifest();
+    let section = (m.structures.iter())
+        .find(|s| s.name == "profile")
+        .expect("smoke manifest pins a structural profile section");
+    let column = |name: &str| {
+        let at = section.metrics.iter().position(|c| c.name() == name);
+        at.unwrap_or_else(|| panic!("the profile section has no {name} column"))
+    };
+    let opts = RunOptions {
+        skip_external: true,
+        skip_perf: true,
+        filter: Some("profile/".to_string()),
+    };
+    let report = runner::run_manifest(&m, &opts).expect("structural rows evaluate");
+    assert_eq!(report.points.len(), section.topologies.len());
+    let row = |topology: &str| {
+        let id = format!("profile/{topology}");
+        let found = report.points.iter().find(|p| p.id == id);
+        &found.unwrap_or_else(|| panic!("no row {id}")).values
+    };
+    let (lps, df) = (row("lps(11,7)"), row("dragonfly(12)"));
+    assert_eq!(lps[column("ramanujan")], Some(1.0));
+    assert_eq!(df[column("ramanujan")], Some(0.0));
+    assert_eq!(lps[column("routers")], Some(168.0));
+    let (lps_mu1, df_mu1) = (lps[column("mu1")].unwrap(), df[column("mu1")].unwrap());
+    assert!(
+        (lps_mu1 - 0.50).abs() < 0.03 && df_mu1 < 0.1,
+        "{lps_mu1} {df_mu1}"
+    );
+    let table = report.tables(&m);
+    assert!(table.contains("== profile (structure) =="), "{table}");
+    assert!(
+        table.contains("\nlps(11,7) | 168 | 12 | 3 | 2.389 | 3 | "),
+        "{table}"
+    );
+    assert!(table.contains(" | 0.50 | yes | "), "{table}");
 }

@@ -4,7 +4,10 @@
 //! offending field — the manifest mirror of the fault-spec byte-offset errors.
 
 use proptest::prelude::*;
-use spectralfly_exp::{Experiment, Manifest, ManifestError, Mode, PerfScenario, TopoSpec};
+use spectralfly_exp::{
+    Experiment, Manifest, ManifestError, Mode, PerfScenario, Structure, TopoSpec,
+};
+use spectralfly_graph::Column;
 
 const TOPOLOGIES: &[&str] = &[
     "ring(5)",
@@ -30,6 +33,8 @@ const JOBS: &[&str] = &[
 ];
 const SCRIPTS: &[&str] = &["none", "churn(1mhz, 5us)", "churn(10khz, 2us)"];
 const ORACLES: &[&str] = &["auto", "dense", "landmark"];
+const ROW_TOPOLOGIES: &[&str] = &["ring(5)", "lps(11,7)", "slimfly(9)", "dragonfly(8,4,21)"];
+const ENUMERATIONS: &[&str] = &["lps(30)", "slimfly(12)", "bundlefly(30,6)", "dragonfly(9)"];
 
 /// Pick a non-empty subset of `pool` from a drawn bitmask (wrapping the mask
 /// so every draw selects at least the first element).
@@ -67,6 +72,10 @@ proptest! {
         warmup in 0u64..5_000,
         measure in 1u64..20_000,
         fault_seed in 0u64..1_000_000,
+        row_mask in 1usize..16,
+        enumerated in 0usize..3,
+        column_mask in 1usize..2048,
+        failure_mask in 0usize..8,
     ) {
         // The pattern axis only drives steady-state sources; outside steady
         // mode it must stay empty (the parser enforces this as a typed error,
@@ -126,10 +135,35 @@ proptest! {
             tolerance: 0.25,
             seed: seed0,
         };
+        // A structural table: rows listed or enumerated (capped or not), any
+        // columns — under link failures, any of the three that have a sweep.
+        let swept = failure_mask > 0;
+        let columns: Vec<Column> = Column::ALL
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| column_mask & (1 << i) != 0)
+            .map(|(_, c)| c)
+            .collect();
+        let sweepable = [Column::Diameter, Column::MeanDistance, Column::BisectionUpper];
+        let structure = Structure {
+            name: "table".to_string(),
+            topologies: if enumerated == 0 { subset(ROW_TOPOLOGIES, row_mask) } else { Vec::new() },
+            enumerate: if enumerated == 0 { Vec::new() } else { subset(ENUMERATIONS, row_mask) },
+            max_routers: (enumerated == 2).then_some(2_000 + seed0),
+            metrics: if swept { sweepable[..1 + column_mask % 3].to_vec() } else { columns },
+            link_failures: [0.0, 0.1, 0.55]
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| failure_mask & (1 << i) != 0)
+                .map(|(_, f)| f)
+                .collect(),
+            seed: fault_seed,
+        };
         let manifest = Manifest {
             name: "prop".to_string(),
             description: "round-trip property".to_string(),
             experiments: vec![exp],
+            structures: vec![structure],
             perf: vec![perf],
             external: Vec::new(),
         };

@@ -19,6 +19,10 @@ mode = "finite"
 messages = 2
 bytes = 512
 
+[structure.shape]
+topologies = ["ring(5)", "lps(3,5)"]
+metrics = ["routers", "diameter", "mu1"]
+
 [perf.tiny]
 topology = "ring(5)x2"
 routing = "minimal"
@@ -110,6 +114,33 @@ fn gate_passes_clean_and_fails_each_injected_regression_with_the_right_diagnosis
     assert_eq!(
         cmp.findings,
         vec![Diagnosis::UnbaselinedPoint { id: dropped.0 }]
+    );
+
+    // Injections 6 and 7: a structural row is a point like any other — a
+    // corrupted digest is drift naming the `section/topology` row, a row the
+    // fresh run no longer produces is a missing point.
+    let row = golden
+        .results
+        .iter()
+        .position(|(id, _)| id == "shape/lps(3,5)");
+    let row = row.expect("structure rows are recorded beside the points");
+    let mut drifted = golden.clone();
+    drifted.results[row].1 = "0000000000000000".to_string();
+    assert_eq!(
+        compare(&m, &report, &drifted).findings,
+        vec![Diagnosis::ResultsDrift {
+            id: "shape/lps(3,5)".to_string(),
+            expected: "0000000000000000".to_string(),
+            got: golden.results[row].1.clone(),
+        }]
+    );
+    let mut shrunk = report.clone();
+    shrunk.points.retain(|p| p.id != "shape/lps(3,5)");
+    assert_eq!(
+        compare(&m, &shrunk, &golden).findings,
+        vec![Diagnosis::MissingPoint {
+            id: "shape/lps(3,5)".to_string()
+        }]
     );
 
     // Injection 5: baselines recorded for a different manifest config hash

@@ -22,6 +22,15 @@ jobs = ["allgather x 8 @ random + traffic(0.9, adversarial(4), 4096) x 8"]
 faults = ["links(0.1) + routers(2)"]
 fault_scripts = ["at(5us, links(0.05)) + churn(10mhz, 2us)"]
 mode = "steady"
+[structure.listed]
+topologies = ["slimfly(5)", "dragonfly(4,2,5)"]
+metrics = ["diameter", "bisection-upper"]
+link_failures = [0.0, 0.25]
+seed = 0xFA11
+[structure.enumerated]
+enumerate = ["lps(30)", "bundlefly(30,6)"]
+max_routers = 4000
+metrics = ["radix", "routers", "mu1"]
 "#;
 
 fn parse_topology(input: &str) {
@@ -44,6 +53,9 @@ proptest! {
             let quoted: String = value.chars().filter(|c| !matches!(c, '"' | '\\')).collect();
             documents.push(MANIFEST.replace("lps(11,7)x4", &quoted));
             documents.push(MANIFEST.replace("links(0.1) + routers(2)", &quoted));
+            documents.push(MANIFEST.replace("slimfly(5)", &quoted));
+            documents.push(MANIFEST.replace("bundlefly(30,6)", &quoted));
+            documents.push(MANIFEST.replace("bisection-upper", &quoted));
         }
         within_budget(documents, parse_manifest);
     }
@@ -59,6 +71,12 @@ fn single_edit_mutations_yield_ok_or_typed_errors() {
     ] {
         TopoSpec::parse(valid).unwrap();
         within_budget(single_edit_mutations(valid), parse_topology);
+    }
+    for valid in ["lps(30)", "bundlefly(30, 6)"] {
+        TopoSpec::enumerate(valid).unwrap();
+        within_budget(single_edit_mutations(valid), |input| {
+            let _ = TopoSpec::enumerate(input);
+        });
     }
     Manifest::parse(MANIFEST).unwrap();
     within_budget(single_edit_mutations(MANIFEST), parse_manifest);
@@ -77,7 +95,11 @@ fn window_lengths_that_overflow_picoseconds_are_rejected() {
         ("warmup_ns", "18446744073709551", "warmup_ns"),
         ("measure_ns", "9223372036854775", "measure_ns"),
     ] {
-        let err = Manifest::parse(&format!("{MANIFEST}{key} = {value}\n")).unwrap_err();
+        let err = Manifest::parse(&MANIFEST.replace(
+            "mode = \"steady\"\n",
+            &format!("mode = \"steady\"\n{key} = {value}\n"),
+        ))
+        .unwrap_err();
         assert!(
             err.to_string()
                 .contains(&format!("[experiment.e] {field}:")),
@@ -85,8 +107,8 @@ fn window_lengths_that_overflow_picoseconds_are_rejected() {
         );
     }
     // Windows just under the limit still parse.
-    let fits = format!("{MANIFEST}warmup_ns = 0\nmeasure_ns = 9007199254740991\n");
-    Manifest::parse(&fits).unwrap();
+    let fits = "mode = \"steady\"\nwarmup_ns = 0\nmeasure_ns = 9007199254740991\n";
+    Manifest::parse(&MANIFEST.replace("mode = \"steady\"\n", fits)).unwrap();
 }
 
 /// Each of these used to parse — as `lps(11,7)x4`, `ring(9)x3`, … — with the
@@ -119,7 +141,11 @@ fn malformed_topologies_are_rejected_with_an_offset() {
 /// `TopoSpec::build` or `run_manifest`: `ring(4294967296)` truncated to an
 /// empty ring over 2³² vertices (a 96 GiB allocation), a concentration of
 /// `u64::MAX` wrapped the endpoint count, and the other four never came back
-/// from their constructors.
+/// from their constructors. The last three sat inside the router ceiling:
+/// `dragonfly(4095)` is 16.8 M routers and 3.4·10¹⁰ links, allocated until the
+/// process aborted; `dragonfly(2,18446744073709551615,2)` overflowed `a·h` in
+/// `GeneralizedDragonFly::new` (a panic in debug builds, a wrapped count in
+/// release); `lps(18446744073709551615,7)` is 168 routers of radix 2⁶⁴.
 #[test]
 fn oversized_topologies_are_rejected_before_anything_is_built() {
     for spec in [
@@ -129,6 +155,9 @@ fn oversized_topologies_are_rejected_before_anything_is_built() {
         "slimfly(4294967311)",
         "dragonfly(4294967296)",
         "dragonfly(8,4,4294967296)",
+        "dragonfly(4095)",
+        "dragonfly(2,18446744073709551615,2)",
+        "lps(18446744073709551615,7)",
     ] {
         let reason = TopoSpec::parse(spec).unwrap_err();
         assert!(reason.contains("is too large"), "{spec}: {reason}");
@@ -140,6 +169,43 @@ fn oversized_topologies_are_rejected_before_anything_is_built() {
     }
     // The largest fabric the repository runs is well inside the ceiling.
     TopoSpec::parse("lps(5,103)x8").unwrap();
+    // The constructor checks its own arithmetic too, whoever calls it.
+    let unchecked = spectralfly_topology::GeneralizedDragonFly::new(2, u64::MAX, 2);
+    assert!(unchecked.unwrap_err().to_string().contains("is too large"));
+    // A [structure.*] section is a second door for the same strings.
+    for spec in ["dragonfly(4095)", "dragonfly(2,18446744073709551615,2)"] {
+        let err = Manifest::parse(&MANIFEST.replace("slimfly(5)", spec)).unwrap_err();
+        assert!(
+            err.to_string().contains("[structure.listed] topologies")
+                && err.to_string().contains("is too large"),
+            "{err}"
+        );
+    }
+}
+
+/// `oracles = ["cayley"]` used to parse for any topology and then fail every
+/// point at run time (`SimNetwork::with_policy` finds no group in a bare
+/// graph): honoured for `lps(p,q)`, refused at parse time for everything else.
+#[test]
+fn the_cayley_oracle_is_refused_where_it_cannot_be_built() {
+    let with_cayley = |topologies: &str| {
+        let axes =
+            format!("topologies = [{topologies}]\noracles = [\"Cayley\"]\nfaults = [\"none\"]\n");
+        let src = MANIFEST.replace("topologies = [\"lps(11,7)x4\", \"ring(9)x2\"]\n", &axes);
+        Manifest::parse(&src.replace("faults = [\"links(0.1) + routers(2)\"]\n", ""))
+    };
+    with_cayley("\"lps(11,7)x4\", \"lps(3,5)\"").unwrap();
+    for refused in [
+        "\"lps(11,7)x4\", \"ring(9)x2\"",
+        "\"slimfly(5)\"",
+        "\"dragonfly(4)\"",
+    ] {
+        let err = with_cayley(refused).unwrap_err().to_string();
+        assert!(
+            err.contains("[experiment.e] oracles: the cayley oracle"),
+            "{refused}: {err}"
+        );
+    }
 }
 
 /// Every topology string in `manifests/*.toml`, `benchmark/workloads/*.toml`,
@@ -159,6 +225,12 @@ fn checked_in_topologies_keep_their_meaning() {
         ("bundlefly(9,9)x6", "bundlefly", &[9, 9], 6),
         ("dragonfly(8,4,21)x4", "dragonfly", &[8, 4, 21], 4),
         ("dragonfly(16,8,69)x8", "dragonfly", &[16, 8, 69], 8),
+        // [structure.*] rows: router graphs, spelled without a concentration.
+        ("lps(11,7)", "lps", &[11, 7], 1),
+        ("lps(89,19)", "lps", &[89, 19], 1),
+        ("slimfly(59)", "slimfly", &[59], 1),
+        ("bundlefly(157,5)", "bundlefly", &[157, 5], 1),
+        ("dragonfly(85)", "dragonfly", &[85], 1),
     ] {
         let parsed = TopoSpec::parse(spec).unwrap();
         assert_eq!(
@@ -169,6 +241,31 @@ fn checked_in_topologies_keep_their_meaning() {
             ),
             (family, args, concentration)
         );
-        assert_eq!(parsed.canonical(), spec);
+        let spelled = if spec.contains('x') {
+            parsed.canonical()
+        } else {
+            parsed.graph_name()
+        };
+        assert_eq!(spelled, spec);
+    }
+    // Every enumeration in `manifests/*.toml`, with the number of members the
+    // flag-driven binaries it replaced listed at the same limits.
+    for (spec, members, first, last) in [
+        ("lps(300)", 3247, "lps(3,5)", "lps(293,283)"),
+        ("lps(100)", 454, "lps(3,5)", "lps(97,89)"),
+        ("lps(24)", 39, "lps(3,5)", "lps(23,19)"),
+        ("slimfly(100)", 34, "slimfly(3)", "slimfly(97)"),
+        (
+            "bundlefly(100,16)",
+            120,
+            "bundlefly(5,3)",
+            "bundlefly(97,13)",
+        ),
+        ("dragonfly(100)", 98, "dragonfly(2)", "dragonfly(99)"),
+    ] {
+        let rows = TopoSpec::enumerate(spec).unwrap();
+        assert_eq!(rows.len(), members, "{spec}");
+        assert_eq!(rows[0].0.graph_name(), first, "{spec}");
+        assert_eq!(rows[members - 1].0.graph_name(), last, "{spec}");
     }
 }

@@ -78,7 +78,7 @@ impl Default for TrialConfig {
             batches: 10,
             target_cov: 0.10,
             max_trials: 400,
-            bisection_restarts: 2,
+            bisection_restarts: crate::profile::BISECTION_RESTARTS,
         }
     }
 }
@@ -221,8 +221,13 @@ pub fn failure_sweep(
     proportions
         .iter()
         .enumerate()
-        .map(|(i, &p)| failure_point(g, p, metric, cfg, seed.wrapping_add(i as u64 * 7919)))
+        .map(|(i, &p)| failure_point(g, p, metric, cfg, sweep_seed(seed, i)))
         .collect()
+}
+
+/// The seed [`failure_sweep`] hands the `index`-th proportion of a sweep seeded `seed`.
+pub fn sweep_seed(seed: u64, index: usize) -> u64 {
+    seed.wrapping_add(index as u64 * 7919)
 }
 
 /// The empirical disconnection threshold: the smallest proportion in `proportions` at which

@@ -12,6 +12,8 @@
 //!   upper-bound bisection bandwidth (Fig. 4, Fig. 5, Table II).
 //! * [`failures`] — random link-failure sweeps with the paper's batched
 //!   coefficient-of-variation stopping rule (Fig. 5).
+//! * [`profile`] — one-call structural profiling ([`profile_graph`]): the Table-I columns
+//!   plus the bisection bracket and the Ramanujan certificate, computed on demand.
 //! * [`matching`] — near-maximum matchings used to pair routers into cabinets (Section VII).
 //! * [`paths`] — the shared distance / next-hop oracle ([`paths::DistanceMatrix`])
 //!   consumed by both the analytical layer and the packet-level simulator, plus the
@@ -23,8 +25,7 @@
 //!   changing a single routing call site.
 //!
 //! ```
-//! use spectralfly_graph::csr::CsrGraph;
-//! use spectralfly_graph::metrics::structural_metrics;
+//! use spectralfly_graph::{profile_graph, Column, CsrGraph};
 //!
 //! // A 3-cube: 3-regular, diameter 3.
 //! let edges: Vec<(u32, u32)> = (0..8u32)
@@ -32,9 +33,8 @@
 //!     .filter(|&(u, v)| u < v)
 //!     .collect();
 //! let g = CsrGraph::from_edges(8, &edges);
-//! let m = structural_metrics(&g).unwrap();
-//! assert_eq!(m.diameter, 3);
-//! assert_eq!(m.radix, 3);
+//! let p = profile_graph(&g, &[Column::Diameter, Column::Girth], 1);
+//! assert_eq!((p.radix, p.diameter, p.girth), (3, Some(3), Some(4)));
 //! ```
 
 #![warn(missing_docs)]
@@ -47,13 +47,14 @@ pub mod metrics;
 pub mod oracle;
 pub mod partition;
 pub mod paths;
+pub mod profile;
 pub mod spectral;
 
 pub use csr::{CsrGraph, VertexId};
-pub use metrics::{structural_metrics, StructuralMetrics};
 pub use oracle::{
     CayleyDiff, CayleyOracle, DenseOracle, LandmarkOracle, OracleError, OracleKind, PathOracle,
 };
 pub use partition::{bisect, bisection_bandwidth, partition_kway, BisectConfig, Bisection};
 pub use paths::{DistanceMatrix, NextHopTable};
-pub use spectral::{is_ramanujan, spectral_summary, SpectralSummary};
+pub use profile::{profile_graph, Column, StructuralProfile};
+pub use spectral::{spectral_summary, SpectralSummary};

@@ -5,7 +5,7 @@
 //! topologies (LPS and canonical DragonFly are Cayley-graph-based and vertex-transitive) a
 //! single-source profile already determines the distance distribution, and callers can use
 //! [`distance_histogram_from`] for that shortcut; the experiment harness uses the exact
-//! sweep for the sizes in the paper and sampling above that.
+//! sweep throughout.
 
 use crate::csr::{CsrGraph, VertexId};
 use rayon::prelude::*;
@@ -111,53 +111,6 @@ pub fn diameter_and_mean_distance(g: &CsrGraph) -> Option<(u32, f64)> {
     Some((diameter, total as f64 / pairs as f64))
 }
 
-/// Sampled estimate of diameter (lower bound) and mean distance using `samples` BFS sources.
-///
-/// Deterministic given `seed`. Intended for the large design-space sweeps (Fig. 4) where an
-/// exact all-pairs sweep would dominate runtime; the experiment index records where this is
-/// used. Returns `None` if any sampled source cannot reach the whole graph.
-pub fn sampled_diameter_and_mean_distance(
-    g: &CsrGraph,
-    samples: usize,
-    seed: u64,
-) -> Option<(u32, f64)> {
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    let n = g.num_vertices();
-    if n <= 1 {
-        return Some((0, 0.0));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sources: Vec<VertexId> = (0..samples.min(n))
-        .map(|_| rng.gen_range(0..n) as VertexId)
-        .collect();
-    let per_source: Vec<Option<(u32, u64)>> = sources
-        .par_iter()
-        .map(|&s| {
-            let dist = bfs_distances(g, s);
-            let mut max = 0u32;
-            let mut sum = 0u64;
-            for &d in &dist {
-                if d == UNREACHABLE {
-                    return None;
-                }
-                max = max.max(d);
-                sum += d as u64;
-            }
-            Some((max, sum))
-        })
-        .collect();
-    let mut diameter = 0u32;
-    let mut total = 0u64;
-    let mut count = 0u64;
-    for r in per_source {
-        let (max, sum) = r?;
-        diameter = diameter.max(max);
-        total += sum;
-        count += (n - 1) as u64;
-    }
-    Some((diameter, total as f64 / count as f64))
-}
-
 /// Girth (length of a shortest cycle), or `None` for forests.
 ///
 /// BFS from every vertex; a non-tree edge at BFS levels `d(u)`, `d(v)` closes a cycle of
@@ -208,38 +161,6 @@ fn shortest_cycle_through(g: &CsrGraph, source: VertexId) -> Option<u32> {
         }
     }
     best
-}
-
-/// A bundle of the structural quantities the paper reports per topology (Table I).
-#[derive(Clone, Debug, PartialEq)]
-pub struct StructuralMetrics {
-    /// Number of routers (vertices).
-    pub routers: usize,
-    /// Router radix if regular, otherwise the maximum degree.
-    pub radix: usize,
-    /// Whether the graph is regular.
-    pub regular: bool,
-    /// Diameter (hops).
-    pub diameter: u32,
-    /// Mean shortest-path length over ordered distinct pairs.
-    pub mean_distance: f64,
-    /// Girth, if the graph has a cycle.
-    pub girth: Option<u32>,
-}
-
-/// Compute the Table-I structural metrics for a connected graph.
-///
-/// Returns `None` for disconnected graphs.
-pub fn structural_metrics(g: &CsrGraph) -> Option<StructuralMetrics> {
-    let (diameter, mean_distance) = diameter_and_mean_distance(g)?;
-    Some(StructuralMetrics {
-        routers: g.num_vertices(),
-        radix: g.max_degree(),
-        regular: g.regular_degree().is_some(),
-        diameter,
-        mean_distance,
-        girth: girth(g),
-    })
 }
 
 #[cfg(test)]
@@ -322,25 +243,5 @@ mod tests {
         let g = cycle_graph(6);
         assert_eq!(eccentricity(&g, 0), Some(3));
         assert_eq!(distance_histogram_from(&g, 0), vec![1, 2, 2, 1]);
-    }
-
-    #[test]
-    fn structural_metrics_on_petersen() {
-        let m = structural_metrics(&petersen()).unwrap();
-        assert_eq!(m.routers, 10);
-        assert_eq!(m.radix, 3);
-        assert!(m.regular);
-        assert_eq!(m.diameter, 2);
-        assert_eq!(m.girth, Some(5));
-        // Petersen mean distance: each vertex has 3 at distance 1, 6 at distance 2 -> 15/9.
-        assert!((m.mean_distance - 15.0 / 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampled_metrics_close_to_exact_on_small_graph() {
-        let g = petersen();
-        let (d, mean) = sampled_diameter_and_mean_distance(&g, 10, 1).unwrap();
-        assert_eq!(d, 2);
-        assert!((mean - 15.0 / 9.0).abs() < 1e-9);
     }
 }

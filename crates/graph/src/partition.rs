@@ -365,14 +365,6 @@ pub fn bisection_bandwidth(g: &CsrGraph, restarts: usize, seed: u64) -> u64 {
         .unwrap_or(0)
 }
 
-/// Normalized bisection bandwidth `BW / (n k / 2)` as plotted in Fig. 4 of the paper.
-pub fn normalized_bisection_bandwidth(g: &CsrGraph, restarts: usize, seed: u64) -> f64 {
-    let k = g.max_degree() as f64;
-    let n = g.num_vertices() as f64;
-    let bw = bisection_bandwidth(g, restarts, seed) as f64;
-    bw / (n * k / 2.0)
-}
-
 /// Partition `g` into `parts` balanced parts, returning the part index of each vertex.
 ///
 /// Power-of-two part counts recurse on [`bisect`] (each half is extracted with
@@ -521,13 +513,6 @@ mod tests {
         assert!(b.cut >= 2);
         let diff = b.part_weight[0] as i64 - b.part_weight[1] as i64;
         assert!(diff.abs() <= 2);
-    }
-
-    #[test]
-    fn normalized_bandwidth_in_unit_range() {
-        let g = complete_bipartite(10, 10);
-        let nb = normalized_bisection_bandwidth(&g, 4, 9);
-        assert!(nb > 0.0 && nb <= 1.0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The shared distance / next-hop oracle: all-pairs router distances with minimal
 //! next-hop queries.
 //!
-//! Both the analytical layer (`spectralfly::routing` — path diversity, average hop
-//! counts under a placement) and the packet-level simulator
-//! (`spectralfly_simnet::SimNetwork`) need, for an arbitrary (current router,
-//! destination router) pair, the set of neighbours that lie on a shortest path.
+//! Both the analytical layer (path diversity, average hop counts under a placement)
+//! and the packet-level simulator (`spectralfly_simnet::SimNetwork`) need, for an
+//! arbitrary (current router, destination router) pair, the set of neighbours that lie
+//! on a shortest path.
 //! Historically each kept its own copy of this machinery; it now lives here, in the
 //! graph substrate both depend on, so there is exactly one implementation to test
 //! and optimize. Two representations are provided:

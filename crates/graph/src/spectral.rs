@@ -11,7 +11,6 @@
 //!   hundreds of thousands of vertices.
 
 use crate::csr::CsrGraph;
-use crate::metrics::{bfs_distances, UNREACHABLE};
 
 /// Result of the spectral analysis of a `k`-regular connected graph.
 #[derive(Clone, Debug)]
@@ -322,17 +321,6 @@ pub fn spectral_summary(g: &CsrGraph, iters: usize, seed: u64) -> SpectralSummar
     }
 }
 
-/// Normalized Laplacian spectral gap µ₁ = (k − λ₂)/k for a connected `k`-regular graph.
-pub fn mu1(g: &CsrGraph, iters: usize, seed: u64) -> f64 {
-    let k = g.regular_degree().expect("mu1 requires a regular graph") as f64;
-    (k - lambda2(g, iters, seed)) / k
-}
-
-/// Check whether a connected `k`-regular graph is Ramanujan: λ(G) ≤ 2√(k−1).
-pub fn is_ramanujan(g: &CsrGraph, iters: usize, seed: u64) -> bool {
-    spectral_summary(g, iters, seed).ramanujan
-}
-
 /// The Alon–Boppana lower bound on λ for a `k`-regular graph of diameter `d`:
 /// `2 sqrt(k-1) (1 - 2/d) - 2/d` (Section II of the paper).
 pub fn alon_boppana_bound(k: usize, diameter: u32) -> f64 {
@@ -344,16 +332,6 @@ pub fn alon_boppana_bound(k: usize, diameter: u32) -> f64 {
 /// `BW(G) ≥ µ₁ · k · n / 4` (Fiedler bound as used in Section IV-d of the paper).
 pub fn spectral_bisection_lower_bound(n: usize, k: usize, mu1: f64) -> f64 {
     mu1 * k as f64 * n as f64 / 4.0
-}
-
-/// Verify that the graph is connected (helper for callers that need to guard the
-/// regular-graph spectral shortcuts).
-pub fn assert_connected(g: &CsrGraph) {
-    let d = bfs_distances(g, 0);
-    assert!(
-        d.iter().all(|&x| x != UNREACHABLE),
-        "spectral routines require a connected graph"
-    );
 }
 
 #[cfg(test)]

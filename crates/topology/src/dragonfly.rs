@@ -157,7 +157,9 @@ impl GeneralizedDragonFly {
             )));
         }
         let (a_us, h_us, groups) = (a as usize, h as usize, g as usize);
-        let n = a_us * groups;
+        let too_large =
+            || TopologyError::InvalidParameter(format!("DF({a}, {h}, {g}) is too large"));
+        let n = a_us.checked_mul(groups).ok_or_else(too_large)?;
         let id = |grp: usize, r: usize| -> VertexId { (grp * a_us + r) as VertexId };
         let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
         for grp in 0..groups {
@@ -172,12 +174,12 @@ impl GeneralizedDragonFly {
         // the offsets until every slot is used. Within a group, each new link goes to the
         // router with the most remaining global capacity, which keeps per-router global
         // degrees within one of each other (and exactly h when a*h slots divide evenly).
-        let slots_per_group = a_us * h_us;
+        let slots_per_group = a_us.checked_mul(h_us).ok_or_else(too_large)?;
         let mut used = vec![vec![0usize; a_us]; groups]; // global links already on each router
         let mut used_total = vec![0usize; groups];
         let mut placed: std::collections::HashSet<(VertexId, VertexId)> =
             std::collections::HashSet::new();
-        let mut remaining: usize = slots_per_group * groups / 2;
+        let mut remaining = slots_per_group.checked_mul(groups).ok_or_else(too_large)? / 2;
         let pick_router = |used_g: &[usize], avoid: Option<usize>| -> usize {
             let mut best = usize::MAX;
             let mut best_used = usize::MAX;

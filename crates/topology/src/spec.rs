@@ -93,6 +93,16 @@ impl TopologySpec {
         }
     }
 
+    /// The construction's parameters, in the order [`TopologySpec::name`] prints them.
+    pub fn params(&self) -> Vec<u64> {
+        match *self {
+            TopologySpec::Lps { p, q } => vec![p, q],
+            TopologySpec::SlimFly { q } => vec![q],
+            TopologySpec::BundleFly { p, s } => vec![p, s],
+            TopologySpec::DragonFly { a } => vec![a],
+        }
+    }
+
     /// Short display name, e.g. `LPS(23, 11)`.
     pub fn name(&self) -> String {
         match *self {

@@ -4,8 +4,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use spectralfly::network::SpectralFlyNetwork;
-use spectralfly::profile::{profile_graph, ProfileConfig};
 use spectralfly_graph::spectral::spectral_summary;
+use spectralfly_graph::{profile_graph, Column};
 
 fn main() {
     // The paper's smallest Table-I instance: LPS(11, 7) with 4 endpoints per router.
@@ -17,10 +17,13 @@ fn main() {
     println!("router ports : {}", net.router_ports());
 
     // Structural profile (Table I columns).
-    let profile = profile_graph(&net.name(), net.router_graph(), &ProfileConfig::default());
+    let profile = profile_graph(net.router_graph(), &Column::ALL, 0xC0FFEE);
     println!("\nstructural profile");
-    println!("  diameter        : {}", profile.diameter);
-    println!("  mean distance   : {:.3}", profile.mean_distance);
+    println!("  diameter        : {:?}", profile.diameter);
+    println!(
+        "  mean distance   : {:.3}",
+        profile.mean_distance.unwrap_or(f64::NAN)
+    );
     println!("  girth           : {:?}", profile.girth);
     println!("  mu1             : {:.3}", profile.mu1.unwrap_or(f64::NAN));
     println!(

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example topology_comparison [-- --class 1]`
 
-use spectralfly::profile::{profile_graph, ProfileConfig};
+use spectralfly_graph::{profile_graph, Column};
 use spectralfly_topology::spec::table1_size_classes;
 
 fn main() {
@@ -24,14 +24,14 @@ fn main() {
     );
     for spec in class {
         let graph = spec.build().expect("size-class spec builds");
-        let profile = profile_graph(&spec.name(), &graph, &ProfileConfig::default());
+        let profile = profile_graph(&graph, &Column::ALL, 0xC0FFEE);
         println!(
             "{:<14} {:>7} {:>6} {:>6} {:>8.3} {:>6} {:>6} {:>12}",
-            profile.name,
+            spec.name(),
             profile.routers,
             profile.radix,
-            profile.diameter,
-            profile.mean_distance,
+            profile.diameter.map_or("-".to_string(), |d| d.to_string()),
+            profile.mean_distance.unwrap_or(f64::NAN),
             profile.girth.map_or("-".to_string(), |g| g.to_string()),
             profile.mu1.map_or("-".to_string(), |m| format!("{m:.2}")),
             profile

@@ -4,10 +4,11 @@
 use spectralfly_suite::*;
 
 use spectralfly::network::SpectralFlyNetwork;
-use spectralfly::profile::{profile_graph, ProfileConfig};
 use spectralfly_graph::metrics::diameter_and_mean_distance;
 use spectralfly_graph::partition::bisection_bandwidth;
+use spectralfly_graph::paths::DistanceMatrix;
 use spectralfly_graph::spectral::spectral_summary;
+use spectralfly_graph::{profile_graph, Column};
 use spectralfly_layout::wiring::DEFAULT_ELECTRICAL_LIMIT_M;
 use spectralfly_layout::{classify_links, latency_profile, place_topology, PowerModel, QapConfig};
 use spectralfly_simnet::workload::random_placement;
@@ -23,7 +24,7 @@ fn table1_first_size_class_reproduces_paper_shape() {
     let mut profiles = Vec::new();
     for spec in class {
         let g = spec.build().expect("spec builds");
-        profiles.push(profile_graph(&spec.name(), &g, &ProfileConfig::default()));
+        profiles.push(profile_graph(&g, &Column::ALL, 0xC0FFEE));
     }
     let (lps, sf, bf, df) = (&profiles[0], &profiles[1], &profiles[2], &profiles[3]);
     // Paper values: LPS(11,7)=168/12, SF(7)=98/11, BF(13,3)=234/11, DF(12)=156/12.
@@ -32,9 +33,9 @@ fn table1_first_size_class_reproduces_paper_shape() {
     assert_eq!((bf.routers, bf.radix), (234, 11));
     assert_eq!((df.routers, df.radix), (156, 12));
     // Diameters: SF = 2; LPS, DF = 3.
-    assert_eq!(sf.diameter, 2);
-    assert_eq!(lps.diameter, 3);
-    assert_eq!(df.diameter, 3);
+    assert_eq!(sf.diameter, Some(2));
+    assert_eq!(lps.diameter, Some(3));
+    assert_eq!(df.diameter, Some(3));
     // Mean distance ordering: SF < LPS < DF (paper: 1.89 < 2.39 < 2.70).
     assert!(sf.mean_distance < lps.mean_distance);
     assert!(lps.mean_distance < df.mean_distance);
@@ -292,7 +293,7 @@ fn ugal_variants_deliver_identically_but_route_differently() {
 fn distance_helpers_agree_across_crates() {
     let lps = LpsGraph::new(13, 11).unwrap();
     let (d1, m1) = diameter_and_mean_distance(lps.graph()).unwrap();
-    let dm = spectralfly::routing::DistanceMatrix::from_graph(lps.graph());
+    let dm = DistanceMatrix::from_graph(lps.graph());
     assert_eq!(d1 as u16, dm.diameter().unwrap());
     assert!((m1 - dm.mean_distance().unwrap()).abs() < 1e-12);
 }

@@ -143,7 +143,7 @@ proptest! {
     fn min_next_hops_match_bruteforce_oracle(n in 6usize..32, k in 3usize..6, seed in 0u64..500) {
         prop_assume!(k < n && n * k % 2 == 0);
         let g = JellyFishGraph::new(n, k, seed).unwrap();
-        let dm = spectralfly::routing::DistanceMatrix::from_graph(g.graph());
+        let dm = spectralfly_graph::paths::DistanceMatrix::from_graph(g.graph());
 
         // Independent oracle: Floyd–Warshall over the adjacency lists.
         const INF: u32 = u32::MAX / 4;
