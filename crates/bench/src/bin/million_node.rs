@@ -5,7 +5,7 @@
 //! n = 1,092,624 routers of LPS(5,103) — so the classic construction path
 //! cannot even start at this scale. This binary builds that fabric behind a
 //! [`CayleyOracle`](spectralfly_graph::CayleyOracle) (one BFS ball from the identity plus O(1) PGL₂ group
-//! translation, ~n·u16 resident) or a [`LandmarkOracle`](spectralfly_graph::LandmarkOracle) (hub labeling), runs
+//! translation, 23 bytes a router resident) or a [`LandmarkOracle`](spectralfly_graph::LandmarkOracle) (hub labeling), runs
 //! finite and steady-state simulations under minimal and UGAL-L routing, and
 //! records wall times, routing decisions/second, oracle resident bytes, and
 //! the process peak RSS (`VmHWM`) as one JSON entry appended to `--out`.

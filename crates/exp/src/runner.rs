@@ -1371,18 +1371,26 @@ bytes = 512
     /// `oracles = ["cayley"]` used to validate and then fail every point in
     /// `NetworkCache::build`; it now builds through the LPS group structure,
     /// and the oracle is an implementation detail of the same simulation.
+    /// The second section is congested (PSL, 12 ports, UGAL-L at load 0.9), so
+    /// queue-driven tie-breaks walk the Cayley port order against the table's.
     #[test]
     fn the_cayley_oracle_axis_runs_and_digests_like_dense() {
         let report = run(
             "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"lps(3,5)x2\"]\n\
-             routings = [\"minimal\", \"ugal-l\"]\noracles = [\"dense\", \"cayley\"]\nseeds = [5]\n",
+             routings = [\"minimal\", \"ugal-l\"]\noracles = [\"dense\", \"cayley\"]\nseeds = [5]\n\
+             [experiment.hot]\ntopologies = [\"lps(11,7)x4\"]\nroutings = [\"ugal-l\"]\n\
+             oracles = [\"dense\", \"cayley\"]\nseeds = [5]\nmode = \"offered\"\nloads = [0.9]\n\
+             messages = 8\n",
         );
         let ids: Vec<&str> = report.points.iter().map(|p| p.id.as_str()).collect();
         assert_eq!(ids[0], "e/lps(3,5)x2/minimal/o=dense/s=5");
         assert_eq!(ids[1], "e/lps(3,5)x2/minimal/o=cayley/s=5");
-        for pair in report.points.chunks(2) {
+        assert_eq!(ids.len(), 6, "{ids:?}");
+        for (pair, delivered) in report.points.chunks(2).zip([480, 480, 5376]) {
             assert!(
-                pair[0].summary.starts_with("delivered=480 "),
+                pair[0]
+                    .summary
+                    .starts_with(&format!("delivered={delivered} ")),
                 "{}",
                 pair[0].summary
             );

@@ -1,7 +1,7 @@
 //! Low-level modular arithmetic on `u64`.
 //!
-//! These helpers are deliberately branch-light and avoid overflow by routing every
-//! multiplication through `u128`. They form the base layer for the prime-field and
+//! These helpers never overflow: a product is taken in `u64` when both operands fit 32
+//! bits and through `u128` otherwise. They form the base layer for the prime-field and
 //! extension-field types as well as the primality and residue routines.
 
 /// Greatest common divisor (Euclid's algorithm).
@@ -29,9 +29,16 @@ pub fn extended_gcd(a: i128, b: i128) -> (i128, i128, i128) {
 }
 
 /// Modular multiplication `a * b mod m` without overflow.
+///
+/// Operands that both fit 32 bits — every field the topology generators enumerate —
+/// multiply in `u64`; only wider ones pay the `u128` remainder (a library call).
 #[inline]
 pub fn mod_mul(a: u64, b: u64, m: u64) -> u64 {
-    ((a as u128 * b as u128) % m as u128) as u64
+    if (a | b) >> 32 == 0 {
+        (a * b) % m
+    } else {
+        ((a as u128 * b as u128) % m as u128) as u64
+    }
 }
 
 /// Modular addition `a + b mod m` without overflow.
@@ -76,16 +83,24 @@ pub fn mod_pow(mut base: u64, mut exp: u64, m: u64) -> u64 {
 }
 
 /// Modular inverse of `a` modulo `m`, if it exists (`gcd(a, m) == 1`).
+///
+/// Iterative extended Euclid on `u64`: the Bézout coefficients of `a` alternate in sign
+/// and stay at most `m` in magnitude, so magnitudes plus one sign bit are enough.
 pub fn mod_inv(a: u64, m: u64) -> Option<u64> {
-    if m == 0 {
-        return None;
+    if m <= 1 {
+        return (m == 1).then_some(0);
     }
-    let (g, x, _) = extended_gcd((a % m) as i128, m as i128);
-    if g != 1 {
-        return None;
+    // r0 = ±t0·a and r1 = ∓t1·a (mod m); `negative` is the sign on t0.
+    let (mut r0, mut r1) = (m, a % m);
+    let (mut t0, mut t1) = (0u64, 1u64);
+    let mut negative = true;
+    while r1 != 0 {
+        let quot = r0 / r1;
+        (r0, r1) = (r1, r0 - quot * r1);
+        (t0, t1) = (t1, t0 + quot * t1);
+        negative = !negative;
     }
-    let m_i = m as i128;
-    Some((((x % m_i) + m_i) % m_i) as u64)
+    (r0 == 1).then_some(if negative { m - t0 } else { t0 })
 }
 
 /// Canonical non-negative representative of a signed value modulo `m`.
@@ -161,6 +176,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Both `mod_mul` paths and the iterative `mod_inv` against `u128` / the recursive
+    /// `extended_gcd`, with operands and moduli on each side of 2³² and at `u64::MAX`.
+    #[test]
+    fn mul_and_inv_agree_with_wide_references() {
+        let edge = [
+            0u64,
+            1,
+            2,
+            65520,
+            65521,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 15,
+            u64::MAX - 58,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for &m in &edge[1..] {
+            for &a in &edge {
+                for &b in &edge {
+                    let wide = (a as u128 * b as u128 % m as u128) as u64;
+                    assert_eq!(mod_mul(a, b, m), wide, "{a} * {b} mod {m}");
+                }
+                let (g, x, _) = extended_gcd((a % m) as i128, m as i128);
+                let expect = (g == 1).then(|| x.rem_euclid(m as i128) as u64);
+                assert_eq!(mod_inv(a, m), expect, "{a}^-1 mod {m}");
+            }
+        }
+        assert_eq!(mod_inv(5, 0), None);
     }
 
     #[test]

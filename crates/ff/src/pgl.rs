@@ -11,7 +11,8 @@
 //! set of classes whose determinant is a nonzero square. This gives a uniform representation
 //! for both groups.
 
-use crate::arith::{mod_inv, mod_mul};
+use crate::arith::{mod_add, mod_inv, mod_mul};
+use crate::primes::is_prime;
 use crate::residue::legendre;
 
 /// Which projective group a vertex set ranges over.
@@ -44,16 +45,25 @@ pub struct ProjMat {
 pub struct ProjectiveGroup {
     q: u64,
     kind: ProjectiveKind,
+    /// `inv[x] = x⁻¹ mod q` (`inv[0] = 0`), tabulated when `q < 2¹⁶` — which covers every
+    /// group small enough to enumerate — and empty above, where [`mod_inv`] stands in.
+    inv: Vec<u16>,
 }
 
 impl ProjectiveGroup {
     /// Create the group over `F_q` (odd prime `q ≥ 3`).
     pub fn new(q: u64, kind: ProjectiveKind) -> Self {
         assert!(
-            q >= 3 && q % 2 == 1,
+            q >= 3 && q % 2 == 1 && is_prime(q),
             "projective groups here require an odd prime q"
         );
-        ProjectiveGroup { q, kind }
+        let inv = if q <= u64::from(u16::MAX) {
+            // An inverse mod q is below q, so it fits the u16 the guard just bounded q by.
+            (0..q).map(|x| mod_inv(x, q).unwrap_or(0) as u16).collect()
+        } else {
+            Vec::new()
+        };
+        ProjectiveGroup { q, kind, inv }
     }
 
     /// The field size `q`.
@@ -66,13 +76,19 @@ impl ProjectiveGroup {
         self.kind
     }
 
-    /// Group order: `q³ - q` for PGL, `(q³ - q)/2` for PSL.
-    pub fn order(&self) -> u64 {
-        let n = self.q * self.q * self.q - self.q;
-        match self.kind {
+    /// Bytes held by the inverse table.
+    pub fn table_bytes(&self) -> usize {
+        self.inv.len() * std::mem::size_of::<u16>()
+    }
+
+    /// Group order: `q³ - q` for PGL, `(q³ - q)/2` for PSL, or `None` when `q³` overflows
+    /// `u64` (nothing validates `q` against a size before asking).
+    pub fn order(&self) -> Option<u64> {
+        let n = self.q.checked_pow(3)? - self.q;
+        Some(match self.kind {
             ProjectiveKind::Pgl => n,
             ProjectiveKind::Psl => n / 2,
-        }
+        })
     }
 
     /// The identity element.
@@ -96,19 +112,32 @@ impl ProjectiveGroup {
     /// Returns `None` if the matrix is singular.
     pub fn canonicalize(&self, a: u64, b: u64, c: u64, d: u64) -> Option<ProjMat> {
         let q = self.q;
-        let (a, b, c, d) = (a % q, b % q, c % q, d % q);
-        let det = (mod_mul(a, d, q) + q - mod_mul(b, c, q)) % q;
-        if det == 0 {
-            return None;
+        let m = ProjMat {
+            a: a % q,
+            b: b % q,
+            c: c % q,
+            d: d % q,
+        };
+        (self.det(m) != 0).then(|| self.scale_to_canonical(m))
+    }
+
+    /// Scale a nonsingular matrix with reduced entries so its leading entry is `1`.
+    #[inline]
+    fn scale_to_canonical(&self, m: ProjMat) -> ProjMat {
+        let q = self.q;
+        debug_assert_ne!(self.det(m), 0, "singular matrix {m:?}");
+        // A nonsingular matrix has a nonzero first row.
+        let lead = if m.a != 0 { m.a } else { m.b };
+        let inv = match self.inv.get(lead as usize) {
+            Some(&inv) => u64::from(inv),
+            None => mod_inv(lead, q).expect("nonzero element mod prime is invertible"),
+        };
+        ProjMat {
+            a: mod_mul(m.a, inv, q),
+            b: mod_mul(m.b, inv, q),
+            c: mod_mul(m.c, inv, q),
+            d: mod_mul(m.d, inv, q),
         }
-        let lead = [a, b, c, d].into_iter().find(|&x| x != 0)?;
-        let inv = mod_inv(lead, q).expect("nonzero element mod prime is invertible");
-        Some(ProjMat {
-            a: mod_mul(a, inv, q),
-            b: mod_mul(b, inv, q),
-            c: mod_mul(c, inv, q),
-            d: mod_mul(d, inv, q),
-        })
     }
 
     /// Does this canonical class belong to the group (PGL: always; PSL: square determinant)?
@@ -120,22 +149,43 @@ impl ProjectiveGroup {
     }
 
     /// Group multiplication `x · y` of canonical classes, producing a canonical class.
+    ///
+    /// Any nonsingular representatives with reduced entries will do; singular ones are a
+    /// caller bug (caught by a debug assertion, garbage in release).
     pub fn mul(&self, x: ProjMat, y: ProjMat) -> ProjMat {
         let q = self.q;
-        let a = (mod_mul(x.a, y.a, q) + mod_mul(x.b, y.c, q)) % q;
-        let b = (mod_mul(x.a, y.b, q) + mod_mul(x.b, y.d, q)) % q;
-        let c = (mod_mul(x.c, y.a, q) + mod_mul(x.d, y.c, q)) % q;
-        let d = (mod_mul(x.c, y.b, q) + mod_mul(x.d, y.d, q)) % q;
-        self.canonicalize(a, b, c, d)
-            .expect("product of invertible matrices is invertible")
+        let dot = |a, b, c, d| mod_add(mod_mul(a, b, q), mod_mul(c, d, q), q);
+        self.scale_to_canonical(ProjMat {
+            a: dot(x.a, y.a, x.b, y.c),
+            b: dot(x.a, y.b, x.b, y.d),
+            c: dot(x.c, y.a, x.d, y.c),
+            d: dot(x.c, y.b, x.d, y.d),
+        })
     }
 
     /// Inverse of a canonical class.
     pub fn inverse(&self, m: ProjMat) -> ProjMat {
-        // adj(M) = [[d, -b], [-c, a]] is a scalar multiple of the inverse projectively.
-        let q = self.q;
-        self.canonicalize(m.d, (q - m.b) % q, (q - m.c) % q, m.a)
-            .expect("inverse of an invertible matrix exists")
+        self.scale_to_canonical(self.adjugate(m))
+    }
+
+    /// `x⁻¹ · y` of canonical classes in one step — the translation a Cayley path oracle
+    /// makes per routing decision. Projectively `adj(x)` *is* `x⁻¹`, so the product is
+    /// taken raw and scaled to canonical form once; `mul(inverse(x), y)` scales twice.
+    #[inline]
+    pub fn inverse_mul(&self, x: ProjMat, y: ProjMat) -> ProjMat {
+        self.mul(self.adjugate(x), y)
+    }
+
+    /// `adj(M) = [[d, -b], [-c, a]]`, a scalar multiple of `M⁻¹`; entries stay reduced.
+    #[inline]
+    fn adjugate(&self, m: ProjMat) -> ProjMat {
+        let neg = |x: u64| if x == 0 { 0 } else { self.q - x };
+        ProjMat {
+            a: m.d,
+            b: neg(m.b),
+            c: neg(m.c),
+            d: m.a,
+        }
     }
 
     /// Enumerate every canonical class in the group, in a deterministic order.
@@ -147,7 +197,10 @@ impl ProjectiveGroup {
     /// [`ProjectiveGroup::order`], which is closed-form.
     pub fn enumerate(&self) -> Vec<ProjMat> {
         let q = self.q;
-        let mut out = Vec::with_capacity(self.order() as usize);
+        let order = self
+            .order()
+            .expect("an enumerable group has an order that fits u64");
+        let mut out = Vec::with_capacity(order as usize);
         // Case a = 1: b, c, d free with det = d - bc != 0.
         for b in 0..q {
             for c in 0..q {
@@ -172,7 +225,7 @@ impl ProjectiveGroup {
                 }
             }
         }
-        debug_assert_eq!(out.len() as u64, self.order());
+        debug_assert_eq!(out.len() as u64, order);
         out
     }
 }
@@ -254,6 +307,11 @@ impl ProjectiveIndex {
     /// The field size `q`.
     pub fn q(&self) -> u64 {
         self.q
+    }
+
+    /// Bytes held by the two rank tables.
+    pub fn table_bytes(&self) -> usize {
+        (self.rank_d.len() + self.rank_c.len()) * std::mem::size_of::<u32>()
     }
 
     /// Which group the ranks refer to.
@@ -403,6 +461,84 @@ mod tests {
                 let r = idx.index_of(g.mul(x, y));
                 assert!(r < elems.len());
                 assert_eq!(elems[r], g.mul(x, y));
+            }
+        }
+    }
+
+    /// `a · b mod q` and `x⁻¹ mod q` (Fermat) in `u128`, sharing nothing with `arith`.
+    fn wide_mul(a: u64, b: u64, q: u64) -> u64 {
+        (u128::from(a) * u128::from(b) % u128::from(q)) as u64
+    }
+
+    fn wide_inv(x: u64, q: u64) -> u64 {
+        let (mut acc, mut base, mut exp) = (1, x % q, q - 2);
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = wide_mul(acc, base, q);
+            }
+            base = wide_mul(base, base, q);
+            exp >>= 1;
+        }
+        acc
+    }
+
+    /// The canonical class of raw entries, by the definition in the module docs.
+    fn wide_canonical(raw: [u64; 4], q: u64) -> Option<ProjMat> {
+        let [a, b, c, d] = raw.map(|x| x % q);
+        if wide_mul(a, d, q) == wide_mul(b, c, q) {
+            return None;
+        }
+        let inv = wide_inv(if a != 0 { a } else { b }, q);
+        let [a, b, c, d] = [a, b, c, d].map(|x| wide_mul(x, inv, q));
+        Some(ProjMat { a, b, c, d })
+    }
+
+    /// The table-driven `canonicalize`, the fused `inverse_mul` and the narrow `mod_mul`
+    /// path under both agree with the wide reference: on both sides of the 2¹⁶ table
+    /// bound and of the 2³² product bound, with raw operands up to `u64::MAX`.
+    #[test]
+    fn arithmetic_agrees_with_a_wide_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Every fourth draw sits at the top of the range.
+            if state.is_multiple_of(4) {
+                u64::MAX - state % 3
+            } else {
+                state
+            }
+        };
+        for q in [3u64, 5, 47, 103, 1621, 65521, 65537, 4294967311] {
+            let g = ProjectiveGroup::new(q, ProjectiveKind::Pgl);
+            assert_eq!(g.table_bytes() != 0, q < 1 << 16, "q={q}");
+            let mut elems = Vec::new();
+            while elems.len() < 40 {
+                let raw = [next(), next(), next(), next()];
+                let expect = wide_canonical(raw, q);
+                assert_eq!(g.canonicalize(raw[0], raw[1], raw[2], raw[3]), expect);
+                elems.extend(expect);
+            }
+            for &x in &elems {
+                for &y in &elems {
+                    // adj(x) · y over the integers mod q, scaled by the reference.
+                    let neg = |v: u64| (q - v) % q;
+                    let dot = |a, b, c, d| (wide_mul(a, b, q) + wide_mul(c, d, q)) % q;
+                    let expect = wide_canonical(
+                        [
+                            dot(x.d, y.a, neg(x.b), y.c),
+                            dot(x.d, y.b, neg(x.b), y.d),
+                            dot(neg(x.c), y.a, x.a, y.c),
+                            dot(neg(x.c), y.b, x.a, y.d),
+                        ],
+                        q,
+                    )
+                    .expect("a product of invertible matrices is invertible");
+                    assert_eq!(g.inverse_mul(x, y), expect, "q={q} x={x:?} y={y:?}");
+                    assert_eq!(g.mul(g.inverse(x), y), expect, "q={q} x={x:?} y={y:?}");
+                    assert_eq!(g.mul(x, expect), y, "q={q} x={x:?} y={y:?}");
+                }
             }
         }
     }

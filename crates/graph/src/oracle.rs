@@ -11,8 +11,11 @@
 //! * [`CayleyOracle`] — for vertex-transitive topologies (LPS over PGL₂/PSL₂,
 //!   Paley): **one** BFS ball from the identity element plus an O(1)
 //!   group-translation map `diff(u, v) = index(u⁻¹ · v)` supplied by the
-//!   algebraic layer. O(n) memory; distances and minimal-port sets are exact
-//!   because `d(u, v) = d(e, u⁻¹v)` in any Cayley graph. This is what unlocks
+//!   algebraic layer. O(n·radix) memory; distances and minimal-port sets are
+//!   exact because `d(u, v) = d(e, u⁻¹v)` in any Cayley graph, and a decision
+//!   costs one translation: with `z = dst⁻¹·current`, the port along
+//!   generator `s` is minimal iff `d(e, z·s) + 1 = d(e, z)`, a bit
+//!   precomputed per element and generator. This is what unlocks
 //!   million-router LPS fabrics (a dense matrix there would need ~2 TB).
 //! * [`LandmarkOracle`] — for non-algebraic or symmetry-broken graphs
 //!   (Jellyfish, degraded post-fault topologies): a handful of pinned
@@ -252,22 +255,45 @@ impl PathOracle for DenseOracle {
 /// the vertex id of `u⁻¹ · v` in the group the vertices enumerate.
 ///
 /// The algebraic layer (which knows the group) supplies this; the oracle only
-/// requires the two Cayley identities it verifies at construction:
-/// `diff(u, u) = identity` and `d(u, v) = d(identity, diff(u, v))`.
+/// requires what it verifies at construction: `diff(u, u) = identity`, every
+/// edge `u → w` translates to a generator (`diff(u, w)` is a neighbour of the
+/// identity, a different one per port), and `v ↦ diff(x, v)` carries each
+/// port to the port of the same generator.
 pub type CayleyDiff = Box<dyn Fn(VertexId, VertexId) -> VertexId + Send + Sync>;
 
-/// O(n) exact path oracle for Cayley graphs.
+/// Exact path oracle for Cayley graphs in O(n·radix) memory.
 ///
 /// In a Cayley graph, left-translation by `u⁻¹` is an automorphism mapping
 /// `u → identity` and `v → u⁻¹v`, so `d(u, v) = d(e, u⁻¹v)`: one BFS ball
 /// `d0[·] = d(e, ·)` from the identity answers every pair through the
-/// translation map. Minimal ports follow from the same identity applied to
-/// each neighbour: port `i` of `u` is minimal toward `v` iff
-/// `d0[diff(w_i, v)] + 1 = d0[diff(u, v)]`, which costs `radix + 1`
-/// translations per decision — constant-degree group arithmetic, no heap.
+/// translation map.
+///
+/// Minimal ports need no translation per port. Port `i` of `u` leads to
+/// `w = u·s` for one generator `s`, and `d(w, v) = d(v, w) = d0[v⁻¹u·s]`,
+/// where `v⁻¹u·s` is simply the neighbour of `z = v⁻¹u` along the same
+/// generator. So whether the port is minimal depends only on `z` and on
+/// *which generator the port is*: construction labels every port with its
+/// generator (the position of `diff(u, w)` among the identity's neighbours)
+/// and stores per element `z` a bitset over generators, bit `k` set iff
+/// `d0[z·s_k] + 1 = d0[z]`. A decision is then **one** translation
+/// `z = diff(dst, current)`, one bitset row, and a walk of `current`'s label
+/// row in ascending port order — no heap, no per-port group arithmetic.
+///
+/// Memory per vertex: `d0` 2 B + labels 2·radix B + bitset ⌈radix/8⌉ B, plus
+/// whatever the translation map keeps (8 B of packed matrix for LPS).
 pub struct CayleyOracle {
     /// `d0[x] = d(identity, x)`, one BFS from the identity vertex.
     d0: Vec<u16>,
+    /// Ports per vertex — one per generator; the graph is regular.
+    radix: usize,
+    /// `labels[u * radix + i]`: the generator port `i` of `u` follows, as the
+    /// position of `diff(u, wᵢ)` among the identity's (sorted) neighbours.
+    labels: Vec<u16>,
+    /// Bytes per `descent` row: ⌈radix / 8⌉.
+    row_bytes: usize,
+    /// Row `z`, bit `k`: generator `k` leads from `z` one step toward the
+    /// identity. All-zero for the identity and for unreachable elements.
+    descent: Vec<u8>,
     /// Vertex id of the group identity.
     identity: VertexId,
     /// Exact maximum distance (vertex transitivity: `max d0` is the diameter
@@ -282,6 +308,7 @@ impl std::fmt::Debug for CayleyOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CayleyOracle")
             .field("n", &self.d0.len())
+            .field("radix", &self.radix)
             .field("identity", &self.identity)
             .field("max_d", &self.max_d)
             .finish_non_exhaustive()
@@ -289,8 +316,8 @@ impl std::fmt::Debug for CayleyOracle {
 }
 
 impl CayleyOracle {
-    /// Sampled construction-time checks per call: vertices whose translation
-    /// identities are verified against the graph.
+    /// Vertices whose translations are checked against each other at
+    /// construction (every pair of them, every port).
     const VALIDATION_SAMPLES: usize = 64;
 
     /// Build from the graph, the identity vertex, and the translation map.
@@ -299,12 +326,15 @@ impl CayleyOracle {
     /// (rank tables, vertex-matrix arrays), so [`PathOracle::memory_bytes`]
     /// reports the true footprint.
     ///
-    /// Construction BFSes once from `identity` and then *verifies the Cayley
-    /// identities on a deterministic vertex sample*: `diff(u, u)` must be the
-    /// identity, `diff` must stay in range, and every sampled vertex's
-    /// neighbours must sit exactly one step farther in the translated ball.
-    /// A mismatch returns [`OracleError::Inconsistent`] — the typed guard
-    /// against wiring a translation map to the wrong graph.
+    /// Construction BFSes once from `identity`, then visits **every** edge:
+    /// the graph must be regular, `diff(u, u)` must be the identity, and the
+    /// ports of `u` must translate one-to-one onto the identity's neighbours —
+    /// that pass is what fills the label and descent tables. What stays
+    /// sampled is the part that costs a translation per *pair*: on a
+    /// deterministic vertex sample, translating by `v` must carry each port
+    /// of `u` to the same generator's port of `diff(v, u)`. A mismatch
+    /// returns [`OracleError::Inconsistent`] — the typed guard against wiring
+    /// a translation map to the wrong graph.
     pub fn new(
         g: &CsrGraph,
         identity: VertexId,
@@ -317,6 +347,15 @@ impl CayleyOracle {
                 "identity vertex {identity} out of range ({n} vertices)"
             )));
         }
+        let generators = g.neighbors(identity);
+        let radix = generators.len();
+        let max_radix = usize::from(u16::MAX) + 1;
+        if radix > max_radix {
+            return Err(OracleError::RadixTooLarge {
+                max_degree: radix,
+                max: max_radix,
+            });
+        }
         let mut d0 = vec![0u16; n];
         let mut queue = VecDeque::new();
         bfs_distances_into(g, identity, &mut d0, &mut queue);
@@ -327,35 +366,93 @@ impl CayleyOracle {
             .max()
             .unwrap_or(0);
 
-        // Deterministic sample sweep: evenly spaced vertices, always including
-        // the identity.
-        let stride = (n / Self::VALIDATION_SAMPLES).max(1);
-        for u in std::iter::once(identity).chain((0..n).step_by(stride).map(|u| u as VertexId)) {
-            let du = diff(u, u);
-            if du != identity {
+        let row_bytes = radix.div_ceil(8);
+        let mut labels = vec![0u16; n * radix];
+        let mut descent = vec![0u8; n * row_bytes];
+        let mut seen = vec![false; radix];
+        for (u, du) in d0.iter().copied().enumerate() {
+            let u = u as VertexId;
+            let ports = g.neighbors(u);
+            if ports.len() != radix {
                 return Err(OracleError::Inconsistent(format!(
-                    "diff({u}, {u}) = {du}, expected the identity {identity}"
+                    "vertex {u} has degree {} but the identity has {radix}; \
+                     a Cayley graph is regular",
+                    ports.len()
                 )));
             }
-            for &w in g.neighbors(u) {
+            let uu = diff(u, u);
+            if uu != identity {
+                return Err(OracleError::Inconsistent(format!(
+                    "diff({u}, {u}) = {uu}, expected the identity {identity}"
+                )));
+            }
+            let u_labels = &mut labels[u as usize * radix..][..radix];
+            let u_descent = &mut descent[u as usize * row_bytes..][..row_bytes];
+            seen.fill(false);
+            for (&w, label) in ports.iter().zip(u_labels) {
                 let t = diff(u, w);
                 if (t as usize) >= n {
                     return Err(OracleError::Inconsistent(format!(
                         "diff({u}, {w}) = {t} out of range ({n} vertices)"
                     )));
                 }
-                if d0[t as usize] != 1 {
+                let Ok(k) = generators.binary_search(&t) else {
                     return Err(OracleError::Inconsistent(format!(
                         "neighbour {w} of {u} translates to distance {} from the identity; \
                          a Cayley translation must map edges to edges",
                         d0[t as usize]
                     )));
+                };
+                if std::mem::replace(&mut seen[k], true) {
+                    return Err(OracleError::Inconsistent(format!(
+                        "two ports of {u} translate to the same generator {t}"
+                    )));
+                }
+                *label = k as u16;
+                if du != UNREACHABLE_U16 && d0[w as usize].saturating_add(1) == du {
+                    u_descent[k / 8] |= 1 << (k % 8);
+                }
+            }
+        }
+
+        // Deterministic sample: evenly spaced vertices, always including the
+        // identity.
+        let stride = (n / Self::VALIDATION_SAMPLES).max(1);
+        let sample = || {
+            let spaced = (0..n).step_by(stride).map(|u| u as VertexId);
+            std::iter::once(identity).chain(spaced)
+        };
+        for v in sample() {
+            for u in sample() {
+                let z = diff(v, u);
+                if (z as usize) >= n {
+                    return Err(OracleError::Inconsistent(format!(
+                        "diff({v}, {u}) = {z} out of range ({n} vertices)"
+                    )));
+                }
+                for (i, &w) in g.neighbors(u).iter().enumerate() {
+                    let k = labels[u as usize * radix + i];
+                    let t = diff(v, w);
+                    let carried = g
+                        .neighbors(z)
+                        .binary_search(&t)
+                        .is_ok_and(|j| labels[z as usize * radix + j] == k);
+                    if !carried {
+                        return Err(OracleError::Inconsistent(format!(
+                            "translating by {v} carries {u} to {z} but its neighbour {w} to {t}, \
+                             which is not {z}'s neighbour along the same generator"
+                        )));
+                    }
                 }
             }
         }
 
         Ok(CayleyOracle {
             d0,
+            radix,
+            labels,
+            row_bytes,
+            descent,
             identity,
             max_d,
             aux_bytes,
@@ -368,31 +465,19 @@ impl CayleyOracle {
         self.identity
     }
 
+    /// Visit each minimal port of `current` toward `dst` in ascending order:
+    /// the ports whose generator has its bit set in the descent row of
+    /// `diff(dst, current)`.
     #[inline]
-    fn d(&self, from: VertexId, to: VertexId) -> u16 {
-        self.d0[(self.diff)(from, to) as usize]
-    }
-
-    /// Visit each minimal port of `current` toward `dst` in ascending order —
-    /// the same predicate shape as the dense matrix scan, evaluated through
-    /// the translation map.
-    #[inline]
-    fn for_each_min_port(
-        &self,
-        g: &CsrGraph,
-        current: VertexId,
-        dst: VertexId,
-        mut f: impl FnMut(usize),
-    ) {
+    fn for_each_min_port(&self, current: VertexId, dst: VertexId, mut f: impl FnMut(usize)) {
         if current == dst {
             return;
         }
-        let d = self.d(current, dst);
-        if d == UNREACHABLE_U16 {
-            return;
-        }
-        for (i, &w) in g.neighbors(current).iter().enumerate() {
-            if self.d(w, dst).saturating_add(1) == d {
+        let z = (self.diff)(dst, current) as usize;
+        let row = &self.descent[z * self.row_bytes..][..self.row_bytes];
+        let labels = &self.labels[current as usize * self.radix..][..self.radix];
+        for (i, &k) in labels.iter().enumerate() {
+            if row[usize::from(k / 8)] >> (k % 8) & 1 != 0 {
                 f(i);
             }
         }
@@ -406,25 +491,31 @@ impl PathOracle for CayleyOracle {
 
     #[inline]
     fn dist(&self, _g: &CsrGraph, from: VertexId, to: VertexId) -> u16 {
-        self.d(from, to)
+        self.d0[(self.diff)(from, to) as usize]
     }
 
     #[inline]
     fn min_ports_u8<'a>(
         &'a self,
-        g: &CsrGraph,
+        _g: &CsrGraph,
         current: VertexId,
         dst: VertexId,
         scratch: &'a mut Vec<u8>,
     ) -> &'a [u8] {
         scratch.clear();
-        self.for_each_min_port(g, current, dst, |i| scratch.push(i as u8));
+        self.for_each_min_port(current, dst, |i| scratch.push(i as u8));
         scratch
     }
 
-    fn min_ports_into(&self, g: &CsrGraph, current: VertexId, dst: VertexId, out: &mut Vec<usize>) {
+    fn min_ports_into(
+        &self,
+        _g: &CsrGraph,
+        current: VertexId,
+        dst: VertexId,
+        out: &mut Vec<usize>,
+    ) {
         out.clear();
-        self.for_each_min_port(g, current, dst, |i| out.push(i));
+        self.for_each_min_port(current, dst, |i| out.push(i));
     }
 
     fn max_distance_bound(&self) -> u16 {
@@ -432,7 +523,7 @@ impl PathOracle for CayleyOracle {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.d0.len() * 2 + self.aux_bytes
+        self.d0.len() * 2 + self.labels.len() * 2 + self.descent.len() + self.aux_bytes
     }
 
     fn kind(&self) -> OracleKind {
@@ -861,6 +952,37 @@ mod tests {
         // And an out-of-range identity is rejected up front.
         let err = CayleyOracle::new(&g, 99, Box::new(|u, v| u ^ v), 0).unwrap_err();
         assert!(matches!(err, OracleError::Inconsistent(_)), "{err}");
+    }
+
+    /// A translation that is right wherever a 64-vertex sample looks — every
+    /// multiple of 4 in the 256-vertex hypercube — and wrong on one edge out
+    /// of an unsampled vertex: only visiting every edge finds it.
+    #[test]
+    fn cayley_oracle_rejects_one_wrong_unsampled_edge() {
+        let g = hypercube(8);
+        for wrong in [6, 1] {
+            // 6 is no generator at all; 1 is the generator of another port of 5.
+            let diff = move |u, v| if (u, v) == (5, 7) { wrong } else { u ^ v };
+            let err = CayleyOracle::new(&g, 0, Box::new(diff), 0).unwrap_err();
+            assert!(matches!(err, OracleError::Inconsistent(_)), "{err}");
+        }
+        // Right on every edge, wrong from a sampled vertex to a sampled vertex's
+        // neighbour: the port-carrying check is what sees a translation that
+        // is no automorphism.
+        let diff = |u, v| if (u, v) == (4, 9) { 12 } else { u ^ v };
+        let err = CayleyOracle::new(&g, 0, Box::new(diff), 0).unwrap_err();
+        assert!(matches!(err, OracleError::Inconsistent(_)), "{err}");
+    }
+
+    /// A path is not regular: a typed error, not a label row indexed past its end.
+    #[test]
+    fn cayley_oracle_rejects_irregular_graph() {
+        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        for identity in [0, 1] {
+            let err =
+                CayleyOracle::new(&g, identity, Box::new(|u, v| (v + 4 - u) % 4), 0).unwrap_err();
+            assert!(matches!(err, OracleError::Inconsistent(_)), "{err}");
+        }
     }
 
     #[test]

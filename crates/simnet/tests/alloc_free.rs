@@ -7,10 +7,11 @@
 //! query, two-pass tie-break, congestion signals, intermediate sampling) and
 //! asserts the allocation counter does not move.
 
-use spectralfly_graph::CsrGraph;
+use spectralfly_graph::{CayleyOracle, CsrGraph};
 use spectralfly_simnet::{RoutingHarness, SimConfig, SimNetwork};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct CountingAllocator;
 
@@ -104,4 +105,31 @@ fn scan_fallback_warmup_allocations_are_bounded() {
         "scan warmup made {warmup_allocs} allocations (expected a few buffer growths)"
     );
     assert_eq!(allocations_for(&mut harness, 4096), 0);
+}
+
+/// The Cayley oracle keeps the contract too: a decision is one translation, a
+/// descent row and a label row, written into the harness's scratch. The
+/// 6-cube is the Cayley graph of (Z/2)⁶ — `u⁻¹·v = u ^ v` — with up to six
+/// equal-length minimal ports per pair.
+#[test]
+fn cayley_backed_decisions_are_allocation_free_in_steady_state() {
+    let dim = 6;
+    let edges: Vec<(u32, u32)> = (0..1u32 << dim)
+        .flat_map(|v| (0..dim).map(move |b| (v, v ^ (1 << b))))
+        .collect();
+    let g = CsrGraph::from_edges(1 << dim, &edges);
+    let oracle = CayleyOracle::new(&g, 0, Box::new(|u, v| u ^ v), 0).expect("xor translates");
+    let net = SimNetwork::with_oracle(g, 1, Arc::new(oracle));
+
+    for name in ["minimal", "ugal-l"] {
+        let cfg = SimConfig::default().with_routing(name, net.diameter() as u32);
+        let mut harness = RoutingHarness::new(&net, &cfg);
+        harness.warm();
+        allocations_for(&mut harness, 256);
+        let allocs = allocations_for(&mut harness, 4096);
+        assert_eq!(
+            allocs, 0,
+            "{name}/cayley: {allocs} heap allocations in 4096 steady-state decisions"
+        );
+    }
 }

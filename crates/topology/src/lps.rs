@@ -31,8 +31,9 @@ pub struct LpsGraph {
 impl LpsGraph {
     /// Construct `LPS(p, q)`.
     ///
-    /// Requirements (checked): `p`, `q` distinct odd primes and `q > 2√p` (the condition
-    /// under which the construction is guaranteed to be a `(p+1)`-regular Ramanujan graph).
+    /// Requirements (checked): `p`, `q` distinct odd primes, `q > 2√p` (the condition
+    /// under which the construction is guaranteed to be a `(p+1)`-regular Ramanujan graph),
+    /// and a group of at most `u32::MAX` classes — every one becomes a vertex.
     pub fn new(p: u64, q: u64) -> Result<Self, TopologyError> {
         if p < 3 || p.is_multiple_of(2) || !is_prime(p) {
             return Err(TopologyError::InvalidParameter(format!(
@@ -53,6 +54,18 @@ impl LpsGraph {
         if u128::from(q) * u128::from(q) <= 4 * u128::from(p) {
             return Err(TopologyError::InvalidParameter(format!(
                 "LPS requires q > 2*sqrt(p) (got p={p}, q={q})"
+            )));
+        }
+
+        // Vertex ids are `u32` and every class is enumerated: refuse a group that does not
+        // fit before anything is sized by it. This also bounds `q` below 2¹¹ for everything
+        // built past this point (q³ − q ≤ 2³³ already fails at q = 2048).
+        let n = Self::checked_expected_vertices(p, q);
+        if n.is_none_or(|n| n > u64::from(VertexId::MAX)) {
+            let n = n.map_or_else(|| "over 2^64".to_string(), |n| n.to_string());
+            return Err(TopologyError::InvalidParameter(format!(
+                "LPS({p},{q}) has {n} vertices; vertex ids hold at most {}",
+                VertexId::MAX
             )));
         }
 
@@ -171,24 +184,36 @@ impl LpsGraph {
         self.kind == ProjectiveKind::Pgl
     }
 
-    /// Build the O(n) exact path oracle that exploits this graph's Cayley
+    /// Build the exact, O(n·radix)-memory path oracle that exploits this graph's Cayley
     /// structure: one BFS ball from the identity of `PGL₂`/`PSL₂(F_q)`, with
     /// `diff(u, v) = rank(mat(u)⁻¹ · mat(v))` ranked in closed form by
-    /// [`ProjectiveIndex`]. Memory is ~34 bytes/vertex instead of the dense
-    /// matrix's 2n bytes/vertex — the difference between ~37 MB and ~2 TB on a
-    /// million-router fabric.
+    /// [`ProjectiveIndex`]. The translation keeps 8 bytes per vertex (its
+    /// matrix, packed) plus `4(q² + q) + 2q` bytes of rank and inverse tables;
+    /// with the oracle's own `2 + 2·radix + ⌈radix/8⌉` that is 23 bytes/vertex
+    /// at radix 6 instead of the dense matrix's 2n bytes/vertex — the
+    /// difference between ~25 MB and ~2 TB on a million-router fabric.
     pub fn cayley_oracle(&self) -> Result<CayleyOracle, OracleError> {
         let group = ProjectiveGroup::new(self.q, self.kind);
         let index = ProjectiveIndex::new(&group);
         let identity = index.index_of(group.identity()) as VertexId;
-        let vertices = self.vertices.clone();
-        // Side tables the translation closure keeps resident: the vertex
-        // matrices plus the ProjectiveIndex rank tables (O(q²)).
-        let aux_bytes = vertices.len() * std::mem::size_of::<ProjMat>()
-            + (self.q * self.q + self.q) as usize * std::mem::size_of::<u32>();
+        // Entries are below q < 2¹¹ (the vertex-count guard in `new`), so `as u16` is exact.
+        let packed: Vec<[u16; 4]> = self
+            .vertices
+            .iter()
+            .map(|m| [m.a as u16, m.b as u16, m.c as u16, m.d as u16])
+            .collect();
+        let aux_bytes = packed.len() * std::mem::size_of::<[u16; 4]>()
+            + index.table_bytes()
+            + group.table_bytes();
+        let unpack = |[a, b, c, d]: [u16; 4]| ProjMat {
+            a: a.into(),
+            b: b.into(),
+            c: c.into(),
+            d: d.into(),
+        };
         let diff = move |u: VertexId, v: VertexId| -> VertexId {
-            let inv = group.inverse(vertices[u as usize]);
-            index.index_of(group.mul(inv, vertices[v as usize])) as VertexId
+            let (x, y) = (unpack(packed[u as usize]), unpack(packed[v as usize]));
+            index.index_of(group.inverse_mul(x, y)) as VertexId
         };
         CayleyOracle::new(&self.graph, identity, Box::new(diff), aux_bytes)
     }
@@ -241,6 +266,16 @@ mod tests {
         assert!(LpsGraph::new(2, 7).is_err()); // p even
                                                // 4p wraps u64: still "q <= 2 sqrt(p)", not an overflow panic.
         assert!(LpsGraph::new(18446744073709551557, 7).is_err());
+        // More classes than a u32 vertex id can number (4.3·10⁹, 137 GB of matrices),
+        // and a q whose cube overflows u64: refused before anything is allocated.
+        for (p, q) in [(3, 1627), (3, 3000029)] {
+            match LpsGraph::new(p, q) {
+                Err(TopologyError::InvalidParameter(why)) => {
+                    assert!(why.contains("vertices"), "{why}")
+                }
+                other => panic!("LPS({p},{q}): {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -340,6 +375,23 @@ mod tests {
         for src in [1u32, 17, 100, 150] {
             assert_eq!(distance_histogram_from(g.graph(), src), h0);
         }
+    }
+
+    /// What the Cayley oracle reports resident is what it holds: per vertex `d₀` 2 B,
+    /// labels 2·radix B, descent bits ⌈radix/8⌉ B and the packed matrix 8 B; per group the
+    /// rank tables 4(q² + q) B and the inverse table 2q B.
+    #[test]
+    fn cayley_oracle_memory_matches_documented_formula() {
+        use spectralfly_graph::PathOracle;
+        let g = LpsGraph::new(5, 13).unwrap();
+        let (n, radix, q) = (g.graph().num_vertices(), 6usize, 13);
+        assert_eq!(n, 2184);
+        let per_vertex = 2 + 2 * radix + radix.div_ceil(8) + 8;
+        assert_eq!(per_vertex, 23);
+        assert_eq!(
+            g.cayley_oracle().unwrap().memory_bytes(),
+            n * per_vertex + 4 * (q * q + q) + 2 * q
+        );
     }
 
     #[test]

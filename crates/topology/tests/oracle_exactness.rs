@@ -20,32 +20,45 @@
 use proptest::prelude::*;
 use spectralfly_ff::pgl::ProjectiveKind;
 use spectralfly_graph::failures::delete_random_edges;
+use spectralfly_graph::metrics::bfs_distances;
 use spectralfly_graph::{CsrGraph, DistanceMatrix, LandmarkOracle, PathOracle};
 use spectralfly_topology::{JellyFishGraph, LpsGraph, PaleyGraph, Topology};
 
-/// All-pairs comparison of `oracle` against the dense BFS matrix on `g`:
-/// distances, packed minimal ports, and wide minimal ports must all agree.
+/// One pair against its expected answer: the distance, the packed minimal
+/// ports and the wide minimal ports must all agree.
+fn assert_pair(
+    g: &CsrGraph,
+    oracle: &dyn PathOracle,
+    (u, v): (u32, u32),
+    (dist, ports): (u32, &[usize]),
+    label: &str,
+) {
+    assert_eq!(
+        u32::from(oracle.dist(g, u, v)),
+        dist,
+        "{label}: dist({u}, {v})"
+    );
+    // Stale contents: both queries promise to clear the buffer first.
+    let mut scratch = vec![0xAA; 3];
+    let got: Vec<usize> = oracle
+        .min_ports_u8(g, u, v, &mut scratch)
+        .iter()
+        .map(|&p| p as usize)
+        .collect();
+    assert_eq!(got, ports, "{label}: min_ports_u8({u}, {v})");
+    let mut wide = vec![usize::MAX; 3];
+    oracle.min_ports_into(g, u, v, &mut wide);
+    assert_eq!(wide, ports, "{label}: min_ports_into({u}, {v})");
+}
+
+/// All-pairs comparison of `oracle` against the dense BFS matrix on `g`.
 fn assert_matches_dense(g: &CsrGraph, oracle: &dyn PathOracle, label: &str) {
     let dm = DistanceMatrix::from_graph(g);
     let n = g.num_vertices() as u32;
-    let mut scratch = Vec::new();
-    let mut wide = Vec::new();
     for u in 0..n {
         for v in 0..n {
-            assert_eq!(
-                oracle.dist(g, u, v),
-                dm.dist(u, v),
-                "{label}: dist({u}, {v})"
-            );
-            let expect = dm.min_next_ports(g, u, v);
-            let got: Vec<usize> = oracle
-                .min_ports_u8(g, u, v, &mut scratch)
-                .iter()
-                .map(|&p| p as usize)
-                .collect();
-            assert_eq!(got, expect, "{label}: min_ports_u8({u}, {v})");
-            oracle.min_ports_into(g, u, v, &mut wide);
-            assert_eq!(wide, expect, "{label}: min_ports_into({u}, {v})");
+            let expect = (u32::from(dm.dist(u, v)), &dm.min_next_ports(g, u, v)[..]);
+            assert_pair(g, oracle, (u, v), expect, label);
         }
     }
     assert_eq!(oracle.n(), g.num_vertices(), "{label}: n()");
@@ -55,6 +68,22 @@ fn assert_matches_dense(g: &CsrGraph, oracle: &dyn PathOracle, label: &str) {
         oracle.max_distance_bound(),
         dm.max_reachable_distance()
     );
+}
+
+/// The same comparison against BFS rows from `dsts` evenly spaced destinations
+/// — every source toward each — for graphs where all pairs is too slow unoptimised.
+fn assert_matches_bfs_rows(g: &CsrGraph, oracle: &dyn PathOracle, dsts: usize, label: &str) {
+    let n = g.num_vertices();
+    for dst in (0..n as u32).step_by(n / dsts) {
+        let row = bfs_distances(g, dst);
+        for u in 0..n as u32 {
+            let d = row[u as usize];
+            let ports: Vec<usize> = (0..g.degree(u))
+                .filter(|&i| row[g.neighbors(u)[i] as usize] + 1 == d)
+                .collect();
+            assert_pair(g, oracle, (u, dst), (d, &ports), label);
+        }
+    }
 }
 
 /// LPS translation oracles are exact on both projective kinds. Legendre(p | q)
@@ -74,12 +103,30 @@ fn lps_cayley_oracle_is_exact_on_both_projective_kinds() {
     }
 }
 
+/// Where the label and descent tables can go wrong that the small cases do
+/// not reach. LPS(23,13): radix 24, a descent row of three bytes. LPS(5,13):
+/// PGL₂ on 2,184 routers, so from every destination the translations range
+/// over the whole group, the 156 classes of the `a = 0, b = 1` block included.
+#[test]
+fn lps_cayley_oracle_is_exact_past_one_descent_byte_and_in_the_a0_block() {
+    for (p, q, kind) in [
+        (23u64, 13u64, ProjectiveKind::Psl),
+        (5, 13, ProjectiveKind::Pgl),
+    ] {
+        let lps = LpsGraph::new(p, q).expect("valid LPS parameters");
+        assert_eq!(lps.kind(), kind, "LPS({p},{q})");
+        let oracle = lps.cayley_oracle().expect("translation validates");
+        assert_matches_bfs_rows(lps.graph(), &oracle, 32, &format!("LPS({p},{q})"));
+    }
+}
+
 /// Paley translation oracles are exact over prime and prime-power fields.
 /// q = 9 = 3² is the regression case: the group is (F₉, +), so the diff must
 /// be field subtraction, not integer subtraction mod q.
 #[test]
 fn paley_cayley_oracle_is_exact_including_prime_power_fields() {
-    for q in [5u64, 9, 13, 17] {
+    // q = 157: radix 78, a descent row wider than one machine word.
+    for q in [5u64, 9, 13, 17, 157] {
         let paley = PaleyGraph::new(q).expect("valid Paley parameter");
         let oracle = paley.cayley_oracle().expect("translation validates");
         assert_matches_dense(paley.graph(), &oracle, &format!("Paley({q})"));
