@@ -41,9 +41,10 @@ use spectralfly_simnet::{
     simulate, MeasurementWindows, OraclePolicy, SimConfig, SimError, SimNetwork, SimResults,
     Simulator,
 };
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Errors that abort a run (as opposed to outcomes that are digested).
@@ -418,52 +419,111 @@ fn build_error(spec: &str) -> impl Fn(String) -> RunError + '_ {
     }
 }
 
-/// Per-run cache of built networks: the axes revisit the same topology (and
-/// the same degraded topology) for every routing × seed × load combination,
-/// and the all-pairs BFS behind each network is the expensive part.
-struct NetworkCache {
-    /// Pristine networks keyed by `(topology, oracle)`.
-    pristine: BTreeMap<(String, String), SimNetwork>,
-    /// Degraded networks keyed by `(topology, fault spec, fault seed)`.
-    faulted: BTreeMap<(String, String, u64), SimNetwork>,
+/// What makes two points share a network: the topology and — pristine — the
+/// oracle policy or — degraded — the fault plan and its seed (a degraded
+/// network re-selects its oracle, whatever the axis says). The axes revisit
+/// each one for every routing × pattern × seed × load combination, and the
+/// all-pairs BFS and next-hop table behind it are the expensive part.
+fn network_key(p: &Point) -> (&str, &str, u64, &str) {
+    if p.fault == "none" {
+        (&p.topology, &p.fault, 0, &p.oracle)
+    } else {
+        (&p.topology, &p.fault, p.fault_seed, "")
+    }
 }
 
-impl NetworkCache {
-    fn build(points: &[Point]) -> Result<NetworkCache, RunError> {
-        let mut pristine = BTreeMap::new();
-        let mut faulted = BTreeMap::new();
-        for p in points {
-            let spec = TopoSpec::parse(&p.topology).map_err(build_error(&p.topology))?;
-            if p.fault == "none" {
-                let key = (p.topology.clone(), p.oracle.clone());
-                if let Entry::Vacant(slot) = pristine.entry(key) {
-                    let policy: OraclePolicy = p.oracle.parse().expect("validated by the manifest");
-                    slot.insert(spec.network(policy).map_err(build_error(&p.topology))?);
-                }
-            } else {
-                let key = (p.topology.clone(), p.fault.clone(), p.fault_seed);
-                if let Entry::Vacant(slot) = faulted.entry(key) {
-                    let graph = spec.build().map_err(build_error(&p.topology))?;
-                    let plan = FaultPlan::parse(&p.fault)
-                        .expect("validated by the manifest")
-                        .with_seed(p.fault_seed);
-                    let net = SimNetwork::with_faults(graph, spec.concentration, &plan)
-                        .map_err(|e| e.to_string())
-                        .map_err(build_error(&format!("{} + {}", p.topology, p.fault)))?;
-                    slot.insert(net);
-                }
-            }
-        }
-        Ok(NetworkCache { pristine, faulted })
+/// Build the network `p` runs on.
+fn build_network(p: &Point) -> Result<SimNetwork, RunError> {
+    let spec = TopoSpec::parse(&p.topology).map_err(build_error(&p.topology))?;
+    if p.fault == "none" {
+        let policy: OraclePolicy = p.oracle.parse().expect("validated by the manifest");
+        return spec.network(policy).map_err(build_error(&p.topology));
     }
+    let graph = spec.build().map_err(build_error(&p.topology))?;
+    let plan = FaultPlan::parse(&p.fault)
+        .expect("validated by the manifest")
+        .with_seed(p.fault_seed);
+    SimNetwork::with_faults(graph, spec.concentration, &plan)
+        .map_err(|e| e.to_string())
+        .map_err(build_error(&format!("{} + {}", p.topology, p.fault)))
+}
 
-    fn get(&self, p: &Point) -> &SimNetwork {
-        if p.fault == "none" {
-            &self.pristine[&(p.topology.clone(), p.oracle.clone())]
-        } else {
-            &self.faulted[&(p.topology.clone(), p.fault.clone(), p.fault_seed)]
+/// One network of a run and the points still to take it. The first point to
+/// ask builds it, under the lock, so points that ask meanwhile wait for that
+/// build instead of repeating it; the last one takes the slot's own handle
+/// with it, so the network is freed as soon as its last point has run.
+struct SharedNetwork {
+    /// The network once built, and how many points have yet to take it.
+    state: Mutex<(Option<Arc<SimNetwork>>, usize)>,
+}
+
+impl SharedNetwork {
+    fn take(&self, p: &Point) -> Result<Arc<SimNetwork>, RunError> {
+        let mut state = self.state.lock().expect("a network build panicked");
+        let (network, takers) = &mut *state;
+        if network.is_none() {
+            *network = Some(Arc::new(build_network(p)?));
         }
+        *takers -= 1;
+        let handle = if *takers == 0 {
+            network.take()
+        } else {
+            network.clone()
+        };
+        Ok(handle.expect("built above"))
     }
+}
+
+/// Run `points` in parallel, one point per task, each on the network it
+/// shares with the other points of equal [`network_key`]; results in `points`
+/// order.
+///
+/// Nothing is built up front. Points are visited grouped by network, in the
+/// order the networks first appear, and a network lives from its first point's
+/// start to its last point's end ([`SharedNetwork`]) — so about one network per
+/// worker is resident at a time, however many the sweep names. Once a point
+/// has failed, points after it in visiting order are not started, and the
+/// error returned is that of the first failing point in that order — for a
+/// build failure, the first network that does not build.
+fn run_points(points: &[Point]) -> Result<Vec<PointResult>, RunError> {
+    let mut index = BTreeMap::new();
+    let mut takers: Vec<usize> = Vec::new();
+    let mut visits: Vec<(usize, usize)> = Vec::with_capacity(points.len());
+    for (at, p) in points.iter().enumerate() {
+        let network = *index.entry(network_key(p)).or_insert(takers.len());
+        if network == takers.len() {
+            takers.push(0);
+        }
+        takers[network] += 1;
+        visits.push((network, at));
+    }
+    visits.sort_unstable();
+    let networks: Vec<SharedNetwork> = (takers.into_iter())
+        .map(|takers| SharedNetwork {
+            state: Mutex::new((None, takers)),
+        })
+        .collect();
+    let first_failure = AtomicUsize::new(usize::MAX);
+    let outcomes: Vec<Option<Result<PointResult, RunError>>> = visits
+        .par_iter()
+        .enumerate()
+        .map(|(visit, &(network, at))| {
+            if visit > first_failure.load(Ordering::SeqCst) {
+                return None;
+            }
+            let p = &points[at];
+            let outcome = networks[network].take(p).and_then(|net| run_point(&net, p));
+            if outcome.is_err() {
+                first_failure.fetch_min(visit, Ordering::SeqCst);
+            }
+            Some(outcome)
+        })
+        .collect();
+    let mut results: Vec<Option<PointResult>> = vec![None; points.len()];
+    for (&(_, at), outcome) in visits.iter().zip(outcomes) {
+        results[at] = Some(outcome.expect("only points after a failure are skipped")?);
+    }
+    Ok(results.into_iter().flatten().collect())
 }
 
 fn point_config(p: &Point, net: &SimNetwork, shards: usize) -> SimConfig {
@@ -832,17 +892,7 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunErr
         .flat_map(expand)
         .filter(|p| keep(&p.id))
         .collect();
-    let cache = NetworkCache::build(&points)?;
-    // Points are independent deterministic simulations; run them in parallel
-    // and collect in expansion order (par_iter preserves order on collect).
-    let results: Vec<Result<PointResult, RunError>> = points
-        .par_iter()
-        .map(|p| run_point(cache.get(p), p))
-        .collect();
-    let mut point_results = Vec::with_capacity(results.len());
-    for r in results {
-        point_results.push(r?);
-    }
+    let mut point_results = run_points(&points)?;
     relate_to_siblings(m, &points, &mut point_results);
     for s in &m.structures {
         point_results.extend(run_structure(s, &keep)?);
@@ -1315,8 +1365,7 @@ bytes = 512
             points[0].id,
             "e/ring(9)x2/minimal/p=shuffle/f=router(2)/s=11"
         );
-        let cache = NetworkCache::build(&points).unwrap();
-        let net = cache.get(&points[0]);
+        let net = &build_network(&points[0]).unwrap();
         let wl = point_workload(&points[0], net).unwrap();
         // bit-shuffle over 8 ranks fixes ranks 0 and 7; the other six send.
         assert_eq!(wl.num_messages(), 6 * 3);
@@ -1368,8 +1417,8 @@ bytes = 512
             .contains("injected 10 != delivered 7 + failed 2"));
     }
 
-    /// `oracles = ["cayley"]` used to validate and then fail every point in
-    /// `NetworkCache::build`; it now builds through the LPS group structure,
+    /// `oracles = ["cayley"]` used to validate and then fail every point at
+    /// its network build; it now builds through the LPS group structure,
     /// and the oracle is an implementation detail of the same simulation.
     /// The second section is congested (PSL, 12 ports, UGAL-L at load 0.9), so
     /// queue-driven tie-breaks walk the Cayley port order against the table's.
@@ -1406,6 +1455,41 @@ bytes = 512
         let ring = TopoSpec::parse("ring(9)").unwrap();
         assert!(ring.network(OraclePolicy::Cayley).is_err());
         assert!(ring.network(OraclePolicy::Landmark).is_ok());
+    }
+
+    /// Routing is the outer axis and the fault plan the inner one, so the six
+    /// points name three networks in the order a, b, c, a, b, c; the runner
+    /// visits them a, a, b, b, c, c and must still answer in expansion order.
+    #[test]
+    fn points_sharing_interleaved_networks_come_back_in_expansion_order() {
+        let section = |faults: &str| {
+            format!(
+                "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)x2\"]\n\
+                 routings = [\"minimal\", \"valiant\"]\nfaults = [{faults}]\nseeds = [5]\n\
+                 fault_seed = 9\nmessages = 2\n"
+            )
+        };
+        let m = Manifest::parse(&section("\"none\", \"link(0,1)\", \"links(0.2)\"")).unwrap();
+        let points = expand(&m.experiments[0]);
+        let faults: Vec<&str> = points.iter().map(|p| p.fault.as_str()).collect();
+        let plans = ["none", "link(0,1)", "links(0.2)"];
+        assert_eq!(faults, [plans, plans].concat());
+        let report = run_manifest(&m, &RunOptions::default()).unwrap();
+        assert_eq!(report.points.len(), 6);
+        let spec = TopoSpec::parse("ring(9)x2").unwrap();
+        for (p, got) in points.iter().zip(&report.points) {
+            let plan = FaultPlan::parse(&p.fault).unwrap().with_seed(9);
+            let net = SimNetwork::with_faults(spec.build().unwrap(), 2, &plan).unwrap();
+            let direct = run_point(&net, p).unwrap();
+            assert_eq!((&got.id, &got.digest), (&p.id, &direct.digest));
+        }
+        // The second of three networks does not build: that is the error, by
+        // its spec, whatever the points of the other two did.
+        let m = Manifest::parse(&section("\"none\", \"router(99)\", \"links(0.2)\"")).unwrap();
+        match run_manifest(&m, &RunOptions::default()) {
+            Err(RunError::Build { spec, .. }) => assert_eq!(spec, "ring(9)x2 + router(99)"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Structural path metrics: BFS distance sweeps, diameter, mean shortest-path length,
 //! girth, and connectivity — the quantities reported in Table I and Figure 5 of the paper.
 //!
-//! The all-pairs sweeps run one BFS per source in parallel with rayon. For vertex-transitive
+//! The all-pairs sweep advances 64 sources per pass (the bit-parallel kernel behind
+//! [`crate::paths::DistanceMatrix`]), the passes in parallel with rayon. For vertex-transitive
 //! topologies (LPS and canonical DragonFly are Cayley-graph-based and vertex-transitive) a
 //! single-source profile already determines the distance distribution, and callers can use
 //! [`distance_histogram_from`] for that shortcut; the experiment harness uses the exact
 //! sweep throughout.
 
 use crate::csr::{CsrGraph, VertexId};
+use crate::paths::{bfs_levels_64, BFS_BATCH};
 use rayon::prelude::*;
 
 /// Distance value for unreachable vertices.
@@ -84,31 +86,29 @@ pub fn diameter_and_mean_distance(g: &CsrGraph) -> Option<(u32, f64)> {
     if n <= 1 {
         return Some((0, 0.0));
     }
-    let per_source: Vec<Option<(u32, u64)>> = (0..n as VertexId)
+    // Per pass of 64 sources: the last level that reached anything (the largest
+    // eccentricity among them), the distance sum and the pairs reached.
+    let per_batch: Vec<(u32, u64, u64)> = (0..n.div_ceil(BFS_BATCH))
         .into_par_iter()
-        .map(|s| {
-            let dist = bfs_distances(g, s);
-            let mut max = 0u32;
-            let mut sum = 0u64;
-            for &d in &dist {
-                if d == UNREACHABLE {
-                    return None;
-                }
-                max = max.max(d);
-                sum += d as u64;
-            }
-            Some((max, sum))
+        .map(|batch| {
+            let first = batch * BFS_BATCH;
+            let (mut depth, mut sum, mut reached) = (0u32, 0u64, 0u64);
+            bfs_levels_64(g, first..n.min(first + BFS_BATCH), |level, _, new| {
+                depth = level;
+                sum += new.count_ones() as u64 * level as u64;
+                reached += new.count_ones() as u64;
+            });
+            (depth, sum, reached)
         })
         .collect();
-    let mut diameter = 0u32;
-    let mut total = 0u64;
-    for r in per_source {
-        let (max, sum) = r?;
-        diameter = diameter.max(max);
+    let (mut diameter, mut total, mut reached) = (0u32, 0u64, 0u64);
+    for (depth, sum, pairs) in per_batch {
+        diameter = diameter.max(depth);
         total += sum;
+        reached += pairs;
     }
     let pairs = (n as u64) * (n as u64 - 1);
-    Some((diameter, total as f64 / pairs as f64))
+    (reached == pairs).then_some((diameter, total as f64 / pairs as f64))
 }
 
 /// Girth (length of a shortest cycle), or `None` for forests.

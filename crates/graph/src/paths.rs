@@ -18,11 +18,18 @@
 //!   hot path reads one such row per decision instead of rescanning the neighbour
 //!   list against the matrix, and a memory-budget guard falls back to the scan for
 //!   huge `n`.
+//!
+//! Both are rebuilt for every degraded graph of a failure sweep, so their
+//! construction is written for throughput: the matrix comes from a bit-parallel
+//! BFS that advances 64 sources per pass (`bfs_levels_64`), the table from a
+//! branch-free compaction over the neighbours' matrix rows with no allocation per
+//! row.
 
 use crate::csr::{CsrGraph, VertexId};
 use crate::oracle::OracleError;
 use rayon::prelude::*;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Marker for unreachable pairs.
 pub const UNREACHABLE_U16: u16 = u16::MAX;
@@ -66,12 +73,68 @@ pub(crate) fn bfs_distances_into(
     }
 }
 
+/// Sources one [`bfs_levels_64`] pass advances together: one bit of a `u64` each.
+pub(crate) const BFS_BATCH: usize = 64;
+
+/// Level-synchronous BFS from up to [`BFS_BATCH`] consecutive `sources` at once
+/// (Then et al., "The More the Merrier: Efficient Multi-Source Graph Traversal",
+/// VLDB 2014) — the one all-sources sweep of this crate, behind both
+/// [`DistanceMatrix`] and [`crate::metrics::diameter_and_mean_distance`].
+///
+/// Bit `i` of a vertex's word stands for source `sources.start + i`: a pass keeps
+/// one word per vertex each for the sources that have *seen* it, that reached it
+/// at the previous level (the *frontier*) and that reach it now (*next*), so one
+/// `|=` per edge advances all 64 searches. `visit(level, v, new)` is called once
+/// per level `≥ 1` and vertex `v` with the non-empty set `new` of sources whose
+/// distance to `v` is exactly `level`; the sources themselves (level 0) are not
+/// reported. A level costs a walk of the frontier's edges plus `O(n)`, so a pass
+/// is `O(diameter · (n + m))` — a win over 64 queue BFSes while the diameter stays
+/// below 64, which holds with a wide margin for every fabric simulated here.
+pub(crate) fn bfs_levels_64(
+    g: &CsrGraph,
+    sources: Range<usize>,
+    mut visit: impl FnMut(u32, usize, u64),
+) {
+    assert!(sources.len() <= BFS_BATCH, "one bit per source");
+    let n = g.num_vertices();
+    let mut seen = vec![0u64; n];
+    let mut frontier = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    for (i, s) in sources.enumerate() {
+        seen[s] = 1 << i;
+        frontier[s] = 1 << i;
+    }
+    for level in 1u32.. {
+        for (v, &reached) in frontier.iter().enumerate() {
+            if reached != 0 {
+                for &w in g.neighbors(v as VertexId) {
+                    next[w as usize] |= reached;
+                }
+            }
+        }
+        let mut advanced = false;
+        for (v, reach) in next.iter_mut().enumerate() {
+            let new = std::mem::take(reach) & !seen[v];
+            frontier[v] = new;
+            if new != 0 {
+                seen[v] |= new;
+                visit(level, v, new);
+                advanced = true;
+            }
+        }
+        if !advanced {
+            return;
+        }
+    }
+}
+
 impl DistanceMatrix {
-    /// Compute the matrix with one BFS per source, in parallel.
+    /// Compute the matrix with one bit-parallel BFS pass (`bfs_levels_64`) per 64
+    /// sources, the passes in parallel.
     ///
-    /// Each worker writes its rows directly into the shared flat buffer
-    /// (`par_chunks_mut`), so peak memory is the matrix itself plus one BFS queue
-    /// per worker — not a second copy of the matrix in per-row vectors.
+    /// Each pass writes its 64 rows directly into the shared flat buffer
+    /// (`par_chunks_mut`), so peak memory is the matrix itself plus three words
+    /// per vertex per worker — not a second copy of the matrix in per-row vectors.
     ///
     /// # Panics
     /// If the graph has more than `u16::MAX` vertices — the convenience wrapper for
@@ -99,10 +162,24 @@ impl DistanceMatrix {
         }
         let mut dist = vec![0u16; n * n];
         if n > 0 {
-            dist.par_chunks_mut(n).enumerate().for_each(|(s, row)| {
-                let mut queue = VecDeque::with_capacity(n);
-                bfs_distances_into(g, s as VertexId, row, &mut queue);
-            });
+            dist.par_chunks_mut(BFS_BATCH * n)
+                .enumerate()
+                .for_each(|(batch, rows)| {
+                    let first = batch * BFS_BATCH;
+                    let sources = first..first + rows.len() / n;
+                    rows.fill(UNREACHABLE_U16);
+                    for (i, s) in sources.clone().enumerate() {
+                        rows[i * n + s] = 0;
+                    }
+                    bfs_levels_64(g, sources, |level, v, mut new| {
+                        // The saturation rule of `bfs_distances_into`.
+                        let d = level.min(UNREACHABLE_U16 as u32 - 1) as u16;
+                        while new != 0 {
+                            rows[new.trailing_zeros() as usize * n + v] = d;
+                            new &= new - 1;
+                        }
+                    });
+                });
         }
         Ok(DistanceMatrix { n, dist })
     }
@@ -110,6 +187,11 @@ impl DistanceMatrix {
     /// Number of routers.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// The distances from router `from` to every router, indexed by destination.
+    fn row(&self, from: usize) -> &[u16] {
+        &self.dist[from * self.n..(from + 1) * self.n]
     }
 
     /// Distance between two routers (`u16::MAX` if unreachable).
@@ -143,9 +225,10 @@ impl DistanceMatrix {
     }
 
     /// Visit each port of `current` whose neighbour lies on a shortest path toward
-    /// `dst`, in ascending port order — the single definition of the minimal-port
-    /// predicate, shared by the `_into` queries and the [`NextHopTable`] builder so
-    /// the scan and table strategies can never disagree.
+    /// `dst`, in ascending port order — the definition of the minimal-port
+    /// predicate, shared by the `_into` queries. The [`NextHopTable`] builder
+    /// evaluates the same predicate without its branches; `tests/next_hop_table.rs`
+    /// holds the two to each other pair by pair.
     #[inline]
     fn for_each_min_port(
         &self,
@@ -235,21 +318,25 @@ impl DistanceMatrix {
         counts[dst as usize]
     }
 
+    /// Each row's entries off the diagonal: the slice before it, then the one after.
+    fn off_diagonal(&self) -> impl Iterator<Item = &[u16]> {
+        let rows = self.dist.chunks(self.n.max(1)).enumerate();
+        rows.flat_map(|(r, row)| [&row[..r], &row[r + 1..]])
+    }
+
     /// Mean distance over ordered distinct pairs (`None` if the graph is disconnected).
     pub fn mean_distance(&self) -> Option<f64> {
         if self.n <= 1 {
             return Some(0.0);
         }
         let mut sum = 0u64;
-        for (i, &d) in self.dist.iter().enumerate() {
-            let (r, c) = (i / self.n, i % self.n);
-            if r == c {
-                continue;
+        for part in self.off_diagonal() {
+            for &d in part {
+                if d == UNREACHABLE_U16 {
+                    return None;
+                }
+                sum += d as u64;
             }
-            if d == UNREACHABLE_U16 {
-                return None;
-            }
-            sum += d as u64;
         }
         Some(sum as f64 / (self.n as f64 * (self.n as f64 - 1.0)))
     }
@@ -257,15 +344,13 @@ impl DistanceMatrix {
     /// Diameter (`None` if disconnected).
     pub fn diameter(&self) -> Option<u16> {
         let mut max = 0u16;
-        for (i, &d) in self.dist.iter().enumerate() {
-            let (r, c) = (i / self.n, i % self.n);
-            if r == c {
-                continue;
+        for part in self.off_diagonal() {
+            for &d in part {
+                if d == UNREACHABLE_U16 {
+                    return None;
+                }
+                max = max.max(d);
             }
-            if d == UNREACHABLE_U16 {
-                return None;
-            }
-            max = max.max(d);
         }
         Some(max)
     }
@@ -298,14 +383,18 @@ const SPILLED: u8 = 0xFF;
 /// a shortest path toward `d` — exactly [`DistanceMatrix::min_next_ports`], but as
 /// **one 8-byte table read** instead of a radix-wide rescan of the distance matrix.
 /// Each pair owns a fixed-stride row: a count byte followed by up to 7 inline `u8`
-/// ports (every topology in the paper has radix ≪ 256). Expander topologies have
-/// near-unique shortest paths, so almost every list fits inline; longer lists are
-/// rare and spill to a side arena behind a marker byte. The fixed stride is what
-/// makes the hot path fast on large networks: a CSR layout (`u32` offsets + packed
-/// ports) costs two *dependent* cache/TLB misses per lookup, which measured no
-/// faster than the scan's prefetch-overlapped misses — the inline row costs one.
+/// ports (every topology in the paper has radix ≪ 256); a longer list spills to a
+/// side arena behind a marker byte. How often depends on the fabric's path
+/// diversity, and on the paper's own it is not rare: measured on the pristine
+/// graphs, 42.6 % of all pairs spill on LPS(23,13) (5.94 minimal ports on average),
+/// 7.5 % on DragonFly(16,8,69), 0.4 % on SlimFly(27) and none on BundleFly(9,9).
+/// The fixed stride is what makes the hot path fast on large networks: a CSR
+/// layout (`u32` offsets + packed ports) costs two *dependent* cache/TLB misses
+/// per lookup, which measured no faster than the scan's prefetch-overlapped
+/// misses — the inline row costs one.
 ///
-/// Construction is parallel (one router row per task) and guarded by a memory
+/// Construction is parallel (one router's rows per task, spills gathered in a flat
+/// arena per task — nothing is allocated per row) and guarded by a memory
 /// budget: [`NextHopTable::build`] returns `None` when the table would exceed the
 /// budget or some vertex degree exceeds `u8::MAX` — callers then keep the
 /// matrix-scan fallback ([`DistanceMatrix::min_next_ports_into`]), which the
@@ -319,7 +408,7 @@ pub struct NextHopTable {
     /// count, 0, 0]` (little-endian u32 spill offset) when the list is longer than
     /// `INLINE_MAX`.
     rows: Vec<u8>,
-    /// Overflow arena for the rare lists longer than `INLINE_MAX`.
+    /// Overflow arena for the lists longer than `INLINE_MAX`, in row order.
     spill: Vec<u8>,
 }
 
@@ -386,69 +475,75 @@ impl NextHopTable {
             });
         }
 
-        // Parallel fill, one router per task: write inline rows directly into the
-        // fixed-stride buffer; collect the rare over-long lists per router and
-        // splice them into the spill arena sequentially afterwards.
+        // Parallel fill, one router per task. A task reads its own matrix row and
+        // its neighbours' side by side and compacts each destination's minimal
+        // ports into a stack buffer without a branch per port; over-long lists go
+        // to the task's own flat arena, at offsets relative to it.
         let mut rows = vec![0u8; rows_bytes];
-        let spills: Vec<Vec<(usize, Vec<u8>)>> = rows
+        let arenas: Vec<Vec<u8>> = rows
             .par_chunks_mut(n * ROW_STRIDE)
             .enumerate()
             .map(|(r, chunk)| {
-                let rv = r as VertexId;
-                let mut spilled: Vec<(usize, Vec<u8>)> = Vec::new();
-                for d in 0..n {
-                    let dv = d as VertexId;
-                    let row = &mut chunk[d * ROW_STRIDE..(d + 1) * ROW_STRIDE];
-                    let mut count = 0usize;
-                    dist.for_each_min_port(g, rv, dv, |port| {
-                        if count < INLINE_MAX {
-                            row[1 + count] = port as u8;
-                        } else if count == INLINE_MAX {
-                            // Overflow: restart the list in a spill buffer.
-                            let mut long = row[1..1 + INLINE_MAX].to_vec();
-                            long.push(port as u8);
-                            spilled.push((d, long));
-                        } else {
-                            spilled
-                                .last_mut()
-                                .expect("spill started")
-                                .1
-                                .push(port as u8);
-                        }
-                        count += 1;
-                    });
-                    // count byte stays 0 for empty lists (self / unreachable).
-                    row[0] = if count <= INLINE_MAX {
-                        count as u8
+                let own = dist.row(r);
+                let neighbours = g.neighbors(r as VertexId).iter();
+                let toward: Vec<&[u16]> = neighbours.map(|&w| dist.row(w as usize)).collect();
+                let mut arena = Vec::new();
+                let mut ports = [0u8; u8::MAX as usize + 1];
+                for (d, row) in chunk.chunks_exact_mut(ROW_STRIDE).enumerate() {
+                    // Port `i` is minimal iff `dist(wᵢ, d) + 1 == dist(r, d)` — the
+                    // predicate of `for_each_min_port`, whose two early exits are
+                    // folded into a `want` no neighbour can meet.
+                    let want = if d == r || own[d] == UNREACHABLE_U16 {
+                        u32::MAX
                     } else {
-                        SPILLED
+                        own[d] as u32
                     };
+                    let mut count = 0usize;
+                    for (port, via) in toward.iter().enumerate() {
+                        ports[count] = port as u8;
+                        count += usize::from(via[d] as u32 + 1 == want);
+                    }
+                    if count <= INLINE_MAX {
+                        let inline = u64::from_le_bytes(ports[..8].try_into().expect("8 bytes"));
+                        let kept = inline & ((1u64 << (8 * count)) - 1);
+                        row.copy_from_slice(&(kept << 8 | count as u64).to_le_bytes());
+                    } else {
+                        row[0] = SPILLED;
+                        row[1..5].copy_from_slice(&(arena.len() as u32).to_le_bytes());
+                        row[5] = count as u8;
+                        arena.extend_from_slice(&ports[..count]);
+                    }
                 }
-                spilled
+                arena
             })
             .collect();
 
-        let mut spill: Vec<u8> = Vec::new();
-        for (r, spilled) in spills.into_iter().enumerate() {
-            for (d, long) in spilled {
-                let off = spill.len();
-                if off > u32::MAX as usize {
-                    return Err(OracleError::BudgetExceeded {
-                        required: usize::MAX,
-                        budget: budget_bytes,
-                    });
-                }
-                let row_base = (r * n + d) * ROW_STRIDE;
-                rows[row_base + 1..row_base + 5].copy_from_slice(&(off as u32).to_le_bytes());
-                rows[row_base + 5] = long.len() as u8;
-                spill.extend_from_slice(&long);
-            }
-        }
-        if rows_bytes + spill.len() > budget_bytes {
+        let spill_bytes: usize = arenas.iter().map(Vec::len).sum();
+        if spill_bytes > u32::MAX as usize {
             return Err(OracleError::BudgetExceeded {
-                required: rows_bytes + spill.len(),
+                required: usize::MAX,
                 budget: budget_bytes,
             });
+        }
+        if rows_bytes + spill_bytes > budget_bytes {
+            return Err(OracleError::BudgetExceeded {
+                required: rows_bytes + spill_bytes,
+                budget: budget_bytes,
+            });
+        }
+        // Concatenate the arenas in router order, rebasing each router's offsets.
+        let mut spill = Vec::with_capacity(spill_bytes);
+        for (chunk, arena) in rows.chunks_exact_mut(n * ROW_STRIDE).zip(&arenas) {
+            let base = spill.len() as u32;
+            if base > 0 && !arena.is_empty() {
+                for row in chunk.chunks_exact_mut(ROW_STRIDE) {
+                    if row[0] == SPILLED {
+                        let local = u32::from_le_bytes(row[1..5].try_into().expect("4 bytes"));
+                        row[1..5].copy_from_slice(&(base + local).to_le_bytes());
+                    }
+                }
+            }
+            spill.extend_from_slice(arena);
         }
         Ok(NextHopTable { n, rows, spill })
     }
@@ -482,6 +577,36 @@ impl NextHopTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The 64-source passes against one queue BFS per row, at sizes around the
+        /// batch width (a lone vertex; last passes of 63, 64 and 1 sources, alone
+        /// or after full ones) and edge densities from none — every vertex its
+        /// own component — through a giant component with stragglers to connected.
+        #[test]
+        fn matrix_rows_equal_one_bfs_per_source(
+            size in 0usize..5,
+            density in 0usize..4,
+            seed in 0u64..10_000,
+        ) {
+            let n = [1, 63, 64, 65, 129][size];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut vertex = || rng.gen_range(0..n) as VertexId;
+            let edges: Vec<_> = (0..n * density).map(|_| (vertex(), vertex())).collect();
+            let distinct: Vec<_> = edges.into_iter().filter(|(a, b)| a != b).collect();
+            let g = CsrGraph::from_edges(n, &distinct);
+            let dm = DistanceMatrix::from_graph(&g);
+            let (mut row, mut queue) = (vec![0u16; n], VecDeque::new());
+            for s in 0..n {
+                bfs_distances_into(&g, s as VertexId, &mut row, &mut queue);
+                prop_assert_eq!(dm.row(s), &row[..], "source {}", s);
+            }
+        }
+    }
 
     fn cycle_graph(n: usize) -> CsrGraph {
         let mut edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
