@@ -125,5 +125,5 @@ fn main() {
     );
     println!("\nNote: absolute power differs from the paper (whose per-link accounting is not");
     println!("fully specified); the LPS-vs-SlimFly ordering and the ~5-15% efficiency gap are");
-    println!("the reproduced quantities (see EXPERIMENTS.md).");
+    println!("the reproduced quantities (see docs/REPRODUCING.md, Appendix A).");
 }

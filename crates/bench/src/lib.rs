@@ -2,19 +2,14 @@
 //!
 //! The command-line surface of the reproduction: `repro` (the manifest runner —
 //! every simulation figure, sweep and structural table is a section of
-//! `manifests/paper.toml`), the layout and phased Ember figure binaries,
-//! `million_node`, and Criterion benches over the substrate kernels. This
-//! library holds what those binaries share: one strict flag parser, the Ember
-//! figure driver, the trajectory-row helpers and uniform table printing.
+//! `manifests/paper.toml`), the two layout figure binaries, `million_node`,
+//! and Criterion benches over the substrate kernels. This library holds what
+//! those binaries share: one strict flag parser, the trajectory-row helpers
+//! and uniform table printing.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use rayon::prelude::*;
-use spectralfly_exp::TopoSpec;
-use spectralfly_simnet::workload::{random_placement, Workload};
-use spectralfly_simnet::SimNetwork;
-use spectralfly_workloads::{fft3d, halo3d_26, sweep3d, FftBalance, Grid3};
 use std::str::FromStr;
 
 /// A binary's parsed command line. Every flag is declared up front, so an
@@ -108,62 +103,6 @@ fn exit_with_usage(usage: &str, reason: &str) -> ! {
     std::process::exit(2)
 }
 
-/// The four topology classes compared in the paper's simulations (Section
-/// VI-B) as [`TopoSpec`] strings, `(small scale, paper scale)`: SpectralFly,
-/// SlimFly, BundleFly, DragonFly — the same strings `manifests/paper.toml`
-/// and `manifests/paper-full.toml` sweep. Paper scale is ≈ 8.7K endpoints on
-/// ≤ 32-port routers; small scale keeps the families at ~650 endpoints.
-pub const SIM_TOPOLOGIES: [(&str, &str); 4] = [
-    ("lps(11,7)x4", "lps(23,13)x8"),
-    ("slimfly(9)x4", "slimfly(27)x8"),
-    ("bundlefly(13,3)x3", "bundlefly(9,9)x6"),
-    ("dragonfly(8,4,21)x4", "dragonfly(16,8,69)x8"),
-];
-
-/// The Ember figures (9 and 10): Halo3D-26, Sweep3D and balanced / unbalanced
-/// FFT over 512 ranks (8192 with `full`) randomly placed on each of
-/// [`SIM_TOPOLOGIES`], printed as speedup over DragonFly (the last class).
-/// `completion_ps` runs one placed motif on one network — the figure binaries
-/// differ only in the routing they configure there; a topology's four motifs
-/// run in parallel, one per core.
-pub fn ember_figure(
-    title: &str,
-    full: bool,
-    completion_ps: impl Fn(&SimNetwork, &Workload) -> u64 + Sync,
-) {
-    let ranks = if full { 8192 } else { 512 };
-    let side = (ranks as f64).sqrt().floor() as usize;
-    let motifs = [
-        halo3d_26(Grid3::near_cubic(ranks), 2, 8192),
-        sweep3d(side, side, 2, 2048, 2),
-        fft3d(ranks, FftBalance::Balanced, 1024, 1),
-        fft3d(ranks, FftBalance::Unbalanced, 1024, 1),
-    ];
-    let mut results: Vec<(String, Vec<f64>)> = Vec::new();
-    for (small, paper) in SIM_TOPOLOGIES {
-        let spec = TopoSpec::parse(if full { paper } else { small }).expect("pinned spec");
-        let net = SimNetwork::new(spec.build().expect("pinned spec"), spec.concentration);
-        let placement = random_placement(ranks, net.num_endpoints(), 0xBEEF);
-        let per_motif = motifs
-            .par_iter()
-            .map(|wl| completion_ps(&net, &wl.place(&placement)) as f64)
-            .collect();
-        results.push((spec.canonical(), per_motif));
-    }
-    let (_, dragonfly) = results.last().expect("DragonFly baseline").clone();
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|(name, per_motif)| {
-            let speedups = per_motif.iter().zip(&dragonfly).map(|(t, df)| fmt(df / t));
-            std::iter::once(name.clone()).chain(speedups).collect()
-        })
-        .collect();
-    let header: Vec<&str> = std::iter::once("Topology")
-        .chain(motifs.iter().map(|m| m.name.as_str()))
-        .collect();
-    print_table(title, &header, &rows);
-}
-
 /// The LPS↔SlimFly size pairs of Table II / Fig. 11.
 pub fn table2_pairs() -> Vec<((u64, u64), u64)> {
     vec![((11, 7), 9), ((19, 7), 13), ((23, 11), 17), ((29, 13), 23)]
@@ -247,17 +186,5 @@ mod tests {
             "--seed needs a value",
             "a flag is never swallowed as another flag's value"
         );
-    }
-
-    #[test]
-    fn small_scale_topologies_build_and_fit_ports() {
-        for (small, paper) in SIM_TOPOLOGIES {
-            TopoSpec::parse(paper).unwrap();
-            let spec = TopoSpec::parse(small).unwrap();
-            let graph = spec.build().unwrap();
-            let ports = graph.max_degree() + spec.concentration;
-            assert!(ports <= 32, "{small}: {ports} ports");
-            assert!(graph.num_vertices() * spec.concentration >= 512, "{small}");
-        }
     }
 }

@@ -4,8 +4,8 @@
 //! provenance stamps, golden baselines, and regression gates.
 //!
 //! Every simulation figure, sweep and structural table of the reproduction is
-//! a section of *one declarative object* (only the layout figures and the
-//! phased Ember motifs remain binaries of their own). A TOML manifest
+//! a section of *one declarative object* (only the two layout figures remain
+//! binaries of their own). A TOML manifest
 //! ([`Manifest`]) declares structural tables ([`Structure`]) and sweeps: the
 //! cross product of the suite's five string-keyed axes — topology specs
 //! ([`topo::TopoSpec`]), routing registry names, traffic-pattern specs,

@@ -22,7 +22,7 @@
 //! * `[perf.NAME]` — a **performance scenario**: a single timed simulation
 //!   measured in interleaved rounds against a pinned calibration workload
 //!   (see [`crate::runner`]), gated by a tolerance band declared here.
-//! * `[external.NAME]` — an **external figure binary** (the layout and Ember
+//! * `[external.NAME]` — an **external figure binary** (the two layout
 //!   figures, `million_node`): the runner executes it and captures its output
 //!   into the stamped artifact.
 //!

@@ -13,7 +13,9 @@
 //!   baseline comparison would only say "drift" without naming the engines.
 //! * **Packet conservation** — a finite point must end with every injected
 //!   packet delivered or terminally failed; anything else is a hard
-//!   [`RunError::Conservation`].
+//!   [`RunError::Conservation`]. Likewise a mix of nothing but collectives,
+//!   with no fault script to lose a message, must finish every one of them
+//!   ([`RunError::IncompleteCollective`]).
 //! * **Determinism of refusal** — a configuration that cannot run (e.g. a
 //!   destination unreachable under the fault plan) is digested as its typed
 //!   error, not skipped: an experiment silently losing points is itself a
@@ -36,6 +38,7 @@ use rayon::prelude::*;
 use spectralfly_graph::failures::{failure_point, sweep_seed, TrialConfig};
 use spectralfly_graph::{profile_graph, Column};
 use spectralfly_simnet::fault::{FaultPlan, FaultScript};
+use spectralfly_simnet::stats::TenantStats;
 use spectralfly_simnet::workload::{random_placement, Workload};
 use spectralfly_simnet::{
     simulate, MeasurementWindows, OraclePolicy, SimConfig, SimError, SimNetwork, SimResults,
@@ -76,6 +79,18 @@ pub enum RunError {
         /// Packets abandoned after exhausting their retransmit budget.
         failed: u64,
     },
+    /// A point whose mix is all collectives, run without a fault script,
+    /// ended with a collective unfinished.
+    IncompleteCollective {
+        /// The point's identifier.
+        point: String,
+        /// The first unfinished tenant's label.
+        tenant: String,
+        /// Schedule messages it got delivered.
+        delivered: u64,
+        /// Messages in its schedule.
+        total: u64,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -98,6 +113,18 @@ impl std::fmt::Display for RunError {
                 f,
                 "conservation violated at {point}: injected {injected} != \
                  delivered {delivered} + failed {failed}"
+            ),
+            RunError::IncompleteCollective {
+                point,
+                tenant,
+                delivered,
+                total,
+            } => write!(
+                f,
+                "collective incomplete at {point}: {tenant} delivered {delivered} of {total} \
+                 messages and no fault script lost the rest — the window closed first (raise \
+                 measure_ns), or the one-shard core deadlocked on a dense exchange, which it \
+                 does not report in steady mode (run the point at shards >= 2)"
             ),
         }
     }
@@ -205,7 +232,9 @@ pub struct TenantMetrics {
 pub struct Metrics {
     /// Sustained throughput over the measurement window, Gb/s (steady points).
     pub throughput_gbps: Option<f64>,
-    /// Drain-to-empty completion time, picoseconds (finite / offered points).
+    /// Drain-to-empty completion time (finite / offered points) or, for a mix
+    /// of nothing but collectives, the time the last of them finished;
+    /// picoseconds.
     pub completion_ps: Option<u64>,
     /// Share of the measured (steady) or injected (finite) packets delivered.
     pub delivery_ratio: f64,
@@ -231,9 +260,17 @@ impl Metrics {
     /// Reduce one run's results to the row.
     pub fn of(res: &SimResults) -> Metrics {
         let f = &res.faults;
+        let collective_ps = |t: &TenantStats| {
+            let done = t.collective.filter(|c| c.completed);
+            done.map(|c| c.completion_time_ps)
+        };
+        let all_collectives: Option<Vec<u64>> = res.tenants.iter().map(collective_ps).collect();
         Metrics {
             throughput_gbps: res.measurement.as_ref().map(|m| m.throughput_gbps()),
-            completion_ps: res.measurement.is_none().then_some(res.completion_time_ps),
+            completion_ps: match res.measurement {
+                None => Some(res.completion_time_ps),
+                Some(_) => all_collectives.and_then(|done| done.into_iter().max()),
+            },
             delivery_ratio: match &res.measurement {
                 Some(m) => m.delivery_ratio(),
                 None if f.injected > 0 => f.delivered as f64 / f.injected as f64,
@@ -253,35 +290,37 @@ impl Metrics {
                     name: t.name.clone(),
                     p99_ps: t.p99_latency_ps,
                     goodput_gbps: t.goodput_gbps,
-                    collective_ps: t
-                        .collective
-                        .as_ref()
-                        .and_then(|c| c.completed.then_some(c.completion_time_ps)),
+                    collective_ps: collective_ps(t),
                 })
                 .collect(),
         }
     }
 
     /// The scalar a point contributes to a figure: `(value, higher_is_better)`.
-    /// Windowed (steady-state) runs score by sustained measured throughput in
-    /// Gb/s; finite runs score by completion time in ps.
+    /// Finite runs and all-collective mixes score by completion time in ps —
+    /// a collective's window throughput only says how long the window was —
+    /// every other windowed (steady-state) run by sustained measured
+    /// throughput in Gb/s.
     pub fn figure_of_merit(&self) -> (f64, bool) {
-        match self.throughput_gbps {
-            Some(gbps) => (gbps, true),
-            None => (self.completion_ps.unwrap_or(0) as f64, false),
+        match (self.completion_ps, self.throughput_gbps) {
+            (Some(ps), _) => (ps as f64, false),
+            (None, Some(gbps)) => (gbps, true),
+            (None, None) => (0.0, false),
         }
     }
 }
 
 /// Speedup of `ours` over `base` for a [`Metrics::figure_of_merit`] pair: above
-/// one means `ours` is better, whichever way the metric points.
-fn merit_speedup(base: (f64, bool), ours: (f64, bool)) -> f64 {
-    debug_assert_eq!(base.1, ours.1, "mixed metric directions");
-    if ours.1 {
-        ours.0 / base.0
-    } else {
-        base.0 / ours.0
-    }
+/// one means `ours` is better, whichever way the metric points. `None` when
+/// the two are different metrics (a collective mix that stalled under a fault
+/// script beside one that finished).
+fn merit_speedup(base: (f64, bool), ours: (f64, bool)) -> Option<f64> {
+    let ratio = match (base.1, ours.1) {
+        (true, true) => ours.0 / base.0,
+        (false, false) => base.0 / ours.0,
+        _ => return None,
+    };
+    ratio.is_finite().then_some(ratio)
 }
 
 /// The digested outcome of one point.
@@ -628,9 +667,12 @@ pub fn run_point(net: &SimNetwork, p: &Point) -> Result<PointResult, RunError> {
             digests,
         });
     }
-    if !matches!(p.mode, Mode::Steady { .. }) {
-        if let Ok(res) = &outcome {
+    if let Ok(res) = &outcome {
+        if !matches!(p.mode, Mode::Steady { .. }) {
             check_conservation(&p.id, res)?;
+        }
+        if p.fault_script == "none" {
+            check_collectives(&p.id, res)?;
         }
     }
     Ok(PointResult {
@@ -658,6 +700,25 @@ fn check_conservation(point: &str, res: &SimResults) -> Result<(), RunError> {
         delivered: f.delivered,
         failed: f.failed,
     })
+}
+
+/// A mix of nothing but collectives, with no fault script to lose a message,
+/// finishes every one of them: a blank completion time would silently empty a
+/// whole `relative_to` column when the point is the baseline.
+fn check_collectives(point: &str, res: &SimResults) -> Result<(), RunError> {
+    let outcomes = res.tenants.iter().map(|t| Some((t.collective?, t)));
+    let Some(outcomes) = outcomes.collect::<Option<Vec<_>>>() else {
+        return Ok(()); // an open-loop tenant: a steady-state experiment
+    };
+    match outcomes.into_iter().find(|(c, _)| !c.completed) {
+        None => Ok(()),
+        Some((c, tenant)) => Err(RunError::IncompleteCollective {
+            point: point.to_string(),
+            tenant: tenant.name.clone(),
+            delivered: c.delivered_messages,
+            total: c.total_messages,
+        }),
+    }
 }
 
 fn useful_eps(res: &SimResults, wall_s: f64) -> f64 {
@@ -943,8 +1004,7 @@ fn relate_to_siblings(m: &Manifest, points: &[Point], results: &mut [PointResult
         let base = merits.get(&p.sibling_id(axis, entry));
         r.relative = base
             .zip(merits.get(&p.id))
-            .map(|(&base, &ours)| merit_speedup(base, ours))
-            .filter(|ratio| ratio.is_finite());
+            .and_then(|(&base, &ours)| merit_speedup(base, ours));
     }
 }
 
@@ -1285,9 +1345,12 @@ bytes = 512
     #[test]
     fn relative_ratio_direction_follows_the_figure_of_merit() {
         // Completion time: base 2000 ps vs ours 1000 ps -> 2x speedup.
-        assert!((merit_speedup((2_000.0, false), (1_000.0, false)) - 2.0).abs() < 1e-12);
+        assert_eq!(merit_speedup((2_000.0, false), (1_000.0, false)), Some(2.0));
         // Throughput: base 500 Gb/s vs ours 1000 Gb/s -> 2x speedup.
-        assert!((merit_speedup((500.0, true), (1_000.0, true)) - 2.0).abs() < 1e-12);
+        assert_eq!(merit_speedup((500.0, true), (1_000.0, true)), Some(2.0));
+        // A time against a rate, or against nothing, is no ratio.
+        assert_eq!(merit_speedup((500.0, true), (1_000.0, false)), None);
+        assert_eq!(merit_speedup((0.0, true), (1_000.0, true)), None);
 
         let axes = "topologies = [\"ring(9)x2\"]\nroutings = [\"valiant\", \"minimal\"]\n\
                     relative_to = \"minimal\"\nseeds = [7]\n";
@@ -1334,6 +1397,50 @@ bytes = 512
         assert!(!plain.tables(&mini_manifest()).contains(" vs "));
     }
 
+    /// A mix of nothing but collectives is a finite job in a window: it scores
+    /// by when its last tenant finished, not by bytes over the window length
+    /// (which every sibling that finishes shares, so the column read 1.000).
+    #[test]
+    fn all_collective_mixes_score_by_collective_completion() {
+        let section = |jobs: &str| {
+            format!(
+                "[manifest]\nname = \"r\"\n[experiment.c]\n\
+                 topologies = [\"ring(9)x2\", \"ring(15)x2\"]\nroutings = [\"minimal\"]\n\
+                 jobs = [\"{jobs}\"]\nshards = [2]\nseeds = [7]\nloads = [1.0]\nmode = \"steady\"\n\
+                 warmup_ns = 0\nmeasure_ns = 400000\nrelative_to = \"ring(9)x2\"\n"
+            )
+        };
+        let src = section("alltoall(2048) x 12 @ random + fft3d(1024) x 6 @ random");
+        let report = run(&src);
+        let [small, large] = report.points.as_slice() else {
+            panic!("two topologies, two points");
+        };
+        let completion = |p: &PointResult| {
+            let m = p.metrics.as_ref().unwrap();
+            let last = m.tenants.iter().map(|t| t.collective_ps.unwrap()).max();
+            assert_eq!(m.completion_ps, last, "the latest tenant");
+            assert_eq!(m.figure_of_merit(), (last.unwrap() as f64, false));
+            last.unwrap() as f64
+        };
+        assert_eq!(small.relative, Some(1.0));
+        assert_eq!(large.relative, Some(completion(small) / completion(large)));
+        assert_ne!(
+            large.relative,
+            Some(1.0),
+            "placements differ, so do the times"
+        );
+        let table = report.tables(&Manifest::parse(&src).unwrap());
+        let cell = format!(" | {:.3} | 1.000 | ", completion(large) / 1e6);
+        assert!(table.contains(&cell), "Compl us is filled: {table}");
+        // One open-loop tenant and the mix is a steady-state experiment again.
+        let mixed = run(&section("alltoall(2048) x 12 + traffic(0.5) x 6"));
+        for p in &mixed.points {
+            let m = p.metrics.as_ref().unwrap();
+            assert_eq!(m.completion_ps, None);
+            assert_eq!(m.figure_of_merit(), (m.throughput_gbps.unwrap(), true));
+        }
+    }
+
     #[test]
     fn alive_placement_avoids_dead_endpoints_and_matches_pristine() {
         let graph = TopoSpec::parse("ring(8)").unwrap().build().unwrap();
@@ -1370,7 +1477,7 @@ bytes = 512
         // bit-shuffle over 8 ranks fixes ranks 0 and 7; the other six send.
         assert_eq!(wl.num_messages(), 6 * 3);
         let placement = place_on_alive(net, 8, 11).unwrap();
-        for msg in &wl.phases[0].messages {
+        for msg in &wl.messages {
             assert!(placement.contains(&msg.src) && placement.contains(&msg.dst));
             assert!(net.endpoint_alive(msg.src) && net.endpoint_alive(msg.dst));
         }
@@ -1415,6 +1522,73 @@ bytes = 512
         assert!(err
             .to_string()
             .contains("injected 10 != delivered 7 + failed 2"));
+    }
+
+    /// No fault script, nothing but collectives, and one of them unfinished:
+    /// the point did not do what the section says, and says so — a blank
+    /// "Compl us" on the `relative_to` baseline would empty the whole column.
+    #[test]
+    fn an_unfinished_all_collective_mix_is_a_run_error() {
+        use spectralfly_simnet::stats::CollectiveOutcome;
+        let tenant = |name: &str, delivered: u64| TenantStats {
+            name: name.to_string(),
+            collective: Some(CollectiveOutcome {
+                total_messages: 10,
+                delivered_messages: delivered,
+                completed: delivered == 10,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let mut res = SimResults {
+            tenants: vec![tenant("t0:alltoall", 10), tenant("t1:fft3d", 7)],
+            ..Default::default()
+        };
+        let err = check_collectives("p", &res).unwrap_err();
+        assert_eq!(
+            err,
+            RunError::IncompleteCollective {
+                point: "p".to_string(),
+                tenant: "t1:fft3d".to_string(),
+                delivered: 7,
+                total: 10
+            }
+        );
+        let text = err.to_string();
+        assert!(
+            text.contains("t1:fft3d delivered 7 of 10 messages"),
+            "{text}"
+        );
+        assert!(
+            text.contains("measure_ns") && text.contains("shards >= 2"),
+            "{text}"
+        );
+        // Beside an open-loop tenant a collective may be starved by design.
+        res.tenants.push(TenantStats::default());
+        assert_eq!(check_collectives("p", &res), Ok(()));
+        res.tenants.clear();
+        assert_eq!(check_collectives("p", &res), Ok(()));
+
+        // End to end: a window that closes mid-collective fails the run; a
+        // fault script makes the same stall an outcome to report.
+        let section = |script: &str| {
+            format!(
+                "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)x2\"]\n\
+                 routings = [\"minimal\"]\njobs = [\"alltoall(4096) x 16\"]\n{script}\
+                 shards = [2]\nseeds = [7]\nloads = [1.0]\nmode = \"steady\"\n\
+                 warmup_ns = 0\nmeasure_ns = 1000\n"
+            )
+        };
+        let m = Manifest::parse(&section("")).unwrap();
+        match run_manifest(&m, &RunOptions::default()) {
+            Err(RunError::IncompleteCollective { tenant, total, .. }) => {
+                assert_eq!((tenant.as_str(), total), ("t0:alltoall", 240));
+            }
+            other => panic!("expected an incomplete collective, got {other:?}"),
+        }
+        let scripted = run(&section("fault_scripts = [\"at(1us, links(0.0))\"]\n"));
+        let tenants = &scripted.points[0].metrics.as_ref().unwrap().tenants;
+        assert_eq!(tenants[0].collective_ps, None);
     }
 
     /// `oracles = ["cayley"]` used to validate and then fail every point at

@@ -18,7 +18,7 @@ name = "fuzz"
 topologies = ["lps(11,7)x4", "ring(9)x2"]
 routings = ["ugal-l"]
 patterns = ["hotspot(8, 0.2)"]
-jobs = ["allgather x 8 @ random + traffic(0.9, adversarial(4), 4096) x 8"]
+jobs = ["allgather x 8 @ random + traffic(0.9, adversarial(4), 4096) x 8", "halo3d(2, 8192) x 7 @ random + sweep3d(2, 2048, 2) x 1 + fft3d(1024, 1, 4) x 8", "fft3d(1024) x 11"]
 faults = ["links(0.1) + routers(2)"]
 fault_scripts = ["at(5us, links(0.05)) + churn(10mhz, 2us)"]
 mode = "steady"

@@ -40,8 +40,8 @@ pub(crate) trait Core {
     fn schedule_source(&mut self, time: u64, source: u32, endpoint: usize);
 
     /// Install the runtime fault machinery over `timeline` and queue its
-    /// first live entry (see [`fault_runtime`] for `phase_start`).
-    fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, phase_start: Option<u64>);
+    /// first live entry (see [`fault_runtime`] for `finite`).
+    fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, finite: bool);
 }
 
 /// The tag of a message no tenant owns (every message outside jobs mode).
@@ -185,23 +185,27 @@ pub(crate) fn check_finite(net: &SimNetwork, workload: &Workload) -> Result<(), 
 }
 
 /// A fresh liveness view over `timeline`, and the `(time, index)` of its
-/// first live entry for the core to queue. A finite phase passes its
-/// `phase_start`: entries at or before it are replayed as pure mask flips (no
-/// packets exist yet) and the chain resumes from the first entry still ahead.
-/// Steady-state runs pass `None`: every entry — an `at(0us, …)` one included —
-/// is a live, counted fault event.
+/// first live entry for the core to queue. A `finite` run starts on the
+/// entries at `t = 0` — replayed as pure mask flips, no packet exists yet —
+/// and the chain resumes from the first entry still ahead. In a steady-state
+/// run every entry — an `at(0us, …)` one included — is a live, counted fault
+/// event.
 pub(crate) fn fault_runtime(
     net: &SimNetwork,
     timeline: &Arc<FaultTimeline>,
-    phase_start: Option<u64>,
+    finite: bool,
 ) -> (Box<FaultRuntime>, Option<(u64, u32)>) {
     let mut runtime = Box::new(FaultRuntime::new(net, Arc::clone(timeline)));
-    let idx = phase_start.map_or(0, |start| runtime.fast_forward(net, start));
+    let idx = if finite {
+        runtime.apply_initial(net)
+    } else {
+        0
+    };
     let first = timeline.events.get(idx).map(|e| (e.time_ps, idx as u32));
     (runtime, first)
 }
 
-/// A finite phase ended with packets neither delivered nor terminally failed.
+/// A finite run ended with packets neither delivered nor terminally failed.
 /// With links still parked that is a genuine buffer deadlock, which the
 /// wakeup design makes a detectable quiescent state (a polling engine would
 /// spin on retries forever) and this a typed error; anything else is an
@@ -244,9 +248,7 @@ pub(crate) enum TrafficPlan {
 /// Template-mode traffic: per-endpoint message templates and the optional
 /// live destination pattern.
 pub(crate) struct TemplatePlan {
-    /// `(dst endpoint, bytes)` per sending endpoint, in workload order
-    /// (phases are flattened: steady-state measurement is an open-loop
-    /// experiment, not a bulk-synchronous application run).
+    /// `(dst endpoint, bytes)` per sending endpoint, in workload order.
     templates: Vec<Vec<(usize, u64)>>,
     pattern: Option<Box<dyn TrafficPattern>>,
     /// The surviving endpoint space of a degraded network under a live
@@ -299,7 +301,7 @@ impl TrafficPlan {
             .transpose()
             .map_err(SimError::Pattern)?;
         let mut templates: Vec<Vec<(usize, u64)>> = vec![Vec::new(); net.num_endpoints()];
-        for m in workload.phases.iter().flat_map(|phase| &phase.messages) {
+        for m in &workload.messages {
             templates[m.src].push((m.dst, m.bytes));
         }
         Ok(TrafficPlan::Templates(TemplatePlan {
@@ -368,7 +370,7 @@ impl<'p> Traffic<'p> {
         draws: Draws<'_>,
     ) -> Self {
         if let Some(timeline) = &run.timeline {
-            core.arm_faults(timeline, None);
+            core.arm_faults(timeline, false);
         }
         let pace = Pace {
             cfg: run.cfg,
@@ -603,7 +605,7 @@ impl<'p> Tenants<'p> {
             collectives.push(match &t.behavior {
                 JobBehavior::OpenLoop(_) => None,
                 JobBehavior::Collective(sched) => {
-                    let mut cs = CollectiveState::new(Arc::new(sched.clone()));
+                    let mut cs = CollectiveState::new(Arc::clone(sched));
                     for g in cs.ready_at_start(|rank| owns(t.endpoints[rank])) {
                         fire_collective(core, &t.endpoints, ti as u32, &mut cs, g, 0);
                     }

@@ -53,7 +53,7 @@ use crate::job::MsgTag;
 use crate::network::SimNetwork;
 use crate::routing::{self, RouteScratch, Router, RoutingCtx, RoutingState};
 use crate::stats::{EngineCounters, FaultStats, IntervalSample, SimResults, StatsCollector};
-use crate::workload::{Phase, Workload};
+use crate::workload::Workload;
 use calendar::{CalendarQueue, Timed};
 use driver::{Core, Draws, Mode, RunPlan, Steady, Traffic, UNTAGGED};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -259,10 +259,10 @@ impl Timed for Event {
     }
 }
 
-/// A phase's injection schedule, shared between the wakeup engine and the
-/// polling reference so both see byte-identical packetization (and consume the
+/// A finite run's injection schedule, shared between the live engines and the
+/// polling reference so all see byte-identical packetization (and consume the
 /// RNG identically in offered-load mode).
-pub(crate) struct PhaseSchedule {
+pub(crate) struct InjectionSchedule {
     pub packets: Vec<Packet>,
     /// Packet indices in injection-event push order (event time =
     /// `packets[i].inject_time_ps`).
@@ -288,38 +288,38 @@ pub(crate) fn segment_message(cfg: &SimConfig, total_bytes: u64) -> Vec<(u64, u6
         .collect()
 }
 
-/// Packetize one phase and lay out its injection schedule (each source's
+/// Packetize a workload and lay out its injection schedule (each source's
 /// messages serialized through its NIC; Poisson-spaced under an offered load).
-pub(crate) fn packetize_phase(
+pub(crate) fn packetize(
     net: &SimNetwork,
     cfg: &SimConfig,
-    phase: &Phase,
-    phase_start: u64,
+    workload: &Workload,
     offered_load: Option<f64>,
     rng: &mut StdRng,
-) -> PhaseSchedule {
-    let mut sched = PhaseSchedule {
+) -> InjectionSchedule {
+    let messages = &workload.messages;
+    let mut sched = InjectionSchedule {
         packets: Vec::new(),
         injections: Vec::new(),
-        msg_first_inject: vec![u64::MAX; phase.messages.len()],
-        msg_packets_left: vec![0; phase.messages.len()],
+        msg_first_inject: vec![u64::MAX; messages.len()],
+        msg_packets_left: vec![0; messages.len()],
     };
     // NIC-busy horizon per endpoint: a flat Vec keyed by endpoint id (endpoints are
     // dense small integers; a HashMap here cost a hash + probe per message).
-    let mut nic_free: Vec<u64> = vec![phase_start; net.num_endpoints()];
-    let mut order: Vec<usize> = (0..phase.messages.len()).collect();
-    order.sort_by_key(|&i| (phase.messages[i].src, phase.messages[i].inject_offset_ps, i));
+    let mut nic_free: Vec<u64> = vec![0; net.num_endpoints()];
+    let mut order: Vec<usize> = (0..messages.len()).collect();
+    order.sort_by_key(|&i| (messages[i].src, messages[i].inject_offset_ps, i));
     for &mi in &order {
-        let m = &phase.messages[mi];
+        let m = &messages[mi];
         let segments = segment_message(cfg, m.bytes);
         sched.msg_packets_left[mi] = segments.len() as u32;
         let nic = &mut nic_free[m.src];
         let base = match offered_load {
-            None => phase_start + m.inject_offset_ps,
+            None => m.inject_offset_ps,
             Some(load) => {
                 let mean_gap = cfg.serialization_ps(cfg.packet_size_bytes) as f64 / load;
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                (*nic).max(phase_start) + (-u.ln() * mean_gap) as u64
+                *nic + (-u.ln() * mean_gap) as u64
             }
         };
         let mut t = base.max(*nic);
@@ -551,14 +551,14 @@ impl FaultRuntime {
         newly
     }
 
-    /// Apply timeline entries `[0, upto)` as pure mask flips (no queue
-    /// flushing — used to reconstruct the liveness state at a phase boundary,
-    /// where no packets exist yet). Returns the index of the first entry still
-    /// to be scheduled as a live event.
-    pub fn fast_forward(&mut self, net: &SimNetwork, start_ps: u64) -> usize {
+    /// Apply the timeline's entries at `t = 0` as pure mask flips (no queue
+    /// flushing — a finite run starts on that liveness state, no packet
+    /// exists yet). Returns the index of the first entry still to be
+    /// scheduled as a live event.
+    pub fn apply_initial(&mut self, net: &SimNetwork) -> usize {
         let timeline = Arc::clone(&self.timeline);
         let mut idx = 0;
-        while idx < timeline.events.len() && timeline.events[idx].time_ps <= start_ps {
+        while idx < timeline.events.len() && timeline.events[idx].time_ps == 0 {
             self.apply(net, &timeline.events[idx], timeline.events[idx].time_ps);
             idx += 1;
         }
@@ -661,7 +661,6 @@ struct EngineState {
     completed_msgs: Vec<usize>,
     /// Whether `enter_router` should report completions into `completed_msgs`.
     track_completions: bool,
-    phase_end: u64,
     /// Running delivery totals (all packets), for the time-series samples.
     delivered_packets_total: u64,
     delivered_bytes_total: u64,
@@ -681,13 +680,13 @@ struct EngineState {
     /// Jobs-mode tenant tag per message slot (empty unless [`SimConfig::jobs`]
     /// is set, so every other mode skips the tenant accounting entirely).
     msg_tag: Vec<MsgTag>,
-    /// NIC-busy horizon per endpoint (steady-state modes; finite phases lay
+    /// NIC-busy horizon per endpoint (steady-state modes; finite runs lay
     /// out their whole injection schedule up front).
     nic_free: Vec<u64>,
 }
 
 impl EngineState {
-    fn new(net: &SimNetwork, cfg: &SimConfig, phase_start: u64) -> Self {
+    fn new(net: &SimNetwork, cfg: &SimConfig) -> Self {
         // Bucket the calendar around the packet serialization time — the natural
         // spacing of transmit/arrive events — with an ample ring so only genuinely
         // far-future events (distant injections) spill into the overflow heap.
@@ -714,7 +713,6 @@ impl EngineState {
             msg_free: Vec::new(),
             completed_msgs: Vec::new(),
             track_completions: false,
-            phase_end: phase_start,
             delivered_packets_total: 0,
             delivered_bytes_total: 0,
             sampled_packets: 0,
@@ -874,8 +872,8 @@ impl Core for SeqCore<'_, '_> {
         self.st.push(time, EventKind::NextMessage { source });
     }
 
-    fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, phase_start: Option<u64>) {
-        let (runtime, first) = driver::fault_runtime(self.sim.net, timeline, phase_start);
+    fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, finite: bool) {
+        let (runtime, first) = driver::fault_runtime(self.sim.net, timeline, finite);
         if let Some((time, idx)) = first {
             self.st.push(time, EventKind::Fault { idx });
         }
@@ -927,8 +925,8 @@ impl<'a> Simulator<'a> {
     /// Run the workload with message injections spaced exactly as the workload specifies
     /// (each source's messages additionally serialized through its NIC).
     ///
-    /// Measurement windows, if configured, are ignored here: phased application
-    /// workloads are finite by nature and run to completion.
+    /// Measurement windows, if configured, are ignored here: a workload-paced
+    /// run is finite and runs to completion.
     ///
     /// # Panics
     /// On a degraded network, if the workload is infeasible on the surviving
@@ -1026,69 +1024,52 @@ impl<'a> Simulator<'a> {
     ) -> Result<SimResults, SimError> {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut stats = StatsCollector::default();
-        let mut faults = FaultStats::default();
-        let mut phase_start: u64 = 0;
-
-        for phase in &workload.phases {
-            if phase.messages.is_empty() {
-                continue;
-            }
-            let sched = packetize_phase(
-                self.net,
-                self.cfg,
-                phase,
-                phase_start,
-                offered_load,
-                &mut rng,
-            );
-            let mut st = EngineState::new(self.net, self.cfg, phase_start);
-            st.packets = sched.packets;
-            st.msg_packets_left = sched.msg_packets_left;
-            st.msg_first_inject = sched.msg_first_inject;
-            st.msg_last_delivery = vec![u64::MAX; phase.messages.len()];
-            st.msg_failed = vec![false; phase.messages.len()];
-            for &pi in &sched.injections {
-                let t = st.packets[pi].inject_time_ps;
-                st.push(t, EventKind::Inject { packet: pi as u32 });
-            }
-            if let Some(timeline) = &run.timeline {
-                // Each phase gets a fresh liveness view fast-forwarded to the
-                // phase boundary.
-                st.fstats.injected = st.packets.len() as u64;
-                self.core(&mut st, &mut stats)
-                    .arm_faults(timeline, Some(phase_start));
-            }
-
-            st.counters.arena_slots = st.packets.len() as u64;
-            while let Some(ev) = st.queue.pop() {
-                st.counters.events += 1;
-                self.handle_event(ev, &mut st, &mut rng, &mut stats);
-            }
-
-            // Every packet must have been delivered (or, under a fault script,
-            // terminally failed).
-            let undelivered: u32 = st.msg_packets_left.iter().sum();
-            if undelivered > 0 {
-                return Err(driver::undrained(
-                    undelivered as u64,
-                    st.parked_count,
-                    st.link_queue.iter().map(|q| q.len()).sum(),
-                    st.pending_inject.iter().map(|q| q.len()).sum(),
-                    st.occupancy.iter().sum(),
-                ));
-            }
-            debug_assert_eq!(st.parked_count, 0, "drained run left links parked");
-            for (mi, &last) in st.msg_last_delivery.iter().enumerate() {
-                if last != u64::MAX && !st.msg_failed[mi] {
-                    stats.record_message(last.saturating_sub(st.msg_first_inject[mi].min(last)));
-                }
-            }
-            phase_start = st.phase_end.max(phase_start);
-            stats.record_engine(&st.counters);
-            faults.merge(&st.fstats);
+        if workload.messages.is_empty() {
+            return Ok(stats.finish());
         }
+        let sched = packetize(self.net, self.cfg, workload, offered_load, &mut rng);
+        let mut st = EngineState::new(self.net, self.cfg);
+        st.packets = sched.packets;
+        st.msg_packets_left = sched.msg_packets_left;
+        st.msg_first_inject = sched.msg_first_inject;
+        st.msg_last_delivery = vec![u64::MAX; workload.messages.len()];
+        st.msg_failed = vec![false; workload.messages.len()];
+        for &pi in &sched.injections {
+            let t = st.packets[pi].inject_time_ps;
+            st.push(t, EventKind::Inject { packet: pi as u32 });
+        }
+        if let Some(timeline) = &run.timeline {
+            st.fstats.injected = st.packets.len() as u64;
+            self.core(&mut st, &mut stats).arm_faults(timeline, true);
+        }
+
+        st.counters.arena_slots = st.packets.len() as u64;
+        while let Some(ev) = st.queue.pop() {
+            st.counters.events += 1;
+            self.handle_event(ev, &mut st, &mut rng, &mut stats);
+        }
+
+        // Every packet must have been delivered (or, under a fault script,
+        // terminally failed).
+        let undelivered: u32 = st.msg_packets_left.iter().sum();
+        if undelivered > 0 {
+            return Err(driver::undrained(
+                undelivered as u64,
+                st.parked_count,
+                st.link_queue.iter().map(|q| q.len()).sum(),
+                st.pending_inject.iter().map(|q| q.len()).sum(),
+                st.occupancy.iter().sum(),
+            ));
+        }
+        debug_assert_eq!(st.parked_count, 0, "drained run left links parked");
+        for (mi, &last) in st.msg_last_delivery.iter().enumerate() {
+            if last != u64::MAX && !st.msg_failed[mi] {
+                stats.record_message(last.saturating_sub(st.msg_first_inject[mi].min(last)));
+            }
+        }
+        stats.record_engine(&st.counters);
         let mut results = stats.finish();
-        results.faults = faults;
+        results.faults = st.fstats;
         Ok(results)
     }
 
@@ -1101,7 +1082,7 @@ impl<'a> Simulator<'a> {
         let w = steady.windows;
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut stats = steady.traffic.stats(w);
-        let mut st = EngineState::new(self.net, self.cfg, 0);
+        let mut st = EngineState::new(self.net, self.cfg);
         st.track_completions = true;
         let mut core = self.core(&mut st, &mut stats);
         let draws = Draws::RunGlobal(&mut rng);
@@ -1489,7 +1470,6 @@ impl<'a> Simulator<'a> {
                     st.completed_msgs.push(m);
                 }
             }
-            st.phase_end = st.phase_end.max(now);
             st.free.push(pi);
             st.wake_waiters(slot, now);
             return;
@@ -1607,7 +1587,7 @@ mod tests {
         // One 4096-byte packet over exactly one hop on a 2-router network.
         let net = SimNetwork::new(complete(2), 1);
         let cfg = SimConfig::default();
-        let wl = Workload::single_phase(
+        let wl = Workload::new(
             "one",
             vec![Message {
                 src: 0,
@@ -1658,7 +1638,7 @@ mod tests {
         let net = SimNetwork::new(complete(3), 1);
         let cfg = SimConfig::default();
         // 10 KB message with 4 KB packets -> 3 packets, 1 message.
-        let wl = Workload::single_phase(
+        let wl = Workload::new(
             "big",
             vec![Message {
                 src: 0,
@@ -1677,7 +1657,7 @@ mod tests {
     fn minimal_routing_takes_shortest_paths_when_uncongested() {
         let net = SimNetwork::new(ring(10), 1);
         let cfg = SimConfig::default();
-        let wl = Workload::single_phase(
+        let wl = Workload::new(
             "far",
             vec![Message {
                 src: 0,
@@ -1720,29 +1700,6 @@ mod tests {
     }
 
     #[test]
-    fn phased_workload_runs_phases_in_order() {
-        let net = SimNetwork::new(complete(4), 1);
-        let cfg = SimConfig::default();
-        let phase = |src: usize, dst: usize| crate::workload::Phase {
-            messages: vec![Message {
-                src,
-                dst,
-                bytes: 2048,
-                inject_offset_ps: 0,
-            }],
-        };
-        let wl = Workload {
-            phases: vec![phase(0, 1), phase(1, 2), phase(2, 3)],
-            name: "phased".to_string(),
-        };
-        let res = Simulator::new(&net, &cfg).run(&wl);
-        assert_eq!(res.delivered_messages, 3);
-        // Three sequential phases take at least 3x the single-hop latency.
-        let single = cfg.serialization_ps(2048) + cfg.link_latency_ps() + cfg.router_latency_ps();
-        assert!(res.completion_time_ps >= 3 * single);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let net = SimNetwork::new(ring(6), 2);
         let cfg = SimConfig::default().with_routing("ugal-l", net.diameter() as u32);
@@ -1758,7 +1715,7 @@ mod tests {
         // Two endpoints on the same router exchange a message: zero network hops.
         let net = SimNetwork::new(complete(2), 2);
         let cfg = SimConfig::default();
-        let wl = Workload::single_phase(
+        let wl = Workload::new(
             "local",
             vec![Message {
                 src: 0,
@@ -1818,7 +1775,7 @@ mod tests {
         let net = SimNetwork::new(ring(8), 1);
         let cfg = SimConfig::default();
         // 10 packets from router 0 to the antipode (both directions minimal).
-        let wl = Workload::single_phase(
+        let wl = Workload::new(
             "antipodal",
             vec![Message {
                 src: 0,
@@ -1845,7 +1802,7 @@ mod tests {
         let net = SimNetwork::with_faults(ring(8), 1, &plan).unwrap();
         let cfg = SimConfig::default().with_routing("minimal", net.diameter() as u32);
         // 3 -> 5 minimally crossed router 4 (2 hops); now it rides the long arc.
-        let wl = Workload::single_phase(
+        let wl = Workload::new(
             "around",
             vec![Message {
                 src: 3,
@@ -1858,7 +1815,7 @@ mod tests {
         assert_eq!(res.delivered_packets, 1);
         assert_eq!(res.max_hops, 6);
         // Anything touching the down router's endpoint fails fast and typed.
-        let dead = Workload::single_phase(
+        let dead = Workload::new(
             "dead",
             vec![Message {
                 src: 3,

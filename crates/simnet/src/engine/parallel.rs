@@ -58,7 +58,7 @@
 
 use super::calendar::{CalendarQueue, Timed};
 use super::driver::{self, Core, Draws, Mode, RunPlan, Steady, Traffic, UNTAGGED};
-use super::{packetize_phase, segment_message, DropReason, FaultRuntime, SimError};
+use super::{packetize, segment_message, DropReason, FaultRuntime, SimError};
 use crate::config::SimConfig;
 use crate::fault::{FaultEventKind, FaultTimeline};
 use crate::job::MsgTag;
@@ -310,7 +310,7 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
-/// State shared between all shards of one run (or one finite phase).
+/// State shared between all shards of one run.
 struct EpochShared {
     barrier: PoisonBarrier,
     /// Each shard's earliest pending-event time, published before barrier 1.
@@ -342,7 +342,6 @@ struct ShardOutcome {
     samples: Vec<RawSample>,
     fstats: FaultStats,
     delivered_packets: u64,
-    phase_end: u64,
     in_queues: usize,
     pending: usize,
     occ_sum: u32,
@@ -425,17 +424,11 @@ struct ShardCore<'a> {
     delivered_bytes_total: u64,
     sampled_packets: u64,
     sampled_bytes: u64,
-    phase_end: u64,
 }
 
 impl<'a> ShardCore<'a> {
     /// Shard `sid` of `sim`'s partition, collecting into `stats`.
-    fn new(
-        sid: usize,
-        sim: &'a ParallelSimulator<'_>,
-        stats: StatsCollector,
-        phase_start: u64,
-    ) -> Self {
+    fn new(sid: usize, sim: &'a ParallelSimulator<'_>, stats: StatsCollector) -> Self {
         let (net, cfg, owner) = (sim.net, sim.cfg, &sim.owner[..]);
         let (shards, lookahead) = (cfg.shards, sim.lookahead);
         let algo = (sim.router.as_deref())
@@ -497,7 +490,6 @@ impl<'a> ShardCore<'a> {
             delivered_bytes_total: 0,
             sampled_packets: 0,
             sampled_bytes: 0,
-            phase_end: phase_start,
         }
     }
 
@@ -849,7 +841,6 @@ impl<'a> ShardCore<'a> {
                     }
                 }
             }
-            self.phase_end = self.phase_end.max(now);
             self.free.push(pi);
             return;
         }
@@ -1149,7 +1140,6 @@ impl<'a> ShardCore<'a> {
     fn into_outcome(self) -> ShardOutcome {
         ShardOutcome {
             delivered_packets: self.delivered_packets_total,
-            phase_end: self.phase_end,
             in_queues: self.link_queue.iter().map(|q| q.len()).sum(),
             pending: self.pending_inject.iter().map(|q| q.len()).sum(),
             occ_sum: self.occupancy.iter().sum(),
@@ -1349,8 +1339,8 @@ impl Core for ShardCore<'_> {
     }
 
     /// Every shard arms (and then replays) the identical chain.
-    fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, phase_start: Option<u64>) {
-        let (runtime, first) = driver::fault_runtime(self.net, timeline, phase_start);
+    fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, finite: bool) {
+        let (runtime, first) = driver::fault_runtime(self.net, timeline, finite);
         if let Some((time, idx)) = first {
             self.push(time, key(CLASS_FAULT, idx as u64), PKind::Fault { idx });
         }
@@ -1478,7 +1468,6 @@ impl<'a> ParallelSimulator<'a> {
     /// and hands its outcome back to the main thread.
     fn run_sharded(
         &self,
-        phase_start: u64,
         stats: impl Fn() -> StatsCollector + Sync,
         drive: impl Fn(&mut ShardCore<'_>, &EpochShared) + Sync,
     ) -> Vec<ShardOutcome> {
@@ -1489,7 +1478,7 @@ impl<'a> ParallelSimulator<'a> {
                     let (shared, stats, drive) = (&shared, &stats, &drive);
                     scope.spawn(move || {
                         let _guard = PoisonGuard(&shared.barrier);
-                        let mut core = ShardCore::new(sid, self, stats(), phase_start);
+                        let mut core = ShardCore::new(sid, self, stats());
                         drive(&mut core, shared);
                         core.into_outcome()
                     })
@@ -1499,15 +1488,10 @@ impl<'a> ParallelSimulator<'a> {
         })
     }
 
-    /// Fold the shards' outcomes into the run's collector: sample partials by
-    /// tick index (finite phases record none), engine counters, fault
-    /// partials and per-shard statistics. Returns the latest delivery time.
-    fn fold_outcomes(
-        &self,
-        outs: Vec<ShardOutcome>,
-        stats: &mut StatsCollector,
-        faults: &mut FaultStats,
-    ) -> u64 {
+    /// Fold the shards' outcomes into the run's results: sample partials by
+    /// tick index (finite runs record none), engine counters, fault partials
+    /// and per-shard statistics.
+    fn fold_outcomes(&self, outs: Vec<ShardOutcome>, mut stats: StatsCollector) -> SimResults {
         let nticks = outs[0].samples.len();
         debug_assert!(
             outs.iter().all(|o| o.samples.len() == nticks),
@@ -1524,19 +1508,20 @@ impl<'a> ParallelSimulator<'a> {
                 blocked_links: outs.iter().map(|o| o.samples[k].parked).sum(),
             });
         }
-        let mut phase_end = 0;
+        let mut faults = FaultStats::default();
         for o in outs {
-            phase_end = phase_end.max(o.phase_end);
             stats.record_engine(&o.counters);
             faults.merge(&o.fstats);
             stats.absorb(o.stats);
         }
-        phase_end
+        let mut results = stats.finish();
+        results.faults = faults;
+        results
     }
 
-    /// Finite drain-to-empty run: one epoch-synchronized co-simulation per
-    /// phase. Packetization happens on the main thread with the same global
-    /// RNG stream as the sequential engine, so injection schedules are
+    /// Finite drain-to-empty run: one epoch-synchronized co-simulation.
+    /// Packetization happens on the main thread with the same global RNG
+    /// stream as the sequential engine, so injection schedules are
     /// byte-identical to [`crate::Simulator`]'s.
     fn run_finite(
         &self,
@@ -1544,83 +1529,65 @@ impl<'a> ParallelSimulator<'a> {
         workload: &Workload,
         offered_load: Option<f64>,
     ) -> Result<SimResults, SimError> {
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut stats = StatsCollector::default();
-        let mut faults = FaultStats::default();
-        let mut phase_start: u64 = 0;
-
-        for (phase_idx, phase) in workload.phases.iter().enumerate() {
-            if phase.messages.is_empty() {
-                continue;
-            }
-            let sched = packetize_phase(
-                self.net,
-                self.cfg,
-                phase,
-                phase_start,
-                offered_load,
-                &mut rng,
-            );
-            let launch = |core: &mut ShardCore<'_>, shared: &EpochShared| {
-                if let Some(timeline) = &run.timeline {
-                    // Each phase gets a fresh liveness view fast-forwarded to
-                    // the phase boundary.
-                    core.arm_faults(timeline, Some(phase_start));
-                }
-                // Every shard loads the packets injected at its own routers.
-                for (i, p) in sched.packets.iter().enumerate() {
-                    if self.owner[p.src_router as usize] as usize != core.sid {
-                        continue;
-                    }
-                    let stable_id = ((phase_idx as u64) << 40) | i as u64;
-                    let slot = core.alloc_packet(ParPacket {
-                        src_router: p.src_router,
-                        dst_router: p.dst_router,
-                        bytes: p.bytes,
-                        inject_time_ps: p.inject_time_ps,
-                        hops: 0,
-                        routing: p.routing.clone(),
-                        stable_id,
-                        msg_id: p.msg as u64,
-                        msg_total: sched.msg_packets_left[p.msg],
-                        msg_first_inject: sched.msg_first_inject[p.msg],
-                        via_link: u32::MAX,
-                        via_vc: 0,
-                        attempts: 0,
-                        first_drop_ps: u64::MAX,
-                        tag: UNTAGGED,
-                    });
-                    if core.fault.is_some() {
-                        core.fstats.injected += 1;
-                    }
-                    let packet = slot as u32;
-                    core.push(
-                        p.inject_time_ps,
-                        key(CLASS_INJECT, stable_id),
-                        PKind::Inject { packet },
-                    );
-                }
-                run_epochs(core, shared, None, |c, ev| c.handle_core(ev));
-            };
-            let outs = self.run_sharded(phase_start, StatsCollector::default, launch);
-
-            let total = sched.packets.len() as u64;
-            let delivered: u64 = outs.iter().map(|o| o.delivered_packets).sum();
-            let failed: u64 = outs.iter().map(|o| o.fstats.failed).sum();
-            if delivered + failed < total {
-                return Err(driver::undrained(
-                    total - delivered - failed,
-                    outs.iter().map(|o| o.parked).sum(),
-                    outs.iter().map(|o| o.in_queues).sum(),
-                    outs.iter().map(|o| o.pending).sum(),
-                    outs.iter().map(|o| o.occ_sum).sum(),
-                ));
-            }
-            phase_start = phase_start.max(self.fold_outcomes(outs, &mut stats, &mut faults));
+        if workload.messages.is_empty() {
+            return Ok(StatsCollector::default().finish());
         }
-        let mut results = stats.finish();
-        results.faults = faults;
-        Ok(results)
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+        let sched = packetize(self.net, self.cfg, workload, offered_load, &mut rng);
+        let launch = |core: &mut ShardCore<'_>, shared: &EpochShared| {
+            if let Some(timeline) = &run.timeline {
+                core.arm_faults(timeline, true);
+            }
+            // Every shard loads the packets injected at its own routers.
+            for (i, p) in sched.packets.iter().enumerate() {
+                if self.owner[p.src_router as usize] as usize != core.sid {
+                    continue;
+                }
+                let stable_id = i as u64;
+                let slot = core.alloc_packet(ParPacket {
+                    src_router: p.src_router,
+                    dst_router: p.dst_router,
+                    bytes: p.bytes,
+                    inject_time_ps: p.inject_time_ps,
+                    hops: 0,
+                    routing: p.routing.clone(),
+                    stable_id,
+                    msg_id: p.msg as u64,
+                    msg_total: sched.msg_packets_left[p.msg],
+                    msg_first_inject: sched.msg_first_inject[p.msg],
+                    via_link: u32::MAX,
+                    via_vc: 0,
+                    attempts: 0,
+                    first_drop_ps: u64::MAX,
+                    tag: UNTAGGED,
+                });
+                if core.fault.is_some() {
+                    core.fstats.injected += 1;
+                }
+                let packet = slot as u32;
+                core.push(
+                    p.inject_time_ps,
+                    key(CLASS_INJECT, stable_id),
+                    PKind::Inject { packet },
+                );
+            }
+            run_epochs(core, shared, None, |c, ev| c.handle_core(ev));
+        };
+        let outs = self.run_sharded(StatsCollector::default, launch);
+
+        let total = sched.packets.len() as u64;
+        let delivered: u64 = outs.iter().map(|o| o.delivered_packets).sum();
+        let failed: u64 = outs.iter().map(|o| o.fstats.failed).sum();
+        if delivered + failed < total {
+            return Err(driver::undrained(
+                total - delivered - failed,
+                outs.iter().map(|o| o.parked).sum(),
+                outs.iter().map(|o| o.in_queues).sum(),
+                outs.iter().map(|o| o.pending).sum(),
+                outs.iter().map(|o| o.occ_sum).sum(),
+            ));
+        }
+        Ok(self.fold_outcomes(outs, StatsCollector::default()))
     }
 
     /// Steady-state run: every shard arms the traffic of the endpoints on its
@@ -1659,14 +1626,8 @@ impl<'a> ParallelSimulator<'a> {
             core.flush_sample_ticks(deadline);
             traffic.report_ranks(&mut core.stats, owns);
         };
-        let outs = self.run_sharded(0, || steady.traffic.stats(w), launch);
-
-        let mut stats = steady.traffic.stats(w);
-        let mut faults = FaultStats::default();
-        self.fold_outcomes(outs, &mut stats, &mut faults);
-        let mut results = stats.finish();
-        results.faults = faults;
-        results
+        let outs = self.run_sharded(|| steady.traffic.stats(w), launch);
+        self.fold_outcomes(outs, steady.traffic.stats(w))
     }
 }
 
@@ -1715,7 +1676,7 @@ mod tests {
         // minimal routing on a ring is tie-free below saturation pressure.
         let net = SimNetwork::new(ring(6), 1);
         let cfg = SimConfig::default().with_shards(2);
-        let wl = Workload::single_phase(
+        let wl = Workload::new(
             "pair",
             vec![
                 Message {

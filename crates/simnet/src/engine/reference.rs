@@ -14,12 +14,12 @@
 //! 2. **Performance baseline** — the polling cost the wakeup engine removed
 //!    (README § Engine performance records the saturated-ring event counts).
 //!
-//! It shares packetization (`packetize_phase`) and the routing
+//! It shares packetization (`packetize`) and the routing
 //! decision path (`choose_port`) with the wakeup engine, so the two
 //! can only diverge in event scheduling, never in workload layout or routing
 //! behaviour. Steady-state measurement windows are not supported here.
 
-use super::{choose_port, packetize_phase, Event, EventKind, Packet};
+use super::{choose_port, packetize, Event, EventKind, Packet};
 use crate::config::SimConfig;
 use crate::network::SimNetwork;
 use crate::routing::{RouteScratch, Router};
@@ -30,7 +30,7 @@ use spectralfly_graph::csr::VertexId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Mutable state of one phase's event loop.
+/// Mutable state of the event loop.
 struct RefState {
     packets: Vec<Packet>,
     link_queue: Vec<VecDeque<usize>>,
@@ -53,7 +53,6 @@ struct RefState {
     msg_packets_left: Vec<u32>,
     msg_first_inject: Vec<u64>,
     msg_last_delivery: Vec<u64>,
-    phase_end: u64,
     counters: EngineCounters,
 }
 
@@ -181,152 +180,132 @@ impl<'a> ReferenceSimulator<'a> {
     fn run_internal(&self, workload: &Workload, offered_load: Option<f64>) -> SimResults {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut stats = StatsCollector::default();
-        let mut phase_start: u64 = 0;
-
-        for phase in &workload.phases {
-            if phase.messages.is_empty() {
-                continue;
-            }
-            let sched = packetize_phase(
-                self.net,
-                self.cfg,
-                phase,
-                phase_start,
-                offered_load,
-                &mut rng,
-            );
-            let mut st = RefState {
-                packets: sched.packets,
-                link_queue: vec![VecDeque::new(); self.net.num_directed_links()],
-                link_qlen: vec![0; self.net.num_directed_links()],
-                link_free_at: vec![0; self.net.num_directed_links()],
-                occupancy: vec![0; self.net.num_routers() * self.cfg.num_vcs],
-                router_occ: vec![0; self.net.num_routers()],
-                route_scratch: RouteScratch::default(),
-                pending_inject: vec![VecDeque::new(); self.net.num_routers()],
-                pending_len: vec![0; self.net.num_routers()],
-                heap: BinaryHeap::new(),
-                seq: 0,
-                msg_packets_left: sched.msg_packets_left,
-                msg_first_inject: sched.msg_first_inject,
-                msg_last_delivery: vec![u64::MAX; phase.messages.len()],
-                phase_end: phase_start,
-                counters: EngineCounters::default(),
-            };
-            for &pi in &sched.injections {
-                let t = st.packets[pi].inject_time_ps;
-                st.push(t, EventKind::Inject { packet: pi as u32 });
-            }
-
-            // --- Event loop (polling): blocked links retry every quantum. ---
-            st.counters.arena_slots = st.packets.len() as u64;
-            let cap = self.cfg.buffer_packets_per_vc as u32;
-            let retry_quantum = self.cfg.serialization_ps(self.cfg.packet_size_bytes).max(1);
-            while let Some(Reverse(ev)) = st.heap.pop() {
-                st.counters.events += 1;
-                let now = ev.time;
-                match ev.kind {
-                    EventKind::Inject { packet } => {
-                        let packet = packet as usize;
-                        let router = st.packets[packet].src_router;
-                        let slot = router as usize * self.cfg.num_vcs;
-                        if st.occupancy[slot] < cap {
-                            st.occ_inc(router, slot);
-                            self.enter_router(packet, router, now, &mut st, &mut rng, &mut stats);
-                            self.admit_pending(router, now, &mut st, cap);
-                        } else {
-                            st.pending_inject[router as usize].push_back(packet);
-                            st.pending_len[router as usize] += 1;
-                        }
-                    }
-                    EventKind::TryTransmit { link } => {
-                        let link = link as usize;
-                        let Some(&pi) = st.link_queue[link].front() else {
-                            continue;
-                        };
-                        if st.link_free_at[link] > now {
-                            let t = st.link_free_at[link];
-                            st.push(t, EventKind::TryTransmit { link: link as u32 });
-                            continue;
-                        }
-                        let (src_router, port) = self.net.link_owner(link);
-                        let dst_router = self.net.link_target(src_router, port);
-                        let vc = (st.packets[pi].hops as usize).min(self.cfg.num_vcs - 1);
-                        let next_vc = (st.packets[pi].hops as usize + 1).min(self.cfg.num_vcs - 1);
-                        let down = dst_router as usize * self.cfg.num_vcs + next_vc;
-                        if st.occupancy[down] >= cap {
-                            // The polling hot path this engine preserves: retry on a timer.
-                            st.counters.timed_retries += 1;
-                            st.push(
-                                now + retry_quantum,
-                                EventKind::TryTransmit { link: link as u32 },
-                            );
-                            continue;
-                        }
-                        st.link_pop(link);
-                        let up = src_router as usize * self.cfg.num_vcs + vc;
-                        st.occ_dec(src_router, up);
-                        st.occ_inc(dst_router, down);
-                        if vc == 0 {
-                            self.admit_pending(src_router, now, &mut st, cap);
-                        }
-                        let ser = self.cfg.serialization_ps(st.packets[pi].bytes);
-                        let start = now.max(st.link_free_at[link]);
-                        st.link_free_at[link] = start + ser;
-                        let arrive =
-                            start + ser + self.cfg.link_latency_ps() + self.cfg.router_latency_ps();
-                        st.packets[pi].hops += 1;
-                        st.push(
-                            arrive,
-                            EventKind::Arrive {
-                                packet: pi as u32,
-                                router: dst_router,
-                            },
-                        );
-                        if !st.link_queue[link].is_empty() {
-                            let t = st.link_free_at[link];
-                            st.push(t, EventKind::TryTransmit { link: link as u32 });
-                        }
-                    }
-                    EventKind::Arrive { packet, router } => {
-                        self.enter_router(
-                            packet as usize,
-                            router,
-                            now,
-                            &mut st,
-                            &mut rng,
-                            &mut stats,
-                        );
-                        self.admit_pending(router, now, &mut st, cap);
-                    }
-                    EventKind::NextMessage { .. } | EventKind::Sample | EventKind::Fault { .. } => {
-                        unreachable!(
-                            "the reference engine never schedules steady-state or fault events"
-                        )
-                    }
-                }
-            }
-
-            // Every packet must have been delivered; anything else is an engine bug.
-            let undelivered: u32 = st.msg_packets_left.iter().sum();
-            if undelivered > 0 {
-                let in_queues: usize = st.link_queue.iter().map(|q| q.len()).sum();
-                let pending: usize = st.pending_inject.iter().map(|q| q.len()).sum();
-                let occ: u32 = st.occupancy.iter().sum();
-                panic!(
-                    "simulation ended with {undelivered} undelivered packets \
-                     (link queues: {in_queues}, pending injections: {pending}, \
-                     occupancy sum: {occ}) — engine invariant violated"
-                );
-            }
-            for (mi, &last) in st.msg_last_delivery.iter().enumerate() {
-                if last != u64::MAX {
-                    stats.record_message(last.saturating_sub(st.msg_first_inject[mi].min(last)));
-                }
-            }
-            phase_start = st.phase_end.max(phase_start);
-            stats.record_engine(&st.counters);
+        if workload.messages.is_empty() {
+            return stats.finish();
         }
+        let sched = packetize(self.net, self.cfg, workload, offered_load, &mut rng);
+        let mut st = RefState {
+            packets: sched.packets,
+            link_queue: vec![VecDeque::new(); self.net.num_directed_links()],
+            link_qlen: vec![0; self.net.num_directed_links()],
+            link_free_at: vec![0; self.net.num_directed_links()],
+            occupancy: vec![0; self.net.num_routers() * self.cfg.num_vcs],
+            router_occ: vec![0; self.net.num_routers()],
+            route_scratch: RouteScratch::default(),
+            pending_inject: vec![VecDeque::new(); self.net.num_routers()],
+            pending_len: vec![0; self.net.num_routers()],
+            heap: BinaryHeap::new(),
+            seq: 0,
+            msg_packets_left: sched.msg_packets_left,
+            msg_first_inject: sched.msg_first_inject,
+            msg_last_delivery: vec![u64::MAX; workload.messages.len()],
+            counters: EngineCounters::default(),
+        };
+        for &pi in &sched.injections {
+            let t = st.packets[pi].inject_time_ps;
+            st.push(t, EventKind::Inject { packet: pi as u32 });
+        }
+
+        // --- Event loop (polling): blocked links retry every quantum. ---
+        st.counters.arena_slots = st.packets.len() as u64;
+        let cap = self.cfg.buffer_packets_per_vc as u32;
+        let retry_quantum = self.cfg.serialization_ps(self.cfg.packet_size_bytes).max(1);
+        while let Some(Reverse(ev)) = st.heap.pop() {
+            st.counters.events += 1;
+            let now = ev.time;
+            match ev.kind {
+                EventKind::Inject { packet } => {
+                    let packet = packet as usize;
+                    let router = st.packets[packet].src_router;
+                    let slot = router as usize * self.cfg.num_vcs;
+                    if st.occupancy[slot] < cap {
+                        st.occ_inc(router, slot);
+                        self.enter_router(packet, router, now, &mut st, &mut rng, &mut stats);
+                        self.admit_pending(router, now, &mut st, cap);
+                    } else {
+                        st.pending_inject[router as usize].push_back(packet);
+                        st.pending_len[router as usize] += 1;
+                    }
+                }
+                EventKind::TryTransmit { link } => {
+                    let link = link as usize;
+                    let Some(&pi) = st.link_queue[link].front() else {
+                        continue;
+                    };
+                    if st.link_free_at[link] > now {
+                        let t = st.link_free_at[link];
+                        st.push(t, EventKind::TryTransmit { link: link as u32 });
+                        continue;
+                    }
+                    let (src_router, port) = self.net.link_owner(link);
+                    let dst_router = self.net.link_target(src_router, port);
+                    let vc = (st.packets[pi].hops as usize).min(self.cfg.num_vcs - 1);
+                    let next_vc = (st.packets[pi].hops as usize + 1).min(self.cfg.num_vcs - 1);
+                    let down = dst_router as usize * self.cfg.num_vcs + next_vc;
+                    if st.occupancy[down] >= cap {
+                        // The polling hot path this engine preserves: retry on a timer.
+                        st.counters.timed_retries += 1;
+                        st.push(
+                            now + retry_quantum,
+                            EventKind::TryTransmit { link: link as u32 },
+                        );
+                        continue;
+                    }
+                    st.link_pop(link);
+                    let up = src_router as usize * self.cfg.num_vcs + vc;
+                    st.occ_dec(src_router, up);
+                    st.occ_inc(dst_router, down);
+                    if vc == 0 {
+                        self.admit_pending(src_router, now, &mut st, cap);
+                    }
+                    let ser = self.cfg.serialization_ps(st.packets[pi].bytes);
+                    let start = now.max(st.link_free_at[link]);
+                    st.link_free_at[link] = start + ser;
+                    let arrive =
+                        start + ser + self.cfg.link_latency_ps() + self.cfg.router_latency_ps();
+                    st.packets[pi].hops += 1;
+                    st.push(
+                        arrive,
+                        EventKind::Arrive {
+                            packet: pi as u32,
+                            router: dst_router,
+                        },
+                    );
+                    if !st.link_queue[link].is_empty() {
+                        let t = st.link_free_at[link];
+                        st.push(t, EventKind::TryTransmit { link: link as u32 });
+                    }
+                }
+                EventKind::Arrive { packet, router } => {
+                    self.enter_router(packet as usize, router, now, &mut st, &mut rng, &mut stats);
+                    self.admit_pending(router, now, &mut st, cap);
+                }
+                EventKind::NextMessage { .. } | EventKind::Sample | EventKind::Fault { .. } => {
+                    unreachable!(
+                        "the reference engine never schedules steady-state or fault events"
+                    )
+                }
+            }
+        }
+
+        // Every packet must have been delivered; anything else is an engine bug.
+        let undelivered: u32 = st.msg_packets_left.iter().sum();
+        if undelivered > 0 {
+            let in_queues: usize = st.link_queue.iter().map(|q| q.len()).sum();
+            let pending: usize = st.pending_inject.iter().map(|q| q.len()).sum();
+            let occ: u32 = st.occupancy.iter().sum();
+            panic!(
+                "simulation ended with {undelivered} undelivered packets \
+                 (link queues: {in_queues}, pending injections: {pending}, \
+                 occupancy sum: {occ}) — engine invariant violated"
+            );
+        }
+        for (mi, &last) in st.msg_last_delivery.iter().enumerate() {
+            if last != u64::MAX {
+                stats.record_message(last.saturating_sub(st.msg_first_inject[mi].min(last)));
+            }
+        }
+        stats.record_engine(&st.counters);
         stats.finish()
     }
 
@@ -377,7 +356,6 @@ impl<'a> ReferenceSimulator<'a> {
                 // counter is by definition the message's last delivery.
                 st.msg_last_delivery[m] = now;
             }
-            st.phase_end = st.phase_end.max(now);
             return;
         }
         let port = choose_port(

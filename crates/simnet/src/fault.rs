@@ -903,30 +903,28 @@ fn script_term(term: &Call) -> Result<ScriptTerm, FaultError> {
 /// on the surviving graph. No-op quickly on pristine networks (the engines
 /// only call this when [`SimNetwork::has_faults`] is true).
 pub(crate) fn validate_workload(net: &SimNetwork, wl: &Workload) -> Result<(), FaultError> {
-    for phase in &wl.phases {
-        for m in &phase.messages {
-            let sr = net.router_of_endpoint(m.src);
-            let dr = net.router_of_endpoint(m.dst);
-            if !net.router_alive(sr) {
-                return Err(FaultError::Other(Infeasible::RouterDown {
-                    endpoint: m.src,
-                    router: sr,
-                }));
-            }
-            if !net.router_alive(dr) {
-                return Err(FaultError::Other(Infeasible::RouterDown {
-                    endpoint: m.dst,
-                    router: dr,
-                }));
-            }
-            if sr != dr && net.dist(sr, dr) == UNREACHABLE_U16 {
-                return Err(FaultError::Other(Infeasible::Disconnected {
-                    src: m.src,
-                    dst: m.dst,
-                    src_router: sr,
-                    dst_router: dr,
-                }));
-            }
+    for m in &wl.messages {
+        let sr = net.router_of_endpoint(m.src);
+        let dr = net.router_of_endpoint(m.dst);
+        if !net.router_alive(sr) {
+            return Err(FaultError::Other(Infeasible::RouterDown {
+                endpoint: m.src,
+                router: sr,
+            }));
+        }
+        if !net.router_alive(dr) {
+            return Err(FaultError::Other(Infeasible::RouterDown {
+                endpoint: m.dst,
+                router: dr,
+            }));
+        }
+        if sr != dr && net.dist(sr, dr) == UNREACHABLE_U16 {
+            return Err(FaultError::Other(Infeasible::Disconnected {
+                src: m.src,
+                dst: m.dst,
+                src_router: sr,
+                dst_router: dr,
+            }));
         }
     }
     Ok(())

@@ -27,11 +27,19 @@
 //! | `allreduce-tree(bytes)` | collective | binomial reduce to rank 0 then binomial broadcast: `2⌈log₂n⌉` rounds, `2(n−1)` messages of `bytes` |
 //! | `alltoall(bytes)` | collective | `n−1` synchronized rounds, round `r`: rank → `(rank+r+1) mod n` — `n(n−1)` messages |
 //! | `allgather(bytes)` | collective | ring: `n−1` rounds of full-`bytes` sends to `(rank+1) mod n` — `n(n−1)` messages |
+//! | `halo3d(iters, face_bytes)` | collective | Ember Halo3D-26 on the near-cubic `a×b×c` grid of the ranks: `iters` rounds (default 1), every rank to its ≤ 26 neighbours (`face_bytes`, ¼ across an edge, ¹⁄₁₆ across a corner) — `(3a−2)(3b−2)(3c−2) − n` messages per round |
+//! | `sweep3d(kba_blocks, bytes, sweeps)` | collective | Ember Sweep3D on the near-square `px×py` array of the ranks: per sweep (default 1; odd sweeps start from the opposite corner) and KBA block (default 1), `px+py−2` rounds — anti-diagonal `d` sends downwind in round `d` — and `2·px·py − px − py` messages; blocks pipeline, a rank waits only for its two upwind neighbours |
+//! | `fft3d(bytes, iters, rows)` | collective | Ember 3-D FFT on an `nx×ny` pencil grid: per iteration (default 1) an all-to-all within every row, then within every column — 2 rounds, `n(nx+ny−2)` messages. `rows` omitted: the balanced near-square grid; `rows = 4`: the paper's unbalanced one (`rows` must divide `n`) |
 //! | `traffic(load, pattern, bytes)` | open loop | Poisson arrivals at `load`, destinations drawn from the nested pattern spec over the tenant's rank space |
 //! | `mmpp(r0, r1, d0, d1, bytes)` | open loop | 2-state Markov-modulated Poisson: loads `r0`/`r1`, exponential dwell means `d0`/`d1` **microseconds**; stationary load `(r0·d0 + r1·d1)/(d0+d1)` |
 //! | `onoff(peak, alpha, on, off, bytes)` | open loop | self-similar on-off: Pareto(`alpha`) ON/OFF periods with means `on`/`off` **microseconds**, Poisson at `peak` while ON; stationary load `peak·on/(on+off)` |
 //!
-//! `bytes` defaults to 4096 everywhere. Open-loop destination draws use the
+//! `bytes` defaults to 4096 everywhere. The three Ember motifs (Section VI-D,
+//! Figs. 9–10: the `fig9-ember-minimal` / `fig10-ember-ugal` sections of
+//! `manifests/paper.toml`) size their process grid from the tenant's rank
+//! count, so `sweep3d(2, 2048, 2) x 484` is a 22×22 array; their per-rank
+//! dependencies are those of the MPI skeletons — no global barrier between
+//! rounds. Open-loop destination draws use the
 //! tenant's rank space; `mmpp`/`onoff` draw uniformly over the other ranks.
 //! The engine-level offered load passed to
 //! [`crate::Simulator::run_with_offered_load`] acts as a **global multiplier**
@@ -98,8 +106,9 @@ pub trait Job: Send + Sync {
 /// What a tenant actually runs: a finite dependency-ordered collective, or an
 /// open-loop source model driving every rank continuously.
 pub enum JobBehavior {
-    /// A dependency-ordered message schedule (see [`Schedule`]).
-    Collective(Schedule),
+    /// A dependency-ordered message schedule (see [`Schedule`]), shared by
+    /// every core that tracks it.
+    Collective(Arc<Schedule>),
     /// Continuous per-rank sources (see [`OpenLoopSpec`]).
     OpenLoop(OpenLoopSpec),
 }
@@ -406,6 +415,147 @@ impl Schedule {
         }
         Schedule::from_sends(ranks, rounds, sends)
     }
+
+    /// Build a schedule from `(round, src, dst, bytes)` messages: each lands
+    /// in its sender's `(src, round)` group, in iteration order.
+    fn from_messages(
+        ranks: usize,
+        rounds: usize,
+        messages: impl IntoIterator<Item = (usize, usize, usize, u64)>,
+    ) -> Schedule {
+        let mut sends = vec![Vec::new(); ranks * rounds];
+        for (round, src, dst, bytes) in messages {
+            sends[src * rounds + round].push((dst as u32, bytes));
+        }
+        Schedule::from_sends(ranks, rounds, sends)
+    }
+
+    /// Halo3D-26 (Ember): the ranks form a near-cubic 3-D grid (X fastest, no
+    /// periodic wrap) and in each of `iters` rounds every rank sends to each
+    /// of its ≤ 26 face, edge and corner neighbours — `face_bytes` across a
+    /// face, a quarter of that across an edge and a sixteenth across a corner,
+    /// the way a stencil's halo surfaces shrink. A rank starts its next
+    /// iteration once its own neighbours' messages are in, not when the whole
+    /// grid is. An `a × b × c` grid sends `(3a−2)(3b−2)(3c−2) − abc` messages
+    /// per iteration.
+    pub fn halo3d(ranks: usize, iters: usize, face_bytes: u64) -> Schedule {
+        let (nx, ny, nz) = near_cubic(ranks);
+        let mut messages = Vec::new();
+        for round in 0..iters {
+            for src in 0..ranks {
+                let at = [src % nx, (src / nx) % ny, src / (nx * ny)];
+                for offset in 0..27usize {
+                    let d = [offset / 9, (offset / 3) % 3, offset % 3];
+                    // Offsets are stored +1, so `at + d` is the neighbour +1.
+                    let inside = |k: usize, n: usize| (1..=n).contains(&(at[k] + d[k]));
+                    if offset == 13 || !(inside(0, nx) && inside(1, ny) && inside(2, nz)) {
+                        continue;
+                    }
+                    let dst =
+                        (at[0] + d[0] - 1) + nx * ((at[1] + d[1] - 1) + ny * (at[2] + d[2] - 1));
+                    let bytes = match d.iter().filter(|&&k| k != 1).count() {
+                        1 => face_bytes,
+                        2 => (face_bytes / 4).max(1),
+                        _ => (face_bytes / 16).max(1),
+                    };
+                    messages.push((round, src, dst, bytes));
+                }
+            }
+        }
+        Schedule::from_messages(ranks, iters, messages)
+    }
+
+    /// Sweep3D (Ember): wavefronts over a near-square `px × py` process array
+    /// (the 3-D domain is decomposed over X and Y; Z is swept in `kba_blocks`
+    /// blocks). Rank `(i, j)` on anti-diagonal `d = i + j` sends `bytes` to
+    /// its downwind neighbours `(i+1, j)` and `(i, j+1)` in round `d` of its
+    /// block, so it waits only for its own two upwind neighbours: the origin
+    /// starts the next block at once and the blocks pipeline across the
+    /// array. Odd sweeps run mirrored, from the opposite corner. A sweep of
+    /// one block is `px + py − 2` rounds and `2·px·py − px − py` messages.
+    pub fn sweep3d(ranks: usize, kba_blocks: usize, bytes: u64, sweeps: usize) -> Schedule {
+        let (px, py) = near_square(ranks);
+        let diagonals = (px + py).saturating_sub(2);
+        let rounds = sweeps * kba_blocks * diagonals;
+        let mut messages = Vec::new();
+        for block in 0..sweeps * kba_blocks {
+            let reverse = (block / kba_blocks) % 2 == 1;
+            // Mirroring both coordinates maps a forward sweep onto the
+            // reverse one, downwind neighbours included.
+            let rank = |i: usize, j: usize| {
+                if reverse {
+                    (px - 1 - i) + px * (py - 1 - j)
+                } else {
+                    i + px * j
+                }
+            };
+            for d in 0..diagonals {
+                for i in d.saturating_sub(py - 1)..=d.min(px - 1) {
+                    let j = d - i;
+                    let downwind = [(i + 1, j), (i, j + 1)];
+                    for (ni, nj) in downwind.into_iter().filter(|&(ni, nj)| ni < px && nj < py) {
+                        messages.push((block * diagonals + d, rank(i, j), rank(ni, nj), bytes));
+                    }
+                }
+            }
+        }
+        Schedule::from_messages(ranks, rounds, messages)
+    }
+
+    /// 3-D FFT (Ember): the ranks form an `nx × ny` pencil grid and each of
+    /// `iters` transforms is two rounds — an all-to-all of `bytes` per pair
+    /// within every X row, then within every Y column; a rank enters the
+    /// column exchange once its own row's messages are in. `rows = None` is
+    /// the balanced near-square grid (many small all-to-alls); `Some(ny)` is
+    /// the skewed one — the paper's unbalanced decomposition is 4 rows — and
+    /// must divide the rank count (`None` is returned otherwise). An
+    /// iteration is `n(nx + ny − 2)` messages.
+    pub fn fft3d(ranks: usize, bytes: u64, iters: usize, rows: Option<usize>) -> Option<Schedule> {
+        let ny = match rows {
+            Some(ny) if ny == 0 || !ranks.is_multiple_of(ny) => return None,
+            Some(ny) => ny,
+            None => near_square(ranks).1,
+        };
+        let nx = ranks / ny;
+        // Groups in index order — rank-major, a row then a column exchange
+        // per iteration — so the dense all-to-alls are laid out once.
+        let mut sends = Vec::with_capacity(ranks * 2 * iters);
+        for src in 0..ranks {
+            let (x, y) = (src % nx, src / nx);
+            let row = (0..nx).filter(|&x2| x2 != x).map(|x2| x2 + nx * y);
+            let column = (0..ny).filter(|&y2| y2 != y).map(|y2| x + nx * y2);
+            let row: Vec<_> = row.map(|dst| (dst as u32, bytes)).collect();
+            let column: Vec<_> = column.map(|dst| (dst as u32, bytes)).collect();
+            for _ in 0..iters {
+                sends.extend([row.clone(), column.clone()]);
+            }
+        }
+        Some(Schedule::from_sends(ranks, 2 * iters, sends))
+    }
+}
+
+/// The near-cubic factorisation `nx ≤ ny ≤ nz` of `ranks`: the one with the
+/// least spread between its extremes (a prime degenerates to a line).
+fn near_cubic(ranks: usize) -> (usize, usize, usize) {
+    let mut best = (1, 1, ranks.max(1));
+    for nx in (1..).take_while(|nx| nx * nx * nx <= ranks) {
+        for ny in (nx..).take_while(|ny| nx * ny * ny <= ranks) {
+            if ranks.is_multiple_of(nx * ny) && ranks / (nx * ny) - nx < best.2 - best.0 {
+                best = (nx, ny, ranks / (nx * ny));
+            }
+        }
+    }
+    best
+}
+
+/// The near-square factorisation `px ≤ py` of `ranks`.
+fn near_square(ranks: usize) -> (usize, usize) {
+    let divisors = (1..).take_while(|px| px * px <= ranks);
+    let px = divisors
+        .filter(|&px| ranks.is_multiple_of(px))
+        .last()
+        .unwrap_or(1);
+    (px, ranks.max(1) / px)
 }
 
 /// Engine-side dependency tracker for one tenant's [`Schedule`].
@@ -602,20 +752,50 @@ fn us_arg(args: &ArgReader<Arg>, idx: usize, default_us: f64) -> Result<u64, Job
     Ok((v * 1e6) as u64)
 }
 
-/// A collective job template (which schedule builder plus the payload size).
-struct CollectiveJob {
+/// A collective job template: the schedule builder with the spec's arguments
+/// bound, waiting for the tenant's rank count.
+struct CollectiveJob<B> {
     name: &'static str,
-    bytes: u64,
-    build: fn(usize, u64) -> Schedule,
+    build: B,
 }
 
-impl Job for CollectiveJob {
+impl<B> Job for CollectiveJob<B>
+where
+    B: Fn(usize) -> Result<Schedule, JobError> + Send + Sync,
+{
     fn name(&self) -> &str {
         self.name
     }
     fn behavior(&self, ranks: usize) -> Result<JobBehavior, JobError> {
-        Ok(JobBehavior::Collective((self.build)(ranks, self.bytes)))
+        let schedule = (self.build)(ranks)?;
+        Ok(JobBehavior::Collective(Arc::new(schedule)))
     }
+}
+
+/// The most `(rank, round)` groups a motif's schedule may hold: iteration
+/// counts come from a spec string, and past this the group table alone is
+/// hundreds of megabytes.
+const MAX_SCHEDULE_GROUPS: usize = 1 << 24;
+
+/// Refuse a motif whose `ranks × ∏ factors` groups exceed
+/// [`MAX_SCHEDULE_GROUPS`] (or overflow) before anything is allocated.
+fn check_groups(name: &str, ranks: usize, factors: &[usize]) -> Result<(), JobError> {
+    let groups = (factors.iter()).try_fold(ranks, |groups, &f| groups.checked_mul(f));
+    if groups.is_some_and(|groups| groups <= MAX_SCHEDULE_GROUPS) {
+        return Ok(());
+    }
+    let rounds = factors.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+    let reason = format!(
+        "{ranks} ranks x {} rounds is past the 2^24 (rank, round) groups a schedule may hold",
+        rounds.join(" x ")
+    );
+    Err(FAMILY.bad_args(name, reason))
+}
+
+/// Argument `idx`, if present, as a positive count that fits `usize`.
+fn count_arg(args: &ArgReader<Arg>, idx: usize, what: &str) -> Result<Option<usize>, JobError> {
+    let count = args.positive_int(idx, what)?;
+    Ok(count.map(|v| usize::try_from(v).unwrap_or(usize::MAX)))
 }
 
 /// `traffic(load, pattern, bytes)`: Poisson arrivals with destinations drawn
@@ -698,13 +878,60 @@ impl JobRegistry {
             r.register(name, move |_ctx, args| {
                 let args = FAMILY.args(name, args);
                 args.max_args(1, "1 arguments")?;
+                let bytes = bytes_arg(&args, 0)?;
                 Ok(Box::new(CollectiveJob {
                     name,
-                    bytes: bytes_arg(&args, 0)?,
-                    build,
+                    build: move |ranks| Ok(build(ranks, bytes)),
                 }))
             });
         }
+        r.register("halo3d", |_ctx, args| {
+            let args = FAMILY.args("halo3d", args);
+            args.max_args(2, "2 arguments")?;
+            let iters = count_arg(&args, 0, "iterations")?.unwrap_or(1);
+            let face_bytes = bytes_arg(&args, 1)?;
+            Ok(Box::new(CollectiveJob {
+                name: "halo3d",
+                build: move |ranks| {
+                    check_groups("halo3d", ranks, &[iters])?;
+                    Ok(Schedule::halo3d(ranks, iters, face_bytes))
+                },
+            }))
+        });
+        r.register("sweep3d", |_ctx, args| {
+            let args = FAMILY.args("sweep3d", args);
+            args.max_args(3, "3 arguments")?;
+            let kba_blocks = count_arg(&args, 0, "KBA blocks")?.unwrap_or(1);
+            let bytes = bytes_arg(&args, 1)?;
+            let sweeps = count_arg(&args, 2, "sweeps")?.unwrap_or(1);
+            Ok(Box::new(CollectiveJob {
+                name: "sweep3d",
+                build: move |ranks| {
+                    let (px, py) = near_square(ranks);
+                    check_groups("sweep3d", ranks, &[sweeps, kba_blocks, px + py - 2])?;
+                    Ok(Schedule::sweep3d(ranks, kba_blocks, bytes, sweeps))
+                },
+            }))
+        });
+        r.register("fft3d", |_ctx, args| {
+            let args = FAMILY.args("fft3d", args);
+            args.max_args(3, "3 arguments")?;
+            let bytes = bytes_arg(&args, 0)?;
+            let iters = count_arg(&args, 1, "iterations")?.unwrap_or(1);
+            let rows = count_arg(&args, 2, "rows")?;
+            Ok(Box::new(CollectiveJob {
+                name: "fft3d",
+                build: move |ranks| {
+                    check_groups("fft3d", ranks, &[2, iters])?;
+                    Schedule::fft3d(ranks, bytes, iters, rows).ok_or_else(|| {
+                        let rows = rows.unwrap_or(0);
+                        let reason =
+                            format!("{rows} rows do not divide the tenant's {ranks} ranks");
+                        FAMILY.bad_args("fft3d", reason)
+                    })
+                },
+            }))
+        });
         r.register("traffic", |ctx, raw| {
             let args = FAMILY.args("traffic", raw);
             args.max_args(3, "3 arguments")?;
@@ -1117,6 +1344,38 @@ mod tests {
         }
         assert_eq!(Schedule::allreduce_ring(1, 4096).total_messages, 0);
         assert_eq!(Schedule::allreduce_tree(1, 4096).rounds, 0);
+        // The Ember motifs at the Fig. 9–10 sizes: the totals of the phased
+        // generators they replace (8×8×8 halo, 22×22 sweep, 16×32 and 128×4
+        // pencil grids).
+        let halo = Schedule::halo3d(512, 2, 8192);
+        assert_eq!(
+            (halo.rounds, halo.total_messages),
+            (2, 2 * (22 * 22 * 22 - 512))
+        );
+        assert_eq!(halo.total_messages, 20_272);
+        assert_eq!(halo.sends[0].len(), 7, "a corner rank has 7 neighbours");
+        assert_eq!(halo.sends[halo.group(1 + 8 + 64, 0)].len(), 26);
+        let sizes: Vec<u64> = halo.sends[0].iter().map(|&(_, bytes)| bytes).collect();
+        assert_eq!(sizes, [8192, 8192, 2048, 8192, 2048, 2048, 512]);
+        let sweep = Schedule::sweep3d(484, 2, 2048, 2);
+        assert_eq!((sweep.rounds, sweep.total_messages), (4 * 42, 3_696));
+        let balanced = Schedule::fft3d(512, 1024, 1, None).unwrap();
+        assert_eq!((balanced.rounds, balanced.total_messages), (2, 23_552));
+        assert_eq!(balanced.sends[0].len(), 15, "16 × 32: rows of 16");
+        let skewed = Schedule::fft3d(512, 1024, 1, Some(4)).unwrap();
+        assert_eq!(skewed.total_messages, 66_560);
+        assert_eq!(skewed.sends[0].len(), 127, "128 × 4: rows of 128");
+        // Rank counts with no grid to speak of degenerate, they do not panic.
+        assert_eq!(near_cubic(8192), (16, 16, 32));
+        assert_eq!((near_cubic(7), near_square(7)), ((1, 1, 7), (1, 7)));
+        assert_eq!(Schedule::halo3d(7, 1, 64).total_messages, 12);
+        assert_eq!(Schedule::sweep3d(7, 1, 64, 2).total_messages, 12);
+        assert_eq!(Schedule::fft3d(7, 64, 1, None).unwrap().total_messages, 42);
+        assert_eq!(
+            Schedule::sweep3d(1, 3, 64, 2),
+            Schedule::from_sends(1, 0, Vec::new())
+        );
+        assert_eq!(Schedule::fft3d(512, 64, 1, Some(3)), None);
     }
 
     /// Drive a schedule to completion with instant deliveries and check the
@@ -1156,7 +1415,53 @@ mod tests {
             drain_schedule(Schedule::allreduce_tree(n, 4096));
             drain_schedule(Schedule::alltoall(n, 4096));
             drain_schedule(Schedule::allgather(n, 4096));
+            drain_schedule(Schedule::halo3d(n, 2, 4096));
+            drain_schedule(Schedule::sweep3d(n, 2, 4096, 2));
+            drain_schedule(Schedule::fft3d(n, 4096, 2, None).unwrap());
         }
+        drain_schedule(Schedule::halo3d(64, 1, 4096));
+        drain_schedule(Schedule::sweep3d(30, 3, 4096, 3));
+        drain_schedule(Schedule::fft3d(64, 4096, 1, Some(4)).unwrap());
+    }
+
+    #[test]
+    fn sweep_ranks_wait_for_their_upwind_neighbours_only() {
+        // 3 × 3 array, two KBA blocks of 4 rounds each: rank (i, j) = i + 3j
+        // sends in round i + j of its block.
+        let sched = Schedule::sweep3d(9, 2, 64, 1);
+        assert_eq!(sched.rounds, 8);
+        let mut st = CollectiveState::new(Arc::new(sched));
+        let fire = |st: &mut CollectiveState, g: usize| {
+            // Cascade as the engines do; returns the non-empty groups fired.
+            let (mut ready, mut sent) = (vec![g], Vec::new());
+            while let Some(g) = ready.pop() {
+                let (sends, next) = st.fire(g);
+                if !sends.is_empty() {
+                    sent.push((g / 8, g % 8, sends));
+                }
+                ready.extend(next);
+            }
+            sent
+        };
+        // The origin sends block 0 and, owing nothing to anyone, block 1 with
+        // it — it does not wait for the wavefront to cross the array.
+        let origin = fire(&mut st, 0);
+        let downwind = vec![(1, 64), (3, 64)];
+        assert_eq!(origin, [(0, 0, downwind.clone()), (0, 4, downwind)]);
+        // Rank (1, 1) sits on anti-diagonal 2: it idles through round 1 and
+        // then owes its two upwind neighbours' round-1 messages.
+        assert_eq!(fire(&mut st, 4 * 8), []);
+        assert_eq!(
+            st.on_delivered(4, 1),
+            None,
+            "one upwind message is not enough"
+        );
+        let Some(g) = st.on_delivered(4, 1) else {
+            panic!("both upwind messages are in");
+        };
+        assert_eq!(g, 4 * 8 + 2);
+        // … and then stops again, at block 1's upwind messages (round 5).
+        assert_eq!(fire(&mut st, g), [(4, 2, vec![(5, 64), (7, 64)])]);
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   registry. Built-ins: **minimal** (adaptive among all shortest-path next hops),
 //!   **Valiant**, **UGAL-L**, and **UGAL-G** (Section V, plus the global-queue
 //!   variant the paper discusses as UGAL's idealized form);
-//! * Poisson packet injection to sweep offered load, plus phased application workloads
-//!   (the Ember motifs) whose phases synchronize like the underlying MPI skeletons;
+//! * Poisson packet injection to sweep offered load;
 //! * a **pluggable traffic-pattern subsystem** ([`pattern`]) on the same
 //!   registry ([`spec::Registry`]): synthetic patterns implement [`pattern::TrafficPattern`] and are
 //!   selected by spec string (`"random"`, `"tornado"`, `"hotspot(8, 0.2)"`,
@@ -49,7 +48,9 @@
 //!   spec like
 //!   `"allreduce-ring(4096) x 64 + traffic(0.9, adversarial(8), 4096) x 128"`
 //!   ([`SimConfig::with_jobs`]) places co-resident tenants — dependency-ordered
-//!   collectives (`allreduce-ring`, `allreduce-tree`, `alltoall`, `allgather`)
+//!   collectives (`allreduce-ring`, `allreduce-tree`, `alltoall`, `allgather`,
+//!   and the Ember application motifs `halo3d`, `sweep3d`, `fft3d`, whose rounds
+//!   wait on each rank's own inbound messages like the MPI skeletons they model)
 //!   and bursty open-loop sources (`traffic`, `mmpp`, `onoff`) — onto disjoint
 //!   endpoint ranges (contiguous / random / `group(k)` placement), and both the
 //!   sequential and the parallel engine report per-tenant
@@ -108,4 +109,4 @@ pub use stats::{
     CollectiveOutcome, EngineCounters, FaultStats, IntervalSample, MeasurementSummary, SimResults,
     TenantDesc, TenantStats,
 };
-pub use workload::{Message, Phase, Workload};
+pub use workload::{Message, Workload};

@@ -153,7 +153,7 @@ pub trait TrafficPattern: Send + Sync {
         false
     }
 
-    /// Materialize the pattern into a single-phase [`Workload`]: every endpoint
+    /// Materialize the pattern into a [`Workload`]: every endpoint
     /// sends `msgs_per_endpoint` messages of `bytes` each, destinations drawn
     /// from the pattern (self-sends are skipped). Deterministic in `seed`.
     ///
@@ -184,7 +184,7 @@ pub trait TrafficPattern: Send + Sync {
                 });
             }
         }
-        Workload::single_phase(self.name(), messages)
+        Workload::new(self.name(), messages)
     }
 }
 
@@ -717,7 +717,7 @@ mod tests {
             let p = create(spec, &PatternCtx::new(50)).unwrap();
             let wl = p.workload(3, 512, 11);
             assert!(wl.num_messages() <= 150, "{spec}");
-            for m in &wl.phases[0].messages {
+            for m in &wl.messages {
                 assert_ne!(m.src, m.dst, "{spec}");
                 assert!(m.src < 50 && m.dst < 50, "{spec}");
             }

@@ -814,7 +814,7 @@ mod tests {
         // Leaf decisions (degree 1) still use the packed path.
         assert_eq!(harness.decide(42, 7), 0);
         // End-to-end: a leaf-to-leaf message crosses the hub and delivers.
-        let wl = crate::Workload::single_phase(
+        let wl = crate::Workload::new(
             "star",
             vec![crate::workload::Message {
                 src: 299,

@@ -1,12 +1,11 @@
-//! Workloads: phased message lists injected into the simulator.
+//! Workloads: flat message lists injected into the simulator.
 //!
 //! The synthetic micro-benchmarks of Section VI-C (uniform random, bit shuffle, bit
-//! reverse, transpose) are single-phase workloads whose destinations are permutations of
-//! the endpoint id's bit representation, with Poisson-spaced injections to model offered
-//! load. The application motifs (Halo3D-26, Sweep3D, FFT) are generated by
-//! `spectralfly-workloads` as multi-phase workloads; a phase only starts once the previous
-//! phase is fully delivered, which captures the bulk-synchronous / wavefront dependency
-//! structure of the corresponding MPI skeletons.
+//! reverse, transpose) are workloads whose destinations are permutations of the endpoint
+//! id's bit representation, with Poisson-spaced injections to model offered load. A
+//! workload has no internal ordering: every message is injectable from the start. Traffic
+//! whose messages depend on one another — the collectives and the Ember application motifs
+//! (Halo3D-26, Sweep3D, FFT) — is a [`crate::job`] schedule instead.
 
 use crate::pattern::{PatternCtx, PatternError};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -20,57 +19,41 @@ pub struct Message {
     pub dst: usize,
     /// Payload size in bytes.
     pub bytes: u64,
-    /// Injection offset (picoseconds) relative to the start of the message's phase.
+    /// Injection offset (picoseconds) relative to the start of the run.
     pub inject_offset_ps: u64,
-}
-
-/// A synchronization phase: all messages of phase `k` must be delivered before phase `k+1`
-/// begins injecting.
-#[derive(Clone, Debug, Default)]
-pub struct Phase {
-    /// Messages injected during this phase.
-    pub messages: Vec<Message>,
 }
 
 /// A complete workload.
 #[derive(Clone, Debug, Default)]
 pub struct Workload {
-    /// Ordered phases.
-    pub phases: Vec<Phase>,
+    /// The messages, all injectable from the start of the run.
+    pub messages: Vec<Message>,
     /// Human-readable name for reports.
     pub name: String,
 }
 
 impl Workload {
-    /// A single-phase workload from a flat message list.
-    pub fn single_phase(name: &str, messages: Vec<Message>) -> Self {
+    /// A workload from its message list.
+    pub fn new(name: &str, messages: Vec<Message>) -> Self {
         Workload {
-            phases: vec![Phase { messages }],
+            messages,
             name: name.to_string(),
         }
     }
 
-    /// Total number of messages across phases.
+    /// Total number of messages.
     pub fn num_messages(&self) -> usize {
-        self.phases.iter().map(|p| p.messages.len()).sum()
+        self.messages.len()
     }
 
-    /// Total payload bytes across phases.
+    /// Total payload bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.phases
-            .iter()
-            .flat_map(|p| p.messages.iter())
-            .map(|m| m.bytes)
-            .sum()
+        self.messages.iter().map(|m| m.bytes).sum()
     }
 
     /// Largest endpoint id referenced (for validation against a network).
     pub fn max_endpoint(&self) -> Option<usize> {
-        self.phases
-            .iter()
-            .flat_map(|p| p.messages.iter())
-            .map(|m| m.src.max(m.dst))
-            .max()
+        self.messages.iter().map(|m| m.src.max(m.dst)).max()
     }
 
     /// Uniform-random traffic: every endpoint sends `msgs_per_endpoint` messages of
@@ -97,7 +80,7 @@ impl Workload {
                 });
             }
         }
-        Workload::single_phase("random", messages)
+        Workload::new("random", messages)
     }
 
     /// Permutation traffic over `2^bits` logical ranks mapped onto the first `2^bits`
@@ -125,7 +108,7 @@ impl Workload {
                 });
             }
         }
-        Workload::single_phase(name, messages)
+        Workload::new(name, messages)
     }
 
     /// Bit-shuffle traffic (rotate the rank's bits left by one) — FFT / sorting pattern.
@@ -185,24 +168,13 @@ impl Workload {
     /// ranks across a larger machine (the paper's random node allocation under
     /// under-subscription).
     pub fn place(&self, placement: &[usize]) -> Workload {
-        let phases = self
-            .phases
-            .iter()
-            .map(|ph| Phase {
-                messages: ph
-                    .messages
-                    .iter()
-                    .map(|m| Message {
-                        src: placement[m.src],
-                        dst: placement[m.dst],
-                        bytes: m.bytes,
-                        inject_offset_ps: m.inject_offset_ps,
-                    })
-                    .collect(),
-            })
-            .collect();
+        let placed = |m: &Message| Message {
+            src: placement[m.src],
+            dst: placement[m.dst],
+            ..*m
+        };
         Workload {
-            phases,
+            messages: self.messages.iter().map(placed).collect(),
             name: self.name.clone(),
         }
     }
@@ -231,7 +203,7 @@ mod tests {
     fn uniform_random_has_no_self_messages() {
         let wl = Workload::uniform_random(32, 5, 128, 3);
         assert_eq!(wl.num_messages(), 160);
-        for m in &wl.phases[0].messages {
+        for m in &wl.messages {
             assert_ne!(m.src, m.dst);
             assert!(m.src < 32 && m.dst < 32);
         }
@@ -241,7 +213,7 @@ mod tests {
     #[test]
     fn shuffle_is_a_left_rotation() {
         let wl = Workload::bit_shuffle(4, 1, 64);
-        for m in &wl.phases[0].messages {
+        for m in &wl.messages {
             let expected = ((m.src << 1) | (m.src >> 3)) & 0xF;
             assert_eq!(m.dst, expected);
         }
@@ -250,7 +222,7 @@ mod tests {
     #[test]
     fn bit_reverse_is_an_involution() {
         let wl = Workload::bit_reverse(6, 1, 64);
-        for m in &wl.phases[0].messages {
+        for m in &wl.messages {
             // Reversing twice returns the source.
             let rev = |r: usize| -> usize {
                 let mut out = 0;
@@ -268,7 +240,7 @@ mod tests {
     #[test]
     fn transpose_swaps_halves() {
         let wl = Workload::transpose(6, 1, 64);
-        for m in &wl.phases[0].messages {
+        for m in &wl.messages {
             let low = m.src & 0b111;
             let high = m.src >> 3;
             assert_eq!(m.dst, (low << 3) | high);
@@ -283,7 +255,7 @@ mod tests {
             Workload::bit_reverse(5, 2, 64),
             Workload::transpose(4, 2, 64),
         ] {
-            for m in &wl.phases[0].messages {
+            for m in &wl.messages {
                 assert_ne!(m.src, m.dst);
             }
         }
@@ -295,7 +267,7 @@ mod tests {
         let placement = random_placement(8, 64, 9);
         let placed = wl.place(&placement);
         assert_eq!(placed.num_messages(), wl.num_messages());
-        for (a, b) in placed.phases[0].messages.iter().zip(&wl.phases[0].messages) {
+        for (a, b) in placed.messages.iter().zip(&wl.messages) {
             assert_eq!(a.src, placement[b.src]);
             assert_eq!(a.dst, placement[b.dst]);
         }
@@ -343,8 +315,7 @@ mod tests {
         ];
         for (ours, legacy) in cases {
             assert_eq!(ours.name, legacy.name);
-            assert_eq!(ours.phases.len(), legacy.phases.len());
-            assert_eq!(ours.phases[0].messages, legacy.phases[0].messages);
+            assert_eq!(ours.messages, legacy.messages);
         }
     }
 }

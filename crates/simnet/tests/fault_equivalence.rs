@@ -58,7 +58,7 @@ fn feasible_workload(net: &SimNetwork, msgs: usize, bytes: u64) -> Workload {
             });
         }
     }
-    Workload::single_phase("degraded-pairs", messages)
+    Workload::new("degraded-pairs", messages)
 }
 
 #[test]
@@ -209,7 +209,7 @@ fn engines_agree_on_infeasibility() {
     // by both engines, before any simulation work.
     let plan = FaultPlan::parse("link(0,7) + link(3,4)").unwrap();
     let net = SimNetwork::with_faults(chordal_ring(8, &[]), 1, &plan).unwrap();
-    let wl = Workload::single_phase(
+    let wl = Workload::new(
         "cross",
         vec![spectralfly_simnet::Message {
             src: 1,

@@ -57,12 +57,12 @@ fn alive_permutation(net: &SimNetwork, bytes: u64, seed: u64) -> Workload {
             inject_offset_ps: 0,
         })
         .collect();
-    Workload::single_phase("alive-permutation", messages)
+    Workload::new("alive-permutation", messages)
 }
 
 /// Whether every message pair of `wl` is routable on `net`.
 fn all_pairs_connected(net: &SimNetwork, wl: &Workload) -> bool {
-    wl.phases.iter().flat_map(|p| p.messages.iter()).all(|m| {
+    wl.messages.iter().all(|m| {
         let (sr, dr) = (net.router_of_endpoint(m.src), net.router_of_endpoint(m.dst));
         sr == dr || net.dist(sr, dr) != UNREACHABLE_U16
     })
@@ -137,7 +137,7 @@ proptest! {
         let plan = FaultPlan::parse(&format!("router({victim})")).unwrap();
         let net = SimNetwork::with_faults(graph, 1, &plan).unwrap();
         let src = (victim as usize + 1) % routers;
-        let wl = Workload::single_phase(
+        let wl = Workload::new(
             "to-the-dead",
             vec![Message { src, dst: victim as usize, bytes: 256, inject_offset_ps: 0 }],
         );

@@ -167,7 +167,7 @@ proptest! {
             let p = pattern::create(&name, &ctx).unwrap();
             let wl = p.workload(msgs, 256, seed);
             prop_assert!(wl.num_messages() <= n * msgs, "{}", &name);
-            for m in &wl.phases[0].messages {
+            for m in &wl.messages {
                 prop_assert!(m.src < n && m.dst < n, "{}", &name);
                 prop_assert!(m.src != m.dst, "{}", &name);
                 prop_assert!(m.bytes == 256, "{}", &name);

@@ -294,7 +294,7 @@ fn shard_counts_agree_on_degraded_networks() {
             inject_offset_ps: 0,
         });
     }
-    let wl = Workload::single_phase("degraded-pairs", messages);
+    let wl = Workload::new("degraded-pairs", messages);
     let mut cfg = SimConfig::default().with_routing("ugal-l", net.diameter() as u32);
     cfg.seed = 31;
     let par = assert_shard_invariant(&net, &cfg, "degraded/finite", |s| s.run(&wl));
@@ -468,7 +468,7 @@ proptest! {
         let graph = chordal_ring(routers, extra, seed ^ 0xBEEF);
         let net = SimNetwork::new(graph, conc);
         let wl = Workload::uniform_random(net.num_endpoints(), msgs, 2048, seed);
-        let expected_packets: u64 = wl.phases[0]
+        let expected_packets: u64 = wl
             .messages
             .iter()
             .map(|m| m.bytes.div_ceil(SimConfig::default().packet_size_bytes).max(1))
@@ -576,5 +576,36 @@ fn tenant_mix_steady_runs_are_shard_invariant_and_match_sequential_tie_free() {
             core_fields(par),
             "tenant-mix golden must match the sequential engine at {shards} shards"
         );
+    }
+}
+
+/// The Ember motifs as co-resident collective jobs: per-rank round
+/// dependencies (pipelined Sweep3D blocks, halo iterations that wait on 26
+/// neighbours, FFT column exchanges behind row exchanges) cross shard
+/// boundaries of a chordal graph at random placement, and the full
+/// `SimResults` — every motif's completion time included — is bit-identical
+/// across shard counts; every schedule message is delivered.
+#[test]
+fn ember_motif_mix_is_shard_invariant() {
+    const MIX: &str = "halo3d(2, 4096) x 8 @ random + sweep3d(2, 2048, 2) x 9 @ random \
+                       + fft3d(1024) x 9 @ random + fft3d(1024, 2, 2) x 8 @ random";
+    let net = SimNetwork::new(chordal_ring(12, 6, 42), 3);
+    let wl = Workload::default();
+    for routing in ["minimal", "ugal-l"] {
+        let mut cfg = SimConfig::default()
+            .with_routing(routing, net.diameter() as u32)
+            .with_windows(MeasurementWindows::new(0, 50_000_000))
+            .with_jobs(MIX);
+        cfg.seed = 0xE4BE;
+        let par = assert_shard_invariant(&net, &cfg, &format!("ember/{routing}"), |s| {
+            s.run_with_offered_load(&wl, 1.0)
+        });
+        // 2×2×2 halo, 3×3 sweep and pencil grid, 4×2 pencil grid.
+        let totals = [2 * 56, 4 * 12, 9 * 4, 2 * 8 * 4];
+        for (t, total) in par.tenants.iter().zip(totals) {
+            let out = t.collective.expect("a motif is a collective");
+            assert_eq!(out.total_messages, total, "{routing}/{}", t.name);
+            assert!(out.completed, "{routing}/{}: {out:?}", t.name);
+        }
     }
 }

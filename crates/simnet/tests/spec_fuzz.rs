@@ -36,6 +36,8 @@ const CORPUS: &[&str] = &[
     "allreduce-ring(4096) x 16 + traffic(0.5, random, 4096) x 8 + traffic(0.9, adversarial(4), 4096) x 8",
     "allgather x 8 @ random + onoff(0.9, 1.4) x 4",
     "mmpp(0.2, 0.9, 2, 2, 4096) x8 @ group(4) + alltoall(512)",
+    "halo3d(2, 8192) x 7 + sweep3d(2, 2048, 2) x 13 @ random + fft3d(1024) x 11",
+    "fft3d(1024, 1, 4) x 8 @ random + halo3d x 1 + sweep3d x 1 + fft3d x 1",
 ];
 
 fn ring9() -> CsrGraph {
@@ -126,6 +128,72 @@ fn malformed_specs_are_rejected_with_an_offset() {
             panic!("{spec:?} must be a grammar error");
         };
         assert_eq!(e.offset, offset, "{e}");
+    }
+}
+
+/// The Ember motifs size a process grid from whatever rank count the mix
+/// hands them: a prime or a single rank degenerates (a line, nothing to
+/// send), a zero count or a pencil grid that does not fit is `BadArgs` — at
+/// validation when the spec alone says so, at resolution when it takes the
+/// rank count — and nothing panics (the phased generators asserted).
+#[test]
+fn ember_motif_edge_cases_resolve_or_are_bad_args() {
+    let messages =
+        |mix: &str| -> Vec<String> { describe_mix(mix).into_iter().map(|t| t.4).collect() };
+    assert_eq!(
+        messages("halo3d(2, 64) x 7 + sweep3d(1, 64, 2) x 13 + fft3d(64) x 11"),
+        ["24 msgs", "24 msgs", "110 msgs"],
+        "prime rank counts are lines"
+    );
+    assert_eq!(
+        messages("halo3d x 1 + sweep3d(3) x 1 + fft3d x 1 + fft3d(64, 2, 1) x 1 + fft3d x 2"),
+        ["0 msgs", "0 msgs", "0 msgs", "0 msgs", "2 msgs"],
+    );
+    assert_eq!(
+        messages("fft3d(64, 1, 4) x 4 + fft3d(64, 1, 4) x 8"),
+        ["12 msgs", "32 msgs"]
+    );
+    for (spec, reason) in [
+        ("halo3d(0)", "iterations must be a positive integer, got 0"),
+        ("halo3d(1, 0)", "bytes must be a positive integer, got 0"),
+        ("halo3d(1, 2, 3)", "takes at most 2 arguments, got 3"),
+        ("sweep3d(0)", "KBA blocks must be a positive integer, got 0"),
+        (
+            "sweep3d(1, 64, 0.5)",
+            "sweeps must be a positive integer, got 0.5",
+        ),
+        (
+            "fft3d(64, 0)",
+            "iterations must be a positive integer, got 0",
+        ),
+        ("fft3d(64, 1, 0)", "rows must be a positive integer, got 0"),
+        ("fft3d(64, 1, random)", "argument 3 is not a number"),
+    ] {
+        let name = &spec[..spec.find('(').unwrap()];
+        let expected = format!("invalid arguments for job {name:?}: {reason}");
+        assert_eq!(validate_mix_spec(spec).unwrap_err().to_string(), expected);
+    }
+    let available: Vec<usize> = (0..64).collect();
+    // An iteration count is as large as the spec says; the schedule is not.
+    let endless = "sweep3d(4096, 64, 4096) x 64";
+    let Err(e) = resolve_mix(endless, &JobCtx::new(), &available, 7).map(drop) else {
+        panic!("{endless} must not resolve");
+    };
+    let reason = "64 ranks x 4096 x 4096 x 14 rounds is past the 2^24 (rank, round) groups";
+    assert!(e.to_string().contains(reason), "{e}");
+    for (mix, rows, ranks) in [("fft3d(64, 1, 3) x 8", 3, 8), ("fft3d(64, 1, 4) x 2", 4, 2)] {
+        assert!(
+            validate_mix_spec(mix).is_ok(),
+            "{mix}: the spec alone is fine"
+        );
+        let Err(e) = resolve_mix(mix, &JobCtx::new(), &available, 7).map(drop) else {
+            panic!("{mix} must not resolve");
+        };
+        let reason = format!("{rows} rows do not divide the tenant's {ranks} ranks");
+        assert_eq!(
+            e.to_string(),
+            format!("invalid arguments for job \"fft3d\": {reason}")
+        );
     }
 }
 
@@ -244,6 +312,30 @@ fn checked_in_specs_keep_their_meaning() {
             .into_iter()
             .map(|(n, j, first, ranks, what)| (n.into(), j.into(), first, ranks, what.into()))
             .collect();
+        assert_eq!(describe_mix(&mix), expected, "{mix}");
+    }
+
+    // The Ember sections (Figs. 9–10) of manifests/paper.toml, paper-full.toml
+    // and smoke.toml: one randomly placed motif per mix, pinned here when the
+    // motifs became jobs — the message totals are those of the phased
+    // generators they replaced.
+    for (job, tenant, ranks, messages) in [
+        ("halo3d(2, 8192)", "t0:halo3d", 512, 20_272),
+        ("sweep3d(2, 2048, 2)", "t0:sweep3d", 484, 3_696),
+        ("fft3d(1024)", "t0:fft3d", 512, 23_552),
+        ("fft3d(1024, 1, 4)", "t0:fft3d", 512, 66_560),
+        ("halo3d(2, 8192)", "t0:halo3d", 8192, 381_424),
+        ("sweep3d(2, 2048, 2)", "t0:sweep3d", 8100, 64_080),
+        ("fft3d(1024)", "t0:fft3d", 8192, 1_556_480),
+        ("halo3d(2, 8192)", "t0:halo3d", 64, 1_872),
+        ("sweep3d(2, 2048, 2)", "t0:sweep3d", 64, 448),
+        ("fft3d(1024)", "t0:fft3d", 64, 896),
+        ("fft3d(1024, 1, 4)", "t0:fft3d", 64, 1_152),
+    ] {
+        let mix = format!("{job} x {ranks} @ random");
+        let what = format!("{messages} msgs");
+        // 3897: the first draw of the placement stream at this seed.
+        let expected = vec![(tenant.to_string(), job.to_string(), 3897, ranks, what)];
         assert_eq!(describe_mix(&mix), expected, "{mix}");
     }
 }

@@ -109,7 +109,7 @@ macro_rules! typed_errors {
             );
 
             // A workload naming an endpoint past the network's last one.
-            let stray = Workload::single_phase(
+            let stray = Workload::new(
                 "stray",
                 vec![Message {
                     src: 0,
@@ -168,7 +168,7 @@ fn reference_engine_returns_typed_errors() {
             "{load}: {err:?}"
         );
     }
-    let stray = Workload::single_phase(
+    let stray = Workload::new(
         "stray",
         vec![Message {
             src: 40,

@@ -9,8 +9,8 @@
 //! * [`spectralfly_ff`] — finite fields and number theory.
 //! * [`spectralfly_graph`] — graph metrics, spectra, partitioning, failure sweeps.
 //! * [`spectralfly_topology`] — LPS, SlimFly, BundleFly, DragonFly, SkyWalk, JellyFish.
-//! * [`spectralfly_simnet`] — the packet-level interconnect simulator.
-//! * [`spectralfly_workloads`] — synthetic patterns and Ember application motifs.
+//! * [`spectralfly_simnet`] — the packet-level interconnect simulator, its synthetic traffic
+//!   patterns, collectives and Ember application motifs.
 //! * [`spectralfly_layout`] — machine-room layout, wiring, power, and latency models.
 //!
 //! See `README.md` for a tour and `DESIGN.md` for the experiment index.
@@ -24,4 +24,3 @@ pub use spectralfly_graph;
 pub use spectralfly_layout;
 pub use spectralfly_simnet;
 pub use spectralfly_topology;
-pub use spectralfly_workloads;

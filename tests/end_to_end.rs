@@ -12,10 +12,11 @@ use spectralfly_graph::{profile_graph, Column};
 use spectralfly_layout::wiring::DEFAULT_ELECTRICAL_LIMIT_M;
 use spectralfly_layout::{classify_links, latency_profile, place_topology, PowerModel, QapConfig};
 use spectralfly_simnet::workload::random_placement;
-use spectralfly_simnet::{SimConfig, SimNetwork, Simulator, Workload};
+use spectralfly_simnet::{
+    simulate, MeasurementWindows, SimConfig, SimNetwork, Simulator, Workload,
+};
 use spectralfly_topology::spec::table1_size_classes;
 use spectralfly_topology::{GeneralizedDragonFly, LpsGraph, SlimFlyGraph, Topology};
-use spectralfly_workloads::{fft3d, halo3d_26, FftBalance, Grid3};
 
 /// Table I, first size class: every column has the right shape across all four topologies.
 #[test]
@@ -103,27 +104,50 @@ fn spectralfly_beats_dragonfly_on_congested_random_traffic() {
     );
 }
 
-/// Ember motifs run end-to-end on a SpectralFly network and respect phase ordering.
+/// The Ember motifs run end-to-end on the small-scale SpectralFly as collective jobs — all
+/// four side by side, each scattered over its own 64 endpoints, under UGAL-L: every schedule
+/// message of every motif is delivered, and 2 and 4 shards agree on the whole result.
 #[test]
 fn ember_motifs_run_on_spectralfly() {
-    let net = SimNetwork::new(LpsGraph::new(5, 7).unwrap().graph().clone(), 2);
-    let cfg = SimConfig::default();
-    let sim = Simulator::new(&net, &cfg);
-    let ranks = 64;
-    let placement = random_placement(ranks, net.num_endpoints(), 3);
-    for wl in [
-        halo3d_26(Grid3::near_cubic(ranks), 1, 2048),
-        fft3d(ranks, FftBalance::Balanced, 512, 1),
-    ] {
-        let placed = wl.place(&placement);
-        let res = sim.run(&placed);
-        assert_eq!(
-            res.delivered_messages as usize,
-            placed.num_messages(),
-            "{}",
-            wl.name
+    let net = SimNetwork::new(LpsGraph::new(11, 7).unwrap().graph().clone(), 4);
+    let motifs = [
+        "halo3d(1, 2048)",
+        "sweep3d(2, 1024, 2)",
+        "fft3d(512)",
+        "fft3d(512, 1, 4)",
+    ];
+    let mix = motifs
+        .map(|motif| format!("{motif} x 64 @ random"))
+        .join(" + ");
+    let run = |shards: usize| {
+        let cfg = SimConfig::default()
+            .with_routing("ugal-l", net.diameter() as u32)
+            .with_windows(MeasurementWindows::new(0, 200_000_000))
+            .with_jobs(&mix)
+            .with_shards(shards);
+        let mut res = simulate(&net, &cfg, &Workload::default(), Some(1.0)).unwrap();
+        res.engine = Default::default(); // arena high-water marks follow the partition
+        res
+    };
+    let res = run(2);
+    // 4×4×4 halo, 8×8 sweep (2 blocks × 2 sweeps), 8×8 and 16×4 pencil grids.
+    let totals = [10 * 10 * 10 - 64, 4 * 112, 64 * 14, 64 * 18];
+    assert_eq!(res.tenants.len(), 4);
+    for ((tenant, motif), total) in res.tenants.iter().zip(motifs).zip(totals) {
+        let outcome = tenant.collective.expect("a motif is a collective");
+        assert_eq!(outcome.total_messages, total, "{motif}");
+        assert_eq!(outcome.delivered_messages, total, "{motif}");
+        assert!(
+            outcome.completed && outcome.ranks_completed == 64,
+            "{motif}"
         );
+        assert!(outcome.completion_time_ps > 0, "{motif}");
     }
+    assert_eq!(
+        res,
+        run(4),
+        "the motif mix must not depend on the shard count"
+    );
 }
 
 /// Layout pipeline: placement, wiring, power, and latency are internally consistent for an

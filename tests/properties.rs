@@ -115,7 +115,7 @@ proptest! {
         let wl = Workload::uniform_random(net.num_endpoints(), msgs, bytes, seed);
         let cfg = SimConfig { seed, ..SimConfig::default() };
         let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, load_pct as f64 / 10.0);
-        let expected_packets: u64 = wl.phases[0]
+        let expected_packets: u64 = wl
             .messages
             .iter()
             .map(|m| m.bytes.div_ceil(cfg.packet_size_bytes).max(1))
@@ -201,7 +201,7 @@ proptest! {
             (0..routers as u32).map(|i| (i, (i + 1) % routers as u32)).collect();
         let net = SimNetwork::new(CsrGraph::from_edges(routers, &ring), conc);
         let wl = Workload::uniform_random(net.num_endpoints(), 3, 2048, seed);
-        let expected_packets: u64 = wl.phases[0]
+        let expected_packets: u64 = wl
             .messages
             .iter()
             .map(|m| m.bytes.div_ceil(SimConfig::default().packet_size_bytes).max(1))
