@@ -5,20 +5,22 @@
 //! repro check <manifest.toml> [--baselines PATH] [--out DIR] [--filter S]
 //! ```
 //!
-//! `run` executes every experiment, structural table, perf scenario, and
-//! external figure the manifest declares, prints the digest summary and then
-//! one table per experiment and structure section (with each point's figure of
-//! merit as a ratio to its `relative_to` sibling where the section names one),
-//! and writes a provenance-stamped JSON artifact to `--out` (default
-//! `artifacts/`). With `--record-baselines` it also (re)writes the manifest's
-//! golden baseline file — the reviewed act of accepting current behaviour.
+//! `run` executes every experiment, structural table and external figure the
+//! manifest declares — with `--filter S`, those whose id contains `S`; a
+//! filter that selects nothing is an error — prints the digest summary and
+//! then one table per experiment and structure section (with each point's
+//! figure of merit as a ratio to its `relative_to` sibling where the section
+//! names one), and writes a provenance-stamped JSON artifact to `--out`
+//! (default `artifacts/`). With `--record-baselines` it also (re)writes the
+//! manifest's golden baseline file — the reviewed act of accepting current
+//! behaviour.
 //!
-//! `check` re-runs the manifest's native experiments, structural tables and
-//! perf scenarios (externals are always skipped: they are reproduction output,
-//! not gated state) and diffs against the checked-in baselines. Any drift — a
-//! changed results digest, a lost or new point, a perf ratio below the manifest's
-//! tolerance band, or baselines recorded for a different manifest — prints a
-//! typed diagnosis and exits nonzero. CI runs this on the smoke manifest.
+//! `check` re-runs the manifest's native experiments and structural tables
+//! (externals are always skipped: they are reproduction output, not gated
+//! state) and diffs against the checked-in baselines. Any drift — a changed
+//! results digest, a lost or new point, or baselines recorded for a different
+//! manifest — prints a typed diagnosis and exits nonzero. CI runs this on the
+//! smoke manifest. It gates behaviour, not speed: `benchmark/` measures that.
 //!
 //! The default baseline path is `<manifest dir>/baselines/<manifest name>.toml`.
 
@@ -78,16 +80,6 @@ fn print_report(report: &runner::RunReport, m: &Manifest) {
             println!("  {:<60} {combined:016x}  {rows} closed-form rows", s.name);
         }
     }
-    for p in &report.perf {
-        println!(
-            "  perf {:<24} ratio {:.3} (scenario {:.0} ev/s, calibration {:.0} ev/s, band {:.0}%)",
-            p.name,
-            p.ratio,
-            p.scenario_eps,
-            p.calibration_eps,
-            p.tolerance * 100.0
-        );
-    }
     for x in &report.external {
         println!(
             "  external {:<20} {} ({})",
@@ -110,7 +102,7 @@ fn cmd_run(manifest_path: &str, cli: &Cli) -> ExitCode {
     let opts = RunOptions {
         skip_external: cli.flag("--skip-external"),
         filter: cli.value("--filter").map(str::to_string),
-        skip_perf: false,
+        ..Default::default()
     };
     let report = match runner::run_manifest(&m, &opts) {
         Ok(r) => r,
@@ -185,7 +177,7 @@ fn cmd_check(manifest_path: &str, cli: &Cli) -> ExitCode {
     let opts = RunOptions {
         skip_external: true, // externals are output, not gated state
         filter: cli.value("--filter").map(str::to_string),
-        skip_perf: false,
+        ..Default::default()
     };
     if opts.filter.is_some() {
         eprintln!("repro: refusing to check a --filter'ed run against full baselines (every skipped point would read as missing)");
@@ -204,15 +196,11 @@ fn cmd_check(manifest_path: &str, cli: &Cli) -> ExitCode {
             Err(e) => eprintln!("repro: writing artifact: {e}"),
         }
     }
-    let cmp = baseline::compare(&m, &report, &baselines);
-    for note in &cmp.notes {
-        println!("note: {note}");
-    }
+    let cmp = baseline::compare(&report, &baselines);
     if cmp.passed() {
         println!(
-            "check passed: {} points, {} perf scenarios match {}",
+            "check passed: {} points match {}",
             report.points.len(),
-            report.perf.len(),
             baseline_path.display()
         );
         ExitCode::SUCCESS

@@ -2,10 +2,9 @@
 //!
 //! The command-line surface of the reproduction: `repro` (the manifest runner —
 //! every simulation figure, sweep and structural table is a section of
-//! `manifests/paper.toml`), the two layout figure binaries, `million_node`,
-//! and Criterion benches over the substrate kernels. This library holds what
-//! those binaries share: one strict flag parser, the trajectory-row helpers
-//! and uniform table printing.
+//! `manifests/paper.toml`) and the two layout figure binaries. This library
+//! holds what those binaries share: one strict flag parser and uniform table
+//! printing.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -106,42 +105,6 @@ fn exit_with_usage(usage: &str, reason: &str) -> ! {
 /// The LPS↔SlimFly size pairs of Table II / Fig. 11.
 pub fn table2_pairs() -> Vec<((u64, u64), u64)> {
     vec![((11, 7), 9), ((19, 7), 13), ((23, 11), 17), ((29, 13), 23)]
-}
-
-/// The shared provenance stamp every recording binary embeds in its JSON
-/// trajectory rows: git rev + dirty flag, an FNV-64 hash of the binary's
-/// effective configuration, and the run seed. Rendered as a
-/// `"provenance":{...}` field ready to splice into a hand-rolled JSON object.
-///
-/// Rows without this stamp cannot be distinguished from host noise after the
-/// fact — see `spectralfly_exp::provenance`.
-pub fn provenance_field(config: &str, seed: u64) -> String {
-    let hash = format!("{:016x}", spectralfly_exp::fnv64_str(config));
-    format!(
-        "\"provenance\":{}",
-        spectralfly_exp::Provenance::collect(&hash, seed).to_json()
-    )
-}
-
-/// Append `entry` to the JSON trajectory array at `out` (created if absent) —
-/// the `BENCH_*.json` perf-trajectory format shared by the recording binaries.
-///
-/// # Panics
-/// If `out` exists but does not hold a JSON array, or the write fails.
-pub fn append_entry(out: &str, entry: &str) {
-    let existing = std::fs::read_to_string(out).unwrap_or_default();
-    let trimmed = existing.trim();
-    let new_content = if trimmed.is_empty() || trimmed == "[]" {
-        format!("[\n{entry}\n]\n")
-    } else {
-        let body = trimmed
-            .strip_prefix('[')
-            .and_then(|s| s.strip_suffix(']'))
-            .unwrap_or_else(|| panic!("{out} is not a JSON array"));
-        format!("[{},\n{entry}\n]\n", body.trim_end().trim_end_matches(','))
-    };
-    std::fs::write(out, new_content).expect("write bench trajectory");
-    println!("appended to {out}");
 }
 
 /// Print a markdown-style table: a header row and aligned value rows.

@@ -20,16 +20,6 @@ seeds = [7]
 mode = "finite"
 messages = 2
 bytes = 512
-
-[perf.tiny]
-topology = "ring(5)x2"
-routing = "minimal"
-load = 0.5
-messages = 2
-bytes = 512
-rounds = 1
-tolerance = 0.5
-seed = 7
 "#;
 
 struct Scratch {
@@ -144,22 +134,50 @@ fn check_fails_on_a_perturbed_results_digest_with_a_drift_diagnosis() {
     );
 }
 
+/// A `[perf.*]` table left in a baseline file by the retired perf gate is
+/// refused with what to do about it, not skipped.
 #[test]
-fn check_fails_on_a_synthetically_slowed_perf_row_with_a_regression_diagnosis() {
+fn check_refuses_a_baseline_file_with_a_perf_table() {
     let scratch = Scratch::new("perf");
     record(&scratch);
-    let mut b = load_baselines(&scratch);
-    // Recording a ratio 100x above reality makes the fresh (honest) ratio
-    // read as a >99% slowdown — far outside the 50% band.
-    b.perf[0].1 *= 100.0;
-    store_baselines(&scratch, &b);
+    let stale = format!(
+        "{}\n[perf.tiny]\nratio = 0.7\n",
+        load_baselines(&scratch).to_toml()
+    );
+    std::fs::write(scratch.baselines(), stale).unwrap();
     let out = check(&scratch);
-    assert!(!out.status.success(), "slowed perf row must fail the gate");
+    assert!(
+        !out.status.success(),
+        "a stale perf table must fail the gate"
+    );
     let err = stderr_of(&out);
     assert!(
-        err.contains("perf regression in tiny"),
+        err.contains("[perf.tiny]: the perf gate was retired") && err.contains("delete the table"),
         "wrong diagnosis: {err}"
     );
+}
+
+/// A `--filter` that selects nothing is an error naming the filter and the
+/// manifest's sections — not an empty report, an artifact and exit 0.
+#[test]
+fn a_filter_that_selects_nothing_fails_and_writes_no_artifact() {
+    let scratch = Scratch::new("nothing");
+    std::fs::write(scratch.manifest(), MINI).unwrap();
+    let manifest = scratch.manifest();
+    let run = |filter: &str| {
+        let args = ["run", manifest.to_str().unwrap(), "--filter", filter];
+        repro(&args, &scratch.dir)
+    };
+    let out = run("nosuchsection");
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(
+        err.contains("filter \"nosuchsection\" selects nothing"),
+        "{err}"
+    );
+    assert!(err.contains("sections: eq"), "{err}");
+    assert!(!scratch.dir.join("artifacts").exists(), "no artifact");
+    assert!(run("eq/ring(5)").status.success());
 }
 
 #[test]
@@ -234,7 +252,6 @@ fn a_flag_without_its_value_exits_2() {
 fn malformed_values_exit_2_instead_of_falling_back_to_the_default() {
     for (bin, args) in [
         (env!("CARGO_BIN_EXE_fig11_latency"), ["--pairs", "x"]),
-        (env!("CARGO_BIN_EXE_million_node"), ["--seed", "abc"]),
         (env!("CARGO_BIN_EXE_table2_layout"), ["--pairs", "-1"]),
     ] {
         let out = Command::new(bin).args(args).output().unwrap();

@@ -13,13 +13,12 @@
 //! loads, and measurement windows. The runner ([`runner::run_manifest`])
 //! executes every point, digests the deterministic results bit-for-bit
 //! ([`digest::digest_results`]), reduces each to the fixed [`Metrics`] row that
-//! `repro run` prints one table per section from, measures the declared perf scenarios as
-//! interleaved-median calibration ratios, and stamps the artifact with
+//! `repro run` prints one table per section from, and stamps the artifact with
 //! provenance ([`Provenance`]): git revision + dirty flag, config hash, seed,
 //! rustc and host. Checked-in baselines ([`baseline::Baselines`]) then turn
-//! any behaviour or performance drift into a CI failure with a typed
-//! diagnosis ([`baseline::Diagnosis`]) instead of a silently wrong number in
-//! a trajectory file.
+//! any behaviour drift into a CI failure with a typed diagnosis
+//! ([`baseline::Diagnosis`]) instead of a silently wrong number in a table.
+//! Speed is not this crate's business: `benchmark/` times the simulator.
 //!
 //! The `repro` binary in `spectralfly-bench` is the CLI over this crate:
 //! `repro run manifests/paper.toml` reproduces the paper, `repro check
@@ -38,9 +37,7 @@ pub mod topo;
 
 pub use baseline::{compare, Baselines, Comparison, Diagnosis};
 pub use digest::{digest_outcome, digest_results, digest_row, fnv64_str, Fnv64};
-pub use manifest::{
-    Experiment, ExternalFigure, Manifest, ManifestError, Mode, PerfScenario, Structure,
-};
+pub use manifest::{Experiment, ExternalFigure, Manifest, ManifestError, Mode, Structure};
 pub use provenance::{json_str, Provenance};
 pub use runner::{
     expand, render_table, run_manifest, Metrics, PointResult, RunError, RunOptions, RunReport,

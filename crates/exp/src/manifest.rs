@@ -1,7 +1,7 @@
 //! The experiment manifest: a declarative description of a reproduction sweep.
 //!
 //! A manifest is a TOML document (see [`crate::toml`] for the accepted subset)
-//! with one `[manifest]` header table and four kinds of sections:
+//! with one `[manifest]` header table and three kinds of sections:
 //!
 //! * `[experiment.NAME]` — a **sweep**: the cross product of the declared axes
 //!   (topology × routing × pattern × faults / fault-script × oracle × shards ×
@@ -19,12 +19,9 @@
 //!   [`Column::ALL`], optionally crossed with random link-failure proportions
 //!   (Table I, Figs. 4 and 5). Nothing is simulated; each row is digested and
 //!   gated exactly like an experiment point.
-//! * `[perf.NAME]` — a **performance scenario**: a single timed simulation
-//!   measured in interleaved rounds against a pinned calibration workload
-//!   (see [`crate::runner`]), gated by a tolerance band declared here.
 //! * `[external.NAME]` — an **external figure binary** (the two layout
-//!   figures, `million_node`): the runner executes it and captures its output
-//!   into the stamped artifact.
+//!   figures): the runner executes it and captures its output into the
+//!   stamped artifact.
 //!
 //! [`Manifest::to_toml`] renders the canonical form; parsing it back yields an
 //! equal manifest (property-tested), and [`Manifest::config_hash`] — the FNV-64
@@ -257,38 +254,6 @@ impl Structure {
     }
 }
 
-/// One `[perf.NAME]` performance scenario.
-///
-/// The gated quantity is the **calibration ratio**: the scenario's
-/// useful-events/second divided by a pinned calibration workload's, both
-/// measured as medians of `rounds` interleaved rounds in the same process
-/// (see [`crate::runner::run_perf_scenario`]). Raw events/second depends on
-/// the host; the ratio cancels host speed and — because the rounds interleave
-/// — most host noise, which is what makes a checked-in baseline comparable to
-/// a fresh CI run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PerfScenario {
-    /// Section name.
-    pub name: String,
-    /// Topology spec.
-    pub topology: String,
-    /// Routing registry name.
-    pub routing: String,
-    /// Offered load.
-    pub load: f64,
-    /// Messages per endpoint.
-    pub messages: usize,
-    /// Bytes per message.
-    pub bytes: u64,
-    /// Interleaved measurement rounds (median reported).
-    pub rounds: usize,
-    /// Relative tolerance band on the calibration ratio: `repro check` fails
-    /// when a fresh ratio falls below `baseline * (1 - tolerance)`.
-    pub tolerance: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
 /// One `[external.NAME]` figure binary invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExternalFigure {
@@ -311,8 +276,6 @@ pub struct Manifest {
     pub experiments: Vec<Experiment>,
     /// Structural tables in source order.
     pub structures: Vec<Structure>,
-    /// Performance scenarios in source order.
-    pub perf: Vec<PerfScenario>,
     /// External figure binaries in source order.
     pub external: Vec<ExternalFigure>,
 }
@@ -351,19 +314,6 @@ fn get_u64(t: &Table, field: &str, default: u64) -> Result<u64, ManifestError> {
             &t.path_str(),
             field,
             format!("expected a non-negative integer, got {}", v.render()),
-        )),
-    }
-}
-
-fn get_f64(t: &Table, field: &str, default: f64) -> Result<f64, ManifestError> {
-    match t.get(field) {
-        None => Ok(default),
-        Some(Value::Float(f)) => Ok(*f),
-        Some(Value::Int(i)) => Ok(*i as f64),
-        Some(v) => Err(field_err(
-            &t.path_str(),
-            field,
-            format!("expected a number, got {}", v.type_name()),
         )),
     }
 }
@@ -446,7 +396,6 @@ impl Manifest {
         }
         let experiments = sections(doc, "experiment", Experiment::from_table)?;
         let structures = sections(doc, "structure", Structure::from_table)?;
-        let perf = sections(doc, "perf", PerfScenario::from_table)?;
         let external = sections(doc, "external", ExternalFigure::from_table)?;
         if let Some(s) = (structures.iter()).find(|s| experiments.iter().any(|e| e.name == s.name))
         {
@@ -458,22 +407,21 @@ impl Manifest {
                 || t.path_str() == "manifest"
                 || matches!(
                     t.path.first().map(String::as_str),
-                    Some("experiment" | "structure" | "perf" | "external")
+                    Some("experiment" | "structure" | "external")
                 ) && t.path.len() == 2;
             if !known {
                 return Err(field_err(
                     &t.path_str(),
                     "",
-                    "unknown section; expected [manifest], [experiment.*], [structure.*], [perf.*], or [external.*]",
+                    "unknown section; expected [manifest], [experiment.*], [structure.*], or [external.*]",
                 ));
             }
         }
-        if experiments.is_empty() && structures.is_empty() && perf.is_empty() && external.is_empty()
-        {
+        if experiments.is_empty() && structures.is_empty() && external.is_empty() {
             return Err(field_err(
                 "manifest",
                 "name",
-                "manifest declares no experiments, structural tables, perf scenarios, or external figures",
+                "manifest declares no experiments, structural tables, or external figures",
             ));
         }
         Ok(Manifest {
@@ -481,7 +429,6 @@ impl Manifest {
             description,
             experiments,
             structures,
-            perf,
             external,
         })
     }
@@ -497,7 +444,6 @@ impl Manifest {
         ));
         let sections = (self.experiments.iter().map(Experiment::to_toml))
             .chain(self.structures.iter().map(Structure::to_toml))
-            .chain(self.perf.iter().map(PerfScenario::to_toml))
             .chain(self.external.iter().map(ExternalFigure::to_toml));
         for section in sections {
             out.push('\n');
@@ -943,82 +889,6 @@ impl Structure {
     }
 }
 
-impl PerfScenario {
-    fn from_table(t: &Table) -> Result<PerfScenario, ManifestError> {
-        let section = t.path_str();
-        check_keys(
-            t,
-            &[
-                "topology",
-                "routing",
-                "load",
-                "messages",
-                "bytes",
-                "rounds",
-                "tolerance",
-                "seed",
-            ],
-        )?;
-        let topology = TopoSpec::parse(&req_str(t, "topology")?)
-            .map_err(|reason| field_err(&section, "topology", reason))?
-            .canonical();
-        let routing_name = req_str(t, "routing")?;
-        routing::resolve(&routing_name)
-            .map_err(|e| field_err(&section, "routing", e.to_string()))?;
-        let load = get_f64(t, "load", 0.9)?;
-        if !(load > 0.0 && load <= 1.0) {
-            return Err(field_err(
-                &section,
-                "load",
-                format!("load is a fraction in (0, 1], got {load}"),
-            ));
-        }
-        let tolerance = get_f64(t, "tolerance", 0.5)?;
-        if !(tolerance > 0.0 && tolerance < 1.0) {
-            return Err(field_err(
-                &section,
-                "tolerance",
-                format!("tolerance is a relative band in (0, 1), got {tolerance}"),
-            ));
-        }
-        let rounds = get_u64(t, "rounds", 3)? as usize;
-        if rounds == 0 {
-            return Err(field_err(&section, "rounds", "must be at least 1"));
-        }
-        let messages = get_u64(t, "messages", 4)? as usize;
-        if messages == 0 {
-            return Err(field_err(&section, "messages", "must be at least 1"));
-        }
-        Ok(PerfScenario {
-            name: section_name(t),
-            topology,
-            routing: routing_name,
-            load,
-            messages,
-            bytes: get_u64(t, "bytes", 4096)?,
-            rounds,
-            tolerance,
-            seed: get_u64(t, "seed", 0x5EED)?,
-        })
-    }
-
-    fn to_toml(&self) -> String {
-        let mut out = format!("[perf.{}]\n", render_key(&self.name));
-        out.push_str(&format!("topology = {}\n", render_str(&self.topology)));
-        out.push_str(&format!("routing = {}\n", render_str(&self.routing)));
-        out.push_str(&format!("load = {}\n", toml::render_float(self.load)));
-        out.push_str(&format!("messages = {}\n", self.messages));
-        out.push_str(&format!("bytes = {}\n", self.bytes));
-        out.push_str(&format!("rounds = {}\n", self.rounds));
-        out.push_str(&format!(
-            "tolerance = {}\n",
-            toml::render_float(self.tolerance)
-        ));
-        out.push_str(&format!("seed = {}\n", self.seed));
-        out
-    }
-}
-
 impl ExternalFigure {
     fn from_table(t: &Table) -> Result<ExternalFigure, ManifestError> {
         let section = t.path_str();
@@ -1074,14 +944,6 @@ warmup_ns = 2000
 measure_ns = 8000
 loads = [0.7]
 
-[perf.bound]
-topology = "lps(11,7)x4"
-routing = "ugal-l"
-load = 0.9
-messages = 2
-rounds = 2
-tolerance = 0.5
-
 [structure.shape]
 topologies = ["LPS(11, 7)", "ring(9)x1"]
 metrics = ["routers", "mu1"]
@@ -1103,7 +965,6 @@ args = ["--pairs", "1"]
         let m = Manifest::parse(SMOKE).unwrap();
         assert_eq!(m.name, "mini");
         assert_eq!(m.experiments.len(), 2);
-        assert_eq!(m.perf.len(), 1);
         assert_eq!(m.external.len(), 1);
         assert_eq!(m.experiments[0].shards, vec![1, 2]);
         let [shape, decay] = m.structures.as_slice() else {
@@ -1185,11 +1046,12 @@ args = ["--pairs", "1"]
                 "wingspan",
                 "unknown field",
             ),
+            // `[perf.*]` is not a section kind.
             (
-                "[manifest]\nname = \"x\"\n[perf.p]\ntopology = \"ring(9)\"\nrouting = \"minimal\"\ntolerance = 2.0\n",
+                "[manifest]\nname = \"x\"\n[perf.p]\ntopology = \"ring(9)\"\nrouting = \"minimal\"\n",
                 "perf.p",
-                "tolerance",
-                "relative band",
+                "",
+                "unknown section; expected [manifest], [experiment.*], [structure.*], or [external.*]",
             ),
             (
                 "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"lps(3,5)\", \"ring(9)\"]\nroutings = [\"minimal\"]\noracles = [\"cayley\"]\n",
@@ -1290,7 +1152,6 @@ args = ["--pairs", "1"]
             description: String::new(),
             experiments: vec![e],
             structures: Vec::new(),
-            perf: Vec::new(),
             external: Vec::new(),
         };
         assert_eq!(Manifest::parse(&m.to_toml()).unwrap(), m);

@@ -3,9 +3,9 @@
 //! The retired `BENCH_engine.json` trajectory taught the lesson this module
 //! encodes: a performance row with no record of *which commit*, *which
 //! configuration*, and *which seed* produced it cannot be distinguished from
-//! host noise after the fact. Every artifact the runner emits — and every row
-//! the recording binaries append — carries a [`Provenance`] stamp so a
-//! regression can be traced to the exact tree state that produced it.
+//! host noise after the fact. Every artifact the runner emits carries a
+//! [`Provenance`] stamp so a regression can be traced to the exact tree state
+//! that produced it.
 //!
 //! Collection is best-effort by design: a build from a tarball has no git, CI
 //! may have a shallow clone, and a stamp must never turn a benchmark run into
@@ -13,7 +13,7 @@
 
 use std::process::Command;
 
-/// A provenance stamp for one artifact or trajectory row.
+/// A provenance stamp for one artifact.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Provenance {
     /// `git rev-parse HEAD`, or `"unknown"` outside a repository.
@@ -22,8 +22,7 @@ pub struct Provenance {
     /// --porcelain` non-empty). `false` when git is unavailable.
     pub git_dirty: bool,
     /// FNV-64 hex of the canonical configuration that produced the artifact
-    /// (for manifests, [`crate::Manifest::config_hash`]; recording binaries
-    /// hash their effective CLI configuration).
+    /// ([`crate::Manifest::config_hash`]).
     pub config_hash: String,
     /// The RNG seed the run used.
     pub seed: u64,
@@ -80,8 +79,7 @@ impl Provenance {
         }
     }
 
-    /// Render as a JSON object (the artifact and trajectory formats are
-    /// hand-rolled JSON throughout the bench crate; this matches them).
+    /// Render as a JSON object (hand-rolled, like the artifact around it).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"git_rev\":{},\"git_dirty\":{},\"config_hash\":{},\"seed\":{},\"rustc\":{},\"host\":{},\"unix_time\":{}}}",

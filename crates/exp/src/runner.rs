@@ -1,7 +1,7 @@
 //! Executes a [`Manifest`]: expands the declared axes into points, simulates
 //! each point at every shard count, digests the outcomes, reduces each to the
-//! fixed [`Metrics`] row `repro run` tabulates, times the perf scenarios, and
-//! assembles a provenance-stamped [`RunReport`].
+//! fixed [`Metrics`] row `repro run` tabulates, and assembles a
+//! provenance-stamped [`RunReport`].
 //!
 //! Three invariants are enforced *during* the run, not just at check time:
 //!
@@ -20,17 +20,9 @@
 //!   destination unreachable under the fault plan) is digested as its typed
 //!   error, not skipped: an experiment silently losing points is itself a
 //!   regression the baseline must catch.
-//!
-//! Performance scenarios measure the **calibration ratio** (scenario
-//! useful-events/s ÷ pinned calibration workload useful-events/s, medians of
-//! interleaved rounds). Raw events/s on the runner host is recorded in the
-//! artifact but never gated: the interleaved ratio is the quantity that
-//! transfers across hosts, which is what lets the baseline live in git.
 
 use crate::digest::{digest_outcome, digest_row};
-use crate::manifest::{
-    failure_metric, Experiment, ExternalFigure, Manifest, Mode, PerfScenario, Structure,
-};
+use crate::manifest::{failure_metric, Experiment, ExternalFigure, Manifest, Mode, Structure};
 use crate::provenance::{json_str, Provenance};
 use crate::toml::render_float;
 use crate::topo::TopoSpec;
@@ -42,7 +34,6 @@ use spectralfly_simnet::stats::TenantStats;
 use spectralfly_simnet::workload::{random_placement, Workload};
 use spectralfly_simnet::{
     simulate, MeasurementWindows, OraclePolicy, SimConfig, SimError, SimNetwork, SimResults,
-    Simulator,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -91,6 +82,13 @@ pub enum RunError {
         /// Messages in its schedule.
         total: u64,
     },
+    /// [`RunOptions::filter`] kept no point, structural row or external figure.
+    NothingSelected {
+        /// The filter.
+        filter: String,
+        /// The names of the manifest's sections the filter could have matched.
+        sections: Vec<String>,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -125,6 +123,12 @@ impl std::fmt::Display for RunError {
                  messages and no fault script lost the rest — the window closed first (raise \
                  measure_ns), or the one-shard core deadlocked on a dense exchange, which it \
                  does not report in steady mode (run the point at shards >= 2)"
+            ),
+            RunError::NothingSelected { filter, sections } => write!(
+                f,
+                "filter {filter:?} selects nothing: it is a substring of no point id, \
+                 structural row or external figure; sections: {}",
+                sections.join(", ")
             ),
         }
     }
@@ -346,21 +350,6 @@ pub struct PointResult {
     pub wall_ms: u64,
 }
 
-/// The measured outcome of one perf scenario.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PerfResult {
-    /// Scenario name (the baseline key).
-    pub name: String,
-    /// Median scenario useful-events/s ÷ median calibration useful-events/s.
-    pub ratio: f64,
-    /// Median scenario useful-events/s (informational, host-dependent).
-    pub scenario_eps: f64,
-    /// Median calibration useful-events/s (informational, host-dependent).
-    pub calibration_eps: f64,
-    /// The tolerance band the manifest declares for this scenario.
-    pub tolerance: f64,
-}
-
 /// The captured outcome of one external figure binary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExternalResult {
@@ -385,8 +374,6 @@ pub struct RunReport {
     pub provenance: Provenance,
     /// Per-point digests, in expansion order.
     pub points: Vec<PointResult>,
-    /// Per-scenario perf measurements, in manifest order.
-    pub perf: Vec<PerfResult>,
     /// External figure outcomes (empty when externals were skipped).
     pub external: Vec<ExternalResult>,
 }
@@ -721,63 +708,6 @@ fn check_collectives(point: &str, res: &SimResults) -> Result<(), RunError> {
     }
 }
 
-fn useful_eps(res: &SimResults, wall_s: f64) -> f64 {
-    (res.engine.events - res.engine.timed_retries) as f64 / wall_s.max(1e-9)
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
-    xs[xs.len() / 2]
-}
-
-/// The pinned calibration workload every perf ratio is measured against: a
-/// small fixed simulation whose cost tracks the same event-loop hot path as
-/// the scenarios. Changing it invalidates every recorded perf baseline, so
-/// it is deliberately boring and parameter-free.
-fn calibration_run() -> (SimNetwork, SimConfig, Workload) {
-    let net = TopoSpec::parse("ring(16)x2")
-        .and_then(|spec| spec.network(OraclePolicy::Auto))
-        .expect("pinned calibration topology");
-    let cfg = SimConfig::default().with_routing("minimal", net.diameter() as u32);
-    let wl = Workload::uniform_random(net.num_endpoints(), 4, 4096, 0xCA11B);
-    (net, cfg, wl)
-}
-
-/// Measure one perf scenario: `rounds` interleaved (calibration, scenario)
-/// pairs, median useful-events/s on each side, ratio of the medians.
-pub fn run_perf_scenario(s: &PerfScenario) -> Result<PerfResult, RunError> {
-    let net = TopoSpec::parse(&s.topology)
-        .and_then(|spec| spec.network(OraclePolicy::Auto))
-        .map_err(build_error(&s.topology))?;
-    let mut cfg = SimConfig::default().with_routing(s.routing.clone(), net.diameter() as u32);
-    cfg.seed = s.seed;
-    let wl = Workload::uniform_random(net.num_endpoints(), s.messages, s.bytes, s.seed);
-    let (cal_net, cal_cfg, cal_wl) = calibration_run();
-
-    let mut cal_eps = Vec::with_capacity(s.rounds);
-    let mut scen_eps = Vec::with_capacity(s.rounds);
-    for _ in 0..s.rounds {
-        // Interleave: one calibration, one scenario, per round, so slow host
-        // phases (thermal, noisy neighbours) hit both sides alike.
-        let t = Instant::now();
-        let res = Simulator::new(&cal_net, &cal_cfg).run(&cal_wl);
-        cal_eps.push(useful_eps(&res, t.elapsed().as_secs_f64()));
-
-        let t = Instant::now();
-        let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, s.load);
-        scen_eps.push(useful_eps(&res, t.elapsed().as_secs_f64()));
-    }
-    let scenario_eps = median(&mut scen_eps);
-    let calibration_eps = median(&mut cal_eps);
-    Ok(PerfResult {
-        name: s.name.clone(),
-        ratio: scenario_eps / calibration_eps.max(1e-9),
-        scenario_eps,
-        calibration_eps,
-        tolerance: s.tolerance,
-    })
-}
-
 /// Execute an external figure binary, capturing success and an output tail.
 /// Looks for `<bin>` beside the running executable first (every
 /// `spectralfly-bench` binary lands in one `target/<profile>/`, wherever the
@@ -938,9 +868,13 @@ fn structure_cell(s: &Structure, column: Column, value: Option<f64>) -> String {
 pub struct RunOptions {
     /// Skip `[external.*]` sections (the check path always does).
     pub skip_external: bool,
-    /// Only run points and scenarios whose identifier contains this substring.
+    /// Only run points, structural rows and external figures whose identifier
+    /// contains this substring; one that selects nothing is
+    /// [`RunError::NothingSelected`].
     pub filter: Option<String>,
-    /// Skip `[perf.*]` sections (used by tests that only need digests).
+    /// Does nothing: the `[perf.*]` section kind it skipped is gone. The field
+    /// stays because `benchmark/src/workloads.rs` names it in a struct literal
+    /// and only a benchmark PR may edit that file (ROADMAP item 6g).
     pub skip_perf: bool,
 }
 
@@ -958,19 +892,22 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunErr
     for s in &m.structures {
         point_results.extend(run_structure(s, &keep)?);
     }
-    // Perf scenarios run sequentially *after* the sweeps: an idle machine is
-    // part of the methodology (the ratio cancels most but not all noise).
-    let mut perf = Vec::new();
-    if !opts.skip_perf {
-        for s in m.perf.iter().filter(|s| keep(&s.name)) {
-            perf.push(run_perf_scenario(s)?);
-        }
-    }
     let mut external = Vec::new();
     if !opts.skip_external {
         for x in m.external.iter().filter(|x| keep(&x.name)) {
             external.push(run_external(x));
         }
+    }
+    let nothing_ran = point_results.is_empty() && external.is_empty();
+    if let Some(filter) = opts.filter.as_ref().filter(|_| nothing_ran) {
+        let externals = m.external.iter().filter(|_| !opts.skip_external);
+        let sections = (m.experiments.iter().map(|e| &e.name))
+            .chain(m.structures.iter().map(|s| &s.name))
+            .chain(externals.map(|x| &x.name));
+        return Err(RunError::NothingSelected {
+            filter: filter.clone(),
+            sections: sections.cloned().collect(),
+        });
     }
     Ok(RunReport {
         manifest: m.name.clone(),
@@ -982,7 +919,6 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunErr
                 .unwrap_or(0),
         ),
         points: point_results,
-        perf,
         external,
     })
 }
@@ -1195,18 +1131,6 @@ impl RunReport {
                 if i + 1 < self.points.len() { "," } else { "" }
             ));
         }
-        out.push_str("  ],\n  \"perf\": [\n");
-        for (i, p) in self.perf.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\":{},\"ratio\":{:.6},\"scenario_eps\":{:.0},\"calibration_eps\":{:.0},\"tolerance\":{}}}{}\n",
-                json_str(&p.name),
-                p.ratio,
-                p.scenario_eps,
-                p.calibration_eps,
-                render_float(p.tolerance),
-                if i + 1 < self.perf.len() { "," } else { "" }
-            ));
-        }
         out.push_str("  ],\n  \"external\": [\n");
         for (i, x) in self.external.iter().enumerate() {
             out.push_str(&format!(
@@ -1316,26 +1240,6 @@ bytes = 512
         let report = run_manifest(&m, &RunOptions::default()).unwrap();
         assert_eq!(report.points.len(), 1);
         assert_eq!(report.points[0].digest.len(), 16);
-    }
-
-    #[test]
-    fn perf_scenario_produces_a_positive_ratio() {
-        let s = PerfScenario {
-            name: "tiny".to_string(),
-            topology: "ring(9)x2".to_string(),
-            routing: "minimal".to_string(),
-            load: 0.5,
-            messages: 2,
-            bytes: 2048,
-            rounds: 1,
-            tolerance: 0.5,
-            seed: 3,
-        };
-        let r = run_perf_scenario(&s).unwrap();
-        assert!(r.ratio > 0.0);
-        assert!(r.scenario_eps > 0.0);
-        assert!(r.calibration_eps > 0.0);
-        assert_eq!(r.tolerance, 0.5);
     }
 
     fn run(src: &str) -> RunReport {

@@ -566,7 +566,7 @@ empty = []
         let doc = parse("[results]\n\"exp/a=1,b=2\" = \"0xdead\"\n").unwrap();
         let t = doc.table("results").unwrap();
         assert_eq!(t.get("exp/a=1,b=2"), Some(&Value::Str("0xdead".into())));
-        let doc = parse("[perf.\"routing-bound\"]\nratio = 1.0\n").unwrap();
-        assert!(doc.table("perf.routing-bound").is_some());
+        let doc = parse("[structure.\"table-1\"]\nseed = 1\n").unwrap();
+        assert!(doc.table("structure.table-1").is_some());
     }
 }

@@ -31,7 +31,7 @@ use std::sync::{Arc, LazyLock};
 
 /// The most routers, and the most endpoints (routers × concentration), a spec
 /// may describe: some 15× the largest fabric the repository runs
-/// (`million_node`'s 1,092,624 routers) and well inside the `u32` ids the
+/// (`lps(5,103)x1` in `paper-full.toml`: 1,092,624 routers) and well inside the `u32` ids the
 /// engines index routers, links and endpoints with. Past it a spec is refused
 /// before anything is built — a constructor handed `ring(4294967296)` would
 /// truncate, allocate without bound or never return.

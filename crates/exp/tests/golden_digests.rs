@@ -71,8 +71,8 @@ fn engine_equivalence_digests_are_bit_identical_across_shard_counts() {
     }
 }
 
-/// The full smoke manifest (points and structural rows, no perf) reproduces
-/// the checked-in golden digests exactly. The baselines were recorded by a
+/// The full smoke manifest (points and structural rows) reproduces the
+/// checked-in golden digests exactly. The baselines were recorded by a
 /// release build; this test runs unoptimised — passing proves the digests do
 /// not depend on the optimisation profile, only on the simulation (and, for
 /// the `[structure.*]` rows, on the graph numerics) itself.
@@ -89,8 +89,7 @@ fn smoke_manifest_reproduces_checked_in_golden_digests() {
     );
     let opts = RunOptions {
         skip_external: true,
-        skip_perf: true,
-        filter: None,
+        ..Default::default()
     };
     let report = runner::run_manifest(&m, &opts).expect("smoke manifest runs clean");
     let golden: BTreeMap<&str, &str> = base
@@ -129,12 +128,10 @@ fn parallel_engine_is_shard_invariant_on_degraded_points() {
     let mut only = m.clone();
     only.experiments.retain(|e| e.name == "degraded");
     only.structures.clear();
-    only.perf.clear();
     only.external.clear();
     let opts = RunOptions {
         skip_external: true,
-        skip_perf: true,
-        filter: None,
+        ..Default::default()
     };
     let report = runner::run_manifest(&only, &opts)
         .expect("2-shard and 4-shard runs of the faulted steady-state points agree");
@@ -156,8 +153,8 @@ fn smoke_profile_certifies_lps_ramanujan_and_dragonfly_not() {
     };
     let opts = RunOptions {
         skip_external: true,
-        skip_perf: true,
         filter: Some("profile/".to_string()),
+        ..Default::default()
     };
     let report = runner::run_manifest(&m, &opts).expect("structural rows evaluate");
     assert_eq!(report.points.len(), section.topologies.len());

@@ -4,9 +4,7 @@
 //! offending field — the manifest mirror of the fault-spec byte-offset errors.
 
 use proptest::prelude::*;
-use spectralfly_exp::{
-    Experiment, Manifest, ManifestError, Mode, PerfScenario, Structure, TopoSpec,
-};
+use spectralfly_exp::{Experiment, Manifest, ManifestError, Mode, Structure, TopoSpec};
 use spectralfly_graph::Column;
 
 const TOPOLOGIES: &[&str] = &[
@@ -122,19 +120,6 @@ proptest! {
             ranks: None,
             relative_to: None,
         };
-        let perf = PerfScenario {
-            name: "scenario".to_string(),
-            topology: TopoSpec::parse(TOPOLOGIES[topo_mask % TOPOLOGIES.len()])
-                .unwrap()
-                .canonical(),
-            routing: ROUTINGS[routing_mask % ROUTINGS.len()].to_string(),
-            load: load_centi as f64 / 100.0,
-            messages,
-            bytes,
-            rounds: 1 + messages % 4,
-            tolerance: 0.25,
-            seed: seed0,
-        };
         // A structural table: rows listed or enumerated (capped or not), any
         // columns — under link failures, any of the three that have a sweep.
         let swept = failure_mask > 0;
@@ -164,7 +149,6 @@ proptest! {
             description: "round-trip property".to_string(),
             experiments: vec![exp],
             structures: vec![structure],
-            perf: vec![perf],
             external: Vec::new(),
         };
 

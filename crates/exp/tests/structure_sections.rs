@@ -3,7 +3,7 @@
 //! `--filter` addresses, closed-form tables never build a graph, and nothing
 //! a section can say makes the runner panic.
 
-use spectralfly_exp::{runner, Manifest, PointResult, RunOptions, TopoSpec};
+use spectralfly_exp::{runner, Manifest, PointResult, RunError, RunOptions, TopoSpec};
 use spectralfly_topology::spec::{enumerate_lps, table1_size_classes, TopologySpec};
 use std::path::Path;
 
@@ -19,8 +19,8 @@ fn run(src: &str, filter: Option<&str>) -> Vec<PointResult> {
     let m = Manifest::parse(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
     let opts = RunOptions {
         skip_external: true,
-        skip_perf: true,
         filter: filter.map(str::to_string),
+        ..Default::default()
     };
     runner::run_manifest(&m, &opts)
         .unwrap_or_else(|e| panic!("{e}\n{src}"))
@@ -111,8 +111,7 @@ fn closed_form_tables_never_build_a_graph() {
     scatters.structures.retain(|s| s.is_closed_form());
     let opts = RunOptions {
         skip_external: true,
-        skip_perf: true,
-        filter: None,
+        ..Default::default()
     };
     let rows = runner::run_manifest(&scatters, &opts).unwrap().points;
     let count = |section: &str| rows.iter().filter(|r| r.experiment == section).count();
@@ -182,7 +181,16 @@ fn failure_rows_are_topology_times_proportion_and_filter_addresses_one() {
             ..rows[1].clone()
         }
     );
-    assert!(run(&src, Some("no-such-row")).is_empty());
+    // A filter that addresses no row is an error, not an empty table.
+    let none = RunOptions {
+        filter: Some("no-such-row".to_string()),
+        ..Default::default()
+    };
+    let refused = runner::run_manifest(&Manifest::parse(&src).unwrap(), &none);
+    assert!(
+        matches!(&refused, Err(RunError::NothingSelected { sections, .. }) if sections == &["t"]),
+        "{refused:?}"
+    );
     // Same section, same seed, same digests; another seed, other draws.
     let again = run(&src, None);
     assert!(rows.iter().zip(&again).all(|(a, b)| a.digest == b.digest));

@@ -17,7 +17,8 @@ use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
 /// Tuning parameters for the multilevel bisection.
 #[derive(Clone, Debug)]
 pub struct BisectConfig {
-    /// Stop coarsening once the graph has at most this many vertices.
+    /// Stop coarsening once the graph has at most this many vertices
+    /// (`usize::MAX`: never coarsen — single-level FM).
     pub coarsen_until: usize,
     /// Number of greedy-growing attempts for the initial partition of the coarsest graph.
     pub initial_tries: usize,
@@ -25,8 +26,6 @@ pub struct BisectConfig {
     pub fm_passes: usize,
     /// Allowed imbalance: each side must weigh at most `(1 + balance_tolerance) * total / 2`.
     pub balance_tolerance: f64,
-    /// Disable coarsening entirely (single-level FM); exposed for the ablation bench.
-    pub multilevel: bool,
 }
 
 impl Default for BisectConfig {
@@ -36,7 +35,6 @@ impl Default for BisectConfig {
             initial_tries: 8,
             fm_passes: 6,
             balance_tolerance: 0.02,
-            multilevel: true,
         }
     }
 }
@@ -292,15 +290,13 @@ pub fn bisect(g: &CsrGraph, cfg: &BisectConfig, seed: u64) -> Bisection {
     // Coarsening phase.
     let mut levels: Vec<(WGraph, Vec<u32>)> = Vec::new(); // (fine graph, map fine->coarse)
     let mut current = base.clone();
-    if cfg.multilevel {
-        while current.n() > cfg.coarsen_until {
-            match current.coarsen(&mut rng) {
-                Some((coarse, map)) => {
-                    levels.push((current, map));
-                    current = coarse;
-                }
-                None => break,
+    while current.n() > cfg.coarsen_until {
+        match current.coarsen(&mut rng) {
+            Some((coarse, map)) => {
+                levels.push((current, map));
+                current = coarse;
             }
+            None => break,
         }
     }
 
@@ -505,7 +501,7 @@ mod tests {
     #[test]
     fn single_level_config_also_works() {
         let cfg = BisectConfig {
-            multilevel: false,
+            coarsen_until: usize::MAX,
             ..Default::default()
         };
         let g = cycle_graph(40);

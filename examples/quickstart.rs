@@ -1,23 +1,24 @@
-//! Quickstart: build a SpectralFly network, inspect its structural properties, and verify
+//! Quickstart: build a SpectralFly router graph, inspect its structural properties, and verify
 //! the Ramanujan property — the 60-second tour of the library.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use spectralfly::network::SpectralFlyNetwork;
 use spectralfly_graph::spectral::spectral_summary;
 use spectralfly_graph::{profile_graph, Column};
+use spectralfly_topology::{LpsGraph, Topology};
 
 fn main() {
     // The paper's smallest Table-I instance: LPS(11, 7) with 4 endpoints per router.
-    let net = SpectralFlyNetwork::new(11, 7, 4).expect("valid LPS parameters");
-    println!("network      : {}", net.name());
-    println!("routers      : {}", net.num_routers());
-    println!("endpoints    : {}", net.num_endpoints());
-    println!("network radix: {}", net.network_radix());
-    println!("router ports : {}", net.router_ports());
+    let lps = LpsGraph::new(11, 7).expect("valid LPS parameters");
+    let concentration = 4;
+    println!("network      : {} x{concentration}", lps.name());
+    println!("routers      : {}", lps.num_routers());
+    println!("endpoints    : {}", lps.num_routers() * concentration);
+    println!("network radix: {}", lps.radix());
+    println!("router ports : {}", lps.radix() + concentration);
 
     // Structural profile (Table I columns).
-    let profile = profile_graph(net.router_graph(), &Column::ALL, 0xC0FFEE);
+    let profile = profile_graph(lps.graph(), &Column::ALL, 0xC0FFEE);
     println!("\nstructural profile");
     println!("  diameter        : {:?}", profile.diameter);
     println!(
@@ -33,8 +34,8 @@ fn main() {
     );
 
     // The Ramanujan certificate: |lambda(G)| <= 2 sqrt(k - 1).
-    let s = spectral_summary(net.router_graph(), 100, 42);
-    let bound = 2.0 * ((net.network_radix() - 1) as f64).sqrt();
+    let s = spectral_summary(lps.graph(), 100, 42);
+    let bound = lps.ramanujan_bound();
     println!("\nspectral certificate");
     println!("  lambda(G)        : {:.4}", s.lambda_nontrivial);
     println!("  2 sqrt(k-1)      : {:.4}", bound);

@@ -4,8 +4,6 @@
 //! crates so the examples under `examples/` and the cross-crate integration tests under
 //! `tests/` can reach every component through one dependency:
 //!
-//! * [`spectralfly`] — the SpectralFly network itself (LPS router graph + concentration,
-//!   design-space search, structural profiling).
 //! * [`spectralfly_ff`] — finite fields and number theory.
 //! * [`spectralfly_graph`] — graph metrics, spectra, partitioning, failure sweeps.
 //! * [`spectralfly_topology`] — LPS, SlimFly, BundleFly, DragonFly, SkyWalk, JellyFish.
@@ -18,7 +16,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub use spectralfly;
 pub use spectralfly_ff;
 pub use spectralfly_graph;
 pub use spectralfly_layout;

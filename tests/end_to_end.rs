@@ -3,7 +3,6 @@
 
 use spectralfly_suite::*;
 
-use spectralfly::network::SpectralFlyNetwork;
 use spectralfly_graph::metrics::diameter_and_mean_distance;
 use spectralfly_graph::partition::bisection_bandwidth;
 use spectralfly_graph::paths::DistanceMatrix;
@@ -51,10 +50,10 @@ fn table1_first_size_class_reproduces_paper_shape() {
 /// The paper's simulation-scale SpectralFly instance is Ramanujan and fits 32-port routers.
 #[test]
 fn simulation_instance_is_ramanujan_and_fits_ports() {
-    let net = SpectralFlyNetwork::new(23, 13, 8).unwrap();
-    assert_eq!(net.num_routers(), 1092);
-    assert_eq!(net.router_ports(), 32);
-    let s = spectral_summary(net.router_graph(), 80, 3);
+    let lps = LpsGraph::new(23, 13).unwrap();
+    assert_eq!(lps.num_routers(), 1092);
+    assert_eq!(lps.radix() + 8, 32, "24 network ports + concentration 8");
+    let s = spectral_summary(lps.graph(), 80, 3);
     assert!(s.ramanujan);
     assert!(s.mu1 > 0.5);
 }
