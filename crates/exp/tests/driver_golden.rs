@@ -10,15 +10,23 @@
 //! counted fault event in steady-state runs and a pre-applied mask flip in
 //! finite ones).
 //!
+//! A second table pins the credit core where its flow control is all that
+//! moves: credit-starved cells (one or two packets per VC) on `lps(11,7)x4`,
+//! every routing × finite / steady / steady under churn, each checked to park
+//! links on the parallel side. Shard invariance cannot catch a mistake every
+//! shard count makes the same way — a wake at the wrong time, an epoch
+//! boundary moved (which UGAL-G's congestion board would show) — these cells
+//! can.
+//!
 //! The parallel column runs at every shard count in `PDES_SHARDS`
 //! (comma-separated, default `2`): results are shard-count-invariant, so one
 //! digest serves them all.
 
-use spectralfly_exp::digest_results;
+use spectralfly_exp::{digest_results, fnv64_str, TopoSpec};
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultScript, MeasurementWindows, ParallelSimulator, SimConfig, SimNetwork, SimResults,
-    Simulator, Workload,
+    FaultScript, MeasurementWindows, ParallelSimulator, SimConfig, SimError, SimNetwork,
+    SimResults, Simulator, Workload,
 };
 
 /// `(cell, sequential, parallel)`. Recorded by this test itself (on drift it
@@ -57,14 +65,42 @@ fn run(
     wl: &Workload,
     load: Option<f64>,
     parallel: bool,
-) -> SimResults {
-    let outcome = match (load, parallel) {
+) -> Result<SimResults, SimError> {
+    match (load, parallel) {
         (None, false) => Simulator::new(net, cfg).try_run(wl),
         (None, true) => ParallelSimulator::new(net, cfg).try_run(wl),
         (Some(l), false) => Simulator::new(net, cfg).try_run_with_offered_load(wl, l),
         (Some(l), true) => ParallelSimulator::new(net, cfg).try_run_with_offered_load(wl, l),
-    };
-    outcome.unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// Assert `PDES_SHARDS` agrees on one value and return it.
+fn shard_invariant(cell: &str, mut at: impl FnMut(usize) -> String) -> String {
+    let mut first: Option<String> = None;
+    for shards in shard_set() {
+        let v = at(shards);
+        assert_eq!(
+            first.get_or_insert_with(|| v.clone()),
+            &v,
+            "{cell}: {shards} shards disagree with the other shard counts"
+        );
+    }
+    first.expect("PDES_SHARDS must name at least one count")
+}
+
+/// Compare a recorded table against the one just computed, printing the
+/// replacement rows on drift.
+fn assert_table(what: &str, golden: &[(&str, &str, &str)], actual: &[String]) {
+    let golden: Vec<String> = golden
+        .iter()
+        .map(|(cell, seq, par)| format!("    (\"{cell}\", \"{seq}\", \"{par}\"),"))
+        .collect();
+    assert!(
+        golden == actual,
+        "{what} drifted from their golden digests; if the drift is intended, \
+         the new table is:\n{}",
+        actual.join("\n")
+    );
 }
 
 #[test]
@@ -109,7 +145,7 @@ fn shared_driver_cells_reproduce_their_golden_digests() {
 
     let mut actual: Vec<String> = Vec::new();
     for (cell, cfg, load) in &cells {
-        let seq = run(&net, cfg, &wl, *load, false);
+        let seq = run(&net, cfg, &wl, *load, false).unwrap_or_else(|e| panic!("{cell}: {e}"));
         if cell.starts_with("script/") {
             assert!(
                 seq.faults.dropped_total() > 0 && seq.faults.retransmits > 0,
@@ -120,31 +156,102 @@ fn shared_driver_cells_reproduce_their_golden_digests() {
         if cell.ends_with("jobs") {
             assert_eq!(seq.tenants.len(), 4, "{cell}");
         }
-        let mut par: Option<String> = None;
-        for shards in shard_set() {
+        let par = shard_invariant(cell, |shards| {
             let sharded = cfg.clone().with_shards(shards);
-            let d = digest_results(&run(&net, &sharded, &wl, *load, true));
-            assert_eq!(
-                par.get_or_insert_with(|| d.clone()),
-                &d,
-                "{cell}: {shards} shards disagree with the other shard counts"
-            );
-        }
+            let r = run(&net, &sharded, &wl, *load, true);
+            digest_results(&r.unwrap_or_else(|e| panic!("{cell}: {e}")))
+        });
         actual.push(format!(
-            "    (\"{cell}\", \"{}\", \"{}\"),",
-            digest_results(&seq),
-            par.expect("PDES_SHARDS must name at least one count")
+            "    (\"{cell}\", \"{}\", \"{par}\"),",
+            digest_results(&seq)
         ));
     }
+    assert_table("shared-driver cells", GOLDEN, &actual);
+}
 
-    let golden: Vec<String> = GOLDEN
-        .iter()
-        .map(|(cell, seq, par)| format!("    (\"{cell}\", \"{seq}\", \"{par}\"),"))
-        .collect();
-    assert!(
-        golden == actual,
-        "shared-driver cells drifted from their golden digests; if the drift \
-         is intended, the new table is:\n{}",
-        actual.join("\n")
-    );
+/// `(cell, sequential, parallel)` for the credit-starved cells: a digest, or
+/// the typed error the run ended in; the parallel column also pins
+/// `parks/wakeups`. Recorded at the parent of the change that stopped scheduling
+/// credit returns as events.
+#[rustfmt::skip]
+const STARVED: &[(&str, &str, &str)] = &[
+    ("b1/minimal/finite", "deadlock f6d5af2f8c79d21d", "9a8e6c4c0288e4a8 1342/1342"),
+    ("b1/minimal/steady", "d69fb2e20b239e30", "dcbfbf6adfb38a98 2358/2239"),
+    ("b1/minimal/churn", "f0354b063fd5091c", "871c3e86badad80f 2367/2249"),
+    ("b1/valiant/finite", "deadlock 8773caa54b376e35", "deadlock 439425f93fb99e36"),
+    ("b1/valiant/steady", "3aa0e23c2d70500d", "ca037f85f39f7353 2991/2740"),
+    ("b1/valiant/churn", "940612a5ca7b3ef1", "e9f390b2d2efc2ae 2901/2665"),
+    ("b1/ugal-l/finite", "deadlock 169b61984373ca31", "1ed5708de898cd66 1337/1337"),
+    ("b1/ugal-l/steady", "c18fd09a5726ca82", "7d1632b2d0905fb1 2366/2245"),
+    ("b1/ugal-l/churn", "9fb306fbb7db5d62", "9573066d7e8a7802 2376/2257"),
+    ("b1/ugal-g/finite", "deadlock 8347801ceb66e62f", "f7c259b5409acc73 1324/1324"),
+    ("b1/ugal-g/steady", "b739d4d5a4e8d0c0", "eacc1456b8915b68 2329/2196"),
+    ("b1/ugal-g/churn", "1036612e99430d14", "72f674deaf40c281 2331/2206"),
+    ("b2/minimal/finite", "757d9f6514ccc10b", "8972ef0a5389a1c6 109/109"),
+    ("b2/minimal/steady", "f186caa291c36218", "b895165a41557cfd 604/597"),
+    ("b2/minimal/churn", "1e518a7ad4cd1861", "10f58a3cefe7a290 618/604"),
+    ("b2/valiant/finite", "deadlock 5aaaee8c500fcd0c", "33b0a4dc91b83f87 161/161"),
+    ("b2/valiant/steady", "53e2b70d963bcf27", "8c8b60a1ad31894b 905/870"),
+    ("b2/valiant/churn", "d8c11b7ddbd8eff4", "28908b8679269b90 940/890"),
+    ("b2/ugal-l/finite", "deadlock 7bd327078c481b39", "be86c4a28e57c771 111/111"),
+    ("b2/ugal-l/steady", "db8e818dc33cf145", "511d583d59f0f0e7 604/597"),
+    ("b2/ugal-l/churn", "be1ede448668eb50", "c7878fa44de230c0 620/610"),
+    ("b2/ugal-g/finite", "deadlock 32cc792ae1281332", "7d8568184acafb47 98/98"),
+    ("b2/ugal-g/steady", "4f2c1407cc557022", "e28ec2a75f5b8855 560/559"),
+    ("b2/ugal-g/churn", "b54c7abf3e8b1843", "1978628a9a2229cf 557/551"),
+];
+
+/// Steady-state churn on the starved cells (`fault_horizon_ns` bounds it).
+const CHURN: &str = "churn(2mhz, 1us)";
+
+/// A digest, or the typed error the run ended in with a digest of its
+/// diagnosis (which counts the undelivered packets and parked links).
+fn outcome(r: &Result<SimResults, SimError>) -> String {
+    match r {
+        Ok(r) => digest_results(r),
+        Err(SimError::Deadlock { diagnosis }) => format!("deadlock {:016x}", fnv64_str(diagnosis)),
+        Err(e) => panic!("only a deadlock is an expected outcome: {e}"),
+    }
+}
+
+#[test]
+fn credit_starved_cells_reproduce_their_golden_digests() {
+    let spec = TopoSpec::parse("lps(11,7)x4").unwrap();
+    let net = SimNetwork::new(spec.build().unwrap(), spec.concentration);
+    let wl = Workload::uniform_random(net.num_endpoints(), 2, 8192, 0x57A4);
+    let windows = MeasurementWindows::new(1_000_000, 3_000_000);
+    let mut actual: Vec<String> = Vec::new();
+    for buffer in [1, 2] {
+        for routing in ["minimal", "valiant", "ugal-l", "ugal-g"] {
+            let mut finite = SimConfig::default().with_routing(routing, net.diameter() as u32);
+            finite.seed = 0x57A4;
+            finite.buffer_packets_per_vc = buffer;
+            let steady = finite.clone().with_windows(windows.clone());
+            let mut churn = steady
+                .clone()
+                .with_fault_script(FaultScript::parse(CHURN).unwrap().with_seed(5));
+            churn.fault_horizon_ns = 5_000.0;
+            for (mode, cfg) in [("finite", finite), ("steady", steady), ("churn", churn)] {
+                let cell = format!("b{buffer}/{routing}/{mode}");
+                let seq = outcome(&run(&net, &cfg, &wl, Some(0.95), false));
+                let par = shard_invariant(&cell, |shards| {
+                    let sharded = cfg.clone().with_shards(shards);
+                    let r = run(&net, &sharded, &wl, Some(0.95), true);
+                    let mut o = outcome(&r);
+                    if let Ok(r) = &r {
+                        let e = &r.engine;
+                        assert!(
+                            e.blocked_parks > 0,
+                            "{cell}: no link parked at {shards} shards"
+                        );
+                        assert_eq!(mode == "churn", r.faults.fault_events > 0, "{cell}");
+                        o += &format!(" {}/{}", e.blocked_parks, e.wakeups);
+                    }
+                    o
+                });
+                actual.push(format!("    (\"{cell}\", \"{seq}\", \"{par}\"),"));
+            }
+        }
+    }
+    assert_table("credit-starved cells", STARVED, &actual);
 }

@@ -99,6 +99,9 @@ pub enum SimError {
     /// The measurement windows do not fit `u64` picoseconds (the message
     /// carries the spans).
     Windows(String),
+    /// The parallel engine's conservative lookahead (link + router latency)
+    /// is zero (the message carries both latencies).
+    Lookahead(String),
     /// A fault plan or script made the run infeasible (dead endpoints,
     /// disconnected pairs, fragmented survivors, malformed script).
     Fault(crate::fault::FaultError),
@@ -128,6 +131,7 @@ impl std::fmt::Display for SimError {
             | SimError::EndpointOutOfRange(message)
             | SimError::OfferedLoad(message)
             | SimError::Windows(message)
+            | SimError::Lookahead(message)
             | SimError::Deadlock { diagnosis: message } => f.write_str(message),
         }
     }

@@ -27,9 +27,22 @@
 //!    after the barrier, every shard snapshots the whole board — the
 //!    epoch-consistent congestion view UGAL's remote signals read;
 //! 3. every shard processes its events strictly below `m + E`, queueing
-//!    cross-shard packet handoffs and credit returns as timestamped messages;
-//!    after the barrier, every shard drains its inbox into its own queue
-//!    (every message carries a timestamp `≥ m + E`, i.e. next epoch or later).
+//!    cross-shard packet handoffs and credit returns as timestamped messages,
+//!    then settles every credit return below `m + E`; after the barrier, every
+//!    shard drains its inbox — packets into its own queue, credit returns into
+//!    its per-source FIFOs (every message carries a timestamp `≥ m + E`, i.e.
+//!    next epoch or later).
+//!
+//! A credit return is not an event. Each shard keeps one time-ordered FIFO of
+//! pending returns per source shard (a shard produces its returns in pop
+//! order, `now + E`, and a peer's batches arrive in epoch order) and settles
+//! every return with `time ≤ now` into the sender-held credits when
+//! `try_transmit` — the only reader — runs. That is exactly the old ordering:
+//! a return at `t` used to be a class-3 event, which always ran before a
+//! class-5 transmit at `t`. A parked link gets one wake event at its earliest
+//! pending return; pending returns count toward the shard's published next
+//! time, so the epoch sequence — and with it every congestion snapshot — is
+//! the one credit events produced.
 //!
 //! # Shard-count invariance
 //!
@@ -69,6 +82,7 @@ use crate::workload::Workload;
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 use spectralfly_graph::csr::VertexId;
 use spectralfly_graph::{partition_kway, BisectConfig};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -79,7 +93,7 @@ use std::sync::{Arc, Condvar, Mutex};
 const PARTITION_SEED: u64 = 0x9A27_51DE_C0DE_0006;
 
 // Stable event-key classes: at equal timestamps, events pop in class order
-// (fault flips, source arrivals, then injections, credits, arrivals,
+// (fault flips, source arrivals, then injections, credit wakes, arrivals,
 // transmits). Any fixed order works — same-time events on different routers
 // commute — it only has to be the *same* order for every shard count. The
 // fault-timeline event is class 0 so liveness flips apply before any co-timed
@@ -171,7 +185,10 @@ enum PKind {
     NextMessage { source: u32 },
     /// Endpoint NIC injects a packet at its (local) source router.
     Inject { packet: u32 },
-    /// A buffer credit returns to the sender side of a link.
+    /// Wake a link parked on `vc`: a credit return for `(link, vc)` is due
+    /// now (the return itself is settled by the next `try_transmit`). Keyed
+    /// like the credit event it replaces; a no-op if the link no longer waits
+    /// on `vc` (a fault flushed it, or it re-parked on another VC).
     Credit { link: u32, vc: u8 },
     /// A packet arrives at a (local) router after crossing a link.
     Arrive { packet: u32, router: VertexId },
@@ -185,8 +202,8 @@ enum PKind {
 
 /// An event ordered by `(time, key)`. The key is stable across shard counts;
 /// the trailing `kind` comparison exists only for `Ord` consistency (two
-/// distinct events never share a `(time, key)` pair unless they are
-/// interchangeable credit increments).
+/// events sharing a `(time, key)` pair are identical wakes, of which the
+/// first wakes the link and the rest find it awake).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct PEvent {
     time: u64,
@@ -210,17 +227,21 @@ enum ShardMsg {
         router: VertexId,
         packet: ParPacket,
     },
-    Credit {
-        time: u64,
-        link: u32,
-        vc: u8,
-    },
+    /// A credit return, tagged with the shard that produced it (the FIFO it
+    /// joins on the receiving side).
+    Credit { from: usize, ret: CreditReturn },
     /// A dropped packet returns to its source NIC on the shard owning its
     /// source router, re-entering as a fresh injection.
-    Retransmit {
-        time: u64,
-        packet: ParPacket,
-    },
+    Retransmit { time: u64, packet: ParPacket },
+}
+
+/// A buffer credit on its way back to the sender side of `link`: it refills
+/// the `(link, vc)` pool at `time`, settled by the first read at or after it.
+#[derive(Clone, Copy, Debug)]
+struct CreditReturn {
+    time: u64,
+    link: u32,
+    vc: u8,
 }
 
 /// Per-message completion accounting on the destination shard: packets of the
@@ -371,13 +392,26 @@ struct ShardCore<'a> {
     link_qlen: Vec<u32>,
     link_free_at: Vec<u64>,
     /// Sender-held credits per `(link, vc)`: downstream buffer slots this link
-    /// may still claim on that VC. Consumed at transmit, returned (with `E`
-    /// delay) when the packet departs the downstream router.
+    /// may still claim on that VC. Consumed at transmit; refilled from
+    /// `returns` when `try_transmit` reads them.
     credits: Vec<u32>,
+    /// Credit returns not yet settled into `credits`, one time-ordered FIFO
+    /// per source shard (this shard's own at index `sid`).
+    returns: Vec<VecDeque<CreditReturn>>,
     /// The VC a parked link is waiting for a credit on (`u8::MAX` = none).
     waiting_vc: Vec<u8>,
     link_parked: Vec<bool>,
     parked_count: usize,
+    /// Parked links without a scheduled wake: no return for their
+    /// `(link, waiting_vc)` lay below the epoch limit when they parked.
+    unwoken: Vec<u32>,
+    /// For a link in `unwoken`, the earliest return recorded for its
+    /// `(link, waiting_vc)` (`u64::MAX` = none yet).
+    wake_at: Vec<u64>,
+    /// Exclusive upper bound of the epoch being processed: every return below
+    /// it has been recorded, every return recorded from now on lies at or
+    /// past it.
+    epoch_limit: u64,
     /// Live occupancy of owned routers (capacity/injection gating).
     occupancy: Vec<u32>,
     router_occ: Vec<u32>,
@@ -395,7 +429,8 @@ struct ShardCore<'a> {
     /// Fault accounting partials (all-zero on pristine runs).
     fstats: FaultStats,
     /// Message completion accounting, keyed by stable message id. All packets
-    /// of a message deliver at one destination router, hence at one shard.
+    /// of a message deliver at one destination router, hence at one shard; a
+    /// one-packet message completes without an entry.
     /// A terminally failed packet never decrements its entry, so a damaged
     /// message is never recorded as completed — the countdown analogue of the
     /// sequential engine's `msg_failed` poisoning.
@@ -459,9 +494,13 @@ impl<'a> ShardCore<'a> {
             link_qlen: vec![0; links],
             link_free_at: vec![0; links],
             credits: vec![cfg.buffer_packets_per_vc as u32; links * nv],
+            returns: (0..shards).map(|_| VecDeque::new()).collect(),
             waiting_vc: vec![u8::MAX; links],
             link_parked: vec![false; links],
             parked_count: 0,
+            unwoken: Vec::new(),
+            wake_at: vec![u64::MAX; links],
+            epoch_limit: 0,
             occupancy: vec![0; net.num_routers() * nv],
             router_occ: vec![0; net.num_routers()],
             occ_view: vec![0; net.num_routers() * nv],
@@ -533,18 +572,100 @@ impl<'a> ShardCore<'a> {
         }
     }
 
-    /// Route a credit increment to the shard owning the link's sender side.
+    /// Route a credit return to the shard owning the link's sender side.
     fn send_credit(&mut self, link: u32, vc: u8, time: u64) {
+        let ret = CreditReturn { time, link, vc };
         let o = self.owner[self.net.link_owner(link as usize).0 as usize] as usize;
         if o == self.sid {
-            self.push(
-                time,
-                key(CLASS_CREDIT, ((link as u64) << 8) | vc as u64),
-                PKind::Credit { link, vc },
-            );
+            self.record_return(o, ret);
         } else {
-            self.out[o].push(ShardMsg::Credit { time, link, vc });
+            let from = self.sid;
+            self.out[o].push(ShardMsg::Credit { from, ret });
         }
+    }
+
+    /// Append a return to `from`'s FIFO (every return recorded during or
+    /// after an epoch lies at or past its limit, so each FIFO stays sorted),
+    /// and let it bid for the wake of a link parked on its pool.
+    fn record_return(&mut self, from: usize, ret: CreditReturn) {
+        debug_assert!(
+            (self.returns[from].back()).is_none_or(|b| b.time <= ret.time),
+            "credit returns from shard {from} out of time order"
+        );
+        let l = ret.link as usize;
+        if !self.unwoken.is_empty() && self.link_parked[l] && self.waiting_vc[l] == ret.vc {
+            self.wake_at[l] = self.wake_at[l].min(ret.time);
+        }
+        self.returns[from].push_back(ret);
+    }
+
+    /// Settle every recorded return with `time ≤ upto` into `credits`.
+    #[inline]
+    fn settle_returns(&mut self, upto: u64) {
+        for fifo in &mut self.returns {
+            while let Some(r) = fifo.front().filter(|r| r.time <= upto) {
+                self.credits[r.link as usize * self.nv + r.vc as usize] += 1;
+                fifo.pop_front();
+            }
+        }
+    }
+
+    /// The earliest pending event or credit return (`u64::MAX` = none).
+    fn next_time(&self) -> u64 {
+        let fronts = self.returns.iter().filter_map(|f| f.front());
+        let nt = self.queue.next_time().unwrap_or(u64::MAX);
+        fronts.map(|r| r.time).fold(nt, u64::min)
+    }
+
+    fn push_wake(&mut self, time: u64, link: usize, vc: u8) {
+        let kind = PKind::Credit {
+            link: link as u32,
+            vc,
+        };
+        self.push(
+            time,
+            key(CLASS_CREDIT, ((link as u64) << 8) | vc as u64),
+            kind,
+        );
+    }
+
+    /// Park `link` until a credit for `(link, vc)` returns — the credit
+    /// analogue of the sequential engine's waiter lists. The wake goes at the
+    /// earliest recorded return if that lies below the epoch limit (no earlier
+    /// one can still arrive); otherwise the link waits in `unwoken`.
+    fn park(&mut self, link: usize, vc: u8) {
+        self.link_parked[link] = true;
+        self.waiting_vc[link] = vc;
+        self.parked_count += 1;
+        self.counters.blocked_parks += 1;
+        let matching = |f: &VecDeque<CreditReturn>| {
+            f.iter()
+                .find(|r| r.link as usize == link && r.vc == vc)
+                .map(|r| r.time)
+        };
+        let earliest = self.returns.iter().filter_map(matching).min();
+        match earliest {
+            Some(t) if t < self.epoch_limit => self.push_wake(t, link, vc),
+            _ => {
+                self.wake_at[link] = earliest.unwrap_or(u64::MAX);
+                self.unwoken.push(link as u32);
+            }
+        }
+    }
+
+    /// At an epoch start, when every return below the new limit is recorded:
+    /// wake the unwoken links whose earliest return lies below it.
+    fn schedule_due_wakes(&mut self) {
+        let mut unwoken = std::mem::take(&mut self.unwoken);
+        unwoken.retain(|&l| {
+            let (l, t) = (l as usize, self.wake_at[l as usize]);
+            let due = t < self.epoch_limit;
+            if due {
+                self.push_wake(t, l, self.waiting_vc[l]);
+            }
+            !due
+        });
+        self.unwoken = unwoken;
     }
 
     /// Route a dropped packet back to the shard owning its source router for
@@ -607,13 +728,7 @@ impl<'a> ShardCore<'a> {
                     },
                 );
             }
-            ShardMsg::Credit { time, link, vc } => {
-                self.push(
-                    time,
-                    key(CLASS_CREDIT, ((link as u64) << 8) | vc as u64),
-                    PKind::Credit { link, vc },
-                );
-            }
+            ShardMsg::Credit { from, ret } => self.record_return(from, ret),
             ShardMsg::Retransmit { time, packet } => {
                 let k = key(CLASS_INJECT, packet.stable_id);
                 let slot = self.alloc_packet(packet);
@@ -686,7 +801,6 @@ impl<'a> ShardCore<'a> {
             PKind::Fault { idx } => self.apply_fault(idx as usize, now),
             PKind::Credit { link, vc } => {
                 let l = link as usize;
-                self.credits[l * self.nv + vc as usize] += 1;
                 if self.link_parked[l] && self.waiting_vc[l] == vc {
                     self.link_parked[l] = false;
                     self.waiting_vc[l] = u8::MAX;
@@ -735,13 +849,9 @@ impl<'a> ShardCore<'a> {
         let vc = hops.min(self.nv - 1);
         let next_vc = (hops + 1).min(self.nv - 1);
         let pool = link * self.nv + next_vc;
+        self.settle_returns(now);
         if self.credits[pool] == 0 {
-            // Park until a credit for (link, next_vc) returns — the credit
-            // analogue of the sequential engine's waiter lists.
-            self.link_parked[link] = true;
-            self.waiting_vc[link] = next_vc as u8;
-            self.parked_count += 1;
-            self.counters.blocked_parks += 1;
+            self.park(link, next_vc as u8);
             return;
         }
         self.credits[pool] -= 1;
@@ -812,16 +922,8 @@ impl<'a> ShardCore<'a> {
             if via_link != u32::MAX {
                 self.send_credit(via_link, via_vc, now + self.lookahead);
             }
-            let msg_id = self.packets[pi].msg_id;
-            let msg_total = self.packets[pi].msg_total;
             let first = self.packets[pi].msg_first_inject;
-            let entry = self
-                .msgs
-                .entry(msg_id)
-                .or_insert(MsgEntry { left: msg_total });
-            entry.left -= 1;
-            if entry.left == 0 {
-                self.msgs.remove(&msg_id);
+            if self.message_complete(pi) {
                 if self.stats.is_measured(first) {
                     self.stats
                         .record_message(now.saturating_sub(first.min(now)));
@@ -907,6 +1009,29 @@ impl<'a> ShardCore<'a> {
         }
     }
 
+    /// Count delivered packet `pi` against its message; `true` when it was the
+    /// message's last. A one-packet message never touches the table.
+    fn message_complete(&mut self, pi: usize) -> bool {
+        let (msg_id, total) = (self.packets[pi].msg_id, self.packets[pi].msg_total);
+        if total == 1 {
+            return true;
+        }
+        match self.msgs.entry(msg_id) {
+            Entry::Vacant(v) => {
+                v.insert(MsgEntry { left: total - 1 });
+                false
+            }
+            Entry::Occupied(mut o) => {
+                o.get_mut().left -= 1;
+                let done = o.get().left == 0;
+                if done {
+                    o.remove();
+                }
+                done
+            }
+        }
+    }
+
     /// Drop a packet that is resident in `router`'s input buffer: release the
     /// buffer slot, return the credit the packet still holds for the link it
     /// arrived on, then route the drop through the retransmission path. (The
@@ -977,6 +1102,7 @@ impl<'a> ShardCore<'a> {
             self.link_parked[link] = false;
             self.waiting_vc[link] = u8::MAX;
             self.parked_count -= 1;
+            self.unwoken.retain(|&l| l as usize != link);
         }
         while let Some(pi) = self.link_pop(link) {
             let vc = (self.packets[pi].hops as usize).min(self.nv - 1);
@@ -1164,8 +1290,7 @@ fn run_epochs<'a, F>(
     F: FnMut(&mut ShardCore<'a>, PEvent),
 {
     loop {
-        let nt = core.queue.next_time().unwrap_or(u64::MAX);
-        shared.next_times[core.sid].store(nt, Ordering::Relaxed);
+        shared.next_times[core.sid].store(core.next_time(), Ordering::Relaxed);
         shared.barrier.wait(); // barrier 1: all next-times published
         let m = shared
             .next_times
@@ -1203,10 +1328,17 @@ fn run_epochs<'a, F>(
             // popped — the sequential loop's break-before-count, exactly.
             limit = limit.min(d.saturating_add(1));
         }
+        core.epoch_limit = limit;
+        if !core.unwoken.is_empty() {
+            core.schedule_due_wakes();
+        }
         while let Some(ev) = core.queue.pop_before(limit) {
             core.counters.events += 1;
             handle(core, ev);
         }
+        // Returns below the limit are what this epoch's credit events were:
+        // settled now, they cannot hold the next published time back.
+        core.settle_returns(limit - 1);
         for dest in 0..core.out.len() {
             if dest == core.sid || core.out[dest].is_empty() {
                 continue;
@@ -1380,26 +1512,31 @@ impl<'a> ParallelSimulator<'a> {
     /// Create a parallel simulator over a network with a configuration,
     /// running [`SimConfig::shards`] worker shards.
     ///
-    /// An unregistered `cfg.routing` or a `cfg.faults` plan the network was
-    /// not built with is reported by the first `try_*` call, exactly as on
-    /// [`crate::Simulator::new`].
+    /// An unregistered `cfg.routing`, a `cfg.faults` plan the network was
+    /// not built with, or a zero link + router latency (the conservative
+    /// lookahead would vanish) is reported by the first `try_*` call, exactly
+    /// as on [`crate::Simulator::new`].
     ///
     /// # Panics
-    /// If the configured link + router latency is zero (the conservative
-    /// lookahead would vanish), or if `cfg.shards` is zero.
+    /// If `cfg.shards` is zero.
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
         assert!(cfg.shards >= 1, "shard count must be at least 1");
         let lookahead = cfg.link_latency_ps() + cfg.router_latency_ps();
-        assert!(
-            lookahead > 0,
-            "parallel engine needs positive link + router latency for conservative lookahead"
-        );
+        let router = super::resolve_router(net, cfg).and_then(|router| match lookahead {
+            0 => Err(SimError::Lookahead(format!(
+                "the parallel engine needs a positive conservative lookahead, but \
+                 link_latency_ns = {} and router_latency_ns = {} add up to 0 ps \
+                 (raise either, or run at shards = 1)",
+                cfg.link_latency_ns, cfg.router_latency_ns
+            ))),
+            _ => Ok(router),
+        });
         let bisect = BisectConfig::default();
         let owner = partition_kway(net.graph(), cfg.shards, &bisect, PARTITION_SEED);
         ParallelSimulator {
             net,
             cfg,
-            router: super::resolve_router(net, cfg),
+            router,
             owner,
             lookahead,
         }

@@ -17,7 +17,7 @@
 //!    models schedule differently, but the conservation quantities
 //!    (packets / bytes / messages delivered) must agree on drained runs.
 //!
-//! The shard set honours `PDES_SHARDS` (comma-separated, e.g. `1,2,4`) so CI
+//! The shard set honours `PDES_SHARDS` (comma-separated, e.g. `1,2,3,4`) so CI
 //! can matrix over it; the default battery covers {1, 2, 4, 8}.
 
 use proptest::prelude::*;
@@ -388,6 +388,12 @@ fn block_free_goldens_match_the_sequential_engine_exactly() {
                 par.engine.blocked_parks, 0,
                 "{name}: golden must be block-free at {shards} shards"
             );
+            // Credit returns are not events: both engines pop one event per
+            // injection, arrival and transmit attempt.
+            assert_eq!(
+                par.engine.events, seq.engine.events,
+                "{name}: the parallel engine popped a different number of events at {shards} shards"
+            );
             assert_eq!(
                 core_fields(seq.clone()),
                 core_fields(par),
@@ -438,8 +444,14 @@ fn credit_backpressure_engages_and_drains() {
         ..Default::default()
     };
     let wl = Workload::uniform_random(net.num_endpoints(), 30, 4096, 41);
+    let counts = std::cell::RefCell::new(Vec::new());
     let par = assert_shard_invariant(&net, &cfg, "backpressure", |s| {
-        s.run_with_offered_load(&wl, 0.9)
+        let r = s.run_with_offered_load(&wl, 0.9);
+        let e = &r.engine;
+        counts
+            .borrow_mut()
+            .push((e.events, e.blocked_parks, e.wakeups));
+        r
     });
     assert!(
         par.engine.blocked_parks > 0,
@@ -448,6 +460,15 @@ fn credit_backpressure_engages_and_drains() {
     assert_eq!(par.engine.blocked_parks, par.engine.wakeups);
     assert_eq!(par.engine.timed_retries, 0);
     assert_eq!(par.delivered_bytes, wl.total_bytes());
+    // On a pristine run the event set itself is shard-count-invariant: a
+    // parked link gets exactly one wake however its credits travelled.
+    // (Under a fault script every shard replays the timeline, so counts
+    // legitimately differ there.)
+    let counts = counts.into_inner();
+    assert!(
+        counts.windows(2).all(|w| w[0] == w[1]),
+        "(events, parks, wakeups) per shard count must agree: {counts:?}"
+    );
 }
 
 proptest! {

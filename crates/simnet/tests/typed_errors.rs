@@ -3,12 +3,13 @@
 //! spec, an unknown / malformed / oversized job mix, a config fault plan the
 //! network was not built with, an offered load outside `(0, 1]`, a job mix
 //! without measurement windows, a workload endpoint the network does not
-//! have, windows that overflow `u64` picoseconds — and the panicking `run*`
-//! wrappers die with that error's message.
+//! have, windows that overflow `u64` picoseconds, a parallel run with no
+//! lookahead — and the panicking `run*` wrappers die with that error's
+//! message.
 
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultPlan, JobError, MeasurementWindows, Message, ParallelSimulator, PatternError,
+    simulate, FaultPlan, JobError, MeasurementWindows, Message, ParallelSimulator, PatternError,
     ReferenceSimulator, SimConfig, SimError, SimNetwork, Simulator, Workload,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -153,6 +154,33 @@ macro_rules! typed_errors {
 
 typed_errors!(sequential_engine_returns_typed_errors, Simulator);
 typed_errors!(parallel_engine_returns_typed_errors, ParallelSimulator);
+
+/// Zero link + router latency leaves the parallel engine no conservative
+/// lookahead: `simulate` at two shards returns a typed error naming both
+/// latencies, where one shard (the sequential engine) runs.
+#[test]
+fn zero_lookahead_is_a_typed_error_behind_the_front_door() {
+    let net = SimNetwork::new(ring(9), 2);
+    let wl = Workload::uniform_random(net.num_endpoints(), 2, 1024, 4);
+    let cfg = SimConfig {
+        link_latency_ns: 0.0,
+        router_latency_ns: 0.0,
+        ..SimConfig::default()
+    };
+    let one = simulate(&net, &cfg.clone().with_shards(1), &wl, None).unwrap();
+    assert_eq!(one.delivered_packets, 2 * net.num_endpoints() as u64);
+    let two = cfg.with_shards(2);
+    let err = simulate(&net, &two, &wl, None).unwrap_err();
+    assert!(
+        matches!(&err, SimError::Lookahead(m)
+            if m.contains("link_latency_ns = 0") && m.contains("router_latency_ns = 0")),
+        "{err:?}"
+    );
+    let sim = ParallelSimulator::new(&net, &two);
+    assert_eq!(sim.try_run_with_offered_load(&wl, 0.5).unwrap_err(), err);
+    let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&wl))).unwrap_err();
+    assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
+}
 
 /// The polling reference shares the finite half of the front door.
 #[test]
