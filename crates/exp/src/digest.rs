@@ -15,10 +15,11 @@
 //! * The steady-state time-series and measurement-window summary.
 //! * The fault counters.
 //! * **Not** [`EngineCounters`](spectralfly_simnet::EngineCounters): events/parks/wakeups are engine bookkeeping,
-//!   not simulation semantics, and they legitimately differ between the
-//!   sequential and sharded engines (and across shard counts). Including them
-//!   would make every cross-engine digest comparison fail by construction; the
-//!   PDES equivalence tests strip them for the same reason.
+//!   not simulation semantics, and some of them (arena high-water marks, and
+//!   event counts under a fault script, which every shard replays)
+//!   legitimately differ across shard counts. Including them would make every
+//!   cross-shard digest comparison fail by construction; the PDES equivalence
+//!   tests strip them for the same reason.
 
 use spectralfly_simnet::{SimError, SimResults};
 

@@ -142,10 +142,9 @@ pub struct Experiment {
     /// Oracle-policy axis.
     pub oracles: Vec<String>,
     /// Engine shard counts. Every value of this axis must produce the
-    /// identical results digest (the runner asserts it) — `1` dispatches the
-    /// sequential wakeup engine, `>1` the conservative parallel engine, so
-    /// listing `[1, 2, 4]` locks the cross-engine equivalence guarantee and
-    /// is only valid in the regime where it holds (tie-free workloads).
+    /// identical results digest (the runner asserts it): `1` runs the event
+    /// core on the calling thread, `>1` on that many worker threads, so
+    /// listing `[1, 2, 4]` re-proves shard-count invariance on every run.
     pub shards: Vec<usize>,
     /// RNG seeds.
     pub seeds: Vec<u64>,

@@ -6,11 +6,11 @@
 //! Three invariants are enforced *during* the run, not just at check time:
 //!
 //! * **Shard equivalence** — within one point, every shard count on the axis
-//!   must produce the identical results digest (1 dispatches the sequential
-//!   wakeup engine, >1 the conservative parallel engine). A divergence is a
-//!   hard [`RunError::ShardDivergence`], because it means an engine
-//!   equivalence guarantee the rest of the suite relies on has broken; a
-//!   baseline comparison would only say "drift" without naming the engines.
+//!   must produce the identical results digest (1 runs the event core on the
+//!   calling thread, >1 on that many worker threads). A divergence is a hard
+//!   [`RunError::ShardDivergence`], because it means the shard-count
+//!   invariance the rest of the suite relies on has broken; a baseline
+//!   comparison would only say "drift" without naming the shard counts.
 //! * **Packet conservation** — a finite point must end with every injected
 //!   packet delivered or terminally failed; anything else is a hard
 //!   [`RunError::Conservation`]. Likewise a mix of nothing but collectives,
@@ -33,7 +33,7 @@ use spectralfly_simnet::fault::{FaultPlan, FaultScript};
 use spectralfly_simnet::stats::TenantStats;
 use spectralfly_simnet::workload::{random_placement, Workload};
 use spectralfly_simnet::{
-    simulate, MeasurementWindows, OraclePolicy, SimConfig, SimError, SimNetwork, SimResults,
+    MeasurementWindows, OraclePolicy, SimConfig, SimError, SimNetwork, SimResults, Simulator,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -121,8 +121,8 @@ impl std::fmt::Display for RunError {
                 f,
                 "collective incomplete at {point}: {tenant} delivered {delivered} of {total} \
                  messages and no fault script lost the rest — the window closed first (raise \
-                 measure_ns), or the one-shard core deadlocked on a dense exchange, which it \
-                 does not report in steady mode (run the point at shards >= 2)"
+                 measure_ns), or the fabric wedged, which a steady run does not report as a \
+                 deadlock"
             ),
             RunError::NothingSelected { filter, sections } => write!(
                 f,
@@ -642,7 +642,11 @@ pub fn run_point(net: &SimNetwork, p: &Point) -> Result<PointResult, RunError> {
     let mut first = None;
     for &shards in &p.shards {
         let cfg = point_config(p, net, shards);
-        let outcome = simulate(net, &cfg, &wl, p.load);
+        let sim = Simulator::new(net, &cfg);
+        let outcome = match p.load {
+            None => sim.try_run(&wl),
+            Some(load) => sim.try_run_with_offered_load(&wl, load),
+        };
         digests.push((shards, digest_outcome(&outcome)));
         first.get_or_insert(outcome);
     }
@@ -1464,7 +1468,7 @@ bytes = 512
             "{text}"
         );
         assert!(
-            text.contains("measure_ns") && text.contains("shards >= 2"),
+            text.contains("measure_ns") && text.contains("wedged") && !text.contains("shards"),
             "{text}"
         );
         // Beside an open-loop tenant a collective may be starved by design.
@@ -1479,7 +1483,7 @@ bytes = 512
             format!(
                 "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)x2\"]\n\
                  routings = [\"minimal\"]\njobs = [\"alltoall(4096) x 16\"]\n{script}\
-                 shards = [2]\nseeds = [7]\nloads = [1.0]\nmode = \"steady\"\n\
+                 seeds = [7]\nloads = [1.0]\nmode = \"steady\"\n\
                  warmup_ns = 0\nmeasure_ns = 1000\n"
             )
         };

@@ -1,10 +1,10 @@
 //! Golden-digest battery over the pinned smoke manifest.
 //!
-//! Locks the engine-equivalence contract end to end: in the tie-free regime
-//! the sequential wakeup engine (shards = 1) and the conservative parallel
-//! engine (shards = 2, 4) must produce bit-identical `SimResults` digests,
-//! and the digests must match the checked-in release-recorded baselines —
-//! which also proves the digests are stable across optimisation profiles.
+//! Locks the shard-count contract end to end: one shard (on the calling
+//! thread) and two or four (on worker threads) must produce bit-identical
+//! `SimResults` digests, and the digests must match the checked-in
+//! release-recorded baselines — which also proves the digests are stable
+//! across optimisation profiles.
 
 use spectralfly_exp::{expand, runner, Baselines, Manifest, RunOptions, TopoSpec};
 use spectralfly_simnet::SimNetwork;
@@ -25,8 +25,6 @@ fn smoke_baselines() -> Baselines {
 
 /// Every shard count on the engine-equivalence axis — run *separately*, not
 /// through the runner's own divergence assertion — produces the same digest.
-/// shards = 1 is a different engine than shards > 1, so this is the
-/// sequential-vs-parallel cross-check, not just shard invariance.
 #[test]
 fn engine_equivalence_digests_are_bit_identical_across_shard_counts() {
     let m = smoke_manifest();
@@ -38,7 +36,7 @@ fn engine_equivalence_digests_are_bit_identical_across_shard_counts() {
     assert_eq!(
         exp.shards,
         vec![1, 2, 4],
-        "the battery must span the sequential engine and two parallel shardings"
+        "the battery must span one shard and two multi-shard runs"
     );
     let mut nets: BTreeMap<String, SimNetwork> = BTreeMap::new();
     for t in &exp.topologies {
@@ -111,13 +109,12 @@ fn smoke_manifest_reproduces_checked_in_golden_digests() {
     }
 }
 
-/// The parallel engine is shard-count-invariant even outside the tie-free
-/// regime: the degraded (faulted, steady-state) points must digest the same
-/// at 2 and 4 shards. Exercised here via the runner's own divergence check —
+/// Results are shard-count-invariant on degraded points too: the faulted,
+/// steady-state points must digest the same at 2 and 4 shards. Exercised here via the runner's own divergence check —
 /// a divergence would surface as `RunError::ShardDivergence`, not a silent
 /// baseline mismatch.
 #[test]
-fn parallel_engine_is_shard_invariant_on_degraded_points() {
+fn degraded_points_are_shard_invariant() {
     let m = smoke_manifest();
     let exp = m
         .experiments

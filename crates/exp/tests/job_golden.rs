@@ -10,16 +10,13 @@
 //! for untagged traffic — drifts a digest here before it ever reaches the
 //! recorded manifest baselines.
 //!
-//! Each engine is pinned separately: the sequential wakeup engine and the
-//! sharded credit-model engine legitimately schedule congested runs
-//! differently (see `pdes_equivalence.rs`), so "identical to the pre-jobs
-//! engine" means identical to *itself* before the jobs subsystem, per engine.
+//! The digests are the sharded engine's, and every cell runs at one shard
+//! and at two.
 
 use spectralfly_exp::digest_results;
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultPlan, MeasurementWindows, ParallelSimulator, SimConfig, SimNetwork, SimResults, Simulator,
-    Workload,
+    FaultPlan, MeasurementWindows, SimConfig, SimNetwork, SimResults, Simulator, Workload,
 };
 
 fn chordal_ring(n: usize, chords: &[(u32, u32)]) -> CsrGraph {
@@ -34,20 +31,20 @@ fn digest(label: &str, r: &SimResults) -> String {
     digest_results(r)
 }
 
-/// Scenario battery × per-engine golden digests
-/// `(scenario, sequential, parallel-2-shard)`. Recorded by this test itself
-/// (on drift it prints the full replacement table), pinned ever since.
-const GOLDEN: &[(&str, &str, &str)] = &[
-    ("finite/minimal", "1fb5ba409550d47e", "37ecdb6c9d141f78"),
-    ("offered/minimal", "74fcf712d21fe735", "2e8c0e65c72b3de4"),
-    ("steady/minimal", "fa042ba0c26f901b", "81a5ab6c2789f2ac"),
-    ("pattern/minimal", "e2c5efd5dabdbd60", "fb09278258fdb20d"),
-    ("faulted/minimal", "ddaeaa158e2566fa", "84d59827de575bca"),
-    ("finite/ugal-l", "2911fcd6fb899f8f", "d148da9a0dd87596"),
-    ("offered/ugal-l", "f21d40a0b12c1620", "eeaea0f67ebc4f4c"),
-    ("steady/ugal-l", "e7435949dee657ab", "9893cf0d76f29e57"),
-    ("pattern/ugal-l", "0f57091931bfd40e", "ef64e720c9caca18"),
-    ("faulted/ugal-l", "726a00359580c98c", "67e4cd85d099d4eb"),
+/// Scenario battery × golden digests `(scenario, digest)`. Recorded by this
+/// test itself (on drift it prints the full replacement table), pinned ever
+/// since.
+const GOLDEN: &[(&str, &str)] = &[
+    ("finite/minimal", "37ecdb6c9d141f78"),
+    ("offered/minimal", "2e8c0e65c72b3de4"),
+    ("steady/minimal", "81a5ab6c2789f2ac"),
+    ("pattern/minimal", "fb09278258fdb20d"),
+    ("faulted/minimal", "84d59827de575bca"),
+    ("finite/ugal-l", "d148da9a0dd87596"),
+    ("offered/ugal-l", "eeaea0f67ebc4f4c"),
+    ("steady/ugal-l", "9893cf0d76f29e57"),
+    ("pattern/ugal-l", "ef64e720c9caca18"),
+    ("faulted/ugal-l", "67e4cd85d099d4eb"),
 ];
 
 #[test]
@@ -58,18 +55,15 @@ fn jobless_runs_reproduce_pre_jobs_golden_digests() {
         SimNetwork::with_faults(graph, 2, &FaultPlan::parse("link(0,6)+link(2,9)").unwrap())
             .expect("dropping two chords leaves the ring spine connected");
 
-    let mut actual: Vec<(String, String, String)> = Vec::new();
+    let mut actual: Vec<(String, String)> = Vec::new();
     let mut record = |label: String,
                       net: &SimNetwork,
                       cfg: &SimConfig,
                       run: &dyn Fn(&SimNetwork, &SimConfig) -> SimResults| {
-        let seq = run(net, cfg);
-        let par = run(net, &cfg.clone().with_shards(2));
-        actual.push((
-            label.clone(),
-            digest(&format!("{label}/seq"), &seq),
-            digest(&format!("{label}/par"), &par),
-        ));
+        let one = digest(&label, &run(net, cfg));
+        let two = digest(&label, &run(net, &cfg.clone().with_shards(2)));
+        assert_eq!(one, two, "{label}: two shards diverged from one");
+        actual.push((label, one));
     };
 
     for routing in ["minimal", "ugal-l"] {
@@ -78,23 +72,11 @@ fn jobless_runs_reproduce_pre_jobs_golden_digests() {
         assert!(cfg.jobs.is_none(), "default config must be job-less");
         let wl = Workload::uniform_random(net.num_endpoints(), 4, 2048, cfg.seed);
 
-        let finite = |net: &SimNetwork, cfg: &SimConfig| -> SimResults {
-            if cfg.shards > 1 {
-                ParallelSimulator::new(net, cfg).run(&wl)
-            } else {
-                Simulator::new(net, cfg).run(&wl)
-            }
-        };
-        let offered = |net: &SimNetwork, cfg: &SimConfig| -> SimResults {
-            if cfg.shards > 1 {
-                ParallelSimulator::new(net, cfg)
-                    .try_run_with_offered_load(&wl, 0.4)
-                    .unwrap()
-            } else {
-                Simulator::new(net, cfg)
-                    .try_run_with_offered_load(&wl, 0.4)
-                    .unwrap()
-            }
+        let finite = |net: &SimNetwork, cfg: &SimConfig| Simulator::new(net, cfg).run(&wl);
+        let offered = |net: &SimNetwork, cfg: &SimConfig| {
+            Simulator::new(net, cfg)
+                .try_run_with_offered_load(&wl, 0.4)
+                .unwrap()
         };
 
         // Finite, workload-paced.
@@ -125,10 +107,9 @@ fn jobless_runs_reproduce_pre_jobs_golden_digests() {
     let drifted: Vec<String> = GOLDEN
         .iter()
         .zip(&actual)
-        .filter_map(|(&(id, seq, par), (aid, aseq, apar))| {
+        .filter_map(|(&(id, want), (aid, got))| {
             assert_eq!(id, aid.as_str(), "scenario battery order drifted");
-            (seq != aseq || par != apar)
-                .then(|| format!("    (\"{aid}\", \"{aseq}\", \"{apar}\"),"))
+            (want != got).then(|| format!("    (\"{aid}\", \"{got}\"),"))
         })
         .collect();
     assert!(

@@ -1,8 +1,8 @@
 //! The memory-scalable path-oracle tier: one trait, three representations.
 //!
 //! Every consumer of "distance and minimal next hops between routers" — the
-//! analytical layer, the sequential engine, the PDES engine, the routing
-//! registry — asks through [`PathOracle`], and the representation behind the
+//! analytical layer, the simulator's event core, the routing registry —
+//! asks through [`PathOracle`], and the representation behind the
 //! trait is chosen by topology size and structure:
 //!
 //! * [`DenseOracle`] — the existing [`DistanceMatrix`] + [`NextHopTable`] pair.

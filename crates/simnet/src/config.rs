@@ -183,12 +183,12 @@ pub struct SimConfig {
     /// plan) panics at simulator construction instead of silently measuring
     /// the wrong machine.
     pub faults: FaultPlan,
-    /// Worker-shard count for the parallel engine ([`crate::ParallelSimulator`]).
+    /// Shard count of the event core ([`crate::Simulator`]).
     ///
-    /// `1` (the default) runs the conservative PDES loop on a single shard; the
-    /// sequential wakeup engine ignores this field entirely. Results are
-    /// shard-count-invariant by construction, so this is a performance knob,
-    /// never a semantics knob.
+    /// `1` (the default) runs the one shard on the calling thread; more run
+    /// one worker thread per shard under the conservative epoch protocol.
+    /// Results are shard-count-invariant by construction, so this is a
+    /// performance knob, never a semantics knob.
     pub shards: usize,
     /// Runtime fault script: time-scheduled link/router failures and
     /// recoveries injected into the event loop while traffic is in flight
@@ -309,7 +309,7 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: set the worker-shard count used by the parallel engine.
+    /// Builder-style: set the shard count.
     ///
     /// # Panics
     /// If `shards` is zero.

@@ -9,6 +9,12 @@
 //! back to one overflow heap for far-future events, which migrate into the ring
 //! lazily as the cursor approaches them.
 //!
+//! A bucket sorts its heap into a run once it is the earliest one left, and
+//! pops from the run's end. Whole waves of events can share one timestamp
+//! (every packet of a finite run injected at `t = 0` moves in lockstep), and
+//! their tie-break keys arrive in no particular order: a heap that large pops
+//! along a random path through memory, a sorted run pops its next cache line.
+//!
 //! Correctness argument for the ring: items are only pushed at or after the
 //! time of the last popped item (`cursor_slot`), and anything at or beyond
 //! `cursor_slot + nbuckets` goes to the overflow heap, so at any instant each
@@ -27,9 +33,69 @@ pub(crate) trait Timed: Ord + Copy {
     fn time(&self) -> u64;
 }
 
+/// Capacity an emptied bucket keeps for reuse. A bucket that held a bigger
+/// wave gives the rest back; it would otherwise hold two wave-sized buffers,
+/// the run and the heap, until the end of the run.
+const KEEP: usize = 1024;
+
+/// One slot's items: `run`, sorted with its minimum last, and `heap`, the
+/// items pushed since the run was last sorted.
+struct Bucket<T: Timed> {
+    run: Vec<Reverse<T>>,
+    heap: BinaryHeap<Reverse<T>>,
+}
+
+impl<T: Timed> Bucket<T> {
+    fn is_empty(&self) -> bool {
+        self.run.is_empty() && self.heap.is_empty()
+    }
+
+    /// Once the run is spent, sort the heap into it (the two buffers swap,
+    /// so nothing is reallocated).
+    fn sort_heap(&mut self) {
+        if self.run.is_empty() && !self.heap.is_empty() {
+            let spent = std::mem::take(&mut self.run);
+            self.run = std::mem::replace(&mut self.heap, BinaryHeap::from(spent)).into_vec();
+            self.run.sort_unstable();
+        }
+    }
+
+    /// Whether the minimum is the heap's top rather than the run's end.
+    fn min_in_heap(&self) -> bool {
+        match (self.run.last(), self.heap.peek()) {
+            (Some(r), Some(h)) => h > r,
+            (r, _) => r.is_none(),
+        }
+    }
+
+    fn min(&self) -> Option<&T> {
+        let top = if self.min_in_heap() {
+            self.heap.peek()
+        } else {
+            self.run.last()
+        };
+        top.map(|Reverse(t)| t)
+    }
+
+    /// Remove the minimum.
+    fn pop(&mut self) -> T {
+        let top = if self.min_in_heap() {
+            self.heap.pop()
+        } else {
+            self.run.pop()
+        };
+        let Reverse(item) = top.expect("pop of a non-empty bucket");
+        if self.is_empty() {
+            self.run.shrink_to(KEEP);
+            self.heap.shrink_to(KEEP);
+        }
+        item
+    }
+}
+
 /// Bucketed calendar queue with an overflow heap for far-future items.
 pub(crate) struct CalendarQueue<T: Timed> {
-    buckets: Vec<BinaryHeap<Reverse<T>>>,
+    buckets: Vec<Bucket<T>>,
     far: BinaryHeap<Reverse<T>>,
     bucket_width: u64,
     /// `time / bucket_width` of the most recently popped item.
@@ -44,7 +110,12 @@ impl<T: Timed> CalendarQueue<T> {
         let bucket_width = bucket_width.max(1);
         let nbuckets = nbuckets.max(2);
         CalendarQueue {
-            buckets: (0..nbuckets).map(|_| BinaryHeap::new()).collect(),
+            buckets: (0..nbuckets)
+                .map(|_| Bucket {
+                    run: Vec::new(),
+                    heap: BinaryHeap::new(),
+                })
+                .collect(),
             far: BinaryHeap::new(),
             bucket_width,
             cursor_slot: 0,
@@ -69,7 +140,7 @@ impl<T: Timed> CalendarQueue<T> {
         );
         let n = self.buckets.len() as u64;
         if slot < self.cursor_slot + n {
-            self.buckets[(slot % n) as usize].push(Reverse(item));
+            self.buckets[(slot % n) as usize].heap.push(Reverse(item));
             self.in_buckets += 1;
         } else {
             self.far.push(Reverse(item));
@@ -78,6 +149,7 @@ impl<T: Timed> CalendarQueue<T> {
     }
 
     /// Remove and return the earliest item (ties broken by the item's `Ord`).
+    #[cfg(test)]
     pub fn pop(&mut self) -> Option<T> {
         self.pop_limited(None)
     }
@@ -85,7 +157,7 @@ impl<T: Timed> CalendarQueue<T> {
     /// Remove and return the earliest item if it is scheduled strictly before
     /// `limit`; leave the queue untouched otherwise.
     ///
-    /// This is the parallel engine's epoch primitive: with lookahead `E` and
+    /// This is the event loop's epoch primitive: with lookahead `E` and
     /// epoch floor `m`, every event before `m + E` is safe to process because
     /// any message still in flight from another shard carries a timestamp
     /// `≥ m + E`. The cursor may advance into `limit`'s bucket, which is safe
@@ -110,7 +182,7 @@ impl<T: Timed> CalendarQueue<T> {
         let n = self.buckets.len() as u64;
         let ring_t = (self.cursor_slot..self.cursor_slot + n)
             .map(|s| (s % n) as usize)
-            .find_map(|b| self.buckets[b].peek().map(|&Reverse(e)| e.time()));
+            .find_map(|b| self.buckets[b].min().map(|e| e.time()));
         match (ring_t, far_t) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, None) => a,
@@ -129,8 +201,8 @@ impl<T: Timed> CalendarQueue<T> {
             if slot >= self.cursor_slot + n {
                 break;
             }
-            let Reverse(item) = self.far.pop().expect("peeked");
-            self.buckets[(slot % n) as usize].push(Reverse(item));
+            let item = self.far.pop().expect("peeked");
+            self.buckets[(slot % n) as usize].heap.push(item);
             self.in_buckets += 1;
         }
         // The first non-empty bucket in cursor order holds the ring minimum.
@@ -141,38 +213,27 @@ impl<T: Timed> CalendarQueue<T> {
         } else {
             None
         };
-        let take_far = match (ring_min, self.far.peek()) {
-            (None, _) => true,
-            (Some(_), None) => false,
-            // Equal keys cannot happen across ring and overflow for the engine
-            // (every event has a unique seq), but order by full `Ord` anyway.
-            (Some(b), Some(Reverse(far_top))) => {
-                let Reverse(ring_top) = self.buckets[b].peek().expect("non-empty");
-                far_top < ring_top
-            }
-        };
-        if let Some(limit) = limit {
-            let earliest = if take_far {
-                let Reverse(top) = self.far.peek()?;
-                top.time()
-            } else {
-                let Reverse(top) = self.buckets[ring_min.expect("ring candidate")]
-                    .peek()
-                    .expect("non-empty");
-                top.time()
-            };
-            if earliest >= limit {
-                return None;
-            }
+        if let Some(b) = ring_min {
+            self.buckets[b].sort_heap();
         }
-        let item = if take_far {
-            let Reverse(item) = self.far.pop()?;
-            item
-        } else {
-            let b = ring_min.expect("ring candidate");
-            self.in_buckets -= 1;
-            let Reverse(item) = self.buckets[b].pop().expect("non-empty");
-            item
+        let ring_top = ring_min.and_then(|b| self.buckets[b].min());
+        let far_top = self.far.peek().map(|Reverse(top)| top);
+        // Order by full `Ord`, so the ring/overflow split never leaks into pop
+        // order (two equal items are interchangeable).
+        let take_far = match (ring_top, far_top) {
+            (Some(ring), Some(far)) => far < ring,
+            (ring, _) => ring.is_none(),
+        };
+        let earliest = if take_far { far_top? } else { ring_top? };
+        if limit.is_some_and(|limit| earliest.time() >= limit) {
+            return None;
+        }
+        let item = match ring_min.filter(|_| !take_far) {
+            Some(b) => {
+                self.in_buckets -= 1;
+                self.buckets[b].pop()
+            }
+            None => self.far.pop()?.0,
         };
         self.len -= 1;
         self.cursor_slot = item.time() / self.bucket_width;

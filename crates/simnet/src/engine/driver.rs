@@ -1,21 +1,19 @@
-//! The run driver both live engines share — everything about a run that does
-//! not depend on how buffers are modelled (docs/ARCHITECTURE.md § "One run
-//! driver, two flow-control cores"):
+//! The run driver — everything about a run that does not depend on how
+//! buffers are modelled (docs/ARCHITECTURE.md § "One run driver, one core"):
 //!
 //! * the front door, [`RunPlan::new`]: `(SimConfig, workload, optional load)`
 //!   → a validated [`Mode`] plus the expanded fault timeline, or the
 //!   [`SimError`] that says why no run can start;
-//! * [`Traffic`]: one core's continuous sources and collective trackers — the
+//! * [`Traffic`]: one shard's continuous sources and collective trackers — the
 //!   steady-state prelude ([`Traffic::arm`]) and the two per-message hooks of
-//!   the steady event loops;
-//! * [`Core`]: the three calls the shared code makes into an event core,
-//!   monomorphized per core.
+//!   the steady event loops, which call into the event core through three
+//!   `ShardCore` methods: `inject_message`, `schedule_source`, `arm_faults`.
 //!
-//! The cores keep different RNG disciplines (one run-global stream vs. one
-//! stream per source) and nothing here unifies them: the stream is a
-//! parameter ([`Draws`]), and the shared code draws from whichever
-//! `&mut StdRng` it is handed, in one fixed order — pattern, then gap.
+//! Every source draws from a stream of its own, seeded by `(seed, endpoint)`
+//! and consumed in one fixed order — pattern, then gap — so which shard owns
+//! a source cannot change its draws.
 
+use super::shard::{mix64, ShardCore};
 use super::{FaultRuntime, SimError};
 use crate::config::{MeasurementWindows, SimConfig};
 use crate::fault::{self, FaultTimeline};
@@ -25,24 +23,8 @@ use crate::pattern::{self, TrafficPattern};
 use crate::routing::Router;
 use crate::stats::StatsCollector;
 use crate::workload::Workload;
-use rand::{rngs::StdRng, Rng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
-
-/// What the shared driver needs from an event core.
-pub(crate) trait Core {
-    /// Packetize one message from `src_ep` to `dst_ep` through the source
-    /// endpoint's NIC (no earlier than `now`, behind whatever the NIC is still
-    /// serializing) and queue one injection per packet. `tag` attributes the
-    /// message to a tenant ([`UNTAGGED`] outside jobs mode).
-    fn inject_message(&mut self, now: u64, src_ep: usize, dst_ep: usize, bytes: u64, tag: MsgTag);
-
-    /// Queue the next arrival of source `source` (sending from `endpoint`).
-    fn schedule_source(&mut self, time: u64, source: u32, endpoint: usize);
-
-    /// Install the runtime fault machinery over `timeline` and queue its
-    /// first live entry (see [`fault_runtime`] for `finite`).
-    fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, finite: bool);
-}
 
 /// The tag of a message no tenant owns (every message outside jobs mode).
 pub(crate) const UNTAGGED: MsgTag = MsgTag {
@@ -50,17 +32,6 @@ pub(crate) const UNTAGGED: MsgTag = MsgTag {
     dst_rank: 0,
     round: u32::MAX,
 };
-
-/// Where a template source's draws come from — the one thing the two cores'
-/// traffic generation disagrees on. (Job sources own a stream on both.)
-pub(crate) enum Draws<'r> {
-    /// Every source shares the run-global stream (which the sequential core's
-    /// routing decisions also draw from).
-    RunGlobal(&'r mut StdRng),
-    /// Every source owns a stream, seeded from `(seed, endpoint)` by this
-    /// function.
-    PerSource(fn(u64, usize) -> StdRng),
-}
 
 /// How a run executes, decided once at the front door.
 pub(crate) enum Mode<'c> {
@@ -92,7 +63,7 @@ pub(crate) struct RunPlan<'c> {
 
 impl<'c> RunPlan<'c> {
     /// The front door: every rejection a configuration can earn, in one
-    /// place, before any simulation work. `setup` is the engine's
+    /// place, before any simulation work. `setup` is the simulator's
     /// construction-time resolution ([`super::resolve_router`]).
     pub(crate) fn new(
         net: &SimNetwork,
@@ -207,9 +178,8 @@ pub(crate) fn fault_runtime(
 
 /// A finite run ended with packets neither delivered nor terminally failed.
 /// With links still parked that is a genuine buffer deadlock, which the
-/// wakeup design makes a detectable quiescent state (a polling engine would
-/// spin on retries forever) and this a typed error; anything else is an
-/// engine bug.
+/// wakeup design makes a detectable quiescent state and this a typed error;
+/// anything else is an engine bug.
 pub(crate) fn undrained(
     undelivered: u64,
     parked: usize,
@@ -235,7 +205,7 @@ pub(crate) fn undrained(
 }
 
 /// What a steady-state run's sources send, resolved once per run and shared
-/// by every core (and every shard) of it.
+/// by every shard of it.
 pub(crate) enum TrafficPlan {
     /// Every sending endpoint of the workload cycles through its own
     /// messages.
@@ -336,7 +306,7 @@ struct Pace<'p> {
 impl Pace<'_> {
     /// Queue source `si`'s next arrival unless it falls past the end of
     /// injection.
-    fn schedule(&self, core: &mut impl Core, time: u64, si: usize, endpoint: usize) {
+    fn schedule(&self, core: &mut ShardCore<'_>, time: u64, si: usize, endpoint: usize) {
         if time < self.end_ps {
             core.schedule_source(time, si as u32, endpoint);
         }
@@ -351,23 +321,22 @@ impl Pace<'_> {
     }
 }
 
-/// One core's share of a steady-state run's traffic.
+/// One shard's share of a steady-state run's traffic.
 pub(crate) enum Traffic<'p> {
     Templates(TemplateSources<'p>),
     Jobs(Tenants<'p>),
 }
 
 impl<'p> Traffic<'p> {
-    /// The steady-state prelude, in the one order both cores replay: arm the
-    /// fault timeline, build the sources on endpoints `owns` accepts (the
-    /// sequential core owns them all) and schedule each one's first arrival,
-    /// then fire every owned rank's round-0 collective groups at `t = 0`.
-    pub(crate) fn arm<C: Core>(
-        core: &mut C,
+    /// The steady-state prelude, in the one order every shard replays: arm
+    /// the fault timeline, build the sources on endpoints `owns` accepts and
+    /// schedule each one's first arrival, then fire every owned rank's round-0
+    /// collective groups at `t = 0`.
+    pub(crate) fn arm(
+        core: &mut ShardCore<'_>,
         run: &'p RunPlan<'_>,
         steady: &'p Steady<'_>,
         owns: impl Fn(usize) -> bool,
-        draws: Draws<'_>,
     ) -> Self {
         if let Some(timeline) = &run.timeline {
             core.arm_faults(timeline, false);
@@ -379,23 +348,17 @@ impl<'p> Traffic<'p> {
         };
         match &steady.traffic {
             TrafficPlan::Templates(plan) => {
-                Traffic::Templates(TemplateSources::arm(core, pace, plan, owns, draws))
+                Traffic::Templates(TemplateSources::arm(core, pace, plan, owns))
             }
             TrafficPlan::Jobs(plan) => Traffic::Jobs(Tenants::arm(core, pace, plan, owns)),
         }
     }
 
     /// Source `si`'s arrival at `now`: generate its message and schedule its
-    /// next arrival. `draws` is the discipline the traffic was armed with.
-    pub(crate) fn next_message<C: Core>(
-        &mut self,
-        core: &mut C,
-        si: usize,
-        now: u64,
-        draws: Draws<'_>,
-    ) {
+    /// next arrival.
+    pub(crate) fn next_message(&mut self, core: &mut ShardCore<'_>, si: usize, now: u64) {
         match self {
-            Traffic::Templates(t) => t.spawn_message(core, si, now, draws),
+            Traffic::Templates(t) => t.spawn_message(core, si, now),
             Traffic::Jobs(t) => t.spawn_job_message(core, si, now),
         }
     }
@@ -406,7 +369,7 @@ impl<'p> Traffic<'p> {
     /// timestamp. A terminally failed collective message never gets here and
     /// stalls its destination rank's chain by design: collective completion
     /// semantics are delivery, not transmission.
-    pub(crate) fn collective_delivered<C: Core>(&mut self, core: &mut C, tag: MsgTag, now: u64) {
+    pub(crate) fn collective_delivered(&mut self, core: &mut ShardCore<'_>, tag: MsgTag, now: u64) {
         let Traffic::Jobs(tenants) = self else {
             unreachable!("collective tag outside jobs mode")
         };
@@ -420,8 +383,8 @@ impl<'p> Traffic<'p> {
     }
 
     /// End-of-run report: the completed collective ranks whose endpoints
-    /// `owns` accepts (trivially complete ranks are complete in every core's
-    /// tracker copy, so each core counts only its own and the merged total
+    /// `owns` accepts (trivially complete ranks are complete in every shard's
+    /// tracker copy, so each shard counts only its own and the merged total
     /// counts each rank once).
     pub(crate) fn report_ranks(&self, stats: &mut StatsCollector, owns: impl Fn(usize) -> bool) {
         let Traffic::Jobs(tenants) = self else {
@@ -443,52 +406,46 @@ pub(crate) struct TemplateSources<'p> {
     pace: Pace<'p>,
     plan: &'p TemplatePlan,
     sources: Vec<Source<'p>>,
-    /// One stream per source under [`Draws::PerSource`], else empty.
-    streams: Vec<StdRng>,
 }
 
 struct Source<'p> {
     endpoint: usize,
     templates: &'p [(usize, u64)],
     next_template: usize,
+    rng: StdRng,
+}
+
+/// A template source's stream: keyed by `(seed, endpoint)`, so its draws
+/// cannot depend on which shard owns it.
+fn source_rng(seed: u64, endpoint: usize) -> StdRng {
+    StdRng::seed_from_u64(mix64(seed).wrapping_add(mix64(endpoint as u64 ^ 0x005E_ED50_17CE)))
 }
 
 impl<'p> TemplateSources<'p> {
-    fn arm<C: Core>(
-        core: &mut C,
+    fn arm(
+        core: &mut ShardCore<'_>,
         pace: Pace<'p>,
         plan: &'p TemplatePlan,
         owns: impl Fn(usize) -> bool,
-        mut draws: Draws<'_>,
     ) -> Self {
         let alive = |e: usize| (plan.alive.as_ref()).is_none_or(|(_, rank)| rank[e] != u32::MAX);
-        let sources: Vec<Source<'p>> = (plan.templates.iter().enumerate())
+        let mut sources: Vec<Source<'p>> = (plan.templates.iter().enumerate())
             .filter(|(e, t)| !t.is_empty() && alive(*e) && owns(*e))
             .map(|(endpoint, templates)| Source {
                 endpoint,
                 templates,
                 next_template: 0,
+                rng: source_rng(pace.cfg.seed, endpoint),
             })
             .collect();
-        let mut streams: Vec<StdRng> = match draws {
-            Draws::RunGlobal(_) => Vec::new(),
-            Draws::PerSource(stream) => (sources.iter())
-                .map(|s| stream(pace.cfg.seed, s.endpoint))
-                .collect(),
-        };
-        for (si, s) in sources.iter().enumerate() {
-            let rng = match &mut draws {
-                Draws::RunGlobal(rng) => &mut **rng,
-                Draws::PerSource(_) => &mut streams[si],
-            };
-            let gap = pace.exp_gap(s.templates[0].1, rng);
+        for (si, s) in sources.iter_mut().enumerate() {
+            let gap = pace.exp_gap(s.templates[0].1, &mut s.rng);
             pace.schedule(core, gap, si, s.endpoint);
         }
         TemplateSources {
             pace,
             plan,
             sources,
-            streams,
         }
     }
 
@@ -504,11 +461,7 @@ impl<'p> TemplateSources<'p> {
     /// degraded network the pattern speaks in surviving-machine ranks: the
     /// source's rank goes in, the drawn rank is mapped back to a physical
     /// endpoint.
-    fn spawn_message<C: Core>(&mut self, core: &mut C, si: usize, now: u64, draws: Draws<'_>) {
-        let rng = match draws {
-            Draws::RunGlobal(rng) => rng,
-            Draws::PerSource(_) => &mut self.streams[si],
-        };
+    fn spawn_message(&mut self, core: &mut ShardCore<'_>, si: usize, now: u64) {
         let (pace, plan, src) = (self.pace, self.plan, &mut self.sources[si]);
         let (mut dst, bytes) = src.templates[src.next_template % src.templates.len()];
         src.next_template += 1;
@@ -517,7 +470,7 @@ impl<'p> TemplateSources<'p> {
                 None => src.endpoint,
                 Some((_, rank)) => rank[src.endpoint] as usize,
             };
-            let drawn = p.dst(src_rank, rng);
+            let drawn = p.dst(src_rank, &mut src.rng);
             // Hard assert (not debug_assert): TrafficPattern is a third-party
             // extension point, and an out-of-range destination would
             // otherwise index past the endpoint map far from the buggy draw.
@@ -535,7 +488,7 @@ impl<'p> TemplateSources<'p> {
         core.inject_message(now, src.endpoint, dst, bytes, UNTAGGED);
         // Next arrival of the (open-loop) Poisson process, measured from this
         // arrival.
-        let next = now.saturating_add(pace.exp_gap(bytes, rng));
+        let next = now.saturating_add(pace.exp_gap(bytes, &mut src.rng));
         pace.schedule(core, next, si, src.endpoint);
     }
 }
@@ -546,17 +499,17 @@ pub(crate) struct Tenants<'p> {
     pace: Pace<'p>,
     plan: &'p MixPlan,
     sources: Vec<JobSource>,
-    /// Per tenant, a collective's dependency tracker. Every core holds a full
+    /// Per tenant, a collective's dependency tracker. Every shard holds a full
     /// copy but drives — and at the end reports — only the ranks whose
     /// endpoints it owns: all packets of a message deliver at the destination
     /// rank's router, and the groups the delivery releases belong to that
-    /// same rank, so a release never needs another core's state.
+    /// same rank, so a release never needs another shard's state.
     collectives: Vec<Option<CollectiveState>>,
 }
 
 /// One rank of an open-loop tenant, driving the tenant's [`RateProcess`] from
-/// a dedicated per-endpoint RNG (see [`job::source_rng`]) on both cores, so
-/// open-loop injection schedules are engine- and shard-count-invariant.
+/// a dedicated per-endpoint RNG (see [`job::source_rng`]), so open-loop
+/// injection schedules are shard-count-invariant.
 struct JobSource {
     endpoint: usize,
     tenant: u32,
@@ -571,8 +524,8 @@ struct JobSource {
 }
 
 impl<'p> Tenants<'p> {
-    fn arm<C: Core>(
-        core: &mut C,
+    fn arm(
+        core: &mut ShardCore<'_>,
         pace: Pace<'p>,
         plan: &'p MixPlan,
         owns: impl Fn(usize) -> bool,
@@ -624,7 +577,7 @@ impl<'p> Tenants<'p> {
     /// One open-loop arrival of source `si`: draw the destination rank from
     /// the tenant's pattern, inject the message, and schedule the source's
     /// next arrival from its rate process.
-    fn spawn_job_message<C: Core>(&mut self, core: &mut C, si: usize, now: u64) {
+    fn spawn_job_message(&mut self, core: &mut ShardCore<'_>, si: usize, now: u64) {
         let (pace, s) = (self.pace, &mut self.sources[si]);
         let tenant = &self.plan.tenants[s.tenant as usize];
         let JobBehavior::OpenLoop(spec) = &tenant.behavior else {
@@ -650,10 +603,10 @@ impl<'p> Tenants<'p> {
 /// Fire collective group `g` of tenant `ti` at time `now`: inject its sends
 /// and cascade through any same-rank follow-up groups the firing itself
 /// unblocks (rounds with no inbound dependencies). Every group fired here
-/// belongs to a rank the core owns, so every send originates from an owned
+/// belongs to a rank the shard owns, so every send originates from an owned
 /// endpoint.
-fn fire_collective<C: Core>(
-    core: &mut C,
+fn fire_collective(
+    core: &mut ShardCore<'_>,
     endpoints: &[usize],
     ti: u32,
     cs: &mut CollectiveState,

@@ -1,13 +1,23 @@
-//! Conservative parallel discrete-event engine (PDES): routers are partitioned
-//! across worker shards, each shard runs its own calendar queue and packet
-//! arena, and the shards advance in barrier-synchronized epochs bounded by the
-//! network's minimum cross-router latency (the *lookahead*).
+//! The event core: routers are partitioned into shards, each shard runs its
+//! own calendar queue and packet arena, and the shards advance in epochs
+//! bounded by the network's minimum cross-router latency (the *lookahead*) —
+//! on the calling thread at one shard, on one worker thread per shard, behind
+//! barriers, otherwise.
 //!
-//! This module is the sender-held-credit *core* — `ShardCore`, its event
-//! handlers, the epoch loop — plus the shard launcher and outcome fold around
-//! it. What a run is (the front door, sources, jobs, fault arming) is the
-//! shared `driver` module's, written once for both engines; each shard hands
-//! it an `owns(endpoint)` predicate and per-source RNG streams.
+//! This module is the sender-held-credit core — `ShardCore`, its event
+//! handlers, the epoch loop — plus [`Simulator`], which launches the shards
+//! and folds their outcomes. What a run is (the front door, sources, jobs,
+//! fault arming) is the `driver` module's; each shard hands it an
+//! `owns(endpoint)` predicate.
+//!
+//! # Flow control
+//!
+//! Buffer capacity is enforced by *per-(link, VC) sender-held credits* (an
+//! input-queued router): a link holds one credit per downstream buffer slot
+//! of each VC, spends one to transmit, and gets it back when the packet
+//! leaves that slot — `E` after the fact, modelling the credit signal's
+//! reverse propagation. A sender never reads a remote router's buffer
+//! counter, which is what lets the routers live on different shards.
 //!
 //! # Synchronization protocol
 //!
@@ -18,20 +28,27 @@
 //! therefore a global lookahead, and the classic conservative bound applies:
 //! with `m` the minimum pending-event time across all shards, every event
 //! strictly before `m + E` can be processed without ever receiving a
-//! straggler. Each epoch runs three barriers:
+//! straggler. Each epoch runs up to three barriers:
 //!
 //! 1. every shard publishes its earliest pending-event time; after the
 //!    barrier, every shard reduces the same global minimum `m` (and the run
 //!    terminates when `m` is `u64::MAX`, or passes the drain deadline);
-//! 2. every shard publishes its routers' buffer occupancy to a shared board;
-//!    after the barrier, every shard snapshots the whole board — the
-//!    epoch-consistent congestion view UGAL's remote signals read;
+//! 2. only for a routing that reads remote occupancy
+//!    ([`crate::Router::reads_remote_occupancy`]): every shard publishes its
+//!    routers' buffer occupancy to a shared board; after the barrier, every
+//!    shard snapshots the whole board — the epoch-consistent congestion view
+//!    UGAL-G's remote signal reads;
 //! 3. every shard processes its events strictly below `m + E`, queueing
 //!    cross-shard packet handoffs and credit returns as timestamped messages,
 //!    then settles every credit return below `m + E`; after the barrier, every
 //!    shard drains its inbox — packets into its own queue, credit returns into
 //!    its per-source FIFOs (every message carries a timestamp `≥ m + E`, i.e.
 //!    next epoch or later).
+//!
+//! One shard runs the same epochs with no barrier and no inbox: `m` is its own
+//! next time, and the board is a copy of its own occupancy. The epoch bound
+//! still decides when a parked link is woken and when the congestion view
+//! refreshes, so a one-shard run is the many-shard run, event for event.
 //!
 //! A credit return is not an event. Each shard keeps one time-ordered FIFO of
 //! pending returns per source shard (a shard produces its returns in pop
@@ -60,18 +77,12 @@
 //!   depends only on the deterministic event set), so the congestion snapshots
 //!   refresh at the same simulated times everywhere.
 //!
-//! The flow-control model differs from the sequential engine in one deliberate
-//! way: buffer capacity is enforced by *per-(link, VC) sender-held credits*
-//! (an input-queued router), because a sender cannot synchronously read a
-//! remote router's shared buffer counter. The sequential [`super::Simulator`]
-//! remains the physics oracle: on uncongested runs — where backpressure never
-//! engages — the two engines produce identical results, and on congested runs
-//! the parallel engine is validated by conservation and invariant checks plus
-//! exact cross-shard-count equality (see `tests/pdes_equivalence.rs`).
+//! `tests/pdes_equivalence.rs` holds every shard count to the one-shard run,
+//! exactly, under congestion.
 
 use super::calendar::{CalendarQueue, Timed};
-use super::driver::{self, Core, Draws, Mode, RunPlan, Steady, Traffic, UNTAGGED};
-use super::{packetize, segment_message, DropReason, FaultRuntime, SimError};
+use super::driver::{self, Mode, RunPlan, Steady, Traffic};
+use super::{packetize, segment_message, DropReason, FaultRuntime, Packet, SimError};
 use crate::config::SimConfig;
 use crate::fault::{FaultEventKind, FaultTimeline};
 use crate::job::MsgTag;
@@ -79,7 +90,7 @@ use crate::network::SimNetwork;
 use crate::routing::{self, RouteScratch, Router, RoutingCtx, RoutingState};
 use crate::stats::{EngineCounters, FaultStats, IntervalSample, SimResults, StatsCollector};
 use crate::workload::Workload;
-use rand::{rngs::StdRng, RngCore, SeedableRng};
+use rand::RngCore;
 use spectralfly_graph::csr::VertexId;
 use spectralfly_graph::{partition_kway, BisectConfig};
 use std::collections::hash_map::Entry;
@@ -113,7 +124,7 @@ fn key(class: u64, id: u64) -> u64 {
 
 /// SplitMix64 finalizer (the same mixer the workspace `rand` shim seeds with).
 #[inline]
-fn mix64(x: u64) -> u64 {
+pub(super) fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -146,41 +157,8 @@ impl RngCore for DecisionRng {
     }
 }
 
-/// A packet in a shard's arena. Unlike the sequential engine's packet, it is
-/// self-describing (stable id, message identity, upstream credit slot) so it
-/// can cross shard boundaries by value.
-#[derive(Clone, Debug)]
-struct ParPacket {
-    src_router: VertexId,
-    dst_router: VertexId,
-    bytes: u64,
-    inject_time_ps: u64,
-    hops: u32,
-    routing: RoutingState,
-    /// Globally unique, shard-count-invariant packet id (event keys, RNG).
-    stable_id: u64,
-    /// Message identity and completion accounting, carried with the packet so
-    /// the destination shard can account messages without a global map.
-    msg_id: u64,
-    msg_total: u32,
-    msg_first_inject: u64,
-    /// Link and VC whose credit this packet holds (`u32::MAX` right after
-    /// injection — an injected packet consumed no link credit).
-    via_link: u32,
-    via_vc: u8,
-    /// Times this packet has been dropped and rescheduled (fault runs only).
-    attempts: u32,
-    /// First time this packet was dropped (`u64::MAX` = never): recovery time
-    /// is measured from here to eventual delivery.
-    first_drop_ps: u64,
-    /// Tenant / collective tag (tenant `u32::MAX` = untagged legacy traffic).
-    /// Carried by value so the destination shard can account per-tenant stats
-    /// and collective releases without a global map.
-    tag: MsgTag,
-}
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum PKind {
+enum EventKind {
     /// A continuous source generates its next message (steady-state only).
     NextMessage { source: u32 },
     /// Endpoint NIC injects a packet at its (local) source router.
@@ -205,13 +183,13 @@ enum PKind {
 /// events sharing a `(time, key)` pair are identical wakes, of which the
 /// first wakes the link and the rest find it awake).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct PEvent {
+struct Event {
     time: u64,
     key: u64,
-    kind: PKind,
+    kind: EventKind,
 }
 
-impl Timed for PEvent {
+impl Timed for Event {
     fn time(&self) -> u64 {
         self.time
     }
@@ -225,14 +203,14 @@ enum ShardMsg {
     Arrive {
         time: u64,
         router: VertexId,
-        packet: ParPacket,
+        packet: Packet,
     },
     /// A credit return, tagged with the shard that produced it (the FIFO it
     /// joins on the receiving side).
     Credit { from: usize, ret: CreditReturn },
     /// A dropped packet returns to its source NIC on the shard owning its
     /// source router, re-entering as a fresh injection.
-    Retransmit { time: u64, packet: ParPacket },
+    Retransmit { time: u64, packet: Packet },
 }
 
 /// A buffer credit on its way back to the sender side of `link`: it refills
@@ -331,7 +309,7 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
-/// State shared between all shards of one run.
+/// State shared between the shards of a run on more than one shard.
 struct EpochShared {
     barrier: PoisonBarrier,
     /// Each shard's earliest pending-event time, published before barrier 1.
@@ -339,19 +317,74 @@ struct EpochShared {
     /// Cross-shard message inboxes, appended before barrier 3 and drained by
     /// the owner after it.
     inboxes: Vec<Mutex<Vec<ShardMsg>>>,
+    /// Empty unless the routing reads remote occupancy.
     board: Mutex<SnapshotBoard>,
 }
 
 impl EpochShared {
-    fn new(shards: usize, net: &SimNetwork, cfg: &SimConfig) -> Self {
+    fn new(shards: usize, net: &SimNetwork, cfg: &SimConfig, board: bool) -> Self {
+        let routers = if board { net.num_routers() } else { 0 };
         EpochShared {
             barrier: PoisonBarrier::new(shards),
             next_times: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
             inboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             board: Mutex::new(SnapshotBoard {
-                occupancy: vec![0; net.num_routers() * cfg.num_vcs],
-                router_occ: vec![0; net.num_routers()],
+                occupancy: vec![0; routers * cfg.num_vcs],
+                router_occ: vec![0; routers],
             }),
+        }
+    }
+
+    /// Barrier 1: publish `core`'s next time and reduce the global minimum.
+    fn min_next_time(&self, core: &ShardCore<'_>) -> u64 {
+        self.next_times[core.sid].store(core.next_time(), Ordering::Relaxed);
+        self.barrier.wait();
+        (self.next_times.iter())
+            .map(|a| a.load(Ordering::Relaxed))
+            .min()
+            .expect("at least one shard")
+    }
+
+    /// Barrier 2: publish `core`'s routers' occupancy, then snapshot the
+    /// whole board into its congestion view.
+    fn exchange_board(&self, core: &mut ShardCore<'_>) {
+        {
+            let mut board = self.board.lock().unwrap_or_else(|e| e.into_inner());
+            for &r in &core.my_routers {
+                let r = r as usize;
+                board.router_occ[r] = core.router_occ[r];
+                board.occupancy[r * core.nv..(r + 1) * core.nv]
+                    .copy_from_slice(&core.occupancy[r * core.nv..(r + 1) * core.nv]);
+            }
+        }
+        self.barrier.wait();
+        let board = self.board.lock().unwrap_or_else(|e| e.into_inner());
+        core.occ_view.copy_from_slice(&board.occupancy);
+        core.rocc_view.copy_from_slice(&board.router_occ);
+    }
+
+    /// Barrier 3: hand `core`'s outboxes to their shards, then drain its own
+    /// inbox into its queue and credit FIFOs.
+    fn exchange_messages(&self, core: &mut ShardCore<'_>) {
+        for dest in 0..core.out.len() {
+            if dest == core.sid || core.out[dest].is_empty() {
+                continue;
+            }
+            let mut outbox = std::mem::take(&mut core.out[dest]);
+            self.inboxes[dest]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .append(&mut outbox);
+            core.out[dest] = outbox; // keep the allocation
+        }
+        self.barrier.wait();
+        let msgs = std::mem::take(
+            &mut *self.inboxes[core.sid]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner()),
+        );
+        for msg in msgs {
+            core.deliver_msg(msg);
         }
     }
 }
@@ -369,14 +402,17 @@ struct ShardOutcome {
     parked: usize,
 }
 
-/// One worker shard's complete simulation state. Arrays are indexed in the
-/// *global* id space (routers, links) — each shard only ever touches its owned
-/// region, and global indexing keeps every id stable across shard counts.
-struct ShardCore<'a> {
+/// One shard's complete simulation state. Arrays are indexed in the *global*
+/// id space (routers, links) — each shard only ever touches its owned region,
+/// and global indexing keeps every id stable across shard counts.
+pub(super) struct ShardCore<'a> {
     sid: usize,
     net: &'a SimNetwork,
     cfg: &'a SimConfig,
     algo: &'a dyn Router,
+    /// Whether `algo` reads remote occupancy: the congestion view is kept
+    /// (and refreshed every epoch) only then.
+    reads_board: bool,
     owner: &'a [u32],
     /// The conservative lookahead `E = link_latency + router_latency`, ps.
     lookahead: u64,
@@ -386,7 +422,7 @@ struct ShardCore<'a> {
     my_links: Vec<usize>,
     /// Routers owned by this shard.
     my_routers: Vec<VertexId>,
-    packets: Vec<ParPacket>,
+    packets: Vec<Packet>,
     free: Vec<usize>,
     link_queue: Vec<VecDeque<usize>>,
     link_qlen: Vec<u32>,
@@ -415,12 +451,13 @@ struct ShardCore<'a> {
     /// Live occupancy of owned routers (capacity/injection gating).
     occupancy: Vec<u32>,
     router_occ: Vec<u32>,
-    /// Epoch-consistent snapshot of *all* routers' occupancy (routing signals).
+    /// Epoch-consistent snapshot of *all* routers' occupancy (routing
+    /// signals; empty unless `reads_board`).
     occ_view: Vec<u32>,
     rocc_view: Vec<u32>,
     pending_inject: Vec<VecDeque<usize>>,
     pending_len: Vec<u32>,
-    queue: CalendarQueue<PEvent>,
+    queue: CalendarQueue<Event>,
     route_scratch: RouteScratch,
     /// Runtime liveness view for fault-script runs (`None` = pristine run,
     /// zero hot-path overhead). Every shard holds its own copy, kept identical
@@ -432,8 +469,7 @@ struct ShardCore<'a> {
     /// of a message deliver at one destination router, hence at one shard; a
     /// one-packet message completes without an entry.
     /// A terminally failed packet never decrements its entry, so a damaged
-    /// message is never recorded as completed — the countdown analogue of the
-    /// sequential engine's `msg_failed` poisoning.
+    /// message is never recorded as completed.
     msgs: HashMap<u64, MsgEntry>,
     /// Collective messages fully delivered since the last drain, handed to the
     /// steady driving closure whose [`Traffic`] owns the dependency trackers
@@ -462,12 +498,14 @@ struct ShardCore<'a> {
 }
 
 impl<'a> ShardCore<'a> {
-    /// Shard `sid` of `sim`'s partition, collecting into `stats`.
-    fn new(sid: usize, sim: &'a ParallelSimulator<'_>, stats: StatsCollector) -> Self {
+    /// Shard `sid` of `sim`'s partition, collecting into `stats`, with the
+    /// packets of `arena` in its arena (see [`ShardCore::inject_arena`]).
+    fn new(sid: usize, sim: &'a Simulator<'_>, stats: StatsCollector, arena: Vec<Packet>) -> Self {
         let (net, cfg, owner) = (sim.net, sim.cfg, &sim.owner[..]);
         let (shards, lookahead) = (cfg.shards, sim.lookahead);
-        let algo = (sim.router.as_deref())
-            .expect("the front door returns the setup error before any shard is built");
+        let algo = sim.algo();
+        let reads_board = algo.reads_remote_occupancy();
+        let view = if reads_board { net.num_routers() } else { 0 };
         let nv = cfg.num_vcs;
         let links = net.num_directed_links();
         let my_routers: Vec<VertexId> = (0..net.num_routers() as VertexId)
@@ -482,13 +520,14 @@ impl<'a> ShardCore<'a> {
             net,
             cfg,
             algo,
+            reads_board,
             owner,
             lookahead,
             cap: cfg.buffer_packets_per_vc as u32,
             nv,
             my_links,
             my_routers,
-            packets: Vec::new(),
+            packets: arena,
             free: Vec::new(),
             link_queue: vec![VecDeque::new(); links],
             link_qlen: vec![0; links],
@@ -503,8 +542,8 @@ impl<'a> ShardCore<'a> {
             epoch_limit: 0,
             occupancy: vec![0; net.num_routers() * nv],
             router_occ: vec![0; net.num_routers()],
-            occ_view: vec![0; net.num_routers() * nv],
-            rocc_view: vec![0; net.num_routers()],
+            occ_view: vec![0; view * nv],
+            rocc_view: vec![0; view],
             pending_inject: vec![VecDeque::new(); net.num_routers()],
             pending_len: vec![0; net.num_routers()],
             queue: CalendarQueue::new(width, 1024),
@@ -533,14 +572,56 @@ impl<'a> ShardCore<'a> {
     }
 
     #[inline]
-    fn push(&mut self, time: u64, key: u64, kind: PKind) {
-        self.queue.push(PEvent { time, key, kind });
+    fn push(&mut self, time: u64, key: u64, kind: EventKind) {
+        self.queue.push(Event { time, key, kind });
     }
 
-    fn alloc_packet(&mut self, p: ParPacket) -> usize {
-        let slot = super::alloc_slot(&mut self.packets, &mut self.free, p);
+    /// Place `p` in the arena, reusing a freed slot when available, so
+    /// steady-state runs recycle slots.
+    fn alloc_packet(&mut self, p: Packet) -> usize {
+        let slot = match self.free.pop() {
+            Some(i) => {
+                self.packets[i] = p;
+                i
+            }
+            None => {
+                self.packets.push(p);
+                self.check_arena_index();
+                self.packets.len() - 1
+            }
+        };
         self.counters.arena_slots = self.counters.arena_slots.max(self.packets.len() as u64);
         slot
+    }
+
+    /// Events index the arena as `u32` (keeping them small — the queue moves
+    /// millions). An arena past 4G slots would be a >200 GB run, but fail
+    /// loudly rather than truncate.
+    fn check_arena_index(&self) {
+        assert!(
+            self.packets.len() <= u32::MAX as usize,
+            "packet arena exceeded u32 index space"
+        );
+    }
+
+    /// Queue the injection of every packet the arena was built with — a
+    /// finite run's share of the schedule, the packets injected at this
+    /// shard's routers.
+    fn inject_arena(&mut self) {
+        self.check_arena_index();
+        if self.fault.is_some() {
+            self.fstats.injected += self.packets.len() as u64;
+        }
+        self.counters.arena_slots = self.packets.len() as u64;
+        for (slot, p) in self.packets.iter().enumerate() {
+            self.queue.push(Event {
+                time: p.inject_time_ps,
+                key: key(CLASS_INJECT, p.stable_id),
+                kind: EventKind::Inject {
+                    packet: slot as u32,
+                },
+            });
+        }
     }
 
     #[inline]
@@ -575,13 +656,16 @@ impl<'a> ShardCore<'a> {
     /// Route a credit return to the shard owning the link's sender side.
     fn send_credit(&mut self, link: u32, vc: u8, time: u64) {
         let ret = CreditReturn { time, link, vc };
-        let o = self.owner[self.net.link_owner(link as usize).0 as usize] as usize;
-        if o == self.sid {
-            self.record_return(o, ret);
-        } else {
-            let from = self.sid;
-            self.out[o].push(ShardMsg::Credit { from, ret });
+        // At one shard every link is this shard's: skip the owner lookup.
+        if self.out.len() > 1 {
+            let o = self.owner[self.net.link_owner(link as usize).0 as usize] as usize;
+            if o != self.sid {
+                let from = self.sid;
+                self.out[o].push(ShardMsg::Credit { from, ret });
+                return;
+            }
         }
+        self.record_return(self.sid, ret);
     }
 
     /// Append a return to `from`'s FIFO (every return recorded during or
@@ -618,7 +702,7 @@ impl<'a> ShardCore<'a> {
     }
 
     fn push_wake(&mut self, time: u64, link: usize, vc: u8) {
-        let kind = PKind::Credit {
+        let kind = EventKind::Credit {
             link: link as u32,
             vc,
         };
@@ -629,10 +713,9 @@ impl<'a> ShardCore<'a> {
         );
     }
 
-    /// Park `link` until a credit for `(link, vc)` returns — the credit
-    /// analogue of the sequential engine's waiter lists. The wake goes at the
-    /// earliest recorded return if that lies below the epoch limit (no earlier
-    /// one can still arrive); otherwise the link waits in `unwoken`.
+    /// Park `link` until a credit for `(link, vc)` returns. The wake goes at
+    /// the earliest recorded return if that lies below the epoch limit (no
+    /// earlier one can still arrive); otherwise the link waits in `unwoken`.
     fn park(&mut self, link: usize, vc: u8) {
         self.link_parked[link] = true;
         self.waiting_vc[link] = vc;
@@ -676,7 +759,7 @@ impl<'a> ShardCore<'a> {
         let o = self.owner[self.packets[pi].src_router as usize] as usize;
         if o == self.sid {
             let k = key(CLASS_INJECT, self.packets[pi].stable_id);
-            self.push(time, k, PKind::Inject { packet: pi as u32 });
+            self.push(time, k, EventKind::Inject { packet: pi as u32 });
         } else {
             let packet = self.packets[pi].clone();
             self.free.push(pi);
@@ -693,7 +776,7 @@ impl<'a> ShardCore<'a> {
             self.push(
                 time,
                 k,
-                PKind::Arrive {
+                EventKind::Arrive {
                     packet: pi as u32,
                     router,
                 },
@@ -722,7 +805,7 @@ impl<'a> ShardCore<'a> {
                 self.push(
                     time,
                     k,
-                    PKind::Arrive {
+                    EventKind::Arrive {
                         packet: slot as u32,
                         router,
                     },
@@ -735,7 +818,7 @@ impl<'a> ShardCore<'a> {
                 self.push(
                     time,
                     k,
-                    PKind::Inject {
+                    EventKind::Inject {
                         packet: slot as u32,
                     },
                 );
@@ -745,10 +828,10 @@ impl<'a> ShardCore<'a> {
 
     /// Process one core event. `NextMessage` belongs to the driving loop
     /// (steady mode) and never reaches this.
-    fn handle_core(&mut self, ev: PEvent) {
+    fn handle_core(&mut self, ev: Event) {
         let now = ev.time;
         match ev.kind {
-            PKind::Inject { packet } => {
+            EventKind::Inject { packet } => {
                 let pi = packet as usize;
                 let router = self.packets[pi].src_router;
                 if let Some(fr) = self.fault.as_deref() {
@@ -776,8 +859,8 @@ impl<'a> ShardCore<'a> {
                     self.pending_len[router as usize] += 1;
                 }
             }
-            PKind::TryTransmit { link } => self.try_transmit(link as usize, now),
-            PKind::Arrive { packet, router } => {
+            EventKind::TryTransmit { link } => self.try_transmit(link as usize, now),
+            EventKind::Arrive { packet, router } => {
                 let pi = packet as usize;
                 if let Some(fr) = self.fault.as_deref() {
                     let via = self.packets[pi].via_link;
@@ -798,8 +881,8 @@ impl<'a> ShardCore<'a> {
                 self.enter_router(pi, router, now);
                 self.admit_pending(router, now);
             }
-            PKind::Fault { idx } => self.apply_fault(idx as usize, now),
-            PKind::Credit { link, vc } => {
+            EventKind::Fault { idx } => self.apply_fault(idx as usize, now),
+            EventKind::Credit { link, vc } => {
                 let l = link as usize;
                 if self.link_parked[l] && self.waiting_vc[l] == vc {
                     self.link_parked[l] = false;
@@ -810,11 +893,11 @@ impl<'a> ShardCore<'a> {
                     self.push(
                         t,
                         key(CLASS_TRY_TRANSMIT, l as u64),
-                        PKind::TryTransmit { link },
+                        EventKind::TryTransmit { link },
                     );
                 }
             }
-            PKind::NextMessage { .. } => {
+            EventKind::NextMessage { .. } => {
                 unreachable!("mode events are handled by the driving loop")
             }
         }
@@ -839,7 +922,7 @@ impl<'a> ShardCore<'a> {
             self.push(
                 t,
                 key(CLASS_TRY_TRANSMIT, link as u64),
-                PKind::TryTransmit { link: link as u32 },
+                EventKind::TryTransmit { link: link as u32 },
             );
             return;
         }
@@ -880,14 +963,13 @@ impl<'a> ShardCore<'a> {
             self.push(
                 t,
                 key(CLASS_TRY_TRANSMIT, link as u64),
-                PKind::TryTransmit { link: link as u32 },
+                EventKind::TryTransmit { link: link as u32 },
             );
         }
     }
 
     /// A packet just became resident at `router`: deliver if home, else pick a
-    /// port and enqueue. Mirrors the sequential `enter_router` with credit
-    /// returns in place of waiter wakeups.
+    /// port and enqueue.
     fn enter_router(&mut self, pi: usize, router: VertexId, now: u64) {
         self.packets[pi].routing.note_arrival(router);
         let dst = self.packets[pi].dst_router;
@@ -1004,7 +1086,7 @@ impl<'a> ShardCore<'a> {
             self.push(
                 t,
                 key(CLASS_TRY_TRANSMIT, link as u64),
-                PKind::TryTransmit { link: link as u32 },
+                EventKind::TryTransmit { link: link as u32 },
             );
         }
     }
@@ -1069,7 +1151,7 @@ impl<'a> ShardCore<'a> {
             self.push(
                 t,
                 key(CLASS_FAULT, idx as u64 + 1),
-                PKind::Fault {
+                EventKind::Fault {
                     idx: idx as u32 + 1,
                 },
             );
@@ -1181,8 +1263,9 @@ impl<'a> ShardCore<'a> {
             &mut self.route_scratch,
         );
         let port = self.algo.route(&mut ctx, &mut state);
-        // Hard assert, as in the sequential engine: Router is a third-party
-        // extension point.
+        // Hard assert (not debug_assert): Router is a third-party extension
+        // point, and an out-of-range port would otherwise silently index into
+        // the next router's link range far from the buggy decision.
         assert!(
             port < self.net.graph().degree(router),
             "router {} returned out-of-range port {port} at router {router}",
@@ -1204,7 +1287,7 @@ impl<'a> ShardCore<'a> {
                 self.push(
                     now,
                     k,
-                    PKind::Inject {
+                    EventKind::Inject {
                         packet: wpkt as u32,
                     },
                 );
@@ -1266,8 +1349,8 @@ impl<'a> ShardCore<'a> {
     fn into_outcome(self) -> ShardOutcome {
         ShardOutcome {
             delivered_packets: self.delivered_packets_total,
-            in_queues: self.link_queue.iter().map(|q| q.len()).sum(),
-            pending: self.pending_inject.iter().map(|q| q.len()).sum(),
+            in_queues: self.link_qlen.iter().map(|&q| q as usize).sum(),
+            pending: self.pending_len.iter().map(|&q| q as usize).sum(),
             occ_sum: self.occupancy.iter().sum(),
             parked: self.parked_count,
             stats: self.stats,
@@ -1278,54 +1361,41 @@ impl<'a> ShardCore<'a> {
     }
 }
 
-/// The conservative epoch loop: publish → reduce `m` → snapshot → process
-/// `< min(m + E, deadline + 1)` → exchange. `handle` dispatches one event
-/// (the steady driver intercepts `Sample` / `NextMessage` here).
+/// The conservative epoch loop: reduce `m` → refresh the congestion view →
+/// process `< min(m + E, deadline + 1)` → exchange. `shared` is `None` at one
+/// shard, where `m` is the core's own next time, the view is a copy of its
+/// own occupancy and there is nothing to exchange. `handle` dispatches one
+/// event (the steady driver intercepts `NextMessage` here).
 fn run_epochs<'a, F>(
     core: &mut ShardCore<'a>,
-    shared: &EpochShared,
+    shared: Option<&EpochShared>,
     deadline: Option<u64>,
     mut handle: F,
 ) where
-    F: FnMut(&mut ShardCore<'a>, PEvent),
+    F: FnMut(&mut ShardCore<'a>, Event),
 {
     loop {
-        shared.next_times[core.sid].store(core.next_time(), Ordering::Relaxed);
-        shared.barrier.wait(); // barrier 1: all next-times published
-        let m = shared
-            .next_times
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .min()
-            .expect("at least one shard");
+        let m = match shared {
+            Some(shared) => shared.min_next_time(core),
+            None => core.next_time(),
+        };
         // Every shard computes the same `m`, so every shard breaks together.
-        if m == u64::MAX {
+        if m == u64::MAX || deadline.is_some_and(|d| m > d) {
             break;
         }
-        if let Some(d) = deadline {
-            if m > d {
-                break;
+        if core.reads_board {
+            match shared {
+                Some(shared) => shared.exchange_board(core),
+                None => {
+                    core.occ_view.copy_from_slice(&core.occupancy);
+                    core.rocc_view.copy_from_slice(&core.router_occ);
+                }
             }
-        }
-        {
-            let mut board = shared.board.lock().unwrap_or_else(|e| e.into_inner());
-            for &r in &core.my_routers {
-                let r = r as usize;
-                board.router_occ[r] = core.router_occ[r];
-                board.occupancy[r * core.nv..(r + 1) * core.nv]
-                    .copy_from_slice(&core.occupancy[r * core.nv..(r + 1) * core.nv]);
-            }
-        }
-        shared.barrier.wait(); // barrier 2: board complete for this epoch
-        {
-            let board = shared.board.lock().unwrap_or_else(|e| e.into_inner());
-            core.occ_view.copy_from_slice(&board.occupancy);
-            core.rocc_view.copy_from_slice(&board.router_occ);
         }
         let mut limit = m.saturating_add(core.lookahead);
         if let Some(d) = deadline {
             // Cap at the drain deadline so over-deadline events are never
-            // popped — the sequential loop's break-before-count, exactly.
+            // popped.
             limit = limit.min(d.saturating_add(1));
         }
         core.epoch_limit = limit;
@@ -1339,25 +1409,8 @@ fn run_epochs<'a, F>(
         // Returns below the limit are what this epoch's credit events were:
         // settled now, they cannot hold the next published time back.
         core.settle_returns(limit - 1);
-        for dest in 0..core.out.len() {
-            if dest == core.sid || core.out[dest].is_empty() {
-                continue;
-            }
-            let mut outbox = std::mem::take(&mut core.out[dest]);
-            shared.inboxes[dest]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .append(&mut outbox);
-            core.out[dest] = outbox; // keep the allocation
-        }
-        shared.barrier.wait(); // barrier 3: all handoffs delivered
-        let msgs = std::mem::take(
-            &mut *shared.inboxes[core.sid]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
-        for msg in msgs {
-            core.deliver_msg(msg);
+        if let Some(shared) = shared {
+            shared.exchange_messages(core);
         }
     }
 }
@@ -1392,13 +1445,6 @@ fn join_shards<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> 
     outs
 }
 
-/// The per-source stream of a template source under [`Draws::PerSource`]:
-/// keyed by `(seed, endpoint)`, so a source's draws cannot depend on which
-/// shard owns it.
-fn source_rng(seed: u64, endpoint: usize) -> StdRng {
-    StdRng::seed_from_u64(mix64(seed).wrapping_add(mix64(endpoint as u64 ^ 0x005E_ED50_17CE)))
-}
-
 /// Per-endpoint NIC cursors and id counters for steady-state injections. Ids
 /// are `(endpoint << 40) | counter`, and an endpoint's injections happen in a
 /// deterministic local order (source arrivals and collective releases are
@@ -1410,9 +1456,21 @@ struct EndpointNics {
     pkt_counter: Vec<u64>,
 }
 
-impl Core for ShardCore<'_> {
-    /// On the shard owning `src_ep`'s router.
-    fn inject_message(&mut self, now: u64, src_ep: usize, dst_ep: usize, bytes: u64, tag: MsgTag) {
+/// The three calls the run driver makes into the core.
+impl ShardCore<'_> {
+    /// Packetize one message from `src_ep` to `dst_ep` through the source
+    /// endpoint's NIC (no earlier than `now`, behind whatever the NIC is still
+    /// serializing) and queue one injection per packet, on the shard owning
+    /// `src_ep`'s router. `tag` attributes the message to a tenant
+    /// ([`driver::UNTAGGED`] outside jobs mode).
+    pub(super) fn inject_message(
+        &mut self,
+        now: u64,
+        src_ep: usize,
+        dst_ep: usize,
+        bytes: u64,
+        tag: MsgTag,
+    ) {
         let net = self.net;
         let segments = segment_message(self.cfg, bytes);
         let mut t = now.max(self.nics.nic_free[src_ep]);
@@ -1428,7 +1486,7 @@ impl Core for ShardCore<'_> {
         for (pkt_bytes, nic_ser) in segments {
             let stable_id = ((src_ep as u64) << 40) | self.nics.pkt_counter[src_ep];
             self.nics.pkt_counter[src_ep] += 1;
-            let packet = ParPacket {
+            let packet = Packet {
                 src_router,
                 dst_router,
                 bytes: pkt_bytes,
@@ -1453,7 +1511,7 @@ impl Core for ShardCore<'_> {
             self.push(
                 t,
                 key(CLASS_INJECT, stable_id),
-                PKind::Inject {
+                EventKind::Inject {
                     packet: slot as u32,
                 },
             );
@@ -1462,60 +1520,60 @@ impl Core for ShardCore<'_> {
         self.nics.nic_free[src_ep] = t;
     }
 
-    fn schedule_source(&mut self, time: u64, source: u32, endpoint: usize) {
+    /// Queue the next arrival of source `source` (sending from `endpoint`).
+    pub(super) fn schedule_source(&mut self, time: u64, source: u32, endpoint: usize) {
         self.push(
             time,
             key(CLASS_NEXT_MESSAGE, endpoint as u64),
-            PKind::NextMessage { source },
+            EventKind::NextMessage { source },
         );
     }
 
-    /// Every shard arms (and then replays) the identical chain.
-    fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, finite: bool) {
+    /// Install the runtime fault machinery over `timeline` and queue its
+    /// first live entry (see [`driver::fault_runtime`] for `finite`). Every
+    /// shard arms (and then replays) the identical chain.
+    pub(super) fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, finite: bool) {
         let (runtime, first) = driver::fault_runtime(self.net, timeline, finite);
         if let Some((time, idx)) = first {
-            self.push(time, key(CLASS_FAULT, idx as u64), PKind::Fault { idx });
+            self.push(time, key(CLASS_FAULT, idx as u64), EventKind::Fault { idx });
         }
         self.fault = Some(runtime);
     }
 }
 
-/// The sharded conservative parallel simulator.
+/// The packet-level simulator.
 ///
-/// Drop-in counterpart to [`crate::Simulator`] driven by
-/// [`crate::SimConfig::shards`]: routers are assigned to worker shards by a
-/// recursive spectral bisection of the topology
-/// ([`spectralfly_graph::partition_kway`] — minimizing the links crossing
-/// shards minimizes cross-shard traffic), and the shards co-simulate under the
-/// conservative epoch protocol described in the
-/// [module documentation](self).
+/// Routers are assigned to [`SimConfig::shards`] shards by a recursive
+/// spectral bisection of the topology ([`spectralfly_graph::partition_kway`]
+/// — minimizing the links crossing shards minimizes cross-shard traffic).
+/// One shard runs on the calling thread; more co-simulate on one worker
+/// thread each under the conservative epoch protocol (see
+/// [the engine module](super) and docs/ARCHITECTURE.md § "The event core").
 ///
 /// Results are **shard-count-invariant**: for a given network, config, and
 /// workload, every shard count produces the identical [`SimResults`] —
 /// including the steady-state [`IntervalSample`] series, whose per-shard
-/// partials are folded by tick index on the main thread (engine counters
-/// excepted: arena high-water marks depend on the partition). The
-/// flow-control model is an input-queued
-/// variant of the sequential engine's (see the module docs), so uncongested
-/// runs also match [`crate::Simulator`] exactly.
-pub struct ParallelSimulator<'a> {
+/// partials are folded by tick index (engine counters excepted: arena
+/// high-water marks depend on the partition).
+pub struct Simulator<'a> {
     net: &'a SimNetwork,
     cfg: &'a SimConfig,
-    /// The routing algorithm, or why no run can start (see
+    /// The routing algorithm, resolved once from the registry at
+    /// construction — or why no run can start (see
     /// [`super::resolve_router`]).
     router: Result<Box<dyn Router>, SimError>,
     owner: Vec<u32>,
     lookahead: u64,
 }
 
-impl<'a> ParallelSimulator<'a> {
-    /// Create a parallel simulator over a network with a configuration,
-    /// running [`SimConfig::shards`] worker shards.
+impl<'a> Simulator<'a> {
+    /// Create a simulator over a network with a configuration.
     ///
-    /// An unregistered `cfg.routing`, a `cfg.faults` plan the network was
-    /// not built with, or a zero link + router latency (the conservative
-    /// lookahead would vanish) is reported by the first `try_*` call, exactly
-    /// as on [`crate::Simulator::new`].
+    /// A `cfg.routing` that names no registered algorithm (see
+    /// [`crate::routing`]), a `cfg.faults` plan the network was not built
+    /// with, or a zero link + router latency (the credit return delay and the
+    /// epoch length would vanish) is reported by the first `try_*` call (the
+    /// `run*` wrappers panic with the same message).
     ///
     /// # Panics
     /// If `cfg.shards` is zero.
@@ -1524,16 +1582,16 @@ impl<'a> ParallelSimulator<'a> {
         let lookahead = cfg.link_latency_ps() + cfg.router_latency_ps();
         let router = super::resolve_router(net, cfg).and_then(|router| match lookahead {
             0 => Err(SimError::Lookahead(format!(
-                "the parallel engine needs a positive conservative lookahead, but \
-                 link_latency_ns = {} and router_latency_ns = {} add up to 0 ps \
-                 (raise either, or run at shards = 1)",
+                "the simulator needs a positive lookahead (the credit return delay and \
+                 the epoch length), but link_latency_ns = {} and router_latency_ns = {} \
+                 add up to 0 ps",
                 cfg.link_latency_ns, cfg.router_latency_ns
             ))),
             _ => Ok(router),
         });
         let bisect = BisectConfig::default();
         let owner = partition_kway(net.graph(), cfg.shards, &bisect, PARTITION_SEED);
-        ParallelSimulator {
+        Simulator {
             net,
             cfg,
             router,
@@ -1547,38 +1605,70 @@ impl<'a> ParallelSimulator<'a> {
         &self.owner
     }
 
-    /// Run the workload with injections spaced exactly as the workload
-    /// specifies. Semantics match [`crate::Simulator::run`].
+    /// The routing algorithm, for the shards.
+    fn algo(&self) -> &dyn Router {
+        (self.router.as_deref())
+            .expect("the front door returns the setup error before any shard is built")
+    }
+
+    /// Run the workload with message injections spaced exactly as the workload specifies
+    /// (each source's messages additionally serialized through its NIC).
+    ///
+    /// Measurement windows, if configured, are ignored here: a workload-paced
+    /// run is finite and runs to completion.
     ///
     /// # Panics
     /// On a degraded network, if the workload is infeasible on the surviving
-    /// graph, or on a detected buffer deadlock — use
-    /// [`ParallelSimulator::try_run`] instead.
+    /// graph, or on a detected buffer deadlock — use [`Simulator::try_run`] to
+    /// handle the [`SimError`] instead.
     pub fn run(&self, workload: &Workload) -> SimResults {
         self.try_run(workload).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`ParallelSimulator::run`], returning infeasible-workload and deadlock
-    /// conditions as typed errors (see [`crate::Simulator::try_run`]).
+    /// [`Simulator::run`], rejecting workloads that a fault plan has made
+    /// infeasible: a referenced endpoint on a down router yields
+    /// [`crate::Infeasible::RouterDown`], a message pair separated by the
+    /// damage yields [`crate::Infeasible::Disconnected`] — both *before* any
+    /// simulation work, never as a hang or a mid-run panic. A run that
+    /// quiesces with packets parked in a cyclic head-of-line wait yields
+    /// [`SimError::Deadlock`].
     pub fn try_run(&self, workload: &Workload) -> Result<SimResults, SimError> {
         self.simulate(workload, None)
     }
 
-    /// Run with Poisson-spaced injections at an offered load in `(0, 1]`.
-    /// Semantics match [`crate::Simulator::run_with_offered_load`], including
-    /// the switch to steady-state measurement under [`SimConfig::windows`].
+    /// Run the workload with Poisson-spaced injections corresponding to an offered load in
+    /// `(0, 1]` — the fraction of endpoint injection bandwidth the sources try to use
+    /// (the x-axis of Figures 6–8 in the paper).
+    ///
+    /// Without [`SimConfig::windows`] this is a finite run: every workload message is
+    /// injected once (Poisson-spaced) and the network drains to empty. With windows
+    /// configured the run switches to **continuous per-endpoint Poisson sources** and
+    /// steady-state measurement (see [`crate::config::MeasurementWindows`]).
     ///
     /// # Panics
     /// On a degraded network, if the run is infeasible on the surviving graph
-    /// — use [`ParallelSimulator::try_run_with_offered_load`] instead.
+    /// — use [`Simulator::try_run_with_offered_load`] to handle the
+    /// [`SimError`] instead.
     pub fn run_with_offered_load(&self, workload: &Workload, offered_load: f64) -> SimResults {
         self.try_run_with_offered_load(workload, offered_load)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`ParallelSimulator::run_with_offered_load`], returning
-    /// infeasible-run and deadlock conditions as typed errors (see
-    /// [`crate::Simulator::try_run_with_offered_load`]).
+    /// [`Simulator::run_with_offered_load`], rejecting runs that a fault plan
+    /// has made infeasible. Finite runs validate every workload message pair
+    /// (like [`Simulator::try_run`]). Steady-state runs with a live
+    /// destination pattern ([`crate::config::MeasurementWindows::pattern`])
+    /// instead require every surviving router to sit in one connected
+    /// component ([`crate::Infeasible::Fragmented`] otherwise): the pattern
+    /// draws destinations across the whole surviving machine, and injection
+    /// is restricted to the endpoints of alive routers.
+    ///
+    /// The pattern's endpoint space is the *compacted* alive-endpoint rank
+    /// space. Uniform patterns are unaffected, but group-structured specs
+    /// (`adversarial(g)`, `nearest-group(g)`) see group boundaries shift by
+    /// however many endpoints died before them — once routers are down,
+    /// treat group-aligned results as approximate (or pass a group size in
+    /// surviving-rank units).
     pub fn try_run_with_offered_load(
         &self,
         workload: &Workload,
@@ -1587,8 +1677,8 @@ impl<'a> ParallelSimulator<'a> {
         self.simulate(workload, Some(offered_load))
     }
 
-    /// Through the shared front door, then into the finite or steady run.
-    pub(super) fn simulate(
+    /// Through the driver's front door, then into the finite or steady run.
+    fn simulate(
         &self,
         workload: &Workload,
         offered_load: Option<f64>,
@@ -1600,23 +1690,34 @@ impl<'a> ParallelSimulator<'a> {
         }
     }
 
-    /// The one shard launcher: a scoped thread per shard builds its
-    /// [`ShardCore`] (collecting into a fresh `stats()`), runs `drive` on it,
-    /// and hands its outcome back to the main thread.
+    /// The one shard launcher: each shard builds its [`ShardCore`] over its
+    /// arena (collecting into a fresh `stats()`), runs `drive` on it, and
+    /// hands its outcome back — on the calling thread at one shard, on a
+    /// scoped thread per shard otherwise.
     fn run_sharded(
         &self,
         stats: impl Fn() -> StatsCollector + Sync,
-        drive: impl Fn(&mut ShardCore<'_>, &EpochShared) + Sync,
+        arenas: Vec<Vec<Packet>>,
+        drive: impl Fn(&mut ShardCore<'_>, Option<&EpochShared>) + Sync,
     ) -> Vec<ShardOutcome> {
-        let shared = EpochShared::new(self.cfg.shards, self.net, self.cfg);
+        let mut arenas = arenas.into_iter();
+        let shards = self.cfg.shards;
+        if shards == 1 {
+            let mut core = ShardCore::new(0, self, stats(), arenas.next().unwrap_or_default());
+            drive(&mut core, None);
+            return vec![core.into_outcome()];
+        }
+        let board = self.algo().reads_remote_occupancy();
+        let shared = EpochShared::new(shards, self.net, self.cfg, board);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.cfg.shards)
+            let handles: Vec<_> = (0..shards)
                 .map(|sid| {
                     let (shared, stats, drive) = (&shared, &stats, &drive);
+                    let arena = arenas.next().unwrap_or_default();
                     scope.spawn(move || {
                         let _guard = PoisonGuard(&shared.barrier);
-                        let mut core = ShardCore::new(sid, self, stats());
-                        drive(&mut core, shared);
+                        let mut core = ShardCore::new(sid, self, stats(), arena);
+                        drive(&mut core, Some(shared));
                         core.into_outcome()
                     })
                 })
@@ -1656,10 +1757,9 @@ impl<'a> ParallelSimulator<'a> {
         results
     }
 
-    /// Finite drain-to-empty run: one epoch-synchronized co-simulation.
-    /// Packetization happens on the main thread with the same global RNG
-    /// stream as the sequential engine, so injection schedules are
-    /// byte-identical to [`crate::Simulator`]'s.
+    /// Finite drain-to-empty run. The schedule is packetized once, on the
+    /// calling thread, and each shard's arena starts as the packets injected
+    /// at its own routers — at one shard, the whole schedule, moved.
     fn run_finite(
         &self,
         run: &RunPlan<'_>,
@@ -1669,50 +1769,26 @@ impl<'a> ParallelSimulator<'a> {
         if workload.messages.is_empty() {
             return Ok(StatsCollector::default().finish());
         }
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let sched = packetize(self.net, self.cfg, workload, offered_load, &mut rng);
-        let launch = |core: &mut ShardCore<'_>, shared: &EpochShared| {
+        let sched = packetize(self.net, self.cfg, workload, offered_load);
+        let total = sched.len() as u64;
+        let arenas = if self.cfg.shards == 1 {
+            vec![sched]
+        } else {
+            let mut arenas: Vec<Vec<Packet>> = vec![Vec::new(); self.cfg.shards];
+            for p in sched {
+                arenas[self.owner[p.src_router as usize] as usize].push(p);
+            }
+            arenas
+        };
+        let launch = |core: &mut ShardCore<'_>, shared: Option<&EpochShared>| {
             if let Some(timeline) = &run.timeline {
                 core.arm_faults(timeline, true);
             }
-            // Every shard loads the packets injected at its own routers.
-            for (i, p) in sched.packets.iter().enumerate() {
-                if self.owner[p.src_router as usize] as usize != core.sid {
-                    continue;
-                }
-                let stable_id = i as u64;
-                let slot = core.alloc_packet(ParPacket {
-                    src_router: p.src_router,
-                    dst_router: p.dst_router,
-                    bytes: p.bytes,
-                    inject_time_ps: p.inject_time_ps,
-                    hops: 0,
-                    routing: p.routing.clone(),
-                    stable_id,
-                    msg_id: p.msg as u64,
-                    msg_total: sched.msg_packets_left[p.msg],
-                    msg_first_inject: sched.msg_first_inject[p.msg],
-                    via_link: u32::MAX,
-                    via_vc: 0,
-                    attempts: 0,
-                    first_drop_ps: u64::MAX,
-                    tag: UNTAGGED,
-                });
-                if core.fault.is_some() {
-                    core.fstats.injected += 1;
-                }
-                let packet = slot as u32;
-                core.push(
-                    p.inject_time_ps,
-                    key(CLASS_INJECT, stable_id),
-                    PKind::Inject { packet },
-                );
-            }
+            core.inject_arena();
             run_epochs(core, shared, None, |c, ev| c.handle_core(ev));
         };
-        let outs = self.run_sharded(StatsCollector::default, launch);
+        let outs = self.run_sharded(StatsCollector::default, arenas, launch);
 
-        let total = sched.packets.len() as u64;
         let delivered: u64 = outs.iter().map(|o| o.delivered_packets).sum();
         let failed: u64 = outs.iter().map(|o| o.fstats.failed).sum();
         if delivered + failed < total {
@@ -1735,11 +1811,11 @@ impl<'a> ParallelSimulator<'a> {
     fn run_steady(&self, run: &RunPlan<'_>, steady: &Steady<'_>) -> SimResults {
         let w = steady.windows;
         let deadline = w.deadline_ps();
-        let launch = |core: &mut ShardCore<'_>, shared: &EpochShared| {
+        let launch = |core: &mut ShardCore<'_>, shared: Option<&EpochShared>| {
             let sid = core.sid;
             let owns =
                 |ep: usize| self.owner[self.net.router_of_endpoint(ep) as usize] as usize == sid;
-            let mut traffic = Traffic::arm(core, run, steady, owns, Draws::PerSource(source_rng));
+            let mut traffic = Traffic::arm(core, run, steady, owns);
             // Sampling is event-free: each shard folds its local partial
             // whenever event time crosses a tick boundary (and below, after
             // the loop, for the trailing ticks).
@@ -1747,9 +1823,8 @@ impl<'a> ParallelSimulator<'a> {
             run_epochs(core, shared, Some(deadline), |c, ev| {
                 c.flush_sample_ticks(ev.time);
                 match ev.kind {
-                    PKind::NextMessage { source } => {
-                        let draws = Draws::PerSource(source_rng);
-                        traffic.next_message(c, source as usize, ev.time, draws);
+                    EventKind::NextMessage { source } => {
+                        traffic.next_message(c, source as usize, ev.time)
                     }
                     _ => c.handle_core(ev),
                 }
@@ -1763,7 +1838,7 @@ impl<'a> ParallelSimulator<'a> {
             core.flush_sample_ticks(deadline);
             traffic.report_ranks(&mut core.stats, owns);
         };
-        let outs = self.run_sharded(|| steady.traffic.stats(w), launch);
+        let outs = self.run_sharded(|| steady.traffic.stats(w), Vec::new(), launch);
         self.fold_outcomes(outs, steady.traffic.stats(w))
     }
 }
@@ -1771,6 +1846,8 @@ impl<'a> ParallelSimulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MeasurementWindows;
+    use crate::fault::FaultScript;
     use crate::workload::{Message, Workload};
     use spectralfly_graph::CsrGraph;
 
@@ -1789,6 +1866,145 @@ mod tests {
         r
     }
 
+    /// One `bytes`-byte message from endpoint 0 to `dst`.
+    fn one_message(dst: usize, bytes: u64) -> Workload {
+        let m = Message {
+            src: 0,
+            dst,
+            bytes,
+            inject_offset_ps: 0,
+        };
+        Workload::new("one", vec![m])
+    }
+
+    #[test]
+    fn single_packet_latency_is_deterministic_and_correct() {
+        // One 4096-byte packet over exactly one hop.
+        let net = SimNetwork::new(ring(4), 1);
+        let cfg = SimConfig::default();
+        let res = Simulator::new(&net, &cfg).run(&one_message(1, 4096));
+        assert_eq!((res.delivered_packets, res.delivered_messages), (1, 1));
+        // Latency = serialization + link latency + router latency.
+        let expected = cfg.serialization_ps(4096) + cfg.link_latency_ps() + cfg.router_latency_ps();
+        assert_eq!(res.max_packet_latency_ps, expected);
+        assert_eq!(res.mean_hops, 1.0);
+    }
+
+    /// Adaptive minimal routing splits a message to the antipode of a ring
+    /// across both directions, so packets can overtake each other; message
+    /// latency must still span first injection to last delivery.
+    #[test]
+    fn multi_packet_message_latency_spans_first_inject_to_last_delivery() {
+        let net = SimNetwork::new(ring(8), 1);
+        let res = Simulator::new(&net, &SimConfig::default()).run(&one_message(4, 10 * 4096));
+        assert_eq!((res.delivered_packets, res.delivered_messages), (10, 1));
+        assert_eq!(res.max_message_latency_ps, res.completion_time_ps);
+        assert!(res.max_message_latency_ps >= res.max_packet_latency_ps);
+    }
+
+    #[test]
+    fn message_segmentation_into_packets() {
+        // 10 KB message with 4 KB packets -> 3 packets (the last partial), 1 message.
+        let net = SimNetwork::new(ring(3), 1);
+        let res = Simulator::new(&net, &SimConfig::default()).run(&one_message(2, 10_240));
+        assert_eq!((res.delivered_packets, res.delivered_messages), (3, 1));
+        assert_eq!(res.delivered_bytes, 10_240);
+    }
+
+    #[test]
+    fn minimal_routing_takes_shortest_paths_when_uncongested() {
+        let net = SimNetwork::new(ring(10), 1);
+        let res = Simulator::new(&net, &SimConfig::default()).run(&one_message(5, 512));
+        assert_eq!(res.max_hops, 5);
+    }
+
+    #[test]
+    fn self_destination_on_same_router_is_delivered_without_hops() {
+        // Two endpoints on the same router exchange a message: zero network hops.
+        let net = SimNetwork::new(CsrGraph::from_edges(2, &[(0, 1)]), 2);
+        let res = Simulator::new(&net, &SimConfig::default()).run(&one_message(1, 256));
+        assert_eq!((res.delivered_packets, res.max_hops), (1, 0));
+    }
+
+    #[test]
+    fn congestion_increases_latency_with_offered_load() {
+        let net = SimNetwork::new(ring(8), 2);
+        let cfg = SimConfig::default();
+        let wl = Workload::uniform_random(net.num_endpoints(), 30, 4096, 5);
+        let sim = Simulator::new(&net, &cfg);
+        let light = sim.run_with_offered_load(&wl, 0.1);
+        let heavy = sim.run_with_offered_load(&wl, 0.9);
+        assert_eq!(light.delivered_packets, heavy.delivered_packets);
+        assert!(heavy.mean_packet_latency_ps > light.mean_packet_latency_ps);
+    }
+
+    /// Steady-state live patterns on a degraded network run over the surviving
+    /// machine; a fragmented or empty surviving machine is rejected up front.
+    #[test]
+    fn degraded_steady_pattern_runs_over_survivors() {
+        use crate::fault::{FaultError, FaultPlan, Infeasible};
+        let fragmented = |components| {
+            Err::<SimResults, _>(SimError::Fault(FaultError::Other(Infeasible::Fragmented {
+                components,
+            })))
+        };
+        let windows = MeasurementWindows::new(2_000_000, 20_000_000).with_pattern("random");
+        // The survivors of `router(2)` form a 7-router path: diameter 6.
+        let cfg = SimConfig::default()
+            .with_routing("ugal-l", 6)
+            .with_windows(windows);
+        let wl = Workload::uniform_random(16, 1, 4096, 5);
+        let run = |plan: &str| {
+            let plan = FaultPlan::parse(plan).unwrap();
+            let net = SimNetwork::with_faults(ring(8), 2, &plan).unwrap();
+            Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.3)
+        };
+        let m = run("router(2)").unwrap().measurement.expect("a summary");
+        assert!(m.delivered_packets > 20, "got {}", m.delivered_packets);
+        assert_eq!(run("link(0,7) + link(3,4)"), fragmented(2));
+        assert_eq!(run("routers(8)"), fragmented(0));
+    }
+
+    /// The config check compares the plan's full cache key, not just its
+    /// spelling: the same spec at another seed is other damage. `try_run`
+    /// says so, and `run` panics with the same text.
+    #[test]
+    fn config_fault_plan_with_wrong_seed_panics() {
+        use crate::fault::FaultPlan;
+        let plan = |seed| FaultPlan::random_links(0.2).with_seed(seed);
+        let net = SimNetwork::with_faults(ring(12), 1, &plan(1)).unwrap();
+        let cfg = SimConfig::default().with_fault_plan(plan(2));
+        let wl = Workload::uniform_random(net.num_endpoints(), 1, 1024, 1);
+        let sim = Simulator::new(&net, &cfg);
+        let err = sim.try_run(&wl).unwrap_err();
+        assert!(
+            matches!(&err, SimError::FaultPlanMismatch(m) if m.contains("does not match the network's")),
+            "{err:?}"
+        );
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(&wl)))
+            .expect_err("run must panic on a mismatched fault plan");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
+    }
+
+    /// A script whose events all lie past the fault horizon (1 ms by
+    /// default) leaves the run untouched and the fault stats clean.
+    #[test]
+    fn fault_script_beyond_horizon_is_inert() {
+        let net = SimNetwork::new(ring(6), 1);
+        let cfg = SimConfig::default()
+            .with_fault_script(FaultScript::parse("at(2ms, links(0.5))").unwrap());
+        let wl = Workload::uniform_random(net.num_endpoints(), 5, 1024, 3);
+        let res = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
+        assert_eq!(
+            (res.faults.fault_events, res.faults.dropped_total()),
+            (0, 0)
+        );
+        assert_eq!(res.faults.injected, res.faults.delivered);
+        let pristine = Simulator::new(&net, &SimConfig::default()).run(&wl);
+        assert_eq!(res.delivered_packets, pristine.delivered_packets);
+        assert_eq!(res.mean_packet_latency_ps, pristine.mean_packet_latency_ps);
+    }
+
     #[test]
     fn finite_results_are_identical_across_shard_counts() {
         let net = SimNetwork::new(ring(8), 2);
@@ -1798,41 +2014,12 @@ mod tests {
             let cfg = SimConfig::default()
                 .with_routing("ugal-l", net.diameter() as u32)
                 .with_shards(shards);
-            results.push(core_fields(&ParallelSimulator::new(&net, &cfg).run(&wl)));
+            results.push(core_fields(&Simulator::new(&net, &cfg).run(&wl)));
         }
         for r in &results[1..] {
             assert_eq!(results[0], *r);
         }
         assert!(results[0].delivered_packets > 0);
-    }
-
-    #[test]
-    fn uncongested_run_matches_sequential_engine_exactly() {
-        // Light load, shallow queues: backpressure never engages, so the
-        // input-queued credit model and the shared-buffer model coincide and
-        // minimal routing on a ring is tie-free below saturation pressure.
-        let net = SimNetwork::new(ring(6), 1);
-        let cfg = SimConfig::default().with_shards(2);
-        let wl = Workload::new(
-            "pair",
-            vec![
-                Message {
-                    src: 0,
-                    dst: 3,
-                    bytes: 9000,
-                    inject_offset_ps: 0,
-                },
-                Message {
-                    src: 4,
-                    dst: 1,
-                    bytes: 4096,
-                    inject_offset_ps: 500_000,
-                },
-            ],
-        );
-        let seq = crate::Simulator::new(&net, &cfg).run(&wl);
-        let par = ParallelSimulator::new(&net, &cfg).run(&wl);
-        assert_eq!(core_fields(&seq), core_fields(&par));
     }
 
     #[test]
@@ -1843,11 +2030,9 @@ mod tests {
         for shards in [1usize, 2, 4] {
             let cfg = SimConfig::default()
                 .with_routing("ugal-g", net.diameter() as u32)
-                .with_windows(crate::config::MeasurementWindows::new(
-                    2_000_000, 20_000_000,
-                ))
+                .with_windows(MeasurementWindows::new(2_000_000, 20_000_000))
                 .with_shards(shards);
-            let res = ParallelSimulator::new(&net, &cfg).run_with_offered_load(&wl, 0.4);
+            let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.4);
             results.push(core_fields(&res));
         }
         for r in &results[1..] {
@@ -1858,6 +2043,24 @@ mod tests {
         assert!(!results[0].samples.is_empty());
     }
 
+    /// The arena recycles delivered slots in steady-state mode instead of
+    /// growing per injected packet.
+    #[test]
+    fn steady_state_arena_stays_bounded() {
+        let net = SimNetwork::new(ring(6), 1);
+        let cfg = SimConfig::default().with_windows(MeasurementWindows::new(2_000_000, 30_000_000));
+        let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 9);
+        let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.3);
+        let m = res.measurement.expect("steady-state run has a summary");
+        assert!(m.delivered_packets > 50, "got {}", m.delivered_packets);
+        assert!(
+            res.engine.arena_slots < m.injected_packets,
+            "arena grew to {} slots for {} measured injections",
+            res.engine.arena_slots,
+            m.injected_packets
+        );
+    }
+
     #[test]
     fn deterministic_given_seed() {
         let net = SimNetwork::new(ring(6), 2);
@@ -1865,8 +2068,8 @@ mod tests {
             .with_routing("valiant", net.diameter() as u32)
             .with_shards(2);
         let wl = Workload::uniform_random(net.num_endpoints(), 8, 1024, 11);
-        let a = ParallelSimulator::new(&net, &cfg).run(&wl);
-        let b = ParallelSimulator::new(&net, &cfg).run(&wl);
+        let a = Simulator::new(&net, &cfg).run(&wl);
+        let b = Simulator::new(&net, &cfg).run(&wl);
         assert_eq!(a, b);
     }
 
@@ -1874,7 +2077,7 @@ mod tests {
     fn shard_assignment_covers_all_routers() {
         let net = SimNetwork::new(ring(8), 1);
         let cfg = SimConfig::default().with_shards(4);
-        let sim = ParallelSimulator::new(&net, &cfg);
+        let sim = Simulator::new(&net, &cfg);
         assert_eq!(sim.shard_assignment().len(), 8);
         assert!(sim.shard_assignment().iter().all(|&s| s < 4));
     }
@@ -1889,11 +2092,11 @@ mod tests {
                 .with_routing("minimal", net.diameter() as u32)
                 .with_shards(shards)
                 .with_fault_script(
-                    crate::fault::FaultScript::parse("at(1us, links(0.25)) + at(60us, heal(all))")
+                    FaultScript::parse("at(1us, links(0.25)) + at(60us, heal(all))")
                         .unwrap()
                         .with_seed(11),
                 );
-            let res = ParallelSimulator::new(&net, &cfg)
+            let res = Simulator::new(&net, &cfg)
                 .try_run(&wl)
                 .expect("scripted run completes");
             let f = &res.faults;
@@ -1915,44 +2118,36 @@ mod tests {
     }
 
     #[test]
-    fn fault_run_matches_sequential_conservation() {
-        // Engines differ in flow control and RNG streams under churn, so the
-        // comparison is on the conservation identity and event count, not on
-        // bit-identical results.
-        let net = SimNetwork::new(ring(6), 2);
-        let wl = Workload::uniform_random(net.num_endpoints(), 10, 512, 5);
-        let mk = |shards: usize| {
-            SimConfig::default()
-                .with_routing("ugal-l", net.diameter() as u32)
-                .with_shards(shards)
-                .with_fault_script(
-                    crate::fault::FaultScript::parse("at(500ns, router(2)) + at(40us, heal(all))")
-                        .unwrap()
-                        .with_seed(3),
-                )
-        };
-        let seq_cfg = mk(1);
-        let seq = crate::Simulator::new(&net, &seq_cfg)
-            .try_run(&wl)
-            .expect("sequential scripted run completes");
-        let par_cfg = mk(2);
-        let par = ParallelSimulator::new(&net, &par_cfg)
-            .try_run(&wl)
-            .expect("parallel scripted run completes");
-        for f in [&seq.faults, &par.faults] {
-            assert_eq!(f.injected, f.delivered + f.failed);
-            assert_eq!(f.in_flight(), 0);
-            assert_eq!(f.fault_events, 2);
-        }
-        assert_eq!(seq.faults.injected, par.faults.injected);
-    }
-
-    #[test]
     fn pristine_runs_report_zero_fault_stats() {
         let net = SimNetwork::new(ring(6), 1);
         let cfg = SimConfig::default().with_shards(2);
         let wl = Workload::uniform_random(net.num_endpoints(), 4, 512, 2);
-        let res = ParallelSimulator::new(&net, &cfg).run(&wl);
+        let res = Simulator::new(&net, &cfg).run(&wl);
         assert_eq!(res.faults, FaultStats::default());
+    }
+
+    /// Quiescence with links parked surfaces as a typed
+    /// [`SimError::Deadlock`] carrying the diagnosis, not a process abort.
+    #[test]
+    fn hol_deadlock_is_a_typed_error() {
+        // One VC and one buffer slot on a ring force the classic cyclic
+        // head-of-line wait under all-to-all pressure.
+        let net = SimNetwork::new(ring(8), 4);
+        let cfg = SimConfig {
+            num_vcs: 1,
+            buffer_packets_per_vc: 1,
+            ..SimConfig::default()
+        };
+        let wl = Workload::uniform_random(net.num_endpoints(), 30, 4096, 13);
+        match Simulator::new(&net, &cfg).try_run(&wl) {
+            Err(SimError::Deadlock { diagnosis }) => {
+                assert!(
+                    diagnosis.contains("cyclic head-of-line wait"),
+                    "{diagnosis}"
+                );
+                assert!(diagnosis.contains("buffer_packets_per_vc"), "{diagnosis}");
+            }
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
     }
 }

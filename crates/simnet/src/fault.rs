@@ -39,9 +39,8 @@
 //! endpoint pairs separated by the damage are rejected with
 //! [`Infeasible::Disconnected`]. The checked entry points are
 //! [`crate::Simulator::try_run`] and
-//! [`crate::Simulator::try_run_with_offered_load`]
-//! (mirrored on the reference engine); the panicking `run` variants remain for
-//! pristine networks.
+//! [`crate::Simulator::try_run_with_offered_load`]; the panicking `run`
+//! variants remain for pristine networks.
 //!
 //! ```
 //! use spectralfly_graph::CsrGraph;
@@ -895,7 +894,7 @@ fn script_term(term: &Call) -> Result<ScriptTerm, FaultError> {
 }
 
 // ---------------------------------------------------------------------------
-// Run-start validation (shared by both engines).
+// Run-start validation.
 // ---------------------------------------------------------------------------
 
 /// Check a finite workload against a degraded network: every referenced

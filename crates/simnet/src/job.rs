@@ -212,9 +212,9 @@ impl RateProcess {
     /// when the process emits nothing reachable (e.g. a zero-rate state that
     /// never ends within the guard bound).
     ///
-    /// Both engines call this with the same per-endpoint RNG stream and the
-    /// same draw order, which is what makes jobs-mode results bit-identical
-    /// across the sequential and sharded engines.
+    /// Every shard count calls this with the same per-endpoint RNG stream and
+    /// the same draw order, which is what makes jobs-mode results
+    /// bit-identical across shard counts.
     pub fn next_arrival_ps(
         &self,
         rt: &mut RateRuntime,
@@ -616,8 +616,7 @@ impl CollectiveState {
     }
 
     /// Groups with no dependencies (round 0) for ranks accepted by `owns` —
-    /// the sharded engine passes its ownership predicate, the sequential
-    /// engine passes `|_| true`.
+    /// each shard passes its ownership predicate.
     pub fn ready_at_start(&self, owns: impl Fn(usize) -> bool) -> Vec<usize> {
         let rounds = self.sched.rounds;
         (0..self.sched.ranks)
@@ -1129,8 +1128,7 @@ pub struct ResolvedTenant {
 
 /// A fully resolved multi-tenant mix: every tenant sized, placed on disjoint
 /// endpoint allocations, and instantiated. Resolution happens once, before
-/// either engine starts, so both engines (and every shard count) execute the
-/// identical plan.
+/// any shard starts, so every shard count executes the identical plan.
 pub struct MixPlan {
     /// The tenants in declaration order.
     pub tenants: Vec<ResolvedTenant>,
@@ -1154,7 +1152,7 @@ impl MixPlan {
         idx
     }
 
-    /// The per-tenant descriptors both engines hand to
+    /// The per-tenant descriptors the simulator hands to
     /// [`crate::stats::StatsCollector::init_tenants`] — derived from the plan
     /// so every shard arms its collector identically.
     pub fn tenant_descs(&self) -> Vec<crate::stats::TenantDesc> {

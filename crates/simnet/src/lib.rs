@@ -7,7 +7,10 @@
 //!
 //! * store-and-forward packet switching with per-link serialization (bandwidth), link
 //!   propagation latency, and per-hop router latency;
-//! * finite per-router, per-virtual-channel buffers with credit-style backpressure;
+//! * finite per-virtual-channel input buffers with credit-based backpressure: every
+//!   directed link holds one credit per downstream buffer slot of each VC, spends one
+//!   to transmit, and gets it back a link + router latency after the packet leaves
+//!   that slot;
 //! * deadlock avoidance by incrementing the virtual channel on every hop
 //!   (`diameter + 1` VCs for minimal routing, `2·diameter + 1` for Valiant — Section V-A);
 //! * a **pluggable routing subsystem** ([`routing`]): algorithms implement the
@@ -30,16 +33,14 @@
 //!   damage with zero hot-path branching, and infeasible runs fail fast with
 //!   [`fault::FaultError`] through [`Simulator::try_run`] /
 //!   [`Simulator::try_run_with_offered_load`];
-//! * a **wakeup-driven event engine** ([`engine`]): blocked links park on per-buffer-slot
-//!   waiter lists and are woken exactly when a slot frees — no time-based retry polling —
-//!   over a packet arena and a bucketed calendar event queue. The former polling engine
-//!   is retained as [`engine::reference::ReferenceSimulator`] (equivalence oracle and
-//!   perf baseline);
-//! * a **sharded conservative parallel engine** ([`engine::parallel`]): routers are
-//!   partitioned across worker shards by recursive spectral bisection, which co-simulate
-//!   in barrier-synchronized epochs bounded by the link + router latency lookahead —
-//!   with shard-count-invariant results ([`SimConfig::shards`] is a performance knob,
-//!   never a semantics knob);
+//! * **one wakeup-driven event core** ([`engine`]): a link out of credits parks and is
+//!   woken by one event when the first matching credit returns — no time-based retry
+//!   polling — over a packet arena and a bucketed calendar event queue;
+//! * **sharding** of that core: routers are partitioned into [`SimConfig::shards`]
+//!   shards by recursive spectral bisection, which advance in epochs bounded by the
+//!   link + router latency lookahead — one shard on the calling thread, more on
+//!   barrier-synchronized worker threads — with shard-count-invariant results
+//!   (the shard count is a performance knob, never a semantics knob);
 //! * **steady-state measurement** ([`config::MeasurementWindows`]): continuous
 //!   per-endpoint Poisson sources with warmup/measurement/drain windows and an interval
 //!   time-series ([`stats::IntervalSample`]), so offered-load sweeps measure true
@@ -52,10 +53,9 @@
 //!   and the Ember application motifs `halo3d`, `sweep3d`, `fft3d`, whose rounds
 //!   wait on each rank's own inbound messages like the MPI skeletons they model)
 //!   and bursty open-loop sources (`traffic`, `mmpp`, `onoff`) — onto disjoint
-//!   endpoint ranges (contiguous / random / `group(k)` placement), and both the
-//!   sequential and the parallel engine report per-tenant
-//!   [`stats::TenantStats`]: latency percentiles, goodput, and collective
-//!   completion.
+//!   endpoint ranges (contiguous / random / `group(k)` placement), and every
+//!   run reports per-tenant [`stats::TenantStats`]: latency percentiles,
+//!   goodput, and collective completion.
 //!
 //! Path state (distances, minimal next hops) comes from the shared oracle in
 //! [`spectralfly_graph::paths`], the same one the analytical layer uses.
@@ -94,9 +94,7 @@ pub mod stats;
 pub mod workload;
 
 pub use config::{MeasurementWindows, OraclePolicy, SimConfig};
-pub use engine::parallel::ParallelSimulator;
-pub use engine::reference::ReferenceSimulator;
-pub use engine::{simulate, SimError, Simulator};
+pub use engine::{ParallelSimulator, SimError, Simulator};
 pub use fault::{
     FaultError, FaultEvent, FaultEventKind, FaultModel, FaultPlan, FaultRegistry, FaultScript,
     FaultTimeline, Infeasible,

@@ -13,6 +13,10 @@ impl Router for Minimal {
         "minimal"
     }
 
+    fn reads_remote_occupancy(&self) -> bool {
+        false
+    }
+
     fn route(&self, ctx: &mut RoutingCtx<'_>, state: &mut RoutingState) -> usize {
         let target = state.current_target(ctx.dst());
         ctx.best_minimal_port(target)

@@ -115,17 +115,17 @@ pub struct RoutingCtx<'a> {
     /// Per-router buffered-packet totals, maintained incrementally by the engines
     /// (`occupancy` summed across VCs, without the `num_vcs`-wide walk).
     router_occ: &'a [u32],
-    /// Per-link "parked on a waiter list" flags from the wakeup engine (empty
-    /// slice for engines without waiter lists — every link reads as unblocked).
+    /// Per-link "parked waiting for a credit" flags (an empty slice reads as
+    /// every link unblocked).
     link_parked: &'a [bool],
     num_vcs: usize,
     ugal_threshold: f64,
     router: VertexId,
     dst: VertexId,
     hops: u32,
-    /// Any deterministic generator: the sequential engines pass the run's
-    /// `StdRng`, the parallel engine a per-decision counter-based stream (so
-    /// decisions stay independent of event interleaving across shards).
+    /// Any deterministic generator: the engine passes a per-decision
+    /// counter-based stream (so decisions stay independent of event
+    /// interleaving across shards), [`RoutingHarness`] its own `StdRng`.
     rng: &'a mut dyn RngCore,
     /// Scratch for the scan fallback of the minimal-port query; unused (and
     /// untouched) when the network carries a next-hop table.
@@ -223,11 +223,11 @@ impl<'a> RoutingCtx<'a> {
     }
 
     /// Whether the current router's output link on `port` is blocked — its head
-    /// packet is parked on a full downstream buffer's waiter list. A sharper
-    /// congestion signal than [`RoutingCtx::queue_len`] alone: a deep queue on
-    /// a flowing link drains at line rate, a parked link drains not at all.
+    /// packet is parked until a credit for the downstream buffer returns. A
+    /// sharper congestion signal than [`RoutingCtx::queue_len`] alone: a deep
+    /// queue on a flowing link drains at line rate, a parked link drains not
+    /// at all.
     ///
-    /// Always `false` on engines without waiter lists (the polling reference).
     /// None of the built-in algorithms consult this (they predate it, and
     /// changing them would perturb the paper's results); it is exposed for
     /// custom [`Router`] implementations.
@@ -240,15 +240,25 @@ impl<'a> RoutingCtx<'a> {
     }
 
     /// Total buffered packets (all virtual channels) at an arbitrary router — the
-    /// "global" congestion signal available to UGAL-G style algorithms.
+    /// "global" congestion signal available to UGAL-G style algorithms — as of
+    /// the start of the engine's current epoch.
     ///
-    /// O(1): the engines maintain the per-router total incrementally on every
+    /// O(1): the engine maintains the per-router total incrementally on every
     /// enqueue/dequeue, so this is one array read rather than a `num_vcs`-wide
     /// sum per candidate port. Debug builds verify the incremental total against
     /// the per-VC sum on every query.
+    ///
+    /// # Panics
+    /// In a run whose algorithm declares [`Router::reads_remote_occupancy`]
+    /// `false`: the engine keeps no occupancy view for it.
     #[inline]
     pub fn router_occupancy(&self, router: VertexId) -> u32 {
-        let total = self.router_occ[router as usize];
+        let Some(&total) = self.router_occ.get(router as usize) else {
+            panic!(
+                "router_occupancy({router}) read by a routing algorithm whose \
+                 Router::reads_remote_occupancy() is false"
+            );
+        };
         debug_assert_eq!(
             total,
             {
@@ -632,6 +642,17 @@ pub trait Router: Send + Sync {
     /// algorithms (Valiant, UGAL) override this with `2d + 1`.
     fn vcs_for_diameter(&self, diameter: u32) -> usize {
         diameter as usize + 1
+    }
+
+    /// Whether decisions read [`RoutingCtx::router_occupancy`]. Only for an
+    /// algorithm that does will the engine publish and snapshot every router's
+    /// buffer occupancy each epoch; for one that returns `false`, the call
+    /// panics.
+    ///
+    /// The default, `true`, is always correct; algorithms that read nothing
+    /// but their own router's queues override it to skip the snapshot.
+    fn reads_remote_occupancy(&self) -> bool {
+        true
     }
 
     /// Pick the output port for a packet resident at `ctx.router()`.

