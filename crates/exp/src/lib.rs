@@ -7,10 +7,10 @@
 //! a section of *one declarative object* (only the two layout figures remain
 //! binaries of their own). A TOML manifest
 //! ([`Manifest`]) declares structural tables ([`Structure`]) and sweeps: the
-//! cross product of the suite's five string-keyed axes — topology specs
-//! ([`topo::TopoSpec`]), routing registry names, traffic-pattern specs,
-//! fault plans / fault scripts, and oracle policies — plus shards, seeds,
-//! loads, and measurement windows. The runner ([`runner::run_manifest`])
+//! cross product of the suite's string-keyed axes — topology specs
+//! ([`topo::TopoSpec`], which also pick each network's path oracle), routing
+//! registry names, traffic-pattern specs, job mixes, and fault plans / fault
+//! scripts — plus shards, seeds, loads, and measurement windows. The runner ([`runner::run_manifest`])
 //! executes every point, digests the deterministic results bit-for-bit
 //! ([`digest::digest_results`]), reduces each to the fixed [`Metrics`] row that
 //! `repro run` prints one table per section from, and stamps the artifact with

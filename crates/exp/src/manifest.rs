@@ -4,16 +4,15 @@
 //! with one `[manifest]` header table and three kinds of sections:
 //!
 //! * `[experiment.NAME]` — a **sweep**: the cross product of the declared axes
-//!   (topology × routing × pattern × faults / fault-script × oracle × shards ×
-//!   seeds × loads), each point simulated, digested and tabulated (optionally
-//!   as a ratio to a sibling point, see [`Experiment::relative_to`]). Every
-//!   axis value is validated *at parse time* against the subsystem that owns
-//!   it — routing names against [`spectralfly_simnet::routing`], pattern specs against
-//!   [`spectralfly_simnet::pattern`], fault plans/scripts against
-//!   [`spectralfly_simnet::fault`], oracle policies against
-//!   [`spectralfly_simnet::OraclePolicy`], topology specs against
-//!   [`crate::topo`] — so a typo fails with the offending field named, before
-//!   any simulation starts.
+//!   (topology × routing × pattern × faults / fault-script × shards × seeds ×
+//!   loads), each point simulated, digested and tabulated (optionally as a
+//!   ratio to a sibling point, see [`Experiment::relative_to`]). Every axis
+//!   value is validated *at parse time* against the subsystem that owns it —
+//!   routing names against [`spectralfly_simnet::routing`], pattern specs
+//!   against [`spectralfly_simnet::pattern`], fault plans/scripts against
+//!   [`spectralfly_simnet::fault`], topology specs against [`crate::topo`] —
+//!   so a typo fails with the offending field named, before any simulation
+//!   starts. The path oracle is no axis: [`TopoSpec::network`] derives it.
 //! * `[structure.NAME]` — a **structural table**: a row set (topologies listed
 //!   outright, or a family enumerated up to a limit) × columns chosen from
 //!   [`Column::ALL`], optionally crossed with random link-failure proportions
@@ -34,7 +33,7 @@ use crate::topo::{Size, TopoSpec};
 use spectralfly_graph::failures::FailureMetric;
 use spectralfly_graph::Column;
 use spectralfly_simnet::fault::{FaultPlan, FaultScript};
-use spectralfly_simnet::{pattern, routing, OraclePolicy};
+use spectralfly_simnet::{pattern, routing};
 use std::collections::HashSet;
 
 /// Errors from parsing or validating a manifest.
@@ -139,8 +138,6 @@ pub struct Experiment {
     pub faults: Vec<String>,
     /// Runtime-fault axis ([`FaultScript`] specs; `"none"` = no churn).
     pub fault_scripts: Vec<String>,
-    /// Oracle-policy axis.
-    pub oracles: Vec<String>,
     /// Engine shard counts. Every value of this axis must produce the
     /// identical results digest (the runner asserts it): `1` runs the event
     /// core on the calling thread, `>1` on that many worker threads, so
@@ -169,7 +166,7 @@ pub struct Experiment {
 
 impl Experiment {
     /// The string axes in expansion order, by manifest field name.
-    fn string_axes(&self) -> [(&'static str, &[String]); 7] {
+    fn string_axes(&self) -> [(&'static str, &[String]); 6] {
         [
             ("topologies", &self.topologies),
             ("routings", &self.routings),
@@ -177,7 +174,6 @@ impl Experiment {
             ("jobs", &self.jobs),
             ("faults", &self.faults),
             ("fault_scripts", &self.fault_scripts),
-            ("oracles", &self.oracles),
         ]
     }
 
@@ -498,7 +494,6 @@ impl Experiment {
                 "jobs",
                 "faults",
                 "fault_scripts",
-                "oracles",
                 "shards",
                 "seeds",
                 "loads",
@@ -555,20 +550,6 @@ impl Experiment {
         for s in &fault_scripts {
             FaultScript::parse(s)
                 .map_err(|e| field_err(&section, "fault_scripts", e.to_string()))?;
-        }
-
-        let oracles = get_str_list(t, "oracles")?.unwrap_or_else(|| vec!["auto".to_string()]);
-        for o in &oracles {
-            let policy: OraclePolicy = o.parse().map_err(|e| field_err(&section, "oracles", e))?;
-            // The Cayley oracle translates by a group: only a pristine LPS
-            // graph has one (`TopoSpec::network` builds it from there).
-            let groupless = (canon_topos.iter().filter(|t| !t.starts_with("lps(")))
-                .chain(faults.iter().filter(|f| *f != "none"))
-                .next();
-            if let Some(entry) = groupless.filter(|_| policy == OraclePolicy::Cayley) {
-                let reason = format!("the cayley oracle needs a pristine lps(p,q); {entry} is not");
-                return Err(field_err(&section, "oracles", reason));
-            }
         }
 
         let shards = get_u64_list(t, "shards")?
@@ -710,7 +691,6 @@ impl Experiment {
             jobs,
             faults,
             fault_scripts,
-            oracles,
             shards,
             seeds,
             loads,
@@ -741,7 +721,6 @@ impl Experiment {
         }
         out.push_str(&render_str_list("faults", &self.faults));
         out.push_str(&render_str_list("fault_scripts", &self.fault_scripts));
-        out.push_str(&render_str_list("oracles", &self.oracles));
         let shards: Vec<String> = self.shards.iter().map(usize::to_string).collect();
         out.push_str(&format!("shards = [{}]\n", shards.join(", ")));
         let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();
@@ -1022,12 +1001,6 @@ args = ["--pairs", "1"]
                 "",
             ),
             (
-                "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)\"]\nroutings = [\"minimal\"]\noracles = [\"psychic\"]\n",
-                "experiment.e",
-                "oracles",
-                "unknown oracle policy",
-            ),
-            (
                 "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)\"]\nroutings = [\"minimal\"]\nloads = [1.5]\n",
                 "experiment.e",
                 "loads",
@@ -1051,18 +1024,6 @@ args = ["--pairs", "1"]
                 "perf.p",
                 "",
                 "unknown section; expected [manifest], [experiment.*], [structure.*], or [external.*]",
-            ),
-            (
-                "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"lps(3,5)\", \"ring(9)\"]\nroutings = [\"minimal\"]\noracles = [\"cayley\"]\n",
-                "experiment.e",
-                "oracles",
-                "ring(9)x1 is not",
-            ),
-            (
-                "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"lps(3,5)\"]\nroutings = [\"minimal\"]\nfaults = [\"links(0.1)\"]\noracles = [\"cayley\"]\n",
-                "experiment.e",
-                "oracles",
-                "links(0.1) is not",
             ),
         ];
         for (src, section, field, reason_frag) in cases {

@@ -33,7 +33,7 @@ use spectralfly_simnet::fault::{FaultPlan, FaultScript};
 use spectralfly_simnet::stats::TenantStats;
 use spectralfly_simnet::workload::{random_placement, Workload};
 use spectralfly_simnet::{
-    MeasurementWindows, OraclePolicy, SimConfig, SimError, SimNetwork, SimResults, Simulator,
+    MeasurementWindows, SimConfig, SimError, SimNetwork, SimResults, Simulator,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -157,8 +157,6 @@ pub struct Point {
     pub fault: String,
     /// Runtime fault-script spec.
     pub fault_script: String,
-    /// Oracle policy.
-    pub oracle: String,
     /// RNG seed.
     pub seed: u64,
     /// Offered load (`None` for workload-paced finite runs).
@@ -185,7 +183,6 @@ impl Point {
             ("j", &self.jobs, ""),
             ("f", &self.fault, "none"),
             ("c", &self.fault_script, "none"),
-            ("o", &self.oracle, "auto"),
         ] {
             if value != default {
                 let _ = write!(id, "/{tag}={value}");
@@ -208,8 +205,7 @@ impl Point {
             "patterns" => &mut sibling.pattern,
             "jobs" => &mut sibling.jobs,
             "faults" => &mut sibling.fault,
-            "fault_scripts" => &mut sibling.fault_script,
-            _ => &mut sibling.oracle,
+            _ => &mut sibling.fault_script,
         };
         *field = entry.to_string();
         sibling.compute_id()
@@ -379,8 +375,8 @@ pub struct RunReport {
 }
 
 /// Expand an experiment's axes into points (cross product, shards folded into
-/// each point). Order is deterministic: topology, routing, pattern, fault,
-/// script, oracle, seed, load — outermost first.
+/// each point). Order is deterministic: topology, routing, pattern, jobs,
+/// fault, script, seed, load — outermost first.
 pub fn expand(e: &Experiment) -> Vec<Point> {
     let loads: Vec<Option<f64>> = match e.mode {
         Mode::Finite { .. } => vec![None],
@@ -403,29 +399,26 @@ pub fn expand(e: &Experiment) -> Vec<Point> {
                 for jobs in &jobs_axis {
                     for fault in &e.faults {
                         for script in &e.fault_scripts {
-                            for oracle in &e.oracles {
-                                for &seed in &e.seeds {
-                                    for &load in &loads {
-                                        let mut point = Point {
-                                            id: String::new(),
-                                            experiment: e.name.clone(),
-                                            topology: topo.clone(),
-                                            routing: routing.clone(),
-                                            pattern: pattern.clone(),
-                                            jobs: jobs.clone(),
-                                            fault: fault.clone(),
-                                            fault_script: script.clone(),
-                                            oracle: oracle.clone(),
-                                            seed,
-                                            load,
-                                            shards: e.shards.clone(),
-                                            mode: e.mode.clone(),
-                                            fault_seed: e.fault_seed,
-                                            ranks: e.ranks,
-                                        };
-                                        point.id = point.compute_id();
-                                        points.push(point);
-                                    }
+                            for &seed in &e.seeds {
+                                for &load in &loads {
+                                    let mut point = Point {
+                                        id: String::new(),
+                                        experiment: e.name.clone(),
+                                        topology: topo.clone(),
+                                        routing: routing.clone(),
+                                        pattern: pattern.clone(),
+                                        jobs: jobs.clone(),
+                                        fault: fault.clone(),
+                                        fault_script: script.clone(),
+                                        seed,
+                                        load,
+                                        shards: e.shards.clone(),
+                                        mode: e.mode.clone(),
+                                        fault_seed: e.fault_seed,
+                                        ranks: e.ranks,
+                                    };
+                                    point.id = point.compute_id();
+                                    points.push(point);
                                 }
                             }
                         }
@@ -445,25 +438,20 @@ fn build_error(spec: &str) -> impl Fn(String) -> RunError + '_ {
     }
 }
 
-/// What makes two points share a network: the topology and — pristine — the
-/// oracle policy or — degraded — the fault plan and its seed (a degraded
-/// network re-selects its oracle, whatever the axis says). The axes revisit
-/// each one for every routing × pattern × seed × load combination, and the
-/// all-pairs BFS and next-hop table behind it are the expensive part.
-fn network_key(p: &Point) -> (&str, &str, u64, &str) {
-    if p.fault == "none" {
-        (&p.topology, &p.fault, 0, &p.oracle)
-    } else {
-        (&p.topology, &p.fault, p.fault_seed, "")
-    }
+/// What makes two points share a network: the topology and — degraded — the
+/// fault plan and its seed. The axes revisit each one for every routing ×
+/// pattern × seed × load combination, and the all-pairs BFS and next-hop
+/// table behind it are the expensive part.
+fn network_key(p: &Point) -> (&str, &str, u64) {
+    let fault_seed = if p.fault == "none" { 0 } else { p.fault_seed };
+    (&p.topology, &p.fault, fault_seed)
 }
 
 /// Build the network `p` runs on.
 fn build_network(p: &Point) -> Result<SimNetwork, RunError> {
     let spec = TopoSpec::parse(&p.topology).map_err(build_error(&p.topology))?;
     if p.fault == "none" {
-        let policy: OraclePolicy = p.oracle.parse().expect("validated by the manifest");
-        return spec.network(policy).map_err(build_error(&p.topology));
+        return spec.network().map_err(build_error(&p.topology));
     }
     let graph = spec.build().map_err(build_error(&p.topology))?;
     let plan = FaultPlan::parse(&p.fault)
@@ -557,13 +545,6 @@ fn point_config(p: &Point, net: &SimNetwork, shards: usize) -> SimConfig {
         .with_routing(p.routing.clone(), net.diameter() as u32)
         .with_shards(shards);
     cfg.seed = p.seed;
-    if p.fault != "none" {
-        cfg = cfg.with_fault_plan(
-            FaultPlan::parse(&p.fault)
-                .expect("validated by the manifest")
-                .with_seed(p.fault_seed),
-        );
-    }
     if p.fault_script != "none" {
         cfg = cfg.with_fault_script(
             FaultScript::parse(&p.fault_script)
@@ -1184,7 +1165,6 @@ bytes = 1024
         assert_eq!(points[0].shards, vec![1, 2]);
         // Defaults are elided from the id, so ids stay stable when an axis
         // gains a default-valued entry.
-        assert!(!points[0].id.contains("auto"));
         assert!(!points[0].id.contains("none"));
     }
 
@@ -1499,44 +1479,42 @@ bytes = 512
         assert_eq!(tenants[0].collective_ps, None);
     }
 
-    /// `oracles = ["cayley"]` used to validate and then fail every point at
-    /// its network build; it now builds through the LPS group structure,
-    /// and the oracle is an implementation detail of the same simulation.
-    /// The second section is congested (PSL, 12 ports, UGAL-L at load 0.9), so
-    /// queue-driven tie-breaks walk the Cayley port order against the table's.
+    /// The oracle changes memory and speed, never answers, so the network
+    /// picks it: the dense network and the same LPS graph behind its Cayley
+    /// oracle digest alike. `lps(5,13)x1` under minimal and UGAL-L keeps the
+    /// digest its smoke section pinned while the oracle was a manifest axis;
+    /// the congested `lps(11,7)x4` point (PSL, 12 ports, UGAL-L at load 0.9)
+    /// walks the Cayley port order against the table's in queue-driven
+    /// tie-breaks.
     #[test]
-    fn the_cayley_oracle_axis_runs_and_digests_like_dense() {
-        let report = run(
-            "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"lps(3,5)x2\"]\n\
-             routings = [\"minimal\", \"ugal-l\"]\noracles = [\"dense\", \"cayley\"]\nseeds = [5]\n\
-             [experiment.hot]\ntopologies = [\"lps(11,7)x4\"]\nroutings = [\"ugal-l\"]\n\
-             oracles = [\"dense\", \"cayley\"]\nseeds = [5]\nmode = \"offered\"\nloads = [0.9]\n\
-             messages = 8\n",
-        );
-        let ids: Vec<&str> = report.points.iter().map(|p| p.id.as_str()).collect();
-        assert_eq!(ids[0], "e/lps(3,5)x2/minimal/o=dense/s=5");
-        assert_eq!(ids[1], "e/lps(3,5)x2/minimal/o=cayley/s=5");
-        assert_eq!(ids.len(), 6, "{ids:?}");
-        for (pair, delivered) in report.points.chunks(2).zip([480, 480, 5376]) {
-            assert!(
-                pair[0]
-                    .summary
-                    .starts_with(&format!("delivered={delivered} ")),
-                "{}",
-                pair[0].summary
-            );
-            assert_eq!(
-                pair[0].digest, pair[1].digest,
-                "{} vs {}",
-                pair[0].id, pair[1].id
-            );
+    fn dense_and_cayley_backings_digest_alike() {
+        use spectralfly_topology::{LpsGraph, Topology};
+        let m = Manifest::parse(
+            "[manifest]\nname = \"x\"\n[experiment.cayley-oracle]\n\
+             topologies = [\"lps(5,13)x1\"]\nroutings = [\"minimal\", \"ugal-l\"]\nseeds = [7]\n\
+             messages = 2\nbytes = 1024\n[experiment.hot]\ntopologies = [\"lps(11,7)x4\"]\n\
+             routings = [\"ugal-l\"]\nseeds = [5]\nmode = \"offered\"\nloads = [0.9]\nmessages = 8\n",
+        )
+        .unwrap();
+        for (e, (p, q, concentration)) in m.experiments.iter().zip([(5, 13, 1), (11, 7, 4)]) {
+            let lps = LpsGraph::new(p, q).unwrap();
+            let cayley = Arc::new(lps.cayley_oracle().unwrap());
+            let dense = SimNetwork::new(lps.graph().clone(), concentration);
+            let cayley = SimNetwork::with_oracle(lps.graph().clone(), concentration, cayley);
+            assert_eq!(dense.oracle_kind(), spectralfly_graph::OracleKind::Dense);
+            for point in expand(e) {
+                let digest = run_point(&dense, &point).unwrap().digest;
+                assert_eq!(
+                    run_point(&cayley, &point).unwrap().digest,
+                    digest,
+                    "{}",
+                    point.id
+                );
+                if e.name == "cayley-oracle" {
+                    assert_eq!(digest, "358e09c00efd2cb9", "{}", point.id);
+                }
+            }
         }
-        let spec = TopoSpec::parse("lps(3,5)x2").unwrap();
-        let net = spec.network(OraclePolicy::Cayley).unwrap();
-        assert_eq!(net.oracle_kind(), spectralfly_graph::OracleKind::Cayley);
-        let ring = TopoSpec::parse("ring(9)").unwrap();
-        assert!(ring.network(OraclePolicy::Cayley).is_err());
-        assert!(ring.network(OraclePolicy::Landmark).is_ok());
     }
 
     /// Routing is the outer axis and the fault plan the inner one, so the six

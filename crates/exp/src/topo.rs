@@ -20,9 +20,9 @@
 //! [`spectralfly_simnet::spec::Registry`] — so a family added there becomes
 //! reachable here by one entry.
 
-use spectralfly_graph::CsrGraph;
+use spectralfly_graph::{CsrGraph, DistanceMatrix};
 use spectralfly_simnet::spec::{self, Arg, Registry};
-use spectralfly_simnet::{OraclePolicy, SimNetwork};
+use spectralfly_simnet::SimNetwork;
 use spectralfly_topology::spec::{
     enumerate_bundlefly, enumerate_dragonfly, enumerate_lps, enumerate_slimfly,
 };
@@ -314,20 +314,23 @@ impl TopoSpec {
         (self.shape()?.build()).map_err(|e| format!("{}: {e}", self.canonical()))
     }
 
-    /// Build the simulated network under an oracle policy. `cayley` goes
-    /// through `LpsGraph::cayley_oracle()` — [`SimNetwork::with_policy`] cannot
-    /// find a group in a bare graph, and refuses the other families.
-    pub fn network(&self, policy: OraclePolicy) -> Result<SimNetwork, String> {
-        let named = |e: String| format!("{}: {e}", self.canonical());
-        match self.shape()? {
-            Shape::Paper(TopologySpec::Lps { p, q }) if policy == OraclePolicy::Cayley => {
+    /// Build the pristine simulated network. [`SimNetwork::new`] picks the
+    /// dense oracle while the distance matrix fits, a landmark one past it;
+    /// an `lps(p,q)` past that wall gets `LpsGraph::cayley_oracle()` instead,
+    /// because this layer is the one that knows the group. The closed-form
+    /// router count decides, so no other oracle is built first.
+    pub fn network(&self) -> Result<SimNetwork, String> {
+        let shape = self.shape()?;
+        let past_dense = shape.routers() > Some(DistanceMatrix::MAX_VERTICES as u64);
+        match shape {
+            Shape::Paper(TopologySpec::Lps { p, q }) if past_dense => {
+                let named = |e: String| format!("{}: {e}", self.canonical());
                 let lps = LpsGraph::new(p, q).map_err(|e| named(e.to_string()))?;
                 let oracle = lps.cayley_oracle().map_err(|e| named(e.to_string()))?;
                 let (graph, oracle) = (lps.graph().clone(), Arc::new(oracle));
                 Ok(SimNetwork::with_oracle(graph, self.concentration, oracle))
             }
-            _ => SimNetwork::with_policy(self.build()?, self.concentration, policy)
-                .map_err(|e| named(e.to_string())),
+            _ => Ok(SimNetwork::new(self.build()?, self.concentration)),
         }
     }
 }
@@ -335,6 +338,7 @@ impl TopoSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spectralfly_graph::OracleKind;
 
     #[test]
     fn specs_parse_build_and_round_trip() {
@@ -376,5 +380,17 @@ mod tests {
         // Invalid parameters surface from the constructor at build time.
         assert!(TopoSpec::parse("lps(4,6)").unwrap().build().is_err());
         assert!(TopoSpec::parse("ring(2)").unwrap().build().is_err());
+    }
+
+    /// The oracle follows from the topology: dense below the matrix's wall,
+    /// and past it, for a pristine LPS graph, the group translation — not the
+    /// landmark oracle `SimNetwork::new` would build there.
+    #[test]
+    fn lps_past_the_dense_wall_is_cayley_backed() {
+        let network = |spec: &str| TopoSpec::parse(spec).unwrap().network().unwrap();
+        assert_eq!(network("lps(11,7)x4").oracle_kind(), OracleKind::Dense);
+        let big = network("lps(5,47)x1");
+        assert_eq!(big.oracle_kind(), OracleKind::Cayley);
+        assert_eq!(big.num_routers(), 103_776);
     }
 }

@@ -30,7 +30,6 @@ const JOBS: &[&str] = &[
     "allgather x 8 @ random + onoff(0.9, 1.4) x 4",
 ];
 const SCRIPTS: &[&str] = &["none", "churn(1mhz, 5us)", "churn(10khz, 2us)"];
-const ORACLES: &[&str] = &["auto", "dense", "landmark"];
 const ROW_TOPOLOGIES: &[&str] = &["ring(5)", "lps(11,7)", "slimfly(9)", "dragonfly(8,4,21)"];
 const ENUMERATIONS: &[&str] = &["lps(30)", "slimfly(12)", "bundlefly(30,6)", "dragonfly(9)"];
 
@@ -58,7 +57,6 @@ proptest! {
         pattern_mask in 0usize..32,
         fault_mask in 1usize..16,
         script_mask in 1usize..8,
-        oracle_mask in 1usize..8,
         shard_mask in 1usize..8,
         jobs_mask in 0usize..8,
         n_seeds in 1usize..4,
@@ -111,7 +109,6 @@ proptest! {
             jobs,
             faults: subset(FAULTS, fault_mask),
             fault_scripts: subset(SCRIPTS, script_mask),
-            oracles: subset(ORACLES, oracle_mask),
             shards,
             seeds: (0..n_seeds as u64).map(|i| seed0 + i).collect(),
             loads: vec![load_centi as f64 / 100.0],
@@ -162,10 +159,10 @@ proptest! {
         prop_assert_eq!(reparsed.config_hash(), manifest.config_hash());
     }
 
-    /// Corrupting any one of the five axes fails with a `Field` error naming
+    /// Corrupting any one of the six string axes fails with a `Field` error naming
     /// exactly that axis (never a panic, never a misattributed field).
     #[test]
-    fn axis_errors_name_the_offending_field(axis in 0usize..7, seed in 0u64..1_000) {
+    fn axis_errors_name_the_offending_field(axis in 0usize..6, seed in 0u64..1_000) {
         let bogus = format!("no-such-thing-{seed}");
         let (field, line): (&str, String) = match axis {
             0 => ("topologies", format!("topologies = [\"{bogus}(3)\"]\nroutings = [\"minimal\"]\n")),
@@ -179,11 +176,8 @@ proptest! {
             4 => ("fault_scripts", format!(
                 "topologies = [\"ring(9)\"]\nroutings = [\"minimal\"]\nfault_scripts = [\"{bogus}(1)\"]\n"
             )),
-            5 => ("jobs", format!(
+            _ => ("jobs", format!(
                 "topologies = [\"ring(9)\"]\nroutings = [\"minimal\"]\nmode = \"steady\"\njobs = [\"{bogus} x 4\"]\n"
-            )),
-            _ => ("oracles", format!(
-                "topologies = [\"ring(9)\"]\nroutings = [\"minimal\"]\noracles = [\"{bogus}\"]\n"
             )),
         };
         let src = format!("[manifest]\nname = \"x\"\n[experiment.bad]\n{line}");

@@ -183,31 +183,6 @@ fn oversized_topologies_are_rejected_before_anything_is_built() {
     }
 }
 
-/// `oracles = ["cayley"]` used to parse for any topology and then fail every
-/// point at run time (`SimNetwork::with_policy` finds no group in a bare
-/// graph): honoured for `lps(p,q)`, refused at parse time for everything else.
-#[test]
-fn the_cayley_oracle_is_refused_where_it_cannot_be_built() {
-    let with_cayley = |topologies: &str| {
-        let axes =
-            format!("topologies = [{topologies}]\noracles = [\"Cayley\"]\nfaults = [\"none\"]\n");
-        let src = MANIFEST.replace("topologies = [\"lps(11,7)x4\", \"ring(9)x2\"]\n", &axes);
-        Manifest::parse(&src.replace("faults = [\"links(0.1) + routers(2)\"]\n", ""))
-    };
-    with_cayley("\"lps(11,7)x4\", \"lps(3,5)\"").unwrap();
-    for refused in [
-        "\"lps(11,7)x4\", \"ring(9)x2\"",
-        "\"slimfly(5)\"",
-        "\"dragonfly(4)\"",
-    ] {
-        let err = with_cayley(refused).unwrap_err().to_string();
-        assert!(
-            err.contains("[experiment.e] oracles: the cayley oracle"),
-            "{refused}: {err}"
-        );
-    }
-}
-
 /// Every topology string in `manifests/*.toml`, `benchmark/workloads/*.toml`
 /// and `benchmark/src/workloads.rs` when the shared grammar landed, with the
 /// `TopoSpec` it parsed to at the commit before.

@@ -129,6 +129,10 @@ pub(crate) fn bfs_levels_64(
 }
 
 impl DistanceMatrix {
+    /// The most vertices a matrix holds: `u16` distances with `u16::MAX` as
+    /// the unreachable sentinel.
+    pub const MAX_VERTICES: usize = u16::MAX as usize;
+
     /// Compute the matrix with one bit-parallel BFS pass (`bfs_levels_64`) per 64
     /// sources, the passes in parallel.
     ///
@@ -137,7 +141,7 @@ impl DistanceMatrix {
     /// per vertex per worker — not a second copy of the matrix in per-row vectors.
     ///
     /// # Panics
-    /// If the graph has more than `u16::MAX` vertices — the convenience wrapper for
+    /// If the graph has more than [`Self::MAX_VERTICES`] vertices — the convenience wrapper for
     /// callers that know their topology is small. Large-topology constructors should
     /// use [`DistanceMatrix::try_from_graph`] and route to a sparse
     /// [`crate::oracle::PathOracle`] instead of aborting.
@@ -154,10 +158,10 @@ impl DistanceMatrix {
     /// back to a memory-scalable oracle rather than build this matrix.
     pub fn try_from_graph(g: &CsrGraph) -> Result<Self, OracleError> {
         let n = g.num_vertices();
-        if n > u16::MAX as usize {
+        if n > Self::MAX_VERTICES {
             return Err(OracleError::TooManyVertices {
                 n,
-                max: u16::MAX as usize,
+                max: Self::MAX_VERTICES,
             });
         }
         let mut dist = vec![0u16; n * n];

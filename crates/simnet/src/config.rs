@@ -1,56 +1,6 @@
 //! Simulation parameters (the hardware knobs the paper's SST/macro runs configure).
 
-use crate::fault::FaultPlan;
 use crate::routing;
-
-/// Which path-oracle representation a network should be built with
-/// ([`crate::SimNetwork::with_policy`]; see `spectralfly_graph::oracle`).
-///
-/// The policy is *applied* at network construction — a run configuration has
-/// no graph to build an oracle over, so [`SimConfig`] does not carry it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum OraclePolicy {
-    /// Dense while the matrix fits its `u16` index space, landmark beyond it.
-    #[default]
-    Auto,
-    /// Force the dense `DistanceMatrix` + `NextHopTable` pair (errors past
-    /// `u16::MAX` routers).
-    Dense,
-    /// Force the landmark/ALT oracle.
-    Landmark,
-    /// The O(n) Cayley-translation oracle. Only satisfiable by topology-layer
-    /// constructors that know the group (`LpsGraph::cayley_oracle()` injected
-    /// via [`crate::SimNetwork::with_oracle`]);
-    /// [`crate::SimNetwork::with_policy`] on a plain graph rejects it.
-    Cayley,
-}
-
-impl std::fmt::Display for OraclePolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OraclePolicy::Auto => write!(f, "auto"),
-            OraclePolicy::Dense => write!(f, "dense"),
-            OraclePolicy::Landmark => write!(f, "landmark"),
-            OraclePolicy::Cayley => write!(f, "cayley"),
-        }
-    }
-}
-
-impl std::str::FromStr for OraclePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Ok(OraclePolicy::Auto),
-            "dense" => Ok(OraclePolicy::Dense),
-            "landmark" => Ok(OraclePolicy::Landmark),
-            "cayley" => Ok(OraclePolicy::Cayley),
-            other => Err(format!(
-                "unknown oracle policy {other:?}; expected auto, dense, landmark, or cayley"
-            )),
-        }
-    }
-}
 
 /// Warmup / measurement / drain windows for steady-state runs.
 ///
@@ -171,18 +121,6 @@ pub struct SimConfig {
     /// keeps the finite drain-to-empty behaviour; `Some` switches offered-load
     /// runs to continuous Poisson sources with windowed measurement.
     pub windows: Option<MeasurementWindows>,
-    /// The fault plan the run's network is expected to be degraded by
-    /// ([`crate::fault::FaultPlan::none`] by default).
-    ///
-    /// Faults are *applied* at network construction
-    /// ([`crate::SimNetwork::with_faults`]), not here — a `SimConfig` has no
-    /// graph to damage. Recording the plan in the config threads it through
-    /// sweep drivers alongside routing and windows, and lets the engines
-    /// fail fast on the classic sweep bug: a config that asks for faults
-    /// paired with a network that was built pristine (or with a different
-    /// plan) panics at simulator construction instead of silently measuring
-    /// the wrong machine.
-    pub faults: FaultPlan,
     /// Shard count of the event core ([`crate::Simulator`]).
     ///
     /// `1` (the default) runs the one shard on the calling thread; more run
@@ -195,11 +133,11 @@ pub struct SimConfig {
     /// ([`crate::fault::FaultScript::none`] by default — no runtime churn,
     /// and the engines' hot paths stay byte-for-byte the pristine ones).
     ///
-    /// Unlike [`SimConfig::faults`] (static damage applied at network
-    /// construction), the script is expanded by the engines at run start into
-    /// a deterministic [`crate::fault::FaultTimeline`] over the network's
-    /// surviving graph; both kinds compose (static damage first, churn on the
-    /// survivors).
+    /// Unlike a static fault plan (damage applied at network construction,
+    /// [`crate::SimNetwork::with_faults`]), the script is expanded by the
+    /// engines at run start into a deterministic
+    /// [`crate::fault::FaultTimeline`] over the network's surviving graph;
+    /// both kinds compose (static damage first, churn on the survivors).
     pub fault_script: crate::fault::FaultScript,
     /// Per-packet retransmission budget: how many times a dropped packet is
     /// retransmitted from its source NIC before it is abandoned in the
@@ -238,7 +176,6 @@ impl Default for SimConfig {
             ugal_threshold: 1.0,
             seed: 0x5EED,
             windows: None,
-            faults: FaultPlan::none(),
             shards: 1,
             fault_script: crate::fault::FaultScript::none(),
             retransmit_budget: 8,
@@ -298,14 +235,6 @@ impl SimConfig {
     /// Builder-style: enable steady-state measurement windows.
     pub fn with_windows(mut self, windows: MeasurementWindows) -> Self {
         self.windows = Some(windows);
-        self
-    }
-
-    /// Builder-style: record the fault plan the run's network is degraded by
-    /// (see [`SimConfig::faults`] — the plan is applied at network
-    /// construction, this field keeps config and network honest).
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
         self
     }
 
@@ -432,20 +361,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_shards_panics() {
         let _ = SimConfig::default().with_shards(0);
-    }
-
-    #[test]
-    fn oracle_policy_parses_and_round_trips() {
-        for p in [
-            OraclePolicy::Auto,
-            OraclePolicy::Dense,
-            OraclePolicy::Landmark,
-            OraclePolicy::Cayley,
-        ] {
-            assert_eq!(p.to_string().parse::<OraclePolicy>(), Ok(p));
-        }
-        assert_eq!(" DENSE ".parse::<OraclePolicy>(), Ok(OraclePolicy::Dense));
-        assert!("quantum".parse::<OraclePolicy>().is_err());
     }
 
     #[test]

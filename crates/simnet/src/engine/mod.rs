@@ -82,9 +82,6 @@ pub enum SimError {
     /// The job mix ([`SimConfig::jobs`]) is malformed, names an unknown job,
     /// or does not fit the surviving endpoints.
     Job(crate::job::JobError),
-    /// [`SimConfig::faults`] records a plan the network was not built with
-    /// (the message says which side has what).
-    FaultPlanMismatch(String),
     /// The offered load is not a fraction in `(0, 1]` (the message carries
     /// the rejected value).
     OfferedLoad(String),
@@ -125,8 +122,7 @@ impl std::fmt::Display for SimError {
                 "SimConfig::jobs requires steady-state measurement windows \
                  (SimConfig::with_windows)",
             ),
-            SimError::FaultPlanMismatch(message)
-            | SimError::EndpointOutOfRange(message)
+            SimError::EndpointOutOfRange(message)
             | SimError::OfferedLoad(message)
             | SimError::Windows(message)
             | SimError::Lookahead(message)
@@ -153,23 +149,18 @@ impl From<crate::fault::FaultError> for SimError {
 }
 
 /// What the simulator's constructor does: assert the buffer geometry, then
-/// resolve the configured routing algorithm and check the config's fault plan
-/// against the network — as a value the `try_*` entry points report.
-pub(crate) fn resolve_router(
-    net: &SimNetwork,
-    cfg: &SimConfig,
-) -> Result<Box<dyn Router>, SimError> {
+/// resolve the configured routing algorithm — as a value the `try_*` entry
+/// points report.
+pub(crate) fn resolve_router(cfg: &SimConfig) -> Result<Box<dyn Router>, SimError> {
     assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
     assert!(
         cfg.buffer_packets_per_vc >= 1,
         "need at least one buffer slot per VC"
     );
-    let router = routing::create(&cfg.routing).ok_or_else(|| SimError::UnknownRouting {
+    routing::create(&cfg.routing).ok_or_else(|| SimError::UnknownRouting {
         name: cfg.routing.clone(),
         registered: routing::registered_names(),
-    })?;
-    crate::fault::check_config_plan(net, &cfg.faults)?;
-    Ok(router)
+    })
 }
 
 /// Reject an offered load outside `(0, 1]` (NaN included).

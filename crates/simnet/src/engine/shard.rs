@@ -1570,17 +1570,16 @@ impl<'a> Simulator<'a> {
     /// Create a simulator over a network with a configuration.
     ///
     /// A `cfg.routing` that names no registered algorithm (see
-    /// [`crate::routing`]), a `cfg.faults` plan the network was not built
-    /// with, or a zero link + router latency (the credit return delay and the
-    /// epoch length would vanish) is reported by the first `try_*` call (the
-    /// `run*` wrappers panic with the same message).
+    /// [`crate::routing`]), or a zero link + router latency (the credit return
+    /// delay and the epoch length would vanish) is reported by the first
+    /// `try_*` call (the `run*` wrappers panic with the same message).
     ///
     /// # Panics
     /// If `cfg.shards` is zero.
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
         assert!(cfg.shards >= 1, "shard count must be at least 1");
         let lookahead = cfg.link_latency_ps() + cfg.router_latency_ps();
-        let router = super::resolve_router(net, cfg).and_then(|router| match lookahead {
+        let router = super::resolve_router(cfg).and_then(|router| match lookahead {
             0 => Err(SimError::Lookahead(format!(
                 "the simulator needs a positive lookahead (the credit return delay and \
                  the epoch length), but link_latency_ns = {} and router_latency_ns = {} \
@@ -1963,27 +1962,6 @@ mod tests {
         assert!(m.delivered_packets > 20, "got {}", m.delivered_packets);
         assert_eq!(run("link(0,7) + link(3,4)"), fragmented(2));
         assert_eq!(run("routers(8)"), fragmented(0));
-    }
-
-    /// The config check compares the plan's full cache key, not just its
-    /// spelling: the same spec at another seed is other damage. `try_run`
-    /// says so, and `run` panics with the same text.
-    #[test]
-    fn config_fault_plan_with_wrong_seed_panics() {
-        use crate::fault::FaultPlan;
-        let plan = |seed| FaultPlan::random_links(0.2).with_seed(seed);
-        let net = SimNetwork::with_faults(ring(12), 1, &plan(1)).unwrap();
-        let cfg = SimConfig::default().with_fault_plan(plan(2));
-        let wl = Workload::uniform_random(net.num_endpoints(), 1, 1024, 1);
-        let sim = Simulator::new(&net, &cfg);
-        let err = sim.try_run(&wl).unwrap_err();
-        assert!(
-            matches!(&err, SimError::FaultPlanMismatch(m) if m.contains("does not match the network's")),
-            "{err:?}"
-        );
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(&wl)))
-            .expect_err("run must panic on a mismatched fault plan");
-        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
     }
 
     /// A script whose events all lie past the fault horizon (1 ms by

@@ -61,7 +61,6 @@
 //! assert!(!pristine.unwrap().has_faults());
 //! ```
 
-use crate::engine::SimError;
 use crate::network::SimNetwork;
 use crate::spec::{self, Arg, ArgReader, Call, Family, Global, Registry, ResolveError};
 use crate::workload::Workload;
@@ -514,7 +513,6 @@ impl FaultPlan {
             removed_links,
             any_down,
             spec: self.spec(),
-            cache_key: self.cache_key(),
         })
     }
 }
@@ -535,9 +533,6 @@ pub struct AppliedFaults {
     pub any_down: bool,
     /// The plan spec that produced this damage.
     pub spec: String,
-    /// The plan's [`FaultPlan::cache_key`] (spec plus seed): the identity of
-    /// the damage, used to pair configs with the networks they describe.
-    pub cache_key: String,
 }
 
 impl AppliedFaults {
@@ -927,33 +922,6 @@ pub(crate) fn validate_workload(net: &SimNetwork, wl: &Workload) -> Result<(), F
         }
     }
     Ok(())
-}
-
-/// Reject mismatched fault wiring: a [`crate::SimConfig`] that records a
-/// fault plan must be paired with a network degraded by that plan — the same
-/// spec and seed, or, on a pristine network, a plan that damages nothing.
-/// A degraded network under a fault-less config is the network-first workflow
-/// (build with faults, simulate as usual) and always fine.
-pub(crate) fn check_config_plan(net: &SimNetwork, plan: &FaultPlan) -> Result<(), SimError> {
-    if plan.is_none() {
-        return Ok(());
-    }
-    let mismatch = match net.fault_key() {
-        Some(key) if key == plan.cache_key() => return Ok(()),
-        Some(key) => format!(
-            "SimConfig fault plan does not match the network's (build the \
-             network with SimNetwork::with_faults using the same plan and seed): \
-             the network has {key:?}, the config {:?}",
-            plan.cache_key()
-        ),
-        None if plan.apply(net.graph())?.is_pristine() => return Ok(()),
-        None => format!(
-            "SimConfig carries fault plan {:?} but the network was built \
-             pristine; build it with SimNetwork::with_faults",
-            plan.spec()
-        ),
-    };
-    Err(SimError::FaultPlanMismatch(mismatch))
 }
 
 /// Check a live-pattern steady-state run against a degraded network: patterns

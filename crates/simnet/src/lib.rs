@@ -93,7 +93,7 @@ pub mod spec;
 pub mod stats;
 pub mod workload;
 
-pub use config::{MeasurementWindows, OraclePolicy, SimConfig};
+pub use config::{MeasurementWindows, SimConfig};
 pub use engine::{ParallelSimulator, SimError, Simulator};
 pub use fault::{
     FaultError, FaultEvent, FaultEventKind, FaultModel, FaultPlan, FaultRegistry, FaultScript,

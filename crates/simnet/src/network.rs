@@ -3,24 +3,25 @@
 //! tier the analytical layer uses, so the simulator and the analysis can never
 //! disagree about paths.
 //!
-//! At small n the oracle is the classic dense pair ([`DistanceMatrix`] plus the
-//! packed [`NextHopTable`] behind the allocation-free hot path); past the dense
-//! representation's `u16::MAX`-vertex wall, [`SimNetwork::new`] automatically
-//! falls back to the O(k·n) [`spectralfly_graph::LandmarkOracle`], and
-//! vertex-transitive topologies can inject the O(n)
-//! [`spectralfly_graph::CayleyOracle`] through [`SimNetwork::with_oracle`] (e.g.
-//! `LpsGraph::cayley_oracle()`), which is what carries million-router LPS
-//! fabrics. Faults break vertex transitivity, so [`SimNetwork::with_faults`]
-//! never selects a Cayley oracle over a degraded graph — the demotion the
-//! routing correctness argument requires. Whatever the representation,
+//! Every oracle is exact, so which one backs a network is derived, never
+//! configured. [`SimNetwork::new`] builds the classic dense pair
+//! ([`spectralfly_graph::paths::DistanceMatrix`] plus the packed
+//! [`NextHopTable`] behind the allocation-free hot path) while the matrix fits
+//! its [`spectralfly_graph::paths::DistanceMatrix::MAX_VERTICES`] index space,
+//! and the O(k·n) [`spectralfly_graph::LandmarkOracle`] past it. A topology
+//! that knows its group injects the O(n) [`spectralfly_graph::CayleyOracle`]
+//! through [`SimNetwork::with_oracle`] (`LpsGraph::cayley_oracle()`, which is
+//! what carries million-router LPS fabrics). Faults break vertex transitivity,
+//! so [`SimNetwork::with_faults`] builds through [`SimNetwork::new`] over the
+//! degraded graph and never keeps a Cayley oracle — the demotion the routing
+//! correctness argument requires. Whatever the representation,
 //! [`SimNetwork::minimal_ports_packed`] hides it behind a caller-owned scratch
 //! buffer, so the hot path stays allocation-free across the whole tier.
 
 use crate::fault::{AppliedFaults, FaultError, FaultPlan};
-use crate::OraclePolicy;
 use spectralfly_graph::csr::{CsrGraph, VertexId};
-use spectralfly_graph::oracle::{DenseOracle, LandmarkOracle, OracleError, OracleKind, PathOracle};
-use spectralfly_graph::paths::{DistanceMatrix, NextHopTable};
+use spectralfly_graph::oracle::{DenseOracle, LandmarkOracle, OracleKind, PathOracle};
+use spectralfly_graph::paths::NextHopTable;
 use std::sync::Arc;
 
 /// Fault metadata of a degraded network: which routers are administratively
@@ -39,13 +40,11 @@ struct NetworkFaults {
     alive_components: usize,
     /// The fault-plan spec that produced this damage.
     spec: String,
-    /// The plan's cache key (spec plus seed) — the identity of the damage.
-    key: String,
 }
 
 impl NetworkFaults {
     /// Label the degraded graph's connected components.
-    fn new(graph: &CsrGraph, down: Vec<bool>, spec: String, key: String) -> Self {
+    fn new(graph: &CsrGraph, down: Vec<bool>, spec: String) -> Self {
         let n = graph.num_vertices();
         let mut comp_of = vec![u32::MAX; n];
         let mut comp_members: Vec<Vec<VertexId>> = Vec::new();
@@ -85,16 +84,8 @@ impl NetworkFaults {
             comp_members,
             alive_components,
             spec,
-            key,
         }
     }
-}
-
-/// The outcome of oracle selection: dense keeps its concrete handle so the
-/// analytical-sharing accessors survive the trait boundary.
-enum SelectedOracle {
-    Dense(Arc<DenseOracle>),
-    Other(Arc<dyn PathOracle>),
 }
 
 /// A network instance fed to the simulator: a router graph plus endpoint concentration.
@@ -111,13 +102,12 @@ pub struct SimNetwork {
     /// the engines' transmit path is a table read instead of a binary search.
     link_owner: Vec<(VertexId, u32)>,
     /// The path oracle every distance / minimal-port query routes through
-    /// (`Arc` so sibling networks and sweep drivers share rather than
-    /// recompute it).
+    /// (`Arc` so clones of the network share rather than recompute it).
     oracle: Arc<dyn PathOracle>,
     /// The same oracle by its concrete dense handle when the network is
-    /// dense-backed — keeps the analytical-sharing APIs
-    /// ([`SimNetwork::distances`], [`SimNetwork::distances_arc`]) alive
-    /// without a downcast. `None` for Cayley / landmark networks.
+    /// dense-backed — keeps [`SimNetwork::next_hop_table`] and
+    /// [`SimNetwork::without_next_hop_table`] free of a downcast. `None` for
+    /// Cayley / landmark networks.
     dense: Option<Arc<DenseOracle>>,
     /// [`PathOracle::max_distance_bound`] cached at construction, so
     /// [`SimNetwork::diameter`] is a field read instead of (for the dense
@@ -131,38 +121,21 @@ pub struct SimNetwork {
 }
 
 impl SimNetwork {
-    /// Build a network from a router graph and a per-router endpoint count (≥ 1),
-    /// selecting the path oracle automatically ([`OraclePolicy::Auto`]): dense
-    /// while the matrix fits its index space, landmark beyond it. Equivalent to
-    /// the pre-trait constructor at every previously-supported size, but no
-    /// longer aborts past `u16::MAX` routers.
+    /// Build a network from a router graph and a per-router endpoint count (≥ 1):
+    /// dense-backed while the distance matrix fits its index space, landmark-backed
+    /// past it. A plain graph carries no group structure, so a Cayley oracle comes
+    /// from the topology layer through [`SimNetwork::with_oracle`].
     pub fn new(graph: CsrGraph, concentration: usize) -> Self {
-        Self::with_policy(graph, concentration, OraclePolicy::Auto)
-            .expect("auto oracle selection always finds a representation")
-    }
-
-    /// Build a network with an explicit oracle policy.
-    ///
-    /// [`OraclePolicy::Cayley`] is rejected here with a typed error: a plain
-    /// graph carries no group structure, so Cayley oracles come from the
-    /// topology layer (e.g. `LpsGraph::cayley_oracle()`) and are injected via
-    /// [`SimNetwork::with_oracle`].
-    ///
-    /// # Panics
-    /// If `concentration` is 0.
-    pub fn with_policy(
-        graph: CsrGraph,
-        concentration: usize,
-        policy: OraclePolicy,
-    ) -> Result<Self, OracleError> {
-        let (oracle, dense): (Arc<dyn PathOracle>, Option<Arc<DenseOracle>>) =
-            match Self::select_oracle(&graph, policy)? {
-                SelectedOracle::Dense(d) => (d.clone(), Some(d)),
-                SelectedOracle::Other(o) => (o, None),
-            };
-        let mut net = Self::assemble(graph, concentration, oracle);
-        net.dense = dense;
-        Ok(net)
+        // The dense oracle fails only past its vertex wall, where the graph is
+        // non-empty — all a landmark oracle needs.
+        let Ok(dense) = DenseOracle::build(&graph) else {
+            let landmark = LandmarkOracle::build(&graph).expect("a non-empty graph");
+            return Self::assemble(graph, concentration, Arc::new(landmark));
+        };
+        let dense = Arc::new(dense);
+        let mut net = Self::assemble(graph, concentration, dense.clone());
+        net.dense = Some(dense);
+        net
     }
 
     /// Build a network around a caller-constructed oracle — the injection
@@ -174,58 +147,6 @@ impl SimNetwork {
     /// `concentration` is 0.
     pub fn with_oracle(graph: CsrGraph, concentration: usize, oracle: Arc<dyn PathOracle>) -> Self {
         Self::assemble(graph, concentration, oracle)
-    }
-
-    /// Build a network around a distance oracle the caller already holds (the
-    /// analytical layer and the bench sweep drivers compute one per topology);
-    /// avoids recomputing one BFS per router per construction. The network is
-    /// dense-backed by construction.
-    ///
-    /// # Panics
-    /// If `dist` was not computed over exactly `graph`'s vertex count, or
-    /// `concentration` is 0.
-    pub fn with_distances(
-        graph: CsrGraph,
-        concentration: usize,
-        dist: Arc<DistanceMatrix>,
-    ) -> Self {
-        assert_eq!(
-            dist.n(),
-            graph.num_vertices(),
-            "distance matrix is over {} routers but the graph has {}",
-            dist.n(),
-            graph.num_vertices()
-        );
-        let dense = Arc::new(DenseOracle::from_matrix(&graph, dist));
-        let mut net = Self::assemble(graph, concentration, dense.clone());
-        net.dense = Some(dense);
-        net
-    }
-
-    /// Pick an oracle for a plain (structure-free) graph under `policy`.
-    fn select_oracle(
-        graph: &CsrGraph,
-        policy: OraclePolicy,
-    ) -> Result<SelectedOracle, OracleError> {
-        match policy {
-            OraclePolicy::Dense => Ok(SelectedOracle::Dense(Arc::new(DenseOracle::build(graph)?))),
-            OraclePolicy::Landmark => Ok(SelectedOracle::Other(Arc::new(LandmarkOracle::build(
-                graph,
-            )?))),
-            OraclePolicy::Auto => match DenseOracle::build(graph) {
-                Ok(d) => Ok(SelectedOracle::Dense(Arc::new(d))),
-                Err(OracleError::TooManyVertices { .. }) => Ok(SelectedOracle::Other(Arc::new(
-                    LandmarkOracle::build(graph)?,
-                ))),
-                Err(e) => Err(e),
-            },
-            OraclePolicy::Cayley => Err(OracleError::Inconsistent(
-                "a plain graph has no group structure to exploit; build the oracle in the \
-                 topology layer (e.g. LpsGraph::cayley_oracle()) and inject it with \
-                 SimNetwork::with_oracle"
-                    .to_string(),
-            )),
-        }
     }
 
     /// The shared tail of every constructor: link indexing + oracle caching.
@@ -271,9 +192,9 @@ impl SimNetwork {
     /// [`FaultError`] instead of hanging.
     ///
     /// The degraded oracle is never Cayley: faults break the vertex
-    /// transitivity the translation trick depends on, so the selection here is
-    /// dense-or-landmark ([`OraclePolicy::Auto`]) regardless of what the
-    /// pristine network used — the automatic Cayley→landmark demotion.
+    /// transitivity the translation trick depends on, so the network is built
+    /// by [`SimNetwork::new`] — dense or landmark — regardless of what the
+    /// pristine network used: the automatic Cayley→landmark demotion.
     ///
     /// With [`FaultPlan::none`] (or any plan that happens to remove nothing)
     /// this is exactly [`SimNetwork::new`] — same construction path, no fault
@@ -291,42 +212,13 @@ impl SimNetwork {
             graph,
             down_routers,
             spec,
-            cache_key,
             removed_links: _,
             any_down: _,
         } = applied;
-        let faults = Arc::new(NetworkFaults::new(&graph, down_routers, spec, cache_key));
-        let mut net = Self::with_policy(graph, concentration, OraclePolicy::Auto)
-            .expect("auto oracle selection always finds a representation");
+        let faults = Arc::new(NetworkFaults::new(&graph, down_routers, spec));
+        let mut net = Self::new(graph, concentration);
         net.faults = Some(faults);
         Ok(net)
-    }
-
-    /// Build a network from pre-applied faults and a distance oracle already
-    /// computed over the surviving graph — the constructor behind sweep caches
-    /// that key degraded oracles by fault plan.
-    ///
-    /// # Panics
-    /// If `dist` was not computed over exactly the surviving graph's vertex
-    /// count, or `concentration` is 0.
-    pub fn degraded(
-        applied: AppliedFaults,
-        concentration: usize,
-        dist: Arc<DistanceMatrix>,
-    ) -> Self {
-        let AppliedFaults {
-            graph,
-            down_routers,
-            spec,
-            cache_key,
-            removed_links,
-            any_down,
-        } = applied;
-        let faults = (removed_links > 0 || any_down)
-            .then(|| Arc::new(NetworkFaults::new(&graph, down_routers, spec, cache_key)));
-        let mut net = Self::with_distances(graph, concentration, dist);
-        net.faults = faults;
-        net
     }
 
     /// This network with the packed next-hop table dropped, forcing every minimal-
@@ -354,12 +246,6 @@ impl SimNetwork {
         &self.graph
     }
 
-    /// The path oracle by shared handle (for constructing sibling networks
-    /// over the same topology without recomputing it).
-    pub fn oracle(&self) -> Arc<dyn PathOracle> {
-        Arc::clone(&self.oracle)
-    }
-
     /// Which oracle representation backs this network.
     pub fn oracle_kind(&self) -> OracleKind {
         self.oracle.kind()
@@ -369,37 +255,6 @@ impl SimNetwork {
     /// bench reports alongside peak RSS.
     pub fn oracle_memory_bytes(&self) -> usize {
         self.oracle.memory_bytes()
-    }
-
-    /// The dense distance matrix, on dense-backed networks.
-    ///
-    /// # Panics
-    /// On Cayley / landmark networks, which have no quadratic matrix — callers
-    /// that can see large topologies should query through [`SimNetwork::dist`]
-    /// and [`SimNetwork::minimal_ports_packed`] instead.
-    pub fn distances(&self) -> &DistanceMatrix {
-        self.distances_arc_ref()
-    }
-
-    /// The dense distance oracle by shared handle (for constructing sibling
-    /// networks over the same topology without recomputing it).
-    ///
-    /// # Panics
-    /// On Cayley / landmark networks (see [`SimNetwork::distances`]).
-    pub fn distances_arc(&self) -> Arc<DistanceMatrix> {
-        Arc::clone(self.distances_arc_ref())
-    }
-
-    fn distances_arc_ref(&self) -> &Arc<DistanceMatrix> {
-        self.dense
-            .as_ref()
-            .unwrap_or_else(|| {
-                panic!(
-                    "network is backed by a {} oracle, not a dense distance matrix",
-                    self.oracle.kind()
-                )
-            })
-            .distances()
     }
 
     /// Endpoints per router.
@@ -417,13 +272,6 @@ impl SimNetwork {
     /// The fault-plan spec this network was degraded by, if any.
     pub fn fault_spec(&self) -> Option<&str> {
         self.faults.as_ref().map(|f| f.spec.as_str())
-    }
-
-    /// The degrading plan's [`FaultPlan::cache_key`] (spec plus seed), if any
-    /// — the identity of the damage, distinguishing equal specs drawn at
-    /// different seeds.
-    pub fn fault_key(&self) -> Option<&str> {
-        self.faults.as_ref().map(|f| f.key.as_str())
     }
 
     /// Whether a router is up (always true on pristine networks). A down
@@ -584,6 +432,7 @@ impl SimNetwork {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use spectralfly_graph::paths::DistanceMatrix;
 
     fn ring(n: usize) -> CsrGraph {
         let mut e: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -645,24 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn prebuilt_distances_are_shared_not_recomputed() {
-        let g = ring(10);
-        let dm = Arc::new(DistanceMatrix::from_graph(&g));
-        let net = SimNetwork::with_distances(g, 2, Arc::clone(&dm));
-        assert!(Arc::ptr_eq(&net.distances_arc(), &dm));
-        // Sibling networks over the same oracle share it too.
-        let sib = SimNetwork::with_distances(net.graph().clone(), 1, net.distances_arc());
-        assert!(Arc::ptr_eq(&sib.distances_arc(), &dm));
-    }
-
-    #[test]
-    #[should_panic(expected = "distance matrix is over")]
-    fn mismatched_distances_are_rejected() {
-        let dm = Arc::new(DistanceMatrix::from_graph(&ring(6)));
-        SimNetwork::with_distances(ring(8), 1, dm);
-    }
-
-    #[test]
     fn pristine_network_answers_fault_queries_trivially() {
         let net = SimNetwork::new(ring(6), 2);
         assert!(!net.has_faults());
@@ -720,17 +551,6 @@ mod tests {
         assert_eq!(net.component_peers(1).unwrap(), &[0, 1, 2]);
         assert_eq!(net.component_peers(4).unwrap(), &[3, 4, 5]);
         assert_eq!(net.dist(2, 3), spectralfly_graph::paths::UNREACHABLE_U16);
-    }
-
-    #[test]
-    fn degraded_constructor_shares_a_prebuilt_oracle() {
-        let plan = FaultPlan::random_links(0.2).with_seed(9);
-        let applied = plan.apply(&ring(12)).unwrap();
-        let dm = Arc::new(DistanceMatrix::from_graph(&applied.graph));
-        let net = SimNetwork::degraded(applied.clone(), 2, Arc::clone(&dm));
-        assert!(net.has_faults());
-        assert!(Arc::ptr_eq(&net.distances_arc(), &dm));
-        assert_eq!(net.graph(), &applied.graph);
     }
 
     #[test]

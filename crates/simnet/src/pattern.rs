@@ -157,10 +157,7 @@ pub trait TrafficPattern: Send + Sync {
     /// sends `msgs_per_endpoint` messages of `bytes` each, destinations drawn
     /// from the pattern (self-sends are skipped). Deterministic in `seed`.
     ///
-    /// For the built-in patterns this reproduces the legacy `Workload`
-    /// constructors bit-for-bit (`random` ↔ [`Workload::uniform_random`],
-    /// `bit-shuffle` ↔ [`Workload::bit_shuffle`], …), which keeps every
-    /// golden-seed figure stable across the registry refactor.
+    /// For `random` this reproduces [`Workload::uniform_random`] bit-for-bit.
     fn workload(&self, msgs_per_endpoint: usize, bytes: u64, seed: u64) -> Workload {
         let n = self.endpoints();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -195,7 +192,7 @@ pub trait TrafficPattern: Send + Sync {
 /// The shared self-send collision bump: a randomized pattern that happens to
 /// draw its own source steps to `(dst + 1) mod n` instead — exactly the rule
 /// [`Workload::uniform_random`] has always used, so pattern materialization
-/// stays bit-identical to the legacy constructors.
+/// stays bit-identical to it.
 #[inline]
 fn bump_self(n: usize, src: usize, dst: usize) -> usize {
     if dst == src {

@@ -2,8 +2,9 @@
 //!
 //! The synthetic micro-benchmarks of Section VI-C (uniform random, bit shuffle, bit
 //! reverse, transpose) are workloads whose destinations are permutations of the endpoint
-//! id's bit representation, with Poisson-spaced injections to model offered load. A
-//! workload has no internal ordering: every message is injectable from the start. Traffic
+//! id's bit representation ([`Workload::synthetic`] over [`crate::pattern`]), with
+//! Poisson-spaced injections to model offered load. A workload has no internal
+//! ordering: every message is injectable from the start. Traffic
 //! whose messages depend on one another — the collectives and the Ember application motifs
 //! (Halo3D-26, Sweep3D, FFT) — is a [`crate::job`] schedule instead.
 
@@ -83,67 +84,6 @@ impl Workload {
         Workload::new("random", messages)
     }
 
-    /// Permutation traffic over `2^bits` logical ranks mapped onto the first `2^bits`
-    /// endpoints: each rank sends `msgs_per_rank` messages to `perm(rank)`.
-    fn bit_permutation(
-        name: &str,
-        bits: u32,
-        msgs_per_rank: usize,
-        bytes: u64,
-        perm: impl Fn(usize, u32) -> usize,
-    ) -> Self {
-        let ranks = 1usize << bits;
-        let mut messages = Vec::with_capacity(ranks * msgs_per_rank);
-        for src in 0..ranks {
-            let dst = perm(src, bits) % ranks;
-            if dst == src {
-                continue;
-            }
-            for i in 0..msgs_per_rank {
-                messages.push(Message {
-                    src,
-                    dst,
-                    bytes,
-                    inject_offset_ps: i as u64,
-                });
-            }
-        }
-        Workload::new(name, messages)
-    }
-
-    /// Bit-shuffle traffic (rotate the rank's bits left by one) — FFT / sorting pattern.
-    pub fn bit_shuffle(bits: u32, msgs_per_rank: usize, bytes: u64) -> Self {
-        Self::bit_permutation("bit-shuffle", bits, msgs_per_rank, bytes, |r, b| {
-            let mask = (1usize << b) - 1;
-            ((r << 1) | (r >> (b - 1))) & mask
-        })
-    }
-
-    /// Bit-reverse traffic (reverse the rank's bit representation).
-    pub fn bit_reverse(bits: u32, msgs_per_rank: usize, bytes: u64) -> Self {
-        Self::bit_permutation("bit-reverse", bits, msgs_per_rank, bytes, |r, b| {
-            let mut out = 0usize;
-            for i in 0..b {
-                if r & (1 << i) != 0 {
-                    out |= 1 << (b - 1 - i);
-                }
-            }
-            out
-        })
-    }
-
-    /// Transpose traffic (swap the high and low halves of the rank's bits) — matrix
-    /// transpose pattern.
-    pub fn transpose(bits: u32, msgs_per_rank: usize, bytes: u64) -> Self {
-        Self::bit_permutation("transpose", bits, msgs_per_rank, bytes, |r, b| {
-            let half = b / 2;
-            let low_mask = (1usize << half) - 1;
-            let low = r & low_mask;
-            let high = r >> half;
-            (low << (b - half)) | high
-        })
-    }
-
     /// Build a named synthetic pattern over `2^bits` ranks by resolving `pattern`
     /// through the traffic-pattern registry ([`crate::pattern`]) and
     /// materializing it — any registered spec works (`"random"`, `"tornado"`,
@@ -210,10 +150,14 @@ mod tests {
         assert_eq!(wl.total_bytes(), 160 * 128);
     }
 
+    /// A bit-permutation pattern over `2^bits` ranks, one message per rank.
+    fn bit_pattern(name: &str, bits: u32) -> Workload {
+        Workload::synthetic(name, bits, 1, 64, 0).unwrap()
+    }
+
     #[test]
     fn shuffle_is_a_left_rotation() {
-        let wl = Workload::bit_shuffle(4, 1, 64);
-        for m in &wl.messages {
+        for m in &bit_pattern("shuffle", 4).messages {
             let expected = ((m.src << 1) | (m.src >> 3)) & 0xF;
             assert_eq!(m.dst, expected);
         }
@@ -221,26 +165,18 @@ mod tests {
 
     #[test]
     fn bit_reverse_is_an_involution() {
-        let wl = Workload::bit_reverse(6, 1, 64);
+        let wl = bit_pattern("reverse", 6);
+        assert!(!wl.messages.is_empty());
         for m in &wl.messages {
             // Reversing twice returns the source.
-            let rev = |r: usize| -> usize {
-                let mut out = 0;
-                for i in 0..6 {
-                    if r & (1 << i) != 0 {
-                        out |= 1 << (5 - i);
-                    }
-                }
-                out
-            };
+            let rev = |r: usize| r.reverse_bits() >> (usize::BITS - 6);
             assert_eq!(rev(m.dst), m.src);
         }
     }
 
     #[test]
     fn transpose_swaps_halves() {
-        let wl = Workload::transpose(6, 1, 64);
-        for m in &wl.messages {
+        for m in &bit_pattern("transpose", 6).messages {
             let low = m.src & 0b111;
             let high = m.src >> 3;
             assert_eq!(m.dst, (low << 3) | high);
@@ -250,20 +186,18 @@ mod tests {
     #[test]
     fn fixed_points_are_skipped() {
         // Rank 0 is a fixed point of every bit permutation and must not send to itself.
-        for wl in [
-            Workload::bit_shuffle(5, 2, 64),
-            Workload::bit_reverse(5, 2, 64),
-            Workload::transpose(4, 2, 64),
-        ] {
+        for (name, bits) in [("shuffle", 5), ("reverse", 5), ("transpose", 4)] {
+            let wl = Workload::synthetic(name, bits, 2, 64, 0).unwrap();
+            assert!(!wl.messages.is_empty(), "{name}");
             for m in &wl.messages {
-                assert_ne!(m.src, m.dst);
+                assert_ne!(m.src, m.dst, "{name}");
             }
         }
     }
 
     #[test]
     fn placement_remaps_endpoints() {
-        let wl = Workload::transpose(3, 1, 64);
+        let wl = bit_pattern("transpose", 3);
         let placement = random_placement(8, 64, 9);
         let placed = wl.place(&placement);
         assert_eq!(placed.num_messages(), wl.num_messages());
@@ -280,7 +214,14 @@ mod tests {
     fn synthetic_dispatch_resolves_through_the_pattern_registry() {
         assert!(Workload::synthetic("random", 4, 1, 64, 1).is_ok());
         assert!(Workload::synthetic("shuffle", 4, 1, 64, 1).is_ok());
-        // Registry-only patterns (no legacy constructor) are reachable too.
+        // `random` draws exactly as `Workload::uniform_random` does.
+        let random = Workload::synthetic("random", 5, 3, 256, 77).unwrap();
+        let uniform = Workload::uniform_random(32, 3, 256, 77);
+        assert_eq!(
+            (random.name, random.messages),
+            (uniform.name, uniform.messages)
+        );
+        // Patterns beyond the paper's micro-benchmarks are reachable too.
         assert!(Workload::synthetic("tornado", 4, 1, 64, 1).is_ok());
         assert!(Workload::synthetic("hotspot(2, 0.5)", 4, 1, 64, 1).is_ok());
         // Unknown names are a proper error naming the candidates, not a panic.
@@ -288,34 +229,5 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("unknown traffic pattern"), "{msg}");
         assert!(msg.contains("tornado"), "{msg}");
-    }
-
-    #[test]
-    fn synthetic_matches_legacy_constructors_bit_for_bit() {
-        // The registry refactor must not perturb a single message of the
-        // figures' workloads: pattern-materialized and legacy-constructed
-        // workloads are identical, messages and names both.
-        let cases: Vec<(Workload, Workload)> = vec![
-            (
-                Workload::synthetic("random", 5, 3, 256, 77).unwrap(),
-                Workload::uniform_random(32, 3, 256, 77),
-            ),
-            (
-                Workload::synthetic("shuffle", 5, 2, 128, 1).unwrap(),
-                Workload::bit_shuffle(5, 2, 128),
-            ),
-            (
-                Workload::synthetic("reverse", 6, 2, 128, 1).unwrap(),
-                Workload::bit_reverse(6, 2, 128),
-            ),
-            (
-                Workload::synthetic("transpose", 6, 4, 512, 1).unwrap(),
-                Workload::transpose(6, 4, 512),
-            ),
-        ];
-        for (ours, legacy) in cases {
-            assert_eq!(ours.name, legacy.name);
-            assert_eq!(ours.messages, legacy.messages);
-        }
     }
 }

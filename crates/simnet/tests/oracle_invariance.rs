@@ -2,7 +2,8 @@
 //! scan, landmark labeling, Cayley translation) must never change simulation
 //! physics. On tie-free topologies (odd rings: the minimal next hop is unique
 //! for every pair) every backing yields bit-identical `SimResults` on the same
-//! golden seed — the oracle is a memory/speed knob, never a semantics knob.
+//! golden seed — the oracle changes memory and speed, never answers, which is
+//! why the network picks it instead of the caller.
 //!
 //! VC counts are pinned explicitly in every config: the landmark oracle's
 //! `diameter()` is an upper *bound* (≤ 2× exact), so deriving VCs from the
@@ -10,10 +11,9 @@
 
 use std::sync::Arc;
 
-use spectralfly_graph::{CayleyOracle, CsrGraph, OracleError, OracleKind};
+use spectralfly_graph::{CayleyOracle, CsrGraph, LandmarkOracle, OracleKind};
 use spectralfly_simnet::{
-    FaultPlan, MeasurementWindows, OraclePolicy, SimConfig, SimNetwork, SimResults, Simulator,
-    Workload,
+    FaultPlan, MeasurementWindows, SimConfig, SimNetwork, SimResults, Simulator, Workload,
 };
 
 fn ring(n: usize) -> CsrGraph {
@@ -30,25 +30,22 @@ fn ring_cayley(n: usize) -> CayleyOracle {
         .expect("ring translation validates")
 }
 
+/// The `n`-ring behind a landmark oracle, which `SimNetwork::new` would only
+/// pick past the dense wall.
+fn ring_landmark(n: usize, concentration: usize) -> SimNetwork {
+    let oracle = LandmarkOracle::build(&ring(n)).expect("landmark builds");
+    SimNetwork::with_oracle(ring(n), concentration, Arc::new(oracle))
+}
+
 /// Every oracle backing over the same `n`-ring, labelled for assertions.
 fn backings(n: usize, concentration: usize) -> Vec<(&'static str, SimNetwork)> {
     vec![
-        (
-            "dense-table",
-            SimNetwork::with_policy(ring(n), concentration, OraclePolicy::Dense)
-                .expect("dense fits"),
-        ),
+        ("dense-table", SimNetwork::new(ring(n), concentration)),
         (
             "dense-scan",
-            SimNetwork::with_policy(ring(n), concentration, OraclePolicy::Dense)
-                .expect("dense fits")
-                .without_next_hop_table(),
+            SimNetwork::new(ring(n), concentration).without_next_hop_table(),
         ),
-        (
-            "landmark",
-            SimNetwork::with_policy(ring(n), concentration, OraclePolicy::Landmark)
-                .expect("landmark builds"),
-        ),
+        ("landmark", ring_landmark(n, concentration)),
         (
             "cayley",
             SimNetwork::with_oracle(ring(n), concentration, Arc::new(ring_cayley(n))),
@@ -104,38 +101,23 @@ fn steady_state_golden_runs_are_identical_across_oracle_backings() {
     assert_all_equal(results);
 }
 
-/// The `Cayley` policy cannot be satisfied from a bare `CsrGraph` (the group
-/// translation lives with the topology constructor), so `with_policy` must
-/// refuse it with an error that points at the injection route.
+/// `SimNetwork::new` picks dense while the matrix fits and demotes to
+/// landmarks past the u16 vertex-count wall — without the caller changing
+/// anything.
 #[test]
-fn cayley_policy_on_a_bare_graph_is_rejected_with_guidance() {
-    let err = SimNetwork::with_policy(ring(9), 1, OraclePolicy::Cayley)
-        .expect_err("bare graphs carry no group structure");
-    let msg = match err {
-        OracleError::Inconsistent(msg) => msg,
-        other => panic!("expected Inconsistent, got {other:?}"),
-    };
-    assert!(msg.contains("cayley_oracle"), "unhelpful message: {msg}");
-    assert!(msg.contains("with_oracle"), "unhelpful message: {msg}");
-}
-
-/// Auto policy picks dense while the matrix fits and demotes to landmarks
-/// past the u16 vertex-count wall — without the caller changing anything.
-#[test]
-fn auto_policy_demotes_to_landmark_past_the_dense_wall() {
+fn new_demotes_to_landmark_past_the_dense_wall() {
     let small = SimNetwork::new(ring(9), 1);
     assert_eq!(small.oracle_kind(), OracleKind::Dense);
 
     let n = u16::MAX as usize + 1;
-    let big = SimNetwork::with_policy(ring(n), 1, OraclePolicy::Auto)
-        .expect("auto always finds a backing");
+    let big = SimNetwork::new(ring(n), 1);
     assert_eq!(big.oracle_kind(), OracleKind::Landmark);
     // The landmark footprint is what makes the demotion worthwhile: pinned
     // rows + cache budget stay far under the ~8 GiB the dense matrix needs.
     assert!(big.oracle_memory_bytes() < (n * n * 2) / 4);
 }
 
-/// Fault injection re-runs auto selection over the survivor graph: the result
+/// Fault injection re-runs `SimNetwork::new` over the survivor graph: the result
 /// is dense (small) or landmark (huge) but never Cayley — edge deletions break
 /// vertex-transitivity, so translated distances would be wrong.
 #[test]
@@ -153,7 +135,7 @@ fn fault_injection_demotes_to_a_non_cayley_oracle() {
 /// the same network from two simulators concurrently must not perturb results.
 #[test]
 fn shared_landmark_cache_does_not_leak_state_between_runs() {
-    let net = SimNetwork::with_policy(ring(9), 2, OraclePolicy::Landmark).expect("builds");
+    let net = ring_landmark(9, 2);
     let wl = Workload::uniform_random(net.num_endpoints(), 6, 2048, 47);
     let mut cfg = SimConfig::default().with_routing("minimal", 5);
     cfg.seed = 47;

@@ -1,16 +1,15 @@
 //! The `try_*` entry points reject bad configuration with a typed
 //! [`SimError`], at one shard and at two — an unknown routing name, an
-//! unknown pattern spec, an unknown / malformed / oversized job mix, a config
-//! fault plan the network was not built with, an offered load outside
-//! `(0, 1]`, a job mix without measurement windows, a workload endpoint the
-//! network does not have, windows that overflow `u64` picoseconds, a run with
-//! no lookahead — and the panicking `run*` wrappers die with that error's
-//! message.
+//! unknown pattern spec, an unknown / malformed / oversized job mix, an
+//! offered load outside `(0, 1]`, a job mix without measurement windows, a
+//! workload endpoint the network does not have, windows that overflow `u64`
+//! picoseconds, a run with no lookahead — and the panicking `run*` wrappers
+//! die with that error's message.
 
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultPlan, JobError, MeasurementWindows, Message, PatternError, SimConfig, SimError,
-    SimNetwork, Simulator, Workload,
+    JobError, MeasurementWindows, Message, PatternError, SimConfig, SimError, SimNetwork,
+    Simulator, Workload,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -75,13 +74,6 @@ macro_rules! typed_errors {
                 };
                 assert_eq!(got, variant, "{mix}: {err:?}");
             }
-
-            let cfg = base.clone().with_fault_plan(FaultPlan::random_links(0.2));
-            let err = Simulator::new(&net, &cfg).try_run(&wl);
-            assert!(
-                matches!(&err, Err(SimError::FaultPlanMismatch(m)) if m.contains("built pristine")),
-                "{err:?}"
-            );
 
             let sim = Simulator::new(&net, &base);
             for load in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
