@@ -1484,7 +1484,7 @@ bytes = 512
     /// oracle digest alike. `lps(5,13)x1` under minimal and UGAL-L keeps the
     /// digest its smoke section pinned while the oracle was a manifest axis;
     /// the congested `lps(11,7)x4` point (PSL, 12 ports, UGAL-L at load 0.9)
-    /// walks the Cayley port order against the table's in queue-driven
+    /// walks the Cayley port order against the dense scan's in queue-driven
     /// tie-breaks.
     #[test]
     fn dense_and_cayley_backings_digest_alike() {

@@ -16,10 +16,8 @@
 //!   plus the bisection bracket and the Ramanujan certificate, computed on demand.
 //! * [`matching`] — near-maximum matchings used to pair routers into cabinets (Section VII).
 //! * [`paths`] — the shared distance / next-hop oracle ([`paths::DistanceMatrix`])
-//!   consumed by both the analytical layer and the packet-level simulator, plus the
-//!   CSR-packed [`paths::NextHopTable`] behind the simulator's allocation-free
-//!   routing hot path.
-//! * [`oracle`] — the [`oracle::PathOracle`] trait that puts the dense pair, the
+//!   consumed by both the analytical layer and the packet-level simulator.
+//! * [`oracle`] — the [`oracle::PathOracle`] trait that puts the dense matrix, the
 //!   O(n) Cayley-translation oracle, and the landmark/ALT oracle behind one
 //!   interface, so million-router fabrics escape the O(n²) memory wall without
 //!   changing a single routing call site.
@@ -55,6 +53,6 @@ pub use oracle::{
     CayleyDiff, CayleyOracle, DenseOracle, LandmarkOracle, OracleError, OracleKind, PathOracle,
 };
 pub use partition::{bisect, bisection_bandwidth, partition_kway, BisectConfig, Bisection};
-pub use paths::{DistanceMatrix, NextHopTable};
+pub use paths::DistanceMatrix;
 pub use profile::{profile_graph, Column, StructuralProfile};
 pub use spectral::{spectral_summary, SpectralSummary};

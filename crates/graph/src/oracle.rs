@@ -5,9 +5,9 @@
 //! asks through [`PathOracle`], and the representation behind the
 //! trait is chosen by topology size and structure:
 //!
-//! * [`DenseOracle`] — the existing [`DistanceMatrix`] + [`NextHopTable`] pair.
-//!   O(n²) memory, O(1) packed-row lookups; the right trade up to ~10⁴ routers
-//!   and the default there.
+//! * [`DenseOracle`] — the [`DistanceMatrix`]. O(n²) memory, O(1) distances,
+//!   and a minimal-port query that scans the current router's ports against one
+//!   matrix row; the right trade up to ~10⁴ routers and the default there.
 //! * [`CayleyOracle`] — for vertex-transitive topologies (LPS over PGL₂/PSL₂,
 //!   Paley): **one** BFS ball from the identity element plus an O(1)
 //!   group-translation map `diff(u, v) = index(u⁻¹ · v)` supplied by the
@@ -24,24 +24,23 @@
 //!   memory, exact answers (the landmark bounds only short-circuit when they
 //!   are tight; everything else falls back to a real BFS row).
 //!
-//! All three honour the allocation-free hot-path contract the packed
-//! [`NextHopTable`] established: `min_ports_u8` writes into (or bypasses) a
-//! caller-owned scratch buffer and never allocates per decision once the
-//! scratch has grown to the radix — the landmark cache allocates only on a
-//! *miss*, which its LRU bound amortizes away under any localized traffic.
+//! All three honour the allocation-free hot-path contract: `min_ports_u8`
+//! writes into a caller-owned scratch buffer and never allocates per decision
+//! once the scratch has grown to the radix — the landmark cache allocates only
+//! on a *miss*, which its LRU bound amortizes away under any localized traffic.
 
 use crate::csr::{CsrGraph, VertexId};
-use crate::paths::{bfs_distances_into, DistanceMatrix, NextHopTable, UNREACHABLE_U16};
+use crate::paths::{bfs_distances_into, DistanceMatrix, UNREACHABLE_U16};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
 /// Why an oracle (or one of its dense components) could not be constructed.
 ///
-/// Construction failures are recoverable by design: the caller either routes to
-/// a sparser representation or keeps a scan fallback — nothing here aborts the
-/// process, which is the contract `DistanceMatrix::from_graph`'s hard assert
-/// used to break on large topologies.
+/// Construction failures are recoverable by design: the caller routes to a
+/// sparser representation — nothing here aborts the process, which is the
+/// contract `DistanceMatrix::from_graph`'s hard assert used to break on large
+/// topologies.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OracleError {
     /// The vertex count exceeds what the representation can index.
@@ -57,13 +56,6 @@ pub enum OracleError {
         max_degree: usize,
         /// Largest packable degree.
         max: usize,
-    },
-    /// The representation would exceed its memory budget.
-    BudgetExceeded {
-        /// Bytes the representation needs (`usize::MAX` when the size itself overflows).
-        required: usize,
-        /// The configured budget in bytes.
-        budget: usize,
     },
     /// A structural precondition failed (e.g. a Cayley translation map that
     /// disagrees with the graph it claims to describe).
@@ -82,10 +74,6 @@ impl std::fmt::Display for OracleError {
                 f,
                 "vertex degree {max_degree} exceeds the packed port space (max {max})"
             ),
-            OracleError::BudgetExceeded { required, budget } => write!(
-                f,
-                "representation needs {required} bytes but the budget is {budget}"
-            ),
             OracleError::Inconsistent(why) => write!(f, "oracle construction failed: {why}"),
         }
     }
@@ -97,7 +85,7 @@ impl std::error::Error for OracleError {}
 /// labels, and the simulator's fault-demotion policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OracleKind {
-    /// Dense [`DistanceMatrix`] + optional packed [`NextHopTable`].
+    /// Dense [`DistanceMatrix`], scanned per minimal-port query.
     Dense,
     /// Single BFS ball + group translation over a vertex-transitive graph.
     Cayley,
@@ -161,49 +149,21 @@ pub trait PathOracle: Send + Sync + std::fmt::Debug {
     fn kind(&self) -> OracleKind;
 }
 
-/// The classic dense pair behind the [`PathOracle`] trait: a
-/// [`DistanceMatrix`] plus (when it fits its budget and the radix packs) the
-/// fixed-stride [`NextHopTable`] whose row reads make the routing hot path
-/// allocation- and scan-free.
+/// The dense [`DistanceMatrix`] behind the [`PathOracle`] trait: a
+/// minimal-port query scans the current router's ports against the
+/// destination's matrix row, into the caller's scratch.
 #[derive(Clone, Debug)]
 pub struct DenseOracle {
-    dist: Arc<DistanceMatrix>,
-    table: Option<NextHopTable>,
+    dist: DistanceMatrix,
     max_d: u16,
 }
 
 impl DenseOracle {
-    /// Build from a graph: the matrix (failing typed on `n > u16::MAX`), then
-    /// the packed table under its default budget (a table refusal silently
-    /// keeps the scan fallback — that is a performance trade, not an error).
+    /// Build the matrix from a graph, failing typed on `n > u16::MAX`.
     pub fn build(g: &CsrGraph) -> Result<Self, OracleError> {
-        let dist = Arc::new(DistanceMatrix::try_from_graph(g)?);
-        Ok(Self::from_matrix(g, dist))
-    }
-
-    /// Wrap an existing (possibly shared) matrix, building the packed table if
-    /// it fits.
-    pub fn from_matrix(g: &CsrGraph, dist: Arc<DistanceMatrix>) -> Self {
-        let table = NextHopTable::build(g, &dist);
+        let dist = DistanceMatrix::try_from_graph(g)?;
         let max_d = dist.max_reachable_distance();
-        DenseOracle { dist, table, max_d }
-    }
-
-    /// Drop the packed table, forcing every query onto the matrix-scan path —
-    /// the differential-testing hook behind the table-vs-scan suites.
-    pub fn without_table(mut self) -> Self {
-        self.table = None;
-        self
-    }
-
-    /// The distance matrix (shared).
-    pub fn distances(&self) -> &Arc<DistanceMatrix> {
-        &self.dist
-    }
-
-    /// The packed next-hop table, if one was built.
-    pub fn table(&self) -> Option<&NextHopTable> {
-        self.table.as_ref()
+        Ok(DenseOracle { dist, max_d })
     }
 }
 
@@ -225,13 +185,8 @@ impl PathOracle for DenseOracle {
         dst: VertexId,
         scratch: &'a mut Vec<u8>,
     ) -> &'a [u8] {
-        match &self.table {
-            Some(t) => t.ports(current, dst),
-            None => {
-                self.dist.min_next_ports_u8_into(g, current, dst, scratch);
-                scratch
-            }
-        }
+        self.dist.min_next_ports_u8_into(g, current, dst, scratch);
+        scratch
     }
 
     fn min_ports_into(&self, g: &CsrGraph, current: VertexId, dst: VertexId, out: &mut Vec<usize>) {
@@ -243,7 +198,7 @@ impl PathOracle for DenseOracle {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.dist.n() * self.dist.n() * 2 + self.table.as_ref().map_or(0, |t| t.memory_bytes())
+        self.dist.n() * self.dist.n() * 2
     }
 
     fn kind(&self) -> OracleKind {
@@ -914,13 +869,8 @@ mod tests {
     fn dense_oracle_matches_matrix() {
         for g in [cycle_graph(9), hypercube(4)] {
             let oracle = DenseOracle::build(&g).unwrap();
-            assert!(oracle.table().is_some());
             assert_matches_dense(&g, &oracle);
             assert_eq!(oracle.kind(), OracleKind::Dense);
-            // The scan path must agree with the table path.
-            let scan = DenseOracle::build(&g).unwrap().without_table();
-            assert!(scan.table().is_none());
-            assert_matches_dense(&g, &scan);
         }
     }
 
@@ -1030,31 +980,8 @@ mod tests {
     }
 
     #[test]
-    fn typed_errors_from_dense_construction() {
-        // try_from_graph on an oversized graph: typed, no panic. Use a cheap
-        // synthetic check through the error type instead of allocating 4 GB:
-        // the radix guard is exercised via NextHopTable on a star.
-        let edges: Vec<(u32, u32)> = (1..=300u32).map(|v| (0, v)).collect();
-        let g = CsrGraph::from_edges(301, &edges);
-        let dm = DistanceMatrix::from_graph(&g);
-        let err = NextHopTable::try_build(&g, &dm, NextHopTable::DEFAULT_BUDGET_BYTES).unwrap_err();
-        assert_eq!(
-            err,
-            OracleError::RadixTooLarge {
-                max_degree: 300,
-                max: 255
-            }
-        );
-        let g = hypercube(4);
-        let dm = DistanceMatrix::from_graph(&g);
-        let err = NextHopTable::try_build(&g, &dm, 16).unwrap_err();
-        assert!(matches!(err, OracleError::BudgetExceeded { .. }), "{err}");
-        // Errors render human-readable.
-        assert!(format!("{err}").contains("budget"));
-    }
-
-    #[test]
     fn oracle_trait_objects_are_shareable() {
+        use std::sync::Arc;
         let g = hypercube(3);
         let oracle: Arc<dyn PathOracle> = Arc::new(DenseOracle::build(&g).unwrap());
         let g2 = g.clone();

@@ -119,9 +119,15 @@ fn fault_timeline(
     Ok(Some(Arc::new(timeline)))
 }
 
-/// The windows' hard stop, rejecting windows whose spans (or whose last
-/// sampling tick) do not fit `u64` picoseconds instead of wrapping.
+/// The windows' hard stop, rejecting an empty measurement window and windows
+/// whose spans (or whose last sampling tick) do not fit `u64` picoseconds
+/// instead of wrapping.
 fn checked_deadline_ps(w: &MeasurementWindows) -> Result<u64, SimError> {
+    if w.measure_ps == 0 {
+        return Err(SimError::Windows(
+            "the measurement window is empty (measure_ps = 0)".to_string(),
+        ));
+    }
     (w.warmup_ps.checked_add(w.measure_ps))
         .and_then(|end| end.checked_add(w.drain_ps))
         .filter(|deadline| deadline.checked_add(w.sample_interval_ps).is_some())

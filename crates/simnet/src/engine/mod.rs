@@ -91,8 +91,8 @@ pub enum SimError {
     /// The workload names an endpoint the network does not have (the message
     /// carries the endpoint and the network's count).
     EndpointOutOfRange(String),
-    /// The measurement windows do not fit `u64` picoseconds (the message
-    /// carries the spans).
+    /// The measurement window is empty, or the windows do not fit `u64`
+    /// picoseconds (the message carries the spans).
     Windows(String),
     /// The lookahead (link + router latency) — the credit return delay and
     /// the epoch length — is zero (the message carries both latencies).

@@ -4,10 +4,9 @@
 //! disagree about paths.
 //!
 //! Every oracle is exact, so which one backs a network is derived, never
-//! configured. [`SimNetwork::new`] builds the classic dense pair
-//! ([`spectralfly_graph::paths::DistanceMatrix`] plus the packed
-//! [`NextHopTable`] behind the allocation-free hot path) while the matrix fits
-//! its [`spectralfly_graph::paths::DistanceMatrix::MAX_VERTICES`] index space,
+//! configured. [`SimNetwork::new`] builds the dense
+//! [`spectralfly_graph::paths::DistanceMatrix`] while it fits its
+//! [`spectralfly_graph::paths::DistanceMatrix::MAX_VERTICES`] index space,
 //! and the O(k·n) [`spectralfly_graph::LandmarkOracle`] past it. A topology
 //! that knows its group injects the O(n) [`spectralfly_graph::CayleyOracle`]
 //! through [`SimNetwork::with_oracle`] (`LpsGraph::cayley_oracle()`, which is
@@ -21,7 +20,6 @@
 use crate::fault::{AppliedFaults, FaultError, FaultPlan};
 use spectralfly_graph::csr::{CsrGraph, VertexId};
 use spectralfly_graph::oracle::{DenseOracle, LandmarkOracle, OracleKind, PathOracle};
-use spectralfly_graph::paths::NextHopTable;
 use std::sync::Arc;
 
 /// Fault metadata of a degraded network: which routers are administratively
@@ -104,11 +102,6 @@ pub struct SimNetwork {
     /// The path oracle every distance / minimal-port query routes through
     /// (`Arc` so clones of the network share rather than recompute it).
     oracle: Arc<dyn PathOracle>,
-    /// The same oracle by its concrete dense handle when the network is
-    /// dense-backed — keeps [`SimNetwork::next_hop_table`] and
-    /// [`SimNetwork::without_next_hop_table`] free of a downcast. `None` for
-    /// Cayley / landmark networks.
-    dense: Option<Arc<DenseOracle>>,
     /// [`PathOracle::max_distance_bound`] cached at construction, so
     /// [`SimNetwork::diameter`] is a field read instead of (for the dense
     /// oracle) an O(n²) rescan per call.
@@ -128,14 +121,11 @@ impl SimNetwork {
     pub fn new(graph: CsrGraph, concentration: usize) -> Self {
         // The dense oracle fails only past its vertex wall, where the graph is
         // non-empty — all a landmark oracle needs.
-        let Ok(dense) = DenseOracle::build(&graph) else {
-            let landmark = LandmarkOracle::build(&graph).expect("a non-empty graph");
-            return Self::assemble(graph, concentration, Arc::new(landmark));
+        let oracle: Arc<dyn PathOracle> = match DenseOracle::build(&graph) {
+            Ok(dense) => Arc::new(dense),
+            Err(_) => Arc::new(LandmarkOracle::build(&graph).expect("a non-empty graph")),
         };
-        let dense = Arc::new(dense);
-        let mut net = Self::assemble(graph, concentration, dense.clone());
-        net.dense = Some(dense);
-        net
+        Self::assemble(graph, concentration, oracle)
     }
 
     /// Build a network around a caller-constructed oracle — the injection
@@ -179,7 +169,6 @@ impl SimNetwork {
             link_offset,
             link_owner,
             oracle,
-            dense: None,
             max_dist,
             faults: None,
             n,
@@ -221,24 +210,11 @@ impl SimNetwork {
         Ok(net)
     }
 
-    /// This network with the packed next-hop table dropped, forcing every minimal-
-    /// port query through the distance-matrix scan. The differential-testing hook
-    /// behind the table/scan golden-seed equivalence battery; production callers
-    /// never need it. A no-op on non-dense networks (they have no table).
-    pub fn without_next_hop_table(mut self) -> Self {
-        if let Some(dense) = self.dense.take() {
-            let stripped = Arc::new((*dense).clone().without_table());
-            self.oracle = stripped.clone();
-            self.dense = Some(stripped);
-        }
+    /// This network, unchanged: a dense minimal-port query is always the
+    /// distance-matrix scan, so there is no next-hop table to drop. Kept only
+    /// because the repo benchmark still calls it.
+    pub fn without_next_hop_table(self) -> Self {
         self
-    }
-
-    /// The packed next-hop table, when the network is dense-backed and one was
-    /// built (`None` after a memory-budget fallback,
-    /// [`Self::without_next_hop_table`], or on sparse-oracle networks).
-    pub fn next_hop_table(&self) -> Option<&NextHopTable> {
-        self.dense.as_ref().and_then(|d| d.table())
     }
 
     /// The router graph.
@@ -251,8 +227,8 @@ impl SimNetwork {
         self.oracle.kind()
     }
 
-    /// Resident bytes held by the path oracle — the number the million-node
-    /// bench reports alongside peak RSS.
+    /// Resident bytes held by the path oracle (`graph.oracle.bytes_*` in the
+    /// repo benchmark).
     pub fn oracle_memory_bytes(&self) -> usize {
         self.oracle.memory_bytes()
     }
@@ -398,10 +374,10 @@ impl SimNetwork {
         out
     }
 
-    /// [`Self::minimal_ports`] as a packed `u8` slice without heap traffic: a table
-    /// lookup on dense networks with a table, otherwise computed into `scratch`
-    /// (cleared and refilled; allocation-free once grown to the radix — the
-    /// landmark oracle may additionally BFS on a destination-row cache miss).
+    /// [`Self::minimal_ports`] as a packed `u8` slice without heap traffic:
+    /// computed into `scratch` (cleared and refilled; allocation-free once grown
+    /// to the radix — the landmark oracle may additionally BFS on a
+    /// destination-row cache miss).
     /// The returned ports are ascending under every oracle, so callers'
     /// tie-breaks are representation-blind.
     ///
@@ -551,25 +527,5 @@ mod tests {
         assert_eq!(net.component_peers(1).unwrap(), &[0, 1, 2]);
         assert_eq!(net.component_peers(4).unwrap(), &[3, 4, 5]);
         assert_eq!(net.dist(2, 3), spectralfly_graph::paths::UNREACHABLE_U16);
-    }
-
-    #[test]
-    fn packed_ports_agree_between_table_and_scan() {
-        let with_table = SimNetwork::new(ring(9), 1);
-        assert!(with_table.next_hop_table().is_some());
-        let scan_only = with_table.clone().without_next_hop_table();
-        assert!(scan_only.next_hop_table().is_none());
-        let mut scratch = Vec::new();
-        for a in 0..9u32 {
-            for b in 0..9u32 {
-                let t: Vec<u8> = with_table.minimal_ports_packed(a, b, &mut scratch).to_vec();
-                let s: Vec<u8> = scan_only.minimal_ports_packed(a, b, &mut scratch).to_vec();
-                assert_eq!(t, s, "({a}, {b})");
-                assert_eq!(
-                    with_table.minimal_ports(a, b),
-                    scan_only.minimal_ports(a, b)
-                );
-            }
-        }
     }
 }

@@ -91,11 +91,10 @@ impl RoutingState {
     }
 }
 
-/// Reusable per-engine buffers for the minimal-port scan fallback, so decisions
+/// Reusable per-engine buffers the minimal-port query writes into, so decisions
 /// stay allocation-free whichever path they take: `packed` holds `u8` ports for
-/// networks whose radix fits the packed representation, `wide` holds `usize`
-/// ports for radix > 255 (where the next-hop table refuses to build and the
-/// packed scan would truncate).
+/// routers whose radix fits the packed representation, `wide` holds `usize`
+/// ports for radix > 255 (where `u8` port ids would truncate).
 #[derive(Debug, Default)]
 pub struct RouteScratch {
     packed: Vec<u8>,
@@ -127,8 +126,7 @@ pub struct RoutingCtx<'a> {
     /// counter-based stream (so decisions stay independent of event
     /// interleaving across shards), [`RoutingHarness`] its own `StdRng`.
     rng: &'a mut dyn RngCore,
-    /// Scratch for the scan fallback of the minimal-port query; unused (and
-    /// untouched) when the network carries a next-hop table.
+    /// Scratch the minimal-port query writes into.
     scratch: &'a mut RouteScratch,
 }
 
@@ -281,12 +279,12 @@ impl<'a> RoutingCtx<'a> {
     /// The least-occupied minimal port toward `target`, breaking ties uniformly at
     /// random — the adaptive-minimal primitive every built-in algorithm shares.
     ///
-    /// Allocation-free: the candidate ports come as a packed slice (next-hop table
-    /// lookup, or a matrix scan into the reused scratch buffer), and the selection
-    /// is a two-pass min+count / pick-k-th walk. The single `gen_range` draw over
-    /// the tie count consumes the RNG exactly as the old collect-into-`Vec`
+    /// Allocation-free: the candidate ports come as a packed slice (the oracle's
+    /// query into the reused scratch buffer), and the selection is a two-pass
+    /// min+count / pick-k-th walk. The single `gen_range` draw over the tie
+    /// count consumes the RNG exactly as the old collect-into-`Vec`
     /// implementation did (ties walked in ascending port order), so golden-seed
-    /// results are bit-identical across the strategies.
+    /// results are bit-identical across oracle backings.
     pub fn best_minimal_port(&mut self, target: VertexId) -> usize {
         let RoutingCtx {
             net,
@@ -602,8 +600,8 @@ impl<'a> RoutingHarness<'a> {
         self.algo.route(&mut ctx, &mut self.state)
     }
 
-    /// Warm the harness so steady-state decisions are allocation-free even on the
-    /// scan fallback: grows the scratch buffers to the network's radix.
+    /// Warm the harness so steady-state decisions are allocation-free from the
+    /// first: grows the scratch buffers to the network's radix.
     pub fn warm(&mut self) {
         let radix = self.net.graph().max_degree();
         self.scratch.packed.reserve(radix);
@@ -820,12 +818,11 @@ mod tests {
     #[test]
     fn radix_above_u8_routes_correctly_through_wide_fallback() {
         // A star with 300 leaves: the hub's degree exceeds the packed u8 port
-        // space, so no next-hop table builds and decisions at the hub must take
-        // the wide scan path. Regression test: the packed scan used to truncate
-        // port ids to u8 here, silently routing to the wrong neighbour.
+        // space, so decisions at the hub must take the wide scan path.
+        // Regression test: the packed scan used to truncate port ids to u8
+        // here, silently routing to the wrong neighbour.
         let edges: Vec<(u32, u32)> = (1..=300u32).map(|v| (0, v)).collect();
         let g = crate::SimNetwork::new(spectralfly_graph::CsrGraph::from_edges(301, &edges), 1);
-        assert!(g.next_hop_table().is_none());
         let cfg = crate::SimConfig::default().with_routing("minimal", 2);
         let mut harness = RoutingHarness::new(&g, &cfg);
         // The hub's neighbour list is sorted, so leaf v sits behind port v - 1.

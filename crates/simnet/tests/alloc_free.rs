@@ -1,6 +1,6 @@
 //! The hot-path allocation contract: in steady state, one routing decision makes
-//! **zero heap allocations** — on the packed-table strategy and on the matrix-scan
-//! fallback (whose scratch buffer allocates once, during warmup, then is reused).
+//! **zero heap allocations** — the oracle's scratch buffer allocates once, during
+//! warmup, then is reused.
 //!
 //! A counting global allocator wraps `System`; the test drives decisions through
 //! `RoutingHarness` (exactly the per-hop path the engines run: packed minimal-port
@@ -66,35 +66,28 @@ fn allocations_for(harness: &mut RoutingHarness<'_>, iters: u64) -> u64 {
 
 #[test]
 fn routing_decisions_are_allocation_free_in_steady_state() {
-    let n = 24u32;
-    let table_net = SimNetwork::new(chordal_ring(n as usize), 1);
-    assert!(table_net.next_hop_table().is_some());
-    let scan_net = table_net.clone().without_next_hop_table();
-
+    let net = SimNetwork::new(chordal_ring(24), 1);
     for name in ["minimal", "valiant", "ugal-l", "ugal-g"] {
-        for (strategy, net) in [("table", &table_net), ("scan", &scan_net)] {
-            let cfg = SimConfig::default().with_routing(name, net.diameter() as u32);
-            let mut harness = RoutingHarness::new(net, &cfg);
-            harness.warm();
-            // Warmup: let lazily-grown state (the scan scratch buffer) reach its
-            // steady-state capacity.
-            allocations_for(&mut harness, 256);
-            // Steady state: not a single allocation across many decisions.
-            let allocs = allocations_for(&mut harness, 4096);
-            assert_eq!(
-                allocs, 0,
-                "{name}/{strategy}: {allocs} heap allocations in 4096 steady-state decisions"
-            );
-        }
+        let cfg = SimConfig::default().with_routing(name, net.diameter() as u32);
+        let mut harness = RoutingHarness::new(&net, &cfg);
+        harness.warm();
+        // Warmup: let lazily-grown state (the scan scratch buffer) reach its
+        // steady-state capacity.
+        allocations_for(&mut harness, 256);
+        // Steady state: not a single allocation across many decisions.
+        let allocs = allocations_for(&mut harness, 4096);
+        assert_eq!(
+            allocs, 0,
+            "{name}: {allocs} heap allocations in 4096 steady-state decisions"
+        );
     }
 }
 
-/// The scan fallback allocates only during warmup (growing its scratch buffer),
-/// never per decision afterwards — quantify that the warmup itself is bounded.
+/// The scan allocates only during warmup (growing its scratch buffer), never
+/// per decision afterwards — quantify that the warmup itself is bounded.
 #[test]
-fn scan_fallback_warmup_allocations_are_bounded() {
-    let n = 24u32;
-    let net = SimNetwork::new(chordal_ring(n as usize), 1).without_next_hop_table();
+fn scan_warmup_allocations_are_bounded() {
+    let net = SimNetwork::new(chordal_ring(24), 1);
     let cfg = SimConfig::default().with_routing("ugal-g", net.diameter() as u32);
     let mut harness = RoutingHarness::new(&net, &cfg);
     let warmup_allocs = allocations_for(&mut harness, 256);

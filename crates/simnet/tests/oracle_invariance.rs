@@ -1,5 +1,5 @@
-//! Oracle invariance: swapping the path-oracle backing (dense table, dense
-//! scan, landmark labeling, Cayley translation) must never change simulation
+//! Oracle invariance: swapping the path-oracle backing (dense matrix, landmark
+//! labeling, Cayley translation) must never change simulation
 //! physics. On tie-free topologies (odd rings: the minimal next hop is unique
 //! for every pair) every backing yields bit-identical `SimResults` on the same
 //! golden seed — the oracle changes memory and speed, never answers, which is
@@ -40,11 +40,7 @@ fn ring_landmark(n: usize, concentration: usize) -> SimNetwork {
 /// Every oracle backing over the same `n`-ring, labelled for assertions.
 fn backings(n: usize, concentration: usize) -> Vec<(&'static str, SimNetwork)> {
     vec![
-        ("dense-table", SimNetwork::new(ring(n), concentration)),
-        (
-            "dense-scan",
-            SimNetwork::new(ring(n), concentration).without_next_hop_table(),
-        ),
+        ("dense", SimNetwork::new(ring(n), concentration)),
         ("landmark", ring_landmark(n, concentration)),
         (
             "cayley",
@@ -60,7 +56,7 @@ fn assert_all_equal(results: Vec<(&'static str, SimResults)>) {
     }
 }
 
-/// Finite golden run, minimal routing, tie-free ring: all four backings must
+/// Finite golden run, minimal routing, tie-free ring: all three backings must
 /// produce the identical `SimResults` — latency histograms, per-link counters,
 /// and engine counters included.
 #[test]

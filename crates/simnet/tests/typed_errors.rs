@@ -2,9 +2,9 @@
 //! [`SimError`], at one shard and at two — an unknown routing name, an
 //! unknown pattern spec, an unknown / malformed / oversized job mix, an
 //! offered load outside `(0, 1]`, a job mix without measurement windows, a
-//! workload endpoint the network does not have, windows that overflow `u64`
-//! picoseconds, a run with no lookahead — and the panicking `run*` wrappers
-//! die with that error's message.
+//! workload endpoint the network does not have, an empty measurement window,
+//! windows that overflow `u64` picoseconds, a run with no lookahead — and the
+//! panicking `run*` wrappers die with that error's message.
 
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
@@ -130,12 +130,14 @@ macro_rules! typed_errors {
                 "workload references endpoint 18 but the network has only 18"
             );
 
-            // Windows whose deadline (or last sampling tick) wraps `u64`.
-            let mut overflowing = vec![windows(), windows(), windows()];
-            overflowing[0].warmup_ps = u64::MAX;
-            overflowing[1].drain_ps = u64::MAX - 5_000_000;
-            overflowing[2].sample_interval_ps = u64::MAX;
-            for w in overflowing {
+            // Windows whose deadline (or last sampling tick) wraps `u64`,
+            // and an empty measurement window.
+            let mut bad = vec![windows(), windows(), windows()];
+            bad[0].warmup_ps = u64::MAX;
+            bad[1].drain_ps = u64::MAX - 5_000_000;
+            bad[2].sample_interval_ps = u64::MAX;
+            bad.push(MeasurementWindows::new(1_000_000, 0));
+            for w in bad {
                 let cfg = base.clone().with_windows(w);
                 let err = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.5);
                 assert!(matches!(err, Err(SimError::Windows(_))), "{err:?}");
