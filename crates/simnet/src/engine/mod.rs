@@ -29,7 +29,13 @@
 //!
 //! Event storage is a bucketed calendar queue with an overflow heap for far-future
 //! events (the private `calendar` module), and packets live in an index arena with a free list so
-//! steady-state runs recycle slots instead of growing without bound.
+//! steady-state runs recycle slots instead of growing without bound. The queues thread
+//! through that arena: every link's output queue and every router's pending injections
+//! is a FIFO chained by each packet's `next` index, so a queue is a head/tail pair and
+//! queueing a packet allocates nothing. A link's transmit state — when it is free, its
+//! queue, the routers at both ends — is one 24-byte `LinkSlot`: a transmit usually finds
+//! its link cold in cache, and one record spans one cache line or two, where separate
+//! per-link arrays cost a line each.
 //!
 //! # Steady-state measurement
 //!
@@ -97,6 +103,11 @@ pub enum SimError {
     /// The lookahead (link + router latency) — the credit return delay and
     /// the epoch length — is zero (the message carries both latencies).
     Lookahead(String),
+    /// A count the engine stores narrower than `usize` is out of range:
+    /// [`SimConfig::num_vcs`] outside `1..=255` (VC ids are `u8`),
+    /// [`SimConfig::buffer_packets_per_vc`] outside `1..=u32::MAX`, or
+    /// [`SimConfig::shards`] zero (the message names the field and value).
+    Config(String),
     /// A fault plan or script made the run infeasible (dead endpoints,
     /// disconnected pairs, fragmented survivors, malformed script).
     Fault(crate::fault::FaultError),
@@ -126,6 +137,7 @@ impl std::fmt::Display for SimError {
             | SimError::OfferedLoad(message)
             | SimError::Windows(message)
             | SimError::Lookahead(message)
+            | SimError::Config(message)
             | SimError::Deadlock { diagnosis: message } => f.write_str(message),
         }
     }
@@ -148,15 +160,26 @@ impl From<crate::fault::FaultError> for SimError {
     }
 }
 
-/// What the simulator's constructor does: assert the buffer geometry, then
+/// What the simulator's constructor does: check the counts the engine stores
+/// narrow (VC ids as `u8`, credits as `u32`) and the shard count, then
 /// resolve the configured routing algorithm — as a value the `try_*` entry
 /// points report.
 pub(crate) fn resolve_router(cfg: &SimConfig) -> Result<Box<dyn Router>, SimError> {
-    assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
-    assert!(
-        cfg.buffer_packets_per_vc >= 1,
-        "need at least one buffer slot per VC"
-    );
+    let out_of_range = |field: &str, range: &str, value: usize| {
+        Err(SimError::Config(format!(
+            "{field} must be in {range}, got {value}"
+        )))
+    };
+    if !(1..=u8::MAX as usize).contains(&cfg.num_vcs) {
+        return out_of_range("num_vcs", "1..=255 (VC ids are u8)", cfg.num_vcs);
+    }
+    if !(1..=u32::MAX as usize).contains(&cfg.buffer_packets_per_vc) {
+        let range = "1..=4294967295";
+        return out_of_range("buffer_packets_per_vc", range, cfg.buffer_packets_per_vc);
+    }
+    if cfg.shards == 0 {
+        return out_of_range("shards", "1..", cfg.shards);
+    }
     routing::create(&cfg.routing).ok_or_else(|| SimError::UnknownRouting {
         name: cfg.routing.clone(),
         registered: routing::registered_names(),
@@ -209,6 +232,12 @@ struct Packet {
     /// injection — an injected packet consumed no link credit).
     via_link: u32,
     via_vc: u8,
+    /// The arena index of the packet behind this one in the FIFO it sits in
+    /// — a link's output queue or a router's pending injections, at most one
+    /// at a time (`u32::MAX` = none). Meaningful only while queued: a push
+    /// overwrites it, so the stale value a packet carries out of a queue, or
+    /// across shards, is never followed.
+    next: u32,
     /// Times this packet has been dropped and rescheduled (fault runs only).
     attempts: u32,
     /// First time this packet was dropped (`u64::MAX` = never): recovery time
@@ -223,18 +252,19 @@ struct Packet {
 /// Split a message into per-packet `(payload_bytes, nic_serialization_ps)`
 /// segments — the single source of truth for message segmentation, shared by
 /// the finite schedule and the steady-state sources so the two paths can never
-/// drift apart.
-fn segment_message(cfg: &SimConfig, total_bytes: u64) -> Vec<(u64, u64)> {
+/// drift apart. An iterator, so packetizing a message allocates nothing.
+fn segment_message(
+    cfg: &SimConfig,
+    total_bytes: u64,
+) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
     let npkts = total_bytes.div_ceil(cfg.packet_size_bytes).max(1);
-    (0..npkts)
-        .map(|k| {
-            let sent = k * cfg.packet_size_bytes;
-            let bytes = (total_bytes - sent.min(total_bytes))
-                .min(cfg.packet_size_bytes)
-                .max(1);
-            (bytes, cfg.injection_serialization_ps(bytes))
-        })
-        .collect()
+    (0..npkts as usize).map(move |k| {
+        let sent = k as u64 * cfg.packet_size_bytes;
+        let bytes = (total_bytes - sent.min(total_bytes))
+            .min(cfg.packet_size_bytes)
+            .max(1);
+        (bytes, cfg.injection_serialization_ps(bytes))
+    })
 }
 
 /// Packetize a workload into a finite run's injection schedule: each source's
@@ -258,6 +288,7 @@ fn packetize(
     for &mi in &order {
         let m = &messages[mi];
         let segments = segment_message(cfg, m.bytes);
+        let total = segments.len() as u32;
         let nic = &mut nic_free[m.src];
         let base = match offered_load {
             None => m.inject_offset_ps,
@@ -269,7 +300,7 @@ fn packetize(
         };
         let first = base.max(*nic);
         let mut t = first;
-        for &(bytes, nic_ser) in &segments {
+        for (bytes, nic_ser) in segments {
             packets.push(Packet {
                 src_router: net.router_of_endpoint(m.src),
                 dst_router: net.router_of_endpoint(m.dst),
@@ -279,10 +310,11 @@ fn packetize(
                 routing: RoutingState::default(),
                 stable_id: packets.len() as u64,
                 msg_id: mi as u64,
-                msg_total: segments.len() as u32,
+                msg_total: total,
                 msg_first_inject: first,
                 via_link: u32::MAX,
                 via_vc: 0,
+                next: u32::MAX,
                 attempts: 0,
                 first_drop_ps: u64::MAX,
                 tag: UNTAGGED,

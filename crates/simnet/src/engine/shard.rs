@@ -222,6 +222,89 @@ struct CreditReturn {
     vc: u8,
 }
 
+/// The "none" arena index of a [`Fifo`] and of [`Packet::next`] (the arena
+/// never hands it out — see [`ShardCore::check_arena_index`]).
+const NIL: u32 = u32::MAX;
+
+/// A FIFO of arena packets chained through [`Packet::next`]: a link's output
+/// queue or a router's pending injections. A packet sits in at most one FIFO
+/// at a time, so the queues cost a head/tail pair each and never allocate.
+/// `tail` is meaningful only while `head` is not [`NIL`].
+#[derive(Clone, Copy, Debug)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo {
+        head: NIL,
+        tail: NIL,
+    };
+
+    #[inline]
+    fn front(&self) -> Option<usize> {
+        (self.head != NIL).then_some(self.head as usize)
+    }
+
+    /// Append `pi`, overwriting the `next` it carries (a slot's previous
+    /// queue, or another shard's arena, may have left one there).
+    #[inline]
+    fn push(&mut self, packets: &mut [Packet], pi: usize) {
+        packets[pi].next = NIL;
+        match self.head {
+            NIL => self.head = pi as u32,
+            _ => packets[self.tail as usize].next = pi as u32,
+        }
+        self.tail = pi as u32;
+    }
+
+    #[inline]
+    fn pop(&mut self, packets: &[Packet]) -> Option<usize> {
+        let head = self.front()?;
+        self.head = packets[head].next;
+        Some(head)
+    }
+
+    /// The chain from `head`, checked to end at `tail` without looping (a
+    /// debug walk, not a hot-path call).
+    fn walk(&self, packets: &[Packet]) -> Vec<usize> {
+        let mut chain = Vec::new();
+        let mut at = self.head;
+        while at != NIL {
+            assert!(chain.len() < packets.len(), "FIFO chain loops");
+            chain.push(at as usize);
+            at = packets[at as usize].next;
+        }
+        if let Some(&last) = chain.last() {
+            assert_eq!(
+                last, self.tail as usize,
+                "FIFO chain does not end at its tail"
+            );
+        }
+        chain
+    }
+}
+
+/// What a transmit reads of one directed link, in one 24-byte record: a
+/// transmit usually finds its link cold in cache, and the record spans one
+/// cache line or two, where separate per-link arrays cost a line each.
+/// Built for every link in [`ShardCore::new`]; only the owning shard's slots
+/// ever change.
+#[derive(Clone, Copy, Debug)]
+struct LinkSlot {
+    /// When the link finishes serializing its last transmission, ps.
+    free_at: u64,
+    /// The link's output queue.
+    queue: Fifo,
+    /// The router the link leaves (its owner, [`SimNetwork::link_owner`]).
+    src: VertexId,
+    /// The router the link leads to.
+    dst: VertexId,
+}
+
+const _: () = assert!(std::mem::size_of::<LinkSlot>() == 24);
+
 /// Per-message completion accounting on the destination shard: packets of the
 /// message still in flight. (Every packet carries the message's first-inject
 /// time, so only the countdown needs to live here.)
@@ -424,9 +507,11 @@ pub(super) struct ShardCore<'a> {
     my_routers: Vec<VertexId>,
     packets: Vec<Packet>,
     free: Vec<usize>,
-    link_queue: Vec<VecDeque<usize>>,
+    /// Per-link transmit state, indexed by global link id.
+    links: Vec<LinkSlot>,
+    /// Per-link output-queue lengths, kept flat beside `links` because
+    /// routing reads them across a router's ports as a slice.
     link_qlen: Vec<u32>,
-    link_free_at: Vec<u64>,
     /// Sender-held credits per `(link, vc)`: downstream buffer slots this link
     /// may still claim on that VC. Consumed at transmit; refilled from
     /// `returns` when `try_transmit` reads them.
@@ -436,6 +521,7 @@ pub(super) struct ShardCore<'a> {
     returns: Vec<VecDeque<CreditReturn>>,
     /// The VC a parked link is waiting for a credit on (`u8::MAX` = none).
     waiting_vc: Vec<u8>,
+    /// Per-link parked flags (flat for the same reason as `link_qlen`).
     link_parked: Vec<bool>,
     parked_count: usize,
     /// Parked links without a scheduled wake: no return for their
@@ -455,7 +541,8 @@ pub(super) struct ShardCore<'a> {
     /// signals; empty unless `reads_board`).
     occ_view: Vec<u32>,
     rocc_view: Vec<u32>,
-    pending_inject: Vec<VecDeque<usize>>,
+    /// Per-router injections waiting for a VC-0 buffer slot, and their counts.
+    pending_inject: Vec<Fifo>,
     pending_len: Vec<u32>,
     queue: CalendarQueue<Event>,
     route_scratch: RouteScratch,
@@ -507,12 +594,23 @@ impl<'a> ShardCore<'a> {
         let reads_board = algo.reads_remote_occupancy();
         let view = if reads_board { net.num_routers() } else { 0 };
         let nv = cfg.num_vcs;
-        let links = net.num_directed_links();
+        let link_slots: Vec<LinkSlot> = (0..net.num_directed_links())
+            .map(|l| {
+                let (src, port) = net.link_owner(l);
+                LinkSlot {
+                    free_at: 0,
+                    queue: Fifo::EMPTY,
+                    src,
+                    dst: net.link_target(src, port),
+                }
+            })
+            .collect();
+        let links = link_slots.len();
         let my_routers: Vec<VertexId> = (0..net.num_routers() as VertexId)
             .filter(|&r| owner[r as usize] as usize == sid)
             .collect();
         let my_links: Vec<usize> = (0..links)
-            .filter(|&l| owner[net.link_owner(l).0 as usize] as usize == sid)
+            .filter(|&l| owner[link_slots[l].src as usize] as usize == sid)
             .collect();
         let width = (cfg.serialization_ps(cfg.packet_size_bytes) / 4).max(1);
         ShardCore {
@@ -529,9 +627,8 @@ impl<'a> ShardCore<'a> {
             my_routers,
             packets: arena,
             free: Vec::new(),
-            link_queue: vec![VecDeque::new(); links],
+            links: link_slots,
             link_qlen: vec![0; links],
-            link_free_at: vec![0; links],
             credits: vec![cfg.buffer_packets_per_vc as u32; links * nv],
             returns: (0..shards).map(|_| VecDeque::new()).collect(),
             waiting_vc: vec![u8::MAX; links],
@@ -544,7 +641,7 @@ impl<'a> ShardCore<'a> {
             router_occ: vec![0; net.num_routers()],
             occ_view: vec![0; view * nv],
             rocc_view: vec![0; view],
-            pending_inject: vec![VecDeque::new(); net.num_routers()],
+            pending_inject: vec![Fifo::EMPTY; net.num_routers()],
             pending_len: vec![0; net.num_routers()],
             queue: CalendarQueue::new(width, 1024),
             route_scratch: RouteScratch::default(),
@@ -594,13 +691,15 @@ impl<'a> ShardCore<'a> {
         slot
     }
 
-    /// Events index the arena as `u32` (keeping them small — the queue moves
-    /// millions). An arena past 4G slots would be a >200 GB run, but fail
-    /// loudly rather than truncate.
+    /// Events and FIFOs index the arena as `u32` (keeping them small — the
+    /// queue moves millions), and index `u32::MAX` is the FIFOs' "none"
+    /// ([`NIL`]), so the arena holds at most `u32::MAX` slots. An arena past
+    /// 4G slots would be a >400 GB run, but fail loudly rather than truncate.
     fn check_arena_index(&self) {
         assert!(
             self.packets.len() <= u32::MAX as usize,
-            "packet arena exceeded u32 index space"
+            "packet arena exceeded u32 index space (index u32::MAX is reserved \
+             as the FIFOs' \"none\" value)"
         );
     }
 
@@ -626,17 +725,26 @@ impl<'a> ShardCore<'a> {
 
     #[inline]
     fn link_push(&mut self, link: usize, pi: usize) {
-        self.link_queue[link].push_back(pi);
+        self.links[link].queue.push(&mut self.packets, pi);
         self.link_qlen[link] += 1;
     }
 
     #[inline]
     fn link_pop(&mut self, link: usize) -> Option<usize> {
-        let head = self.link_queue[link].pop_front();
-        if head.is_some() {
-            self.link_qlen[link] -= 1;
-        }
-        head
+        let head = self.links[link].queue.pop(&self.packets)?;
+        self.link_qlen[link] -= 1;
+        Some(head)
+    }
+
+    fn pending_push(&mut self, router: VertexId, pi: usize) {
+        self.pending_inject[router as usize].push(&mut self.packets, pi);
+        self.pending_len[router as usize] += 1;
+    }
+
+    fn pending_pop(&mut self, router: VertexId) -> Option<usize> {
+        let head = self.pending_inject[router as usize].pop(&self.packets)?;
+        self.pending_len[router as usize] -= 1;
+        Some(head)
     }
 
     #[inline]
@@ -658,7 +766,7 @@ impl<'a> ShardCore<'a> {
         let ret = CreditReturn { time, link, vc };
         // At one shard every link is this shard's: skip the owner lookup.
         if self.out.len() > 1 {
-            let o = self.owner[self.net.link_owner(link as usize).0 as usize] as usize;
+            let o = self.owner[self.links[link as usize].src as usize] as usize;
             if o != self.sid {
                 let from = self.sid;
                 self.out[o].push(ShardMsg::Credit { from, ret });
@@ -855,8 +963,7 @@ impl<'a> ShardCore<'a> {
                     self.enter_router(pi, router, now);
                     self.admit_pending(router, now);
                 } else {
-                    self.pending_inject[router as usize].push_back(pi);
-                    self.pending_len[router as usize] += 1;
+                    self.pending_push(router, pi);
                 }
             }
             EventKind::TryTransmit { link } => self.try_transmit(link as usize, now),
@@ -889,7 +996,7 @@ impl<'a> ShardCore<'a> {
                     self.waiting_vc[l] = u8::MAX;
                     self.parked_count -= 1;
                     self.counters.wakeups += 1;
-                    let t = now.max(self.link_free_at[l]);
+                    let t = now.max(self.links[l].free_at);
                     self.push(
                         t,
                         key(CLASS_TRY_TRANSMIT, l as u64),
@@ -914,20 +1021,23 @@ impl<'a> ShardCore<'a> {
             // A credit wakeup will revive this link; nothing to do.
             return;
         }
-        let Some(&pi) = self.link_queue[link].front() else {
+        let LinkSlot {
+            free_at,
+            queue,
+            src: src_router,
+            dst: dst_router,
+        } = self.links[link];
+        let Some(pi) = queue.front() else {
             return;
         };
-        if self.link_free_at[link] > now {
-            let t = self.link_free_at[link];
+        if free_at > now {
             self.push(
-                t,
+                free_at,
                 key(CLASS_TRY_TRANSMIT, link as u64),
                 EventKind::TryTransmit { link: link as u32 },
             );
             return;
         }
-        let (src_router, port) = self.net.link_owner(link);
-        let dst_router = self.net.link_target(src_router, port);
         let hops = self.packets[pi].hops as usize;
         let vc = hops.min(self.nv - 1);
         let next_vc = (hops + 1).min(self.nv - 1);
@@ -950,16 +1060,15 @@ impl<'a> ShardCore<'a> {
         if via_link != u32::MAX {
             self.send_credit(via_link, via_vc, now + self.lookahead);
         }
+        // The link is free (`free_at ≤ now`): serialization starts now.
         let ser = self.cfg.serialization_ps(self.packets[pi].bytes);
-        let start = now.max(self.link_free_at[link]);
-        self.link_free_at[link] = start + ser;
-        let arrive = start + ser + self.lookahead;
+        let t = now + ser;
+        self.links[link].free_at = t;
         self.packets[pi].hops += 1;
         self.packets[pi].via_link = link as u32;
         self.packets[pi].via_vc = next_vc as u8;
-        self.send_arrive(arrive, dst_router, pi);
-        if !self.link_queue[link].is_empty() {
-            let t = self.link_free_at[link];
+        self.send_arrive(t + self.lookahead, dst_router, pi);
+        if self.links[link].queue.front().is_some() {
             self.push(
                 t,
                 key(CLASS_TRY_TRANSMIT, link as u64),
@@ -1055,17 +1164,14 @@ impl<'a> ShardCore<'a> {
                         let p = &self.packets[pi];
                         (p.via_link, p.hops, p.attempts)
                     };
-                    let prev = (via != u32::MAX).then(|| self.net.link_owner(via as usize).0);
+                    let links = &self.links;
+                    let prev = (via != u32::MAX).then(|| links[via as usize].src);
                     let salt = hops.wrapping_add(attempts.wrapping_mul(31));
                     routing::best_alive_port(self.net, router, target, prev, salt, |l| {
-                        if !fr.link_alive(l) {
-                            return false;
-                        }
                         // Static distance can point into a component the
                         // damage has cut off from the target — require the
                         // next hop to share the target's alive component.
-                        let (r, p) = self.net.link_owner(l);
-                        fr.reachable(self.net.link_target(r, p), target)
+                        fr.link_alive(l) && fr.reachable(links[l].dst, target)
                     })
                     .map(|p| self.net.link_id(router, p))
                 }
@@ -1082,7 +1188,7 @@ impl<'a> ShardCore<'a> {
         let was_empty = self.link_qlen[link] == 0;
         self.link_push(link, pi);
         if was_empty {
-            let t = now.max(self.link_free_at[link]);
+            let t = now.max(self.links[link].free_at);
             self.push(
                 t,
                 key(CLASS_TRY_TRANSMIT, link as u64),
@@ -1160,14 +1266,13 @@ impl<'a> ShardCore<'a> {
         for link in newly_dead {
             // Only the owner shard holds queue/park state for a link; other
             // shards took the same mask flip and have nothing to flush.
-            if self.owner[self.net.link_owner(link).0 as usize] as usize == self.sid {
+            if self.owner[self.links[link].src as usize] as usize == self.sid {
                 self.flush_dead_link(link, now, reason);
             }
         }
         if let FaultEventKind::RouterDown { r } = ev.kind {
             if self.owner[r as usize] as usize == self.sid {
-                while let Some(pi) = self.pending_inject[r as usize].pop_front() {
-                    self.pending_len[r as usize] -= 1;
+                while let Some(pi) = self.pending_pop(r) {
                     self.drop_packet(pi, now, DropReason::RouterDown);
                 }
             }
@@ -1179,7 +1284,7 @@ impl<'a> ShardCore<'a> {
     /// link it arrived on, and un-park the link itself (a parked dead link
     /// would eat the next credit wakeup for nothing).
     fn flush_dead_link(&mut self, link: usize, now: u64, reason: DropReason) {
-        let (src_router, _port) = self.net.link_owner(link);
+        let src_router = self.links[link].src;
         if self.link_parked[link] {
             self.link_parked[link] = false;
             self.waiting_vc[link] = u8::MAX;
@@ -1281,8 +1386,7 @@ impl<'a> ShardCore<'a> {
         }
         let slot = router as usize * self.nv;
         if self.occupancy[slot] < self.cap {
-            if let Some(wpkt) = self.pending_inject[router as usize].pop_front() {
-                self.pending_len[router as usize] -= 1;
+            if let Some(wpkt) = self.pending_pop(router) {
                 let k = key(CLASS_INJECT, self.packets[wpkt].stable_id);
                 self.push(
                     now,
@@ -1346,7 +1450,26 @@ impl<'a> ShardCore<'a> {
         self.sampled_packets = self.delivered_packets_total;
     }
 
+    /// Every FIFO, followed from its head, ends at its tail and holds exactly
+    /// the count its flat mirror says (`link_qlen`, `pending_len`).
+    fn check_fifos(&self) {
+        for (l, slot) in self.links.iter().enumerate() {
+            let len = slot.queue.walk(&self.packets).len();
+            assert_eq!(len, self.link_qlen[l] as usize, "link {l}'s FIFO");
+        }
+        for (r, fifo) in self.pending_inject.iter().enumerate() {
+            let len = fifo.walk(&self.packets).len();
+            assert_eq!(
+                len, self.pending_len[r] as usize,
+                "router {r}'s pending FIFO"
+            );
+        }
+    }
+
     fn into_outcome(self) -> ShardOutcome {
+        if cfg!(debug_assertions) {
+            self.check_fifos();
+        }
         ShardOutcome {
             delivered_packets: self.delivered_packets_total,
             in_queues: self.link_qlen.iter().map(|&q| q as usize).sum(),
@@ -1499,6 +1622,7 @@ impl ShardCore<'_> {
                 msg_first_inject: first,
                 via_link: u32::MAX,
                 via_vc: 0,
+                next: NIL,
                 attempts: 0,
                 first_drop_ps: u64::MAX,
                 tag,
@@ -1570,14 +1694,11 @@ impl<'a> Simulator<'a> {
     /// Create a simulator over a network with a configuration.
     ///
     /// A `cfg.routing` that names no registered algorithm (see
-    /// [`crate::routing`]), or a zero link + router latency (the credit return
-    /// delay and the epoch length would vanish) is reported by the first
+    /// [`crate::routing`]), a zero link + router latency (the credit return
+    /// delay and the epoch length would vanish), or a VC, buffer or shard
+    /// count out of range ([`SimError::Config`]) is reported by the first
     /// `try_*` call (the `run*` wrappers panic with the same message).
-    ///
-    /// # Panics
-    /// If `cfg.shards` is zero.
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
-        assert!(cfg.shards >= 1, "shard count must be at least 1");
         let lookahead = cfg.link_latency_ps() + cfg.router_latency_ps();
         let router = super::resolve_router(cfg).and_then(|router| match lookahead {
             0 => Err(SimError::Lookahead(format!(
@@ -1589,7 +1710,9 @@ impl<'a> Simulator<'a> {
             _ => Ok(router),
         });
         let bisect = BisectConfig::default();
-        let owner = partition_kway(net.graph(), cfg.shards, &bisect, PARTITION_SEED);
+        // A zero shard count is already `router`'s error: partition for one
+        // shard so that the constructor itself never fails.
+        let owner = partition_kway(net.graph(), cfg.shards.max(1), &bisect, PARTITION_SEED);
         Simulator {
             net,
             cfg,
@@ -2102,6 +2225,93 @@ mod tests {
         let wl = Workload::uniform_random(net.num_endpoints(), 4, 512, 2);
         let res = Simulator::new(&net, &cfg).run(&wl);
         assert_eq!(res.faults, FaultStats::default());
+    }
+
+    /// The arena-threaded FIFOs against a `VecDeque` model: pushes and pops
+    /// interleaved on three links and one router's pending injections, slots
+    /// recycled through the free list, every packet entering with a junk
+    /// `next`, a packet cloned out of a queue and re-entered the way a
+    /// cross-shard handoff does it, and a dead link's flush.
+    #[test]
+    fn arena_fifos_match_a_vecdeque_model() {
+        let net = SimNetwork::new(ring(4), 1);
+        let cfg = SimConfig::default();
+        let sim = Simulator::new(&net, &cfg);
+        let mut core = ShardCore::new(0, &sim, StatsCollector::default(), Vec::new());
+        // Two links leaving router 0 and one leaving router 1; router 3's
+        // pending queue is never admitted from by a flush of router 0.
+        let links = [net.link_id(0, 0), net.link_id(0, 1), net.link_id(1, 0)];
+        let pending_router = 3;
+        let mut model: Vec<VecDeque<usize>> = vec![VecDeque::new(); 4];
+        let template = packetize(&net, &cfg, &one_message(1, 64), None).remove(0);
+        let check = |core: &ShardCore<'_>, model: &[VecDeque<usize>]| {
+            core.check_fifos();
+            for (q, &l) in links.iter().enumerate() {
+                assert_eq!(
+                    core.links[l].queue.walk(&core.packets),
+                    Vec::from(model[q].clone())
+                );
+            }
+            let pending = core.pending_inject[pending_router as usize].walk(&core.packets);
+            assert_eq!(pending, Vec::from(model[3].clone()));
+        };
+        let mut state = 0x5EED_F1F0_u64;
+        for step in 0..400u64 {
+            state = mix64(state);
+            let q = (state % 4) as usize;
+            if (state >> 8) & 1 == 0 || model[q].is_empty() {
+                let mut p = template.clone();
+                p.stable_id = step;
+                p.next = (state >> 32) as u32;
+                let pi = core.alloc_packet(p);
+                match q {
+                    3 => core.pending_push(pending_router, pi),
+                    _ => core.link_push(links[q], pi),
+                }
+                model[q].push_back(pi);
+            } else {
+                let pi = match q {
+                    3 => core.pending_pop(pending_router),
+                    _ => core.link_pop(links[q]),
+                };
+                assert_eq!(pi, model[q].pop_front());
+                core.free.push(pi.unwrap());
+            }
+            check(&core, &model);
+        }
+
+        // A cross-shard handoff: the head of a queue of at least two leaves
+        // by value, still naming its successor in `next`, and re-enters the
+        // arena onto another queue.
+        for q in [0, 1] {
+            while model[q].len() < 2 {
+                let pi = core.alloc_packet(template.clone());
+                core.link_push(links[q], pi);
+                model[q].push_back(pi);
+            }
+        }
+        let pi = core.link_pop(links[0]).unwrap();
+        assert_eq!(Some(pi), model[0].pop_front());
+        let handed = core.packets[pi].clone();
+        assert_eq!(
+            handed.next as usize, model[0][0],
+            "the clone's `next` is stale"
+        );
+        core.free.push(pi);
+        let pi = core.alloc_packet(handed);
+        core.link_push(links[2], pi);
+        model[2].push_back(pi);
+        check(&core, &model);
+
+        // A dead link's flush drains its FIFO (two packets at least, dropped
+        // into retransmission); the others keep theirs.
+        core.flush_dead_link(links[1], 0, DropReason::LinkDown);
+        assert_eq!(core.fstats.dropped_link_down, model[1].len() as u64);
+        model[1].clear();
+        check(&core, &model);
+        let queued: usize = model.iter().take(3).map(VecDeque::len).sum();
+        let out = core.into_outcome();
+        assert_eq!((out.in_queues, out.pending), (queued, model[3].len()));
     }
 
     /// Quiescence with links parked surfaces as a typed

@@ -107,8 +107,10 @@ pub struct RouteScratch {
 /// queue and buffer state, the configured UGAL bias, and the run's RNG.
 pub struct RoutingCtx<'a> {
     net: &'a SimNetwork,
-    /// Per-link output-queue depths, maintained incrementally by the engines —
-    /// one flat cache-resident array instead of chasing `VecDeque` headers.
+    /// Per-link output-queue depths, maintained incrementally by the engine —
+    /// one flat array a router's ports read as a slice. (The queues
+    /// themselves are FIFOs threaded through the packet arena, whose length
+    /// only a walk could tell.)
     link_qlen: &'a [u32],
     occupancy: &'a [u32],
     /// Per-router buffered-packet totals, maintained incrementally by the engines
@@ -212,9 +214,10 @@ impl<'a> RoutingCtx<'a> {
 
     /// Occupancy of the current router's output queue on `port`, in packets.
     ///
-    /// O(1) from the engines' incrementally-maintained flat depth array (one
-    /// sequential `u32` read; the former implementation chased the link's
-    /// `VecDeque` header through a cache-cold pointer per candidate port).
+    /// O(1) from the engine's incrementally-maintained flat depth array: one
+    /// `u32` read, beside the reads for the router's other ports (the queue
+    /// itself is a FIFO threaded through the packet arena, which would have
+    /// to be walked).
     #[inline]
     pub fn queue_len(&self, port: usize) -> usize {
         self.link_qlen[self.net.link_id(self.router, port)] as usize

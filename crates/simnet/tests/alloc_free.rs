@@ -5,10 +5,12 @@
 //! A counting global allocator wraps `System`; the test drives decisions through
 //! `RoutingHarness` (exactly the per-hop path the engines run: packed minimal-port
 //! query, two-pass tie-break, congestion signals, intermediate sampling) and
-//! asserts the allocation counter does not move.
+//! asserts the allocation counter does not move. One engine-level check rides
+//! along: the link queues thread through the packet arena, so a whole run
+//! allocates fewer times than the network has directed links.
 
 use spectralfly_graph::{CayleyOracle, CsrGraph};
-use spectralfly_simnet::{RoutingHarness, SimConfig, SimNetwork};
+use spectralfly_simnet::{Message, RoutingHarness, SimConfig, SimNetwork, Simulator, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -98,6 +100,40 @@ fn scan_warmup_allocations_are_bounded() {
         "scan warmup made {warmup_allocs} allocations (expected a few buffer growths)"
     );
     assert_eq!(allocations_for(&mut harness, 4096), 0);
+}
+
+/// The engine's queues allocate nothing per link: they thread through the
+/// packet arena. In a finite one-shard run where every router sends one
+/// packet to each neighbour — whose one minimal route is the link between
+/// them, so every directed link queues a packet — the whole run, simulator
+/// construction included, makes fewer heap allocations than there are
+/// directed links.
+#[test]
+fn link_queues_allocate_nothing_per_link() {
+    let net = SimNetwork::new(chordal_ring(256), 1);
+    let g = net.graph();
+    let messages: Vec<Message> = (0..g.num_vertices())
+        .flat_map(|src| {
+            g.neighbors(src as u32).iter().map(move |&dst| Message {
+                src,
+                dst: dst as usize,
+                bytes: 64,
+                inject_offset_ps: 0,
+            })
+        })
+        .collect();
+    let (packets, links) = (messages.len() as u64, net.num_directed_links() as u64);
+    assert_eq!(packets, links);
+    let wl = Workload::new("neighbours", messages);
+    let cfg = SimConfig::default();
+    let before = thread_allocations();
+    let res = Simulator::new(&net, &cfg).run(&wl);
+    let allocs = thread_allocations() - before;
+    assert_eq!((res.delivered_packets, res.max_hops), (packets, 1));
+    assert!(
+        allocs < links,
+        "{allocs} heap allocations for a run over {links} directed links"
+    );
 }
 
 /// The Cayley oracle keeps the contract too: a decision is one translation, a

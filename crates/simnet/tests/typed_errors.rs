@@ -3,8 +3,9 @@
 //! unknown pattern spec, an unknown / malformed / oversized job mix, an
 //! offered load outside `(0, 1]`, a job mix without measurement windows, a
 //! workload endpoint the network does not have, an empty measurement window,
-//! windows that overflow `u64` picoseconds, a run with no lookahead — and the
-//! panicking `run*` wrappers die with that error's message.
+//! windows that overflow `u64` picoseconds, a run with no lookahead, a VC,
+//! buffer or shard count out of range — and the panicking `run*` wrappers die
+//! with that error's message.
 
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
@@ -148,6 +149,55 @@ macro_rules! typed_errors {
 
 typed_errors!(one_shard_returns_typed_errors, 1);
 typed_errors!(two_shards_return_typed_errors, 2);
+
+/// Counts the engine stores narrower than `usize` are refused before any
+/// simulation work: VC ids are `u8`, with `u8::MAX` the "none" of a link
+/// waiting for no VC (past 256 VCs a hop's VC wraps to 0 and its credit
+/// returns to the wrong pool — Valiant's VC rule gets there at diameter 128),
+/// credits are `u32`, and a run needs at least one shard.
+#[test]
+fn out_of_range_counts_are_typed_errors() {
+    let net = SimNetwork::new(ring(9), 2);
+    let wl = Workload::uniform_random(net.num_endpoints(), 2, 1024, 4);
+    let with = |shards, num_vcs, buffer| SimConfig {
+        shards,
+        num_vcs,
+        buffer_packets_per_vc: buffer,
+        ..SimConfig::default()
+    };
+    let (vcs, slots) = (SimConfig::default().num_vcs, 4);
+    let vc_message = |n| format!("num_vcs must be in 1..=255 (VC ids are u8), got {n}");
+    let slot_message = |n| format!("buffer_packets_per_vc must be in 1..=4294967295, got {n}");
+    let mut cases = vec![(
+        with(0, vcs, slots),
+        "shards must be in 1.., got 0".to_string(),
+    )];
+    for shards in [1, 2] {
+        cases.push((with(shards, 0, slots), vc_message(0)));
+        cases.push((with(shards, 256, slots), vc_message(256)));
+        let valiant = SimConfig::default()
+            .with_shards(shards)
+            .with_routing("valiant", 128);
+        cases.push((valiant, vc_message(257)));
+        cases.push((with(shards, vcs, 0), slot_message(0)));
+        if let Some(n) = (u32::MAX as usize).checked_add(1) {
+            cases.push((with(shards, vcs, n), slot_message(n)));
+        }
+    }
+    for (cfg, message) in cases {
+        let sim = Simulator::new(&net, &cfg);
+        let expected = SimError::Config(message.clone());
+        assert_eq!(sim.try_run(&wl), Err(expected.clone()));
+        assert_eq!(sim.try_run_with_offered_load(&wl, 0.5), Err(expected));
+        let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&wl))).unwrap_err();
+        assert_eq!(panic.downcast_ref::<String>(), Some(&message));
+    }
+    // The edges of each range run.
+    for cfg in [with(1, 255, 1), with(2, 1, 1)] {
+        let res = Simulator::new(&net, &cfg).try_run(&wl);
+        assert!(!matches!(res, Err(SimError::Config(_))), "{res:?}");
+    }
+}
 
 /// Zero link + router latency leaves no lookahead — no credit return delay
 /// and no epoch length: `try_run` returns a typed error naming both
