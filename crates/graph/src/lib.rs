@@ -5,7 +5,7 @@
 //!
 //! * [`csr`] — the [`CsrGraph`] container used by every other crate.
 //! * [`metrics`] — BFS sweeps: diameter, mean shortest-path length, girth, connectivity
-//!   (Table I, Fig. 5).
+//!   (Table I, Fig. 5), and the component labelling of a filtered subgraph.
 //! * [`spectral`] — adjacency eigenvalues, the spectral gap, µ₁, and the Ramanujan test
 //!   (Section II, Table I).
 //! * [`partition`] — multilevel balanced bisection, the METIS substitute used to

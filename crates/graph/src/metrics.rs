@@ -1,5 +1,6 @@
 //! Structural path metrics: BFS distance sweeps, diameter, mean shortest-path length,
-//! girth, and connectivity — the quantities reported in Table I and Figure 5 of the paper.
+//! girth, and connectivity — the quantities reported in Table I and Figure 5 of the paper —
+//! plus the one component labelling the simulator's fault and oracle layers share.
 //!
 //! The all-pairs sweep advances 64 sources per pass (the bit-parallel kernel behind
 //! [`crate::paths::DistanceMatrix`]), the passes in parallel with rayon. For vertex-transitive
@@ -60,6 +61,41 @@ pub fn is_connected(g: &CsrGraph) -> bool {
     }
     let dist = bfs_distances(g, 0);
     dist.iter().all(|&d| d != UNREACHABLE)
+}
+
+/// Label the connected components of the subgraph of `g` that keeps the
+/// vertices `keep_vertex` accepts and the edges `keep_edge(u, port)` accepts
+/// (port `port` of `u`, read from `u`'s side): `labels[v]` becomes `v`'s
+/// component id, or `u32::MAX` for an excluded vertex. Ids are assigned in
+/// ascending order of each component's smallest vertex. Returns the number of
+/// components; `labels` is the caller's, so a relabelling reuses it.
+pub fn label_components(
+    g: &CsrGraph,
+    keep_vertex: impl Fn(VertexId) -> bool,
+    keep_edge: impl Fn(VertexId, usize) -> bool,
+    labels: &mut Vec<u32>,
+) -> usize {
+    labels.clear();
+    labels.resize(g.num_vertices(), u32::MAX);
+    let mut count = 0u32;
+    let mut stack = Vec::new();
+    for root in 0..g.num_vertices() as VertexId {
+        if labels[root as usize] != u32::MAX || !keep_vertex(root) {
+            continue;
+        }
+        labels[root as usize] = count;
+        stack.push(root);
+        while let Some(u) = stack.pop() {
+            for (port, &w) in g.neighbors(u).iter().enumerate() {
+                if labels[w as usize] == u32::MAX && keep_vertex(w) && keep_edge(u, port) {
+                    labels[w as usize] = count;
+                    stack.push(w);
+                }
+            }
+        }
+        count += 1;
+    }
+    count as usize
 }
 
 /// Eccentricity of `source` (max finite distance); `None` if some vertex is unreachable.
@@ -206,6 +242,19 @@ mod tests {
         let h = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
         assert!(!is_connected(&h));
         assert_eq!(diameter_and_mean_distance(&h), None);
+    }
+
+    #[test]
+    fn components_of_a_filtered_cycle() {
+        let g = cycle_graph(6);
+        let mut labels = vec![9; 2];
+        assert_eq!(label_components(&g, |_| true, |_, _| true, &mut labels), 1);
+        assert_eq!(labels, [0; 6]);
+        // Drop vertex 3 and the edge 0–1 (port 0 of 0, read from 0's side):
+        // {0, 4, 5} and {1, 2} remain, numbered from their smallest vertex.
+        let count = label_components(&g, |v| v != 3, |u, p| (u, p) != (0, 0), &mut labels);
+        assert_eq!(count, 2);
+        assert_eq!(labels, [0, 1, 1, u32::MAX, 0, 0]);
     }
 
     #[test]

@@ -24,12 +24,14 @@
 //!   memory, exact answers (the landmark bounds only short-circuit when they
 //!   are tight; everything else falls back to a real BFS row).
 //!
-//! All three honour the allocation-free hot-path contract: `min_ports_u8`
-//! writes into a caller-owned scratch buffer and never allocates per decision
-//! once the scratch has grown to the radix — the landmark cache allocates only
-//! on a *miss*, which its LRU bound amortizes away under any localized traffic.
+//! All three honour the allocation-free hot-path contract:
+//! [`PathOracle::min_ports`] writes `u16` port ids into a caller-owned buffer
+//! and never allocates per decision once the buffer has grown to the radix —
+//! the landmark cache allocates only on a *miss*, which its LRU bound
+//! amortizes away under any localized traffic.
 
 use crate::csr::{CsrGraph, VertexId};
+use crate::metrics::label_components;
 use crate::paths::{bfs_distances_into, DistanceMatrix, UNREACHABLE_U16};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,24 +119,12 @@ pub trait PathOracle: Send + Sync + std::fmt::Debug {
     /// Distance between two routers ([`UNREACHABLE_U16`] if unreachable).
     fn dist(&self, g: &CsrGraph, from: VertexId, to: VertexId) -> u16;
 
-    /// The ascending minimal ports of `current` toward `dst` as packed `u8`
-    /// ids, either as an internal row or written into `scratch` (cleared
-    /// first). Empty when `dst` is `current` itself or unreachable.
+    /// Write the ascending minimal ports of `current` toward `dst` into `out`
+    /// (cleared first). Empty when `dst` is `current` itself or unreachable.
     ///
-    /// Callers guarantee `current`'s degree fits `u8` (the simulator's wide
-    /// path uses [`PathOracle::min_ports_into`] above that).
-    fn min_ports_u8<'a>(
-        &'a self,
-        g: &CsrGraph,
-        current: VertexId,
-        dst: VertexId,
-        scratch: &'a mut Vec<u8>,
-    ) -> &'a [u8];
-
-    /// The ascending minimal ports of `current` toward `dst` written into a
-    /// caller-owned buffer (cleared first) — the wide-port sibling of
-    /// [`PathOracle::min_ports_u8`] for radices beyond `u8`.
-    fn min_ports_into(&self, g: &CsrGraph, current: VertexId, dst: VertexId, out: &mut Vec<usize>);
+    /// Callers keep `current`'s degree within the `u16` port space (65,536
+    /// ports; `SimNetwork` checks every router once, when it is assembled).
+    fn min_ports(&self, g: &CsrGraph, current: VertexId, dst: VertexId, out: &mut Vec<u16>);
 
     /// An upper bound on the largest finite router-to-router distance, tight
     /// enough for VC sizing (exact for [`DenseOracle`] and [`CayleyOracle`];
@@ -178,18 +168,7 @@ impl PathOracle for DenseOracle {
     }
 
     #[inline]
-    fn min_ports_u8<'a>(
-        &'a self,
-        g: &CsrGraph,
-        current: VertexId,
-        dst: VertexId,
-        scratch: &'a mut Vec<u8>,
-    ) -> &'a [u8] {
-        self.dist.min_next_ports_u8_into(g, current, dst, scratch);
-        scratch
-    }
-
-    fn min_ports_into(&self, g: &CsrGraph, current: VertexId, dst: VertexId, out: &mut Vec<usize>) {
+    fn min_ports(&self, g: &CsrGraph, current: VertexId, dst: VertexId, out: &mut Vec<u16>) {
         self.dist.min_next_ports_into(g, current, dst, out);
     }
 
@@ -450,27 +429,9 @@ impl PathOracle for CayleyOracle {
     }
 
     #[inline]
-    fn min_ports_u8<'a>(
-        &'a self,
-        _g: &CsrGraph,
-        current: VertexId,
-        dst: VertexId,
-        scratch: &'a mut Vec<u8>,
-    ) -> &'a [u8] {
-        scratch.clear();
-        self.for_each_min_port(current, dst, |i| scratch.push(i as u8));
-        scratch
-    }
-
-    fn min_ports_into(
-        &self,
-        _g: &CsrGraph,
-        current: VertexId,
-        dst: VertexId,
-        out: &mut Vec<usize>,
-    ) {
+    fn min_ports(&self, _g: &CsrGraph, current: VertexId, dst: VertexId, out: &mut Vec<u16>) {
         out.clear();
-        self.for_each_min_port(current, dst, |i| out.push(i));
+        self.for_each_min_port(current, dst, |i| out.push(i as u16));
     }
 
     fn max_distance_bound(&self) -> u16 {
@@ -601,25 +562,10 @@ impl LandmarkOracle {
         // unsound on disconnected graphs, where a small component's landmark
         // (eccentricity 0 for an isolated vertex) says nothing about paths in
         // a larger landmark-free component.
-        let mut comp = vec![usize::MAX; n];
-        let mut comp_sizes: Vec<u32> = Vec::new();
-        for s in 0..n {
-            if comp[s] != usize::MAX {
-                continue;
-            }
-            let id = comp_sizes.len();
-            comp_sizes.push(0);
-            comp[s] = id;
-            queue.push_back(s as VertexId);
-            while let Some(u) = queue.pop_front() {
-                comp_sizes[id] += 1;
-                for &w in g.neighbors(u) {
-                    if comp[w as usize] == usize::MAX {
-                        comp[w as usize] = id;
-                        queue.push_back(w);
-                    }
-                }
-            }
+        let mut comp = Vec::new();
+        let mut comp_sizes = vec![0u32; label_components(g, |_| true, |_, _| true, &mut comp)];
+        for &c in &comp {
+            comp_sizes[c as usize] += 1;
         }
         let mut comp_bound = vec![u32::MAX; comp_sizes.len()];
         for (l, &lm) in landmarks.iter().enumerate() {
@@ -629,7 +575,7 @@ impl LandmarkOracle {
                 .filter(|&d| d != UNREACHABLE_U16)
                 .max()
                 .unwrap_or(0);
-            let c = comp[lm as usize];
+            let c = comp[lm as usize] as usize;
             comp_bound[c] = comp_bound[c].min(u32::from(ecc) * 2);
         }
         let max_bound = comp_sizes
@@ -777,21 +723,9 @@ impl PathOracle for LandmarkOracle {
         self.with_dst_row(g, to, |row| row[from as usize])
     }
 
-    fn min_ports_u8<'a>(
-        &'a self,
-        g: &CsrGraph,
-        current: VertexId,
-        dst: VertexId,
-        scratch: &'a mut Vec<u8>,
-    ) -> &'a [u8] {
-        scratch.clear();
-        self.for_each_min_port(g, current, dst, |i| scratch.push(i as u8));
-        scratch
-    }
-
-    fn min_ports_into(&self, g: &CsrGraph, current: VertexId, dst: VertexId, out: &mut Vec<usize>) {
+    fn min_ports(&self, g: &CsrGraph, current: VertexId, dst: VertexId, out: &mut Vec<u16>) {
         out.clear();
-        self.for_each_min_port(g, current, dst, |i| out.push(i));
+        self.for_each_min_port(g, current, dst, |i| out.push(i as u16));
     }
 
     fn max_distance_bound(&self) -> u16 {
@@ -831,25 +765,24 @@ mod tests {
         CsrGraph::from_edges(n, &edges)
     }
 
+    /// A hub with `leaves` leaves: past 255 leaves the hub's port ids leave `u8`.
+    fn star(leaves: u32) -> CsrGraph {
+        let edges: Vec<(u32, u32)> = (1..=leaves).map(|v| (0, v)).collect();
+        CsrGraph::from_edges(leaves as usize + 1, &edges)
+    }
+
     /// Assert an oracle agrees with the dense matrix on every pair: distances
     /// and minimal-port *sets* (ascending order included).
     fn assert_matches_dense(g: &CsrGraph, oracle: &dyn PathOracle) {
         let dm = DistanceMatrix::from_graph(g);
         let n = g.num_vertices() as VertexId;
-        let mut scratch = Vec::new();
-        let mut wide = Vec::new();
+        let (mut expect, mut got) = (Vec::new(), Vec::new());
         for u in 0..n {
             for v in 0..n {
                 assert_eq!(oracle.dist(g, u, v), dm.dist(u, v), "dist({u}, {v})");
-                let expect = dm.min_next_ports(g, u, v);
-                let got: Vec<usize> = oracle
-                    .min_ports_u8(g, u, v, &mut scratch)
-                    .iter()
-                    .map(|&p| p as usize)
-                    .collect();
-                assert_eq!(got, expect, "min_ports_u8({u}, {v})");
-                oracle.min_ports_into(g, u, v, &mut wide);
-                assert_eq!(wide, expect, "min_ports_into({u}, {v})");
+                dm.min_next_ports_into(g, u, v, &mut expect);
+                oracle.min_ports(g, u, v, &mut got);
+                assert_eq!(got, expect, "min_ports({u}, {v})");
             }
         }
         assert_eq!(oracle.n(), g.num_vertices());
@@ -941,6 +874,7 @@ mod tests {
             cycle_graph(9),
             hypercube(4),
             CsrGraph::from_edges(4, &[(0, 1), (2, 3)]), // disconnected
+            star(300),
         ] {
             let oracle = LandmarkOracle::build_with(&g, 3, 1 << 20).unwrap();
             assert_matches_dense(&g, &oracle);
@@ -961,7 +895,7 @@ mod tests {
         for v in (0..16u32).rev() {
             for u in 0..16u32 {
                 assert_eq!(oracle.dist(&g, u, v) as u32, (u ^ v).count_ones());
-                let _ = oracle.min_ports_u8(&g, u, v, &mut scratch);
+                oracle.min_ports(&g, u, v, &mut scratch);
             }
         }
     }

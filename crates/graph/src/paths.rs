@@ -196,43 +196,36 @@ impl DistanceMatrix {
     }
 
     /// The neighbours of `current` that lie on a shortest path toward `dst`
-    /// (empty when `dst` is `current` itself or unreachable).
+    /// (empty when `dst` is `current` itself or unreachable) — the analysis
+    /// form of [`Self::min_next_ports_into`].
     pub fn min_next_hops(&self, g: &CsrGraph, current: VertexId, dst: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::new();
+        let mut ports = Vec::new();
+        self.min_next_ports_into(g, current, dst, &mut ports);
         let neighbours = g.neighbors(current);
-        self.min_ports_compact(g, current, dst, &mut out, |i| neighbours[i]);
-        out
+        ports.iter().map(|&p| neighbours[usize::from(p)]).collect()
     }
 
-    /// Ports of `current` (indices into its neighbour list) whose neighbour lies on a
-    /// shortest path toward `dst` — the port-indexed sibling of [`Self::min_next_hops`],
-    /// used by the simulator where output links are addressed by port. Empty when
-    /// `dst` is `current` itself or unreachable.
-    pub fn min_next_ports(&self, g: &CsrGraph, current: VertexId, dst: VertexId) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.min_next_ports_into(g, current, dst, &mut out);
-        out
-    }
-
-    /// Write `port(i)` for each port `i` of `current` whose neighbour lies on a
-    /// shortest path toward `dst` into `out` (cleared first), in ascending port
-    /// order — the definition of the minimal-port predicate, shared by every
-    /// query above.
+    /// Write each port of `current` (index into its neighbour list) whose
+    /// neighbour lies on a shortest path toward `dst` into `out` (cleared
+    /// first), in ascending order — the definition of the minimal-port
+    /// predicate. Empty when `dst` is `current` itself or unreachable.
+    /// Allocation-free once `out` has grown to the radix.
     ///
     /// Every [`CsrGraph`] is undirected, so the matrix is symmetric and
     /// `dist(w, dst)` is entry `w` of `dst`'s row: the scan touches that one row
     /// instead of one row per neighbour. It writes every port and steps past
     /// the minimal ones only, so the loop has no branch per port to mispredict.
     /// `tests/min_port_scan.rs` holds it to a BFS from each neighbour on the
-    /// paper's degraded fabrics.
+    /// paper's degraded fabrics. Port ids are `u16`: the caller keeps
+    /// `current`'s degree within 65,536 (`SimNetwork` checks every router
+    /// once, when it is assembled).
     #[inline]
-    fn min_ports_compact<T: Copy + Default>(
+    pub fn min_next_ports_into(
         &self,
         g: &CsrGraph,
         current: VertexId,
         dst: VertexId,
-        out: &mut Vec<T>,
-        port: impl Fn(usize) -> T,
+        out: &mut Vec<u16>,
     ) {
         out.clear();
         let toward = self.row(dst as usize);
@@ -241,46 +234,13 @@ impl DistanceMatrix {
             return;
         }
         let neighbours = g.neighbors(current);
-        out.resize(neighbours.len(), T::default());
+        out.resize(neighbours.len(), 0);
         let mut count = 0;
         for (i, &w) in neighbours.iter().enumerate() {
-            out[count] = port(i);
+            out[count] = i as u16;
             count += usize::from(toward[w as usize].saturating_add(1) == d);
         }
         out.truncate(count);
-    }
-
-    /// [`Self::min_next_ports`] into a caller-owned buffer (cleared first), so a
-    /// routing hot path stays allocation-free once the buffer has grown to the
-    /// radix.
-    pub fn min_next_ports_into(
-        &self,
-        g: &CsrGraph,
-        current: VertexId,
-        dst: VertexId,
-        out: &mut Vec<usize>,
-    ) {
-        self.min_ports_compact(g, current, dst, out, |i| i);
-    }
-
-    /// [`Self::min_next_ports_into`] with packed `u8` port ids — the simulator's
-    /// per-hop query on dense networks.
-    ///
-    /// # Panics
-    /// If `current`'s degree exceeds `u8::MAX` (port ids would not fit; use
-    /// [`Self::min_next_ports_into`] there).
-    pub fn min_next_ports_u8_into(
-        &self,
-        g: &CsrGraph,
-        current: VertexId,
-        dst: VertexId,
-        out: &mut Vec<u8>,
-    ) {
-        assert!(
-            g.degree(current) <= u8::MAX as usize,
-            "router {current}'s degree exceeds the packed u8 port space"
-        );
-        self.min_ports_compact(g, current, dst, out, |i| i as u8);
     }
 
     /// Number of distinct shortest paths between two routers (path diversity).
@@ -449,23 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn port_and_vertex_views_agree() {
-        let g = cycle_graph(9);
-        let dm = DistanceMatrix::from_graph(&g);
-        for u in 0..9u32 {
-            for v in 0..9u32 {
-                let by_vertex = dm.min_next_hops(&g, u, v);
-                let by_port: Vec<VertexId> = dm
-                    .min_next_ports(&g, u, v)
-                    .into_iter()
-                    .map(|p| g.neighbors(u)[p])
-                    .collect();
-                assert_eq!(by_vertex, by_port, "({u}, {v})");
-            }
-        }
-    }
-
-    #[test]
     fn shortest_path_counts_on_hypercube() {
         // Number of shortest paths between antipodal vertices of Q_d is d!.
         let g = hypercube(4);
@@ -479,12 +422,11 @@ mod tests {
     fn min_next_ports_into_clears_its_buffer() {
         let g = cycle_graph(8);
         let dm = DistanceMatrix::from_graph(&g);
-        let mut buf = Vec::new();
+        let mut buf = vec![7; 5];
         dm.min_next_ports_into(&g, 0, 4, &mut buf);
-        assert_eq!(buf, dm.min_next_ports(&g, 0, 4));
+        assert_eq!(buf, [0, 1]);
         dm.min_next_ports_into(&g, 0, 3, &mut buf);
-        assert_eq!(buf, dm.min_next_ports(&g, 0, 3));
-        assert_eq!(buf.len(), 1);
+        assert_eq!(buf, [0]);
     }
 
     #[test]
@@ -499,6 +441,5 @@ mod tests {
         // Unreachable destinations have no minimal next hops — an unreachable
         // neighbour must not count as "on a shortest path" (MAX + 1 saturates to MAX).
         assert!(dm.min_next_hops(&g, 0, 2).is_empty());
-        assert!(dm.min_next_ports(&g, 0, 2).is_empty());
     }
 }

@@ -1,12 +1,13 @@
 //! Exactness battery for the dense minimal-port scan: on every `(src, dst)` pair,
-//! `DenseOracle`'s packed and wide queries must equal the definition — port `i`
+//! `DenseOracle`'s port query must equal the definition — port `i`
 //! of `src` is minimal toward `dst` iff a BFS from its neighbour `wᵢ` reaches
 //! `dst` one hop sooner than a BFS from `src` — including disconnected pairs and
 //! self-destinations. The definition never reads a `DistanceMatrix`, so it pins
 //! the scan's read of the destination's row (which equals the neighbour's
 //! column only because the graph is undirected) on random graphs, on the
-//! degraded paper fabrics a failure sweep rebuilds, and on a graph where every
-//! pair of a part has 30–33 minimal ports.
+//! degraded paper fabrics a failure sweep rebuilds, on a graph where every
+//! pair of a part has 30–33 minimal ports, and on a star whose hub has port
+//! ids past 255.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -35,29 +36,27 @@ fn bfs(g: &CsrGraph, source: VertexId) -> Vec<u32> {
     dist
 }
 
-/// The oracle's distances and both port queries equal the BFS definition on
-/// every ordered pair of `g`.
+/// The oracle's distances and port query equal the BFS definition on every
+/// ordered pair of `g`.
 fn assert_scan_exact(g: &CsrGraph, what: &str) {
     let oracle = DenseOracle::build(g).expect("fits the dense matrix");
     let n = g.num_vertices() as VertexId;
     let from: Vec<Vec<u32>> = (0..n).map(|v| bfs(g, v)).collect();
-    let (mut packed, mut wide) = (Vec::new(), Vec::new());
+    let mut got = Vec::new();
     for src in 0..n {
         let neighbours = g.neighbors(src);
         for dst in 0..n {
             let d = from[src as usize][dst as usize];
-            let expect: Vec<usize> = (0..neighbours.len())
-                .filter(|&i| d != u32::MAX && from[neighbours[i] as usize][dst as usize] + 1 == d)
+            let expect: Vec<u16> = (0..neighbours.len() as u16)
+                .filter(|&i| {
+                    d != u32::MAX
+                        && from[neighbours[usize::from(i)] as usize][dst as usize] + 1 == d
+                })
                 .collect();
             let dist = u16::try_from(d).unwrap_or(UNREACHABLE_U16);
             assert_eq!(oracle.dist(g, src, dst), dist, "{what}: dist({src}, {dst})");
-            let got = oracle.min_ports_u8(g, src, dst, &mut packed);
-            assert!(
-                got.iter().map(|&p| p as usize).eq(expect.iter().copied()),
-                "{what}: min_ports_u8({src}, {dst})"
-            );
-            oracle.min_ports_into(g, src, dst, &mut wide);
-            assert_eq!(wide, expect, "{what}: min_ports_into({src}, {dst})");
+            oracle.min_ports(g, src, dst, &mut got);
+            assert_eq!(got, expect, "{what}: min_ports({src}, {dst})");
         }
     }
 }
@@ -119,9 +118,17 @@ fn scan_is_exact_with_thirty_minimal_ports_per_pair() {
     for u in 0..n {
         let part = parts[part_of[u as usize]];
         let peer = (0..n).find(|&v| v != u && part_of[v as usize] == part_of[u as usize]);
-        let ports = oracle.min_ports_u8(&g, u, peer.unwrap(), &mut scratch);
-        assert_eq!(ports.len() as u32, n - part);
+        oracle.min_ports(&g, u, peer.unwrap(), &mut scratch);
+        assert_eq!(scratch.len() as u32, n - part);
     }
+}
+
+/// A hub with 300 leaves: its port ids run past 255, where a `u8` port id
+/// would wrap onto the wrong leaf.
+#[test]
+fn scan_is_exact_at_port_ids_above_255() {
+    let edges: Vec<(u32, u32)> = (1..=300u32).map(|v| (0, v)).collect();
+    assert_scan_exact(&CsrGraph::from_edges(301, &edges), "star(300)");
 }
 
 /// A random graph, deterministic in `seed`: a ring spine (keeps most instances

@@ -59,7 +59,7 @@ use crate::workload::Workload;
 use driver::UNTAGGED;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::csr::VertexId;
-use std::collections::VecDeque;
+use spectralfly_graph::metrics::label_components;
 use std::sync::Arc;
 
 /// The name the sharded engine used to have. [`Simulator`] runs every shard
@@ -103,10 +103,13 @@ pub enum SimError {
     /// The lookahead (link + router latency) — the credit return delay and
     /// the epoch length — is zero (the message carries both latencies).
     Lookahead(String),
-    /// A count the engine stores narrower than `usize` is out of range:
-    /// [`SimConfig::num_vcs`] outside `1..=255` (VC ids are `u8`),
-    /// [`SimConfig::buffer_packets_per_vc`] outside `1..=u32::MAX`, or
-    /// [`SimConfig::shards`] zero (the message names the field and value).
+    /// A field of [`SimConfig`] is out of range: [`SimConfig::num_vcs`]
+    /// outside `1..=255` (VC ids are `u8`),
+    /// [`SimConfig::buffer_packets_per_vc`] outside `1..=u32::MAX`,
+    /// [`SimConfig::shards`] or [`SimConfig::packet_size_bytes`] zero, a
+    /// latency, `rto_base_ns` or `fault_horizon_ns` negative or not finite, a
+    /// bandwidth not finite and positive, or a longest retransmission backoff
+    /// past `u64` picoseconds (the message names the field and value).
     Config(String),
     /// A fault plan or script made the run infeasible (dead endpoints,
     /// disconnected pairs, fragmented survivors, malformed script).
@@ -161,24 +164,57 @@ impl From<crate::fault::FaultError> for SimError {
 }
 
 /// What the simulator's constructor does: check the counts the engine stores
-/// narrow (VC ids as `u8`, credits as `u32`) and the shard count, then
-/// resolve the configured routing algorithm — as a value the `try_*` entry
-/// points report.
+/// narrow (VC ids as `u8`, credits as `u32`) and the shard count, the times
+/// and bandwidths it converts to `u64` picoseconds, and the packet size it
+/// divides by, then resolve the configured routing algorithm — as a value
+/// the `try_*` entry points report.
 pub(crate) fn resolve_router(cfg: &SimConfig) -> Result<Box<dyn Router>, SimError> {
-    let out_of_range = |field: &str, range: &str, value: usize| {
+    let out_of_range = |field: &str, range: &str, value: &dyn std::fmt::Display| {
         Err(SimError::Config(format!(
             "{field} must be in {range}, got {value}"
         )))
     };
     if !(1..=u8::MAX as usize).contains(&cfg.num_vcs) {
-        return out_of_range("num_vcs", "1..=255 (VC ids are u8)", cfg.num_vcs);
+        return out_of_range("num_vcs", "1..=255 (VC ids are u8)", &cfg.num_vcs);
     }
     if !(1..=u32::MAX as usize).contains(&cfg.buffer_packets_per_vc) {
         let range = "1..=4294967295";
-        return out_of_range("buffer_packets_per_vc", range, cfg.buffer_packets_per_vc);
+        return out_of_range("buffer_packets_per_vc", range, &cfg.buffer_packets_per_vc);
     }
     if cfg.shards == 0 {
-        return out_of_range("shards", "1..", cfg.shards);
+        return out_of_range("shards", "1..", &cfg.shards);
+    }
+    if cfg.packet_size_bytes == 0 {
+        return out_of_range("packet_size_bytes", "1..", &cfg.packet_size_bytes);
+    }
+    let times = [
+        ("link_latency_ns", cfg.link_latency_ns),
+        ("router_latency_ns", cfg.router_latency_ns),
+        ("rto_base_ns", cfg.rto_base_ns),
+        ("fault_horizon_ns", cfg.fault_horizon_ns),
+    ];
+    if let Some((field, ns)) = times.iter().find(|(_, ns)| !(ns.is_finite() && *ns >= 0.0)) {
+        return out_of_range(field, "[0, ∞)", ns);
+    }
+    let bandwidths = [
+        ("link_bandwidth_gbps", cfg.link_bandwidth_gbps),
+        ("injection_bandwidth_gbps", cfg.injection_bandwidth_gbps),
+    ];
+    if let Some((field, gbps)) = bandwidths
+        .iter()
+        .find(|(_, g)| !(g.is_finite() && *g > 0.0))
+    {
+        return out_of_range(field, "(0, ∞)", gbps);
+    }
+    // The longest retransmission backoff, `lookahead + rto_base · 2⁶`.
+    let longest_backoff = (cfg.link_latency_ps().checked_add(cfg.router_latency_ps()))
+        .and_then(|lookahead| lookahead.checked_add(cfg.rto_base_ps().checked_mul(64)?));
+    if longest_backoff.is_none() {
+        return Err(SimError::Config(format!(
+            "link_latency_ns + router_latency_ns + 64 · rto_base_ns must fit u64 picoseconds, \
+             got {} + {} + 64 · {}",
+            cfg.link_latency_ns, cfg.router_latency_ns, cfg.rto_base_ns
+        )));
     }
     routing::create(&cfg.routing).ok_or_else(|| SimError::UnknownRouting {
         name: cfg.routing.clone(),
@@ -463,36 +499,15 @@ impl FaultRuntime {
         idx
     }
 
-    /// Recompute alive-component labels: one BFS sweep over the alive
-    /// subgraph, O(V+E).
+    /// Recompute alive-component labels: one sweep over the alive subgraph,
+    /// O(V+E).
     fn repatch(&mut self, net: &SimNetwork) {
-        let g = net.graph();
-        let n = g.num_vertices();
-        self.comp.clear();
-        self.comp.resize(n, u32::MAX);
-        let mut queue: VecDeque<VertexId> = VecDeque::new();
-        let mut next_label = 0u32;
-        for start in 0..n as VertexId {
-            if self.comp[start as usize] != u32::MAX || self.router_down[start as usize] > 0 {
-                continue;
-            }
-            let label = next_label;
-            next_label += 1;
-            self.comp[start as usize] = label;
-            queue.push_back(start);
-            while let Some(r) = queue.pop_front() {
-                for p in 0..g.degree(r) {
-                    let nbr = g.neighbors(r)[p];
-                    if self.comp[nbr as usize] != u32::MAX
-                        || self.router_down[nbr as usize] > 0
-                        || self.link_down[net.link_id(r, p)] > 0
-                    {
-                        continue;
-                    }
-                    self.comp[nbr as usize] = label;
-                    queue.push_back(nbr);
-                }
-            }
-        }
+        let (router_down, link_down) = (&self.router_down, &self.link_down);
+        label_components(
+            net.graph(),
+            |r| router_down[r as usize] == 0,
+            |r, p| link_down[net.link_id(r, p)] == 0,
+            &mut self.comp,
+        );
     }
 }

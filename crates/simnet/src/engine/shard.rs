@@ -1695,11 +1695,14 @@ impl<'a> Simulator<'a> {
     ///
     /// A `cfg.routing` that names no registered algorithm (see
     /// [`crate::routing`]), a zero link + router latency (the credit return
-    /// delay and the epoch length would vanish), or a VC, buffer or shard
-    /// count out of range ([`SimError::Config`]) is reported by the first
-    /// `try_*` call (the `run*` wrappers panic with the same message).
+    /// delay and the epoch length would vanish), or a field out of range
+    /// ([`SimError::Config`]) is reported by the first `try_*` call (the
+    /// `run*` wrappers panic with the same message).
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
-        let lookahead = cfg.link_latency_ps() + cfg.router_latency_ps();
+        // A sum past `u64` is `resolve_router`'s error: no run reads it.
+        let lookahead = cfg
+            .link_latency_ps()
+            .saturating_add(cfg.router_latency_ps());
         let router = super::resolve_router(cfg).and_then(|router| match lookahead {
             0 => Err(SimError::Lookahead(format!(
                 "the simulator needs a positive lookahead (the credit return delay and \

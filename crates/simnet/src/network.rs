@@ -14,11 +14,12 @@
 //! so [`SimNetwork::with_faults`] builds through [`SimNetwork::new`] over the
 //! degraded graph and never keeps a Cayley oracle — the demotion the routing
 //! correctness argument requires. Whatever the representation,
-//! [`SimNetwork::minimal_ports_packed`] hides it behind a caller-owned scratch
+//! [`SimNetwork::minimal_ports_packed`] hides it behind a caller-owned `u16`
 //! buffer, so the hot path stays allocation-free across the whole tier.
 
 use crate::fault::{AppliedFaults, FaultError, FaultPlan};
 use spectralfly_graph::csr::{CsrGraph, VertexId};
+use spectralfly_graph::metrics::label_components;
 use spectralfly_graph::oracle::{DenseOracle, LandmarkOracle, OracleKind, PathOracle};
 use std::sync::Arc;
 
@@ -43,29 +44,11 @@ struct NetworkFaults {
 impl NetworkFaults {
     /// Label the degraded graph's connected components.
     fn new(graph: &CsrGraph, down: Vec<bool>, spec: String) -> Self {
-        let n = graph.num_vertices();
-        let mut comp_of = vec![u32::MAX; n];
-        let mut comp_members: Vec<Vec<VertexId>> = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        for root in 0..n {
-            if comp_of[root] != u32::MAX {
-                continue;
-            }
-            let cid = comp_members.len() as u32;
-            let mut members = Vec::new();
-            comp_of[root] = cid;
-            queue.push_back(root as VertexId);
-            while let Some(u) = queue.pop_front() {
-                members.push(u);
-                for &v in graph.neighbors(u) {
-                    if comp_of[v as usize] == u32::MAX {
-                        comp_of[v as usize] = cid;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            members.sort_unstable();
-            comp_members.push(members);
+        let mut comp_of = Vec::new();
+        let count = label_components(graph, |_| true, |_, _| true, &mut comp_of);
+        let mut comp_members: Vec<Vec<VertexId>> = vec![Vec::new(); count];
+        for (v, &c) in comp_of.iter().enumerate() {
+            comp_members[c as usize].push(v as VertexId);
         }
         let mut alive_seen = vec![false; comp_members.len()];
         let mut alive_components = 0usize;
@@ -133,13 +116,15 @@ impl SimNetwork {
     /// layer, and for landmark oracles with tuned parameters.
     ///
     /// # Panics
-    /// If the oracle was not built over exactly `graph`'s vertex count, or
-    /// `concentration` is 0.
+    /// If the oracle was not built over exactly `graph`'s vertex count,
+    /// `concentration` is 0, or a router has more than 65,536 ports.
     pub fn with_oracle(graph: CsrGraph, concentration: usize, oracle: Arc<dyn PathOracle>) -> Self {
         Self::assemble(graph, concentration, oracle)
     }
 
     /// The shared tail of every constructor: link indexing + oracle caching.
+    /// Port ids are `u16` from the oracle down to the routing context, so this
+    /// is where the radix is checked, once per network.
     fn assemble(graph: CsrGraph, concentration: usize, oracle: Arc<dyn PathOracle>) -> Self {
         assert!(concentration >= 1, "concentration must be at least 1");
         let n = graph.num_vertices();
@@ -148,6 +133,11 @@ impl SimNetwork {
             n,
             "oracle is over {} routers but the graph has {n}",
             oracle.n()
+        );
+        let radix = graph.max_degree();
+        assert!(
+            radix <= usize::from(u16::MAX) + 1,
+            "a router has {radix} ports; port ids are u16 (at most 65536 ports)"
         );
         let mut link_offset = Vec::with_capacity(n + 1);
         let mut acc = 0usize;
@@ -366,41 +356,21 @@ impl SimNetwork {
         (r, p as usize)
     }
 
-    /// Ports of `current` whose neighbour lies on a shortest path to `dst`.
-    pub fn minimal_ports(&self, current: VertexId, dst: VertexId) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.oracle
-            .min_ports_into(&self.graph, current, dst, &mut out);
-        out
-    }
-
-    /// [`Self::minimal_ports`] as a packed `u8` slice without heap traffic:
-    /// computed into `scratch` (cleared and refilled; allocation-free once grown
-    /// to the radix — the landmark oracle may additionally BFS on a
-    /// destination-row cache miss).
-    /// The returned ports are ascending under every oracle, so callers'
-    /// tie-breaks are representation-blind.
-    ///
-    /// # Panics
-    /// If `current`'s degree exceeds `u8::MAX` — port ids then don't fit the packed
-    /// representation. Callers that must support such radices (the routing hot
-    /// path does, via its wide-scratch branch) should use
-    /// [`Self::minimal_ports_wide`] instead.
+    /// Ports of `current` whose neighbour lies on a shortest path to `dst`,
+    /// computed into `scratch` (cleared and refilled; allocation-free once
+    /// grown to the radix — the landmark oracle may additionally BFS on a
+    /// destination-row cache miss) and returned as a slice. The ports are
+    /// ascending under every oracle, so callers' tie-breaks are
+    /// representation-blind.
     #[inline]
     pub fn minimal_ports_packed<'s>(
-        &'s self,
+        &self,
         current: VertexId,
         dst: VertexId,
-        scratch: &'s mut Vec<u8>,
-    ) -> &'s [u8] {
-        self.oracle.min_ports_u8(&self.graph, current, dst, scratch)
-    }
-
-    /// [`Self::minimal_ports`] into a caller-owned wide buffer — the routing
-    /// hot path's branch for radices beyond the packed `u8` representation.
-    #[inline]
-    pub fn minimal_ports_wide(&self, current: VertexId, dst: VertexId, out: &mut Vec<usize>) {
-        self.oracle.min_ports_into(&self.graph, current, dst, out);
+        scratch: &'s mut Vec<u16>,
+    ) -> &'s [u16] {
+        self.oracle.min_ports(&self.graph, current, dst, scratch);
+        scratch
     }
 }
 
@@ -442,12 +412,13 @@ mod tests {
     #[test]
     fn minimal_ports_point_toward_destination() {
         let net = SimNetwork::new(ring(8), 1);
-        let ports = net.minimal_ports(0, 2);
+        let mut scratch = Vec::new();
+        let ports = net.minimal_ports_packed(0, 2, &mut scratch);
         assert_eq!(ports.len(), 1);
-        assert_eq!(net.link_target(0, ports[0]), 1);
+        assert_eq!(net.link_target(0, ports[0].into()), 1);
         // Antipodal destination: both directions are minimal.
-        assert_eq!(net.minimal_ports(0, 4).len(), 2);
-        assert!(net.minimal_ports(3, 3).is_empty());
+        assert_eq!(net.minimal_ports_packed(0, 4, &mut scratch).len(), 2);
+        assert!(net.minimal_ports_packed(3, 3, &mut scratch).is_empty());
     }
 
     #[test]
@@ -456,13 +427,14 @@ mod tests {
         let g = ring(9);
         let net = SimNetwork::new(g.clone(), 1);
         let dm = DistanceMatrix::from_graph(&g);
+        let mut scratch = Vec::new();
         for a in 0..9u32 {
             for b in 0..9u32 {
                 assert_eq!(net.dist(a, b), dm.dist(a, b));
                 let ports: Vec<VertexId> = net
-                    .minimal_ports(a, b)
-                    .into_iter()
-                    .map(|p| net.link_target(a, p))
+                    .minimal_ports_packed(a, b, &mut scratch)
+                    .iter()
+                    .map(|&p| net.link_target(a, p.into()))
                     .collect();
                 assert_eq!(ports, dm.min_next_hops(&g, a, b));
             }

@@ -31,7 +31,7 @@
 //!     }
 //!     fn route(&self, ctx: &mut RoutingCtx<'_>, state: &mut RoutingState) -> usize {
 //!         let target = state.current_target(ctx.dst());
-//!         ctx.minimal_ports(target)[0]
+//!         usize::from(ctx.minimal_ports(target)[0])
 //!     }
 //! }
 //!
@@ -91,14 +91,12 @@ impl RoutingState {
     }
 }
 
-/// Reusable per-engine buffers the minimal-port query writes into, so decisions
-/// stay allocation-free whichever path they take: `packed` holds `u8` ports for
-/// routers whose radix fits the packed representation, `wide` holds `usize`
-/// ports for radix > 255 (where `u8` port ids would truncate).
+/// The reusable per-engine buffer the minimal-port query writes its `u16`
+/// port ids into, so decisions stay allocation-free once it has grown to the
+/// radix.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
-    packed: Vec<u8>,
-    wide: Vec<usize>,
+    ports: Vec<u16>,
 }
 
 /// Everything a routing decision may consult, snapshotted at decision time.
@@ -201,9 +199,11 @@ impl<'a> RoutingCtx<'a> {
     }
 
     /// Output ports of the current router whose neighbour lies on a shortest path to
-    /// `target`.
-    pub fn minimal_ports(&self, target: VertexId) -> Vec<usize> {
-        self.net.minimal_ports(self.router, target)
+    /// `target`, ascending — written into the context's scratch buffer, so the
+    /// query allocates nothing once the buffer has grown to the radix.
+    pub fn minimal_ports(&mut self, target: VertexId) -> &[u16] {
+        self.net
+            .minimal_ports_packed(self.router, target, &mut self.scratch.ports)
     }
 
     /// The neighbour reached through `port` of the current router.
@@ -282,7 +282,7 @@ impl<'a> RoutingCtx<'a> {
     /// The least-occupied minimal port toward `target`, breaking ties uniformly at
     /// random — the adaptive-minimal primitive every built-in algorithm shares.
     ///
-    /// Allocation-free: the candidate ports come as a packed slice (the oracle's
+    /// Allocation-free: the candidate ports come as a slice (the oracle's
     /// query into the reused scratch buffer), and the selection is a two-pass
     /// min+count / pick-k-th walk. The single `gen_range` draw over the tie
     /// count consumes the RNG exactly as the old collect-into-`Vec`
@@ -297,32 +297,9 @@ impl<'a> RoutingCtx<'a> {
             scratch,
             ..
         } = self;
-        let router = *router;
-        let link_base = net.link_id(router, 0);
-        if net.graph().degree(router) <= u8::MAX as usize {
-            let ports = net.minimal_ports_packed(router, target, &mut scratch.packed);
-            pick_least_queued(
-                ports.iter().map(|&p| p as usize),
-                link_qlen,
-                link_base,
-                &mut **rng,
-                router,
-                target,
-            )
-        } else {
-            // Radix above the packed `u8` representation: port ids would
-            // truncate in the packed path, so query into the wide scratch
-            // instead (still allocation-free once grown).
-            net.minimal_ports_wide(router, target, &mut scratch.wide);
-            pick_least_queued(
-                scratch.wide.iter().copied(),
-                link_qlen,
-                link_base,
-                &mut **rng,
-                router,
-                target,
-            )
-        }
+        let ports = net.minimal_ports_packed(*router, target, &mut scratch.ports);
+        let link_qlen = &link_qlen[net.link_id(*router, 0)..];
+        pick_least_queued(ports, link_qlen, &mut **rng, *router, target)
     }
 
     /// A uniformly random intermediate router excluding the current router and the
@@ -345,25 +322,21 @@ impl<'a> RoutingCtx<'a> {
     }
 }
 
-/// The two-pass min+count / pick-k-th walk behind [`RoutingCtx::best_minimal_port`]:
-/// one `gen_range` draw over the tie count, ties resolved in the iterator's
-/// (ascending-port) order — exactly the RNG consumption of the historical
-/// collect-into-`Vec` implementation, for any port-slice representation.
-fn pick_least_queued<I>(
-    ports: I,
-    link_qlen: &[u32],
-    link_base: usize,
+/// The two-pass min+count / pick-k-th walk behind [`RoutingCtx::best_minimal_port`]
+/// over `router`'s queue depths `qlen` (indexed by port): one `gen_range` draw
+/// over the tie count, ties resolved in ascending port order — exactly the RNG
+/// consumption of the historical collect-into-`Vec` implementation.
+fn pick_least_queued(
+    ports: &[u16],
+    qlen: &[u32],
     rng: &mut dyn RngCore,
     router: VertexId,
     target: VertexId,
-) -> usize
-where
-    I: Iterator<Item = usize> + Clone,
-{
+) -> usize {
     let mut min_q = u32::MAX;
     let mut ties = 0usize;
-    for p in ports.clone() {
-        let q = link_qlen[link_base + p];
+    for &p in ports {
+        let q = qlen[usize::from(p)];
         if q < min_q {
             min_q = q;
             ties = 1;
@@ -380,10 +353,10 @@ where
     );
     let k = rng.gen_range(0..ties);
     let mut seen = 0usize;
-    for p in ports {
-        if link_qlen[link_base + p] == min_q {
+    for &p in ports {
+        if qlen[usize::from(p)] == min_q {
             if seen == k {
-                return p;
+                return usize::from(p);
             }
             seen += 1;
         }
@@ -604,11 +577,9 @@ impl<'a> RoutingHarness<'a> {
     }
 
     /// Warm the harness so steady-state decisions are allocation-free from the
-    /// first: grows the scratch buffers to the network's radix.
+    /// first: grows the scratch buffer to the network's radix.
     pub fn warm(&mut self) {
-        let radix = self.net.graph().max_degree();
-        self.scratch.packed.reserve(radix);
-        self.scratch.wide.reserve(radix);
+        self.scratch.ports.reserve(self.net.graph().max_degree());
     }
 
     /// The `i`-th decision of a deterministic all-pairs rotation over the
@@ -819,11 +790,10 @@ mod tests {
     }
 
     #[test]
-    fn radix_above_u8_routes_correctly_through_wide_fallback() {
-        // A star with 300 leaves: the hub's degree exceeds the packed u8 port
-        // space, so decisions at the hub must take the wide scan path.
-        // Regression test: the packed scan used to truncate port ids to u8
-        // here, silently routing to the wrong neighbour.
+    fn radix_above_u8_routes_to_the_right_port() {
+        // A star with 300 leaves: the hub's port ids leave the u8 range.
+        // Regression test: a u8 port scan used to truncate them here,
+        // silently routing to the wrong neighbour.
         let edges: Vec<(u32, u32)> = (1..=300u32).map(|v| (0, v)).collect();
         let g = crate::SimNetwork::new(spectralfly_graph::CsrGraph::from_edges(301, &edges), 1);
         let cfg = crate::SimConfig::default().with_routing("minimal", 2);
@@ -832,7 +802,6 @@ mod tests {
         assert_eq!(harness.decide(0, 300), 299);
         assert_eq!(harness.decide(0, 257), 256);
         assert_eq!(harness.decide(0, 1), 0);
-        // Leaf decisions (degree 1) still use the packed path.
         assert_eq!(harness.decide(42, 7), 0);
         // End-to-end: a leaf-to-leaf message crosses the hub and delivers.
         let wl = crate::Workload::new(

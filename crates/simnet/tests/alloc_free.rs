@@ -3,13 +3,15 @@
 //! warmup, then is reused.
 //!
 //! A counting global allocator wraps `System`; the test drives decisions through
-//! `RoutingHarness` (exactly the per-hop path the engines run: packed minimal-port
+//! `RoutingHarness` (exactly the per-hop path the engines run: minimal-port
 //! query, two-pass tie-break, congestion signals, intermediate sampling) and
-//! asserts the allocation counter does not move. One engine-level check rides
+//! asserts the allocation counter does not move — for the built-in algorithms
+//! and for a custom one that reads `RoutingCtx::minimal_ports` itself. One engine-level check rides
 //! along: the link queues thread through the packet arena, so a whole run
 //! allocates fewer times than the network has directed links.
 
 use spectralfly_graph::{CayleyOracle, CsrGraph};
+use spectralfly_simnet::routing::{self, Router, RoutingCtx, RoutingState};
 use spectralfly_simnet::{Message, RoutingHarness, SimConfig, SimNetwork, Simulator, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,10 +68,25 @@ fn allocations_for(harness: &mut RoutingHarness<'_>, iters: u64) -> u64 {
     thread_allocations() - before
 }
 
+/// The `routing` module's documented custom algorithm: always the first
+/// minimal port.
+struct FirstMinimal;
+
+impl Router for FirstMinimal {
+    fn name(&self) -> &str {
+        "first-minimal"
+    }
+    fn route(&self, ctx: &mut RoutingCtx<'_>, state: &mut RoutingState) -> usize {
+        let target = state.current_target(ctx.dst());
+        usize::from(ctx.minimal_ports(target)[0])
+    }
+}
+
 #[test]
 fn routing_decisions_are_allocation_free_in_steady_state() {
+    routing::register("first-minimal", || Box::new(FirstMinimal));
     let net = SimNetwork::new(chordal_ring(24), 1);
-    for name in ["minimal", "valiant", "ugal-l", "ugal-g"] {
+    for name in ["minimal", "valiant", "ugal-l", "ugal-g", "first-minimal"] {
         let cfg = SimConfig::default().with_routing(name, net.diameter() as u32);
         let mut harness = RoutingHarness::new(&net, &cfg);
         harness.warm();

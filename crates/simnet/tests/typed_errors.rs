@@ -154,7 +154,11 @@ typed_errors!(two_shards_return_typed_errors, 2);
 /// simulation work: VC ids are `u8`, with `u8::MAX` the "none" of a link
 /// waiting for no VC (past 256 VCs a hop's VC wraps to 0 and its credit
 /// returns to the wrong pool — Valiant's VC rule gets there at diameter 128),
-/// credits are `u32`, and a run needs at least one shard.
+/// credits are `u32`, and a run needs at least one shard. So are the fields
+/// the engine converts to `u64` picoseconds or divides by: a saturating cast
+/// would overflow the lookahead sum or the longest backoff, a zero bandwidth
+/// would make every serialization time `u64::MAX`, and a zero packet size
+/// would divide by zero while segmenting.
 #[test]
 fn out_of_range_counts_are_typed_errors() {
     let net = SimNetwork::new(ring(9), 2);
@@ -183,6 +187,39 @@ fn out_of_range_counts_are_typed_errors() {
         if let Some(n) = (u32::MAX as usize).checked_add(1) {
             cases.push((with(shards, vcs, n), slot_message(n)));
         }
+        let set = |edit: fn(&mut SimConfig)| {
+            let mut cfg = with(shards, vcs, slots);
+            edit(&mut cfg);
+            cfg
+        };
+        let backoff = "link_latency_ns + router_latency_ns + 64 · rto_base_ns must fit u64 \
+                       picoseconds, got";
+        cases.extend([
+            (
+                set(|c| c.link_latency_ns = 1e20),
+                format!("{backoff} 100000000000000000000 + 100 + 64 · 200"),
+            ),
+            (
+                set(|c| c.rto_base_ns = 1e15),
+                format!("{backoff} 30 + 100 + 64 · 1000000000000000"),
+            ),
+            (
+                set(|c| c.packet_size_bytes = 0),
+                "packet_size_bytes must be in 1.., got 0".to_string(),
+            ),
+            (
+                set(|c| c.link_bandwidth_gbps = 0.0),
+                "link_bandwidth_gbps must be in (0, ∞), got 0".to_string(),
+            ),
+            (
+                set(|c| c.router_latency_ns = -1.0),
+                "router_latency_ns must be in [0, ∞), got -1".to_string(),
+            ),
+            (
+                set(|c| c.fault_horizon_ns = f64::NAN),
+                "fault_horizon_ns must be in [0, ∞), got NaN".to_string(),
+            ),
+        ]);
     }
     for (cfg, message) in cases {
         let sim = Simulator::new(&net, &cfg);

@@ -17,7 +17,7 @@ impl Router for FirstPort {
     }
     fn route(&self, ctx: &mut RoutingCtx<'_>, state: &mut RoutingState) -> usize {
         let target = state.current_target(ctx.dst());
-        ctx.minimal_ports(target)[0]
+        usize::from(ctx.minimal_ports(target)[0])
     }
 }
 

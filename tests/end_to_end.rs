@@ -267,7 +267,7 @@ fn custom_registered_algorithm_routes_end_to_end() {
         }
         fn route(&self, ctx: &mut RoutingCtx<'_>, state: &mut RoutingState) -> usize {
             let target = state.current_target(ctx.dst());
-            ctx.minimal_ports(target)[0]
+            usize::from(ctx.minimal_ports(target)[0])
         }
     }
 
