@@ -193,7 +193,7 @@ const STARVED: &[(&str, &str)] = &[
     ("b2/ugal-g/churn", "1978628a9a2229cf 557/551"),
 ];
 
-/// Steady-state churn on the starved cells (`fault_horizon_ns` bounds it).
+/// Steady-state churn on the starved cells (`fault_horizon_ps` bounds it).
 const CHURN: &str = "churn(2mhz, 1us)";
 
 /// A digest, or the typed error the run ended in with a digest of its
@@ -222,7 +222,7 @@ fn credit_starved_cells_reproduce_their_golden_digests() {
             let mut churn = steady
                 .clone()
                 .with_fault_script(FaultScript::parse(CHURN).unwrap().with_seed(5));
-            churn.fault_horizon_ns = 5_000.0;
+            churn.fault_horizon_ps = 5_000_000;
             for (mode, cfg) in [("finite", finite), ("steady", steady), ("churn", churn)] {
                 let cell = format!("b{buffer}/{routing}/{mode}");
                 let got = shard_invariant(&cell, |shards| {

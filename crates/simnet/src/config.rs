@@ -1,8 +1,51 @@
-//! Simulation parameters (the hardware knobs the paper's SST/macro runs configure).
+//! Simulation parameters: the paper's simulated hardware as constants, and the
+//! knobs a run sets.
+//!
+//! The paper compares topologies on one fixed machine (DESIGN.md, "Documented
+//! substitutions"): 100 Gb/s links and NICs, 30 ns links, 100 ns routers and
+//! 4 KiB packets. Those values, and the protocol constants derived from them,
+//! are the constants below; [`SimConfig`] holds only what a run varies.
 
 use crate::routing;
 
-/// Warmup / measurement / drain windows for steady-state runs.
+/// Packet payload, bytes: larger messages are segmented into packets of at
+/// most this many bytes.
+pub const PACKET_BYTES: u64 = 4096;
+/// Link and endpoint injection (NIC) bandwidth, Gb/s.
+pub const LINK_GBPS: f64 = 100.0;
+/// Link propagation latency, picoseconds.
+pub const LINK_LATENCY_PS: u64 = 30_000;
+/// Per-hop router (switch) latency, picoseconds.
+pub const ROUTER_LATENCY_PS: u64 = 100_000;
+/// The conservative lookahead `E`, link + router latency, picoseconds: the
+/// credit return delay and the epoch length of the event core.
+pub const LOOKAHEAD_PS: u64 = LINK_LATENCY_PS + ROUTER_LATENCY_PS;
+/// UGAL bias: the minimal path is preferred unless the Valiant estimate is
+/// smaller by more than this many packet-cycles (a small positive bias reduces
+/// needless detours).
+pub const UGAL_THRESHOLD: f64 = 1.0;
+/// Per-packet retransmission budget: how many times a dropped packet is
+/// retransmitted from its source NIC before it is abandoned in the `Failed`
+/// terminal state.
+pub const RETRANSMIT_BUDGET: u32 = 8;
+/// Base retransmission timeout, picoseconds (see [`retransmit_backoff_ps`]).
+pub const RTO_BASE_PS: u64 = 200_000;
+
+/// Serialization time of `bytes` on a link or through an endpoint NIC, in
+/// picoseconds.
+pub fn serialization_ps(bytes: u64) -> u64 {
+    ((bytes as f64 * 8.0) / LINK_GBPS * 1000.0).ceil() as u64
+}
+
+/// The wait before the `attempt`-th retransmission of a packet (1-based),
+/// measured from the drop: `LOOKAHEAD_PS + RTO_BASE_PS · 2^min(attempt−1, 6)`.
+/// The lookahead floor keeps the retransmission event safely beyond the event
+/// core's conservative epoch bound.
+pub fn retransmit_backoff_ps(attempt: u32) -> u64 {
+    LOOKAHEAD_PS + (RTO_BASE_PS << attempt.saturating_sub(1).min(6))
+}
+
+/// Warmup / measurement windows for steady-state runs.
 ///
 /// The paper's saturation curves (Figures 6–8) assume a network in steady
 /// state; a finite drain-to-empty run conflates saturation latency with drain
@@ -11,10 +54,12 @@ use crate::routing;
 /// that sends in the workload keeps injecting (cycling through its workload
 /// messages) from time 0 until `warmup_ps + measure_ps`, the statistics count
 /// only packets injected inside `[warmup_ps, warmup_ps + measure_ps)`, and the
-/// run then drains for at most `drain_ps` before stopping (packets still in
-/// flight at the deadline are abandoned — above saturation the queues would
-/// otherwise never empty). A time-series sample
-/// ([`crate::stats::IntervalSample`]) is recorded every `sample_interval_ps`.
+/// run then drains for at most [`MeasurementWindows::drain_ps`] (as long as
+/// the measurement) before stopping (packets still in flight at the deadline
+/// are abandoned — above saturation the queues would otherwise never empty). A
+/// time-series sample ([`crate::stats::IntervalSample`]) is recorded every
+/// [`MeasurementWindows::sample_interval_ps`] (32 samples across warmup and
+/// measurement).
 /// With [`MeasurementWindows::pattern`] set, each spawned message's destination
 /// is drawn live from the named traffic pattern ([`crate::pattern`]) instead of
 /// the workload template — the adversarial / tornado / hotspot scenarios.
@@ -27,11 +72,6 @@ pub struct MeasurementWindows {
     pub warmup_ps: u64,
     /// Length of the measurement window, picoseconds.
     pub measure_ps: u64,
-    /// Grace period after injection stops during which in-flight packets may
-    /// still deliver, picoseconds.
-    pub drain_ps: u64,
-    /// Spacing of the steady-state time-series samples, picoseconds.
-    pub sample_interval_ps: u64,
     /// Traffic-pattern spec the continuous sources draw destinations from
     /// (resolved through [`crate::pattern`], e.g. `"adversarial(128)"`).
     ///
@@ -44,15 +84,13 @@ pub struct MeasurementWindows {
 }
 
 impl MeasurementWindows {
-    /// Windows with a drain as long as the measurement and 32 samples across
-    /// the measured span. A steady run refuses an empty measurement window
-    /// (`measure_ps == 0`) with [`crate::SimError::Windows`].
+    /// Windows with no pattern. A steady run refuses an empty measurement
+    /// window (`measure_ps == 0`), and windows whose deadline does not fit
+    /// `u64` picoseconds, with [`crate::SimError::Windows`].
     pub fn new(warmup_ps: u64, measure_ps: u64) -> Self {
         MeasurementWindows {
             warmup_ps,
             measure_ps,
-            drain_ps: measure_ps,
-            sample_interval_ps: ((warmup_ps + measure_ps) / 32).max(1),
             pattern: None,
         }
     }
@@ -60,12 +98,23 @@ impl MeasurementWindows {
     /// Builder-style: draw steady-state destinations from a registered traffic
     /// pattern instead of the workload templates.
     ///
-    /// The spec is resolved against the network when the run starts; an unknown
-    /// or invalid spec panics there with the registered pattern names, exactly
-    /// as an unknown routing name does.
+    /// The spec is resolved against the network when the run starts; an
+    /// unknown or invalid spec is a [`crate::SimError::Pattern`] there.
     pub fn with_pattern(mut self, spec: impl Into<String>) -> Self {
         self.pattern = Some(spec.into());
         self
+    }
+
+    /// Grace period after injection stops during which in-flight packets may
+    /// still deliver, picoseconds: as long as the measurement.
+    pub fn drain_ps(&self) -> u64 {
+        self.measure_ps
+    }
+
+    /// Spacing of the steady-state time-series samples, picoseconds: 32
+    /// samples across warmup and measurement.
+    pub fn sample_interval_ps(&self) -> u64 {
+        (self.measure_end_ps() / 32).max(1)
     }
 
     /// Start of the measurement window, picoseconds.
@@ -80,28 +129,20 @@ impl MeasurementWindows {
 
     /// Hard stop of the simulation, picoseconds.
     pub fn deadline_ps(&self) -> u64 {
-        self.measure_end_ps() + self.drain_ps
+        self.measure_end_ps() + self.drain_ps()
     }
 }
 
-/// Hardware and protocol parameters of a simulation run.
+/// The parameters a simulation run varies.
 ///
-/// Defaults approximate the paper's setup: 100 Gb/s links, 64 KB router buffers per port
-/// (expressed here as packets per virtual channel), and VC count set from the topology
-/// diameter by [`SimConfig::vcs_for_diameter`].
+/// The simulated hardware is the paper's and is fixed (see the module
+/// constants). What varies per run is the buffering (64 KB router buffers per
+/// port by default, expressed here as packets per virtual channel), the VC
+/// count (set from the topology diameter by [`SimConfig::vcs_for_diameter`]),
+/// the routing algorithm, the seed, the measurement mode, the shard count and
+/// the runtime faults and job mix.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Maximum packet payload carried per packet, in bytes. Messages larger than this are
-    /// segmented.
-    pub packet_size_bytes: u64,
-    /// Link bandwidth in Gb/s.
-    pub link_bandwidth_gbps: f64,
-    /// Link propagation latency in nanoseconds.
-    pub link_latency_ns: f64,
-    /// Per-hop router (switch) latency in nanoseconds.
-    pub router_latency_ns: f64,
-    /// Injection (endpoint NIC) bandwidth in Gb/s.
-    pub injection_bandwidth_gbps: f64,
     /// Buffer capacity per router per virtual channel, in packets.
     pub buffer_packets_per_vc: usize,
     /// Number of virtual channels (must exceed the longest routed path in hops).
@@ -109,14 +150,11 @@ pub struct SimConfig {
     /// Routing algorithm, as a name resolved through the routing registry
     /// ([`crate::routing`]); built-ins are `minimal`, `valiant`, `ugal-l`, `ugal-g`.
     pub routing: String,
-    /// UGAL bias: the minimal path is preferred unless the Valiant estimate is smaller by
-    /// more than this many packet-cycles (a small positive bias reduces needless detours).
-    pub ugal_threshold: f64,
     /// RNG seed (Valiant intermediates, adaptive tie-breaks, Poisson injection).
     pub seed: u64,
-    /// Steady-state warmup/measurement/drain windows. `None` (the default)
-    /// keeps the finite drain-to-empty behaviour; `Some` switches offered-load
-    /// runs to continuous Poisson sources with windowed measurement.
+    /// Steady-state warmup/measurement windows. `None` (the default) keeps the
+    /// finite drain-to-empty behaviour; `Some` switches offered-load runs to
+    /// continuous Poisson sources with windowed measurement.
     pub windows: Option<MeasurementWindows>,
     /// Shard count of the event core ([`crate::Simulator`]).
     ///
@@ -134,21 +172,14 @@ pub struct SimConfig {
     /// [`crate::SimNetwork::with_faults`]), the script is expanded by the
     /// engines at run start into a deterministic
     /// [`crate::fault::FaultTimeline`] over the network's surviving graph;
-    /// both kinds compose (static damage first, churn on the survivors).
+    /// both kinds compose (static damage first, churn on the survivors). A
+    /// dropped packet is retransmitted up to [`RETRANSMIT_BUDGET`] times,
+    /// each after [`retransmit_backoff_ps`].
     pub fault_script: crate::fault::FaultScript,
-    /// Per-packet retransmission budget: how many times a dropped packet is
-    /// retransmitted from its source NIC before it is abandoned in the
-    /// `Failed` terminal state.
-    pub retransmit_budget: u32,
-    /// Base retransmission timeout, nanoseconds. The k-th retransmission of a
-    /// packet waits `lookahead + rto_base · 2^min(k−1, 6)` after the drop
-    /// (capped exponential backoff; the link+router-latency lookahead floor
-    /// keeps retransmissions safe under the PDES engine's conservative bound).
-    pub rto_base_ns: f64,
     /// Horizon for expanding the fault script on *finite* (drain-to-empty)
-    /// runs, nanoseconds; steady-state runs use their windows' deadline
+    /// runs, picoseconds; steady-state runs use their windows' deadline
     /// instead. Events past the horizon never fire.
-    pub fault_horizon_ns: f64,
+    pub fault_horizon_ps: u64,
     /// Multi-tenant job mix spec (see [`crate::job`]), e.g.
     /// `"traffic(1.0, random) x 64 + allreduce-ring(65536) x 16"`. `None`
     /// (the default) runs the classic single-workload modes untouched. When
@@ -162,47 +193,28 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            packet_size_bytes: 4096,
-            link_bandwidth_gbps: 100.0,
-            link_latency_ns: 30.0,
-            router_latency_ns: 100.0,
-            injection_bandwidth_gbps: 100.0,
             buffer_packets_per_vc: 16,
             num_vcs: 8,
             routing: "minimal".to_string(),
-            ugal_threshold: 1.0,
             seed: 0x5EED,
             windows: None,
             shards: 1,
             fault_script: crate::fault::FaultScript::none(),
-            retransmit_budget: 8,
-            rto_base_ns: 200.0,
-            fault_horizon_ns: 1_000_000.0,
+            fault_horizon_ps: 1_000_000_000,
             jobs: None,
         }
     }
 }
 
 impl SimConfig {
-    /// Serialization time of `bytes` on a link, in picoseconds.
-    pub fn serialization_ps(&self, bytes: u64) -> u64 {
-        ((bytes as f64 * 8.0) / self.link_bandwidth_gbps * 1000.0).ceil() as u64
-    }
-
-    /// Serialization time of `bytes` through the endpoint NIC (injection
-    /// bandwidth), in picoseconds.
-    pub fn injection_serialization_ps(&self, bytes: u64) -> u64 {
-        ((bytes as f64 * 8.0) / self.injection_bandwidth_gbps * 1000.0).ceil() as u64
-    }
-
-    /// Link latency in picoseconds.
+    /// Link latency in picoseconds ([`LINK_LATENCY_PS`]).
     pub fn link_latency_ps(&self) -> u64 {
-        (self.link_latency_ns * 1000.0).round() as u64
+        LINK_LATENCY_PS
     }
 
-    /// Router latency in picoseconds.
+    /// Router latency in picoseconds ([`ROUTER_LATENCY_PS`]).
     pub fn router_latency_ps(&self) -> u64 {
-        (self.router_latency_ns * 1000.0).round() as u64
+        ROUTER_LATENCY_PS
     }
 
     /// The VC count the paper prescribes for `routing` on a diameter-`diameter`
@@ -218,14 +230,14 @@ impl SimConfig {
     }
 
     /// Builder-style: set the routing algorithm (by registry name) and a VC
-    /// count suitable for `diameter`.
-    ///
-    /// # Panics
-    /// If `routing` is not in the routing registry.
+    /// count suitable for `diameter`. An unregistered name is set as given
+    /// and leaves the VC count alone; the run then returns
+    /// [`crate::SimError::UnknownRouting`].
     pub fn with_routing(mut self, routing: impl Into<String>, diameter: u32) -> Self {
-        let name = routing.into();
-        self.num_vcs = Self::vcs_for_diameter(name.clone(), diameter);
-        self.routing = name;
+        self.routing = routing.into();
+        if let Some(router) = routing::create(&self.routing) {
+            self.num_vcs = router.vcs_for_diameter(diameter);
+        }
         self
     }
 
@@ -235,12 +247,9 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: set the shard count.
-    ///
-    /// # Panics
-    /// If `shards` is zero.
+    /// Builder-style: set the shard count (zero is refused by the run with
+    /// [`crate::SimError::Config`]).
     pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "shard count must be at least 1");
         self.shards = shards;
         self
     }
@@ -257,31 +266,6 @@ impl SimConfig {
         self.jobs = Some(mix.to_string());
         self
     }
-
-    /// Builder-style: set the per-packet retransmission budget.
-    pub fn with_retransmit_budget(mut self, budget: u32) -> Self {
-        self.retransmit_budget = budget;
-        self
-    }
-
-    /// Base retransmission timeout in picoseconds.
-    pub fn rto_base_ps(&self) -> u64 {
-        (self.rto_base_ns * 1000.0).round() as u64
-    }
-
-    /// Finite-run fault-script horizon in picoseconds.
-    pub fn fault_horizon_ps(&self) -> u64 {
-        (self.fault_horizon_ns * 1000.0).round() as u64
-    }
-
-    /// The wait before the `attempt`-th retransmission of a packet (1-based),
-    /// measured from the drop: `lookahead + rto_base · 2^min(attempt−1, 6)`.
-    /// The `lookahead` floor (link + router latency) keeps the retransmission
-    /// event safely beyond the PDES engine's conservative lookahead bound.
-    pub fn retransmit_backoff_ps(&self, attempt: u32) -> u64 {
-        let lookahead = self.link_latency_ps() + self.router_latency_ps();
-        lookahead + (self.rto_base_ps() << attempt.saturating_sub(1).min(6))
-    }
 }
 
 #[cfg(test)]
@@ -290,11 +274,10 @@ mod tests {
 
     #[test]
     fn serialization_time_scales_with_bytes() {
-        let cfg = SimConfig::default();
         // 4096 bytes at 100 Gb/s = 327.68 ns = 327680 ps.
-        assert_eq!(cfg.serialization_ps(4096), 327_680);
-        assert_eq!(cfg.serialization_ps(0), 0);
-        assert!(cfg.serialization_ps(8192) > cfg.serialization_ps(4096));
+        assert_eq!(serialization_ps(4096), 327_680);
+        assert_eq!(serialization_ps(0), 0);
+        assert!(serialization_ps(8192) > serialization_ps(4096));
     }
 
     #[test]
@@ -316,18 +299,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown routing algorithm")]
-    fn unknown_routing_name_panics_with_candidates() {
-        let _ = SimConfig::default().with_routing("wormhole-9000", 3);
-    }
-
-    #[test]
     fn measurement_windows_layout() {
         let w = MeasurementWindows::new(1_000, 64_000);
         assert_eq!(w.measure_start_ps(), 1_000);
         assert_eq!(w.measure_end_ps(), 65_000);
+        assert_eq!(w.drain_ps(), 64_000);
         assert_eq!(w.deadline_ps(), 129_000);
-        assert!(w.sample_interval_ps >= 1);
+        assert_eq!(w.sample_interval_ps(), 65_000 / 32);
+        assert_eq!(MeasurementWindows::new(0, 1).sample_interval_ps(), 1);
         assert!(w.pattern.is_none());
         let cfg = SimConfig::default().with_windows(w.clone());
         assert_eq!(cfg.windows, Some(w));
@@ -349,32 +328,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_shards_panics() {
-        let _ = SimConfig::default().with_shards(0);
-    }
-
-    #[test]
     fn fault_script_knobs_default_off_and_backoff_caps() {
         let cfg = SimConfig::default();
         assert!(cfg.fault_script.is_none());
-        assert_eq!(cfg.retransmit_budget, 8);
-        assert_eq!(cfg.rto_base_ps(), 200_000);
-        assert_eq!(cfg.fault_horizon_ps(), 1_000_000_000);
-        let lookahead = cfg.link_latency_ps() + cfg.router_latency_ps();
+        assert_eq!(cfg.fault_horizon_ps, 1_000_000_000);
+        assert_eq!(cfg.link_latency_ps() + cfg.router_latency_ps(), 130_000);
         // Exponential up to the cap at 2^6, then flat.
-        assert_eq!(cfg.retransmit_backoff_ps(1), lookahead + 200_000);
-        assert_eq!(cfg.retransmit_backoff_ps(2), lookahead + 400_000);
-        assert_eq!(cfg.retransmit_backoff_ps(7), lookahead + 200_000 * 64);
+        assert_eq!(retransmit_backoff_ps(1), LOOKAHEAD_PS + 200_000);
+        assert_eq!(retransmit_backoff_ps(2), LOOKAHEAD_PS + 400_000);
+        assert_eq!(retransmit_backoff_ps(7), LOOKAHEAD_PS + 200_000 * 64);
         assert_eq!(
-            cfg.retransmit_backoff_ps(8),
-            cfg.retransmit_backoff_ps(7),
+            retransmit_backoff_ps(8),
+            retransmit_backoff_ps(7),
             "backoff must cap, not overflow"
         );
-        let cfg = cfg
-            .with_fault_script(crate::fault::FaultScript::parse("churn(1khz, 5us)").unwrap())
-            .with_retransmit_budget(3);
-        assert!(!cfg.fault_script.is_none());
-        assert_eq!(cfg.retransmit_budget, 3);
+        let script = crate::fault::FaultScript::parse("churn(1khz, 5us)").unwrap();
+        assert!(!cfg.with_fault_script(script).fault_script.is_none());
     }
 }

@@ -15,7 +15,7 @@
 
 use super::shard::{mix64, ShardCore};
 use super::{FaultRuntime, SimError};
-use crate::config::{MeasurementWindows, SimConfig};
+use crate::config::{serialization_ps, MeasurementWindows, SimConfig};
 use crate::fault::{self, FaultTimeline};
 use crate::job::{self, CollectiveState, JobBehavior, MixPlan, MsgTag, RateProcess, RateRuntime};
 use crate::network::SimNetwork;
@@ -94,7 +94,7 @@ impl<'c> RunPlan<'c> {
             _ if cfg.jobs.is_some() => return Err(SimError::JobsWithoutWindows),
             _ => {
                 check_finite(net, workload)?;
-                (Mode::Finite { offered_load }, cfg.fault_horizon_ps())
+                (Mode::Finite { offered_load }, cfg.fault_horizon_ps)
             }
         };
         Ok(RunPlan {
@@ -129,13 +129,15 @@ fn checked_deadline_ps(w: &MeasurementWindows) -> Result<u64, SimError> {
         ));
     }
     (w.warmup_ps.checked_add(w.measure_ps))
-        .and_then(|end| end.checked_add(w.drain_ps))
-        .filter(|deadline| deadline.checked_add(w.sample_interval_ps).is_some())
+        .and_then(|end| end.checked_add(w.drain_ps()))
+        .filter(|deadline| deadline.checked_add(w.sample_interval_ps()).is_some())
         .ok_or_else(|| {
             SimError::Windows(format!(
                 "measurement windows overflow u64 picoseconds: warmup {} + measure {} + \
-                 drain {} (+ sample interval {})",
-                w.warmup_ps, w.measure_ps, w.drain_ps, w.sample_interval_ps
+                 drain {} (+ one sample interval)",
+                w.warmup_ps,
+                w.measure_ps,
+                w.drain_ps()
             ))
         })
 }
@@ -321,7 +323,7 @@ impl Pace<'_> {
     /// Exponential inter-arrival gap for a message of `bytes` at the offered
     /// load of the endpoint injection bandwidth.
     fn exp_gap(&self, bytes: u64, rng: &mut StdRng) -> u64 {
-        let ser = self.cfg.injection_serialization_ps(bytes) as f64;
+        let ser = serialization_ps(bytes) as f64;
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         (-u.ln() * ser / self.load) as u64
     }
@@ -547,7 +549,7 @@ impl<'p> Tenants<'p> {
                 tenant: ti as u32,
                 rank: rank as u32,
                 bytes: spec.bytes,
-                ser_ps: pace.cfg.injection_serialization_ps(spec.bytes),
+                ser_ps: serialization_ps(spec.bytes),
                 rate: spec.rate.clone(),
                 rt: RateRuntime::default(),
                 rng: job::source_rng(pace.cfg.seed, ep),

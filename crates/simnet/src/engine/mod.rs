@@ -50,7 +50,7 @@ mod shard;
 
 pub use shard::Simulator;
 
-use crate::config::SimConfig;
+use crate::config::{serialization_ps, SimConfig, PACKET_BYTES};
 use crate::fault::{FaultEvent, FaultEventKind, FaultTimeline};
 use crate::job::MsgTag;
 use crate::network::SimNetwork;
@@ -100,16 +100,10 @@ pub enum SimError {
     /// The measurement window is empty, or the windows do not fit `u64`
     /// picoseconds (the message carries the spans).
     Windows(String),
-    /// The lookahead (link + router latency) — the credit return delay and
-    /// the epoch length — is zero (the message carries both latencies).
-    Lookahead(String),
     /// A field of [`SimConfig`] is out of range: [`SimConfig::num_vcs`]
     /// outside `1..=255` (VC ids are `u8`),
-    /// [`SimConfig::buffer_packets_per_vc`] outside `1..=u32::MAX`,
-    /// [`SimConfig::shards`] or [`SimConfig::packet_size_bytes`] zero, a
-    /// latency, `rto_base_ns` or `fault_horizon_ns` negative or not finite, a
-    /// bandwidth not finite and positive, or a longest retransmission backoff
-    /// past `u64` picoseconds (the message names the field and value).
+    /// [`SimConfig::buffer_packets_per_vc`] outside `1..=u32::MAX`, or
+    /// [`SimConfig::shards`] zero (the message names the field and value).
     Config(String),
     /// A fault plan or script made the run infeasible (dead endpoints,
     /// disconnected pairs, fragmented survivors, malformed script).
@@ -139,7 +133,6 @@ impl std::fmt::Display for SimError {
             SimError::EndpointOutOfRange(message)
             | SimError::OfferedLoad(message)
             | SimError::Windows(message)
-            | SimError::Lookahead(message)
             | SimError::Config(message)
             | SimError::Deadlock { diagnosis: message } => f.write_str(message),
         }
@@ -164,10 +157,9 @@ impl From<crate::fault::FaultError> for SimError {
 }
 
 /// What the simulator's constructor does: check the counts the engine stores
-/// narrow (VC ids as `u8`, credits as `u32`) and the shard count, the times
-/// and bandwidths it converts to `u64` picoseconds, and the packet size it
-/// divides by, then resolve the configured routing algorithm — as a value
-/// the `try_*` entry points report.
+/// narrow (VC ids as `u8`, credits as `u32`) and the shard count, then
+/// resolve the configured routing algorithm — as a value the `try_*` entry
+/// points report.
 pub(crate) fn resolve_router(cfg: &SimConfig) -> Result<Box<dyn Router>, SimError> {
     let out_of_range = |field: &str, range: &str, value: &dyn std::fmt::Display| {
         Err(SimError::Config(format!(
@@ -183,38 +175,6 @@ pub(crate) fn resolve_router(cfg: &SimConfig) -> Result<Box<dyn Router>, SimErro
     }
     if cfg.shards == 0 {
         return out_of_range("shards", "1..", &cfg.shards);
-    }
-    if cfg.packet_size_bytes == 0 {
-        return out_of_range("packet_size_bytes", "1..", &cfg.packet_size_bytes);
-    }
-    let times = [
-        ("link_latency_ns", cfg.link_latency_ns),
-        ("router_latency_ns", cfg.router_latency_ns),
-        ("rto_base_ns", cfg.rto_base_ns),
-        ("fault_horizon_ns", cfg.fault_horizon_ns),
-    ];
-    if let Some((field, ns)) = times.iter().find(|(_, ns)| !(ns.is_finite() && *ns >= 0.0)) {
-        return out_of_range(field, "[0, ∞)", ns);
-    }
-    let bandwidths = [
-        ("link_bandwidth_gbps", cfg.link_bandwidth_gbps),
-        ("injection_bandwidth_gbps", cfg.injection_bandwidth_gbps),
-    ];
-    if let Some((field, gbps)) = bandwidths
-        .iter()
-        .find(|(_, g)| !(g.is_finite() && *g > 0.0))
-    {
-        return out_of_range(field, "(0, ∞)", gbps);
-    }
-    // The longest retransmission backoff, `lookahead + rto_base · 2⁶`.
-    let longest_backoff = (cfg.link_latency_ps().checked_add(cfg.router_latency_ps()))
-        .and_then(|lookahead| lookahead.checked_add(cfg.rto_base_ps().checked_mul(64)?));
-    if longest_backoff.is_none() {
-        return Err(SimError::Config(format!(
-            "link_latency_ns + router_latency_ns + 64 · rto_base_ns must fit u64 picoseconds, \
-             got {} + {} + 64 · {}",
-            cfg.link_latency_ns, cfg.router_latency_ns, cfg.rto_base_ns
-        )));
     }
     routing::create(&cfg.routing).ok_or_else(|| SimError::UnknownRouting {
         name: cfg.routing.clone(),
@@ -289,17 +249,12 @@ struct Packet {
 /// segments — the single source of truth for message segmentation, shared by
 /// the finite schedule and the steady-state sources so the two paths can never
 /// drift apart. An iterator, so packetizing a message allocates nothing.
-fn segment_message(
-    cfg: &SimConfig,
-    total_bytes: u64,
-) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
-    let npkts = total_bytes.div_ceil(cfg.packet_size_bytes).max(1);
+fn segment_message(total_bytes: u64) -> impl ExactSizeIterator<Item = (u64, u64)> {
+    let npkts = total_bytes.div_ceil(PACKET_BYTES).max(1);
     (0..npkts as usize).map(move |k| {
-        let sent = k as u64 * cfg.packet_size_bytes;
-        let bytes = (total_bytes - sent.min(total_bytes))
-            .min(cfg.packet_size_bytes)
-            .max(1);
-        (bytes, cfg.injection_serialization_ps(bytes))
+        let sent = k as u64 * PACKET_BYTES;
+        let bytes = (total_bytes - sent.min(total_bytes)).clamp(1, PACKET_BYTES);
+        (bytes, serialization_ps(bytes))
     })
 }
 
@@ -323,13 +278,13 @@ fn packetize(
     order.sort_by_key(|&i| (messages[i].src, messages[i].inject_offset_ps, i));
     for &mi in &order {
         let m = &messages[mi];
-        let segments = segment_message(cfg, m.bytes);
+        let segments = segment_message(m.bytes);
         let total = segments.len() as u32;
         let nic = &mut nic_free[m.src];
         let base = match offered_load {
             None => m.inject_offset_ps,
             Some(load) => {
-                let mean_gap = cfg.serialization_ps(cfg.packet_size_bytes) as f64 / load;
+                let mean_gap = serialization_ps(PACKET_BYTES) as f64 / load;
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                 *nic + (-u.ln() * mean_gap) as u64
             }

@@ -83,7 +83,10 @@
 use super::calendar::{CalendarQueue, Timed};
 use super::driver::{self, Mode, RunPlan, Steady, Traffic};
 use super::{packetize, segment_message, DropReason, FaultRuntime, Packet, SimError};
-use crate::config::SimConfig;
+use crate::config::{
+    retransmit_backoff_ps, serialization_ps, SimConfig, LOOKAHEAD_PS, PACKET_BYTES,
+    RETRANSMIT_BUDGET,
+};
 use crate::fault::{FaultEventKind, FaultTimeline};
 use crate::job::MsgTag;
 use crate::network::SimNetwork;
@@ -198,7 +201,7 @@ impl Timed for Event {
 /// A timestamped cross-shard handoff, drained at the epoch barrier. Every
 /// variant carries a timestamp `≥ m + E` by the lookahead argument (a
 /// retransmission's backoff is `≥ E` by construction — see
-/// [`crate::SimConfig::retransmit_backoff_ps`]).
+/// [`crate::config::retransmit_backoff_ps`]).
 enum ShardMsg {
     Arrive {
         time: u64,
@@ -497,8 +500,6 @@ pub(super) struct ShardCore<'a> {
     /// (and refreshed every epoch) only then.
     reads_board: bool,
     owner: &'a [u32],
-    /// The conservative lookahead `E = link_latency + router_latency`, ps.
-    lookahead: u64,
     cap: u32,
     nv: usize,
     /// Links owned by this shard (their source router is owned).
@@ -589,7 +590,7 @@ impl<'a> ShardCore<'a> {
     /// packets of `arena` in its arena (see [`ShardCore::inject_arena`]).
     fn new(sid: usize, sim: &'a Simulator<'_>, stats: StatsCollector, arena: Vec<Packet>) -> Self {
         let (net, cfg, owner) = (sim.net, sim.cfg, &sim.owner[..]);
-        let (shards, lookahead) = (cfg.shards, sim.lookahead);
+        let shards = cfg.shards;
         let algo = sim.algo();
         let reads_board = algo.reads_remote_occupancy();
         let view = if reads_board { net.num_routers() } else { 0 };
@@ -612,7 +613,7 @@ impl<'a> ShardCore<'a> {
         let my_links: Vec<usize> = (0..links)
             .filter(|&l| owner[link_slots[l].src as usize] as usize == sid)
             .collect();
-        let width = (cfg.serialization_ps(cfg.packet_size_bytes) / 4).max(1);
+        let width = (serialization_ps(PACKET_BYTES) / 4).max(1);
         ShardCore {
             sid,
             net,
@@ -620,7 +621,6 @@ impl<'a> ShardCore<'a> {
             algo,
             reads_board,
             owner,
-            lookahead,
             cap: cfg.buffer_packets_per_vc as u32,
             nv,
             my_links,
@@ -971,14 +971,14 @@ impl<'a> ShardCore<'a> {
                 let pi = packet as usize;
                 if let Some(fr) = self.fault.as_deref() {
                     let via = self.packets[pi].via_link;
-                    let ser = self.cfg.serialization_ps(self.packets[pi].bytes);
-                    let flight_start = now.saturating_sub(ser + self.lookahead);
+                    let ser = serialization_ps(self.packets[pi].bytes);
+                    let flight_start = now.saturating_sub(ser + LOOKAHEAD_PS);
                     if via != u32::MAX && fr.last_down_ps[via as usize] > flight_start {
                         // The link died under the packet mid-flight. The packet
                         // never claims its downstream buffer slot (`occ_inc`
                         // happens below), so only its held credit goes back.
                         let vv = self.packets[pi].via_vc;
-                        self.send_credit(via, vv, now + self.lookahead);
+                        self.send_credit(via, vv, now + LOOKAHEAD_PS);
                         self.drop_packet(pi, now, DropReason::LinkDown);
                         return;
                     }
@@ -1058,16 +1058,16 @@ impl<'a> ShardCore<'a> {
         // propagation of the credit signal).
         let (via_link, via_vc) = (self.packets[pi].via_link, self.packets[pi].via_vc);
         if via_link != u32::MAX {
-            self.send_credit(via_link, via_vc, now + self.lookahead);
+            self.send_credit(via_link, via_vc, now + LOOKAHEAD_PS);
         }
         // The link is free (`free_at ≤ now`): serialization starts now.
-        let ser = self.cfg.serialization_ps(self.packets[pi].bytes);
+        let ser = serialization_ps(self.packets[pi].bytes);
         let t = now + ser;
         self.links[link].free_at = t;
         self.packets[pi].hops += 1;
         self.packets[pi].via_link = link as u32;
         self.packets[pi].via_vc = next_vc as u8;
-        self.send_arrive(t + self.lookahead, dst_router, pi);
+        self.send_arrive(t + LOOKAHEAD_PS, dst_router, pi);
         if self.links[link].queue.front().is_some() {
             self.push(
                 t,
@@ -1111,7 +1111,7 @@ impl<'a> ShardCore<'a> {
             }
             let (via_link, via_vc) = (self.packets[pi].via_link, self.packets[pi].via_vc);
             if via_link != u32::MAX {
-                self.send_credit(via_link, via_vc, now + self.lookahead);
+                self.send_credit(via_link, via_vc, now + LOOKAHEAD_PS);
             }
             let first = self.packets[pi].msg_first_inject;
             if self.message_complete(pi) {
@@ -1230,7 +1230,7 @@ impl<'a> ShardCore<'a> {
         self.occ_dec(router, router as usize * self.nv + vc);
         let (via_link, via_vc) = (self.packets[pi].via_link, self.packets[pi].via_vc);
         if via_link != u32::MAX {
-            self.send_credit(via_link, via_vc, now + self.lookahead);
+            self.send_credit(via_link, via_vc, now + LOOKAHEAD_PS);
         }
         self.drop_packet(pi, now, reason);
     }
@@ -1299,7 +1299,7 @@ impl<'a> ShardCore<'a> {
             }
             let (via_link, via_vc) = (self.packets[pi].via_link, self.packets[pi].via_vc);
             if via_link != u32::MAX {
-                self.send_credit(via_link, via_vc, now + self.lookahead);
+                self.send_credit(via_link, via_vc, now + LOOKAHEAD_PS);
             }
             self.drop_packet(pi, now, reason);
         }
@@ -1326,7 +1326,7 @@ impl<'a> ShardCore<'a> {
             p.via_vc = 0;
             p.attempts
         };
-        if attempts < self.cfg.retransmit_budget {
+        if attempts < RETRANSMIT_BUDGET {
             let attempt = attempts + 1;
             {
                 let p = &mut self.packets[pi];
@@ -1335,7 +1335,7 @@ impl<'a> ShardCore<'a> {
                 p.routing = RoutingState::default();
             }
             self.fstats.retransmits += 1;
-            let t = now + self.cfg.retransmit_backoff_ps(attempt);
+            let t = now + retransmit_backoff_ps(attempt);
             self.send_retransmit(t, pi);
         } else {
             // Terminal failure: the destination shard's `MsgEntry` countdown
@@ -1360,7 +1360,6 @@ impl<'a> ShardCore<'a> {
             &self.rocc_view,
             &self.link_parked,
             self.nv,
-            self.cfg.ugal_threshold,
             router,
             dst,
             hops,
@@ -1515,7 +1514,7 @@ fn run_epochs<'a, F>(
                 }
             }
         }
-        let mut limit = m.saturating_add(core.lookahead);
+        let mut limit = m.saturating_add(LOOKAHEAD_PS);
         if let Some(d) = deadline {
             // Cap at the drain deadline so over-deadline events are never
             // popped.
@@ -1595,7 +1594,7 @@ impl ShardCore<'_> {
         tag: MsgTag,
     ) {
         let net = self.net;
-        let segments = segment_message(self.cfg, bytes);
+        let segments = segment_message(bytes);
         let mut t = now.max(self.nics.nic_free[src_ep]);
         let first = t;
         let msg_id = ((src_ep as u64) << 40) | self.nics.msg_counter[src_ep];
@@ -1687,31 +1686,17 @@ pub struct Simulator<'a> {
     /// [`super::resolve_router`]).
     router: Result<Box<dyn Router>, SimError>,
     owner: Vec<u32>,
-    lookahead: u64,
 }
 
 impl<'a> Simulator<'a> {
     /// Create a simulator over a network with a configuration.
     ///
     /// A `cfg.routing` that names no registered algorithm (see
-    /// [`crate::routing`]), a zero link + router latency (the credit return
-    /// delay and the epoch length would vanish), or a field out of range
-    /// ([`SimError::Config`]) is reported by the first `try_*` call (the
-    /// `run*` wrappers panic with the same message).
+    /// [`crate::routing`]) or a field out of range ([`SimError::Config`]) is
+    /// reported by the first `try_*` call (the `run*` wrappers panic with the
+    /// same message).
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
-        // A sum past `u64` is `resolve_router`'s error: no run reads it.
-        let lookahead = cfg
-            .link_latency_ps()
-            .saturating_add(cfg.router_latency_ps());
-        let router = super::resolve_router(cfg).and_then(|router| match lookahead {
-            0 => Err(SimError::Lookahead(format!(
-                "the simulator needs a positive lookahead (the credit return delay and \
-                 the epoch length), but link_latency_ns = {} and router_latency_ns = {} \
-                 add up to 0 ps",
-                cfg.link_latency_ns, cfg.router_latency_ns
-            ))),
-            _ => Ok(router),
-        });
+        let router = super::resolve_router(cfg);
         let bisect = BisectConfig::default();
         // A zero shard count is already `router`'s error: partition for one
         // shard so that the constructor itself never fails.
@@ -1721,7 +1706,6 @@ impl<'a> Simulator<'a> {
             cfg,
             router,
             owner,
-            lookahead,
         }
     }
 
@@ -1944,7 +1928,7 @@ impl<'a> Simulator<'a> {
             // Sampling is event-free: each shard folds its local partial
             // whenever event time crosses a tick boundary (and below, after
             // the loop, for the trailing ticks).
-            core.arm_sampler(w.sample_interval_ps, deadline);
+            core.arm_sampler(w.sample_interval_ps(), deadline);
             run_epochs(core, shared, Some(deadline), |c, ev| {
                 c.flush_sample_ticks(ev.time);
                 match ev.kind {
@@ -2010,7 +1994,7 @@ mod tests {
         let res = Simulator::new(&net, &cfg).run(&one_message(1, 4096));
         assert_eq!((res.delivered_packets, res.delivered_messages), (1, 1));
         // Latency = serialization + link latency + router latency.
-        let expected = cfg.serialization_ps(4096) + cfg.link_latency_ps() + cfg.router_latency_ps();
+        let expected = serialization_ps(4096) + LOOKAHEAD_PS;
         assert_eq!(res.max_packet_latency_ps, expected);
         assert_eq!(res.mean_hops, 1.0);
     }

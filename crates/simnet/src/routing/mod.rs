@@ -102,7 +102,7 @@ pub struct RouteScratch {
 /// Everything a routing decision may consult, snapshotted at decision time.
 ///
 /// Wraps the network (neighbour ports and the shared distance oracle), the engine's
-/// queue and buffer state, the configured UGAL bias, and the run's RNG.
+/// queue and buffer state, and the run's RNG.
 pub struct RoutingCtx<'a> {
     net: &'a SimNetwork,
     /// Per-link output-queue depths, maintained incrementally by the engine —
@@ -118,7 +118,6 @@ pub struct RoutingCtx<'a> {
     /// every link unblocked).
     link_parked: &'a [bool],
     num_vcs: usize,
-    ugal_threshold: f64,
     router: VertexId,
     dst: VertexId,
     hops: u32,
@@ -139,7 +138,6 @@ impl<'a> RoutingCtx<'a> {
         router_occ: &'a [u32],
         link_parked: &'a [bool],
         num_vcs: usize,
-        ugal_threshold: f64,
         router: VertexId,
         dst: VertexId,
         hops: u32,
@@ -153,7 +151,6 @@ impl<'a> RoutingCtx<'a> {
             router_occ,
             link_parked,
             num_vcs,
-            ugal_threshold,
             router,
             dst,
             hops,
@@ -190,12 +187,6 @@ impl<'a> RoutingCtx<'a> {
     #[inline]
     pub fn dist(&self, a: VertexId, b: VertexId) -> u16 {
         self.net.dist(a, b)
-    }
-
-    /// The UGAL bias configured on the simulation ([`crate::SimConfig::ugal_threshold`]).
-    #[inline]
-    pub fn ugal_threshold(&self) -> f64 {
-        self.ugal_threshold
     }
 
     /// Output ports of the current router whose neighbour lies on a shortest path to
@@ -526,14 +517,13 @@ pub struct RoutingHarness<'a> {
     link_parked: Vec<bool>,
     scratch: RouteScratch,
     num_vcs: usize,
-    ugal_threshold: f64,
     rng: StdRng,
     state: RoutingState,
 }
 
 impl<'a> RoutingHarness<'a> {
-    /// Build a harness over `net` with `cfg`'s routing algorithm, VC count, UGAL
-    /// threshold, and seed. Queue state starts idle (every queue empty).
+    /// Build a harness over `net` with `cfg`'s routing algorithm, VC count and
+    /// seed. Queue state starts idle (every queue empty).
     ///
     /// # Panics
     /// If `cfg.routing` does not name a registered algorithm.
@@ -549,7 +539,6 @@ impl<'a> RoutingHarness<'a> {
             link_parked: vec![false; net.num_directed_links()],
             scratch: RouteScratch::default(),
             num_vcs: cfg.num_vcs,
-            ugal_threshold: cfg.ugal_threshold,
             rng: StdRng::seed_from_u64(cfg.seed),
             state: RoutingState::default(),
         }
@@ -566,7 +555,6 @@ impl<'a> RoutingHarness<'a> {
             &self.router_occ,
             &self.link_parked,
             self.num_vcs,
-            self.ugal_threshold,
             src,
             dst,
             0,

@@ -9,6 +9,7 @@
 //! literature grants UGAL-G.
 
 use super::{Router, RoutingCtx, RoutingState};
+use crate::config::UGAL_THRESHOLD;
 use spectralfly_graph::csr::VertexId;
 
 /// The congestion estimate for sending through `port`.
@@ -40,7 +41,7 @@ fn ugal_route(ctx: &mut RoutingCtx<'_>, state: &mut RoutingState, signal: Signal
             let val_port = ctx.best_minimal_port(inter);
             let d_val = detour_len(ctx, inter, dst);
             let cost_val = (congestion(ctx, val_port, signal) + 1.0) * d_val;
-            if cost_val + ctx.ugal_threshold() < cost_min {
+            if cost_val + UGAL_THRESHOLD < cost_min {
                 state.intermediate = Some(inter);
                 return val_port;
             }

@@ -295,20 +295,8 @@ impl TenantAcc {
     }
 
     fn finish(mut self, window: Option<(u64, u64)>) -> TenantStats {
-        self.latencies_ps.sort_unstable();
         let n = self.latencies_ps.len();
-        let (mean, p50, p95, p99, max) = if n == 0 {
-            (0.0, 0, 0, 0, 0)
-        } else {
-            let sum: u128 = self.latencies_ps.iter().map(|&x| x as u128).sum();
-            (
-                sum as f64 / n as f64,
-                percentile_nearest_rank(&self.latencies_ps, 50.0),
-                percentile_nearest_rank(&self.latencies_ps, 95.0),
-                percentile_nearest_rank(&self.latencies_ps, 99.0),
-                *self.latencies_ps.last().unwrap(),
-            )
-        };
+        let (mean, p50, p95, p99, max) = latency_summary(&mut self.latencies_ps);
         let goodput_gbps = match window {
             Some((s, e)) if e > s => (self.delivered_bytes as f64 * 8.0) / (e - s) as f64 * 1000.0,
             _ => 0.0,
@@ -433,6 +421,24 @@ pub fn percentile_nearest_rank(sorted: &[u64], pct: f64) -> u64 {
     sorted[rank.clamp(1, n) - 1]
 }
 
+/// Sort `latencies` and summarise them as `(mean, p50, p95, p99, max)`, the
+/// percentiles nearest-rank; all zero when there are none.
+fn latency_summary(latencies: &mut [u64]) -> (f64, u64, u64, u64, u64) {
+    latencies.sort_unstable();
+    let Some(&max) = latencies.last() else {
+        return (0.0, 0, 0, 0, 0);
+    };
+    let sum: u128 = latencies.iter().map(|&x| x as u128).sum();
+    let p = |pct| percentile_nearest_rank(latencies, pct);
+    (
+        sum as f64 / latencies.len() as f64,
+        p(50.0),
+        p(95.0),
+        p(99.0),
+        max,
+    )
+}
+
 /// Builder that accumulates per-packet and per-message observations during a run.
 #[derive(Clone, Debug, Default)]
 pub struct StatsCollector {
@@ -440,7 +446,8 @@ pub struct StatsCollector {
     /// every packet (the workload-paced / legacy behaviour).
     window: Option<(u64, u64)>,
     latencies_ps: Vec<u64>,
-    hops: Vec<u32>,
+    hop_sum: u64,
+    max_hops: u32,
     bytes: u64,
     messages_done: u64,
     max_message_latency_ps: u64,
@@ -492,7 +499,8 @@ impl StatsCollector {
             return;
         }
         self.latencies_ps.push(latency_ps);
-        self.hops.push(hops);
+        self.hop_sum += hops as u64;
+        self.max_hops = self.max_hops.max(hops);
         self.bytes += bytes;
         self.last_delivery_ps = self.last_delivery_ps.max(delivered_at);
         self.min_inject_ps = self.min_inject_ps.min(inject);
@@ -585,7 +593,8 @@ impl StatsCollector {
             "absorbing a collector with a different measurement window"
         );
         self.latencies_ps.extend(other.latencies_ps);
-        self.hops.extend(other.hops);
+        self.hop_sum += other.hop_sum;
+        self.max_hops = self.max_hops.max(other.max_hops);
         self.bytes += other.bytes;
         self.messages_done += other.messages_done;
         self.max_message_latency_ps = self
@@ -631,22 +640,20 @@ impl StatsCollector {
                 ..Default::default()
             };
         }
-        self.latencies_ps.sort_unstable();
-        let sum: u128 = self.latencies_ps.iter().map(|&x| x as u128).sum();
-        let hop_sum: u64 = self.hops.iter().map(|&h| h as u64).sum();
+        let (mean, p50, p95, p99, max) = latency_summary(&mut self.latencies_ps);
         SimResults {
             completion_time_ps: self.last_delivery_ps,
             delivered_packets: n as u64,
             delivered_messages: self.messages_done,
             delivered_bytes: self.bytes,
-            mean_packet_latency_ps: sum as f64 / n as f64,
-            max_packet_latency_ps: *self.latencies_ps.last().unwrap(),
-            p50_packet_latency_ps: percentile_nearest_rank(&self.latencies_ps, 50.0),
-            p95_packet_latency_ps: percentile_nearest_rank(&self.latencies_ps, 95.0),
-            p99_packet_latency_ps: percentile_nearest_rank(&self.latencies_ps, 99.0),
+            mean_packet_latency_ps: mean,
+            max_packet_latency_ps: max,
+            p50_packet_latency_ps: p50,
+            p95_packet_latency_ps: p95,
+            p99_packet_latency_ps: p99,
             max_message_latency_ps: self.max_message_latency_ps,
-            mean_hops: hop_sum as f64 / n as f64,
-            max_hops: self.hops.iter().copied().max().unwrap_or(0),
+            mean_hops: self.hop_sum as f64 / n as f64,
+            max_hops: self.max_hops,
             engine: self.counters,
             samples: self.samples,
             measurement,

@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::CsrGraph;
+use spectralfly_simnet::config::PACKET_BYTES;
 use spectralfly_simnet::{RouterRegistry, SimConfig, SimNetwork, SimResults, Simulator, Workload};
 
 fn ring(n: usize) -> CsrGraph {
@@ -91,7 +92,7 @@ proptest! {
         let expected_packets: u64 = wl
             .messages
             .iter()
-            .map(|m| m.bytes.div_ceil(SimConfig::default().packet_size_bytes).max(1))
+            .map(|m| m.bytes.div_ceil(PACKET_BYTES).max(1))
             .sum();
         for name in RouterRegistry::with_builtins().names() {
             let mut cfg = SimConfig::default().with_routing(name.clone(), net.diameter() as u32);

@@ -146,7 +146,7 @@ fn shard_counts_conserve_packets_under_runtime_churn_across_all_routers() {
                 .with_routing(routing.clone(), net.diameter() as u32)
                 .with_fault_script(script);
             cfg.seed = 0xC0FFEE;
-            cfg.fault_horizon_ns = 200_000.0; // clip churn expansion at 200us
+            cfg.fault_horizon_ps = 200_000_000; // clip churn expansion at 200us
             let one = Simulator::new(&net, &cfg)
                 .try_run(&wl)
                 .unwrap_or_else(|e| panic!("{name}/{routing}: {e}"));

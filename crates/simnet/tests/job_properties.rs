@@ -143,7 +143,7 @@ fn collective_mixes_conserve_packets_under_fault_scripts() {
                 .with_jobs(mix)
                 .with_fault_script(script);
             cfg.seed = 0xC0117;
-            cfg.fault_horizon_ns = 100_000.0;
+            cfg.fault_horizon_ps = 100_000_000;
             let res = Simulator::new(&net, &cfg)
                 .try_run_with_offered_load(&wl, 1.0)
                 .unwrap_or_else(|e| panic!("{script_spec}/{routing}: {e}"));

@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::CsrGraph;
+use spectralfly_simnet::config::PACKET_BYTES;
 use spectralfly_simnet::{
     FaultPlan, FaultScript, MeasurementWindows, Message, RouterRegistry, SimConfig, SimNetwork,
     SimResults, Simulator, Workload,
@@ -199,7 +200,7 @@ fn interval_sample_series_is_shard_count_invariant() {
     let net = SimNetwork::new(chordal_ring(10, 5, 7), 2);
     let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 31);
     let windows = MeasurementWindows::new(2_000_000, 20_000_000);
-    let ivm = windows.sample_interval_ps;
+    let ivm = windows.sample_interval_ps();
     let deadline = windows.deadline_ps();
     let cfg = SimConfig::default()
         .with_routing("ugal-l", net.diameter() as u32)
@@ -332,7 +333,7 @@ fn shard_counts_agree_on_runtime_churn_across_all_routers() {
                 .with_routing(routing.clone(), net.diameter() as u32)
                 .with_fault_script(FaultScript::parse(spec).unwrap().with_seed(7));
             cfg.seed = 0xFA117;
-            cfg.fault_horizon_ns = 150_000.0; // bound the churn chain at 150us
+            cfg.fault_horizon_ps = 150_000_000; // bound the churn chain at 150us
             let res = assert_shard_invariant(&net, &cfg, &format!("{name}/{routing}"), &wl, None);
             let f = &res.faults;
             assert_eq!(
@@ -436,7 +437,7 @@ proptest! {
         let expected_packets: u64 = wl
             .messages
             .iter()
-            .map(|m| m.bytes.div_ceil(SimConfig::default().packet_size_bytes).max(1))
+            .map(|m| m.bytes.div_ceil(PACKET_BYTES).max(1))
             .sum();
         for routing in ["minimal", "valiant", "ugal-l"] {
             let mut cfg = SimConfig::default().with_routing(routing, net.diameter() as u32);

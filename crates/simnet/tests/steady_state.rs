@@ -30,7 +30,7 @@ fn run_at(net: &SimNetwork, load: f64) -> (f64, spectralfly_simnet::SimResults) 
 #[test]
 fn measured_throughput_matches_offer_below_saturation_and_plateaus_above() {
     let net = SimNetwork::new(ring(8), 4);
-    let nic_gbps = SimConfig::default().injection_bandwidth_gbps;
+    let nic_gbps = spectralfly_simnet::config::LINK_GBPS;
     let endpoints = net.num_endpoints() as f64;
 
     // Below saturation (four endpoints per router of an 8-ring saturate its

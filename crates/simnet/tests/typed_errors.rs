@@ -3,9 +3,10 @@
 //! unknown pattern spec, an unknown / malformed / oversized job mix, an
 //! offered load outside `(0, 1]`, a job mix without measurement windows, a
 //! workload endpoint the network does not have, an empty measurement window,
-//! windows that overflow `u64` picoseconds, a run with no lookahead, a VC,
-//! buffer or shard count out of range — and the panicking `run*` wrappers die
-//! with that error's message.
+//! windows that overflow `u64` picoseconds, a VC, buffer or shard count out
+//! of range — and the panicking `run*` wrappers die with that error's
+//! message. The builders never panic: they pass bad values on to these
+//! checks.
 
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
@@ -35,20 +36,28 @@ macro_rules! typed_errors {
                 routing: "wormhole-9000".to_string(),
                 ..base.clone()
             };
-            let sim = Simulator::new(&net, &unknown_routing);
-            for err in [
-                sim.try_run(&wl).unwrap_err(),
-                sim.try_run_with_offered_load(&wl, 0.5).unwrap_err(),
-            ] {
+            // The builder sets the name as given and leaves the VC count alone.
+            let built = base.clone().with_routing("wormhole-9000", 3);
+            assert_eq!(built.num_vcs, base.num_vcs);
+            for cfg in [unknown_routing, built] {
+                let sim = Simulator::new(&net, &cfg);
+                for err in [
+                    sim.try_run(&wl).unwrap_err(),
+                    sim.try_run_with_offered_load(&wl, 0.5).unwrap_err(),
+                ] {
+                    assert!(
+                        matches!(&err, SimError::UnknownRouting { name, registered }
+                            if name == "wormhole-9000"
+                                && registered.contains(&"minimal".to_string())),
+                        "{err:?}"
+                    );
+                }
+                let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&wl))).unwrap_err();
+                let message = panic.downcast_ref::<String>().expect("a formatted panic");
                 assert!(
-                    matches!(&err, SimError::UnknownRouting { name, registered }
-                        if name == "wormhole-9000" && registered.contains(&"minimal".to_string())),
-                    "{err:?}"
+                    message.starts_with("unknown routing algorithm \"wormhole-9000\"; registered:")
                 );
             }
-            let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&wl))).unwrap_err();
-            let message = panic.downcast_ref::<String>().expect("a formatted panic");
-            assert!(message.starts_with("unknown routing algorithm \"wormhole-9000\"; registered:"));
 
             let cfg = base.clone().with_windows(windows().with_pattern("wormhole-9000"));
             let err = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.5);
@@ -131,12 +140,12 @@ macro_rules! typed_errors {
                 "workload references endpoint 18 but the network has only 18"
             );
 
-            // Windows whose deadline (or last sampling tick) wraps `u64`,
-            // and an empty measurement window.
-            let mut bad = vec![windows(), windows(), windows()];
+            // Windows whose deadline wraps `u64` (through the warmup, or
+            // through the drain, which is as long as the measurement), and an
+            // empty measurement window.
+            let mut bad = vec![windows(), windows()];
             bad[0].warmup_ps = u64::MAX;
-            bad[1].drain_ps = u64::MAX - 5_000_000;
-            bad[2].sample_interval_ps = u64::MAX;
+            bad[1].measure_ps = u64::MAX / 2;
             bad.push(MeasurementWindows::new(1_000_000, 0));
             for w in bad {
                 let cfg = base.clone().with_windows(w);
@@ -154,11 +163,8 @@ typed_errors!(two_shards_return_typed_errors, 2);
 /// simulation work: VC ids are `u8`, with `u8::MAX` the "none" of a link
 /// waiting for no VC (past 256 VCs a hop's VC wraps to 0 and its credit
 /// returns to the wrong pool — Valiant's VC rule gets there at diameter 128),
-/// credits are `u32`, and a run needs at least one shard. So are the fields
-/// the engine converts to `u64` picoseconds or divides by: a saturating cast
-/// would overflow the lookahead sum or the longest backoff, a zero bandwidth
-/// would make every serialization time `u64::MAX`, and a zero packet size
-/// would divide by zero while segmenting.
+/// credits are `u32`, and a run needs at least one shard — also when the
+/// shard count comes through the builder.
 #[test]
 fn out_of_range_counts_are_typed_errors() {
     let net = SimNetwork::new(ring(9), 2);
@@ -172,10 +178,11 @@ fn out_of_range_counts_are_typed_errors() {
     let (vcs, slots) = (SimConfig::default().num_vcs, 4);
     let vc_message = |n| format!("num_vcs must be in 1..=255 (VC ids are u8), got {n}");
     let slot_message = |n| format!("buffer_packets_per_vc must be in 1..=4294967295, got {n}");
-    let mut cases = vec![(
-        with(0, vcs, slots),
-        "shards must be in 1.., got 0".to_string(),
-    )];
+    let zero_shards = "shards must be in 1.., got 0".to_string();
+    let mut cases = vec![
+        (with(0, vcs, slots), zero_shards.clone()),
+        (SimConfig::default().with_shards(0), zero_shards),
+    ];
     for shards in [1, 2] {
         cases.push((with(shards, 0, slots), vc_message(0)));
         cases.push((with(shards, 256, slots), vc_message(256)));
@@ -187,39 +194,6 @@ fn out_of_range_counts_are_typed_errors() {
         if let Some(n) = (u32::MAX as usize).checked_add(1) {
             cases.push((with(shards, vcs, n), slot_message(n)));
         }
-        let set = |edit: fn(&mut SimConfig)| {
-            let mut cfg = with(shards, vcs, slots);
-            edit(&mut cfg);
-            cfg
-        };
-        let backoff = "link_latency_ns + router_latency_ns + 64 · rto_base_ns must fit u64 \
-                       picoseconds, got";
-        cases.extend([
-            (
-                set(|c| c.link_latency_ns = 1e20),
-                format!("{backoff} 100000000000000000000 + 100 + 64 · 200"),
-            ),
-            (
-                set(|c| c.rto_base_ns = 1e15),
-                format!("{backoff} 30 + 100 + 64 · 1000000000000000"),
-            ),
-            (
-                set(|c| c.packet_size_bytes = 0),
-                "packet_size_bytes must be in 1.., got 0".to_string(),
-            ),
-            (
-                set(|c| c.link_bandwidth_gbps = 0.0),
-                "link_bandwidth_gbps must be in (0, ∞), got 0".to_string(),
-            ),
-            (
-                set(|c| c.router_latency_ns = -1.0),
-                "router_latency_ns must be in [0, ∞), got -1".to_string(),
-            ),
-            (
-                set(|c| c.fault_horizon_ns = f64::NAN),
-                "fault_horizon_ns must be in [0, ∞), got NaN".to_string(),
-            ),
-        ]);
     }
     for (cfg, message) in cases {
         let sim = Simulator::new(&net, &cfg);
@@ -233,32 +207,5 @@ fn out_of_range_counts_are_typed_errors() {
     for cfg in [with(1, 255, 1), with(2, 1, 1)] {
         let res = Simulator::new(&net, &cfg).try_run(&wl);
         assert!(!matches!(res, Err(SimError::Config(_))), "{res:?}");
-    }
-}
-
-/// Zero link + router latency leaves no lookahead — no credit return delay
-/// and no epoch length: `try_run` returns a typed error naming both
-/// latencies, at every shard count.
-#[test]
-fn zero_lookahead_is_a_typed_error_behind_the_front_door() {
-    let net = SimNetwork::new(ring(9), 2);
-    let wl = Workload::uniform_random(net.num_endpoints(), 2, 1024, 4);
-    let cfg = SimConfig {
-        link_latency_ns: 0.0,
-        router_latency_ns: 0.0,
-        ..SimConfig::default()
-    };
-    for shards in [1, 2] {
-        let cfg = cfg.clone().with_shards(shards);
-        let sim = Simulator::new(&net, &cfg);
-        let err = sim.try_run(&wl).unwrap_err();
-        assert!(
-            matches!(&err, SimError::Lookahead(m)
-                if m.contains("link_latency_ns = 0") && m.contains("router_latency_ns = 0")),
-            "{err:?}"
-        );
-        assert_eq!(sim.try_run_with_offered_load(&wl, 0.5).unwrap_err(), err);
-        let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&wl))).unwrap_err();
-        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
     }
 }

@@ -12,6 +12,7 @@ use spectralfly_ff::residue::{legendre, sqrt_mod_prime};
 use spectralfly_graph::csr::CsrGraph;
 use spectralfly_graph::failures::delete_random_edges;
 use spectralfly_graph::metrics::{bfs_distances, diameter_and_mean_distance};
+use spectralfly_simnet::config::PACKET_BYTES;
 use spectralfly_simnet::{SimConfig, SimNetwork, Simulator, Workload};
 use spectralfly_topology::spec::TopologySpec;
 use spectralfly_topology::{JellyFishGraph, LpsGraph, Topology};
@@ -118,7 +119,7 @@ proptest! {
         let expected_packets: u64 = wl
             .messages
             .iter()
-            .map(|m| m.bytes.div_ceil(cfg.packet_size_bytes).max(1))
+            .map(|m| m.bytes.div_ceil(PACKET_BYTES).max(1))
             .sum();
         prop_assert_eq!(res.delivered_packets, expected_packets);
         prop_assert_eq!(res.delivered_bytes, wl.total_bytes());
@@ -204,7 +205,7 @@ proptest! {
         let expected_packets: u64 = wl
             .messages
             .iter()
-            .map(|m| m.bytes.div_ceil(SimConfig::default().packet_size_bytes).max(1))
+            .map(|m| m.bytes.div_ceil(PACKET_BYTES).max(1))
             .sum();
         // A fresh built-ins registry keeps the test set independent of custom
         // routers other test binaries register into the process-global registry.
