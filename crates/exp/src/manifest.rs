@@ -76,7 +76,7 @@ impl From<TomlError> for ManifestError {
 /// How an experiment's points are executed and measured.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Mode {
-    /// Workload-paced finite run ([`spectralfly_simnet::Simulator::run`]):
+    /// Workload-paced finite run ([`spectralfly_simnet::Simulator::try_run`]):
     /// every endpoint sends `messages` messages of `bytes` bytes, the run
     /// drains to empty. Loads do not apply.
     Finite {

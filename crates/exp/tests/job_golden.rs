@@ -72,7 +72,8 @@ fn jobless_runs_reproduce_pre_jobs_golden_digests() {
         assert!(cfg.jobs.is_none(), "default config must be job-less");
         let wl = Workload::uniform_random(net.num_endpoints(), 4, 2048, cfg.seed);
 
-        let finite = |net: &SimNetwork, cfg: &SimConfig| Simulator::new(net, cfg).run(&wl);
+        let finite =
+            |net: &SimNetwork, cfg: &SimConfig| Simulator::new(net, cfg).try_run(&wl).unwrap();
         let offered = |net: &SimNetwork, cfg: &SimConfig| {
             Simulator::new(net, cfg)
                 .try_run_with_offered_load(&wl, 0.4)

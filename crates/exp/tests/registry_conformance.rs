@@ -49,7 +49,7 @@ fn builtin_name_lists_are_unchanged() {
 
 #[test]
 fn builtin_aliases_select_their_primaries() {
-    assert_eq!(routing::create("UGAL").unwrap().name(), "ugal-l");
+    assert_eq!(routing::resolve("UGAL").unwrap().name(), "ugal-l");
     let ctx = PatternCtx::new(64);
     for (alias, primary) in [
         ("uniform", "random"),
@@ -65,7 +65,8 @@ fn builtin_aliases_select_their_primaries() {
         ("all_to_all", "alltoall"),
         ("all-gather", "allgather"),
     ] {
-        assert_eq!(job::create(alias, &JobCtx::new()).unwrap().name(), primary);
+        let plan = job::resolve_mix(alias, &JobCtx::new(), &[0, 1, 2, 3], 1).unwrap();
+        assert_eq!(plan.tenants[0].name, format!("t0:{primary}"));
     }
 }
 

@@ -40,9 +40,8 @@ use std::sync::RwLock;
 /// Why an oracle (or one of its dense components) could not be constructed.
 ///
 /// Construction failures are recoverable by design: the caller routes to a
-/// sparser representation — nothing here aborts the process, which is the
-/// contract `DistanceMatrix::from_graph`'s hard assert used to break on large
-/// topologies.
+/// sparser representation: nothing here aborts the process, even on
+/// topologies too large for a dense matrix.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OracleError {
     /// The vertex count exceeds what the representation can index.
@@ -774,7 +773,7 @@ mod tests {
     /// Assert an oracle agrees with the dense matrix on every pair: distances
     /// and minimal-port *sets* (ascending order included).
     fn assert_matches_dense(g: &CsrGraph, oracle: &dyn PathOracle) {
-        let dm = DistanceMatrix::from_graph(g);
+        let dm = DistanceMatrix::try_from_graph(g).unwrap();
         let n = g.num_vertices() as VertexId;
         let (mut expect, mut got) = (Vec::new(), Vec::new());
         for u in 0..n {

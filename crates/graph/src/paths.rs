@@ -131,22 +131,12 @@ impl DistanceMatrix {
     /// (`par_chunks_mut`), so peak memory is the matrix itself plus three words
     /// per vertex per worker — not a second copy of the matrix in per-row vectors.
     ///
-    /// # Panics
-    /// If the graph has more than [`Self::MAX_VERTICES`] vertices — the convenience wrapper for
-    /// callers that know their topology is small. Large-topology constructors should
-    /// use [`DistanceMatrix::try_from_graph`] and route to a sparse
-    /// [`crate::oracle::PathOracle`] instead of aborting.
-    pub fn from_graph(g: &CsrGraph) -> Self {
-        Self::try_from_graph(g).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`DistanceMatrix::from_graph`] with a typed failure instead of a panic.
-    ///
     /// The u16 distance encoding (with `u16::MAX` as the unreachable sentinel)
     /// requires every finite distance < 2¹⁶ − 1; `n − 1` bounds path length, so the
     /// vertex count is checked up front — and `n > u16::MAX` also means the dense
     /// `n²` u16 buffer would exceed 8 GiB, which is exactly when callers should fall
-    /// back to a memory-scalable oracle rather than build this matrix.
+    /// back to a memory-scalable [`crate::oracle::PathOracle`] rather than build
+    /// this matrix ([`OracleError::TooManyVertices`]).
     pub fn try_from_graph(g: &CsrGraph) -> Result<Self, OracleError> {
         let n = g.num_vertices();
         if n > Self::MAX_VERTICES {
@@ -353,7 +343,7 @@ mod tests {
             let edges: Vec<_> = (0..n * density).map(|_| (vertex(), vertex())).collect();
             let distinct: Vec<_> = edges.into_iter().filter(|(a, b)| a != b).collect();
             let g = CsrGraph::from_edges(n, &distinct);
-            let dm = DistanceMatrix::from_graph(&g);
+            let dm = DistanceMatrix::try_from_graph(&g).unwrap();
             let (mut row, mut queue) = (vec![0u16; n], VecDeque::new());
             for s in 0..n {
                 bfs_distances_into(&g, s as VertexId, &mut row, &mut queue);
@@ -385,7 +375,7 @@ mod tests {
     #[test]
     fn distances_match_bfs() {
         let g = hypercube(4);
-        let dm = DistanceMatrix::from_graph(&g);
+        let dm = DistanceMatrix::try_from_graph(&g).unwrap();
         for u in 0..16u32 {
             for v in 0..16u32 {
                 assert_eq!(dm.dist(u, v) as u32, (u ^ v).count_ones());
@@ -398,7 +388,7 @@ mod tests {
     #[test]
     fn min_next_hops_follow_shortest_paths() {
         let g = cycle_graph(8);
-        let dm = DistanceMatrix::from_graph(&g);
+        let dm = DistanceMatrix::try_from_graph(&g).unwrap();
         // From 0 toward 3 the unique minimal next hop is 1.
         assert_eq!(dm.min_next_hops(&g, 0, 3), vec![1]);
         // From 0 toward 4 (antipodal) both neighbours are minimal.
@@ -412,7 +402,7 @@ mod tests {
     fn shortest_path_counts_on_hypercube() {
         // Number of shortest paths between antipodal vertices of Q_d is d!.
         let g = hypercube(4);
-        let dm = DistanceMatrix::from_graph(&g);
+        let dm = DistanceMatrix::try_from_graph(&g).unwrap();
         assert_eq!(dm.shortest_path_count(&g, 0, 15), 24);
         assert_eq!(dm.shortest_path_count(&g, 0, 1), 1);
         assert_eq!(dm.shortest_path_count(&g, 3, 3), 1);
@@ -421,7 +411,7 @@ mod tests {
     #[test]
     fn min_next_ports_into_clears_its_buffer() {
         let g = cycle_graph(8);
-        let dm = DistanceMatrix::from_graph(&g);
+        let dm = DistanceMatrix::try_from_graph(&g).unwrap();
         let mut buf = vec![7; 5];
         dm.min_next_ports_into(&g, 0, 4, &mut buf);
         assert_eq!(buf, [0, 1]);
@@ -432,7 +422,7 @@ mod tests {
     #[test]
     fn disconnected_graph_reports_none() {
         let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
-        let dm = DistanceMatrix::from_graph(&g);
+        let dm = DistanceMatrix::try_from_graph(&g).unwrap();
         assert_eq!(dm.dist(0, 2), UNREACHABLE_U16);
         assert_eq!(dm.diameter(), None);
         assert_eq!(dm.mean_distance(), None);

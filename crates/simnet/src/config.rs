@@ -11,6 +11,11 @@ use crate::routing;
 /// Packet payload, bytes: larger messages are segmented into packets of at
 /// most this many bytes.
 pub const PACKET_BYTES: u64 = 4096;
+/// The largest message a run accepts, bytes: 2^30, or 262,144 packets. A
+/// larger workload message is refused with [`crate::SimError::Config`], and a
+/// larger job `bytes` argument with a [`crate::JobError`], before any packet
+/// is built.
+pub const MAX_MESSAGE_BYTES: u64 = 1 << 30;
 /// Link and endpoint injection (NIC) bandwidth, Gb/s.
 pub const LINK_GBPS: f64 = 100.0;
 /// Link propagation latency, picoseconds.
@@ -32,7 +37,8 @@ pub const RETRANSMIT_BUDGET: u32 = 8;
 pub const RTO_BASE_PS: u64 = 200_000;
 
 /// Serialization time of `bytes` on a link or through an endpoint NIC, in
-/// picoseconds.
+/// picoseconds. The float product is exact for every size up to
+/// [`MAX_MESSAGE_BYTES`], the largest a run serializes.
 pub fn serialization_ps(bytes: u64) -> u64 {
     ((bytes as f64 * 8.0) / LINK_GBPS * 1000.0).ceil() as u64
 }
@@ -49,7 +55,7 @@ pub fn retransmit_backoff_ps(attempt: u32) -> u64 {
 ///
 /// The paper's saturation curves (Figures 6–8) assume a network in steady
 /// state; a finite drain-to-empty run conflates saturation latency with drain
-/// time. With windows configured, [`crate::Simulator::run_with_offered_load`]
+/// time. With windows configured, [`crate::Simulator::try_run_with_offered_load`]
 /// switches to **continuous per-endpoint Poisson sources**: every endpoint
 /// that sends in the workload keeps injecting (cycling through its workload
 /// messages) from time 0 until `warmup_ps + measure_ps`, the statistics count
@@ -64,7 +70,7 @@ pub fn retransmit_backoff_ps(attempt: u32) -> u64 {
 /// is drawn live from the named traffic pattern ([`crate::pattern`]) instead of
 /// the workload template — the adversarial / tornado / hotspot scenarios.
 ///
-/// Workload-paced runs ([`crate::Simulator::run`]) ignore the windows: phased
+/// Workload-paced runs ([`crate::Simulator::try_run`]) ignore the windows: phased
 /// application motifs are finite by nature.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MeasurementWindows {
@@ -138,7 +144,7 @@ impl MeasurementWindows {
 /// The simulated hardware is the paper's and is fixed (see the module
 /// constants). What varies per run is the buffering (64 KB router buffers per
 /// port by default, expressed here as packets per virtual channel), the VC
-/// count (set from the topology diameter by [`SimConfig::vcs_for_diameter`]),
+/// count (set from the topology diameter by [`SimConfig::with_routing`]),
 /// the routing algorithm, the seed, the measurement mode, the shard count and
 /// the runtime faults and job mix.
 #[derive(Clone, Debug)]
@@ -217,25 +223,16 @@ impl SimConfig {
         ROUTER_LATENCY_PS
     }
 
-    /// The VC count the paper prescribes for `routing` on a diameter-`diameter`
-    /// topology: `d + 1` for minimal paths and `2d + 1` for detour-based algorithms
+    /// Builder-style: set the routing algorithm (by registry name) and the VC
+    /// count the paper prescribes for it on a diameter-`diameter` topology:
+    /// `d + 1` for minimal paths and `2d + 1` for detour-based algorithms
     /// (Section V-A), as reported by the algorithm itself
-    /// ([`crate::routing::Router::vcs_for_diameter`]).
-    ///
-    /// # Panics
-    /// If `routing` is not in the routing registry.
-    pub fn vcs_for_diameter(routing: impl Into<String>, diameter: u32) -> usize {
-        let router = routing::resolve(&routing.into()).unwrap_or_else(|e| panic!("{e}"));
-        router.vcs_for_diameter(diameter)
-    }
-
-    /// Builder-style: set the routing algorithm (by registry name) and a VC
-    /// count suitable for `diameter`. An unregistered name is set as given
-    /// and leaves the VC count alone; the run then returns
+    /// ([`crate::routing::Router::vcs_for_diameter`]). An unregistered name
+    /// is set as given and leaves the VC count alone; the run then returns
     /// [`crate::SimError::UnknownRouting`].
     pub fn with_routing(mut self, routing: impl Into<String>, diameter: u32) -> Self {
         self.routing = routing.into();
-        if let Some(router) = routing::create(&self.routing) {
+        if let Ok(router) = routing::resolve(&self.routing) {
             self.num_vcs = router.vcs_for_diameter(diameter);
         }
         self
@@ -278,14 +275,6 @@ mod tests {
         assert_eq!(serialization_ps(4096), 327_680);
         assert_eq!(serialization_ps(0), 0);
         assert!(serialization_ps(8192) > serialization_ps(4096));
-    }
-
-    #[test]
-    fn vc_rule_matches_paper() {
-        assert_eq!(SimConfig::vcs_for_diameter("minimal", 3), 4);
-        assert_eq!(SimConfig::vcs_for_diameter("valiant", 3), 7);
-        assert_eq!(SimConfig::vcs_for_diameter("ugal-l", 4), 9);
-        assert_eq!(SimConfig::vcs_for_diameter("ugal-g", 4), 9);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use super::shard::{mix64, ShardCore};
 use super::{FaultRuntime, SimError};
-use crate::config::{serialization_ps, MeasurementWindows, SimConfig};
+use crate::config::{serialization_ps, MeasurementWindows, SimConfig, MAX_MESSAGE_BYTES};
 use crate::fault::{self, FaultTimeline};
 use crate::job::{self, CollectiveState, JobBehavior, MixPlan, MsgTag, RateProcess, RateRuntime};
 use crate::network::SimNetwork;
@@ -142,21 +142,29 @@ fn checked_deadline_ps(w: &MeasurementWindows) -> Result<u64, SimError> {
         })
 }
 
-/// Reject a workload that names an endpoint the network does not have.
-fn check_endpoints(net: &SimNetwork, workload: &Workload) -> Result<(), SimError> {
+/// Reject a workload that names an endpoint the network does not have, or a
+/// message larger than [`MAX_MESSAGE_BYTES`].
+fn check_workload(net: &SimNetwork, workload: &Workload) -> Result<(), SimError> {
     let endpoints = net.num_endpoints();
-    match workload.max_endpoint() {
-        Some(max_ep) if max_ep >= endpoints => Err(SimError::EndpointOutOfRange(format!(
+    if let Some(max_ep) = workload.max_endpoint().filter(|&e| e >= endpoints) {
+        return Err(SimError::EndpointOutOfRange(format!(
             "workload references endpoint {max_ep} but the network has only {endpoints}"
+        )));
+    }
+    match (workload.messages.iter().enumerate()).find(|(_, m)| m.bytes > MAX_MESSAGE_BYTES) {
+        Some((i, m)) => Err(SimError::Config(format!(
+            "workload message {i} has {} bytes, more than the {MAX_MESSAGE_BYTES} a message \
+             may have",
+            m.bytes
         ))),
-        _ => Ok(()),
+        None => Ok(()),
     }
 }
 
 /// The finite half of the front door: the workload must fit the network and,
 /// on a degraded one, every message pair must still be connected.
 pub(crate) fn check_finite(net: &SimNetwork, workload: &Workload) -> Result<(), SimError> {
-    check_endpoints(net, workload)?;
+    check_workload(net, workload)?;
     if net.has_faults() {
         fault::validate_workload(net, workload)?;
     }
@@ -260,7 +268,7 @@ impl TrafficPlan {
                 .map_err(SimError::Job)?;
             return Ok(TrafficPlan::Jobs(plan));
         }
-        check_endpoints(net, workload)?;
+        check_workload(net, workload)?;
         if net.has_faults() && !machine_wide {
             fault::validate_workload(net, workload)?;
         }

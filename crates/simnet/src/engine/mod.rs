@@ -40,7 +40,7 @@
 //! # Steady-state measurement
 //!
 //! With [`crate::config::MeasurementWindows`] configured,
-//! [`Simulator::run_with_offered_load`] switches from the finite drain-to-empty run to
+//! [`Simulator::try_run_with_offered_load`] switches from the finite drain-to-empty run to
 //! continuous per-endpoint Poisson sources with warmup/measurement/drain windows — see
 //! the type's documentation and DESIGN.md for the protocol.
 
@@ -68,11 +68,11 @@ pub type ParallelSimulator<'a> = Simulator<'a>;
 
 /// Why a run could not start or could not complete.
 ///
-/// Returned by the `try_run*` entry points; the panicking `run*` variants
-/// unwrap it. Every variant but `Deadlock` is a rejection *before* any
-/// simulation work; `Deadlock` is the wakeup core's quiescence detection turned
-/// into a value — degenerate configurations (tiny per-VC buffers under
-/// saturation) degrade gracefully instead of aborting the process.
+/// Returned by the `try_run*` entry points. Every variant but `Deadlock` is a
+/// rejection *before* any simulation work; `Deadlock` is the wakeup core's
+/// quiescence detection turned into a value — degenerate configurations (tiny
+/// per-VC buffers under saturation) degrade gracefully instead of aborting the
+/// process.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
     /// [`SimConfig::routing`] does not name a registered routing algorithm.
@@ -103,7 +103,9 @@ pub enum SimError {
     /// A field of [`SimConfig`] is out of range: [`SimConfig::num_vcs`]
     /// outside `1..=255` (VC ids are `u8`),
     /// [`SimConfig::buffer_packets_per_vc`] outside `1..=u32::MAX`, or
-    /// [`SimConfig::shards`] zero (the message names the field and value).
+    /// [`SimConfig::shards`] zero (the message names the field and value); or
+    /// a workload message is larger than [`crate::config::MAX_MESSAGE_BYTES`]
+    /// (the message names the workload message and its size).
     Config(String),
     /// A fault plan or script made the run infeasible (dead endpoints,
     /// disconnected pairs, fragmented survivors, malformed script).
@@ -176,7 +178,7 @@ pub(crate) fn resolve_router(cfg: &SimConfig) -> Result<Box<dyn Router>, SimErro
     if cfg.shards == 0 {
         return out_of_range("shards", "1..", &cfg.shards);
     }
-    routing::create(&cfg.routing).ok_or_else(|| SimError::UnknownRouting {
+    routing::resolve(&cfg.routing).map_err(|_| SimError::UnknownRouting {
         name: cfg.routing.clone(),
         registered: routing::registered_names(),
     })

@@ -1693,8 +1693,7 @@ impl<'a> Simulator<'a> {
     ///
     /// A `cfg.routing` that names no registered algorithm (see
     /// [`crate::routing`]) or a field out of range ([`SimError::Config`]) is
-    /// reported by the first `try_*` call (the `run*` wrappers panic with the
-    /// same message).
+    /// reported by the first `try_*` call.
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
         let router = super::resolve_router(cfg);
         let bisect = BisectConfig::default();
@@ -1726,21 +1725,12 @@ impl<'a> Simulator<'a> {
     /// Measurement windows, if configured, are ignored here: a workload-paced
     /// run is finite and runs to completion.
     ///
-    /// # Panics
-    /// On a degraded network, if the workload is infeasible on the surviving
-    /// graph, or on a detected buffer deadlock — use [`Simulator::try_run`] to
-    /// handle the [`SimError`] instead.
-    pub fn run(&self, workload: &Workload) -> SimResults {
-        self.try_run(workload).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Simulator::run`], rejecting workloads that a fault plan has made
-    /// infeasible: a referenced endpoint on a down router yields
-    /// [`crate::Infeasible::RouterDown`], a message pair separated by the
-    /// damage yields [`crate::Infeasible::Disconnected`] — both *before* any
-    /// simulation work, never as a hang or a mid-run panic. A run that
-    /// quiesces with packets parked in a cyclic head-of-line wait yields
-    /// [`SimError::Deadlock`].
+    /// Workloads that a fault plan has made infeasible are rejected before
+    /// any simulation work, never as a hang or a mid-run panic: a referenced
+    /// endpoint on a down router yields [`crate::Infeasible::RouterDown`], a
+    /// message pair separated by the damage yields
+    /// [`crate::Infeasible::Disconnected`]. A run that quiesces with packets
+    /// parked in a cyclic head-of-line wait yields [`SimError::Deadlock`].
     pub fn try_run(&self, workload: &Workload) -> Result<SimResults, SimError> {
         self.simulate(workload, None)
     }
@@ -1754,18 +1744,9 @@ impl<'a> Simulator<'a> {
     /// configured the run switches to **continuous per-endpoint Poisson sources** and
     /// steady-state measurement (see [`crate::config::MeasurementWindows`]).
     ///
-    /// # Panics
-    /// On a degraded network, if the run is infeasible on the surviving graph
-    /// — use [`Simulator::try_run_with_offered_load`] to handle the
-    /// [`SimError`] instead.
-    pub fn run_with_offered_load(&self, workload: &Workload, offered_load: f64) -> SimResults {
-        self.try_run_with_offered_load(workload, offered_load)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Simulator::run_with_offered_load`], rejecting runs that a fault plan
-    /// has made infeasible. Finite runs validate every workload message pair
-    /// (like [`Simulator::try_run`]). Steady-state runs with a live
+    /// Runs that a fault plan has made infeasible are rejected up front.
+    /// Finite runs validate every workload message pair (like
+    /// [`Simulator::try_run`]). Steady-state runs with a live
     /// destination pattern ([`crate::config::MeasurementWindows::pattern`])
     /// instead require every surviving router to sit in one connected
     /// component ([`crate::Infeasible::Fragmented`] otherwise): the pattern
@@ -1986,12 +1967,19 @@ mod tests {
         Workload::new("one", vec![m])
     }
 
+    /// [`one_message`], run under the default configuration.
+    fn run_one(net: &SimNetwork, dst: usize, bytes: u64) -> SimResults {
+        let wl = one_message(dst, bytes);
+        Simulator::new(net, &SimConfig::default())
+            .try_run(&wl)
+            .unwrap()
+    }
+
     #[test]
     fn single_packet_latency_is_deterministic_and_correct() {
         // One 4096-byte packet over exactly one hop.
         let net = SimNetwork::new(ring(4), 1);
-        let cfg = SimConfig::default();
-        let res = Simulator::new(&net, &cfg).run(&one_message(1, 4096));
+        let res = run_one(&net, 1, 4096);
         assert_eq!((res.delivered_packets, res.delivered_messages), (1, 1));
         // Latency = serialization + link latency + router latency.
         let expected = serialization_ps(4096) + LOOKAHEAD_PS;
@@ -2005,7 +1993,7 @@ mod tests {
     #[test]
     fn multi_packet_message_latency_spans_first_inject_to_last_delivery() {
         let net = SimNetwork::new(ring(8), 1);
-        let res = Simulator::new(&net, &SimConfig::default()).run(&one_message(4, 10 * 4096));
+        let res = run_one(&net, 4, 10 * 4096);
         assert_eq!((res.delivered_packets, res.delivered_messages), (10, 1));
         assert_eq!(res.max_message_latency_ps, res.completion_time_ps);
         assert!(res.max_message_latency_ps >= res.max_packet_latency_ps);
@@ -2015,7 +2003,7 @@ mod tests {
     fn message_segmentation_into_packets() {
         // 10 KB message with 4 KB packets -> 3 packets (the last partial), 1 message.
         let net = SimNetwork::new(ring(3), 1);
-        let res = Simulator::new(&net, &SimConfig::default()).run(&one_message(2, 10_240));
+        let res = run_one(&net, 2, 10_240);
         assert_eq!((res.delivered_packets, res.delivered_messages), (3, 1));
         assert_eq!(res.delivered_bytes, 10_240);
     }
@@ -2023,7 +2011,7 @@ mod tests {
     #[test]
     fn minimal_routing_takes_shortest_paths_when_uncongested() {
         let net = SimNetwork::new(ring(10), 1);
-        let res = Simulator::new(&net, &SimConfig::default()).run(&one_message(5, 512));
+        let res = run_one(&net, 5, 512);
         assert_eq!(res.max_hops, 5);
     }
 
@@ -2031,7 +2019,7 @@ mod tests {
     fn self_destination_on_same_router_is_delivered_without_hops() {
         // Two endpoints on the same router exchange a message: zero network hops.
         let net = SimNetwork::new(CsrGraph::from_edges(2, &[(0, 1)]), 2);
-        let res = Simulator::new(&net, &SimConfig::default()).run(&one_message(1, 256));
+        let res = run_one(&net, 1, 256);
         assert_eq!((res.delivered_packets, res.max_hops), (1, 0));
     }
 
@@ -2041,8 +2029,8 @@ mod tests {
         let cfg = SimConfig::default();
         let wl = Workload::uniform_random(net.num_endpoints(), 30, 4096, 5);
         let sim = Simulator::new(&net, &cfg);
-        let light = sim.run_with_offered_load(&wl, 0.1);
-        let heavy = sim.run_with_offered_load(&wl, 0.9);
+        let light = sim.try_run_with_offered_load(&wl, 0.1).unwrap();
+        let heavy = sim.try_run_with_offered_load(&wl, 0.9).unwrap();
         assert_eq!(light.delivered_packets, heavy.delivered_packets);
         assert!(heavy.mean_packet_latency_ps > light.mean_packet_latency_ps);
     }
@@ -2088,7 +2076,9 @@ mod tests {
             (0, 0)
         );
         assert_eq!(res.faults.injected, res.faults.delivered);
-        let pristine = Simulator::new(&net, &SimConfig::default()).run(&wl);
+        let pristine = Simulator::new(&net, &SimConfig::default())
+            .try_run(&wl)
+            .unwrap();
         assert_eq!(res.delivered_packets, pristine.delivered_packets);
         assert_eq!(res.mean_packet_latency_ps, pristine.mean_packet_latency_ps);
     }
@@ -2102,7 +2092,9 @@ mod tests {
             let cfg = SimConfig::default()
                 .with_routing("ugal-l", net.diameter() as u32)
                 .with_shards(shards);
-            results.push(core_fields(&Simulator::new(&net, &cfg).run(&wl)));
+            results.push(core_fields(
+                &Simulator::new(&net, &cfg).try_run(&wl).unwrap(),
+            ));
         }
         for r in &results[1..] {
             assert_eq!(results[0], *r);
@@ -2120,7 +2112,9 @@ mod tests {
                 .with_routing("ugal-g", net.diameter() as u32)
                 .with_windows(MeasurementWindows::new(2_000_000, 20_000_000))
                 .with_shards(shards);
-            let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.4);
+            let res = Simulator::new(&net, &cfg)
+                .try_run_with_offered_load(&wl, 0.4)
+                .unwrap();
             results.push(core_fields(&res));
         }
         for r in &results[1..] {
@@ -2138,7 +2132,9 @@ mod tests {
         let net = SimNetwork::new(ring(6), 1);
         let cfg = SimConfig::default().with_windows(MeasurementWindows::new(2_000_000, 30_000_000));
         let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 9);
-        let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.3);
+        let res = Simulator::new(&net, &cfg)
+            .try_run_with_offered_load(&wl, 0.3)
+            .unwrap();
         let m = res.measurement.expect("steady-state run has a summary");
         assert!(m.delivered_packets > 50, "got {}", m.delivered_packets);
         assert!(
@@ -2156,8 +2152,8 @@ mod tests {
             .with_routing("valiant", net.diameter() as u32)
             .with_shards(2);
         let wl = Workload::uniform_random(net.num_endpoints(), 8, 1024, 11);
-        let a = Simulator::new(&net, &cfg).run(&wl);
-        let b = Simulator::new(&net, &cfg).run(&wl);
+        let a = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
+        let b = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
         assert_eq!(a, b);
     }
 
@@ -2210,7 +2206,7 @@ mod tests {
         let net = SimNetwork::new(ring(6), 1);
         let cfg = SimConfig::default().with_shards(2);
         let wl = Workload::uniform_random(net.num_endpoints(), 4, 512, 2);
-        let res = Simulator::new(&net, &cfg).run(&wl);
+        let res = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
         assert_eq!(res.faults, FaultStats::default());
     }
 

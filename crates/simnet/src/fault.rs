@@ -37,10 +37,8 @@
 //! numbering never shifts); its endpoints are dead — a workload that references
 //! them is rejected with [`Infeasible::RouterDown`] before the run starts, and
 //! endpoint pairs separated by the damage are rejected with
-//! [`Infeasible::Disconnected`]. The checked entry points are
-//! [`crate::Simulator::try_run`] and
-//! [`crate::Simulator::try_run_with_offered_load`]; the panicking `run`
-//! variants remain for pristine networks.
+//! [`Infeasible::Disconnected`], by [`crate::Simulator::try_run`] and
+//! [`crate::Simulator::try_run_with_offered_load`].
 //!
 //! ```
 //! use spectralfly_graph::CsrGraph;
@@ -325,22 +323,12 @@ impl FaultRegistry {
     }
 }
 
-/// Instantiate the fault model selected by one spec term, e.g. `"links(0.1)"`,
-/// from the global registry.
-pub fn create(term: &str) -> Result<Arc<dyn FaultModel>, FaultError> {
-    create_call(&spec::parse_call(term)?)
-}
-
-/// [`create`] for an already-parsed term (of a plan, or the action of a
-/// script's `at(time, action)`).
+/// Instantiate the fault model selected by one parsed spec term (of a plan,
+/// e.g. `links(0.1)`, or the action of a script's `at(time, action)`) from
+/// the global registry.
 fn create_call(term: &Call) -> Result<Arc<dyn FaultModel>, FaultError> {
     let factory = GLOBAL.read().lookup(&FAMILY, term.name)?;
     factory(&term.numbers()?)
-}
-
-/// Whether `term`'s base name is selectable through the global registry.
-pub fn is_registered(term: &str) -> bool {
-    spec::parse_call(term).is_ok_and(|call| GLOBAL.read().contains(call.name))
 }
 
 /// Register a custom fault model in the global registry.
@@ -416,19 +404,6 @@ impl FaultPlan {
     /// built through it are bit-identical to pristine construction).
     pub fn none() -> Self {
         FaultPlan::default()
-    }
-
-    /// A plan failing a uniformly random fraction of links.
-    ///
-    /// # Panics
-    /// If `fraction` is outside `[0, 1]` (spec validation).
-    pub fn random_links(fraction: f64) -> Self {
-        FaultPlan::parse(&format!("links({fraction})")).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// A plan taking down `count` uniformly random routers.
-    pub fn random_routers(count: usize) -> Self {
-        FaultPlan::parse(&format!("routers({count})")).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Parse a plan spec: model terms joined by `+`, e.g.
@@ -1018,7 +993,8 @@ mod tests {
         use spectralfly_graph::failures::delete_random_edges;
         let g = ring(30);
         for (f, seed) in [(0.1, 0xFA11u64), (0.3, 7), (0.5, 99)] {
-            let applied = FaultPlan::random_links(f)
+            let applied = FaultPlan::parse(&format!("links({f})"))
+                .unwrap()
                 .with_seed(seed)
                 .apply(&g)
                 .unwrap();
@@ -1030,11 +1006,16 @@ mod tests {
         }
     }
 
+    /// The plan `routers(k)`.
+    fn routers(k: usize) -> FaultPlan {
+        FaultPlan::parse(&format!("routers({k})")).unwrap()
+    }
+
     #[test]
     fn random_routers_draw_is_deterministic_and_isolating() {
         let g = ring(12);
-        let a = FaultPlan::random_routers(3).with_seed(4).apply(&g).unwrap();
-        let b = FaultPlan::random_routers(3).with_seed(4).apply(&g).unwrap();
+        let draw = |seed| routers(3).with_seed(seed).apply(&g).unwrap();
+        let (a, b) = (draw(4), draw(4));
         assert_eq!(a.down_routers, b.down_routers);
         assert_eq!(a.down_routers.iter().filter(|&&d| d).count(), 3);
         for (r, &down) in a.down_routers.iter().enumerate() {
@@ -1042,18 +1023,17 @@ mod tests {
                 assert_eq!(a.graph.degree(r as VertexId), 0);
             }
         }
-        let c = FaultPlan::random_routers(3).with_seed(5).apply(&g).unwrap();
-        assert_ne!(a.down_routers, c.down_routers);
+        assert_ne!(a.down_routers, draw(5).down_routers);
     }
 
     #[test]
     fn random_routers_beyond_machine_size_is_typed_not_clamped() {
         // routers(400) on a 12-router graph must be BadArgs at apply time,
         // not a silently clamped whole-machine outage.
-        let err = FaultPlan::random_routers(400).apply(&ring(12)).unwrap_err();
+        let err = routers(400).apply(&ring(12)).unwrap_err();
         assert!(matches!(err, FaultError::BadArgs { .. }), "{err}");
         // The boundary case (exactly n) is allowed.
-        let applied = FaultPlan::random_routers(12).apply(&ring(12)).unwrap();
+        let applied = routers(12).apply(&ring(12)).unwrap();
         assert_eq!(applied.down_routers.iter().filter(|&&d| d).count(), 12);
     }
 
@@ -1100,7 +1080,6 @@ mod tests {
             FAMILY.args("every-other-link", args).no_args()?;
             Ok(Arc::new(EveryOtherLink))
         });
-        assert!(is_registered("every-other-link"));
         let plan = FaultPlan::parse("Every_Other_Link").unwrap();
         let applied = plan.apply(&ring(10)).unwrap();
         assert_eq!(applied.removed_links, 5);

@@ -34,7 +34,8 @@
 //! | `mmpp(r0, r1, d0, d1, bytes)` | open loop | 2-state Markov-modulated Poisson: loads `r0`/`r1`, exponential dwell means `d0`/`d1` **microseconds**; stationary load `(r0·d0 + r1·d1)/(d0+d1)` |
 //! | `onoff(peak, alpha, on, off, bytes)` | open loop | self-similar on-off: Pareto(`alpha`) ON/OFF periods with means `on`/`off` **microseconds**, Poisson at `peak` while ON; stationary load `peak·on/(on+off)` |
 //!
-//! `bytes` defaults to 4096 everywhere. The three Ember motifs (Section VI-D,
+//! `bytes` defaults to 4096 everywhere and is at most
+//! [`crate::config::MAX_MESSAGE_BYTES`] (2^30). The three Ember motifs (Section VI-D,
 //! Figs. 9–10: the `fig9-ember-minimal` / `fig10-ember-ugal` sections of
 //! `manifests/paper.toml`) size their process grid from the tenant's rank
 //! count, so `sweep3d(2, 2048, 2) x 484` is a 22×22 array; their per-rank
@@ -42,7 +43,7 @@
 //! rounds. Open-loop destination draws use the
 //! tenant's rank space; `mmpp`/`onoff` draw uniformly over the other ranks.
 //! The engine-level offered load passed to
-//! [`crate::Simulator::run_with_offered_load`] acts as a **global multiplier**
+//! [`crate::Simulator::try_run_with_offered_load`] acts as a **global multiplier**
 //! on every tenant's configured load, so offered-load sweeps scale the whole
 //! mix together.
 //!
@@ -58,6 +59,7 @@
 //! sharded engine every update for `(rank, r)` is local to the shard owning
 //! `rank`'s router, so no cross-shard coordination is needed.
 
+use crate::config::MAX_MESSAGE_BYTES;
 use crate::pattern::{self, PatternCtx, TrafficPattern};
 use crate::spec::{self, Arg, ArgReader, Call, Family, Global, Registry, ResolveError};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -319,6 +321,11 @@ impl Schedule {
 
     /// Build a schedule from explicit per-group send lists, deriving the
     /// inbound counts and the message total.
+    ///
+    /// # Panics
+    /// If `sends` does not hold `ranks × rounds` groups, or a send names a
+    /// rank past `ranks`: a caller contract, which every built-in schedule
+    /// keeps by construction.
     pub fn from_sends(ranks: usize, rounds: usize, sends: Vec<Vec<(u32, u64)>>) -> Schedule {
         assert_eq!(sends.len(), ranks * rounds);
         let mut inbound = vec![0u32; ranks * rounds];
@@ -737,9 +744,15 @@ pub const FAMILY: Family = Family {
 static GLOBAL: Global<JobFactory> = Global::new(JobRegistry::with_builtins);
 
 fn bytes_arg(args: &ArgReader<Arg>, idx: usize) -> Result<u64, JobError> {
-    Ok(args
+    let bytes = args
         .positive_int(idx, "bytes")?
-        .unwrap_or(DEFAULT_JOB_BYTES))
+        .unwrap_or(DEFAULT_JOB_BYTES);
+    if bytes > MAX_MESSAGE_BYTES {
+        return Err(args.bad(format!(
+            "bytes must be at most {MAX_MESSAGE_BYTES}, got {bytes}"
+        )));
+    }
+    Ok(bytes)
 }
 
 /// Microsecond argument converted to picoseconds.
@@ -996,20 +1009,11 @@ impl JobRegistry {
     }
 }
 
-/// Instantiate the job template selected by `spec` from the global registry.
-pub fn create(spec: &str, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
-    create_call(&spec::parse_call(spec)?, ctx)
-}
-
-/// [`create`] for an already-parsed spec (a tenant of a mix).
+/// Instantiate the job template a tenant of a mix selects from the global
+/// registry.
 fn create_call(call: &Call, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
     let factory = GLOBAL.read().lookup(&FAMILY, call.name)?;
     factory(ctx, &call.args)
-}
-
-/// Whether `spec`'s base name is selectable through the global registry.
-pub fn is_registered(spec: &str) -> bool {
-    spec::parse_call(spec).is_ok_and(|call| GLOBAL.read().contains(call.name))
 }
 
 /// Register a custom job in the global registry.
@@ -1293,12 +1297,6 @@ pub fn resolve_mix(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn is_registered_reads_the_spec_name() {
-        assert!(is_registered("All_To_All(512)"));
-        assert!(!is_registered("no-such-job"));
-    }
 
     #[test]
     fn mix_grammar_accepts_sizes_and_placements() {
@@ -1637,8 +1635,14 @@ mod tests {
 
     #[test]
     fn traffic_job_builds_its_nested_pattern_over_rank_space() {
-        let job = create("traffic(0.75, tornado, 2048)", &JobCtx::new()).unwrap();
-        match job.behavior(10).unwrap() {
+        let available: Vec<usize> = (0..10).collect();
+        let plan = resolve_mix(
+            "traffic(0.75, tornado, 2048)",
+            &JobCtx::new(),
+            &available,
+            1,
+        );
+        match &plan.unwrap().tenants[0].behavior {
             JobBehavior::OpenLoop(spec) => {
                 assert_eq!(spec.bytes, 2048);
                 assert_eq!(spec.rate, RateProcess::Poisson { load: 0.75 });

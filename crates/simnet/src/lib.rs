@@ -75,11 +75,12 @@
 //! let wl = Workload::uniform_random(net.num_endpoints(), 20, 256, 1);
 //! // Algorithms are picked by registry name ("minimal", "valiant", "ugal-l", "ugal-g").
 //! let cfg = SimConfig::default().with_routing("ugal-g", net.diameter() as u32);
-//! let res = Simulator::new(&net, &cfg).run(&wl);
+//! let res = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
 //! assert_eq!(res.delivered_packets, 20 * net.num_endpoints() as u64);
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::missing_panics_doc)]
 #![forbid(unsafe_code)]
 
 pub mod config;

@@ -101,6 +101,10 @@ impl SimNetwork {
     /// dense-backed while the distance matrix fits its index space, landmark-backed
     /// past it. A plain graph carries no group structure, so a Cayley oracle comes
     /// from the topology layer through [`SimNetwork::with_oracle`].
+    ///
+    /// # Panics
+    /// If `concentration` is 0 or a router has more than 65,536 ports: a
+    /// caller contract, since the routing layers carry port ids as `u16`.
     pub fn new(graph: CsrGraph, concentration: usize) -> Self {
         // The dense oracle fails only past its vertex wall, where the graph is
         // non-empty — all a landmark oracle needs.
@@ -117,7 +121,9 @@ impl SimNetwork {
     ///
     /// # Panics
     /// If the oracle was not built over exactly `graph`'s vertex count,
-    /// `concentration` is 0, or a router has more than 65,536 ports.
+    /// `concentration` is 0, or a router has more than 65,536 ports: caller
+    /// contracts, since a mismatched oracle would answer for another graph
+    /// and the routing layers carry port ids as `u16`.
     pub fn with_oracle(graph: CsrGraph, concentration: usize, oracle: Arc<dyn PathOracle>) -> Self {
         Self::assemble(graph, concentration, oracle)
     }
@@ -426,7 +432,7 @@ mod tests {
         // The network's distance view must be the analytical DistanceMatrix itself.
         let g = ring(9);
         let net = SimNetwork::new(g.clone(), 1);
-        let dm = DistanceMatrix::from_graph(&g);
+        let dm = DistanceMatrix::try_from_graph(&g).unwrap();
         let mut scratch = Vec::new();
         for a in 0..9u32 {
             for b in 0..9u32 {

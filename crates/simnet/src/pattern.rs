@@ -68,7 +68,7 @@
 //! pattern::register("drain-to-zero", |ctx, _args| {
 //!     Ok(Box::new(DrainToZero { n: ctx.endpoints }))
 //! });
-//! assert!(pattern::is_registered("drain-to-zero"));
+//! assert!(pattern::validate_spec("drain-to-zero").is_ok());
 //!
 //! // The new pattern is now selectable by spec everywhere a pattern is accepted:
 //! let p = pattern::create("Drain_To_Zero", &PatternCtx::new(64)).unwrap();
@@ -436,7 +436,7 @@ static GLOBAL: Global<PatternFactory> = Global::new(PatternRegistry::with_builti
 
 /// Split a pattern spec into its normalized base name and numeric arguments:
 /// `"Hotspot(8, 0.2)"` → `("hotspot", [8.0, 0.2])`.
-pub fn parse_spec(spec: &str) -> Result<(String, Vec<f64>), PatternError> {
+pub(crate) fn parse_spec(spec: &str) -> Result<(String, Vec<f64>), PatternError> {
     let call = spec::parse_call(spec)?;
     Ok((call.key(), call.numbers()?))
 }
@@ -556,7 +556,7 @@ pub fn create(spec: &str, ctx: &PatternCtx) -> Result<Box<dyn TrafficPattern>, P
 
 /// [`create`] for a spec that is already parsed (a pattern nested inside a
 /// job spec): normalized base name plus arguments.
-pub fn create_parsed(
+pub(crate) fn create_parsed(
     base: &str,
     args: &[f64],
     ctx: &PatternCtx,
@@ -571,11 +571,6 @@ pub fn create_parsed(
 pub fn validate_spec(spec: &str) -> Result<(), PatternError> {
     let (base, _) = parse_spec(spec)?;
     GLOBAL.read().lookup(&FAMILY, &base).map(drop)
-}
-
-/// Whether `spec`'s base name is selectable through the global registry.
-pub fn is_registered(spec: &str) -> bool {
-    validate_spec(spec).is_ok()
 }
 
 /// Register a custom pattern in the global registry (see the module docs for an

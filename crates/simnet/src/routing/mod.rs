@@ -242,7 +242,8 @@ impl<'a> RoutingCtx<'a> {
     ///
     /// # Panics
     /// In a run whose algorithm declares [`Router::reads_remote_occupancy`]
-    /// `false`: the engine keeps no occupancy view for it.
+    /// `false`: the engine keeps no occupancy view for it. A caller contract:
+    /// an algorithm that reads the view must declare so.
     #[inline]
     pub fn router_occupancy(&self, router: VertexId) -> u32 {
         let Some(&total) = self.router_occ.get(router as usize) else {
@@ -526,7 +527,9 @@ impl<'a> RoutingHarness<'a> {
     /// seed. Queue state starts idle (every queue empty).
     ///
     /// # Panics
-    /// If `cfg.routing` does not name a registered algorithm.
+    /// If `cfg.routing` does not name a registered algorithm. The panic stays
+    /// because the benchmark's routing probes pin this infallible signature;
+    /// check a name with [`resolve`] first.
     pub fn new(net: &'a SimNetwork, cfg: &crate::config::SimConfig) -> Self {
         use rand::SeedableRng;
         let algo = resolve(&cfg.routing).unwrap_or_else(|e| panic!("{e}"));
@@ -663,20 +666,11 @@ impl RouterRegistry {
     }
 }
 
-/// Instantiate an algorithm by name from the global registry.
-pub fn create(name: &str) -> Option<Box<dyn Router>> {
-    resolve(name).ok()
-}
-
-/// [`create`], or the error naming the registered algorithms.
+/// Instantiate an algorithm by name from the global registry, or the error
+/// naming the registered algorithms.
 pub fn resolve(name: &str) -> Result<Box<dyn Router>, ResolveError> {
     let factory = GLOBAL.read().lookup(&FAMILY, name)?;
     Ok(factory())
-}
-
-/// Whether `name` is selectable through the global registry.
-pub fn is_registered(name: &str) -> bool {
-    GLOBAL.read().contains(name)
 }
 
 /// Register a custom algorithm in the global registry (see the module docs for an
@@ -700,10 +694,10 @@ mod tests {
 
     #[test]
     fn vc_rules_match_paper() {
-        assert_eq!(create("minimal").unwrap().vcs_for_diameter(3), 4);
-        assert_eq!(create("valiant").unwrap().vcs_for_diameter(3), 7);
-        assert_eq!(create("ugal-l").unwrap().vcs_for_diameter(4), 9);
-        assert_eq!(create("ugal-g").unwrap().vcs_for_diameter(4), 9);
+        assert_eq!(resolve("minimal").unwrap().vcs_for_diameter(3), 4);
+        assert_eq!(resolve("valiant").unwrap().vcs_for_diameter(3), 7);
+        assert_eq!(resolve("ugal-l").unwrap().vcs_for_diameter(4), 9);
+        assert_eq!(resolve("ugal-g").unwrap().vcs_for_diameter(4), 9);
     }
 
     #[test]
@@ -801,7 +795,7 @@ mod tests {
                 inject_offset_ps: 0,
             }],
         );
-        let res = crate::Simulator::new(&g, &cfg).run(&wl);
+        let res = crate::Simulator::new(&g, &cfg).try_run(&wl).unwrap();
         assert_eq!(res.delivered_packets, 1);
         assert_eq!(res.max_hops, 2);
     }

@@ -506,7 +506,8 @@ impl<F: ?Sized> Registry<F> {
     /// which is followed first — alias chains cannot form).
     ///
     /// # Panics
-    /// If `target` is not registered.
+    /// If `target` is not registered: a caller contract, since an alias to
+    /// nothing is a bug in the code that registers it.
     pub fn alias(&mut self, name: &str, target: &str) {
         let Some((primary, _)) = self.resolve(target) else {
             panic!("alias target {target:?} is not registered");

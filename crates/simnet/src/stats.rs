@@ -406,11 +406,9 @@ impl SimResults {
 /// This is the textbook nearest-rank definition: `percentile(v, 100.0)` is the
 /// maximum, `percentile(v, 50.0)` of an odd-length slice is the true median,
 /// and — unlike the former `n·99/100` indexing — p99 of exactly 100 samples is
-/// the 99th value, not the maximum.
-///
-/// # Panics
-/// If `sorted` is empty or `pct` is outside `(0, 100]`.
-pub fn percentile_nearest_rank(sorted: &[u64], pct: f64) -> u64 {
+/// the 99th value, not the maximum. `sorted` must not be empty and `pct` must
+/// lie in `(0, 100]`.
+pub(crate) fn percentile_nearest_rank(sorted: &[u64], pct: f64) -> u64 {
     assert!(!sorted.is_empty(), "percentile of an empty slice");
     assert!(
         pct > 0.0 && pct <= 100.0,

@@ -122,6 +122,9 @@ impl Workload {
 
 /// A random placement of `ranks` logical ranks onto `endpoints` physical endpoints
 /// (deterministic in `seed`), used when a job under-subscribes the machine.
+///
+/// # Panics
+/// If `ranks > endpoints`: a caller contract, since no placement exists.
 pub fn random_placement(ranks: usize, endpoints: usize, seed: u64) -> Vec<usize> {
     use rand::seq::SliceRandom;
     assert!(

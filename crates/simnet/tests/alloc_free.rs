@@ -144,7 +144,7 @@ fn link_queues_allocate_nothing_per_link() {
     let wl = Workload::new("neighbours", messages);
     let cfg = SimConfig::default();
     let before = thread_allocations();
-    let res = Simulator::new(&net, &cfg).run(&wl);
+    let res = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
     let allocs = thread_allocations() - before;
     assert_eq!((res.delivered_packets, res.max_hops), (packets, 1));
     assert!(

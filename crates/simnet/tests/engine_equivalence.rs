@@ -61,13 +61,17 @@ fn congested_runs_match_across_shard_counts() {
         ..SimConfig::default()
     };
     let wl = Workload::uniform_random(net.num_endpoints(), 60, 4096, 13);
-    let one = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.9);
+    let one = Simulator::new(&net, &cfg)
+        .try_run_with_offered_load(&wl, 0.9)
+        .unwrap();
     assert!(one.engine.blocked_parks > 0, "run must actually congest");
     assert_eq!(one.engine.blocked_parks, one.engine.wakeups);
     assert_eq!(one.engine.timed_retries, 0);
     assert_eq!(one.delivered_bytes, wl.total_bytes());
     let two_cfg = cfg.with_shards(2);
-    let two = Simulator::new(&net, &two_cfg).run_with_offered_load(&wl, 0.9);
+    let two = Simulator::new(&net, &two_cfg)
+        .try_run_with_offered_load(&wl, 0.9)
+        .unwrap();
     assert_eq!(core_fields(one), core_fields(two));
 }
 
@@ -98,7 +102,7 @@ proptest! {
             let mut cfg = SimConfig::default().with_routing(name.clone(), net.diameter() as u32);
             cfg.seed = seed;
             let sim = Simulator::new(&net, &cfg);
-            let a = sim.run(&wl);
+            let a = sim.try_run(&wl).unwrap();
             prop_assert_eq!(a.delivered_packets, expected_packets, "{}", &name);
             prop_assert_eq!(a.delivered_bytes, wl.total_bytes(), "{}", &name);
             prop_assert!(
@@ -107,10 +111,10 @@ proptest! {
             );
             prop_assert_eq!(a.engine.timed_retries, 0, "{}", &name);
             prop_assert_eq!(a.engine.blocked_parks, a.engine.wakeups, "{}", &name);
-            let b = sim.run(&wl);
+            let b = sim.try_run(&wl).unwrap();
             prop_assert_eq!(&a, &b, "{}: two runs of the same seed must be identical", &name);
             let two_cfg = cfg.clone().with_shards(2);
-            let two = Simulator::new(&net, &two_cfg).run(&wl);
+            let two = Simulator::new(&net, &two_cfg).try_run(&wl).unwrap();
             prop_assert_eq!(core_fields(a), core_fields(two), "{}: 2 shards diverged", &name);
         }
     }

@@ -66,12 +66,12 @@ fn shard_counts_agree_on_degraded_networks_across_all_routers() {
         (
             "ring12-links10",
             chordal_ring(12, &[(0, 6), (3, 9), (1, 7), (4, 10)]),
-            FaultPlan::random_links(0.1).with_seed(3),
+            FaultPlan::parse("links(0.1)").unwrap().with_seed(3),
         ),
         (
             "ring16-links30",
             chordal_ring(16, &[(0, 8), (2, 10), (5, 13), (1, 9), (6, 14)]),
-            FaultPlan::random_links(0.3).with_seed(17),
+            FaultPlan::parse("links(0.3)").unwrap().with_seed(17),
         ),
         (
             "ring12-router-down",
@@ -227,9 +227,8 @@ fn degraded_draws_match_the_static_fig5_sweep() {
     use spectralfly_graph::failures::delete_random_edges;
     let g = chordal_ring(20, &[(0, 10), (4, 14), (7, 17)]);
     for (f, seed) in [(0.1, 0xFA11u64), (0.25, 23)] {
-        let net =
-            SimNetwork::with_faults(g.clone(), 1, &FaultPlan::random_links(f).with_seed(seed))
-                .unwrap();
+        let plan = FaultPlan::parse(&format!("links({f})")).unwrap();
+        let net = SimNetwork::with_faults(g.clone(), 1, &plan.with_seed(seed)).unwrap();
         assert_eq!(net.graph(), &delete_random_edges(&g, f, seed));
         assert_eq!(
             net.graph().num_edges(),

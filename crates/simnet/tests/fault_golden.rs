@@ -10,7 +10,7 @@
 
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultPlan, MeasurementWindows, SimConfig, SimNetwork, Simulator, Workload,
+    FaultPlan, MeasurementWindows, SimConfig, SimError, SimNetwork, Simulator, Workload,
 };
 
 fn chordal_ring(n: usize, chords: &[(u32, u32)]) -> CsrGraph {
@@ -20,7 +20,7 @@ fn chordal_ring(n: usize, chords: &[(u32, u32)]) -> CsrGraph {
 }
 
 #[test]
-fn none_plan_is_bit_identical_across_run_modes() {
+fn none_plan_is_bit_identical_across_run_modes() -> Result<(), SimError> {
     let graph = chordal_ring(10, &[(0, 5), (2, 7), (3, 8)]);
     let pristine = SimNetwork::new(graph.clone(), 2);
     let via_plan = SimNetwork::with_faults(graph, 2, &FaultPlan::none()).unwrap();
@@ -33,20 +33,20 @@ fn none_plan_is_bit_identical_across_run_modes() {
             let wl = Workload::uniform_random(pristine.num_endpoints(), 4, 2048, seed);
 
             // Finite, workload-paced.
-            let a = Simulator::new(&pristine, &cfg).run(&wl);
-            let b = Simulator::new(&via_plan, &cfg).run(&wl);
+            let a = Simulator::new(&pristine, &cfg).try_run(&wl)?;
+            let b = Simulator::new(&via_plan, &cfg).try_run(&wl)?;
             assert_eq!(a, b, "{routing}/seed {seed}: finite run diverged");
 
             // Finite, offered-load.
-            let a = Simulator::new(&pristine, &cfg).run_with_offered_load(&wl, 0.4);
-            let b = Simulator::new(&via_plan, &cfg).run_with_offered_load(&wl, 0.4);
+            let a = Simulator::new(&pristine, &cfg).try_run_with_offered_load(&wl, 0.4)?;
+            let b = Simulator::new(&via_plan, &cfg).try_run_with_offered_load(&wl, 0.4)?;
             assert_eq!(a, b, "{routing}/seed {seed}: offered-load run diverged");
 
             // Steady-state, template destinations.
             let mut scfg = cfg.clone();
             scfg.windows = Some(MeasurementWindows::new(1_000_000, 8_000_000));
-            let a = Simulator::new(&pristine, &scfg).run_with_offered_load(&wl, 0.3);
-            let b = Simulator::new(&via_plan, &scfg).run_with_offered_load(&wl, 0.3);
+            let a = Simulator::new(&pristine, &scfg).try_run_with_offered_load(&wl, 0.3)?;
+            let b = Simulator::new(&via_plan, &scfg).try_run_with_offered_load(&wl, 0.3)?;
             assert_eq!(a, b, "{routing}/seed {seed}: steady run diverged");
 
             // Steady-state, live pattern (the alive-endpoint mapping must not
@@ -54,15 +54,16 @@ fn none_plan_is_bit_identical_across_run_modes() {
             let mut pcfg = cfg.clone();
             pcfg.windows =
                 Some(MeasurementWindows::new(1_000_000, 8_000_000).with_pattern("adversarial(4)"));
-            let a = Simulator::new(&pristine, &pcfg).run_with_offered_load(&wl, 0.3);
-            let b = Simulator::new(&via_plan, &pcfg).run_with_offered_load(&wl, 0.3);
+            let a = Simulator::new(&pristine, &pcfg).try_run_with_offered_load(&wl, 0.3)?;
+            let b = Simulator::new(&via_plan, &pcfg).try_run_with_offered_load(&wl, 0.3)?;
             assert_eq!(a, b, "{routing}/seed {seed}: pattern steady run diverged");
         }
     }
+    Ok(())
 }
 
 #[test]
-fn vacuously_applied_plans_are_pristine_too() {
+fn vacuously_applied_plans_are_pristine_too() -> Result<(), SimError> {
     // A plan whose damage misses the graph entirely (absent link) must also
     // take the pristine construction path.
     let graph = chordal_ring(8, &[]);
@@ -72,7 +73,8 @@ fn vacuously_applied_plans_are_pristine_too() {
     let cfg = SimConfig::default().with_routing("ugal-l", net.diameter() as u32);
     let wl = Workload::uniform_random(net.num_endpoints(), 5, 1024, 9);
     assert_eq!(
-        Simulator::new(&net, &cfg).run(&wl),
-        Simulator::new(&SimNetwork::new(graph, 1), &cfg).run(&wl),
+        Simulator::new(&net, &cfg).try_run(&wl)?,
+        Simulator::new(&SimNetwork::new(graph, 1), &cfg).try_run(&wl)?,
     );
+    Ok(())
 }

@@ -67,7 +67,7 @@ fn finite_golden_runs_are_identical_across_oracle_backings() {
             let wl = Workload::uniform_random(net.num_endpoints(), 6, 2048, 41);
             let mut cfg = SimConfig::default().with_routing("minimal", 5);
             cfg.seed = 41;
-            (name, Simulator::new(&net, &cfg).run(&wl))
+            (name, Simulator::new(&net, &cfg).try_run(&wl).unwrap())
         })
         .collect();
     assert!(results[0].1.delivered_packets > 0);
@@ -88,7 +88,9 @@ fn steady_state_golden_runs_are_identical_across_oracle_backings() {
                 .with_windows(MeasurementWindows::new(2_000_000, 15_000_000));
             (
                 name,
-                Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.4),
+                Simulator::new(&net, &cfg)
+                    .try_run_with_offered_load(&wl, 0.4)
+                    .unwrap(),
             )
         })
         .collect();
@@ -118,7 +120,7 @@ fn new_demotes_to_landmark_past_the_dense_wall() {
 /// vertex-transitivity, so translated distances would be wrong.
 #[test]
 fn fault_injection_demotes_to_a_non_cayley_oracle() {
-    let plan = FaultPlan::random_links(0.1).with_seed(7);
+    let plan = FaultPlan::parse("links(0.1)").unwrap().with_seed(7);
     let net = SimNetwork::with_faults(ring(64), 1, &plan).expect("plan leaves survivors");
     assert_eq!(net.oracle_kind(), OracleKind::Dense);
 
@@ -135,7 +137,7 @@ fn shared_landmark_cache_does_not_leak_state_between_runs() {
     let wl = Workload::uniform_random(net.num_endpoints(), 6, 2048, 47);
     let mut cfg = SimConfig::default().with_routing("minimal", 5);
     cfg.seed = 47;
-    let first = Simulator::new(&net, &cfg).run(&wl);
-    let second = Simulator::new(&net, &cfg).run(&wl);
+    let first = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
+    let second = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
     assert_eq!(first, second, "warm cache changed results");
 }

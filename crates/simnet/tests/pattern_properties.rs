@@ -93,22 +93,23 @@ fn unknown_and_malformed_specs_are_reported_not_panicked() {
         pattern::create("tornado(", &ctx),
         Err(PatternError::BadSpec { .. })
     ));
-    assert!(!pattern::is_registered("wormhole-9000"));
-    assert!(pattern::is_registered("hotspot(8, 0.2)"));
+    assert!(pattern::validate_spec("wormhole-9000").is_err());
+    assert!(pattern::validate_spec("hotspot(8, 0.2)").is_ok());
 }
 
 /// A factory that panics leaves the global registries usable: registering it
 /// runs nothing (the routing registry used to call it under its write lock,
-/// poisoning every later lookup), and a `create` that dies inside it leaves
-/// later lookups and registrations working.
+/// poisoning every later lookup), and an instantiation that dies inside it
+/// leaves later lookups and registrations working.
 #[test]
 fn a_panicking_factory_leaves_the_registries_usable() {
     use spectralfly_simnet::routing;
     use std::panic::catch_unwind;
     routing::register("boom", || panic!("factory exploded"));
-    assert!(catch_unwind(|| routing::create("boom").map(drop)).is_err());
-    assert_eq!(routing::create("ugal").unwrap().name(), "ugal-l");
-    assert!(routing::is_registered(" Boom ") && !routing::is_registered("bang"));
+    // The factory runs, and panics, only because the spelling resolved.
+    assert!(catch_unwind(|| routing::resolve(" Boom ").map(drop)).is_err());
+    assert_eq!(routing::resolve("ugal").unwrap().name(), "ugal-l");
+    assert!(routing::resolve("bang").is_err());
     assert!(routing::registered_names().contains(&"boom".to_string()));
 
     pattern::register("boom", |_, _| panic!("factory exploded"));
@@ -116,7 +117,7 @@ fn a_panicking_factory_leaves_the_registries_usable() {
     assert!(catch_unwind(|| pattern::create("boom", &ctx).map(drop)).is_err());
     assert_eq!(pattern::create("uniform", &ctx).unwrap().name(), "random");
     pattern::register("late", |_, _| panic!("never instantiated"));
-    assert!(pattern::is_registered("late") && pattern::is_registered("boom"));
+    assert!(pattern::validate_spec("late").is_ok() && pattern::validate_spec("boom").is_ok());
 }
 
 proptest! {

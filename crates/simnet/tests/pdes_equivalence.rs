@@ -274,7 +274,7 @@ fn shard_counts_agree_on_pattern_driven_runs() {
 #[test]
 fn shard_counts_agree_on_degraded_networks() {
     let graph = chordal_ring(12, 6, 5);
-    let plan = FaultPlan::random_links(0.15).with_seed(9);
+    let plan = FaultPlan::parse("links(0.15)").unwrap().with_seed(9);
     let net = SimNetwork::with_faults(graph, 2, &plan).expect("plan leaves survivors");
 
     // Finite: every alive endpoint sends to a reachable alive peer.

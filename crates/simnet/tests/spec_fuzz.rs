@@ -244,7 +244,11 @@ fn checked_in_specs_keep_their_meaning() {
         ("adversarial(4)", "adversarial", vec![4.0]),
         ("adversarial(32)", "adversarial", vec![32.0]),
     ] {
-        assert_eq!(pattern::parse_spec(spec).unwrap(), (name.to_string(), args));
+        let call = spec::parse_call(spec).unwrap();
+        assert_eq!(
+            (call.key(), call.numbers().unwrap()),
+            (name.to_string(), args)
+        );
     }
     assert_eq!(describe_fault("none"), "none | none");
     for fraction in ["0.01", "0.02", "0.05", "0.1", "0.2"] {

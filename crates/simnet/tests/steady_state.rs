@@ -2,7 +2,9 @@
 //! stats, warmup exclusion, and the shape of the saturation curve.
 
 use spectralfly_graph::CsrGraph;
-use spectralfly_simnet::{MeasurementWindows, SimConfig, SimNetwork, Simulator, Workload};
+use spectralfly_simnet::{
+    MeasurementWindows, SimConfig, SimError, SimNetwork, Simulator, Workload,
+};
 
 fn ring(n: usize) -> CsrGraph {
     let mut e: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -19,7 +21,9 @@ fn steady_cfg(warmup_ps: u64, measure_ps: u64) -> SimConfig {
 fn run_at(net: &SimNetwork, load: f64) -> (f64, spectralfly_simnet::SimResults) {
     let cfg = steady_cfg(10_000_000, 60_000_000);
     let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 9);
-    let res = Simulator::new(net, &cfg).run_with_offered_load(&wl, load);
+    let res = Simulator::new(net, &cfg)
+        .try_run_with_offered_load(&wl, load)
+        .unwrap();
     let tput = res.measurement.expect("windowed run").throughput_gbps();
     (tput, res)
 }
@@ -77,12 +81,12 @@ fn measured_throughput_matches_offer_below_saturation_and_plateaus_above() {
 /// Warmup-phase packets must never appear in measured statistics, even though
 /// the network demonstrably carried traffic during warmup.
 #[test]
-fn warmup_packets_never_appear_in_measured_stats() {
+fn warmup_packets_never_appear_in_measured_stats() -> Result<(), SimError> {
     let net = SimNetwork::new(ring(6), 1);
     let warmup = 20_000_000u64;
     let cfg = steady_cfg(warmup, 40_000_000);
     let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 3);
-    let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.3);
+    let res = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.3)?;
     let m = res.measurement.expect("windowed run");
 
     // Measured packets exist and every one of them was injected at or after
@@ -109,8 +113,9 @@ fn warmup_packets_never_appear_in_measured_stats() {
     );
     // A second run of the same configuration is bit-identical (steady-state
     // mode preserves determinism given the seed).
-    let again = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.3);
+    let again = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.3)?;
     assert_eq!(res, again);
+    Ok(())
 }
 
 /// The interval time-series is well-formed and reflects saturation: ticks are
@@ -159,20 +164,21 @@ fn interval_time_series_tracks_congestion() {
 /// Messages only count as delivered when measured, and the workload-paced
 /// entry point ignores windows entirely (phased motifs stay finite runs).
 #[test]
-fn windows_scope_is_offered_load_only() {
+fn windows_scope_is_offered_load_only() -> Result<(), SimError> {
     let net = SimNetwork::new(ring(6), 1);
     let cfg = steady_cfg(5_000_000, 20_000_000);
     let wl = Workload::uniform_random(net.num_endpoints(), 2, 2048, 4);
 
     // Workload-paced run: windows ignored, classic finite semantics.
-    let finite = Simulator::new(&net, &cfg).run(&wl);
+    let finite = Simulator::new(&net, &cfg).try_run(&wl)?;
     assert_eq!(finite.delivered_messages as usize, wl.num_messages());
     assert!(finite.measurement.is_none());
     assert!(finite.samples.is_empty());
 
     // Steady-state run: messages recorded only from the window.
-    let steady = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.2);
+    let steady = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.2)?;
     let m = steady.measurement.expect("windowed");
     assert!(steady.delivered_messages > 0);
     assert!(m.injected_packets >= steady.delivered_messages);
+    Ok(())
 }

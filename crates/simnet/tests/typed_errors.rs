@@ -2,18 +2,19 @@
 //! [`SimError`], at one shard and at two — an unknown routing name, an
 //! unknown pattern spec, an unknown / malformed / oversized job mix, an
 //! offered load outside `(0, 1]`, a job mix without measurement windows, a
-//! workload endpoint the network does not have, an empty measurement window,
-//! windows that overflow `u64` picoseconds, a VC, buffer or shard count out
-//! of range — and the panicking `run*` wrappers die with that error's
-//! message. The builders never panic: they pass bad values on to these
-//! checks.
+//! workload endpoint the network does not have, a message over
+//! [`MAX_MESSAGE_BYTES`], an empty measurement window, windows that overflow
+//! `u64` picoseconds, a VC, buffer or shard count out of range — each with
+//! the message its `Display` prints. The builders never panic: they pass bad
+//! values on to these checks.
 
 use spectralfly_graph::CsrGraph;
+use spectralfly_simnet::config::MAX_MESSAGE_BYTES;
+use spectralfly_simnet::job::validate_mix_spec;
 use spectralfly_simnet::{
     JobError, MeasurementWindows, Message, PatternError, SimConfig, SimError, SimNetwork,
     Simulator, Workload,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn ring(n: u32) -> CsrGraph {
     let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
@@ -51,12 +52,11 @@ macro_rules! typed_errors {
                                 && registered.contains(&"minimal".to_string())),
                         "{err:?}"
                     );
+                    let message = err.to_string();
+                    assert!(
+                        message.starts_with("unknown routing algorithm \"wormhole-9000\"; registered:")
+                    );
                 }
-                let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&wl))).unwrap_err();
-                let message = panic.downcast_ref::<String>().expect("a formatted panic");
-                assert!(
-                    message.starts_with("unknown routing algorithm \"wormhole-9000\"; registered:")
-                );
             }
 
             let cfg = base.clone().with_windows(windows().with_pattern("wormhole-9000"));
@@ -71,6 +71,7 @@ macro_rules! typed_errors {
                 ("traffic(0.5", "BadSpec"),
                 ("traffic(1.5)", "BadArgs"),
                 ("traffic(0.5) x 4096", "BadArgs"),
+                ("traffic(0.5, random, 1099511627776)", "BadArgs"),
             ] {
                 let cfg = base.clone().with_windows(windows()).with_jobs(mix);
                 let err = Simulator::new(&net, &cfg)
@@ -101,44 +102,45 @@ macro_rules! typed_errors {
                 Simulator::new(&net, &windowless).try_run_with_offered_load(&wl, 0.5),
                 Simulator::new(&net, &windowed).try_run(&wl),
             ] {
-                assert!(matches!(err, Err(SimError::JobsWithoutWindows)), "{err:?}");
-            }
-            let sim = Simulator::new(&net, &windowless);
-            let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&wl))).unwrap_err();
-            assert_eq!(
-                panic.downcast_ref::<String>().expect("a formatted panic"),
-                "SimConfig::jobs requires steady-state measurement windows \
-                 (SimConfig::with_windows)"
-            );
-
-            // A workload naming an endpoint past the network's last one.
-            let stray = Workload::new(
-                "stray",
-                vec![Message {
-                    src: 0,
-                    dst: net.num_endpoints(),
-                    bytes: 64,
-                    inject_offset_ps: 0,
-                }],
-            );
-            let steady = base.clone().with_windows(windows());
-            for err in [
-                Simulator::new(&net, &base).try_run(&stray),
-                Simulator::new(&net, &base).try_run_with_offered_load(&stray, 0.5),
-                Simulator::new(&net, &steady).try_run_with_offered_load(&stray, 0.5),
-            ] {
-                assert!(
-                    matches!(&err, Err(SimError::EndpointOutOfRange(m))
-                        if m == "workload references endpoint 18 but the network has only 18"),
-                    "{err:?}"
+                let err = err.unwrap_err();
+                assert_eq!(err, SimError::JobsWithoutWindows);
+                assert_eq!(
+                    err.to_string(),
+                    "SimConfig::jobs requires steady-state measurement windows \
+                     (SimConfig::with_windows)"
                 );
             }
-            let sim = Simulator::new(&net, &base);
-            let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&stray))).unwrap_err();
-            assert_eq!(
-                panic.downcast_ref::<String>().expect("a formatted panic"),
-                "workload references endpoint 18 but the network has only 18"
-            );
+
+            // A workload naming an endpoint past the network's last one, and a
+            // message too large to packetize: refused on finite, offered-load
+            // and steady template runs before a packet is built.
+            let one = |dst, bytes| {
+                let m = Message {
+                    src: 0,
+                    dst,
+                    bytes,
+                    inject_offset_ps: 0,
+                };
+                Workload::new("one", vec![m])
+            };
+            let stray = "workload references endpoint 18 but the network has only 18";
+            let huge = "workload message 0 has 1099511627776 bytes, more than the 1073741824 \
+                        a message may have";
+            let steady = base.clone().with_windows(windows());
+            for (wl, expected) in [
+                (one(net.num_endpoints(), 64), SimError::EndpointOutOfRange(stray.to_string())),
+                (one(1, 1 << 40), SimError::Config(huge.to_string())),
+            ] {
+                for err in [
+                    Simulator::new(&net, &base).try_run(&wl),
+                    Simulator::new(&net, &base).try_run_with_offered_load(&wl, 0.5),
+                    Simulator::new(&net, &steady).try_run_with_offered_load(&wl, 0.5),
+                ] {
+                    let err = err.unwrap_err();
+                    assert_eq!(err.to_string(), expected.to_string());
+                    assert_eq!(err, expected);
+                }
+            }
 
             // Windows whose deadline wraps `u64` (through the warmup, or
             // through the drain, which is as long as the measurement), and an
@@ -197,15 +199,29 @@ fn out_of_range_counts_are_typed_errors() {
     }
     for (cfg, message) in cases {
         let sim = Simulator::new(&net, &cfg);
-        let expected = SimError::Config(message.clone());
-        assert_eq!(sim.try_run(&wl), Err(expected.clone()));
-        assert_eq!(sim.try_run_with_offered_load(&wl, 0.5), Err(expected));
-        let panic = catch_unwind(AssertUnwindSafe(|| sim.run(&wl))).unwrap_err();
-        assert_eq!(panic.downcast_ref::<String>(), Some(&message));
+        let err = sim.try_run(&wl).unwrap_err();
+        assert_eq!(err, SimError::Config(message.clone()));
+        assert_eq!(err.to_string(), message);
+        assert_eq!(sim.try_run_with_offered_load(&wl, 0.5), Err(err));
     }
     // The edges of each range run.
     for cfg in [with(1, 255, 1), with(2, 1, 1)] {
         let res = Simulator::new(&net, &cfg).try_run(&wl);
         assert!(!matches!(res, Err(SimError::Config(_))), "{res:?}");
     }
+}
+
+/// A job's `bytes` is bounded like a workload message: one past
+/// [`MAX_MESSAGE_BYTES`] is a `BadArgs`, the bound itself is accepted.
+#[test]
+fn job_bytes_are_bounded() {
+    let over = format!("traffic(0.5, random, {})", MAX_MESSAGE_BYTES + 1);
+    let err = validate_mix_spec(&over).unwrap_err();
+    assert!(matches!(err, JobError::BadArgs { .. }), "{err:?}");
+    assert!(
+        err.to_string().contains("bytes must be at most 1073741824"),
+        "{err}"
+    );
+    let at = format!("traffic(0.5, random, {MAX_MESSAGE_BYTES})");
+    assert_eq!(validate_mix_spec(&at), Ok(()));
 }

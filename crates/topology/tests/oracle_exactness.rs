@@ -46,7 +46,7 @@ fn assert_pair(
 
 /// All-pairs comparison of `oracle` against the dense BFS matrix on `g`.
 fn assert_matches_dense(g: &CsrGraph, oracle: &dyn PathOracle, label: &str) {
-    let dm = DistanceMatrix::from_graph(g);
+    let dm = DistanceMatrix::try_from_graph(g).unwrap();
     let n = g.num_vertices() as u32;
     let mut ports = Vec::new();
     for u in 0..n {

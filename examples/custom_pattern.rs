@@ -8,6 +8,7 @@ use rand::Rng;
 use spectralfly_simnet::pattern::{self, TrafficPattern};
 use spectralfly_simnet::{MeasurementWindows, SimConfig, SimNetwork, Simulator, Workload};
 use spectralfly_topology::{LpsGraph, Topology};
+use std::error::Error;
 
 /// A "ring neighbor exchange": each endpoint sends to one of its two ring
 /// neighbours, chosen per message — the gentlest possible pattern.
@@ -31,7 +32,7 @@ impl TrafficPattern for NeighborExchange {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     pattern::register("neighbor-exchange", |ctx, _args| {
         Ok(Box::new(NeighborExchange { n: ctx.endpoints }))
     });
@@ -40,7 +41,7 @@ fn main() {
         pattern::registered_names().join(", ")
     );
 
-    let net = SimNetwork::new(LpsGraph::new(11, 7).unwrap().graph().clone(), 4);
+    let net = SimNetwork::new(LpsGraph::new(11, 7)?.graph().clone(), 4);
     // The workload supplies the senders and message sizes; with a pattern
     // configured on the measurement windows, destinations are drawn live.
     let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 7);
@@ -57,8 +58,8 @@ fn main() {
         let cfg = SimConfig::default()
             .with_routing("ugal-l", net.diameter() as u32)
             .with_windows(MeasurementWindows::new(5_000_000, 20_000_000).with_pattern(spec));
-        let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.8);
-        let m = res.measurement.expect("windowed run");
+        let res = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.8)?;
+        let m = res.measurement.ok_or("windowed run")?;
         println!(
             "{:<18} {:>12.1} {:>10.3} {:>10.3}",
             spec,
@@ -67,4 +68,5 @@ fn main() {
             res.mean_hops
         );
     }
+    Ok(())
 }

@@ -6,6 +6,7 @@ use spectralfly_simnet::routing::{self, Router, RoutingCtx, RoutingState};
 use spectralfly_simnet::workload::random_placement;
 use spectralfly_simnet::{SimConfig, SimNetwork, Simulator, Workload};
 use spectralfly_topology::{LpsGraph, Topology};
+use std::error::Error;
 
 /// Non-adaptive minimal routing: always the first shortest-path port, never
 /// balancing load — a deliberately naive baseline to compare the built-ins against.
@@ -21,18 +22,16 @@ impl Router for FirstPort {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     routing::register("first-port", || Box::new(FirstPort));
     println!(
         "registered algorithms: {}",
         routing::registered_names().join(", ")
     );
 
-    let net = SimNetwork::new(LpsGraph::new(11, 7).unwrap().graph().clone(), 4);
+    let net = SimNetwork::new(LpsGraph::new(11, 7)?.graph().clone(), 4);
     let placement = random_placement(256, net.num_endpoints(), 7);
-    let wl = Workload::synthetic("transpose", 8, 6, 4096, 9)
-        .unwrap()
-        .place(&placement);
+    let wl = Workload::synthetic("transpose", 8, 6, 4096, 9)?.place(&placement);
 
     println!("\ntranspose traffic on SpectralFly LPS(11,7) x4 at offered load 0.7:");
     println!(
@@ -41,7 +40,7 @@ fn main() {
     );
     for name in routing::registered_names() {
         let cfg = SimConfig::default().with_routing(name.clone(), net.diameter() as u32);
-        let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.7);
+        let res = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.7)?;
         println!(
             "{:<12} {:>9} us {:>10.3} {:>10}",
             name,
@@ -50,4 +49,5 @@ fn main() {
             res.max_hops
         );
     }
+    Ok(())
 }

@@ -6,14 +6,12 @@
 use spectralfly_simnet::workload::random_placement;
 use spectralfly_simnet::{SimConfig, SimNetwork, Simulator, Workload};
 use spectralfly_topology::{GeneralizedDragonFly, LpsGraph, Topology};
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     // Small configurations: ~650 endpoints each, 15-port routers with 4 endpoints per router.
-    let spectralfly = SimNetwork::new(LpsGraph::new(11, 7).unwrap().graph().clone(), 4);
-    let dragonfly = SimNetwork::new(
-        GeneralizedDragonFly::new(8, 4, 21).unwrap().graph().clone(),
-        4,
-    );
+    let spectralfly = SimNetwork::new(LpsGraph::new(11, 7)?.graph().clone(), 4);
+    let dragonfly = SimNetwork::new(GeneralizedDragonFly::new(8, 4, 21)?.graph().clone(), 4);
 
     let bits = 9; // 512 MPI ranks
     let ranks = 1usize << bits;
@@ -28,10 +26,8 @@ fn main() {
                 let mut cfg = SimConfig::default().with_routing("ugal-l", net.diameter() as u32);
                 cfg.seed = 7;
                 let placement = random_placement(ranks, net.num_endpoints(), 11);
-                let wl = Workload::synthetic(pattern, bits, 8, 4096, 3)
-                    .unwrap()
-                    .place(&placement);
-                let res = Simulator::new(net, &cfg).run_with_offered_load(&wl, load);
+                let wl = Workload::synthetic(pattern, bits, 8, 4096, 3)?.place(&placement);
+                let res = Simulator::new(net, &cfg).try_run_with_offered_load(&wl, load)?;
                 times.push(res.completion_time_ps as f64 / 1e6); // microseconds
             }
             println!(
@@ -46,4 +42,5 @@ fn main() {
     }
     println!("\nSpeedup > 1 means SpectralFly finishes the same workload faster than DragonFly,");
     println!("which is the paper's headline simulation result (Fig. 6).");
+    Ok(())
 }

@@ -90,7 +90,9 @@ fn spectralfly_beats_dragonfly_on_congested_random_traffic() {
         let wl = Workload::synthetic("random", bits, 8, 4096, 3)
             .unwrap()
             .place(&placement);
-        let res = Simulator::new(net, &cfg).run_with_offered_load(&wl, 0.6);
+        let res = Simulator::new(net, &cfg)
+            .try_run_with_offered_load(&wl, 0.6)
+            .unwrap();
         assert_eq!(res.delivered_messages as usize, wl.num_messages());
         times.push(res.completion_time_ps as f64);
     }
@@ -212,11 +214,11 @@ fn valiant_paths_are_longer_but_still_deliver() {
     let d = net.diameter() as u32;
     let min_res = {
         let cfg = SimConfig::default().with_routing("minimal", d);
-        Simulator::new(&net, &cfg).run(&wl)
+        Simulator::new(&net, &cfg).try_run(&wl).unwrap()
     };
     let val_res = {
         let cfg = SimConfig::default().with_routing("valiant", d);
-        Simulator::new(&net, &cfg).run(&wl)
+        Simulator::new(&net, &cfg).try_run(&wl).unwrap()
     };
     assert_eq!(min_res.delivered_packets, val_res.delivered_packets);
     assert!(val_res.mean_hops > min_res.mean_hops);
@@ -244,7 +246,7 @@ fn every_registered_algorithm_delivers_on_spectralfly() {
     }
     for name in names {
         let cfg = SimConfig::default().with_routing(name.clone(), net.diameter() as u32);
-        let res = Simulator::new(&net, &cfg).run(&wl);
+        let res = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
         assert_eq!(res.delivered_messages as usize, wl.num_messages(), "{name}");
         assert!(
             (res.max_hops as usize) < cfg.num_vcs,
@@ -275,7 +277,7 @@ fn custom_registered_algorithm_routes_end_to_end() {
     let net = SimNetwork::new(LpsGraph::new(5, 7).unwrap().graph().clone(), 2);
     let cfg = SimConfig::default().with_routing("e2e-first-port", net.diameter() as u32);
     let wl = Workload::uniform_random(net.num_endpoints(), 4, 1024, 2);
-    let res = Simulator::new(&net, &cfg).run(&wl);
+    let res = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
     assert_eq!(res.delivered_messages as usize, wl.num_messages());
     assert!(res.max_hops as u16 <= net.diameter());
 }
@@ -293,7 +295,9 @@ fn ugal_variants_deliver_identically_but_route_differently() {
     let mut results = Vec::new();
     for routing in ["ugal-l", "ugal-g"] {
         let cfg = SimConfig::default().with_routing(routing, d);
-        let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, 0.7);
+        let res = Simulator::new(&net, &cfg)
+            .try_run_with_offered_load(&wl, 0.7)
+            .unwrap();
         assert_eq!(
             res.delivered_messages as usize,
             wl.num_messages(),
@@ -316,7 +320,7 @@ fn ugal_variants_deliver_identically_but_route_differently() {
 fn distance_helpers_agree_across_crates() {
     let lps = LpsGraph::new(13, 11).unwrap();
     let (d1, m1) = diameter_and_mean_distance(lps.graph()).unwrap();
-    let dm = DistanceMatrix::from_graph(lps.graph());
+    let dm = DistanceMatrix::try_from_graph(lps.graph()).unwrap();
     assert_eq!(d1 as u16, dm.diameter().unwrap());
     assert!((m1 - dm.mean_distance().unwrap()).abs() < 1e-12);
 }

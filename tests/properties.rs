@@ -115,7 +115,7 @@ proptest! {
         let net = SimNetwork::new(CsrGraph::from_edges(8, &ring), 2);
         let wl = Workload::uniform_random(net.num_endpoints(), msgs, bytes, seed);
         let cfg = SimConfig { seed, ..SimConfig::default() };
-        let res = Simulator::new(&net, &cfg).run_with_offered_load(&wl, load_pct as f64 / 10.0);
+        let res = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, load_pct as f64 / 10.0).unwrap();
         let expected_packets: u64 = wl
             .messages
             .iter()
@@ -144,7 +144,7 @@ proptest! {
     fn min_next_hops_match_bruteforce_oracle(n in 6usize..32, k in 3usize..6, seed in 0u64..500) {
         prop_assume!(k < n && n * k % 2 == 0);
         let g = JellyFishGraph::new(n, k, seed).unwrap();
-        let dm = spectralfly_graph::paths::DistanceMatrix::from_graph(g.graph());
+        let dm = spectralfly_graph::paths::DistanceMatrix::try_from_graph(g.graph()).unwrap();
 
         // Independent oracle: Floyd–Warshall over the adjacency lists.
         const INF: u32 = u32::MAX / 4;
@@ -212,7 +212,7 @@ proptest! {
         for name in spectralfly_simnet::RouterRegistry::with_builtins().names() {
             let mut cfg = SimConfig::default().with_routing(name.clone(), net.diameter() as u32);
             cfg.seed = seed;
-            let res = Simulator::new(&net, &cfg).run(&wl);
+            let res = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
             prop_assert_eq!(res.delivered_packets, expected_packets, "{}", &name);
             prop_assert!(
                 (res.max_hops as usize) < cfg.num_vcs,
