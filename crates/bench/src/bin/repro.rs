@@ -1,26 +1,24 @@
 //! `repro` — the one-command paper reproduction and its CI regression gate.
 //!
 //! ```text
-//! repro run   <manifest.toml> [--out DIR] [--record-baselines] [--baselines PATH] [--skip-external] [--filter S]
+//! repro run   <manifest.toml> [--out DIR] [--record-baselines] [--baselines PATH] [--filter S]
 //! repro check <manifest.toml> [--baselines PATH] [--out DIR] [--filter S]
 //! ```
 //!
-//! `run` executes every experiment, structural table and external figure the
-//! manifest declares — with `--filter S`, those whose id contains `S`; a
-//! filter that selects nothing is an error — prints the digest summary and
-//! then one table per experiment and structure section (with each point's
-//! figure of merit as a ratio to its `relative_to` sibling where the section
-//! names one), and writes a provenance-stamped JSON artifact to `--out`
-//! (default `artifacts/`). With `--record-baselines` it also (re)writes the
-//! manifest's golden baseline file — the reviewed act of accepting current
-//! behaviour.
+//! `run` executes every experiment and structural table the manifest declares
+//! — with `--filter S`, those whose id contains `S`; a filter that selects
+//! nothing is an error — prints the digest summary and then one table per
+//! experiment and structure section (with each point's figure of merit as a
+//! ratio to its `relative_to` sibling where the section names one), and writes
+//! a provenance-stamped JSON artifact to `--out` (default `artifacts/`). With
+//! `--record-baselines` it also (re)writes the manifest's golden baseline
+//! file — the reviewed act of accepting current behaviour.
 //!
-//! `check` re-runs the manifest's native experiments and structural tables
-//! (externals are always skipped: they are reproduction output, not gated
-//! state) and diffs against the checked-in baselines. Any drift — a changed
-//! results digest, a lost or new point, or baselines recorded for a different
-//! manifest — prints a typed diagnosis and exits nonzero. CI runs this on the
-//! smoke manifest. It gates behaviour, not speed: `benchmark/` measures that.
+//! `check` re-runs the manifest's experiments and structural tables and diffs
+//! against the checked-in baselines. Any drift — a changed results digest, a
+//! lost or new point, or baselines recorded for a different manifest — prints
+//! a typed diagnosis and exits nonzero. CI runs this on the smoke manifest.
+//! It gates behaviour, not speed: `benchmark/` measures that.
 //!
 //! The default baseline path is `<manifest dir>/baselines/<manifest name>.toml`.
 
@@ -29,7 +27,7 @@ use spectralfly_exp::{baseline, fnv64_str, runner, Baselines, Manifest, RunOptio
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "\n  repro run   <manifest.toml> [--out DIR] [--record-baselines] [--baselines PATH] [--skip-external] [--filter S]\n  repro check <manifest.toml> [--baselines PATH] [--out DIR] [--filter S]";
+const USAGE: &str = "\n  repro run   <manifest.toml> [--out DIR] [--record-baselines] [--baselines PATH] [--filter S]\n  repro check <manifest.toml> [--baselines PATH] [--out DIR] [--filter S]";
 
 fn default_baseline_path(manifest_path: &Path, name: &str) -> PathBuf {
     manifest_path
@@ -80,14 +78,6 @@ fn print_report(report: &runner::RunReport, m: &Manifest) {
             println!("  {:<60} {combined:016x}  {rows} closed-form rows", s.name);
         }
     }
-    for x in &report.external {
-        println!(
-            "  external {:<20} {} ({})",
-            x.name,
-            if x.ok { "ok" } else { "FAILED" },
-            x.bin
-        );
-    }
     print!("{}", report.tables(m));
 }
 
@@ -100,7 +90,6 @@ fn cmd_run(manifest_path: &str, cli: &Cli) -> ExitCode {
         }
     };
     let opts = RunOptions {
-        skip_external: cli.flag("--skip-external"),
         filter: cli.value("--filter").map(str::to_string),
         ..Default::default()
     };
@@ -118,10 +107,6 @@ fn cmd_run(manifest_path: &str, cli: &Cli) -> ExitCode {
             eprintln!("repro: writing artifact: {e}");
             return ExitCode::FAILURE;
         }
-    }
-    if report.external.iter().any(|x| !x.ok) {
-        eprintln!("repro: an external figure binary failed");
-        return ExitCode::FAILURE;
     }
     if cli.flag("--record-baselines") {
         if opts.filter.is_some() {
@@ -149,8 +134,8 @@ fn cmd_run(manifest_path: &str, cli: &Cli) -> ExitCode {
 }
 
 fn cmd_check(manifest_path: &str, cli: &Cli) -> ExitCode {
-    if cli.flag("--record-baselines") || cli.flag("--skip-external") {
-        cli.fail("--record-baselines and --skip-external belong to `repro run`");
+    if cli.flag("--record-baselines") {
+        cli.fail("--record-baselines belongs to `repro run`");
     }
     let m = match load_manifest(manifest_path) {
         Ok(m) => m,
@@ -175,7 +160,6 @@ fn cmd_check(manifest_path: &str, cli: &Cli) -> ExitCode {
         }
     };
     let opts = RunOptions {
-        skip_external: true, // externals are output, not gated state
         filter: cli.value("--filter").map(str::to_string),
         ..Default::default()
     };
@@ -221,7 +205,7 @@ fn main() -> ExitCode {
     let cli = Cli::parse(
         USAGE,
         &["--out", "--filter", "--baselines"],
-        &["--record-baselines", "--skip-external"],
+        &["--record-baselines"],
     );
     match cli.positional() {
         [cmd, manifest_path] if cmd == "run" => cmd_run(manifest_path, &cli),

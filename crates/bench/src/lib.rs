@@ -1,20 +1,15 @@
 //! # spectralfly-bench
 //!
-//! The command-line surface of the reproduction: `repro` (the manifest runner —
+//! The command-line surface of the reproduction: `repro`, the manifest runner —
 //! every simulation figure, sweep and structural table is a section of
-//! `manifests/paper.toml`) and the two layout figure binaries. This library
-//! holds what those binaries share: one strict flag parser and uniform table
-//! printing.
+//! `manifests/paper.toml`. This library holds its strict flag parser.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::str::FromStr;
-
 /// A binary's parsed command line. Every flag is declared up front, so an
-/// unknown flag, a flag without its value and a malformed value all end the
-/// process with the usage text and exit code 2 instead of silently running
-/// the default.
+/// unknown flag and a flag without its value both end the process with the
+/// usage text and exit code 2 instead of silently running the default.
 #[derive(Debug)]
 pub struct Cli {
     usage: String,
@@ -75,17 +70,6 @@ impl Cli {
         given.map(|(_, value)| value.as_str())
     }
 
-    /// The value of `name` parsed as a `T`, or `default` when the flag is
-    /// absent. A value that does not parse exits with code 2.
-    pub fn number<T: FromStr>(&self, name: &str, default: T) -> T {
-        match self.value(name) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| self.fail(&format!("{name}: {v:?} is not a valid value"))),
-        }
-    }
-
     /// The positional arguments, in order.
     pub fn positional(&self) -> &[String] {
         &self.positional
@@ -102,21 +86,6 @@ fn exit_with_usage(usage: &str, reason: &str) -> ! {
     std::process::exit(2)
 }
 
-/// The LPS↔SlimFly size pairs of Table II / Fig. 11.
-pub fn table2_pairs() -> Vec<((u64, u64), u64)> {
-    vec![((11, 7), 9), ((19, 7), 13), ((23, 11), 17), ((29, 13), 23)]
-}
-
-/// Print a markdown-style table: a header row and aligned value rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    print!("{}", spectralfly_exp::render_table(title, header, rows));
-}
-
-/// Format a float with 3 significant decimals for table output.
-pub fn fmt(x: f64) -> String {
-    format!("{x:.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,13 +100,8 @@ mod tests {
         let cli = parse(&["run", "--seed", "7", "--smoke", "m.toml", "--seed", "9"]).unwrap();
         assert_eq!(cli.positional(), ["run", "m.toml"]);
         assert!(cli.flag("--smoke"));
-        assert_eq!(cli.number("--seed", 1u64), 9);
-        assert_eq!(cli.value("--out"), None);
-        assert_eq!(
-            cli.number("--out", 3usize),
-            3,
-            "absent flags take the default"
-        );
+        assert_eq!(cli.value("--seed"), Some("9"));
+        assert_eq!(cli.value("--out"), None, "absent flags have no value");
     }
 
     #[test]

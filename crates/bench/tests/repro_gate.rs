@@ -67,7 +67,6 @@ fn record(scratch: &Scratch) {
             "run",
             scratch.manifest().to_str().unwrap(),
             "--record-baselines",
-            "--skip-external",
         ],
         &scratch.dir,
     );
@@ -213,19 +212,19 @@ fn unknown_flags_exit_2_instead_of_being_ignored() {
     let scratch = Scratch::new("unknown");
     std::fs::write(scratch.manifest(), MINI).unwrap();
     let manifest = scratch.manifest();
-    // A mistyped --skip-external must not run every external figure binary.
+    // `--skip-external` went with the `[external.*]` section kind.
     let out = repro(
-        &["run", manifest.to_str().unwrap(), "--skip-externals"],
+        &["run", manifest.to_str().unwrap(), "--skip-external"],
         &scratch.dir,
     );
-    assert_usage_error(&out, "unknown flag --skip-externals");
+    assert_usage_error(&out, "unknown flag --skip-external");
     // Run-only switches are not silently accepted by `check`, and an unknown
     // subcommand is rejected the same way.
     let out = repro(
         &["check", manifest.to_str().unwrap(), "--record-baselines"],
         &scratch.dir,
     );
-    assert_usage_error(&out, "belong to `repro run`");
+    assert_usage_error(&out, "belongs to `repro run`");
     let out = repro(&["frobnicate", manifest.to_str().unwrap()], &scratch.dir);
     assert_usage_error(&out, "expected `run` or `check`");
 }
@@ -246,43 +245,6 @@ fn a_flag_without_its_value_exits_2() {
         .output()
         .unwrap();
     assert_usage_error(&out, "--baselines needs a value");
-}
-
-#[test]
-fn malformed_values_exit_2_instead_of_falling_back_to_the_default() {
-    for (bin, args) in [
-        (env!("CARGO_BIN_EXE_fig11_latency"), ["--pairs", "x"]),
-        (env!("CARGO_BIN_EXE_table2_layout"), ["--pairs", "-1"]),
-    ] {
-        let out = Command::new(bin).args(args).output().unwrap();
-        assert_usage_error(&out, &format!("{}: {:?}", args[0], args[1]));
-    }
-}
-
-#[test]
-fn externals_resolve_beside_the_running_binary_from_any_directory() {
-    let scratch = Scratch::new("external");
-    std::fs::write(
-        scratch.manifest(),
-        "[manifest]\nname = \"gate-e2e\"\n[external.latency]\nbin = \"fig11_latency\"\nargs = [\"--pairs\", \"1\", \"--anneal\", \"10\"]\n",
-    )
-    .unwrap();
-    // From a directory with no `target/release` (and no workspace for the
-    // cargo fallback to build), only the sibling of `repro` can answer.
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["run", scratch.manifest().to_str().unwrap()])
-        .current_dir(&scratch.dir)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("external latency"), "{stdout}");
-    let artifact = std::fs::read_to_string(scratch.dir.join("artifacts/gate-e2e.json")).unwrap();
-    assert!(artifact.contains("\"ok\":true"), "{artifact}");
-    assert!(
-        artifact.contains("Fig. 11: maximum end-to-end latency"),
-        "captured the figure: {artifact}"
-    );
 }
 
 /// A manifest of structural tables alone is a first-class citizen of the

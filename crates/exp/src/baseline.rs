@@ -244,7 +244,6 @@ mod tests {
                 relative: None,
                 wall_ms: 1,
             }],
-            external: Vec::new(),
         }
     }
 

@@ -4,8 +4,7 @@
 //! provenance stamps, golden baselines, and regression gates.
 //!
 //! Every simulation figure, sweep and structural table of the reproduction is
-//! a section of *one declarative object* (only the two layout figures remain
-//! binaries of their own). A TOML manifest
+//! a section of *one declarative object*. A TOML manifest
 //! ([`Manifest`]) declares structural tables ([`Structure`]) and sweeps: the
 //! cross product of the suite's string-keyed axes — topology specs
 //! ([`topo::TopoSpec`], which also pick each network's path oracle), routing
@@ -37,9 +36,7 @@ pub mod topo;
 
 pub use baseline::{compare, Baselines, Comparison, Diagnosis};
 pub use digest::{digest_outcome, digest_results, digest_row, fnv64_str, Fnv64};
-pub use manifest::{Experiment, ExternalFigure, Manifest, ManifestError, Mode, Structure};
+pub use manifest::{Experiment, Manifest, ManifestError, Mode, Structure};
 pub use provenance::{json_str, Provenance};
-pub use runner::{
-    expand, render_table, run_manifest, Metrics, PointResult, RunError, RunOptions, RunReport,
-};
+pub use runner::{expand, run_manifest, Metrics, PointResult, RunError, RunOptions, RunReport};
 pub use topo::TopoSpec;

@@ -1,7 +1,7 @@
 //! The experiment manifest: a declarative description of a reproduction sweep.
 //!
 //! A manifest is a TOML document (see [`crate::toml`] for the accepted subset)
-//! with one `[manifest]` header table and three kinds of sections:
+//! with one `[manifest]` header table and two kinds of sections:
 //!
 //! * `[experiment.NAME]` — a **sweep**: the cross product of the declared axes
 //!   (topology × routing × pattern × faults / fault-script × shards × seeds ×
@@ -15,12 +15,10 @@
 //!   starts. The path oracle is no axis: [`TopoSpec::network`] derives it.
 //! * `[structure.NAME]` — a **structural table**: a row set (topologies listed
 //!   outright, or a family enumerated up to a limit) × columns chosen from
-//!   [`Column::ALL`], optionally crossed with random link-failure proportions
-//!   (Table I, Figs. 4 and 5). Nothing is simulated; each row is digested and
-//!   gated exactly like an experiment point.
-//! * `[external.NAME]` — an **external figure binary** (the two layout
-//!   figures): the runner executes it and captures its output into the
-//!   stamped artifact.
+//!   [`Column::ALL`] (Table I, Figs. 4 and 5) and [`Column::LAYOUT`] (Table II,
+//!   Fig. 11), crossed with random link-failure proportions (Fig. 5) or, with
+//!   a latency column, with Fig. 11's switch latencies. Nothing is simulated;
+//!   each row is digested and gated exactly like an experiment point.
 //!
 //! [`Manifest::to_toml`] renders the canonical form; parsing it back yields an
 //! equal manifest (property-tested), and [`Manifest::config_hash`] — the FNV-64
@@ -206,6 +204,9 @@ pub struct Structure {
     /// Drop enumerated rows with more routers than this.
     pub max_routers: Option<u64>,
     /// The columns. `routers` / `radix` alone never build an enumerated row.
+    /// A latency column (`latency-avg-vs-skywalk`, `latency-max-vs-skywalk`)
+    /// makes a row per topology × Fig. 11 switch latency, and then only
+    /// `routers` and `radix` may join it.
     pub metrics: Vec<Column>,
     /// Proportions of links failed uniformly at random. Non-empty makes a row
     /// per topology × proportion, each metric (`diameter`, `mean-distance`,
@@ -223,6 +224,14 @@ pub(crate) fn failure_metric(column: Column) -> Option<FailureMetric> {
         Column::BisectionUpper => Some(FailureMetric::BisectionBandwidth),
         _ => None,
     }
+}
+
+/// Whether `column` is one of Fig. 11's, whose rows are switch latencies.
+pub(crate) fn latency_column(column: Column) -> bool {
+    matches!(
+        column,
+        Column::LatencyAvgVsSkywalk | Column::LatencyMaxVsSkywalk
+    )
 }
 
 impl Structure {
@@ -249,17 +258,6 @@ impl Structure {
     }
 }
 
-/// One `[external.NAME]` figure binary invocation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExternalFigure {
-    /// Section name.
-    pub name: String,
-    /// Binary name within `spectralfly-bench` (e.g. `table1`).
-    pub bin: String,
-    /// Arguments passed to it.
-    pub args: Vec<String>,
-}
-
 /// A parsed, validated manifest.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Manifest {
@@ -271,8 +269,6 @@ pub struct Manifest {
     pub experiments: Vec<Experiment>,
     /// Structural tables in source order.
     pub structures: Vec<Structure>,
-    /// External figure binaries in source order.
-    pub external: Vec<ExternalFigure>,
 }
 
 fn field_err(section: &str, field: &str, reason: impl Into<String>) -> ManifestError {
@@ -391,7 +387,6 @@ impl Manifest {
         }
         let experiments = sections(doc, "experiment", Experiment::from_table)?;
         let structures = sections(doc, "structure", Structure::from_table)?;
-        let external = sections(doc, "external", ExternalFigure::from_table)?;
         if let Some(s) = (structures.iter()).find(|s| experiments.iter().any(|e| e.name == s.name))
         {
             let reason = "an [experiment.*] section has this name; ids and tables go by it";
@@ -402,21 +397,21 @@ impl Manifest {
                 || t.path_str() == "manifest"
                 || matches!(
                     t.path.first().map(String::as_str),
-                    Some("experiment" | "structure" | "external")
+                    Some("experiment" | "structure")
                 ) && t.path.len() == 2;
             if !known {
                 return Err(field_err(
                     &t.path_str(),
                     "",
-                    "unknown section; expected [manifest], [experiment.*], [structure.*], or [external.*]",
+                    "unknown section; expected [manifest], [experiment.*] or [structure.*]",
                 ));
             }
         }
-        if experiments.is_empty() && structures.is_empty() && external.is_empty() {
+        if experiments.is_empty() && structures.is_empty() {
             return Err(field_err(
                 "manifest",
                 "name",
-                "manifest declares no experiments, structural tables, or external figures",
+                "manifest declares no experiments or structural tables",
             ));
         }
         Ok(Manifest {
@@ -424,7 +419,6 @@ impl Manifest {
             description,
             experiments,
             structures,
-            external,
         })
     }
 
@@ -438,8 +432,7 @@ impl Manifest {
             render_str(&self.description)
         ));
         let sections = (self.experiments.iter().map(Experiment::to_toml))
-            .chain(self.structures.iter().map(Structure::to_toml))
-            .chain(self.external.iter().map(ExternalFigure::to_toml));
+            .chain(self.structures.iter().map(Structure::to_toml));
         for section in sections {
             out.push('\n');
             out.push_str(&section);
@@ -796,9 +789,10 @@ impl Structure {
             topologies.push(topo.graph_name());
         }
         let mut metrics = Vec::new();
+        let columns = || Column::ALL.into_iter().chain(Column::LAYOUT);
         for name in get_str_list(t, "metrics")?.unwrap_or_default() {
-            let column = Column::ALL.into_iter().find(|c| c.name() == name);
-            let known = Column::ALL.map(Column::name).join(", ");
+            let column = columns().find(|c| c.name() == name);
+            let known = columns().map(Column::name).collect::<Vec<_>>().join(", ");
             let unknown = format!("unknown metric {name:?}; known: {known}");
             metrics.push(column.ok_or_else(|| bad("metrics", unknown))?);
         }
@@ -820,6 +814,22 @@ impl Structure {
         if let Some((_, f)) = levels.iter().enumerate().find(|&level| !sound(level)) {
             let reason = format!("proportions are distinct fractions in [0, 1), got {f}");
             return Err(bad("link_failures", reason));
+        }
+        if structure.metrics.iter().any(|&c| latency_column(c)) {
+            let beside =
+                |c: &&Column| !latency_column(**c) && !matches!(c, Column::Routers | Column::Radix);
+            if let Some(c) = structure.metrics.iter().find(beside) {
+                let reason = format!(
+                    "{} cannot share a table with the latency columns, whose rows are switch \
+                     latencies; only routers and radix can",
+                    c.name()
+                );
+                return Err(bad("metrics", reason));
+            }
+            if !levels.is_empty() {
+                let reason = "the latency columns' rows are switch latencies, not failure levels";
+                return Err(bad("link_failures", reason.into()));
+            }
         }
         let unswept = |c: &&Column| !levels.is_empty() && failure_metric(**c).is_none();
         if let Some(c) = structure.metrics.iter().find(unswept) {
@@ -867,33 +877,6 @@ impl Structure {
     }
 }
 
-impl ExternalFigure {
-    fn from_table(t: &Table) -> Result<ExternalFigure, ManifestError> {
-        let section = t.path_str();
-        check_keys(t, &["bin", "args"])?;
-        let bin = req_str(t, "bin")?;
-        if !is_bare_key(&bin) {
-            return Err(field_err(
-                &section,
-                "bin",
-                format!("binary names are [A-Za-z0-9_-]+, got {bin:?}"),
-            ));
-        }
-        Ok(ExternalFigure {
-            name: section_name(t),
-            bin,
-            args: get_str_list(t, "args")?.unwrap_or_default(),
-        })
-    }
-
-    fn to_toml(&self) -> String {
-        let mut out = format!("[external.{}]\n", render_key(&self.name));
-        out.push_str(&format!("bin = {}\n", render_str(&self.bin)));
-        out.push_str(&render_str_list("args", &self.args));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -932,10 +915,6 @@ enumerate = ["slimfly(8)"]
 max_routers = 60
 metrics = ["diameter"]
 link_failures = [0, 0.25]
-
-[external.t2]
-bin = "table2_layout"
-args = ["--pairs", "1"]
 "#;
 
     #[test]
@@ -943,7 +922,6 @@ args = ["--pairs", "1"]
         let m = Manifest::parse(SMOKE).unwrap();
         assert_eq!(m.name, "mini");
         assert_eq!(m.experiments.len(), 2);
-        assert_eq!(m.external.len(), 1);
         assert_eq!(m.experiments[0].shards, vec![1, 2]);
         let [shape, decay] = m.structures.as_slice() else {
             panic!("two structure sections");
@@ -1023,7 +1001,7 @@ args = ["--pairs", "1"]
                 "[manifest]\nname = \"x\"\n[perf.p]\ntopology = \"ring(9)\"\nrouting = \"minimal\"\n",
                 "perf.p",
                 "",
-                "unknown section; expected [manifest], [experiment.*], [structure.*], or [external.*]",
+                "unknown section; expected [manifest], [experiment.*] or [structure.*]",
             ),
         ];
         for (src, section, field, reason_frag) in cases {
@@ -1112,7 +1090,6 @@ args = ["--pairs", "1"]
             description: String::new(),
             experiments: vec![e],
             structures: Vec::new(),
-            external: Vec::new(),
         };
         assert_eq!(Manifest::parse(&m.to_toml()).unwrap(), m);
         for body in [

@@ -22,19 +22,25 @@
 //!   regression the baseline must catch.
 
 use crate::digest::{digest_outcome, digest_row};
-use crate::manifest::{failure_metric, Experiment, ExternalFigure, Manifest, Mode, Structure};
+use crate::manifest::{failure_metric, latency_column, Experiment, Manifest, Mode, Structure};
 use crate::provenance::{json_str, Provenance};
 use crate::toml::render_float;
-use crate::topo::TopoSpec;
+use crate::topo::{Size, TopoSpec};
 use rayon::prelude::*;
 use spectralfly_graph::failures::{failure_point, sweep_seed, TrialConfig};
-use spectralfly_graph::{profile_graph, Column};
+use spectralfly_graph::layout::wiring::DEFAULT_ELECTRICAL_LIMIT_M;
+use spectralfly_graph::layout::{
+    classify_links, latency_profile, place_topology, PowerModel, QapConfig,
+};
+use spectralfly_graph::{profile_graph, Column, CsrGraph};
 use spectralfly_simnet::fault::{FaultPlan, FaultScript};
 use spectralfly_simnet::stats::TenantStats;
 use spectralfly_simnet::workload::{random_placement, Workload};
 use spectralfly_simnet::{
     MeasurementWindows, SimConfig, SimError, SimNetwork, SimResults, Simulator,
 };
+use spectralfly_topology::skywalk::{SkyWalkConfig, SkyWalkGraph};
+use spectralfly_topology::Topology;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,7 +88,7 @@ pub enum RunError {
         /// Messages in its schedule.
         total: u64,
     },
-    /// [`RunOptions::filter`] kept no point, structural row or external figure.
+    /// [`RunOptions::filter`] kept no point or structural row.
     NothingSelected {
         /// The filter.
         filter: String,
@@ -126,8 +132,8 @@ impl std::fmt::Display for RunError {
             ),
             RunError::NothingSelected { filter, sections } => write!(
                 f,
-                "filter {filter:?} selects nothing: it is a substring of no point id, \
-                 structural row or external figure; sections: {}",
+                "filter {filter:?} selects nothing: it is a substring of no point id \
+                 or structural row; sections: {}",
                 sections.join(", ")
             ),
         }
@@ -342,21 +348,9 @@ pub struct PointResult {
     /// Figure of merit as a speedup over the section's
     /// [`Experiment::relative_to`] sibling, when both points ran.
     pub relative: Option<f64>,
-    /// Wall time over all shard counts, milliseconds (informational only).
+    /// Wall time over all shard counts — for a structural row, of evaluating
+    /// its topology's rows — milliseconds (informational only).
     pub wall_ms: u64,
-}
-
-/// The captured outcome of one external figure binary.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExternalResult {
-    /// Section name.
-    pub name: String,
-    /// Binary invoked.
-    pub bin: String,
-    /// Whether it ran and exited zero.
-    pub ok: bool,
-    /// Tail of its standard output (or the launch error).
-    pub output_tail: String,
 }
 
 /// Everything one `repro run` produced.
@@ -370,8 +364,6 @@ pub struct RunReport {
     pub provenance: Provenance,
     /// Per-point digests, in expansion order.
     pub points: Vec<PointResult>,
-    /// External figure outcomes (empty when externals were skipped).
-    pub external: Vec<ExternalResult>,
 }
 
 /// Expand an experiment's axes into points (cross product, shards folded into
@@ -693,173 +685,281 @@ fn check_collectives(point: &str, res: &SimResults) -> Result<(), RunError> {
     }
 }
 
-/// Execute an external figure binary, capturing success and an output tail.
-/// Looks for `<bin>` beside the running executable first (every
-/// `spectralfly-bench` binary lands in one `target/<profile>/`, wherever the
-/// command is run from), then `target/release/<bin>` under the current
-/// directory, falling back to `cargo run --release -p spectralfly-bench --bin
-/// <bin>`.
-pub fn run_external(x: &ExternalFigure) -> ExternalResult {
-    let beside_self = std::env::current_exe()
-        .ok()
-        .and_then(|exe| Some(exe.parent()?.join(&x.bin)));
-    let direct = beside_self
-        .into_iter()
-        .chain([std::path::Path::new("target/release").join(&x.bin)])
-        .find(|path| path.is_file());
-    let out = if let Some(direct) = direct {
-        std::process::Command::new(direct).args(&x.args).output()
-    } else {
-        std::process::Command::new("cargo")
-            .args([
-                "run",
-                "--release",
-                "-q",
-                "-p",
-                "spectralfly-bench",
-                "--bin",
-                &x.bin,
-                "--",
-            ])
-            .args(&x.args)
-            .output()
-    };
-    match out {
-        Ok(o) => {
-            let text = String::from_utf8_lossy(&o.stdout);
-            let tail: String = text
-                .lines()
-                .rev()
-                .take(20)
-                .collect::<Vec<_>>()
-                .into_iter()
-                .rev()
-                .collect::<Vec<_>>()
-                .join("\n");
-            ExternalResult {
-                name: x.name.clone(),
-                bin: x.bin.clone(),
-                ok: o.status.success(),
-                output_tail: tail,
-            }
+// The constants of the binaries Table II and Fig. 11 came from: placement
+// budgets (annealing swap proposals), and the SkyWalk baselines — Table II's
+// is the mean of three instantiations, the `t`-th seeded `0x50FA + t`.
+const TABLE2_ANNEAL_ITERS: usize = 60_000;
+const TABLE2_SKYWALK_TRIALS: u64 = 3;
+const TABLE2_SKYWALK_SEED: u64 = 0x50FA;
+const FIG11_ANNEAL_ITERS: usize = 40_000;
+const FIG11_SKYWALK_SEED: u64 = 0x5111;
+/// Fig. 11's x-axis, in ns: a latency column's rows are one per entry.
+const SWITCH_LATENCIES_NS: [u64; 6] = [0, 50, 100, 150, 200, 250];
+
+/// What tells a structural row from its topology's other rows: a link-failure
+/// level (its index in the sweep and the proportion) or a Fig. 11 switch
+/// latency in ns — or neither, for a topology's one row.
+#[derive(Clone, Copy, Default)]
+struct RowAt {
+    failures: Option<(usize, f64)>,
+    switch_ns: Option<u64>,
+}
+
+impl RowAt {
+    /// The rows every topology of `s` has.
+    fn all(s: &Structure) -> Vec<RowAt> {
+        if s.metrics.iter().any(|&c| latency_column(c)) {
+            let at = |ns| RowAt {
+                switch_ns: Some(ns),
+                ..Default::default()
+            };
+            SWITCH_LATENCIES_NS.map(at).to_vec()
+        } else if s.link_failures.is_empty() {
+            vec![RowAt::default()]
+        } else {
+            let at = |level| RowAt {
+                failures: Some(level),
+                ..Default::default()
+            };
+            let levels = s.link_failures.iter().copied().enumerate();
+            levels.map(at).collect()
         }
-        Err(e) => ExternalResult {
-            name: x.name.clone(),
-            bin: x.bin.clone(),
-            ok: false,
-            output_tail: format!("launch failed: {e}"),
-        },
+    }
+
+    /// The row id's suffix after `section/topology`.
+    fn suffix(self) -> String {
+        match (self.failures, self.switch_ns) {
+            (Some((_, f)), _) => format!("/links={}", render_float(f)),
+            (_, Some(ns)) => format!("/switch={ns}ns"),
+            _ => String::new(),
+        }
     }
 }
 
 /// The rows of one `[structure.*]` section that `keep` keeps, each a digested
-/// point `section/topology[/links=f]`: one per topology, or per topology ×
-/// failure proportion. Rows are independent, and evaluated in parallel.
+/// point `section/topology[/links=f | /switch=Nns]`: one per topology, per
+/// topology × failure proportion or per topology × switch latency. Topologies
+/// are independent, and evaluated in parallel; a topology's rows share its
+/// graph and placement, and the wall time of evaluating them.
 fn run_structure(
     s: &Structure,
     keep: &(impl Fn(&str) -> bool + Sync),
 ) -> Result<Vec<PointResult>, RunError> {
-    let levels: Vec<Option<(usize, f64)>> = match s.link_failures.as_slice() {
-        [] => vec![None],
-        swept => swept.iter().copied().enumerate().map(Some).collect(),
-    };
-    let mut rows = Vec::new();
+    let mut topologies = Vec::new();
     for (topo, size) in s.rows().map_err(build_error(&s.name))? {
-        for level in &levels {
-            let links = level.map(|(_, f)| format!("/links={}", render_float(f)));
-            let id = [&s.name, "/", &topo.graph_name(), &links.unwrap_or_default()].concat();
-            if keep(&id) {
-                rows.push((id, topo.clone(), size, *level));
-            }
+        let prefix = format!("{}/{}", s.name, topo.graph_name());
+        let rows: Vec<(String, RowAt)> = (RowAt::all(s).into_iter())
+            .map(|at| (format!("{prefix}{}", at.suffix()), at))
+            .filter(|(id, _)| keep(id))
+            .collect();
+        if !rows.is_empty() {
+            topologies.push((topo, size, rows));
         }
     }
-    let evaluate = |(id, topo, size, level): &(String, TopoSpec, _, _)| {
+    let evaluate = |(topo, size, rows): &(TopoSpec, Option<Size>, Vec<(String, RowAt)>)| {
         let start = Instant::now();
+        let at: Vec<RowAt> = rows.iter().map(|(_, at)| *at).collect();
         let values =
-            structure_values(s, topo, *size, *level).map_err(build_error(&topo.graph_name()))?;
-        let names = s.metrics.iter().map(|c| c.name());
-        let cells = (s.metrics.iter().zip(&values))
-            .map(|(c, v)| format!("{}={}", c.name(), structure_cell(s, *c, *v)));
-        Ok(PointResult {
-            id: id.clone(),
-            experiment: s.name.clone(),
-            digest: digest_row(names.zip(values.iter().copied())),
-            summary: cells.collect::<Vec<_>>().join(" "),
-            metrics: None,
-            values,
-            relative: None,
-            wall_ms: start.elapsed().as_millis() as u64,
-        })
+            structure_values(s, topo, *size, &at).map_err(build_error(&topo.graph_name()))?;
+        let wall_ms = start.elapsed().as_millis() as u64;
+        let row = |((id, _), values): (&(String, RowAt), Vec<Option<f64>>)| {
+            let names = s.metrics.iter().map(|c| c.name());
+            let cells = (s.metrics.iter().zip(&values))
+                .map(|(c, v)| format!("{}={}", c.name(), structure_cell(s, *c, *v)));
+            PointResult {
+                id: id.clone(),
+                experiment: s.name.clone(),
+                digest: digest_row(names.zip(values.iter().copied())),
+                summary: cells.collect::<Vec<_>>().join(" "),
+                metrics: None,
+                values,
+                relative: None,
+                wall_ms,
+            }
+        };
+        Ok(rows.iter().zip(values).map(row).collect::<Vec<_>>())
     };
-    let results: Vec<Result<PointResult, RunError>> = rows.par_iter().map(evaluate).collect();
-    results.into_iter().collect()
+    let results: Vec<Result<Vec<PointResult>, RunError>> =
+        topologies.par_iter().map(evaluate).collect();
+    let mut points = Vec::new();
+    for rows in results {
+        points.extend(rows?);
+    }
+    Ok(points)
 }
 
-/// One row's values in `metrics` order: the closed-form `size` (routers,
-/// radix) where the section reads nothing else and the row was enumerated
-/// with one, otherwise [`profile_graph`] on the built graph — or, at a failure
-/// `level` (its index in the sweep, the proportion), each metric's
-/// [`failure_point`] mean over the connected trials, seeded as
-/// `failure_sweep` seeds that index.
+/// One topology's `rows`, each its values in `metrics` order: the closed-form
+/// `size` (routers, radix) where the section reads nothing else and the row
+/// was enumerated with one; at a failure level (its index in the sweep, the
+/// proportion), each metric's [`failure_point`] mean over the connected
+/// trials, seeded as `failure_sweep` seeds that index; otherwise
+/// [`profile_graph`] on the built graph, then the Table II measurements and,
+/// at a switch latency, the Fig. 11 ratios.
 fn structure_values(
     s: &Structure,
     topo: &TopoSpec,
-    size: Option<(u64, u64)>,
-    level: Option<(usize, f64)>,
-) -> Result<Vec<Option<f64>>, String> {
+    size: Option<Size>,
+    rows: &[RowAt],
+) -> Result<Vec<Vec<Option<f64>>>, String> {
     if let (true, Some((routers, radix))) = (s.is_closed_form(), size) {
         let value = |c| if c == Column::Routers { routers } else { radix };
-        return Ok(s.metrics.iter().map(|&c| Some(value(c) as f64)).collect());
+        let row: Vec<Option<f64>> = s.metrics.iter().map(|&c| Some(value(c) as f64)).collect();
+        return Ok(vec![row; rows.len()]);
     }
     let g = topo.build()?;
-    let Some((index, proportion)) = level else {
-        let profile = profile_graph(&g, &s.metrics, s.seed);
-        return Ok(s.metrics.iter().map(|&c| profile.value(c)).collect());
+    if !s.link_failures.is_empty() {
+        // One round of the stopping rule (10 batches × 4 trials): what Fig. 5 ran.
+        let trials = TrialConfig {
+            max_trials: 40,
+            ..Default::default()
+        };
+        let levels: Vec<(usize, f64)> = rows.iter().filter_map(|at| at.failures).collect();
+        let failed = |&(index, proportion): &(usize, f64)| {
+            let mean = |c| {
+                let seed = sweep_seed(s.seed, index);
+                let point = failure_point(&g, proportion, failure_metric(c)?, &trials, seed);
+                (point.connected_trials > 0).then_some(point.mean)
+            };
+            s.metrics.iter().map(|&c| mean(c)).collect()
+        };
+        return Ok(levels.par_iter().map(failed).collect());
+    }
+    let wants = |columns: &[Column]| s.metrics.iter().any(|c| columns.contains(c));
+    let power = wants(&[Column::PowerW, Column::MwPerGbps]);
+    let mut columns = s.metrics.clone();
+    columns.extend(power.then_some(Column::BisectionUpper));
+    let profile = profile_graph(&g, &columns, s.seed);
+    let table2 = (s.metrics.iter())
+        .any(|&c| Column::LAYOUT.contains(&c) && !latency_column(c))
+        .then(|| {
+            let skywalk = wants(&[Column::SkywalkWireMean, Column::SkywalkWireMax]);
+            table2(&g, profile.bisection_upper, skywalk)
+        });
+    let table2_value = |c| table2.as_ref()?.iter().find(|(column, _)| *column == c)?.1;
+    let switch_ns: Vec<u64> = rows.iter().filter_map(|at| at.switch_ns).collect();
+    let ratios = match switch_ns.as_slice() {
+        [] => Vec::new(),
+        switch_ns => fig11(&g, switch_ns)?,
     };
-    // One round of the stopping rule (10 batches × 4 trials): what Fig. 5 ran.
-    let trials = TrialConfig {
-        max_trials: 40,
-        ..Default::default()
+    let row = |ratios: Option<&(f64, f64)>| {
+        let value = |c| match c {
+            Column::LatencyAvgVsSkywalk => ratios.map(|(avg, _)| *avg),
+            Column::LatencyMaxVsSkywalk => ratios.map(|(_, max)| *max),
+            _ => profile.value(c).or_else(|| table2_value(c)),
+        };
+        s.metrics.iter().map(|&c| value(c)).collect()
     };
-    let seed = sweep_seed(s.seed, index);
-    let mean = |c| {
-        let point = failure_point(&g, proportion, failure_metric(c)?, &trials, seed);
-        (point.connected_trials > 0).then_some(point.mean)
-    };
-    Ok(s.metrics.iter().map(|&c| mean(c)).collect())
+    Ok((0..rows.len()).map(|i| row(ratios.get(i))).collect())
 }
 
-/// One table cell of a structural row: counts as integers, µ₁ to two decimals
-/// and the spectral bisection bound to none (Table I / Fig. 4 precision),
-/// every other real — and every failure-sweep mean — to three; an undefined
-/// value is `-`, or `disc.` where every failure trial disconnected the graph.
+/// One topology's Table II columns: its wiring and, given the bisection,
+/// power under the machine-room placement and, when `skywalk`, the mean and
+/// the longest wire of SkyWalks of its radix over the placed routers, each
+/// placed the same way, averaged over the instantiations that build (`None`
+/// when none does).
+fn table2(g: &CsrGraph, bisection: Option<u64>, skywalk: bool) -> [(Column, Option<f64>); 8] {
+    let qap = QapConfig {
+        anneal_iters: TABLE2_ANNEAL_ITERS,
+        ..Default::default()
+    };
+    let placement = place_topology(g, &qap);
+    let wiring = classify_links(g, &placement, DEFAULT_ELECTRICAL_LIMIT_M);
+    let power = bisection.map(|b| PowerModel::default().summarize(&wiring, b));
+    let positions = placement.router_positions_m();
+    let config = SkyWalkConfig {
+        radix: g.max_degree(),
+        ..Default::default()
+    };
+    let trials = if skywalk { TABLE2_SKYWALK_TRIALS } else { 0 };
+    let (mut built, mut mean, mut max) = (0usize, 0.0, 0.0);
+    for t in 0..trials {
+        let Ok(sky) = SkyWalkGraph::new(&positions, &config, TABLE2_SKYWALK_SEED + t) else {
+            continue;
+        };
+        let placement = place_topology(sky.graph(), &qap);
+        let wiring = classify_links(sky.graph(), &placement, DEFAULT_ELECTRICAL_LIMIT_M);
+        built += 1;
+        mean += wiring.mean_wire_m;
+        max += wiring.max_wire_m;
+    }
+    let sky = (built > 0).then(|| (mean / built as f64, max / built as f64));
+    [
+        (Column::WireMean, Some(wiring.mean_wire_m)),
+        (Column::WireMax, Some(wiring.max_wire_m)),
+        (Column::SkywalkWireMean, sky.map(|(mean, _)| mean)),
+        (Column::SkywalkWireMax, sky.map(|(_, max)| max)),
+        (
+            Column::LinksElectrical,
+            Some(wiring.electrical_links as f64),
+        ),
+        (Column::LinksOptical, Some(wiring.optical_links as f64)),
+        (Column::PowerW, power.as_ref().map(|p| p.total_power_w)),
+        (Column::MwPerGbps, power.as_ref().map(|p| p.mw_per_gbps)),
+    ]
+}
+
+/// One topology's Fig. 11 ratios at each of `switch_ns`: its mean and its
+/// maximum end-to-end latency over those of a SkyWalk of its radix in the
+/// same room, both placed once for all the switch latencies.
+fn fig11(g: &CsrGraph, switch_ns: &[u64]) -> Result<Vec<(f64, f64)>, String> {
+    let qap = QapConfig {
+        anneal_iters: FIG11_ANNEAL_ITERS,
+        ..Default::default()
+    };
+    let placement = place_topology(g, &qap);
+    let config = SkyWalkConfig {
+        radix: g.max_degree(),
+        ..Default::default()
+    };
+    let positions = placement.router_positions_m();
+    let sky = SkyWalkGraph::new(&positions, &config, FIG11_SKYWALK_SEED)
+        .map_err(|e| format!("its SkyWalk baseline: {e}"))?;
+    let sky_placement = place_topology(sky.graph(), &qap);
+    let ratios = |&ns: &u64| {
+        let ours = latency_profile(g, &placement, ns as f64);
+        let theirs = latency_profile(sky.graph(), &sky_placement, ns as f64);
+        (
+            ours.average_latency_ns / theirs.average_latency_ns,
+            ours.max_latency_ns / theirs.max_latency_ns,
+        )
+    };
+    Ok(switch_ns.iter().map(ratios).collect())
+}
+
+/// One table cell of a structural row: counts, watts and the spectral
+/// bisection bound as integers, µ₁ to two decimals (Table I, Fig. 4 and
+/// Table II precision), every other real — and every failure-sweep mean — to
+/// three; an undefined value is `-`, or `disc.` where every failure trial
+/// disconnected the graph.
 fn structure_cell(s: &Structure, column: Column, value: Option<f64>) -> String {
+    use Column::*;
     let swept = !s.link_failures.is_empty();
     let Some(v) = value else {
         return if swept { "disc." } else { "-" }.to_string();
     };
     match column {
-        Column::Ramanujan => if v > 0.0 { "yes" } else { "no" }.to_string(),
-        Column::Mu1 => format!("{v:.2}"),
-        Column::BisectionLower => format!("{v:.0}"),
-        Column::MeanDistance | Column::Lambda2 | Column::BisectionNormalized => format!("{v:.3}"),
+        Ramanujan => if v > 0.0 { "yes" } else { "no" }.to_string(),
+        Mu1 => format!("{v:.2}"),
         _ if swept => format!("{v:.3}"),
-        _ => format!("{v:.0}"),
+        Routers | Radix | Diameter | Girth | BisectionLower | BisectionUpper | LinksElectrical
+        | LinksOptical | PowerW => format!("{v:.0}"),
+        _ => format!("{v:.3}"),
     }
 }
 
 /// Options for [`run_manifest`].
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
-    /// Skip `[external.*]` sections (the check path always does).
+    /// Does nothing: the `[external.*]` section kind it skipped is gone. The
+    /// field stays because `benchmark/src/workloads.rs` names it in a struct
+    /// literal and only a benchmark PR may edit that file (ROADMAP item 7(ii)).
     pub skip_external: bool,
-    /// Only run points, structural rows and external figures whose identifier
-    /// contains this substring; one that selects nothing is
-    /// [`RunError::NothingSelected`].
+    /// Only run points and structural rows whose identifier contains this
+    /// substring; one that selects nothing is [`RunError::NothingSelected`].
     pub filter: Option<String>,
     /// Does nothing: the `[perf.*]` section kind it skipped is gone. The field
     /// stays because `benchmark/src/workloads.rs` names it in a struct literal
-    /// and only a benchmark PR may edit that file (ROADMAP item 6g).
+    /// and only a benchmark PR may edit that file (ROADMAP item 7(ii)).
     pub skip_perf: bool,
 }
 
@@ -877,18 +977,9 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunErr
     for s in &m.structures {
         point_results.extend(run_structure(s, &keep)?);
     }
-    let mut external = Vec::new();
-    if !opts.skip_external {
-        for x in m.external.iter().filter(|x| keep(&x.name)) {
-            external.push(run_external(x));
-        }
-    }
-    let nothing_ran = point_results.is_empty() && external.is_empty();
-    if let Some(filter) = opts.filter.as_ref().filter(|_| nothing_ran) {
-        let externals = m.external.iter().filter(|_| !opts.skip_external);
-        let sections = (m.experiments.iter().map(|e| &e.name))
-            .chain(m.structures.iter().map(|s| &s.name))
-            .chain(externals.map(|x| &x.name));
+    if let Some(filter) = opts.filter.as_ref().filter(|_| point_results.is_empty()) {
+        let sections =
+            (m.experiments.iter().map(|e| &e.name)).chain(m.structures.iter().map(|s| &s.name));
         return Err(RunError::NothingSelected {
             filter: filter.clone(),
             sections: sections.cloned().collect(),
@@ -904,7 +995,6 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunErr
                 .unwrap_or(0),
         ),
         points: point_results,
-        external,
     })
 }
 
@@ -1017,7 +1107,7 @@ const METRIC_COLUMNS: [&str; 11] = [
 ];
 
 /// Render a markdown-style table: a title line, a header row and value rows.
-pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let rule: Vec<String> = header.iter().map(|h| "-".repeat(h.len())).collect();
     let mut out = format!(
         "\n== {title} ==\n{}\n{}\n",
@@ -1114,17 +1204,6 @@ impl RunReport {
                 json_opt(p.relative.map(|r| format!("{r:.4}"))),
                 p.wall_ms,
                 if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"external\": [\n");
-        for (i, x) in self.external.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\":{},\"bin\":{},\"ok\":{},\"output_tail\":{}}}{}\n",
-                json_str(&x.name),
-                json_str(&x.bin),
-                x.ok,
-                json_str(&x.output_tail),
-                if i + 1 < self.external.len() { "," } else { "" }
             ));
         }
         out.push_str("  ]\n}\n");

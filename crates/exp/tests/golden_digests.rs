@@ -125,7 +125,6 @@ fn degraded_points_are_shard_invariant() {
     let mut only = m.clone();
     only.experiments.retain(|e| e.name == "degraded");
     only.structures.clear();
-    only.external.clear();
     let opts = RunOptions {
         skip_external: true,
         ..Default::default()

@@ -146,7 +146,6 @@ proptest! {
             description: "round-trip property".to_string(),
             experiments: vec![exp],
             structures: vec![structure],
-            external: Vec::new(),
         };
 
         let rendered = manifest.to_toml();

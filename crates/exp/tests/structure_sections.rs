@@ -1,9 +1,12 @@
 //! `[structure.*]` sections end to end: the checked-in tables are the ones
-//! the topology crate defines, rows are ids `section/topology[/links=f]` that
-//! `--filter` addresses, closed-form tables never build a graph, and nothing
-//! a section can say makes the runner panic.
+//! the topology crate defines, rows are ids
+//! `section/topology[/links=f | /switch=Nns]` that `--filter` addresses,
+//! closed-form tables never build a graph, the layout rows are the layout
+//! library's numbers, and nothing a section can say makes the runner panic.
 
-use spectralfly_exp::{runner, Manifest, PointResult, RunError, RunOptions, TopoSpec};
+use spectralfly_exp::{
+    runner, Manifest, ManifestError, PointResult, RunError, RunOptions, TopoSpec,
+};
 use spectralfly_topology::spec::{enumerate_lps, table1_size_classes, TopologySpec};
 use std::path::Path;
 
@@ -249,4 +252,216 @@ fn no_section_makes_the_runner_panic() {
     assert!(swept
         .iter()
         .all(|r| r.values.iter().flatten().all(|v| v.is_finite())));
+}
+
+/// Every topology a checked-in manifest lists from the four paper families
+/// has admissible parameters, read off the spec without building it: a
+/// manifest cannot name an LPS(19, 7) (q < 2√p) again.
+#[test]
+fn every_listed_paper_topology_is_admissible() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../manifests");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if !name.ends_with(".toml") {
+            continue;
+        }
+        let m = checked_in(&name);
+        let experiments = m.experiments.iter().flat_map(|e| &e.topologies);
+        for listed in experiments.chain(m.structures.iter().flat_map(|s| &s.topologies)) {
+            let topo = TopoSpec::parse(listed).unwrap();
+            let spec = match (topo.family.as_str(), topo.args.as_slice()) {
+                ("lps", &[p, q]) => TopologySpec::Lps { p, q },
+                ("slimfly", &[q]) => TopologySpec::SlimFly { q },
+                ("bundlefly", &[p, s]) => TopologySpec::BundleFly { p, s },
+                ("dragonfly", &[a]) => TopologySpec::DragonFly { a },
+                _ => continue,
+            };
+            assert!(
+                spec.is_valid(),
+                "{name}: {listed} is not a valid {}",
+                spec.name()
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 100, "{checked}");
+}
+
+/// The checked-in layout rows are the library pipeline, value for value, at
+/// the constants of the binaries they replaced: Table II is `place_topology`
+/// (60k annealing steps), `classify_links` at 5 m and
+/// `PowerModel::summarize` over the partitioner's bisection at the section
+/// seed, beside three SkyWalks seeded `0x50FA + t`; Fig. 11 is
+/// `latency_profile` under a 40k-step placement over one SkyWalk seeded
+/// `0x5111`. The printed cells are the binaries' output.
+#[test]
+fn smoke_layout_rows_are_the_library_pipeline() {
+    use spectralfly_graph::layout::wiring::DEFAULT_ELECTRICAL_LIMIT_M;
+    use spectralfly_graph::layout::{
+        classify_links, latency_profile, place_topology, PowerModel, QapConfig,
+    };
+    use spectralfly_graph::partition::bisection_bandwidth;
+    use spectralfly_topology::skywalk::{SkyWalkConfig, SkyWalkGraph};
+    use spectralfly_topology::Topology;
+
+    let mut m = checked_in("smoke.toml");
+    m.experiments.clear();
+    m.structures
+        .retain(|s| ["table2-layout", "fig11-latency"].contains(&s.name.as_str()));
+    let report = runner::run_manifest(&m, &RunOptions::default()).unwrap();
+    let rows = &report.points;
+    assert_eq!(rows.len(), 2 + 2 * 6);
+    let row = |id: &str| &rows.iter().find(|r| r.id == id).unwrap().values;
+    let qap = |anneal_iters| QapConfig {
+        anneal_iters,
+        ..Default::default()
+    };
+    for topology in ["lps(11,7)", "slimfly(9)"] {
+        let g = TopoSpec::parse(topology).unwrap().build().unwrap();
+        let skywalk = |positions: &[(f64, f64)], seed| {
+            let config = SkyWalkConfig {
+                radix: g.max_degree(),
+                ..Default::default()
+            };
+            SkyWalkGraph::new(positions, &config, seed).unwrap()
+        };
+
+        let placement = place_topology(&g, &qap(60_000));
+        let wiring = classify_links(&g, &placement, DEFAULT_ELECTRICAL_LIMIT_M);
+        let bisection = bisection_bandwidth(&g, 2, 0x7AB2);
+        let power = PowerModel::default().summarize(&wiring, bisection);
+        let (mut mean, mut max) = (0.0, 0.0);
+        for t in 0..3 {
+            let sky = skywalk(&placement.router_positions_m(), 0x50FA + t);
+            let sky_placement = place_topology(sky.graph(), &qap(60_000));
+            let sky_wiring =
+                classify_links(sky.graph(), &sky_placement, DEFAULT_ELECTRICAL_LIMIT_M);
+            (mean, max) = (mean + sky_wiring.mean_wire_m, max + sky_wiring.max_wire_m);
+        }
+        let expected = [
+            g.num_vertices() as f64,
+            g.max_degree() as f64,
+            wiring.mean_wire_m,
+            mean / 3.0,
+            wiring.max_wire_m,
+            max / 3.0,
+            wiring.electrical_links as f64,
+            wiring.optical_links as f64,
+            bisection as f64,
+            power.total_power_w,
+            power.mw_per_gbps,
+        ];
+        assert_eq!(
+            *row(&format!("table2-layout/{topology}")),
+            expected.map(Some),
+            "{topology}"
+        );
+
+        let placement = place_topology(&g, &qap(40_000));
+        let sky = skywalk(&placement.router_positions_m(), 0x5111);
+        let sky_placement = place_topology(sky.graph(), &qap(40_000));
+        for ns in [0, 50, 100, 150, 200, 250] {
+            let ours = latency_profile(&g, &placement, ns as f64);
+            let theirs = latency_profile(sky.graph(), &sky_placement, ns as f64);
+            let expected = [
+                ours.average_latency_ns / theirs.average_latency_ns,
+                ours.max_latency_ns / theirs.max_latency_ns,
+            ];
+            let id = format!("fig11-latency/{topology}/switch={ns}ns");
+            assert_eq!(*row(&id), expected.map(Some), "{id}");
+        }
+    }
+    let tables = report.tables(&m);
+    for printed in [
+        "lps(11,7) | 168 | 12 | 8.268 | 8.059 | 20.400 | 19.533 | 165 | 843 | 288 | 9199 | 319.400\n",
+        "slimfly(9) | 162 | 13 | 8.926 | 8.154 | 19.600 | 19.600 | 136 | 917 | 369 | 9679 | 262.309\n",
+        "lps(11,7)/switch=250ns | 1.012 | 0.805\n",
+        "slimfly(9)/switch=50ns | 0.936 | 0.888\n",
+    ] {
+        assert!(tables.contains(printed), "{printed}{tables}");
+    }
+}
+
+/// Every layout column on the smallest member of every family: rows of
+/// finite values, never a panic.
+#[test]
+fn layout_columns_on_the_smallest_topologies_are_rows() {
+    let tiny = "\"ring(3)\", \"lps(3,5)\", \"slimfly(3)\", \"bundlefly(5,4)\", \"dragonfly(2)\"";
+    let table2 = "\"wire-mean\", \"wire-max\", \"skywalk-wire-mean\", \"skywalk-wire-max\", \
+                  \"links-electrical\", \"links-optical\", \"power-w\", \"mw-per-gbps\"";
+    let fig11 = "\"routers\", \"latency-avg-vs-skywalk\", \"latency-max-vs-skywalk\"";
+    for (metrics, rows) in [(table2, 5), (fig11, 5 * 6)] {
+        let body = format!("topologies = [{tiny}]\nmetrics = [{metrics}]\n");
+        let rows_of = run(&section(&body), None);
+        assert_eq!(rows_of.len(), rows);
+        let finite = |row: &&PointResult| row.values.iter().all(|v| v.is_some_and(f64::is_finite));
+        assert!(rows_of.iter().all(|row| finite(&row)), "{rows_of:?}");
+    }
+}
+
+/// The `ManifestError::Field` parsing `src` fails with: section, field, reason.
+fn refused(src: &str) -> (String, String, String) {
+    match Manifest::parse(src) {
+        Err(ManifestError::Field {
+            section,
+            field,
+            reason,
+        }) => (section, field, reason),
+        other => panic!("{src}: expected a Field error, got {other:?}"),
+    }
+}
+
+/// A latency column's rows are switch latencies: only the closed-form
+/// columns can share its table, and it has no failure sweep. Both mistakes
+/// are typed errors naming the field.
+#[test]
+fn latency_columns_share_a_table_with_routers_and_radix_only() {
+    let table = |metrics: &str, failures: &str| {
+        section(&format!(
+            "topologies = [\"lps(3,5)\"]\nmetrics = [{metrics}]\n{failures}"
+        ))
+    };
+    let ok = table("\"routers\", \"radix\", \"latency-max-vs-skywalk\"", "");
+    assert!(Manifest::parse(&ok).is_ok());
+    let failures = "link_failures = [0.1]\n";
+    for (metrics, failures, field, reason) in [
+        (
+            "\"latency-avg-vs-skywalk\", \"wire-mean\"",
+            "",
+            "metrics",
+            "wire-mean cannot share",
+        ),
+        (
+            "\"diameter\", \"latency-max-vs-skywalk\"",
+            "",
+            "metrics",
+            "diameter cannot share",
+        ),
+        (
+            "\"latency-avg-vs-skywalk\"",
+            failures,
+            "link_failures",
+            "not failure levels",
+        ),
+    ] {
+        let (section, f, r) = refused(&table(metrics, failures));
+        assert_eq!(
+            (section.as_str(), f.as_str()),
+            ("structure.t", field),
+            "{metrics}"
+        );
+        assert!(r.contains(reason), "{metrics}: {r}");
+    }
+}
+
+/// `[external.*]` is no section kind any more: it is refused like any
+/// unknown section, and the error names the kinds there are.
+#[test]
+fn an_external_section_is_an_unknown_section() {
+    let src = "[manifest]\nname = \"x\"\n[external.t2]\nbin = \"table2_layout\"\n";
+    let (section, field, reason) = refused(src);
+    assert_eq!((section.as_str(), field.as_str()), ("external.t2", ""));
+    let kinds = "expected [manifest], [experiment.*] or [structure.*]";
+    assert_eq!(reason, format!("unknown section; {kinds}"));
 }

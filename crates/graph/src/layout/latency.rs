@@ -5,9 +5,9 @@
 //! all paths (Dijkstra on the weighted graph), and the paper reports the average and the
 //! maximum over all router pairs as the switch latency sweeps from 0 to 250 ns.
 
-use crate::qap::Placement;
+use crate::csr::{CsrGraph, VertexId};
+use crate::layout::qap::Placement;
 use rayon::prelude::*;
-use spectralfly_graph::csr::{CsrGraph, VertexId};
 
 /// Cable propagation delay in ns per metre (the paper's assumption).
 pub const CABLE_DELAY_NS_PER_M: f64 = 5.0;
@@ -95,22 +95,10 @@ pub fn latency_profile(
     }
 }
 
-/// Sweep switch latency over a list of values (the x-axis of Fig. 11).
-pub fn latency_sweep(
-    g: &CsrGraph,
-    placement: &Placement,
-    switch_latencies_ns: &[f64],
-) -> Vec<LatencyProfile> {
-    switch_latencies_ns
-        .iter()
-        .map(|&s| latency_profile(g, placement, s))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qap::{place_topology, QapConfig};
+    use crate::layout::qap::{place_topology, QapConfig};
 
     fn ring(n: usize) -> CsrGraph {
         let mut e: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -164,21 +152,6 @@ mod tests {
         // max end-to-end latency never exceeds the single-hop worst case.
         assert!(prof.max_latency_ns <= longest * CABLE_DELAY_NS_PER_M + s + 1e-9);
         assert!(prof.average_latency_ns > 0.0);
-    }
-
-    #[test]
-    fn sweep_returns_one_profile_per_point() {
-        let g = ring(12);
-        let p = place_topology(
-            &g,
-            &QapConfig {
-                anneal_iters: 1000,
-                ..Default::default()
-            },
-        );
-        let sweep = latency_sweep(&g, &p, &[0.0, 50.0, 100.0]);
-        assert_eq!(sweep.len(), 3);
-        assert_eq!(sweep[1].switch_latency_ns, 50.0);
     }
 
     #[test]

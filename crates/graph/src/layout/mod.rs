@@ -1,5 +1,3 @@
-//! # spectralfly-layout
-//!
 //! Physical machine-room modelling for Section VII of the paper ("Beyond Structure"):
 //!
 //! * [`room`] — the rectilinear cabinet grid (two routers per cabinet, `y = ⌈√(2c/0.6)⌉`
@@ -13,9 +11,6 @@
 //!   4.72 W optical) and the power-per-bandwidth metric of Table II;
 //! * [`latency`] — end-to-end latency as a function of switch latency with 5 ns/m cable
 //!   delay (Fig. 11).
-
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod latency;
 pub mod power;

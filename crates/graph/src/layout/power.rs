@@ -5,7 +5,7 @@
 //! ~3.76 W, while a port driving an optical cable draws ~25% more, ~4.72 W. Every link
 //! occupies a port at both ends.
 
-use crate::wiring::WiringStats;
+use crate::layout::wiring::WiringStats;
 
 /// The per-port power model.
 #[derive(Clone, Copy, Debug)]

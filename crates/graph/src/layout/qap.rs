@@ -11,10 +11,10 @@
 //! are re-measured), which keeps placement of the paper's largest Table-II instance
 //! (LPS(29,13), 1092 routers) to well under a second.
 
-use crate::room::MachineRoom;
+use crate::csr::{CsrGraph, VertexId};
+use crate::layout::room::MachineRoom;
+use crate::matching::near_maximum_matching;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use spectralfly_graph::csr::{CsrGraph, VertexId};
-use spectralfly_graph::matching::near_maximum_matching;
 
 /// Parameters of the annealing + refinement placement heuristic.
 #[derive(Clone, Debug)]

@@ -1,7 +1,7 @@
 //! Wire-length statistics and electrical/optical link classification (Table II columns).
 
-use crate::qap::Placement;
-use spectralfly_graph::csr::CsrGraph;
+use crate::csr::CsrGraph;
+use crate::layout::qap::Placement;
 
 /// Maximum cable length (metres) that can be driven electrically; longer runs need optics.
 /// Passive copper DAC cables for 100 Gb/s-class links top out around 5 m.
@@ -55,7 +55,7 @@ pub fn classify_links(g: &CsrGraph, placement: &Placement, electrical_limit_m: f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qap::{place_topology, QapConfig};
+    use crate::layout::qap::{place_topology, QapConfig};
 
     fn ring(n: usize) -> CsrGraph {
         let mut e: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();

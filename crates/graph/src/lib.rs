@@ -15,6 +15,8 @@
 //! * [`profile`] — one-call structural profiling ([`profile_graph`]): the Table-I columns
 //!   plus the bisection bracket and the Ramanujan certificate, computed on demand.
 //! * [`matching`] — near-maximum matchings used to pair routers into cabinets (Section VII).
+//! * [`layout`] — the machine room of Section VII: placement, wiring, power and latency
+//!   (Table II, Fig. 11).
 //! * [`paths`] — the shared distance / next-hop oracle ([`paths::DistanceMatrix`])
 //!   consumed by both the analytical layer and the packet-level simulator.
 //! * [`oracle`] — the [`oracle::PathOracle`] trait that puts the dense matrix, the
@@ -40,6 +42,7 @@
 
 pub mod csr;
 pub mod failures;
+pub mod layout;
 pub mod matching;
 pub mod metrics;
 pub mod oracle;

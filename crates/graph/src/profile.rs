@@ -1,5 +1,7 @@
 //! One-call structural profiling of a topology — the measurements behind Table I, Fig. 4
-//! (lower-right), and the topology-comparison narrative of Section IV.
+//! (lower-right), and the topology-comparison narrative of Section IV — and the closed list
+//! of columns a structural table can name, the machine-room columns of Table II and Fig. 11
+//! among them.
 
 use crate::csr::CsrGraph;
 use crate::metrics::{diameter_and_mean_distance, girth};
@@ -11,8 +13,9 @@ pub const LANCZOS_ITERS: usize = 100;
 /// Random restarts of the bisection partitioner behind the bisection columns.
 pub const BISECTION_RESTARTS: usize = 2;
 
-/// One column of a [`StructuralProfile`]; [`profile_graph`] computes what the requested
-/// columns need and nothing else.
+/// One column of a structural table. [`profile_graph`] computes what the requested
+/// [`Column::ALL`] columns need and nothing else; the [`Column::LAYOUT`] columns need a
+/// machine-room placement ([`crate::layout`]) and a SkyWalk baseline besides the graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Column {
     /// Number of routers.
@@ -37,10 +40,30 @@ pub enum Column {
     BisectionUpper,
     /// Partitioner upper bound divided by `n·k/2`.
     BisectionNormalized,
+    /// Mean wire length in metres under the machine-room placement.
+    WireMean,
+    /// Longest wire in metres under the machine-room placement.
+    WireMax,
+    /// [`Column::WireMean`] of SkyWalk topologies of the same radix in the same room.
+    SkywalkWireMean,
+    /// [`Column::WireMax`] of SkyWalk topologies of the same radix in the same room.
+    SkywalkWireMax,
+    /// Links short enough for electrical cabling.
+    LinksElectrical,
+    /// Links that need optical cabling.
+    LinksOptical,
+    /// Switch-port power in watts (both ends of every link).
+    PowerW,
+    /// Switch-port power per unit of bisection bandwidth, mW per Gb/s.
+    MwPerGbps,
+    /// Mean end-to-end latency over a same-room SkyWalk's, at one switch latency.
+    LatencyAvgVsSkywalk,
+    /// Maximum end-to-end latency over a same-room SkyWalk's, at one switch latency.
+    LatencyMaxVsSkywalk,
 }
 
 impl Column {
-    /// Every column, in Table-I order.
+    /// Every column [`profile_graph`] computes, in Table-I order.
     pub const ALL: [Column; 11] = [
         Column::Routers,
         Column::Radix,
@@ -53,6 +76,20 @@ impl Column {
         Column::BisectionLower,
         Column::BisectionUpper,
         Column::BisectionNormalized,
+    ];
+
+    /// The machine-room columns: Table II's, then Fig. 11's.
+    pub const LAYOUT: [Column; 10] = [
+        Column::WireMean,
+        Column::WireMax,
+        Column::SkywalkWireMean,
+        Column::SkywalkWireMax,
+        Column::LinksElectrical,
+        Column::LinksOptical,
+        Column::PowerW,
+        Column::MwPerGbps,
+        Column::LatencyAvgVsSkywalk,
+        Column::LatencyMaxVsSkywalk,
     ];
 
     /// The column's name in manifests and table headers.
@@ -69,6 +106,16 @@ impl Column {
             Column::BisectionLower => "bisection-lower",
             Column::BisectionUpper => "bisection-upper",
             Column::BisectionNormalized => "bisection-normalized",
+            Column::WireMean => "wire-mean",
+            Column::WireMax => "wire-max",
+            Column::SkywalkWireMean => "skywalk-wire-mean",
+            Column::SkywalkWireMax => "skywalk-wire-max",
+            Column::LinksElectrical => "links-electrical",
+            Column::LinksOptical => "links-optical",
+            Column::PowerW => "power-w",
+            Column::MwPerGbps => "mw-per-gbps",
+            Column::LatencyAvgVsSkywalk => "latency-avg-vs-skywalk",
+            Column::LatencyMaxVsSkywalk => "latency-max-vs-skywalk",
         }
     }
 }
@@ -139,7 +186,7 @@ pub fn profile_graph(g: &CsrGraph, columns: &[Column], seed: u64) -> StructuralP
 
 impl StructuralProfile {
     /// The value under `column` as a number (`ramanujan` as 1 / 0), if it was computed
-    /// and is defined.
+    /// and is defined; `None` for a [`Column::LAYOUT`] column.
     pub fn value(&self, column: Column) -> Option<f64> {
         match column {
             Column::Routers => Some(self.routers as f64),
@@ -153,6 +200,7 @@ impl StructuralProfile {
             Column::BisectionLower => self.bisection_lower,
             Column::BisectionUpper => self.bisection_upper.map(|b| b as f64),
             Column::BisectionNormalized => self.normalized_bisection,
+            _ => None,
         }
     }
 }

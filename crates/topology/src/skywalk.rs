@@ -7,7 +7,7 @@
 //! machine room.
 //!
 //! This module implements that baseline: given per-router physical positions (produced by
-//! `spectralfly-layout`), it samples a connected, (near-)`k`-regular random topology whose
+//! `spectralfly_graph::layout`), it samples a connected, (near-)`k`-regular random topology whose
 //! link-length distribution is biased toward short cables — each router first connects to
 //! its cabinet partner, and the remaining ports are filled by sampling peers with
 //! probability proportional to `1 / (ε + distance)^α`. This is a documented substitution

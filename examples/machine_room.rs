@@ -4,9 +4,11 @@
 //!
 //! Run with: `cargo run --release --example machine_room`
 
+use spectralfly_graph::layout::wiring::DEFAULT_ELECTRICAL_LIMIT_M;
+use spectralfly_graph::layout::{
+    classify_links, latency_profile, place_topology, PowerModel, QapConfig,
+};
 use spectralfly_graph::partition::bisection_bandwidth;
-use spectralfly_layout::wiring::DEFAULT_ELECTRICAL_LIMIT_M;
-use spectralfly_layout::{classify_links, latency_profile, place_topology, PowerModel, QapConfig};
 use spectralfly_topology::{LpsGraph, SlimFlyGraph, Topology};
 
 fn main() {

@@ -1,15 +1,17 @@
 //! Cross-crate integration tests: topology generation → structural analysis → simulation →
-//! layout, exercised through the public APIs exactly the way the experiment binaries use them.
+//! layout, exercised through the public APIs exactly the way the manifest runner uses them.
 
 use spectralfly_suite::*;
 
+use spectralfly_graph::layout::wiring::DEFAULT_ELECTRICAL_LIMIT_M;
+use spectralfly_graph::layout::{
+    classify_links, latency_profile, place_topology, PowerModel, QapConfig,
+};
 use spectralfly_graph::metrics::diameter_and_mean_distance;
 use spectralfly_graph::partition::bisection_bandwidth;
 use spectralfly_graph::paths::DistanceMatrix;
 use spectralfly_graph::spectral::spectral_summary;
 use spectralfly_graph::{profile_graph, Column};
-use spectralfly_layout::wiring::DEFAULT_ELECTRICAL_LIMIT_M;
-use spectralfly_layout::{classify_links, latency_profile, place_topology, PowerModel, QapConfig};
 use spectralfly_simnet::workload::random_placement;
 use spectralfly_simnet::{MeasurementWindows, SimConfig, SimNetwork, Simulator, Workload};
 use spectralfly_topology::spec::table1_size_classes;
