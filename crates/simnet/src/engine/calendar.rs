@@ -151,19 +151,25 @@ impl<T: Timed> CalendarQueue<T> {
     /// Remove and return the earliest item (ties broken by the item's `Ord`).
     #[cfg(test)]
     pub fn pop(&mut self) -> Option<T> {
-        self.pop_limited(None)
+        self.pop_limited(None, None)
     }
 
     /// Remove and return the earliest item if it is scheduled strictly before
-    /// `limit`; leave the queue untouched otherwise.
+    /// `limit` and, given a `bound`, orders strictly before it; leave the
+    /// queue untouched otherwise.
     ///
     /// This is the event loop's epoch primitive: with lookahead `E` and
     /// epoch floor `m`, every event before `m + E` is safe to process because
     /// any message still in flight from another shard carries a timestamp
     /// `≥ m + E`. The cursor may advance into `limit`'s bucket, which is safe
     /// for the same reason — nothing earlier can arrive afterwards.
-    pub fn pop_before(&mut self, limit: u64) -> Option<T> {
-        self.pop_limited(Some(limit))
+    ///
+    /// `bound` is the head of a pre-sorted side stream merged with the queue:
+    /// `None` back means either that the head goes first or that nothing
+    /// lies before `limit`, and the caller tells the two apart by the head's
+    /// own time.
+    pub fn pop_before(&mut self, limit: u64, bound: Option<&T>) -> Option<T> {
+        self.pop_limited(Some(limit), bound)
     }
 
     /// The timestamp of the earliest item without removing it (or advancing
@@ -190,7 +196,7 @@ impl<T: Timed> CalendarQueue<T> {
         }
     }
 
-    fn pop_limited(&mut self, limit: Option<u64>) -> Option<T> {
+    fn pop_limited(&mut self, limit: Option<u64>, bound: Option<&T>) -> Option<T> {
         if self.len == 0 {
             return None;
         }
@@ -225,7 +231,9 @@ impl<T: Timed> CalendarQueue<T> {
             (ring, _) => ring.is_none(),
         };
         let earliest = if take_far { far_top? } else { ring_top? };
-        if limit.is_some_and(|limit| earliest.time() >= limit) {
+        if limit.is_some_and(|limit| earliest.time() >= limit)
+            || bound.is_some_and(|bound| earliest >= bound)
+        {
             return None;
         }
         let item = match ring_min.filter(|_| !take_far) {
@@ -293,26 +301,54 @@ mod tests {
         assert_eq!(q.len(), 0);
     }
 
-    /// Differential check against a plain BinaryHeap on a deterministic
-    /// pseudo-random trace with clustered and far-future times.
-    #[test]
-    fn matches_binary_heap_on_random_trace() {
-        let mut q = CalendarQueue::new(16, 8);
-        let mut oracle: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut rnd = move || {
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
+        }
+    }
+
+    /// The engine's merge: pop the queue's earliest item if it orders before
+    /// the side stream's head, else take the head — either only before
+    /// `limit`.
+    fn pop_merged(
+        q: &mut CalendarQueue<Ev>,
+        side: &[Ev],
+        next: &mut usize,
+        limit: u64,
+    ) -> Option<Ev> {
+        let head = side.get(*next);
+        if let Some(e) = q.pop_before(limit, head) {
+            return Some(e);
+        }
+        let head = *head.filter(|h| h.0 < limit)?;
+        *next += 1;
+        Some(head)
+    }
+
+    /// Differential check against a plain BinaryHeap on a deterministic
+    /// pseudo-random trace with clustered and far-future times — first the
+    /// queue alone, then the queue merged with a pre-sorted side stream
+    /// through the bounded `pop_before` under epoch limits, with the heap
+    /// holding both.
+    #[test]
+    fn matches_binary_heap_on_random_trace() {
+        let mut q = CalendarQueue::new(16, 8);
+        let mut oracle: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
+        let mut rnd = xorshift(0x2545F4914F6CDD1D);
         let mut now = 0u64;
         let mut seq = 0u64;
         for _ in 0..5_000 {
             let r = rnd();
-            if r % 3 != 0 || q.len() == 0 {
+            if !r.is_multiple_of(3) || q.len() == 0 {
                 // Mostly near-future pushes, occasionally far-future ones.
-                let delta = if r % 17 == 0 { r % 10_000 } else { r % 64 };
+                let delta = if r.is_multiple_of(17) {
+                    r % 10_000
+                } else {
+                    r % 64
+                };
                 let e = Ev(now + delta, seq);
                 seq += 1;
                 q.push(e);
@@ -330,6 +366,59 @@ mod tests {
             assert_eq!(q.pop(), Some(want));
         }
         assert_eq!(q.pop(), None);
+
+        // The side stream: even keys, runs of equal times, and jumps past the
+        // ring's 128 ps horizon. The queue gets odd keys, pushed at and after
+        // the last popped time, so equal times interleave the two streams and
+        // far pushes wait in the overflow heap.
+        let mut side = Vec::new();
+        let mut t = 0u64;
+        for i in 0..2_000u64 {
+            let r = rnd();
+            t += match r % 23 {
+                0 => r % 5_000,
+                1..=9 => 0,
+                _ => r % 12,
+            };
+            side.push(Ev(t, 2 * i));
+        }
+        let mut q = CalendarQueue::new(16, 8);
+        oracle.extend(side.iter().map(|&e| Reverse(e)));
+        let (mut next, mut now, mut seq) = (0usize, 0u64, 0u64);
+        for round in 0..1_500 {
+            for _ in 0..rnd() % 4 {
+                let r = rnd();
+                let delta = match r % 11 {
+                    0 => r % 10_000,
+                    1 | 2 => 0,
+                    _ => r % 64,
+                };
+                let e = Ev(now + delta, 2 * seq + 1);
+                seq += 1;
+                q.push(e);
+                oracle.push(Reverse(e));
+            }
+            let limit = now + 1 + rnd() % 96;
+            loop {
+                let want = match oracle.peek() {
+                    Some(&Reverse(e)) if e.0 < limit => oracle.pop().map(|Reverse(e)| e),
+                    _ => None,
+                };
+                let got = pop_merged(&mut q, &side, &mut next, limit);
+                assert_eq!(got, want, "round {round} limit {limit}");
+                match got {
+                    Some(e) => now = e.0,
+                    None => break,
+                }
+            }
+        }
+        assert!(next > 0 && next < side.len(), "both streams are live");
+        assert!(q.len() > 0);
+        while let Some(Reverse(want)) = oracle.pop() {
+            assert_eq!(pop_merged(&mut q, &side, &mut next, u64::MAX), Some(want));
+        }
+        assert_eq!(pop_merged(&mut q, &side, &mut next, u64::MAX), None);
+        assert_eq!(next, side.len());
     }
 
     /// Adversarial overflow-heap trace: every push lands at or beyond the
@@ -411,20 +500,18 @@ mod tests {
     fn pop_before_matches_guarded_binary_heap() {
         let mut q = CalendarQueue::new(16, 8);
         let mut oracle: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rnd = xorshift(0x9E3779B97F4A7C15);
         let mut now = 0u64;
         let mut seq = 0u64;
         for round in 0..400 {
             // A clustered burst with occasional far-future outliers.
             for _ in 0..3 {
                 let r = rnd();
-                let delta = if r % 13 == 0 { r % 5_000 } else { r % 48 };
+                let delta = if r.is_multiple_of(13) {
+                    r % 5_000
+                } else {
+                    r % 48
+                };
                 let e = Ev(now + delta, seq);
                 seq += 1;
                 q.push(e);
@@ -440,7 +527,7 @@ mod tests {
                     }
                     _ => None,
                 };
-                let got = q.pop_before(limit);
+                let got = q.pop_before(limit, None);
                 assert_eq!(got, want, "round {round} limit {limit}");
                 match got {
                     Some(e) => now = e.0,

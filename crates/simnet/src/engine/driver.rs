@@ -193,22 +193,26 @@ pub(crate) fn fault_runtime(
 }
 
 /// A finite run ended with packets neither delivered nor terminally failed.
-/// With links still parked that is a genuine buffer deadlock, which the
-/// wakeup design makes a detectable quiescent state and this a typed error;
-/// anything else is an engine bug.
+/// With every initial injection issued and links still parked that is a
+/// genuine buffer deadlock, which the wakeup design makes a detectable
+/// quiescent state and this a typed error; anything else is an engine bug,
+/// [`SimError::Internal`].
 pub(crate) fn undrained(
     undelivered: u64,
+    unspent: usize,
     parked: usize,
     in_queues: usize,
     pending: usize,
     occ: u32,
 ) -> SimError {
-    assert!(
-        parked > 0,
-        "simulation ended with {undelivered} undelivered packets \
-         (link queues: {in_queues}, pending injections: {pending}, \
-         occupancy sum: {occ}) — engine invariant violated"
-    );
+    if unspent > 0 || parked == 0 {
+        return SimError::Internal(format!(
+            "simulation ended with {undelivered} undelivered packets \
+             (initial injections never issued: {unspent}, parked links: {parked}, \
+             link queues: {in_queues}, pending injections: {pending}, \
+             occupancy sum: {occ})"
+        ));
+    }
     SimError::Deadlock {
         diagnosis: format!(
             "simulation deadlocked with {undelivered} undelivered packets and \
@@ -644,5 +648,28 @@ fn fire_collective(
             core.inject_message(now, src_ep, endpoints[dst_rank as usize], bytes, tag);
         }
         ready.extend(next);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Undelivered packets with no parked link, or with initial injections
+    /// never issued, are an engine bug returned as a value, not a panic; only
+    /// parked links with the cursor spent make a deadlock.
+    #[test]
+    fn undrained_without_parked_links_is_an_internal_error() {
+        let err = undrained(3, 0, 0, 1, 2, 4);
+        let SimError::Internal(message) = &err else {
+            panic!("expected an internal error, got {err:?}");
+        };
+        assert!(message.contains("3 undelivered packets"), "{message}");
+        assert!(err.to_string().starts_with("engine invariant violated: "));
+        assert!(matches!(undrained(3, 5, 2, 0, 0, 0), SimError::Internal(_)));
+        assert!(matches!(
+            undrained(3, 0, 2, 1, 0, 4),
+            SimError::Deadlock { .. }
+        ));
     }
 }

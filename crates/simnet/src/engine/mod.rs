@@ -68,11 +68,12 @@ pub type ParallelSimulator<'a> = Simulator<'a>;
 
 /// Why a run could not start or could not complete.
 ///
-/// Returned by the `try_run*` entry points. Every variant but `Deadlock` is a
-/// rejection *before* any simulation work; `Deadlock` is the wakeup core's
-/// quiescence detection turned into a value — degenerate configurations (tiny
-/// per-VC buffers under saturation) degrade gracefully instead of aborting the
-/// process.
+/// Returned by the `try_run*` entry points. Every variant but `Deadlock` and
+/// `Internal` is a rejection *before* any simulation work; `Deadlock` is the
+/// wakeup core's quiescence detection turned into a value — degenerate
+/// configurations (tiny per-VC buffers under saturation) degrade gracefully
+/// instead of aborting the process — and `Internal` is an engine bug
+/// reported as a value rather than a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
     /// [`SimConfig::routing`] does not name a registered routing algorithm.
@@ -117,6 +118,11 @@ pub enum SimError {
         /// buffer-sizing hint).
         diagnosis: String,
     },
+    /// The engine broke one of its own invariants: a finite run's event loop
+    /// ended with initial injections its cursor never reached, or with
+    /// undelivered packets and no parked link to explain them. No input
+    /// produces this; the message carries the counts for the bug report.
+    Internal(String),
 }
 
 impl std::fmt::Display for SimError {
@@ -137,6 +143,7 @@ impl std::fmt::Display for SimError {
             | SimError::Windows(message)
             | SimError::Config(message)
             | SimError::Deadlock { diagnosis: message } => f.write_str(message),
+            SimError::Internal(message) => write!(f, "engine invariant violated: {message}"),
         }
     }
 }

@@ -10,6 +10,22 @@
 //! fault arming) is the `driver` module's; each shard hands it an
 //! `owns(endpoint)` predicate.
 //!
+//! # Event sources
+//!
+//! A shard's epoch loop draws on three sources:
+//!
+//! * **the injection cursor** — a finite run's schedule is sorted by
+//!   `(inject_time_ps, stable_id)` before it is split into the shards'
+//!   arenas, so each arena is its own injection stream, in exactly the
+//!   `(time, key)` order its `Inject` events would pop in. A cursor walks
+//!   it; no initial injection is ever pushed;
+//! * **the calendar queue** — every other event, re-injections included
+//!   (pending-buffer admissions, retransmissions, cross-shard hand-offs).
+//!   The loop pops the queue's minimum only if it orders before the
+//!   cursor's head under the full [`Event`] order, and takes the head
+//!   otherwise; the shard's next time is the smaller of the two;
+//! * **the credit-return FIFOs** — settled on read, not popped (below).
+//!
 //! # Flow control
 //!
 //! Buffer capacity is enforced by *per-(link, VC) sender-held credits* (an
@@ -486,6 +502,8 @@ struct ShardOutcome {
     pending: usize,
     occ_sum: u32,
     parked: usize,
+    /// Initial injections the cursor never reached.
+    unspent: usize,
 }
 
 /// One shard's complete simulation state. Arrays are indexed in the *global*
@@ -508,6 +526,11 @@ pub(super) struct ShardCore<'a> {
     my_routers: Vec<VertexId>,
     packets: Vec<Packet>,
     free: Vec<usize>,
+    /// The injection cursor: arena slots `inject_cursor..inject_end` are the
+    /// finite run's packets not yet injected, in `(inject_time_ps,
+    /// stable_id)` order (empty in steady mode).
+    inject_cursor: usize,
+    inject_end: usize,
     /// Per-link transmit state, indexed by global link id.
     links: Vec<LinkSlot>,
     /// Per-link output-queue lengths, kept flat beside `links` because
@@ -627,6 +650,8 @@ impl<'a> ShardCore<'a> {
             my_routers,
             packets: arena,
             free: Vec::new(),
+            inject_cursor: 0,
+            inject_end: 0,
             links: link_slots,
             link_qlen: vec![0; links],
             credits: vec![cfg.buffer_packets_per_vc as u32; links * nv],
@@ -703,24 +728,56 @@ impl<'a> ShardCore<'a> {
         );
     }
 
-    /// Queue the injection of every packet the arena was built with — a
-    /// finite run's share of the schedule, the packets injected at this
-    /// shard's routers.
+    /// Arm the injection cursor over every packet the arena was built with —
+    /// a finite run's share of the schedule, the packets injected at this
+    /// shard's routers, sorted by `(inject_time_ps, stable_id)` (see
+    /// [`Simulator::shard_arenas`]). That is the order their `Inject` events
+    /// pop in, so the arena is its own injection stream: the epoch loop
+    /// merges the cursor's head with the queue, and no initial injection is
+    /// ever pushed. A slot behind the cursor may be freed and reused; one at
+    /// or past it holds a packet nothing else has touched.
     fn inject_arena(&mut self) {
         self.check_arena_index();
+        debug_assert!(
+            (self.packets.windows(2))
+                .all(|w| (w[0].inject_time_ps, w[0].stable_id)
+                    < (w[1].inject_time_ps, w[1].stable_id)),
+            "a shard arena out of injection order"
+        );
         if self.fault.is_some() {
             self.fstats.injected += self.packets.len() as u64;
         }
         self.counters.arena_slots = self.packets.len() as u64;
-        for (slot, p) in self.packets.iter().enumerate() {
-            self.queue.push(Event {
+        self.inject_end = self.packets.len();
+    }
+
+    /// The cursor's next initial injection, as the event it stands for.
+    #[inline]
+    fn inject_head(&self) -> Option<Event> {
+        let slot = self.inject_cursor;
+        (slot < self.inject_end).then(|| {
+            let p = &self.packets[slot];
+            Event {
                 time: p.inject_time_ps,
                 key: key(CLASS_INJECT, p.stable_id),
                 kind: EventKind::Inject {
                     packet: slot as u32,
                 },
-            });
+            }
+        })
+    }
+
+    /// Pop the earliest event before `limit` under the full [`Event`] order:
+    /// the queue's minimum or the cursor's head, whichever is smaller.
+    #[inline]
+    fn pop_before(&mut self, limit: u64) -> Option<Event> {
+        let head = self.inject_head();
+        if let Some(ev) = self.queue.pop_before(limit, head.as_ref()) {
+            return Some(ev);
         }
+        let head = head.filter(|h| h.time < limit)?;
+        self.inject_cursor += 1;
+        Some(head)
     }
 
     #[inline]
@@ -802,11 +859,13 @@ impl<'a> ShardCore<'a> {
         }
     }
 
-    /// The earliest pending event or credit return (`u64::MAX` = none).
+    /// The earliest pending event, initial injection or credit return
+    /// (`u64::MAX` = none).
     fn next_time(&self) -> u64 {
         let fronts = self.returns.iter().filter_map(|f| f.front());
         let nt = self.queue.next_time().unwrap_or(u64::MAX);
-        fronts.map(|r| r.time).fold(nt, u64::min)
+        let head = self.inject_head().map_or(u64::MAX, |h| h.time);
+        fronts.map(|r| r.time).fold(nt.min(head), u64::min)
     }
 
     fn push_wake(&mut self, time: u64, link: usize, vc: u8) {
@@ -1475,6 +1534,7 @@ impl<'a> ShardCore<'a> {
             pending: self.pending_len.iter().map(|&q| q as usize).sum(),
             occ_sum: self.occupancy.iter().sum(),
             parked: self.parked_count,
+            unspent: self.inject_end - self.inject_cursor,
             stats: self.stats,
             counters: self.counters,
             samples: self.raw_samples,
@@ -1524,7 +1584,7 @@ fn run_epochs<'a, F>(
         if !core.unwoken.is_empty() {
             core.schedule_due_wakes();
         }
-        while let Some(ev) = core.queue.pop_before(limit) {
+        while let Some(ev) = core.pop_before(limit) {
             core.counters.events += 1;
             handle(core, ev);
         }
@@ -1847,6 +1907,23 @@ impl<'a> Simulator<'a> {
         results
     }
 
+    /// Split a packetized schedule into the shards' arenas, each the packets
+    /// injected at its own routers in `(inject_time_ps, stable_id)` order —
+    /// the order their `Inject` events pop in. Stable ids are assigned
+    /// before the sort, so no key, RNG stream or digest depends on it; it
+    /// puts packets that are in flight together in adjacent slots.
+    fn shard_arenas(&self, mut sched: Vec<Packet>) -> Vec<Vec<Packet>> {
+        sched.sort_unstable_by_key(|p| (p.inject_time_ps, p.stable_id));
+        if self.cfg.shards == 1 {
+            return vec![sched];
+        }
+        let mut arenas: Vec<Vec<Packet>> = vec![Vec::new(); self.cfg.shards];
+        for p in sched {
+            arenas[self.owner[p.src_router as usize] as usize].push(p);
+        }
+        arenas
+    }
+
     /// Finite drain-to-empty run. The schedule is packetized once, on the
     /// calling thread, and each shard's arena starts as the packets injected
     /// at its own routers — at one shard, the whole schedule, moved.
@@ -1861,15 +1938,7 @@ impl<'a> Simulator<'a> {
         }
         let sched = packetize(self.net, self.cfg, workload, offered_load);
         let total = sched.len() as u64;
-        let arenas = if self.cfg.shards == 1 {
-            vec![sched]
-        } else {
-            let mut arenas: Vec<Vec<Packet>> = vec![Vec::new(); self.cfg.shards];
-            for p in sched {
-                arenas[self.owner[p.src_router as usize] as usize].push(p);
-            }
-            arenas
-        };
+        let arenas = self.shard_arenas(sched);
         let launch = |core: &mut ShardCore<'_>, shared: Option<&EpochShared>| {
             if let Some(timeline) = &run.timeline {
                 core.arm_faults(timeline, true);
@@ -1884,6 +1953,7 @@ impl<'a> Simulator<'a> {
         if delivered + failed < total {
             return Err(driver::undrained(
                 total - delivered - failed,
+                outs.iter().map(|o| o.unspent).sum(),
                 outs.iter().map(|o| o.parked).sum(),
                 outs.iter().map(|o| o.in_queues).sum(),
                 outs.iter().map(|o| o.pending).sum(),
@@ -2295,6 +2365,115 @@ mod tests {
         let queued: usize = model.iter().take(3).map(VecDeque::len).sum();
         let out = core.into_outcome();
         assert_eq!((out.in_queues, out.pending), (queued, model[3].len()));
+    }
+
+    /// FNV-1a over the `Debug` rendering of a run's physics ([`core_fields`]).
+    fn results_digest(r: &SimResults) -> u64 {
+        format!("{:?}", core_fields(r))
+            .bytes()
+            .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01B3)
+            })
+    }
+
+    /// Run `wl` at one shard the way `run_finite` does, and report whether a
+    /// packet waited in `pending_inject`, and whether one was dropped into
+    /// retransmission, while the cursor still had initial injections left —
+    /// packets re-entering through the queue while the cursor is live.
+    fn reentries_under_live_cursor(
+        net: &SimNetwork,
+        cfg: &SimConfig,
+        wl: &Workload,
+        load: f64,
+    ) -> (bool, bool) {
+        let sim = Simulator::new(net, cfg);
+        let run = RunPlan::new(net, cfg, &sim.router, wl, Some(load)).unwrap();
+        let arena = sim
+            .shard_arenas(packetize(net, cfg, wl, Some(load)))
+            .remove(0);
+        let mut core = ShardCore::new(0, &sim, StatsCollector::default(), arena);
+        if let Some(timeline) = &run.timeline {
+            core.arm_faults(timeline, true);
+        }
+        core.inject_arena();
+        let (mut waited, mut retransmitted) = (false, false);
+        run_epochs(&mut core, None, None, |c, ev| {
+            c.handle_core(ev);
+            if c.inject_cursor < c.inject_end {
+                waited |= c.pending_len.iter().any(|&n| n > 0);
+                retransmitted |= c.fstats.retransmits > 0;
+            }
+        });
+        assert_eq!(core.inject_cursor, core.inject_end, "the cursor is spent");
+        (waited, retransmitted)
+    }
+
+    /// The injection cursor merged with the queue is the old all-in-the-queue
+    /// schedule, event for event: finite Poisson runs of three-packet
+    /// messages where injections wait for VC-0 slots (two per VC), and where
+    /// a link cut drops packets into retransmission, both while the cursor
+    /// is live. Event counts and digests are pinned from the engine that
+    /// pushed every initial injection into the calendar queue (every shard
+    /// replays the fault timeline, so a faulted run's count grows with the
+    /// shard count).
+    #[test]
+    fn injection_cursor_merges_with_queued_reentries() {
+        let net = SimNetwork::new(ring(8), 4);
+        let wl = Workload::uniform_random(net.num_endpoints(), 6, 3 * 4096, 17);
+        let load = 0.9;
+        let d = net.diameter() as u32;
+        let starved = SimConfig {
+            buffer_packets_per_vc: 2,
+            ..SimConfig::default().with_routing("ugal-l", d)
+        };
+        let script = FaultScript::parse("at(1us, links(0.25)) + at(30us, heal(all))").unwrap();
+        let faulted = SimConfig::default()
+            .with_routing("minimal", d)
+            .with_fault_script(script.with_seed(5));
+        let cases = [
+            (
+                "pending",
+                starved,
+                (true, false),
+                [3804, 3804, 3804],
+                477369367821803920,
+            ),
+            (
+                "faults",
+                faulted,
+                (true, true),
+                [4625, 4628, 4634],
+                13211674414073318899,
+            ),
+        ];
+        for (name, cfg, reentries, events, digest) in cases {
+            assert_eq!(
+                reentries_under_live_cursor(&net, &cfg, &wl, load),
+                reentries,
+                "{name}: (waited, retransmitted) under a live cursor"
+            );
+            for (shards, events) in [1usize, 2, 4].into_iter().zip(events) {
+                let cfg = cfg.clone().with_shards(shards);
+                let sim = Simulator::new(&net, &cfg);
+                for arena in sim.shard_arenas(packetize(&net, &cfg, &wl, Some(load))) {
+                    assert!(
+                        arena.windows(2).all(|w| {
+                            (w[0].inject_time_ps, w[0].stable_id)
+                                <= (w[1].inject_time_ps, w[1].stable_id)
+                        }),
+                        "{name}: a {shards}-shard arena out of injection order"
+                    );
+                }
+                let res = sim.try_run_with_offered_load(&wl, load).unwrap();
+                let settled = res.delivered_packets + res.faults.failed;
+                assert_eq!(settled, 3 * 6 * 32, "{name}");
+                assert_eq!(
+                    (res.engine.events, results_digest(&res)),
+                    (events, digest),
+                    "{name} at {shards} shards"
+                );
+            }
+        }
     }
 
     /// Quiescence with links parked surfaces as a typed
