@@ -22,12 +22,59 @@
 //!
 //! The default baseline path is `<manifest dir>/baselines/<manifest name>.toml`.
 
-use spectralfly_bench::Cli;
 use spectralfly_exp::{baseline, fnv64_str, runner, Baselines, Manifest, RunOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\n  repro run   <manifest.toml> [--out DIR] [--record-baselines] [--baselines PATH] [--filter S]\n  repro check <manifest.toml> [--baselines PATH] [--out DIR] [--filter S]";
+
+/// The command line after the program name. Every flag is known here, so an
+/// unknown flag and a flag without its value end the process with the usage
+/// text and exit code 2 instead of silently running the default.
+#[derive(Debug, Default)]
+struct Cli {
+    positional: Vec<String>,
+    out: Option<String>,
+    filter: Option<String>,
+    baselines: Option<String>,
+    record_baselines: bool,
+}
+
+impl Cli {
+    /// Parse `args`; a repeated flag's last value wins. The violation is
+    /// returned.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let slot = match arg.as_str() {
+                "--out" => &mut cli.out,
+                "--filter" => &mut cli.filter,
+                "--baselines" => &mut cli.baselines,
+                "--record-baselines" => {
+                    cli.record_baselines = true;
+                    continue;
+                }
+                flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+                _ => {
+                    cli.positional.push(arg);
+                    continue;
+                }
+            };
+            let value = (args.next())
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{arg} needs a value"))?;
+            *slot = Some(value);
+        }
+        Ok(cli)
+    }
+}
+
+/// Reject the command line: the reason, the usage text, exit code 2.
+fn usage_error(reason: &str) -> ! {
+    eprintln!("error: {reason}\nusage: {USAGE}");
+    std::process::exit(2)
+}
 
 fn default_baseline_path(manifest_path: &Path, name: &str) -> PathBuf {
     manifest_path
@@ -90,7 +137,7 @@ fn cmd_run(manifest_path: &str, cli: &Cli) -> ExitCode {
         }
     };
     let opts = RunOptions {
-        filter: cli.value("--filter").map(str::to_string),
+        filter: cli.filter.clone(),
         ..Default::default()
     };
     let report = match runner::run_manifest(&m, &opts) {
@@ -101,21 +148,22 @@ fn cmd_run(manifest_path: &str, cli: &Cli) -> ExitCode {
         }
     };
     print_report(&report, &m);
-    match write_artifact(&report, cli.value("--out").unwrap_or("artifacts")) {
+    match write_artifact(&report, cli.out.as_deref().unwrap_or("artifacts")) {
         Ok(path) => println!("artifact: {}", path.display()),
         Err(e) => {
             eprintln!("repro: writing artifact: {e}");
             return ExitCode::FAILURE;
         }
     }
-    if cli.flag("--record-baselines") {
+    if cli.record_baselines {
         if opts.filter.is_some() {
             eprintln!("repro: refusing to record baselines from a --filter'ed run (it would drop every filtered-out point)");
             return ExitCode::FAILURE;
         }
         let base = Baselines::from_report(&report);
         let path = cli
-            .value("--baselines")
+            .baselines
+            .as_ref()
             .map(PathBuf::from)
             .unwrap_or_else(|| default_baseline_path(Path::new(manifest_path), &m.name));
         if let Some(dir) = path.parent() {
@@ -134,8 +182,8 @@ fn cmd_run(manifest_path: &str, cli: &Cli) -> ExitCode {
 }
 
 fn cmd_check(manifest_path: &str, cli: &Cli) -> ExitCode {
-    if cli.flag("--record-baselines") {
-        cli.fail("--record-baselines belongs to `repro run`");
+    if cli.record_baselines {
+        usage_error("--record-baselines belongs to `repro run`");
     }
     let m = match load_manifest(manifest_path) {
         Ok(m) => m,
@@ -145,7 +193,8 @@ fn cmd_check(manifest_path: &str, cli: &Cli) -> ExitCode {
         }
     };
     let baseline_path = cli
-        .value("--baselines")
+        .baselines
+        .as_ref()
         .map(PathBuf::from)
         .unwrap_or_else(|| default_baseline_path(Path::new(manifest_path), &m.name));
     let baselines = match std::fs::read_to_string(&baseline_path)
@@ -160,7 +209,7 @@ fn cmd_check(manifest_path: &str, cli: &Cli) -> ExitCode {
         }
     };
     let opts = RunOptions {
-        filter: cli.value("--filter").map(str::to_string),
+        filter: cli.filter.clone(),
         ..Default::default()
     };
     if opts.filter.is_some() {
@@ -174,7 +223,7 @@ fn cmd_check(manifest_path: &str, cli: &Cli) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(out_dir) = cli.value("--out") {
+    if let Some(out_dir) = &cli.out {
         match write_artifact(&report, out_dir) {
             Ok(path) => println!("artifact: {}", path.display()),
             Err(e) => eprintln!("repro: writing artifact: {e}"),
@@ -202,14 +251,49 @@ fn cmd_check(manifest_path: &str, cli: &Cli) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let cli = Cli::parse(
-        USAGE,
-        &["--out", "--filter", "--baselines"],
-        &["--record-baselines"],
-    );
-    match cli.positional() {
+    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|reason| usage_error(&reason));
+    match cli.positional.as_slice() {
         [cmd, manifest_path] if cmd == "run" => cmd_run(manifest_path, &cli),
         [cmd, manifest_path] if cmd == "check" => cmd_check(manifest_path, &cli),
-        _ => cli.fail("expected `run` or `check` and one manifest path"),
+        _ => usage_error("expected `run` or `check` and one manifest path"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn declared_flags_parse_and_the_last_value_wins() {
+        let cli = parse(&[
+            "run",
+            "--out",
+            "a",
+            "--record-baselines",
+            "m.toml",
+            "--out",
+            "b",
+        ]);
+        let cli = cli.unwrap();
+        assert_eq!(cli.positional, ["run", "m.toml"]);
+        assert!(cli.record_baselines);
+        assert_eq!(cli.out.as_deref(), Some("b"));
+        assert_eq!(cli.filter, None, "absent flags have no value");
+    }
+
+    #[test]
+    fn undeclared_flags_and_missing_values_are_violations() {
+        let err = |args: &[&str]| parse(args).unwrap_err();
+        assert_eq!(err(&["--record"]), "unknown flag --record");
+        assert_eq!(err(&["--filter"]), "--filter needs a value");
+        assert_eq!(
+            err(&["--filter", "--record-baselines"]),
+            "--filter needs a value",
+            "a flag is never swallowed as another flag's value"
+        );
     }
 }

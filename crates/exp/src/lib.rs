@@ -19,7 +19,7 @@
 //! ([`baseline::Diagnosis`]) instead of a silently wrong number in a table.
 //! Speed is not this crate's business: `benchmark/` times the simulator.
 //!
-//! The `repro` binary in `spectralfly-bench` is the CLI over this crate:
+//! This crate's `repro` binary is the CLI over it:
 //! `repro run manifests/paper.toml` reproduces the paper, `repro check
 //! manifests/smoke.toml` is the CI gate.
 

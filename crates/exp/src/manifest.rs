@@ -26,7 +26,7 @@
 //! artifact and baseline.
 
 use crate::digest::fnv64_str;
-use crate::toml::{self, is_bare_key, render_key, render_str, Document, Table, TomlError, Value};
+use crate::toml::{self, is_bare_key, render_str, Document, Table, TomlError, Value};
 use crate::topo::{Size, TopoSpec};
 use spectralfly_graph::failures::FailureMetric;
 use spectralfly_graph::Column;
@@ -703,7 +703,7 @@ impl Experiment {
     }
 
     fn to_toml(&self) -> String {
-        let mut out = format!("[experiment.{}]\n", render_key(&self.name));
+        let mut out = format!("[experiment.{}]\n", self.name);
         out.push_str(&render_str_list("topologies", &self.topologies));
         out.push_str(&render_str_list("routings", &self.routings));
         if !self.patterns.is_empty() {
@@ -856,7 +856,7 @@ impl Structure {
     }
 
     fn to_toml(&self) -> String {
-        let mut out = format!("[structure.{}]\n", render_key(&self.name));
+        let mut out = format!("[structure.{}]\n", self.name);
         if self.enumerate.is_empty() {
             out.push_str(&render_str_list("topologies", &self.topologies));
         } else {

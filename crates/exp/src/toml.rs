@@ -2,12 +2,13 @@
 //!
 //! The container this workspace builds in has no crates.io access, so — like
 //! the `vendor/` shims — the manifest format is served by a small exact parser
-//! instead of the `toml` crate. The accepted subset is deliberately plain:
+//! instead of the `toml` crate. The accepted subset is what the manifests,
+//! their baselines and the benchmark workloads use, and no more:
 //!
-//! * table headers `[a.b]` (segments bare or `"quoted"`),
+//! * table headers `[a.b]` of bare segments,
 //! * `key = value` pairs (keys bare or `"quoted"`),
-//! * values: basic strings with `\" \\ \n \t` escapes, booleans, integers
-//!   (decimal or `0x` hex), floats, and single-line arrays of those,
+//! * values: basic strings with `\" \\ \n \t` escapes, integers (decimal
+//!   or `0x` hex), floats, and single-line arrays of those,
 //! * `#` comments and blank lines.
 //!
 //! Errors are typed and carry the **line and byte offset** of the offending
@@ -24,8 +25,6 @@ pub enum Value {
     Int(i64),
     /// A float.
     Float(f64),
-    /// A boolean.
-    Bool(bool),
     /// A single-line array of scalar values.
     Array(Vec<Value>),
 }
@@ -37,7 +36,6 @@ impl Value {
             Value::Str(_) => "string",
             Value::Int(_) => "integer",
             Value::Float(_) => "float",
-            Value::Bool(_) => "boolean",
             Value::Array(_) => "array",
         }
     }
@@ -48,7 +46,6 @@ impl Value {
             Value::Str(s) => render_str(s),
             Value::Int(i) => i.to_string(),
             Value::Float(f) => render_float(*f),
-            Value::Bool(b) => b.to_string(),
             Value::Array(items) => {
                 let inner: Vec<String> = items.iter().map(Value::render).collect();
                 format!("[{}]", inner.join(", "))
@@ -61,15 +58,6 @@ impl Value {
 pub fn is_bare_key(s: &str) -> bool {
     let bare = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
     !s.is_empty() && s.chars().all(bare)
-}
-
-/// Render a key or table name: bare where it can be, quoted otherwise.
-pub fn render_key(s: &str) -> String {
-    if is_bare_key(s) {
-        s.to_string()
-    } else {
-        render_str(s)
-    }
 }
 
 /// Render a string as a quoted TOML basic string.
@@ -209,10 +197,10 @@ pub fn parse(src: &str) -> Result<Document, TomlError> {
         let line_no = idx + 1;
         let line_start = offset;
         offset += raw_line.len() + 1;
-        let trimmed = strip_comment(raw_line);
         let lead = raw_line.len() - raw_line.trim_start().len();
         let at = line_start + lead;
-        let trimmed = trimmed.trim();
+        let comment = unquoted(raw_line, '#').next();
+        let trimmed = raw_line[..comment.unwrap_or(raw_line.len())].trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -243,7 +231,7 @@ pub fn parse(src: &str) -> Result<Document, TomlError> {
             }
             continue;
         }
-        let Some(eq) = find_top_level_eq(trimmed) else {
+        let Some(eq) = unquoted(trimmed, '=').next() else {
             return Err(err(
                 line_no,
                 at,
@@ -270,80 +258,39 @@ pub fn parse(src: &str) -> Result<Document, TomlError> {
     Ok(doc)
 }
 
-/// Strip a `#` comment that is not inside a quoted string.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    let mut escape = false;
-    for (i, c) in line.char_indices() {
+/// Byte offsets of every `sep` in `s` that lies outside a `"quoted"` string
+/// (a `\"` escape does not close one): where a comment starts, where a key
+/// ends, where an array item ends.
+fn unquoted(s: &str, sep: char) -> impl Iterator<Item = usize> + '_ {
+    let (mut in_str, mut escape) = (false, false);
+    s.char_indices().filter_map(move |(i, c)| {
+        let hit = c == sep && !in_str;
         match c {
             '\\' if in_str && !escape => escape = true,
             '"' if !escape => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
             _ => escape = false,
         }
-    }
-    line
-}
-
-/// Find the `=` separating key from value (keys may be quoted and contain `=`).
-fn find_top_level_eq(s: &str) -> Option<usize> {
-    let mut in_str = false;
-    let mut escape = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            '\\' if in_str && !escape => escape = true,
-            '"' if !escape => {
-                in_str = !in_str;
-                escape = false;
-            }
-            '=' if !in_str => return Some(i),
-            _ => escape = false,
-        }
-    }
-    None
+        hit.then_some(i)
+    })
 }
 
 fn parse_path(header: &str, line: usize, at: usize) -> Result<Vec<String>, TomlError> {
-    let mut segments = Vec::new();
-    for seg in split_dotted(header) {
-        segments.push(parse_key(seg.trim(), line, at)?);
+    let segments: Vec<String> = header.split('.').map(str::to_string).collect();
+    match segments.iter().find(|s| !is_bare_key(s)) {
+        None => Ok(segments),
+        Some(bad) => Err(err(
+            line,
+            at,
+            format!(
+                "invalid table name {bad:?} in [{header}]: header segments are bare [A-Za-z0-9_-]+"
+            ),
+        )),
     }
-    if segments.is_empty() {
-        return Err(err(line, at, "empty table header"));
-    }
-    Ok(segments)
-}
-
-/// Split a dotted path at dots outside quotes.
-fn split_dotted(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut in_str = false;
-    let mut escape = false;
-    let mut start = 0usize;
-    for (i, c) in s.char_indices() {
-        match c {
-            '\\' if in_str && !escape => escape = true,
-            '"' if !escape => {
-                in_str = !in_str;
-                escape = false;
-            }
-            '.' if !in_str => {
-                out.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => escape = false,
-        }
-    }
-    out.push(&s[start..]);
-    out
 }
 
 fn parse_key(src: &str, line: usize, at: usize) -> Result<String, TomlError> {
     if src.starts_with('"') {
-        match parse_value(src, line, at)? {
-            Value::Str(s) => Ok(s),
-            _ => unreachable!("quoted key parses as a string"),
-        }
+        parse_string(src, line, at)
     } else if is_bare_key(src) {
         Ok(src.to_string())
     } else {
@@ -368,9 +315,10 @@ fn parse_value(src: &str, line: usize, at: usize) -> Result<Value, TomlError> {
                 "array is missing its closing ']' (arrays must be single-line)",
             ));
         };
-        let mut items = Vec::new();
-        for item in split_top_level_commas(body) {
-            let item = item.trim();
+        let (mut items, mut start) = (Vec::new(), 0);
+        for end in unquoted(body, ',').chain([body.len()]) {
+            let item = body[start..end].trim();
+            start = end + 1;
             if item.is_empty() {
                 continue;
             }
@@ -385,29 +333,23 @@ fn parse_value(src: &str, line: usize, at: usize) -> Result<Value, TomlError> {
     if src.starts_with('"') {
         return parse_string(src, line, at).map(Value::Str);
     }
-    match src {
-        "true" => return Ok(Value::Bool(true)),
-        "false" => return Ok(Value::Bool(false)),
-        _ => {}
-    }
-    if let Some(hex) = src.strip_prefix("0x").or_else(|| src.strip_prefix("0X")) {
-        return i64::from_str_radix(&hex.replace('_', ""), 16)
+    if let Some(hex) = src.strip_prefix("0x") {
+        return i64::from_str_radix(hex, 16)
             .map(Value::Int)
             .map_err(|e| err(line, at, format!("bad hex integer {src:?}: {e}")));
     }
-    let plain = src.replace('_', "");
-    if !plain.contains('.') && !plain.contains('e') && !plain.contains('E') {
-        if let Ok(i) = plain.parse::<i64>() {
+    if !src.contains(['.', 'e', 'E']) {
+        if let Ok(i) = src.parse::<i64>() {
             return Ok(Value::Int(i));
         }
     }
-    if let Ok(f) = plain.parse::<f64>() {
+    if let Ok(f) = src.parse::<f64>() {
         return Ok(Value::Float(f));
     }
     Err(err(
         line,
         at,
-        format!("unrecognized value {src:?} (expected string, number, boolean, or array)"),
+        format!("unrecognized value {src:?} (expected string, number, or array)"),
     ))
 }
 
@@ -447,31 +389,6 @@ fn parse_string(src: &str, line: usize, at: usize) -> Result<String, TomlError> 
     Ok(out)
 }
 
-/// Split at commas outside quotes (array elements may be quoted strings with
-/// commas inside).
-fn split_top_level_commas(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut in_str = false;
-    let mut escape = false;
-    let mut start = 0usize;
-    for (i, c) in s.char_indices() {
-        match c {
-            '\\' if in_str && !escape => escape = true,
-            '"' if !escape => {
-                in_str = !in_str;
-                escape = false;
-            }
-            ',' if !in_str => {
-                out.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => escape = false,
-        }
-    }
-    out.push(&s[start..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,7 +405,6 @@ name = "smoke"   # trailing comment
 count = 42
 hexseed = 0x5EED
 ratio = 1.5
-flag = true
 
 [experiment.fig6]
 loads = [0.1, 0.5]
@@ -505,7 +421,6 @@ empty = []
         assert_eq!(m.get("count"), Some(&Value::Int(42)));
         assert_eq!(m.get("hexseed"), Some(&Value::Int(0x5EED)));
         assert_eq!(m.get("ratio"), Some(&Value::Float(1.5)));
-        assert_eq!(m.get("flag"), Some(&Value::Bool(true)));
         let e = doc.table("experiment.fig6").unwrap();
         assert_eq!(
             e.get("loads"),
@@ -551,7 +466,6 @@ empty = []
             Value::Int(0x5EED),
             Value::Float(0.25),
             Value::Float(3.0),
-            Value::Bool(false),
             Value::Array(vec![Value::Int(1), Value::Int(2)]),
         ];
         for v in cases {
@@ -563,10 +477,27 @@ empty = []
 
     #[test]
     fn quoted_keys_and_dotted_headers() {
-        let doc = parse("[results]\n\"exp/a=1,b=2\" = \"0xdead\"\n").unwrap();
+        let doc = parse("[results]\n\"exp/a=1,b=2 # x\" = \"0xdead\" # c\n").unwrap();
         let t = doc.table("results").unwrap();
-        assert_eq!(t.get("exp/a=1,b=2"), Some(&Value::Str("0xdead".into())));
-        let doc = parse("[structure.\"table-1\"]\nseed = 1\n").unwrap();
-        assert!(doc.table("structure.table-1").is_some());
+        assert_eq!(t.get("exp/a=1,b=2 # x"), Some(&Value::Str("0xdead".into())));
+        let doc = parse("[structure.table-1]\nseed = 1\n").unwrap();
+        assert_eq!(doc.table("structure.table-1").unwrap().path.len(), 2);
+        // Header segments are bare: quoted, empty or spaced ones are refused.
+        for header in ["[structure.\"table-1\"]", "[]", "[a..b]", "[a. b]"] {
+            let e = parse(&format!("{header}\nseed = 1\n")).unwrap_err();
+            assert!(e.reason.contains("invalid table name"), "{header}: {e}");
+        }
+    }
+
+    /// Syntax no manifest, baseline or workload uses is refused, not read.
+    #[test]
+    fn unused_syntax_is_rejected() {
+        for value in ["true", "false", "1_000", "0X5EED", "0x5E_ED", "1_0.5"] {
+            let e = parse(&format!("k = {value}\n")).unwrap_err();
+            assert!(
+                e.reason.contains("hex integer") || e.reason.contains("unrecognized value"),
+                "{value}: {e}"
+            );
+        }
     }
 }

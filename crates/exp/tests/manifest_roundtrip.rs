@@ -4,8 +4,9 @@
 //! offending field — the manifest mirror of the fault-spec byte-offset errors.
 
 use proptest::prelude::*;
-use spectralfly_exp::{Experiment, Manifest, ManifestError, Mode, Structure, TopoSpec};
+use spectralfly_exp::{Baselines, Experiment, Manifest, ManifestError, Mode, Structure, TopoSpec};
 use spectralfly_graph::Column;
+use std::path::Path;
 
 const TOPOLOGIES: &[&str] = &[
     "ring(5)",
@@ -223,4 +224,42 @@ fn toml_errors_carry_line_and_offset() {
         }
         other => panic!("{other:?}"),
     }
+}
+
+/// Every checked-in manifest and benchmark workload parses, its canonical TOML
+/// re-parses equal, and each one with a checked-in baseline still hashes to
+/// the `config_hash` recorded there: a parser change that altered what any of
+/// them means, or how it renders, fails here.
+#[test]
+fn checked_in_manifests_round_trip_and_keep_their_config_hash() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (mut parsed, mut hashed) = (0, 0);
+    for dir in ["manifests", "benchmark/workloads"] {
+        let mut paths: Vec<_> = std::fs::read_dir(root.join(dir))
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+            .collect();
+        paths.sort();
+        for path in paths {
+            // A workload's `{seed}` is the benchmark's --seed (default 3606).
+            let src = std::fs::read_to_string(&path)
+                .unwrap()
+                .replace("{seed}", "3606");
+            let m = Manifest::parse(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let canonical = Manifest::parse(&m.to_toml()).unwrap();
+            assert_eq!(canonical, m, "{}", path.display());
+            parsed += 1;
+            let baseline =
+                (path.parent().unwrap().join("baselines")).join(format!("{}.toml", m.name));
+            if let Ok(recorded) = std::fs::read_to_string(&baseline) {
+                let recorded = Baselines::parse(&recorded).unwrap();
+                assert_eq!(recorded.config_hash, m.config_hash(), "{}", path.display());
+                hashed += 1;
+            }
+        }
+    }
+    // smoke, interference, paper, paper-full and the two benchmark workloads;
+    // smoke and interference have baselines.
+    assert_eq!((parsed, hashed), (6, 2));
 }

@@ -1,15 +1,19 @@
 //! The exp half of the spec fuzz battery (see `crates/simnet/tests/spec_fuzz.rs`):
-//! `TopoSpec::parse` and `Manifest::parse` return `Ok` or a typed error on
-//! random strings and on every single-edit mutation of valid input — never a
-//! panic, never past the per-case budget — plus the topology rows of the
-//! strictness and meaning-preservation tables.
+//! `TopoSpec::parse`, `Manifest::parse` and `Baselines::parse` return `Ok` or
+//! a typed error on random strings and on every single-edit mutation of valid
+//! input — never a panic, never past the per-case budget — plus the topology
+//! rows of the strictness and meaning-preservation tables.
 
 #[path = "../../simnet/tests/common/mod.rs"]
 mod common;
 
 use common::{random_strings, single_edit_mutations, within_budget};
 use proptest::prelude::*;
-use spectralfly_exp::{Manifest, TopoSpec};
+use spectralfly_exp::{Baselines, Manifest, TopoSpec};
+
+/// The checked-in smoke baselines, whose quoted keys hold `/`, `=`, `,`, `(`
+/// and spaces.
+const BASELINES: &str = include_str!("../../../manifests/baselines/smoke.toml");
 
 /// A manifest exercising every spec-valued axis.
 const MANIFEST: &str = r#"[manifest]
@@ -41,6 +45,10 @@ fn parse_manifest(input: &str) {
     let _ = Manifest::parse(input);
 }
 
+fn parse_baselines(input: &str) {
+    let _ = Baselines::parse(input);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -58,6 +66,7 @@ proptest! {
             documents.push(MANIFEST.replace("bisection-upper", &quoted));
         }
         within_budget(documents, parse_manifest);
+        within_budget(random_strings(seed, 64), parse_baselines);
     }
 }
 
@@ -80,6 +89,8 @@ fn single_edit_mutations_yield_ok_or_typed_errors() {
     }
     Manifest::parse(MANIFEST).unwrap();
     within_budget(single_edit_mutations(MANIFEST), parse_manifest);
+    Baselines::parse(BASELINES).unwrap();
+    within_budget(single_edit_mutations(BASELINES), parse_baselines);
 }
 
 /// Window lengths whose picosecond values (or whose warmup + measure + drain

@@ -436,7 +436,10 @@ struct Source<'p> {
 }
 
 /// A template source's stream: keyed by `(seed, endpoint)`, so its draws
-/// cannot depend on which shard owns it.
+/// cannot depend on which shard owns it. It reads like `job::source_rng`
+/// (jobs-mode sources), but this one mixes with `shard::mix64`, which adds
+/// the SplitMix64 increment that `job::mix64` does not: the two draw
+/// different streams, and merging them would re-record every steady golden.
 fn source_rng(seed: u64, endpoint: usize) -> StdRng {
     StdRng::seed_from_u64(mix64(seed).wrapping_add(mix64(endpoint as u64 ^ 0x005E_ED50_17CE)))
 }

@@ -141,7 +141,10 @@ fn key(class: u64, id: u64) -> u64 {
     (class << 56) | (id & 0x00FF_FFFF_FFFF_FFFF)
 }
 
-/// SplitMix64 finalizer (the same mixer the workspace `rand` shim seeds with).
+/// SplitMix64 finalizer (the same mixer the workspace `rand` shim seeds with),
+/// increment included — unlike `job::mix64`, which omits it and so draws a
+/// different stream from the same input. Merging the two would move every
+/// golden digest.
 #[inline]
 pub(super) fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -1417,7 +1420,6 @@ impl<'a> ShardCore<'a> {
             &self.link_qlen,
             &self.occ_view,
             &self.rocc_view,
-            &self.link_parked,
             self.nv,
             router,
             dst,

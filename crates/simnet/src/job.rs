@@ -1139,11 +1139,6 @@ pub struct MixPlan {
 }
 
 impl MixPlan {
-    /// Total ranks across all tenants.
-    pub fn total_ranks(&self) -> usize {
-        self.tenants.iter().map(|t| t.endpoints.len()).sum()
-    }
-
     /// Reverse map: global endpoint id → `(tenant, rank)`, `(u32::MAX, 0)`
     /// for endpoints no tenant occupies. Sized to `num_endpoints`.
     pub fn endpoint_index(&self, num_endpoints: usize) -> Vec<(u32, u32)> {
@@ -1175,18 +1170,22 @@ impl MixPlan {
     }
 }
 
-/// SplitMix64 finalizer — decorrelates the placement RNG stream from the
-/// engines' source streams, which hash the same seed differently.
+/// SplitMix64 finalizer *without* the `0x9E37_79B9_7F4A_7C15` increment
+/// that `engine::shard::mix64` adds first — the two are different functions
+/// and draw different streams. Seeds placement and [`source_rng`]; merging
+/// it with the shard's mixer would move every jobs-mode golden digest.
 fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
 }
 
-/// Deterministic per-endpoint RNG for jobs-mode sources. Both engines seed
-/// every source through this one function — the sharded engine for the
-/// endpoints each shard owns — so a given endpoint consumes the identical
-/// stream regardless of engine or shard count.
+/// Deterministic per-endpoint RNG for jobs-mode (open-loop tenant) sources:
+/// every shard seeds the endpoints it owns through this function, so a given
+/// endpoint consumes the identical stream at every shard count. Template
+/// sources seed through `engine::driver::source_rng` instead, which has the
+/// same body over the shard's `mix64` — a different stream. Deduplicating
+/// the two would re-record every steady golden.
 pub(crate) fn source_rng(seed: u64, endpoint: usize) -> StdRng {
     StdRng::seed_from_u64(mix64(seed).wrapping_add(mix64(endpoint as u64 ^ 0x005E_ED50_17CE)))
 }

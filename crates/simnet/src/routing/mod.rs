@@ -114,9 +114,6 @@ pub struct RoutingCtx<'a> {
     /// Per-router buffered-packet totals, maintained incrementally by the engines
     /// (`occupancy` summed across VCs, without the `num_vcs`-wide walk).
     router_occ: &'a [u32],
-    /// Per-link "parked waiting for a credit" flags (an empty slice reads as
-    /// every link unblocked).
-    link_parked: &'a [bool],
     num_vcs: usize,
     router: VertexId,
     dst: VertexId,
@@ -136,7 +133,6 @@ impl<'a> RoutingCtx<'a> {
         link_qlen: &'a [u32],
         occupancy: &'a [u32],
         router_occ: &'a [u32],
-        link_parked: &'a [bool],
         num_vcs: usize,
         router: VertexId,
         dst: VertexId,
@@ -149,7 +145,6 @@ impl<'a> RoutingCtx<'a> {
             link_qlen,
             occupancy,
             router_occ,
-            link_parked,
             num_vcs,
             router,
             dst,
@@ -212,23 +207,6 @@ impl<'a> RoutingCtx<'a> {
     #[inline]
     pub fn queue_len(&self, port: usize) -> usize {
         self.link_qlen[self.net.link_id(self.router, port)] as usize
-    }
-
-    /// Whether the current router's output link on `port` is blocked — its head
-    /// packet is parked until a credit for the downstream buffer returns. A
-    /// sharper congestion signal than [`RoutingCtx::queue_len`] alone: a deep
-    /// queue on a flowing link drains at line rate, a parked link drains not
-    /// at all.
-    ///
-    /// None of the built-in algorithms consult this (they predate it, and
-    /// changing them would perturb the paper's results); it is exposed for
-    /// custom [`Router`] implementations.
-    #[inline]
-    pub fn port_blocked(&self, port: usize) -> bool {
-        self.link_parked
-            .get(self.net.link_id(self.router, port))
-            .copied()
-            .unwrap_or(false)
     }
 
     /// Total buffered packets (all virtual channels) at an arbitrary router — the
@@ -515,7 +493,6 @@ pub struct RoutingHarness<'a> {
     link_qlen: Vec<u32>,
     occupancy: Vec<u32>,
     router_occ: Vec<u32>,
-    link_parked: Vec<bool>,
     scratch: RouteScratch,
     num_vcs: usize,
     rng: StdRng,
@@ -539,7 +516,6 @@ impl<'a> RoutingHarness<'a> {
             link_qlen: vec![0; net.num_directed_links()],
             occupancy: vec![0; net.num_routers() * cfg.num_vcs],
             router_occ: vec![0; net.num_routers()],
-            link_parked: vec![false; net.num_directed_links()],
             scratch: RouteScratch::default(),
             num_vcs: cfg.num_vcs,
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -556,7 +532,6 @@ impl<'a> RoutingHarness<'a> {
             &self.link_qlen,
             &self.occupancy,
             &self.router_occ,
-            &self.link_parked,
             self.num_vcs,
             src,
             dst,

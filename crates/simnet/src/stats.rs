@@ -385,11 +385,6 @@ impl SimResults {
         (self.delivered_bytes as f64 * 8.0) / self.completion_time_ps as f64 * 1000.0
     }
 
-    /// Completion time in nanoseconds.
-    pub fn completion_time_ns(&self) -> f64 {
-        self.completion_time_ps as f64 / 1000.0
-    }
-
     /// Speedup of this run relative to a baseline run of the same workload
     /// (ratio of completion times, >1 means this run is faster).
     pub fn speedup_over(&self, baseline: &SimResults) -> f64 {
