@@ -16,7 +16,7 @@
 //!   costs one translation: with `z = dst⁻¹·current`, the port along
 //!   generator `s` is minimal iff `d(e, z·s) + 1 = d(e, z)`, a bit
 //!   precomputed per element and generator. This is what unlocks
-//!   million-router LPS fabrics (a dense matrix there would need ~2 TB).
+//!   million-router LPS fabrics (a dense byte matrix there would need ~1.1 TiB).
 //! * [`LandmarkOracle`] — for non-algebraic or symmetry-broken graphs
 //!   (Jellyfish, degraded post-fault topologies): a handful of pinned
 //!   farthest-point landmark BFS rows for ALT-style distance shortcuts, plus
@@ -51,6 +51,12 @@ pub enum OracleError {
         /// Largest supported vertex count.
         max: usize,
     },
+    /// A finite distance exceeds what the representation stores (the dense
+    /// matrix's one-byte entries).
+    DistanceTooLarge {
+        /// Largest storable finite distance.
+        max: u16,
+    },
     /// A vertex degree exceeds the packed port id space.
     RadixTooLarge {
         /// The offending maximum degree.
@@ -70,6 +76,11 @@ impl std::fmt::Display for OracleError {
                 f,
                 "oracle supports at most {max} vertices, got {n} — use a sparse oracle \
                  (Cayley for vertex-transitive topologies, landmark otherwise)"
+            ),
+            OracleError::DistanceTooLarge { max } => write!(
+                f,
+                "a finite distance exceeds the {max} hops the oracle stores — use a \
+                 sparse oracle (landmark)"
             ),
             OracleError::RadixTooLarge { max_degree, max } => write!(
                 f,
@@ -148,7 +159,8 @@ pub struct DenseOracle {
 }
 
 impl DenseOracle {
-    /// Build the matrix from a graph, failing typed on `n > u16::MAX`.
+    /// Build the matrix from a graph, failing typed on `n > u16::MAX` or on a
+    /// finite distance past [`DistanceMatrix::MAX_DISTANCE`].
     pub fn build(g: &CsrGraph) -> Result<Self, OracleError> {
         let dist = DistanceMatrix::try_from_graph(g)?;
         let max_d = dist.max_reachable_distance();
@@ -176,7 +188,7 @@ impl PathOracle for DenseOracle {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.dist.n() * self.dist.n() * 2
+        self.dist.n() * self.dist.n()
     }
 
     fn kind(&self) -> OracleKind {

@@ -7,10 +7,12 @@
 //! on a shortest path.
 //! Historically each kept its own copy of this machinery; it now lives here, in the
 //! graph substrate both depend on, so there is exactly one implementation to test
-//! and optimize: the [`DistanceMatrix`] (u16 entries; every topology in the paper
-//! has diameter well below 2¹⁶), from which next hops are derived by scanning the
-//! current router's neighbour list (at most the radix, ≤ ~90, long) against the
-//! destination's row.
+//! and optimize: the [`DistanceMatrix`] (one byte per entry; every topology in the
+//! paper has diameter below 10, and a graph with a finite distance of 255 or more is
+//! refused), from which next hops are derived by scanning the current router's
+//! neighbour list (at most the radix, ≤ ~90, long) against the destination's row.
+//! A byte row is what keeps the simulator's hot path small: at LPS(23,13) the
+//! whole matrix is 1.14 MiB.
 //!
 //! The matrix is rebuilt for every degraded graph of a failure sweep, so its
 //! construction is written for throughput: a bit-parallel BFS that advances 64
@@ -21,16 +23,31 @@ use crate::oracle::OracleError;
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Marker for unreachable pairs.
 pub const UNREACHABLE_U16: u16 = u16::MAX;
+
+/// A [`DistanceMatrix`] entry's marker for unreachable pairs; every finite
+/// entry lies below it.
+const UNREACHABLE_U8: u8 = u8::MAX;
 
 /// Dense all-pairs distance matrix over routers.
 #[derive(Clone, Debug)]
 pub struct DistanceMatrix {
     n: usize,
-    /// Row-major distances; `u16::MAX` encodes "unreachable".
-    dist: Vec<u16>,
+    /// Row-major distances; [`UNREACHABLE_U8`] encodes "unreachable".
+    dist: Vec<u8>,
+}
+
+/// A stored byte as the `u16` distance the API speaks.
+#[inline]
+fn widen(d: u8) -> u16 {
+    if d == UNREACHABLE_U8 {
+        UNREACHABLE_U16
+    } else {
+        u16::from(d)
+    }
 }
 
 /// Single-source BFS writing u16 distances straight into a caller-provided row
@@ -120,9 +137,14 @@ pub(crate) fn bfs_levels_64(
 }
 
 impl DistanceMatrix {
-    /// The most vertices a matrix holds: `u16` distances with `u16::MAX` as
-    /// the unreachable sentinel.
+    /// The most vertices a matrix holds. The entries are bytes, so what this
+    /// bounds is the `n²`-byte buffer (4 GiB at the wall), and past it callers
+    /// fall back to a memory-scalable [`crate::oracle::PathOracle`].
     pub const MAX_VERTICES: usize = u16::MAX as usize;
+
+    /// The largest finite distance an entry stores: one below the unreachable
+    /// marker.
+    pub const MAX_DISTANCE: u16 = UNREACHABLE_U8 as u16 - 1;
 
     /// Compute the matrix with one bit-parallel BFS pass (`bfs_levels_64`) per 64
     /// sources, the passes in parallel.
@@ -131,12 +153,11 @@ impl DistanceMatrix {
     /// (`par_chunks_mut`), so peak memory is the matrix itself plus three words
     /// per vertex per worker — not a second copy of the matrix in per-row vectors.
     ///
-    /// The u16 distance encoding (with `u16::MAX` as the unreachable sentinel)
-    /// requires every finite distance < 2¹⁶ − 1; `n − 1` bounds path length, so the
-    /// vertex count is checked up front — and `n > u16::MAX` also means the dense
-    /// `n²` u16 buffer would exceed 8 GiB, which is exactly when callers should fall
-    /// back to a memory-scalable [`crate::oracle::PathOracle`] rather than build
-    /// this matrix ([`OracleError::TooManyVertices`]).
+    /// Fails typed, so that the caller can fall back to a sparser
+    /// [`crate::oracle::PathOracle`], on more than [`Self::MAX_VERTICES`]
+    /// vertices ([`OracleError::TooManyVertices`], checked up front) and on a
+    /// finite distance past [`Self::MAX_DISTANCE`]
+    /// ([`OracleError::DistanceTooLarge`], found by the passes themselves).
     pub fn try_from_graph(g: &CsrGraph) -> Result<Self, OracleError> {
         let n = g.num_vertices();
         if n > Self::MAX_VERTICES {
@@ -145,26 +166,36 @@ impl DistanceMatrix {
                 max: Self::MAX_VERTICES,
             });
         }
-        let mut dist = vec![0u16; n * n];
+        let too_far = AtomicBool::new(false);
+        let mut dist = vec![0u8; n * n];
         if n > 0 {
             dist.par_chunks_mut(BFS_BATCH * n)
                 .enumerate()
                 .for_each(|(batch, rows)| {
                     let first = batch * BFS_BATCH;
                     let sources = first..first + rows.len() / n;
-                    rows.fill(UNREACHABLE_U16);
+                    rows.fill(UNREACHABLE_U8);
                     for (i, s) in sources.clone().enumerate() {
                         rows[i * n + s] = 0;
                     }
+                    let mut deepest = 0;
                     bfs_levels_64(g, sources, |level, v, mut new| {
-                        // The saturation rule of `bfs_distances_into`.
-                        let d = level.min(UNREACHABLE_U16 as u32 - 1) as u16;
+                        deepest = level;
+                        let d = level.min(u32::from(Self::MAX_DISTANCE)) as u8;
                         while new != 0 {
                             rows[new.trailing_zeros() as usize * n + v] = d;
                             new &= new - 1;
                         }
                     });
+                    if deepest > u32::from(Self::MAX_DISTANCE) {
+                        too_far.store(true, Ordering::Relaxed);
+                    }
                 });
+        }
+        if too_far.into_inner() {
+            return Err(OracleError::DistanceTooLarge {
+                max: Self::MAX_DISTANCE,
+            });
         }
         Ok(DistanceMatrix { n, dist })
     }
@@ -175,14 +206,14 @@ impl DistanceMatrix {
     }
 
     /// The distances from router `from` to every router, indexed by destination.
-    fn row(&self, from: usize) -> &[u16] {
+    fn row(&self, from: usize) -> &[u8] {
         &self.dist[from * self.n..(from + 1) * self.n]
     }
 
     /// Distance between two routers (`u16::MAX` if unreachable).
     #[inline]
     pub fn dist(&self, from: VertexId, to: VertexId) -> u16 {
-        self.dist[from as usize * self.n + to as usize]
+        widen(self.dist[from as usize * self.n + to as usize])
     }
 
     /// The neighbours of `current` that lie on a shortest path toward `dst`
@@ -220,7 +251,7 @@ impl DistanceMatrix {
         out.clear();
         let toward = self.row(dst as usize);
         let d = toward[current as usize];
-        if current == dst || d == UNREACHABLE_U16 {
+        if current == dst || d == UNREACHABLE_U8 {
             return;
         }
         let neighbours = g.neighbors(current);
@@ -268,7 +299,7 @@ impl DistanceMatrix {
     }
 
     /// Each row's entries off the diagonal: the slice before it, then the one after.
-    fn off_diagonal(&self) -> impl Iterator<Item = &[u16]> {
+    fn off_diagonal(&self) -> impl Iterator<Item = &[u8]> {
         let rows = self.dist.chunks(self.n.max(1)).enumerate();
         rows.flat_map(|(r, row)| [&row[..r], &row[r + 1..]])
     }
@@ -281,10 +312,10 @@ impl DistanceMatrix {
         let mut sum = 0u64;
         for part in self.off_diagonal() {
             for &d in part {
-                if d == UNREACHABLE_U16 {
+                if d == UNREACHABLE_U8 {
                     return None;
                 }
-                sum += d as u64;
+                sum += u64::from(d);
             }
         }
         Some(sum as f64 / (self.n as f64 * (self.n as f64 - 1.0)))
@@ -292,16 +323,16 @@ impl DistanceMatrix {
 
     /// Diameter (`None` if disconnected).
     pub fn diameter(&self) -> Option<u16> {
-        let mut max = 0u16;
+        let mut max = 0u8;
         for part in self.off_diagonal() {
             for &d in part {
-                if d == UNREACHABLE_U16 {
+                if d == UNREACHABLE_U8 {
                     return None;
                 }
                 max = max.max(d);
             }
         }
-        Some(max)
+        Some(u16::from(max))
     }
 
     /// Largest finite distance, ignoring unreachable pairs (0 for the empty graph).
@@ -309,12 +340,8 @@ impl DistanceMatrix {
     /// Unlike [`Self::diameter`] this is total: on a disconnected graph it reports the
     /// diameter of the reachable pairs, which is what the simulator's VC sizing needs.
     pub fn max_reachable_distance(&self) -> u16 {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|&d| d != UNREACHABLE_U16)
-            .max()
-            .unwrap_or(0)
+        let finite = self.dist.iter().copied().filter(|&d| d != UNREACHABLE_U8);
+        u16::from(finite.max().unwrap_or(0))
     }
 }
 
@@ -347,7 +374,8 @@ mod tests {
             let (mut row, mut queue) = (vec![0u16; n], VecDeque::new());
             for s in 0..n {
                 bfs_distances_into(&g, s as VertexId, &mut row, &mut queue);
-                prop_assert_eq!(dm.row(s), &row[..], "source {}", s);
+                let widened: Vec<u16> = dm.row(s).iter().map(|&d| widen(d)).collect();
+                prop_assert_eq!(&widened, &row, "source {}", s);
             }
         }
     }

@@ -6,15 +6,15 @@
 //! the scan's read of the destination's row (which equals the neighbour's
 //! column only because the graph is undirected) on random graphs, on the
 //! degraded paper fabrics a failure sweep rebuilds, on a graph where every
-//! pair of a part has 30–33 minimal ports, and on a star whose hub has port
-//! ids past 255.
+//! pair of a part has 30–33 minimal ports, on a star whose hub has port
+//! ids past 255, and on a ring at the longest distance a matrix entry stores.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::failures::delete_random_edges;
 use spectralfly_graph::metrics::is_connected;
 use spectralfly_graph::paths::UNREACHABLE_U16;
-use spectralfly_graph::{CsrGraph, DenseOracle, PathOracle, VertexId};
+use spectralfly_graph::{CsrGraph, DenseOracle, DistanceMatrix, OracleError, PathOracle, VertexId};
 use spectralfly_topology::{
     BundleFlyGraph, GeneralizedDragonFly, LpsGraph, SlimFlyGraph, Topology,
 };
@@ -129,6 +129,26 @@ fn scan_is_exact_with_thirty_minimal_ports_per_pair() {
 fn scan_is_exact_at_port_ids_above_255() {
     let edges: Vec<(u32, u32)> = (1..=300u32).map(|v| (0, v)).collect();
     assert_scan_exact(&CsrGraph::from_edges(301, &edges), "star(300)");
+}
+
+/// The byte wall: `ring(509)`'s antipodal pairs are 254 hops apart, the
+/// longest distance a matrix entry stores, and the scan stays exact there;
+/// `ring(510)` has pairs 255 hops apart, and building its matrix fails typed.
+#[test]
+fn matrix_stores_distance_254_and_refuses_255() {
+    let ring = |n: u32| {
+        let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        CsrGraph::from_edges(n as usize, &edges)
+    };
+    let longest = ring(509);
+    assert_scan_exact(&longest, "ring(509)");
+    let oracle = DenseOracle::build(&longest).unwrap();
+    assert_eq!(oracle.max_distance_bound(), 254);
+    assert_eq!(oracle.memory_bytes(), 509 * 509, "one byte an entry");
+    assert_eq!(
+        DistanceMatrix::try_from_graph(&ring(510)).unwrap_err(),
+        OracleError::DistanceTooLarge { max: 254 }
+    );
 }
 
 /// A random graph, deterministic in `seed`: a ring spine (keeps most instances

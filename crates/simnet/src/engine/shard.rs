@@ -135,12 +135,6 @@ const CLASS_CREDIT: u64 = 3;
 const CLASS_ARRIVE: u64 = 4;
 const CLASS_TRY_TRANSMIT: u64 = 5;
 
-/// Pack a class and a stable id into one orderable key.
-#[inline]
-fn key(class: u64, id: u64) -> u64 {
-    (class << 56) | (id & 0x00FF_FFFF_FFFF_FFFF)
-}
-
 /// SplitMix64 finalizer (the same mixer the workspace `rand` shim seeds with),
 /// increment included — unlike `job::mix64`, which omits it and so draws a
 /// different stream from the same input. Merging the two would move every
@@ -179,6 +173,9 @@ impl RngCore for DecisionRng {
     }
 }
 
+/// What an event does. No event stores one: an [`Event`] carries the kind's
+/// class in its key and the kind's fields in two payload words, and
+/// [`Event::kind`] decodes them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     /// A continuous source generates its next message (steady-state only).
@@ -200,15 +197,70 @@ enum EventKind {
     Fault { idx: u32 },
 }
 
-/// An event ordered by `(time, key)`. The key is stable across shard counts;
-/// the trailing `kind` comparison exists only for `Ord` consistency (two
-/// events sharing a `(time, key)` pair are identical wakes, of which the
-/// first wakes the link and the rest find it awake).
+impl EventKind {
+    /// The kind's key class, then its fields as two payload words in
+    /// declaration order (zero where it has fewer than two).
+    #[inline]
+    fn encode(self) -> (u64, u32, u32) {
+        match self {
+            EventKind::Fault { idx } => (CLASS_FAULT, idx, 0),
+            EventKind::NextMessage { source } => (CLASS_NEXT_MESSAGE, source, 0),
+            EventKind::Inject { packet } => (CLASS_INJECT, packet, 0),
+            EventKind::Credit { link, vc } => (CLASS_CREDIT, link, u32::from(vc)),
+            EventKind::Arrive { packet, router } => (CLASS_ARRIVE, packet, router),
+            EventKind::TryTransmit { link } => (CLASS_TRY_TRANSMIT, link, 0),
+        }
+    }
+}
+
+/// An event in 24 bytes — the calendar queue moves millions — ordered by
+/// `(time, key, a, b)`. The key packs the [`EventKind`]'s class above a
+/// stable id and is stable across shard counts; `a` and `b` are the kind's
+/// fields ([`EventKind::encode`]). A class names one kind and the payload
+/// keeps its fields' order, so this is the `(time, key, kind)` order. The
+/// payload comparison exists only for `Ord` consistency (two events sharing
+/// a `(time, key)` pair are identical wakes, of which the first wakes the
+/// link and the rest find it awake).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
     time: u64,
     key: u64,
-    kind: EventKind,
+    a: u32,
+    b: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Event>() == 24);
+
+impl Event {
+    /// A `kind` event at `time`, keyed by its class and the low 56 bits of
+    /// the stable `id`.
+    #[inline]
+    fn new(time: u64, id: u64, kind: EventKind) -> Self {
+        let (class, a, b) = kind.encode();
+        let key = (class << 56) | (id & 0x00FF_FFFF_FFFF_FFFF);
+        Event { time, key, a, b }
+    }
+
+    /// The kind the key's class byte and the payload encode.
+    #[inline]
+    fn kind(&self) -> EventKind {
+        let (a, b) = (self.a, self.b);
+        match self.key >> 56 {
+            CLASS_FAULT => EventKind::Fault { idx: a },
+            CLASS_NEXT_MESSAGE => EventKind::NextMessage { source: a },
+            CLASS_INJECT => EventKind::Inject { packet: a },
+            CLASS_CREDIT => EventKind::Credit {
+                link: a,
+                vc: b as u8,
+            },
+            CLASS_ARRIVE => EventKind::Arrive {
+                packet: a,
+                router: b,
+            },
+            CLASS_TRY_TRANSMIT => EventKind::TryTransmit { link: a },
+            class => unreachable!("event class {class}"),
+        }
+    }
 }
 
 impl Timed for Event {
@@ -697,8 +749,8 @@ impl<'a> ShardCore<'a> {
     }
 
     #[inline]
-    fn push(&mut self, time: u64, key: u64, kind: EventKind) {
-        self.queue.push(Event { time, key, kind });
+    fn push(&mut self, time: u64, id: u64, kind: EventKind) {
+        self.queue.push(Event::new(time, id, kind));
     }
 
     /// Place `p` in the arena, reusing a freed slot when available, so
@@ -760,13 +812,8 @@ impl<'a> ShardCore<'a> {
         let slot = self.inject_cursor;
         (slot < self.inject_end).then(|| {
             let p = &self.packets[slot];
-            Event {
-                time: p.inject_time_ps,
-                key: key(CLASS_INJECT, p.stable_id),
-                kind: EventKind::Inject {
-                    packet: slot as u32,
-                },
-            }
+            let packet = slot as u32;
+            Event::new(p.inject_time_ps, p.stable_id, EventKind::Inject { packet })
         })
     }
 
@@ -876,11 +923,7 @@ impl<'a> ShardCore<'a> {
             link: link as u32,
             vc,
         };
-        self.push(
-            time,
-            key(CLASS_CREDIT, ((link as u64) << 8) | vc as u64),
-            kind,
-        );
+        self.push(time, ((link as u64) << 8) | vc as u64, kind);
     }
 
     /// Park `link` until a credit for `(link, vc)` returns. The wake goes at
@@ -928,8 +971,8 @@ impl<'a> ShardCore<'a> {
     fn send_retransmit(&mut self, time: u64, pi: usize) {
         let o = self.owner[self.packets[pi].src_router as usize] as usize;
         if o == self.sid {
-            let k = key(CLASS_INJECT, self.packets[pi].stable_id);
-            self.push(time, k, EventKind::Inject { packet: pi as u32 });
+            let kind = EventKind::Inject { packet: pi as u32 };
+            self.push(time, self.packets[pi].stable_id, kind);
         } else {
             let packet = self.packets[pi].clone();
             self.free.push(pi);
@@ -942,10 +985,9 @@ impl<'a> ShardCore<'a> {
     fn send_arrive(&mut self, time: u64, router: VertexId, pi: usize) {
         let o = self.owner[router as usize] as usize;
         if o == self.sid {
-            let k = key(CLASS_ARRIVE, self.packets[pi].stable_id);
             self.push(
                 time,
-                k,
+                self.packets[pi].stable_id,
                 EventKind::Arrive {
                     packet: pi as u32,
                     router,
@@ -970,11 +1012,11 @@ impl<'a> ShardCore<'a> {
                 router,
                 packet,
             } => {
-                let k = key(CLASS_ARRIVE, packet.stable_id);
+                let id = packet.stable_id;
                 let slot = self.alloc_packet(packet);
                 self.push(
                     time,
-                    k,
+                    id,
                     EventKind::Arrive {
                         packet: slot as u32,
                         router,
@@ -983,11 +1025,11 @@ impl<'a> ShardCore<'a> {
             }
             ShardMsg::Credit { from, ret } => self.record_return(from, ret),
             ShardMsg::Retransmit { time, packet } => {
-                let k = key(CLASS_INJECT, packet.stable_id);
+                let id = packet.stable_id;
                 let slot = self.alloc_packet(packet);
                 self.push(
                     time,
-                    k,
+                    id,
                     EventKind::Inject {
                         packet: slot as u32,
                     },
@@ -1000,7 +1042,7 @@ impl<'a> ShardCore<'a> {
     /// (steady mode) and never reaches this.
     fn handle_core(&mut self, ev: Event) {
         let now = ev.time;
-        match ev.kind {
+        match ev.kind() {
             EventKind::Inject { packet } => {
                 let pi = packet as usize;
                 let router = self.packets[pi].src_router;
@@ -1059,11 +1101,7 @@ impl<'a> ShardCore<'a> {
                     self.parked_count -= 1;
                     self.counters.wakeups += 1;
                     let t = now.max(self.links[l].free_at);
-                    self.push(
-                        t,
-                        key(CLASS_TRY_TRANSMIT, l as u64),
-                        EventKind::TryTransmit { link },
-                    );
+                    self.push(t, l as u64, EventKind::TryTransmit { link });
                 }
             }
             EventKind::NextMessage { .. } => {
@@ -1095,7 +1133,7 @@ impl<'a> ShardCore<'a> {
         if free_at > now {
             self.push(
                 free_at,
-                key(CLASS_TRY_TRANSMIT, link as u64),
+                link as u64,
                 EventKind::TryTransmit { link: link as u32 },
             );
             return;
@@ -1131,11 +1169,7 @@ impl<'a> ShardCore<'a> {
         self.packets[pi].via_vc = next_vc as u8;
         self.send_arrive(t + LOOKAHEAD_PS, dst_router, pi);
         if self.links[link].queue.front().is_some() {
-            self.push(
-                t,
-                key(CLASS_TRY_TRANSMIT, link as u64),
-                EventKind::TryTransmit { link: link as u32 },
-            );
+            self.push(t, link as u64, EventKind::TryTransmit { link: link as u32 });
         }
     }
 
@@ -1251,11 +1285,7 @@ impl<'a> ShardCore<'a> {
         self.link_push(link, pi);
         if was_empty {
             let t = now.max(self.links[link].free_at);
-            self.push(
-                t,
-                key(CLASS_TRY_TRANSMIT, link as u64),
-                EventKind::TryTransmit { link: link as u32 },
-            );
+            self.push(t, link as u64, EventKind::TryTransmit { link: link as u32 });
         }
     }
 
@@ -1316,13 +1346,8 @@ impl<'a> ShardCore<'a> {
         let newly_dead = fr.apply(self.net, &ev, now);
         if idx + 1 < fr.timeline.events.len() {
             let t = fr.timeline.events[idx + 1].time_ps;
-            self.push(
-                t,
-                key(CLASS_FAULT, idx as u64 + 1),
-                EventKind::Fault {
-                    idx: idx as u32 + 1,
-                },
-            );
+            let next = idx as u32 + 1;
+            self.push(t, u64::from(next), EventKind::Fault { idx: next });
         }
         self.fault = Some(fr);
         for link in newly_dead {
@@ -1447,10 +1472,9 @@ impl<'a> ShardCore<'a> {
         let slot = router as usize * self.nv;
         if self.occupancy[slot] < self.cap {
             if let Some(wpkt) = self.pending_pop(router) {
-                let k = key(CLASS_INJECT, self.packets[wpkt].stable_id);
                 self.push(
                     now,
-                    k,
+                    self.packets[wpkt].stable_id,
                     EventKind::Inject {
                         packet: wpkt as u32,
                     },
@@ -1695,7 +1719,7 @@ impl ShardCore<'_> {
             self.stats.note_injection(t);
             self.push(
                 t,
-                key(CLASS_INJECT, stable_id),
+                stable_id,
                 EventKind::Inject {
                     packet: slot as u32,
                 },
@@ -1707,11 +1731,7 @@ impl ShardCore<'_> {
 
     /// Queue the next arrival of source `source` (sending from `endpoint`).
     pub(super) fn schedule_source(&mut self, time: u64, source: u32, endpoint: usize) {
-        self.push(
-            time,
-            key(CLASS_NEXT_MESSAGE, endpoint as u64),
-            EventKind::NextMessage { source },
-        );
+        self.push(time, endpoint as u64, EventKind::NextMessage { source });
     }
 
     /// Install the runtime fault machinery over `timeline` and queue its
@@ -1720,7 +1740,7 @@ impl ShardCore<'_> {
     pub(super) fn arm_faults(&mut self, timeline: &Arc<FaultTimeline>, finite: bool) {
         let (runtime, first) = driver::fault_runtime(self.net, timeline, finite);
         if let Some((time, idx)) = first {
-            self.push(time, key(CLASS_FAULT, idx as u64), EventKind::Fault { idx });
+            self.push(time, u64::from(idx), EventKind::Fault { idx });
         }
         self.fault = Some(runtime);
     }
@@ -1984,7 +2004,7 @@ impl<'a> Simulator<'a> {
             core.arm_sampler(w.sample_interval_ps(), deadline);
             run_epochs(core, shared, Some(deadline), |c, ev| {
                 c.flush_sample_ticks(ev.time);
-                match ev.kind {
+                match ev.kind() {
                     EventKind::NextMessage { source } => {
                         traffic.next_message(c, source as usize, ev.time)
                     }
@@ -2017,6 +2037,76 @@ mod tests {
         let mut e: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
         e.push((n as u32 - 1, 0));
         CsrGraph::from_edges(n, &e)
+    }
+
+    /// Every kind survives the trip through the stored event, at payloads 0
+    /// and `u32::MAX`, VC 0 and 255, and ids whose bits past 56 are dropped.
+    #[test]
+    fn every_event_kind_round_trips_through_the_stored_event() {
+        for x in [0, u32::MAX] {
+            let kinds = [
+                EventKind::Fault { idx: x },
+                EventKind::NextMessage { source: x },
+                EventKind::Inject { packet: x },
+                EventKind::Credit { link: x, vc: 0 },
+                EventKind::Credit {
+                    link: x,
+                    vc: u8::MAX,
+                },
+                EventKind::Arrive {
+                    packet: x,
+                    router: x,
+                },
+                EventKind::Arrive {
+                    packet: x,
+                    router: !x,
+                },
+                EventKind::TryTransmit { link: x },
+            ];
+            for kind in kinds {
+                for id in [0, u64::MAX] {
+                    let ev = Event::new(u64::MAX, id, kind);
+                    assert_eq!((ev.time, ev.kind()), (u64::MAX, kind));
+                }
+            }
+        }
+    }
+
+    /// Sorting a seeded batch by the derived `(time, key, a, b)` order is
+    /// sorting it by `(time, key, kind)`. Times, ids and payloads come from
+    /// ranges of three or four values, so every level of the order ties.
+    #[test]
+    fn derived_event_order_is_the_time_key_kind_order() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3606);
+        let values = [0, 1, u32::MAX];
+        let batch: Vec<(Event, EventKind)> = (0..4096)
+            .map(|_| {
+                let x = values[rng.gen_range(0..3usize)];
+                let y = values[rng.gen_range(0..3usize)];
+                let kind = match rng.gen_range(0..6) {
+                    0 => EventKind::Fault { idx: x },
+                    1 => EventKind::NextMessage { source: x },
+                    2 => EventKind::Inject { packet: x },
+                    3 => EventKind::Credit {
+                        link: x,
+                        vc: y as u8,
+                    },
+                    4 => EventKind::Arrive {
+                        packet: x,
+                        router: y,
+                    },
+                    _ => EventKind::TryTransmit { link: x },
+                };
+                let ev = Event::new(rng.gen_range(0..4), rng.gen_range(0..3), kind);
+                (ev, kind)
+            })
+            .collect();
+        let mut derived = batch.clone();
+        derived.sort_by_key(|&(ev, _)| ev);
+        let mut by_kind = batch;
+        by_kind.sort_by_key(|&(ev, kind)| (ev.time, ev.key, kind));
+        assert_eq!(derived, by_kind);
     }
 
     /// Engine-counter-free view of results: arena high-water marks depend on

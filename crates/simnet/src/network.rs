@@ -6,8 +6,9 @@
 //! Every oracle is exact, so which one backs a network is derived, never
 //! configured. [`SimNetwork::new`] builds the dense
 //! [`spectralfly_graph::paths::DistanceMatrix`] while it fits its
-//! [`spectralfly_graph::paths::DistanceMatrix::MAX_VERTICES`] index space,
-//! and the O(k·n) [`spectralfly_graph::LandmarkOracle`] past it. A topology
+//! [`spectralfly_graph::paths::DistanceMatrix::MAX_VERTICES`] index space
+//! and its byte entries ([`spectralfly_graph::paths::DistanceMatrix::MAX_DISTANCE`]),
+//! and the O(k·n) [`spectralfly_graph::LandmarkOracle`] otherwise. A topology
 //! that knows its group injects the O(n) [`spectralfly_graph::CayleyOracle`]
 //! through [`SimNetwork::with_oracle`] (`LpsGraph::cayley_oracle()`, which is
 //! what carries million-router LPS fabrics). Faults break vertex transitivity,
@@ -98,16 +99,18 @@ pub struct SimNetwork {
 
 impl SimNetwork {
     /// Build a network from a router graph and a per-router endpoint count (≥ 1):
-    /// dense-backed while the distance matrix fits its index space, landmark-backed
-    /// past it. A plain graph carries no group structure, so a Cayley oracle comes
-    /// from the topology layer through [`SimNetwork::with_oracle`].
+    /// dense-backed while the distance matrix fits its index space and byte
+    /// entries, landmark-backed otherwise. A plain graph carries no group
+    /// structure, so a Cayley oracle comes from the topology layer through
+    /// [`SimNetwork::with_oracle`].
     ///
     /// # Panics
     /// If `concentration` is 0 or a router has more than 65,536 ports: a
     /// caller contract, since the routing layers carry port ids as `u16`.
     pub fn new(graph: CsrGraph, concentration: usize) -> Self {
-        // The dense oracle fails only past its vertex wall, where the graph is
-        // non-empty — all a landmark oracle needs.
+        // The dense oracle fails only past its vertex wall or on a finite
+        // distance too long for a byte, where the graph is non-empty — all a
+        // landmark oracle needs.
         let oracle: Arc<dyn PathOracle> = match DenseOracle::build(&graph) {
             Ok(dense) => Arc::new(dense),
             Err(_) => Arc::new(LandmarkOracle::build(&graph).expect("a non-empty graph")),

@@ -395,41 +395,36 @@ impl SimResults {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice: the element at rank
-/// `ceil(pct/100 · n)` (1-based), i.e. index `ceil(pct/100 · n) − 1`.
+/// Summarise `latencies` as `(mean, p50, p95, p99, max)`, the percentiles
+/// nearest-rank (the value at 1-based rank `ceil(pct/100 · n)` of the
+/// ascending order); all zero when there are none.
 ///
-/// This is the textbook nearest-rank definition: `percentile(v, 100.0)` is the
-/// maximum, `percentile(v, 50.0)` of an odd-length slice is the true median,
-/// and — unlike the former `n·99/100` indexing — p99 of exactly 100 samples is
-/// the 99th value, not the maximum. `sorted` must not be empty and `pct` must
-/// lie in `(0, 100]`.
-pub(crate) fn percentile_nearest_rank(sorted: &[u64], pct: f64) -> u64 {
-    assert!(!sorted.is_empty(), "percentile of an empty slice");
-    assert!(
-        pct > 0.0 && pct <= 100.0,
-        "percentile must be in (0, 100], got {pct}"
-    );
-    let n = sorted.len();
-    let rank = (pct / 100.0 * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
-}
-
-/// Sort `latencies` and summarise them as `(mean, p50, p95, p99, max)`, the
-/// percentiles nearest-rank; all zero when there are none.
+/// Selection, not a sort: p99 is placed at its rank first, then p95 within
+/// the prefix below it and p50 within the prefix below that, so the slice is
+/// left partly reordered. The values are the sorted slice's.
 fn latency_summary(latencies: &mut [u64]) -> (f64, u64, u64, u64, u64) {
-    latencies.sort_unstable();
-    let Some(&max) = latencies.last() else {
+    let n = latencies.len();
+    if n == 0 {
         return (0.0, 0, 0, 0, 0);
-    };
-    let sum: u128 = latencies.iter().map(|&x| x as u128).sum();
-    let p = |pct| percentile_nearest_rank(latencies, pct);
-    (
-        sum as f64 / latencies.len() as f64,
-        p(50.0),
-        p(95.0),
-        p(99.0),
-        max,
-    )
+    }
+    let (mut sum, mut max) = (0u128, 0);
+    for &x in latencies.iter() {
+        sum += u128::from(x);
+        max = max.max(x);
+    }
+    // The first rank always selects, so `at` starts unread.
+    let (mut prefix, mut at) = (latencies, 0);
+    let [p99, p95, p50] = [99.0, 95.0, 50.0].map(|pct: f64| {
+        let index = ((pct / 100.0 * n as f64).ceil() as usize).clamp(1, n) - 1;
+        // A rank equal to the last one selected (only ever at small `n`) is
+        // the element just placed there.
+        if index < prefix.len() {
+            let (below, &mut value, _) = std::mem::take(&mut prefix).select_nth_unstable(index);
+            (prefix, at) = (below, value);
+        }
+        at
+    });
+    (sum as f64 / n as f64, p50, p95, p99, max)
 }
 
 /// Builder that accumulates per-packet and per-message observations during a run.
@@ -660,6 +655,25 @@ impl StatsCollector {
 mod tests {
     use super::*;
 
+    /// Nearest-rank percentile of an ascending-sorted slice: the element at rank
+    /// `ceil(pct/100 · n)` (1-based), i.e. index `ceil(pct/100 · n) − 1`.
+    ///
+    /// This is the textbook nearest-rank definition: `percentile(v, 100.0)` is the
+    /// maximum, `percentile(v, 50.0)` of an odd-length slice is the true median,
+    /// and — unlike the former `n·99/100` indexing — p99 of exactly 100 samples is
+    /// the 99th value, not the maximum. `sorted` must not be empty and `pct` must
+    /// lie in `(0, 100]`.
+    fn percentile_nearest_rank(sorted: &[u64], pct: f64) -> u64 {
+        assert!(!sorted.is_empty(), "percentile of an empty slice");
+        assert!(
+            pct > 0.0 && pct <= 100.0,
+            "percentile must be in (0, 100], got {pct}"
+        );
+        let n = sorted.len();
+        let rank = (pct / 100.0 * n as f64).ceil() as usize;
+        sorted[rank.clamp(1, n) - 1]
+    }
+
     #[test]
     fn collector_aggregates_correctly() {
         let mut c = StatsCollector::default();
@@ -757,6 +771,33 @@ mod tests {
         assert_eq!(r.p95_packet_latency_ps, 95);
         assert_eq!(r.p50_packet_latency_ps, 50);
         assert_eq!(r.max_packet_latency_ps, 100);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The selection summary equals the sort-based definition: sort, read
+        /// the three nearest ranks, the mean and the last element. Lengths 1
+        /// and 100 (where p99 is not the maximum) come up as often as random
+        /// ones, and values drawn from four make ties at every rank.
+        #[test]
+        fn latency_summary_equals_the_sorted_definition(
+            size in 0usize..3,
+            few_values in 0usize..2,
+            seed in 0u64..10_000,
+        ) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = [1, 100, rng.gen_range(2..400usize)][size];
+            let top = if few_values == 1 { 4 } else { u64::MAX };
+            let mut latencies: Vec<u64> = (0..n).map(|_| rng.gen_range(0..top)).collect();
+            let mut sorted = latencies.clone();
+            sorted.sort_unstable();
+            let sum: u128 = sorted.iter().map(|&x| u128::from(x)).sum();
+            let p = |pct| percentile_nearest_rank(&sorted, pct);
+            let expect = (sum as f64 / n as f64, p(50.0), p(95.0), p(99.0), sorted[n - 1]);
+            proptest::prop_assert_eq!(latency_summary(&mut latencies), expect);
+        }
     }
 
     #[test]

@@ -111,8 +111,26 @@ fn new_demotes_to_landmark_past_the_dense_wall() {
     let big = SimNetwork::new(ring(n), 1);
     assert_eq!(big.oracle_kind(), OracleKind::Landmark);
     // The landmark footprint is what makes the demotion worthwhile: pinned
-    // rows + cache budget stay far under the ~8 GiB the dense matrix needs.
-    assert!(big.oracle_memory_bytes() < (n * n * 2) / 4);
+    // rows + cache budget stay far under the ~4 GiB the dense matrix needs.
+    assert!(big.oracle_memory_bytes() < (n * n) / 4);
+}
+
+/// A ring of 510 routers is far inside the vertex wall, but its antipodal
+/// pairs are 255 hops apart, one more than a dense byte entry stores:
+/// `SimNetwork::new` keeps it exact behind landmarks, and a finite run over
+/// it delivers every packet.
+#[test]
+fn new_demotes_to_landmark_past_the_byte_wall() {
+    let net = SimNetwork::new(ring(510), 1);
+    assert_eq!(net.oracle_kind(), OracleKind::Landmark);
+    let wl = Workload::uniform_random(net.num_endpoints(), 1, 2048, 53);
+    let mut cfg = SimConfig::default().with_routing("minimal", 1);
+    // One VC per hop up to the 255 a VC id can name.
+    cfg.num_vcs = u8::MAX as usize;
+    cfg.seed = 53;
+    let res = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
+    assert_eq!(res.delivered_packets, wl.messages.len() as u64);
+    assert_eq!(res.delivered_bytes, wl.total_bytes());
 }
 
 /// Fault injection re-runs `SimNetwork::new` over the survivor graph: the result

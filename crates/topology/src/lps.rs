@@ -190,8 +190,8 @@ impl LpsGraph {
     /// [`ProjectiveIndex`]. The translation keeps 8 bytes per vertex (its
     /// matrix, packed) plus `4(q² + q) + 2q` bytes of rank and inverse tables;
     /// with the oracle's own `2 + 2·radix + ⌈radix/8⌉` that is 23 bytes/vertex
-    /// at radix 6 instead of the dense matrix's 2n bytes/vertex — the
-    /// difference between ~25 MB and ~2 TB on a million-router fabric.
+    /// at radix 6 instead of the dense matrix's n bytes/vertex — the
+    /// difference between ~25 MB and ~1.1 TiB on a million-router fabric.
     pub fn cayley_oracle(&self) -> Result<CayleyOracle, OracleError> {
         let group = ProjectiveGroup::new(self.q, self.kind);
         let index = ProjectiveIndex::new(&group);
