@@ -127,8 +127,7 @@ impl std::fmt::Display for RunError {
                 f,
                 "collective incomplete at {point}: {tenant} delivered {delivered} of {total} \
                  messages and no fault script lost the rest — the window closed first (raise \
-                 measure_ns), or the fabric wedged, which a steady run does not report as a \
-                 deadlock"
+                 measure_ns); a wedged fabric is a deadlock, not this"
             ),
             RunError::NothingSelected { filter, sections } => write!(
                 f,

@@ -2,8 +2,8 @@
 //! router graphs plus endpoint concentration.
 //!
 //! A spec is `family(args) x C` in the shared grammar of
-//! [`spectralfly_simnet::spec`] (see "Spec grammar" in
-//! `docs/ARCHITECTURE.md`): `C` is the endpoints-per-router concentration
+//! [`spectralfly_simnet::spec`] (docs/ARCHITECTURE.md § "Spec grammar"): `C`
+//! is the endpoints-per-router concentration
 //! (default 1), the arguments are integers, and `family` is one of:
 //!
 //! * `lps(p, q)` — SpectralFly LPS Ramanujan graph,

@@ -14,7 +14,8 @@
 //! routing × finite / steady / steady under churn, each checked to park
 //! links. Shard invariance cannot catch a mistake every shard count makes
 //! the same way — a wake at the wrong time, an epoch boundary moved (which
-//! UGAL-G's congestion board would show) — these cells can.
+//! UGAL-G's congestion board would show) — these cells can. Beside them, a
+//! steady cell that wedges pins the deadlock a steady run reports.
 //!
 //! Every cell runs at one shard and at every shard count in `PDES_SHARDS`
 //! (comma-separated, default `2`): results are shard-count-invariant, so one
@@ -244,4 +245,37 @@ fn credit_starved_cells_reproduce_their_golden_digests() {
         }
     }
     assert_table("credit-starved cells", STARVED, &actual);
+}
+
+/// The steady twin of the `b1/valiant` cells, run long and light enough to
+/// wedge: at load 0.3 over a 20 µs window its event queue empties at
+/// 27.8 µs with links still parked, 13 µs before the drain deadline. A
+/// steady run that wedges is [`SimError::Deadlock`]; it used to return `Ok`,
+/// and its window then measured a wedged fabric.
+#[test]
+fn a_steady_run_that_wedges_is_a_deadlock() {
+    let spec = TopoSpec::parse("lps(11,7)x4").unwrap();
+    let net = SimNetwork::new(spec.build().unwrap(), spec.concentration);
+    let wl = Workload::uniform_random(net.num_endpoints(), 2, 8192, 0x57A4);
+    let mut cfg = SimConfig::default()
+        .with_routing("valiant", net.diameter() as u32)
+        .with_windows(MeasurementWindows::new(1_000_000, 20_000_000));
+    cfg.seed = 0x57A4;
+    cfg.buffer_packets_per_vc = 1;
+    let diagnosis = shard_invariant("wedged steady", |shards| {
+        match run(&net, &cfg, &wl, Some(0.3), shards) {
+            Err(SimError::Deadlock { diagnosis }) => diagnosis,
+            other => panic!(
+                "{shards} shards: expected a deadlock, got {:?}",
+                other.map(|r| digest_results(&r))
+            ),
+        }
+    });
+    for part in [
+        "1814 undelivered packets and 223 links parked",
+        "link queues: 659, pending injections: 1155",
+        "the last packet was delivered at 27802002 ps",
+    ] {
+        assert!(diagnosis.contains(part), "{part:?} not in: {diagnosis}");
+    }
 }

@@ -157,6 +157,13 @@ fn malformed_topologies_are_rejected_with_an_offset() {
 /// process aborted; `dragonfly(2,18446744073709551615,2)` overflowed `a·h` in
 /// `GeneralizedDragonFly::new` (a panic in debug builds, a wrapped count in
 /// release); `lps(18446744073709551615,7)` is 168 routers of radix 2⁶⁴.
+///
+/// No spec reaches `SimNetwork::new`'s 65,536-port assert either. Every
+/// family is regular or near-regular, so a router of degree d > 65,536
+/// needs more than d²/2 ≈ 2.1·10⁹ links, far past the 2²⁷ the guard allows.
+/// The two `…65537…` specs are the smallest DragonFlys with such a router
+/// (degree 65,537): `dragonfly(2,65536,65537)` has 131,074 routers and
+/// 4.3·10⁹ links, `dragonfly(65537)` 4.3·10⁹ routers.
 #[test]
 fn oversized_topologies_are_rejected_before_anything_is_built() {
     for spec in [
@@ -169,6 +176,8 @@ fn oversized_topologies_are_rejected_before_anything_is_built() {
         "dragonfly(4095)",
         "dragonfly(2,18446744073709551615,2)",
         "lps(18446744073709551615,7)",
+        "dragonfly(2,65536,65537)x1",
+        "dragonfly(65537)x1",
     ] {
         let reason = TopoSpec::parse(spec).unwrap_err();
         assert!(reason.contains("is too large"), "{spec}: {reason}");

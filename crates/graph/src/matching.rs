@@ -7,7 +7,8 @@
 //! randomized greedy matching followed by augmenting-path improvement is, in practice,
 //! perfect or within a vertex or two of perfect, which is all the layout needs. The
 //! augmenting search below is exact for bipartite graphs and a high-quality heuristic
-//! otherwise (it ignores blossoms), which we document as a substitution in DESIGN.md.
+//! otherwise (it ignores blossoms): a substitution listed in
+//! docs/REPRODUCING.md § "Documented substitutions".
 
 use crate::csr::{CsrGraph, VertexId};
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};

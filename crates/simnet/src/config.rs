@@ -1,8 +1,8 @@
 //! Simulation parameters: the paper's simulated hardware as constants, and the
 //! knobs a run sets.
 //!
-//! The paper compares topologies on one fixed machine (DESIGN.md, "Documented
-//! substitutions"): 100 Gb/s links and NICs, 30 ns links, 100 ns routers and
+//! The paper compares topologies on one fixed machine (docs/REPRODUCING.md §
+//! "Documented substitutions"): 100 Gb/s links and NICs, 30 ns links, 100 ns routers and
 //! 4 KiB packets. Those values, and the protocol constants derived from them,
 //! are the constants below; [`SimConfig`] holds only what a run varies.
 

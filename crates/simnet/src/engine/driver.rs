@@ -214,14 +214,42 @@ pub(crate) fn undrained(
         ));
     }
     SimError::Deadlock {
-        diagnosis: format!(
-            "simulation deadlocked with {undelivered} undelivered packets and \
-             {parked} links parked in a cyclic head-of-line wait (link queues: \
-             {in_queues}, pending injections: {pending}, occupancy sum: {occ}); \
-             single-FIFO link queues can deadlock across virtual channels when \
-             buffer_packets_per_vc is very small — increase it"
-        ),
+        diagnosis: deadlock_diagnosis(undelivered, parked, in_queues, pending, occ),
     }
+}
+
+/// A steady-state or jobs run whose event queue emptied before its deadline
+/// with `parked` links still parked: no credit can return, so the fabric is
+/// wedged and its window is not a measurement. Every packet left sits in a
+/// link queue or a pending-injection buffer.
+pub(crate) fn wedged(
+    parked: usize,
+    in_queues: usize,
+    pending: usize,
+    occ: u32,
+    last_delivery_ps: u64,
+) -> SimError {
+    let undelivered = (in_queues + pending) as u64;
+    let diagnosis = deadlock_diagnosis(undelivered, parked, in_queues, pending, occ);
+    SimError::Deadlock {
+        diagnosis: format!("{diagnosis}; the last packet was delivered at {last_delivery_ps} ps"),
+    }
+}
+
+fn deadlock_diagnosis(
+    undelivered: u64,
+    parked: usize,
+    in_queues: usize,
+    pending: usize,
+    occ: u32,
+) -> String {
+    format!(
+        "simulation deadlocked with {undelivered} undelivered packets and \
+         {parked} links parked in a cyclic head-of-line wait (link queues: \
+         {in_queues}, pending injections: {pending}, occupancy sum: {occ}); \
+         single-FIFO link queues can deadlock across virtual channels when \
+         buffer_packets_per_vc is very small — increase it"
+    )
 }
 
 /// What a steady-state run's sources send, resolved once per run and shared

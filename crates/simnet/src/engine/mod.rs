@@ -18,7 +18,7 @@
 //! partitioned into [`SimConfig::shards`] shards, each with its own calendar queue and
 //! packet arena, advancing in epochs bounded by the lookahead. [`Simulator`] drives one
 //! shard on the calling thread, or one worker thread per shard, and the results are
-//! identical at every shard count. See docs/ARCHITECTURE.md.
+//! identical at every shard count (docs/ARCHITECTURE.md § "One run driver, one core").
 //!
 //! # The wakeup-driven hot path
 //!
@@ -42,7 +42,7 @@
 //! With [`crate::config::MeasurementWindows`] configured,
 //! [`Simulator::try_run_with_offered_load`] switches from the finite drain-to-empty run to
 //! continuous per-endpoint Poisson sources with warmup/measurement/drain windows — see
-//! the type's documentation and DESIGN.md for the protocol.
+//! the type's documentation for the protocol.
 
 mod calendar;
 mod driver;

@@ -559,6 +559,12 @@ struct ShardOutcome {
     parked: usize,
     /// Initial injections the cursor never reached.
     unspent: usize,
+    /// Nothing was left to happen: no queued event, initial injection or
+    /// credit return (every shard agrees, since the loop ends on a global
+    /// minimum).
+    quiescent: bool,
+    /// When this shard last delivered a packet, picoseconds.
+    last_delivery_ps: u64,
 }
 
 /// One shard's complete simulation state. Arrays are indexed in the *global*
@@ -659,6 +665,7 @@ pub(super) struct ShardCore<'a> {
     next_tick: u64,
     delivered_packets_total: u64,
     delivered_bytes_total: u64,
+    last_delivery_ps: u64,
     sampled_packets: u64,
     sampled_bytes: u64,
 }
@@ -743,6 +750,7 @@ impl<'a> ShardCore<'a> {
             next_tick: 1,
             delivered_packets_total: 0,
             delivered_bytes_total: 0,
+            last_delivery_ps: 0,
             sampled_packets: 0,
             sampled_bytes: 0,
         }
@@ -1193,6 +1201,7 @@ impl<'a> ShardCore<'a> {
             }
             self.delivered_packets_total += 1;
             self.delivered_bytes_total += bytes;
+            self.last_delivery_ps = now;
             if self.fault.is_some() {
                 self.fstats.delivered += 1;
                 let fd = self.packets[pi].first_drop_ps;
@@ -1561,6 +1570,8 @@ impl<'a> ShardCore<'a> {
             occ_sum: self.occupancy.iter().sum(),
             parked: self.parked_count,
             unspent: self.inject_end - self.inject_cursor,
+            quiescent: self.next_time() == u64::MAX,
+            last_delivery_ps: self.last_delivery_ps,
             stats: self.stats,
             counters: self.counters,
             samples: self.raw_samples,
@@ -1752,8 +1763,8 @@ impl ShardCore<'_> {
 /// spectral bisection of the topology ([`spectralfly_graph::partition_kway`]
 /// — minimizing the links crossing shards minimizes cross-shard traffic).
 /// One shard runs on the calling thread; more co-simulate on one worker
-/// thread each under the conservative epoch protocol (see
-/// [the engine module](super) and docs/ARCHITECTURE.md § "The event core").
+/// thread each under the conservative epoch protocol (see [the engine
+/// module](super) and docs/ARCHITECTURE.md § "The event core: shards, epochs, credits").
 ///
 /// Results are **shard-count-invariant**: for a given network, config, and
 /// workload, every shard count produces the identical [`SimResults`] —
@@ -1841,6 +1852,12 @@ impl<'a> Simulator<'a> {
     /// however many endpoints died before them — once routers are down,
     /// treat group-aligned results as approximate (or pass a group size in
     /// surviving-rank units).
+    ///
+    /// A run that quiesces with links parked in a cyclic head-of-line wait
+    /// yields [`SimError::Deadlock`] in every mode: a finite run with packets
+    /// undelivered, a steady-state or jobs run whose event queue empties
+    /// before its drain deadline (its diagnosis adds when the last packet was
+    /// delivered).
     pub fn try_run_with_offered_load(
         &self,
         workload: &Workload,
@@ -1858,7 +1875,7 @@ impl<'a> Simulator<'a> {
         let run = RunPlan::new(self.net, self.cfg, &self.router, workload, offered_load)?;
         match &run.mode {
             Mode::Finite { offered_load } => self.run_finite(&run, workload, *offered_load),
-            Mode::Steady(steady) => Ok(self.run_steady(&run, steady)),
+            Mode::Steady(steady) => self.run_steady(&run, steady),
         }
     }
 
@@ -1989,8 +2006,10 @@ impl<'a> Simulator<'a> {
     /// own routers — shard-owned Poisson sources over the workload templates,
     /// or its ranks of the job mix, resolved once on the main thread so every
     /// shard count executes the identical plan — under windowed measurement,
-    /// with per-shard sample partials folded by tick index.
-    fn run_steady(&self, run: &RunPlan<'_>, steady: &Steady<'_>) -> SimResults {
+    /// with per-shard sample partials folded by tick index. A run whose
+    /// event queue empties before its deadline with links still parked has
+    /// wedged, and returns [`SimError::Deadlock`] instead of a window.
+    fn run_steady(&self, run: &RunPlan<'_>, steady: &Steady<'_>) -> Result<SimResults, SimError> {
         let w = steady.windows;
         let deadline = w.deadline_ps();
         let launch = |core: &mut ShardCore<'_>, shared: Option<&EpochShared>| {
@@ -2021,7 +2040,17 @@ impl<'a> Simulator<'a> {
             traffic.report_ranks(&mut core.stats, owns);
         };
         let outs = self.run_sharded(|| steady.traffic.stats(w), Vec::new(), launch);
-        self.fold_outcomes(outs, steady.traffic.stats(w))
+        let parked: usize = outs.iter().map(|o| o.parked).sum();
+        if parked > 0 && outs.iter().all(|o| o.quiescent) {
+            return Err(driver::wedged(
+                parked,
+                outs.iter().map(|o| o.in_queues).sum(),
+                outs.iter().map(|o| o.pending).sum(),
+                outs.iter().map(|o| o.occ_sum).sum(),
+                outs.iter().map(|o| o.last_delivery_ps).max().unwrap_or(0),
+            ));
+        }
+        Ok(self.fold_outcomes(outs, steady.traffic.stats(w)))
     }
 }
 

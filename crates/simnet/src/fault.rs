@@ -17,8 +17,8 @@
 //! # Fault specs
 //!
 //! A plan spec is one or more model terms joined by `+`, each a registry name
-//! with numeric arguments, in the shared grammar of [`crate::spec`] (see "Spec
-//! grammar" in `docs/ARCHITECTURE.md`). Built-ins:
+//! with numeric arguments, in the shared grammar of [`crate::spec`]
+//! (docs/ARCHITECTURE.md § "Spec grammar"). Built-ins:
 //!
 //! | spec | meaning |
 //! |------|---------|
@@ -249,8 +249,8 @@ fn draw_checked(model: &dyn FaultModel, g: &CsrGraph, seed: u64) -> Result<Fault
 /// arguments.
 pub type FaultFactory = dyn Fn(&[f64]) -> Result<Arc<dyn FaultModel>, FaultError> + Send + Sync;
 
-/// The fault-model family of the one [`Registry`] (see "Spec grammar" in
-/// `docs/ARCHITECTURE.md` for the contract every family shares).
+/// The fault-model family of the one [`Registry`] (the contract every family
+/// shares is docs/ARCHITECTURE.md § "The registry contract").
 pub type FaultRegistry = Registry<FaultFactory>;
 
 /// How this family calls itself in error messages; custom factories report

@@ -13,8 +13,8 @@
 //!
 //! # Mix specs
 //!
-//! A mix is written in the shared grammar of [`crate::spec`] ("Spec grammar"
-//! in `docs/ARCHITECTURE.md`): tenants joined by `+`, each a job spec with an
+//! A mix is written in the shared grammar of [`crate::spec`]
+//! (docs/ARCHITECTURE.md § "Spec grammar"): tenants joined by `+`, each a job spec with an
 //! optional `x RANKS` size (tenants without one split the remaining endpoints
 //! evenly) and an optional `@ contiguous | random | group(g)` placement, e.g.
 //! `traffic(1.0, random) x 64 + traffic(1.0, adversarial(8)) x 64 @ random`.
@@ -870,8 +870,8 @@ impl Job for BurstyJob {
 /// parsed arguments (numbers, or nested specs such as `traffic`'s pattern).
 pub type JobFactory = dyn Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync;
 
-/// The job family of the one [`Registry`] (see "Spec grammar" in
-/// `docs/ARCHITECTURE.md` for the contract every family shares).
+/// The job family of the one [`Registry`] (the contract every family shares
+/// is docs/ARCHITECTURE.md § "The registry contract").
 pub type JobRegistry = Registry<JobFactory>;
 
 impl JobRegistry {

@@ -106,7 +106,11 @@ impl SimNetwork {
     ///
     /// # Panics
     /// If `concentration` is 0 or a router has more than 65,536 ports: a
-    /// caller contract, since the routing layers carry port ids as `u16`.
+    /// caller contract, since the routing layers carry port ids as `u16`. No
+    /// topology spec reaches the port check: every family is regular or
+    /// near-regular, so a router of degree d > 65,536 needs more than
+    /// d²/2 ≈ 2.1·10⁹ links, and `exp::topo` refuses any spec past 2²⁷ links
+    /// before it builds a graph (`exp`'s `spec_fuzz` pins the smallest two).
     pub fn new(graph: CsrGraph, concentration: usize) -> Self {
         // The dense oracle fails only past its vertex wall or on a finite
         // distance too long for a byte, where the graph is non-empty — all a

@@ -17,7 +17,7 @@
 //! # Pattern specs
 //!
 //! Patterns are selected by a **spec string** in the shared grammar of
-//! [`crate::spec`] (see "Spec grammar" in `docs/ARCHITECTURE.md`): a registry
+//! [`crate::spec`] (docs/ARCHITECTURE.md § "Spec grammar"): a registry
 //! name optionally followed by numeric arguments, e.g. `"uniform"`,
 //! `"hotspot(8, 0.2)"`, `"adversarial(128)"`. Built-ins:
 //!
@@ -419,8 +419,8 @@ impl TrafficPattern for Hotspot {
 pub type PatternFactory =
     dyn Fn(&PatternCtx, &[f64]) -> Result<Box<dyn TrafficPattern>, PatternError> + Send + Sync;
 
-/// The traffic-pattern family of the one [`Registry`] (see "Spec grammar" in
-/// `docs/ARCHITECTURE.md` for the contract every family shares): names are
+/// The traffic-pattern family of the one [`Registry`] (the contract every
+/// family shares is docs/ARCHITECTURE.md § "The registry contract"): names are
 /// normalized, so `Bit_Shuffle`, `bit shuffle`, and `bit-shuffle` all resolve
 /// to the same entry.
 pub type PatternRegistry = Registry<PatternFactory>;

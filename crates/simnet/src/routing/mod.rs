@@ -604,8 +604,8 @@ pub trait Router: Send + Sync {
 /// Signature of a routing factory: a fresh router instance per call.
 pub type RouterFactory = dyn Fn() -> Box<dyn Router> + Send + Sync;
 
-/// The routing family of the one [`Registry`] (see "Spec grammar" in
-/// `docs/ARCHITECTURE.md` for the contract every family shares): names are
+/// The routing family of the one [`Registry`] (the contract every family
+/// shares is docs/ARCHITECTURE.md § "The registry contract"): names are
 /// normalized, so `UGAL-L`, `ugal_l`, and `ugal-l` all resolve to the same
 /// entry.
 pub type RouterRegistry = Registry<RouterFactory>;

@@ -5,7 +5,7 @@
 //! families — is a [`Registry`] resolved here. The grammar, the three
 //! combinators (`+` composition, `x N` repetition, `@ placement`), the unit
 //! suffixes, the registry contract and the error shape are specified once, in
-//! `docs/ARCHITECTURE.md` under "Spec grammar".
+//! docs/ARCHITECTURE.md § "Spec grammar".
 //!
 //! Parsing is strict — balanced parentheses, no empty argument, nothing after
 //! the last term — and total: every input yields a tree or a [`SpecError`]

@@ -7,8 +7,9 @@
 //! Section IV of the paper.
 //!
 //! The original BundleFly paper chooses specific per-edge bijections to minimize diameter;
-//! we use the identity matching (documented substitution in DESIGN.md), which preserves the
-//! vertex count, radix, degree distribution and the size/cost trade-offs the paper compares.
+//! we use the identity matching, which preserves the vertex count, radix, degree distribution
+//! and the size/cost trade-offs the paper compares
+//! (docs/REPRODUCING.md § "Documented substitutions").
 
 use crate::paley::PaleyGraph;
 use crate::slimfly::SlimFlyGraph;

@@ -11,7 +11,8 @@
 //! * [`spectralfly_simnet`] — the packet-level interconnect simulator, its synthetic traffic
 //!   patterns, collectives and Ember application motifs.
 //!
-//! See `README.md` for a tour and `DESIGN.md` for the experiment index.
+//! See `README.md` for a quickstart and docs/REPRODUCING.md § "Figure → manifest section"
+//! for the experiment index.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
