@@ -127,8 +127,8 @@ pub fn digest_results(r: &SimResults) -> String {
     ] {
         h.write_u64(v);
     }
-    // Per-tenant results are folded only when present: legacy (jobs-less)
-    // runs keep their recorded digests bit-identical.
+    // Per-tenant results are folded only when present: finite and offered
+    // runs have no tenants, and keep their recorded digests bit-identical.
     if !r.tenants.is_empty() {
         h.write_u64(r.tenants.len() as u64);
         for t in &r.tenants {

@@ -122,15 +122,16 @@ pub struct Experiment {
     pub topologies: Vec<String>,
     /// Routing axis (registry names).
     pub routings: Vec<String>,
-    /// Pattern axis (registry specs). Empty = workload-template destinations.
-    /// In `steady` mode the sources draw destinations from the pattern live;
-    /// in `finite` / `offered` mode each entry is materialised over
+    /// Pattern axis (registry specs). In `steady` mode an entry `P` runs the
+    /// mix `traffic(1, P, bytes)`: every alive endpoint draws each message's
+    /// destination from the pattern live (no entry runs `traffic(1, random,
+    /// bytes)`). In `finite` / `offered` mode each entry is materialised over
     /// [`Experiment::ranks`] (the placed micro-benchmarks of Figs. 6–8).
     pub patterns: Vec<String>,
     /// Multi-tenant jobs axis ([`spectralfly_simnet::job`] mix specs, e.g.
-    /// `"allreduce-ring(8192) x 8 + traffic(0.3, random) x 24"`). Empty = no
-    /// jobs (legacy sources). A non-empty axis requires `mode = "steady"`;
-    /// each mix supersedes the workload templates and the pattern axis.
+    /// `"allreduce-ring(8192) x 8 + traffic(0.3, random) x 24"`), each run as
+    /// written. A non-empty axis requires `mode = "steady"` and an empty
+    /// pattern axis: a steady section names one of the two.
     pub jobs: Vec<String>,
     /// Static-fault axis ([`FaultPlan`] specs; `"none"` = pristine).
     pub faults: Vec<String>,
@@ -665,11 +666,19 @@ impl Experiment {
                  `ranks`, a finite / offered micro-benchmark",
             ));
         }
-        if !jobs.is_empty() && !matches!(mode, Mode::Steady { .. }) {
+        if !jobs.is_empty() && !steady {
             return Err(field_err(
                 &section,
                 "jobs",
                 "the jobs axis drives steady-state tenant mixes; set mode = \"steady\"",
+            ));
+        }
+        if !jobs.is_empty() && !patterns.is_empty() {
+            return Err(field_err(
+                &section,
+                "jobs",
+                "a steady section names the pattern axis (each entry runs as \
+                 traffic(1, pattern, bytes)) or the jobs axis, not both",
             ));
         }
 
@@ -1038,6 +1047,24 @@ link_failures = [0, 0.25]
             Err(ManifestError::Field { field, .. }) => assert_eq!(field, "patterns"),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A steady section's traffic is one mix per point: a pattern entry is
+    /// the mix `traffic(1, P, bytes)`, so naming both axes is refused rather
+    /// than one silently shadowing the other.
+    #[test]
+    fn a_steady_section_names_patterns_or_jobs_not_both() {
+        let steady = "mode = \"steady\"\nloads = [0.5]\n";
+        let both = format!("{steady}patterns = [\"tornado\"]\njobs = [\"traffic(1, random)\"]\n");
+        match section(&both) {
+            Err(ManifestError::Field { field, reason, .. }) => {
+                assert_eq!(field, "jobs");
+                assert!(reason.contains("not both"), "{reason}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(section(&format!("{steady}patterns = [\"tornado\"]\n")).is_ok());
+        assert!(section(&format!("{steady}jobs = [\"traffic(1, random)\"]\n")).is_ok());
     }
 
     fn section(body: &str) -> Result<Experiment, ManifestError> {

@@ -153,10 +153,12 @@ pub struct Point {
     pub topology: String,
     /// Routing registry name.
     pub routing: String,
-    /// Steady-state pattern spec (empty = workload-template destinations).
+    /// Pattern spec (empty = none). A steady point with pattern `P` runs the
+    /// mix `traffic(1, P, bytes)`; a finite / offered one materialises it
+    /// over [`Point::ranks`].
     pub pattern: String,
-    /// Multi-tenant jobs mix spec (empty = no jobs). Supersedes the workload
-    /// templates and the pattern when set.
+    /// Multi-tenant jobs mix spec (empty = none), the traffic of a steady
+    /// point as written.
     pub jobs: String,
     /// Static-fault plan spec.
     pub fault: String,
@@ -546,17 +548,25 @@ fn point_config(p: &Point, net: &SimNetwork, shards: usize) -> SimConfig {
     if let Mode::Steady {
         warmup_ns,
         measure_ns,
-        ..
+        bytes,
     } = p.mode
     {
-        let mut w = MeasurementWindows::new(warmup_ns * 1000, measure_ns * 1000);
-        if !p.pattern.is_empty() {
-            w = w.with_pattern(p.pattern.clone());
-        }
-        cfg = cfg.with_windows(w);
-        if !p.jobs.is_empty() {
-            cfg = cfg.with_jobs(&p.jobs);
-        }
+        // A steady point runs one job mix: its jobs entry as written, or
+        // every alive endpoint sending `bytes` to destinations drawn from its
+        // pattern (uniform when it has none).
+        let mix = if p.jobs.is_empty() {
+            let pattern = if p.pattern.is_empty() {
+                "random"
+            } else {
+                &p.pattern
+            };
+            format!("traffic(1, {pattern}, {bytes})")
+        } else {
+            p.jobs.clone()
+        };
+        cfg = cfg
+            .with_windows(MeasurementWindows::new(warmup_ns * 1000, measure_ns * 1000))
+            .with_jobs(&mix);
     }
     cfg
 }
@@ -579,9 +589,8 @@ fn place_on_alive(net: &SimNetwork, ranks: usize, seed: u64) -> Result<Vec<usize
 fn point_workload(p: &Point, net: &SimNetwork) -> Result<Workload, RunError> {
     let (messages, bytes) = match p.mode {
         Mode::Finite { messages, bytes } | Mode::Offered { messages, bytes } => (messages, bytes),
-        // Steady mode: the workload supplies senders and sizes; destinations
-        // come from the pattern (or the uniform-random templates).
-        Mode::Steady { bytes, .. } => (1, bytes),
+        // A steady point's traffic is its job mix (`point_config`).
+        Mode::Steady { .. } => return Ok(Workload::default()),
     };
     let Some(ranks) = p.ranks else {
         let endpoints = net.num_endpoints();
@@ -1459,6 +1468,26 @@ bytes = 512
             run_point(net, &crowded),
             Err(RunError::Build { reason, .. }) if reason.contains("32 ranks do not fit 16")
         ));
+    }
+
+    /// A steady section without a pattern runs uniform traffic over the
+    /// surviving machine: the endpoints of down routers neither send nor
+    /// receive, so `routers(2)` measures the survivors instead of refusing
+    /// the point for addressing a dead endpoint.
+    #[test]
+    fn a_pattern_less_steady_section_runs_over_down_routers() {
+        let report = run(
+            "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"lps(11,7)x4\"]\n\
+             routings = [\"minimal\"]\nfaults = [\"routers(2)\"]\nseeds = [5]\n\
+             loads = [0.5]\nmode = \"steady\"\nwarmup_ns = 1000\nmeasure_ns = 4000\n",
+        );
+        let point = &report.points[0];
+        assert_eq!(point.id, "e/lps(11,7)x4/minimal/f=routers(2)/s=5/l=0.5");
+        let m = (point.metrics.as_ref()).unwrap_or_else(|| panic!("{}", point.summary));
+        assert!(m.throughput_gbps.is_some_and(|t| t > 0.0), "{m:?}");
+        assert!(m.delivery_ratio > 0.9, "{m:?}");
+        assert_eq!(m.tenants.len(), 1);
+        assert_eq!(m.tenants[0].name, "t0:traffic");
     }
 
     #[test]

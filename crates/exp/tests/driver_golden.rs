@@ -30,13 +30,14 @@ use spectralfly_simnet::{
 
 /// `(cell, digest)`. Recorded by this test itself (on drift it prints the
 /// replacement rows) on the sharded engine at the commit before the run
-/// driver was factored out, pinned ever since.
+/// driver was factored out, pinned ever since; the two steady cells were
+/// re-recorded once, when every steady run became a job mix.
 const GOLDEN: &[(&str, &str)] = &[
     ("jobs", "bdf6839a23f9b26e"),
     ("script/finite", "ed6c6948a6fede06"),
     ("script/offered", "4a98d001632176df"),
-    ("script/steady", "0fef372381bb08ab"),
-    ("script/pattern", "1400118614258eca"),
+    ("script/steady", "1de17c868c504991"),
+    ("script/pattern", "cae61090933e67d3"),
     ("script/jobs", "24a00723be4cf05c"),
 ];
 
@@ -124,14 +125,13 @@ fn shared_driver_cells_reproduce_their_golden_digests() {
         ("script/offered", scripted.clone(), Some(0.5)),
         (
             "script/steady",
-            scripted.clone().with_windows(windows.clone()),
+            (scripted.clone().with_windows(windows.clone())).with_jobs("traffic(1, random, 2048)"),
             Some(0.5),
         ),
         (
             "script/pattern",
-            scripted
-                .clone()
-                .with_windows(windows.clone().with_pattern("adversarial(4)")),
+            (scripted.clone().with_windows(windows.clone()))
+                .with_jobs("traffic(1, adversarial(4), 2048)"),
             Some(0.5),
         ),
         (
@@ -165,33 +165,34 @@ fn shared_driver_cells_reproduce_their_golden_digests() {
 /// `(cell, outcome)` for the credit-starved cells: a digest and
 /// `parks/wakeups`, or the typed error the run ended in. Recorded on the
 /// sharded engine at the parent of the change that stopped scheduling credit
-/// returns as events.
+/// returns as events; the steady and churn cells were re-recorded once, when
+/// every steady run became a job mix.
 #[rustfmt::skip]
 const STARVED: &[(&str, &str)] = &[
     ("b1/minimal/finite", "9a8e6c4c0288e4a8 1342/1342"),
-    ("b1/minimal/steady", "dcbfbf6adfb38a98 2358/2239"),
-    ("b1/minimal/churn", "871c3e86badad80f 2367/2249"),
+    ("b1/minimal/steady", "02e9ab07908aacce 2401/2268"),
+    ("b1/minimal/churn", "6367837a4a19db31 2409/2273"),
     ("b1/valiant/finite", "deadlock 439425f93fb99e36"),
-    ("b1/valiant/steady", "ca037f85f39f7353 2991/2740"),
-    ("b1/valiant/churn", "e9f390b2d2efc2ae 2901/2665"),
+    ("b1/valiant/steady", "253f3cc2c8528f12 2918/2694"),
+    ("b1/valiant/churn", "237e14743accad22 2993/2730"),
     ("b1/ugal-l/finite", "1ed5708de898cd66 1337/1337"),
-    ("b1/ugal-l/steady", "7d1632b2d0905fb1 2366/2245"),
-    ("b1/ugal-l/churn", "9573066d7e8a7802 2376/2257"),
+    ("b1/ugal-l/steady", "82f0cdca282bc0f1 2416/2285"),
+    ("b1/ugal-l/churn", "c8cf66a666c5117a 2423/2288"),
     ("b1/ugal-g/finite", "f7c259b5409acc73 1324/1324"),
-    ("b1/ugal-g/steady", "eacc1456b8915b68 2329/2196"),
-    ("b1/ugal-g/churn", "72f674deaf40c281 2331/2206"),
+    ("b1/ugal-g/steady", "08be2b116cc38ff8 2381/2281"),
+    ("b1/ugal-g/churn", "7a5156306963da6e 2387/2276"),
     ("b2/minimal/finite", "8972ef0a5389a1c6 109/109"),
-    ("b2/minimal/steady", "b895165a41557cfd 604/597"),
-    ("b2/minimal/churn", "10f58a3cefe7a290 618/604"),
+    ("b2/minimal/steady", "29db294c8f7e12d8 534/532"),
+    ("b2/minimal/churn", "7ae022fccc6dfc5b 541/535"),
     ("b2/valiant/finite", "33b0a4dc91b83f87 161/161"),
-    ("b2/valiant/steady", "8c8b60a1ad31894b 905/870"),
-    ("b2/valiant/churn", "28908b8679269b90 940/890"),
+    ("b2/valiant/steady", "c04cee50c91b2f65 947/917"),
+    ("b2/valiant/churn", "736338281e477fa0 933/890"),
     ("b2/ugal-l/finite", "be86c4a28e57c771 111/111"),
-    ("b2/ugal-l/steady", "511d583d59f0f0e7 604/597"),
-    ("b2/ugal-l/churn", "c7878fa44de230c0 620/610"),
+    ("b2/ugal-l/steady", "c0882d4a5e963b3e 568/564"),
+    ("b2/ugal-l/churn", "f0cbd513ed939c0b 575/572"),
     ("b2/ugal-g/finite", "7d8568184acafb47 98/98"),
-    ("b2/ugal-g/steady", "e28ec2a75f5b8855 560/559"),
-    ("b2/ugal-g/churn", "1978628a9a2229cf 557/551"),
+    ("b2/ugal-g/steady", "81c5471feafaaaad 541/537"),
+    ("b2/ugal-g/churn", "b27f83f22aeef525 514/512"),
 ];
 
 /// Steady-state churn on the starved cells (`fault_horizon_ps` bounds it).
@@ -219,7 +220,8 @@ fn credit_starved_cells_reproduce_their_golden_digests() {
             let mut finite = SimConfig::default().with_routing(routing, net.diameter() as u32);
             finite.seed = 0x57A4;
             finite.buffer_packets_per_vc = buffer;
-            let steady = finite.clone().with_windows(windows.clone());
+            let steady = (finite.clone().with_windows(windows.clone()))
+                .with_jobs("traffic(1, random, 8192)");
             let mut churn = steady
                 .clone()
                 .with_fault_script(FaultScript::parse(CHURN).unwrap().with_seed(5));
@@ -248,10 +250,11 @@ fn credit_starved_cells_reproduce_their_golden_digests() {
 }
 
 /// The steady twin of the `b1/valiant` cells, run long and light enough to
-/// wedge: at load 0.3 over a 20 µs window its event queue empties at
-/// 27.8 µs with links still parked, 13 µs before the drain deadline. A
-/// steady run that wedges is [`SimError::Deadlock`]; it used to return `Ok`,
-/// and its window then measured a wedged fabric.
+/// wedge: at load 0.3 over a 20 µs window its last packet is delivered at
+/// 33.9 µs and its event queue then empties with links still parked, 7 µs
+/// before the drain deadline. A steady run that wedges is
+/// [`SimError::Deadlock`]; it used to return `Ok`, and its window then
+/// measured a wedged fabric.
 #[test]
 fn a_steady_run_that_wedges_is_a_deadlock() {
     let spec = TopoSpec::parse("lps(11,7)x4").unwrap();
@@ -259,7 +262,8 @@ fn a_steady_run_that_wedges_is_a_deadlock() {
     let wl = Workload::uniform_random(net.num_endpoints(), 2, 8192, 0x57A4);
     let mut cfg = SimConfig::default()
         .with_routing("valiant", net.diameter() as u32)
-        .with_windows(MeasurementWindows::new(1_000_000, 20_000_000));
+        .with_windows(MeasurementWindows::new(1_000_000, 20_000_000))
+        .with_jobs("traffic(1, random, 8192)");
     cfg.seed = 0x57A4;
     cfg.buffer_packets_per_vc = 1;
     let diagnosis = shard_invariant("wedged steady", |shards| {
@@ -272,9 +276,9 @@ fn a_steady_run_that_wedges_is_a_deadlock() {
         }
     });
     for part in [
-        "1814 undelivered packets and 223 links parked",
-        "link queues: 659, pending injections: 1155",
-        "the last packet was delivered at 27802002 ps",
+        "29 undelivered packets and 4 links parked",
+        "link queues: 10, pending injections: 19",
+        "the last packet was delivered at 33943680 ps",
     ] {
         assert!(diagnosis.contains(part), "{part:?} not in: {diagnosis}");
     }

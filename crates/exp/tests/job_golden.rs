@@ -1,14 +1,15 @@
-//! Golden lock: `jobs = None` is the identity.
+//! Golden lock: the finite paths are untouched by the jobs subsystem, and a
+//! single-tenant mix is the steady run.
 //!
-//! The acceptance bar for the jobs subsystem is that job-less simulation is
-//! **bit-identical** to the pre-jobs engine. The digests below were recorded
-//! when the jobs subsystem landed, from code paths the subsystem does not
-//! touch when `SimConfig::jobs` is `None` — so they pin the pre-jobs engines'
-//! exact results across finite, offered-load, steady-state (template and
-//! pattern destinations), and faulted runs. Any future change that perturbs a
-//! legacy path — a tag check reordering RNG draws, a tenant-stats hook firing
-//! for untagged traffic — drifts a digest here before it ever reaches the
-//! recorded manifest baselines.
+//! The `finite/*` and `offered/*` digests were recorded when the jobs
+//! subsystem landed, from code paths the subsystem does not touch — a
+//! workload run with `SimConfig::jobs` unset — so they pin the pre-jobs
+//! engines' exact results. Any change that perturbs those paths — a tag check
+//! reordering RNG draws, a tenant-stats hook firing for untagged traffic —
+//! drifts a digest here before it ever reaches the recorded manifest
+//! baselines. The steady cells run the one-tenant mixes a manifest's steady
+//! points run (`traffic(1, P, bytes)`): uniform, adversarial and on a
+//! statically degraded network.
 //!
 //! The digests are the sharded engine's, and every cell runs at one shard
 //! and at two.
@@ -25,26 +26,29 @@ fn chordal_ring(n: usize, chords: &[(u32, u32)]) -> CsrGraph {
     CsrGraph::from_edges(n, &e)
 }
 
-/// Digest one engine's result, asserting the job-less invariants first.
+/// Digest one engine's result, asserting first that exactly the steady runs
+/// report their one tenant.
 fn digest(label: &str, r: &SimResults) -> String {
-    assert!(r.tenants.is_empty(), "{label}: job-less run grew tenants");
+    let tenants = usize::from(!label.starts_with("finite/") && !label.starts_with("offered/"));
+    assert_eq!(r.tenants.len(), tenants, "{label}: tenant table");
     digest_results(r)
 }
 
 /// Scenario battery × golden digests `(scenario, digest)`. Recorded by this
 /// test itself (on drift it prints the full replacement table), pinned ever
-/// since.
+/// since; the steady cells were re-recorded once, when every steady run
+/// became a job mix.
 const GOLDEN: &[(&str, &str)] = &[
     ("finite/minimal", "37ecdb6c9d141f78"),
     ("offered/minimal", "2e8c0e65c72b3de4"),
-    ("steady/minimal", "81a5ab6c2789f2ac"),
-    ("pattern/minimal", "fb09278258fdb20d"),
-    ("faulted/minimal", "84d59827de575bca"),
+    ("steady/minimal", "f04861e0a0e978b1"),
+    ("pattern/minimal", "14a2fd20e848c96c"),
+    ("faulted/minimal", "4b0ac893733ffce1"),
     ("finite/ugal-l", "d148da9a0dd87596"),
     ("offered/ugal-l", "eeaea0f67ebc4f4c"),
-    ("steady/ugal-l", "9893cf0d76f29e57"),
-    ("pattern/ugal-l", "ef64e720c9caca18"),
-    ("faulted/ugal-l", "67e4cd85d099d4eb"),
+    ("steady/ugal-l", "65d9630ff395c95c"),
+    ("pattern/ugal-l", "f460c2c9f0a8f08d"),
+    ("faulted/ugal-l", "1eee67871f4c4897"),
 ];
 
 #[test]
@@ -86,21 +90,23 @@ fn jobless_runs_reproduce_pre_jobs_golden_digests() {
         // Finite, offered-load.
         record(format!("offered/{routing}"), &net, &cfg, &offered);
 
-        // Steady-state, template destinations.
-        let mut scfg = cfg.clone();
-        scfg.windows = Some(MeasurementWindows::new(1_000_000, 8_000_000));
+        let steady = |cfg: &SimConfig, mix: &str| {
+            let windows = MeasurementWindows::new(1_000_000, 8_000_000);
+            cfg.clone().with_windows(windows).with_jobs(mix)
+        };
+
+        // Steady-state, uniform destinations.
+        let scfg = steady(&cfg, "traffic(1, random, 2048)");
         record(format!("steady/{routing}"), &net, &scfg, &offered);
 
-        // Steady-state, live pattern destinations.
-        let mut pcfg = cfg.clone();
-        pcfg.windows =
-            Some(MeasurementWindows::new(1_000_000, 8_000_000).with_pattern("adversarial(4)"));
+        // Steady-state, adversarial destinations.
+        let pcfg = steady(&cfg, "traffic(1, adversarial(4), 2048)");
         record(format!("pattern/{routing}"), &net, &pcfg, &offered);
 
         // Steady-state on a statically degraded network.
         let mut fcfg = cfg.clone().with_routing(routing, faulted.diameter() as u32);
         fcfg.seed = cfg.seed;
-        fcfg.windows = Some(MeasurementWindows::new(1_000_000, 8_000_000));
+        let fcfg = steady(&fcfg, "traffic(1, random, 2048)");
         record(format!("faulted/{routing}"), &faulted, &fcfg, &offered);
     }
 
@@ -115,8 +121,8 @@ fn jobless_runs_reproduce_pre_jobs_golden_digests() {
         .collect();
     assert!(
         drifted.is_empty(),
-        "job-less runs drifted from the pre-jobs golden digests; if the drift \
-         is intended, the new table is:\n{}",
+        "runs drifted from their golden digests; if the drift is intended, \
+         the new table is:\n{}",
         drifted.join("\n")
     );
 }

@@ -87,8 +87,9 @@ proptest! {
         } else {
             Vec::new()
         };
-        // The jobs axis, like patterns, only exists in steady mode.
-        let jobs = if matches!(mode, Mode::Steady { .. }) && jobs_mask > 0 {
+        // The jobs axis, like patterns, only exists in steady mode, and a
+        // steady section names one of the two.
+        let jobs = if matches!(mode, Mode::Steady { .. }) && jobs_mask > 0 && patterns.is_empty() {
             subset(JOBS, jobs_mask)
         } else {
             Vec::new()

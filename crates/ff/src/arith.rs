@@ -52,16 +52,6 @@ pub fn mod_add(a: u64, b: u64, m: u64) -> u64 {
     }
 }
 
-/// Modular subtraction `a - b mod m`.
-#[inline]
-pub fn mod_sub(a: u64, b: u64, m: u64) -> u64 {
-    if a >= b {
-        a - b
-    } else {
-        a + m - b
-    }
-}
-
 /// Modular exponentiation `base^exp mod m` by square-and-multiply.
 ///
 /// `m` must be nonzero. `0^0` is defined as `1 mod m`.
@@ -219,7 +209,6 @@ mod tests {
     fn add_sub_wraparound() {
         let m = u64::MAX - 58; // large modulus exercises the overflow path
         assert_eq!(mod_add(m - 1, m - 1, m), m - 2);
-        assert_eq!(mod_sub(0, 1, m), m - 1);
     }
 
     #[test]

@@ -117,15 +117,6 @@ pub fn sum_of_two_squares_plus_one(q: u64) -> (u64, u64) {
     unreachable!("x^2 + y^2 + 1 = 0 always has a solution modulo an odd prime")
 }
 
-/// The set of nonzero quadratic residues modulo `p` (used by Paley graphs).
-pub fn quadratic_residues(p: u64) -> Vec<u64> {
-    let mut set = std::collections::BTreeSet::new();
-    for x in 1..p {
-        set.insert(mod_mul(x, x, p));
-    }
-    set.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,12 +192,5 @@ mod tests {
         assert_eq!(legendre(89, 19), -1);
         // The simulation instance LPS(23, 13) has 1092 = (13^3 - 13)/2 routers, so PSL.
         assert_eq!(legendre(23, 13), 1);
-    }
-
-    #[test]
-    fn quadratic_residue_count() {
-        for &p in &[5u64, 13, 17, 29, 37] {
-            assert_eq!(quadratic_residues(p).len() as u64, (p - 1) / 2);
-        }
     }
 }

@@ -204,11 +204,6 @@ impl CsrGraph {
             *out = acc;
         }
     }
-
-    /// Total degree (2 × number of edges).
-    pub fn total_degree(&self) -> usize {
-        self.neighbors.len()
-    }
 }
 
 #[cfg(test)]
@@ -242,7 +237,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(g.num_edges(), 10);
         assert_eq!(g.regular_degree(), Some(4));
-        assert_eq!(g.total_degree(), 20);
     }
 
     #[test]

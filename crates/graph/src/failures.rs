@@ -230,30 +230,6 @@ pub fn sweep_seed(seed: u64, index: usize) -> u64 {
     seed.wrapping_add(index as u64 * 7919)
 }
 
-/// The empirical disconnection threshold: the smallest proportion in `proportions` at which
-/// fewer than `min_connected_fraction` of `trials` deletions leave the graph connected.
-pub fn disconnection_threshold(
-    g: &CsrGraph,
-    proportions: &[f64],
-    trials: usize,
-    min_connected_fraction: f64,
-    seed: u64,
-) -> Option<f64> {
-    for &p in proportions {
-        let connected = (0..trials)
-            .into_par_iter()
-            .filter(|&t| {
-                let s = seed.wrapping_add(t as u64).wrapping_mul(0x2545F4914F6CDD1D);
-                is_connected(&delete_random_edges(g, p, s))
-            })
-            .count();
-        if (connected as f64) < min_connected_fraction * trials as f64 {
-            return Some(p);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,16 +361,5 @@ mod tests {
         assert_eq!(pts.len(), 3);
         assert_eq!(pts[0].proportion, 0.0);
         assert!(pts[2].mean >= pts[0].mean);
-    }
-
-    #[test]
-    fn disconnection_threshold_found_for_sparse_graph() {
-        // A cycle disconnects quickly under random edge loss.
-        let mut edges: Vec<(u32, u32)> = (0..29u32).map(|i| (i, i + 1)).collect();
-        edges.push((29, 0));
-        let g = CsrGraph::from_edges(30, &edges);
-        let thr = disconnection_threshold(&g, &[0.1, 0.3, 0.5, 0.7, 0.9], 20, 0.5, 7);
-        assert!(thr.is_some());
-        assert!(thr.unwrap() <= 0.5);
     }
 }

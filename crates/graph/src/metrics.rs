@@ -98,19 +98,6 @@ pub fn label_components(
     count as usize
 }
 
-/// Eccentricity of `source` (max finite distance); `None` if some vertex is unreachable.
-pub fn eccentricity(g: &CsrGraph, source: VertexId) -> Option<u32> {
-    let dist = bfs_distances(g, source);
-    let mut max = 0;
-    for &d in &dist {
-        if d == UNREACHABLE {
-            return None;
-        }
-        max = max.max(d);
-    }
-    Some(max)
-}
-
 /// Exact diameter and mean shortest-path length via a parallel all-sources BFS sweep.
 ///
 /// Returns `None` if the graph is disconnected (both quantities are undefined then, and
@@ -290,7 +277,6 @@ mod tests {
     #[test]
     fn eccentricity_and_histogram() {
         let g = cycle_graph(6);
-        assert_eq!(eccentricity(&g, 0), Some(3));
         assert_eq!(distance_histogram_from(&g, 0), vec![1, 2, 2, 1]);
     }
 }

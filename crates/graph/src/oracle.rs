@@ -619,11 +619,6 @@ impl LandmarkOracle {
         &self.landmarks
     }
 
-    /// Exact-row cache capacity in rows.
-    pub fn cache_capacity(&self) -> usize {
-        self.cache_cap
-    }
-
     #[inline]
     fn stamp(&self, slot: usize) {
         let t = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -899,7 +894,6 @@ mod tests {
         // constant eviction; answers must stay exact regardless.
         let g = hypercube(4);
         let oracle = LandmarkOracle::build_with(&g, 2, 1).unwrap();
-        assert_eq!(oracle.cache_capacity(), 4);
         assert_matches_dense(&g, &oracle);
         // Second sweep hits the warmed/evicted cache in a different access order.
         let mut scratch = Vec::new();

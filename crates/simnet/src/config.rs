@@ -55,20 +55,19 @@ pub fn retransmit_backoff_ps(attempt: u32) -> u64 {
 ///
 /// The paper's saturation curves (Figures 6–8) assume a network in steady
 /// state; a finite drain-to-empty run conflates saturation latency with drain
-/// time. With windows configured, [`crate::Simulator::try_run_with_offered_load`]
-/// switches to **continuous per-endpoint Poisson sources**: every endpoint
-/// that sends in the workload keeps injecting (cycling through its workload
-/// messages) from time 0 until `warmup_ps + measure_ps`, the statistics count
-/// only packets injected inside `[warmup_ps, warmup_ps + measure_ps)`, and the
-/// run then drains for at most [`MeasurementWindows::drain_ps`] (as long as
-/// the measurement) before stopping (packets still in flight at the deadline
-/// are abandoned — above saturation the queues would otherwise never empty). A
-/// time-series sample ([`crate::stats::IntervalSample`]) is recorded every
+/// time. With windows and a job mix ([`SimConfig::jobs`]) configured,
+/// [`crate::Simulator::try_run_with_offered_load`] runs the mix's tenants as
+/// **continuous sources** — `traffic(1, random)` is every alive endpoint
+/// sending Poisson arrivals to fresh uniform destinations, `traffic(1,
+/// adversarial(8))` the adversarial scenario — from time 0 until
+/// `warmup_ps + measure_ps`. The statistics count only packets injected inside
+/// `[warmup_ps, warmup_ps + measure_ps)`, and the run then drains for at most
+/// [`MeasurementWindows::drain_ps`] (as long as the measurement) before
+/// stopping (packets still in flight at the deadline are abandoned — above
+/// saturation the queues would otherwise never empty). A time-series sample
+/// ([`crate::stats::IntervalSample`]) is recorded every
 /// [`MeasurementWindows::sample_interval_ps`] (32 samples across warmup and
 /// measurement).
-/// With [`MeasurementWindows::pattern`] set, each spawned message's destination
-/// is drawn live from the named traffic pattern ([`crate::pattern`]) instead of
-/// the workload template — the adversarial / tornado / hotspot scenarios.
 ///
 /// Workload-paced runs ([`crate::Simulator::try_run`]) ignore the windows: phased
 /// application motifs are finite by nature.
@@ -78,37 +77,17 @@ pub struct MeasurementWindows {
     pub warmup_ps: u64,
     /// Length of the measurement window, picoseconds.
     pub measure_ps: u64,
-    /// Traffic-pattern spec the continuous sources draw destinations from
-    /// (resolved through [`crate::pattern`], e.g. `"adversarial(128)"`).
-    ///
-    /// `None` (the default) keeps the original template behaviour: each source
-    /// cycles through its workload messages' destinations — bit-identical to
-    /// the pre-pattern engine. `Some(spec)` overrides only the *destination* of
-    /// every spawned message with a live draw from the pattern; message sizes
-    /// and the set of sending endpoints still come from the workload.
-    pub pattern: Option<String>,
 }
 
 impl MeasurementWindows {
-    /// Windows with no pattern. A steady run refuses an empty measurement
-    /// window (`measure_ps == 0`), and windows whose deadline does not fit
-    /// `u64` picoseconds, with [`crate::SimError::Windows`].
+    /// A warmup and a measurement window. A steady run refuses an empty
+    /// measurement window (`measure_ps == 0`), and windows whose deadline does
+    /// not fit `u64` picoseconds, with [`crate::SimError::Windows`].
     pub fn new(warmup_ps: u64, measure_ps: u64) -> Self {
         MeasurementWindows {
             warmup_ps,
             measure_ps,
-            pattern: None,
         }
-    }
-
-    /// Builder-style: draw steady-state destinations from a registered traffic
-    /// pattern instead of the workload templates.
-    ///
-    /// The spec is resolved against the network when the run starts; an
-    /// unknown or invalid spec is a [`crate::SimError::Pattern`] there.
-    pub fn with_pattern(mut self, spec: impl Into<String>) -> Self {
-        self.pattern = Some(spec.into());
-        self
     }
 
     /// Grace period after injection stops during which in-flight packets may
@@ -159,8 +138,9 @@ pub struct SimConfig {
     /// RNG seed (Valiant intermediates, adaptive tie-breaks, Poisson injection).
     pub seed: u64,
     /// Steady-state warmup/measurement windows. `None` (the default) keeps the
-    /// finite drain-to-empty behaviour; `Some` switches offered-load runs to
-    /// continuous Poisson sources with windowed measurement.
+    /// finite drain-to-empty behaviour; `Some`, with [`SimConfig::jobs`], runs
+    /// offered-load runs as the mix's continuous sources under windowed
+    /// measurement.
     pub windows: Option<MeasurementWindows>,
     /// Shard count of the event core ([`crate::Simulator`]).
     ///
@@ -187,12 +167,13 @@ pub struct SimConfig {
     /// instead. Events past the horizon never fire.
     pub fault_horizon_ps: u64,
     /// Multi-tenant job mix spec (see [`crate::job`]), e.g.
-    /// `"traffic(1.0, random) x 64 + allreduce-ring(65536) x 16"`. `None`
-    /// (the default) runs the classic single-workload modes untouched. When
-    /// set, steady-state runs ([`SimConfig::windows`] present) resolve the
-    /// mix onto the fabric and drive per-tenant sources and collective
-    /// schedules instead of the workload's templates, reporting
-    /// [`crate::stats::TenantStats`] per tenant.
+    /// `"traffic(1.0, random) x 64 + allreduce-ring(65536) x 16"`. A steady
+    /// run ([`SimConfig::windows`] under an offered load) requires it and
+    /// nothing else sets its traffic: the mix is resolved onto the surviving
+    /// endpoints, drives per-tenant sources and collective schedules, and
+    /// reports [`crate::stats::TenantStats`] per tenant. `None` (the default)
+    /// is a finite run of the workload; a mix on a run that is not steady is
+    /// refused with [`crate::SimError::JobsWithoutSteadyRun`].
     pub jobs: Option<String>,
 }
 
@@ -296,18 +277,9 @@ mod tests {
         assert_eq!(w.deadline_ps(), 129_000);
         assert_eq!(w.sample_interval_ps(), 65_000 / 32);
         assert_eq!(MeasurementWindows::new(0, 1).sample_interval_ps(), 1);
-        assert!(w.pattern.is_none());
         let cfg = SimConfig::default().with_windows(w.clone());
         assert_eq!(cfg.windows, Some(w));
         assert!(SimConfig::default().windows.is_none());
-    }
-
-    #[test]
-    fn windows_carry_a_pattern_spec() {
-        let w = MeasurementWindows::new(1_000, 64_000).with_pattern("adversarial(32)");
-        assert_eq!(w.pattern.as_deref(), Some("adversarial(32)"));
-        // Pattern-less windows stay equal to their original spelling.
-        assert_ne!(w, MeasurementWindows::new(1_000, 64_000));
     }
 
     #[test]

@@ -39,10 +39,10 @@
 //!
 //! # Steady-state measurement
 //!
-//! With [`crate::config::MeasurementWindows`] configured,
-//! [`Simulator::try_run_with_offered_load`] switches from the finite drain-to-empty run to
-//! continuous per-endpoint Poisson sources with warmup/measurement/drain windows — see
-//! the type's documentation for the protocol.
+//! With [`crate::config::MeasurementWindows`] and a job mix ([`SimConfig::jobs`])
+//! configured, [`Simulator::try_run_with_offered_load`] switches from the finite
+//! drain-to-empty run to the mix's continuous sources with warmup/measurement/drain
+//! windows — see the type's documentation for the protocol.
 
 mod calendar;
 mod driver;
@@ -83,18 +83,19 @@ pub enum SimError {
         /// Canonical names currently registered, for the error message.
         registered: Vec<String>,
     },
-    /// The steady-state destination pattern
-    /// ([`crate::config::MeasurementWindows::pattern`]) was rejected.
-    Pattern(crate::pattern::PatternError),
     /// The job mix ([`SimConfig::jobs`]) is malformed, names an unknown job,
     /// or does not fit the surviving endpoints.
     Job(crate::job::JobError),
     /// The offered load is not a fraction in `(0, 1]` (the message carries
     /// the rejected value).
     OfferedLoad(String),
-    /// [`SimConfig::jobs`] is set on a run without steady-state measurement
-    /// windows (a workload-paced run, or no [`SimConfig::windows`]).
-    JobsWithoutWindows,
+    /// [`SimConfig::jobs`] is set on a run that is not a steady run: one
+    /// without [`SimConfig::windows`], or a workload-paced one
+    /// ([`Simulator::try_run`]).
+    JobsWithoutSteadyRun,
+    /// A steady run ([`SimConfig::windows`] under an offered load) without
+    /// [`SimConfig::jobs`]: the job mix is a steady run's only traffic.
+    SteadyRunWithoutJobs,
     /// The workload names an endpoint the network does not have (the message
     /// carries the endpoint and the network's count).
     EndpointOutOfRange(String),
@@ -131,12 +132,16 @@ impl std::fmt::Display for SimError {
             SimError::UnknownRouting { name, registered } => {
                 crate::spec::write_unknown(f, routing::FAMILY.unknown, name, registered)
             }
-            SimError::Pattern(e) => e.fmt(f),
             SimError::Job(e) => e.fmt(f),
             SimError::Fault(e) => e.fmt(f),
-            SimError::JobsWithoutWindows => f.write_str(
-                "SimConfig::jobs requires steady-state measurement windows \
-                 (SimConfig::with_windows)",
+            SimError::JobsWithoutSteadyRun => f.write_str(
+                "SimConfig::jobs requires a steady run: measurement windows \
+                 (SimConfig::with_windows) and an offered load \
+                 (Simulator::try_run_with_offered_load)",
+            ),
+            SimError::SteadyRunWithoutJobs => f.write_str(
+                "a steady run requires a job mix (SimConfig::with_jobs), e.g. \
+                 \"traffic(1, random)\": its tenants are the run's only sources",
             ),
             SimError::EndpointOutOfRange(message)
             | SimError::OfferedLoad(message)
@@ -151,7 +156,6 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SimError::Pattern(e) => Some(e),
             SimError::Job(e) => Some(e),
             SimError::Fault(e) => Some(e),
             _ => None,
@@ -248,7 +252,8 @@ struct Packet {
     /// First time this packet was dropped (`u64::MAX` = never): recovery time
     /// is measured from here to eventual delivery.
     first_drop_ps: u64,
-    /// Tenant / collective tag (tenant `u32::MAX` = untagged legacy traffic).
+    /// Tenant / collective tag (tenant `u32::MAX` = the untagged traffic of a
+    /// finite run).
     /// Carried by value so the destination shard can account per-tenant stats
     /// and collective releases without a global map.
     tag: MsgTag,

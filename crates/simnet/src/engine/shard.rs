@@ -137,10 +137,10 @@ const CLASS_TRY_TRANSMIT: u64 = 5;
 
 /// SplitMix64 finalizer (the same mixer the workspace `rand` shim seeds with),
 /// increment included — unlike `job::mix64`, which omits it and so draws a
-/// different stream from the same input. Merging the two would move every
-/// golden digest.
+/// different stream from the same input. It keys the per-decision routing
+/// streams; merging it with `job::mix64` would move every golden digest.
 #[inline]
-pub(super) fn mix64(x: u64) -> u64 {
+fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -1834,20 +1834,20 @@ impl<'a> Simulator<'a> {
     ///
     /// Without [`SimConfig::windows`] this is a finite run: every workload message is
     /// injected once (Poisson-spaced) and the network drains to empty. With windows
-    /// configured the run switches to **continuous per-endpoint Poisson sources** and
-    /// steady-state measurement (see [`crate::config::MeasurementWindows`]).
+    /// configured it is a **steady run**: the job mix ([`SimConfig::jobs`], which a
+    /// steady run requires) drives continuous sources under steady-state measurement
+    /// (see [`crate::config::MeasurementWindows`]), the offered load multiplies every
+    /// tenant's load, and `workload` is ignored.
     ///
     /// Runs that a fault plan has made infeasible are rejected up front.
     /// Finite runs validate every workload message pair (like
-    /// [`Simulator::try_run`]). Steady-state runs with a live
-    /// destination pattern ([`crate::config::MeasurementWindows::pattern`])
-    /// instead require every surviving router to sit in one connected
-    /// component ([`crate::Infeasible::Fragmented`] otherwise): the pattern
-    /// draws destinations across the whole surviving machine, and injection
-    /// is restricted to the endpoints of alive routers.
+    /// [`Simulator::try_run`]). Steady runs instead require every surviving
+    /// router to sit in one connected component
+    /// ([`crate::Infeasible::Fragmented`] otherwise): the mix is placed on the
+    /// alive endpoints and draws destinations across the surviving machine.
     ///
-    /// The pattern's endpoint space is the *compacted* alive-endpoint rank
-    /// space. Uniform patterns are unaffected, but group-structured specs
+    /// A tenant's pattern speaks in its own ranks over those alive endpoints.
+    /// Uniform patterns are unaffected, but group-structured specs
     /// (`adversarial(g)`, `nearest-group(g)`) see group boundaries shift by
     /// however many endpoints died before them — once routers are down,
     /// treat group-aligned results as approximate (or pass a group size in
@@ -1855,9 +1855,8 @@ impl<'a> Simulator<'a> {
     ///
     /// A run that quiesces with links parked in a cyclic head-of-line wait
     /// yields [`SimError::Deadlock`] in every mode: a finite run with packets
-    /// undelivered, a steady-state or jobs run whose event queue empties
-    /// before its drain deadline (its diagnosis adds when the last packet was
-    /// delivered).
+    /// undelivered, a steady run whose event queue empties before its drain
+    /// deadline (its diagnosis adds when the last packet was delivered).
     pub fn try_run_with_offered_load(
         &self,
         workload: &Workload,
@@ -2003,12 +2002,12 @@ impl<'a> Simulator<'a> {
     }
 
     /// Steady-state run: every shard arms the traffic of the endpoints on its
-    /// own routers — shard-owned Poisson sources over the workload templates,
-    /// or its ranks of the job mix, resolved once on the main thread so every
-    /// shard count executes the identical plan — under windowed measurement,
-    /// with per-shard sample partials folded by tick index. A run whose
-    /// event queue empties before its deadline with links still parked has
-    /// wedged, and returns [`SimError::Deadlock`] instead of a window.
+    /// own routers — its ranks of the job mix, resolved once on the main
+    /// thread so every shard count executes the identical plan — under
+    /// windowed measurement, with per-shard sample partials folded by tick
+    /// index. A run whose event queue empties before its deadline with links
+    /// still parked has wedged, and returns [`SimError::Deadlock`] instead of
+    /// a window.
     fn run_steady(&self, run: &RunPlan<'_>, steady: &Steady<'_>) -> Result<SimResults, SimError> {
         let w = steady.windows;
         let deadline = w.deadline_ps();
@@ -2039,7 +2038,7 @@ impl<'a> Simulator<'a> {
             core.flush_sample_ticks(deadline);
             traffic.report_ranks(&mut core.stats, owns);
         };
-        let outs = self.run_sharded(|| steady.traffic.stats(w), Vec::new(), launch);
+        let outs = self.run_sharded(|| steady.stats(), Vec::new(), launch);
         let parked: usize = outs.iter().map(|o| o.parked).sum();
         if parked > 0 && outs.iter().all(|o| o.quiescent) {
             return Err(driver::wedged(
@@ -2050,7 +2049,7 @@ impl<'a> Simulator<'a> {
                 outs.iter().map(|o| o.last_delivery_ps).max().unwrap_or(0),
             ));
         }
-        Ok(self.fold_outcomes(outs, steady.traffic.stats(w)))
+        Ok(self.fold_outcomes(outs, steady.stats()))
     }
 }
 
@@ -2226,8 +2225,8 @@ mod tests {
         assert!(heavy.mean_packet_latency_ps > light.mean_packet_latency_ps);
     }
 
-    /// Steady-state live patterns on a degraded network run over the surviving
-    /// machine; a fragmented or empty surviving machine is rejected up front.
+    /// A steady mix on a degraded network runs over the surviving machine; a
+    /// fragmented or empty surviving machine is rejected up front.
     #[test]
     fn degraded_steady_pattern_runs_over_survivors() {
         use crate::fault::{FaultError, FaultPlan, Infeasible};
@@ -2236,12 +2235,12 @@ mod tests {
                 components,
             })))
         };
-        let windows = MeasurementWindows::new(2_000_000, 20_000_000).with_pattern("random");
         // The survivors of `router(2)` form a 7-router path: diameter 6.
         let cfg = SimConfig::default()
             .with_routing("ugal-l", 6)
-            .with_windows(windows);
-        let wl = Workload::uniform_random(16, 1, 4096, 5);
+            .with_windows(MeasurementWindows::new(2_000_000, 20_000_000))
+            .with_jobs("traffic(1, random)");
+        let wl = Workload::default();
         let run = |plan: &str| {
             let plan = FaultPlan::parse(plan).unwrap();
             let net = SimNetwork::with_faults(ring(8), 2, &plan).unwrap();
@@ -2296,12 +2295,13 @@ mod tests {
     #[test]
     fn steady_state_is_identical_across_shard_counts() {
         let net = SimNetwork::new(ring(6), 2);
-        let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 9);
+        let wl = Workload::default();
         let mut results = Vec::new();
         for shards in [1usize, 2, 4] {
             let cfg = SimConfig::default()
                 .with_routing("ugal-g", net.diameter() as u32)
                 .with_windows(MeasurementWindows::new(2_000_000, 20_000_000))
+                .with_jobs("traffic(1, random)")
                 .with_shards(shards);
             let res = Simulator::new(&net, &cfg)
                 .try_run_with_offered_load(&wl, 0.4)
@@ -2321,8 +2321,10 @@ mod tests {
     #[test]
     fn steady_state_arena_stays_bounded() {
         let net = SimNetwork::new(ring(6), 1);
-        let cfg = SimConfig::default().with_windows(MeasurementWindows::new(2_000_000, 30_000_000));
-        let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 9);
+        let cfg = SimConfig::default()
+            .with_windows(MeasurementWindows::new(2_000_000, 30_000_000))
+            .with_jobs("traffic(1, random)");
+        let wl = Workload::default();
         let res = Simulator::new(&net, &cfg)
             .try_run_with_offered_load(&wl, 0.3)
             .unwrap();

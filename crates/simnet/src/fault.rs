@@ -95,8 +95,10 @@ pub enum Infeasible {
         /// Destination endpoint's router.
         dst_router: VertexId,
     },
-    /// A live-pattern steady-state run needs every surviving router in one
-    /// connected component, but the damage fragmented them.
+    /// A steady run needs every surviving router in one connected component,
+    /// but the damage fragmented them. (The message still says
+    /// "live-pattern": error outcomes are digested, and recorded baselines
+    /// pin its text.)
     Fragmented {
         /// Number of connected components among the surviving routers.
         components: usize,
@@ -899,14 +901,14 @@ pub(crate) fn validate_workload(net: &SimNetwork, wl: &Workload) -> Result<(), F
     Ok(())
 }
 
-/// Check a live-pattern steady-state run against a degraded network: patterns
-/// draw destinations across the whole surviving machine, so every alive router
-/// must sit in one connected component.
-pub(crate) fn validate_steady_pattern(net: &SimNetwork) -> Result<(), FaultError> {
+/// Check a steady run against a degraded network: its job mix is placed on,
+/// and draws destinations across, the whole surviving machine, so every alive
+/// router must sit in one connected component.
+pub(crate) fn validate_steady_mix(net: &SimNetwork) -> Result<(), FaultError> {
     let components = net.alive_component_count();
     if components != 1 {
         // components == 0 means every router is down — as infeasible for a
-        // machine-wide pattern as a fragmented one.
+        // machine-wide mix as a fragmented one.
         return Err(FaultError::Other(Infeasible::Fragmented { components }));
     }
     Ok(())

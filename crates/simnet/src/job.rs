@@ -192,8 +192,8 @@ pub struct RateRuntime {
     until_ps: Option<u64>,
 }
 
-/// One exponential draw with mean `mean` (ps), via the same
-/// `gen_range(EPSILON..1.0)` inverse-CDF draw the legacy Poisson sources use.
+/// One exponential draw with mean `mean` (ps), via a
+/// `gen_range(EPSILON..1.0)` inverse-CDF draw.
 fn exp_draw(mean: f64, rng: &mut StdRng) -> u64 {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     (-u.ln() * mean) as u64
@@ -1139,18 +1139,6 @@ pub struct MixPlan {
 }
 
 impl MixPlan {
-    /// Reverse map: global endpoint id → `(tenant, rank)`, `(u32::MAX, 0)`
-    /// for endpoints no tenant occupies. Sized to `num_endpoints`.
-    pub fn endpoint_index(&self, num_endpoints: usize) -> Vec<(u32, u32)> {
-        let mut idx = vec![(u32::MAX, 0u32); num_endpoints];
-        for (ti, t) in self.tenants.iter().enumerate() {
-            for (rank, &ep) in t.endpoints.iter().enumerate() {
-                idx[ep] = (ti as u32, rank as u32);
-            }
-        }
-        idx
-    }
-
     /// The per-tenant descriptors the simulator hands to
     /// [`crate::stats::StatsCollector::init_tenants`] — derived from the plan
     /// so every shard arms its collector identically.
@@ -1173,19 +1161,17 @@ impl MixPlan {
 /// SplitMix64 finalizer *without* the `0x9E37_79B9_7F4A_7C15` increment
 /// that `engine::shard::mix64` adds first — the two are different functions
 /// and draw different streams. Seeds placement and [`source_rng`]; merging
-/// it with the shard's mixer would move every jobs-mode golden digest.
+/// it with the shard's mixer would move every steady golden digest.
 fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
 }
 
-/// Deterministic per-endpoint RNG for jobs-mode (open-loop tenant) sources:
-/// every shard seeds the endpoints it owns through this function, so a given
-/// endpoint consumes the identical stream at every shard count. Template
-/// sources seed through `engine::driver::source_rng` instead, which has the
-/// same body over the shard's `mix64` — a different stream. Deduplicating
-/// the two would re-record every steady golden.
+/// Deterministic per-endpoint RNG for the open-loop tenant sources of a
+/// steady run, the only continuous sources there are: every shard seeds the
+/// endpoints it owns through this function, so a given endpoint consumes the
+/// identical stream at every shard count.
 pub(crate) fn source_rng(seed: u64, endpoint: usize) -> StdRng {
     StdRng::seed_from_u64(mix64(seed).wrapping_add(mix64(endpoint as u64 ^ 0x005E_ED50_17CE)))
 }
@@ -1608,10 +1594,6 @@ mod tests {
         .unwrap();
         assert_eq!(plan.tenants[0].endpoints, vec![3, 5, 8, 9]);
         assert_eq!(plan.tenants[1].endpoints, vec![10, 11, 20, 21]);
-        let idx = plan.endpoint_index(24);
-        assert_eq!(idx[9], (0, 3));
-        assert_eq!(idx[20], (1, 2));
-        assert_eq!(idx[0], (u32::MAX, 0));
     }
 
     #[test]

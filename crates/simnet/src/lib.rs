@@ -23,8 +23,8 @@
 //!   registry ([`spec::Registry`]): synthetic patterns implement [`pattern::TrafficPattern`] and are
 //!   selected by spec string (`"random"`, `"tornado"`, `"hotspot(8, 0.2)"`,
 //!   `"adversarial(128)"`, …) — materialized into finite workloads, or sampled
-//!   live by the steady-state sources via
-//!   [`config::MeasurementWindows::pattern`];
+//!   live by the steady-state sources of an open-loop job such as
+//!   `traffic(1, tornado)`;
 //! * a **pluggable fault-injection subsystem** ([`fault`]), a third family of
 //!   that registry: a seeded [`fault::FaultPlan`] (spec strings like
 //!   `"links(0.1)"` or `"routers(4)+link(0,1)"`) degrades the topology at
@@ -41,8 +41,8 @@
 //!   link + router latency lookahead — one shard on the calling thread, more on
 //!   barrier-synchronized worker threads — with shard-count-invariant results
 //!   (the shard count is a performance knob, never a semantics knob);
-//! * **steady-state measurement** ([`config::MeasurementWindows`]): continuous
-//!   per-endpoint Poisson sources with warmup/measurement/drain windows and an interval
+//! * **steady-state measurement** ([`config::MeasurementWindows`]): the job mix's
+//!   continuous sources with warmup/measurement/drain windows and an interval
 //!   time-series ([`stats::IntervalSample`]), so offered-load sweeps measure true
 //!   saturation behaviour instead of drain-to-empty completion times;
 //! * a **pluggable job/tenant subsystem** ([`job`]), the fourth family: a mix
@@ -53,8 +53,9 @@
 //!   and the Ember application motifs `halo3d`, `sweep3d`, `fft3d`, whose rounds
 //!   wait on each rank's own inbound messages like the MPI skeletons they model)
 //!   and bursty open-loop sources (`traffic`, `mmpp`, `onoff`) — onto disjoint
-//!   endpoint ranges (contiguous / random / `group(k)` placement), and every
-//!   run reports per-tenant [`stats::TenantStats`]: latency percentiles,
+//!   endpoint ranges (contiguous / random / `group(k)` placement) — a steady
+//!   run's only traffic — and every run reports per-tenant
+//!   [`stats::TenantStats`]: latency percentiles,
 //!   goodput, and collective completion.
 //!
 //! Path state (distances, minimal next hops) comes from the shared oracle in

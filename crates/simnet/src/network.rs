@@ -38,13 +38,11 @@ struct NetworkFaults {
     comp_members: Vec<Vec<VertexId>>,
     /// Number of components containing at least one alive router.
     alive_components: usize,
-    /// The fault-plan spec that produced this damage.
-    spec: String,
 }
 
 impl NetworkFaults {
     /// Label the degraded graph's connected components.
-    fn new(graph: &CsrGraph, down: Vec<bool>, spec: String) -> Self {
+    fn new(graph: &CsrGraph, down: Vec<bool>) -> Self {
         let mut comp_of = Vec::new();
         let count = label_components(graph, |_| true, |_, _| true, &mut comp_of);
         let mut comp_members: Vec<Vec<VertexId>> = vec![Vec::new(); count];
@@ -65,7 +63,6 @@ impl NetworkFaults {
             comp_of,
             comp_members,
             alive_components,
-            spec,
         }
     }
 }
@@ -203,11 +200,11 @@ impl SimNetwork {
         let AppliedFaults {
             graph,
             down_routers,
-            spec,
+            spec: _,
             removed_links: _,
             any_down: _,
         } = applied;
-        let faults = Arc::new(NetworkFaults::new(&graph, down_routers, spec));
+        let faults = Arc::new(NetworkFaults::new(&graph, down_routers));
         let mut net = Self::new(graph, concentration);
         net.faults = Some(faults);
         Ok(net)
@@ -246,11 +243,6 @@ impl SimNetwork {
     #[inline]
     pub fn has_faults(&self) -> bool {
         self.faults.is_some()
-    }
-
-    /// The fault-plan spec this network was degraded by, if any.
-    pub fn fault_spec(&self) -> Option<&str> {
-        self.faults.as_ref().map(|f| f.spec.as_str())
     }
 
     /// Whether a router is up (always true on pristine networks). A down
@@ -458,7 +450,6 @@ mod tests {
     fn pristine_network_answers_fault_queries_trivially() {
         let net = SimNetwork::new(ring(6), 2);
         assert!(!net.has_faults());
-        assert_eq!(net.fault_spec(), None);
         assert!((0..6).all(|r| net.router_alive(r)));
         assert!((0..12).all(|e| net.endpoint_alive(e)));
         assert_eq!(net.alive_endpoints().len(), 12);
@@ -481,7 +472,6 @@ mod tests {
         let plan = FaultPlan::parse("router(3)").unwrap();
         let net = SimNetwork::with_faults(ring(8), 2, &plan).unwrap();
         assert!(net.has_faults());
-        assert_eq!(net.fault_spec(), Some("router(3)"));
         assert!(!net.router_alive(3));
         assert!(!net.endpoint_alive(6) && !net.endpoint_alive(7));
         assert_eq!(net.alive_endpoints().len(), 14);

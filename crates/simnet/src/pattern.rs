@@ -8,11 +8,11 @@
 //! * **materialized** into a finite [`Workload`] ([`TrafficPattern::workload`],
 //!   [`Workload::synthetic`]) for drain-to-empty runs and the placed
 //!   micro-benchmarks of Figures 6–8;
-//! * **sampled live** by the steady-state Poisson sources: with
-//!   [`crate::config::MeasurementWindows::pattern`] set, every source draws each
-//!   message's destination from the pattern at injection time instead of cycling
-//!   its workload templates — the routing-sensitive scenarios (adversarial,
-//!   tornado, hotspot) that separate UGAL from minimal routing.
+//! * **sampled live** by the steady-state sources: an open-loop job such as
+//!   `traffic(1, adversarial(8))` ([`crate::job`]) draws each message's
+//!   destination from the pattern at injection time — the routing-sensitive
+//!   scenarios (adversarial, tornado, hotspot) that separate UGAL from minimal
+//!   routing.
 //!
 //! # Pattern specs
 //!

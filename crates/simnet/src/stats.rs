@@ -384,15 +384,6 @@ impl SimResults {
         // bits / ps * 1000 = Gb/s
         (self.delivered_bytes as f64 * 8.0) / self.completion_time_ps as f64 * 1000.0
     }
-
-    /// Speedup of this run relative to a baseline run of the same workload
-    /// (ratio of completion times, >1 means this run is faster).
-    pub fn speedup_over(&self, baseline: &SimResults) -> f64 {
-        if self.completion_time_ps == 0 {
-            return 0.0;
-        }
-        baseline.completion_time_ps as f64 / self.completion_time_ps as f64
-    }
 }
 
 /// Summarise `latencies` as `(mean, p50, p95, p99, max)`, the percentiles
@@ -431,7 +422,7 @@ fn latency_summary(latencies: &mut [u64]) -> (f64, u64, u64, u64, u64) {
 #[derive(Clone, Debug, Default)]
 pub struct StatsCollector {
     /// Measurement window `(start, end)` on *injection* times; `None` counts
-    /// every packet (the workload-paced / legacy behaviour).
+    /// every packet (finite runs).
     window: Option<(u64, u64)>,
     latencies_ps: Vec<u64>,
     hop_sum: u64,
@@ -711,12 +702,6 @@ mod tests {
         };
         // 125 KB in 1 us = 1000 Gb/s.
         assert!((a.throughput_gbps() - 1000.0).abs() < 1e-9);
-        let b = SimResults {
-            completion_time_ps: 2_000_000,
-            ..Default::default()
-        };
-        assert!((b.speedup_over(&a) - 0.5).abs() < 1e-12);
-        assert!((a.speedup_over(&b) - 2.0).abs() < 1e-12);
     }
 
     /// Nearest-rank percentiles at the sizes the old `n·99/100` indexing got

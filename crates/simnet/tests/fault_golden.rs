@@ -5,7 +5,7 @@
 //! [`SimNetwork::with_faults`] with the empty plan must produce exactly the
 //! results of [`SimNetwork::new`] — same construction path, same RNG
 //! consumption, same `SimResults` field for field — across finite,
-//! offered-load, and steady-state (windowed, with and without a live pattern)
+//! offered-load, and steady-state (windowed uniform and adversarial mixes)
 //! runs.
 
 use spectralfly_graph::CsrGraph;
@@ -42,21 +42,18 @@ fn none_plan_is_bit_identical_across_run_modes() -> Result<(), SimError> {
             let b = Simulator::new(&via_plan, &cfg).try_run_with_offered_load(&wl, 0.4)?;
             assert_eq!(a, b, "{routing}/seed {seed}: offered-load run diverged");
 
-            // Steady-state, template destinations.
-            let mut scfg = cfg.clone();
-            scfg.windows = Some(MeasurementWindows::new(1_000_000, 8_000_000));
-            let a = Simulator::new(&pristine, &scfg).try_run_with_offered_load(&wl, 0.3)?;
-            let b = Simulator::new(&via_plan, &scfg).try_run_with_offered_load(&wl, 0.3)?;
-            assert_eq!(a, b, "{routing}/seed {seed}: steady run diverged");
-
-            // Steady-state, live pattern (the alive-endpoint mapping must not
-            // engage on pristine networks).
-            let mut pcfg = cfg.clone();
-            pcfg.windows =
-                Some(MeasurementWindows::new(1_000_000, 8_000_000).with_pattern("adversarial(4)"));
-            let a = Simulator::new(&pristine, &pcfg).try_run_with_offered_load(&wl, 0.3)?;
-            let b = Simulator::new(&via_plan, &pcfg).try_run_with_offered_load(&wl, 0.3)?;
-            assert_eq!(a, b, "{routing}/seed {seed}: pattern steady run diverged");
+            // Steady-state, uniform and adversarial mixes.
+            for mix in [
+                "traffic(1, random, 2048)",
+                "traffic(1, adversarial(4), 2048)",
+            ] {
+                let scfg = (cfg.clone())
+                    .with_windows(MeasurementWindows::new(1_000_000, 8_000_000))
+                    .with_jobs(mix);
+                let a = Simulator::new(&pristine, &scfg).try_run_with_offered_load(&wl, 0.3)?;
+                let b = Simulator::new(&via_plan, &scfg).try_run_with_offered_load(&wl, 0.3)?;
+                assert_eq!(a, b, "{routing}/seed {seed}: steady {mix} diverged");
+            }
         }
     }
     Ok(())

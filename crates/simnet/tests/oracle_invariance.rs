@@ -82,10 +82,12 @@ fn steady_state_golden_runs_are_identical_across_oracle_backings() {
     let results: Vec<(&'static str, SimResults)> = backings(9, 2)
         .into_iter()
         .map(|(name, net)| {
-            let wl = Workload::uniform_random(net.num_endpoints(), 1, 2048, 43);
-            let cfg = SimConfig::default()
+            let wl = Workload::default();
+            let mut cfg = SimConfig::default()
                 .with_routing("ugal-l", 9)
-                .with_windows(MeasurementWindows::new(2_000_000, 15_000_000));
+                .with_windows(MeasurementWindows::new(2_000_000, 15_000_000))
+                .with_jobs("traffic(1, random, 2048)");
+            cfg.seed = 43;
             (
                 name,
                 Simulator::new(&net, &cfg)

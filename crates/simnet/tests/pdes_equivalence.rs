@@ -183,7 +183,8 @@ fn shard_counts_agree_on_steady_state_runs() {
     let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 23);
     let cfg = SimConfig::default()
         .with_routing("ugal-g", net.diameter() as u32)
-        .with_windows(MeasurementWindows::new(2_000_000, 20_000_000));
+        .with_windows(MeasurementWindows::new(2_000_000, 20_000_000))
+        .with_jobs("traffic(1, random)");
     let res = assert_shard_invariant(&net, &cfg, "steady/ugal-g", &wl, Some(0.5));
     let m = res.measurement.expect("steady run produces a summary");
     assert!(m.delivered_packets > 50, "got {}", m.delivered_packets);
@@ -204,7 +205,8 @@ fn interval_sample_series_is_shard_count_invariant() {
     let deadline = windows.deadline_ps();
     let cfg = SimConfig::default()
         .with_routing("ugal-l", net.diameter() as u32)
-        .with_windows(windows);
+        .with_windows(windows)
+        .with_jobs("traffic(1, random)");
 
     let mut baseline: Option<Vec<spectralfly_simnet::IntervalSample>> = None;
     for shards in std::iter::once(1).chain(shard_set()) {
@@ -259,7 +261,8 @@ fn shard_counts_agree_on_pattern_driven_runs() {
     for pattern in ["tornado", "hotspot(3, 0.5)", "adversarial(1)"] {
         let cfg = SimConfig::default()
             .with_routing("valiant", net.diameter() as u32)
-            .with_windows(MeasurementWindows::new(2_000_000, 15_000_000).with_pattern(pattern));
+            .with_windows(MeasurementWindows::new(2_000_000, 15_000_000))
+            .with_jobs(&format!("traffic(1, {pattern})"));
         let res = assert_shard_invariant(&net, &cfg, pattern, &wl, Some(0.4));
         assert!(
             res.measurement.expect("summary").delivered_packets > 0,
@@ -270,7 +273,7 @@ fn shard_counts_agree_on_pattern_driven_runs() {
 
 /// Degraded topologies: the partition and the epoch protocol must cope with
 /// missing links/routers, and results stay shard-count-invariant — both on a
-/// feasible finite workload and on an alive-mapped pattern run.
+/// feasible finite workload and on a steady mix placed on the alive endpoints.
 #[test]
 fn shard_counts_agree_on_degraded_networks() {
     let graph = chordal_ring(12, 6, 5);
@@ -307,10 +310,11 @@ fn shard_counts_agree_on_degraded_networks() {
     let par = assert_shard_invariant(&net, &cfg, "degraded/finite", &wl, None);
     assert_eq!(par.delivered_bytes, wl.total_bytes());
 
-    // Steady pattern over the alive-endpoint space.
+    // A steady uniform mix over the alive endpoints.
     let cfg = SimConfig::default()
         .with_routing("minimal", net.diameter() as u32)
-        .with_windows(MeasurementWindows::new(2_000_000, 15_000_000).with_pattern("uniform"));
+        .with_windows(MeasurementWindows::new(2_000_000, 15_000_000))
+        .with_jobs("traffic(1, uniform)");
     let res = assert_shard_invariant(&net, &cfg, "degraded/pattern", &wl, Some(0.3));
     assert!(res.measurement.expect("summary").delivered_packets > 0);
 }
@@ -368,7 +372,8 @@ fn ugal_g_steady_churn_matches_one_shard_exactly() {
     let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 43);
     let mut cfg = SimConfig::default()
         .with_routing("ugal-g", net.diameter() as u32)
-        .with_windows(MeasurementWindows::new(1_000_000, 8_000_000).with_pattern("random"))
+        .with_windows(MeasurementWindows::new(1_000_000, 8_000_000))
+        .with_jobs("traffic(1, random)")
         .with_fault_script(FaultScript::parse("churn(1mhz, 2us)").unwrap().with_seed(3));
     cfg.buffer_packets_per_vc = 2;
     cfg.seed = 43;

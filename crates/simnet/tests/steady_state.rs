@@ -1,5 +1,6 @@
-//! Steady-state measurement-window tests: continuous Poisson sources, windowed
-//! stats, warmup exclusion, and the shape of the saturation curve.
+//! Steady-state measurement-window tests: continuous Poisson sources (the
+//! uniform mix `traffic(1, random)`), windowed stats, warmup exclusion, and
+//! the shape of the saturation curve.
 
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
@@ -13,16 +14,17 @@ fn ring(n: usize) -> CsrGraph {
 }
 
 fn steady_cfg(warmup_ps: u64, measure_ps: u64) -> SimConfig {
-    SimConfig::default().with_windows(MeasurementWindows::new(warmup_ps, measure_ps))
+    SimConfig::default()
+        .with_windows(MeasurementWindows::new(warmup_ps, measure_ps))
+        .with_jobs("traffic(1, random)")
 }
 
 /// One steady-state run at `load`, returning the measured aggregate throughput
 /// in Gb/s and the full results.
 fn run_at(net: &SimNetwork, load: f64) -> (f64, spectralfly_simnet::SimResults) {
     let cfg = steady_cfg(10_000_000, 60_000_000);
-    let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 9);
     let res = Simulator::new(net, &cfg)
-        .try_run_with_offered_load(&wl, load)
+        .try_run_with_offered_load(&Workload::default(), load)
         .unwrap();
     let tput = res.measurement.expect("windowed run").throughput_gbps();
     (tput, res)
@@ -85,7 +87,7 @@ fn warmup_packets_never_appear_in_measured_stats() -> Result<(), SimError> {
     let net = SimNetwork::new(ring(6), 1);
     let warmup = 20_000_000u64;
     let cfg = steady_cfg(warmup, 40_000_000);
-    let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 3);
+    let wl = Workload::default();
     let res = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.3)?;
     let m = res.measurement.expect("windowed run");
 
@@ -123,7 +125,10 @@ fn warmup_packets_never_appear_in_measured_stats() -> Result<(), SimError> {
 /// shows blocked links in some tick while a light run shows (almost) none.
 #[test]
 fn interval_time_series_tracks_congestion() {
-    let net = SimNetwork::new(ring(8), 1);
+    // Four endpoints per router: uniform traffic saturates the 8-ring near
+    // load 0.3, so load 0.9 is far past it (one endpoint per router is
+    // barely at it).
+    let net = SimNetwork::new(ring(8), 4);
     let (_, light) = run_at(&net, 0.15);
     let (_, heavy) = run_at(&net, 0.9);
 
@@ -170,7 +175,11 @@ fn windows_scope_is_offered_load_only() -> Result<(), SimError> {
     let wl = Workload::uniform_random(net.num_endpoints(), 2, 2048, 4);
 
     // Workload-paced run: windows ignored, classic finite semantics.
-    let finite = Simulator::new(&net, &cfg).try_run(&wl)?;
+    let windowed = SimConfig {
+        jobs: None,
+        ..cfg.clone()
+    };
+    let finite = Simulator::new(&net, &windowed).try_run(&wl)?;
     assert_eq!(finite.delivered_messages as usize, wl.num_messages());
     assert!(finite.measurement.is_none());
     assert!(finite.samples.is_empty());

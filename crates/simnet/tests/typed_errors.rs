@@ -1,7 +1,7 @@
 //! The `try_*` entry points reject bad configuration with a typed
 //! [`SimError`], at one shard and at two — an unknown routing name, an
-//! unknown pattern spec, an unknown / malformed / oversized job mix, an
-//! offered load outside `(0, 1]`, a job mix without measurement windows, a
+//! unknown / malformed / oversized job mix, an offered load outside `(0, 1]`,
+//! a job mix on a run that is not steady, a steady run without a job mix, a
 //! workload endpoint the network does not have, a message over
 //! [`MAX_MESSAGE_BYTES`], an empty measurement window, windows that overflow
 //! `u64` picoseconds, a VC, buffer or shard count out of range — each with
@@ -12,8 +12,7 @@ use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::config::MAX_MESSAGE_BYTES;
 use spectralfly_simnet::job::validate_mix_spec;
 use spectralfly_simnet::{
-    JobError, MeasurementWindows, Message, PatternError, SimConfig, SimError, SimNetwork,
-    Simulator, Workload,
+    JobError, MeasurementWindows, Message, SimConfig, SimError, SimNetwork, Simulator, Workload,
 };
 
 fn ring(n: u32) -> CsrGraph {
@@ -59,13 +58,6 @@ macro_rules! typed_errors {
                 }
             }
 
-            let cfg = base.clone().with_windows(windows().with_pattern("wormhole-9000"));
-            let err = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.5);
-            assert!(
-                matches!(err, Err(SimError::Pattern(PatternError::Unknown { .. }))),
-                "{err:?}"
-            );
-
             for (mix, variant) in [
                 ("warp-drive(3)", "Unknown"),
                 ("traffic(0.5", "BadSpec"),
@@ -93,8 +85,9 @@ macro_rules! typed_errors {
             }
             assert!(sim.try_run_with_offered_load(&wl, 1.0).is_ok());
 
-            // A job mix needs steady-state windows: workload-paced runs and
-            // window-less offered-load runs have nowhere to put it.
+            // A job mix needs a steady run, windows and an offered load:
+            // workload-paced runs (windowed or not) and window-less
+            // offered-load runs have nowhere to put it.
             let windowless = base.clone().with_jobs("traffic(0.5) x 4");
             let windowed = windowless.clone().with_windows(windows());
             for err in [
@@ -103,17 +96,32 @@ macro_rules! typed_errors {
                 Simulator::new(&net, &windowed).try_run(&wl),
             ] {
                 let err = err.unwrap_err();
-                assert_eq!(err, SimError::JobsWithoutWindows);
+                assert_eq!(err, SimError::JobsWithoutSteadyRun);
                 assert_eq!(
                     err.to_string(),
-                    "SimConfig::jobs requires steady-state measurement windows \
-                     (SimConfig::with_windows)"
+                    "SimConfig::jobs requires a steady run: measurement windows \
+                     (SimConfig::with_windows) and an offered load \
+                     (Simulator::try_run_with_offered_load)"
                 );
             }
+            // And a steady run needs a job mix: it has no other sources.
+            let jobless = base.clone().with_windows(windows());
+            let err = Simulator::new(&net, &jobless)
+                .try_run_with_offered_load(&wl, 0.5)
+                .unwrap_err();
+            assert_eq!(err, SimError::SteadyRunWithoutJobs);
+            assert_eq!(
+                err.to_string(),
+                "a steady run requires a job mix (SimConfig::with_jobs), e.g. \
+                 \"traffic(1, random)\": its tenants are the run's only sources"
+            );
+            // Windows alone leave a workload-paced run finite.
+            assert!(Simulator::new(&net, &jobless).try_run(&wl).is_ok());
 
             // A workload naming an endpoint past the network's last one, and a
-            // message too large to packetize: refused on finite, offered-load
-            // and steady template runs before a packet is built.
+            // message too large to packetize: refused on finite and
+            // offered-load runs before a packet is built, and ignored by a
+            // steady run, whose traffic is its mix.
             let one = |dst, bytes| {
                 let m = Message {
                     src: 0,
@@ -126,7 +134,7 @@ macro_rules! typed_errors {
             let stray = "workload references endpoint 18 but the network has only 18";
             let huge = "workload message 0 has 1099511627776 bytes, more than the 1073741824 \
                         a message may have";
-            let steady = base.clone().with_windows(windows());
+            let steady = windowed.clone();
             for (wl, expected) in [
                 (one(net.num_endpoints(), 64), SimError::EndpointOutOfRange(stray.to_string())),
                 (one(1, 1 << 40), SimError::Config(huge.to_string())),
@@ -134,12 +142,13 @@ macro_rules! typed_errors {
                 for err in [
                     Simulator::new(&net, &base).try_run(&wl),
                     Simulator::new(&net, &base).try_run_with_offered_load(&wl, 0.5),
-                    Simulator::new(&net, &steady).try_run_with_offered_load(&wl, 0.5),
                 ] {
                     let err = err.unwrap_err();
                     assert_eq!(err.to_string(), expected.to_string());
                     assert_eq!(err, expected);
                 }
+                let ran = Simulator::new(&net, &steady).try_run_with_offered_load(&wl, 0.5);
+                assert!(ran.is_ok(), "{ran:?}");
             }
 
             // Windows whose deadline wraps `u64` (through the warmup, or
@@ -150,7 +159,7 @@ macro_rules! typed_errors {
             bad[1].measure_ps = u64::MAX / 2;
             bad.push(MeasurementWindows::new(1_000_000, 0));
             for w in bad {
-                let cfg = base.clone().with_windows(w);
+                let cfg = windowed.clone().with_windows(w);
                 let err = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.5);
                 assert!(matches!(err, Err(SimError::Windows(_))), "{err:?}");
             }

@@ -149,11 +149,6 @@ impl LpsGraph {
         &self.generators
     }
 
-    /// Canonical matrix labelling vertex `v`.
-    pub fn vertex_matrix(&self, v: VertexId) -> ProjMat {
-        self.vertices[v as usize]
-    }
-
     /// Closed-form number of vertices: `(3 - (p/q)) (q³ - q) / 4`.
     ///
     /// # Panics

@@ -33,7 +33,6 @@ pub struct SlimFlyGraph {
     q: u64,
     graph: CsrGraph,
     x_set: Vec<u64>,
-    xp_set: Vec<u64>,
 }
 
 impl SlimFlyGraph {
@@ -49,12 +48,7 @@ impl SlimFlyGraph {
         }
         let (x_set, xp_set) = generator_sets(&field);
         let graph = build_mms(&field, &x_set, &xp_set)?;
-        Ok(SlimFlyGraph {
-            q,
-            graph,
-            x_set,
-            xp_set,
-        })
+        Ok(SlimFlyGraph { q, graph, x_set })
     }
 
     /// The field-size parameter `q`.
@@ -65,24 +59,6 @@ impl SlimFlyGraph {
     /// The intra-group generator set `X` (part 0).
     pub fn x_set(&self) -> &[u64] {
         &self.x_set
-    }
-
-    /// The intra-group generator set `X'` (part 1).
-    pub fn x_prime_set(&self) -> &[u64] {
-        &self.xp_set
-    }
-
-    /// The vertex id of `(part, a, b)`.
-    pub fn vertex_id(&self, part: u8, a: u64, b: u64) -> VertexId {
-        let q = self.q;
-        (part as u64 * q * q + a * q + b) as VertexId
-    }
-
-    /// Decode a vertex id into `(part, a, b)`.
-    pub fn vertex_label(&self, v: VertexId) -> (u8, u64, u64) {
-        let q = self.q;
-        let v = v as u64;
-        ((v / (q * q)) as u8, (v / q) % q, v % q)
     }
 
     /// The paper's radix formula `(3q − δ)/2` (the maximum degree).
@@ -293,19 +269,6 @@ mod tests {
                 }
                 for &e in &xp {
                     assert!(xps.contains(&f.neg(e)), "q={q}: X' not symmetric at {e}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn vertex_id_roundtrip() {
-        let g = SlimFlyGraph::new(5).unwrap();
-        for part in 0..2u8 {
-            for a in 0..5 {
-                for b in 0..5 {
-                    let v = g.vertex_id(part, a, b);
-                    assert_eq!(g.vertex_label(v), (part, a, b));
                 }
             }
         }

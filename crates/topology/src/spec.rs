@@ -210,26 +210,6 @@ pub fn enumerate_dragonfly(limit: u64) -> Vec<TopologySpec> {
     (2..limit).map(|a| TopologySpec::DragonFly { a }).collect()
 }
 
-/// Find, per family, the spec whose (radix, routers) is closest to a target — the parameter
-/// search the paper uses to assemble each Table-I size class.
-///
-/// Distance is relative: `|radix - target_radix| / target_radix + |n - target_n| / target_n`.
-pub fn closest_spec(
-    candidates: &[TopologySpec],
-    target_radix: u64,
-    target_routers: u64,
-) -> Option<TopologySpec> {
-    let score = |s: &TopologySpec| {
-        let dr = (s.radix() as f64 - target_radix as f64).abs() / target_radix as f64;
-        let dn = (s.num_routers() as f64 - target_routers as f64).abs() / target_routers as f64;
-        dr + dn
-    };
-    candidates
-        .iter()
-        .copied()
-        .min_by(|a, b| score(a).partial_cmp(&score(b)).unwrap())
-}
-
 /// The five Table-I size classes of the paper, as (LPS, SlimFly, BundleFly, DragonFly) specs.
 pub fn table1_size_classes() -> Vec<[TopologySpec; 4]> {
     vec![
@@ -327,13 +307,6 @@ mod tests {
         assert_eq!(TopologySpec::SlimFly { q: 27 }.radix(), 41);
         assert_eq!(TopologySpec::SlimFly { q: 9 }.radix(), 13);
         assert_eq!(TopologySpec::SlimFly { q: 4 }.radix(), 6);
-    }
-
-    #[test]
-    fn closest_spec_prefers_matching_size() {
-        let candidates = enumerate_dragonfly(100);
-        let best = closest_spec(&candidates, 24, 600).unwrap();
-        assert_eq!(best, TopologySpec::DragonFly { a: 24 });
     }
 
     #[test]

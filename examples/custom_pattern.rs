@@ -42,9 +42,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     let net = SimNetwork::new(LpsGraph::new(11, 7)?.graph().clone(), 4);
-    // The workload supplies the senders and message sizes; with a pattern
-    // configured on the measurement windows, destinations are drawn live.
-    let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 7);
+    // A steady run's traffic is its job mix: `traffic(1, spec)` makes every
+    // endpoint a Poisson source drawing each destination live from `spec`,
+    // so the workload argument is left empty.
+    let wl = Workload::default();
 
     println!(
         "\nsteady-state sweep on SpectralFly LPS(11,7) x4, UGAL-L, offered load 0.8\n\
@@ -57,7 +58,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     for spec in ["random", "adversarial(4)", "tornado", "neighbor-exchange"] {
         let cfg = SimConfig::default()
             .with_routing("ugal-l", net.diameter() as u32)
-            .with_windows(MeasurementWindows::new(5_000_000, 20_000_000).with_pattern(spec));
+            .with_windows(MeasurementWindows::new(5_000_000, 20_000_000))
+            .with_jobs(&format!("traffic(1, {spec})"));
         let res = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.8)?;
         let m = res.measurement.ok_or("windowed run")?;
         println!(
