@@ -22,9 +22,14 @@
 //! nbuckets)` — the first non-empty bucket in cursor order therefore holds the
 //! ring minimum, and the overall minimum is the smaller of that and the
 //! overflow top.
+//!
+//! Most of an event loop's delays are not unpredictable, though: a transmit
+//! on an idle link is due now, and the next transmit and the packet's arrival
+//! are due a fixed delay later. [`LanedQueue`] keeps such events in
+//! append-only sorted lanes beside the calendar, which they then skip.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An item with a schedule timestamp. `Ord` must order by `(time, tiebreak)`
 /// ascending so equal-time items pop in a deterministic order.
@@ -249,6 +254,116 @@ impl<T: Timed> CalendarQueue<T> {
     }
 }
 
+/// A [`CalendarQueue`] beside `N` append-only sorted lanes.
+///
+/// A push that names a lane joins it if it orders at or after the lane's
+/// tail under the full `Ord`, and goes to the calendar otherwise, so every
+/// lane is sorted by construction, with no sort and no heap. A lane pays off
+/// for a caller whose pushes arrive mostly in order — at a fixed delay after
+/// the current instant — and costs it one comparison where they do not.
+pub(crate) struct LanedQueue<T: Timed, const N: usize> {
+    calendar: CalendarQueue<T>,
+    lanes: [VecDeque<T>; N],
+    /// Pops the calendar served.
+    calendar_pops: u64,
+    /// Pushes each lane turned away to the calendar.
+    #[cfg(test)]
+    rejections: [u64; N],
+}
+
+impl<T: Timed, const N: usize> LanedQueue<T, N> {
+    /// Empty lanes beside a [`CalendarQueue::new`]`(bucket_width, nbuckets)`.
+    pub fn new(bucket_width: u64, nbuckets: usize) -> Self {
+        LanedQueue {
+            calendar: CalendarQueue::new(bucket_width, nbuckets),
+            lanes: std::array::from_fn(|_| VecDeque::new()),
+            calendar_pops: 0,
+            #[cfg(test)]
+            rejections: [0; N],
+        }
+    }
+
+    /// Number of queued items.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.calendar.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
+    }
+
+    /// Pushes lane `lane` turned away to the calendar.
+    #[cfg(test)]
+    pub fn rejections(&self, lane: usize) -> u64 {
+        self.rejections[lane]
+    }
+
+    /// Pops the calendar served (the rest came from a lane or the side
+    /// stream).
+    pub fn calendar_pops(&self) -> u64 {
+        self.calendar_pops
+    }
+
+    /// Insert an item into the calendar. Must not be scheduled before the
+    /// last popped item.
+    #[inline]
+    pub fn push(&mut self, item: T) {
+        self.calendar.push(item);
+    }
+
+    /// Append an item to lane `lane` if it orders at or after the lane's
+    /// tail, else insert it into the calendar.
+    #[inline]
+    pub fn push_lane(&mut self, lane: usize, item: T) {
+        let tail = self.lanes[lane].back();
+        if tail.is_none_or(|tail| *tail <= item) {
+            self.lanes[lane].push_back(item);
+        } else {
+            #[cfg(test)]
+            {
+                self.rejections[lane] += 1;
+            }
+            self.calendar.push(item);
+        }
+    }
+
+    /// Remove and return the earliest item under the full `Ord` — the least
+    /// lane head or the calendar's minimum — if it lies strictly before
+    /// `limit` and, given `side`, orders before it.
+    ///
+    /// `side` is the head of a pre-sorted stream the caller merges in, with
+    /// [`CalendarQueue::pop_before`]'s contract: `None` back means either
+    /// that the head goes first or that nothing lies before `limit`.
+    #[inline]
+    pub fn pop_before(&mut self, limit: u64, side: Option<&T>) -> Option<T> {
+        let mut lane: Option<(usize, T)> = None;
+        for (i, l) in self.lanes.iter().enumerate() {
+            if let Some(&head) = l.front() {
+                if lane.is_none_or(|(_, least)| head < least) {
+                    lane = Some((i, head));
+                }
+            }
+        }
+        let bound = match (lane.as_ref().map(|(_, head)| head), side) {
+            (Some(head), Some(side)) => Some(head.min(side)),
+            (head, side) => head.or(side),
+        };
+        if let Some(item) = self.calendar.pop_before(limit, bound) {
+            self.calendar_pops += 1;
+            return Some(item);
+        }
+        let (i, head) = lane?;
+        if head.time() >= limit || side.is_some_and(|side| *side < head) {
+            return None;
+        }
+        self.lanes[i].pop_front()
+    }
+
+    /// The timestamp of the earliest item, lane heads included, without
+    /// removing it (see [`CalendarQueue::next_time`]).
+    pub fn next_time(&self) -> Option<u64> {
+        let heads = self.lanes.iter().filter_map(|l| l.front().map(T::time));
+        heads.chain(self.calendar.next_time()).min()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,15 +427,15 @@ mod tests {
 
     /// The engine's merge: pop the queue's earliest item if it orders before
     /// the side stream's head, else take the head — either only before
-    /// `limit`.
+    /// `limit`. `pop_before` is the queue's.
     fn pop_merged(
-        q: &mut CalendarQueue<Ev>,
+        pop_before: impl FnOnce(u64, Option<&Ev>) -> Option<Ev>,
         side: &[Ev],
         next: &mut usize,
         limit: u64,
     ) -> Option<Ev> {
         let head = side.get(*next);
-        if let Some(e) = q.pop_before(limit, head) {
+        if let Some(e) = pop_before(limit, head) {
             return Some(e);
         }
         let head = *head.filter(|h| h.0 < limit)?;
@@ -404,7 +519,7 @@ mod tests {
                     Some(&Reverse(e)) if e.0 < limit => oracle.pop().map(|Reverse(e)| e),
                     _ => None,
                 };
-                let got = pop_merged(&mut q, &side, &mut next, limit);
+                let got = pop_merged(|l, b| q.pop_before(l, b), &side, &mut next, limit);
                 assert_eq!(got, want, "round {round} limit {limit}");
                 match got {
                     Some(e) => now = e.0,
@@ -415,10 +530,134 @@ mod tests {
         assert!(next > 0 && next < side.len(), "both streams are live");
         assert!(q.len() > 0);
         while let Some(Reverse(want)) = oracle.pop() {
-            assert_eq!(pop_merged(&mut q, &side, &mut next, u64::MAX), Some(want));
+            assert_eq!(
+                pop_merged(|l, b| q.pop_before(l, b), &side, &mut next, u64::MAX),
+                Some(want)
+            );
         }
-        assert_eq!(pop_merged(&mut q, &side, &mut next, u64::MAX), None);
+        assert_eq!(
+            pop_merged(|l, b| q.pop_before(l, b), &side, &mut next, u64::MAX),
+            None
+        );
         assert_eq!(next, side.len());
+    }
+
+    /// Push `e` into the oracle and into `q`: lane `lane`, or the calendar
+    /// if `None`.
+    fn push_both(
+        q: &mut LanedQueue<Ev, 3>,
+        oracle: &mut BinaryHeap<Reverse<Ev>>,
+        lane: Option<usize>,
+        e: Ev,
+    ) {
+        oracle.push(Reverse(e));
+        match lane {
+            Some(l) => q.push_lane(l, e),
+            None => q.push(e),
+        }
+    }
+
+    /// Three lanes plus the calendar plus a pre-sorted side stream pop
+    /// exactly what one BinaryHeap holding every item pops, under random
+    /// epoch limits. The trace mixes same-time waves with scattered keys (a
+    /// finite run's `t = 0` shape, where most lane pushes are turned away at
+    /// the tail), pushes at the current instant between pops (keys below the
+    /// one just popped included), in-order pushes at each lane's fixed
+    /// offset, and far-future items that wait in the overflow heap.
+    #[test]
+    fn lanes_merge_matches_binary_heap() {
+        let mut rnd = xorshift(0xD1B5_4A32_D192_ED03);
+        // Keys are unique: a random high part above the push's sequence number.
+        let mut seq = 0u64;
+        let mut key = |r: u64| {
+            seq += 1;
+            ((r & 0xFFFF_FFFF) << 24) | seq
+        };
+        let mut side = Vec::new();
+        let mut t = 0u64;
+        for _ in 0..1_500 {
+            let r = rnd();
+            t += match r % 23 {
+                0 => r % 5_000,
+                1..=9 => 0,
+                _ => r % 12,
+            };
+            side.push(Ev(t, key(r >> 7)));
+        }
+        side.sort_unstable();
+        let mut q: LanedQueue<Ev, 3> = LanedQueue::new(16, 8);
+        let mut oracle: BinaryHeap<Reverse<Ev>> = side.iter().map(|&e| Reverse(e)).collect();
+        let (mut next, mut now, mut popped) = (0usize, 0u64, 0u64);
+        let mut below = 0u64;
+        let lane_of = |r: u64| Some((r % 4) as usize).filter(|&l| l < 3);
+        for round in 0..1_200 {
+            match rnd() % 4 {
+                0 => {
+                    let at = now + [0, 0, 16, 40][(rnd() % 4) as usize];
+                    for _ in 0..rnd() % 64 {
+                        let r = rnd();
+                        let e = Ev(at, key(r >> 2));
+                        push_both(&mut q, &mut oracle, lane_of(r), e);
+                    }
+                }
+                1 => {
+                    for (lane, offset) in [0u64, 25, 66].into_iter().enumerate() {
+                        for _ in 0..rnd() % 4 {
+                            let e = Ev(now + offset, (1 << 60) | key(0));
+                            push_both(&mut q, &mut oracle, Some(lane), e);
+                        }
+                    }
+                }
+                2 => {
+                    let r = rnd();
+                    let e = Ev(now + 200 + r % 10_000, key(r >> 14));
+                    push_both(&mut q, &mut oracle, None, e);
+                }
+                _ => {}
+            }
+            let limit = now + 1 + rnd() % 96;
+            loop {
+                let want = match oracle.peek() {
+                    Some(&Reverse(e)) if e.0 < limit => oracle.pop().map(|Reverse(e)| e),
+                    _ => None,
+                };
+                let got = pop_merged(|l, b| q.pop_before(l, b), &side, &mut next, limit);
+                assert_eq!(got, want, "round {round} limit {limit}");
+                let Some(e) = got else { break };
+                (now, popped) = (e.0, popped + 1);
+                let r = rnd();
+                if r.is_multiple_of(3) {
+                    let at_now = Ev(now, key(r >> 2));
+                    below += u64::from(at_now < e);
+                    push_both(&mut q, &mut oracle, lane_of(r >> 40), at_now);
+                }
+            }
+        }
+        assert!(
+            next > 0 && next < side.len() && q.len() > 0,
+            "every stream is live"
+        );
+        while let Some(Reverse(want)) = oracle.pop() {
+            let got = pop_merged(|l, b| q.pop_before(l, b), &side, &mut next, u64::MAX);
+            assert_eq!(got, Some(want));
+            popped += 1;
+        }
+        assert_eq!(
+            pop_merged(|l, b| q.pop_before(l, b), &side, &mut next, u64::MAX),
+            None
+        );
+        assert_eq!((next, q.len()), (side.len(), 0));
+        let queued = popped - side.len() as u64;
+        assert!(
+            0 < q.calendar_pops() && q.calendar_pops() < queued,
+            "the calendar served {} of {queued} pops",
+            q.calendar_pops()
+        );
+        let rejected: [u64; 3] = std::array::from_fn(|l| q.rejections(l));
+        assert!(
+            rejected.iter().all(|&n| n > 50) && below > 100,
+            "lane rejections {rejected:?}, {below} pushes below the key just popped"
+        );
     }
 
     /// Adversarial overflow-heap trace: every push lands at or beyond the

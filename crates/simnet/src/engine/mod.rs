@@ -28,7 +28,9 @@
 //! always zero, while `blocked_parks` / `wakeups` count the parking traffic.
 //!
 //! Event storage is a bucketed calendar queue with an overflow heap for far-future
-//! events (the private `calendar` module), and packets live in an index arena with a free list so
+//! events, beside three append-only sorted lanes for the transmits and arrivals that
+//! are due a fixed delay after the instant that schedules them (the private `calendar`
+//! module), and packets live in an index arena with a free list so
 //! steady-state runs recycle slots instead of growing without bound. The queues thread
 //! through that arena: every link's output queue and every router's pending injections
 //! is a FIFO chained by each packet's `next` index, so a queue is a head/tail pair and

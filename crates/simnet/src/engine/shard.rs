@@ -12,19 +12,29 @@
 //!
 //! # Event sources
 //!
-//! A shard's epoch loop draws on three sources:
+//! A shard's epoch loop draws on four sources:
 //!
 //! * **the injection cursor** — a finite run's schedule is sorted by
 //!   `(inject_time_ps, stable_id)` before it is split into the shards'
 //!   arenas, so each arena is its own injection stream, in exactly the
 //!   `(time, key)` order its `Inject` events would pop in. A cursor walks
 //!   it; no initial injection is ever pushed;
-//! * **the calendar queue** — every other event, re-injections included
-//!   (pending-buffer admissions, retransmissions, cross-shard hand-offs).
-//!   The loop pops the queue's minimum only if it orders before the
-//!   cursor's head under the full [`Event`] order, and takes the head
-//!   otherwise; the shard's next time is the smaller of the two;
+//! * **three sorted lanes** — most events are due a fixed delay after the
+//!   instant that schedules them, and so are pushed in time order: a
+//!   transmit on an idle link is due now (the `now` lane), the next
+//!   transmit behind a busy link at `now + ser` (the `transmit` lane), and a
+//!   same-shard arrival at `now + ser + E` (the `arrive` lane). A lane is
+//!   append-only: it takes a push that orders at or after its tail under the
+//!   full [`Event`] order, and turns any other away to the calendar queue;
+//! * **the calendar queue** — every other event: the lanes' rejects,
+//!   re-injections (pending-buffer admissions, retransmissions), credit
+//!   wakes, fault and source events, and cross-shard hand-offs;
 //! * **the credit-return FIFOs** — settled on read, not popped (below).
+//!
+//! The loop pops the least of the cursor's head, the lane heads and the
+//! calendar's minimum under the full [`Event`] order, so pop order is the
+//! one a single queue holding every event would give; the shard's next time
+//! is the least of those heads and the credit-return FIFOs' fronts.
 //!
 //! # Flow control
 //!
@@ -96,7 +106,7 @@
 //! `tests/pdes_equivalence.rs` holds every shard count to the one-shard run,
 //! exactly, under congestion.
 
-use super::calendar::{CalendarQueue, Timed};
+use super::calendar::{LanedQueue, Timed};
 use super::driver::{self, Mode, RunPlan, Steady, Traffic};
 use super::{packetize, segment_message, DropReason, FaultRuntime, Packet, SimError};
 use crate::config::{
@@ -134,6 +144,14 @@ const CLASS_INJECT: u64 = 2;
 const CLASS_CREDIT: u64 = 3;
 const CLASS_ARRIVE: u64 = 4;
 const CLASS_TRY_TRANSMIT: u64 = 5;
+
+// The queue's lanes (see `LanedQueue`), each fed at a fixed offset from the
+// current instant so that its pushes arrive mostly in order: transmits due
+// now on an idle link, transmits due later (`now + ser` behind a busy link),
+// and same-shard arrivals (`now + ser + E`).
+const LANE_NOW: usize = 0;
+const LANE_TRANSMIT: usize = 1;
+const LANE_ARRIVE: usize = 2;
 
 /// SplitMix64 finalizer (the same mixer the workspace `rand` shim seeds with),
 /// increment included — unlike `job::mix64`, which omits it and so draws a
@@ -629,7 +647,7 @@ pub(super) struct ShardCore<'a> {
     /// Per-router injections waiting for a VC-0 buffer slot, and their counts.
     pending_inject: Vec<Fifo>,
     pending_len: Vec<u32>,
-    queue: CalendarQueue<Event>,
+    queue: LanedQueue<Event, 3>,
     route_scratch: RouteScratch,
     /// Runtime liveness view for fault-script runs (`None` = pristine run,
     /// zero hot-path overhead). Every shard holds its own copy, kept identical
@@ -730,7 +748,7 @@ impl<'a> ShardCore<'a> {
             rocc_view: vec![0; view],
             pending_inject: vec![Fifo::EMPTY; net.num_routers()],
             pending_len: vec![0; net.num_routers()],
-            queue: CalendarQueue::new(width, 1024),
+            queue: LanedQueue::new(width, 1024),
             route_scratch: RouteScratch::default(),
             fault: None,
             fstats: FaultStats::default(),
@@ -759,6 +777,16 @@ impl<'a> ShardCore<'a> {
     #[inline]
     fn push(&mut self, time: u64, id: u64, kind: EventKind) {
         self.queue.push(Event::new(time, id, kind));
+    }
+
+    /// Schedule a transmit attempt on `link` at `time`: in the `now` lane if
+    /// it is due at once, in the `transmit` lane if it is due later.
+    #[inline]
+    fn push_transmit(&mut self, time: u64, now: u64, link: usize) {
+        let lane = if time == now { LANE_NOW } else { LANE_TRANSMIT };
+        let kind = EventKind::TryTransmit { link: link as u32 };
+        self.queue
+            .push_lane(lane, Event::new(time, link as u64, kind));
     }
 
     /// Place `p` in the arena, reusing a freed slot when available, so
@@ -826,7 +854,8 @@ impl<'a> ShardCore<'a> {
     }
 
     /// Pop the earliest event before `limit` under the full [`Event`] order:
-    /// the queue's minimum or the cursor's head, whichever is smaller.
+    /// the queue's minimum (calendar and lanes) or the cursor's head,
+    /// whichever is smaller.
     #[inline]
     fn pop_before(&mut self, limit: u64) -> Option<Event> {
         let head = self.inject_head();
@@ -993,14 +1022,12 @@ impl<'a> ShardCore<'a> {
     fn send_arrive(&mut self, time: u64, router: VertexId, pi: usize) {
         let o = self.owner[router as usize] as usize;
         if o == self.sid {
-            self.push(
-                time,
-                self.packets[pi].stable_id,
-                EventKind::Arrive {
-                    packet: pi as u32,
-                    router,
-                },
-            );
+            let kind = EventKind::Arrive {
+                packet: pi as u32,
+                router,
+            };
+            let ev = Event::new(time, self.packets[pi].stable_id, kind);
+            self.queue.push_lane(LANE_ARRIVE, ev);
         } else {
             let packet = self.packets[pi].clone();
             self.free.push(pi);
@@ -1109,7 +1136,7 @@ impl<'a> ShardCore<'a> {
                     self.parked_count -= 1;
                     self.counters.wakeups += 1;
                     let t = now.max(self.links[l].free_at);
-                    self.push(t, l as u64, EventKind::TryTransmit { link });
+                    self.push_transmit(t, now, l);
                 }
             }
             EventKind::NextMessage { .. } => {
@@ -1139,11 +1166,7 @@ impl<'a> ShardCore<'a> {
             return;
         };
         if free_at > now {
-            self.push(
-                free_at,
-                link as u64,
-                EventKind::TryTransmit { link: link as u32 },
-            );
+            self.push_transmit(free_at, now, link);
             return;
         }
         let hops = self.packets[pi].hops as usize;
@@ -1177,7 +1200,7 @@ impl<'a> ShardCore<'a> {
         self.packets[pi].via_vc = next_vc as u8;
         self.send_arrive(t + LOOKAHEAD_PS, dst_router, pi);
         if self.links[link].queue.front().is_some() {
-            self.push(t, link as u64, EventKind::TryTransmit { link: link as u32 });
+            self.push_transmit(t, now, link);
         }
     }
 
@@ -1294,7 +1317,7 @@ impl<'a> ShardCore<'a> {
         self.link_push(link, pi);
         if was_empty {
             let t = now.max(self.links[link].free_at);
-            self.push(t, link as u64, EventKind::TryTransmit { link: link as u32 });
+            self.push_transmit(t, now, link);
         }
     }
 
@@ -1573,7 +1596,10 @@ impl<'a> ShardCore<'a> {
             quiescent: self.next_time() == u64::MAX,
             last_delivery_ps: self.last_delivery_ps,
             stats: self.stats,
-            counters: self.counters,
+            counters: EngineCounters {
+                calendar_events: self.queue.calendar_pops(),
+                ..self.counters
+            },
             samples: self.raw_samples,
             fstats: self.fstats,
         }
@@ -2538,7 +2564,8 @@ mod tests {
     /// is live. Event counts and digests are pinned from the engine that
     /// pushed every initial injection into the calendar queue (every shard
     /// replays the fault timeline, so a faulted run's count grows with the
-    /// shard count).
+    /// shard count). The calendar serves some of them, not all: the rest
+    /// come from the cursor and the lanes.
     #[test]
     fn injection_cursor_merges_with_queued_reentries() {
         let net = SimNetwork::new(ring(8), 4);
@@ -2559,14 +2586,14 @@ mod tests {
                 starved,
                 (true, false),
                 [3804, 3804, 3804],
-                477369367821803920,
+                13755595534460295520,
             ),
             (
                 "faults",
                 faulted,
                 (true, true),
                 [4625, 4628, 4634],
-                13211674414073318899,
+                653020811651616899,
             ),
         ];
         for (name, cfg, reentries, events, digest) in cases {
@@ -2595,8 +2622,41 @@ mod tests {
                     (events, digest),
                     "{name} at {shards} shards"
                 );
+                let calendar = res.engine.calendar_events;
+                assert!(
+                    0 < calendar && calendar < events,
+                    "{name} at {shards} shards: the calendar served {calendar} of {events}"
+                );
             }
         }
+    }
+
+    /// A lane turns a push that orders before its tail away to the calendar,
+    /// and pop order does not change. Every packet of this workload-paced run
+    /// is injected at `t = 0`, so the transmits pop in link order and their
+    /// arrivals reach the `arrive` lane out of key (packet id) order. The
+    /// event count and digest are pinned from the engine without lanes.
+    #[test]
+    fn lane_rejections_keep_pop_order() {
+        let net = SimNetwork::new(ring(8), 4);
+        let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 29);
+        let cfg = SimConfig::default();
+        let sim = Simulator::new(&net, &cfg);
+        let arena = sim.shard_arenas(packetize(&net, &cfg, &wl, None)).remove(0);
+        assert!(arena.iter().all(|p| p.inject_time_ps == 0));
+        let mut core = ShardCore::new(0, &sim, StatsCollector::default(), arena);
+        core.inject_arena();
+        run_epochs(&mut core, None, None, |c, ev| c.handle_core(ev));
+        assert!(
+            core.queue.rejections(LANE_ARRIVE) > 0,
+            "no arrival came out of order"
+        );
+        let res = sim.try_run(&wl).unwrap();
+        assert_eq!(res.delivered_packets, 32);
+        assert_eq!(
+            (res.engine.events, results_digest(&res)),
+            (164, 3050139702227086985)
+        );
     }
 
     /// Quiescence with links parked surfaces as a typed
