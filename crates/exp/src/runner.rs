@@ -37,7 +37,7 @@ use spectralfly_simnet::fault::{FaultPlan, FaultScript};
 use spectralfly_simnet::stats::TenantStats;
 use spectralfly_simnet::workload::{random_placement, Workload};
 use spectralfly_simnet::{
-    MeasurementWindows, SimConfig, SimError, SimNetwork, SimResults, Simulator,
+    EngineCounters, MeasurementWindows, SimConfig, SimError, SimNetwork, SimResults, Simulator,
 };
 use spectralfly_topology::skywalk::{SkyWalkConfig, SkyWalkGraph};
 use spectralfly_topology::Topology;
@@ -261,6 +261,10 @@ pub struct Metrics {
     pub max_recovery_ps: u64,
     /// Per-tenant columns (empty without a jobs mix).
     pub tenants: Vec<TenantMetrics>,
+    /// Event-loop accounting of the point's first shard count. Bookkeeping,
+    /// not physics: it differs across shard counts (arena high-water marks),
+    /// so no digest, baseline, table or JSON row reads it.
+    pub engine: EngineCounters,
 }
 
 impl Metrics {
@@ -300,6 +304,7 @@ impl Metrics {
                     collective_ps: collective_ps(t),
                 })
                 .collect(),
+            engine: res.engine,
         }
     }
 
@@ -1414,6 +1419,32 @@ bytes = 512
             assert_eq!(m.completion_ps, None);
             assert_eq!(m.figure_of_merit(), (m.throughput_gbps.unwrap(), true));
         }
+    }
+
+    /// A point's metric row carries the engine counters of its first shard
+    /// count's run (bookkeeping that differs across shard counts), and a
+    /// steady point's counters are not zero.
+    #[test]
+    fn metrics_carry_the_first_shard_counts_engine_counters() {
+        let m = Manifest::parse(
+            "[manifest]\nname = \"e\"\n[experiment.s]\ntopologies = [\"ring(9)x2\"]\n\
+             routings = [\"ugal-l\"]\nshards = [2, 1]\nseeds = [7]\nmode = \"steady\"\n\
+             warmup_ns = 2000\nmeasure_ns = 8000\nloads = [0.9]\n",
+        )
+        .unwrap();
+        let report = run_manifest(&m, &RunOptions::default()).unwrap();
+        let engine = report.points[0].metrics.as_ref().unwrap().engine;
+        assert!(engine.events > 0, "{engine:?}");
+        let p = &expand(&m.experiments[0])[0];
+        let net = build_network(p).unwrap();
+        let run = |shards| {
+            let cfg = point_config(p, &net, shards);
+            let sim = Simulator::new(&net, &cfg);
+            sim.try_run_with_offered_load(&Workload::default(), 0.9)
+                .unwrap()
+        };
+        assert_eq!(engine, run(2).engine, "the first shard count's run");
+        assert_ne!(engine, run(1).engine, "shard counts keep different books");
     }
 
     #[test]

@@ -2516,9 +2516,48 @@ mod tests {
         assert_eq!((out.in_queues, out.pending), (queued, model[3].len()));
     }
 
-    /// FNV-1a over the `Debug` rendering of a run's physics ([`core_fields`]).
+    /// FNV-1a over the `Debug` rendering of a run's physics, field by field.
+    /// The destructure names every field, so a new one does not compile
+    /// until it is placed here, and the engine counters are left out.
     fn results_digest(r: &SimResults) -> u64 {
-        format!("{:?}", core_fields(r))
+        let SimResults {
+            completion_time_ps,
+            delivered_packets,
+            delivered_messages,
+            delivered_bytes,
+            mean_packet_latency_ps,
+            max_packet_latency_ps,
+            p50_packet_latency_ps,
+            p95_packet_latency_ps,
+            p99_packet_latency_ps,
+            max_message_latency_ps,
+            mean_hops,
+            max_hops,
+            engine: _,
+            samples,
+            measurement,
+            faults,
+            tenants,
+        } = r;
+        let physics: [&dyn std::fmt::Debug; 16] = [
+            completion_time_ps,
+            delivered_packets,
+            delivered_messages,
+            delivered_bytes,
+            mean_packet_latency_ps,
+            max_packet_latency_ps,
+            p50_packet_latency_ps,
+            p95_packet_latency_ps,
+            p99_packet_latency_ps,
+            max_message_latency_ps,
+            mean_hops,
+            max_hops,
+            samples,
+            measurement,
+            faults,
+            tenants,
+        ];
+        format!("{physics:?}")
             .bytes()
             .fold(0xCBF2_9CE4_8422_2325, |h, b| {
                 (h ^ b as u64).wrapping_mul(0x0100_0000_01B3)
@@ -2586,14 +2625,14 @@ mod tests {
                 starved,
                 (true, false),
                 [3804, 3804, 3804],
-                13755595534460295520,
+                4051343997659972522,
             ),
             (
                 "faults",
                 faulted,
                 (true, true),
                 [4625, 4628, 4634],
-                653020811651616899,
+                6650115819740192987,
             ),
         ];
         for (name, cfg, reentries, events, digest) in cases {
@@ -2655,7 +2694,7 @@ mod tests {
         assert_eq!(res.delivered_packets, 32);
         assert_eq!(
             (res.engine.events, results_digest(&res)),
-            (164, 3050139702227086985)
+            (164, 11988925739379672201)
         );
     }
 

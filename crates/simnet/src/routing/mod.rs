@@ -487,6 +487,14 @@ fn sample_excluding(rng: &mut dyn RngCore, n: usize, a: VertexId, b: VertexId) -
 /// and the zero-allocation integration test: `decide` exercises exactly the hot
 /// path the engines run per hop ([`RoutingCtx::best_minimal_port`], the congestion
 /// signals, the intermediate sampler) without any event-loop work around it.
+///
+/// Its queues stay idle, so every UGAL decision settles right after the
+/// minimal scan ([`ugal`] module docs, step 2): for UGAL, `decide` never
+/// reaches the sampler, and the UGAL probes time the minimal half alone.
+/// Valiant still samples. Every decision draws from the harness's one
+/// `StdRng`, so a draw UGAL skips shifts every later decision's draws, and
+/// nothing pins the harness's stream. The engine gives each decision a fresh
+/// generator instead, so there a skipped draw moves nothing.
 pub struct RoutingHarness<'a> {
     net: &'a SimNetwork,
     algo: Box<dyn Router>,
