@@ -83,15 +83,9 @@ pub enum Mode {
         /// Bytes per message.
         bytes: u64,
     },
-    /// Offered-load finite run: the same workload paced to each `loads` entry.
-    Offered {
-        /// Messages per endpoint.
-        messages: usize,
-        /// Bytes per message.
-        bytes: u64,
-    },
     /// Steady-state run with measurement windows: continuous Poisson sources
-    /// at each `loads` entry, destinations drawn live from the pattern axis.
+    /// at each `loads` entry, running the point's job mix (the jobs axis, or
+    /// the pattern axis as `traffic(1, P, bytes)`).
     Steady {
         /// Warmup span, nanoseconds.
         warmup_ns: u64,
@@ -107,7 +101,6 @@ impl Mode {
     pub fn name(&self) -> &'static str {
         match self {
             Mode::Finite { .. } => "finite",
-            Mode::Offered { .. } => "offered",
             Mode::Steady { .. } => "steady",
         }
     }
@@ -122,11 +115,10 @@ pub struct Experiment {
     pub topologies: Vec<String>,
     /// Routing axis (registry names).
     pub routings: Vec<String>,
-    /// Pattern axis (registry specs). In `steady` mode an entry `P` runs the
-    /// mix `traffic(1, P, bytes)`: every alive endpoint draws each message's
-    /// destination from the pattern live (no entry runs `traffic(1, random,
-    /// bytes)`). In `finite` / `offered` mode each entry is materialised over
-    /// [`Experiment::ranks`] (the placed micro-benchmarks of Figs. 6–8).
+    /// Pattern axis (registry specs). A non-empty axis requires `mode =
+    /// "steady"`: an entry `P` runs the mix `traffic(1, P, bytes)`, every alive
+    /// endpoint drawing each message's destination from the pattern live (no
+    /// entry runs `traffic(1, random, bytes)`).
     pub patterns: Vec<String>,
     /// Multi-tenant jobs axis ([`spectralfly_simnet::job`] mix specs, e.g.
     /// `"allreduce-ring(8192) x 8 + traffic(0.3, random) x 24"`), each run as
@@ -150,11 +142,6 @@ pub struct Experiment {
     pub mode: Mode,
     /// Seed for the static-fault and fault-script draws.
     pub fault_seed: u64,
-    /// Logical rank count of a `finite` / `offered` pattern micro-benchmark: a
-    /// power of two (the bit-permutation patterns need one), scattered over the
-    /// network's alive endpoints by a seeded random placement. Required by —
-    /// and only valid with — a pattern axis outside `steady` mode.
-    pub ranks: Option<usize>,
     /// Rendering only: one entry of one of the string axes. `repro run` then
     /// also prints each point's figure of merit as a ratio to the sibling
     /// point that differs only in taking this entry on that axis (DragonFly in
@@ -497,7 +484,6 @@ impl Experiment {
                 "warmup_ns",
                 "measure_ns",
                 "fault_seed",
-                "ranks",
                 "relative_to",
             ],
         )?;
@@ -579,7 +565,6 @@ impl Experiment {
         let mode_name = get_str(t, "mode")?.unwrap_or_else(|| "finite".to_string());
         let mode = match mode_name.as_str() {
             "finite" => Mode::Finite { messages, bytes },
-            "offered" => Mode::Offered { messages, bytes },
             "steady" => {
                 let measure_ns = get_u64(t, "measure_ns", 20_000)?;
                 if measure_ns == 0 {
@@ -631,39 +616,19 @@ impl Experiment {
                 return Err(field_err(
                     &section,
                     "mode",
-                    format!("unknown mode {other:?}; expected finite, offered, or steady"),
+                    format!("unknown mode {other:?}; known modes: finite, steady"),
                 ))
             }
         };
-        if matches!(mode, Mode::Finite { .. } | Mode::Offered { .. }) && messages == 0 {
+        if matches!(mode, Mode::Finite { .. }) && messages == 0 {
             return Err(field_err(&section, "messages", "must be at least 1"));
         }
         let steady = matches!(mode, Mode::Steady { .. });
-        let ranks = match t.get("ranks") {
-            None => None,
-            Some(_) => Some(get_u64(t, "ranks", 0)? as usize),
-        };
-        if let Some(ranks) = ranks {
-            let misuse = if steady || patterns.is_empty() {
-                Some(
-                    "ranks place a finite / offered pattern micro-benchmark; this section has none",
-                )
-            } else if ranks < 2 || !ranks.is_power_of_two() {
-                Some("the synthetic patterns need a power-of-two rank count")
-            } else {
-                None
-            };
-            if let Some(reason) = misuse {
-                let reason = format!("{reason} (got {ranks})");
-                return Err(field_err(&section, "ranks", reason));
-            }
-        }
-        if !patterns.is_empty() && !steady && ranks.is_none() {
+        if !patterns.is_empty() && !steady {
             return Err(field_err(
                 &section,
                 "patterns",
-                "the pattern axis drives steady-state sources (mode = \"steady\") or, with \
-                 `ranks`, a finite / offered micro-benchmark",
+                "the pattern axis drives steady-state sources; set mode = \"steady\"",
             ));
         }
         if !jobs.is_empty() && !steady {
@@ -698,7 +663,6 @@ impl Experiment {
             loads,
             mode,
             fault_seed: get_u64(t, "fault_seed", FaultPlan::DEFAULT_SEED)?,
-            ranks,
             relative_to,
         };
         if let (Some(entry), None) = (&experiment.relative_to, experiment.relative_axis()) {
@@ -731,7 +695,7 @@ impl Experiment {
         out.push_str(&format!("loads = [{}]\n", loads.join(", ")));
         out.push_str(&format!("mode = {}\n", render_str(self.mode.name())));
         match &self.mode {
-            Mode::Finite { messages, bytes } | Mode::Offered { messages, bytes } => {
+            Mode::Finite { messages, bytes } => {
                 out.push_str(&format!("messages = {messages}\n"));
                 out.push_str(&format!("bytes = {bytes}\n"));
             }
@@ -746,11 +710,8 @@ impl Experiment {
             }
         }
         out.push_str(&format!("fault_seed = {}\n", self.fault_seed));
-        // Emitted only when set, so sections that predate the fields keep
+        // Emitted only when set, so sections that predate the field keep
         // their canonical form (and the manifest its config hash).
-        if let Some(ranks) = self.ranks {
-            out.push_str(&format!("ranks = {ranks}\n"));
-        }
         if let Some(entry) = &self.relative_to {
             out.push_str(&format!("relative_to = {}\n", render_str(entry)));
         }
@@ -1005,6 +966,26 @@ link_failures = [0, 0.25]
                 "wingspan",
                 "unknown field",
             ),
+            // The retired placed micro-benchmark spellings are refused by name:
+            // the `offered` mode, the `ranks` key and a finite pattern axis.
+            (
+                "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)\"]\nroutings = [\"minimal\"]\nmode = \"offered\"\n",
+                "experiment.e",
+                "mode",
+                "unknown mode \"offered\"; known modes: finite, steady",
+            ),
+            (
+                "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)\"]\nroutings = [\"minimal\"]\nmode = \"steady\"\npatterns = [\"shuffle\"]\nranks = 8\n",
+                "experiment.e",
+                "ranks",
+                "unknown field",
+            ),
+            (
+                "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)\"]\nroutings = [\"minimal\"]\npatterns = [\"shuffle\"]\n",
+                "experiment.e",
+                "patterns",
+                "set mode = \"steady\"",
+            ),
             // `[perf.*]` is not a section kind.
             (
                 "[manifest]\nname = \"x\"\n[perf.p]\ntopology = \"ring(9)\"\nrouting = \"minimal\"\n",
@@ -1101,32 +1082,11 @@ link_failures = [0, 0.25]
         assert_eq!(e.relative_axis(), Some(("faults", "none")));
         // The field round-trips, and is rendered only when set.
         let m = Manifest::parse(SMOKE).unwrap();
-        assert!(!m.to_toml().contains("relative_to") && !m.to_toml().contains("ranks"));
+        assert!(!m.to_toml().contains("relative_to"));
         let mut with = m.clone();
         with.experiments[0].relative_to = Some("minimal".to_string());
         assert_eq!(Manifest::parse(&with.to_toml()).unwrap(), with);
         assert_ne!(with.config_hash(), m.config_hash());
-    }
-
-    #[test]
-    fn ranks_place_a_finite_pattern_micro_benchmark() {
-        let e = section("mode = \"offered\"\npatterns = [\"shuffle\"]\nranks = 8\n").unwrap();
-        assert_eq!(e.ranks, Some(8));
-        let m = Manifest {
-            name: "x".to_string(),
-            description: String::new(),
-            experiments: vec![e],
-            structures: Vec::new(),
-        };
-        assert_eq!(Manifest::parse(&m.to_toml()).unwrap(), m);
-        for body in [
-            "patterns = [\"shuffle\"]\nranks = 12\n", // not a power of two
-            "patterns = [\"shuffle\"]\nranks = 1\n",
-            "ranks = 8\n", // nothing to place
-            "mode = \"steady\"\npatterns = [\"shuffle\"]\nranks = 8\n",
-        ] {
-            assert_eq!(rejected_field(body), "ranks", "{body:?}");
-        }
     }
 
     #[test]

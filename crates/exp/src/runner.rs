@@ -35,7 +35,7 @@ use spectralfly_graph::layout::{
 use spectralfly_graph::{profile_graph, Column, CsrGraph};
 use spectralfly_simnet::fault::{FaultPlan, FaultScript};
 use spectralfly_simnet::stats::TenantStats;
-use spectralfly_simnet::workload::{random_placement, Workload};
+use spectralfly_simnet::workload::Workload;
 use spectralfly_simnet::{
     EngineCounters, MeasurementWindows, SimConfig, SimError, SimNetwork, SimResults, Simulator,
 };
@@ -154,8 +154,7 @@ pub struct Point {
     /// Routing registry name.
     pub routing: String,
     /// Pattern spec (empty = none). A steady point with pattern `P` runs the
-    /// mix `traffic(1, P, bytes)`; a finite / offered one materialises it
-    /// over [`Point::ranks`].
+    /// mix `traffic(1, P, bytes)`.
     pub pattern: String,
     /// Multi-tenant jobs mix spec (empty = none), the traffic of a steady
     /// point as written.
@@ -166,7 +165,7 @@ pub struct Point {
     pub fault_script: String,
     /// RNG seed.
     pub seed: u64,
-    /// Offered load (`None` for workload-paced finite runs).
+    /// Offered load (`None` for finite runs).
     pub load: Option<f64>,
     /// Shard counts to run and cross-check.
     pub shards: Vec<usize>,
@@ -174,9 +173,6 @@ pub struct Point {
     pub mode: Mode,
     /// Fault seed (copied from the experiment).
     pub fault_seed: u64,
-    /// Rank count of a placed pattern micro-benchmark (copied from the
-    /// experiment; `None` = every endpoint sends).
-    pub ranks: Option<usize>,
 }
 
 impl Point {
@@ -239,7 +235,7 @@ pub struct TenantMetrics {
 pub struct Metrics {
     /// Sustained throughput over the measurement window, Gb/s (steady points).
     pub throughput_gbps: Option<f64>,
-    /// Drain-to-empty completion time (finite / offered points) or, for a mix
+    /// Drain-to-empty completion time (finite points) or, for a mix
     /// of nothing but collectives, the time the last of them finished;
     /// picoseconds.
     pub completion_ps: Option<u64>,
@@ -378,7 +374,7 @@ pub struct RunReport {
 pub fn expand(e: &Experiment) -> Vec<Point> {
     let loads: Vec<Option<f64>> = match e.mode {
         Mode::Finite { .. } => vec![None],
-        _ => e.loads.iter().copied().map(Some).collect(),
+        Mode::Steady { .. } => e.loads.iter().copied().map(Some).collect(),
     };
     let patterns: Vec<String> = if e.patterns.is_empty() {
         vec![String::new()]
@@ -413,7 +409,6 @@ pub fn expand(e: &Experiment) -> Vec<Point> {
                                         shards: e.shards.clone(),
                                         mode: e.mode.clone(),
                                         fault_seed: e.fault_seed,
-                                        ranks: e.ranks,
                                     };
                                     point.id = point.compute_id();
                                     points.push(point);
@@ -576,37 +571,14 @@ fn point_config(p: &Point, net: &SimNetwork, shards: usize) -> SimConfig {
     cfg
 }
 
-/// A seeded random placement of `ranks` logical ranks on the network's *alive*
-/// endpoints — on a pristine network exactly [`random_placement`] (the same
-/// draws), on a degraded one the surviving machine, so a placed
-/// micro-benchmark never addresses a dead endpoint. Refuses a job larger than
-/// the surviving machine.
-fn place_on_alive(net: &SimNetwork, ranks: usize, seed: u64) -> Result<Vec<usize>, String> {
-    let alive = net.alive_endpoints();
-    if ranks > alive.len() {
-        let fit = alive.len();
-        return Err(format!("{ranks} ranks do not fit {fit} alive endpoints"));
-    }
-    let slots = random_placement(ranks, alive.len(), seed);
-    Ok(slots.into_iter().map(|slot| alive[slot]).collect())
-}
-
-fn point_workload(p: &Point, net: &SimNetwork) -> Result<Workload, RunError> {
-    let (messages, bytes) = match p.mode {
-        Mode::Finite { messages, bytes } | Mode::Offered { messages, bytes } => (messages, bytes),
+fn point_workload(p: &Point, net: &SimNetwork) -> Workload {
+    match p.mode {
+        Mode::Finite { messages, bytes } => {
+            Workload::uniform_random(net.num_endpoints(), messages, bytes, p.seed)
+        }
         // A steady point's traffic is its job mix (`point_config`).
-        Mode::Steady { .. } => return Ok(Workload::default()),
-    };
-    let Some(ranks) = p.ranks else {
-        let endpoints = net.num_endpoints();
-        return Ok(Workload::uniform_random(endpoints, messages, bytes, p.seed));
-    };
-    // The placed micro-benchmarks of Figs. 6–8: the pattern materialised over
-    // the rank space, scattered over the surviving machine.
-    let placement = place_on_alive(net, ranks, p.seed).map_err(build_error(&p.id))?;
-    let wl = Workload::synthetic(&p.pattern, ranks.trailing_zeros(), messages, bytes, p.seed)
-        .map_err(|e| build_error(&p.id)(e.to_string()))?;
-    Ok(wl.place(&placement))
+        Mode::Steady { .. } => Workload::default(),
+    }
 }
 
 fn outcome_summary(outcome: &Result<SimResults, SimError>) -> String {
@@ -622,7 +594,7 @@ fn outcome_summary(outcome: &Result<SimResults, SimError>) -> String {
 /// Run one point at every shard count on its axis, assert the digests agree,
 /// and return the digested result.
 pub fn run_point(net: &SimNetwork, p: &Point) -> Result<PointResult, RunError> {
-    let wl = point_workload(p, net)?;
+    let wl = point_workload(p, net);
     let start = Instant::now();
     let mut digests: Vec<(usize, String)> = Vec::with_capacity(p.shards.len());
     let mut first = None;
@@ -1447,60 +1419,6 @@ bytes = 512
         assert_ne!(engine, run(1).engine, "shard counts keep different books");
     }
 
-    #[test]
-    fn alive_placement_avoids_dead_endpoints_and_matches_pristine() {
-        let graph = TopoSpec::parse("ring(8)").unwrap().build().unwrap();
-        let pristine = SimNetwork::new(graph.clone(), 2);
-        assert_eq!(
-            place_on_alive(&pristine, 8, 7).unwrap(),
-            random_placement(8, pristine.num_endpoints(), 7),
-            "pristine placement must be bit-identical to random_placement"
-        );
-        let plan = FaultPlan::parse("router(5)").unwrap();
-        let net = SimNetwork::with_faults(graph, 2, &plan).unwrap();
-        let placement = place_on_alive(&net, 8, 7).unwrap();
-        assert_eq!(placement.len(), 8);
-        for &e in &placement {
-            assert!(net.endpoint_alive(e), "rank placed on dead endpoint {e}");
-        }
-    }
-
-    #[test]
-    fn finite_patterns_materialise_over_placed_ranks() {
-        let m = Manifest::parse(
-            "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)x2\"]\n\
-             routings = [\"minimal\"]\nfaults = [\"router(2)\"]\npatterns = [\"shuffle\"]\n\
-             ranks = 8\nmessages = 3\nbytes = 512\nseeds = [11]\n",
-        )
-        .unwrap();
-        let points = expand(&m.experiments[0]);
-        assert_eq!(
-            points[0].id,
-            "e/ring(9)x2/minimal/p=shuffle/f=router(2)/s=11"
-        );
-        let net = &build_network(&points[0]).unwrap();
-        let wl = point_workload(&points[0], net).unwrap();
-        // bit-shuffle over 8 ranks fixes ranks 0 and 7; the other six send.
-        assert_eq!(wl.num_messages(), 6 * 3);
-        let placement = place_on_alive(net, 8, 11).unwrap();
-        for msg in &wl.messages {
-            assert!(placement.contains(&msg.src) && placement.contains(&msg.dst));
-            assert!(net.endpoint_alive(msg.src) && net.endpoint_alive(msg.dst));
-        }
-        let report = run_manifest(&m, &RunOptions::default()).unwrap();
-        assert_eq!(
-            report.points[0].summary.split(' ').next(),
-            Some("delivered=18")
-        );
-        // More ranks than surviving endpoints is a typed refusal, not a panic.
-        let mut crowded = points[0].clone();
-        crowded.ranks = Some(32);
-        assert!(matches!(
-            run_point(net, &crowded),
-            Err(RunError::Build { reason, .. }) if reason.contains("32 ranks do not fit 16")
-        ));
-    }
-
     /// A steady section without a pattern runs uniform traffic over the
     /// surviving machine: the endpoints of down routers neither send nor
     /// receive, so `routers(2)` measures the survivors instead of refusing
@@ -1631,7 +1549,8 @@ bytes = 512
             "[manifest]\nname = \"x\"\n[experiment.cayley-oracle]\n\
              topologies = [\"lps(5,13)x1\"]\nroutings = [\"minimal\", \"ugal-l\"]\nseeds = [7]\n\
              messages = 2\nbytes = 1024\n[experiment.hot]\ntopologies = [\"lps(11,7)x4\"]\n\
-             routings = [\"ugal-l\"]\nseeds = [5]\nmode = \"offered\"\nloads = [0.9]\nmessages = 8\n",
+             routings = [\"ugal-l\"]\nseeds = [5]\nmode = \"steady\"\nloads = [0.9]\n\
+             warmup_ns = 2000\nmeasure_ns = 8000\n",
         )
         .unwrap();
         for (e, (p, q, concentration)) in m.experiments.iter().zip([(5, 13, 1), (11, 7, 4)]) {

@@ -63,7 +63,7 @@ proptest! {
         n_seeds in 1usize..4,
         seed0 in 0u64..1_000_000,
         load_centi in 5u64..100,
-        mode_pick in 0usize..3,
+        mode_pick in 0usize..2,
         messages in 1usize..6,
         bytes in 512u64..8192,
         warmup in 0u64..5_000,
@@ -79,7 +79,6 @@ proptest! {
         // exercised below).
         let mode = match mode_pick {
             0 => Mode::Finite { messages, bytes },
-            1 => Mode::Offered { messages, bytes },
             _ => Mode::Steady { warmup_ns: warmup, measure_ns: measure, bytes },
         };
         let patterns = if matches!(mode, Mode::Steady { .. }) && pattern_mask > 0 {
@@ -116,7 +115,6 @@ proptest! {
             loads: vec![load_centi as f64 / 100.0],
             mode,
             fault_seed,
-            ranks: None,
             relative_to: None,
         };
         // A structural table: rows listed or enumerated (capped or not), any

@@ -22,9 +22,8 @@
 //! * a **pluggable traffic-pattern subsystem** ([`pattern`]) on the same
 //!   registry ([`spec::Registry`]): synthetic patterns implement [`pattern::TrafficPattern`] and are
 //!   selected by spec string (`"random"`, `"tornado"`, `"hotspot(8, 0.2)"`,
-//!   `"adversarial(128)"`, …) — materialized into finite workloads, or sampled
-//!   live by the steady-state sources of an open-loop job such as
-//!   `traffic(1, tornado)`;
+//!   `"adversarial(128)"`, …) and sampled live by the steady-state sources of
+//!   an open-loop job such as `traffic(1, tornado)`;
 //! * a **pluggable fault-injection subsystem** ([`fault`]), a third family of
 //!   that registry: a seeded [`fault::FaultPlan`] (spec strings like
 //!   `"links(0.1)"` or `"routers(4)+link(0,1)"`) degrades the topology at

@@ -3,16 +3,13 @@
 //! Synthetic traffic patterns are implementations of the [`TrafficPattern`] trait —
 //! a destination distribution `dst(src, rng)` over endpoint ids — selected by name
 //! through a string-keyed [`PatternRegistry`], the pattern family of the one
-//! [`crate::spec::Registry`]. A pattern is used in two ways:
-//!
-//! * **materialized** into a finite [`Workload`] ([`TrafficPattern::workload`],
-//!   [`Workload::synthetic`]) for drain-to-empty runs and the placed
-//!   micro-benchmarks of Figures 6–8;
-//! * **sampled live** by the steady-state sources: an open-loop job such as
-//!   `traffic(1, adversarial(8))` ([`crate::job`]) draws each message's
-//!   destination from the pattern at injection time — the routing-sensitive
-//!   scenarios (adversarial, tornado, hotspot) that separate UGAL from minimal
-//!   routing.
+//! [`crate::spec::Registry`]. A pattern is **sampled live** by the
+//! steady-state sources: an open-loop job such as `traffic(1, adversarial(8))`
+//! or the micro-benchmarks of Figures 6–8, `traffic(1, shuffle, 4096) x 512 @
+//! random` ([`crate::job`]), draws each message's destination from the pattern
+//! at injection time, over the tenant's own ranks. The routing-sensitive
+//! patterns (adversarial, tornado, hotspot) are what separate UGAL from minimal
+//! routing.
 //!
 //! # Pattern specs
 //!
@@ -77,8 +74,7 @@
 //! ```
 
 use crate::spec::{self, ArgReader, Family, Global, Registry, ResolveError};
-use crate::workload::{Message, Workload};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng};
 use std::sync::Arc;
 
 /// Construction-time context for a pattern: the endpoint space it must cover and
@@ -143,45 +139,14 @@ pub trait TrafficPattern: Send + Sync {
     /// The destination endpoint for one message from `src`.
     ///
     /// Must be `< self.endpoints()`. May equal `src` for degenerate instances
-    /// (fixed points of a permutation); workload materialization skips such
-    /// messages and the steady-state sources deliver them locally at zero hops.
+    /// (fixed points of a permutation); the steady-state sources deliver such
+    /// messages locally at zero hops.
     fn dst(&self, src: usize, rng: &mut StdRng) -> usize;
 
     /// Whether `src → dst(src)` is a deterministic bijection over the whole
     /// endpoint range (so e.g. every endpoint receives from exactly one sender).
     fn is_permutation(&self) -> bool {
         false
-    }
-
-    /// Materialize the pattern into a [`Workload`]: every endpoint
-    /// sends `msgs_per_endpoint` messages of `bytes` each, destinations drawn
-    /// from the pattern (self-sends are skipped). Deterministic in `seed`.
-    ///
-    /// For `random` this reproduces [`Workload::uniform_random`] bit-for-bit.
-    fn workload(&self, msgs_per_endpoint: usize, bytes: u64, seed: u64) -> Workload {
-        let n = self.endpoints();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut messages = Vec::with_capacity(n * msgs_per_endpoint);
-        for src in 0..n {
-            for i in 0..msgs_per_endpoint {
-                let dst = self.dst(src, &mut rng);
-                debug_assert!(
-                    dst < n,
-                    "pattern {} produced out-of-range {dst}",
-                    self.name()
-                );
-                if dst == src {
-                    continue;
-                }
-                messages.push(Message {
-                    src,
-                    dst,
-                    bytes,
-                    inject_offset_ps: i as u64,
-                });
-            }
-        }
-        Workload::new(self.name(), messages)
     }
 }
 
@@ -190,9 +155,8 @@ pub trait TrafficPattern: Send + Sync {
 // ---------------------------------------------------------------------------
 
 /// The shared self-send collision bump: a randomized pattern that happens to
-/// draw its own source steps to `(dst + 1) mod n` instead — exactly the rule
-/// [`Workload::uniform_random`] has always used, so pattern materialization
-/// stays bit-identical to it.
+/// draw its own source steps to `(dst + 1) mod n` instead — the rule
+/// [`crate::Workload::uniform_random`] uses too.
 #[inline]
 fn bump_self(n: usize, src: usize, dst: usize) -> usize {
     if dst == src {
@@ -206,8 +170,8 @@ fn bump_self(n: usize, src: usize, dst: usize) -> usize {
 /// other endpoint.
 ///
 /// RNG consumption per destination is one `gen_range` draw with the shared
-/// `bump_self` collision rule — exactly the draw pattern of
-/// [`Workload::uniform_random`], so materialization is bit-identical to it.
+/// `bump_self` collision rule — the draw pattern of
+/// [`crate::Workload::uniform_random`].
 pub struct Uniform {
     n: usize,
 }
@@ -593,6 +557,7 @@ pub fn registered_names() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn spec_parsing_accepts_arguments() {
@@ -703,16 +668,37 @@ mod tests {
         );
     }
 
+    /// A bit permutation's destination of every rank over `2^bits` ranks.
+    fn bit_pattern(name: &str, bits: u32) -> Vec<(usize, usize)> {
+        let p = create(name, &PatternCtx::new(1 << bits)).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        (0..1 << bits)
+            .map(|src| (src, p.dst(src, &mut rng)))
+            .collect()
+    }
+
     #[test]
-    fn materialized_workload_skips_self_sends_and_stays_in_range() {
-        for spec in ["random", "tornado", "hotspot", "adversarial"] {
-            let p = create(spec, &PatternCtx::new(50)).unwrap();
-            let wl = p.workload(3, 512, 11);
-            assert!(wl.num_messages() <= 150, "{spec}");
-            for m in &wl.messages {
-                assert_ne!(m.src, m.dst, "{spec}");
-                assert!(m.src < 50 && m.dst < 50, "{spec}");
-            }
+    fn shuffle_is_a_left_rotation() {
+        for (src, dst) in bit_pattern("shuffle", 4) {
+            assert_eq!(dst, ((src << 1) | (src >> 3)) & 0xF);
+        }
+    }
+
+    #[test]
+    fn bit_reverse_is_an_involution() {
+        for (src, dst) in bit_pattern("reverse", 6) {
+            // Reversing twice returns the source.
+            let rev = |r: usize| r.reverse_bits() >> (usize::BITS - 6);
+            assert_eq!(rev(dst), src);
+        }
+    }
+
+    #[test]
+    fn transpose_swaps_halves() {
+        for (src, dst) in bit_pattern("transpose", 6) {
+            let low = src & 0b111;
+            let high = src >> 3;
+            assert_eq!(dst, (low << 3) | high);
         }
     }
 }

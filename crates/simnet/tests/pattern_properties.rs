@@ -153,26 +153,4 @@ proptest! {
             }
         }
     }
-
-    /// Materialized workloads are well-formed for every built-in: in-range
-    /// endpoints, no self-messages, at most one message per (endpoint, slot).
-    #[test]
-    fn materialized_workloads_are_well_formed(
-        n in 2usize..150,
-        msgs in 1usize..4,
-        seed in 0u64..1_000_000,
-    ) {
-        let registry = PatternRegistry::with_builtins();
-        let ctx = PatternCtx::new(n);
-        for name in registry.names() {
-            let p = pattern::create(&name, &ctx).unwrap();
-            let wl = p.workload(msgs, 256, seed);
-            prop_assert!(wl.num_messages() <= n * msgs, "{}", &name);
-            for m in &wl.messages {
-                prop_assert!(m.src < n && m.dst < n, "{}", &name);
-                prop_assert!(m.src != m.dst, "{}", &name);
-                prop_assert!(m.bytes == 256, "{}", &name);
-            }
-        }
-    }
 }

@@ -3,8 +3,7 @@
 //! at runtime — all without touching the simulator engine.
 
 use spectralfly_simnet::routing::{self, Router, RoutingCtx, RoutingState};
-use spectralfly_simnet::workload::random_placement;
-use spectralfly_simnet::{SimConfig, SimNetwork, Simulator, Workload};
+use spectralfly_simnet::{MeasurementWindows, SimConfig, SimNetwork, Simulator, Workload};
 use spectralfly_topology::{LpsGraph, Topology};
 use std::error::Error;
 
@@ -30,21 +29,29 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     let net = SimNetwork::new(LpsGraph::new(11, 7)?.graph().clone(), 4);
-    let placement = random_placement(256, net.num_endpoints(), 7);
-    let wl = Workload::synthetic("transpose", 8, 6, 4096, 9)?.place(&placement);
+    // 256 ranks scattered over the machine, each a Poisson source sending 4 KiB
+    // messages to its transpose partner, measured in steady state.
+    let mix = "traffic(1, transpose, 4096) x 256 @ random";
 
-    println!("\ntranspose traffic on SpectralFly LPS(11,7) x4 at offered load 0.7:");
+    println!("\n{mix} on SpectralFly LPS(11,7) x4 at offered load 0.7:");
     println!(
-        "{:<12} {:>12} {:>10} {:>10}",
-        "algorithm", "completion", "mean hops", "max hops"
+        "{:<12} {:>10} {:>10} {:>10} {:>10}",
+        "algorithm", "tput Gb/s", "p99", "mean hops", "max hops"
     );
     for name in routing::registered_names() {
-        let cfg = SimConfig::default().with_routing(name.clone(), net.diameter() as u32);
-        let res = Simulator::new(&net, &cfg).try_run_with_offered_load(&wl, 0.7)?;
+        let cfg = SimConfig::default()
+            .with_routing(name.clone(), net.diameter() as u32)
+            .with_windows(MeasurementWindows::new(2_000_000, 8_000_000))
+            .with_jobs(mix);
+        // A steady run's traffic is its job mix; the workload argument stays empty.
+        let res =
+            Simulator::new(&net, &cfg).try_run_with_offered_load(&Workload::default(), 0.7)?;
+        let m = res.measurement.ok_or("windowed run")?;
         println!(
-            "{:<12} {:>9} us {:>10.3} {:>10}",
+            "{:<12} {:>10.1} {:>7.2} us {:>10.3} {:>10}",
             name,
-            res.completion_time_ps / 1_000_000,
+            m.throughput_gbps(),
+            res.p99_packet_latency_ps as f64 / 1e6,
             res.mean_hops,
             res.max_hops
         );

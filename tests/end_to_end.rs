@@ -12,7 +12,6 @@ use spectralfly_graph::partition::bisection_bandwidth;
 use spectralfly_graph::paths::DistanceMatrix;
 use spectralfly_graph::spectral::spectral_summary;
 use spectralfly_graph::{profile_graph, Column};
-use spectralfly_simnet::workload::random_placement;
 use spectralfly_simnet::{MeasurementWindows, SimConfig, SimNetwork, Simulator, Workload};
 use spectralfly_topology::spec::table1_size_classes;
 use spectralfly_topology::{GeneralizedDragonFly, LpsGraph, SlimFlyGraph, Topology};
@@ -82,16 +81,11 @@ fn spectralfly_beats_dragonfly_on_congested_random_traffic() {
         GeneralizedDragonFly::new(8, 4, 21).unwrap().graph().clone(),
         4,
     );
-    let bits = 9;
-    let ranks = 1usize << bits;
     let mut times = Vec::new();
     for net in [&lps_net, &df_net] {
         let mut cfg = SimConfig::default().with_routing("ugal-l", net.diameter() as u32);
         cfg.seed = 5;
-        let placement = random_placement(ranks, net.num_endpoints(), 11);
-        let wl = Workload::synthetic("random", bits, 8, 4096, 3)
-            .unwrap()
-            .place(&placement);
+        let wl = Workload::uniform_random(net.num_endpoints(), 8, 4096, 3);
         let res = Simulator::new(net, &cfg)
             .try_run_with_offered_load(&wl, 0.6)
             .unwrap();
@@ -209,10 +203,7 @@ fn lps_diameter_degrades_gracefully_under_failures() {
 #[test]
 fn valiant_paths_are_longer_but_still_deliver() {
     let net = SimNetwork::new(LpsGraph::new(11, 7).unwrap().graph().clone(), 2);
-    let placement = random_placement(128, net.num_endpoints(), 3);
-    let wl = Workload::synthetic("shuffle", 7, 4, 2048, 5)
-        .unwrap()
-        .place(&placement);
+    let wl = Workload::uniform_random(net.num_endpoints(), 4, 2048, 5);
     let d = net.diameter() as u32;
     let min_res = {
         let cfg = SimConfig::default().with_routing("minimal", d);
@@ -229,16 +220,13 @@ fn valiant_paths_are_longer_but_still_deliver() {
 }
 
 /// Registry-driven conformance on a real SpectralFly instance: every built-in
-/// algorithm delivers a placed synthetic workload and stays within its own VC hop
+/// algorithm delivers a uniform-random workload and stays within its own VC hop
 /// bound. Iterates a freshly-built registry so the test set is independent of
 /// custom routers other tests register into the process-global one concurrently.
 #[test]
 fn every_registered_algorithm_delivers_on_spectralfly() {
     let net = SimNetwork::new(LpsGraph::new(11, 7).unwrap().graph().clone(), 2);
-    let placement = random_placement(128, net.num_endpoints(), 3);
-    let wl = Workload::synthetic("shuffle", 7, 2, 2048, 5)
-        .unwrap()
-        .place(&placement);
+    let wl = Workload::uniform_random(net.num_endpoints(), 2, 2048, 5);
     let names = spectralfly_simnet::RouterRegistry::with_builtins().names();
     for expected in ["minimal", "valiant", "ugal-l", "ugal-g"] {
         assert!(
@@ -289,10 +277,7 @@ fn custom_registered_algorithm_routes_end_to_end() {
 #[test]
 fn ugal_variants_deliver_identically_but_route_differently() {
     let net = SimNetwork::new(LpsGraph::new(11, 7).unwrap().graph().clone(), 4);
-    let placement = random_placement(256, net.num_endpoints(), 7);
-    let wl = Workload::synthetic("transpose", 8, 6, 4096, 9)
-        .unwrap()
-        .place(&placement);
+    let wl = Workload::uniform_random(net.num_endpoints(), 6, 4096, 9);
     let d = net.diameter() as u32;
     let mut results = Vec::new();
     for routing in ["ugal-l", "ugal-g"] {
