@@ -573,8 +573,15 @@ fn point_config(p: &Point, net: &SimNetwork, shards: usize) -> SimConfig {
 
 fn point_workload(p: &Point, net: &SimNetwork) -> Workload {
     match p.mode {
+        // Drawn over the endpoints whose routers are up, as a steady mix is
+        // placed; on a network where all are up the map is the identity.
         Mode::Finite { messages, bytes } => {
-            Workload::uniform_random(net.num_endpoints(), messages, bytes, p.seed)
+            let alive = net.alive_endpoints();
+            let mut wl = Workload::uniform_random(alive.len(), messages, bytes, p.seed);
+            for m in &mut wl.messages {
+                (m.src, m.dst) = (alive[m.src], alive[m.dst]);
+            }
+            wl
         }
         // A steady point's traffic is its job mix (`point_config`).
         Mode::Steady { .. } => Workload::default(),
@@ -1437,6 +1444,28 @@ bytes = 512
         assert!(m.delivery_ratio > 0.9, "{m:?}");
         assert_eq!(m.tenants.len(), 1);
         assert_eq!(m.tenants[0].name, "t0:traffic");
+    }
+
+    /// A finite section draws its uniform workload over the survivors too:
+    /// a down router's endpoints neither send nor receive, so the point
+    /// delivers everything instead of refusing to address a dead endpoint.
+    #[test]
+    fn a_finite_section_runs_over_down_routers() {
+        let report = run(
+            "[manifest]\nname = \"x\"\n[experiment.e]\ntopologies = [\"ring(9)x2\"]\n\
+             routings = [\"minimal\"]\nfaults = [\"router(2)\"]\nseeds = [1]\n\
+             mode = \"finite\"\nmessages = 2\nbytes = 1024\n",
+        );
+        let point = &report.points[0];
+        assert!(!point.summary.contains("error:"), "{}", point.summary);
+        let m = (point.metrics.as_ref()).unwrap_or_else(|| panic!("{}", point.summary));
+        assert_eq!(m.delivery_ratio, 1.0, "{m:?}");
+        // 8 surviving routers × 2 endpoints × 2 messages of one packet each.
+        assert!(
+            point.summary.starts_with("delivered=32 "),
+            "{}",
+            point.summary
+        );
     }
 
     #[test]

@@ -139,7 +139,7 @@ static FAMILIES: LazyLock<Families> = LazyLock::new(|| {
             shape,
             enumerate,
         };
-        registry.insert(name, Arc::new(family));
+        (registry.insert(name, Arc::new(family))).expect("topology family names are distinct");
     };
     add(
         "lps",

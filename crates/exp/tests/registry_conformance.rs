@@ -11,8 +11,8 @@ use spectralfly_exp::TopoSpec;
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::job::validate_mix_spec;
 use spectralfly_simnet::{
-    job, pattern, routing, FaultPlan, FaultRegistry, FaultScript, JobCtx, JobRegistry, PatternCtx,
-    PatternRegistry, RouterRegistry, SimConfig, SimNetwork, Simulator, Workload,
+    fault, job, pattern, routing, FaultPlan, FaultScript, JobCtx, PatternCtx, SimConfig,
+    SimNetwork, Simulator, Workload,
 };
 
 fn ring5() -> CsrGraph {
@@ -23,21 +23,15 @@ fn ring5() -> CsrGraph {
 #[test]
 fn builtin_name_lists_are_unchanged() {
     for (names, expected) in [
+        (routing::BUILTINS.names(), "minimal ugal-g ugal-l valiant"),
         (
-            RouterRegistry::with_builtins().names(),
-            "minimal ugal-g ugal-l valiant",
-        ),
-        (
-            PatternRegistry::with_builtins().names(),
+            pattern::BUILTINS.names(),
             "adversarial bit-complement bit-reverse bit-shuffle hotspot nearest-group random \
              tornado transpose",
         ),
+        (fault::BUILTINS.names(), "link links router routers"),
         (
-            FaultRegistry::with_builtins().names(),
-            "link links router routers",
-        ),
-        (
-            JobRegistry::with_builtins().names(),
+            job::BUILTINS.names(),
             "allgather allreduce-ring allreduce-tree alltoall fft3d halo3d mmpp onoff sweep3d \
              traffic",
         ),

@@ -6,7 +6,10 @@
 //! 4 KiB packets. Those values, and the protocol constants derived from them,
 //! are the constants below; [`SimConfig`] holds only what a run varies.
 
-use crate::routing;
+use crate::pattern::{self, PatternCtx, PatternError, PatternRegistry, TrafficPattern};
+use crate::routing::{self, Router, RouterRegistry};
+use crate::spec::DuplicateName;
+use std::sync::Arc;
 
 /// Packet payload, bytes: larger messages are segmented into packets of at
 /// most this many bytes.
@@ -118,6 +121,53 @@ impl MeasurementWindows {
     }
 }
 
+/// The families of names a run may extend: routing algorithms and traffic
+/// patterns. The default shares the built-in tables; adding an entry copies
+/// that family into this value alone, and a name it already holds —
+/// `minimal`, the alias `ugal` — is refused with [`DuplicateName`].
+#[derive(Clone, Debug)]
+pub struct Registries {
+    /// What [`SimConfig::routing`] names.
+    pub routing: Arc<RouterRegistry>,
+    /// What the nested pattern of a `traffic(load, pattern)` tenant in
+    /// [`SimConfig::jobs`] names.
+    pub patterns: Arc<PatternRegistry>,
+}
+
+impl Default for Registries {
+    fn default() -> Self {
+        Registries {
+            routing: Arc::clone(&routing::BUILTINS),
+            patterns: Arc::clone(&pattern::BUILTINS),
+        }
+    }
+}
+
+impl Registries {
+    /// Builder-style: add a routing algorithm under `name`.
+    pub fn with_router<F>(mut self, name: &str, factory: F) -> Result<Self, DuplicateName>
+    where
+        F: Fn() -> Box<dyn Router> + Send + Sync + 'static,
+    {
+        Arc::make_mut(&mut self.routing)
+            .register(name, factory)
+            .map(|()| self)
+    }
+
+    /// Builder-style: add a traffic pattern under `name`.
+    pub fn with_pattern<F>(mut self, name: &str, factory: F) -> Result<Self, DuplicateName>
+    where
+        F: Fn(&PatternCtx, &[f64]) -> Result<Box<dyn TrafficPattern>, PatternError>
+            + Send
+            + Sync
+            + 'static,
+    {
+        Arc::make_mut(&mut self.patterns)
+            .register(name, factory)
+            .map(|()| self)
+    }
+}
+
 /// The parameters a simulation run varies.
 ///
 /// The simulated hardware is the paper's and is fixed (see the module
@@ -175,6 +225,9 @@ pub struct SimConfig {
     /// is a finite run of the workload; a mix on a run that is not steady is
     /// refused with [`crate::SimError::JobsWithoutSteadyRun`].
     pub jobs: Option<String>,
+    /// What [`SimConfig::routing`] and the patterns nested in
+    /// [`SimConfig::jobs`] name: the built-ins unless set by [`SimConfig::from`].
+    pub registries: Registries,
 }
 
 impl Default for SimConfig {
@@ -189,6 +242,18 @@ impl Default for SimConfig {
             fault_script: crate::fault::FaultScript::none(),
             fault_horizon_ps: 1_000_000_000,
             jobs: None,
+            registries: Registries::default(),
+        }
+    }
+}
+
+impl From<Registries> for SimConfig {
+    /// The default config over `registries`: it starts a builder chain, so the
+    /// [`SimConfig::with_routing`] that follows reads a custom VC count.
+    fn from(registries: Registries) -> Self {
+        SimConfig {
+            registries,
+            ..SimConfig::default()
         }
     }
 }
@@ -208,12 +273,12 @@ impl SimConfig {
     /// count the paper prescribes for it on a diameter-`diameter` topology:
     /// `d + 1` for minimal paths and `2d + 1` for detour-based algorithms
     /// (Section V-A), as reported by the algorithm itself
-    /// ([`crate::routing::Router::vcs_for_diameter`]). An unregistered name
-    /// is set as given and leaves the VC count alone; the run then returns
-    /// [`crate::SimError::UnknownRouting`].
+    /// ([`crate::routing::Router::vcs_for_diameter`]). A name
+    /// [`SimConfig::registries`] does not hold is set as given and leaves the
+    /// VC count alone; the run then returns [`crate::SimError::UnknownRouting`].
     pub fn with_routing(mut self, routing: impl Into<String>, diameter: u32) -> Self {
         self.routing = routing.into();
-        if let Ok(router) = routing::resolve(&self.routing) {
+        if let Ok(router) = self.registries.routing.resolve(&self.routing) {
             self.num_vcs = router.vcs_for_diameter(diameter);
         }
         self
@@ -266,6 +331,80 @@ mod tests {
         // Registry names work directly, in any spelling the registry normalizes.
         let cfg = SimConfig::default().with_routing("UGAL_L", 3);
         assert_eq!(cfg.num_vcs, 7);
+    }
+
+    /// Minimal paths under a name of its own, claiming `3d + 1` VCs: a count
+    /// neither the default 8 nor any built-in gives on diameter 3.
+    struct Wide;
+
+    impl Router for Wide {
+        fn name(&self) -> &str {
+            "wide"
+        }
+        fn vcs_for_diameter(&self, diameter: u32) -> usize {
+            3 * diameter as usize + 1
+        }
+        fn route(
+            &self,
+            ctx: &mut routing::RoutingCtx<'_>,
+            state: &mut routing::RoutingState,
+        ) -> usize {
+            usize::from(ctx.minimal_ports(state.current_target(ctx.dst()))[0])
+        }
+    }
+
+    #[test]
+    fn registries_refuse_a_name_they_already_hold() {
+        let wide = Registries::default().with_router("wide", || Box::new(Wide));
+        let wide = wide.unwrap();
+        // A built-in, a built-in's alias in another spelling, and a name
+        // added once already: each is a typed error, never a replacement.
+        for name in ["minimal", "UGAL", "wide"] {
+            let err = wide
+                .clone()
+                .with_router(name, || Box::new(Wide))
+                .unwrap_err();
+            assert_eq!(err, DuplicateName(crate::spec::normalize(name)));
+        }
+        let err = (Registries::default())
+            .with_pattern("Uniform", |ctx, _| pattern::create("random", ctx))
+            .unwrap_err();
+        assert_eq!(err.to_string(), "name \"uniform\" is already registered");
+        assert_eq!(wide.routing.resolve("minimal").unwrap().name(), "minimal");
+    }
+
+    #[test]
+    fn two_configs_in_one_process_resolve_independently() {
+        let ring: Vec<(u32, u32)> = (0..6u32).map(|i| (i, (i + 1) % 6)).collect();
+        let net = crate::SimNetwork::new(spectralfly_graph::CsrGraph::from_edges(6, &ring), 1);
+        let wl = crate::Workload::uniform_random(6, 2, 512, 1);
+        let registries = Registries::default().with_router("wide", || Box::new(Wide));
+        let custom = SimConfig::from(registries.unwrap()).with_routing("wide", 3);
+        let plain = SimConfig::default().with_routing("wide", 3);
+        let res = crate::Simulator::new(&net, &custom).try_run(&wl).unwrap();
+        assert_eq!(res.delivered_messages, 12);
+        let err = crate::Simulator::new(&net, &plain)
+            .try_run(&wl)
+            .unwrap_err();
+        let builtins = ["minimal", "ugal-g", "ugal-l", "valiant"].map(String::from);
+        assert_eq!(
+            err,
+            crate::SimError::UnknownRouting {
+                name: "wide".to_string(),
+                registered: builtins.to_vec(),
+            }
+        );
+    }
+
+    #[test]
+    fn a_custom_router_gets_its_own_vc_count() {
+        // `From` starts the chain, so `with_routing` always sees the custom
+        // algorithm: no builder order leaves the default 8 behind.
+        let registries = Registries::default().with_router("wide", || Box::new(Wide));
+        let cfg = SimConfig::from(registries.unwrap()).with_routing("wide", 3);
+        assert_eq!((cfg.routing.as_str(), cfg.num_vcs), ("wide", 10));
+        // Without it the name is kept and the count left alone.
+        assert_eq!(SimConfig::default().with_routing("wide", 3).num_vcs, 8);
     }
 
     #[test]

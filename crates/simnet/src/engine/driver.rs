@@ -98,8 +98,10 @@ impl<'c> RunPlan<'c> {
                     fault::validate_steady_mix(net)?;
                 }
                 let alive = net.alive_endpoints();
-                let plan = job::resolve_mix(mix, &job::JobCtx::new(), &alive, cfg.seed)
-                    .map_err(SimError::Job)?;
+                let ctx = job::JobCtx {
+                    registries: cfg.registries.clone(),
+                };
+                let plan = job::resolve_mix(mix, &ctx, &alive, cfg.seed).map_err(SimError::Job)?;
                 let steady = Steady {
                     load,
                     windows,

@@ -78,11 +78,11 @@ pub type ParallelSimulator<'a> = Simulator<'a>;
 /// reported as a value rather than a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
-    /// [`SimConfig::routing`] does not name a registered routing algorithm.
+    /// [`SimConfig::routing`] names no algorithm of [`SimConfig::registries`].
     UnknownRouting {
         /// The name that failed to resolve.
         name: String,
-        /// Canonical names currently registered, for the error message.
+        /// The primary names the run's registry holds, for the error message.
         registered: Vec<String>,
     },
     /// The job mix ([`SimConfig::jobs`]) is malformed, names an unknown job,
@@ -191,9 +191,10 @@ pub(crate) fn resolve_router(cfg: &SimConfig) -> Result<Box<dyn Router>, SimErro
     if cfg.shards == 0 {
         return out_of_range("shards", "1..", &cfg.shards);
     }
-    routing::resolve(&cfg.routing).map_err(|_| SimError::UnknownRouting {
+    let registry = &cfg.registries.routing;
+    (registry.resolve(&cfg.routing)).map_err(|_| SimError::UnknownRouting {
         name: cfg.routing.clone(),
-        registered: routing::registered_names(),
+        registered: registry.names(),
     })
 }
 

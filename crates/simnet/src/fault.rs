@@ -60,12 +60,12 @@
 //! ```
 
 use crate::network::SimNetwork;
-use crate::spec::{self, Arg, ArgReader, Call, Family, Global, Registry, ResolveError};
+use crate::spec::{self, Arg, ArgReader, Call, DuplicateName, Family, Registry, ResolveError};
 use crate::workload::Workload;
 use spectralfly_graph::csr::{CsrGraph, VertexId};
 use spectralfly_graph::failures::{draw_failed_links, draw_failed_routers};
 use spectralfly_graph::paths::UNREACHABLE_U16;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Why a fault plan could not be built or a run could not start on a degraded
 /// network: the shared [`ResolveError`] triple — `Unknown` model, `BadSpec`
@@ -255,14 +255,17 @@ pub type FaultFactory = dyn Fn(&[f64]) -> Result<Arc<dyn FaultModel>, FaultError
 /// shares is docs/ARCHITECTURE.md § "The registry contract").
 pub type FaultRegistry = Registry<FaultFactory>;
 
-/// How this family calls itself in error messages; custom factories report
-/// bad arguments through it ([`Family::args`], [`Family::bad_args`]).
+/// How this family calls itself in error messages; its factories report bad
+/// arguments through it ([`Family::args`], [`Family::bad_args`]).
 pub const FAMILY: Family = Family {
     unknown: "fault model",
     args: "fault model",
 };
 
-static GLOBAL: Global<FaultFactory> = Global::new(FaultRegistry::with_builtins);
+/// The fault models, built once per process. Closed: plans and scripts
+/// select from this table only.
+pub static BUILTINS: LazyLock<FaultRegistry> =
+    LazyLock::new(|| FaultRegistry::builtins().expect("distinct names"));
 
 fn vertex_arg(args: &ArgReader<f64>, idx: usize) -> Result<VertexId, FaultError> {
     let a = args.number(idx, f64::NAN)?;
@@ -276,9 +279,7 @@ fn vertex_arg(args: &ArgReader<f64>, idx: usize) -> Result<VertexId, FaultError>
 }
 
 impl FaultRegistry {
-    /// A registry pre-populated with the built-in models (see the module docs
-    /// for the table).
-    pub fn with_builtins() -> Self {
+    fn builtins() -> Result<Self, DuplicateName> {
         let mut r = Self::empty();
         r.register("links", |args| {
             let args = FAMILY.args("links", args);
@@ -286,7 +287,7 @@ impl FaultRegistry {
             Ok(Arc::new(RandomLinks {
                 fraction: args.fraction(0, f64::NAN, "fraction", true)?,
             }))
-        });
+        })?;
         r.register("routers", |args| {
             let args = FAMILY.args("routers", args);
             args.exactly_n_args(1)?;
@@ -297,7 +298,7 @@ impl FaultRegistry {
             Ok(Arc::new(RandomRouters {
                 count: count as usize,
             }))
-        });
+        })?;
         r.register("link", |args| {
             let args = FAMILY.args("link", args);
             args.exactly_n_args(2)?;
@@ -305,45 +306,30 @@ impl FaultRegistry {
                 u: vertex_arg(&args, 0)?,
                 v: vertex_arg(&args, 1)?,
             }))
-        });
+        })?;
         r.register("router", |args| {
             let args = FAMILY.args("router", args);
             args.exactly_n_args(1)?;
             Ok(Arc::new(DownRouter {
                 r: vertex_arg(&args, 0)?,
             }))
-        });
-        r
+        })?;
+        Ok(r)
     }
 
-    /// Register (or replace) a fault model under `name`.
-    pub fn register<F>(&mut self, name: &str, factory: F)
+    fn register<F>(&mut self, name: &str, factory: F) -> Result<(), DuplicateName>
     where
         F: Fn(&[f64]) -> Result<Arc<dyn FaultModel>, FaultError> + Send + Sync + 'static,
     {
-        self.insert(name, Arc::new(factory));
+        self.insert(name, Arc::new(factory))
     }
 }
 
 /// Instantiate the fault model selected by one parsed spec term (of a plan,
-/// e.g. `links(0.1)`, or the action of a script's `at(time, action)`) from
-/// the global registry.
+/// e.g. `links(0.1)`, or the action of a script's `at(time, action)`).
 fn create_call(term: &Call) -> Result<Arc<dyn FaultModel>, FaultError> {
-    let factory = GLOBAL.read().lookup(&FAMILY, term.name)?;
+    let factory = BUILTINS.lookup(&FAMILY, term.name)?;
     factory(&term.numbers()?)
-}
-
-/// Register a custom fault model in the global registry.
-pub fn register<F>(name: &str, factory: F)
-where
-    F: Fn(&[f64]) -> Result<Arc<dyn FaultModel>, FaultError> + Send + Sync + 'static,
-{
-    GLOBAL.write().register(name, factory);
-}
-
-/// Names of the models in the global registry.
-pub fn registered_names() -> Vec<String> {
-    GLOBAL.read().names()
 }
 
 /// The terms of a composed plan or script spec, with its canonical spelling:
@@ -410,7 +396,7 @@ impl FaultPlan {
 
     /// Parse a plan spec: model terms joined by `+`, e.g.
     /// `"links(0.1) + routers(2)"`; `"none"` (or an empty string) is the empty
-    /// plan. Terms resolve through the global fault registry.
+    /// plan. Terms resolve through [`BUILTINS`].
     pub fn parse(spec: &str) -> Result<Self, FaultError> {
         let (spec, terms) = parse_terms(spec)?;
         Ok(FaultPlan {
@@ -1062,29 +1048,6 @@ mod tests {
         assert!(applied.is_pristine());
         assert_eq!(applied.graph, g);
         assert_eq!(applied.spec, "none");
-    }
-
-    #[test]
-    fn custom_model_registration_extends_the_global_registry() {
-        struct EveryOtherLink;
-        impl FaultModel for EveryOtherLink {
-            fn name(&self) -> &str {
-                "every-other-link"
-            }
-            fn draw(&self, g: &CsrGraph, _seed: u64) -> Result<FaultSet, FaultError> {
-                Ok(FaultSet {
-                    links: g.edges().step_by(2).collect(),
-                    routers: Vec::new(),
-                })
-            }
-        }
-        register("every-other-link", |args| {
-            FAMILY.args("every-other-link", args).no_args()?;
-            Ok(Arc::new(EveryOtherLink))
-        });
-        let plan = FaultPlan::parse("Every_Other_Link").unwrap();
-        let applied = plan.apply(&ring(10)).unwrap();
-        assert_eq!(applied.removed_links, 5);
     }
 
     #[test]

@@ -60,10 +60,10 @@
 //! `rank`'s router, so no cross-shard coordination is needed.
 
 use crate::config::MAX_MESSAGE_BYTES;
-use crate::pattern::{self, PatternCtx, TrafficPattern};
-use crate::spec::{self, Arg, ArgReader, Call, Family, Global, Registry, ResolveError};
+use crate::pattern::{self, PatternCtx, PatternRegistry, TrafficPattern};
+use crate::spec::{self, Arg, ArgReader, Call, DuplicateName, Family, Registry, ResolveError};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Default message/chunk payload when a job spec omits `bytes`.
 pub const DEFAULT_JOB_BYTES: u64 = 4096;
@@ -73,25 +73,18 @@ pub const DEFAULT_JOB_BYTES: u64 = 4096;
 /// placement, invalid).
 pub type JobError = ResolveError;
 
-/// Construction-time context for a job: topology structure the caller knows.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Construction-time context for a job: the run's names, which the nested
+/// pattern of a `traffic(load, pattern)` job resolves against.
+#[derive(Clone, Debug, Default)]
 pub struct JobCtx {
-    /// Endpoints per topology group, when known — the `group` placement
-    /// policy and nested group-structured patterns use it as their default
-    /// group size.
-    pub group_endpoints: Option<usize>,
+    /// The run's [`crate::SimConfig::registries`].
+    pub registries: crate::Registries,
 }
 
 impl JobCtx {
-    /// A context with no known group structure.
+    /// A context over the built-in names.
     pub fn new() -> Self {
         JobCtx::default()
-    }
-
-    /// Builder-style: record the topology's endpoints-per-group.
-    pub fn with_group_endpoints(mut self, group_endpoints: usize) -> Self {
-        self.group_endpoints = Some(group_endpoints);
-        self
     }
 }
 
@@ -734,14 +727,17 @@ impl MsgTag {
 // Spec parsing and the registry.
 // ---------------------------------------------------------------------------
 
-/// How this family calls itself in error messages; custom factories report
-/// bad arguments through it ([`Family::args`], [`Family::bad_args`]).
+/// How this family calls itself in error messages; its factories report bad
+/// arguments through it ([`Family::args`], [`Family::bad_args`]).
 pub const FAMILY: Family = Family {
     unknown: "job",
     args: "job",
 };
 
-static GLOBAL: Global<JobFactory> = Global::new(JobRegistry::with_builtins);
+/// The jobs, built once per process. Closed: mixes select from this table
+/// only.
+pub static BUILTINS: LazyLock<JobRegistry> =
+    LazyLock::new(|| JobRegistry::builtins().expect("distinct names"));
 
 fn bytes_arg(args: &ArgReader<Arg>, idx: usize) -> Result<u64, JobError> {
     let bytes = args
@@ -814,10 +810,11 @@ fn count_arg(args: &ArgReader<Arg>, idx: usize, what: &str) -> Result<Option<usi
 /// from a nested pattern spec over the tenant's rank space.
 struct TrafficJob {
     load: f64,
-    /// The nested pattern spec, already parsed: normalized name, arguments.
-    pattern: (String, Vec<f64>),
+    /// The nested pattern spec, as written.
+    pattern: String,
     bytes: u64,
-    group_endpoints: Option<usize>,
+    /// The run's patterns, which the nested spec resolves against.
+    patterns: Arc<PatternRegistry>,
 }
 
 impl Job for TrafficJob {
@@ -825,14 +822,8 @@ impl Job for TrafficJob {
         "traffic"
     }
     fn behavior(&self, ranks: usize) -> Result<JobBehavior, JobError> {
-        let mut ctx = PatternCtx::new(ranks);
-        if let Some(g) = self.group_endpoints {
-            if g <= ranks {
-                ctx = ctx.with_group_endpoints(g);
-            }
-        }
-        let (base, args) = &self.pattern;
-        let pattern = pattern::create_parsed(base, args, &ctx).map_err(|e| {
+        let ctx = PatternCtx::new(ranks);
+        let pattern = self.patterns.create(&self.pattern, &ctx).map_err(|e| {
             FAMILY.bad_args("traffic", format!("nested pattern spec rejected: {e}"))
         })?;
         Ok(JobBehavior::OpenLoop(OpenLoopSpec {
@@ -875,8 +866,7 @@ pub type JobFactory = dyn Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> 
 pub type JobRegistry = Registry<JobFactory>;
 
 impl JobRegistry {
-    /// A registry pre-populated with the built-in jobs (see the module docs).
-    pub fn with_builtins() -> Self {
+    fn builtins() -> Result<Self, DuplicateName> {
         let mut r = Self::empty();
         for (name, build) in [
             (
@@ -895,7 +885,7 @@ impl JobRegistry {
                     name,
                     build: move |ranks| Ok(build(ranks, bytes)),
                 }))
-            });
+            })?;
         }
         r.register("halo3d", |_ctx, args| {
             let args = FAMILY.args("halo3d", args);
@@ -909,7 +899,7 @@ impl JobRegistry {
                     Ok(Schedule::halo3d(ranks, iters, face_bytes))
                 },
             }))
-        });
+        })?;
         r.register("sweep3d", |_ctx, args| {
             let args = FAMILY.args("sweep3d", args);
             args.max_args(3, "3 arguments")?;
@@ -924,7 +914,7 @@ impl JobRegistry {
                     Ok(Schedule::sweep3d(ranks, kba_blocks, bytes, sweeps))
                 },
             }))
-        });
+        })?;
         r.register("fft3d", |_ctx, args| {
             let args = FAMILY.args("fft3d", args);
             args.max_args(3, "3 arguments")?;
@@ -943,24 +933,24 @@ impl JobRegistry {
                     })
                 },
             }))
-        });
+        })?;
         r.register("traffic", |ctx, raw| {
             let args = FAMILY.args("traffic", raw);
             args.max_args(3, "3 arguments")?;
             let pattern = match raw.get(1) {
-                None => ("random".to_string(), Vec::new()),
-                Some(Arg::Call(p)) => (p.key(), p.numbers()?),
+                None => "random",
+                Some(Arg::Call(p)) => p.numbers().map(|_| p.text())?,
                 Some(Arg::Num(_)) => {
                     return Err(args.bad("argument 2 must be a pattern spec, not a number"))
                 }
             };
             Ok(Box::new(TrafficJob {
                 load: args.fraction(0, f64::NAN, "load", false)?,
-                pattern,
+                pattern: pattern.to_string(),
                 bytes: bytes_arg(&args, 2)?,
-                group_endpoints: ctx.group_endpoints,
+                patterns: Arc::clone(&ctx.registries.patterns),
             }))
-        });
+        })?;
         r.register("mmpp", |_ctx, args| {
             let args = FAMILY.args("mmpp", args);
             args.max_args(5, "5 arguments")?;
@@ -974,7 +964,7 @@ impl JobRegistry {
                     dwell_ps: [us_arg(&args, 2, 2.0)?, us_arg(&args, 3, 2.0)?],
                 },
             }))
-        });
+        })?;
         r.register("onoff", |_ctx, args| {
             let args = FAMILY.args("onoff", args);
             args.max_args(5, "5 arguments")?;
@@ -992,41 +982,26 @@ impl JobRegistry {
                     off_ps: us_arg(&args, 3, 1.0)?,
                 },
             }))
-        });
-        r.alias("all-reduce-ring", "allreduce-ring");
-        r.alias("all-reduce-tree", "allreduce-tree");
-        r.alias("all-to-all", "alltoall");
-        r.alias("all-gather", "allgather");
-        r
+        })?;
+        r.alias("all-reduce-ring", "allreduce-ring")?;
+        r.alias("all-reduce-tree", "allreduce-tree")?;
+        r.alias("all-to-all", "alltoall")?;
+        r.alias("all-gather", "allgather")?;
+        Ok(r)
     }
 
-    /// Register (or replace) a job under `name`.
-    pub fn register<F>(&mut self, name: &str, factory: F)
+    fn register<F>(&mut self, name: &str, factory: F) -> Result<(), DuplicateName>
     where
         F: Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync + 'static,
     {
-        self.insert(name, Arc::new(factory));
+        self.insert(name, Arc::new(factory))
     }
 }
 
-/// Instantiate the job template a tenant of a mix selects from the global
-/// registry.
+/// Instantiate the job template a tenant of a mix selects.
 fn create_call(call: &Call, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
-    let factory = GLOBAL.read().lookup(&FAMILY, call.name)?;
+    let factory = BUILTINS.lookup(&FAMILY, call.name)?;
     factory(ctx, &call.args)
-}
-
-/// Register a custom job in the global registry.
-pub fn register<F>(name: &str, factory: F)
-where
-    F: Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync + 'static,
-{
-    GLOBAL.write().register(name, factory);
-}
-
-/// Primary names of the jobs in the global registry.
-pub fn registered_names() -> Vec<String> {
-    GLOBAL.read().names()
 }
 
 // ---------------------------------------------------------------------------
@@ -1042,8 +1017,7 @@ pub enum Placement {
     Random,
     /// Like contiguous but starting at a multiple of the group size — ranks
     /// line up with topology groups, so group-structured patterns inside the
-    /// tenant hit real group boundaries. `None` defers the group size to
-    /// [`JobCtx::group_endpoints`] (then `⌈√n⌉`).
+    /// tenant hit real group boundaries. `None` is a group size of `⌈√n⌉`.
     Group(Option<usize>),
 }
 
@@ -1228,7 +1202,6 @@ pub fn resolve_mix(
             Placement::Contiguous | Placement::Group(_) => {
                 let align = match &t.placement {
                     Placement::Group(g) => g
-                        .or(ctx.group_endpoints)
                         .unwrap_or_else(|| (n as f64).sqrt().ceil() as usize)
                         .max(1),
                     _ => 1,
@@ -1546,9 +1519,9 @@ mod tests {
     #[test]
     fn placement_policies_are_disjoint_and_deterministic() {
         let available: Vec<usize> = (0..32).collect();
-        let ctx = JobCtx::new().with_group_endpoints(8);
+        let ctx = JobCtx::new();
         let plan = resolve_mix(
-            "allreduce-ring x 8 + traffic(1.0) x 8 @ group + traffic(0.5) @ random",
+            "allreduce-ring x 8 + traffic(1.0) x 8 @ group(8) + traffic(0.5) @ random",
             &ctx,
             &available,
             42,
@@ -1571,7 +1544,7 @@ mod tests {
         // Determinism: same seed, same plan; different seed, different
         // random placement.
         let again = resolve_mix(
-            "allreduce-ring x 8 + traffic(1.0) x 8 @ group + traffic(0.5) @ random",
+            "allreduce-ring x 8 + traffic(1.0) x 8 @ group(8) + traffic(0.5) @ random",
             &ctx,
             &available,
             42,

@@ -15,7 +15,8 @@
 //!   (`diameter + 1` VCs for minimal routing, `2·diameter + 1` for Valiant — Section V-A);
 //! * a **pluggable routing subsystem** ([`routing`]): algorithms implement the
 //!   [`routing::Router`] trait and are selected by name through a string-keyed
-//!   registry. Built-ins: **minimal** (adaptive among all shortest-path next hops),
+//!   registry that the run carries ([`Registries`], which a caller may extend).
+//!   Built-ins: **minimal** (adaptive among all shortest-path next hops),
 //!   **Valiant**, **UGAL-L**, and **UGAL-G** (Section V, plus the global-queue
 //!   variant the paper discusses as UGAL's idealized form);
 //! * Poisson packet injection to sweep offered load;
@@ -94,7 +95,7 @@ pub mod spec;
 pub mod stats;
 pub mod workload;
 
-pub use config::{MeasurementWindows, SimConfig};
+pub use config::{MeasurementWindows, Registries, SimConfig};
 pub use engine::{ParallelSimulator, SimError, Simulator};
 pub use fault::{
     FaultError, FaultEvent, FaultEventKind, FaultModel, FaultPlan, FaultRegistry, FaultScript,

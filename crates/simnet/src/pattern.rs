@@ -34,15 +34,20 @@
 //! endpoint range (the *rank space*); endpoints past the prefix fall back to
 //! uniform destinations. Group-structured patterns (`adversarial`,
 //! `nearest-group`) read their group size `g` (in endpoints) from the first
-//! argument, falling back to [`PatternCtx::group_endpoints`] and finally to
-//! `⌈√n⌉`; `adversarial` is the per-topology worst case — every group sends all
-//! of its traffic into one victim group, which saturates the few minimal-route
-//! channels between the pair while leaving the rest of the machine idle.
+//! argument, falling back to `⌈√n⌉`; `adversarial` is the per-topology worst
+//! case — every group sends all of its traffic into one victim group, which
+//! saturates the few minimal-route channels between the pair while leaving the
+//! rest of the machine idle.
 //!
 //! # Registering a custom pattern
 //!
+//! A run resolves the pattern nested in a `traffic(load, pattern)` tenant
+//! against its own [`crate::Registries`]: the built-ins ([`BUILTINS`], what
+//! [`create`] reads) plus whatever was added to that value.
+//!
 //! ```
 //! use spectralfly_simnet::pattern::{self, PatternCtx, TrafficPattern};
+//! use spectralfly_simnet::Registries;
 //! use rand::rngs::StdRng;
 //!
 //! /// Every endpoint sends to endpoint 0 — the fully degenerate hotspot.
@@ -62,58 +67,35 @@
 //!     }
 //! }
 //!
-//! pattern::register("drain-to-zero", |ctx, _args| {
-//!     Ok(Box::new(DrainToZero { n: ctx.endpoints }))
-//! });
-//! assert!(pattern::validate_spec("drain-to-zero").is_ok());
+//! let registries = Registries::default()
+//!     .with_pattern("drain-to-zero", |ctx, _args| {
+//!         Ok(Box::new(DrainToZero { n: ctx.endpoints }))
+//!     })
+//!     .unwrap();
 //!
-//! // The new pattern is now selectable by spec everywhere a pattern is accepted:
-//! let p = pattern::create("Drain_To_Zero", &PatternCtx::new(64)).unwrap();
+//! // The new pattern is selectable by spec through these registries — in a
+//! // run, as `traffic(1, drain-to-zero)` under `SimConfig::from(registries)`:
+//! let p = registries.patterns.create("Drain_To_Zero", &PatternCtx::new(64)).unwrap();
 //! let mut rng = rand::SeedableRng::seed_from_u64(1);
 //! assert_eq!(p.dst(17, &mut rng), 0);
+//! assert!(pattern::validate_spec("drain-to-zero").is_err());
 //! ```
 
-use crate::spec::{self, ArgReader, Family, Global, Registry, ResolveError};
+use crate::spec::{self, ArgReader, DuplicateName, Family, Registry, ResolveError};
 use rand::{rngs::StdRng, Rng};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
-/// Construction-time context for a pattern: the endpoint space it must cover and
-/// whatever topology structure the caller knows.
+/// Construction-time context for a pattern: the endpoint space it must cover.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PatternCtx {
     /// Number of endpoints the pattern draws destinations from (`dst < endpoints`).
     pub endpoints: usize,
-    /// Endpoints per topology group, when the caller knows the group structure
-    /// (e.g. `a × concentration` for a DragonFly with `a` routers per group).
-    /// Group-structured patterns without an explicit group-size argument use
-    /// this; when absent they fall back to `⌈√endpoints⌉`.
-    pub group_endpoints: Option<usize>,
 }
 
 impl PatternCtx {
-    /// A context over `endpoints` endpoints with no known group structure.
+    /// A context over `endpoints` endpoints.
     pub fn new(endpoints: usize) -> Self {
-        PatternCtx {
-            endpoints,
-            group_endpoints: None,
-        }
-    }
-
-    /// Builder-style: record the topology's endpoints-per-group.
-    pub fn with_group_endpoints(mut self, group_endpoints: usize) -> Self {
-        self.group_endpoints = Some(group_endpoints);
-        self
-    }
-
-    /// The group size a group-structured pattern should use: the explicit
-    /// argument if given, else the topology's [`PatternCtx::group_endpoints`],
-    /// else `⌈√endpoints⌉` (a scale-free default that still concentrates an
-    /// entire group's bandwidth onto one victim group).
-    fn resolve_group(&self, explicit: Option<usize>) -> usize {
-        explicit
-            .or(self.group_endpoints)
-            .unwrap_or_else(|| (self.endpoints as f64).sqrt().ceil() as usize)
-            .max(1)
+        PatternCtx { endpoints }
     }
 }
 
@@ -396,11 +378,15 @@ pub const FAMILY: Family = Family {
     args: "pattern",
 };
 
-static GLOBAL: Global<PatternFactory> = Global::new(PatternRegistry::with_builtins);
+/// The built-in patterns (see the module docs for the table), built once per
+/// process: what [`create`] and every [`crate::Registries::default`] select
+/// from.
+pub static BUILTINS: LazyLock<Arc<PatternRegistry>> =
+    LazyLock::new(|| Arc::new(PatternRegistry::builtins().expect("distinct names")));
 
 /// Split a pattern spec into its normalized base name and numeric arguments:
 /// `"Hotspot(8, 0.2)"` → `("hotspot", [8.0, 0.2])`.
-pub(crate) fn parse_spec(spec: &str) -> Result<(String, Vec<f64>), PatternError> {
+fn parse_spec(spec: &str) -> Result<(String, Vec<f64>), PatternError> {
     let call = spec::parse_call(spec)?;
     Ok((call.key(), call.numbers()?))
 }
@@ -415,8 +401,10 @@ fn require_endpoints(args: &ArgReader<f64>, ctx: &PatternCtx) -> Result<usize, P
 fn group_pattern_size(args: &ArgReader<f64>, ctx: &PatternCtx) -> Result<usize, PatternError> {
     args.max_args(1, "one argument (group size)")?;
     let n = require_endpoints(args, ctx)?;
-    let explicit = args.positive_int(0, "argument 1")?;
-    let g = ctx.resolve_group(explicit.map(|g| g as usize));
+    // The explicit size, else `⌈√n⌉`: a scale-free default that still
+    // concentrates an entire group's bandwidth onto one victim group.
+    let g = (args.positive_int(0, "argument 1")?)
+        .map_or_else(|| (n as f64).sqrt().ceil() as usize, |g| g as usize);
     if g > n {
         return Err(args.bad(format!("group size {g} exceeds the {n} endpoints")));
     }
@@ -430,9 +418,7 @@ fn prefix_bits(n: usize) -> u32 {
 }
 
 impl PatternRegistry {
-    /// A registry pre-populated with the built-in patterns (see the module docs
-    /// for the table).
-    pub fn with_builtins() -> Self {
+    fn builtins() -> Result<Self, DuplicateName> {
         let mut r = Self::empty();
         r.register("random", |ctx, args| {
             let args = FAMILY.args("random", args);
@@ -440,7 +426,7 @@ impl PatternRegistry {
             Ok(Box::new(Uniform {
                 n: require_endpoints(&args, ctx)?,
             }))
-        });
+        })?;
         for (kind, name) in [
             (BitPerm::Shuffle, "bit-shuffle"),
             (BitPerm::Reverse, "bit-reverse"),
@@ -456,7 +442,7 @@ impl PatternRegistry {
                     bits: prefix_bits(n),
                     kind,
                 }))
-            });
+            })?;
         }
         r.register("tornado", |ctx, args| {
             let args = FAMILY.args("tornado", args);
@@ -464,21 +450,21 @@ impl PatternRegistry {
             Ok(Box::new(Tornado {
                 n: require_endpoints(&args, ctx)?,
             }))
-        });
+        })?;
         r.register("nearest-group", |ctx, args| {
             let args = FAMILY.args("nearest-group", args);
             Ok(Box::new(NearestGroup {
                 n: require_endpoints(&args, ctx)?,
                 group: group_pattern_size(&args, ctx)?,
             }))
-        });
+        })?;
         r.register("adversarial", |ctx, args| {
             let args = FAMILY.args("adversarial", args);
             Ok(Box::new(Adversarial {
                 n: require_endpoints(&args, ctx)?,
                 group: group_pattern_size(&args, ctx)?,
             }))
-        });
+        })?;
         r.register("hotspot", |ctx, args| {
             let args = FAMILY.args("hotspot", args);
             args.max_args(2, "two arguments (count, fraction)")?;
@@ -489,69 +475,50 @@ impl PatternRegistry {
                 hot: hot.min(n),
                 fraction: args.fraction(1, 0.25, "fraction", false)?,
             }))
-        });
+        })?;
         // Aliases (the paper and booksim spell several of these differently).
-        r.alias("uniform", "random");
-        r.alias("shuffle", "bit-shuffle");
-        r.alias("reverse", "bit-reverse");
-        r.alias("complement", "bit-complement");
-        r
+        r.alias("uniform", "random")?;
+        r.alias("shuffle", "bit-shuffle")?;
+        r.alias("reverse", "bit-reverse")?;
+        r.alias("complement", "bit-complement")?;
+        Ok(r)
     }
 
-    /// Register (or replace) a pattern under `name`. Aliases pointing at `name`
-    /// follow the replacement automatically.
-    pub fn register<F>(&mut self, name: &str, factory: F)
+    /// Add a pattern under `name`, which must select nothing yet.
+    pub(crate) fn register<F>(&mut self, name: &str, factory: F) -> Result<(), DuplicateName>
     where
         F: Fn(&PatternCtx, &[f64]) -> Result<Box<dyn TrafficPattern>, PatternError>
             + Send
             + Sync
             + 'static,
     {
-        self.insert(name, Arc::new(factory));
+        self.insert(name, Arc::new(factory))
+    }
+
+    /// Instantiate the pattern `spec` selects here (name plus optional
+    /// arguments, e.g. `"hotspot(8, 0.2)"`) for `ctx`.
+    pub fn create(
+        &self,
+        spec: &str,
+        ctx: &PatternCtx,
+    ) -> Result<Box<dyn TrafficPattern>, PatternError> {
+        let (base, args) = parse_spec(spec)?;
+        self.lookup(&FAMILY, &base)?(ctx, &args)
     }
 }
 
-/// Instantiate the pattern selected by `spec` (name plus optional arguments,
-/// e.g. `"hotspot(8, 0.2)"`) for `ctx`, from the global registry.
+/// Instantiate the built-in pattern selected by `spec` for `ctx`
+/// ([`PatternRegistry::create`] on [`BUILTINS`]).
 pub fn create(spec: &str, ctx: &PatternCtx) -> Result<Box<dyn TrafficPattern>, PatternError> {
-    let (base, args) = parse_spec(spec)?;
-    create_parsed(&base, &args, ctx)
+    BUILTINS.create(spec, ctx)
 }
 
-/// [`create`] for a spec that is already parsed (a pattern nested inside a
-/// job spec): normalized base name plus arguments.
-pub(crate) fn create_parsed(
-    base: &str,
-    args: &[f64],
-    ctx: &PatternCtx,
-) -> Result<Box<dyn TrafficPattern>, PatternError> {
-    let factory = GLOBAL.read().lookup(&FAMILY, base)?;
-    factory(ctx, args)
-}
-
-/// Check that `spec` follows the grammar and its base name is selectable
-/// through the global registry. Whether the arguments suit the pattern depends
-/// on the endpoint count, and is [`create`]'s to say.
+/// Check that `spec` follows the grammar and its base name is a built-in.
+/// Whether the arguments suit the pattern depends on the endpoint count, and
+/// is [`create`]'s to say.
 pub fn validate_spec(spec: &str) -> Result<(), PatternError> {
     let (base, _) = parse_spec(spec)?;
-    GLOBAL.read().lookup(&FAMILY, &base).map(drop)
-}
-
-/// Register a custom pattern in the global registry (see the module docs for an
-/// end-to-end example).
-pub fn register<F>(name: &str, factory: F)
-where
-    F: Fn(&PatternCtx, &[f64]) -> Result<Box<dyn TrafficPattern>, PatternError>
-        + Send
-        + Sync
-        + 'static,
-{
-    GLOBAL.write().register(name, factory);
-}
-
-/// Primary names of the patterns in the global registry.
-pub fn registered_names() -> Vec<String> {
-    GLOBAL.read().names()
+    BUILTINS.lookup(&FAMILY, &base).map(drop)
 }
 
 #[cfg(test)]
@@ -590,22 +557,18 @@ mod tests {
     #[test]
     fn group_size_resolution_order() {
         // Explicit argument wins.
-        let ctx = PatternCtx::new(100).with_group_endpoints(20);
+        let ctx = PatternCtx::new(100);
         let mut rng = StdRng::seed_from_u64(1);
-        let p = create("nearest-group(10)", &ctx).unwrap();
-        assert_eq!(p.dst(0, &mut rng), 10);
-        // Context group next.
-        let p = create("nearest-group", &ctx).unwrap();
+        let p = create("nearest-group(20)", &ctx).unwrap();
         assert_eq!(p.dst(0, &mut rng), 20);
-        // ⌈√n⌉ fallback last.
-        let p = create("nearest-group", &PatternCtx::new(100)).unwrap();
+        // ⌈√n⌉ fallback otherwise.
+        let p = create("nearest-group", &ctx).unwrap();
         assert_eq!(p.dst(0, &mut rng), 10);
     }
 
     #[test]
     fn adversarial_targets_exactly_the_victim_group() {
-        let ctx = PatternCtx::new(96).with_group_endpoints(32);
-        let p = create("adversarial", &ctx).unwrap();
+        let p = create("adversarial(32)", &PatternCtx::new(96)).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         for src in 0..96 {
             for _ in 0..8 {

@@ -19,8 +19,12 @@
 //!
 //! # Registering a custom algorithm
 //!
+//! A run resolves [`crate::SimConfig::routing`] against its own
+//! [`crate::Registries`]: the built-ins plus what was added to that value.
+//!
 //! ```
 //! use spectralfly_simnet::routing::{self, Router, RoutingCtx, RoutingState};
+//! use spectralfly_simnet::{Registries, SimConfig};
 //!
 //! /// Always takes the first minimal port — non-adaptive minimal routing.
 //! struct FirstMinimal;
@@ -35,12 +39,16 @@
 //!     }
 //! }
 //!
-//! routing::register("first-minimal", || Box::new(FirstMinimal));
-//! assert!(routing::registered_names().contains(&"first-minimal".to_string()));
+//! let registries = Registries::default()
+//!     .with_router("first-minimal", || Box::new(FirstMinimal))
+//!     .unwrap();
+//! assert!(registries.routing.names().contains(&"first-minimal".to_string()));
 //!
-//! // The new algorithm is now selectable by name everywhere a SimConfig is built:
-//! let cfg = spectralfly_simnet::SimConfig::default().with_routing("first-minimal", 3);
+//! // The new algorithm is selectable by name in every config built over
+//! // these registries, and nowhere else:
+//! let cfg = SimConfig::from(registries).with_routing("first-minimal", 3);
 //! assert_eq!(cfg.num_vcs, 4);
+//! assert!(routing::resolve("first-minimal").is_err());
 //! ```
 
 pub mod minimal;
@@ -48,11 +56,11 @@ pub mod ugal;
 pub mod valiant;
 
 use crate::network::SimNetwork;
-use crate::spec::{Family, Global, Registry, ResolveError};
+use crate::spec::{DuplicateName, Family, Registry, ResolveError};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 use spectralfly_graph::csr::VertexId;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 pub use minimal::Minimal;
 pub use ugal::{UgalG, UgalL};
@@ -512,12 +520,12 @@ impl<'a> RoutingHarness<'a> {
     /// seed. Queue state starts idle (every queue empty).
     ///
     /// # Panics
-    /// If `cfg.routing` does not name a registered algorithm. The panic stays
-    /// because the benchmark's routing probes pin this infallible signature;
-    /// check a name with [`resolve`] first.
+    /// If `cfg.routing` names no algorithm of `cfg.registries`. The panic
+    /// stays because the benchmark's routing probes pin this infallible
+    /// signature; check a name with [`RouterRegistry::resolve`] first.
     pub fn new(net: &'a SimNetwork, cfg: &crate::config::SimConfig) -> Self {
         use rand::SeedableRng;
-        let algo = resolve(&cfg.routing).unwrap_or_else(|e| panic!("{e}"));
+        let algo = (cfg.registries.routing.resolve(&cfg.routing)).unwrap_or_else(|e| panic!("{e}"));
         RoutingHarness {
             net,
             algo,
@@ -625,49 +633,42 @@ pub const FAMILY: Family = Family {
     args: "routing algorithm",
 };
 
-static GLOBAL: Global<RouterFactory> = Global::new(RouterRegistry::with_builtins);
+/// The paper's algorithms plus UGAL-G, built once per process: what
+/// [`resolve`] and every [`crate::Registries::default`] select from.
+pub static BUILTINS: LazyLock<Arc<RouterRegistry>> =
+    LazyLock::new(|| Arc::new(RouterRegistry::builtins().expect("distinct names")));
 
 impl RouterRegistry {
-    /// A registry pre-populated with the paper's algorithms plus UGAL-G.
-    pub fn with_builtins() -> Self {
+    fn builtins() -> Result<Self, DuplicateName> {
         let mut r = Self::empty();
-        r.register("minimal", || Box::new(Minimal));
-        r.register("valiant", || Box::new(Valiant));
-        r.register("ugal-l", || Box::new(UgalL));
-        r.register("ugal-g", || Box::new(UgalG));
+        r.register("minimal", || Box::new(Minimal))?;
+        r.register("valiant", || Box::new(Valiant))?;
+        r.register("ugal-l", || Box::new(UgalL))?;
+        r.register("ugal-g", || Box::new(UgalG))?;
         // The paper says "UGAL" for the local variant.
-        r.alias("ugal", "ugal-l");
-        r
+        r.alias("ugal", "ugal-l")?;
+        Ok(r)
     }
 
-    /// Register (or replace) an algorithm under `name`.
-    pub fn register<F>(&mut self, name: &str, factory: F)
+    /// Add an algorithm under `name`, which must select nothing yet.
+    pub(crate) fn register<F>(&mut self, name: &str, factory: F) -> Result<(), DuplicateName>
     where
         F: Fn() -> Box<dyn Router> + Send + Sync + 'static,
     {
-        self.insert(name, Arc::new(factory));
+        self.insert(name, Arc::new(factory))
+    }
+
+    /// Instantiate the algorithm `name` selects here, or the error naming the
+    /// registered algorithms.
+    pub fn resolve(&self, name: &str) -> Result<Box<dyn Router>, ResolveError> {
+        Ok(self.lookup(&FAMILY, name)?())
     }
 }
 
-/// Instantiate an algorithm by name from the global registry, or the error
-/// naming the registered algorithms.
+/// Instantiate a built-in algorithm by name ([`BUILTINS`]), or the error
+/// naming them.
 pub fn resolve(name: &str) -> Result<Box<dyn Router>, ResolveError> {
-    let factory = GLOBAL.read().lookup(&FAMILY, name)?;
-    Ok(factory())
-}
-
-/// Register a custom algorithm in the global registry (see the module docs for an
-/// end-to-end example).
-pub fn register<F>(name: &str, factory: F)
-where
-    F: Fn() -> Box<dyn Router> + Send + Sync + 'static,
-{
-    GLOBAL.write().register(name, factory);
-}
-
-/// Primary names of the algorithms in the global registry.
-pub fn registered_names() -> Vec<String> {
-    GLOBAL.read().names()
+    BUILTINS.resolve(name)
 }
 
 #[cfg(test)]

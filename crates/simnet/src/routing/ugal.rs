@@ -11,7 +11,7 @@
 //! # Decision order
 //!
 //! The detour wins only when `cost_val +`
-//! [`UGAL_THRESHOLD`](crate::config::UGAL_THRESHOLD) `< cost_min`, so the
+//! [`UGAL_THRESHOLD`] `< cost_min`, so the
 //! source decision evaluates it only while it still can:
 //!
 //! 1. the minimal half: [`RoutingCtx::best_minimal_port`] toward the

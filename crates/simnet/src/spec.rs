@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::fmt;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
 
 /// A spec string that does not follow the grammar: which string, where, why.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -475,14 +475,45 @@ impl<X> From<SpecError> for ResolveError<X> {
 /// behind every family of names.
 ///
 /// Names are matched after [`normalize`], so `UGAL-L`, `ugal_l` and `ugal l`
-/// select the same entry. An alias is a redirect to a primary name resolved
-/// at lookup time — replacing the primary entry also changes what its aliases
-/// select — and is not listed by [`Registry::names`].
+/// select the same entry. An alias is a redirect to a primary name and is not
+/// listed by [`Registry::names`]. A name selects one entry for the registry's
+/// lifetime: adding it again, as a primary name or as an alias, is a
+/// [`DuplicateName`].
 pub struct Registry<F: ?Sized> {
     /// normalized primary name → entry.
     entries: BTreeMap<String, Arc<F>>,
     /// normalized alias → normalized primary name.
     aliases: BTreeMap<String, String>,
+}
+
+/// A name (normalized) added to a [`Registry`] that already selects an entry
+/// there, as a primary name or as an alias.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DuplicateName(pub String);
+
+impl fmt::Display for DuplicateName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "name {:?} is already registered", self.0)
+    }
+}
+
+impl std::error::Error for DuplicateName {}
+
+impl<F: ?Sized> Clone for Registry<F> {
+    fn clone(&self) -> Self {
+        Registry {
+            entries: self.entries.clone(),
+            aliases: self.aliases.clone(),
+        }
+    }
+}
+
+impl<F: ?Sized> fmt::Debug for Registry<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.entries.keys().chain(self.aliases.keys()))
+            .finish()
+    }
 }
 
 impl<F: ?Sized> Registry<F> {
@@ -494,30 +525,38 @@ impl<F: ?Sized> Registry<F> {
         }
     }
 
-    /// Register (or replace) the entry under the primary name `name`. Aliases
-    /// of `name` follow the replacement; an alias *spelled* `name` is shadowed.
-    pub fn insert(&mut self, name: &str, entry: Arc<F>) {
+    /// The normalized `name`, if it selects nothing yet.
+    fn fresh(&self, name: &str) -> Result<String, DuplicateName> {
         let key = normalize(name);
-        self.aliases.remove(&key);
-        self.entries.insert(key, entry);
+        if self.contains(&key) {
+            return Err(DuplicateName(key));
+        }
+        Ok(key)
     }
 
-    /// Register `name` as an alias of `target` (a primary name, or an alias,
-    /// which is followed first — alias chains cannot form).
+    /// Add the entry under the primary name `name`.
+    pub fn insert(&mut self, name: &str, entry: Arc<F>) -> Result<(), DuplicateName> {
+        self.entries.insert(self.fresh(name)?, entry);
+        Ok(())
+    }
+
+    /// Add `name` as an alias of `target` (a primary name, or an alias, which
+    /// is followed first — alias chains cannot form).
     ///
     /// # Panics
     /// If `target` is not registered: a caller contract, since an alias to
     /// nothing is a bug in the code that registers it.
-    pub fn alias(&mut self, name: &str, target: &str) {
-        let Some((primary, _)) = self.resolve(target) else {
+    pub fn alias(&mut self, name: &str, target: &str) -> Result<(), DuplicateName> {
+        let Some(primary) = self.entry(target).map(|(primary, _)| primary.clone()) else {
             panic!("alias target {target:?} is not registered");
         };
-        self.aliases.insert(normalize(name), primary.clone());
+        self.aliases.insert(self.fresh(name)?, primary);
+        Ok(())
     }
 
     /// The primary key and entry `name` selects: its own, or those of the
     /// alias target it names — one hop.
-    fn resolve(&self, name: &str) -> Option<(&String, &Arc<F>)> {
+    fn entry(&self, name: &str) -> Option<(&String, &Arc<F>)> {
         let key = normalize(name);
         (self.entries.get_key_value(&key))
             .or_else(|| self.entries.get_key_value(self.aliases.get(&key)?))
@@ -525,7 +564,7 @@ impl<F: ?Sized> Registry<F> {
 
     /// The entry `name` selects, if any.
     pub fn get(&self, name: &str) -> Option<Arc<F>> {
-        self.resolve(name).map(|(_, entry)| entry.clone())
+        self.entry(name).map(|(_, entry)| entry.clone())
     }
 
     /// [`Registry::get`], or the `family`'s [`ResolveError::Unknown`] listing
@@ -540,50 +579,12 @@ impl<F: ?Sized> Registry<F> {
 
     /// Whether `name` selects an entry.
     pub fn contains(&self, name: &str) -> bool {
-        self.resolve(name).is_some()
+        self.entry(name).is_some()
     }
 
     /// The primary names, sorted (aliases are redirects and are not listed).
     pub fn names(&self) -> Vec<String> {
         self.entries.keys().cloned().collect()
-    }
-}
-
-/// A process-wide [`Registry`], filled with its built-ins on first use and
-/// open to registration afterwards.
-///
-/// Poison-tolerant: every [`Registry`] update leaves it valid at each step
-/// (the only panic, [`Registry::alias`] on a missing target, comes before any
-/// change), so a writer that panicked has broken nothing and later callers
-/// simply take the lock.
-pub struct Global<F: ?Sized + 'static> {
-    registry: OnceLock<RwLock<Registry<F>>>,
-    builtins: fn() -> Registry<F>,
-}
-
-impl<F: ?Sized> Global<F> {
-    /// A holder that calls `builtins` on first use.
-    pub const fn new(builtins: fn() -> Registry<F>) -> Self {
-        Global {
-            registry: OnceLock::new(),
-            builtins,
-        }
-    }
-
-    fn lock(&self) -> &RwLock<Registry<F>> {
-        self.registry.get_or_init(|| RwLock::new((self.builtins)()))
-    }
-
-    /// Shared access to the registry.
-    pub fn read(&self) -> RwLockReadGuard<'_, Registry<F>> {
-        let (Ok(guard) | Err(guard)) = self.lock().read().map_err(PoisonError::into_inner);
-        guard
-    }
-
-    /// Exclusive access, to register.
-    pub fn write(&self) -> RwLockWriteGuard<'_, Registry<F>> {
-        let (Ok(guard) | Err(guard)) = self.lock().write().map_err(PoisonError::into_inner);
-        guard
     }
 }
 
@@ -817,9 +818,9 @@ mod tests {
 
     fn fruit() -> Registry<str> {
         let mut r = Registry::empty();
-        r.insert("Blood_Orange", Arc::from("orange"));
-        r.insert("lime", Arc::from("lime"));
-        r.alias("Sanguinello", "blood orange");
+        r.insert("Blood_Orange", Arc::from("orange")).unwrap();
+        r.insert("lime", Arc::from("lime")).unwrap();
+        r.alias("Sanguinello", "blood orange").unwrap();
         r
     }
 
@@ -841,26 +842,32 @@ mod tests {
     }
 
     #[test]
-    fn registry_aliases_are_redirects_not_snapshots() {
+    fn registry_refuses_a_name_it_already_selects() {
         let mut r = fruit();
-        // Replacing the target retargets its alias.
-        r.insert("blood orange", Arc::from("tarocco"));
-        assert_eq!(&*r.get("sanguinello").unwrap(), "tarocco");
-        // An alias of an alias points at the primary: no chain to walk, and
-        // shadowing the middle name leaves the outer alias where it was.
-        r.alias("moro", "sanguinello");
-        r.insert("sanguinello", Arc::from("its own entry"));
-        assert_eq!(&*r.get("moro").unwrap(), "tarocco");
-        // A primary registration shadows the alias of the same name, and is
-        // listed.
-        assert_eq!(&*r.get("Sanguinello").unwrap(), "its own entry");
-        assert_eq!(r.names(), vec!["blood-orange", "lime", "sanguinello"]);
+        // A primary name, an alias, in any spelling: each selects one entry
+        // for good, and the refused call changes nothing.
+        for name in ["blood orange", "LIME", "sanguinello"] {
+            let taken = DuplicateName(normalize(name));
+            assert_eq!(r.insert(name, Arc::from("tarocco")), Err(taken.clone()));
+            assert_eq!(r.alias(name, "lime"), Err(taken));
+        }
+        assert_eq!(&*r.get("sanguinello").unwrap(), "orange");
+        assert_eq!(
+            r.insert("lime", Arc::from("key lime"))
+                .unwrap_err()
+                .to_string(),
+            "name \"lime\" is already registered"
+        );
+        // An alias of an alias points at the primary: no chain to walk.
+        r.alias("moro", "sanguinello").unwrap();
+        assert_eq!(&*r.get("moro").unwrap(), "orange");
+        assert_eq!(r.names(), vec!["blood-orange", "lime"]);
     }
 
     #[test]
     #[should_panic(expected = "alias target \"lemon\" is not registered")]
     fn registry_alias_needs_a_registered_target() {
-        fruit().alias("citron", "lemon");
+        let _ = fruit().alias("citron", "lemon");
     }
 
     #[test]
@@ -878,17 +885,6 @@ mod tests {
             err.to_string(),
             "unknown fruit \"le-mon\"; registered: blood-orange, lime"
         );
-    }
-
-    #[test]
-    fn global_registry_survives_a_panicking_writer() {
-        static FRUITS: Global<str> = Global::new(fruit);
-        let panicked = std::panic::catch_unwind(|| FRUITS.write().alias("citron", "lemon"));
-        assert!(panicked.is_err());
-        // The lock is poisoned; the registry is intact and stays usable.
-        assert_eq!(&*FRUITS.read().get("sanguinello").unwrap(), "orange");
-        FRUITS.write().insert("lemon", Arc::from("lemon"));
-        assert_eq!(FRUITS.read().names(), vec!["blood-orange", "lemon", "lime"]);
     }
 
     #[test]

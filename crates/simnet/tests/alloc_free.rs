@@ -11,8 +11,10 @@
 //! allocates fewer times than the network has directed links.
 
 use spectralfly_graph::{CayleyOracle, CsrGraph};
-use spectralfly_simnet::routing::{self, Router, RoutingCtx, RoutingState};
-use spectralfly_simnet::{Message, RoutingHarness, SimConfig, SimNetwork, Simulator, Workload};
+use spectralfly_simnet::routing::{Router, RoutingCtx, RoutingState};
+use spectralfly_simnet::{
+    Message, Registries, RoutingHarness, SimConfig, SimNetwork, Simulator, Workload,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -84,10 +86,12 @@ impl Router for FirstMinimal {
 
 #[test]
 fn routing_decisions_are_allocation_free_in_steady_state() {
-    routing::register("first-minimal", || Box::new(FirstMinimal));
+    let registries = Registries::default()
+        .with_router("first-minimal", || Box::new(FirstMinimal))
+        .unwrap();
     let net = SimNetwork::new(chordal_ring(24), 1);
     for name in ["minimal", "valiant", "ugal-l", "ugal-g", "first-minimal"] {
-        let cfg = SimConfig::default().with_routing(name, net.diameter() as u32);
+        let cfg = SimConfig::from(registries.clone()).with_routing(name, net.diameter() as u32);
         let mut harness = RoutingHarness::new(&net, &cfg);
         harness.warm();
         // Warmup: let lazily-grown state (the scan scratch buffer) reach its

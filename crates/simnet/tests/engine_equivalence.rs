@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::config::PACKET_BYTES;
-use spectralfly_simnet::{RouterRegistry, SimConfig, SimNetwork, SimResults, Simulator, Workload};
+use spectralfly_simnet::{routing, SimConfig, SimNetwork, SimResults, Simulator, Workload};
 
 fn ring(n: usize) -> CsrGraph {
     let mut e: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -98,7 +98,7 @@ proptest! {
             .iter()
             .map(|m| m.bytes.div_ceil(PACKET_BYTES).max(1))
             .sum();
-        for name in RouterRegistry::with_builtins().names() {
+        for name in routing::BUILTINS.names() {
             let mut cfg = SimConfig::default().with_routing(name.clone(), net.diameter() as u32);
             cfg.seed = seed;
             let sim = Simulator::new(&net, &cfg);

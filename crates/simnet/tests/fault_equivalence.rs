@@ -11,7 +11,7 @@
 use spectralfly_graph::failures::draw_failed_links;
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultPlan, RouterRegistry, SimConfig, SimNetwork, SimResults, Simulator, Workload,
+    routing, FaultPlan, SimConfig, SimNetwork, SimResults, Simulator, Workload,
 };
 
 fn chordal_ring(n: usize, chords: &[(u32, u32)]) -> CsrGraph {
@@ -91,7 +91,7 @@ fn shard_counts_agree_on_degraded_networks_across_all_routers() {
         assert!(net.has_faults(), "{name}: plan must actually damage");
         let wl = feasible_workload(&net, 2, 1536);
         assert!(wl.num_messages() > 0, "{name}");
-        for routing in RouterRegistry::with_builtins().names() {
+        for routing in routing::BUILTINS.names() {
             let mut cfg = SimConfig::default().with_routing(routing.clone(), net.diameter() as u32);
             cfg.seed = 0xD15EA5E;
             let one = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
@@ -140,7 +140,7 @@ fn shard_counts_conserve_packets_under_runtime_churn_across_all_routers() {
         let graph = chordal_ring(12, &[(0, 6), (3, 9), (1, 7), (4, 10)]);
         let net = SimNetwork::new(graph, 2);
         let wl = Workload::uniform_random(net.num_endpoints(), 6, 1536, 21);
-        for routing in RouterRegistry::with_builtins().names() {
+        for routing in routing::BUILTINS.names() {
             let script = FaultScript::parse(spec).unwrap().with_seed(33);
             let mut cfg = SimConfig::default()
                 .with_routing(routing.clone(), net.diameter() as u32)
@@ -206,7 +206,7 @@ fn shard_counts_agree_on_infeasibility() {
             inject_offset_ps: 0,
         }],
     );
-    for routing in RouterRegistry::with_builtins().names() {
+    for routing in routing::BUILTINS.names() {
         let cfg = SimConfig::default().with_routing(routing.clone(), net.diameter() as u32);
         let a = Simulator::new(&net, &cfg).try_run(&wl).unwrap_err();
         let two = cfg.clone().with_shards(2);

@@ -11,7 +11,7 @@ use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 use spectralfly_graph::paths::UNREACHABLE_U16;
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultError, FaultPlan, Infeasible, Message, RouterRegistry, SimConfig, SimError, SimNetwork,
+    routing, FaultError, FaultPlan, Infeasible, Message, SimConfig, SimError, SimNetwork,
     Simulator, Workload,
 };
 
@@ -92,7 +92,7 @@ proptest! {
             return Ok(()); // everything died or only self-pairs — nothing to assert
         }
         let expected_feasible = all_pairs_connected(&net, &wl);
-        for routing in RouterRegistry::with_builtins().names() {
+        for routing in routing::BUILTINS.names() {
             let mut cfg = SimConfig::default()
                 .with_routing(routing.clone(), net.diameter().max(1) as u32);
             cfg.seed = seed;
@@ -141,7 +141,7 @@ proptest! {
             "to-the-dead",
             vec![Message { src, dst: victim as usize, bytes: 256, inject_offset_ps: 0 }],
         );
-        for routing in RouterRegistry::with_builtins().names() {
+        for routing in routing::BUILTINS.names() {
             let cfg = SimConfig::default().with_routing(routing.clone(), net.diameter().max(1) as u32);
             let err = Simulator::new(&net, &cfg).try_run(&wl).unwrap_err();
             prop_assert_eq!(

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultScript, MeasurementWindows, RouterRegistry, SimConfig, SimNetwork, SimResults, Simulator,
+    routing, FaultScript, MeasurementWindows, SimConfig, SimNetwork, SimResults, Simulator,
     Workload,
 };
 
@@ -86,7 +86,7 @@ proptest! {
         let mix = closed_forms(n as u64)
             .map(|(name, _)| format!("{name}(1024) x {n}"))
             .join(" + ");
-        for routing in RouterRegistry::with_builtins().names() {
+        for routing in routing::BUILTINS.names() {
             let mut cfg = SimConfig::default()
                 .with_routing(routing.clone(), net.diameter().max(1) as u32)
                 .with_windows(MeasurementWindows::new(1_000, 400_000_000))
@@ -135,7 +135,7 @@ fn collective_mixes_conserve_packets_under_fault_scripts() {
         "at(2us, links(0.2)) + at(10us, heal(all))",
         "churn(200khz, 6us)",
     ] {
-        for routing in RouterRegistry::with_builtins().names() {
+        for routing in routing::BUILTINS.names() {
             let script = FaultScript::parse(script_spec).unwrap().with_seed(11);
             let mut cfg = SimConfig::default()
                 .with_routing(routing.clone(), net.diameter() as u32)

@@ -5,17 +5,25 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use spectralfly_simnet::pattern::{self, PatternCtx, PatternError, PatternRegistry};
+use spectralfly_simnet::pattern::{self, PatternCtx, PatternError};
+
+/// The spec of built-in `name` over groups of `group` endpoints: the
+/// group-structured patterns take the size as their argument.
+fn spec(name: &str, group: usize) -> String {
+    match name {
+        "adversarial" | "nearest-group" => format!("{name}({group})"),
+        _ => name.to_string(),
+    }
+}
 
 /// Destinations from every built-in pattern must be in `0..n`, whatever the
 /// endpoint count's shape (power of two, prime, composite, tiny).
 #[test]
 fn every_builtin_stays_in_range_on_assorted_endpoint_counts() {
-    let registry = PatternRegistry::with_builtins();
     for n in [1usize, 2, 3, 7, 16, 50, 64, 97, 200] {
-        let ctx = PatternCtx::new(n).with_group_endpoints((n / 4).max(1));
-        for name in registry.names() {
-            let p = pattern::create(&name, &ctx).unwrap_or_else(|e| {
+        let ctx = PatternCtx::new(n);
+        for name in pattern::BUILTINS.names() {
+            let p = pattern::create(&spec(&name, (n / 4).max(1)), &ctx).unwrap_or_else(|e| {
                 panic!("building {name} over {n} endpoints: {e}");
             });
             let mut rng = StdRng::seed_from_u64(0xA11CE);
@@ -33,12 +41,11 @@ fn every_builtin_stays_in_range_on_assorted_endpoint_counts() {
 /// itself bijectively (and deterministically — the RNG must not perturb it).
 #[test]
 fn claimed_permutations_are_bijections() {
-    let registry = PatternRegistry::with_builtins();
     let mut checked = 0usize;
     for n in [2usize, 8, 10, 64, 128, 177] {
-        let ctx = PatternCtx::new(n).with_group_endpoints((n / 3).max(1));
-        for name in registry.names() {
-            let p = pattern::create(&name, &ctx).unwrap();
+        let ctx = PatternCtx::new(n);
+        for name in pattern::BUILTINS.names() {
+            let p = pattern::create(&spec(&name, (n / 3).max(1)), &ctx).unwrap();
             if !p.is_permutation() {
                 continue;
             }
@@ -97,27 +104,32 @@ fn unknown_and_malformed_specs_are_reported_not_panicked() {
     assert!(pattern::validate_spec("hotspot(8, 0.2)").is_ok());
 }
 
-/// A factory that panics leaves the global registries usable: registering it
-/// runs nothing (the routing registry used to call it under its write lock,
-/// poisoning every later lookup), and an instantiation that dies inside it
-/// leaves later lookups and registrations working.
+/// A factory that panics leaves the registries usable: adding it runs
+/// nothing, and an instantiation that dies inside it leaves later lookups and
+/// additions working.
 #[test]
 fn a_panicking_factory_leaves_the_registries_usable() {
-    use spectralfly_simnet::routing;
-    use std::panic::catch_unwind;
-    routing::register("boom", || panic!("factory exploded"));
+    use spectralfly_simnet::Registries;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let registries = Registries::default()
+        .with_router("boom", || panic!("factory exploded"))
+        .unwrap()
+        .with_pattern("boom", |_, _| panic!("factory exploded"))
+        .unwrap();
     // The factory runs, and panics, only because the spelling resolved.
-    assert!(catch_unwind(|| routing::resolve(" Boom ").map(drop)).is_err());
-    assert_eq!(routing::resolve("ugal").unwrap().name(), "ugal-l");
-    assert!(routing::resolve("bang").is_err());
-    assert!(routing::registered_names().contains(&"boom".to_string()));
+    let routing = &registries.routing;
+    assert!(catch_unwind(AssertUnwindSafe(|| routing.resolve(" Boom ").map(drop))).is_err());
+    assert_eq!(routing.resolve("ugal").unwrap().name(), "ugal-l");
+    assert!(routing.resolve("bang").is_err());
 
-    pattern::register("boom", |_, _| panic!("factory exploded"));
     let ctx = PatternCtx::new(16);
-    assert!(catch_unwind(|| pattern::create("boom", &ctx).map(drop)).is_err());
-    assert_eq!(pattern::create("uniform", &ctx).unwrap().name(), "random");
-    pattern::register("late", |_, _| panic!("never instantiated"));
-    assert!(pattern::validate_spec("late").is_ok() && pattern::validate_spec("boom").is_ok());
+    let patterns = &registries.patterns;
+    assert!(catch_unwind(AssertUnwindSafe(|| patterns.create("boom", &ctx).map(drop))).is_err());
+    assert_eq!(patterns.create("uniform", &ctx).unwrap().name(), "random");
+    let registries = registries
+        .with_pattern("late", |_, _| panic!("never instantiated"))
+        .unwrap();
+    assert!(registries.patterns.contains("late") && registries.patterns.contains("boom"));
 }
 
 proptest! {
@@ -132,10 +144,9 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         prop_assume!(group <= n);
-        let registry = PatternRegistry::with_builtins();
-        let ctx = PatternCtx::new(n).with_group_endpoints(group);
-        for name in registry.names() {
-            let p = pattern::create(&name, &ctx).unwrap();
+        let ctx = PatternCtx::new(n);
+        for name in pattern::BUILTINS.names() {
+            let p = pattern::create(&spec(&name, group), &ctx).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut image_ok = vec![false; n];
             for src in 0..n {

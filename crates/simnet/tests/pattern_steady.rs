@@ -4,7 +4,8 @@
 
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    pattern, MeasurementWindows, SimConfig, SimError, SimNetwork, Simulator, Workload,
+    pattern, MeasurementWindows, PatternCtx, Registries, SimConfig, SimError, SimNetwork,
+    Simulator, Workload,
 };
 
 fn ring(n: usize) -> CsrGraph {
@@ -149,12 +150,42 @@ fn unknown_steady_pattern_errs_with_candidates() {
         .try_run_with_offered_load(&Workload::default(), 0.2)
         .unwrap_err();
     assert!(matches!(err, SimError::Job(_)), "{err:?}");
-    let registered = pattern::registered_names().join(", ");
     assert_eq!(
         err.to_string(),
-        format!(
-            "invalid arguments for job \"traffic\": nested pattern spec rejected: \
-             unknown traffic pattern \"wormhole-9000\"; registered: {registered}"
-        )
+        "invalid arguments for job \"traffic\": nested pattern spec rejected: \
+         unknown traffic pattern \"wormhole-9000\"; registered: adversarial, bit-complement, \
+         bit-reverse, bit-shuffle, hotspot, nearest-group, random, tornado, transpose"
+    );
+}
+
+/// A pattern added to one config's registries is what that run's nested
+/// `traffic(1, name)` resolves to; a config without it refuses the name and
+/// lists only the built-ins.
+#[test]
+fn a_custom_pattern_resolves_only_in_the_run_that_carries_it() {
+    let net = SimNetwork::new(ring(6), 1);
+    let mix = "traffic(1, next-rank)";
+    let registries = Registries::default().with_pattern("next-rank", |ctx, _| {
+        pattern::create("nearest-group(1)", &PatternCtx::new(ctx.endpoints))
+    });
+    let custom = SimConfig::from(registries.unwrap());
+    let custom = steady(custom, 1_000_000, 5_000_000, mix);
+    let res = Simulator::new(&net, &custom)
+        .try_run_with_offered_load(&Workload::default(), 0.2)
+        .unwrap();
+    assert!(res.delivered_packets > 0);
+    // One hop to the next rank's router, every time.
+    assert_eq!(res.max_hops, 1);
+
+    let plain = steady(SimConfig::default(), 1_000_000, 5_000_000, mix);
+    let err = Simulator::new(&net, &plain)
+        .try_run_with_offered_load(&Workload::default(), 0.2)
+        .unwrap_err();
+    assert!(
+        err.to_string().ends_with(
+            "unknown traffic pattern \"next-rank\"; registered: adversarial, bit-complement, \
+             bit-reverse, bit-shuffle, hotspot, nearest-group, random, tornado, transpose"
+        ),
+        "{err}"
     );
 }

@@ -18,7 +18,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::config::PACKET_BYTES;
 use spectralfly_simnet::{
-    FaultPlan, FaultScript, MeasurementWindows, Message, RouterRegistry, SimConfig, SimNetwork,
+    routing, FaultPlan, FaultScript, MeasurementWindows, Message, SimConfig, SimNetwork,
     SimResults, Simulator, Workload,
 };
 
@@ -137,7 +137,7 @@ fn shard_counts_agree_on_finite_runs_across_all_routers() {
     for (name, graph, conc, seed) in scenarios {
         let net = SimNetwork::new(graph, conc);
         let wl = Workload::uniform_random(net.num_endpoints(), 6, 3000, seed);
-        for routing in RouterRegistry::with_builtins().names() {
+        for routing in routing::BUILTINS.names() {
             let mut cfg = SimConfig::default().with_routing(routing.clone(), net.diameter() as u32);
             cfg.seed = seed;
             let par = assert_shard_invariant(&net, &cfg, &format!("{name}/{routing}"), &wl, None);
@@ -332,7 +332,7 @@ fn shard_counts_agree_on_runtime_churn_across_all_routers() {
         ("churn", "churn(250khz, 10us)"),
     ];
     for (name, spec) in scripts {
-        for routing in RouterRegistry::with_builtins().names() {
+        for routing in routing::BUILTINS.names() {
             let mut cfg = SimConfig::default()
                 .with_routing(routing.clone(), net.diameter() as u32)
                 .with_fault_script(FaultScript::parse(spec).unwrap().with_seed(7));

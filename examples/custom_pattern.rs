@@ -1,12 +1,14 @@
 //! The traffic-pattern registry in action: list the built-in patterns, drive
 //! the steady-state sources with adversarial and uniform traffic on a congested
-//! SpectralFly instance, and register a custom pattern at runtime — all without
-//! touching the simulator engine.
+//! SpectralFly instance, and add a custom pattern to the registries a run
+//! carries — all without touching the simulator engine.
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use spectralfly_simnet::pattern::{self, TrafficPattern};
-use spectralfly_simnet::{MeasurementWindows, SimConfig, SimNetwork, Simulator, Workload};
+use spectralfly_simnet::pattern::TrafficPattern;
+use spectralfly_simnet::{
+    MeasurementWindows, Registries, SimConfig, SimNetwork, Simulator, Workload,
+};
 use spectralfly_topology::{LpsGraph, Topology};
 use std::error::Error;
 
@@ -33,12 +35,14 @@ impl TrafficPattern for NeighborExchange {
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
-    pattern::register("neighbor-exchange", |ctx, _args| {
+    // The built-ins plus `neighbor-exchange`: only configs built over this
+    // value can name it in a job mix.
+    let registries = Registries::default().with_pattern("neighbor-exchange", |ctx, _args| {
         Ok(Box::new(NeighborExchange { n: ctx.endpoints }))
-    });
+    })?;
     println!(
         "registered patterns: {}",
-        pattern::registered_names().join(", ")
+        registries.patterns.names().join(", ")
     );
 
     let net = SimNetwork::new(LpsGraph::new(11, 7)?.graph().clone(), 4);
@@ -56,7 +60,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "pattern", "tput Gb/s", "delivered", "mean hops"
     );
     for spec in ["random", "adversarial(4)", "tornado", "neighbor-exchange"] {
-        let cfg = SimConfig::default()
+        let cfg = SimConfig::from(registries.clone())
             .with_routing("ugal-l", net.diameter() as u32)
             .with_windows(MeasurementWindows::new(5_000_000, 20_000_000))
             .with_jobs(&format!("traffic(1, {spec})"));

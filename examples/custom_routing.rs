@@ -1,9 +1,11 @@
 //! The routing registry in action: list the built-in algorithms, compare their
-//! behaviour on a congested SpectralFly instance, and register a custom algorithm
-//! at runtime — all without touching the simulator engine.
+//! behaviour on a congested SpectralFly instance, and add a custom algorithm to
+//! the registries a run carries — all without touching the simulator engine.
 
-use spectralfly_simnet::routing::{self, Router, RoutingCtx, RoutingState};
-use spectralfly_simnet::{MeasurementWindows, SimConfig, SimNetwork, Simulator, Workload};
+use spectralfly_simnet::routing::{Router, RoutingCtx, RoutingState};
+use spectralfly_simnet::{
+    MeasurementWindows, Registries, SimConfig, SimNetwork, Simulator, Workload,
+};
 use spectralfly_topology::{LpsGraph, Topology};
 use std::error::Error;
 
@@ -22,11 +24,11 @@ impl Router for FirstPort {
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
-    routing::register("first-port", || Box::new(FirstPort));
-    println!(
-        "registered algorithms: {}",
-        routing::registered_names().join(", ")
-    );
+    // The built-ins plus `first-port`: only configs built over this value
+    // can select it.
+    let registries = Registries::default().with_router("first-port", || Box::new(FirstPort))?;
+    let names = registries.routing.names();
+    println!("registered algorithms: {}", names.join(", "));
 
     let net = SimNetwork::new(LpsGraph::new(11, 7)?.graph().clone(), 4);
     // 256 ranks scattered over the machine, each a Poisson source sending 4 KiB
@@ -38,8 +40,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         "{:<12} {:>10} {:>10} {:>10} {:>10}",
         "algorithm", "tput Gb/s", "p99", "mean hops", "max hops"
     );
-    for name in routing::registered_names() {
-        let cfg = SimConfig::default()
+    for name in names {
+        let cfg = SimConfig::from(registries.clone())
             .with_routing(name.clone(), net.diameter() as u32)
             .with_windows(MeasurementWindows::new(2_000_000, 8_000_000))
             .with_jobs(mix);

@@ -221,13 +221,12 @@ fn valiant_paths_are_longer_but_still_deliver() {
 
 /// Registry-driven conformance on a real SpectralFly instance: every built-in
 /// algorithm delivers a uniform-random workload and stays within its own VC hop
-/// bound. Iterates a freshly-built registry so the test set is independent of
-/// custom routers other tests register into the process-global one concurrently.
+/// bound.
 #[test]
 fn every_registered_algorithm_delivers_on_spectralfly() {
     let net = SimNetwork::new(LpsGraph::new(11, 7).unwrap().graph().clone(), 2);
     let wl = Workload::uniform_random(net.num_endpoints(), 2, 2048, 5);
-    let names = spectralfly_simnet::RouterRegistry::with_builtins().names();
+    let names = spectralfly_simnet::routing::BUILTINS.names();
     for expected in ["minimal", "valiant", "ugal-l", "ugal-g"] {
         assert!(
             names.contains(&expected.to_string()),
@@ -249,7 +248,8 @@ fn every_registered_algorithm_delivers_on_spectralfly() {
 /// `SimConfig` and routes traffic end-to-end, without any engine changes.
 #[test]
 fn custom_registered_algorithm_routes_end_to_end() {
-    use spectralfly_simnet::routing::{self, Router, RoutingCtx, RoutingState};
+    use spectralfly_simnet::routing::{Router, RoutingCtx, RoutingState};
+    use spectralfly_simnet::Registries;
 
     /// Deterministic non-adaptive minimal routing: always the first minimal port.
     struct FirstPort;
@@ -263,9 +263,11 @@ fn custom_registered_algorithm_routes_end_to_end() {
         }
     }
 
-    routing::register("e2e-first-port", || Box::new(FirstPort));
+    let registries = Registries::default()
+        .with_router("e2e-first-port", || Box::new(FirstPort))
+        .unwrap();
     let net = SimNetwork::new(LpsGraph::new(5, 7).unwrap().graph().clone(), 2);
-    let cfg = SimConfig::default().with_routing("e2e-first-port", net.diameter() as u32);
+    let cfg = SimConfig::from(registries).with_routing("e2e-first-port", net.diameter() as u32);
     let wl = Workload::uniform_random(net.num_endpoints(), 4, 1024, 2);
     let res = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
     assert_eq!(res.delivered_messages as usize, wl.num_messages());

@@ -209,7 +209,7 @@ proptest! {
             .sum();
         // A fresh built-ins registry keeps the test set independent of custom
         // routers other test binaries register into the process-global registry.
-        for name in spectralfly_simnet::RouterRegistry::with_builtins().names() {
+        for name in spectralfly_simnet::routing::BUILTINS.names() {
             let mut cfg = SimConfig::default().with_routing(name.clone(), net.diameter() as u32);
             cfg.seed = seed;
             let res = Simulator::new(&net, &cfg).try_run(&wl).unwrap();
