@@ -275,19 +275,63 @@ fn segment_message(total_bytes: u64) -> impl ExactSizeIterator<Item = (u64, u64)
     })
 }
 
+/// One initial injection of a finite run's schedule: everything the injection
+/// cursor needs to build the packet when it injects it, in 48 bytes. The
+/// record is self-contained, so the cursor reads its records in order and
+/// never looks a message up at random.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Injection {
+    time: u64,
+    stable_id: u64,
+    msg_id: u64,
+    msg_first_inject: u64,
+    src_router: VertexId,
+    dst_router: VertexId,
+    /// Payload bytes, at most [`PACKET_BYTES`].
+    bytes: u32,
+    msg_total: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Injection>() == 48);
+
+impl Injection {
+    /// The packet this record injects, fresh from its source NIC.
+    fn packet(&self) -> Packet {
+        Packet {
+            src_router: self.src_router,
+            dst_router: self.dst_router,
+            bytes: u64::from(self.bytes),
+            inject_time_ps: self.time,
+            hops: 0,
+            routing: RoutingState::default(),
+            stable_id: self.stable_id,
+            msg_id: self.msg_id,
+            msg_total: self.msg_total,
+            msg_first_inject: self.msg_first_inject,
+            via_link: u32::MAX,
+            via_vc: 0,
+            next: u32::MAX,
+            attempts: 0,
+            first_drop_ps: u64::MAX,
+            tag: UNTAGGED,
+        }
+    }
+}
+
 /// Packetize a workload into a finite run's injection schedule: each source's
 /// messages serialized through its NIC, Poisson-spaced under an offered load
-/// by the one stream seeded from [`SimConfig::seed`]. Packet `i` has stable id
-/// `i`, and message `m`'s packets carry message id `m`.
+/// by the one stream seeded from [`SimConfig::seed`]. Injection `i` has stable
+/// id `i`, and message `m`'s injections carry message id `m`.
 fn packetize(
     net: &SimNetwork,
     cfg: &SimConfig,
     workload: &Workload,
     offered_load: Option<f64>,
-) -> Vec<Packet> {
+) -> Vec<Injection> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let messages = &workload.messages;
-    let mut packets = Vec::new();
+    let count = messages.iter().map(|m| segment_message(m.bytes).len());
+    let mut schedule = Vec::with_capacity(count.sum());
     // NIC-busy horizon per endpoint: a flat Vec keyed by endpoint id (endpoints are
     // dense small integers; a HashMap here cost a hash + probe per message).
     let mut nic_free: Vec<u64> = vec![0; net.num_endpoints()];
@@ -309,29 +353,21 @@ fn packetize(
         let first = base.max(*nic);
         let mut t = first;
         for (bytes, nic_ser) in segments {
-            packets.push(Packet {
+            schedule.push(Injection {
+                time: t,
+                stable_id: schedule.len() as u64,
+                msg_id: mi as u64,
+                msg_first_inject: first,
                 src_router: net.router_of_endpoint(m.src),
                 dst_router: net.router_of_endpoint(m.dst),
-                bytes,
-                inject_time_ps: t,
-                hops: 0,
-                routing: RoutingState::default(),
-                stable_id: packets.len() as u64,
-                msg_id: mi as u64,
+                bytes: bytes as u32,
                 msg_total: total,
-                msg_first_inject: first,
-                via_link: u32::MAX,
-                via_vc: 0,
-                next: u32::MAX,
-                attempts: 0,
-                first_drop_ps: u64::MAX,
-                tag: UNTAGGED,
             });
             t += nic_ser;
         }
         *nic = t;
     }
-    packets
+    schedule
 }
 
 /// Runtime-liveness state for fault-script runs: which directed links and

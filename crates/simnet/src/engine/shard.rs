@@ -14,11 +14,13 @@
 //!
 //! A shard's epoch loop draws on four sources:
 //!
-//! * **the injection cursor** — a finite run's schedule is sorted by
-//!   `(inject_time_ps, stable_id)` before it is split into the shards'
-//!   arenas, so each arena is its own injection stream, in exactly the
-//!   `(time, key)` order its `Inject` events would pop in. A cursor walks
-//!   it; no initial injection is ever pushed;
+//! * **the injection cursor** — a finite run's schedule is a list of small
+//!   injection records, sorted by `(time, stable_id)` before it is split
+//!   among the shards, so each shard's list is its own injection stream, in
+//!   exactly the `(time, key)` order its `Inject` events would pop in. A
+//!   cursor walks it and builds each packet into the arena as it injects
+//!   it; no initial injection is ever pushed. The arena starts empty and
+//!   holds only the packets in flight, in finite and steady runs alike;
 //! * **three sorted lanes** — most events are due a fixed delay after the
 //!   instant that schedules them, and so are pushed in time order: a
 //!   transmit on an idle link is due now (the `now` lane), the next
@@ -108,7 +110,7 @@
 
 use super::calendar::{LanedQueue, Timed};
 use super::driver::{self, Mode, RunPlan, Steady, Traffic};
-use super::{packetize, segment_message, DropReason, FaultRuntime, Packet, SimError};
+use super::{packetize, segment_message, DropReason, FaultRuntime, Injection, Packet, SimError};
 use crate::config::{
     retransmit_backoff_ps, serialization_ps, SimConfig, LOOKAHEAD_PS, PACKET_BYTES,
     RETRANSMIT_BUDGET,
@@ -605,11 +607,12 @@ pub(super) struct ShardCore<'a> {
     my_routers: Vec<VertexId>,
     packets: Vec<Packet>,
     free: Vec<usize>,
-    /// The injection cursor: arena slots `inject_cursor..inject_end` are the
-    /// finite run's packets not yet injected, in `(inject_time_ps,
-    /// stable_id)` order (empty in steady mode).
+    /// A finite run's initial injections at this shard's routers, in
+    /// `(time, stable_id)` order (empty in steady mode, and released once
+    /// the cursor is spent).
+    schedule: Vec<Injection>,
+    /// The injection cursor: `schedule[inject_cursor..]` is not injected yet.
     inject_cursor: usize,
-    inject_end: usize,
     /// Per-link transmit state, indexed by global link id.
     links: Vec<LinkSlot>,
     /// Per-link output-queue lengths, kept flat beside `links` because
@@ -622,17 +625,15 @@ pub(super) struct ShardCore<'a> {
     /// Credit returns not yet settled into `credits`, one time-ordered FIFO
     /// per source shard (this shard's own at index `sid`).
     returns: Vec<VecDeque<CreditReturn>>,
-    /// The VC a parked link is waiting for a credit on (`u8::MAX` = none).
+    /// The VC a parked link is waiting for a credit on (`u8::MAX` = not
+    /// parked).
     waiting_vc: Vec<u8>,
-    /// Per-link parked flags (flat for the same reason as `link_qlen`).
-    link_parked: Vec<bool>,
     parked_count: usize,
-    /// Parked links without a scheduled wake: no return for their
-    /// `(link, waiting_vc)` lay below the epoch limit when they parked.
-    unwoken: Vec<u32>,
-    /// For a link in `unwoken`, the earliest return recorded for its
-    /// `(link, waiting_vc)` (`u64::MAX` = none yet).
-    wake_at: Vec<u64>,
+    /// Parked links without a scheduled wake — no return for their
+    /// `(link, waiting_vc)` lay below the epoch limit when they parked — each
+    /// beside the earliest return recorded for that pool since (`u64::MAX` =
+    /// none yet).
+    unwoken: Vec<(u32, u64)>,
     /// Exclusive upper bound of the epoch being processed: every return below
     /// it has been recorded, every return recorded from now on lies at or
     /// past it.
@@ -689,9 +690,24 @@ pub(super) struct ShardCore<'a> {
 }
 
 impl<'a> ShardCore<'a> {
-    /// Shard `sid` of `sim`'s partition, collecting into `stats`, with the
-    /// packets of `arena` in its arena (see [`ShardCore::inject_arena`]).
-    fn new(sid: usize, sim: &'a Simulator<'_>, stats: StatsCollector, arena: Vec<Packet>) -> Self {
+    /// Shard `sid` of `sim`'s partition, collecting into `stats`, with its
+    /// injection cursor armed over `schedule`: a finite run's initial
+    /// injections at this shard's routers, sorted by `(time, stable_id)`
+    /// (see [`Simulator::shard_schedules`]). That is the order their
+    /// `Inject` events pop in, so the schedule is its own injection stream:
+    /// the epoch loop merges the cursor's head with the queue, and no
+    /// initial injection is ever pushed.
+    fn new(
+        sid: usize,
+        sim: &'a Simulator<'_>,
+        stats: StatsCollector,
+        schedule: Vec<Injection>,
+    ) -> Self {
+        debug_assert!(
+            (schedule.windows(2))
+                .all(|w| (w[0].time, w[0].stable_id) < (w[1].time, w[1].stable_id)),
+            "a shard schedule out of injection order"
+        );
         let (net, cfg, owner) = (sim.net, sim.cfg, &sim.owner[..]);
         let shards = cfg.shards;
         let algo = sim.algo();
@@ -728,19 +744,17 @@ impl<'a> ShardCore<'a> {
             nv,
             my_links,
             my_routers,
-            packets: arena,
+            packets: Vec::new(),
             free: Vec::new(),
+            schedule,
             inject_cursor: 0,
-            inject_end: 0,
             links: link_slots,
             link_qlen: vec![0; links],
             credits: vec![cfg.buffer_packets_per_vc as u32; links * nv],
             returns: (0..shards).map(|_| VecDeque::new()).collect(),
             waiting_vc: vec![u8::MAX; links],
-            link_parked: vec![false; links],
             parked_count: 0,
             unwoken: Vec::new(),
-            wake_at: vec![u64::MAX; links],
             epoch_limit: 0,
             occupancy: vec![0; net.num_routers() * nv],
             router_occ: vec![0; net.num_routers()],
@@ -819,38 +833,15 @@ impl<'a> ShardCore<'a> {
         );
     }
 
-    /// Arm the injection cursor over every packet the arena was built with —
-    /// a finite run's share of the schedule, the packets injected at this
-    /// shard's routers, sorted by `(inject_time_ps, stable_id)` (see
-    /// [`Simulator::shard_arenas`]). That is the order their `Inject` events
-    /// pop in, so the arena is its own injection stream: the epoch loop
-    /// merges the cursor's head with the queue, and no initial injection is
-    /// ever pushed. A slot behind the cursor may be freed and reused; one at
-    /// or past it holds a packet nothing else has touched.
-    fn inject_arena(&mut self) {
-        self.check_arena_index();
-        debug_assert!(
-            (self.packets.windows(2))
-                .all(|w| (w[0].inject_time_ps, w[0].stable_id)
-                    < (w[1].inject_time_ps, w[1].stable_id)),
-            "a shard arena out of injection order"
-        );
-        if self.fault.is_some() {
-            self.fstats.injected += self.packets.len() as u64;
-        }
-        self.counters.arena_slots = self.packets.len() as u64;
-        self.inject_end = self.packets.len();
-    }
-
-    /// The cursor's next initial injection, as the event it stands for.
+    /// The cursor's next initial injection, as the event it stands for. Its
+    /// packet has no arena slot yet ([`NIL`] stands in): no other event
+    /// shares an injection's `(time, key)`, so the slot never decides the
+    /// order.
     #[inline]
     fn inject_head(&self) -> Option<Event> {
-        let slot = self.inject_cursor;
-        (slot < self.inject_end).then(|| {
-            let p = &self.packets[slot];
-            let packet = slot as u32;
-            Event::new(p.inject_time_ps, p.stable_id, EventKind::Inject { packet })
-        })
+        let inj = self.schedule.get(self.inject_cursor)?;
+        let kind = EventKind::Inject { packet: NIL };
+        Some(Event::new(inj.time, inj.stable_id, kind))
     }
 
     /// Pop the earliest event before `limit` under the full [`Event`] order:
@@ -862,9 +853,28 @@ impl<'a> ShardCore<'a> {
         if let Some(ev) = self.queue.pop_before(limit, head.as_ref()) {
             return Some(ev);
         }
-        let head = head.filter(|h| h.time < limit)?;
+        head.filter(|h| h.time < limit)?;
+        Some(self.inject_next())
+    }
+
+    /// Take the cursor's head: build its packet into an arena slot — a
+    /// finite run's arena holds only the packets in flight, as a steady
+    /// run's does — and return the `Inject` event that carries the slot. Out
+    /// of line, so the steady loop's `pop_before`, which never gets here,
+    /// stays small. The spent schedule is released.
+    #[inline(never)]
+    fn inject_next(&mut self) -> Event {
+        let inj = self.schedule[self.inject_cursor];
         self.inject_cursor += 1;
-        Some(head)
+        if self.inject_cursor == self.schedule.len() {
+            self.schedule = Vec::new();
+            self.inject_cursor = 0;
+        }
+        if self.fault.is_some() {
+            self.fstats.injected += 1;
+        }
+        let packet = self.alloc_packet(inj.packet()) as u32;
+        Event::new(inj.time, inj.stable_id, EventKind::Inject { packet })
     }
 
     #[inline]
@@ -928,9 +938,11 @@ impl<'a> ShardCore<'a> {
             (self.returns[from].back()).is_none_or(|b| b.time <= ret.time),
             "credit returns from shard {from} out of time order"
         );
-        let l = ret.link as usize;
-        if !self.unwoken.is_empty() && self.link_parked[l] && self.waiting_vc[l] == ret.vc {
-            self.wake_at[l] = self.wake_at[l].min(ret.time);
+        if !self.unwoken.is_empty() && self.waiting_vc[ret.link as usize] == ret.vc {
+            let waiting = self.unwoken.iter_mut().find(|(l, _)| *l == ret.link);
+            if let Some((_, earliest)) = waiting {
+                *earliest = (*earliest).min(ret.time);
+            }
         }
         self.returns[from].push_back(ret);
     }
@@ -967,7 +979,6 @@ impl<'a> ShardCore<'a> {
     /// the earliest recorded return if that lies below the epoch limit (no
     /// earlier one can still arrive); otherwise the link waits in `unwoken`.
     fn park(&mut self, link: usize, vc: u8) {
-        self.link_parked[link] = true;
         self.waiting_vc[link] = vc;
         self.parked_count += 1;
         self.counters.blocked_parks += 1;
@@ -979,10 +990,7 @@ impl<'a> ShardCore<'a> {
         let earliest = self.returns.iter().filter_map(matching).min();
         match earliest {
             Some(t) if t < self.epoch_limit => self.push_wake(t, link, vc),
-            _ => {
-                self.wake_at[link] = earliest.unwrap_or(u64::MAX);
-                self.unwoken.push(link as u32);
-            }
+            _ => (self.unwoken).push((link as u32, earliest.unwrap_or(u64::MAX))),
         }
     }
 
@@ -990,11 +998,15 @@ impl<'a> ShardCore<'a> {
     /// wake the unwoken links whose earliest return lies below it.
     fn schedule_due_wakes(&mut self) {
         let mut unwoken = std::mem::take(&mut self.unwoken);
-        unwoken.retain(|&l| {
-            let (l, t) = (l as usize, self.wake_at[l as usize]);
+        unwoken.retain(|&(l, t)| {
+            let vc = self.waiting_vc[l as usize];
+            if vc == u8::MAX {
+                // A wake left behind by a fault flush has woken the link since.
+                return false;
+            }
             let due = t < self.epoch_limit;
             if due {
-                self.push_wake(t, l, self.waiting_vc[l]);
+                self.push_wake(t, l as usize, vc);
             }
             !due
         });
@@ -1130,8 +1142,7 @@ impl<'a> ShardCore<'a> {
             EventKind::Fault { idx } => self.apply_fault(idx as usize, now),
             EventKind::Credit { link, vc } => {
                 let l = link as usize;
-                if self.link_parked[l] && self.waiting_vc[l] == vc {
-                    self.link_parked[l] = false;
+                if self.waiting_vc[l] == vc {
                     self.waiting_vc[l] = u8::MAX;
                     self.parked_count -= 1;
                     self.counters.wakeups += 1;
@@ -1152,7 +1163,7 @@ impl<'a> ShardCore<'a> {
             self.flush_dead_link(link, now, DropReason::LinkDown);
             return;
         }
-        if self.link_parked[link] {
+        if self.waiting_vc[link] != u8::MAX {
             // A credit wakeup will revive this link; nothing to do.
             return;
         }
@@ -1404,11 +1415,10 @@ impl<'a> ShardCore<'a> {
     /// would eat the next credit wakeup for nothing).
     fn flush_dead_link(&mut self, link: usize, now: u64, reason: DropReason) {
         let src_router = self.links[link].src;
-        if self.link_parked[link] {
-            self.link_parked[link] = false;
+        if self.waiting_vc[link] != u8::MAX {
             self.waiting_vc[link] = u8::MAX;
             self.parked_count -= 1;
-            self.unwoken.retain(|&l| l as usize != link);
+            self.unwoken.retain(|&(l, _)| l as usize != link);
         }
         while let Some(pi) = self.link_pop(link) {
             let vc = (self.packets[pi].hops as usize).min(self.nv - 1);
@@ -1592,7 +1602,7 @@ impl<'a> ShardCore<'a> {
             pending: self.pending_len.iter().map(|&q| q as usize).sum(),
             occ_sum: self.occupancy.iter().sum(),
             parked: self.parked_count,
-            unspent: self.inject_end - self.inject_cursor,
+            unspent: self.schedule.len() - self.inject_cursor,
             quiescent: self.next_time() == u64::MAX,
             last_delivery_ps: self.last_delivery_ps,
             stats: self.stats,
@@ -1905,19 +1915,20 @@ impl<'a> Simulator<'a> {
     }
 
     /// The one shard launcher: each shard builds its [`ShardCore`] over its
-    /// arena (collecting into a fresh `stats()`), runs `drive` on it, and
+    /// schedule (collecting into a fresh `stats()`), runs `drive` on it, and
     /// hands its outcome back — on the calling thread at one shard, on a
     /// scoped thread per shard otherwise.
     fn run_sharded(
         &self,
         stats: impl Fn() -> StatsCollector + Sync,
-        arenas: Vec<Vec<Packet>>,
+        schedules: Vec<Vec<Injection>>,
         drive: impl Fn(&mut ShardCore<'_>, Option<&EpochShared>) + Sync,
     ) -> Vec<ShardOutcome> {
-        let mut arenas = arenas.into_iter();
+        let mut schedules = schedules.into_iter();
         let shards = self.cfg.shards;
         if shards == 1 {
-            let mut core = ShardCore::new(0, self, stats(), arenas.next().unwrap_or_default());
+            let schedule = schedules.next().unwrap_or_default();
+            let mut core = ShardCore::new(0, self, stats(), schedule);
             drive(&mut core, None);
             return vec![core.into_outcome()];
         }
@@ -1927,10 +1938,10 @@ impl<'a> Simulator<'a> {
             let handles: Vec<_> = (0..shards)
                 .map(|sid| {
                     let (shared, stats, drive) = (&shared, &stats, &drive);
-                    let arena = arenas.next().unwrap_or_default();
+                    let schedule = schedules.next().unwrap_or_default();
                     scope.spawn(move || {
                         let _guard = PoisonGuard(&shared.barrier);
-                        let mut core = ShardCore::new(sid, self, stats(), arena);
+                        let mut core = ShardCore::new(sid, self, stats(), schedule);
                         drive(&mut core, Some(shared));
                         core.into_outcome()
                     })
@@ -1971,26 +1982,34 @@ impl<'a> Simulator<'a> {
         results
     }
 
-    /// Split a packetized schedule into the shards' arenas, each the packets
-    /// injected at its own routers in `(inject_time_ps, stable_id)` order —
-    /// the order their `Inject` events pop in. Stable ids are assigned
-    /// before the sort, so no key, RNG stream or digest depends on it; it
-    /// puts packets that are in flight together in adjacent slots.
-    fn shard_arenas(&self, mut sched: Vec<Packet>) -> Vec<Vec<Packet>> {
-        sched.sort_unstable_by_key(|p| (p.inject_time_ps, p.stable_id));
+    /// Split a packetized schedule into the shards' injection lists, each the
+    /// injections at its own routers in `(time, stable_id)` order — the order
+    /// their `Inject` events pop in. Stable ids are assigned before the sort,
+    /// so no key, RNG stream or digest depends on it. The shards' arenas
+    /// start empty and hold only the packets in flight, so an arena's
+    /// high-water mark is the shard's in-flight peak.
+    fn shard_schedules(&self, mut sched: Vec<Injection>) -> Vec<Vec<Injection>> {
+        sched.sort_unstable_by_key(|inj| (inj.time, inj.stable_id));
         if self.cfg.shards == 1 {
             return vec![sched];
         }
-        let mut arenas: Vec<Vec<Packet>> = vec![Vec::new(); self.cfg.shards];
-        for p in sched {
-            arenas[self.owner[p.src_router as usize] as usize].push(p);
+        let shard = |inj: &Injection| self.owner[inj.src_router as usize] as usize;
+        let mut counts = vec![0; self.cfg.shards];
+        for inj in &sched {
+            counts[shard(inj)] += 1;
         }
-        arenas
+        let mut schedules: Vec<Vec<Injection>> =
+            counts.into_iter().map(Vec::with_capacity).collect();
+        for inj in sched {
+            schedules[shard(&inj)].push(inj);
+        }
+        schedules
     }
 
     /// Finite drain-to-empty run. The schedule is packetized once, on the
-    /// calling thread, and each shard's arena starts as the packets injected
-    /// at its own routers — at one shard, the whole schedule, moved.
+    /// calling thread, into injection records, and each shard's cursor walks
+    /// the records of its own routers — at one shard, the whole schedule,
+    /// moved.
     fn run_finite(
         &self,
         run: &RunPlan<'_>,
@@ -2002,15 +2021,14 @@ impl<'a> Simulator<'a> {
         }
         let sched = packetize(self.net, self.cfg, workload, offered_load);
         let total = sched.len() as u64;
-        let arenas = self.shard_arenas(sched);
+        let schedules = self.shard_schedules(sched);
         let launch = |core: &mut ShardCore<'_>, shared: Option<&EpochShared>| {
             if let Some(timeline) = &run.timeline {
                 core.arm_faults(timeline, true);
             }
-            core.inject_arena();
             run_epochs(core, shared, None, |c, ev| c.handle_core(ev));
         };
-        let outs = self.run_sharded(StatsCollector::default, arenas, launch);
+        let outs = self.run_sharded(StatsCollector::default, schedules, launch);
 
         let delivered: u64 = outs.iter().map(|o| o.delivered_packets).sum();
         let failed: u64 = outs.iter().map(|o| o.fstats.failed).sum();
@@ -2364,6 +2382,62 @@ mod tests {
         );
     }
 
+    /// The finite twin of [`steady_state_arena_stays_bounded`]: the cursor
+    /// builds each packet when it injects it and delivery frees its slot, so
+    /// a finite run's arena holds the packets in flight, not the schedule.
+    #[test]
+    fn finite_arena_holds_packets_in_flight() {
+        let net = SimNetwork::new(ring(8), 2);
+        let wl = Workload::uniform_random(net.num_endpoints(), 50, 4096, 23);
+        let res = Simulator::new(&net, &SimConfig::default())
+            .try_run_with_offered_load(&wl, 0.5)
+            .unwrap();
+        let injected = 50 * net.num_endpoints() as u64;
+        assert_eq!(res.delivered_packets, injected);
+        assert!(
+            res.engine.arena_slots * 10 < injected,
+            "arena grew to {} slots for {injected} injected packets",
+            res.engine.arena_slots
+        );
+    }
+
+    /// The schedule's numbering: injection `i` has stable id `i` in
+    /// `(source, offset, message)` order, message `m`'s injections carry
+    /// message id `m` and its first injection time, and the last packet of a
+    /// message carries the remainder. Pinned from the packetizer that built
+    /// whole packets.
+    #[test]
+    fn schedule_numbering_is_pinned() {
+        let net = SimNetwork::new(ring(3), 1);
+        let message = |src, dst, bytes| Message {
+            src,
+            dst,
+            bytes,
+            inject_offset_ps: 0,
+        };
+        let messages = vec![message(2, 0, 100), message(0, 1, 2 * 4096 + 100)];
+        let wl = Workload::new("two", messages);
+        let schedule = packetize(&net, &SimConfig::default(), &wl, Some(0.5));
+        let record =
+            |time, stable_id, msg_id, msg_first_inject, src, dst, bytes, msg_total| Injection {
+                time,
+                stable_id,
+                msg_id,
+                msg_first_inject,
+                src_router: src,
+                dst_router: dst,
+                bytes,
+                msg_total,
+            };
+        let expected = [
+            record(44_476, 0, 1, 44_476, 0, 1, 4096, 3),
+            record(372_156, 1, 1, 44_476, 0, 1, 4096, 3),
+            record(699_836, 2, 1, 44_476, 0, 1, 100, 3),
+            record(81_803, 3, 0, 81_803, 2, 0, 100, 1),
+        ];
+        assert_eq!(schedule, expected);
+    }
+
     #[test]
     fn deterministic_given_seed() {
         let net = SimNetwork::new(ring(6), 2);
@@ -2445,7 +2519,7 @@ mod tests {
         let links = [net.link_id(0, 0), net.link_id(0, 1), net.link_id(1, 0)];
         let pending_router = 3;
         let mut model: Vec<VecDeque<usize>> = vec![VecDeque::new(); 4];
-        let template = packetize(&net, &cfg, &one_message(1, 64), None).remove(0);
+        let template = packetize(&net, &cfg, &one_message(1, 64), None)[0].packet();
         let check = |core: &ShardCore<'_>, model: &[VecDeque<usize>]| {
             core.check_fifos();
             for (q, &l) in links.iter().enumerate() {
@@ -2576,23 +2650,22 @@ mod tests {
     ) -> (bool, bool) {
         let sim = Simulator::new(net, cfg);
         let run = RunPlan::new(net, cfg, &sim.router, wl, Some(load)).unwrap();
-        let arena = sim
-            .shard_arenas(packetize(net, cfg, wl, Some(load)))
+        let schedule = sim
+            .shard_schedules(packetize(net, cfg, wl, Some(load)))
             .remove(0);
-        let mut core = ShardCore::new(0, &sim, StatsCollector::default(), arena);
+        let mut core = ShardCore::new(0, &sim, StatsCollector::default(), schedule);
         if let Some(timeline) = &run.timeline {
             core.arm_faults(timeline, true);
         }
-        core.inject_arena();
         let (mut waited, mut retransmitted) = (false, false);
         run_epochs(&mut core, None, None, |c, ev| {
             c.handle_core(ev);
-            if c.inject_cursor < c.inject_end {
+            if c.inject_head().is_some() {
                 waited |= c.pending_len.iter().any(|&n| n > 0);
                 retransmitted |= c.fstats.retransmits > 0;
             }
         });
-        assert_eq!(core.inject_cursor, core.inject_end, "the cursor is spent");
+        assert!(core.schedule.is_empty(), "the cursor is spent and released");
         (waited, retransmitted)
     }
 
@@ -2644,13 +2717,11 @@ mod tests {
             for (shards, events) in [1usize, 2, 4].into_iter().zip(events) {
                 let cfg = cfg.clone().with_shards(shards);
                 let sim = Simulator::new(&net, &cfg);
-                for arena in sim.shard_arenas(packetize(&net, &cfg, &wl, Some(load))) {
+                for schedule in sim.shard_schedules(packetize(&net, &cfg, &wl, Some(load))) {
                     assert!(
-                        arena.windows(2).all(|w| {
-                            (w[0].inject_time_ps, w[0].stable_id)
-                                <= (w[1].inject_time_ps, w[1].stable_id)
-                        }),
-                        "{name}: a {shards}-shard arena out of injection order"
+                        (schedule.windows(2))
+                            .all(|w| (w[0].time, w[0].stable_id) <= (w[1].time, w[1].stable_id)),
+                        "{name}: a {shards}-shard schedule out of injection order"
                     );
                 }
                 let res = sim.try_run_with_offered_load(&wl, load).unwrap();
@@ -2681,10 +2752,11 @@ mod tests {
         let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 29);
         let cfg = SimConfig::default();
         let sim = Simulator::new(&net, &cfg);
-        let arena = sim.shard_arenas(packetize(&net, &cfg, &wl, None)).remove(0);
-        assert!(arena.iter().all(|p| p.inject_time_ps == 0));
-        let mut core = ShardCore::new(0, &sim, StatsCollector::default(), arena);
-        core.inject_arena();
+        let schedule = sim
+            .shard_schedules(packetize(&net, &cfg, &wl, None))
+            .remove(0);
+        assert!(schedule.iter().all(|inj| inj.time == 0));
+        let mut core = ShardCore::new(0, &sim, StatsCollector::default(), schedule);
         run_epochs(&mut core, None, None, |c, ev| c.handle_core(ev));
         assert!(
             core.queue.rejections(LANE_ARRIVE) > 0,

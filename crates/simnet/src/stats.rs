@@ -21,8 +21,9 @@ pub struct EngineCounters {
     /// Parked links woken by a returning credit.
     pub wakeups: u64,
     /// High-water mark of the packet arena (distinct packet slots ever live at
-    /// once). In steady-state mode this stays near the in-flight packet count
-    /// while total injections grow unbounded — the free list recycles slots.
+    /// once). In every run this stays near the in-flight packet peak while
+    /// total injections grow — a packet takes a slot when it is injected and
+    /// the free list recycles it on delivery.
     pub arena_slots: u64,
 }
 
