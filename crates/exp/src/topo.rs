@@ -16,18 +16,17 @@
 //!
 //! Validity is delegated to the topology constructors themselves
 //! ([`spectralfly_topology`]); this module owns the surface syntax and one
-//! size guard, both derived from the family entries of one
-//! [`spectralfly_simnet::spec::Registry`] — so a family added there becomes
-//! reachable here by one entry.
+//! size guard, both derived from one table of family entries — so a family
+//! added there becomes reachable here by one entry.
 
 use spectralfly_graph::{CsrGraph, DistanceMatrix};
-use spectralfly_simnet::spec::{self, Arg, Registry};
+use spectralfly_simnet::spec::{self, Arg};
 use spectralfly_simnet::SimNetwork;
 use spectralfly_topology::spec::{
     enumerate_bundlefly, enumerate_dragonfly, enumerate_lps, enumerate_slimfly,
 };
 use spectralfly_topology::{GeneralizedDragonFly, LpsGraph, Topology, TopologySpec};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 /// The most routers, and the most endpoints (routers × concentration), a spec
 /// may describe: some 15× the largest fabric the repository runs
@@ -112,72 +111,59 @@ impl Shape {
 /// A family's design-space enumeration: (limits taken, valid members below).
 type Enumerate = (usize, fn(&[u64]) -> Vec<TopologySpec>);
 
-/// One topology family: the argument counts it accepts, what it makes of that
-/// many arguments, and its enumeration, if it has one.
+/// One topology family: its name, its parameter names for the error text, the
+/// argument counts it accepts, what it makes of that many arguments, and its
+/// enumeration, if it has one.
 struct TopoFamily {
+    name: &'static str,
+    params: &'static str,
     arities: &'static [usize],
     shape: fn(&[u64]) -> Shape,
     enumerate: Option<Enumerate>,
 }
 
-/// The family registry, and the `known: …` list of the unknown-family error
-/// in the order the entries are written.
-struct Families {
-    registry: Registry<TopoFamily>,
-    known: String,
-}
-
-/// The one place a topology family is named. Immutable: nothing registers a
-/// topology at run time.
-static FAMILIES: LazyLock<Families> = LazyLock::new(|| {
-    let mut registry = Registry::empty();
-    let mut known = Vec::new();
-    let mut add = |name, params, arities, shape: fn(&[u64]) -> Shape, enumerate| {
-        known.push(format!("{name}({params})"));
-        let family = TopoFamily {
-            arities,
-            shape,
-            enumerate,
-        };
-        (registry.insert(name, Arc::new(family))).expect("topology family names are distinct");
-    };
-    add(
-        "lps",
-        "p,q",
-        &[2],
-        |a| Shape::Paper(TopologySpec::Lps { p: a[0], q: a[1] }),
-        Some((1, |l| enumerate_lps(l[0]))),
-    );
-    add(
-        "slimfly",
-        "q",
-        &[1],
-        |a| Shape::Paper(TopologySpec::SlimFly { q: a[0] }),
-        Some((1, |l| enumerate_slimfly(l[0]))),
-    );
-    add(
-        "bundlefly",
-        "p,s",
-        &[2],
-        |a| Shape::Paper(TopologySpec::BundleFly { p: a[0], s: a[1] }),
-        Some((2, |l| enumerate_bundlefly(l[0], l[1]))),
-    );
-    add(
-        "dragonfly",
-        "a|a,h,g",
-        &[1, 3],
-        |a| match *a {
+/// The one place a topology family is named, in the order the unknown-family
+/// error lists them. Closed: nothing registers a topology at run time.
+static FAMILIES: &[TopoFamily] = &[
+    TopoFamily {
+        name: "lps",
+        params: "p,q",
+        arities: &[2],
+        shape: |a| Shape::Paper(TopologySpec::Lps { p: a[0], q: a[1] }),
+        enumerate: Some((1, |l| enumerate_lps(l[0]))),
+    },
+    TopoFamily {
+        name: "slimfly",
+        params: "q",
+        arities: &[1],
+        shape: |a| Shape::Paper(TopologySpec::SlimFly { q: a[0] }),
+        enumerate: Some((1, |l| enumerate_slimfly(l[0]))),
+    },
+    TopoFamily {
+        name: "bundlefly",
+        params: "p,s",
+        arities: &[2],
+        shape: |a| Shape::Paper(TopologySpec::BundleFly { p: a[0], s: a[1] }),
+        enumerate: Some((2, |l| enumerate_bundlefly(l[0], l[1]))),
+    },
+    TopoFamily {
+        name: "dragonfly",
+        params: "a|a,h,g",
+        arities: &[1, 3],
+        shape: |a| match *a {
             [a, h, g] => Shape::DragonFly { a, h, g },
             _ => Shape::Paper(TopologySpec::DragonFly { a: a[0] }),
         },
-        Some((1, |l| enumerate_dragonfly(l[0]))),
-    );
-    add("ring", "n", &[1], |a| Shape::Ring(a[0]), None);
-    Families {
-        registry,
-        known: known.join(", "),
-    }
-});
+        enumerate: Some((1, |l| enumerate_dragonfly(l[0]))),
+    },
+    TopoFamily {
+        name: "ring",
+        params: "n",
+        arities: &[1],
+        shape: |a| Shape::Ring(a[0]),
+        enumerate: None,
+    },
+];
 
 /// A parsed topology spec: canonical text, family + arguments, concentration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -217,10 +203,18 @@ fn read_call(spec: &str) -> Result<(String, Vec<u64>, Option<u64>), String> {
     Ok((term.call.key(), args, term.times))
 }
 
-fn family(name: &str) -> Result<Arc<TopoFamily>, String> {
-    let known = &FAMILIES.known;
-    let unknown = || format!("unknown topology family {name:?}; known: {known}");
-    FAMILIES.registry.get(name).ok_or_else(unknown)
+fn family(name: &str) -> Result<&'static TopoFamily, String> {
+    let key = spec::normalize(name);
+    FAMILIES.iter().find(|f| f.name == key).ok_or_else(|| {
+        let known: Vec<_> = FAMILIES
+            .iter()
+            .map(|f| format!("{}({})", f.name, f.params))
+            .collect();
+        format!(
+            "unknown topology family {name:?}; known: {}",
+            known.join(", ")
+        )
+    })
 }
 
 impl TopoSpec {

@@ -1,15 +1,19 @@
-//! Cross-family conformance for the one registry: the five families of names
-//! (routing, pattern, fault, job, topology) list exactly the entries, resolve
-//! exactly the aliases, and render exactly the unknown-name and bad-argument
-//! errors they did before they shared `spec::Registry`, `spec::ResolveError`
-//! and `spec::ArgReader`. Every expected string below was printed by the
-//! commit before that change — except the three Ember motifs (`halo3d`,
-//! `sweep3d`, `fft3d`), which joined the job family later and are pinned here
-//! as they were registered.
+//! Cross-family conformance for the five families of names — the two open
+//! registries (routing, pattern) and the three closed tables (fault, job,
+//! topology): they list exactly the entries, resolve exactly the aliases, and
+//! render exactly the unknown-name and bad-argument errors they did before
+//! they shared `spec::ResolveError` and `spec::ArgReader`. Every expected
+//! string below was printed by the commit before that change — except the
+//! three Ember motifs (`halo3d`, `sweep3d`, `fft3d`), which joined the job
+//! family later and are pinned here as they were registered, and the
+//! misspelled nested pattern, which manifest validation refuses with the text
+//! its run printed. A closed family's name list and its parser are separate
+//! code; one test per family keeps them in step.
 
 use spectralfly_exp::TopoSpec;
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::job::validate_mix_spec;
+use spectralfly_simnet::spec::ResolveError;
 use spectralfly_simnet::{
     fault, job, pattern, routing, FaultPlan, FaultScript, JobCtx, PatternCtx, SimConfig,
     SimNetwork, Simulator, Workload,
@@ -23,20 +27,23 @@ fn ring5() -> CsrGraph {
 #[test]
 fn builtin_name_lists_are_unchanged() {
     for (names, expected) in [
-        (routing::BUILTINS.names(), "minimal ugal-g ugal-l valiant"),
         (
-            pattern::BUILTINS.names(),
+            routing::BUILTINS.names().join(" "),
+            "minimal ugal-g ugal-l valiant",
+        ),
+        (
+            pattern::BUILTINS.names().join(" "),
             "adversarial bit-complement bit-reverse bit-shuffle hotspot nearest-group random \
              tornado transpose",
         ),
-        (fault::BUILTINS.names(), "link links router routers"),
+        (fault::NAMES.join(" "), "link links router routers"),
         (
-            job::BUILTINS.names(),
+            job::NAMES.join(" "),
             "allgather allreduce-ring allreduce-tree alltoall fft3d halo3d mmpp onoff sweep3d \
              traffic",
         ),
     ] {
-        assert_eq!(names.join(" "), expected);
+        assert_eq!(names, expected);
     }
     // The topology families are listed by their unknown-family error, below.
 }
@@ -128,6 +135,7 @@ mix | traffic | invalid arguments for job "traffic": load must be in (0, 1], got
 mix | traffic(0.5, 3) | invalid arguments for job "traffic": argument 2 must be a pattern spec, not a number
 mix | traffic(0.5, random, 0) | invalid arguments for job "traffic": bytes must be a positive integer, got 0
 mix | traffic(0.5, random, 4096, 1) | invalid arguments for job "traffic": takes at most 3 arguments, got 4
+mix | traffic(0.5, tornadoo) | invalid arguments for job "traffic": nested pattern spec rejected: unknown traffic pattern "tornadoo"; registered: adversarial, bit-complement, bit-reverse, bit-shuffle, hotspot, nearest-group, random, tornado, transpose
 mix | mmpp(0.5, 1.5) | invalid arguments for job "mmpp": state-1 load must be in [0, 1], got 1.5
 mix | mmpp(random) | invalid arguments for job "mmpp": argument 1 is not a number
 mix | onoff(0.5, 0.9) | invalid arguments for job "onoff": Pareto shape alpha must be > 1, got 0.9
@@ -185,5 +193,102 @@ fn bad_arguments_render_as_before() {
     assert_eq!(
         no_endpoints.unwrap_err().to_string(),
         "invalid arguments for pattern \"random\": pattern context has zero endpoints"
+    );
+}
+
+/// The `Unknown` error a closed family gives for `name`, listing `names`.
+fn unknown<X>(family: &'static str, name: &str, names: &[&str]) -> ResolveError<X> {
+    ResolveError::Unknown {
+        family,
+        name: name.to_string(),
+        registered: names.iter().map(|n| n.to_string()).collect(),
+    }
+}
+
+#[test]
+fn every_listed_fault_model_parses_and_an_unknown_one_lists_them_all() {
+    let valid: [&str; fault::NAMES.len()] = ["link(0, 1)", "links(0.1)", "router(2)", "routers(1)"];
+    for (name, spec) in fault::NAMES.iter().zip(valid) {
+        assert!(
+            spec.starts_with(&format!("{name}(")),
+            "{spec} is not {name}"
+        );
+        let plan = FaultPlan::parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        plan.apply(&ring5())
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let script = format!("at(1us, {spec})");
+        FaultScript::parse(&script).unwrap_or_else(|e| panic!("{script}: {e}"));
+    }
+    assert_eq!(
+        FaultPlan::parse("Meteor_Strike(3)").unwrap_err(),
+        unknown("fault model", "meteor-strike", &fault::NAMES)
+    );
+}
+
+#[test]
+fn every_listed_job_and_alias_parses_and_an_unknown_one_lists_them_all() {
+    let valid: [&str; job::NAMES.len()] = [
+        "allgather(512)",
+        "allreduce-ring(512)",
+        "allreduce-tree(512)",
+        "alltoall(512)",
+        "fft3d(512, 1, 2)",
+        "halo3d(1, 512)",
+        "mmpp(0.5, 0.1, 2, 2, 512)",
+        "onoff(0.5, 1.5, 1, 1, 512)",
+        "sweep3d(2, 512, 1)",
+        "traffic(0.5, tornado, 512)",
+    ];
+    let aliases = [
+        ("all-reduce-ring(512)", "allreduce-ring"),
+        ("all-reduce-tree(512)", "allreduce-tree"),
+        ("all-to-all(512)", "alltoall"),
+        ("all-gather(512)", "allgather"),
+    ];
+    let listed = job::NAMES
+        .iter()
+        .zip(valid)
+        .map(|(&name, spec)| (spec, name));
+    for (spec, name) in listed.chain(aliases) {
+        validate_mix_spec(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let plan = job::resolve_mix(&format!("{spec} x 4"), &JobCtx::new(), &[0, 1, 2, 3], 1);
+        let plan = plan.unwrap_or_else(|e| panic!("{spec}: {e}"));
+        assert_eq!(plan.tenants[0].name, format!("t0:{name}"), "{spec}");
+    }
+    assert_eq!(
+        validate_mix_spec("Warp_Drive(3)").unwrap_err(),
+        unknown("job", "warp-drive", &job::NAMES)
+    );
+}
+
+#[test]
+fn every_listed_topology_family_parses() {
+    let err = TopoSpec::parse("torus(4,4)").unwrap_err();
+    let (_, known) = err
+        .split_once("known: ")
+        .expect("the error lists the families");
+    let valid = [
+        ("lps", "lps(11,7)x4"),
+        ("slimfly", "slimfly(5)"),
+        ("bundlefly", "bundlefly(13,3)"),
+        ("dragonfly", "dragonfly(4)"),
+        ("dragonfly", "dragonfly(4,2,9)"),
+        ("ring", "ring(9)x2"),
+    ];
+    let mut listed: Vec<&str> = known
+        .split(", ")
+        .map(|f| &f[..f.find('(').unwrap()])
+        .collect();
+    for (family, spec) in valid {
+        let parsed = TopoSpec::parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        assert_eq!(parsed.family, family, "{spec}");
+        // The family's name in any spelling selects it.
+        let shouted = spec.to_uppercase();
+        assert_eq!(TopoSpec::parse(&shouted).unwrap(), parsed, "{shouted}");
+        listed.retain(|&f| f != family);
+    }
+    assert!(
+        listed.is_empty(),
+        "listed without a valid spec here: {listed:?}"
     );
 }

@@ -4,9 +4,8 @@
 //! The paper's Fig. 5 argues that LPS Ramanujan expanders stay structurally
 //! healthy under random link failures; this module makes the *dynamic* half of
 //! that claim testable by letting every simulation run on a damaged graph. A
-//! [`FaultPlan`] — a composition of [`FaultModel`]s selected by spec string
-//! through a string-keyed [`FaultRegistry`], the fault family of the one
-//! [`crate::spec::Registry`] — is applied once at [`SimNetwork`] construction
+//! [`FaultPlan`] — a composition of fault models selected by spec string from
+//! the closed list [`NAMES`] — is applied once at [`SimNetwork`] construction
 //! ([`SimNetwork::with_faults`]): failed links
 //! and down routers are deleted from the router graph, and the distance /
 //! next-hop oracle is rebuilt over the *surviving* graph. Routing algorithms
@@ -16,7 +15,7 @@
 //!
 //! # Fault specs
 //!
-//! A plan spec is one or more model terms joined by `+`, each a registry name
+//! A plan spec is one or more model terms joined by `+`, each a model name
 //! with numeric arguments, in the shared grammar of [`crate::spec`]
 //! (docs/ARCHITECTURE.md § "Spec grammar"). Built-ins:
 //!
@@ -60,12 +59,11 @@
 //! ```
 
 use crate::network::SimNetwork;
-use crate::spec::{self, Arg, ArgReader, Call, DuplicateName, Family, Registry, ResolveError};
+use crate::spec::{self, Arg, ArgReader, Call, Family, ResolveError};
 use crate::workload::Workload;
 use spectralfly_graph::csr::{CsrGraph, VertexId};
 use spectralfly_graph::failures::{draw_failed_links, draw_failed_routers};
 use spectralfly_graph::paths::UNREACHABLE_U16;
-use std::sync::{Arc, LazyLock};
 
 /// Why a fault plan could not be built or a run could not start on a degraded
 /// network: the shared [`ResolveError`] triple — `Unknown` model, `BadSpec`
@@ -130,142 +128,40 @@ impl std::fmt::Display for Infeasible {
     }
 }
 
-/// The links and routers one fault model takes down on a graph.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultSet {
+/// The links and routers one fault term takes down on a graph.
+struct FaultSet {
     /// Undirected links to delete (absent links are ignored).
-    pub links: Vec<(VertexId, VertexId)>,
+    links: Vec<(VertexId, VertexId)>,
     /// Routers to take down (all their links are deleted; endpoints go dead).
-    pub routers: Vec<VertexId>,
+    routers: Vec<VertexId>,
 }
 
-/// A fault model: a deterministic draw of failed links / down routers on a
-/// graph.
-///
-/// Implementations must be `Send + Sync` (plans are shared across parallel
-/// sweeps). Randomized models must be deterministic in `seed`; static models
-/// ignore it. Arguments that only become checkable against a concrete graph
-/// (a router count larger than the machine, an out-of-range id) are rejected
-/// here with [`ResolveError::BadArgs`].
-pub trait FaultModel: Send + Sync {
-    /// Canonical registry name (lowercase, dash-separated).
-    fn name(&self) -> &str;
-
-    /// The fault set this model inflicts on `g`, deterministic in `seed`.
-    fn draw(&self, g: &CsrGraph, seed: u64) -> Result<FaultSet, FaultError>;
-}
-
-/// Uniformly random link failures (`links(f)`): a fraction `f` of the graph's
-/// links, drawn through the same machinery as the static Fig. 5 sweeps.
-pub struct RandomLinks {
-    fraction: f64,
-}
-
-impl FaultModel for RandomLinks {
-    fn name(&self) -> &str {
-        "links"
-    }
-    fn draw(&self, g: &CsrGraph, seed: u64) -> Result<FaultSet, FaultError> {
-        Ok(FaultSet {
-            links: draw_failed_links(g, self.fraction, seed),
-            routers: Vec::new(),
-        })
-    }
-}
-
-/// Uniformly random router failures (`routers(k)`): `k` distinct routers.
-pub struct RandomRouters {
-    count: usize,
-}
-
-impl FaultModel for RandomRouters {
-    fn name(&self) -> &str {
-        "routers"
-    }
-    fn draw(&self, g: &CsrGraph, seed: u64) -> Result<FaultSet, FaultError> {
-        let n = g.num_vertices();
-        if self.count > n {
-            let reason = format!("cannot fail {} of {n} routers", self.count);
-            return Err(FAMILY.bad_args("routers", reason));
-        }
-        Ok(FaultSet {
-            links: Vec::new(),
-            routers: draw_failed_routers(n, self.count, seed),
-        })
-    }
-}
-
-/// One explicitly named down link (`link(u, v)`).
-pub struct DownLink {
-    u: VertexId,
-    v: VertexId,
-}
-
-impl FaultModel for DownLink {
-    fn name(&self) -> &str {
-        "link"
-    }
-    fn draw(&self, _g: &CsrGraph, _seed: u64) -> Result<FaultSet, FaultError> {
-        Ok(FaultSet {
-            links: vec![(self.u, self.v)],
-            routers: Vec::new(),
-        })
-    }
-}
-
-/// One explicitly named down router (`router(r)`).
-pub struct DownRouter {
-    r: VertexId,
-}
-
-impl FaultModel for DownRouter {
-    fn name(&self) -> &str {
-        "router"
-    }
-    fn draw(&self, _g: &CsrGraph, _seed: u64) -> Result<FaultSet, FaultError> {
-        Ok(FaultSet {
-            links: Vec::new(),
-            routers: vec![self.r],
-        })
-    }
-}
-
-/// [`FaultModel::draw`], rejecting ids outside `g` — arguments that only
-/// become checkable against a concrete graph.
-fn draw_checked(model: &dyn FaultModel, g: &CsrGraph, seed: u64) -> Result<FaultSet, FaultError> {
-    let n = g.num_vertices();
-    let set = model.draw(g, seed)?;
-    let out_of_range = |what: String| {
-        FAMILY.bad_args(model.name(), format!("{what} out of range for {n} routers"))
-    };
-    if let Some(&(u, v)) = set.links.iter().find(|&&(u, v)| u.max(v) as usize >= n) {
-        return Err(out_of_range(format!("link ({u}, {v})")));
-    }
-    if let Some(&r) = set.routers.iter().find(|&&r| r as usize >= n) {
-        return Err(out_of_range(format!("router {r}")));
-    }
-    Ok(set)
-}
-
-/// Signature of a fault-model factory: an instance from a spec term's numeric
-/// arguments.
-pub type FaultFactory = dyn Fn(&[f64]) -> Result<Arc<dyn FaultModel>, FaultError> + Send + Sync;
-
-/// The fault-model family of the one [`Registry`] (the contract every family
-/// shares is docs/ARCHITECTURE.md § "The registry contract").
-pub type FaultRegistry = Registry<FaultFactory>;
-
-/// How this family calls itself in error messages; its factories report bad
-/// arguments through it ([`Family::args`], [`Family::bad_args`]).
+/// How this family calls itself in error messages ([`Family::args`],
+/// [`Family::bad_args`]).
 pub const FAMILY: Family = Family {
     unknown: "fault model",
     args: "fault model",
 };
 
-/// The fault models, built once per process. Closed: plans and scripts
-/// select from this table only.
-pub static BUILTINS: LazyLock<FaultRegistry> =
-    LazyLock::new(|| FaultRegistry::builtins().expect("distinct names"));
+/// The fault models, sorted: what a plan term or a script's `at` action may
+/// name, and what an unknown name's error lists. Closed: nothing registers a
+/// model at run time.
+pub const NAMES: [&str; 4] = ["link", "links", "router", "routers"];
+
+/// One fault model with its arguments bound: a term of a plan, or the action
+/// of a script's `at(time, action)`.
+#[derive(Clone, Copy)]
+enum FaultTerm {
+    /// `links(f)`: a fraction `f` of the graph's links, drawn through the same
+    /// machinery as the static Fig. 5 sweeps.
+    Links(f64),
+    /// `routers(k)`: `k` distinct routers, drawn uniformly.
+    Routers(usize),
+    /// `link(u, v)`: one named link.
+    Link(VertexId, VertexId),
+    /// `router(r)`: one named router.
+    Router(VertexId),
+}
 
 fn vertex_arg(args: &ArgReader<f64>, idx: usize) -> Result<VertexId, FaultError> {
     let a = args.number(idx, f64::NAN)?;
@@ -278,58 +174,63 @@ fn vertex_arg(args: &ArgReader<f64>, idx: usize) -> Result<VertexId, FaultError>
     Ok(a as VertexId)
 }
 
-impl FaultRegistry {
-    fn builtins() -> Result<Self, DuplicateName> {
-        let mut r = Self::empty();
-        r.register("links", |args| {
-            let args = FAMILY.args("links", args);
-            args.exactly_n_args(1)?;
-            Ok(Arc::new(RandomLinks {
-                fraction: args.fraction(0, f64::NAN, "fraction", true)?,
-            }))
-        })?;
-        r.register("routers", |args| {
-            let args = FAMILY.args("routers", args);
-            args.exactly_n_args(1)?;
-            let count = args.number(0, f64::NAN)?;
-            if !(count >= 0.0 && count.fract() == 0.0) {
-                return Err(args.bad(format!("count must be a non-negative integer, got {count}")));
+impl FaultTerm {
+    /// The model one parsed spec term names, with its arguments checked.
+    fn parse(term: &Call) -> Result<Self, FaultError> {
+        let key = term.key();
+        let Some(&name) = NAMES.iter().find(|&&name| name == key) else {
+            return Err(FAMILY.unknown(&key, &NAMES));
+        };
+        let numbers = term.numbers()?;
+        let args = FAMILY.args(name, &numbers);
+        let arity = match name {
+            "link" => 2,
+            _ => 1,
+        };
+        args.exactly_n_args(arity)?;
+        Ok(match name {
+            "links" => FaultTerm::Links(args.fraction(0, f64::NAN, "fraction", true)?),
+            "routers" => {
+                let count = args.number(0, f64::NAN)?;
+                if !(count >= 0.0 && count.fract() == 0.0) {
+                    let reason = format!("count must be a non-negative integer, got {count}");
+                    return Err(args.bad(reason));
+                }
+                FaultTerm::Routers(count as usize)
             }
-            Ok(Arc::new(RandomRouters {
-                count: count as usize,
-            }))
-        })?;
-        r.register("link", |args| {
-            let args = FAMILY.args("link", args);
-            args.exactly_n_args(2)?;
-            Ok(Arc::new(DownLink {
-                u: vertex_arg(&args, 0)?,
-                v: vertex_arg(&args, 1)?,
-            }))
-        })?;
-        r.register("router", |args| {
-            let args = FAMILY.args("router", args);
-            args.exactly_n_args(1)?;
-            Ok(Arc::new(DownRouter {
-                r: vertex_arg(&args, 0)?,
-            }))
-        })?;
-        Ok(r)
+            "link" => FaultTerm::Link(vertex_arg(&args, 0)?, vertex_arg(&args, 1)?),
+            "router" => FaultTerm::Router(vertex_arg(&args, 0)?),
+            _ => unreachable!("{name} is in NAMES but has no arm"),
+        })
     }
 
-    fn register<F>(&mut self, name: &str, factory: F) -> Result<(), DuplicateName>
-    where
-        F: Fn(&[f64]) -> Result<Arc<dyn FaultModel>, FaultError> + Send + Sync + 'static,
-    {
-        self.insert(name, Arc::new(factory))
+    /// The fault set this term inflicts on `g`, deterministic in `seed`.
+    /// Arguments that only become checkable against a concrete graph — a
+    /// router count larger than the machine, an out-of-range id — are
+    /// rejected here.
+    fn draw(self, g: &CsrGraph, seed: u64) -> Result<FaultSet, FaultError> {
+        let n = g.num_vertices();
+        let out_of_range = |name, what: String| {
+            Err(FAMILY.bad_args(name, format!("{what} out of range for {n} routers")))
+        };
+        let (links, routers) = match self {
+            FaultTerm::Links(fraction) => (draw_failed_links(g, fraction, seed), Vec::new()),
+            FaultTerm::Routers(count) if count > n => {
+                let reason = format!("cannot fail {count} of {n} routers");
+                return Err(FAMILY.bad_args("routers", reason));
+            }
+            FaultTerm::Routers(count) => (Vec::new(), draw_failed_routers(n, count, seed)),
+            FaultTerm::Link(u, v) if u.max(v) as usize >= n => {
+                return out_of_range("link", format!("link ({u}, {v})"))
+            }
+            FaultTerm::Link(u, v) => (vec![(u, v)], Vec::new()),
+            FaultTerm::Router(r) if r as usize >= n => {
+                return out_of_range("router", format!("router {r}"))
+            }
+            FaultTerm::Router(r) => (Vec::new(), vec![r]),
+        };
+        Ok(FaultSet { links, routers })
     }
-}
-
-/// Instantiate the fault model selected by one parsed spec term (of a plan,
-/// e.g. `links(0.1)`, or the action of a script's `at(time, action)`).
-fn create_call(term: &Call) -> Result<Arc<dyn FaultModel>, FaultError> {
-    let factory = BUILTINS.lookup(&FAMILY, term.name)?;
-    factory(&term.numbers()?)
 }
 
 /// The terms of a composed plan or script spec, with its canonical spelling:
@@ -363,15 +264,15 @@ fn spec_or_none(canonical: &str) -> String {
 
 /// A composed, seeded fault plan: what to break and with which random draws.
 ///
-/// Plans are cheap to clone (terms are shared) and are applied once, at
-/// network construction ([`crate::SimNetwork::with_faults`]). Two plans with
-/// the same spec and seed damage any given graph identically
+/// Plans are cheap to clone and are applied once, at network construction
+/// ([`crate::SimNetwork::with_faults`]). Two plans with the same spec and
+/// seed damage any given graph identically
 /// ([`FaultPlan::cache_key`] is the sweep caches' key).
 #[derive(Clone, Default)]
 pub struct FaultPlan {
     /// The canonical spelling (empty for the empty plan).
     spec: String,
-    models: Vec<Arc<dyn FaultModel>>,
+    terms: Vec<FaultTerm>,
     seed: u64,
 }
 
@@ -396,12 +297,15 @@ impl FaultPlan {
 
     /// Parse a plan spec: model terms joined by `+`, e.g.
     /// `"links(0.1) + routers(2)"`; `"none"` (or an empty string) is the empty
-    /// plan. Terms resolve through [`BUILTINS`].
+    /// plan. Each term names one of [`NAMES`].
     pub fn parse(spec: &str) -> Result<Self, FaultError> {
         let (spec, terms) = parse_terms(spec)?;
         Ok(FaultPlan {
             spec,
-            models: terms.iter().map(create_call).collect::<Result<_, _>>()?,
+            terms: terms
+                .iter()
+                .map(FaultTerm::parse)
+                .collect::<Result<_, _>>()?,
             seed: Self::DEFAULT_SEED,
         })
     }
@@ -424,7 +328,7 @@ impl FaultPlan {
 
     /// Whether the plan breaks nothing.
     pub fn is_none(&self) -> bool {
-        self.models.is_empty()
+        self.terms.is_empty()
     }
 
     /// The plan's canonical spec string (`"none"` for the empty plan).
@@ -450,11 +354,11 @@ impl FaultPlan {
         let n = g.num_vertices();
         let mut down_routers = vec![false; n];
         let mut removed: Vec<(VertexId, VertexId)> = Vec::new();
-        for (i, model) in self.models.iter().enumerate() {
+        for (i, term) in self.terms.iter().enumerate() {
             // Term 0 draws with the plan seed itself (shared with the static
             // sweeps); later terms decorrelate by index.
             let term_seed = self.seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            let set = draw_checked(model.as_ref(), g, term_seed)?;
+            let set = term.draw(g, term_seed)?;
             removed.extend_from_slice(&set.links);
             for &r in &set.routers {
                 down_routers[r as usize] = true;
@@ -581,10 +485,8 @@ impl FaultTimeline {
 
 #[derive(Clone)]
 enum ScriptAction {
-    /// A registry fault model drawn and applied at the scheduled instant.
-    Model {
-        model: Arc<dyn FaultModel>,
-    },
+    /// A fault model drawn and applied at the scheduled instant.
+    Model(FaultTerm),
     HealAll,
 }
 
@@ -603,7 +505,7 @@ enum ScriptTerm {
 ///
 /// | term | meaning |
 /// |------|---------|
-/// | `at(T, model(…))` | apply a registry fault model at time `T` (e.g. `at(5us, links(0.05))`) |
+/// | `at(T, model(…))` | apply a fault model at time `T` (e.g. `at(5us, links(0.05))`) |
 /// | `at(T, heal(all))` | heal every runtime failure at time `T` |
 /// | `churn(R, M)` | Poisson link churn: failures at rate `R`, each healing after an exponential repair time with mean `M` |
 ///
@@ -697,8 +599,8 @@ impl FaultScript {
                             time_ps: *time_ps,
                             kind: FaultEventKind::HealAll,
                         }),
-                        ScriptAction::Model { model } => {
-                            let set = draw_checked(model.as_ref(), g, term_seed)?;
+                        ScriptAction::Model(model) => {
+                            let set = model.draw(g, term_seed)?;
                             for &(u, v) in &set.links {
                                 events.push(FaultEvent {
                                     time_ps: *time_ps,
@@ -827,9 +729,7 @@ fn script_term(term: &Call) -> Result<ScriptTerm, FaultError> {
                 ("at" | "churn", _) => {
                     return reject("script terms cannot nest inside at(time, action)")
                 }
-                _ => ScriptAction::Model {
-                    model: create_call(action)?,
-                },
+                _ => ScriptAction::Model(FaultTerm::parse(action)?),
             };
             ScriptTerm::At {
                 time_ps: time_arg(term, time)?,
@@ -1140,7 +1040,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // Unknown model inside at() resolves through the registry.
+        // An unknown model inside at() is the family's unknown-name error.
         assert!(matches!(
             FaultScript::parse("at(1us, meteor-strike(3))"),
             Err(FaultError::Unknown { .. })

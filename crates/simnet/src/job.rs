@@ -2,8 +2,7 @@
 //! workloads.
 //!
 //! A *job* describes what one tenant runs on its slice of the fabric. Jobs are
-//! selected by spec string through a [`JobRegistry`] (the job family of the one
-//! [`crate::spec::Registry`]) and composed into a
+//! selected by spec string from the closed list [`NAMES`] and composed into a
 //! multi-tenant **mix** placed on disjoint endpoint allocations. The resolved
 //! [`MixPlan`] is what both live engines execute when
 //! [`crate::SimConfig::jobs`] is set: open-loop tenants drive per-endpoint
@@ -60,10 +59,10 @@
 //! `rank`'s router, so no cross-shard coordination is needed.
 
 use crate::config::MAX_MESSAGE_BYTES;
-use crate::pattern::{self, PatternCtx, PatternRegistry, TrafficPattern};
-use crate::spec::{self, Arg, ArgReader, Call, DuplicateName, Family, Registry, ResolveError};
+use crate::pattern::{self, PatternCtx, PatternError, TrafficPattern};
+use crate::spec::{self, Arg, ArgReader, Call, Family, ResolveError};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 /// Default message/chunk payload when a job spec omits `bytes`.
 pub const DEFAULT_JOB_BYTES: u64 = 4096;
@@ -86,16 +85,6 @@ impl JobCtx {
     pub fn new() -> Self {
         JobCtx::default()
     }
-}
-
-/// A job template: given a tenant size (rank count), it produces the
-/// tenant's runtime behavior. Implementations must be `Send + Sync`.
-pub trait Job: Send + Sync {
-    /// Canonical registry name (lowercase, dash-separated).
-    fn name(&self) -> &str;
-
-    /// Instantiate the job's behavior for a tenant of `ranks` ranks.
-    fn behavior(&self, ranks: usize) -> Result<JobBehavior, JobError>;
 }
 
 /// What a tenant actually runs: a finite dependency-ordered collective, or an
@@ -724,20 +713,32 @@ impl MsgTag {
 }
 
 // ---------------------------------------------------------------------------
-// Spec parsing and the registry.
+// Job specs.
 // ---------------------------------------------------------------------------
 
-/// How this family calls itself in error messages; its factories report bad
-/// arguments through it ([`Family::args`], [`Family::bad_args`]).
+/// How this family calls itself in error messages ([`Family::args`],
+/// [`Family::bad_args`]).
 pub const FAMILY: Family = Family {
     unknown: "job",
     args: "job",
 };
 
-/// The jobs, built once per process. Closed: mixes select from this table
-/// only.
-pub static BUILTINS: LazyLock<JobRegistry> =
-    LazyLock::new(|| JobRegistry::builtins().expect("distinct names"));
+/// The jobs, sorted: what a mix's tenant may name (besides the aliases
+/// `all-reduce-ring`, `all-reduce-tree`, `all-to-all` and `all-gather`), and
+/// what an unknown name's error lists. Closed: nothing registers a job at run
+/// time.
+pub const NAMES: [&str; 10] = [
+    "allgather",
+    "allreduce-ring",
+    "allreduce-tree",
+    "alltoall",
+    "fft3d",
+    "halo3d",
+    "mmpp",
+    "onoff",
+    "sweep3d",
+    "traffic",
+];
 
 fn bytes_arg(args: &ArgReader<Arg>, idx: usize) -> Result<u64, JobError> {
     let bytes = args
@@ -758,26 +759,6 @@ fn us_arg(args: &ArgReader<Arg>, idx: usize, default_us: f64) -> Result<u64, Job
         return Err(args.bad(format!("duration (µs) must be positive, got {v}")));
     }
     Ok((v * 1e6) as u64)
-}
-
-/// A collective job template: the schedule builder with the spec's arguments
-/// bound, waiting for the tenant's rank count.
-struct CollectiveJob<B> {
-    name: &'static str,
-    build: B,
-}
-
-impl<B> Job for CollectiveJob<B>
-where
-    B: Fn(usize) -> Result<Schedule, JobError> + Send + Sync,
-{
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn behavior(&self, ranks: usize) -> Result<JobBehavior, JobError> {
-        let schedule = (self.build)(ranks)?;
-        Ok(JobBehavior::Collective(Arc::new(schedule)))
-    }
 }
 
 /// The most `(rank, round)` groups a motif's schedule may hold: iteration
@@ -806,202 +787,216 @@ fn count_arg(args: &ArgReader<Arg>, idx: usize, what: &str) -> Result<Option<usi
     Ok(count.map(|v| usize::try_from(v).unwrap_or(usize::MAX)))
 }
 
-/// `traffic(load, pattern, bytes)`: Poisson arrivals with destinations drawn
-/// from a nested pattern spec over the tenant's rank space.
-struct TrafficJob {
-    load: f64,
-    /// The nested pattern spec, as written.
-    pattern: String,
-    bytes: u64,
-    /// The run's patterns, which the nested spec resolves against.
-    patterns: Arc<PatternRegistry>,
+/// A `traffic` job's nested pattern spec that the run's patterns refuse.
+fn nested_pattern_rejected(e: PatternError) -> JobError {
+    FAMILY.bad_args("traffic", format!("nested pattern spec rejected: {e}"))
 }
 
-impl Job for TrafficJob {
-    fn name(&self) -> &str {
-        "traffic"
-    }
-    fn behavior(&self, ranks: usize) -> Result<JobBehavior, JobError> {
-        let ctx = PatternCtx::new(ranks);
-        let pattern = self.patterns.create(&self.pattern, &ctx).map_err(|e| {
-            FAMILY.bad_args("traffic", format!("nested pattern spec rejected: {e}"))
-        })?;
-        Ok(JobBehavior::OpenLoop(OpenLoopSpec {
-            pattern,
-            bytes: self.bytes,
-            rate: RateProcess::Poisson { load: self.load },
-        }))
-    }
+/// One tenant's job with its arguments bound, waiting for the tenant's rank
+/// count (see the module docs for what each runs).
+enum JobSpec<'a> {
+    AllreduceRing(u64),
+    AllreduceTree(u64),
+    Alltoall(u64),
+    Allgather(u64),
+    Halo3d {
+        iters: usize,
+        face_bytes: u64,
+    },
+    Sweep3d {
+        kba_blocks: usize,
+        bytes: u64,
+        sweeps: usize,
+    },
+    Fft3d {
+        bytes: u64,
+        iters: usize,
+        rows: Option<usize>,
+    },
+    /// Poisson arrivals, destinations drawn from a nested pattern spec (as
+    /// written) over the tenant's rank space.
+    Traffic {
+        load: f64,
+        pattern: &'a str,
+        bytes: u64,
+    },
+    /// Markov-modulated arrivals, uniform-random destinations.
+    Mmpp {
+        rate: RateProcess,
+        bytes: u64,
+    },
+    /// Pareto on-off arrivals, uniform-random destinations.
+    OnOff {
+        rate: RateProcess,
+        bytes: u64,
+    },
 }
 
-/// A bursty open-loop job (`mmpp` / `onoff`) with uniform-random destinations
-/// over the tenant's rank space.
-struct BurstyJob {
-    name: &'static str,
-    bytes: u64,
-    rate: RateProcess,
-}
-
-impl Job for BurstyJob {
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn behavior(&self, ranks: usize) -> Result<JobBehavior, JobError> {
-        let pattern = pattern::create("random", &PatternCtx::new(ranks))
-            .map_err(|e| FAMILY.bad_args(self.name, e.to_string()))?;
-        Ok(JobBehavior::OpenLoop(OpenLoopSpec {
-            pattern,
-            bytes: self.bytes,
-            rate: self.rate.clone(),
-        }))
-    }
-}
-
-/// Signature of a job factory: a job template from a context and the spec's
-/// parsed arguments (numbers, or nested specs such as `traffic`'s pattern).
-pub type JobFactory = dyn Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync;
-
-/// The job family of the one [`Registry`] (the contract every family shares
-/// is docs/ARCHITECTURE.md § "The registry contract").
-pub type JobRegistry = Registry<JobFactory>;
-
-impl JobRegistry {
-    fn builtins() -> Result<Self, DuplicateName> {
-        let mut r = Self::empty();
-        for (name, build) in [
-            (
-                "allreduce-ring",
-                Schedule::allreduce_ring as fn(usize, u64) -> Schedule,
-            ),
-            ("allreduce-tree", Schedule::allreduce_tree),
-            ("alltoall", Schedule::alltoall),
-            ("allgather", Schedule::allgather),
-        ] {
-            r.register(name, move |_ctx, args| {
-                let args = FAMILY.args(name, args);
-                args.max_args(1, "1 arguments")?;
-                let bytes = bytes_arg(&args, 0)?;
-                Ok(Box::new(CollectiveJob {
-                    name,
-                    build: move |ranks| Ok(build(ranks, bytes)),
-                }))
-            })?;
-        }
-        r.register("halo3d", |_ctx, args| {
-            let args = FAMILY.args("halo3d", args);
-            args.max_args(2, "2 arguments")?;
-            let iters = count_arg(&args, 0, "iterations")?.unwrap_or(1);
-            let face_bytes = bytes_arg(&args, 1)?;
-            Ok(Box::new(CollectiveJob {
-                name: "halo3d",
-                build: move |ranks| {
-                    check_groups("halo3d", ranks, &[iters])?;
-                    Ok(Schedule::halo3d(ranks, iters, face_bytes))
-                },
-            }))
-        })?;
-        r.register("sweep3d", |_ctx, args| {
-            let args = FAMILY.args("sweep3d", args);
-            args.max_args(3, "3 arguments")?;
-            let kba_blocks = count_arg(&args, 0, "KBA blocks")?.unwrap_or(1);
-            let bytes = bytes_arg(&args, 1)?;
-            let sweeps = count_arg(&args, 2, "sweeps")?.unwrap_or(1);
-            Ok(Box::new(CollectiveJob {
-                name: "sweep3d",
-                build: move |ranks| {
-                    let (px, py) = near_square(ranks);
-                    check_groups("sweep3d", ranks, &[sweeps, kba_blocks, px + py - 2])?;
-                    Ok(Schedule::sweep3d(ranks, kba_blocks, bytes, sweeps))
-                },
-            }))
-        })?;
-        r.register("fft3d", |_ctx, args| {
-            let args = FAMILY.args("fft3d", args);
-            args.max_args(3, "3 arguments")?;
-            let bytes = bytes_arg(&args, 0)?;
-            let iters = count_arg(&args, 1, "iterations")?.unwrap_or(1);
-            let rows = count_arg(&args, 2, "rows")?;
-            Ok(Box::new(CollectiveJob {
-                name: "fft3d",
-                build: move |ranks| {
-                    check_groups("fft3d", ranks, &[2, iters])?;
-                    Schedule::fft3d(ranks, bytes, iters, rows).ok_or_else(|| {
-                        let rows = rows.unwrap_or(0);
-                        let reason =
-                            format!("{rows} rows do not divide the tenant's {ranks} ranks");
-                        FAMILY.bad_args("fft3d", reason)
-                    })
-                },
-            }))
-        })?;
-        r.register("traffic", |ctx, raw| {
-            let args = FAMILY.args("traffic", raw);
-            args.max_args(3, "3 arguments")?;
-            let pattern = match raw.get(1) {
-                None => "random",
-                Some(Arg::Call(p)) => p.numbers().map(|_| p.text())?,
-                Some(Arg::Num(_)) => {
-                    return Err(args.bad("argument 2 must be a pattern spec, not a number"))
-                }
-            };
-            Ok(Box::new(TrafficJob {
-                load: args.fraction(0, f64::NAN, "load", false)?,
-                pattern: pattern.to_string(),
-                bytes: bytes_arg(&args, 2)?,
-                patterns: Arc::clone(&ctx.registries.patterns),
-            }))
-        })?;
-        r.register("mmpp", |_ctx, args| {
-            let args = FAMILY.args("mmpp", args);
-            args.max_args(5, "5 arguments")?;
-            let r0 = args.fraction(0, f64::NAN, "state-0 load", false)?;
-            let r1 = args.fraction(1, 0.0, "state-1 load", true)?;
-            Ok(Box::new(BurstyJob {
-                name: "mmpp",
-                bytes: bytes_arg(&args, 4)?,
-                rate: RateProcess::Mmpp {
-                    loads: [r0, r1],
-                    dwell_ps: [us_arg(&args, 2, 2.0)?, us_arg(&args, 3, 2.0)?],
-                },
-            }))
-        })?;
-        r.register("onoff", |_ctx, args| {
-            let args = FAMILY.args("onoff", args);
-            args.max_args(5, "5 arguments")?;
-            let alpha = args.number(1, 1.5)?;
-            if !(alpha.is_finite() && alpha > 1.0) {
-                return Err(args.bad(format!("Pareto shape alpha must be > 1, got {alpha}")));
+impl<'a> JobSpec<'a> {
+    /// The job one tenant's spec names, with its arguments checked; a nested
+    /// pattern must name one of `ctx`'s patterns.
+    fn parse(call: &Call<'a>, ctx: &JobCtx) -> Result<Self, JobError> {
+        let args = |name| FAMILY.args(name, call.args.as_slice());
+        let collective = |name| {
+            let args = args(name);
+            args.max_args(1, "1 arguments")?;
+            bytes_arg(&args, 0)
+        };
+        Ok(match call.key().as_str() {
+            "allreduce-ring" | "all-reduce-ring" => {
+                JobSpec::AllreduceRing(collective("allreduce-ring")?)
             }
-            Ok(Box::new(BurstyJob {
-                name: "onoff",
-                bytes: bytes_arg(&args, 4)?,
-                rate: RateProcess::OnOff {
-                    peak: args.fraction(0, f64::NAN, "peak load", false)?,
-                    alpha,
-                    on_ps: us_arg(&args, 2, 1.0)?,
-                    off_ps: us_arg(&args, 3, 1.0)?,
-                },
-            }))
-        })?;
-        r.alias("all-reduce-ring", "allreduce-ring")?;
-        r.alias("all-reduce-tree", "allreduce-tree")?;
-        r.alias("all-to-all", "alltoall")?;
-        r.alias("all-gather", "allgather")?;
-        Ok(r)
+            "allreduce-tree" | "all-reduce-tree" => {
+                JobSpec::AllreduceTree(collective("allreduce-tree")?)
+            }
+            "alltoall" | "all-to-all" => JobSpec::Alltoall(collective("alltoall")?),
+            "allgather" | "all-gather" => JobSpec::Allgather(collective("allgather")?),
+            "halo3d" => {
+                let args = args("halo3d");
+                args.max_args(2, "2 arguments")?;
+                JobSpec::Halo3d {
+                    iters: count_arg(&args, 0, "iterations")?.unwrap_or(1),
+                    face_bytes: bytes_arg(&args, 1)?,
+                }
+            }
+            "sweep3d" => {
+                let args = args("sweep3d");
+                args.max_args(3, "3 arguments")?;
+                JobSpec::Sweep3d {
+                    kba_blocks: count_arg(&args, 0, "KBA blocks")?.unwrap_or(1),
+                    bytes: bytes_arg(&args, 1)?,
+                    sweeps: count_arg(&args, 2, "sweeps")?.unwrap_or(1),
+                }
+            }
+            "fft3d" => {
+                let args = args("fft3d");
+                args.max_args(3, "3 arguments")?;
+                JobSpec::Fft3d {
+                    bytes: bytes_arg(&args, 0)?,
+                    iters: count_arg(&args, 1, "iterations")?.unwrap_or(1),
+                    rows: count_arg(&args, 2, "rows")?,
+                }
+            }
+            "traffic" => {
+                let args = args("traffic");
+                args.max_args(3, "3 arguments")?;
+                let (pattern, name) = match call.args.get(1) {
+                    None => ("random", "random"),
+                    Some(Arg::Call(p)) => (p.numbers().map(|_| p.text())?, p.name),
+                    Some(Arg::Num(_)) => {
+                        return Err(args.bad("argument 2 must be a pattern spec, not a number"))
+                    }
+                };
+                let traffic = JobSpec::Traffic {
+                    load: args.fraction(0, f64::NAN, "load", false)?,
+                    pattern,
+                    bytes: bytes_arg(&args, 2)?,
+                };
+                (ctx.registries.patterns.lookup(&pattern::FAMILY, name))
+                    .map_err(nested_pattern_rejected)?;
+                traffic
+            }
+            "mmpp" => {
+                let args = args("mmpp");
+                args.max_args(5, "5 arguments")?;
+                let r0 = args.fraction(0, f64::NAN, "state-0 load", false)?;
+                let r1 = args.fraction(1, 0.0, "state-1 load", true)?;
+                JobSpec::Mmpp {
+                    bytes: bytes_arg(&args, 4)?,
+                    rate: RateProcess::Mmpp {
+                        loads: [r0, r1],
+                        dwell_ps: [us_arg(&args, 2, 2.0)?, us_arg(&args, 3, 2.0)?],
+                    },
+                }
+            }
+            "onoff" => {
+                let args = args("onoff");
+                args.max_args(5, "5 arguments")?;
+                let alpha = args.number(1, 1.5)?;
+                if !(alpha.is_finite() && alpha > 1.0) {
+                    return Err(args.bad(format!("Pareto shape alpha must be > 1, got {alpha}")));
+                }
+                JobSpec::OnOff {
+                    bytes: bytes_arg(&args, 4)?,
+                    rate: RateProcess::OnOff {
+                        peak: args.fraction(0, f64::NAN, "peak load", false)?,
+                        alpha,
+                        on_ps: us_arg(&args, 2, 1.0)?,
+                        off_ps: us_arg(&args, 3, 1.0)?,
+                    },
+                }
+            }
+            other => return Err(FAMILY.unknown(other, &NAMES)),
+        })
     }
 
-    fn register<F>(&mut self, name: &str, factory: F) -> Result<(), DuplicateName>
-    where
-        F: Fn(&JobCtx, &[Arg]) -> Result<Box<dyn Job>, JobError> + Send + Sync + 'static,
-    {
-        self.insert(name, Arc::new(factory))
+    /// The primary name, whatever spelling selected the job.
+    fn name(&self) -> &'static str {
+        match self {
+            JobSpec::AllreduceRing(_) => "allreduce-ring",
+            JobSpec::AllreduceTree(_) => "allreduce-tree",
+            JobSpec::Alltoall(_) => "alltoall",
+            JobSpec::Allgather(_) => "allgather",
+            JobSpec::Halo3d { .. } => "halo3d",
+            JobSpec::Sweep3d { .. } => "sweep3d",
+            JobSpec::Fft3d { .. } => "fft3d",
+            JobSpec::Traffic { .. } => "traffic",
+            JobSpec::Mmpp { .. } => "mmpp",
+            JobSpec::OnOff { .. } => "onoff",
+        }
     }
-}
 
-/// Instantiate the job template a tenant of a mix selects.
-fn create_call(call: &Call, ctx: &JobCtx) -> Result<Box<dyn Job>, JobError> {
-    let factory = BUILTINS.lookup(&FAMILY, call.name)?;
-    factory(ctx, &call.args)
+    /// What a tenant of `ranks` ranks running this job does; an open-loop
+    /// job's pattern resolves against `ctx`'s patterns.
+    fn behavior(&self, ranks: usize, ctx: &JobCtx) -> Result<JobBehavior, JobError> {
+        let open_loop = |pattern: &str, rate: RateProcess, bytes: u64| {
+            let patterns = &ctx.registries.patterns;
+            let pattern = (patterns.create(pattern, &PatternCtx::new(ranks)))
+                .map_err(nested_pattern_rejected)?;
+            let spec = OpenLoopSpec {
+                pattern,
+                bytes,
+                rate,
+            };
+            Ok(JobBehavior::OpenLoop(spec))
+        };
+        let schedule = match *self {
+            JobSpec::AllreduceRing(bytes) => Schedule::allreduce_ring(ranks, bytes),
+            JobSpec::AllreduceTree(bytes) => Schedule::allreduce_tree(ranks, bytes),
+            JobSpec::Alltoall(bytes) => Schedule::alltoall(ranks, bytes),
+            JobSpec::Allgather(bytes) => Schedule::allgather(ranks, bytes),
+            JobSpec::Halo3d { iters, face_bytes } => {
+                check_groups("halo3d", ranks, &[iters])?;
+                Schedule::halo3d(ranks, iters, face_bytes)
+            }
+            JobSpec::Sweep3d {
+                kba_blocks,
+                bytes,
+                sweeps,
+            } => {
+                let (px, py) = near_square(ranks);
+                check_groups("sweep3d", ranks, &[sweeps, kba_blocks, px + py - 2])?;
+                Schedule::sweep3d(ranks, kba_blocks, bytes, sweeps)
+            }
+            JobSpec::Fft3d { bytes, iters, rows } => {
+                check_groups("fft3d", ranks, &[2, iters])?;
+                Schedule::fft3d(ranks, bytes, iters, rows).ok_or_else(|| {
+                    let rows = rows.unwrap_or(0);
+                    let reason = format!("{rows} rows do not divide the tenant's {ranks} ranks");
+                    FAMILY.bad_args("fft3d", reason)
+                })?
+            }
+            JobSpec::Traffic {
+                load,
+                pattern,
+                bytes,
+            } => return open_loop(pattern, RateProcess::Poisson { load }, bytes),
+            JobSpec::Mmpp { ref rate, bytes } | JobSpec::OnOff { ref rate, bytes } => {
+                return open_loop("random", rate.clone(), bytes)
+            }
+        };
+        Ok(JobBehavior::Collective(Arc::new(schedule)))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1081,13 +1076,14 @@ fn parse_mix(mix: &str) -> Result<Vec<TenantSpec<'_>>, JobError> {
         .collect()
 }
 
-/// Check that a mix string parses and every tenant's job spec is registered
-/// with valid arguments — the manifest-level validation hook (placement
-/// feasibility depends on the topology and is checked by [`resolve_mix`]).
+/// Check that a mix string parses and every tenant's job spec names a job
+/// with valid arguments (a `traffic` job's nested pattern, a built-in one) —
+/// the manifest-level validation hook (placement feasibility depends on the
+/// topology and is checked by [`resolve_mix`]).
 pub fn validate_mix_spec(spec: &str) -> Result<(), JobError> {
     let ctx = JobCtx::new();
     for t in parse_mix(spec)? {
-        create_call(&t.job, &ctx)?;
+        JobSpec::parse(&t.job, &ctx)?;
     }
     Ok(())
 }
@@ -1240,8 +1236,8 @@ pub fn resolve_mix(
         for &s in &slots {
             free[s] = false;
         }
-        let job = create_call(&t.job, ctx)?;
-        let behavior = job.behavior(ranks)?;
+        let job = JobSpec::parse(&t.job, ctx)?;
+        let behavior = job.behavior(ranks, ctx)?;
         tenants.push(ResolvedTenant {
             name: format!("t{ti}:{}", job.name()),
             job: t.job.text().to_string(),

@@ -25,8 +25,8 @@
 //!   selected by spec string (`"random"`, `"tornado"`, `"hotspot(8, 0.2)"`,
 //!   `"adversarial(128)"`, …) and sampled live by the steady-state sources of
 //!   an open-loop job such as `traffic(1, tornado)`;
-//! * a **pluggable fault-injection subsystem** ([`fault`]), a third family of
-//!   that registry: a seeded [`fault::FaultPlan`] (spec strings like
+//! * a **fault-injection subsystem** ([`fault`]) over a closed list of fault
+//!   models: a seeded [`fault::FaultPlan`] (spec strings like
 //!   `"links(0.1)"` or `"routers(4)+link(0,1)"`) degrades the topology at
 //!   [`SimNetwork::with_faults`] construction, the distance / next-hop oracle
 //!   is rebuilt over the surviving graph so every algorithm routes around the
@@ -45,7 +45,7 @@
 //!   continuous sources with warmup/measurement/drain windows and an interval
 //!   time-series ([`stats::IntervalSample`]), so offered-load sweeps measure true
 //!   saturation behaviour instead of drain-to-empty completion times;
-//! * a **pluggable job/tenant subsystem** ([`job`]), the fourth family: a mix
+//! * a **job/tenant subsystem** ([`job`]) over a closed list of jobs: a mix
 //!   spec like
 //!   `"allreduce-ring(4096) x 64 + traffic(0.9, adversarial(8), 4096) x 128"`
 //!   ([`SimConfig::with_jobs`]) places co-resident tenants — dependency-ordered
@@ -98,10 +98,9 @@ pub mod workload;
 pub use config::{MeasurementWindows, Registries, SimConfig};
 pub use engine::{ParallelSimulator, SimError, Simulator};
 pub use fault::{
-    FaultError, FaultEvent, FaultEventKind, FaultModel, FaultPlan, FaultRegistry, FaultScript,
-    FaultTimeline, Infeasible,
+    FaultError, FaultEvent, FaultEventKind, FaultPlan, FaultScript, FaultTimeline, Infeasible,
 };
-pub use job::{Job, JobBehavior, JobCtx, JobError, JobRegistry, MixPlan, Schedule};
+pub use job::{JobBehavior, JobCtx, JobError, MixPlan, Schedule};
 pub use network::SimNetwork;
 pub use pattern::{PatternCtx, PatternError, PatternRegistry, TrafficPattern};
 pub use routing::{Router, RouterRegistry, RoutingCtx, RoutingHarness, RoutingState};

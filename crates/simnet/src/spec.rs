@@ -1,10 +1,12 @@
-//! The one spec grammar and the one registry behind it: every pattern,
-//! job-mix, fault-plan, fault-script and topology string in the repository is
-//! tokenized and parsed here, and every family of names those strings select
-//! from — routing algorithms, traffic patterns, fault models, jobs, topology
-//! families — is a [`Registry`] resolved here. The grammar, the three
-//! combinators (`+` composition, `x N` repetition, `@ placement`), the unit
-//! suffixes, the registry contract and the error shape are specified once, in
+//! The one spec grammar, and the registry of the names users extend: every
+//! pattern, job-mix, fault-plan, fault-script and topology string in the
+//! repository is tokenized and parsed here. Of the five families of names
+//! those strings select from, the two open ones — routing algorithms and
+//! traffic patterns — are each a [`Registry`]; the three closed ones — fault
+//! models, jobs and topology families — are one `match` over a name list in
+//! their own module. The grammar, the three combinators (`+` composition,
+//! `x N` repetition, `@ placement`), the unit suffixes, the registry contract
+//! and the error shape are specified once, in
 //! docs/ARCHITECTURE.md § "Spec grammar".
 //!
 //! Parsing is strict — balanced parentheses, no empty argument, nothing after
@@ -368,8 +370,8 @@ impl<'a> Parser<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// The registry every family of names is kept in, and the errors of resolving
-// a spec against one.
+// The registry the open families of names are kept in, and the errors every
+// family resolves a spec with.
 // ---------------------------------------------------------------------------
 
 /// How one family of registered names calls itself in error messages.
@@ -388,6 +390,16 @@ impl Family {
             family: self.args,
             name: name.to_string(),
             reason: reason.into(),
+        }
+    }
+
+    /// The [`ResolveError::Unknown`] of this family: `name` selects none of
+    /// `names`, which the error lists.
+    pub fn unknown<X>(&self, name: &str, names: &[impl AsRef<str>]) -> ResolveError<X> {
+        ResolveError::Unknown {
+            family: self.unknown,
+            name: normalize(name),
+            registered: names.iter().map(|n| n.as_ref().to_string()).collect(),
         }
     }
 
@@ -471,8 +483,8 @@ impl<X> From<SpecError> for ResolveError<X> {
     }
 }
 
-/// A string-keyed registry of `F`s (factories, usually): the one container
-/// behind every family of names.
+/// A string-keyed registry of `F`s (factories, usually): the container behind
+/// each open family of names, routing algorithms and traffic patterns.
 ///
 /// Names are matched after [`normalize`], so `UGAL-L`, `ugal_l` and `ugal l`
 /// select the same entry. An alias is a redirect to a primary name and is not
@@ -570,11 +582,8 @@ impl<F: ?Sized> Registry<F> {
     /// [`Registry::get`], or the `family`'s [`ResolveError::Unknown`] listing
     /// the registered names.
     pub fn lookup<X>(&self, family: &Family, name: &str) -> Result<Arc<F>, ResolveError<X>> {
-        self.get(name).ok_or_else(|| ResolveError::Unknown {
-            family: family.unknown,
-            name: normalize(name),
-            registered: self.names(),
-        })
+        self.get(name)
+            .ok_or_else(|| family.unknown(name, &self.names()))
     }
 
     /// Whether `name` selects an entry.
