@@ -40,11 +40,14 @@ pub const RETRANSMIT_BUDGET: u32 = 8;
 pub const RTO_BASE_PS: u64 = 200_000;
 
 /// Serialization time of `bytes` on a link or through an endpoint NIC, in
-/// picoseconds. The float product is exact for every size up to
-/// [`MAX_MESSAGE_BYTES`], the largest a run serializes.
+/// picoseconds, rounded up: `⌈bytes · 8000 / LINK_GBPS⌉`, in integers, so it
+/// is exact for every size (the product fits `u64` far past
+/// [`MAX_MESSAGE_BYTES`], the largest a run serializes).
 pub fn serialization_ps(bytes: u64) -> u64 {
-    ((bytes as f64 * 8.0) / LINK_GBPS * 1000.0).ceil() as u64
+    (bytes * 8_000).div_ceil(LINK_GBPS as u64)
 }
+
+const _: () = assert!(LINK_GBPS == (LINK_GBPS as u64) as f64 && LINK_GBPS >= 1.0);
 
 /// The wait before the `attempt`-th retransmission of a packet (1-based),
 /// measured from the drop: `LOOKAHEAD_PS + RTO_BASE_PS · 2^min(attempt−1, 6)`.
@@ -321,6 +324,25 @@ mod tests {
         assert_eq!(serialization_ps(4096), 327_680);
         assert_eq!(serialization_ps(0), 0);
         assert!(serialization_ps(8192) > serialization_ps(4096));
+    }
+
+    /// `serialization_ps` is the exact ceiling, `⌈bits · 1000 / Gb/s⌉`,
+    /// checked in `u128`: at every packet size, and on a stride over every
+    /// message size (403 B is 32,240 ps, where a float product reads 32,241).
+    #[test]
+    fn serialization_time_is_the_exact_integer_ceiling() {
+        let exact = |bytes: u64| {
+            let (ps, gbps) = (u128::from(bytes) * 8_000, LINK_GBPS as u128);
+            u64::try_from(ps.div_ceil(gbps)).unwrap()
+        };
+        assert_eq!(serialization_ps(403), 32_240);
+        for bytes in (0..=PACKET_BYTES).chain((0..=MAX_MESSAGE_BYTES).step_by(9_973)) {
+            assert_eq!(serialization_ps(bytes), exact(bytes), "{bytes} B");
+        }
+        assert_eq!(
+            serialization_ps(MAX_MESSAGE_BYTES),
+            exact(MAX_MESSAGE_BYTES)
+        );
     }
 
     #[test]

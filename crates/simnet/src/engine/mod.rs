@@ -31,8 +31,15 @@
 //! events, beside three append-only sorted lanes for the transmits and arrivals that
 //! are due a fixed delay after the instant that schedules them (the private `calendar`
 //! module), and packets live in an index arena with a free list so
-//! steady-state runs recycle slots instead of growing without bound. The queues thread
-//! through that arena: every link's output queue and every router's pending injections
+//! steady-state runs recycle slots instead of growing without bound. The arena is two
+//! slot-indexed arrays: a 32-byte `Hot` record with everything a hop reads or writes
+//! (stable id, destination, held credit, FIFO link, hops, bytes, detour), and a `Cold`
+//! record with what only injection bookkeeping, delivery, drops and cross-shard
+//! hand-offs read (source, timestamps, message identity, retransmission state, tag). A
+//! steady run keeps tens of thousands of packets in flight, and at 32 bytes a packet
+//! the hot path's share of them stays close to the L2. An `Inject` event carries its
+//! source router, so an injection never reads the cold half. The queues thread
+//! through the arena: every link's output queue and every router's pending injections
 //! is a FIFO chained by each packet's `next` index, so a queue is a head/tail pair and
 //! queueing a packet allocates nothing. A link's transmit state — when it is free, its
 //! queue, the routers at both ends — is one 24-byte `LinkSlot`: a transmit usually finds
@@ -58,7 +65,6 @@ use crate::job::MsgTag;
 use crate::network::SimNetwork;
 use crate::routing::{self, Router, RoutingState};
 use crate::workload::Workload;
-use driver::UNTAGGED;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::csr::VertexId;
 use spectralfly_graph::metrics::label_components;
@@ -222,45 +228,95 @@ pub(crate) enum DropReason {
     TtlExceeded,
 }
 
-/// A packet in a shard's arena: self-describing (stable id, message identity,
-/// the credit it holds) so it can cross shard boundaries by value.
-#[derive(Clone, Debug)]
-struct Packet {
-    src_router: VertexId,
-    dst_router: VertexId,
-    bytes: u64,
-    inject_time_ps: u64,
-    hops: u32,
-    /// Algorithm-owned routing state (e.g. a Valiant intermediate still to be visited).
-    routing: RoutingState,
+/// The "none" arena index of a FIFO, of [`Hot::next`] and of
+/// [`Hot::intermediate`] (the arena never hands it out, and no router has
+/// it as an id).
+const NIL: u32 = u32::MAX;
+
+/// The per-hop half of a packet in a shard's arena: everything an injection,
+/// a transmit, an arrival or a routing decision reads or writes, in one
+/// 32-byte record. A steady run keeps tens of thousands of packets in
+/// flight, more than the L2 holds at full width; the hot path touches only
+/// this half.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Hot {
     /// Globally unique, shard-count-invariant packet id (event keys, RNG).
     stable_id: u64,
+    dst_router: VertexId,
+    /// Link and VC whose credit this packet holds (`u32::MAX` right after
+    /// injection — an injected packet consumed no link credit).
+    via_link: u32,
+    /// The arena index of the packet behind this one in the FIFO it sits in
+    /// — a link's output queue or a router's pending injections, at most one
+    /// at a time ([`NIL`] = none). Meaningful only while queued: a push
+    /// overwrites it, so the stale value a packet carries out of a queue, or
+    /// across shards, is never followed.
+    next: u32,
+    hops: u32,
+    /// The detour router still to be visited ([`NIL`] = none): the one field
+    /// of [`RoutingState`], which `route_forward` rebuilds around each
+    /// routing decision.
+    intermediate: u32,
+    /// Payload bytes, at most [`PACKET_BYTES`].
+    bytes: u16,
+    via_vc: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Hot>() == 32);
+const _: () = assert!(PACKET_BYTES <= u16::MAX as u64);
+
+impl Hot {
+    /// Clear the detour once the packet reaches it
+    /// ([`RoutingState::note_arrival`]).
+    #[inline]
+    fn note_arrival(&mut self, router: VertexId) {
+        if self.intermediate == router {
+            self.intermediate = NIL;
+        }
+    }
+
+    /// The router the packet is steering toward: the detour if one is
+    /// pending, the destination otherwise ([`RoutingState::current_target`]).
+    #[inline]
+    fn target(&self) -> VertexId {
+        match self.intermediate {
+            NIL => self.dst_router,
+            detour => detour,
+        }
+    }
+
+    /// The detour as the routing API's [`RoutingState`].
+    #[inline]
+    fn routing_state(&self) -> RoutingState {
+        let intermediate = (self.intermediate != NIL).then_some(self.intermediate);
+        RoutingState { intermediate }
+    }
+}
+
+/// The other half of an arena packet: what only injection bookkeeping,
+/// delivery, drops and cross-shard hand-offs read. Its slot is the [`Hot`]
+/// record's, in a parallel array.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Cold {
+    src_router: VertexId,
+    inject_time_ps: u64,
     /// Message identity and completion accounting, carried with the packet so
     /// the destination shard can account messages without a global map.
     msg_id: u64,
     msg_total: u32,
     msg_first_inject: u64,
-    /// Link and VC whose credit this packet holds (`u32::MAX` right after
-    /// injection — an injected packet consumed no link credit).
-    via_link: u32,
-    via_vc: u8,
-    /// The arena index of the packet behind this one in the FIFO it sits in
-    /// — a link's output queue or a router's pending injections, at most one
-    /// at a time (`u32::MAX` = none). Meaningful only while queued: a push
-    /// overwrites it, so the stale value a packet carries out of a queue, or
-    /// across shards, is never followed.
-    next: u32,
     /// Times this packet has been dropped and rescheduled (fault runs only).
     attempts: u32,
     /// First time this packet was dropped (`u64::MAX` = never): recovery time
     /// is measured from here to eventual delivery.
     first_drop_ps: u64,
     /// Tenant / collective tag (tenant `u32::MAX` = the untagged traffic of a
-    /// finite run).
-    /// Carried by value so the destination shard can account per-tenant stats
-    /// and collective releases without a global map.
+    /// finite run), carried so the destination shard can account per-tenant
+    /// stats and collective releases without a global map.
     tag: MsgTag,
 }
+
+const _: () = assert!(std::mem::size_of::<Cold>() == 56);
 
 /// Split a message into per-packet `(payload_bytes, nic_serialization_ps)`
 /// segments — the single source of truth for message segmentation, shared by
@@ -275,10 +331,11 @@ fn segment_message(total_bytes: u64) -> impl ExactSizeIterator<Item = (u64, u64)
     })
 }
 
-/// One initial injection of a finite run's schedule: everything the injection
-/// cursor needs to build the packet when it injects it, in 48 bytes. The
-/// record is self-contained, so the cursor reads its records in order and
-/// never looks a message up at random.
+/// One injection: everything but the tag that [`Injection::packet`] needs
+/// to build a packet's [`Hot`] and [`Cold`] halves, in 48 bytes. A finite
+/// run's schedule is a list of these; the record is self-contained, so the
+/// injection cursor reads its records in order and never looks a message up
+/// at random. A steady run's sources build one per packet as they inject it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Injection {
     time: u64,
@@ -295,26 +352,32 @@ struct Injection {
 const _: () = assert!(std::mem::size_of::<Injection>() == 48);
 
 impl Injection {
-    /// The packet this record injects, fresh from its source NIC.
-    fn packet(&self) -> Packet {
-        Packet {
-            src_router: self.src_router,
-            dst_router: self.dst_router,
-            bytes: u64::from(self.bytes),
-            inject_time_ps: self.time,
-            hops: 0,
-            routing: RoutingState::default(),
+    /// The packet this record injects, fresh from its source NIC, tagged
+    /// `tag`: no hops, no held credit, no detour, never dropped. A pair,
+    /// because that is how a packet travels by value — into an arena slot,
+    /// or across to another shard.
+    fn packet(&self, tag: MsgTag) -> (Hot, Cold) {
+        let hot = Hot {
             stable_id: self.stable_id,
+            dst_router: self.dst_router,
+            via_link: u32::MAX,
+            next: NIL,
+            hops: 0,
+            intermediate: NIL,
+            bytes: self.bytes as u16,
+            via_vc: 0,
+        };
+        let cold = Cold {
+            src_router: self.src_router,
+            inject_time_ps: self.time,
             msg_id: self.msg_id,
             msg_total: self.msg_total,
             msg_first_inject: self.msg_first_inject,
-            via_link: u32::MAX,
-            via_vc: 0,
-            next: u32::MAX,
             attempts: 0,
             first_drop_ps: u64::MAX,
-            tag: UNTAGGED,
-        }
+            tag,
+        };
+        (hot, cold)
     }
 }
 

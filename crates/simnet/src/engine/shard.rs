@@ -110,7 +110,9 @@
 
 use super::calendar::{LanedQueue, Timed};
 use super::driver::{self, Mode, RunPlan, Steady, Traffic};
-use super::{packetize, segment_message, DropReason, FaultRuntime, Injection, Packet, SimError};
+use super::{
+    packetize, segment_message, Cold, DropReason, FaultRuntime, Hot, Injection, SimError, NIL,
+};
 use crate::config::{
     retransmit_backoff_ps, serialization_ps, SimConfig, LOOKAHEAD_PS, PACKET_BYTES,
     RETRANSMIT_BUDGET,
@@ -118,7 +120,7 @@ use crate::config::{
 use crate::fault::{FaultEventKind, FaultTimeline};
 use crate::job::MsgTag;
 use crate::network::SimNetwork;
-use crate::routing::{self, RouteScratch, Router, RoutingCtx, RoutingState};
+use crate::routing::{self, RouteScratch, Router, RoutingCtx};
 use crate::stats::{EngineCounters, FaultStats, IntervalSample, SimResults, StatsCollector};
 use crate::workload::Workload;
 use rand::RngCore;
@@ -200,8 +202,10 @@ impl RngCore for DecisionRng {
 enum EventKind {
     /// A continuous source generates its next message (steady-state only).
     NextMessage { source: u32 },
-    /// Endpoint NIC injects a packet at its (local) source router.
-    Inject { packet: u32 },
+    /// Endpoint NIC injects a packet at its (local) source router. The
+    /// router rides in the event, so an injection reads only the packet's
+    /// [`Hot`] half.
+    Inject { packet: u32, router: VertexId },
     /// Wake a link parked on `vc`: a credit return for `(link, vc)` is due
     /// now (the return itself is settled by the next `try_transmit`). Keyed
     /// like the credit event it replaces; a no-op if the link no longer waits
@@ -225,7 +229,7 @@ impl EventKind {
         match self {
             EventKind::Fault { idx } => (CLASS_FAULT, idx, 0),
             EventKind::NextMessage { source } => (CLASS_NEXT_MESSAGE, source, 0),
-            EventKind::Inject { packet } => (CLASS_INJECT, packet, 0),
+            EventKind::Inject { packet, router } => (CLASS_INJECT, packet, router),
             EventKind::Credit { link, vc } => (CLASS_CREDIT, link, u32::from(vc)),
             EventKind::Arrive { packet, router } => (CLASS_ARRIVE, packet, router),
             EventKind::TryTransmit { link } => (CLASS_TRY_TRANSMIT, link, 0),
@@ -240,7 +244,7 @@ impl EventKind {
 /// keeps its fields' order, so this is the `(time, key, kind)` order. The
 /// payload comparison exists only for `Ord` consistency (two events sharing
 /// a `(time, key)` pair are identical wakes, of which the first wakes the
-/// link and the rest find it awake).
+/// link and the rest find it awake; no two injections share one).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
     time: u64,
@@ -268,7 +272,10 @@ impl Event {
         match self.key >> 56 {
             CLASS_FAULT => EventKind::Fault { idx: a },
             CLASS_NEXT_MESSAGE => EventKind::NextMessage { source: a },
-            CLASS_INJECT => EventKind::Inject { packet: a },
+            CLASS_INJECT => EventKind::Inject {
+                packet: a,
+                router: b,
+            },
             CLASS_CREDIT => EventKind::Credit {
                 link: a,
                 vc: b as u8,
@@ -297,14 +304,14 @@ enum ShardMsg {
     Arrive {
         time: u64,
         router: VertexId,
-        packet: Packet,
+        packet: (Hot, Cold),
     },
     /// A credit return, tagged with the shard that produced it (the FIFO it
     /// joins on the receiving side).
     Credit { from: usize, ret: CreditReturn },
     /// A dropped packet returns to its source NIC on the shard owning its
     /// source router, re-entering as a fresh injection.
-    Retransmit { time: u64, packet: Packet },
+    Retransmit { time: u64, packet: (Hot, Cold) },
 }
 
 /// A buffer credit on its way back to the sender side of `link`: it refills
@@ -316,11 +323,7 @@ struct CreditReturn {
     vc: u8,
 }
 
-/// The "none" arena index of a [`Fifo`] and of [`Packet::next`] (the arena
-/// never hands it out — see [`ShardCore::check_arena_index`]).
-const NIL: u32 = u32::MAX;
-
-/// A FIFO of arena packets chained through [`Packet::next`]: a link's output
+/// A FIFO of arena packets chained through [`Hot::next`]: a link's output
 /// queue or a router's pending injections. A packet sits in at most one FIFO
 /// at a time, so the queues cost a head/tail pair each and never allocate.
 /// `tail` is meaningful only while `head` is not [`NIL`].
@@ -344,7 +347,7 @@ impl Fifo {
     /// Append `pi`, overwriting the `next` it carries (a slot's previous
     /// queue, or another shard's arena, may have left one there).
     #[inline]
-    fn push(&mut self, packets: &mut [Packet], pi: usize) {
+    fn push(&mut self, packets: &mut [Hot], pi: usize) {
         packets[pi].next = NIL;
         match self.head {
             NIL => self.head = pi as u32,
@@ -354,7 +357,7 @@ impl Fifo {
     }
 
     #[inline]
-    fn pop(&mut self, packets: &[Packet]) -> Option<usize> {
+    fn pop(&mut self, packets: &[Hot]) -> Option<usize> {
         let head = self.front()?;
         self.head = packets[head].next;
         Some(head)
@@ -362,7 +365,7 @@ impl Fifo {
 
     /// The chain from `head`, checked to end at `tail` without looping (a
     /// debug walk, not a hot-path call).
-    fn walk(&self, packets: &[Packet]) -> Vec<usize> {
+    fn walk(&self, packets: &[Hot]) -> Vec<usize> {
         let mut chain = Vec::new();
         let mut at = self.head;
         while at != NIL {
@@ -605,7 +608,10 @@ pub(super) struct ShardCore<'a> {
     my_links: Vec<usize>,
     /// Routers owned by this shard.
     my_routers: Vec<VertexId>,
-    packets: Vec<Packet>,
+    /// The packet arena, split by slot into the per-hop [`Hot`] halves and
+    /// the [`Cold`] rest, so the hot path's working set is 32 bytes a packet.
+    hot: Vec<Hot>,
+    cold: Vec<Cold>,
     free: Vec<usize>,
     /// A finite run's initial injections at this shard's routers, in
     /// `(time, stable_id)` order (empty in steady mode, and released once
@@ -744,7 +750,8 @@ impl<'a> ShardCore<'a> {
             nv,
             my_links,
             my_routers,
-            packets: Vec::new(),
+            hot: Vec::new(),
+            cold: Vec::new(),
             free: Vec::new(),
             schedule,
             inject_cursor: 0,
@@ -803,31 +810,40 @@ impl<'a> ShardCore<'a> {
             .push_lane(lane, Event::new(time, link as u64, kind));
     }
 
-    /// Place `p` in the arena, reusing a freed slot when available, so
+    /// Place a packet in the arena, reusing a freed slot when available, so
     /// steady-state runs recycle slots.
-    fn alloc_packet(&mut self, p: Packet) -> usize {
+    fn alloc_packet(&mut self, (hot, cold): (Hot, Cold)) -> usize {
         let slot = match self.free.pop() {
             Some(i) => {
-                self.packets[i] = p;
+                self.hot[i] = hot;
+                self.cold[i] = cold;
                 i
             }
             None => {
-                self.packets.push(p);
+                self.hot.push(hot);
+                self.cold.push(cold);
                 self.check_arena_index();
-                self.packets.len() - 1
+                self.hot.len() - 1
             }
         };
-        self.counters.arena_slots = self.counters.arena_slots.max(self.packets.len() as u64);
+        self.counters.arena_slots = self.counters.arena_slots.max(self.hot.len() as u64);
         slot
+    }
+
+    /// Release slot `pi` and return its packet by value, for another shard:
+    /// the far side's [`Self::alloc_packet`] places it again.
+    fn hand_off(&mut self, pi: usize) -> (Hot, Cold) {
+        self.free.push(pi);
+        (self.hot[pi], self.cold[pi])
     }
 
     /// Events and FIFOs index the arena as `u32` (keeping them small — the
     /// queue moves millions), and index `u32::MAX` is the FIFOs' "none"
     /// ([`NIL`]), so the arena holds at most `u32::MAX` slots. An arena past
-    /// 4G slots would be a >400 GB run, but fail loudly rather than truncate.
+    /// 4G slots would be a >350 GB run, but fail loudly rather than truncate.
     fn check_arena_index(&self) {
         assert!(
-            self.packets.len() <= u32::MAX as usize,
+            self.hot.len() <= u32::MAX as usize,
             "packet arena exceeded u32 index space (index u32::MAX is reserved \
              as the FIFOs' \"none\" value)"
         );
@@ -840,7 +856,10 @@ impl<'a> ShardCore<'a> {
     #[inline]
     fn inject_head(&self) -> Option<Event> {
         let inj = self.schedule.get(self.inject_cursor)?;
-        let kind = EventKind::Inject { packet: NIL };
+        let kind = EventKind::Inject {
+            packet: NIL,
+            router: inj.src_router,
+        };
         Some(Event::new(inj.time, inj.stable_id, kind))
     }
 
@@ -873,30 +892,35 @@ impl<'a> ShardCore<'a> {
         if self.fault.is_some() {
             self.fstats.injected += 1;
         }
-        let packet = self.alloc_packet(inj.packet()) as u32;
-        Event::new(inj.time, inj.stable_id, EventKind::Inject { packet })
+        let packet = self.alloc_packet(inj.packet(driver::UNTAGGED)) as u32;
+        let router = inj.src_router;
+        Event::new(
+            inj.time,
+            inj.stable_id,
+            EventKind::Inject { packet, router },
+        )
     }
 
     #[inline]
     fn link_push(&mut self, link: usize, pi: usize) {
-        self.links[link].queue.push(&mut self.packets, pi);
+        self.links[link].queue.push(&mut self.hot, pi);
         self.link_qlen[link] += 1;
     }
 
     #[inline]
     fn link_pop(&mut self, link: usize) -> Option<usize> {
-        let head = self.links[link].queue.pop(&self.packets)?;
+        let head = self.links[link].queue.pop(&self.hot)?;
         self.link_qlen[link] -= 1;
         Some(head)
     }
 
     fn pending_push(&mut self, router: VertexId, pi: usize) {
-        self.pending_inject[router as usize].push(&mut self.packets, pi);
+        self.pending_inject[router as usize].push(&mut self.hot, pi);
         self.pending_len[router as usize] += 1;
     }
 
     fn pending_pop(&mut self, router: VertexId) -> Option<usize> {
-        let head = self.pending_inject[router as usize].pop(&self.packets)?;
+        let head = self.pending_inject[router as usize].pop(&self.hot)?;
         self.pending_len[router as usize] -= 1;
         Some(head)
     }
@@ -907,8 +931,16 @@ impl<'a> ShardCore<'a> {
         self.router_occ[router as usize] += 1;
     }
 
+    /// Release one buffer slot. Every slot released was claimed, so an
+    /// occupancy already at 0 is an accounting leak (a double-counted drop),
+    /// which a debug build stops on; a release build leaves it at 0.
     #[inline]
     fn occ_dec(&mut self, router: VertexId, slot: usize) {
+        debug_assert!(
+            self.occupancy[slot] > 0,
+            "router {router} releases a VC {} buffer slot it does not hold",
+            slot % self.nv
+        );
         if self.occupancy[slot] > 0 {
             self.occupancy[slot] -= 1;
             self.router_occ[router as usize] -= 1;
@@ -1018,13 +1050,16 @@ impl<'a> ShardCore<'a> {
     /// respects the conservative bound), freeing the local arena slot on a
     /// cross-shard handoff.
     fn send_retransmit(&mut self, time: u64, pi: usize) {
-        let o = self.owner[self.packets[pi].src_router as usize] as usize;
+        let router = self.cold[pi].src_router;
+        let o = self.owner[router as usize] as usize;
         if o == self.sid {
-            let kind = EventKind::Inject { packet: pi as u32 };
-            self.push(time, self.packets[pi].stable_id, kind);
+            let kind = EventKind::Inject {
+                packet: pi as u32,
+                router,
+            };
+            self.push(time, self.hot[pi].stable_id, kind);
         } else {
-            let packet = self.packets[pi].clone();
-            self.free.push(pi);
+            let packet = self.hand_off(pi);
             self.out[o].push(ShardMsg::Retransmit { time, packet });
         }
     }
@@ -1038,11 +1073,10 @@ impl<'a> ShardCore<'a> {
                 packet: pi as u32,
                 router,
             };
-            let ev = Event::new(time, self.packets[pi].stable_id, kind);
+            let ev = Event::new(time, self.hot[pi].stable_id, kind);
             self.queue.push_lane(LANE_ARRIVE, ev);
         } else {
-            let packet = self.packets[pi].clone();
-            self.free.push(pi);
+            let packet = self.hand_off(pi);
             self.out[o].push(ShardMsg::Arrive {
                 time,
                 router,
@@ -1059,7 +1093,7 @@ impl<'a> ShardCore<'a> {
                 router,
                 packet,
             } => {
-                let id = packet.stable_id;
+                let id = packet.0.stable_id;
                 let slot = self.alloc_packet(packet);
                 self.push(
                     time,
@@ -1072,15 +1106,13 @@ impl<'a> ShardCore<'a> {
             }
             ShardMsg::Credit { from, ret } => self.record_return(from, ret),
             ShardMsg::Retransmit { time, packet } => {
-                let id = packet.stable_id;
+                let (id, router) = (packet.0.stable_id, packet.1.src_router);
                 let slot = self.alloc_packet(packet);
-                self.push(
-                    time,
-                    id,
-                    EventKind::Inject {
-                        packet: slot as u32,
-                    },
-                );
+                let kind = EventKind::Inject {
+                    packet: slot as u32,
+                    router,
+                };
+                self.push(time, id, kind);
             }
         }
     }
@@ -1090,11 +1122,10 @@ impl<'a> ShardCore<'a> {
     fn handle_core(&mut self, ev: Event) {
         let now = ev.time;
         match ev.kind() {
-            EventKind::Inject { packet } => {
+            EventKind::Inject { packet, router } => {
                 let pi = packet as usize;
-                let router = self.packets[pi].src_router;
                 if let Some(fr) = self.fault.as_deref() {
-                    let dst = self.packets[pi].dst_router;
+                    let dst = self.hot[pi].dst_router;
                     let reason = if fr.router_dead(router) || fr.router_dead(dst) {
                         Some(DropReason::RouterDown)
                     } else if !fr.reachable(router, dst) {
@@ -1121,20 +1152,20 @@ impl<'a> ShardCore<'a> {
             EventKind::Arrive { packet, router } => {
                 let pi = packet as usize;
                 if let Some(fr) = self.fault.as_deref() {
-                    let via = self.packets[pi].via_link;
-                    let ser = serialization_ps(self.packets[pi].bytes);
+                    let via = self.hot[pi].via_link;
+                    let ser = serialization_ps(u64::from(self.hot[pi].bytes));
                     let flight_start = now.saturating_sub(ser + LOOKAHEAD_PS);
                     if via != u32::MAX && fr.last_down_ps[via as usize] > flight_start {
                         // The link died under the packet mid-flight. The packet
                         // never claims its downstream buffer slot (`occ_inc`
                         // happens below), so only its held credit goes back.
-                        let vv = self.packets[pi].via_vc;
+                        let vv = self.hot[pi].via_vc;
                         self.send_credit(via, vv, now + LOOKAHEAD_PS);
                         self.drop_packet(pi, now, DropReason::LinkDown);
                         return;
                     }
                 }
-                let vc = (self.packets[pi].hops as usize).min(self.nv - 1);
+                let vc = (self.hot[pi].hops as usize).min(self.nv - 1);
                 self.occ_inc(router, router as usize * self.nv + vc);
                 self.enter_router(pi, router, now);
                 self.admit_pending(router, now);
@@ -1180,7 +1211,7 @@ impl<'a> ShardCore<'a> {
             self.push_transmit(free_at, now, link);
             return;
         }
-        let hops = self.packets[pi].hops as usize;
+        let hops = self.hot[pi].hops as usize;
         let vc = hops.min(self.nv - 1);
         let next_vc = (hops + 1).min(self.nv - 1);
         let pool = link * self.nv + next_vc;
@@ -1198,17 +1229,18 @@ impl<'a> ShardCore<'a> {
         // The packet vacated its slot here: return the credit it held for the
         // link it arrived on (delayed by the lookahead, modelling the reverse
         // propagation of the credit signal).
-        let (via_link, via_vc) = (self.packets[pi].via_link, self.packets[pi].via_vc);
+        let (via_link, via_vc) = (self.hot[pi].via_link, self.hot[pi].via_vc);
         if via_link != u32::MAX {
             self.send_credit(via_link, via_vc, now + LOOKAHEAD_PS);
         }
         // The link is free (`free_at ≤ now`): serialization starts now.
-        let ser = serialization_ps(self.packets[pi].bytes);
+        let ser = serialization_ps(u64::from(self.hot[pi].bytes));
         let t = now + ser;
         self.links[link].free_at = t;
-        self.packets[pi].hops += 1;
-        self.packets[pi].via_link = link as u32;
-        self.packets[pi].via_vc = next_vc as u8;
+        let p = &mut self.hot[pi];
+        p.hops += 1;
+        p.via_link = link as u32;
+        p.via_vc = next_vc as u8;
         self.send_arrive(t + LOOKAHEAD_PS, dst_router, pi);
         if self.links[link].queue.front().is_some() {
             self.push_transmit(t, now, link);
@@ -1218,17 +1250,28 @@ impl<'a> ShardCore<'a> {
     /// A packet just became resident at `router`: deliver if home, else pick a
     /// port and enqueue.
     fn enter_router(&mut self, pi: usize, router: VertexId, now: u64) {
-        self.packets[pi].routing.note_arrival(router);
-        let dst = self.packets[pi].dst_router;
-        let target = self.packets[pi].routing.current_target(dst);
+        self.hot[pi].note_arrival(router);
+        let target = self.hot[pi].target();
         if target == router {
-            let hops = self.packets[pi].hops;
+            let Hot {
+                hops,
+                bytes,
+                via_link,
+                via_vc,
+                ..
+            } = self.hot[pi];
+            let Cold {
+                inject_time_ps,
+                msg_first_inject: first,
+                first_drop_ps: fd,
+                tag,
+                ..
+            } = self.cold[pi];
+            let bytes = u64::from(bytes);
             let vc = (hops as usize).min(self.nv - 1);
             self.occ_dec(router, router as usize * self.nv + vc);
-            let bytes = self.packets[pi].bytes;
-            let latency = now - self.packets[pi].inject_time_ps;
+            let latency = now - inject_time_ps;
             self.stats.record_packet(latency, hops, bytes, now);
-            let tag = self.packets[pi].tag;
             if tag.tenant != u32::MAX {
                 self.stats
                     .record_tenant_packet(tag.tenant, latency, bytes, now);
@@ -1238,7 +1281,6 @@ impl<'a> ShardCore<'a> {
             self.last_delivery_ps = now;
             if self.fault.is_some() {
                 self.fstats.delivered += 1;
-                let fd = self.packets[pi].first_drop_ps;
                 if fd != u64::MAX {
                     // The packet was dropped at least once and still made it
                     // home: its recovery time is first-drop → delivery.
@@ -1248,11 +1290,9 @@ impl<'a> ShardCore<'a> {
                     self.fstats.max_recovery_ps = self.fstats.max_recovery_ps.max(rec);
                 }
             }
-            let (via_link, via_vc) = (self.packets[pi].via_link, self.packets[pi].via_vc);
             if via_link != u32::MAX {
                 self.send_credit(via_link, via_vc, now + LOOKAHEAD_PS);
             }
-            let first = self.packets[pi].msg_first_inject;
             if self.message_complete(pi) {
                 if self.stats.is_measured(first) {
                     self.stats
@@ -1277,7 +1317,7 @@ impl<'a> ShardCore<'a> {
             return;
         }
         if let Some(fr) = self.fault.as_deref() {
-            let reason = if self.packets[pi].hops >= fr.ttl {
+            let reason = if self.hot[pi].hops >= fr.ttl {
                 Some(DropReason::TtlExceeded)
             } else if !fr.reachable(router, target) {
                 // No alive path can exist — drop now instead of wandering.
@@ -1299,10 +1339,8 @@ impl<'a> ShardCore<'a> {
                 // to the best alive port (greedy on static distance, RNG-free
                 // so the per-decision counter streams are not perturbed).
                 Some(fr) if fr.link_dead(pristine) => {
-                    let (via, hops, attempts) = {
-                        let p = &self.packets[pi];
-                        (p.via_link, p.hops, p.attempts)
-                    };
+                    let (via, hops) = (self.hot[pi].via_link, self.hot[pi].hops);
+                    let attempts = self.cold[pi].attempts;
                     let links = &self.links;
                     let prev = (via != u32::MAX).then(|| links[via as usize].src);
                     let salt = hops.wrapping_add(attempts.wrapping_mul(31));
@@ -1335,7 +1373,7 @@ impl<'a> ShardCore<'a> {
     /// Count delivered packet `pi` against its message; `true` when it was the
     /// message's last. A one-packet message never touches the table.
     fn message_complete(&mut self, pi: usize) -> bool {
-        let (msg_id, total) = (self.packets[pi].msg_id, self.packets[pi].msg_total);
+        let (msg_id, total) = (self.cold[pi].msg_id, self.cold[pi].msg_total);
         if total == 1 {
             return true;
         }
@@ -1361,9 +1399,9 @@ impl<'a> ShardCore<'a> {
     /// caller runs `admit_pending` after `enter_router` returns, exactly as on
     /// the delivery path.)
     fn drop_resident(&mut self, pi: usize, router: VertexId, now: u64, reason: DropReason) {
-        let vc = (self.packets[pi].hops as usize).min(self.nv - 1);
+        let vc = (self.hot[pi].hops as usize).min(self.nv - 1);
         self.occ_dec(router, router as usize * self.nv + vc);
-        let (via_link, via_vc) = (self.packets[pi].via_link, self.packets[pi].via_vc);
+        let (via_link, via_vc) = (self.hot[pi].via_link, self.hot[pi].via_vc);
         if via_link != u32::MAX {
             self.send_credit(via_link, via_vc, now + LOOKAHEAD_PS);
         }
@@ -1421,12 +1459,12 @@ impl<'a> ShardCore<'a> {
             self.unwoken.retain(|&(l, _)| l as usize != link);
         }
         while let Some(pi) = self.link_pop(link) {
-            let vc = (self.packets[pi].hops as usize).min(self.nv - 1);
+            let vc = (self.hot[pi].hops as usize).min(self.nv - 1);
             self.occ_dec(src_router, src_router as usize * self.nv + vc);
             if vc == 0 {
                 self.admit_pending(src_router, now);
             }
-            let (via_link, via_vc) = (self.packets[pi].via_link, self.packets[pi].via_vc);
+            let (via_link, via_vc) = (self.hot[pi].via_link, self.hot[pi].via_vc);
             if via_link != u32::MAX {
                 self.send_credit(via_link, via_vc, now + LOOKAHEAD_PS);
             }
@@ -1447,22 +1485,21 @@ impl<'a> ShardCore<'a> {
             DropReason::TtlExceeded => self.fstats.dropped_ttl += 1,
         }
         let attempts = {
-            let p = &mut self.packets[pi];
-            if p.first_drop_ps == u64::MAX {
-                p.first_drop_ps = now;
+            let c = &mut self.cold[pi];
+            if c.first_drop_ps == u64::MAX {
+                c.first_drop_ps = now;
             }
-            p.via_link = u32::MAX;
-            p.via_vc = 0;
-            p.attempts
+            c.attempts
         };
+        let h = &mut self.hot[pi];
+        h.via_link = u32::MAX;
+        h.via_vc = 0;
         if attempts < RETRANSMIT_BUDGET {
             let attempt = attempts + 1;
-            {
-                let p = &mut self.packets[pi];
-                p.attempts = attempt;
-                p.hops = 0;
-                p.routing = RoutingState::default();
-            }
+            self.cold[pi].attempts = attempt;
+            let h = &mut self.hot[pi];
+            h.hops = 0;
+            h.intermediate = NIL;
             self.fstats.retransmits += 1;
             let t = now + retransmit_backoff_ps(attempt);
             self.send_retransmit(t, pi);
@@ -1476,12 +1513,18 @@ impl<'a> ShardCore<'a> {
     }
 
     /// Routing decision via the shared [`Router`] behind an epoch-consistent
-    /// congestion snapshot and a per-decision counter RNG.
+    /// congestion snapshot and a per-decision counter RNG. The packet's
+    /// detour goes to the router as a [`routing::RoutingState`] and comes back into
+    /// [`Hot::intermediate`].
     fn route_forward(&mut self, pi: usize, router: VertexId) -> usize {
-        let mut state = std::mem::take(&mut self.packets[pi].routing);
-        let dst = self.packets[pi].dst_router;
-        let hops = self.packets[pi].hops;
-        let mut rng = DecisionRng::new(self.cfg.seed, self.packets[pi].stable_id, hops);
+        let Hot {
+            stable_id,
+            dst_router: dst,
+            hops,
+            ..
+        } = self.hot[pi];
+        let mut state = self.hot[pi].routing_state();
+        let mut rng = DecisionRng::new(self.cfg.seed, stable_id, hops);
         let mut ctx = RoutingCtx::new(
             self.net,
             &self.link_qlen,
@@ -1503,7 +1546,8 @@ impl<'a> ShardCore<'a> {
             "router {} returned out-of-range port {port} at router {router}",
             self.algo.name()
         );
-        self.packets[pi].routing = state;
+        debug_assert_ne!(state.intermediate, Some(NIL), "a detour to router id NIL");
+        self.hot[pi].intermediate = state.intermediate.unwrap_or(NIL);
         port
     }
 
@@ -1514,13 +1558,11 @@ impl<'a> ShardCore<'a> {
         let slot = router as usize * self.nv;
         if self.occupancy[slot] < self.cap {
             if let Some(wpkt) = self.pending_pop(router) {
-                self.push(
-                    now,
-                    self.packets[wpkt].stable_id,
-                    EventKind::Inject {
-                        packet: wpkt as u32,
-                    },
-                );
+                let kind = EventKind::Inject {
+                    packet: wpkt as u32,
+                    router,
+                };
+                self.push(now, self.hot[wpkt].stable_id, kind);
             }
         }
     }
@@ -1580,11 +1622,11 @@ impl<'a> ShardCore<'a> {
     /// the count its flat mirror says (`link_qlen`, `pending_len`).
     fn check_fifos(&self) {
         for (l, slot) in self.links.iter().enumerate() {
-            let len = slot.queue.walk(&self.packets).len();
+            let len = slot.queue.walk(&self.hot).len();
             assert_eq!(len, self.link_qlen[l] as usize, "link {l}'s FIFO");
         }
         for (r, fifo) in self.pending_inject.iter().enumerate() {
-            let len = fifo.walk(&self.packets).len();
+            let len = fifo.walk(&self.hot).len();
             assert_eq!(
                 len, self.pending_len[r] as usize,
                 "router {r}'s pending FIFO"
@@ -1741,36 +1783,26 @@ impl ShardCore<'_> {
         for (pkt_bytes, nic_ser) in segments {
             let stable_id = ((src_ep as u64) << 40) | self.nics.pkt_counter[src_ep];
             self.nics.pkt_counter[src_ep] += 1;
-            let packet = Packet {
-                src_router,
-                dst_router,
-                bytes: pkt_bytes,
-                inject_time_ps: t,
-                hops: 0,
-                routing: RoutingState::default(),
+            let injection = Injection {
+                time: t,
                 stable_id,
                 msg_id,
-                msg_total: total,
                 msg_first_inject: first,
-                via_link: u32::MAX,
-                via_vc: 0,
-                next: NIL,
-                attempts: 0,
-                first_drop_ps: u64::MAX,
-                tag,
+                src_router,
+                dst_router,
+                bytes: pkt_bytes as u32,
+                msg_total: total,
             };
-            let slot = self.alloc_packet(packet);
+            let slot = self.alloc_packet(injection.packet(tag));
             if self.fault.is_some() {
                 self.fstats.injected += 1;
             }
             self.stats.note_injection(t);
-            self.push(
-                t,
-                stable_id,
-                EventKind::Inject {
-                    packet: slot as u32,
-                },
-            );
+            let kind = EventKind::Inject {
+                packet: slot as u32,
+                router: src_router,
+            };
+            self.push(t, stable_id, kind);
             t += nic_ser;
         }
         self.nics.nic_free[src_ep] = t;
@@ -2119,7 +2151,14 @@ mod tests {
             let kinds = [
                 EventKind::Fault { idx: x },
                 EventKind::NextMessage { source: x },
-                EventKind::Inject { packet: x },
+                EventKind::Inject {
+                    packet: x,
+                    router: x,
+                },
+                EventKind::Inject {
+                    packet: x,
+                    router: !x,
+                },
                 EventKind::Credit { link: x, vc: 0 },
                 EventKind::Credit {
                     link: x,
@@ -2159,7 +2198,10 @@ mod tests {
                 let kind = match rng.gen_range(0..6) {
                     0 => EventKind::Fault { idx: x },
                     1 => EventKind::NextMessage { source: x },
-                    2 => EventKind::Inject { packet: x },
+                    2 => EventKind::Inject {
+                        packet: x,
+                        router: y,
+                    },
                     3 => EventKind::Credit {
                         link: x,
                         vc: y as u8,
@@ -2506,8 +2548,10 @@ mod tests {
     /// The arena-threaded FIFOs against a `VecDeque` model: pushes and pops
     /// interleaved on three links and one router's pending injections, slots
     /// recycled through the free list, every packet entering with a junk
-    /// `next`, a packet cloned out of a queue and re-entered the way a
-    /// cross-shard handoff does it, and a dead link's flush.
+    /// `next`, a packet handed out of a queue by value and re-entered the way
+    /// a cross-shard handoff does it, and a dead link's flush. Each packet
+    /// queued on a link claims a buffer slot at the link's router, as it
+    /// would in a run, so the flush releases only slots that are held.
     #[test]
     fn arena_fifos_match_a_vecdeque_model() {
         let net = SimNetwork::new(ring(4), 1);
@@ -2519,16 +2563,21 @@ mod tests {
         let links = [net.link_id(0, 0), net.link_id(0, 1), net.link_id(1, 0)];
         let pending_router = 3;
         let mut model: Vec<VecDeque<usize>> = vec![VecDeque::new(); 4];
-        let template = packetize(&net, &cfg, &one_message(1, 64), None)[0].packet();
+        let template = packetize(&net, &cfg, &one_message(1, 64), None)[0].packet(driver::UNTAGGED);
+        let queue_on_link = |core: &mut ShardCore<'_>, link: usize, pi: usize| {
+            let src = core.links[link].src;
+            core.occ_inc(src, src as usize * core.nv);
+            core.link_push(link, pi);
+        };
         let check = |core: &ShardCore<'_>, model: &[VecDeque<usize>]| {
             core.check_fifos();
             for (q, &l) in links.iter().enumerate() {
                 assert_eq!(
-                    core.links[l].queue.walk(&core.packets),
+                    core.links[l].queue.walk(&core.hot),
                     Vec::from(model[q].clone())
                 );
             }
-            let pending = core.pending_inject[pending_router as usize].walk(&core.packets);
+            let pending = core.pending_inject[pending_router as usize].walk(&core.hot);
             assert_eq!(pending, Vec::from(model[3].clone()));
         };
         let mut state = 0x5EED_F1F0_u64;
@@ -2536,13 +2585,13 @@ mod tests {
             state = mix64(state);
             let q = (state % 4) as usize;
             if (state >> 8) & 1 == 0 || model[q].is_empty() {
-                let mut p = template.clone();
-                p.stable_id = step;
-                p.next = (state >> 32) as u32;
+                let mut p = template;
+                p.0.stable_id = step;
+                p.0.next = (state >> 32) as u32;
                 let pi = core.alloc_packet(p);
                 match q {
                     3 => core.pending_push(pending_router, pi),
-                    _ => core.link_push(links[q], pi),
+                    _ => queue_on_link(&mut core, links[q], pi),
                 }
                 model[q].push_back(pi);
             } else {
@@ -2561,21 +2610,20 @@ mod tests {
         // arena onto another queue.
         for q in [0, 1] {
             while model[q].len() < 2 {
-                let pi = core.alloc_packet(template.clone());
-                core.link_push(links[q], pi);
+                let pi = core.alloc_packet(template);
+                queue_on_link(&mut core, links[q], pi);
                 model[q].push_back(pi);
             }
         }
         let pi = core.link_pop(links[0]).unwrap();
         assert_eq!(Some(pi), model[0].pop_front());
-        let handed = core.packets[pi].clone();
+        let handed = core.hand_off(pi);
         assert_eq!(
-            handed.next as usize, model[0][0],
-            "the clone's `next` is stale"
+            handed.0.next as usize, model[0][0],
+            "the handed-off `next` is stale"
         );
-        core.free.push(pi);
         let pi = core.alloc_packet(handed);
-        core.link_push(links[2], pi);
+        queue_on_link(&mut core, links[2], pi);
         model[2].push_back(pi);
         check(&core, &model);
 
@@ -2588,6 +2636,76 @@ mod tests {
         let queued: usize = model.iter().take(3).map(VecDeque::len).sum();
         let out = core.into_outcome();
         assert_eq!((out.in_queues, out.pending), (queued, model[3].len()));
+    }
+
+    /// A packet whose every field holds a distinct non-default value —
+    /// with a detour and with none, at 1 byte and at [`PACKET_BYTES`] —
+    /// placed in shard 0's arena, then handed to shard 1 by value as an
+    /// arrival and as a retransmission, reads back field for field on the
+    /// far side, behind the event that names its new slot.
+    #[test]
+    fn a_packet_survives_the_split_and_a_hand_off() {
+        let net = SimNetwork::new(ring(4), 1);
+        let cfg = SimConfig {
+            shards: 2,
+            ..SimConfig::default()
+        };
+        let sim = Simulator::new(&net, &cfg);
+        let owned_by = |sid| (0..4).find(|&r| sim.owner[r as usize] == sid).unwrap();
+        let (near, far) = (owned_by(0), owned_by(1));
+        let mut here = ShardCore::new(0, &sim, StatsCollector::default(), Vec::new());
+        let mut there = ShardCore::new(1, &sim, StatsCollector::default(), Vec::new());
+        for (intermediate, bytes) in [(near, 1), (NIL, PACKET_BYTES as u16)] {
+            let hot = Hot {
+                stable_id: 0x0123_4567_89AB,
+                dst_router: far,
+                via_link: 5,
+                next: 6,
+                hops: 7,
+                intermediate,
+                bytes,
+                via_vc: 8,
+            };
+            let cold = Cold {
+                src_router: far,
+                inject_time_ps: 9,
+                msg_id: 10,
+                msg_total: 11,
+                msg_first_inject: 12,
+                attempts: 3,
+                first_drop_ps: 13,
+                tag: MsgTag {
+                    tenant: 14,
+                    dst_rank: 15,
+                    round: 16,
+                },
+            };
+            assert!(cold.tag.is_collective());
+            for arrive in [true, false] {
+                let pi = here.alloc_packet((hot, cold));
+                if arrive {
+                    here.send_arrive(1000, far, pi);
+                } else {
+                    here.send_retransmit(1000, pi);
+                }
+                assert_eq!(here.free.last(), Some(&pi), "the near slot is released");
+                let msgs = std::mem::take(&mut here.out[1]);
+                assert_eq!(msgs.len(), 1);
+                for msg in msgs {
+                    there.deliver_msg(msg);
+                }
+                let ev = there.pop_before(u64::MAX).expect("the hand-off's event");
+                let (slot, router) = match ev.kind() {
+                    EventKind::Arrive { packet, router } if arrive => (packet, router),
+                    EventKind::Inject { packet, router } if !arrive => (packet, router),
+                    kind => panic!("unexpected {kind:?}"),
+                };
+                assert_eq!((ev.time, ev.key & 0xFFFF, router), (1000, 0x89AB, far));
+                let slot = slot as usize;
+                assert_eq!((there.hot[slot], there.cold[slot]), (hot, cold));
+                there.free.push(slot);
+            }
+        }
     }
 
     /// FNV-1a over the `Debug` rendering of a run's physics, field by field.
