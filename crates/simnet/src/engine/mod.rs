@@ -15,7 +15,7 @@
 //! jobs mode choice, fault-script arming, continuous sources, job injection, collective
 //! firing — is written once, in the private `driver` module, which calls three methods of
 //! the one core, the private `shard` module's `ShardCore`: the routers are
-//! partitioned into [`SimConfig::shards`] shards, each with its own calendar queue and
+//! partitioned into [`SimConfig::shards`] shards, each with its own event queue and
 //! packet arena, advancing in epochs bounded by the lookahead. [`Simulator`] drives one
 //! shard on the calling thread, or one worker thread per shard, and the results are
 //! identical at every shard count (docs/ARCHITECTURE.md § "One run driver, one core").
@@ -27,11 +27,12 @@
 //! no time-based retry events, so [`crate::stats::EngineCounters::timed_retries`] is
 //! always zero, while `blocked_parks` / `wakeups` count the parking traffic.
 //!
-//! Event storage is a bucketed calendar queue with an overflow heap for far-future
-//! events, beside three append-only sorted lanes for the transmits and arrivals that
-//! are due a fixed delay after the instant that schedules them (the private `calendar`
-//! module), and packets live in an index arena with a free list so
-//! steady-state runs recycle slots instead of growing without bound. The arena is two
+//! Event storage is three append-only sorted lanes for the transmits and arrivals that
+//! are due a fixed delay after the instant that schedules them, beside one store for
+//! every other event: a sorted run, popped from its end, and a binary heap of the
+//! pushes since the run was sorted (the private `calendar` module). Packets live in an
+//! index arena with a free list so steady-state runs recycle slots instead of growing
+//! without bound. The arena is two
 //! slot-indexed arrays: a 32-byte `Hot` record with everything a hop reads or writes
 //! (stable id, destination, held credit, FIFO link, hops, bytes, detour), and a `Cold`
 //! record with what only injection bookkeeping, delivery, drops and cross-shard

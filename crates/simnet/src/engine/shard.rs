@@ -1,5 +1,5 @@
 //! The event core: routers are partitioned into shards, each shard runs its
-//! own calendar queue and packet arena, and the shards advance in epochs
+//! own event queue and packet arena, and the shards advance in epochs
 //! bounded by the network's minimum cross-router latency (the *lookahead*) —
 //! on the calling thread at one shard, on one worker thread per shard, behind
 //! barriers, otherwise.
@@ -27,14 +27,16 @@
 //!   transmit behind a busy link at `now + ser` (the `transmit` lane), and a
 //!   same-shard arrival at `now + ser + E` (the `arrive` lane). A lane is
 //!   append-only: it takes a push that orders at or after its tail under the
-//!   full [`Event`] order, and turns any other away to the calendar queue;
-//! * **the calendar queue** — every other event: the lanes' rejects,
-//!   re-injections (pending-buffer admissions, retransmissions), credit
-//!   wakes, fault and source events, and cross-shard hand-offs;
+//!   full [`Event`] order, and turns any other away to the store;
+//! * **the store** — every other event: the lanes' rejects, re-injections
+//!   (pending-buffer admissions, retransmissions), credit wakes, fault and
+//!   source events, and cross-shard hand-offs. It is a run sorted once,
+//!   popped from its end, beside a binary heap of later pushes, which is
+//!   sorted into the run when the run is spent;
 //! * **the credit-return FIFOs** — settled on read, not popped (below).
 //!
 //! The loop pops the least of the cursor's head, the lane heads and the
-//! calendar's minimum under the full [`Event`] order, so pop order is the
+//! store's minimum under the full [`Event`] order, so pop order is the
 //! one a single queue holding every event would give; the shard's next time
 //! is the least of those heads and the credit-return FIFOs' fronts.
 //!
@@ -114,8 +116,7 @@ use super::{
     packetize, segment_message, Cold, DropReason, FaultRuntime, Hot, Injection, SimError, NIL,
 };
 use crate::config::{
-    retransmit_backoff_ps, serialization_ps, SimConfig, LOOKAHEAD_PS, PACKET_BYTES,
-    RETRANSMIT_BUDGET,
+    retransmit_backoff_ps, serialization_ps, SimConfig, LOOKAHEAD_PS, RETRANSMIT_BUDGET,
 };
 use crate::fault::{FaultEventKind, FaultTimeline};
 use crate::job::MsgTag;
@@ -237,7 +238,7 @@ impl EventKind {
     }
 }
 
-/// An event in 24 bytes — the calendar queue moves millions — ordered by
+/// An event in 24 bytes — the event queue moves millions — ordered by
 /// `(time, key, a, b)`. The key packs the [`EventKind`]'s class above a
 /// stable id and is stable across shard counts; `a` and `b` are the kind's
 /// fields ([`EventKind::encode`]). A class names one kind and the payload
@@ -738,7 +739,6 @@ impl<'a> ShardCore<'a> {
         let my_links: Vec<usize> = (0..links)
             .filter(|&l| owner[link_slots[l].src as usize] as usize == sid)
             .collect();
-        let width = (serialization_ps(PACKET_BYTES) / 4).max(1);
         ShardCore {
             sid,
             net,
@@ -769,7 +769,7 @@ impl<'a> ShardCore<'a> {
             rocc_view: vec![0; view],
             pending_inject: vec![Fifo::EMPTY; net.num_routers()],
             pending_len: vec![0; net.num_routers()],
-            queue: LanedQueue::new(width, 1024),
+            queue: LanedQueue::new(),
             route_scratch: RouteScratch::default(),
             fault: None,
             fstats: FaultStats::default(),
@@ -864,7 +864,7 @@ impl<'a> ShardCore<'a> {
     }
 
     /// Pop the earliest event before `limit` under the full [`Event`] order:
-    /// the queue's minimum (calendar and lanes) or the cursor's head,
+    /// the queue's minimum (store and lanes) or the cursor's head,
     /// whichever is smaller.
     #[inline]
     fn pop_before(&mut self, limit: u64) -> Option<Event> {
@@ -2132,7 +2132,7 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MeasurementWindows;
+    use crate::config::{MeasurementWindows, PACKET_BYTES};
     use crate::fault::FaultScript;
     use crate::workload::{Message, Workload};
     use spectralfly_graph::CsrGraph;
@@ -2792,10 +2792,10 @@ mod tests {
     /// messages where injections wait for VC-0 slots (two per VC), and where
     /// a link cut drops packets into retransmission, both while the cursor
     /// is live. Event counts and digests are pinned from the engine that
-    /// pushed every initial injection into the calendar queue (every shard
+    /// pushed every initial injection into its event queue (every shard
     /// replays the fault timeline, so a faulted run's count grows with the
-    /// shard count). The calendar serves some of them, not all: the rest
-    /// come from the cursor and the lanes.
+    /// shard count). The queue's store serves some of them, not all: the
+    /// rest come from the cursor and the lanes.
     #[test]
     fn injection_cursor_merges_with_queued_reentries() {
         let net = SimNetwork::new(ring(8), 4);
@@ -2850,16 +2850,16 @@ mod tests {
                     (events, digest),
                     "{name} at {shards} shards"
                 );
-                let calendar = res.engine.calendar_events;
+                let store = res.engine.calendar_events;
                 assert!(
-                    0 < calendar && calendar < events,
-                    "{name} at {shards} shards: the calendar served {calendar} of {events}"
+                    0 < store && store < events,
+                    "{name} at {shards} shards: the store served {store} of {events}"
                 );
             }
         }
     }
 
-    /// A lane turns a push that orders before its tail away to the calendar,
+    /// A lane turns a push that orders before its tail away to the store,
     /// and pop order does not change. Every packet of this workload-paced run
     /// is injected at `t = 0`, so the transmits pop in link order and their
     /// arrivals reach the `arrive` lane out of key (packet id) order. The

@@ -1605,4 +1605,15 @@ mod tests {
         // A nested spec the flat pattern parser cannot express.
         assert!(validate_mix_spec("traffic(1.0, hotspot(4, 0.5))").is_ok());
     }
+
+    /// Platform canary: every finite pacing gap, steady source gap and
+    /// fault gap is an `exp_draw`-style `-u.ln() * mean` draw, and `f64::ln`
+    /// is whatever the platform's libm returns. A libm whose `ln` moves any
+    /// of these 10⁵ draws fails here, by name, before it moves the goldens.
+    #[test]
+    fn exp_draws_are_pinned_on_this_platform() {
+        let mut rng = StdRng::seed_from_u64(3606);
+        let hash = (0..100_000).fold(0u64, |h, _| mix64(h ^ exp_draw(1e6, &mut rng)));
+        assert_eq!(hash, 14795812545231025008);
+    }
 }

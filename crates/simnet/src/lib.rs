@@ -35,7 +35,7 @@
 //!   [`Simulator::try_run_with_offered_load`];
 //! * **one wakeup-driven event core** ([`engine`]): a link out of credits parks and is
 //!   woken by one event when the first matching credit returns — no time-based retry
-//!   polling — over a packet arena and a bucketed calendar event queue;
+//!   polling — over a packet arena and an event queue of sorted lanes beside a heap;
 //! * **sharding** of that core: routers are partitioned into [`SimConfig::shards`]
 //!   shards by recursive spectral bisection, which advance in epochs bounded by the
 //!   link + router latency lookahead — one shard on the calling thread, more on

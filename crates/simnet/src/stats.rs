@@ -10,8 +10,9 @@
 pub struct EngineCounters {
     /// Events popped from the event queue.
     pub events: u64,
-    /// The share of `events` the calendar queue served; the rest came from
-    /// the injection cursor and the sorted lanes beside the calendar.
+    /// The share of `events` the event queue's store (its sorted run and
+    /// heap) served; the rest came from the injection cursor and the sorted
+    /// lanes beside the store.
     pub calendar_events: u64,
     /// Time-based transmit retries while blocked. Always 0: no engine polls
     /// any more. Kept because the repository benchmark reports it.
