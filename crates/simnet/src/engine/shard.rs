@@ -110,8 +110,8 @@
 //! `tests/pdes_equivalence.rs` holds every shard count to the one-shard run,
 //! exactly, under congestion.
 
-use super::calendar::{LanedQueue, Timed};
 use super::driver::{self, Mode, RunPlan, Steady, Traffic};
+use super::queue::{LanedQueue, Timed};
 use super::{
     packetize, segment_message, Cold, DropReason, FaultRuntime, Hot, Injection, SimError, NIL,
 };
