@@ -246,7 +246,7 @@ mod tests {
         let mut sharded = r.clone();
         sharded.engine = EngineCounters {
             events: 999_999,
-            calendar_events: 555_555,
+            store_events: 555_555,
             blocked_parks: 123,
             wakeups: 123,
             arena_slots: 64,

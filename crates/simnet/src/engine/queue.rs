@@ -6,13 +6,28 @@
 //! sorted lanes, which need no sort and no heap, and every other event in
 //! its store.
 //!
-//! The store is a sorted run, its minimum last, plus a
+//! The store is split at `last`, the time it last refilled at. Items at or
+//! before `last` sit in a sorted run, its minimum last, plus a
 //! [`std::collections::BinaryHeap`] of the items pushed since the run was
-//! sorted; once the run is spent, the heap is sorted into it. Whole waves of
-//! events can share one timestamp (every packet of a finite run injected at
-//! `t = 0` moves in lockstep), and their tie-break keys arrive in no
-//! particular order: a heap that large pops along a random path through
-//! memory, a sorted run pops its next cache line.
+//! sorted; once the run is spent, the heap is sorted into it. Items after
+//! `last` sit in a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, J. ACM
+//! 1990): 64 buckets, keyed by the highest bit in which an item's time
+//! differs from `last`, so a push is one XOR and no comparison. When the
+//! run and the heap are both spent and the next pop is at the lowest
+//! non-empty bucket's least time, that bucket refills them: its least time
+//! becomes `last`, the items at that time become the run, sorted once, and
+//! the rest drop to lower buckets. An item moves at most once per bit of
+//! its distance from `last`.
+//!
+//! Whole waves of events can share one timestamp (every packet of a finite
+//! run injected at `t = 0` moves in lockstep), and their tie-break keys
+//! arrive in no particular order: a heap that large pops along a random
+//! path through memory, a sorted run pops its next cache line.
+//!
+//! A bucket is a list of fixed-size chunks, and every bucket takes its
+//! chunks from one shared free list, so a wave that passes through the
+//! buckets leaves behind chunks any bucket can reuse, not 64 buffers each
+//! grown to the wave's size.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -26,8 +41,12 @@ pub(crate) trait Timed: Ord + Copy {
 
 /// Capacity an emptied store keeps for reuse. A store that held a bigger
 /// wave gives the rest back; it would otherwise hold two wave-sized buffers,
-/// the run and the heap, until the end of the run.
+/// the run and the heap, and a wave's worth of chunks until the end of the
+/// run.
 const KEEP: usize = 1024;
+
+/// Items a bucket chunk holds.
+const CHUNK: usize = 256;
 
 /// `N` append-only sorted lanes beside a store for every other item.
 ///
@@ -39,13 +58,26 @@ const KEEP: usize = 1024;
 pub(crate) struct LanedQueue<T: Timed, const N: usize> {
     /// The store's sorted run, its minimum last.
     run: Vec<Reverse<T>>,
-    /// The store's items pushed since the run was last sorted.
+    /// The store's items at or before `last` pushed since the run was last
+    /// sorted.
     heap: BinaryHeap<Reverse<T>>,
+    /// The time the store last refilled at: the run and the heap hold the
+    /// items at or before it, the buckets the items after it.
+    last: u64,
+    /// Bucket `i` holds the items whose time differs from `last` highest in
+    /// bit `i`, as full chunks and a partly full last one.
+    buckets: [Vec<Vec<T>>; 64],
+    /// Bit `i` is set if bucket `i` holds an item.
+    occupied: u64,
+    /// The least time in each bucket (`u64::MAX` in an empty one).
+    mins: [u64; 64],
+    /// Empty chunks, each with room for `CHUNK` items.
+    free: Vec<Vec<T>>,
     lanes: [VecDeque<T>; N],
     /// Time of the item the store last served.
     popped_time: u64,
     /// Pops the store served.
-    calendar_pops: u64,
+    store_pops: u64,
     /// Pushes each lane turned away to the store.
     #[cfg(test)]
     rejections: [u64; N],
@@ -57,9 +89,14 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
         LanedQueue {
             run: Vec::new(),
             heap: BinaryHeap::new(),
+            last: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            mins: [u64::MAX; 64],
+            free: Vec::new(),
             lanes: std::array::from_fn(|_| VecDeque::new()),
             popped_time: 0,
-            calendar_pops: 0,
+            store_pops: 0,
             #[cfg(test)]
             rejections: [0; N],
         }
@@ -68,7 +105,9 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
     /// Number of queued items.
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.run.len() + self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
+        let bucketed: usize = self.buckets.iter().flatten().map(Vec::len).sum();
+        let laned: usize = self.lanes.iter().map(VecDeque::len).sum();
+        self.run.len() + self.heap.len() + bucketed + laned
     }
 
     /// Pushes lane `lane` turned away to the store.
@@ -77,10 +116,16 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
         self.rejections[lane]
     }
 
+    /// Chunks the store holds, in buckets and on the free list.
+    #[cfg(test)]
+    pub fn chunks(&self) -> usize {
+        self.buckets.iter().map(Vec::len).sum::<usize>() + self.free.len()
+    }
+
     /// Pops the store served (the rest came from a lane or the side
     /// stream).
-    pub fn calendar_pops(&self) -> u64 {
-        self.calendar_pops
+    pub fn store_pops(&self) -> u64 {
+        self.store_pops
     }
 
     /// Insert an item into the store. Must not be scheduled before the item
@@ -88,12 +133,34 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
     #[inline]
     pub fn push(&mut self, item: T) {
         debug_assert!(
-            item.time() >= self.popped_time || self.store_min().is_none(),
+            item.time() >= self.popped_time || self.store_is_empty(),
             "event queue push into the past: {} < {}",
             item.time(),
             self.popped_time
         );
-        self.heap.push(Reverse(item));
+        if item.time() <= self.last {
+            self.heap.push(Reverse(item));
+        } else {
+            self.push_bucket(item);
+        }
+    }
+
+    /// Append an item after `last` to the bucket of the highest bit in which
+    /// its time differs from `last`.
+    #[inline]
+    fn push_bucket(&mut self, item: T) {
+        let b = 63 - (item.time() ^ self.last).leading_zeros() as usize;
+        self.occupied |= 1 << b;
+        self.mins[b] = self.mins[b].min(item.time());
+        let chunks = &mut self.buckets[b];
+        match chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(item),
+            _ => {
+                let mut chunk = self.free.pop().unwrap_or_else(|| Vec::with_capacity(CHUNK));
+                chunk.push(item);
+                chunks.push(chunk);
+            }
+        }
     }
 
     /// Append an item to lane `lane` if it orders at or after the lane's
@@ -120,7 +187,7 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
 
     /// Remove and return the earliest item under the full `Ord` — the least
     /// lane head or the store's minimum — if it lies strictly before `limit`
-    /// and, given `side`, orders strictly before it; leave the queue
+    /// and, given `side`, orders strictly before it; leave the queue's items
     /// untouched otherwise.
     ///
     /// This is the event loop's epoch primitive: with lookahead `E` and
@@ -146,12 +213,23 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
             (Some(head), Some(side)) => Some(head.min(side)),
             (head, side) => head.or(side),
         };
-        // Once the run is spent, sort the heap into it (the two buffers
-        // swap, so nothing is reallocated).
-        if self.run.is_empty() && !self.heap.is_empty() {
-            let spent = std::mem::take(&mut self.run);
-            self.run = std::mem::replace(&mut self.heap, BinaryHeap::from(spent)).into_vec();
-            self.run.sort_unstable();
+        if self.run.is_empty() {
+            if !self.heap.is_empty() {
+                // Sort the heap into the spent run (the two buffers swap, so
+                // nothing is reallocated).
+                let spent = std::mem::take(&mut self.run);
+                self.run = std::mem::replace(&mut self.heap, BinaryHeap::from(spent)).into_vec();
+                self.run.sort_unstable();
+            } else if self.occupied != 0 {
+                // Refill only for a pop at the lowest bucket's least time,
+                // so `last` never runs ahead of what pops: a push before
+                // `last` goes to the heap.
+                let b = self.occupied.trailing_zeros() as usize;
+                let least = self.mins[b];
+                if least < limit && bound.is_none_or(|bound| least <= bound.time()) {
+                    self.refill(b);
+                }
+            }
         }
         if let Some(&min) = self.store_min() {
             if min.time() < limit && bound.is_none_or(|bound| min < *bound) {
@@ -165,13 +243,39 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
         self.lanes[i].pop_front()
     }
 
-    /// The store's minimum: the heap's top or the run's end.
+    /// Refill the spent run from bucket `b`, the lowest non-empty one: its
+    /// least time becomes `last`, its items at that time the run, and the
+    /// rest drop to lower buckets.
+    fn refill(&mut self, b: usize) {
+        self.occupied &= !(1 << b);
+        self.last = std::mem::replace(&mut self.mins[b], u64::MAX);
+        let mut chunks = std::mem::take(&mut self.buckets[b]);
+        for mut chunk in chunks.drain(..) {
+            for item in chunk.drain(..) {
+                if item.time() == self.last {
+                    self.run.push(Reverse(item));
+                } else {
+                    self.push_bucket(item);
+                }
+            }
+            self.free.push(chunk);
+        }
+        // Keep the emptied chunk list's capacity.
+        self.buckets[b] = chunks;
+        self.run.sort_unstable();
+    }
+
+    fn store_is_empty(&self) -> bool {
+        self.run.is_empty() && self.heap.is_empty() && self.occupied == 0
+    }
+
+    /// The minimum of the run and the heap: the heap's top or the run's end.
     fn store_min(&self) -> Option<&T> {
         let Reverse(min) = self.heap.peek().max(self.run.last())?;
         Some(min)
     }
 
-    /// Remove the store's minimum.
+    /// Remove the minimum of the run and the heap.
     fn pop_store(&mut self) -> T {
         let top = if self.heap.peek() > self.run.last() {
             self.heap.pop()
@@ -179,12 +283,13 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
             self.run.pop()
         };
         let Reverse(item) = top.expect("pop of a non-empty store");
-        if self.run.is_empty() && self.heap.is_empty() {
+        if self.store_is_empty() {
             self.run.shrink_to(KEEP);
             self.heap.shrink_to(KEEP);
+            self.free.truncate(KEEP / CHUNK);
         }
         self.popped_time = item.time();
-        self.calendar_pops += 1;
+        self.store_pops += 1;
         item
     }
 
@@ -193,7 +298,10 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
     /// this query.
     pub fn next_time(&self) -> Option<u64> {
         let heads = self.lanes.iter().filter_map(|l| l.front().map(T::time));
-        heads.chain(self.store_min().map(T::time)).min()
+        // An empty mask has 64 trailing zeros: no bucket.
+        let lowest = self.mins.get(self.occupied.trailing_zeros() as usize);
+        let store = self.store_min().map(T::time).or(lowest.copied());
+        heads.chain(store).min()
     }
 }
 
@@ -481,9 +589,9 @@ mod tests {
         assert_eq!((next, q.len()), (side.len(), 0));
         let queued = popped - side.len() as u64;
         assert!(
-            0 < q.calendar_pops() && q.calendar_pops() < queued,
+            0 < q.store_pops() && q.store_pops() < queued,
             "the store served {} of {queued} pops",
-            q.calendar_pops()
+            q.store_pops()
         );
         let rejected: [u64; 3] = std::array::from_fn(|l| q.rejections(l));
         assert!(
@@ -547,14 +655,16 @@ mod tests {
         assert_eq!(q.pop(), None);
 
         // A wave of 12,000 items at one instant with scattered keys (a finite
-        // run's `t = 0` shape), which the store sorts into its run, and while
-        // the run drains, pushes at that instant (keys below the one just
-        // popped included) and shortly after it, which join the heap.
+        // run's `t = 0` shape), which arrives through a bucket and which the
+        // store sorts into its run, and while the run drains, pushes at that
+        // instant (keys below the one just popped included), which join the
+        // heap, and shortly after it, which join a bucket.
         let wave = now + 100;
         for _ in 0..12_000 {
             push_both(&mut q, &mut oracle, None, Ev(wave, (rnd() << 20) | seq));
             seq += 1;
         }
+        assert!(q.run.is_empty() && q.heap.is_empty() && q.chunks() >= 12_000 / CHUNK);
         let mut below = 0u64;
         while let Some(first) = q.next_time() {
             let limit = first + 1 + rnd() % 96;
@@ -596,5 +706,276 @@ mod tests {
         assert_eq!(q.next_time(), Some(500));
         assert_eq!(q.pop(), Some(Ev(500, 0)));
         assert_eq!(q.next_time(), None);
+    }
+
+    /// `next_time` reads the lowest bucket when the minimum sits there, and a
+    /// push exactly at `last` or below it into an empty store goes first.
+    #[test]
+    fn next_time_reads_the_lowest_bucket() {
+        let mut q = LanedQueue::<Ev, 0>::new();
+        for e in [Ev(1_000, 0), Ev(600, 1), Ev(900, 2), Ev(1 << 40, 3)] {
+            q.push(e);
+        }
+        assert!(q.run.is_empty() && q.heap.is_empty());
+        assert_eq!(q.next_time(), Some(600));
+        assert_eq!(q.pop(), Some(Ev(600, 1)));
+        assert_eq!((q.last, q.run.len(), q.heap.len()), (600, 0, 0));
+        assert_eq!(q.next_time(), Some(900));
+        // Exactly at `last`: the heap takes it, and it goes first.
+        q.push(Ev(600, 4));
+        assert_eq!(q.next_time(), Some(600));
+        assert_eq!(q.pop(), Some(Ev(600, 4)));
+        assert_eq!(q.pop(), Some(Ev(900, 2)));
+        assert_eq!(q.next_time(), Some(1_000));
+        assert_eq!(q.pop(), Some(Ev(1_000, 0)));
+        assert_eq!(q.next_time(), Some(1 << 40));
+        assert_eq!(q.pop(), Some(Ev(1 << 40, 3)));
+        // Below `last` into the emptied store.
+        q.push(Ev(3, 5));
+        q.push(Ev(1 << 41, 6));
+        assert_eq!(q.next_time(), Some(3));
+        assert_eq!(q.pop(), Some(Ev(3, 5)));
+        assert_eq!(q.next_time(), Some(1 << 41));
+        assert_eq!(q.pop(), Some(Ev(1 << 41, 6)));
+        assert_eq!((q.next_time(), q.len()), (None, 0));
+    }
+
+    /// A bucket refills the run only for a pop at its least time: with an
+    /// earlier lane head or side head in front, `last` stays put, so a
+    /// push before the bucket's items still goes to a bucket, not the heap.
+    #[test]
+    fn a_refill_waits_for_its_pop() {
+        let mut q = LanedQueue::<Ev, 1>::new();
+        q.push(Ev(1 << 30, 0));
+        q.push_lane(0, Ev(10, 1));
+        q.push_lane(0, Ev(20, 2));
+        assert_eq!(q.pop_before(u64::MAX, Some(&Ev(5, 9))), None);
+        assert_eq!(q.pop(), Some(Ev(10, 1)));
+        assert_eq!(q.pop_before(15, None), None);
+        assert_eq!((q.last, q.run.len()), (0, 0));
+        q.push(Ev(25, 3));
+        assert_eq!((q.heap.len(), q.next_time()), (0, Some(20)));
+        assert_eq!(q.pop(), Some(Ev(20, 2)));
+        assert_eq!(q.pop(), Some(Ev(25, 3)));
+        assert_eq!(q.last, 25);
+        assert_eq!(q.pop_before(1 << 30, None), None);
+        assert_eq!(q.pop(), Some(Ev(1 << 30, 0)));
+        assert_eq!(q.last, 1 << 30);
+    }
+
+    /// What a radix trace exercised.
+    #[derive(Debug, Default)]
+    struct RadixCoverage {
+        /// Bit `i` is set if a push landed in bucket `i`.
+        levels: u64,
+        /// Pushes exactly at `last` into a non-empty store.
+        at_last: u64,
+        /// Pushes below `last` into an empty store.
+        below_empty: u64,
+        /// Pushes within 2^20 of `u64::MAX`.
+        near_max: u64,
+        /// `next_time` checks with the minimum in a bucket.
+        bucket_next: u64,
+        /// Pops from the side stream while the queue held an item before
+        /// the limit.
+        side: u64,
+    }
+
+    /// Pop the merged stream strictly before `limit`, each pop checked
+    /// against the oracle (which holds the queue's items) and the side
+    /// stream's head, and `next_time` checked after it. Returns the time of
+    /// the last pop.
+    fn drain_merged(
+        q: &mut LanedQueue<Ev, 0>,
+        oracle: &mut BinaryHeap<Reverse<Ev>>,
+        (side, next): (&[Ev], &mut usize),
+        limit: u64,
+        cov: &mut RadixCoverage,
+    ) -> Option<u64> {
+        let mut last = None;
+        loop {
+            let qmin = oracle.peek().map(|&Reverse(e)| e);
+            let head = side.get(*next).copied();
+            let want = qmin.into_iter().chain(head).min().filter(|e| e.0 < limit);
+            let got = pop_merged(|l, b| q.pop_before(l, b), side, next, limit);
+            assert_eq!(got, want, "limit {limit}");
+            let Some(e) = got else { return last };
+            if got == qmin {
+                oracle.pop();
+            } else {
+                cov.side += u64::from(qmin.is_some_and(|e| e.0 < limit));
+            }
+            last = Some(e.0);
+            assert_eq!(q.next_time(), oracle.peek().map(|&Reverse(e)| e.0));
+            cov.bucket_next += u64::from(q.run.is_empty() && q.heap.is_empty() && q.occupied != 0);
+        }
+    }
+
+    /// Differential check of the radix store against a plain `BinaryHeap`:
+    /// `ops` random pushes and pops, in epoch drains under `pop_before`
+    /// limits, merged with a pre-sorted side stream. A push is due
+    /// `2^(k-1) ≤ δ < 2^k` after the last pop for a random level
+    /// `1 ≤ k ≤ 62`, exactly at `last`, or within 2^20 of `u64::MAX - 1`; a
+    /// limit lies `2^j` ahead for a random `j`. Once past 2^40, an emptied
+    /// store starts over below `last`, beside a new side stream.
+    fn check_radix_trace(seed: u64, ops: usize) -> RadixCoverage {
+        let mut rnd = xorshift(seed);
+        // A random bit level, mostly low: `0`, `1..=16` or `17..=62`.
+        let level = |r: u64| match r % 4 {
+            0 => 0,
+            1 | 2 => 1 + (r >> 2) % 16,
+            _ => 17 + (r >> 2) % 46,
+        };
+        let mut side_keys = 0u64;
+        let mut side = side_stream(&mut rnd, 0, &mut side_keys);
+        let mut q = LanedQueue::<Ev, 0>::new();
+        let mut oracle: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
+        let mut cov = RadixCoverage::default();
+        let (mut next, mut now, mut seq) = (0usize, 0u64, 0u64);
+        while (seq as usize) < ops / 2 {
+            let r = rnd();
+            let mut push = |q: &mut LanedQueue<Ev, 0>, time: u64| {
+                let e = Ev(time, 2 * seq + 1);
+                seq += 1;
+                q.push(e);
+                oracle.push(Reverse(e));
+            };
+            if q.len() == 0 && now > 1 << 40 {
+                // Start over below `last`, into the empty store.
+                let time = r % (1 << 30);
+                cov.below_empty += u64::from(time < q.last);
+                push(&mut q, time);
+                (side, next) = (side_stream(&mut rnd, time, &mut side_keys), 0);
+            }
+            for _ in 0..r % 6 {
+                let (r, s) = (rnd(), rnd());
+                let time = if r.is_multiple_of(64) {
+                    (END - s % (1 << 20)).max(now)
+                } else {
+                    let delta = match level(r) {
+                        0 => {
+                            cov.at_last += u64::from(q.len() > 0);
+                            let last = q.last;
+                            push(&mut q, last);
+                            continue;
+                        }
+                        k => (1 << (k - 1)) | (s & ((1 << (k - 1)) - 1)),
+                    };
+                    let room = (END - now).max(1);
+                    now.checked_add(delta)
+                        .filter(|&t| t <= END)
+                        .unwrap_or(END - s % room)
+                };
+                if time > q.last {
+                    cov.levels |= 1 << (63 - (time ^ q.last).leading_zeros());
+                }
+                cov.near_max += u64::from(time > u64::MAX - (1 << 20));
+                push(&mut q, time);
+            }
+            assert_eq!(q.next_time(), oracle.peek().map(|&Reverse(e)| e.0));
+            let limit = now.saturating_add(1 << level(rnd()));
+            let popped = drain_merged(&mut q, &mut oracle, (&side, &mut next), limit, &mut cov);
+            now = popped.unwrap_or(now);
+        }
+        drain_merged(&mut q, &mut oracle, (&side, &mut next), u64::MAX, &mut cov);
+        assert_eq!((q.len(), next), (0, side.len()));
+        cov
+    }
+
+    /// The latest time a radix trace pushes: a limit saturates at
+    /// `u64::MAX`, and only what lies strictly before it pops.
+    const END: u64 = u64::MAX - 1;
+
+    /// 256 sorted side-stream items from `t` on, with even keys: runs of
+    /// equal times, short steps and jumps of up to 2^15.
+    fn side_stream(rnd: &mut impl FnMut() -> u64, mut t: u64, keys: &mut u64) -> Vec<Ev> {
+        (0..256)
+            .map(|_| {
+                let r = rnd();
+                t = END.min(
+                    t + match r % 8 {
+                        0..=3 => 0,
+                        4..=6 => r % 64,
+                        _ => 1 << (r % 16),
+                    },
+                );
+                *keys += 1;
+                Ev(t, 2 * *keys)
+            })
+            .collect()
+    }
+
+    /// The radix store over every bit level: times up to near `u64::MAX`,
+    /// pushes exactly at `last` and below it into an empty store, and
+    /// `next_time` with the minimum in a bucket.
+    #[test]
+    fn radix_levels_match_binary_heap() {
+        let cov = check_radix_trace(0x5851_F42D_4C95_7F2D, 60_000);
+        assert!(
+            cov.levels == u64::MAX
+                && cov.at_last > 1_000
+                && cov.below_empty > 20
+                && cov.near_max > 100
+                && cov.bucket_next > 500
+                && cov.side > 1_000,
+            "{cov:?}"
+        );
+    }
+
+    /// The same check over 10⁶ operations. Run it optimised, where the
+    /// push-into-the-past `debug_assert!` is compiled out:
+    /// `cargo test --release -p spectralfly-simnet --lib engine:: -- --ignored`.
+    #[test]
+    #[ignore = "long; run optimised with --ignored"]
+    fn radix_store_matches_binary_heap_over_a_million_ops() {
+        let cov = check_radix_trace(0xA076_1D64_78BD_642F, 1_000_000);
+        assert!(
+            cov.levels == u64::MAX && cov.below_empty > 500 && cov.side > 10_000,
+            "{cov:?}"
+        );
+    }
+
+    /// A 100k-item wave that drains through the buckets holds at most one
+    /// partly full chunk per bucket beyond what its items fill, and an
+    /// emptied store gives its chunks back.
+    #[test]
+    fn a_wave_through_the_buckets_holds_few_chunks() {
+        let mut rnd = xorshift(0x2F1D_8A4B_33C0_9E57);
+        let mut q = LanedQueue::<Ev, 0>::new();
+        let mut oracle: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
+        for seq in 0..100_000 {
+            let r = rnd();
+            push_both(
+                &mut q,
+                &mut oracle,
+                None,
+                Ev(1_000 + r % 4_096, (r << 20) | seq),
+            );
+        }
+        let (mut peak, mut most, mut seq) = (q.len(), q.chunks(), 100_000u64);
+        while let Some(Reverse(want)) = oracle.pop() {
+            assert_eq!(q.pop(), Some(want));
+            let r = rnd();
+            if r.is_multiple_of(4) && seq < 160_000 {
+                push_both(
+                    &mut q,
+                    &mut oracle,
+                    None,
+                    Ev(want.0 + r % 8_192, (r << 20) | seq),
+                );
+                seq += 1;
+            }
+            peak = peak.max(q.len());
+            most = most.max(q.chunks());
+        }
+        assert!(
+            most <= peak.div_ceil(CHUNK) + 64,
+            "{most} chunks for a peak of {peak} items"
+        );
+        assert!(
+            q.pop().is_none() && q.chunks() <= KEEP / CHUNK,
+            "{} chunks kept",
+            q.chunks()
+        );
     }
 }

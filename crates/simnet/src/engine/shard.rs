@@ -30,9 +30,11 @@
 //!   full [`Event`] order, and turns any other away to the store;
 //! * **the store** — every other event: the lanes' rejects, re-injections
 //!   (pending-buffer admissions, retransmissions), credit wakes, fault and
-//!   source events, and cross-shard hand-offs. It is a run sorted once,
-//!   popped from its end, beside a binary heap of later pushes, which is
-//!   sorted into the run when the run is spent;
+//!   source events, and cross-shard hand-offs. Its current instant is a run
+//!   sorted once, popped from its end, beside a binary heap of later pushes
+//!   at that instant, which is sorted into the run when the run is spent;
+//!   later events wait in a radix heap's buckets, the lowest of which
+//!   refills the run once the run and the heap are spent;
 //! * **the credit-return FIFOs** — settled on read, not popped (below).
 //!
 //! The loop pops the least of the cursor's head, the lane heads and the
@@ -1649,7 +1651,7 @@ impl<'a> ShardCore<'a> {
             last_delivery_ps: self.last_delivery_ps,
             stats: self.stats,
             counters: EngineCounters {
-                calendar_events: self.queue.calendar_pops(),
+                store_events: self.queue.store_pops(),
                 ..self.counters
             },
             samples: self.raw_samples,
@@ -2850,7 +2852,7 @@ mod tests {
                     (events, digest),
                     "{name} at {shards} shards"
                 );
-                let store = res.engine.calendar_events;
+                let store = res.engine.store_events;
                 assert!(
                     0 < store && store < events,
                     "{name} at {shards} shards: the store served {store} of {events}"

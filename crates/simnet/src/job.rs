@@ -1610,10 +1610,19 @@ mod tests {
     /// fault gap is an `exp_draw`-style `-u.ln() * mean` draw, and `f64::ln`
     /// is whatever the platform's libm returns. A libm whose `ln` moves any
     /// of these 10⁵ draws fails here, by name, before it moves the goldens.
+    /// The draws are truncated to whole picoseconds, so the second hash pins
+    /// the bits of `-u.ln()` for the same `u` values: a libm one ulp off
+    /// fails it even where no draw moves.
     #[test]
     fn exp_draws_are_pinned_on_this_platform() {
         let mut rng = StdRng::seed_from_u64(3606);
         let hash = (0..100_000).fold(0u64, |h, _| mix64(h ^ exp_draw(1e6, &mut rng)));
         assert_eq!(hash, 14795812545231025008);
+        let mut rng = StdRng::seed_from_u64(3606);
+        let bits = (0..100_000).fold(0u64, |h, _| {
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            mix64(h ^ (-u.ln()).to_bits())
+        });
+        assert_eq!(bits, 18410699089603193793);
     }
 }

@@ -10,10 +10,10 @@
 pub struct EngineCounters {
     /// Events popped from the event queue.
     pub events: u64,
-    /// The share of `events` the event queue's store (its sorted run and
-    /// heap) served; the rest came from the injection cursor and the sorted
-    /// lanes beside the store.
-    pub calendar_events: u64,
+    /// The share of `events` the event queue's store (its sorted run, heap
+    /// and radix buckets) served; the rest came from the injection cursor
+    /// and the sorted lanes beside the store.
+    pub store_events: u64,
     /// Time-based transmit retries while blocked. Always 0: no engine polls
     /// any more. Kept because the repository benchmark reports it.
     pub timed_retries: u64,
@@ -32,7 +32,7 @@ impl EngineCounters {
     /// Accumulate another phase's counters into this one.
     pub fn merge(&mut self, other: &EngineCounters) {
         self.events += other.events;
-        self.calendar_events += other.calendar_events;
+        self.store_events += other.store_events;
         self.timed_retries += other.timed_retries;
         self.blocked_parks += other.blocked_parks;
         self.wakeups += other.wakeups;
@@ -818,21 +818,21 @@ mod tests {
     fn counters_merge_and_interval_throughput() {
         let mut a = EngineCounters {
             events: 10,
-            calendar_events: 6,
+            store_events: 6,
             timed_retries: 2,
             arena_slots: 7,
             ..Default::default()
         };
         a.merge(&EngineCounters {
             events: 5,
-            calendar_events: 2,
+            store_events: 2,
             timed_retries: 1,
             blocked_parks: 3,
             wakeups: 3,
             arena_slots: 4,
         });
         assert_eq!(a.events, 15);
-        assert_eq!(a.calendar_events, 8);
+        assert_eq!(a.store_events, 8);
         assert_eq!(a.timed_retries, 3);
         assert_eq!(a.blocked_parks, 3);
         // Arena high-water merges by max, not sum.
