@@ -30,7 +30,7 @@
 //! Event storage is three append-only sorted lanes for the transmits and arrivals that
 //! are due a fixed delay after the instant that schedules them, beside one store for
 //! every other event: a sorted run, popped from its end, and a binary heap of the
-//! pushes since the run was sorted hold the current instant, and a radix heap of
+//! pushes since the run was sorted hold the current 65.5 ns slot, and a radix heap of
 //! chunked buckets holds the later events (the private `queue` module). Packets live in an
 //! index arena with a free list so steady-state runs recycle slots instead of growing
 //! without bound. The arena is two

@@ -6,18 +6,19 @@
 //! sorted lanes, which need no sort and no heap, and every other event in
 //! its store.
 //!
-//! The store is split at `last`, the time it last refilled at. Items at or
-//! before `last` sit in a sorted run, its minimum last, plus a
+//! The store is split at the end of the time slot of `last`, the time it
+//! last refilled at; a slot is 2^16 time units. Items in that slot or an
+//! earlier one sit in a sorted run, its minimum last, plus a
 //! [`std::collections::BinaryHeap`] of the items pushed since the run was
-//! sorted; once the run is spent, the heap is sorted into it. Items after
-//! `last` sit in a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, J. ACM
-//! 1990): 64 buckets, keyed by the highest bit in which an item's time
-//! differs from `last`, so a push is one XOR and no comparison. When the
-//! run and the heap are both spent and the next pop is at the lowest
-//! non-empty bucket's least time, that bucket refills them: its least time
-//! becomes `last`, the items at that time become the run, sorted once, and
-//! the rest drop to lower buckets. An item moves at most once per bit of
-//! its distance from `last`.
+//! sorted; once the run is spent, the heap is sorted into it. Items in later
+//! slots sit in a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, J. ACM
+//! 1990): buckets keyed by the highest bit in which an item's time differs
+//! from `last`, so a push is one XOR and no comparison. When the run and the
+//! heap are both spent and the next pop is at the lowest non-empty bucket's
+//! least time, that bucket refills them: its least time becomes `last`, the
+//! items in its slot become the run, sorted once, and the rest drop to lower
+//! buckets. An item moves at most once per bit of its distance from `last`
+//! above the slot width.
 //!
 //! Whole waves of events can share one timestamp (every packet of a finite
 //! run injected at `t = 0` moves in lockstep), and their tie-break keys
@@ -45,6 +46,14 @@ pub(crate) trait Timed: Ord + Copy {
 /// run.
 const KEEP: usize = 1024;
 
+/// Log2 of the store's slot width. The run and the heap hold every item in
+/// `last`'s slot or an earlier one, so a refill sorts a slot's items into the
+/// run together instead of moving each down the buckets below the slot
+/// width. The engine's times are picoseconds, and 2^16 ps (65.5 ns) is
+/// shorter than the lookahead (130 ns) and a full packet's serialization
+/// (327.7 ns), so most of what an event schedules lands in a later slot.
+const SLOT_BITS: u32 = 16;
+
 /// Items a bucket chunk holds.
 const CHUNK: usize = 256;
 
@@ -58,14 +67,15 @@ const CHUNK: usize = 256;
 pub(crate) struct LanedQueue<T: Timed, const N: usize> {
     /// The store's sorted run, its minimum last.
     run: Vec<Reverse<T>>,
-    /// The store's items at or before `last` pushed since the run was last
-    /// sorted.
+    /// The store's items in `last`'s slot or earlier pushed since the run
+    /// was last sorted.
     heap: BinaryHeap<Reverse<T>>,
     /// The time the store last refilled at: the run and the heap hold the
-    /// items at or before it, the buckets the items after it.
+    /// items in its slot or earlier, the buckets the items in later slots.
     last: u64,
     /// Bucket `i` holds the items whose time differs from `last` highest in
-    /// bit `i`, as full chunks and a partly full last one.
+    /// bit `i` (never below `SLOT_BITS`), as full chunks and a partly full
+    /// last one.
     buckets: [Vec<Vec<T>>; 64],
     /// Bit `i` is set if bucket `i` holds an item.
     occupied: u64,
@@ -138,15 +148,15 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
             item.time(),
             self.popped_time
         );
-        if item.time() <= self.last {
+        if item.time() >> SLOT_BITS <= self.last >> SLOT_BITS {
             self.heap.push(Reverse(item));
         } else {
             self.push_bucket(item);
         }
     }
 
-    /// Append an item after `last` to the bucket of the highest bit in which
-    /// its time differs from `last`.
+    /// Append an item in a slot after `last`'s to the bucket of the highest
+    /// bit in which its time differs from `last`.
     #[inline]
     fn push_bucket(&mut self, item: T) {
         let b = 63 - (item.time() ^ self.last).leading_zeros() as usize;
@@ -222,8 +232,8 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
                 self.run.sort_unstable();
             } else if self.occupied != 0 {
                 // Refill only for a pop at the lowest bucket's least time,
-                // so `last` never runs ahead of what pops: a push before
-                // `last` goes to the heap.
+                // so `last` never runs ahead of what pops: a push in or
+                // before `last`'s slot goes to the heap.
                 let b = self.occupied.trailing_zeros() as usize;
                 let least = self.mins[b];
                 if least < limit && bound.is_none_or(|bound| least <= bound.time()) {
@@ -244,15 +254,15 @@ impl<T: Timed, const N: usize> LanedQueue<T, N> {
     }
 
     /// Refill the spent run from bucket `b`, the lowest non-empty one: its
-    /// least time becomes `last`, its items at that time the run, and the
-    /// rest drop to lower buckets.
+    /// least time becomes `last`, its items in that time's slot the run, and
+    /// the rest drop to lower buckets.
     fn refill(&mut self, b: usize) {
         self.occupied &= !(1 << b);
         self.last = std::mem::replace(&mut self.mins[b], u64::MAX);
         let mut chunks = std::mem::take(&mut self.buckets[b]);
         for mut chunk in chunks.drain(..) {
             for item in chunk.drain(..) {
-                if item.time() == self.last {
+                if item.time() >> SLOT_BITS == self.last >> SLOT_BITS {
                     self.run.push(Reverse(item));
                 } else {
                     self.push_bucket(item);
@@ -657,9 +667,10 @@ mod tests {
         // A wave of 12,000 items at one instant with scattered keys (a finite
         // run's `t = 0` shape), which arrives through a bucket and which the
         // store sorts into its run, and while the run drains, pushes at that
-        // instant (keys below the one just popped included), which join the
-        // heap, and shortly after it, which join a bucket.
-        let wave = now + 100;
+        // instant (keys below the one just popped included) and just after
+        // it, which join the heap, and 40 slots after it, which join a
+        // bucket.
+        let wave = ((now >> SLOT_BITS) + 1) << SLOT_BITS;
         for _ in 0..12_000 {
             push_both(&mut q, &mut oracle, None, Ev(wave, (rnd() << 20) | seq));
             seq += 1;
@@ -678,7 +689,8 @@ mod tests {
                 let Some(e) = got else { break };
                 let r = rnd();
                 if !r.is_multiple_of(3) && seq < 30_000 {
-                    let at = Ev(e.0 + [0, 0, 1, 40][(r % 4) as usize], (r << 20) | seq);
+                    let later = [0, 0, 1, 40 << SLOT_BITS][(r % 4) as usize];
+                    let at = Ev(e.0 + later, (r << 20) | seq);
                     seq += 1;
                     below += u64::from(at < e);
                     push_both(&mut q, &mut oracle, None, at);
@@ -708,35 +720,47 @@ mod tests {
         assert_eq!(q.next_time(), None);
     }
 
+    /// One slot's width.
+    const W: u64 = 1 << SLOT_BITS;
+
     /// `next_time` reads the lowest bucket when the minimum sits there, and a
-    /// push exactly at `last` or below it into an empty store goes first.
+    /// push in `last`'s slot, exactly at `last` or below it into an empty
+    /// store goes first.
     #[test]
     fn next_time_reads_the_lowest_bucket() {
         let mut q = LanedQueue::<Ev, 0>::new();
-        for e in [Ev(1_000, 0), Ev(600, 1), Ev(900, 2), Ev(1 << 40, 3)] {
+        for e in [
+            Ev(1_000 * W, 0),
+            Ev(600 * W, 1),
+            Ev(900 * W, 2),
+            Ev(1 << 56, 3),
+        ] {
             q.push(e);
         }
         assert!(q.run.is_empty() && q.heap.is_empty());
-        assert_eq!(q.next_time(), Some(600));
-        assert_eq!(q.pop(), Some(Ev(600, 1)));
-        assert_eq!((q.last, q.run.len(), q.heap.len()), (600, 0, 0));
-        assert_eq!(q.next_time(), Some(900));
-        // Exactly at `last`: the heap takes it, and it goes first.
-        q.push(Ev(600, 4));
-        assert_eq!(q.next_time(), Some(600));
-        assert_eq!(q.pop(), Some(Ev(600, 4)));
-        assert_eq!(q.pop(), Some(Ev(900, 2)));
-        assert_eq!(q.next_time(), Some(1_000));
-        assert_eq!(q.pop(), Some(Ev(1_000, 0)));
-        assert_eq!(q.next_time(), Some(1 << 40));
-        assert_eq!(q.pop(), Some(Ev(1 << 40, 3)));
+        assert_eq!(q.next_time(), Some(600 * W));
+        assert_eq!(q.pop(), Some(Ev(600 * W, 1)));
+        assert_eq!((q.last, q.run.len(), q.heap.len()), (600 * W, 0, 0));
+        assert_eq!(q.next_time(), Some(900 * W));
+        // In `last`'s slot, and exactly at `last`: the heap takes both, and
+        // they go first.
+        q.push(Ev(600 * W + 5, 4));
+        q.push(Ev(600 * W, 5));
+        assert_eq!((q.heap.len(), q.next_time()), (2, Some(600 * W)));
+        assert_eq!(q.pop(), Some(Ev(600 * W, 5)));
+        assert_eq!(q.pop(), Some(Ev(600 * W + 5, 4)));
+        assert_eq!(q.pop(), Some(Ev(900 * W, 2)));
+        assert_eq!(q.next_time(), Some(1_000 * W));
+        assert_eq!(q.pop(), Some(Ev(1_000 * W, 0)));
+        assert_eq!(q.next_time(), Some(1 << 56));
+        assert_eq!(q.pop(), Some(Ev(1 << 56, 3)));
         // Below `last` into the emptied store.
-        q.push(Ev(3, 5));
-        q.push(Ev(1 << 41, 6));
+        q.push(Ev(3, 6));
+        q.push(Ev(1 << 57, 7));
         assert_eq!(q.next_time(), Some(3));
-        assert_eq!(q.pop(), Some(Ev(3, 5)));
-        assert_eq!(q.next_time(), Some(1 << 41));
-        assert_eq!(q.pop(), Some(Ev(1 << 41, 6)));
+        assert_eq!(q.pop(), Some(Ev(3, 6)));
+        assert_eq!(q.next_time(), Some(1 << 57));
+        assert_eq!(q.pop(), Some(Ev(1 << 57, 7)));
         assert_eq!((q.next_time(), q.len()), (None, 0));
     }
 
@@ -746,21 +770,21 @@ mod tests {
     #[test]
     fn a_refill_waits_for_its_pop() {
         let mut q = LanedQueue::<Ev, 1>::new();
-        q.push(Ev(1 << 30, 0));
-        q.push_lane(0, Ev(10, 1));
-        q.push_lane(0, Ev(20, 2));
-        assert_eq!(q.pop_before(u64::MAX, Some(&Ev(5, 9))), None);
-        assert_eq!(q.pop(), Some(Ev(10, 1)));
-        assert_eq!(q.pop_before(15, None), None);
+        q.push(Ev(W << 30, 0));
+        q.push_lane(0, Ev(10 * W, 1));
+        q.push_lane(0, Ev(20 * W, 2));
+        assert_eq!(q.pop_before(u64::MAX, Some(&Ev(5 * W, 9))), None);
+        assert_eq!(q.pop(), Some(Ev(10 * W, 1)));
+        assert_eq!(q.pop_before(15 * W, None), None);
         assert_eq!((q.last, q.run.len()), (0, 0));
-        q.push(Ev(25, 3));
-        assert_eq!((q.heap.len(), q.next_time()), (0, Some(20)));
-        assert_eq!(q.pop(), Some(Ev(20, 2)));
-        assert_eq!(q.pop(), Some(Ev(25, 3)));
-        assert_eq!(q.last, 25);
-        assert_eq!(q.pop_before(1 << 30, None), None);
-        assert_eq!(q.pop(), Some(Ev(1 << 30, 0)));
-        assert_eq!(q.last, 1 << 30);
+        q.push(Ev(25 * W, 3));
+        assert_eq!((q.heap.len(), q.next_time()), (0, Some(20 * W)));
+        assert_eq!(q.pop(), Some(Ev(20 * W, 2)));
+        assert_eq!(q.pop(), Some(Ev(25 * W, 3)));
+        assert_eq!(q.last, 25 * W);
+        assert_eq!(q.pop_before(W << 30, None), None);
+        assert_eq!(q.pop(), Some(Ev(W << 30, 0)));
+        assert_eq!(q.last, W << 30);
     }
 
     /// What a radix trace exercised.
@@ -770,6 +794,8 @@ mod tests {
         levels: u64,
         /// Pushes exactly at `last` into a non-empty store.
         at_last: u64,
+        /// Pushes after `last` in its slot.
+        in_slot: u64,
         /// Pushes below `last` into an empty store.
         below_empty: u64,
         /// Pushes within 2^20 of `u64::MAX`.
@@ -854,9 +880,9 @@ mod tests {
                 } else {
                     let delta = match level(r) {
                         0 => {
-                            cov.at_last += u64::from(q.len() > 0);
-                            let last = q.last;
-                            push(&mut q, last);
+                            let at = q.last.max(q.popped_time);
+                            cov.at_last += u64::from(at == q.last && q.len() > 0);
+                            push(&mut q, at);
                             continue;
                         }
                         k => (1 << (k - 1)) | (s & ((1 << (k - 1)) - 1)),
@@ -866,9 +892,10 @@ mod tests {
                         .filter(|&t| t <= END)
                         .unwrap_or(END - s % room)
                 };
-                if time > q.last {
+                if time >> SLOT_BITS > q.last >> SLOT_BITS {
                     cov.levels |= 1 << (63 - (time ^ q.last).leading_zeros());
                 }
+                cov.in_slot += u64::from(time > q.last && time >> SLOT_BITS == q.last >> SLOT_BITS);
                 cov.near_max += u64::from(time > u64::MAX - (1 << 20));
                 push(&mut q, time);
             }
@@ -912,8 +939,9 @@ mod tests {
     fn radix_levels_match_binary_heap() {
         let cov = check_radix_trace(0x5851_F42D_4C95_7F2D, 60_000);
         assert!(
-            cov.levels == u64::MAX
+            cov.levels == u64::MAX << SLOT_BITS
                 && cov.at_last > 1_000
+                && cov.in_slot > 1_000
                 && cov.below_empty > 20
                 && cov.near_max > 100
                 && cov.bucket_next > 500
@@ -930,7 +958,7 @@ mod tests {
     fn radix_store_matches_binary_heap_over_a_million_ops() {
         let cov = check_radix_trace(0xA076_1D64_78BD_642F, 1_000_000);
         assert!(
-            cov.levels == u64::MAX && cov.below_empty > 500 && cov.side > 10_000,
+            cov.levels == u64::MAX << SLOT_BITS && cov.below_empty > 500 && cov.side > 10_000,
             "{cov:?}"
         );
     }
@@ -943,26 +971,20 @@ mod tests {
         let mut rnd = xorshift(0x2F1D_8A4B_33C0_9E57);
         let mut q = LanedQueue::<Ev, 0>::new();
         let mut oracle: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
+        // A sixteenth of a slot apart: the wave spans 256 slots.
+        let step = W / 16;
         for seq in 0..100_000 {
             let r = rnd();
-            push_both(
-                &mut q,
-                &mut oracle,
-                None,
-                Ev(1_000 + r % 4_096, (r << 20) | seq),
-            );
+            let e = Ev(W + r % 4_096 * step, (r << 20) | seq);
+            push_both(&mut q, &mut oracle, None, e);
         }
         let (mut peak, mut most, mut seq) = (q.len(), q.chunks(), 100_000u64);
         while let Some(Reverse(want)) = oracle.pop() {
             assert_eq!(q.pop(), Some(want));
             let r = rnd();
             if r.is_multiple_of(4) && seq < 160_000 {
-                push_both(
-                    &mut q,
-                    &mut oracle,
-                    None,
-                    Ev(want.0 + r % 8_192, (r << 20) | seq),
-                );
+                let e = Ev(want.0 + r % 8_192 * step, (r << 20) | seq);
+                push_both(&mut q, &mut oracle, None, e);
                 seq += 1;
             }
             peak = peak.max(q.len());

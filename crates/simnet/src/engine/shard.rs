@@ -30,11 +30,11 @@
 //!   full [`Event`] order, and turns any other away to the store;
 //! * **the store** — every other event: the lanes' rejects, re-injections
 //!   (pending-buffer admissions, retransmissions), credit wakes, fault and
-//!   source events, and cross-shard hand-offs. Its current instant is a run
-//!   sorted once, popped from its end, beside a binary heap of later pushes
-//!   at that instant, which is sorted into the run when the run is spent;
-//!   later events wait in a radix heap's buckets, the lowest of which
-//!   refills the run once the run and the heap are spent;
+//!   source events, and cross-shard hand-offs. Its current 65.5 ns slot is
+//!   a run sorted once, popped from its end, beside a binary heap of later
+//!   pushes into that slot, which is sorted into the run when the run is
+//!   spent; later events wait in a radix heap's buckets, the lowest of
+//!   which refills the run once the run and the heap are spent;
 //! * **the credit-return FIFOs** — settled on read, not popped (below).
 //!
 //! The loop pops the least of the cursor's head, the lane heads and the
