@@ -244,6 +244,8 @@ mod tests {
                 relative: None,
                 wall_ms: 1,
             }],
+            sections: Vec::new(),
+            wall_ms: 1,
         }
     }
 

@@ -126,6 +126,7 @@ fn print_report(report: &runner::RunReport, m: &Manifest) {
         }
     }
     print!("{}", report.tables(m));
+    print!("{}", report.wall_table());
 }
 
 fn cmd_run(manifest_path: &str, cli: &Cli) -> ExitCode {

@@ -43,9 +43,10 @@ use spectralfly_topology::skywalk::{SkyWalkConfig, SkyWalkGraph};
 use spectralfly_topology::Topology;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Errors that abort a run (as opposed to outcomes that are digested).
 #[derive(Clone, Debug, PartialEq)]
@@ -355,6 +356,20 @@ pub struct PointResult {
     pub wall_ms: u64,
 }
 
+/// When one manifest section ran within a `repro run` (informational only:
+/// no digest or baseline reads it). Experiment sections share one worker
+/// pool, so their spans overlap; structure sections run one after another,
+/// after every experiment.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SectionWall {
+    /// The section's name.
+    pub name: String,
+    /// Milliseconds from the start of the run to its first point's start.
+    pub start_ms: u64,
+    /// Milliseconds from its first point's start to its last point's end.
+    pub wall_ms: u64,
+}
+
 /// Everything one `repro run` produced.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
@@ -366,6 +381,10 @@ pub struct RunReport {
     pub provenance: Provenance,
     /// Per-point digests, in expansion order.
     pub points: Vec<PointResult>,
+    /// The wall time of each section with points here, in manifest order.
+    pub sections: Vec<SectionWall>,
+    /// Milliseconds the whole run took.
+    pub wall_ms: u64,
 }
 
 /// Expand an experiment's axes into points (cross product, shards folded into
@@ -483,7 +502,7 @@ impl SharedNetwork {
 
 /// Run `points` in parallel, one point per task, each on the network it
 /// shares with the other points of equal [`network_key`]; results in `points`
-/// order.
+/// order, each with when it ran on `clock` (network build included).
 ///
 /// Nothing is built up front. Points are visited grouped by network, in the
 /// order the networks first appear, and a network lives from its first point's
@@ -492,7 +511,7 @@ impl SharedNetwork {
 /// has failed, points after it in visiting order are not started, and the
 /// error returned is that of the first failing point in that order — for a
 /// build failure, the first network that does not build.
-fn run_points(points: &[Point]) -> Result<Vec<PointResult>, RunError> {
+fn run_points(points: &[Point], clock: Instant) -> Result<Vec<(PointResult, Span)>, RunError> {
     let mut index = BTreeMap::new();
     let mut takers: Vec<usize> = Vec::new();
     let mut visits: Vec<(usize, usize)> = Vec::with_capacity(points.len());
@@ -511,7 +530,7 @@ fn run_points(points: &[Point]) -> Result<Vec<PointResult>, RunError> {
         })
         .collect();
     let first_failure = AtomicUsize::new(usize::MAX);
-    let outcomes: Vec<Option<Result<PointResult, RunError>>> = visits
+    let outcomes: Vec<Option<Result<(PointResult, Span), RunError>>> = visits
         .par_iter()
         .enumerate()
         .map(|(visit, &(network, at))| {
@@ -519,14 +538,15 @@ fn run_points(points: &[Point]) -> Result<Vec<PointResult>, RunError> {
                 return None;
             }
             let p = &points[at];
+            let begun = clock.elapsed();
             let outcome = networks[network].take(p).and_then(|net| run_point(&net, p));
             if outcome.is_err() {
                 first_failure.fetch_min(visit, Ordering::SeqCst);
             }
-            Some(outcome)
+            Some(outcome.map(|r| (r, begun..clock.elapsed())))
         })
         .collect();
-    let mut results: Vec<Option<PointResult>> = vec![None; points.len()];
+    let mut results: Vec<Option<(PointResult, Span)>> = vec![None; points.len()];
     for (&(_, at), outcome) in visits.iter().zip(outcomes) {
         results[at] = Some(outcome.expect("only points after a failure are skipped")?);
     }
@@ -957,6 +977,7 @@ pub struct RunOptions {
 
 /// Execute a manifest end to end and assemble the stamped report.
 pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunError> {
+    let clock = Instant::now();
     let keep = |id: &str| opts.filter.as_deref().is_none_or(|f| id.contains(f));
     let points: Vec<Point> = m
         .experiments
@@ -964,10 +985,14 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunErr
         .flat_map(expand)
         .filter(|p| keep(&p.id))
         .collect();
-    let mut point_results = run_points(&points)?;
+    let (mut point_results, mut spans): (Vec<PointResult>, Vec<Span>) =
+        run_points(&points, clock)?.into_iter().unzip();
     relate_to_siblings(m, &points, &mut point_results);
     for s in &m.structures {
-        point_results.extend(run_structure(s, &keep)?);
+        let begun = clock.elapsed();
+        let rows = run_structure(s, &keep)?;
+        spans.extend(rows.iter().map(|_| begun..clock.elapsed()));
+        point_results.extend(rows);
     }
     if let Some(filter) = opts.filter.as_ref().filter(|_| point_results.is_empty()) {
         let sections =
@@ -986,8 +1011,34 @@ pub fn run_manifest(m: &Manifest, opts: &RunOptions) -> Result<RunReport, RunErr
                 .or(m.structures.first().map(|s| s.seed))
                 .unwrap_or(0),
         ),
+        sections: section_walls(m, &point_results, &spans),
         points: point_results,
+        wall_ms: clock.elapsed().as_millis() as u64,
     })
+}
+
+/// When a point ran, from the start of its run.
+type Span = Range<Duration>;
+
+/// Each section's wall time: from the first start to the last end among the
+/// spans of its points, in manifest order, for the sections with points.
+fn section_walls(m: &Manifest, points: &[PointResult], spans: &[Span]) -> Vec<SectionWall> {
+    let names = (m.experiments.iter().map(|e| &e.name)).chain(m.structures.iter().map(|s| &s.name));
+    names
+        .filter_map(|name| {
+            let mine: Vec<&Span> = (points.iter().zip(spans))
+                .filter(|(p, _)| p.experiment == *name)
+                .map(|(_, span)| span)
+                .collect();
+            let start = mine.iter().map(|span| span.start).min()?;
+            let end = mine.iter().map(|span| span.end).max()?;
+            Some(SectionWall {
+                name: name.clone(),
+                start_ms: start.as_millis() as u64,
+                wall_ms: (end - start).as_millis() as u64,
+            })
+        })
+        .collect()
 }
 
 /// Fill [`PointResult::relative`] for every section that names a
@@ -1172,6 +1223,21 @@ impl RunReport {
         out
     }
 
+    /// The wall-time table: each section's start and wall time, then the
+    /// whole run's.
+    pub fn wall_table(&self) -> String {
+        let ms = |ms: u64| format!("{:.3}", ms as f64 / 1e3);
+        let rows: Vec<Vec<String>> = (self.sections.iter())
+            .map(|s| vec![s.name.clone(), ms(s.start_ms), ms(s.wall_ms)])
+            .chain([vec!["(run)".to_string(), ms(0), ms(self.wall_ms)]])
+            .collect();
+        render_table(
+            "wall time by section (experiment sections share one worker pool)",
+            &["Section", "Start s", "Wall s"],
+            &rows,
+        )
+    }
+
     /// Render the report as a JSON artifact (hand-rolled, like every other
     /// JSON emitter in the suite).
     pub fn to_json(&self) -> String {
@@ -1198,7 +1264,17 @@ impl RunReport {
                 if i + 1 < self.points.len() { "," } else { "" }
             ));
         }
-        out.push_str("  ]\n}\n");
+        out.push_str("  ],\n  \"sections\": [\n");
+        for (i, w) in self.sections.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"name\":{},\"start_ms\":{},\"wall_ms\":{}}}{}\n",
+                json_str(&w.name),
+                w.start_ms,
+                w.wall_ms,
+                if i + 1 < self.sections.len() { "," } else { "" }
+            ));
+        }
+        out.push_str(&format!("  ],\n  \"wall_ms\": {}\n}}\n", self.wall_ms));
         out
     }
 }

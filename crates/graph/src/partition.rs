@@ -6,7 +6,13 @@
 //!
 //! 1. **Coarsening** by randomized heavy-edge matching until the graph is small.
 //! 2. **Initial partition** by greedy region growing from several random seeds.
-//! 3. **Uncoarsening** with a boundary Fiduccia–Mattheyses (FM) refinement pass per level.
+//! 3. **Uncoarsening** with Fiduccia–Mattheyses (FM) refinement at each level: a pass
+//!    seeds every vertex (not only the boundary), makes up to one move per vertex, each
+//!    the unlocked vertex of largest `(gain, id)` that the balance bound lets move, and
+//!    rolls back to the lowest-cut prefix. The unlocked vertices sit in FM's gain
+//!    buckets, one id-ordered bitset per gain value and side, so a move and each
+//!    neighbour's gain update are O(1) and the pass is O(moves × degree) plus the
+//!    bucket walks.
 //!
 //! The result is a balanced two-way partition and its cut weight; the minimum cut over a
 //! handful of random restarts is reported as the bisection-bandwidth estimate.
@@ -89,11 +95,14 @@ impl WGraph {
         order.shuffle(rng);
         let mut matched = vec![u32::MAX; n];
         let mut coarse_of = vec![u32::MAX; n];
-        let mut next = 0u32;
+        // The first-visited member of each coarse vertex, in coarse-id order.
+        let mut first: Vec<u32> = Vec::new();
         for &u in &order {
             if matched[u as usize] != u32::MAX {
                 continue;
             }
+            let next = first.len() as u32;
+            first.push(u);
             // Pick unmatched neighbour with maximum edge weight.
             let mut best: Option<(u32, u64)> = None;
             for &(v, w) in &self.adj[u as usize] {
@@ -113,9 +122,8 @@ impl WGraph {
                     coarse_of[u as usize] = next;
                 }
             }
-            next += 1;
         }
-        let coarse_n = next as usize;
+        let coarse_n = first.len();
         if coarse_n as f64 > 0.95 * n as f64 {
             return None; // stalled: almost nothing matched
         }
@@ -123,27 +131,31 @@ impl WGraph {
         for v in 0..n {
             vweight[coarse_of[v] as usize] += self.vweight[v];
         }
-        // Aggregate edges via a hash map per coarse vertex.
-        let mut adj: Vec<std::collections::HashMap<u32, u64>> =
-            vec![std::collections::HashMap::new(); coarse_n];
-        for u in 0..n {
-            let cu = coarse_of[u];
-            for &(v, w) in &self.adj[u] {
-                let cv = coarse_of[v as usize];
-                if cu == cv {
-                    continue;
+        // Sum each coarse vertex's edges through one dense slot map: `slot[c]` is
+        // `(coarse vertex being summed, index of c in its list)`.
+        let mut slot = vec![(u32::MAX, 0u32); coarse_n];
+        let mut adj: Vec<Vec<(u32, u64)>> = Vec::with_capacity(coarse_n);
+        for (cu, &u) in first.iter().enumerate() {
+            let cu = cu as u32;
+            let partner = matched[u as usize];
+            let mut list: Vec<(u32, u64)> = Vec::new();
+            for x in [u, partner].into_iter().take(1 + (partner != u) as usize) {
+                for &(v, w) in &self.adj[x as usize] {
+                    let cv = coarse_of[v as usize];
+                    if cv == cu {
+                        continue;
+                    }
+                    let (owner, at) = &mut slot[cv as usize];
+                    if *owner != cu {
+                        (*owner, *at) = (cu, list.len() as u32);
+                        list.push((cv, 0));
+                    }
+                    list[*at as usize].1 += w;
                 }
-                *adj[cu as usize].entry(cv).or_insert(0) += w;
             }
+            list.sort_unstable();
+            adj.push(list);
         }
-        let adj: Vec<Vec<(u32, u64)>> = adj
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<(u32, u64)> = m.into_iter().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
         Some((WGraph { vweight, adj }, coarse_of))
     }
 
@@ -197,60 +209,76 @@ impl WGraph {
         side
     }
 
-    /// One boundary FM pass. Moves vertices greedily by gain while respecting balance,
-    /// keeping the best prefix of moves. Returns true if the cut improved.
+    /// One Fiduccia–Mattheyses pass over every vertex. Each step moves the unlocked
+    /// vertex with the largest `(gain, id)` whose move keeps its destination side at most
+    /// `max_side`, and locks it; the pass stops when no move fits or after `n` moves,
+    /// then rolls back to the prefix of moves with the strictly lowest cut. Returns true
+    /// if the cut improved.
+    ///
+    /// The unlocked vertices sit in one [`GainBuckets`] per side, so a move and each
+    /// neighbour's gain update are O(1), and picking the next vertex walks down from
+    /// the highest non-empty gain.
     fn fm_pass(&self, side: &mut [u8], max_side: u64) -> bool {
+        self.fm_pass_spanned(side, max_side, None)
+    }
+
+    /// [`WGraph::fm_pass`] with gains beyond `±span` sharing the end buckets. With no
+    /// `span`, every gain gets its own bucket while the largest weighted degree is
+    /// small against the mean, so one high-degree vertex (a star's hub) cannot make
+    /// the buckets outweigh the graph.
+    fn fm_pass_spanned(&self, side: &mut [u8], max_side: u64, span: Option<i64>) -> bool {
         let n = self.n();
+        // Gains, the cut and the weighted degrees in one sweep.
         let mut gain: Vec<i64> = vec![0; n];
+        let (mut cut2, mut max_wdeg, mut sum_wdeg) = (0u64, 0u64, 0u64);
         for u in 0..n {
+            let (mut external, mut internal) = (0u64, 0u64);
             for &(v, w) in &self.adj[u] {
                 if side[u] == side[v as usize] {
-                    gain[u] -= w as i64;
+                    internal += w;
                 } else {
-                    gain[u] += w as i64;
+                    external += w;
                 }
             }
+            gain[u] = external as i64 - internal as i64;
+            cut2 += external;
+            max_wdeg = max_wdeg.max(external + internal);
+            sum_wdeg += external + internal;
         }
+        let span =
+            span.unwrap_or_else(|| max_wdeg.min(4 * (sum_wdeg / n.max(1) as u64) + 64) as i64);
         let mut pw = self.part_weights(side);
+        let min_weight = self.vweight.iter().copied().min().unwrap_or(0);
         let mut locked = vec![false; n];
-        let mut heap: std::collections::BinaryHeap<(i64, u32)> =
-            (0..n as u32).map(|v| (gain[v as usize], v)).collect();
-        let start_cut = self.cut_of(side) as i64;
+        let mut buckets = [GainBuckets::new(n, span), GainBuckets::new(n, span)];
+        for v in 0..n {
+            buckets[side[v] as usize].insert(v as u32, gain[v]);
+        }
+        let start_cut = (cut2 / 2) as i64;
         let mut cur_cut = start_cut;
         let mut best_cut = start_cut;
         let mut moves: Vec<u32> = Vec::new();
         let mut best_prefix = 0usize;
-        let move_limit = n; // full pass
-        while moves.len() < move_limit {
-            // Pop the best movable vertex.
-            let mut chosen = None;
-            let mut stash = Vec::new();
-            while let Some((g, v)) = heap.pop() {
-                if locked[v as usize] || g != gain[v as usize] {
-                    if !locked[v as usize] {
-                        stash.push((gain[v as usize], v));
-                    }
-                    continue;
+        while moves.len() < n {
+            // The best movable vertex of each side, then the better of the two.
+            let best_of = |from: usize, buckets: &mut [GainBuckets; 2]| {
+                let room = max_side.checked_sub(pw[1 - from])?;
+                if min_weight > room {
+                    return None;
                 }
-                let from = side[v as usize] as usize;
-                let to = 1 - from;
-                if pw[to] + self.vweight[v as usize] > max_side {
-                    stash.push((g, v));
-                    continue;
-                }
-                chosen = Some(v);
+                buckets[from].best(&gain, |v| self.vweight[v as usize] <= room)
+            };
+            let candidates = [best_of(0, &mut buckets), best_of(1, &mut buckets)];
+            let Some((g, v)) = candidates[0].max(candidates[1]) else {
                 break;
-            }
-            for item in stash {
-                heap.push(item);
-            }
-            let Some(v) = chosen else { break };
+            };
             // Apply the move.
             let from = side[v as usize] as usize;
             let to = 1 - from;
+            buckets[from].remove(v, g);
             pw[from] -= self.vweight[v as usize];
             pw[to] += self.vweight[v as usize];
-            cur_cut -= gain[v as usize];
+            cur_cut -= g;
             side[v as usize] = to as u8;
             locked[v as usize] = true;
             moves.push(v);
@@ -260,12 +288,14 @@ impl WGraph {
                 if locked[wi] {
                     continue;
                 }
+                let home = &mut buckets[side[wi] as usize];
+                home.remove(w, gain[wi]);
                 if side[wi] == side[v as usize] {
                     gain[wi] -= 2 * ew as i64;
                 } else {
                     gain[wi] += 2 * ew as i64;
                 }
-                heap.push((gain[wi], w));
+                home.insert(w, gain[wi]);
             }
             if cur_cut < best_cut {
                 best_cut = cur_cut;
@@ -277,6 +307,95 @@ impl WGraph {
             side[v as usize] ^= 1;
         }
         best_cut < start_cut
+    }
+}
+
+/// One side's unlocked vertices by gain: bucket `b` is an id-ordered bitset of the
+/// vertices of gain `b - span`, except that the two end buckets also hold every gain
+/// beyond `±span`. A count per bucket and a lazy top (no non-empty bucket lies above
+/// it) let [`GainBuckets::best`] start at the highest gain present, and a lazy high
+/// word per bucket (no set bit lies above it) at that bucket's highest id.
+struct GainBuckets {
+    span: i64,
+    /// `u64` words per bucket.
+    words: usize,
+    bits: Vec<u64>,
+    count: Vec<u32>,
+    high: Vec<u32>,
+    top: usize,
+}
+
+impl GainBuckets {
+    fn new(n: usize, span: i64) -> Self {
+        let buckets = 2 * span as usize + 1;
+        let words = n.div_ceil(64);
+        GainBuckets {
+            span,
+            words,
+            bits: vec![0; buckets * words],
+            count: vec![0; buckets],
+            high: vec![0; buckets],
+            top: 0,
+        }
+    }
+
+    fn bucket(&self, gain: i64) -> usize {
+        (gain.clamp(-self.span, self.span) + self.span) as usize
+    }
+
+    fn insert(&mut self, v: u32, gain: i64) {
+        let b = self.bucket(gain);
+        self.bits[b * self.words + v as usize / 64] |= 1 << (v % 64);
+        self.count[b] += 1;
+        self.high[b] = self.high[b].max(v / 64);
+        self.top = self.top.max(b);
+    }
+
+    fn remove(&mut self, v: u32, gain: i64) {
+        let b = self.bucket(gain);
+        self.bits[b * self.words + v as usize / 64] &= !(1 << (v % 64));
+        self.count[b] -= 1;
+    }
+
+    /// The vertex with the largest `(gain, id)` that `fits`, with its gain. An end
+    /// bucket's vertices need not share one gain, so it is searched whole; any other
+    /// bucket's first fitting vertex in descending id order is the answer.
+    fn best(&mut self, gain: &[i64], fits: impl Fn(u32) -> bool) -> Option<(i64, u32)> {
+        while self.top > 0 && self.count[self.top] == 0 {
+            self.top -= 1;
+        }
+        let ends = [0, 2 * self.span as usize];
+        for b in (0..=self.top).rev().filter(|&b| self.count[b] > 0) {
+            let row = &self.bits[b * self.words..(b + 1) * self.words];
+            let high = &mut self.high[b];
+            while row[*high as usize] == 0 {
+                *high -= 1;
+            }
+            let mut ids = row[..=*high as usize]
+                .iter()
+                .enumerate()
+                .rev()
+                .flat_map(|(i, &word)| {
+                    let base = 64 * i as u32;
+                    let mut rest = word;
+                    std::iter::from_fn(move || {
+                        let bit = rest.checked_ilog2()?;
+                        rest &= !(1 << bit);
+                        Some(base + bit)
+                    })
+                });
+            let found = if ends.contains(&b) {
+                ids.filter(|&v| fits(v))
+                    .map(|v| (gain[v as usize], v))
+                    .max()
+            } else {
+                ids.find(|&v| fits(v)).map(|v| (gain[v as usize], v))
+            };
+            if found.is_some() {
+                return found;
+            }
+        }
+        None
     }
 }
 
@@ -421,6 +540,90 @@ pub fn partition_kway(g: &CsrGraph, parts: usize, cfg: &BisectConfig, seed: u64)
 mod tests {
     use super::*;
 
+    impl WGraph {
+        /// The binary-heap pass [`WGraph::fm_pass`] replaced: the reference its gain
+        /// buckets must match move for move.
+        fn fm_pass_heap(&self, side: &mut [u8], max_side: u64) -> bool {
+            let n = self.n();
+            let mut gain: Vec<i64> = vec![0; n];
+            for u in 0..n {
+                for &(v, w) in &self.adj[u] {
+                    if side[u] == side[v as usize] {
+                        gain[u] -= w as i64;
+                    } else {
+                        gain[u] += w as i64;
+                    }
+                }
+            }
+            let mut pw = self.part_weights(side);
+            let mut locked = vec![false; n];
+            let mut heap: std::collections::BinaryHeap<(i64, u32)> =
+                (0..n as u32).map(|v| (gain[v as usize], v)).collect();
+            let start_cut = self.cut_of(side) as i64;
+            let mut cur_cut = start_cut;
+            let mut best_cut = start_cut;
+            let mut moves: Vec<u32> = Vec::new();
+            let mut best_prefix = 0usize;
+            let move_limit = n; // full pass
+            while moves.len() < move_limit {
+                // Pop the best movable vertex.
+                let mut chosen = None;
+                let mut stash = Vec::new();
+                while let Some((g, v)) = heap.pop() {
+                    if locked[v as usize] || g != gain[v as usize] {
+                        if !locked[v as usize] {
+                            stash.push((gain[v as usize], v));
+                        }
+                        continue;
+                    }
+                    let from = side[v as usize] as usize;
+                    let to = 1 - from;
+                    if pw[to] + self.vweight[v as usize] > max_side {
+                        stash.push((g, v));
+                        continue;
+                    }
+                    chosen = Some(v);
+                    break;
+                }
+                for item in stash {
+                    heap.push(item);
+                }
+                let Some(v) = chosen else { break };
+                // Apply the move.
+                let from = side[v as usize] as usize;
+                let to = 1 - from;
+                pw[from] -= self.vweight[v as usize];
+                pw[to] += self.vweight[v as usize];
+                cur_cut -= gain[v as usize];
+                side[v as usize] = to as u8;
+                locked[v as usize] = true;
+                moves.push(v);
+                // Update neighbour gains.
+                for &(w, ew) in &self.adj[v as usize] {
+                    let wi = w as usize;
+                    if locked[wi] {
+                        continue;
+                    }
+                    if side[wi] == side[v as usize] {
+                        gain[wi] -= 2 * ew as i64;
+                    } else {
+                        gain[wi] += 2 * ew as i64;
+                    }
+                    heap.push((gain[wi], w));
+                }
+                if cur_cut < best_cut {
+                    best_cut = cur_cut;
+                    best_prefix = moves.len();
+                }
+            }
+            // Roll back moves beyond the best prefix.
+            for &v in moves.iter().skip(best_prefix) {
+                side[v as usize] ^= 1;
+            }
+            best_cut < start_cut
+        }
+    }
+
     fn cycle_graph(n: usize) -> CsrGraph {
         let mut edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
         edges.push((n as u32 - 1, 0));
@@ -548,6 +751,189 @@ mod tests {
         let g = cycle_graph(30);
         let a = partition_kway(&g, 3, &BisectConfig::default(), 1);
         assert_eq!(a, (0..30).map(|v| (v * 3 / 30) as u32).collect::<Vec<_>>());
+    }
+
+    /// A random graph with vertex weights in `1..=4` and edge weights in `1..=9`: a
+    /// stand-in for a coarse level, where heavy vertices can be blocked by balance
+    /// while lighter ones below them still fit.
+    fn random_wgraph(rng: &mut StdRng, n: usize) -> WGraph {
+        let mut adj: Vec<std::collections::BTreeMap<u32, u64>> = vec![Default::default(); n];
+        for _ in 0..n * rng.gen_range(1usize..6) {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                let w = rng.gen_range(1..10);
+                adj[u].insert(v as u32, w);
+                adj[v].insert(u as u32, w);
+            }
+        }
+        WGraph {
+            vweight: (0..n).map(|_| rng.gen_range(1..5)).collect(),
+            adj: adj.into_iter().map(|m| m.into_iter().collect()).collect(),
+        }
+    }
+
+    /// Run the heap reference and the bucket pass side by side from one start, pass
+    /// after pass, under the balance bound `max_side`, and assert they agree on every
+    /// side and return value. Buckets are tried at `g`'s own span and, if `narrow`, at
+    /// spans that send most gains to the shared end buckets (each pick then searches
+    /// an end bucket whole, so only small graphs afford them).
+    fn assert_passes_agree(g: &WGraph, start: &[u8], max_side: u64, narrow: bool, what: &str) {
+        let spans = if narrow {
+            &[Some(0), Some(1), Some(3)][..]
+        } else {
+            &[]
+        };
+        for &span in [None].iter().chain(spans) {
+            let (mut heap, mut buckets) = (start.to_vec(), start.to_vec());
+            for pass in 0..6 {
+                let improved = g.fm_pass_heap(&mut heap, max_side);
+                let same = g.fm_pass_spanned(&mut buckets, max_side, span);
+                assert_eq!(
+                    (improved, &heap),
+                    (same, &buckets),
+                    "{what}: span {span:?}, pass {pass}"
+                );
+                if !improved {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// `graphs` random weighted graphs of up to `max_n` vertices, each from a random
+    /// and from a grown start under a tight balance bound (0–3 % slack).
+    fn buckets_match_heap_on_random_graphs(graphs: u64, max_n: usize, narrow: bool) {
+        for seed in 0..graphs {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..max_n + 1);
+            let g = random_wgraph(&mut rng, n);
+            let slack = rng.gen_range(0..4) as f64 / 100.0;
+            let max_side = ((g.total_vweight() as f64 / 2.0) * (1.0 + slack)).ceil() as u64;
+            let random: Vec<u8> = (0..n).map(|_| rng.gen_range(0..2)).collect();
+            assert_passes_agree(
+                &g,
+                &random,
+                max_side,
+                narrow,
+                &format!("seed {seed}, random start"),
+            );
+            let grown = g.grow_partition(rng.gen_range(0..n) as u32);
+            assert_passes_agree(
+                &g,
+                &grown,
+                max_side,
+                narrow,
+                &format!("seed {seed}, grown start"),
+            );
+        }
+    }
+
+    #[test]
+    fn gain_buckets_match_the_heap_pass() {
+        buckets_match_heap_on_random_graphs(60, 150, true);
+    }
+
+    /// The same at scale, optimised: `cargo test --release -p spectralfly-graph --lib
+    /// partition -- --ignored`.
+    #[test]
+    #[ignore = "hundreds of graphs of up to 2,000 vertices; run optimised"]
+    fn gain_buckets_match_the_heap_pass_at_scale() {
+        buckets_match_heap_on_random_graphs(300, 2000, false);
+    }
+
+    /// Every coarse level of the paper's fabrics, refined from a grown start under the
+    /// default balance bound: the levels whose vertices weigh 1 to dozens.
+    #[test]
+    fn gain_buckets_match_the_heap_pass_on_coarse_levels() {
+        for (name, g) in paper_graphs() {
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut level = WGraph::from_csr(&g);
+            let max_side = ((level.total_vweight() as f64 / 2.0) * 1.02).ceil() as u64;
+            for depth in 0.. {
+                let start = level.grow_partition(rng.gen_range(0..level.n()) as u32);
+                assert_passes_agree(
+                    &level,
+                    &start,
+                    max_side,
+                    true,
+                    &format!("{name}, level {depth}"),
+                );
+                match level.coarsen(&mut rng) {
+                    Some((coarse, _)) if level.n() > 20 => level = coarse,
+                    _ => break,
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over a side or owner vector.
+    fn fnv<T: Copy + Into<u64>>(xs: &[T]) -> u64 {
+        xs.iter().fold(0xCBF2_9CE4_8422_2325, |h, &x| {
+            (h ^ x.into()).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// LPS(11,7) and SlimFly(9), copied into this crate's graph type (the
+    /// topology crate links its own copy of this one).
+    fn paper_graphs() -> Vec<(&'static str, CsrGraph)> {
+        use spectralfly_topology::{LpsGraph, SlimFlyGraph, Topology};
+        let copy = |t: &dyn Topology| {
+            let g = t.graph();
+            let adj = (0..g.num_vertices() as VertexId).map(|v| g.neighbors(v).to_vec());
+            CsrGraph::from_sorted_adjacency(adj.collect())
+        };
+        vec![
+            ("LPS(11,7)", copy(&LpsGraph::new(11, 7).unwrap())),
+            ("SlimFly(9)", copy(&SlimFlyGraph::new(9).unwrap())),
+        ]
+    }
+
+    /// Every bisection and k-way partition of the paper's fabrics is pinned:
+    /// `(cut, hash of side)` for three seeds, and the owner hash at k = 2
+    /// and 4, recorded from the binary-heap FM pass.
+    #[test]
+    fn bisections_are_pinned() {
+        /// A fabric's name, its `(cut, side hash)` at seeds 1–3, and its owner
+        /// hashes at k = 2 and 4.
+        type Pinned = (&'static str, [(u64, u64); 3], [u64; 2]);
+        let expected: [Pinned; 2] = [
+            (
+                "LPS(11,7)",
+                [
+                    (308, 12181488219640279871),
+                    (308, 3221728322052636077),
+                    (288, 14985384751102798188),
+                ],
+                [9379446629824639019, 10462777384929695727],
+            ),
+            (
+                "SlimFly(9)",
+                [
+                    (369, 9522400873720646244),
+                    (375, 16879698284390934334),
+                    (369, 17246087968314260622),
+                ],
+                [4963813952381845322, 15074492826115659165],
+            ),
+        ];
+        let cfg = BisectConfig::default();
+        for ((name, g), (pinned_name, bisections, kway)) in paper_graphs().into_iter().zip(expected)
+        {
+            assert_eq!(name, pinned_name);
+            let got: Vec<(u64, u64)> = [1u64, 2, 3]
+                .iter()
+                .map(|&seed| {
+                    let b = bisect(&g, &cfg, seed);
+                    (b.cut, fnv(&b.side))
+                })
+                .collect();
+            let owners: Vec<u64> = [2usize, 4]
+                .iter()
+                .map(|&k| fnv(&partition_kway(&g, k, &cfg, 0x5EED)))
+                .collect();
+            assert_eq!(got, bisections, "{name}: bisections");
+            assert_eq!(owners, kway, "{name}: k-way owners");
+        }
     }
 
     #[test]

@@ -383,25 +383,34 @@ impl Injection {
     }
 }
 
-/// Packetize a workload into a finite run's injection schedule: each source's
-/// messages serialized through its NIC, Poisson-spaced under an offered load
-/// by the one stream seeded from [`SimConfig::seed`]. Injection `i` has stable
-/// id `i`, and message `m`'s injections carry message id `m`.
+/// Packetize a workload into a finite run's injection schedule, one list per
+/// shard: each source's messages serialized through its NIC, Poisson-spaced
+/// under an offered load by the one stream seeded from [`SimConfig::seed`].
+/// Injection `i` has stable id `i` in the whole run's numbering, and message
+/// `m`'s injections carry message id `m`; each record goes to the shard that
+/// `owner` assigns its source router, in stable-id order (each shard sorts
+/// its own list into injection order).
 fn packetize(
     net: &SimNetwork,
     cfg: &SimConfig,
     workload: &Workload,
     offered_load: Option<f64>,
-) -> Vec<Injection> {
+    owner: &[u32],
+) -> Vec<Vec<Injection>> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let messages = &workload.messages;
-    let count = messages.iter().map(|m| segment_message(m.bytes).len());
-    let mut schedule = Vec::with_capacity(count.sum());
+    let shard_of = |endpoint: usize| owner[net.router_of_endpoint(endpoint) as usize] as usize;
+    let mut counts = vec![0; cfg.shards.max(1)];
+    for m in messages {
+        counts[shard_of(m.src)] += segment_message(m.bytes).len();
+    }
+    let mut schedules: Vec<Vec<Injection>> = counts.into_iter().map(Vec::with_capacity).collect();
     // NIC-busy horizon per endpoint: a flat Vec keyed by endpoint id (endpoints are
     // dense small integers; a HashMap here cost a hash + probe per message).
     let mut nic_free: Vec<u64> = vec![0; net.num_endpoints()];
     let mut order: Vec<usize> = (0..messages.len()).collect();
     order.sort_by_key(|&i| (messages[i].src, messages[i].inject_offset_ps, i));
+    let mut stable_id = 0;
     for &mi in &order {
         let m = &messages[mi];
         let segments = segment_message(m.bytes);
@@ -416,11 +425,12 @@ fn packetize(
             }
         };
         let first = base.max(*nic);
+        let schedule = &mut schedules[shard_of(m.src)];
         let mut t = first;
         for (bytes, nic_ser) in segments {
             schedule.push(Injection {
                 time: t,
-                stable_id: schedule.len() as u64,
+                stable_id,
                 msg_id: mi as u64,
                 msg_first_inject: first,
                 src_router: net.router_of_endpoint(m.src),
@@ -428,11 +438,12 @@ fn packetize(
                 bytes: bytes as u32,
                 msg_total: total,
             });
+            stable_id += 1;
             t += nic_ser;
         }
         *nic = t;
     }
-    schedule
+    schedules
 }
 
 /// Runtime-liveness state for fault-script runs: which directed links and

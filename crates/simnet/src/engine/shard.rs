@@ -14,13 +14,14 @@
 //!
 //! A shard's epoch loop draws on four sources:
 //!
-//! * **the injection cursor** — a finite run's schedule is a list of small
-//!   injection records, sorted by `(time, stable_id)` before it is split
-//!   among the shards, so each shard's list is its own injection stream, in
-//!   exactly the `(time, key)` order its `Inject` events would pop in. A
-//!   cursor walks it and builds each packet into the arena as it injects
-//!   it; no initial injection is ever pushed. The arena starts empty and
-//!   holds only the packets in flight, in finite and steady runs alike;
+//! * **the injection cursor** — a finite run's schedule is packetized
+//!   straight into one list of small injection records per shard, and each
+//!   shard sorts its own list by `(time, stable_id)`, so the list is its own
+//!   injection stream, in exactly the `(time, key)` order its `Inject`
+//!   events would pop in. A cursor walks it and builds each packet into the
+//!   arena as it injects it; no initial injection is ever pushed. The arena
+//!   starts empty and holds only the packets in flight, in finite and steady
+//!   runs alike;
 //! * **three sorted lanes** — most events are due a fixed delay after the
 //!   instant that schedules them, and so are pushed in time order: a
 //!   transmit on an idle link is due now (the `now` lane), the next
@@ -701,22 +702,20 @@ pub(super) struct ShardCore<'a> {
 impl<'a> ShardCore<'a> {
     /// Shard `sid` of `sim`'s partition, collecting into `stats`, with its
     /// injection cursor armed over `schedule`: a finite run's initial
-    /// injections at this shard's routers, sorted by `(time, stable_id)`
-    /// (see [`Simulator::shard_schedules`]). That is the order their
-    /// `Inject` events pop in, so the schedule is its own injection stream:
-    /// the epoch loop merges the cursor's head with the queue, and no
-    /// initial injection is ever pushed.
+    /// injections at this shard's routers (see [`super::packetize`]), which
+    /// it sorts by `(time, stable_id)` on the shard's own thread. That is the
+    /// order their `Inject` events pop in, so the schedule is its own
+    /// injection stream: the epoch loop merges the cursor's head with the
+    /// queue, and no initial injection is ever pushed. Stable ids are
+    /// assigned before the sort, so no key, RNG stream or digest depends on
+    /// it.
     fn new(
         sid: usize,
         sim: &'a Simulator<'_>,
         stats: StatsCollector,
-        schedule: Vec<Injection>,
+        mut schedule: Vec<Injection>,
     ) -> Self {
-        debug_assert!(
-            (schedule.windows(2))
-                .all(|w| (w[0].time, w[0].stable_id) < (w[1].time, w[1].stable_id)),
-            "a shard schedule out of injection order"
-        );
+        schedule.sort_unstable_by_key(|inj| (inj.time, inj.stable_id));
         let (net, cfg, owner) = (sim.net, sim.cfg, &sim.owner[..]);
         let shards = cfg.shards;
         let algo = sim.algo();
@@ -1829,9 +1828,10 @@ impl ShardCore<'_> {
 
 /// The packet-level simulator.
 ///
-/// Routers are assigned to [`SimConfig::shards`] shards by a recursive
-/// spectral bisection of the topology ([`spectralfly_graph::partition_kway`]
-/// — minimizing the links crossing shards minimizes cross-shard traffic).
+/// Routers are assigned to [`SimConfig::shards`] shards by recursive
+/// multilevel FM bisection of the topology
+/// ([`spectralfly_graph::partition_kway`] — minimizing the links crossing
+/// shards minimizes cross-shard traffic); at one shard it returns at once.
 /// One shard runs on the calling thread; more co-simulate on one worker
 /// thread each under the conservative epoch protocol (see [the engine
 /// module](super) and docs/ARCHITECTURE.md § "The event core: shards, epochs, credits").
@@ -2016,34 +2016,11 @@ impl<'a> Simulator<'a> {
         results
     }
 
-    /// Split a packetized schedule into the shards' injection lists, each the
-    /// injections at its own routers in `(time, stable_id)` order — the order
-    /// their `Inject` events pop in. Stable ids are assigned before the sort,
-    /// so no key, RNG stream or digest depends on it. The shards' arenas
+    /// Finite drain-to-empty run. The schedule is packetized once, on the
+    /// calling thread, into one list of injection records per shard; each
+    /// shard sorts its own list and its cursor walks it. The shards' arenas
     /// start empty and hold only the packets in flight, so an arena's
     /// high-water mark is the shard's in-flight peak.
-    fn shard_schedules(&self, mut sched: Vec<Injection>) -> Vec<Vec<Injection>> {
-        sched.sort_unstable_by_key(|inj| (inj.time, inj.stable_id));
-        if self.cfg.shards == 1 {
-            return vec![sched];
-        }
-        let shard = |inj: &Injection| self.owner[inj.src_router as usize] as usize;
-        let mut counts = vec![0; self.cfg.shards];
-        for inj in &sched {
-            counts[shard(inj)] += 1;
-        }
-        let mut schedules: Vec<Vec<Injection>> =
-            counts.into_iter().map(Vec::with_capacity).collect();
-        for inj in sched {
-            schedules[shard(&inj)].push(inj);
-        }
-        schedules
-    }
-
-    /// Finite drain-to-empty run. The schedule is packetized once, on the
-    /// calling thread, into injection records, and each shard's cursor walks
-    /// the records of its own routers — at one shard, the whole schedule,
-    /// moved.
     fn run_finite(
         &self,
         run: &RunPlan<'_>,
@@ -2053,9 +2030,8 @@ impl<'a> Simulator<'a> {
         if workload.messages.is_empty() {
             return Ok(StatsCollector::default().finish());
         }
-        let sched = packetize(self.net, self.cfg, workload, offered_load);
-        let total = sched.len() as u64;
-        let schedules = self.shard_schedules(sched);
+        let schedules = packetize(self.net, self.cfg, workload, offered_load, &self.owner);
+        let total = schedules.iter().map(Vec::len).sum::<usize>() as u64;
         let launch = |core: &mut ShardCore<'_>, shared: Option<&EpochShared>| {
             if let Some(timeline) = &run.timeline {
                 core.arm_faults(timeline, true);
@@ -2461,7 +2437,7 @@ mod tests {
         };
         let messages = vec![message(2, 0, 100), message(0, 1, 2 * 4096 + 100)];
         let wl = Workload::new("two", messages);
-        let schedule = packetize(&net, &SimConfig::default(), &wl, Some(0.5));
+        let schedule = packetize(&net, &SimConfig::default(), &wl, Some(0.5), &[0; 3]).remove(0);
         let record =
             |time, stable_id, msg_id, msg_first_inject, src, dst, bytes, msg_total| Injection {
                 time,
@@ -2565,7 +2541,8 @@ mod tests {
         let links = [net.link_id(0, 0), net.link_id(0, 1), net.link_id(1, 0)];
         let pending_router = 3;
         let mut model: Vec<VecDeque<usize>> = vec![VecDeque::new(); 4];
-        let template = packetize(&net, &cfg, &one_message(1, 64), None)[0].packet(driver::UNTAGGED);
+        let template = packetize(&net, &cfg, &one_message(1, 64), None, &sim.owner)[0][0]
+            .packet(driver::UNTAGGED);
         let queue_on_link = |core: &mut ShardCore<'_>, link: usize, pi: usize| {
             let src = core.links[link].src;
             core.occ_inc(src, src as usize * core.nv);
@@ -2758,6 +2735,43 @@ mod tests {
             })
     }
 
+    /// The schedule's shard split: at 2 and 4 shards each shard's list holds
+    /// the injections at its own routers and comes out of `ShardCore::new`
+    /// in `(time, stable_id)` order, and merging the lists gives the
+    /// one-shard schedule record for record — the stable ids are the whole
+    /// run's numbering at every shard count.
+    #[test]
+    fn shard_schedules_merge_to_the_one_shard_schedule() {
+        let net = SimNetwork::new(ring(8), 4);
+        let wl = Workload::uniform_random(net.num_endpoints(), 6, 3 * 4096, 17);
+        let sorted = |cfg: &SimConfig| {
+            let sim = Simulator::new(&net, cfg);
+            let lists = packetize(&net, cfg, &wl, Some(0.9), &sim.owner);
+            assert_eq!(lists.len(), cfg.shards);
+            (lists.into_iter().enumerate())
+                .map(|(sid, list)| {
+                    let core = ShardCore::new(sid, &sim, StatsCollector::default(), list);
+                    assert!(core
+                        .schedule
+                        .windows(2)
+                        .all(|w| { (w[0].time, w[0].stable_id) < (w[1].time, w[1].stable_id) }));
+                    let mine = |inj: &Injection| sim.owner[inj.src_router as usize] == sid as u32;
+                    assert!(core.schedule.iter().all(mine));
+                    core.schedule
+                })
+                .collect::<Vec<_>>()
+        };
+        let whole = sorted(&SimConfig::default()).remove(0);
+        assert_eq!(whole.len(), 3 * 6 * 32);
+        for shards in [2, 4] {
+            let lists = sorted(&SimConfig::default().with_shards(shards));
+            assert!(lists.iter().all(|l| !l.is_empty()), "{shards} shards");
+            let mut merged = lists.concat();
+            merged.sort_unstable_by_key(|inj| (inj.time, inj.stable_id));
+            assert_eq!(merged, whole, "{shards} shards");
+        }
+    }
+
     /// Run `wl` at one shard the way `run_finite` does, and report whether a
     /// packet waited in `pending_inject`, and whether one was dropped into
     /// retransmission, while the cursor still had initial injections left —
@@ -2770,9 +2784,7 @@ mod tests {
     ) -> (bool, bool) {
         let sim = Simulator::new(net, cfg);
         let run = RunPlan::new(net, cfg, &sim.router, wl, Some(load)).unwrap();
-        let schedule = sim
-            .shard_schedules(packetize(net, cfg, wl, Some(load)))
-            .remove(0);
+        let schedule = packetize(net, cfg, wl, Some(load), &sim.owner).remove(0);
         let mut core = ShardCore::new(0, &sim, StatsCollector::default(), schedule);
         if let Some(timeline) = &run.timeline {
             core.arm_faults(timeline, true);
@@ -2836,15 +2848,9 @@ mod tests {
             );
             for (shards, events) in [1usize, 2, 4].into_iter().zip(events) {
                 let cfg = cfg.clone().with_shards(shards);
-                let sim = Simulator::new(&net, &cfg);
-                for schedule in sim.shard_schedules(packetize(&net, &cfg, &wl, Some(load))) {
-                    assert!(
-                        (schedule.windows(2))
-                            .all(|w| (w[0].time, w[0].stable_id) <= (w[1].time, w[1].stable_id)),
-                        "{name}: a {shards}-shard schedule out of injection order"
-                    );
-                }
-                let res = sim.try_run_with_offered_load(&wl, load).unwrap();
+                let res = Simulator::new(&net, &cfg)
+                    .try_run_with_offered_load(&wl, load)
+                    .unwrap();
                 let settled = res.delivered_packets + res.faults.failed;
                 assert_eq!(settled, 3 * 6 * 32, "{name}");
                 assert_eq!(
@@ -2872,9 +2878,7 @@ mod tests {
         let wl = Workload::uniform_random(net.num_endpoints(), 1, 4096, 29);
         let cfg = SimConfig::default();
         let sim = Simulator::new(&net, &cfg);
-        let schedule = sim
-            .shard_schedules(packetize(&net, &cfg, &wl, None))
-            .remove(0);
+        let schedule = packetize(&net, &cfg, &wl, None, &sim.owner).remove(0);
         assert!(schedule.iter().all(|inj| inj.time == 0));
         let mut core = ShardCore::new(0, &sim, StatsCollector::default(), schedule);
         run_epochs(&mut core, None, None, |c, ev| c.handle_core(ev));
